@@ -17,7 +17,9 @@
 //	pstore trace [flags]                     generate a synthetic load trace CSV
 //	pstore predict [flags]                   fit a predictor on a trace CSV and forecast
 //	pstore plan [flags]                      plan reconfigurations for a trace CSV
-//	pstore bench [flags]                     benchmark the engine hot path, emit JSON
+//
+// The benchmark is not a subcommand: `go run ./bench` spawns real serve -node
+// processes and measures them end to end (see bench/README.md).
 package main
 
 import (
@@ -49,34 +51,40 @@ var commands = map[string]func([]string) error{
 	"trace":      runTrace,
 	"predict":    runPredict,
 	"plan":       runPlan,
-	"bench":      runBench,
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(dispatch(os.Args[1:], os.Stderr))
+}
+
+// dispatch runs the subcommand args names and returns the process exit
+// code: 2 with the usage text when there is none or it is unknown, 1 when
+// it fails.
+func dispatch(args []string, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usageText)
+		return 2
 	}
-	cmd := os.Args[1]
+	cmd := args[0]
 	switch cmd {
 	case "-h", "--help", "help":
-		usage()
-		return
+		fmt.Fprint(stderr, usageText)
+		return 0
 	}
 	run, ok := commands[cmd]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "pstore: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pstore: unknown command %q\n", cmd)
+		fmt.Fprint(stderr, usageText)
+		return 2
 	}
-	if err := run(os.Args[2:]); err != nil {
-		fmt.Fprintf(os.Stderr, "pstore %s: %v\n", cmd, err)
-		os.Exit(1)
+	if err := run(args[1:]); err != nil {
+		fmt.Fprintf(stderr, "pstore %s: %v\n", cmd, err)
+		return 1
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
+const usageText = `usage:
   pstore list                     list all experiments
   pstore experiment <id|all>      run an experiment (-full for paper-size runs, -seed N)
   pstore serve                    run a live cluster replaying a trace under a controller
@@ -87,9 +95,7 @@ func usage() {
   pstore trace                    generate a synthetic B2W-like load trace CSV
   pstore predict                  fit SPAR/AR/ARMA on a trace CSV and report accuracy
   pstore plan                     run the predictive elasticity planner on a trace CSV
-  pstore bench                    benchmark the transaction hot path, emit BENCH_*.json
-`)
-}
+`
 
 // newFlagSet builds a subcommand flag set whose errors flow back to main
 // for the uniform "pstore <cmd>: <reason>" exit instead of the flag

@@ -98,21 +98,13 @@ func (s CrashSchedule) CrashesAt(tick, machines int) []PlannedCrash {
 			if hit[m] {
 				continue
 			}
-			if s.roll(m, tick) < s.Rate {
+			if roll(s.Seed, uint64(uint32(m))<<32^uint64(uint32(tick)), saltCrash) < s.Rate {
 				out = append(out, PlannedCrash{Machine: m, Tick: tick})
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Machine < out[j].Machine })
 	return out
-}
-
-// roll maps (seed, machine, tick) onto a uniform value in [0, 1).
-func (s CrashSchedule) roll(machine, tick int) float64 {
-	h := uint64(s.Seed)
-	h = splitmix64(h ^ uint64(uint32(machine))<<32 ^ uint64(uint32(tick)))
-	h = splitmix64(h ^ saltCrash)
-	return float64(h>>11) / float64(1<<53)
 }
 
 // ParseCrash builds a CrashSchedule from a comma-separated spec string, the
@@ -125,16 +117,7 @@ func (s CrashSchedule) roll(machine, tick int) float64 {
 // schedule.
 func ParseCrash(spec string) (CrashSchedule, error) {
 	var s CrashSchedule
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return s, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return s, fmt.Errorf("faults: field %q is not key=value", field)
-		}
-		var err error
+	err := eachKV(spec, func(k, v string) (err error) {
 		switch k {
 		case "seed":
 			s.Seed, err = strconv.ParseInt(v, 10, 64)
@@ -147,11 +130,12 @@ func ParseCrash(spec string) (CrashSchedule, error) {
 			p, err = parsePlanned(v)
 			s.Planned = append(s.Planned, p)
 		default:
-			return s, fmt.Errorf("faults: unknown key %q", k)
+			err = errUnknownKey
 		}
-		if err != nil {
-			return s, fmt.Errorf("faults: parsing %q: %w", field, err)
-		}
+		return err
+	})
+	if err != nil {
+		return s, err
 	}
 	return s, s.Validate()
 }

@@ -190,14 +190,14 @@ func (in *Injector) BeforeMove(op store.MoveOp) error {
 	in.attempts[key]++
 	in.mu.Unlock()
 
-	if in.roll(key, attempt, saltStal) < in.cfg.Stall {
+	if key.roll(in.cfg.Seed, attempt, saltStal) < in.cfg.Stall {
 		in.stalls.Add(1)
 		time.Sleep(in.cfg.StallDelay)
-	} else if in.roll(key, attempt, saltSlow) < in.cfg.ChunkSlow {
+	} else if key.roll(in.cfg.Seed, attempt, saltSlow) < in.cfg.ChunkSlow {
 		in.slows.Add(1)
 		time.Sleep(in.cfg.SlowDelay)
 	}
-	if in.roll(key, attempt, saltDrop) < in.cfg.ChunkDrop {
+	if key.roll(in.cfg.Seed, attempt, saltDrop) < in.cfg.ChunkDrop {
 		in.drops.Add(1)
 		return fmt.Errorf("faults: dropped chunk of %d buckets %d -> %d (attempt %d): %w",
 			len(op.Buckets), op.From, op.To, attempt+1, ErrInjected)
@@ -205,15 +205,22 @@ func (in *Injector) BeforeMove(op store.MoveOp) error {
 	return nil
 }
 
-// roll maps (seed, chunk, attempt, salt) onto a uniform value in [0, 1) by
-// hashing — no shared PRNG stream, so decisions are interleaving-free.
-func (in *Injector) roll(key chunkKey, attempt uint64, salt uint64) float64 {
-	h := uint64(in.cfg.Seed)
-	h = splitmix64(h ^ uint64(key.from)<<32 ^ uint64(uint32(key.to)))
-	h = splitmix64(h ^ uint64(uint32(key.bucket)))
-	h = splitmix64(h ^ attempt)
-	h = splitmix64(h ^ salt)
+// roll maps a seed and the words that identify one decision onto a uniform
+// value in [0, 1) by hashing — no shared PRNG stream, so decisions are
+// interleaving-free. Every fixed-seed schedule depends on the words and
+// their order.
+func roll(seed int64, words ...uint64) float64 {
+	h := uint64(seed)
+	for _, w := range words {
+		h = splitmix64(h ^ w)
+	}
 	return float64(h>>11) / float64(1<<53)
+}
+
+// roll is the salt-indexed roll of one attempt at the chunk: the identity
+// every chunk-, link- and ship-level decision hashes.
+func (k chunkKey) roll(seed int64, attempt, salt uint64) float64 {
+	return roll(seed, uint64(k.from)<<32^uint64(uint32(k.to)), uint64(uint32(k.bucket)), attempt, salt)
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a full-avalanche
@@ -234,16 +241,7 @@ func splitmix64(x uint64) uint64 {
 // crash-pair and crash-part may repeat. An empty spec is an empty schedule.
 func Parse(spec string) (Config, error) {
 	var cfg Config
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return cfg, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return cfg, fmt.Errorf("faults: field %q is not key=value", field)
-		}
-		var err error
+	err := eachKV(spec, func(k, v string) (err error) {
 		switch k {
 		case "seed":
 			cfg.Seed, err = strconv.ParseInt(v, 10, 64)
@@ -266,13 +264,38 @@ func Parse(spec string) (Config, error) {
 			p, err = strconv.Atoi(v)
 			cfg.CrashParts = append(cfg.CrashParts, p)
 		default:
-			return cfg, fmt.Errorf("faults: unknown key %q", k)
+			err = errUnknownKey
 		}
-		if err != nil {
-			return cfg, fmt.Errorf("faults: parsing %q: %w", field, err)
-		}
+		return err
+	})
+	if err != nil {
+		return cfg, err
 	}
 	return cfg, cfg.Validate()
+}
+
+var errUnknownKey = errors.New("unknown key")
+
+// eachKV calls fn for every key=value field of a comma-separated spec, the
+// shape all four fault flags share; an empty spec has no fields. fn returns
+// errUnknownKey for a key outside its grammar.
+func eachKV(spec string, fn func(k, v string) error) error {
+	spec = strings.TrimSpace(spec)
+	if spec == "" {
+		return nil
+	}
+	for _, field := range strings.Split(spec, ",") {
+		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
+		if !ok {
+			return fmt.Errorf("faults: field %q is not key=value", field)
+		}
+		if err := fn(k, v); err == errUnknownKey {
+			return fmt.Errorf("faults: unknown key %q", k)
+		} else if err != nil {
+			return fmt.Errorf("faults: parsing %q: %w", field, err)
+		}
+	}
+	return nil
 }
 
 func parsePair(v string) (PartitionPair, error) {

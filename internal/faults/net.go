@@ -187,7 +187,7 @@ func (n *NetInjector) OnChunk(fromNode, toNode int, op store.MoveOp) (LinkDecisi
 	n.attempts[key]++
 	n.mu.Unlock()
 
-	roll := rollSeed(n.cfg.Seed, key, attempt)
+	roll := func(salt uint64) float64 { return key.roll(n.cfg.Seed, attempt, salt) }
 	if roll(saltLinkSlow) < n.cfg.LinkSlow {
 		n.slows.Add(1)
 		dec.Delay = n.cfg.LinkDelay
@@ -217,19 +217,6 @@ func (n *NetInjector) OnChunk(fromNode, toNode int, op store.MoveOp) (LinkDecisi
 	return dec, nil
 }
 
-// rollSeed returns a salt-indexed uniform roll for one (seed, chunk,
-// attempt) identity — the same construction as Injector.roll.
-func rollSeed(seed int64, key chunkKey, attempt uint64) func(salt uint64) float64 {
-	return func(salt uint64) float64 {
-		h := uint64(seed)
-		h = splitmix64(h ^ uint64(key.from)<<32 ^ uint64(uint32(key.to)))
-		h = splitmix64(h ^ uint64(uint32(key.bucket)))
-		h = splitmix64(h ^ attempt)
-		h = splitmix64(h ^ salt)
-		return float64(h>>11) / float64(1<<53)
-	}
-}
-
 // ParseNet builds a NetConfig from a comma-separated spec string, the format
 // of the pstore `--net-faults` flag:
 //
@@ -239,16 +226,7 @@ func rollSeed(seed int64, key chunkKey, attempt uint64) func(salt uint64) float6
 // partition may repeat. An empty spec is an empty schedule.
 func ParseNet(spec string) (NetConfig, error) {
 	var cfg NetConfig
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return cfg, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return cfg, fmt.Errorf("faults: field %q is not key=value", field)
-		}
-		var err error
+	err := eachKV(spec, func(k, v string) (err error) {
 		switch k {
 		case "seed":
 			cfg.Seed, err = strconv.ParseInt(v, 10, 64)
@@ -267,11 +245,12 @@ func ParseNet(spec string) (NetConfig, error) {
 			pair, err = parsePair(v)
 			cfg.DeadLinks = append(cfg.DeadLinks, NodePair{A: pair.From, B: pair.To})
 		default:
-			return cfg, fmt.Errorf("faults: unknown key %q", k)
+			err = errUnknownKey
 		}
-		if err != nil {
-			return cfg, fmt.Errorf("faults: parsing %q: %w", field, err)
-		}
+		return err
+	})
+	if err != nil {
+		return cfg, err
 	}
 	return cfg, cfg.Validate()
 }

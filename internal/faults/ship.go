@@ -163,7 +163,7 @@ func (n *ShipInjector) OnBatch(fromNode, toNode int, batch uint64) ShipDecision 
 	n.attempts[key]++
 	n.mu.Unlock()
 
-	roll := rollSeed(n.cfg.Seed, key, attempt)
+	roll := func(salt uint64) float64 { return key.roll(n.cfg.Seed, attempt, salt) }
 	part := roll(saltShipPart) < n.cfg.Partition
 	if n.cfg.HealAfter > 0 {
 		part = n.healEpisode(pairKey{from: fromNode, to: toNode}, part)
@@ -227,16 +227,7 @@ func (n *ShipInjector) healEpisode(pk pairKey, rolled bool) bool {
 // An empty spec is an empty schedule.
 func ParseShip(spec string) (ShipConfig, error) {
 	var cfg ShipConfig
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return cfg, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return cfg, fmt.Errorf("faults: field %q is not key=value", field)
-		}
-		var err error
+	err := eachKV(spec, func(k, v string) (err error) {
 		switch k {
 		case "seed":
 			cfg.Seed, err = strconv.ParseInt(v, 10, 64)
@@ -255,11 +246,12 @@ func ParseShip(spec string) (ShipConfig, error) {
 		case "heal-after":
 			cfg.HealAfter, err = time.ParseDuration(v)
 		default:
-			return cfg, fmt.Errorf("faults: unknown key %q", k)
+			err = errUnknownKey
 		}
-		if err != nil {
-			return cfg, fmt.Errorf("faults: parsing %q: %w", field, err)
-		}
+		return err
+	})
+	if err != nil {
+		return cfg, err
 	}
 	return cfg, cfg.Validate()
 }

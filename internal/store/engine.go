@@ -475,8 +475,8 @@ func (e *Engine) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 	if from == to {
 		return 0, nil
 	}
-	if from < 0 || from >= len(e.parts) || to < 0 || to >= len(e.parts) {
-		return 0, fmt.Errorf("store: partition out of range (%d -> %d)", from, to)
+	if err := ValidateMove(len(e.parts), e.ownerOf, e.PartitionDown, buckets, from, to, rollback); err != nil {
+		return 0, err
 	}
 	if !e.hostedAll {
 		// A direct move needs both endpoints on this node; cross-node chunks
@@ -486,23 +486,6 @@ func (e *Engine) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 		}
 		if !e.hosted[to/e.cfg.PartitionsPerMachine] {
 			return 0, notOwnedError(to)
-		}
-	}
-	for _, b := range buckets {
-		if own := e.ownerOf(b); own != from {
-			return 0, fmt.Errorf("store: bucket %d owned by partition %d, not %d", b, own, from)
-		}
-	}
-	if !rollback {
-		// Forward moves refuse crashed endpoints: a down source has a stale
-		// image and a down destination cannot acknowledge. Rollback moves are
-		// exempt so an aborted migration can always be undone (the executors
-		// stay alive while down; only transaction execution is fenced).
-		if e.parts[from].down.Load() {
-			return 0, partitionDownError(from)
-		}
-		if e.parts[to].down.Load() {
-			return 0, partitionDownError(to)
 		}
 	}
 	if h := e.faults.Load(); h != nil && h.fi != nil {
@@ -518,6 +501,7 @@ func (e *Engine) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 		overhead: overhead,
 		rollback: rollback,
 		done:     make(chan moveResult, 1),
+		flipped:  make(chan struct{}),
 	}
 	src := e.parts[from]
 	// Control requests ride the priority lane so a saturated data backlog
@@ -528,7 +512,43 @@ func (e *Engine) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 		return 0, ErrStopped
 	}
 	res := <-req.done
+	if res.err == nil {
+		// The destination reports the install, and can do so before the
+		// source has flipped ownership; a caller that plans its next move
+		// from the plan must not see the old owner.
+		<-req.flipped
+	}
 	return res.rows, res.err
+}
+
+// ValidateMove checks what every move of buckets between two distinct
+// partitions requires, in the order and with the errors callers rely on:
+// both partitions below nParts, every bucket owned by from, and neither
+// endpoint down. The engine and the coordinator of a multi-node cluster both
+// call it, each with its own view of ownership and of crashed partitions.
+func ValidateMove(nParts int, ownerOf func(bucket int) int, down func(part int) bool, buckets []int, from, to int, rollback bool) error {
+	if from < 0 || from >= nParts || to < 0 || to >= nParts {
+		return fmt.Errorf("store: partition out of range (%d -> %d)", from, to)
+	}
+	for _, b := range buckets {
+		if own := ownerOf(b); own != from {
+			return fmt.Errorf("store: bucket %d owned by partition %d, not %d", b, own, from)
+		}
+	}
+	if rollback {
+		// Forward moves refuse crashed endpoints: a down source has a stale
+		// image and a down destination cannot acknowledge. Rollback moves are
+		// exempt so an aborted migration can always be undone (the executors
+		// stay alive while down; only transaction execution is fenced).
+		return nil
+	}
+	if down(from) {
+		return partitionDownError(from)
+	}
+	if down(to) {
+		return partitionDownError(to)
+	}
+	return nil
 }
 
 // OwnerOf returns the partition currently owning a bucket.

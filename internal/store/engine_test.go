@@ -299,6 +299,28 @@ func TestEngineMoveBucketsPreservesData(t *testing.T) {
 	}
 }
 
+// TestEngineMoveBucketsFlipVisibleOnReturn: a free move's install can finish
+// before the source flips ownership, and MoveBuckets must still not return
+// until the plan shows the new owner — a follower replaying shipped plan
+// records plans each move from the plan the previous one left.
+func TestEngineMoveBucketsFlipVisibleOnReturn(t *testing.T) {
+	cfg := smallConfig()
+	cfg.InitialMachines = 1
+	e := testEngine(t, cfg)
+	registerKV(t, e)
+	e.Start()
+	from, to := 0, 2
+	for i := 0; i < 5000; i++ {
+		if _, err := e.MoveBuckets([]int{0}, from, to, 0, 0); err != nil {
+			t.Fatalf("move %d: %v", i, err)
+		}
+		if got := e.OwnerOf(0); got != to {
+			t.Fatalf("move %d returned with bucket 0 owned by partition %d, want %d", i, got, to)
+		}
+		from, to = to, from
+	}
+}
+
 func TestEngineMoveBucketsValidation(t *testing.T) {
 	e := testEngine(t, smallConfig())
 	e.Start()

@@ -329,6 +329,7 @@ func (p *partition) moveOut(r *ctlRequest) {
 		return
 	}
 	p.eng.setOwner(r.buckets, r.dest.id)
+	close(r.flipped)
 }
 
 // extractOut is the cross-node half of moveOut: it extracts the buckets,

@@ -91,6 +91,8 @@ type ctlRequest struct {
 	perRow   time.Duration
 	overhead time.Duration
 	rollback bool
+	// flipped is closed by the source once the ownership flip is visible.
+	flipped chan struct{}
 
 	// install fields.
 	data BucketData

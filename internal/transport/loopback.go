@@ -16,8 +16,9 @@ import (
 // each hosting its share of machines, each behind a real HTTP server on a
 // loopback listener, tied together by a Remote topology. Everything crosses
 // the wire exactly as separate OS processes would — only the process
-// boundary is simulated — which makes it the reference harness for
-// single-process vs multi-process parity tests and benchmarks.
+// boundary is simulated — which makes it the reference harness for the
+// single-process vs multi-process parity tests of this package and of
+// internal/cluster.
 type LoopbackConfig struct {
 	// Nodes is the node count; machine m is hosted by node m % Nodes.
 	Nodes int

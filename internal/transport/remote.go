@@ -204,14 +204,12 @@ func (r *Remote) OwnedBuckets(part int) []int {
 	return out
 }
 
-func (r *Remote) ownerOf(bucket int) int {
+// OwnerOf implements Node from the plan mirror.
+func (r *Remote) OwnerOf(bucket int) int {
 	r.planMu.Lock()
 	defer r.planMu.Unlock()
 	return int(r.plan[bucket])
 }
-
-// OwnerOf implements Node from the plan mirror.
-func (r *Remote) OwnerOf(bucket int) int { return r.ownerOf(bucket) }
 
 // BucketAccesses implements Node by summing per-bucket access counts over
 // the nodes (each bucket is hosted by exactly one node, so the sum is its
@@ -267,10 +265,9 @@ func (r *Remote) DownMachines() []int {
 	return out
 }
 
-// MoveBuckets implements Node. The validation sequence — ownership, down
-// checks, fault injector — mirrors Engine.moveBuckets exactly, so the
-// chunk-level fault schedule sees the identical MoveOp sequence it would
-// see in-process.
+// MoveBuckets implements Node. It runs store.ValidateMove and then the fault
+// injector, as Engine.moveBuckets does, so the chunk-level fault schedule
+// sees the identical MoveOp sequence it would see in-process.
 func (r *Remote) MoveBuckets(buckets []int, from, to int, perRow, overhead time.Duration) (int, error) {
 	return r.moveBuckets(buckets, from, to, perRow, overhead, false)
 }
@@ -286,22 +283,8 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 	if from == to {
 		return 0, nil
 	}
-	nParts := r.cfg.MaxMachines * r.cfg.PartitionsPerMachine
-	if from < 0 || from >= nParts || to < 0 || to >= nParts {
-		return 0, fmt.Errorf("store: partition out of range (%d -> %d)", from, to)
-	}
-	for _, b := range buckets {
-		if own := r.ownerOf(b); own != from {
-			return 0, fmt.Errorf("store: bucket %d owned by partition %d, not %d", b, own, from)
-		}
-	}
-	if !rollback {
-		if r.PartitionDown(from) {
-			return 0, fmt.Errorf("%w: partition %d", store.ErrPartitionDown, from)
-		}
-		if r.PartitionDown(to) {
-			return 0, fmt.Errorf("%w: partition %d", store.ErrPartitionDown, to)
-		}
+	if err := store.ValidateMove(r.cfg.MaxMachines*r.cfg.PartitionsPerMachine, r.OwnerOf, r.PartitionDown, buckets, from, to, rollback); err != nil {
+		return 0, err
 	}
 	op := store.MoveOp{From: from, To: to, Buckets: buckets, Rollback: rollback}
 	if h := r.fi.Load(); h != nil && h.fi != nil {

@@ -134,14 +134,15 @@ func chaosExecutorConfig() squall.Config {
 }
 
 // runChaosScript drives the acceptance scenario against any topology: a
-// faulty 1->4 scale-out, a crash of machine 1 (hosted by the second node in
-// two-node mode), a 4->1 scale-in attempt that must abort on the down
-// machine, restore, and the re-run that must succeed. The returned
-// fingerprint captures every outcome the two modes must agree on: per-step
-// results, retry/abort counters, the final plan, and row conservation.
-func runChaosScript(t *testing.T, topo transport.Topology, seed int64, keys int) string {
+// faulty 1->4 scale-out, then — with crash set — a crash of machine 1 (hosted
+// by the second node in two-node mode), a 4->1 scale-in attempt that must
+// abort on the down machine and a restore, and last the 4->1 scale-in that
+// must succeed. The returned fingerprint captures every outcome the two
+// modes must agree on: per-step results, retry/abort counters, the final
+// plan, and row conservation.
+func runChaosScript(t *testing.T, topo transport.Topology, seed int64, drop float64, crash bool, keys int) string {
 	t.Helper()
-	inj, err := faults.New(faults.Config{Seed: seed, ChunkDrop: 0.5})
+	inj, err := faults.New(faults.Config{Seed: seed, ChunkDrop: drop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,32 +176,38 @@ func runChaosScript(t *testing.T, topo transport.Topology, seed int64, keys int)
 
 	step("scale-out 1->4", func() error { return ex.Reconfigure(1, 4, 0) })
 
-	if err := topo.Crash(1); err != nil {
-		t.Fatalf("crash machine 1: %v", err)
-	}
-	if got := topo.DownMachines(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("DownMachines = %v after crash, want [1]", got)
-	}
-	// Scaling in with machine 1 dead must abort on ErrPartitionDown fencing
-	// and roll the plan back — identically in both modes.
-	before := fmt.Sprint(topo.Plan())
-	step("scale-in 4->1 (machine 1 down)", func() error { return ex.Reconfigure(4, 1, 0) })
-	if got := fmt.Sprint(topo.Plan()); got != before {
-		t.Fatal("aborted scale-in did not restore the pre-move plan")
+	if crash {
+		if err := topo.Crash(1); err != nil {
+			t.Fatalf("crash machine 1: %v", err)
+		}
+		if got := topo.DownMachines(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("DownMachines = %v after crash, want [1]", got)
+		}
+		// Scaling in with machine 1 dead must abort on ErrPartitionDown
+		// fencing and roll the plan back — identically in both modes.
+		before := fmt.Sprint(topo.Plan())
+		step("scale-in 4->1 (machine 1 down)", func() error { return ex.Reconfigure(4, 1, 0) })
+		if got := fmt.Sprint(topo.Plan()); got != before {
+			t.Fatal("aborted scale-in did not restore the pre-move plan")
+		}
+
+		st, err := topo.Restore(1)
+		if err != nil {
+			t.Fatalf("restore machine 1: %v", err)
+		}
+		if st.Machine != 1 || st.Partitions == 0 {
+			t.Fatalf("restore stats = %+v, want machine 1 with partitions rebuilt", st)
+		}
+		if got := topo.DownMachines(); len(got) != 0 {
+			t.Fatalf("DownMachines = %v after restore, want none", got)
+		}
 	}
 
-	st, err := topo.Restore(1)
-	if err != nil {
-		t.Fatalf("restore machine 1: %v", err)
+	last := "scale-in 4->1"
+	if crash {
+		last += " (restored)"
 	}
-	if st.Machine != 1 || st.Partitions == 0 {
-		t.Fatalf("restore stats = %+v, want machine 1 with partitions rebuilt", st)
-	}
-	if got := topo.DownMachines(); len(got) != 0 {
-		t.Fatalf("DownMachines = %v after restore, want none", got)
-	}
-
-	step("scale-in 4->1 (restored)", func() error { return ex.Reconfigure(4, 1, 0) })
+	step(last, func() error { return ex.Reconfigure(4, 1, 0) })
 
 	stats := ex.Stats()
 	fp += fmt.Sprintf("retries %d aborts %d rollback-chunks %d\n", stats.Retries, stats.Aborts, stats.RollbackChunks)
@@ -212,29 +219,41 @@ func runChaosScript(t *testing.T, topo transport.Topology, seed int64, keys int)
 // chaos scenario — scale-out under chunk drops, a machine crash, the fenced
 // abort, restore, scale-in — produces the identical fingerprint whether the
 // cluster is one process (the reference oracle) or two node processes behind
-// the wire.
+// the wire. The second input is a plain 1->4->1 round trip at a drop rate low
+// enough that every chunk gets through on a retry: the faulted networked
+// migration must land on the in-process plan with the same retry count.
 func TestLocalRemoteParity(t *testing.T) {
 	const seed, keys = 42, 500
+	for _, in := range []struct {
+		name  string
+		drop  float64
+		crash bool
+	}{
+		{"chunk-drop=0.5 with crash", 0.5, true},
+		{"chunk-drop=0.05 round trip", 0.05, false},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			local := newLocal(t, 4, 1)
+			loadAll(t, []*store.Engine{local.Engine}, keys)
+			if _, err := local.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			want := runChaosScript(t, local, seed, in.drop, in.crash, keys)
 
-	local := newLocal(t, 4, 1)
-	loadAll(t, []*store.Engine{local.Engine}, keys)
-	if _, err := local.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	want := runChaosScript(t, local, seed, keys)
+			lb := newKVLoopback(t, 2, 4, 1)
+			loadAll(t, lb.Engines(), keys)
+			if err := lb.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			got := runChaosScript(t, lb.Remote(), seed, in.drop, in.crash, keys)
 
-	lb := newKVLoopback(t, 2, 4, 1)
-	loadAll(t, lb.Engines(), keys)
-	if err := lb.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	got := runChaosScript(t, lb.Remote(), seed, keys)
-
-	if got != want {
-		t.Fatalf("multi-process run diverged from single-process oracle:\n--- local ---\n%s--- remote ---\n%s", want, got)
-	}
-	if n := lb.Remote().FlipErrors(); n != 0 {
-		t.Fatalf("flip broadcast errors: %d", n)
+			if got != want {
+				t.Fatalf("multi-process run diverged from single-process oracle:\n--- local ---\n%s--- remote ---\n%s", want, got)
+			}
+			if n := lb.Remote().FlipErrors(); n != 0 {
+				t.Fatalf("flip broadcast errors: %d", n)
+			}
+		})
 	}
 }
 

@@ -395,8 +395,13 @@ func runServeNode(cfg serveNodeConfig) error {
 	fmt.Printf("wire: %d requests in %d frames (%d batches): %d ok, %d txn-errors, %d bad-requests, %d internal, %d forwarded\n",
 		sc.Requests, sc.Frames, sc.Batches, sc.OK, sc.TxnErrors, sc.BadRequests, sc.Internal, sc.Forwarded)
 	ec := eng.Counters()
-	fmt.Printf("node %d served %d transactions (%d failed) in %v\n",
-		cfg.node, ec.Completed, ec.Errored, time.Since(start).Round(time.Millisecond))
+	var commitWait time.Duration
+	if ec.CommitWaits > 0 {
+		commitWait = time.Duration(ec.CommitWaitNs / ec.CommitWaits)
+	}
+	fmt.Printf("node %d served %d transactions (%d failed) in %v; %d replies held for durability, mean commit wait %v\n",
+		cfg.node, ec.Completed, ec.Errored, time.Since(start).Round(time.Millisecond),
+		ec.CommitWaits, commitWait.Round(time.Microsecond))
 	rs := rm.Stats()
 	if rs.Crashes > 0 || rs.Checkpoints > 1 {
 		fmt.Printf("recovery: %d crashes, %d recoveries, %d commands replayed (max lag %d), downtime %v, %d checkpoints\n",

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,8 +11,9 @@ import (
 )
 
 // diskStore is the durable LogStore: command records go through the WAL's
-// group commit (Append returns only after its batch is fsynced), checkpoint
-// images spill to per-bucket files, and Checkpoint compacts the log.
+// group commit (Append enqueues in execution order, Wait returns once the
+// record's batch is fsynced), checkpoint images spill to per-bucket files,
+// and Checkpoint compacts the log.
 //
 // Records travel by transaction *name*, not dense TxnID — handles are
 // assigned in registration order and need not survive a restart. The
@@ -30,9 +32,11 @@ type diskStore struct {
 
 	records atomic.Int64
 
-	// failErr latches the first fatal append error; once set, Append becomes
-	// a no-op (the engine keeps serving from memory, durability is gone and
-	// the operator learns via Err).
+	// failErr latches the first fatal log error (write, fsync, encode). The
+	// store is fail-stop from then on: every Append and Wait returns it, so no
+	// submitter is told a write committed, and the operator learns via Err.
+	// wal.ErrSyncAborted is never latched — it is the outcome of the records
+	// a dead shipper left unconfirmed, not a fault of the log.
 	failMu  sync.Mutex
 	failErr error
 
@@ -81,19 +85,31 @@ func (s *diskStore) Err() error {
 	return s.failErr
 }
 
-func (s *diskStore) Append(bucket int, id store.TxnID, key string, args any) {
-	if bucket < 0 || bucket >= len(s.heads) || s.Err() != nil {
-		return
+func (s *diskStore) Append(bucket int, id store.TxnID, key string, args any) (uint64, error) {
+	if bucket < 0 || bucket >= len(s.heads) {
+		return 0, nil
+	}
+	if err := s.Err(); err != nil {
+		return 0, err
 	}
 	lsn := s.heads[bucket].Add(1)
-	err := s.log.Append(wal.Record{
+	ticket, err := s.log.Enqueue(wal.Record{
 		Bucket: bucket, LSN: lsn, Txn: s.resolve(id), Key: key, Args: args,
 	})
 	if err != nil {
 		s.fail(err)
-		return
+		return 0, err
 	}
 	s.records.Add(1)
+	return ticket, nil
+}
+
+func (s *diskStore) Wait(ticket uint64) error {
+	err := s.log.Wait(ticket)
+	if err != nil && !errors.Is(err, wal.ErrSyncAborted) {
+		s.fail(err)
+	}
+	return err
 }
 
 func (s *diskStore) Head(bucket int) uint64 {

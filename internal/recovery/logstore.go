@@ -14,12 +14,19 @@ import (
 // disk path is tested against, and diskStore, a segmented on-disk WAL
 // (internal/wal) enabled by Config.DataDir.
 type LogStore interface {
-	// Append logs one executed command and assigns it the bucket's next LSN.
-	// Called on partition executor goroutines, after the procedure ran and
-	// before the submitter is acknowledged — for a durable store, the record
-	// is on disk when Append returns. One executor is the sole appender for
-	// the buckets it owns, so per-bucket calls are serial.
-	Append(bucket int, id store.TxnID, key string, args any)
+	// Append logs one executed command: it assigns the bucket's next LSN and
+	// places the record in the log, in call order, without waiting for I/O.
+	// Called on partition executor goroutines right after the procedure ran;
+	// one executor is the sole appender for the buckets it owns, so per-bucket
+	// calls are serial and log order is execution order. The returned ticket
+	// is 0 when the record is already as durable as it will get (the memory
+	// store); otherwise the submitter may be acknowledged only after Wait on
+	// it returns nil. An error means the record was not logged.
+	Append(bucket int, id store.TxnID, key string, args any) (ticket uint64, err error)
+	// Wait blocks until the record behind a ticket is durable (on disk, and
+	// on the follower under synchronous commit), or reports why it will not
+	// be. Safe to call from any goroutine.
+	Wait(ticket uint64) error
 	// Head returns the bucket's last-assigned LSN.
 	Head(bucket int) uint64
 	// Install makes a bucket snapshot the bucket's recovery baseline and
@@ -45,8 +52,9 @@ type LogStore interface {
 	// Bytes returns the on-disk log volume (0 for the in-memory store), the
 	// same way: a counter, not a scan.
 	Bytes() int64
-	// Err returns the store's latched fatal error, if any. Once an append
-	// fails the store stops accepting records and reports it here.
+	// Err returns the store's latched fatal error, if any. Once a write,
+	// fsync or encode fails the store stops accepting records, fails every
+	// Append and Wait with that error, and reports it here.
 	Err() error
 	// AdvanceHead raises a bucket's last-assigned LSN (never lowers it). A
 	// replica bootstrapping from a primary's snapshot uses it to continue
@@ -104,9 +112,9 @@ func newMemStore(buckets int) *memStore {
 	return &memStore{logs: make([]bucketLog, buckets)}
 }
 
-func (m *memStore) Append(bucket int, id store.TxnID, key string, args any) {
+func (m *memStore) Append(bucket int, id store.TxnID, key string, args any) (uint64, error) {
 	if bucket < 0 || bucket >= len(m.logs) {
-		return
+		return 0, nil
 	}
 	l := &m.logs[bucket]
 	l.mu.Lock()
@@ -114,7 +122,10 @@ func (m *memStore) Append(bucket int, id store.TxnID, key string, args any) {
 	l.cmds = append(l.cmds, Command{LSN: l.head, ID: id, Key: key, Args: args})
 	l.mu.Unlock()
 	m.records.Add(1)
+	return 0, nil
 }
+
+func (m *memStore) Wait(uint64) error { return nil }
 
 func (m *memStore) Head(bucket int) uint64 {
 	if bucket < 0 || bucket >= len(m.logs) {

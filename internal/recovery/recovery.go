@@ -198,11 +198,18 @@ func New(eng *store.Engine, cfg Config) (*Manager, error) {
 func (m *Manager) SetRecorder(r *metrics.Recorder) { m.rec.Store(r) }
 
 // AppendCommand implements store.CommandLogger. It runs on partition
-// executor goroutines — with a durable store, the record is on disk (group
-// commit) before the executor acknowledges the transaction.
-func (m *Manager) AppendCommand(bucket int, id store.TxnID, key string, args any) {
-	m.log.Append(bucket, id, key, args)
+// executor goroutines and never waits for I/O: with a durable store it
+// assigns the bucket LSN and encodes the record into the WAL's group-commit
+// buffer, and the returned ticket is what the partition's commit stage hands
+// to WaitDurable before it acknowledges the transaction.
+func (m *Manager) AppendCommand(bucket int, id store.TxnID, key string, args any) (uint64, error) {
+	return m.log.Append(bucket, id, key, args)
 }
+
+// WaitDurable implements store.CommandLogger: it blocks until the record
+// behind the ticket is fsynced (and follower-acked under synchronous
+// commit), leading the group-commit fsync if none is in flight.
+func (m *Manager) WaitDurable(ticket uint64) error { return m.log.Wait(ticket) }
 
 // LogHead implements store.CommandLogger: the LSN of the last command
 // appended for the bucket.
@@ -228,8 +235,9 @@ func (m *Manager) LogSize() int { return int(m.log.Records()) }
 func (m *Manager) LogBytes() int64 { return m.log.Bytes() }
 
 // Err returns the log store's latched fatal error, if any. A durable store
-// that fails to append stops persisting and reports here; the engine keeps
-// serving from memory.
+// whose write or fsync fails stops persisting and reports here; from then on
+// every transaction fails at commit. A sync-commit abort is not such an
+// error: it fails the transactions it covers and leaves the log healthy.
 func (m *Manager) Err() error { return m.log.Err() }
 
 // Close releases the log store (the WAL's active segment, for a durable

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -13,10 +14,11 @@ import (
 )
 
 // TestHealthzReportsWALFailure is the dead-log regression test: a node whose
-// WAL latches a fail-stop error still executes from memory, but it can no
-// longer promise durability — /v1/healthz must flip to 503 (so the
-// coordinator's failure detector declares it dead) and the node status must
-// carry the latched error.
+// WAL latches a fail-stop error can no longer promise durability — the write
+// whose record tore, and every write after it, fails at commit with a
+// retryable 503-class error instead of being acknowledged from memory,
+// /v1/healthz flips to 503 (so the coordinator's failure detector declares
+// the node dead) and the node status carries the latched error.
 func TestHealthzReportsWALFailure(t *testing.T) {
 	cfg := store.Config{
 		MaxMachines:          1,
@@ -77,13 +79,18 @@ func TestHealthzReportsWALFailure(t *testing.T) {
 		t.Fatalf("healthy status: WALError=%q Role=%q", st.WALError, st.Role)
 	}
 
-	// Kill the disk: the next durable append tears and latches the log.
-	// Command logging is fail-stop, not fail-txn — the execution itself
-	// still answers from memory, which is exactly why the health probe has
-	// to carry the latched error.
+	// Kill the disk: the next durable append tears and latches the log. The
+	// submitter of that write is told so — the commit error rides the reply —
+	// and so is everyone after it: the log is fail-stop.
 	fs.CrashAfterWrites(1)
-	if _, err := eng.Execute("put", "k", 2); err != nil {
-		t.Fatalf("put: %v", err)
+	for i := 0; i < 2; i++ {
+		_, err := eng.Execute("put", "k", 2+i)
+		if !errors.Is(err, store.ErrCommitFailed) || !errors.Is(err, wal.ErrCrashed) {
+			t.Fatalf("put %d on a dead log: %v, want a commit failure wrapping the disk error", i, err)
+		}
+		if code := wire.CodeOf(err); wire.StatusOf(code) != http.StatusServiceUnavailable {
+			t.Fatalf("commit failure travels as %q (%d), want a retryable 503", code, wire.StatusOf(code))
+		}
 	}
 	if rm.Err() == nil {
 		t.Fatal("WAL error did not latch")

@@ -51,6 +51,12 @@ type Counters struct {
 	// DeadlineExceeded counts transactions that expired in a partition
 	// queue and were failed without executing (counted in Errored as well).
 	DeadlineExceeded int64
+	// CommitWaits counts replies a partition's commit stage held until the
+	// transaction's log record was durable; CommitWaitNs is their cumulative
+	// wait, from the end of execution to the reply. Both stay zero when the
+	// command log is in memory (or absent): the executor replies itself.
+	CommitWaits  int64
+	CommitWaitNs int64
 }
 
 // MoveOp describes one chunk-level bucket move about to execute, as offered
@@ -116,6 +122,10 @@ type Engine struct {
 	rejected         atomic.Int64
 	shed             atomic.Int64
 	deadlineExceeded atomic.Int64
+
+	// Written by the partitions' commit stages.
+	commitWaits  atomic.Int64
+	commitWaitNs atomic.Int64
 
 	recorder atomic.Pointer[metrics.Recorder]
 	faults   atomic.Pointer[faultHolder]
@@ -643,6 +653,8 @@ func (e *Engine) Counters() Counters {
 		Rejected:         e.rejected.Load(),
 		Shed:             e.shed.Load(),
 		DeadlineExceeded: e.deadlineExceeded.Load(),
+		CommitWaits:      e.commitWaits.Load(),
+		CommitWaitNs:     e.commitWaitNs.Load(),
 	}
 }
 

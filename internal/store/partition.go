@@ -55,9 +55,36 @@ type partition struct {
 	codelAbove    time.Time // when sojourn first stayed above target (zero = below)
 	codelDropNext time.Time // next shed per the control law
 	codelDrops    int       // sheds in the current above-target episode
-	stop          chan struct{}
-	done          chan struct{}
+	// commitCh is the commit stage: executed transactions whose log record
+	// is not yet durable, in execution order. The executor is its only
+	// sender and commitLoop its only receiver. undrained (executor-only) is
+	// set by every send and cleared by a drain, so a partition that never
+	// uses the stage never pays a drain's round trip; drained carries the
+	// barrier's answer.
+	commitCh  chan pendingCommit
+	undrained bool
+	drained   chan struct{}
+	stop      chan struct{}
+	done      chan struct{}
 }
+
+// pendingCommit is one executed transaction parked in the commit stage: its
+// reply is withheld until the logger reports the ticket durable. A nil r is
+// the drain barrier — it carries nothing and is answered on p.drained.
+type pendingCommit struct {
+	r      *txnRequest
+	res    txnResult
+	logger CommandLogger
+	ticket uint64
+	held   time.Time
+}
+
+// commitDepth bounds the replies one partition may hold for durability. It
+// only has to cover the transactions a partition can execute during one
+// fsync (and one follower round trip under synchronous commit); past it the
+// executor blocks on the stage, which is the backpressure a stalled disk
+// should exert.
+const commitDepth = 256
 
 func newPartition(id int, eng *Engine, queueCap int) *partition {
 	block := make([]int64, eng.cfg.Buckets+2*accessPad)
@@ -68,6 +95,8 @@ func newPartition(id int, eng *Engine, queueCap int) *partition {
 		ctlCh:    make(chan request, queueCap),
 		store:    newBucketStore(),
 		accesses: block[accessPad : accessPad+eng.cfg.Buckets],
+		commitCh: make(chan pendingCommit, commitDepth),
+		drained:  make(chan struct{}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -91,7 +120,11 @@ func (p *partition) ctlQueue() chan request {
 // invariant that a forwarded transaction can never observe missing data —
 // see handleData.
 func (p *partition) run() {
-	defer close(p.done)
+	// The commit stage outlives the executor by exactly its backlog: once no
+	// more transactions can execute, it delivers the replies it still holds
+	// and only then marks the partition done.
+	go p.commitLoop()
+	defer close(p.commitCh)
 	for {
 		// Serve pending control work first: migration, checkpoints and
 		// crash fencing must not wait behind a saturated data backlog.
@@ -160,6 +193,11 @@ func (p *partition) handle(req request) {
 	case req.txn != nil:
 		p.execute(req.txn)
 	case req.ctl != nil:
+		// Every control request sees a partition with nothing awaiting
+		// durability: an image is never ahead of its log, a crash leaves every
+		// executed command where the restore will read it, and a chunk never
+		// leaves with effects its source has not logged.
+		p.drainCommits()
 		switch req.ctl.kind {
 		case ctlMoveOut:
 			p.moveOut(req.ctl)
@@ -207,10 +245,62 @@ func (p *partition) execute(r *txnRequest) {
 	// Log before acknowledging: once the submitter sees the result, the
 	// command is recoverable. Errored executions are logged too — their
 	// partial effects are state, and deterministic replay reproduces them.
+	// Only the record's place in the log is fixed here; waiting for the log
+	// belongs to the commit stage, so the next transaction does not queue
+	// behind this one's fsync. It may read what this one wrote, but its own
+	// record — and so its reply — is behind this one's in the same log, and
+	// no submitter ever sees an effect that is not durable.
+	res := txnResult{value: v, err: err}
 	if h := p.eng.cmdLog.Load(); h != nil && h.l != nil {
-		h.l.AppendCommand(int(r.bucket), r.id, r.key, r.args)
+		ticket, lerr := h.l.AppendCommand(int(r.bucket), r.id, r.key, r.args)
+		if lerr != nil {
+			res = txnResult{err: commitError(p.id, lerr)}
+		} else if ticket != 0 {
+			p.undrained = true
+			p.commitCh <- pendingCommit{r: r, res: res, logger: h.l, ticket: ticket, held: time.Now()}
+			return
+		}
 	}
-	r.reply <- txnResult{value: v, err: err}
+	r.reply <- res
+}
+
+// commitLoop is the partition's commit stage: it takes executed transactions
+// in execution order, waits until each one's log record is durable — leading
+// the log's group commit when nobody else is — and delivers the reply, or the
+// commit error in its place. One long-lived goroutine per partition; it ends,
+// and with it the partition, when the executor closes the stage.
+func (p *partition) commitLoop() {
+	defer close(p.done)
+	for c := range p.commitCh {
+		if c.r == nil {
+			p.drained <- struct{}{}
+			continue
+		}
+		if err := c.logger.WaitDurable(c.ticket); err != nil {
+			c.res = txnResult{err: commitError(p.id, err)}
+		}
+		p.eng.commitWaits.Add(1)
+		p.eng.commitWaitNs.Add(int64(time.Since(c.held)))
+		c.r.reply <- c.res
+	}
+}
+
+// drainCommits returns once every transaction this partition has executed
+// has had its reply delivered — durable, or failed for good. It runs on the
+// executor, so nothing new enters the stage meanwhile.
+func (p *partition) drainCommits() {
+	if !p.undrained {
+		return
+	}
+	p.commitCh <- pendingCommit{}
+	<-p.drained
+	p.undrained = false
+}
+
+// commitError wraps a logger failure for the submitter of the transaction it
+// left undecided.
+func commitError(part int, err error) error {
+	return fmt.Errorf("%w: partition %d executed the transaction but its log record is not durable: %w", ErrCommitFailed, part, err)
 }
 
 // overloadCheck runs the executor-side overload plane for one dequeued

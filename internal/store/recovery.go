@@ -11,16 +11,35 @@ import (
 // log — but nothing executes there while it is down.
 var ErrPartitionDown = errors.New("store: partition down")
 
+// ErrCommitFailed is returned for a transaction that executed but whose
+// command-log record did not become durable: the log's write or fsync failed,
+// or under synchronous commit the follower never confirmed the record. Its
+// effects are in memory and may or may not survive a crash, so the submitter
+// must not be told it committed; like a timeout, the outcome is unknown and a
+// retry is the submitter's call. The error wraps the logger's own.
+var ErrCommitFailed = errors.New("store: commit failed")
+
 // CommandLogger receives one logical log record per executed transaction —
 // H-Store-style command logging, where the log captures the *input* of each
-// deterministic procedure rather than its effects. AppendCommand is called by
-// partition executors after the procedure ran (including procedures that
-// returned an error: their partial effects are part of the state and replay
-// reproduces them); LogHead is called by the snapshot path, on the same
-// executor goroutine, so the returned LSN is exact for every bucket the
-// executor owns.
+// deterministic procedure rather than its effects.
+//
+// AppendCommand is called by partition executors right after the procedure
+// ran (including procedures that returned an error: their partial effects are
+// part of the state and replay reproduces them). It must fix the record's
+// place in the log — per bucket, log order is execution order — without
+// waiting for the log to become durable, because the executor goes straight
+// on to the next transaction. It returns a commit ticket: 0 means the record
+// is already as durable as the logger makes it and the executor replies at
+// once; any other ticket goes to the partition's commit stage, which calls
+// WaitDurable on it, off the executor, and only then replies. An error from
+// either call reaches the submitter wrapped in ErrCommitFailed.
+//
+// LogHead is called by the snapshot path on the executor goroutine, after the
+// commit stage has drained, so the returned LSN is exact and durable for every
+// bucket the executor owns.
 type CommandLogger interface {
-	AppendCommand(bucket int, id TxnID, key string, args any)
+	AppendCommand(bucket int, id TxnID, key string, args any) (ticket uint64, err error)
+	WaitDurable(ticket uint64) error
 	LogHead(bucket int) uint64
 }
 

@@ -101,6 +101,8 @@ type MemFS struct {
 	crashAt int64 // 1-based write index that crashes; 0 = disarmed
 	writes  int64
 	crashed bool
+
+	syncHook func(name string) error
 }
 
 // NewMemFS builds an empty MemFS whose torn-write prefixes draw from seed.
@@ -136,6 +138,16 @@ func (m *MemFS) CrashAfterWrites(k int64) {
 	defer m.mu.Unlock()
 	m.writes = 0
 	m.crashAt = k
+}
+
+// SetSyncHook installs fn to run at the start of every File.Sync, with the
+// file's name and outside the filesystem's lock: it may block (a gate that
+// holds an fsync open), sleep (a slow disk) or return an error, which Sync
+// then returns without making anything durable. Nil removes the hook.
+func (m *MemFS) SetSyncHook(fn func(name string) error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.syncHook = fn
 }
 
 // Writes reports how many Write calls have been issued since the crash point
@@ -310,6 +322,14 @@ func (h *memHandle) Read(p []byte) (int, error) {
 }
 
 func (h *memHandle) Sync() error {
+	h.fs.mu.Lock()
+	hook := h.fs.syncHook
+	h.fs.mu.Unlock()
+	if hook != nil {
+		if err := hook(h.name); err != nil {
+			return err
+		}
+	}
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if h.fs.crashed {

@@ -25,10 +25,11 @@ import (
 // full-resync from a fresh snapshot instead.
 var ErrNeedResync = errors.New("wal: cannot truncate to divergence point; full resync required")
 
-// ErrSyncAborted fails an append that was locally durable but waiting on the
-// sync-commit barrier when its record's fate became unknowable: the shipper
+// ErrSyncAborted fails the wait on a record that was locally durable but
+// still owed a follower ack when its fate became unknowable: the shipper
 // died before the follower confirmed it, or a divergence truncation discarded
-// it outright. The submitter must not be told the write committed.
+// it outright. The submitter must not be told the write committed. It is the
+// outcome of those records, not of the log: later appends are unaffected.
 var ErrSyncAborted = errors.New("wal: sync commit aborted before the follower acknowledged the record")
 
 // TruncateResult describes what TruncateTo discarded.
@@ -43,10 +44,10 @@ type TruncateResult struct {
 }
 
 // SetSyncCommit arms or disarms the synchronous-commit barrier. While armed,
-// Append returns only once the remote ack cursor (SetRemoteAck) covers the
-// record; disarming releases every waiter — the shipper disarms when it
-// stops or latches a terminal error, so appends degrade to local durability
-// instead of deadlocking.
+// Wait (and so Append) returns only once the remote ack cursor
+// (SetRemoteAck) covers the record; disarming releases every waiter — the
+// shipper disarms when it stops or latches a terminal error, so appends
+// degrade to local durability instead of deadlocking.
 func (l *Log) SetSyncCommit(on bool) {
 	l.mu.Lock()
 	l.syncCommit = on
@@ -67,14 +68,16 @@ func (l *Log) SetRemoteAck(cur ShipCursor) {
 	l.mu.Unlock()
 }
 
-// AbortSync fails every append currently blocked on the sync-commit barrier
-// with ErrSyncAborted: their records are durable locally but the follower
-// never confirmed them, and the caller (a shipper that hit a terminal error,
-// or a fenced primary standing down) knows no confirmation is coming. The
-// barrier stays armed; records the follower did ack are unaffected.
+// AbortSync fails every record enqueued under the armed barrier and not yet
+// acknowledged by the follower with ErrSyncAborted — whether its waiter is
+// parked on the barrier now or only arrives later: the records are durable
+// locally but the follower never confirmed them, and the caller (a shipper
+// that hit a terminal error, or a fenced primary standing down) knows no
+// confirmation is coming. The barrier stays armed; records the follower did
+// ack are unaffected. With the barrier disarmed there is nothing to abort.
 func (l *Log) AbortSync() {
 	l.mu.Lock()
-	if l.appendSeq > l.remoteAckSeq {
+	if l.syncCommit && l.appendSeq > l.remoteAckSeq {
 		l.discardLo, l.discardHi = l.remoteAckSeq, l.appendSeq
 		l.cond.Broadcast()
 	}
@@ -131,7 +134,7 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 		return res, l.err
 	}
 	if l.closed {
-		return res, errors.New("wal: log is closed")
+		return res, errClosed
 	}
 	if l.syncing || len(l.buf) > 0 {
 		return res, errors.New("wal: truncate with appends in flight")
@@ -324,7 +327,7 @@ func (l *Log) Reset() error {
 		return l.err
 	}
 	if l.closed {
-		return errors.New("wal: log is closed")
+		return errClosed
 	}
 	if l.syncing || len(l.buf) > 0 {
 		return errors.New("wal: reset with appends in flight")

@@ -127,9 +127,10 @@ type Log struct {
 	// segment); buf accumulates framed-but-not-yet-durable bytes.
 	enc *segEncoder
 	buf []byte
-	// appendSeq numbers encoded records; syncedSeq is the largest sequence
-	// made durable. An appender waits until its record's sequence is synced,
-	// electing itself leader if no sync is in flight.
+	// appendSeq numbers encoded records (a record's number is its commit
+	// ticket); syncedSeq is the largest sequence made durable. Wait blocks
+	// until its ticket's sequence is synced, electing itself leader if no
+	// sync is in flight.
 	appendSeq, syncedSeq uint64
 	syncing              bool
 	err                  error // first fatal I/O error; latched
@@ -157,14 +158,14 @@ type Log struct {
 	epoch   uint64
 	shipPin int
 
-	// Synchronous commit: when armed, append also waits until the follower's
+	// Synchronous commit: when armed, Wait also blocks until the follower's
 	// acknowledged cursor covers the record (remoteAckSeq, in append-sequence
 	// space). activeAckBase is appendSeq at the moment the active segment
 	// opened, so a ship cursor into it maps onto append sequences.
 	syncCommit    bool
 	remoteAckSeq  uint64
 	activeAckBase uint64
-	// (discardLo, discardHi] is the append-sequence window whose sync-commit
+	// (discardLo, discardHi] is the append-sequence window whose un-acked
 	// waiters must fail instead of ack: their records were truncated away or
 	// their shipper died before the follower confirmed them.
 	discardLo, discardHi uint64
@@ -380,15 +381,31 @@ func (l *Log) openActive() error {
 
 func segName(seq int) string { return fmt.Sprintf("seg-%08d.log", seq) }
 
-// Append makes one command record durable and returns once it (and every
-// record encoded before it) has been fsynced. Concurrent appenders share
-// sync batches: whoever finds no sync in flight writes and syncs everything
-// buffered so far, then wakes the rest.
+// errClosed fails appends to, and waits on, a log that has been closed.
+var errClosed = errors.New("wal: log is closed")
+
+// Append makes one command record durable: Enqueue, then Wait. It returns
+// once the record (and every record enqueued before it) has been fsynced
+// and, with the sync-commit barrier armed, acknowledged by the follower.
 func (l *Log) Append(r Record) error {
-	if r.Bucket < 0 || r.Bucket >= l.cfg.Geometry.Buckets {
-		return fmt.Errorf("wal: append to bucket %d out of range", r.Bucket)
+	seq, err := l.Enqueue(r)
+	if err != nil {
+		return err
 	}
-	return l.append(&segRecord{
+	return l.Wait(seq)
+}
+
+// Enqueue encodes one command record into the group-commit buffer and
+// returns its commit ticket without waiting for any I/O. Records reach the
+// disk in Enqueue order, so a caller that must fix an order (a partition
+// executor logging in execution order) fixes it here and can leave the
+// waiting to someone else. The record is not durable, and nobody may be told
+// it committed, until Wait on the ticket returns nil.
+func (l *Log) Enqueue(r Record) (uint64, error) {
+	if r.Bucket < 0 || r.Bucket >= l.cfg.Geometry.Buckets {
+		return 0, fmt.Errorf("wal: append to bucket %d out of range", r.Bucket)
+	}
+	return l.enqueue(&segRecord{
 		Kind: recCommand, Bucket: int32(r.Bucket), LSN: r.LSN,
 		Txn: r.Txn, Key: r.Key, Args: r.Args,
 	})
@@ -402,19 +419,24 @@ func (l *Log) LogPlan(plan []int32, active int) error {
 	}
 	p := make([]int32, len(plan))
 	copy(p, plan)
-	return l.append(&segRecord{Kind: recPlan, Plan: p, Active: int32(active)})
+	seq, err := l.enqueue(&segRecord{Kind: recPlan, Plan: p, Active: int32(active)})
+	if err != nil {
+		return err
+	}
+	return l.Wait(seq)
 }
 
-// append encodes one record into the group-commit buffer and blocks until
-// it is durable.
-func (l *Log) append(sr *segRecord) error {
+// enqueue encodes one record into the group-commit buffer and returns its
+// append sequence — the ticket Wait takes. It never blocks on I/O except to
+// rotate a full segment, which happens only with nothing buffered.
+func (l *Log) enqueue(sr *segRecord) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
-		return l.err
+		return 0, l.err
 	}
 	if l.closed {
-		return errors.New("wal: log is closed")
+		return 0, errClosed
 	}
 	// Rotate between batches: only when nothing is buffered or in flight,
 	// so a segment's gob stream is never split across files.
@@ -422,7 +444,7 @@ func (l *Log) append(sr *segRecord) error {
 		if err := l.rotateLocked(); err != nil {
 			l.err = err
 			l.cond.Broadcast()
-			return err
+			return 0, err
 		}
 	}
 	if sr.Kind == recPlan {
@@ -442,14 +464,30 @@ func (l *Log) append(sr *segRecord) error {
 	if err != nil {
 		l.err = err
 		l.cond.Broadcast()
-		return err
+		return 0, err
 	}
 	l.appendSeq++
-	seq := l.appendSeq
 	l.activeRecs++
 	l.appends.Add(1)
+	return l.appendSeq, nil
+}
 
+// Wait blocks until the record behind a ticket from Enqueue is durable —
+// fsynced, and acknowledged by the follower while the sync-commit barrier
+// is armed — or can no longer become so. Whoever waits and finds no sync in
+// flight leads one: it writes and syncs everything buffered so far outside
+// the lock, then wakes the rest, so concurrent waiters share sync batches.
+// Ticket 0 (no record) is durable by definition.
+func (l *Log) Wait(seq uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq > l.appendSeq {
+		return fmt.Errorf("wal: wait on ticket %d, only %d records enqueued", seq, l.appendSeq)
+	}
 	for l.syncedSeq < seq && l.err == nil {
+		if l.closed {
+			return errClosed
+		}
 		if l.syncing {
 			l.cond.Wait()
 			continue
@@ -487,20 +525,21 @@ func (l *Log) append(sr *segRecord) error {
 	// Synchronous commit: the record is durable here; with the barrier armed,
 	// also wait until the follower's ack covers it. The whole fsync batch
 	// ships as (at most) one batch and is released by one ack, so the round
-	// trip amortizes exactly like the fsync does. Disarming releases waiters.
-	for l.err == nil && !l.closed && l.syncCommit && l.remoteAckSeq < seq {
+	// trip amortizes exactly like the fsync does. A record enqueued before
+	// an abort and never acknowledged fails whenever its waiter gets here,
+	// even after the barrier was disarmed; otherwise disarming releases
+	// waiters to local durability.
+	for l.err == nil && l.remoteAckSeq < seq {
 		if seq > l.discardLo && seq <= l.discardHi {
 			return ErrSyncAborted
 		}
-		l.cond.Wait()
-	}
-	if l.err == nil && l.syncCommit && l.remoteAckSeq < seq {
-		if seq > l.discardLo && seq <= l.discardHi {
-			return ErrSyncAborted
+		if !l.syncCommit {
+			break
 		}
 		if l.closed {
 			return errors.New("wal: log closed before the follower acknowledged the record")
 		}
+		l.cond.Wait()
 	}
 	return l.err
 }

@@ -21,30 +21,14 @@ func openTest(t *testing.T, fs FS, segBytes int64) (*Log, *Recovered) {
 	return l, rec
 }
 
-// slowFS adds latency to Sync so concurrent appenders pile up behind the
-// batch leader — without it MemFS syncs are instantaneous and group commit
+// slowSync adds latency to every Sync so concurrent appenders pile up behind
+// the batch leader — without it MemFS syncs are instantaneous and group commit
 // has nothing to batch.
-type slowFS struct {
-	FS
-	delay time.Duration
-}
-
-type slowFile struct {
-	File
-	delay time.Duration
-}
-
-func (s slowFS) Create(name string) (File, error) {
-	f, err := s.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return slowFile{f, s.delay}, nil
-}
-
-func (f slowFile) Sync() error {
-	time.Sleep(f.delay)
-	return f.File.Sync()
+func slowSync(fs *MemFS, delay time.Duration) {
+	fs.SetSyncHook(func(string) error {
+		time.Sleep(delay)
+		return nil
+	})
 }
 
 // TestNilArgsRoundTrip pins the codec detail everything else leans on: a
@@ -95,7 +79,8 @@ func TestRoundTripProperty(t *testing.T) {
 			fs := NewMemFS(seed)
 			// Small segments force rotations mid-run; the sync latency makes
 			// appenders share batches.
-			l, _ := openTest(t, slowFS{fs, 200 * time.Microsecond}, 4<<10)
+			slowSync(fs, 200*time.Microsecond)
+			l, _ := openTest(t, fs, 4<<10)
 
 			g := testGeometry()
 			var mu sync.Mutex

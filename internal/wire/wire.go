@@ -87,7 +87,9 @@ const (
 	// deadline elapsed before completion (HTTP 504).
 	CodeDeadline = "deadline_exceeded"
 	// CodePartitionDown: the owning partition's machine is crashed and not
-	// yet recovered (HTTP 503).
+	// yet recovered, or it executed the transaction but could not make its
+	// log record durable (store.ErrCommitFailed) — either way the partition
+	// could not commit the work and the client may retry (HTTP 503).
 	CodePartitionDown = "partition_down"
 	// CodeUnknownTxn: the transaction name is not registered (HTTP 400).
 	CodeUnknownTxn = "unknown_txn"
@@ -115,7 +117,7 @@ func CodeOf(err error) string {
 		return CodeOverload
 	case errors.Is(err, store.ErrDeadlineExceeded):
 		return CodeDeadline
-	case errors.Is(err, store.ErrPartitionDown):
+	case errors.Is(err, store.ErrPartitionDown), errors.Is(err, store.ErrCommitFailed):
 		return CodePartitionDown
 	case errors.Is(err, store.ErrUnknownTxn):
 		return CodeUnknownTxn

@@ -319,13 +319,6 @@ func runServeNode(cfg serveNodeConfig) error {
 		if shipCancel != nil {
 			shipCancel() // the follower resynced; the old stream is dead
 		}
-		// Under synchronous commit the ship poll period is the floor on
-		// commit latency (a waiting ack cannot be released faster than the
-		// shipper notices the new records), so poll tighter than the default.
-		interval := time.Duration(0)
-		if cfg.syncCommit {
-			interval = time.Millisecond
-		}
 		sh, err := transport.NewShipper(transport.ShipperConfig{
 			RM:         rm,
 			Follower:   transport.NewPeer(url),
@@ -333,7 +326,6 @@ func runServeNode(cfg serveNodeConfig) error {
 			ToNode:     -1,
 			Faults:     shipInj,
 			Start:      cur,
-			Interval:   interval,
 			SyncCommit: cfg.syncCommit,
 		})
 		if err != nil {
@@ -399,9 +391,10 @@ func runServeNode(cfg serveNodeConfig) error {
 	if ec.CommitWaits > 0 {
 		commitWait = time.Duration(ec.CommitWaitNs / ec.CommitWaits)
 	}
-	fmt.Printf("node %d served %d transactions (%d failed) in %v; %d replies held for durability, mean commit wait %v\n",
+	ws := rm.WALStats()
+	fmt.Printf("node %d served %d transactions (%d failed) in %v; %d replies held for durability, mean commit wait %v; WAL shipped by %d tail reads, %d file reads\n",
 		cfg.node, ec.Completed, ec.Errored, time.Since(start).Round(time.Millisecond),
-		ec.CommitWaits, commitWait.Round(time.Microsecond))
+		ec.CommitWaits, commitWait.Round(time.Microsecond), ws.ShipTailReads, ws.ShipFileReads)
 	rs := rm.Stats()
 	if rs.Crashes > 0 || rs.Checkpoints > 1 {
 		fmt.Printf("recovery: %d crashes, %d recoveries, %d commands replayed (max lag %d), downtime %v, %d checkpoints\n",

@@ -14,14 +14,15 @@ import (
 // disk path is tested against, and diskStore, a segmented on-disk WAL
 // (internal/wal) enabled by Config.DataDir.
 type LogStore interface {
-	// Append logs one executed command: it assigns the bucket's next LSN and
-	// places the record in the log, in call order, without waiting for I/O.
-	// Called on partition executor goroutines right after the procedure ran;
-	// one executor is the sole appender for the buckets it owns, so per-bucket
-	// calls are serial and log order is execution order. The returned ticket
+	// Append logs one command about to execute: it assigns the bucket's next
+	// LSN and places the record in the log, in call order, without waiting for
+	// I/O. Called on partition executor goroutines right before the procedure
+	// runs; one executor is the sole appender for the buckets it owns, so
+	// per-bucket calls are serial and log order is execution order. The returned ticket
 	// is 0 when the record is already as durable as it will get (the memory
 	// store); otherwise the submitter may be acknowledged only after Wait on
-	// it returns nil. An error means the record was not logged.
+	// it returns nil. An error means the record was not logged, and the
+	// executor does not run the command.
 	Append(bucket int, id store.TxnID, key string, args any) (ticket uint64, err error)
 	// Wait blocks until the record behind a ticket is durable (on disk, and
 	// on the follower under synchronous commit), or reports why it will not

@@ -65,11 +65,14 @@ func (g *syncGate) awaitSync(t *testing.T) {
 
 // pipeNode is one engine with a single hosted partition (partition 1 exists
 // only as a migration destination), so execution order is one total order,
-// reported by the procedures themselves on executed.
+// reported by the procedures themselves on executed. While hold is set, a put
+// reports itself on entered and then blocks until the channel is closed.
 type pipeNode struct {
 	e        *store.Engine
 	m        *recovery.Manager
 	executed chan string
+	entered  chan string
+	hold     atomic.Pointer[chan struct{}]
 }
 
 func newPipeNode(tb testing.TB, rcfg recovery.Config) *pipeNode {
@@ -81,13 +84,17 @@ func newPipeNode(tb testing.TB, rcfg recovery.Config) *pipeNode {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	n := &pipeNode{e: e, executed: make(chan string, 4096)}
+	n := &pipeNode{e: e, executed: make(chan string, 4096), entered: make(chan string, 16)}
 	must := func(err error) {
 		if err != nil {
 			tb.Fatal(err)
 		}
 	}
 	must(e.Register("put", func(tx *store.Tx) (any, error) {
+		if hold := n.hold.Load(); hold != nil {
+			n.entered <- tx.Key
+			<-*hold
+		}
 		err := tx.Put("T", tx.Key, tx.Args)
 		n.executed <- tx.Key
 		return nil, err
@@ -151,7 +158,7 @@ func (n *pipeNode) fingerprint(t *testing.T, keys int) string {
 // command records in disk order.
 func (n *pipeNode) durableCommands(t *testing.T) []wal.ShipRecord {
 	t.Helper()
-	recs, _, err := n.m.ReadShip(wal.ShipCursor{}, 1<<20)
+	recs, _, _, err := n.m.ReadShip(wal.ShipCursor{}, 1<<20)
 	if err != nil {
 		t.Fatalf("reading the durable log: %v", err)
 	}
@@ -404,7 +411,7 @@ func TestPipelineControlDrain(t *testing.T) {
 			// The chunk is on its way to another node: everything it carries
 			// must already be in this node's durable log (which by now also
 			// holds the extraction's own plan record).
-			recs, _, err := n.m.ReadShip(wal.ShipCursor{}, 1<<20)
+			recs, _, _, err := n.m.ReadShip(wal.ShipCursor{}, 1<<20)
 			if err != nil {
 				return err
 			}
@@ -417,6 +424,113 @@ func TestPipelineControlDrain(t *testing.T) {
 			t.Fatalf("extracted %d rows, want %d", data.Rows(), loaded)
 		}
 	})
+}
+
+// TestLogBeforeRun on the real log: while a procedure is still running, its
+// record is fsynced, the caught-up reader of the ship stream is woken and
+// reads it — from memory — and the reply is held; it goes out once the
+// procedure returns. (The other order — procedure done, fsync held, no reply —
+// is TestPipelineOverlap.)
+func TestLogBeforeRun(t *testing.T) {
+	n := newPipeNode(t, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
+	end, err := n.m.ShipEnd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, wake, err := n.m.ReadShip(end, 10)
+	if err != nil || len(recs) != 0 || wake == nil {
+		t.Fatalf("caught-up read: %d records, wake %v, err %v", len(recs), wake, err)
+	}
+
+	hold := make(chan struct{})
+	var letGo sync.Once
+	release := func() { letGo.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	n.hold.Store(&hold)
+	reply := make(chan pipeReply, 1)
+	go func() {
+		_, err := n.e.Execute("put", "k-0", 1)
+		reply <- pipeReply{"k-0", err}
+	}()
+	select {
+	case <-n.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("put never started")
+	}
+	select {
+	case <-wake:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the record was not made durable while its procedure ran: the ship stream was never woken")
+	}
+	recs, _, _, err = n.m.ReadShip(end, 10)
+	if err != nil || len(recs) != 1 || recs[0].Key != "k-0" || recs[0].LSN != 1 {
+		t.Fatalf("ship read while the procedure runs: %+v, err %v; want its record", recs, err)
+	}
+	if s := n.m.WALStats(); s.ShipTailReads != 1 || s.ShipFileReads != 0 {
+		t.Fatalf("the record was read from the files (%d tail reads, %d file reads)", s.ShipTailReads, s.ShipFileReads)
+	}
+	noneDelivered(t, []chan pipeReply{reply}, "while its procedure was still running")
+	if rows := n.e.TotalRows(); rows != 0 {
+		t.Fatalf("%d rows before the procedure wrote any", rows)
+	}
+	release()
+	if r := delivered(t, reply); r.err != nil {
+		t.Fatalf("put: %v", r.err)
+	}
+	if got := n.durableCommands(t); len(got) != 1 {
+		t.Fatalf("%d commands on disk, want 1", len(got))
+	}
+}
+
+// TestLogBeforeRunFailedAppend: a command that cannot be logged is not run.
+// The first transaction to hit the dying disk was logged and ran before the
+// write failed — it fails at commit and its effect stays in memory, outcome
+// unknown; every one after it is refused at the append and leaves nothing
+// behind but its admission count.
+func TestLogBeforeRunFailedAppend(t *testing.T) {
+	fs := wal.NewMemFS(1)
+	n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+	for _, k := range burstKeys(3) {
+		if _, err := n.e.Execute("put", k, 1); err != nil {
+			t.Fatal(err)
+		}
+		<-n.executed
+	}
+	fs.CrashAfterWrites(1)
+	if _, err := n.e.Execute("put", "doomed", 1); !errors.Is(err, store.ErrCommitFailed) || !errors.Is(err, wal.ErrCrashed) {
+		t.Fatalf("put into a failing write: %v, want a commit failure wrapping the disk's error", err)
+	}
+	<-n.executed // it was logged, so it ran
+	if n.m.Err() == nil {
+		t.Fatal("a failed write did not latch the store")
+	}
+
+	accesses := func() (sum int64) {
+		for _, a := range n.e.BucketAccesses(false) {
+			sum += a
+		}
+		return sum
+	}
+	rows, admitted, counted := n.e.TotalRows(), accesses(), n.e.Counters()
+	_, err := n.e.Execute("put", "never", 1)
+	if !errors.Is(err, store.ErrCommitFailed) || !strings.Contains(err.Error(), "did not run") {
+		t.Fatalf("put on a dead log: %v, want a commit failure that says the transaction did not run", err)
+	}
+	select {
+	case k := <-n.executed:
+		t.Fatalf("%s ran although its command could not be logged", k)
+	default:
+	}
+	if got := n.e.TotalRows(); got != rows {
+		t.Fatalf("rows %d -> %d across a refused transaction", rows, got)
+	}
+	if got := accesses(); got != admitted+1 {
+		t.Fatalf("accesses %d -> %d, want the one admission", admitted, got)
+	}
+	if c := n.e.Counters(); c.Errored != counted.Errored+1 || c.CommitWaits != counted.CommitWaits {
+		t.Fatalf("Errored %d -> %d, CommitWaits %d -> %d; want one more error and nothing staged",
+			counted.Errored, c.Errored, counted.CommitWaits, c.CommitWaits)
+	}
 }
 
 // TestCommitSyncAbort: a sync-commit abort is the outcome of the records it

@@ -198,10 +198,12 @@ func New(eng *store.Engine, cfg Config) (*Manager, error) {
 func (m *Manager) SetRecorder(r *metrics.Recorder) { m.rec.Store(r) }
 
 // AppendCommand implements store.CommandLogger. It runs on partition
-// executor goroutines and never waits for I/O: with a durable store it
-// assigns the bucket LSN and encodes the record into the WAL's group-commit
-// buffer, and the returned ticket is what the partition's commit stage hands
-// to WaitDurable before it acknowledges the transaction.
+// executor goroutines, right before the procedure does, and never waits for
+// I/O: with a durable store it assigns the bucket LSN and encodes the record
+// — args included, so what the procedure then does to them is not logged —
+// into the WAL's group-commit buffer, and the returned ticket is what the
+// partition's commit stage hands to WaitDurable, while the procedure runs,
+// before it acknowledges the transaction.
 func (m *Manager) AppendCommand(bucket int, id store.TxnID, key string, args any) (uint64, error) {
 	return m.log.Append(bucket, id, key, args)
 }

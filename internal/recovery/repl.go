@@ -47,13 +47,23 @@ func (m *Manager) ShipEnd() (wal.ShipCursor, error) {
 }
 
 // ReadShip returns up to max durable records beyond the cursor and the
-// cursor after them. wal.ErrShipGone means the cursor's records were
-// compacted and the follower must full-resync.
-func (m *Manager) ReadShip(cur wal.ShipCursor, max int) ([]wal.ShipRecord, wal.ShipCursor, error) {
+// cursor after them; a caught-up cursor gets no records and a channel that
+// is closed when the log next grows. wal.ErrShipGone means the cursor's
+// records were compacted and the follower must full-resync.
+func (m *Manager) ReadShip(cur wal.ShipCursor, max int) ([]wal.ShipRecord, wal.ShipCursor, <-chan struct{}, error) {
 	if m.wal == nil {
-		return nil, cur, ErrNotDurable
+		return nil, cur, nil, ErrNotDurable
 	}
 	return m.wal.ReadShip(cur, max)
+}
+
+// WALStats returns the durable log's I/O and ship-read counters (zero when
+// not durable).
+func (m *Manager) WALStats() wal.Stats {
+	if m.wal == nil {
+		return wal.Stats{}
+	}
+	return m.wal.Stats()
 }
 
 // ShipLag returns the durable bytes beyond the cursor.

@@ -135,7 +135,7 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 		// our restart). Validate the cursor is still retained, pin it, and
 		// ship from there — no snapshot stream.
 		cur := walShipCursor(*req.Resume)
-		if _, _, err := rm.ReadShip(cur, 1); err != nil {
+		if _, _, _, err := rm.ReadShip(cur, 1); err != nil {
 			writeNodeError(w, err)
 			return
 		}
@@ -705,6 +705,8 @@ func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
 		if end, err := rm.ShipEnd(); err == nil {
 			out.Durable = wireCursor(end)
 		}
+		ws := rm.WALStats()
+		out.ShipTailReads, out.ShipFileReads = ws.ShipTailReads, ws.ShipFileReads
 	}
 	return out
 }

@@ -308,4 +308,110 @@ func TestCommitStageBypassedWhenDurable(t *testing.T) {
 	if c := e.Counters(); c.CommitWaits != 0 || c.CommitWaitNs != 0 {
 		t.Fatalf("commit stage used (%d waits) by a logger that is durable at append", c.CommitWaits)
 	}
+	// The command that could not be logged was not run either.
+	e.SetCommandLog(durableLogger{})
+	if v, err := e.Execute("get", "k", nil); err != nil || v != 1 {
+		t.Fatalf("after a put whose append failed the row reads (%v, %v), want the earlier 1", v, err)
+	}
+}
+
+// TestLogBeforeRun: a command is in the log before its procedure starts, its
+// record can become durable while the procedure is still running, and the
+// reply waits for both — whichever finishes last. The commit wait counted is
+// only the part after the procedure returned. Outcomes reach the submitters
+// they belong to, in order, and a control request still finds nothing owed.
+func TestLogBeforeRun(t *testing.T) {
+	e := testEngine(t, smallConfig())
+	g := newGateLogger(t)
+	// echo reports how many commands were logged when it started, then blocks
+	// until the test lets procedures through, and returns its key.
+	loggedAtStart := make(chan uint64, 16)
+	hold := make(chan struct{})
+	var letThrough sync.Once
+	release := func() { letThrough.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	if err := e.Register("echo", func(tx *Tx) (any, error) {
+		g.mu.Lock()
+		logged := g.next
+		g.mu.Unlock()
+		loggedAtStart <- logged
+		<-hold
+		return tx.Key, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.SetCommandLog(g)
+	e.Start()
+	keys := partitionKeys(e, 0, 4)
+	started := func() uint64 {
+		t.Helper()
+		select {
+		case n := <-loggedAtStart:
+			return n
+		case <-time.After(5 * time.Second):
+			t.Fatal("procedure never started")
+			return 0
+		}
+	}
+
+	// The log wins: the record is durable while the procedure is blocked.
+	replies := submitHeld(t, e, g, "echo", keys[:1])
+	if n := started(); n != 1 {
+		t.Fatalf("procedure started with %d commands logged, want its own already there", n)
+	}
+	g.release(1, nil)
+	blockedSince := time.Now()
+	noneReplied(t, replies, "with its record durable but its procedure still running")
+	release()
+	if r := mustReply(t, replies[0], "first"); r.err != nil || r.value != keys[0] {
+		t.Fatalf("first reply (%v, %v), want its key", r.value, r.err)
+	}
+	blocked := time.Since(blockedSince)
+	c := e.Counters()
+	if c.CommitWaits != 1 || time.Duration(c.CommitWaitNs) > blocked/2 {
+		t.Fatalf("CommitWaits = %d, CommitWaitNs = %v for a reply the procedure held for %v and the log for nothing",
+			c.CommitWaits, time.Duration(c.CommitWaitNs), blocked)
+	}
+
+	// The procedure wins: it has returned, the record is not durable, and a
+	// control request waits for the reply that is owed.
+	replies = submitHeld(t, e, g, "echo", keys[1:2])
+	started()
+	snapshot := make(chan error, 1)
+	go func() { _, err := e.SnapshotPartition(0); snapshot <- err }()
+	noneReplied(t, replies, "with its procedure done but its record not durable")
+	select {
+	case err := <-snapshot:
+		t.Fatalf("snapshot ran (%v) with a reply owed", err)
+	default:
+	}
+	g.release(2, nil)
+	if r := mustReply(t, replies[0], "second"); r.err != nil || r.value != keys[1] {
+		t.Fatalf("second reply (%v, %v), want its key", r.value, r.err)
+	}
+	select {
+	case err := <-snapshot:
+		if err != nil {
+			t.Fatalf("snapshot after the drain: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("snapshot never ran after the commit stage drained")
+	}
+	if held := time.Duration(e.Counters().CommitWaitNs - c.CommitWaitNs); held < 20*time.Millisecond {
+		t.Fatalf("CommitWaitNs grew by %v for a finished transaction held at least 20ms", held)
+	}
+
+	// Durability reported out of order: replies stay in log order, each with
+	// its own procedure's outcome.
+	replies = submitHeld(t, e, g, "echo", keys[2:])
+	started()
+	started()
+	g.release(4, nil)
+	noneReplied(t, replies, "ahead of an earlier record that is not durable")
+	g.release(3, nil)
+	for i, c := range replies {
+		if r := mustReply(t, c, "ordered reply"); r.err != nil || r.value != keys[2+i] {
+			t.Fatalf("reply %d (%v, %v), want key %s", 2+i, r.value, r.err, keys[2+i])
+		}
+	}
 }

@@ -51,10 +51,13 @@ type Counters struct {
 	// DeadlineExceeded counts transactions that expired in a partition
 	// queue and were failed without executing (counted in Errored as well).
 	DeadlineExceeded int64
-	// CommitWaits counts replies a partition's commit stage held until the
-	// transaction's log record was durable; CommitWaitNs is their cumulative
-	// wait, from the end of execution to the reply. Both stay zero when the
-	// command log is in memory (or absent): the executor replies itself.
+	// CommitWaits counts replies that went through a partition's commit
+	// stage; CommitWaitNs is how long they were held there in total, from the
+	// moment the procedure returned to the reply — what durability (and the
+	// follower's ack under synchronous commit) cost beyond the execution it
+	// overlapped, about zero per reply when the log wins that race. Both stay
+	// zero when the command log is in memory (or absent): the executor
+	// replies itself.
 	CommitWaits  int64
 	CommitWaitNs int64
 }

@@ -55,35 +55,45 @@ type partition struct {
 	codelAbove    time.Time // when sojourn first stayed above target (zero = below)
 	codelDropNext time.Time // next shed per the control law
 	codelDrops    int       // sheds in the current above-target episode
-	// commitCh is the commit stage: executed transactions whose log record
-	// is not yet durable, in execution order. The executor is its only
-	// sender and commitLoop its only receiver. undrained (executor-only) is
-	// set by every send and cleared by a drain, so a partition that never
-	// uses the stage never pays a drain's round trip; drained carries the
-	// barrier's answer.
+	// commitCh is the commit stage: logged transactions whose reply is still
+	// owed, in log (= execution) order. The executor hands each one over
+	// before it runs the procedure and sends the outcome after, on resultCh,
+	// in the same order; it is the only sender on both and commitLoop the
+	// only receiver. undrained (executor-only) is set by every hand-over and
+	// cleared by a drain, so a partition that never uses the stage never
+	// pays a drain's round trip; drained carries the barrier's answer.
 	commitCh  chan pendingCommit
+	resultCh  chan commitResult
 	undrained bool
 	drained   chan struct{}
 	stop      chan struct{}
 	done      chan struct{}
 }
 
-// pendingCommit is one executed transaction parked in the commit stage: its
-// reply is withheld until the logger reports the ticket durable. A nil r is
-// the drain barrier — it carries nothing and is answered on p.drained.
+// pendingCommit is one logged transaction parked in the commit stage: its
+// reply is withheld until the logger reports the ticket durable and the
+// executor has sent its outcome. A nil r is the drain barrier — it carries
+// nothing, has no outcome, and is answered on p.drained.
 type pendingCommit struct {
 	r      *txnRequest
-	res    txnResult
 	logger CommandLogger
 	ticket uint64
-	held   time.Time
+}
+
+// commitResult is the outcome of one staged transaction and when the
+// procedure returned it.
+type commitResult struct {
+	res txnResult
+	at  time.Time
 }
 
 // commitDepth bounds the replies one partition may hold for durability. It
 // only has to cover the transactions a partition can execute during one
 // fsync (and one follower round trip under synchronous commit); past it the
 // executor blocks on the stage, which is the backpressure a stalled disk
-// should exert.
+// should exert. resultCh holds one more than that — every staged transaction
+// plus the one whose durability the stage is waiting out — so handing over an
+// outcome never blocks the executor, however long an fsync is held.
 const commitDepth = 256
 
 func newPartition(id int, eng *Engine, queueCap int) *partition {
@@ -96,6 +106,7 @@ func newPartition(id int, eng *Engine, queueCap int) *partition {
 		store:    newBucketStore(),
 		accesses: block[accessPad : accessPad+eng.cfg.Buckets],
 		commitCh: make(chan pendingCommit, commitDepth),
+		resultCh: make(chan commitResult, commitDepth+1),
 		drained:  make(chan struct{}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -194,9 +205,9 @@ func (p *partition) handle(req request) {
 		p.execute(req.txn)
 	case req.ctl != nil:
 		// Every control request sees a partition with nothing awaiting
-		// durability: an image is never ahead of its log, a crash leaves every
-		// executed command where the restore will read it, and a chunk never
-		// leaves with effects its source has not logged.
+		// durability or execution: an image is never ahead of its log, a crash
+		// leaves every executed command where the restore will read it, and a
+		// chunk never leaves with effects its source has not logged.
 		p.drainCommits()
 		switch req.ctl.kind {
 		case ctlMoveOut:
@@ -235,6 +246,36 @@ func (p *partition) execute(r *txnRequest) {
 		}
 	}
 	atomic.AddInt64(&p.accesses[r.bucket], 1)
+	// Log the command, then run it. The record is the procedure's input, and
+	// procedures are deterministic, so nothing the log, the disk or a follower
+	// does with it depends on the outcome: fixing its place in the log here
+	// (per bucket, log order = LSN order = execution order) and handing it to
+	// the commit stage lets the fsync, the shipping and the follower's apply
+	// proceed while the procedure runs. Only the reply waits for both. A
+	// command that cannot be logged is not run, so a failed append leaves
+	// nothing behind; one that is logged runs even if it then errors — its
+	// partial effects are state, and deterministic replay reproduces them. A
+	// crash between the two replays a command whose submitter was never
+	// answered, exactly as a crash just before the reply always could.
+	//
+	// Waiting for the log belongs to the commit stage, so the next
+	// transaction does not queue behind this one's fsync. It may read what
+	// this one wrote, but its own record — and so its reply — is behind this
+	// one's in the same log, and no submitter ever sees an effect that is not
+	// durable.
+	staged := false
+	if h := p.eng.cmdLog.Load(); h != nil && h.l != nil {
+		ticket, lerr := h.l.AppendCommand(int(r.bucket), r.id, r.key, r.args)
+		if lerr != nil {
+			r.reply <- txnResult{err: fmt.Errorf("%w: partition %d could not log the transaction and did not run it: %w", ErrCommitFailed, p.id, lerr)}
+			return
+		}
+		if ticket != 0 {
+			p.undrained = true
+			p.commitCh <- pendingCommit{r: r, logger: h.l, ticket: ticket}
+			staged = true
+		}
+	}
 	pr := &p.eng.procs[r.id]
 	if pr.svc > 0 {
 		time.Sleep(pr.svc)
@@ -242,33 +283,23 @@ func (p *partition) execute(r *txnRequest) {
 	p.tx = Tx{p: p, bucket: int(r.bucket), Key: r.key, Args: r.args}
 	v, err := runTxn(pr.fn, &p.tx)
 	p.tx = Tx{} // release references to the request's key/args
-	// Log before acknowledging: once the submitter sees the result, the
-	// command is recoverable. Errored executions are logged too — their
-	// partial effects are state, and deterministic replay reproduces them.
-	// Only the record's place in the log is fixed here; waiting for the log
-	// belongs to the commit stage, so the next transaction does not queue
-	// behind this one's fsync. It may read what this one wrote, but its own
-	// record — and so its reply — is behind this one's in the same log, and
-	// no submitter ever sees an effect that is not durable.
 	res := txnResult{value: v, err: err}
-	if h := p.eng.cmdLog.Load(); h != nil && h.l != nil {
-		ticket, lerr := h.l.AppendCommand(int(r.bucket), r.id, r.key, r.args)
-		if lerr != nil {
-			res = txnResult{err: commitError(p.id, lerr)}
-		} else if ticket != 0 {
-			p.undrained = true
-			p.commitCh <- pendingCommit{r: r, res: res, logger: h.l, ticket: ticket, held: time.Now()}
-			return
-		}
+	if staged {
+		p.resultCh <- commitResult{res: res, at: time.Now()}
+		return
 	}
 	r.reply <- res
 }
 
-// commitLoop is the partition's commit stage: it takes executed transactions
-// in execution order, waits until each one's log record is durable — leading
-// the log's group commit when nobody else is — and delivers the reply, or the
-// commit error in its place. One long-lived goroutine per partition; it ends,
-// and with it the partition, when the executor closes the stage.
+// commitLoop is the partition's commit stage: it takes logged transactions in
+// log order, waits until each one's record is durable — leading the log's
+// group commit when nobody else is, which is what starts the fsync while the
+// procedure is still running — then takes the procedure's outcome and
+// delivers the reply, or the commit error in its place. The commit wait it
+// counts is how long a finished transaction's reply was held: about zero
+// when the log won the race against the procedure. One long-lived goroutine
+// per partition; it ends, and with it the partition, when the executor closes
+// the stage.
 func (p *partition) commitLoop() {
 	defer close(p.done)
 	for c := range p.commitCh {
@@ -276,18 +307,20 @@ func (p *partition) commitLoop() {
 			p.drained <- struct{}{}
 			continue
 		}
-		if err := c.logger.WaitDurable(c.ticket); err != nil {
-			c.res = txnResult{err: commitError(p.id, err)}
+		err := c.logger.WaitDurable(c.ticket)
+		out := <-p.resultCh
+		if err != nil {
+			out.res = txnResult{err: commitError(p.id, err)}
 		}
 		p.eng.commitWaits.Add(1)
-		p.eng.commitWaitNs.Add(int64(time.Since(c.held)))
-		c.r.reply <- c.res
+		p.eng.commitWaitNs.Add(int64(time.Since(out.at)))
+		c.r.reply <- out.res
 	}
 }
 
-// drainCommits returns once every transaction this partition has executed
-// has had its reply delivered — durable, or failed for good. It runs on the
-// executor, so nothing new enters the stage meanwhile.
+// drainCommits returns once every transaction this partition has logged has
+// run and had its reply delivered — durable, or failed for good. It runs on
+// the executor, so nothing new enters the stage meanwhile.
 func (p *partition) drainCommits() {
 	if !p.undrained {
 		return

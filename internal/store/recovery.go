@@ -11,28 +11,36 @@ import (
 // log — but nothing executes there while it is down.
 var ErrPartitionDown = errors.New("store: partition down")
 
-// ErrCommitFailed is returned for a transaction that executed but whose
-// command-log record did not become durable: the log's write or fsync failed,
-// or under synchronous commit the follower never confirmed the record. Its
-// effects are in memory and may or may not survive a crash, so the submitter
-// must not be told it committed; like a timeout, the outcome is unknown and a
-// retry is the submitter's call. The error wraps the logger's own.
+// ErrCommitFailed is returned for a transaction whose command-log record did
+// not become durable. Either the record could not be appended, and the
+// transaction was not run at all; or it ran, but the log's write or fsync
+// failed, or under synchronous commit the follower never confirmed the
+// record — then its effects are in memory and may or may not survive a crash,
+// so the submitter must not be told it committed; like a timeout, the outcome
+// is unknown and a retry is the submitter's call. The error wraps the
+// logger's own and says which.
 var ErrCommitFailed = errors.New("store: commit failed")
 
 // CommandLogger receives one logical log record per executed transaction —
 // H-Store-style command logging, where the log captures the *input* of each
 // deterministic procedure rather than its effects.
 //
-// AppendCommand is called by partition executors right after the procedure
-// ran (including procedures that returned an error: their partial effects are
-// part of the state and replay reproduces them). It must fix the record's
-// place in the log — per bucket, log order is execution order — without
-// waiting for the log to become durable, because the executor goes straight
-// on to the next transaction. It returns a commit ticket: 0 means the record
-// is already as durable as the logger makes it and the executor replies at
-// once; any other ticket goes to the partition's commit stage, which calls
-// WaitDurable on it, off the executor, and only then replies. An error from
-// either call reaches the submitter wrapped in ErrCommitFailed.
+// AppendCommand is called by partition executors right before the procedure
+// runs, once the transaction is certain to (procedures that return an error
+// are logged like any other: their partial effects are part of the state and
+// replay reproduces them). It must fix the record's place in the log — per
+// bucket, log order is execution order — without waiting for the log to become
+// durable, because the executor goes straight on to run the procedure. The
+// procedure gets the same args next: a logger that encodes them before it
+// returns (the durable one) records the true input whatever the procedure
+// does to it; one that keeps the value (the in-memory one) leans on the
+// determinism contract, under which procedures do not mutate their input. It returns a commit ticket: 0 means the record is already as
+// durable as the logger makes it and the executor replies as soon as the
+// procedure returns; any other ticket goes to the partition's commit stage,
+// which calls WaitDurable on it, off the executor and while the procedure
+// runs, and replies once both are done. An error from AppendCommand means
+// nothing was logged and the transaction is not run; an error from either
+// call reaches the submitter wrapped in ErrCommitFailed.
 //
 // LogHead is called by the snapshot path on the executor goroutine, after the
 // commit stage has drained, so the returned LSN is exact and durable for every

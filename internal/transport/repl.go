@@ -158,8 +158,6 @@ type ShipperConfig struct {
 	Faults *faults.ShipInjector
 	// BatchRecords caps records per batch (default wire.MaxShipRecords).
 	BatchRecords int
-	// Interval is Run's poll period when caught up (default 5ms).
-	Interval time.Duration
 	// Start is the cursor shipping begins from (the sync response's cursor).
 	Start wire.ShipCursor
 	// SyncCommit arms the WAL's remote-ack barrier for the shipper's
@@ -200,9 +198,6 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	}
 	if cfg.BatchRecords <= 0 || cfg.BatchRecords > wire.MaxShipRecords {
 		cfg.BatchRecords = wire.MaxShipRecords
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * time.Millisecond
 	}
 	start := walCursor(cfg.Start)
 	s := &Shipper{cfg: cfg, cur: start, acked: start}
@@ -253,10 +248,11 @@ func (s *Shipper) Lag() int64 {
 	return s.cfg.RM.ShipLag(cur)
 }
 
-// buildBatch frames WAL records as a wire batch. Command args are
-// re-encoded as JSON — the same representation a client request used, so
-// the follower's registered codec decodes them identically.
-func buildBatch(recs []wal.ShipRecord, from, next wal.ShipCursor, epoch, baseline, seq uint64) (*wire.ShipBatch, error) {
+// buildBatch frames WAL records as a wire batch. Command args already are
+// JSON — the log encoded them when the record was enqueued, in the same
+// representation a client request used, so the follower's registered codec
+// decodes them identically.
+func buildBatch(recs []wal.ShipRecord, from, next wal.ShipCursor, epoch, baseline, seq uint64) *wire.ShipBatch {
 	b := &wire.ShipBatch{
 		Epoch:    epoch,
 		Baseline: baseline,
@@ -271,17 +267,9 @@ func buildBatch(recs []wal.ShipRecord, from, next wal.ShipCursor, epoch, baselin
 			b.Records = append(b.Records, wire.ShipRecord{PlanSeq: r.PlanSeq, Plan: r.Plan, Active: r.Active})
 			continue
 		}
-		wr := wire.ShipRecord{Bucket: r.Bucket, LSN: r.LSN, Txn: r.Txn, Key: r.Key}
-		if r.Args != nil {
-			raw, err := json.Marshal(r.Args)
-			if err != nil {
-				return nil, fmt.Errorf("transport: encoding shipped %q args: %w", r.Txn, err)
-			}
-			wr.Args = raw
-		}
-		b.Records = append(b.Records, wr)
+		b.Records = append(b.Records, wire.ShipRecord{Bucket: r.Bucket, LSN: r.LSN, Txn: r.Txn, Key: r.Key, Args: r.Args})
 	}
-	return b, nil
+	return b
 }
 
 // fatal latches a terminal error.
@@ -298,30 +286,41 @@ func (s *Shipper) fatal(err error) error {
 // batch was dropped/partitioned by the injector and will be retried. It is
 // the deterministic stepping primitive the chaos suite drives directly.
 func (s *Shipper) ShipOnce(ctx context.Context) (int, error) {
+	n, _, err := s.shipOnce(ctx)
+	return n, err
+}
+
+// shipOnce is ShipOnce plus, when the cursor turned out to be caught up, the
+// log's wake channel: closed once there is something new to ship.
+func (s *Shipper) shipOnce(ctx context.Context) (int, <-chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
-		return 0, s.err
+		return 0, nil, s.err
 	}
 	b := s.pending
 	if b == nil {
-		recs, next, err := s.cfg.RM.ReadShip(s.cur, s.cfg.BatchRecords)
+		recs, next, wake, err := s.cfg.RM.ReadShip(s.cur, s.cfg.BatchRecords)
 		if err != nil {
 			if errors.Is(err, wal.ErrShipGone) {
-				return 0, s.fatal(err)
+				return 0, nil, s.fatal(err)
 			}
-			return 0, err
+			return 0, nil, err
 		}
 		if len(recs) == 0 {
-			return 0, nil
+			return 0, wake, nil
 		}
-		b, err = buildBatch(recs, s.cur, next, s.cfg.RM.Epoch(), s.cfg.RM.BaselineSeq(), s.seq)
-		if err != nil {
-			return 0, s.fatal(err)
-		}
+		b = buildBatch(recs, s.cur, next, s.cfg.RM.Epoch(), s.cfg.RM.BaselineSeq(), s.seq)
 		s.seq++
 		s.pending = b
 	}
+	n, err := s.sendLocked(ctx, b)
+	return n, nil, err
+}
+
+// sendLocked puts the pending batch b through the fault plane and delivers
+// it. The caller holds s.mu.
+func (s *Shipper) sendLocked(ctx context.Context, b *wire.ShipBatch) (int, error) {
 	var dec faults.ShipDecision
 	if s.cfg.Faults != nil {
 		dec = s.cfg.Faults.OnBatch(s.cfg.FromNode, s.cfg.ToNode, b.Seq)
@@ -342,15 +341,12 @@ func (s *Shipper) ShipOnce(ctx context.Context) (int, error) {
 	if dec.Reorder {
 		// Pull the stream's next batch forward: the follower refuses it with
 		// a gap ack, then accepts the held batch, then the re-delivery.
-		ahead, next, err := s.cfg.RM.ReadShip(walCursor(b.Next), s.cfg.BatchRecords)
+		ahead, next, _, err := s.cfg.RM.ReadShip(walCursor(b.Next), s.cfg.BatchRecords)
 		if err != nil && !errors.Is(err, wal.ErrShipGone) {
 			return 0, err
 		}
 		if len(ahead) > 0 {
-			c, err := buildBatch(ahead, walCursor(b.Next), next, b.Epoch, b.Baseline, s.seq)
-			if err != nil {
-				return 0, s.fatal(err)
-			}
+			c := buildBatch(ahead, walCursor(b.Next), next, b.Epoch, b.Baseline, s.seq)
 			s.seq++
 			for _, out := range []*wire.ShipBatch{c, b, c} {
 				n, err := s.deliverLocked(ctx, out)
@@ -413,11 +409,17 @@ func (s *Shipper) deliverLocked(ctx context.Context, b *wire.ShipBatch) (int, er
 	return applied, nil
 }
 
-// Run ships until ctx is done or a terminal error latches, polling at the
-// configured interval while caught up. Transient delivery errors back off
-// one interval and retry. In sync-commit mode, exiting for any reason fails
-// every append still waiting on the barrier and disarms it: no confirmation
-// is coming, and blocking writers forever is worse than degrading loudly.
+// shipRetry is Run's back-off after a step that neither shipped anything nor
+// found the follower caught up: a transient delivery error, a batch the
+// fault plane swallowed, or a gap ack that rewound the cursor.
+const shipRetry = 5 * time.Millisecond
+
+// Run ships until ctx is done or a terminal error latches. While the
+// follower is caught up it sleeps on the log's wake channel — the fsync that
+// makes the next record durable is what starts its delivery; nothing polls.
+// In sync-commit mode, exiting for any reason fails every append still
+// waiting on the barrier and disarms it: no confirmation is coming, and
+// blocking writers forever is worse than degrading loudly.
 func (s *Shipper) Run(ctx context.Context) error {
 	if s.cfg.SyncCommit {
 		defer func() {
@@ -425,10 +427,8 @@ func (s *Shipper) Run(ctx context.Context) error {
 			s.cfg.RM.SetSyncCommit(false)
 		}()
 	}
-	t := time.NewTicker(s.cfg.Interval)
-	defer t.Stop()
 	for {
-		n, err := s.ShipOnce(ctx)
+		n, wake, err := s.shipOnce(ctx)
 		if err != nil {
 			if s.Err() != nil {
 				return s.Err()
@@ -441,10 +441,15 @@ func (s *Shipper) Run(ctx context.Context) error {
 			// More may be waiting; ship again immediately.
 			continue
 		}
+		var retry <-chan time.Time
+		if wake == nil {
+			retry = time.After(shipRetry)
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-t.C:
+		case <-wake:
+		case <-retry:
 		}
 	}
 }

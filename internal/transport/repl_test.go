@@ -39,6 +39,14 @@ func startReplNode(t *testing.T, machines, initial int, replicaOf string) *replN
 
 func startReplNodeWith(t *testing.T, machines, initial int, replicaOf string, decArgs server.ArgsDecoder, decRow wire.RowDecoder) *replNode {
 	t.Helper()
+	return startReplNodeOn(t, machines, initial, replicaOf, decArgs, decRow, recovery.Config{DataDir: t.TempDir()}, registerKV)
+}
+
+// startReplNodeOn is startReplNodeWith over a chosen log store (a MemFS whose
+// fsyncs the test gates) and procedure set (a put the test holds open).
+func startReplNodeOn(t *testing.T, machines, initial int, replicaOf string, decArgs server.ArgsDecoder, decRow wire.RowDecoder,
+	rcfg recovery.Config, register func(*store.Engine) error) *replNode {
+	t.Helper()
 	scfg := kvStoreConfig(machines, initial)
 	for m := 0; m < machines; m++ {
 		scfg.HostedMachines = append(scfg.HostedMachines, m)
@@ -47,10 +55,10 @@ func startReplNodeWith(t *testing.T, machines, initial int, replicaOf string, de
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := registerKV(eng); err != nil {
+	if err := register(eng); err != nil {
 		t.Fatal(err)
 	}
-	rm, err := recovery.New(eng, recovery.Config{DataDir: t.TempDir()})
+	rm, err := recovery.New(eng, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

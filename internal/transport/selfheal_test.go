@@ -249,7 +249,6 @@ func TestSyncCommitRPOZero(t *testing.T) {
 			Follower: follower.peer,
 			FromNode: 0, ToNode: -1,
 			Start:      fst.Applied,
-			Interval:   time.Millisecond,
 			SyncCommit: true,
 		})
 		if err != nil {

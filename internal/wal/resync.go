@@ -290,6 +290,7 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 		}
 	}
 	l.segs = kept
+	l.dropTailLocked()
 	l.diskBytes.Add(-res.DiscardedBytes)
 	l.activeSeq = cur.Seg
 	if cur.Seg == 0 {
@@ -359,6 +360,7 @@ func (l *Log) Reset() error {
 	}
 	l.diskBytes.Store(0)
 	l.segs = nil
+	l.dropTailLocked()
 	l.bases = make(map[int]uint64)
 	l.shipPin = 0
 	// Unacked sync-commit waiters lose their records with the stream.

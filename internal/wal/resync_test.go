@@ -22,7 +22,7 @@ func appendN(t *testing.T, l *Log, bucket int, lsn *uint64, n int) {
 // the cursor after them.
 func shipTo(t *testing.T, l *Log, n int) ShipCursor {
 	t.Helper()
-	recs, cur, err := l.ReadShip(ShipCursor{}, n)
+	recs, cur, _, err := l.ReadShip(ShipCursor{}, n)
 	if err != nil {
 		t.Fatalf("ReadShip: %v", err)
 	}
@@ -62,13 +62,13 @@ func TestTruncateToMidSegment(t *testing.T) {
 		}
 	}
 	// Shipping from the divergence cursor finds nothing until new appends.
-	if recs, _, err := l.ReadShip(cur, 10); err != nil || len(recs) != 0 {
+	if recs, _, _, err := l.ReadShip(cur, 10); err != nil || len(recs) != 0 {
 		t.Fatalf("ReadShip after truncation: %d records, err %v", len(recs), err)
 	}
 	// The log accepts appends continuing the truncated sequence.
 	lsn = 25
 	appendN(t, l, 3, &lsn, 5)
-	if recs, _, err := l.ReadShip(cur, 10); err != nil || len(recs) != 5 {
+	if recs, _, _, err := l.ReadShip(cur, 10); err != nil || len(recs) != 5 {
 		t.Fatalf("ReadShip of post-truncation appends: %d records, err %v", len(recs), err)
 	}
 

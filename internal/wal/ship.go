@@ -2,16 +2,20 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 )
 
 // WAL shipping: a primary streams its durable record stream — commands and
 // plan records alike — to a follower by cursor. A cursor addresses a point
-// in the stream as (segment sequence, records consumed within it); segments
-// are single gob streams, so a ship read always decodes a segment from byte
-// zero and skips the consumed prefix. The byte offset rides along purely for
+// in the stream as (segment sequence, records consumed within it). The most
+// recent records are kept in memory in ship form (the tail), and a cursor
+// inside the tail is served from it; segments are single gob streams, so a
+// cursor older than the tail costs a decode of its segment from byte zero
+// with the consumed prefix skipped. The byte offset rides along purely for
 // lag accounting.
 //
 // Retention interacts with shipping through PinShip: Checkpoint normally
@@ -44,7 +48,9 @@ type ShipRecord struct {
 	LSN    uint64
 	Txn    string
 	Key    string
-	Args   any
+	// Args is the ship encoding of the procedure's args (see shipArgs), nil
+	// when it took none.
+	Args json.RawMessage
 	// Plan fields.
 	PlanSeq uint64
 	Plan    []int32
@@ -137,34 +143,144 @@ func (l *Log) SetEpoch(e uint64) error {
 	return nil
 }
 
-// ReadShip returns up to maxRecords durable records beyond the cursor, in
-// log order, and the cursor addressing the position after them. Like
-// LoadTails it snapshots the durable extent under the lock and reads segment
-// files outside it, so it never blocks the append path for the duration of
-// the I/O. An empty result with a nil error means the cursor is caught up.
-func (l *Log) ReadShip(cur ShipCursor, maxRecords int) ([]ShipRecord, ShipCursor, error) {
-	if maxRecords <= 0 {
-		maxRecords = 512
-	}
-	type ext struct {
-		seq  int
-		name string
-		size int64
-		recs int
-	}
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return nil, cur, err
-	}
-	exts := make([]ext, 0, len(l.segs)+1)
-	for _, s := range l.segs {
-		exts = append(exts, ext{s.seq, s.name, s.size, s.recs})
-	}
-	exts = append(exts, ext{l.activeSeq, l.activeName, l.activeSize, l.durableRecs})
-	l.mu.Unlock()
+// shipTailRecords sizes the in-memory ship tail: the most recent records the
+// log keeps in ship form so a follower that is keeping up never makes the
+// primary open a file. Records are procedure inputs (a few hundred bytes), so
+// the tail is a few megabytes at most; it holds between one and two times
+// this many records.
+const shipTailRecords = 4096
 
+// tailRec is one record of the ship tail: record idx (0-based) of segment
+// seg, the byte offset after its frame within that segment, and the record
+// in ship form. Nothing in it changes after enqueue — the args were encoded
+// from the submitter's value before the procedure ran — so what a reader
+// gets is what the segment holds whatever the procedure did to its input
+// afterwards.
+type tailRec struct {
+	seg, idx int
+	end      int64
+	rec      ShipRecord
+}
+
+// shipArgs is the ship encoding of a command's args: JSON, the
+// representation a client request used, so the follower's registered codec
+// decodes them identically. Nil args ship as no args at all.
+func shipArgs(args any) (json.RawMessage, error) {
+	if args == nil {
+		return nil, nil
+	}
+	raw, err := json.Marshal(args)
+	if err != nil {
+		return nil, fmt.Errorf("wal: encoding args for shipping: %w", err)
+	}
+	return raw, nil
+}
+
+// shipRecordOf is a segment record in ship form; args is its args' ship
+// encoding.
+func shipRecordOf(sr *segRecord, args json.RawMessage) ShipRecord {
+	if sr.Kind == recPlan {
+		return ShipRecord{PlanSeq: sr.PlanSeq, Plan: sr.Plan, Active: int(sr.Active)}
+	}
+	return ShipRecord{Bucket: int(sr.Bucket), LSN: sr.LSN, Txn: sr.Txn, Key: sr.Key, Args: args}
+}
+
+// pushTailLocked adds the record just framed into the active segment to the
+// ship tail, dropping the oldest half once the tail holds twice its size.
+// Caller holds l.mu and has not yet counted the record in activeRecs.
+func (l *Log) pushTailLocked(rec ShipRecord) {
+	l.tail = append(l.tail, tailRec{seg: l.activeSeq, idx: l.activeRecs, end: l.activeEnc, rec: rec})
+	if len(l.tail) >= 2*l.tailCap {
+		n := copy(l.tail, l.tail[len(l.tail)-l.tailCap:])
+		clear(l.tail[n:])
+		l.tail = l.tail[:n]
+	}
+}
+
+// dropTailLocked empties the ship tail: the segments it mirrored were cut or
+// deleted, and the stream restarts from the files. Caller holds l.mu.
+func (l *Log) dropTailLocked() {
+	clear(l.tail)
+	l.tail = l.tail[:0]
+}
+
+// shipExt is one segment's durable extent as a ship read sees it.
+type shipExt struct {
+	seq  int
+	name string
+	size int64
+	recs int
+}
+
+// shipExtentsLocked snapshots the durable extent of every retained segment,
+// oldest first, the active one last. Caller holds l.mu.
+func (l *Log) shipExtentsLocked() []shipExt {
+	exts := make([]shipExt, 0, len(l.segs)+1)
+	for _, s := range l.segs {
+		exts = append(exts, shipExt{s.seq, s.name, s.size, s.recs})
+	}
+	return append(exts, shipExt{l.activeSeq, l.activeName, l.activeSize, l.durableRecs})
+}
+
+// shipFetch appends records [from, to) of one segment to dst in ship form and
+// returns the byte offset after the last of them.
+type shipFetch func(dst []ShipRecord, e shipExt, from, to int) ([]ShipRecord, int64, error)
+
+// errTailMiss is tailFetchLocked's answer for records older than the tail.
+var errTailMiss = errors.New("wal: ship cursor is older than the in-memory tail")
+
+// tailFetchLocked serves a segment's records from the ship tail. The tail is
+// contiguous up to the last enqueued record, so it holds either all of
+// [from, to) or not its first record. Caller holds l.mu.
+func (l *Log) tailFetchLocked(dst []ShipRecord, e shipExt, from, to int) ([]ShipRecord, int64, error) {
+	i := sort.Search(len(l.tail), func(k int) bool {
+		t := &l.tail[k]
+		return t.seg > e.seq || (t.seg == e.seq && t.idx >= from)
+	})
+	last := i + (to - from) - 1
+	if last >= len(l.tail) || l.tail[i].seg != e.seq || l.tail[i].idx != from {
+		return dst, 0, errTailMiss
+	}
+	for k := i; k <= last; k++ {
+		dst = append(dst, l.tail[k].rec)
+	}
+	return dst, l.tail[last].end, nil
+}
+
+// fileFetch serves a segment's records from its file. A segment is one gob
+// stream, so this decodes it from byte zero whatever the range: the cost the
+// tail exists to keep off the steady-state path.
+func (l *Log) fileFetch(dst []ShipRecord, e shipExt, from, to int) ([]ShipRecord, int64, error) {
+	data, err := readAll(l.fs, filepath.Join(l.dir, e.name))
+	if err != nil {
+		return dst, 0, err
+	}
+	if int64(len(data)) > e.size {
+		data = data[:e.size] // ignore bytes synced after the snapshot
+	}
+	srs, _, derr := decodeSegRecords(data)
+	if len(srs) < e.recs {
+		// The snapshotted durable extent must decode cleanly.
+		if derr == nil {
+			derr = fmt.Errorf("holds %d records, expected %d", len(srs), e.recs)
+		}
+		return dst, 0, fmt.Errorf("wal: ship read of %s: %w", e.name, derr)
+	}
+	for k := from; k < to; k++ {
+		args, err := shipArgs(srs[k].Args)
+		if err != nil {
+			return dst, 0, err
+		}
+		dst = append(dst, shipRecordOf(&srs[k], args))
+	}
+	return dst, frameEnd(data, to), nil
+}
+
+// walkShip is the one cursor walk behind ReadShip: from cur, across segment
+// boundaries, up to maxRecords records or the durable end of exts, taking
+// each segment's records from fetch. Whatever fetch reads from, the batch
+// boundaries and the returned cursor are the same.
+func walkShip(exts []shipExt, cur ShipCursor, maxRecords int, fetch shipFetch) ([]ShipRecord, ShipCursor, error) {
 	if cur.Seg == 0 {
 		cur = ShipCursor{Seg: exts[0].seq}
 	}
@@ -185,37 +301,12 @@ func (l *Log) ReadShip(cur ShipCursor, maxRecords int) ([]ShipRecord, ShipCursor
 			return nil, cur, fmt.Errorf("wal: ship cursor %d records into segment %d, which holds %d", cur.Rec, e.seq, e.recs)
 		}
 		if cur.Rec < e.recs {
-			data, err := readAll(l.fs, filepath.Join(l.dir, e.name))
-			if err != nil {
+			end := min(e.recs, cur.Rec+maxRecords-len(out))
+			var err error
+			if out, cur.Off, err = fetch(out, e, cur.Rec, end); err != nil {
 				return nil, cur, err
 			}
-			if int64(len(data)) > e.size {
-				data = data[:e.size] // ignore bytes synced after the snapshot
-			}
-			srs, _, derr := decodeSegRecords(data)
-			if len(srs) < e.recs {
-				// The snapshotted durable extent must decode cleanly.
-				if derr == nil {
-					derr = fmt.Errorf("holds %d records, expected %d", len(srs), e.recs)
-				}
-				return nil, cur, fmt.Errorf("wal: ship read of %s: %w", e.name, derr)
-			}
-			end := e.recs
-			if take := maxRecords - len(out); end-cur.Rec > take {
-				end = cur.Rec + take
-			}
-			for k := cur.Rec; k < end; k++ {
-				sr := &srs[k]
-				if sr.Kind == recPlan {
-					out = append(out, ShipRecord{PlanSeq: sr.PlanSeq, Plan: sr.Plan, Active: int(sr.Active)})
-				} else {
-					out = append(out, ShipRecord{
-						Bucket: int(sr.Bucket), LSN: sr.LSN, Txn: sr.Txn, Key: sr.Key, Args: sr.Args,
-					})
-				}
-			}
 			cur.Rec = end
-			cur.Off = frameEnd(data, end)
 			if len(out) >= maxRecords {
 				break
 			}
@@ -230,6 +321,67 @@ func (l *Log) ReadShip(cur ShipCursor, maxRecords int) ([]ShipRecord, ShipCursor
 		cur = ShipCursor{Seg: exts[i+1].seq}
 	}
 	return out, cur, nil
+}
+
+// ReadShip returns up to maxRecords durable records beyond the cursor, in
+// log order, and the cursor addressing the position after them. A cursor
+// inside the in-memory tail — any follower that is keeping up — is answered
+// from it under the lock, with no file opened and nothing decoded. An older
+// cursor (a restart, a rewind after a gap ack, a follower far behind) falls
+// back to the segment files: like LoadTails it reads them outside the lock,
+// against the durable extent snapshotted under it, so it never blocks the
+// append path for the duration of the I/O.
+//
+// An empty result with a nil error means the cursor is caught up, and comes
+// with a channel that is closed once the durable extent has grown. The
+// channel is taken under the same lock as the extent, so a record made
+// durable between the read and the wait is never slept through.
+func (l *Log) ReadShip(cur ShipCursor, maxRecords int) ([]ShipRecord, ShipCursor, <-chan struct{}, error) {
+	if maxRecords <= 0 {
+		maxRecords = 512
+	}
+	l.mu.Lock()
+	if l.err != nil {
+		err := l.err
+		l.mu.Unlock()
+		return nil, cur, nil, err
+	}
+	exts := l.shipExtentsLocked()
+	recs, next, err := walkShip(exts, cur, maxRecords, l.tailFetchLocked)
+	var wake <-chan struct{}
+	if err == nil && len(recs) == 0 {
+		if l.wake == nil {
+			l.wake = make(chan struct{})
+		}
+		wake = l.wake
+	}
+	l.mu.Unlock()
+
+	fromFile := err == errTailMiss
+	if fromFile {
+		recs, next, err = walkShip(exts, cur, maxRecords, l.fileFetch)
+	}
+	if err != nil {
+		return nil, cur, nil, err
+	}
+	switch {
+	case len(recs) == 0:
+		l.shipEmptyReads.Add(1)
+	case fromFile:
+		l.shipFileReads.Add(1)
+	default:
+		l.shipTailReads.Add(1)
+	}
+	return recs, next, wake, nil
+}
+
+// wakeShipLocked releases whoever waits on the channel a caught-up ReadShip
+// handed out. Caller holds l.mu and has just grown the durable extent.
+func (l *Log) wakeShipLocked() {
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
 }
 
 // frameEnd returns the byte offset after the first n frames of a segment.

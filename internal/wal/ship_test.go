@@ -45,7 +45,7 @@ func TestReadShipStreamsWholeLog(t *testing.T) {
 	var got []ShipRecord
 	cur := ShipCursor{}
 	for {
-		recs, next, err := l.ReadShip(cur, 37) // odd chunk size: land mid-segment
+		recs, next, _, err := l.ReadShip(cur, 37) // odd chunk size: land mid-segment
 		if err != nil {
 			t.Fatalf("ReadShip at %+v: %v", cur, err)
 		}
@@ -71,7 +71,7 @@ func TestReadShipStreamsWholeLog(t *testing.T) {
 	if lag := l.ShipLag(cur); lag != 0 {
 		t.Fatalf("caught-up cursor has lag %d", lag)
 	}
-	if recs, _, err := l.ReadShip(cur, 0); err != nil || len(recs) != 0 {
+	if recs, _, _, err := l.ReadShip(cur, 0); err != nil || len(recs) != 0 {
 		t.Fatalf("read past end: %d records, err %v", len(recs), err)
 	}
 	// ShipEnd must agree with the cursor the incremental reads arrived at.
@@ -92,15 +92,15 @@ func TestReadShipResumesMidSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, _, err := l.ReadShip(ShipCursor{}, 1000)
+	full, _, _, err := l.ReadShip(ShipCursor{}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, cur, err := l.ReadShip(ShipCursor{}, 41)
+	head, cur, _, err := l.ReadShip(ShipCursor{}, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, _, err := l.ReadShip(cur, 1000)
+	tail, _, _, err := l.ReadShip(cur, 1000)
 	if err != nil {
 		t.Fatalf("resume at %+v: %v", cur, err)
 	}
@@ -137,7 +137,7 @@ func TestShipGoneAfterCompaction(t *testing.T) {
 		// Materialize a cursor into segment 1: the zero cursor means "start
 		// of retained log" and silently skips to whatever survives, but a
 		// follower mid-stream holds a concrete segment position.
-		head, cur, err := l.ReadShip(ShipCursor{}, 10)
+		head, cur, _, err := l.ReadShip(ShipCursor{}, 10)
 		if err != nil || len(head) != 10 || cur.Seg != 1 {
 			t.Fatalf("priming read: %d records, cursor %+v, err %v", len(head), cur, err)
 		}
@@ -157,7 +157,7 @@ func TestShipGoneAfterCompaction(t *testing.T) {
 		if err := l.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		recs, _, err := l.ReadShip(cur, 1<<20)
+		recs, _, _, err := l.ReadShip(cur, 1<<20)
 		if pin {
 			if err != nil {
 				t.Fatalf("pinned read failed: %v", err)
@@ -228,14 +228,14 @@ func TestShipLagCounts(t *testing.T) {
 	if start <= 0 {
 		t.Fatalf("lag from zero cursor = %d, want > 0", start)
 	}
-	_, mid, err := l.ReadShip(ShipCursor{}, 50)
+	_, mid, _, err := l.ReadShip(ShipCursor{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lag := l.ShipLag(mid); lag <= 0 || lag >= start {
 		t.Fatalf("mid-stream lag %d not in (0, %d)", lag, start)
 	}
-	_, end, err := l.ReadShip(mid, 1000)
+	_, end, _, err := l.ReadShip(mid, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // write-ahead log of command records plus per-bucket checkpoint images.
 //
 // The log is H-Store-style: records are procedure *inputs* (transaction
-// name, key, args), appended after execution and made durable before the
-// submitter is acknowledged. Durability is group commit — concurrent
+// name, key, args), appended before the procedure runs and made durable
+// before the submitter is acknowledged. Durability is group commit — concurrent
 // appenders encode into a shared buffer and one of them (the batch leader)
 // writes and fsyncs the whole batch, so a busy log pays one sync per batch,
 // not per transaction.
@@ -23,6 +23,7 @@
 package wal
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -66,6 +67,16 @@ type Stats struct {
 	AppendedBytes int64
 	// TornBytes is how many bytes the last Open truncated from a torn tail.
 	TornBytes int64
+	// ShipTailReads and ShipFileReads count the ReadShip calls that returned
+	// records, by where the records came from: the in-memory tail, or a
+	// decode of the segment files. A follower that keeps up is served from
+	// the tail; file reads after its first batch mean the tail is too small
+	// for its lag or was dropped by a truncation. ShipEmptyReads counts the
+	// calls that found the cursor caught up — one per wake-up for a shipper
+	// that waits on the log, a steady stream for one that polls.
+	ShipTailReads  int64
+	ShipFileReads  int64
+	ShipEmptyReads int64
 }
 
 // BucketRecovery is one bucket's state as recovered by Open.
@@ -139,6 +150,7 @@ type Log struct {
 	activeName  string
 	activeSeq   int
 	activeSize  int64          // durable bytes in the active segment
+	activeEnc   int64          // bytes framed into the active segment, durable or not
 	activeRecs  int            // records encoded into the active segment
 	durableRecs int            // records durable in the active segment
 	activeMax   map[int]uint64 // active segment's bucket -> max LSN
@@ -157,6 +169,14 @@ type Log struct {
 	// compaction so a follower's unacked records stay shippable.
 	epoch   uint64
 	shipPin int
+
+	// tail is the in-memory ship tail: the last tailCap to 2*tailCap enqueued
+	// records in ship form, contiguous up to the newest, addressed by ship
+	// cursor. wake, when non-nil, is the channel a caught-up ReadShip handed
+	// out; the next group-commit leader closes it.
+	tail    []tailRec
+	tailCap int
+	wake    chan struct{}
 
 	// Synchronous commit: when armed, Wait also blocks until the follower's
 	// acknowledged cursor covers the record (remoteAckSeq, in append-sequence
@@ -178,6 +198,8 @@ type Log struct {
 	appBytes  atomic.Int64
 	tornBytes int64
 
+	shipTailReads, shipFileReads, shipEmptyReads atomic.Int64
+
 	closed bool
 }
 
@@ -194,7 +216,7 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
-	l := &Log{cfg: cfg, fs: cfg.FS, dir: cfg.Dir, bases: make(map[int]uint64)}
+	l := &Log{cfg: cfg, fs: cfg.FS, dir: cfg.Dir, bases: make(map[int]uint64), tailCap: shipTailRecords}
 	if l.fs == nil {
 		l.fs = OSFS{}
 	}
@@ -370,6 +392,7 @@ func (l *Log) openActive() error {
 	}
 	l.active = f
 	l.activeSize = 0
+	l.activeEnc = 0
 	l.activeRecs = 0
 	l.durableRecs = 0
 	l.activeMax = make(map[int]uint64)
@@ -401,14 +424,22 @@ func (l *Log) Append(r Record) error {
 // executor logging in execution order) fixes it here and can leave the
 // waiting to someone else. The record is not durable, and nobody may be told
 // it committed, until Wait on the ticket returns nil.
+//
+// Both encodings of r.Args — gob for the segment, the ship encoding for the
+// in-memory tail — are taken here, so the record is the value the caller
+// passed whatever happens to that value afterwards.
 func (l *Log) Enqueue(r Record) (uint64, error) {
 	if r.Bucket < 0 || r.Bucket >= l.cfg.Geometry.Buckets {
 		return 0, fmt.Errorf("wal: append to bucket %d out of range", r.Bucket)
 	}
+	args, err := shipArgs(r.Args)
+	if err != nil {
+		return 0, err
+	}
 	return l.enqueue(&segRecord{
 		Kind: recCommand, Bucket: int32(r.Bucket), LSN: r.LSN,
 		Txn: r.Txn, Key: r.Key, Args: r.Args,
-	})
+	}, args)
 }
 
 // LogPlan makes a bucket-plan change durable: the full plan and active
@@ -419,7 +450,7 @@ func (l *Log) LogPlan(plan []int32, active int) error {
 	}
 	p := make([]int32, len(plan))
 	copy(p, plan)
-	seq, err := l.enqueue(&segRecord{Kind: recPlan, Plan: p, Active: int32(active)})
+	seq, err := l.enqueue(&segRecord{Kind: recPlan, Plan: p, Active: int32(active)}, nil)
 	if err != nil {
 		return err
 	}
@@ -428,8 +459,9 @@ func (l *Log) LogPlan(plan []int32, active int) error {
 
 // enqueue encodes one record into the group-commit buffer and returns its
 // append sequence — the ticket Wait takes. It never blocks on I/O except to
-// rotate a full segment, which happens only with nothing buffered.
-func (l *Log) enqueue(sr *segRecord) (uint64, error) {
+// rotate a full segment, which happens only with nothing buffered. args is the
+// ship encoding of a command's args.
+func (l *Log) enqueue(sr *segRecord, args json.RawMessage) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -459,6 +491,7 @@ func (l *Log) enqueue(sr *segRecord) (uint64, error) {
 			l.activeMax[int(sr.Bucket)] = lsn
 		}
 	}
+	buffered := len(l.buf)
 	var err error
 	l.buf, err = l.enc.encode(l.buf, sr)
 	if err != nil {
@@ -466,6 +499,8 @@ func (l *Log) enqueue(sr *segRecord) (uint64, error) {
 		l.cond.Broadcast()
 		return 0, err
 	}
+	l.activeEnc += int64(len(l.buf) - buffered)
+	l.pushTailLocked(shipRecordOf(sr, args))
 	l.appendSeq++
 	l.activeRecs++
 	l.appends.Add(1)
@@ -519,6 +554,7 @@ func (l *Log) Wait(seq uint64) error {
 			l.syncs.Add(1)
 			l.appBytes.Add(int64(len(batch)))
 			l.diskBytes.Add(int64(len(batch)))
+			l.wakeShipLocked()
 		}
 		l.cond.Broadcast()
 	}
@@ -753,6 +789,9 @@ func (l *Log) Stats() Stats {
 		CompactedSegments: l.compacted.Load(),
 		AppendedBytes:     l.appBytes.Load(),
 		TornBytes:         torn,
+		ShipTailReads:     l.shipTailReads.Load(),
+		ShipFileReads:     l.shipFileReads.Load(),
+		ShipEmptyReads:    l.shipEmptyReads.Load(),
 	}
 }
 

@@ -179,6 +179,12 @@ type ReplStatus struct {
 	// Rejoin, on a promoted primary, is the standing offer to its deposed
 	// predecessor: truncate to Rejoin.Cursor and resume shipping from there.
 	Rejoin *ReplRejoin `json:"rejoin,omitempty"`
+	// ShipTailReads and ShipFileReads count the batches this node's WAL
+	// handed its shipper, by source: its in-memory tail, or a decode of the
+	// segment files. File reads that keep growing on a primary whose
+	// follower is caught up mean the tail is too small or was invalidated.
+	ShipTailReads int64 `json:"ship_tail_reads,omitempty"`
+	ShipFileReads int64 `json:"ship_file_reads,omitempty"`
 }
 
 // NodePeer repoints the base URL a node uses to forward to peer `Node`.

@@ -259,6 +259,10 @@ type coordFailoverOutcome struct {
 	Epoch     uint64  `json:"epoch,omitempty"`
 	DetectMs  float64 `json:"detect_ms"`
 	PromoteMs float64 `json:"promote_ms,omitempty"`
+	// Drained is the apply backlog, in command records, the follower had
+	// acknowledged and still had to execute before it could be promoted;
+	// PromoteMs includes executing it.
+	Drained   int     `json:"drained"`
 	RestartMs float64 `json:"restart_ms,omitempty"`
 	RejoinMs  float64 `json:"rejoin_ms,omitempty"`
 }
@@ -334,8 +338,9 @@ func runCoordFailover(cfg coordFailoverConfig) error {
 	}
 	out.Epoch = st.Epoch
 	out.PromoteMs = float64(time.Since(start).Microseconds()) / 1000
-	fmt.Printf("coord: follower %s promoted to %s at epoch %d in %v (%d survivors rewired)\n",
-		replica.Addr(), st.Role, st.Epoch, time.Since(start).Round(time.Millisecond), len(survivors))
+	out.Drained = st.Drained
+	fmt.Printf("coord: follower %s promoted to %s at epoch %d in %v (apply backlog of %d records drained, %d survivors rewired)\n",
+		replica.Addr(), st.Role, st.Epoch, time.Since(start).Round(time.Millisecond), st.Drained, len(survivors))
 
 	if cfg.restartCmd != "" {
 		out.Action = "promote+rejoin"

@@ -77,7 +77,7 @@ func runServe(args []string) error {
 	advertise := fs.String("advertise", "", "node mode: base URL the primary and peers use to reach this process (default derives from -listen)")
 	shipFaults := fs.String("ship-faults", "", "replication-stream fault spec applied by this node's WAL shipper, e.g. seed=42,ship-drop=0.05,ship-dup=0.1,ship-reorder=0.05,ship-delay=0.1,ship-partition=0.02,heal-after=500ms")
 	syncCommit := fs.Bool("sync-commit", false, "node mode: acknowledge a transaction only after its WAL record is durable on the follower too (RPO zero for acked transactions; adds one ship round trip to commit latency)")
-	followerCkpt := fs.Int("follower-checkpoint-every", 0, "node mode: as a replica, checkpoint the local WAL every N applied records so a promotion starts from a compact log (0 = off)")
+	followerCkpt := fs.Int("follower-checkpoint-every", 0, "node mode: as a replica, checkpoint the local WAL every N accepted records so a promotion starts from a compact log (0 = off)")
 	if helped, err := parseFlags(fs, args); helped || err != nil {
 		return err
 	}

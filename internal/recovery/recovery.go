@@ -256,8 +256,48 @@ func (m *Manager) Close() error { return m.log.Close() }
 func (m *Manager) Checkpoint() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cfg := m.eng.Config()
 	installed := 0
+	err := m.snapshotLiveLocked(func(snaps []store.BucketSnapshot) {
+		for _, s := range snaps {
+			m.log.Install(s)
+			installed++
+		}
+	})
+	if err != nil {
+		return installed, err
+	}
+	return installed, m.completeCheckpointLocked()
+}
+
+// CheckpointAfter is Checkpoint in two halves with a hook between them:
+// every partition's in-memory image is taken first, then snapshotted runs —
+// exactly once, also when a snapshot failed — and only then is any image
+// written. A warm follower's log head runs ahead of its memory by the records
+// it has accepted and not yet applied, and a partition stamps its images with
+// the log head; so the follower takes the snapshots with its backlog drained
+// and its ship handler held off, and releases the handler from the hook — the
+// image writes, the slow half, stay off the ship path. The price is holding
+// the whole node's images at once where Checkpoint holds one partition's.
+func (m *Manager) CheckpointAfter(snapshotted func()) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var all []store.BucketSnapshot
+	err := m.snapshotLiveLocked(func(snaps []store.BucketSnapshot) { all = append(all, snaps...) })
+	snapshotted()
+	if err != nil {
+		return 0, err
+	}
+	for _, s := range all {
+		m.log.Install(s)
+	}
+	return len(all), m.completeCheckpointLocked()
+}
+
+// snapshotLiveLocked takes a fuzzy image of each live partition this engine
+// hosts and passes it to take, one partition at a time, stopping at the first
+// that fails.
+func (m *Manager) snapshotLiveLocked(take func([]store.BucketSnapshot)) error {
+	cfg := m.eng.Config()
 	for part := 0; part < cfg.MaxMachines*cfg.PartitionsPerMachine; part++ {
 		if !m.eng.Hosted(part / cfg.PartitionsPerMachine) {
 			// A multi-process node checkpoints only the data it hosts —
@@ -269,21 +309,24 @@ func (m *Manager) Checkpoint() (int, error) {
 		}
 		snaps, err := m.eng.SnapshotPartition(part)
 		if err != nil {
-			return installed, fmt.Errorf("recovery: checkpointing partition %d: %w", part, err)
+			return fmt.Errorf("recovery: checkpointing partition %d: %w", part, err)
 		}
-		for _, s := range snaps {
-			m.log.Install(s)
-			installed++
-		}
+		take(snaps)
 	}
+	return nil
+}
+
+// completeCheckpointLocked closes a checkpoint round once its images are
+// installed.
+func (m *Manager) completeCheckpointLocked() error {
 	if err := m.log.Checkpoint(); err != nil {
-		return installed, fmt.Errorf("recovery: completing checkpoint: %w", err)
+		return fmt.Errorf("recovery: completing checkpoint: %w", err)
 	}
 	m.checkpoints.Add(1)
 	if r := m.rec.Load(); r != nil {
 		r.CountCheckpoint()
 	}
-	return installed, nil
+	return nil
 }
 
 // CheckpointPartition snapshots one live partition and installs the images

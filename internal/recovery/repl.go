@@ -129,8 +129,8 @@ func (m *Manager) SetSyncCommit(on bool) {
 	}
 }
 
-// SetRemoteAck feeds the follower's acknowledged ship cursor to the
-// sync-commit barrier.
+// SetRemoteAck feeds the follower's acknowledged ship cursor — everything
+// before it is fsynced in the follower's own log — to the sync-commit barrier.
 func (m *Manager) SetRemoteAck(cur wal.ShipCursor) {
 	if m.wal != nil {
 		m.wal.SetRemoteAck(cur)

@@ -45,7 +45,7 @@ type NodeConfig struct {
 	SetPeerURL func(node int, url string)
 	// ReplicaOf, when non-empty, starts this node as a warm follower of the
 	// primary at that base URL: client transactions are refused until
-	// promotion, and the /v1/repl/ship endpoint applies the primary's WAL.
+	// promotion, and the /v1/repl/ship endpoint takes in the primary's WAL.
 	ReplicaOf string
 	// OnReplicaSync is invoked (on its own goroutine) after this node, as a
 	// primary, streams a sync snapshot to a follower: the serving process
@@ -61,7 +61,7 @@ type NodeConfig struct {
 	OnDemote func(primaryURL string)
 	// FollowerCheckpointEvery, when > 0, has a replica run a checkpoint of
 	// its own WAL every time that many shipped command records have been
-	// applied — bounding a long-lived follower's own cold start. Compaction
+	// accepted — bounding a long-lived follower's own cold start. Compaction
 	// is PinShip-aware, so a later promotion's rejoin window is preserved.
 	FollowerCheckpointEvery int
 }
@@ -290,6 +290,12 @@ func (s *Server) handleNodeCrash(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, fmt.Errorf("%w: machine %d", store.ErrNotOwned, req.Machine))
 		return
 	}
+	release, err := s.quiesceApply()
+	if err != nil {
+		writeNodeError(w, err)
+		return
+	}
+	defer release()
 	if err := rm.Crash(req.Machine); err != nil {
 		writeNodeError(w, err)
 		return
@@ -313,6 +319,15 @@ func (s *Server) handleNodeRestore(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, fmt.Errorf("%w: machine %d", store.ErrNotOwned, req.Machine))
 		return
 	}
+	// A restore reads the log to its head and the machine's buckets off the
+	// current plan. On a replica both run ahead of memory by the apply backlog,
+	// and whatever the restore replayed the applier would replay again.
+	release, err := s.quiesceApply()
+	if err != nil {
+		writeNodeError(w, err)
+		return
+	}
+	defer release()
 	st, err := rm.Restore(req.Machine)
 	if err != nil {
 		writeNodeError(w, err)
@@ -339,7 +354,7 @@ func (s *Server) handleNodeCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, err)
 		return
 	}
-	n, err := rm.Checkpoint()
+	n, err := s.checkpoint(rm)
 	if err != nil {
 		writeNodeError(w, err)
 		return

@@ -18,12 +18,14 @@ import (
 // replica (started with NodeConfig.ReplicaOf). The primary serves
 // /v1/repl/sync — a fuzzy snapshot of everything it hosts plus the WAL
 // cursor shipping starts from — and the serving process ships batches of
-// WAL records to the follower's /v1/repl/ship, where they are applied
-// through the same engine/recovery machinery that executed them on the
-// primary: commands re-execute (and re-log to the replica's own WAL under
-// the primary's LSNs), plan records re-run the migration locally. The
-// replica is therefore continuously promotable: its own data directory
-// cold-starts to the replicated state.
+// WAL records to the follower's /v1/repl/ship. The follower accepts a batch
+// by appending its commands to its own WAL under the primary's LSNs and
+// acknowledges once they are fsynced; it applies the batch behind the ack
+// (apply.go), through the replay path a restore uses: commands replay on the
+// partitions that own their buckets, plan records re-run the migration
+// locally. Procedures are deterministic, so the durable input is the outcome:
+// the replica's data directory cold-starts to everything it acknowledged,
+// and a promotion applies what is left of the backlog before the role flips.
 //
 // Fencing: every ship batch carries the primary's epoch. Promotion raises
 // the follower's epoch above it, so a zombie primary that comes back and
@@ -31,19 +33,21 @@ import (
 // the WAL manifest, so fencing survives restarts of either side.
 
 // replState is the server's replication role and, for a replica, its
-// applied position in the primary's WAL. The mutex also serializes ship
-// application: batches arrive from one shipper, but retries and a zombie
-// primary can overlap requests.
+// received position in the primary's WAL. The mutex also serializes ship
+// acceptance — batches arrive from one shipper, but retries and a zombie
+// primary can overlap requests — and whoever holds it can wait for the apply
+// backlog to drain knowing nothing new is accepted meanwhile. How far apply
+// has got is the applier's state (s.apply), under its own lock.
 type replState struct {
 	mu      sync.Mutex
 	replica bool
 	// ready flips once the sync snapshot is installed; until then ship
 	// batches are refused retryably.
 	ready bool
-	// applied is the cursor after the last applied batch; baseline and
-	// planSeq are the sync-time skip thresholds (see handleReplShip).
-	applied  wire.ShipCursor
-	planSeq  uint64
+	// received is the cursor after the last accepted batch: the primary's
+	// records before it are durable in this node's log. baseline is the
+	// sync-time skip threshold (see handleReplShip).
+	received wire.ShipCursor
 	baseline uint64
 	// fenced marks a zombie: a node still configured as primary that has
 	// seen proof of a higher epoch. It refuses transactions and waits to be
@@ -52,10 +56,13 @@ type replState struct {
 	// rejoin, on a promoted primary, is the standing offer to its deposed
 	// predecessor (see wire.ReplRejoin).
 	rejoin *wire.ReplRejoin
-	// appliedRecs counts shipped command records applied since the last
+	// drained is the apply backlog the promotion that made this node a primary
+	// had to execute first, in command records.
+	drained int
+	// acceptedRecs counts shipped command records accepted since the last
 	// follower-side checkpoint; checkpointing guards against overlapping
 	// async checkpoints.
-	appliedRecs   int
+	acceptedRecs  int
 	checkpointing bool
 }
 
@@ -217,12 +224,13 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// InstallReplicaState applies a primary's sync stream to this node: fence
-// local execution, adopt the primary's plan, restore every hosted partition
-// from the snapshot frames, and make the snapshot this node's own recovery
-// baseline (images installed, per-bucket LSN heads advanced to the
-// snapshot's — so applied ship records continue the primary's numbering and
-// the log head doubles as the duplicate-batch filter). The serving process
+// InstallReplicaState applies a primary's sync stream to this node: discard
+// whatever ship backlog an earlier sync left, fence local execution, adopt the
+// primary's plan, restore every hosted partition from the snapshot frames, and
+// make the snapshot this node's own recovery baseline (images installed,
+// per-bucket LSN heads advanced to the snapshot's — so accepted ship records
+// continue the primary's numbering and the log head doubles as the
+// duplicate-batch filter). The serving process
 // calls this after fetching /v1/repl/sync, before the node is ready for
 // ship batches.
 func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.BucketFrame) error {
@@ -235,6 +243,13 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.Bucke
 		return errors.New("server: replica has no recovery manager attached")
 	}
 	eng := s.cfg.Engine
+	// Nothing accepted so far is meant for the state about to be installed:
+	// refuse ship batches until the install completes, and let no apply run
+	// into the wipe.
+	s.repl.mu.Lock()
+	s.repl.ready = false
+	s.apply.reset(wire.ShipCursor{}, 0)
+	s.repl.mu.Unlock()
 	// Fence: no local transaction may interleave with the install. The
 	// partitions come back up one by one through RestorePartition below.
 	for _, m := range eng.HostedMachines() {
@@ -304,31 +319,40 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.Bucke
 		return err
 	}
 	s.repl.mu.Lock()
-	s.repl.applied = meta.Cursor
-	s.repl.planSeq = meta.PlanSeq
+	s.repl.received = meta.Cursor
+	s.apply.reset(meta.Cursor, meta.PlanSeq)
 	s.repl.baseline = meta.Baseline
 	s.repl.ready = true
 	s.repl.fenced = false
 	s.repl.rejoin = nil
-	s.repl.appliedRecs = 0
+	s.repl.acceptedRecs = 0
 	s.repl.mu.Unlock()
 	return nil
 }
 
-// handleReplShip applies one shipped WAL batch. The guards, in order:
-// role (a non-replica fences the sender — the zombie-primary case), epoch
-// (a batch under any other term is fenced), readiness (retryable until the
-// sync snapshot is installed), baseline (the primary installed data outside
-// the WAL since sync — only a fresh sync can continue), and position (a
-// batch not starting at the applied cursor gets a Gap ack carrying where to
-// rewind to; duplicates land here too and re-apply as no-ops thanks to
-// per-bucket LSN dedup).
+// handleReplShip accepts one shipped WAL batch: it appends the batch's fresh
+// commands to this node's own log, acknowledges once they are fsynced, and
+// leaves applying them to the applier. The guards, in order: role (a
+// non-replica fences the sender — the zombie-primary case), epoch (a batch
+// under any other term is fenced), readiness (retryable until the sync
+// snapshot is installed), baseline (the primary installed data outside the
+// WAL since sync, or an apply failed here and memory trails the log for good
+// — a Resync ack: only a fresh sync can continue), and position (a batch not
+// starting at the received cursor gets a Gap ack carrying where to rewind to;
+// duplicates land here too). Then every record is checked before any is
+// appended — per-bucket LSN dedup against the log head (a snapshot's overlap
+// is skipped, a skipped LSN refuses the batch), args decoded — so a batch is
+// accepted whole or not at all, and the ack covers only what one fsync of the
+// follower's log made durable.
 func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	batch, err := wire.ReadShipBatch(r.Body)
+	// The frame comes off the connection whole — from there on the request's
+	// context ends when the sender hangs up — and stays encoded until there is
+	// room for its records.
+	frame, err := wire.ReadFrame(r.Body)
 	if err != nil {
 		writeNodeError(w, fmt.Errorf("%w: %v", errBadNodeRequest, err))
 		return
@@ -336,6 +360,24 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 	rm, err := s.nodeRecovery()
 	if err != nil {
 		writeNodeError(w, err)
+		return
+	}
+	// A full apply queue holds the batch back here, before anything is decoded,
+	// locked or appended: a follower that cannot keep up stops acknowledging,
+	// and a handler that waits holds one frame, for as long as its sender does.
+	if err := s.apply.reserve(r.Context()); err != nil {
+		writeNodeError(w, err)
+		return
+	}
+	accepted := false
+	defer func() {
+		if !accepted {
+			s.apply.release()
+		}
+	}()
+	batch, err := wire.DecodeShipBatch(frame)
+	if err != nil {
+		writeNodeError(w, fmt.Errorf("%w: %v", errBadNodeRequest, err))
 		return
 	}
 	st := &s.repl
@@ -353,88 +395,113 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, fmt.Errorf("%w: replica sync incomplete", store.ErrStopped))
 		return
 	}
-	if batch.Baseline != st.baseline {
-		writeJSON(w, wire.ShipAck{Epoch: rm.Epoch(), Applied: st.applied, Resync: true})
+	pos := s.apply.position()
+	ack := wire.ShipAck{Epoch: rm.Epoch(), Applied: pos.applied, Received: st.received}
+	if batch.Baseline != st.baseline || pos.err != nil {
+		// The stream cannot bring this node's memory to the primary's state any
+		// more: the primary took in data outside its log, or an apply failed
+		// here (logged when it did). The shipper stops on this answer.
+		ack.Resync = true
+		writeJSON(w, ack)
 		return
 	}
-	if batch.From != st.applied {
-		writeJSON(w, wire.ShipAck{Epoch: rm.Epoch(), Applied: st.applied, Gap: true})
+	if batch.From != st.received {
+		ack.Gap = true
+		writeJSON(w, ack)
 		return
 	}
-	fresh := 0
+	b, err := s.decodeShipBatch(rm, batch)
+	if err != nil {
+		writeNodeError(w, err)
+		return
+	}
+	syncs := rm.WALStats().Syncs
+	var ticket uint64
+	for i := range b.cmds {
+		c := &b.cmds[i]
+		if ticket, err = rm.AppendCommand(c.Bucket, c.ID, c.Key, c.Args); err != nil {
+			writeNodeError(w, err)
+			return
+		}
+	}
+	if err := rm.WaitDurable(ticket); err != nil {
+		writeNodeError(w, err)
+		return
+	}
+	st.received = batch.Next
+	accepted = true
+	s.apply.push(b, rm.WALStats().Syncs-syncs)
+	s.maybeFollowerCheckpointLocked(rm, len(b.cmds))
+	ack.Received = st.received
+	writeJSON(w, ack)
+}
+
+// decodeShipBatch turns a batch at the received cursor into what the applier
+// takes, refusing it whole if any record cannot be accepted. Per bucket, a
+// record at or below the log head is a duplicate (the sync snapshot's overlap)
+// and is dropped; the next must be exactly head+1, so appending the survivors
+// in order gives each the LSN its primary gave it. Nothing is appended here.
+func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*shipApply, error) {
+	b := &shipApply{next: batch.Next}
+	buckets := s.cfg.Engine.Config().Buckets
+	heads := make(map[int]uint64)
 	for i := range batch.Records {
 		rec := &batch.Records[i]
 		if rec.IsPlan() {
-			if rec.PlanSeq <= st.planSeq {
-				continue
-			}
-			if err := s.applyShippedPlan(rec); err != nil {
-				writeNodeError(w, err)
-				return
-			}
-			st.planSeq = rec.PlanSeq
+			b.plans = append(b.plans, shippedPlan{at: len(b.cmds), rec: *rec})
 			continue
 		}
-		head := rm.LogHead(rec.Bucket)
+		if rec.Bucket >= buckets {
+			return nil, fmt.Errorf("%w: ship record %d names bucket %d of %d", errBadNodeRequest, i, rec.Bucket, buckets)
+		}
+		head, seen := heads[rec.Bucket]
+		if !seen {
+			head = rm.LogHead(rec.Bucket)
+		}
 		if rec.LSN <= head {
-			continue // already applied (snapshot overlap or duplicate batch)
+			continue
 		}
 		if rec.LSN > head+1 {
-			writeNodeError(w, fmt.Errorf("server: ship record %d skips bucket %d from lsn %d to %d", i, rec.Bucket, head, rec.LSN))
-			return
+			return nil, fmt.Errorf("server: ship record %d skips bucket %d from lsn %d to %d", i, rec.Bucket, head, rec.LSN)
 		}
 		var args any
 		if len(rec.Args) > 0 && string(rec.Args) != "null" {
 			if s.cfg.DecodeArgs == nil {
-				writeNodeError(w, fmt.Errorf("server: shipped %q carries args but no codec is configured", rec.Txn))
-				return
+				return nil, fmt.Errorf("server: shipped %q carries args but no codec is configured", rec.Txn)
 			}
+			var err error
 			if args, err = s.cfg.DecodeArgs(rec.Txn, rec.Args); err != nil {
-				writeNodeError(w, fmt.Errorf("server: decoding shipped %q args: %v", rec.Txn, err))
-				return
+				return nil, fmt.Errorf("server: decoding shipped %q args: %v", rec.Txn, err)
 			}
 		}
 		id, ok := s.handles[rec.Txn]
 		if !ok {
-			writeNodeError(w, fmt.Errorf("%w: shipped %q", store.ErrUnknownTxn, rec.Txn))
-			return
+			return nil, fmt.Errorf("%w: shipped %q", store.ErrUnknownTxn, rec.Txn)
 		}
-		if _, err := s.cfg.Engine.ExecuteID(id, rec.Key, args); err != nil {
-			// A procedure-level error is a deterministic outcome the primary
-			// logged too — its partial effects replicate exactly. Anything
-			// else (partition down, engine stopped) is an infrastructure
-			// failure: fail the batch without advancing, the shipper retries.
-			if wire.CodeOf(err) != wire.CodeTxn {
-				writeNodeError(w, err)
-				return
-			}
-		}
-		fresh++
+		heads[rec.Bucket] = rec.LSN
+		b.cmds = append(b.cmds, store.ReplayCommand{Bucket: rec.Bucket, ID: id, Key: rec.Key, Args: args})
 	}
-	st.applied = batch.Next
-	s.maybeFollowerCheckpointLocked(rm, fresh)
-	writeJSON(w, wire.ShipAck{Epoch: rm.Epoch(), Applied: st.applied})
+	return b, nil
 }
 
 // maybeFollowerCheckpointLocked kicks off an async checkpoint of the
-// replica's own WAL once FollowerCheckpointEvery freshly applied command
+// replica's own WAL once FollowerCheckpointEvery freshly accepted command
 // records have accumulated, so a long-lived follower's cold start stays
-// bounded. The checkpoint is fuzzy (same machinery as the primary's) and
-// runs off the ship path; at most one is in flight. Caller holds s.repl.mu.
+// bounded. At most one is in flight. Caller holds s.repl.mu.
 func (s *Server) maybeFollowerCheckpointLocked(rm *recovery.Manager, fresh int) {
 	every := s.cfg.Node.FollowerCheckpointEvery
 	if every <= 0 {
 		return
 	}
 	st := &s.repl
-	st.appliedRecs += fresh
-	if st.appliedRecs < every || st.checkpointing {
+	st.acceptedRecs += fresh
+	if st.acceptedRecs < every || st.checkpointing {
 		return
 	}
-	st.appliedRecs = 0
+	st.acceptedRecs = 0
 	st.checkpointing = true
 	go func() {
-		_, err := rm.Checkpoint()
+		_, err := s.checkpoint(rm)
 		st.mu.Lock()
 		st.checkpointing = false
 		st.mu.Unlock()
@@ -442,6 +509,27 @@ func (s *Server) maybeFollowerCheckpointLocked(rm *recovery.Manager, fresh int) 
 			log.Printf("server: follower checkpoint failed: %v", err)
 		}
 	}()
+}
+
+// checkpoint runs one checkpoint round of this node's log. A partition stamps
+// each bucket image with the bucket's log head, and a replica's log head runs
+// ahead of its memory by the apply backlog — an image stamped ahead of its
+// contents would make a cold start skip records it never executed. So on a
+// replica the in-memory snapshots are taken with the ship handler held off
+// and the backlog drained, where log head and memory agree; the image writes
+// run after the handler is released.
+func (s *Server) checkpoint(rm *recovery.Manager) (int, error) {
+	st := &s.repl
+	st.mu.Lock()
+	if !st.replica {
+		st.mu.Unlock()
+		return rm.Checkpoint()
+	}
+	if err := s.apply.drain(); err != nil {
+		st.mu.Unlock()
+		return 0, err
+	}
+	return rm.CheckpointAfter(st.mu.Unlock)
 }
 
 // applyShippedPlan re-runs a primary-side plan change locally: changed
@@ -491,8 +579,11 @@ func (s *Server) applyShippedPlan(rec *wire.ShipRecord) error {
 
 // handleReplPromote turns a replica into a primary under a strictly higher
 // epoch, persisted before the role flips so the fence survives a restart.
-// Promoting a node that is already primary at (or above) the requested
-// epoch is idempotent success — the coordinator may retry.
+// Everything the replica has acknowledged is applied first: the call returns
+// only once the apply backlog has drained, so a write its old primary told a
+// client was committed is readable on the promoted node from its first
+// transaction on. Promoting a node that is already primary at (or above) the
+// requested epoch is idempotent success — the coordinator may retry.
 func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReplPromote
 	if !decodeNodeJSON(w, r, &req) {
@@ -515,6 +606,15 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 			writeNodeError(w, fmt.Errorf("%w: promote epoch %d not above current %d", wire.ErrFenced, req.Epoch, rm.Epoch()))
 			return
 		}
+		// The ship handler is held off by st.mu, so the backlog only shrinks.
+		// A node whose apply failed is not promotable: it would serve state
+		// that is missing acknowledged writes.
+		backlog := s.apply.position().backlog
+		if err := s.apply.drain(); err != nil {
+			writeNodeError(w, fmt.Errorf("server: cannot promote: %w", err))
+			return
+		}
+		st.drained = backlog
 	}
 	if req.Epoch > rm.Epoch() {
 		if err := rm.SetEpoch(req.Epoch); err != nil {
@@ -524,17 +624,20 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.replica {
 		// Capture the standing rejoin offer for the deposed primary: shipping
-		// to it resumes at this node's current durable end (no transaction
-		// can land between here and the role flip — the replica refusal is
-		// still up), truncated-to state must match st.applied (left intact
-		// below precisely so the zombie can read its divergence point from
-		// our status), and plan/baseline must not have drifted. Pin the
-		// cursor so our own checkpoints keep the rejoin window shippable.
+		// to it resumes at this node's current durable end — taken after the
+		// drain, which logs the plan records it applies, and with no
+		// transaction able to land between here and the role flip (the
+		// replica refusal is still up). The zombie's truncated-to state must
+		// match the received cursor, which the drain made the applied one
+		// (both left intact below precisely so the zombie can read its
+		// divergence point from our status), and plan/baseline must not have
+		// drifted. Pin the cursor so our own checkpoints keep the rejoin
+		// window shippable.
 		if end, err := rm.ShipEnd(); err == nil {
 			rm.PinShip(end.Seg)
 			st.rejoin = &wire.ReplRejoin{
 				Cursor:   wireCursor(end),
-				PlanSeq:  st.planSeq,
+				PlanSeq:  s.apply.position().planSeq,
 				Baseline: rm.BaselineSeq(),
 			}
 		}
@@ -655,9 +758,10 @@ func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
 	st.ready = true
 	st.fenced = false
 	st.rejoin = nil
-	st.appliedRecs = 0
-	st.applied = pst.Rejoin.Cursor
-	st.planSeq = pst.Rejoin.PlanSeq
+	st.drained = 0
+	st.acceptedRecs = 0
+	st.received = pst.Rejoin.Cursor
+	s.apply.reset(pst.Rejoin.Cursor, pst.Rejoin.PlanSeq)
 	st.baseline = pst.Rejoin.Baseline
 	return true, nil
 }
@@ -669,7 +773,9 @@ func (s *Server) PrepareFullResync() {
 	s.repl.mu.Lock()
 	s.repl.replica = true
 	s.repl.ready = false
-	s.repl.applied = wire.ShipCursor{}
+	s.repl.drained = 0
+	s.repl.received = wire.ShipCursor{}
+	s.apply.reset(wire.ShipCursor{}, 0)
 	s.repl.mu.Unlock()
 }
 
@@ -688,13 +794,17 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 
 // replStatusLocked builds a ReplStatus; the caller holds s.repl.mu.
 func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
+	pos := s.apply.position()
 	out := wire.ReplStatus{
-		Epoch:    rm.Epoch(),
-		Baseline: rm.BaselineSeq(),
-		Applied:  s.repl.applied,
-		PlanSeq:  s.repl.planSeq,
-		Fenced:   s.repl.fenced,
-		Rejoin:   s.repl.rejoin,
+		Epoch:        rm.Epoch(),
+		Baseline:     rm.BaselineSeq(),
+		Applied:      pos.applied,
+		Received:     s.repl.received,
+		ApplyBacklog: pos.backlog,
+		Drained:      s.repl.drained,
+		PlanSeq:      pos.planSeq,
+		Fenced:       s.repl.fenced,
+		Rejoin:       s.repl.rejoin,
 	}
 	if s.repl.replica {
 		out.Role = "replica"

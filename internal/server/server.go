@@ -131,8 +131,10 @@ type Server struct {
 	// fwd relays not-owned transactions to hosting peers in node mode.
 	fwd *http.Client
 
-	// repl is the node's replication role and applied-ship position.
-	repl replState
+	// repl is the node's replication role and received-ship position; apply
+	// brings memory up to it.
+	repl  replState
+	apply *applier
 }
 
 // New builds a server over a started engine. The engine's transaction
@@ -156,6 +158,7 @@ func New(cfg Config) (*Server, error) {
 		handles:    make(map[string]store.TxnID),
 		shutdownCh: make(chan struct{}),
 	}
+	s.apply = newApplier(s)
 	for id, name := range cfg.Engine.TxnNames() {
 		s.handles[name] = store.TxnID(id)
 	}
@@ -207,8 +210,11 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Shutdown gracefully stops the server: no new connections, in-flight
-// requests run to ctx's deadline.
+// requests run to ctx's deadline. A follower's applier stops first, after the
+// batch it is on; what it leaves unapplied is in the log, where a cold start
+// finds it.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.apply.stop(ctx)
 	return s.httpSrv.Shutdown(ctx)
 }
 

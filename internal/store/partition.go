@@ -222,6 +222,8 @@ func (p *partition) handle(req request) {
 			p.snapshot(req.ctl)
 		case ctlRestore:
 			p.restore(req.ctl)
+		case ctlReplay:
+			p.replayLive(req.ctl)
 		}
 	}
 }
@@ -535,10 +537,7 @@ func (p *partition) snapshot(r *ctlRequest) {
 }
 
 // restore rebuilds a crashed partition: fresh store, snapshot images
-// installed, command tail replayed through the registered procedures in log
-// order. Replay skips service-time simulation, access counting and command
-// logging — it reproduces state, not load — and ignores procedure errors,
-// which replay deterministically just as they originally occurred.
+// installed, command tail replayed in log order.
 func (p *partition) restore(r *ctlRequest) {
 	if !p.down.Load() {
 		r.done <- moveResult{err: fmt.Errorf("store: restore of live partition %d", p.id)}
@@ -549,8 +548,33 @@ func (p *partition) restore(r *ctlRequest) {
 		p.store.data[s.Bucket] = s.Tables
 		p.store.rows[s.Bucket] = s.Rows
 	}
+	replayed := p.replay(r.cmds)
+	atomic.StoreInt64(&p.rowsAtomic, int64(p.store.totalRows()))
+	p.down.Store(false)
+	r.done <- moveResult{rows: replayed}
+}
+
+// replayLive replays shipped commands onto this live partition's store — a
+// warm follower's apply. A down partition has no memory to bring up to date
+// and owes the commands nothing: its restore replays the same records from
+// the log they were appended to before they got here.
+func (p *partition) replayLive(r *ctlRequest) {
+	if p.down.Load() {
+		r.done <- moveResult{}
+		return
+	}
+	r.done <- moveResult{rows: p.replay(r.cmds)}
+}
+
+// replay runs logged commands through the registered procedures in the order
+// given and returns how many ran. It is the one replay path — a restore's
+// command tail and a follower's shipped batch both go through it — and it
+// reproduces state, not load: no service-time simulation, no access counting,
+// no command logging (the records already are the log). Procedure errors are
+// ignored; they replay deterministically just as they originally occurred.
+func (p *partition) replay(cmds []ReplayCommand) int {
 	replayed := 0
-	for _, c := range r.cmds {
+	for _, c := range cmds {
 		if c.ID < 0 || int(c.ID) >= len(p.eng.procs) {
 			continue
 		}
@@ -559,7 +583,5 @@ func (p *partition) restore(r *ctlRequest) {
 		p.tx = Tx{}
 		replayed++
 	}
-	atomic.StoreInt64(&p.rowsAtomic, int64(p.store.totalRows()))
-	p.down.Store(false)
-	r.done <- moveResult{rows: replayed}
+	return replayed
 }

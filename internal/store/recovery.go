@@ -214,6 +214,53 @@ func (e *Engine) RestorePartition(part int, snaps []BucketSnapshot, cmds []Repla
 	return res.rows, res.err
 }
 
+// ReplayCommands applies logged commands to the live partitions that own
+// their buckets — how a warm follower applies a batch of its primary's log.
+// Each owning partition gets its share as one replay request on its data
+// queue, so the partitions replay in parallel and, per bucket, in the order
+// given (the queue is FIFO and a bucket has one owner); the call returns once
+// all of them have finished. It runs the same replay RestorePartition does:
+// nothing is logged, slept for or counted. A down partition skips its share,
+// which is its restore's to replay: the commands must already be in the log
+// that restore reads, and the caller must not let a restore overlap the call.
+// The caller must also keep ownership still for the duration — on a follower
+// only the caller itself changes it. On an error some partitions may have
+// replayed their share.
+func (e *Engine) ReplayCommands(cmds []ReplayCommand) error {
+	if len(cmds) == 0 {
+		return nil
+	}
+	byPart := make(map[int][]ReplayCommand)
+	for _, c := range cmds {
+		if c.Bucket < 0 || c.Bucket >= e.cfg.Buckets {
+			return fmt.Errorf("store: replay command for bucket %d out of range", c.Bucket)
+		}
+		part := e.ownerOf(c.Bucket)
+		if !e.hosted[part/e.cfg.PartitionsPerMachine] {
+			return notOwnedError(part)
+		}
+		byPart[part] = append(byPart[part], c)
+	}
+	done := make(chan moveResult, len(byPart))
+	sent := 0
+	var err error
+	for part, share := range byPart {
+		p := e.parts[part]
+		select {
+		case p.ch <- request{ctl: &ctlRequest{kind: ctlReplay, cmds: share, done: done}}:
+			sent++
+		case <-p.stop:
+			err = ErrStopped
+		}
+	}
+	for ; sent > 0; sent-- {
+		if res := <-done; res.err != nil && err == nil {
+			err = res.err
+		}
+	}
+	return err
+}
+
 // partitionDownError wraps ErrPartitionDown with the partition id.
 func partitionDownError(part int) error {
 	return fmt.Errorf("%w: partition %d", ErrPartitionDown, part)

@@ -72,6 +72,11 @@ const (
 	// partition and return the data to the caller instead of enqueueing an
 	// install — the data travels over the wire to another engine instance.
 	ctlExtract
+	// ctlReplay replays logged commands onto a live partition: a warm
+	// follower applying its primary's shipped log. Unlike every other control
+	// request it travels on the data queue, whose FIFO order is what keeps a
+	// bucket's commands in log order.
+	ctlReplay
 )
 
 // ctlRequest is a migration step processed by a partition executor. A
@@ -98,7 +103,7 @@ type ctlRequest struct {
 	data BucketData
 	cost time.Duration
 
-	// restore fields.
+	// restore fields; a replay carries cmds alone.
 	snaps []BucketSnapshot
 	cmds  []ReplayCommand
 
@@ -107,7 +112,7 @@ type ctlRequest struct {
 
 type moveResult struct {
 	// rows is the row count of a move, or the replayed-command count of a
-	// restore.
+	// restore or replay.
 	rows int
 	// snaps carries a snapshot reply.
 	snaps []BucketSnapshot

@@ -143,7 +143,8 @@ func (p *Peer) Health(ctx context.Context) error {
 
 // ErrShipResync is latched by a Shipper whose follower answered Resync: the
 // primary installed data outside the WAL (an inbound migration) and the
-// stream cannot express it. Only a fresh sync can continue.
+// stream cannot express it, or the follower failed to apply something it had
+// accepted. Only a fresh sync can continue.
 var ErrShipResync = errors.New("transport: follower requires resync")
 
 // ShipperConfig assembles a Shipper.
@@ -161,8 +162,9 @@ type ShipperConfig struct {
 	// Start is the cursor shipping begins from (the sync response's cursor).
 	Start wire.ShipCursor
 	// SyncCommit arms the WAL's remote-ack barrier for the shipper's
-	// lifetime: the primary's appends return only once the follower has
-	// durably applied them. Follower acks feed the barrier; when the shipper
+	// lifetime: the primary's appends return only once the follower has them
+	// fsynced in its own log — durable on two machines, executed on neither
+	// yet, perhaps. Follower acks feed the barrier; when the shipper
 	// stops or latches a terminal error, in-flight waiters are failed
 	// (recovery.AbortSync) and the barrier is disarmed — writes degrade to
 	// local durability rather than hanging, and the degradation is loud in
@@ -281,10 +283,11 @@ func (s *Shipper) fatal(err error) error {
 }
 
 // ShipOnce ships at most one batch (plus the read-ahead batch a reorder
-// fault pulls forward) and returns the records durably acknowledged by the
-// follower during the call. Zero with a nil error means caught up, or the
-// batch was dropped/partitioned by the injector and will be retried. It is
-// the deterministic stepping primitive the chaos suite drives directly.
+// fault pulls forward) and returns the records the follower acknowledged —
+// durable in its log, applied behind the ack — during the call. Zero with a
+// nil error means caught up, or the batch was dropped/partitioned by the
+// injector and will be retried. It is the deterministic stepping primitive
+// the chaos suite drives directly.
 func (s *Shipper) ShipOnce(ctx context.Context) (int, error) {
 	n, _, err := s.shipOnce(ctx)
 	return n, err
@@ -394,14 +397,16 @@ func (s *Shipper) deliverLocked(ctx context.Context, b *wire.ShipBatch) (int, er
 	if ack.Gap {
 		// The follower's cursor is authoritative; rewind (or fast-forward,
 		// for a duplicate delivery) and rebuild from there.
-		s.cur = walCursor(ack.Applied)
+		s.cur = walCursor(ack.Received)
 		s.pending = nil
 	} else {
 		applied = len(b.Records)
 		s.cur = walCursor(b.Next)
 		s.shipped++
 	}
-	s.acked = walCursor(ack.Applied)
+	// Received, not Applied: the follower holds everything before it durable,
+	// which is what retention and the sync-commit barrier wait for.
+	s.acked = walCursor(ack.Received)
 	s.cfg.RM.PinShip(s.acked.Seg)
 	if s.cfg.SyncCommit {
 		s.cfg.RM.SetRemoteAck(s.acked)

@@ -71,7 +71,7 @@ func replChaosScriptOps() []chaosOp {
 	return ops
 }
 
-func newChaosEngine(t *testing.T, dataDir string) (*store.Engine, *recovery.Manager) {
+func newChaosEngine(t *testing.T, rcfg recovery.Config) (*store.Engine, *recovery.Manager) {
 	t.Helper()
 	scfg := kvStoreConfig(4, 1)
 	for m := 0; m < 4; m++ {
@@ -84,7 +84,7 @@ func newChaosEngine(t *testing.T, dataDir string) (*store.Engine, *recovery.Mana
 	if err := registerKV(eng); err != nil {
 		t.Fatal(err)
 	}
-	rm, err := recovery.New(eng, recovery.Config{DataDir: dataDir})
+	rm, err := recovery.New(eng, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func runReplChaosScript(t *testing.T, mode string) string {
 		eng.Start()
 		t.Cleanup(eng.Stop)
 	case "disk":
-		eng, rm = newChaosEngine(t, t.TempDir())
+		eng, rm = newChaosEngine(t, recovery.Config{DataDir: t.TempDir()})
 	case "repl":
 		primary = startReplNodeWith(t, 4, 1, "", decodeStrArgs, decodeStrRow)
 		follower = startReplNodeWith(t, 4, 1, primary.url, decodeStrArgs, decodeStrRow)
@@ -200,7 +200,7 @@ func runReplChaosScript(t *testing.T, mode string) string {
 	if mode != "repl" {
 		return chaosFingerprint(t, eng)
 	}
-	drainShipper(t, sh)
+	drainShipper(t, sh, follower)
 	if _, err := follower.peer.Promote(ctx, primary.rm.Epoch()+1); err != nil {
 		t.Fatalf("promote: %v", err)
 	}

@@ -44,7 +44,7 @@ func startReplNodeWith(t *testing.T, machines, initial int, replicaOf string, de
 
 // startReplNodeOn is startReplNodeWith over a chosen log store (a MemFS whose
 // fsyncs the test gates) and procedure set (a put the test holds open).
-func startReplNodeOn(t *testing.T, machines, initial int, replicaOf string, decArgs server.ArgsDecoder, decRow wire.RowDecoder,
+func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decArgs server.ArgsDecoder, decRow wire.RowDecoder,
 	rcfg recovery.Config, register func(*store.Engine) error) *replNode {
 	t.Helper()
 	scfg := kvStoreConfig(machines, initial)
@@ -101,7 +101,7 @@ func startReplNodeOn(t *testing.T, machines, initial int, replicaOf string, decA
 
 // syncFollower runs the bootstrap a serving process performs: fetch the
 // primary's sync stream and install it on the follower.
-func syncFollower(t *testing.T, primary, follower *replNode) wire.ReplSyncMeta {
+func syncFollower(t testing.TB, primary, follower *replNode) wire.ReplSyncMeta {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -132,9 +132,10 @@ func newTestShipper(t *testing.T, primary, follower *replNode, start wire.ShipCu
 	return sh
 }
 
-// drainShipper steps the shipper until the follower has acknowledged every
-// durable byte (dropped/partitioned batches retry on later steps).
-func drainShipper(t *testing.T, sh *transport.Shipper) {
+// shipAll steps the shipper until the follower has acknowledged every durable
+// byte (dropped/partitioned batches retry on later steps). Acknowledged is
+// durable in the follower's log, not yet in its memory.
+func shipAll(t *testing.T, sh *transport.Shipper) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -147,6 +148,24 @@ func drainShipper(t *testing.T, sh *transport.Shipper) {
 		}
 	}
 	t.Fatalf("shipper never drained; lag %d bytes", sh.Lag())
+}
+
+// drainShipper is shipAll, then a wait until the follower has applied what it
+// acknowledged, so the caller may read the follower's state.
+func drainShipper(t *testing.T, sh *transport.Shipper, follower *replNode) {
+	t.Helper()
+	shipAll(t, sh)
+	waitApplied(t, follower)
+}
+
+// waitApplied is the barrier between a follower's ack and its state: an ack
+// says the records are durable in the follower's log, this says they are in
+// its memory too.
+func waitApplied(t *testing.T, follower *replNode) {
+	t.Helper()
+	if err := follower.srv.WaitApplied(); err != nil {
+		t.Fatalf("follower apply: %v", err)
+	}
 }
 
 func getVal(t *testing.T, eng *store.Engine, key string) (int, error) {
@@ -204,7 +223,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 		}
 	}
 	sh := newTestShipper(t, primary, follower, meta.Cursor, 0, nil)
-	drainShipper(t, sh)
+	drainShipper(t, sh, follower)
 
 	// Lag-0 barrier: the follower's applied cursor equals the primary's
 	// durable end — the zero-acked-loss precondition for promotion.
@@ -281,7 +300,7 @@ func TestDuplicateShipAfterReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := newTestShipper(t, primary, follower, meta.Cursor, 16, inj)
-	drainShipper(t, sh)
+	drainShipper(t, sh, follower)
 	if inj.Stats().Dups == 0 {
 		t.Fatal("injector duplicated nothing; test proves nothing")
 	}
@@ -290,7 +309,7 @@ func TestDuplicateShipAfterReconnect(t *testing.T) {
 	// the sync-time cursor and replays already-acked history. The follower's
 	// gap ack must fast-forward it past everything already applied.
 	sh2 := newTestShipper(t, primary, follower, meta.Cursor, 16, nil)
-	drainShipper(t, sh2)
+	drainShipper(t, sh2, follower)
 
 	if got := follower.eng.TotalRows(); got != keys {
 		t.Fatalf("follower rows = %d after duplicate delivery, want %d", got, keys)
@@ -401,7 +420,7 @@ func TestPromoteWhileMigrationInFlight(t *testing.T) {
 
 	// Ship everything the aborted migration logged, then promote.
 	sh := newTestShipper(t, primary, follower, meta.Cursor, 0, nil)
-	drainShipper(t, sh)
+	drainShipper(t, sh, follower)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if _, err := follower.peer.Promote(ctx, 1); err != nil {
@@ -432,7 +451,7 @@ func TestCoordFailoverPromote(t *testing.T) {
 	follower := startReplNode(t, 2, 2, primary.url)
 	meta := syncFollower(t, primary, follower)
 	sh := newTestShipper(t, primary, follower, meta.Cursor, 0, nil)
-	drainShipper(t, sh)
+	drainShipper(t, sh, follower)
 
 	// Kill the primary (shutdown stands in for SIGKILL here — the probe
 	// only sees the port stop answering).

@@ -154,7 +154,7 @@ func TestZombieRejoinChain(t *testing.T) {
 	if err := ex.Reconfigure(1, 2, 0); err != nil {
 		t.Fatalf("reconfigure: %v", err)
 	}
-	drainShipper(t, sh)
+	drainShipper(t, sh, b)
 
 	// The divergent suffix: acked on A, never shipped. These hit fingerprint
 	// keys, so any survivor shows up as a parity break.
@@ -207,7 +207,7 @@ func TestZombieRejoinChain(t *testing.T) {
 			}
 		}
 	}
-	drainShipper(t, sh2)
+	drainShipper(t, sh2, a)
 
 	// Kill the new primary too: the rejoined zombie must promote cleanly.
 	if _, err := a.peer.Promote(ctx, b.rm.Epoch()+1); err != nil {
@@ -309,6 +309,7 @@ func TestSyncCommitRPOZero(t *testing.T) {
 	if len(ackedAll) < 20 {
 		t.Fatalf("only %d acked writes across the sweep; expected at least the unkilled round's 20", len(ackedAll))
 	}
+	waitApplied(t, follower)
 	for _, a := range ackedAll {
 		if got := getStr(t, follower.eng, a.key); got != a.val {
 			t.Fatalf("acked write %s=%s lost on follower (has %q); RPO-zero contract broken", a.key, a.val, got)
@@ -366,7 +367,7 @@ func TestStalledFollowerFullResync(t *testing.T) {
 			meta2 := syncFollower(t, primary, follower)
 			sh = newTestShipper(t, primary, follower, meta2.Cursor, 32, nil)
 		}
-		drainShipper(t, sh)
+		drainShipper(t, sh, follower)
 		if _, err := follower.peer.Promote(ctx, primary.rm.Epoch()+1); err != nil {
 			t.Fatalf("promote: %v", err)
 		}
@@ -398,7 +399,7 @@ func TestFollowerCheckpoints(t *testing.T) {
 			t.Fatalf("put: %v", err)
 		}
 	}
-	drainShipper(t, sh)
+	drainShipper(t, sh, follower)
 
 	// The checkpoint runs async off the ship path; wait for the counter.
 	deadline := time.Now().Add(10 * time.Second)

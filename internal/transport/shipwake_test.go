@@ -15,7 +15,7 @@ import (
 )
 
 // runShipper starts sh.Run and stops it, and waits for it, when the test ends.
-func runShipper(t *testing.T, sh *transport.Shipper) {
+func runShipper(t testing.TB, sh *transport.Shipper) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -101,6 +101,7 @@ func TestShipWakeOnDurable(t *testing.T) {
 			eventually(t, fmt.Sprintf("write %d reached the follower", i), func() bool { return sh.Lag() == 0 })
 		}
 	}
+	waitApplied(t, follower)
 	if rows := follower.eng.TotalRows(); rows != 301 {
 		t.Fatalf("follower holds %d rows, want 301", rows)
 	}
@@ -110,9 +111,9 @@ func TestShipWakeOnDurable(t *testing.T) {
 }
 
 // TestLogBeforeRunFollowerFirst: under synchronous commit the record of a
-// transaction is fsynced, shipped, applied by the follower and acknowledged
-// while the primary's own procedure is still running; the submitter hears
-// nothing until that procedure returns.
+// transaction is fsynced, shipped, acknowledged by the follower and applied
+// there while the primary's own procedure is still running; the submitter
+// hears nothing until that procedure returns.
 func TestLogBeforeRunFollowerFirst(t *testing.T) {
 	running, hold := make(chan struct{}, 1), make(chan struct{})
 	var letGo sync.Once
@@ -144,6 +145,7 @@ func TestLogBeforeRunFollowerFirst(t *testing.T) {
 	go func() { _, err := primary.eng.Execute("put", "k-0", 7); put <- err }()
 	<-running
 	eventually(t, "the follower acknowledged the record", func() bool { return sh.Shipped() == 1 && sh.Lag() == 0 })
+	waitApplied(t, follower)
 	if rows := follower.eng.TotalRows(); rows != 1 {
 		t.Fatalf("follower holds %d rows after acknowledging the record, want 1", rows)
 	}

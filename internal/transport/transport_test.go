@@ -29,6 +29,12 @@ func registerKV(eng *store.Engine) error {
 	}); err != nil {
 		return err
 	}
+	return registerKVGet(eng)
+}
+
+// registerKVGet registers the kv workload's read alone, for tests that bring
+// their own put.
+func registerKVGet(eng *store.Engine) error {
 	return eng.Register("get", func(tx *store.Tx) (any, error) {
 		v, ok, err := tx.Get("kv", tx.Key)
 		if err != nil || !ok {

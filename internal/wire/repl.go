@@ -21,7 +21,8 @@ const (
 	// fuzzy snapshot of every hosted bucket — and starts shipping from
 	// Meta.Cursor. Body: ReplSync JSON.
 	PathReplSync = "/v1/repl/sync"
-	// PathReplShip applies one ship batch on the follower. Body: one
+	// PathReplShip hands one ship batch to the follower, which appends it to
+	// its own log, acknowledges, and applies it behind the ack. Body: one
 	// ShipBatch frame; reply: ShipAck JSON.
 	PathReplShip = "/v1/repl/ship"
 	// PathReplPromote turns a follower into a primary under a new, higher
@@ -92,16 +93,22 @@ type ShipBatch struct {
 	Records  []ShipRecord `json:"records,omitempty"`
 }
 
-// ShipAck is the follower's reply to a batch. Applied is its authoritative
-// cursor: on success it equals the batch's Next; on Gap it is where the
-// shipper must rewind to. Resync means the follower's baseline no longer
-// matches (the primary installed data outside the WAL) and shipping cannot
-// continue without a fresh sync.
+// ShipAck is the follower's reply to a batch. Received is its authoritative
+// cursor into the stream: every record before it is fsynced in the follower's
+// own log, which is what the ack certifies — procedures are deterministic, so
+// a durable input fixes the outcome, and the follower executes it behind the
+// ack. On success Received equals the batch's Next; on Gap it is where the
+// shipper must rewind to. Applied is how far that execution has got; it never
+// passes Received. Resync means the stream can no longer bring the follower to
+// the primary's state — its baseline no longer matches (the primary installed
+// data outside the WAL), or an apply failed on it and its memory trails its log
+// for good — and shipping cannot continue without a fresh sync.
 type ShipAck struct {
-	Epoch   uint64     `json:"epoch"`
-	Applied ShipCursor `json:"applied"`
-	Gap     bool       `json:"gap,omitempty"`
-	Resync  bool       `json:"resync,omitempty"`
+	Epoch    uint64     `json:"epoch"`
+	Applied  ShipCursor `json:"applied"`
+	Received ShipCursor `json:"received"`
+	Gap      bool       `json:"gap,omitempty"`
+	Resync   bool       `json:"resync,omitempty"`
 }
 
 // ReplSync is a follower's bootstrap request. FollowerURL is where the
@@ -167,9 +174,20 @@ type ReplStatus struct {
 	Baseline uint64 `json:"baseline"`
 	// Durable is the durable end of the node's own WAL.
 	Durable ShipCursor `json:"durable"`
-	// Applied is a replica's applied-ship cursor; comparing it against the
-	// primary's Durable cursor measures replication lag.
+	// Applied is a replica's applied-ship cursor: the primary's records
+	// before it have been executed here. Comparing it against the primary's
+	// Durable cursor measures replication lag.
 	Applied ShipCursor `json:"applied"`
+	// Received is a replica's received-ship cursor: the primary's records
+	// before it are durable in this node's own log and acknowledged, executed
+	// or not. Applied never passes it; a promoted node reports them equal.
+	// ApplyBacklog is the command records between the two — accepted, not yet
+	// executed.
+	Received     ShipCursor `json:"received"`
+	ApplyBacklog int        `json:"apply_backlog"`
+	// Drained, on a promoted primary, is the apply backlog (in command
+	// records) its promotion had to execute before the role could flip.
+	Drained int `json:"drained,omitempty"`
 	// PlanSeq is a replica's last applied plan sequence.
 	PlanSeq uint64 `json:"plan_seq,omitempty"`
 	// Fenced reports a zombie: the node believes it is (or was) primary but
@@ -210,6 +228,13 @@ func ReadShipBatch(r io.Reader) (*ShipBatch, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DecodeShipBatch(payload)
+}
+
+// DecodeShipBatch decodes and validates a ship-batch frame's payload — the
+// second half of ReadShipBatch, for a receiver that takes the frame off the
+// connection first and decodes it once it has somewhere to put the records.
+func DecodeShipBatch(payload []byte) (*ShipBatch, error) {
 	var b ShipBatch
 	if err := json.Unmarshal(payload, &b); err != nil {
 		return nil, fmt.Errorf("wire: decoding ship batch: %w", err)

@@ -164,13 +164,22 @@ func runServeNode(cfg serveNodeConfig) error {
 	} else {
 		fmt.Fprintf(os.Stderr, "serve: node %d/%d hosting machines %v, loading dataset\n",
 			cfg.node, cfg.nodes, engCfg.HostedMachines)
+		loadStart := time.Now()
 		if err := b2w.Load(eng, spec); err != nil {
 			return err
 		}
+		loaded := rm.WALStats()
 		// Baseline checkpoint: restores replay only live traffic, not the
 		// load.
-		if _, err := rm.Checkpoint(); err != nil {
-			return err
+		ckptStart := time.Now()
+		images, err := rm.Checkpoint()
+		if err != nil {
+			return fmt.Errorf("baseline checkpoint: %w", err)
+		}
+		if loaded.Syncs > 0 {
+			fmt.Fprintf(os.Stderr, "serve: dataset loaded in %v (%d records, %.1f per fsync), baseline checkpoint of %d images in %v\n",
+				ckptStart.Sub(loadStart).Round(time.Millisecond), loaded.Appends,
+				float64(loaded.Appends)/float64(loaded.Syncs), images, time.Since(ckptStart).Round(time.Millisecond))
 		}
 	}
 	if olCfg.Enabled() {

@@ -23,13 +23,23 @@ type LoadSpec struct {
 	LinesPerCart int
 	// Seed makes loading reproducible.
 	Seed int64
-	// Loaders is the number of concurrent loading clients (defaults to 8).
+	// Loaders is the number of concurrent loading clients (defaults to
+	// defaultLoaders).
 	Loaders int
 }
 
+// defaultLoaders is how many loads are in flight when the spec does not say.
+// Each loader waits for its row to commit before sending the next, so under a
+// durable log the loaders in flight are all one group commit can carry: 8 of
+// them meant at most 8 records (4 on a node that owns half the keys) per
+// ~0.4 ms fsync. A bootstrap procedure runs in microseconds, so some tens of
+// them fit inside one fsync; 64 fills it (≈ 29 records per fsync on a 2-node
+// layout), and beyond that the load gets no shorter worth the goroutines.
+const defaultLoaders = 64
+
 // DefaultLoadSpec returns a small database suitable for scaled experiments.
 func DefaultLoadSpec() LoadSpec {
-	return LoadSpec{Carts: 4000, Checkouts: 1000, Stocks: 2000, LinesPerCart: 3, Seed: 1, Loaders: 8}
+	return LoadSpec{Carts: 4000, Checkouts: 1000, Stocks: 2000, LinesPerCart: 3, Seed: 1, Loaders: defaultLoaders}
 }
 
 // CartKey returns the cart id for index i.
@@ -52,7 +62,7 @@ func Load(eng *store.Engine, spec LoadSpec) error {
 	}
 	loaders := spec.Loaders
 	if loaders < 1 {
-		loaders = 8
+		loaders = defaultLoaders
 	}
 	lines := max(spec.LinesPerCart, 1)
 

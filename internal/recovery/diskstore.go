@@ -12,8 +12,8 @@ import (
 
 // diskStore is the durable LogStore: command records go through the WAL's
 // group commit (Append enqueues in execution order, Wait returns once the
-// record's batch is fsynced), checkpoint images spill to per-bucket files,
-// and Checkpoint compacts the log.
+// record's batch is fsynced), a checkpoint round's images spill to one image
+// set, and Checkpoint compacts the log.
 //
 // Records travel by transaction *name*, not dense TxnID — handles are
 // assigned in registration order and need not survive a restart. The
@@ -119,21 +119,22 @@ func (s *diskStore) Head(bucket int) uint64 {
 	return s.heads[bucket].Load()
 }
 
-func (s *diskStore) Install(snap store.BucketSnapshot) {
-	err := s.log.WriteImage(&wal.Image{
-		Bucket: snap.Bucket,
-		Rows:   snap.Rows,
-		LSN:    snap.LSN,
-		Tables: snap.Tables,
-	})
-	if err != nil {
+func (s *diskStore) Install(snaps []store.BucketSnapshot) error {
+	imgs := make([]*wal.Image, len(snaps))
+	for i, snap := range snaps {
+		imgs[i] = &wal.Image{Bucket: snap.Bucket, Rows: snap.Rows, LSN: snap.LSN, Tables: snap.Tables}
+	}
+	if err := s.log.WriteImages(imgs); err != nil {
 		s.fail(err)
-		return
+		return err
 	}
-	if base := s.bases[snap.Bucket].Load(); snap.LSN > base {
-		s.bases[snap.Bucket].Store(snap.LSN)
-		s.records.Add(-int64(snap.LSN - base))
+	for _, snap := range snaps {
+		if base := s.bases[snap.Bucket].Load(); snap.LSN > base {
+			s.bases[snap.Bucket].Store(snap.LSN)
+			s.records.Add(-int64(snap.LSN - base))
+		}
 	}
+	return nil
 }
 
 func (s *diskStore) Load(buckets []int) ([]store.BucketSnapshot, []store.ReplayCommand, error) {
@@ -141,14 +142,14 @@ func (s *diskStore) Load(buckets []int) ([]store.BucketSnapshot, []store.ReplayC
 	if err != nil {
 		return nil, nil, err
 	}
+	imgs, err := s.log.LoadImages(buckets)
+	if err != nil {
+		return nil, nil, err
+	}
 	var snaps []store.BucketSnapshot
 	var cmds []store.ReplayCommand
 	for _, b := range buckets {
-		img, ok, err := s.log.LoadImage(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
+		if img := imgs[b]; img != nil {
 			snaps = append(snaps, store.BucketSnapshot{
 				Bucket: b, Rows: img.Rows, LSN: img.LSN, Tables: img.Tables,
 			})

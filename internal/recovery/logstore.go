@@ -30,9 +30,12 @@ type LogStore interface {
 	Wait(ticket uint64) error
 	// Head returns the bucket's last-assigned LSN.
 	Head(bucket int) uint64
-	// Install makes a bucket snapshot the bucket's recovery baseline and
-	// releases the command records it covers.
-	Install(s store.BucketSnapshot)
+	// Install makes one checkpoint round's bucket snapshots their buckets'
+	// recovery baselines and releases the command records they cover. The
+	// round is installed whole or, on an error, not at all; the disk store
+	// writes it as one image set, so a round costs one fsync however many
+	// buckets it covers.
+	Install(snaps []store.BucketSnapshot) error
 	// Load returns the restore inputs for the given buckets — each bucket's
 	// baseline image (if any) and its command tail beyond the image, per-
 	// bucket in LSN order — reading from the store's authoritative medium
@@ -43,7 +46,7 @@ type LogStore interface {
 	// LogPlan records a bucket-plan change (no-op in memory — a live process
 	// always knows its plan; a cold start must recover it).
 	LogPlan(plan []int32, active int)
-	// Checkpoint marks the end of a checkpoint round, after every Install:
+	// Checkpoint marks the end of a full checkpoint round, after its Install:
 	// the disk store folds the plan into its manifest and compacts segments.
 	Checkpoint() error
 	// Records returns the retained command-record count — the replay debt a
@@ -138,20 +141,23 @@ func (m *memStore) Head(bucket int) uint64 {
 	return l.head
 }
 
-func (m *memStore) Install(s store.BucketSnapshot) {
-	l := &m.logs[s.Bucket]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if s.LSN > l.base {
-		drop := int(s.LSN - l.base)
-		if drop > len(l.cmds) {
-			drop = len(l.cmds)
+func (m *memStore) Install(snaps []store.BucketSnapshot) error {
+	for _, s := range snaps {
+		l := &m.logs[s.Bucket]
+		l.mu.Lock()
+		if s.LSN > l.base {
+			drop := int(s.LSN - l.base)
+			if drop > len(l.cmds) {
+				drop = len(l.cmds)
+			}
+			l.cmds = append([]Command(nil), l.cmds[drop:]...)
+			l.base = s.LSN
+			m.records.Add(int64(-drop))
 		}
-		l.cmds = append([]Command(nil), l.cmds[drop:]...)
-		l.base = s.LSN
-		m.records.Add(int64(-drop))
+		l.ckpt = &ckptImage{rows: s.Rows, tables: s.Tables}
+		l.mu.Unlock()
 	}
-	l.ckpt = &ckptImage{rows: s.Rows, tables: s.Tables}
+	return nil
 }
 
 func (m *memStore) Load(buckets []int) ([]store.BucketSnapshot, []store.ReplayCommand, error) {

@@ -249,55 +249,47 @@ func (m *Manager) Close() error { return m.log.Close() }
 
 // Checkpoint snapshots every live partition and installs the images as the
 // buckets' new recovery baseline, truncating each bucket's command log up to
-// the covered LSN (on disk: images are spilled per bucket, then fully
-// covered segments are deleted). Down partitions are skipped (their buckets
-// keep their older baseline, which is exactly what their restore will
-// need). It returns the number of bucket images installed.
-func (m *Manager) Checkpoint() (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	installed := 0
-	err := m.snapshotLiveLocked(func(snaps []store.BucketSnapshot) {
-		for _, s := range snaps {
-			m.log.Install(s)
-			installed++
-		}
-	})
-	if err != nil {
-		return installed, err
-	}
-	return installed, m.completeCheckpointLocked()
-}
+// the covered LSN (on disk: the round's images are spilled as one image set,
+// then fully covered segments are deleted). Down partitions are skipped (their
+// buckets keep their older baseline, which is exactly what their restore will
+// need). It returns the number of bucket images installed; on an error the
+// round installed nothing and compacted nothing.
+func (m *Manager) Checkpoint() (int, error) { return m.CheckpointAfter(func() {}) }
 
-// CheckpointAfter is Checkpoint in two halves with a hook between them:
-// every partition's in-memory image is taken first, then snapshotted runs —
-// exactly once, also when a snapshot failed — and only then is any image
-// written. A warm follower's log head runs ahead of its memory by the records
-// it has accepted and not yet applied, and a partition stamps its images with
-// the log head; so the follower takes the snapshots with its backlog drained
-// and its ship handler held off, and releases the handler from the hook — the
-// image writes, the slow half, stay off the ship path. The price is holding
-// the whole node's images at once where Checkpoint holds one partition's.
+// CheckpointAfter is Checkpoint with a hook between its halves: every
+// partition's in-memory image is taken first, then snapshotted runs — exactly
+// once, also when a snapshot failed — and only then is the round written. A
+// warm follower's log head runs ahead of its memory by the records it has
+// accepted and not yet applied, and a partition stamps its images with the log
+// head; so the follower takes the snapshots with its backlog drained and its
+// ship handler held off, and releases the handler from the hook — the image
+// write, the slow half, stays off the ship path.
 func (m *Manager) CheckpointAfter(snapshotted func()) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var all []store.BucketSnapshot
-	err := m.snapshotLiveLocked(func(snaps []store.BucketSnapshot) { all = append(all, snaps...) })
+	all, err := m.snapshotLiveLocked()
 	snapshotted()
 	if err != nil {
 		return 0, err
 	}
-	for _, s := range all {
-		m.log.Install(s)
+	if err := m.log.Install(all); err != nil {
+		return 0, fmt.Errorf("recovery: installing checkpoint images: %w", err)
 	}
-	return len(all), m.completeCheckpointLocked()
+	if err := m.log.Checkpoint(); err != nil {
+		return 0, fmt.Errorf("recovery: completing checkpoint: %w", err)
+	}
+	m.checkpoints.Add(1)
+	if r := m.rec.Load(); r != nil {
+		r.CountCheckpoint()
+	}
+	return len(all), nil
 }
 
 // snapshotLiveLocked takes a fuzzy image of each live partition this engine
-// hosts and passes it to take, one partition at a time, stopping at the first
-// that fails.
-func (m *Manager) snapshotLiveLocked(take func([]store.BucketSnapshot)) error {
+// hosts, stopping at the first that fails.
+func (m *Manager) snapshotLiveLocked() ([]store.BucketSnapshot, error) {
 	cfg := m.eng.Config()
+	var all []store.BucketSnapshot
 	for part := 0; part < cfg.MaxMachines*cfg.PartitionsPerMachine; part++ {
 		if !m.eng.Hosted(part / cfg.PartitionsPerMachine) {
 			// A multi-process node checkpoints only the data it hosts —
@@ -309,41 +301,30 @@ func (m *Manager) snapshotLiveLocked(take func([]store.BucketSnapshot)) error {
 		}
 		snaps, err := m.eng.SnapshotPartition(part)
 		if err != nil {
-			return fmt.Errorf("recovery: checkpointing partition %d: %w", part, err)
+			return nil, fmt.Errorf("recovery: checkpointing partition %d: %w", part, err)
 		}
-		take(snaps)
+		all = append(all, snaps...)
 	}
-	return nil
+	return all, nil
 }
 
-// completeCheckpointLocked closes a checkpoint round once its images are
-// installed.
-func (m *Manager) completeCheckpointLocked() error {
-	if err := m.log.Checkpoint(); err != nil {
-		return fmt.Errorf("recovery: completing checkpoint: %w", err)
-	}
-	m.checkpoints.Add(1)
-	if r := m.rec.Load(); r != nil {
-		r.CountCheckpoint()
-	}
-	return nil
-}
-
-// CheckpointPartition snapshots one live partition and installs the images
-// as its buckets' new recovery baseline. Multi-process nodes call this right
-// after installing a migrated-in chunk: the chunk's command history lives on
-// the node it executed on, so the receiving node's recovery baseline for
-// those buckets is the installed image itself — from that point on, local
-// commands accumulate on top of it and a crash restores exactly.
-func (m *Manager) CheckpointPartition(part int) (int, error) {
+// CheckpointPartition snapshots the given buckets of one live partition and
+// installs the images as their new recovery baseline. Multi-process nodes call
+// this right after installing a migrated-in chunk, with the chunk's buckets:
+// their command history lives on the node it executed on, so the receiving
+// node's recovery baseline for them is the installed image itself — from that
+// point on, local commands accumulate on top of it and a crash restores
+// exactly. The partition's other buckets have their history in this node's log
+// and need no new image, so the cost follows what moved, not what was here.
+func (m *Manager) CheckpointPartition(part int, buckets []int) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snaps, err := m.eng.SnapshotPartition(part)
+	snaps, err := m.eng.SnapshotBuckets(part, buckets)
 	if err != nil {
 		return 0, fmt.Errorf("recovery: checkpointing partition %d: %w", part, err)
 	}
-	for _, s := range snaps {
-		m.log.Install(s)
+	if err := m.log.Install(snaps); err != nil {
+		return 0, fmt.Errorf("recovery: installing images of partition %d: %w", part, err)
 	}
 	// The installed data arrived outside the WAL (a migrated-in chunk), so a
 	// follower that synced before this install can no longer reconstruct the

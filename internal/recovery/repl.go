@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"errors"
+	"fmt"
 
 	"pstore/internal/store"
 	"pstore/internal/wal"
@@ -147,13 +148,16 @@ func (m *Manager) AbortSync() {
 }
 
 // InstallReplicaBaseline installs a primary's snapshot frames as the local
-// recovery baseline and advances each bucket's LSN head to the snapshot LSN,
-// so subsequently applied ship records continue the primary's numbering and
-// the log head doubles as the dedup state for duplicate batches.
+// recovery baseline — one round, one image set — and advances each bucket's
+// LSN head to the snapshot LSN, so subsequently applied ship records continue
+// the primary's numbering and the log head doubles as the dedup state for
+// duplicate batches.
 func (m *Manager) InstallReplicaBaseline(snaps []store.BucketSnapshot) error {
+	if err := m.log.Install(snaps); err != nil {
+		return fmt.Errorf("recovery: installing replica baseline: %w", err)
+	}
 	for _, s := range snaps {
-		m.log.Install(s)
 		m.log.AdvanceHead(s.Bucket, s.LSN)
 	}
-	return m.log.Err()
+	return nil
 }

@@ -216,9 +216,12 @@ func (s *Server) handleNodeExtract(w http.ResponseWriter, r *http.Request) {
 
 // handleNodeInstall merges an incoming chunk into a hosted destination
 // partition (body: one NodeMove frame, then the chunk stream) and flips
-// local ownership after the install lands. The installed buckets immediately
-// get a fresh recovery baseline: their command history lives on the node
-// they executed on, so the image itself is the correct recovery point here.
+// local ownership after the install lands. The installed buckets — and only
+// they — immediately get a fresh recovery baseline: their command history
+// lives on the node they executed on, so the image itself is the correct
+// recovery point here. An install whose images did not reach disk is refused:
+// the coordinator must not flip ownership to a node that could not restore
+// the chunk.
 func (s *Server) handleNodeInstall(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
@@ -246,7 +249,7 @@ func (s *Server) handleNodeInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rm := s.cfg.Node.Recovery; rm != nil {
-		if _, err := rm.CheckpointPartition(req.To); err != nil {
+		if _, err := rm.CheckpointPartition(req.To, req.Buckets); err != nil {
 			writeNodeError(w, err)
 			return
 		}

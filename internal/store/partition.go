@@ -504,10 +504,11 @@ func (p *partition) crash(r *ctlRequest) {
 }
 
 // snapshot captures a fuzzy-checkpoint image of every bucket materialized in
-// this partition's store. It runs on the executor, so each bucket's image and
-// its command-log head are captured atomically with respect to execution.
-// Table maps are copied; row values are aliased (stored rows are immutable by
-// convention).
+// this partition's store, or, when the request lists buckets, of exactly
+// those — an empty image for one with no rows here. It runs on the executor,
+// so each bucket's image and its command-log head are captured atomically with
+// respect to execution. Table maps are copied; row values are aliased (stored
+// rows are immutable by convention).
 func (p *partition) snapshot(r *ctlRequest) {
 	if p.down.Load() {
 		r.done <- moveResult{err: partitionDownError(p.id)}
@@ -517,8 +518,16 @@ func (p *partition) snapshot(r *ctlRequest) {
 	if h := p.eng.cmdLog.Load(); h != nil {
 		logger = h.l
 	}
-	snaps := make([]BucketSnapshot, 0, len(p.store.data))
-	for b, tables := range p.store.data {
+	buckets := r.buckets
+	if buckets == nil {
+		buckets = make([]int, 0, len(p.store.data))
+		for b := range p.store.data {
+			buckets = append(buckets, b)
+		}
+	}
+	snaps := make([]BucketSnapshot, 0, len(buckets))
+	for _, b := range buckets {
+		tables := p.store.data[b]
 		copied := make(map[string]map[string]any, len(tables))
 		for tn, t := range tables {
 			ct := make(map[string]any, len(t))

@@ -176,10 +176,34 @@ func (e *Engine) DownMachines() []int {
 // O(tables+rows) map copying while the executor is busy, the checkpoint
 // interference a real fuzzy checkpointer also pays.
 func (e *Engine) SnapshotPartition(part int) ([]BucketSnapshot, error) {
+	return e.snapshot(part, nil)
+}
+
+// SnapshotBuckets is SnapshotPartition narrowed to the given buckets: exactly
+// one BucketSnapshot per bucket listed, empty for a bucket the partition holds
+// no rows of — an image that says "nothing here as of this LSN" supersedes
+// whatever older image and log the bucket left behind when it last lived here.
+// It is how a node re-baselines a migrated-in chunk without re-imaging the
+// rest of the destination partition.
+func (e *Engine) SnapshotBuckets(part int, buckets []int) ([]BucketSnapshot, error) {
+	for _, b := range buckets {
+		if b < 0 || b >= e.cfg.Buckets {
+			return nil, fmt.Errorf("store: snapshot of bucket %d out of range", b)
+		}
+	}
+	if len(buckets) == 0 {
+		return nil, nil
+	}
+	return e.snapshot(part, buckets)
+}
+
+// snapshot runs one snapshot request on a partition's executor; nil buckets
+// means every bucket materialized there.
+func (e *Engine) snapshot(part int, buckets []int) ([]BucketSnapshot, error) {
 	if part < 0 || part >= len(e.parts) {
 		return nil, fmt.Errorf("store: partition %d out of range", part)
 	}
-	req := &ctlRequest{kind: ctlSnapshot, done: make(chan moveResult, 1)}
+	req := &ctlRequest{kind: ctlSnapshot, buckets: buckets, done: make(chan moveResult, 1)}
 	p := e.parts[part]
 	select {
 	case p.ctlQueue() <- request{ctl: req}:

@@ -90,7 +90,8 @@ type ctlRequest struct {
 
 	// moveOut fields. rollback marks the undo path of an aborted migration,
 	// which down partitions must not refuse (the source still holds the
-	// committed copy, so restoring it is always safe).
+	// committed copy, so restoring it is always safe). A snapshot reads
+	// buckets as its filter: nil means every materialized bucket.
 	buckets  []int
 	dest     *partition
 	perRow   time.Duration

@@ -3,6 +3,9 @@ package wal
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -16,18 +19,32 @@ import (
 //   - each bucket's recovered tail is a prefix of that bucket's append
 //     sequence (no holes, no reordering),
 //   - no phantom records (nothing the workload never appended),
-//   - plan state is either the last logged plan or a logged predecessor.
+//   - plan state is either the last logged plan or a logged predecessor,
+//   - a checkpoint round is atomic: every bucket's image is wholly the one of
+//     the last round that returned or wholly the one of the round that was
+//     being written, and the dying round shows in all of its buckets or none,
+//   - no image set holding a current image is gone, and no temp file is left.
 //
 // Sweeping every k proves there is no write boundary — segment byte, image
-// temp file, manifest rewrite, rename — whose interruption breaks recovery.
+// set temp file, manifest rewrite, rename — whose interruption breaks recovery.
+
+// imageLedger is what the workload knows about checkpoint images: per bucket,
+// the image of the last round that returned, and the round in flight when the
+// crash hit (nil if none was).
+type imageLedger struct {
+	done   map[int]*Image
+	flight []*Image
+}
 
 // crashScript runs the workload against l, recording per-bucket acked
-// records in acked (only after Append returns nil) and logged plans in
-// plans. It stops at the first ErrCrashed and reports any unexpected error.
+// records in acked (only after Append returns nil), logged plans in plans and
+// checkpoint rounds in imgs. It stops at the first ErrCrashed and reports any
+// unexpected error.
 func crashScript(t *testing.T, l *Log, g Geometry, rng *rand.Rand,
-	acked map[int][]Record, plans *[][]int32) error {
+	acked map[int][]Record, plans *[][]int32, imgs *imageLedger) error {
 	t.Helper()
 	heads := make([]uint64, g.Buckets)
+	rounds := 0
 	step := func(i int) error {
 		switch {
 		case i%29 == 11: // occasional plan change
@@ -40,22 +57,39 @@ func crashScript(t *testing.T, l *Log, g Geometry, rng *rand.Rand,
 			}
 			*plans = append(*plans, plan)
 			return nil
-		case i%37 == 17: // occasional checkpoint: image a busy bucket + compact
-			busy, best := -1, 0
-			for b, recs := range acked {
-				if len(recs) > best {
-					busy, best = b, len(recs)
+		case i%19 == 7: // occasional checkpoint round + compaction
+			// Rounds alternate between a full one (every bucket with records, so
+			// it retires every older set) and a partial one (the three busiest,
+			// like a migrated chunk's, so older sets stay partly current).
+			var busy []int
+			for b := range acked {
+				busy = append(busy, b)
+			}
+			sort.Slice(busy, func(i, j int) bool {
+				if len(acked[busy[i]]) != len(acked[busy[j]]) {
+					return len(acked[busy[i]]) > len(acked[busy[j]])
+				}
+				return busy[i] < busy[j]
+			})
+			rounds++
+			if rounds%2 == 0 && len(busy) > 3 {
+				busy = busy[:3]
+			}
+			round := make([]*Image, len(busy))
+			for j, b := range busy {
+				round[j] = &Image{
+					Bucket: b, LSN: heads[b], Rows: len(acked[b]),
+					Tables: map[string]map[string]any{"T": {"round": rounds, "bucket": b, "recs": len(acked[b])}},
 				}
 			}
-			if busy >= 0 {
-				img := &Image{
-					Bucket: busy, LSN: heads[busy], Rows: 1,
-					Tables: map[string]map[string]any{"T": {"k": best}},
-				}
-				if err := l.WriteImage(img); err != nil {
-					return err
-				}
+			imgs.flight = round
+			if err := l.WriteImages(round); err != nil {
+				return err
 			}
+			for _, img := range round {
+				imgs.done[img.Bucket] = img
+			}
+			imgs.flight = nil
 			return l.Checkpoint()
 		default:
 			b := rng.Intn(g.Buckets)
@@ -84,7 +118,7 @@ func crashScript(t *testing.T, l *Log, g Geometry, rng *rand.Rand,
 // verifyCrashRecovery reopens after a crash and checks prefix consistency
 // against the acked/plans ledger.
 func verifyCrashRecovery(t *testing.T, fs *MemFS, g Geometry, k int64,
-	acked map[int][]Record, plans [][]int32) {
+	acked map[int][]Record, plans [][]int32, imgs *imageLedger) {
 	t.Helper()
 	fs.Recover()
 	l, rec, err := Open(Config{Dir: "data", Geometry: g, FS: fs})
@@ -92,6 +126,7 @@ func verifyCrashRecovery(t *testing.T, fs *MemFS, g Geometry, k int64,
 		t.Fatalf("k=%d: reopen after crash: %v", k, err)
 	}
 	defer l.Close()
+	verifyImages(t, fs, l, rec, g, k, imgs)
 
 	for b, want := range acked {
 		br := rec.Buckets[b]
@@ -162,6 +197,68 @@ func verifyCrashRecovery(t *testing.T, fs *MemFS, g Geometry, k int64,
 	}
 }
 
+// verifyImages checks round atomicity after a reopen: what LoadImages reads
+// back — tables included, not just the base LSN — is per bucket the last
+// completed round's image or the dying round's, the dying round is visible in
+// all of its buckets or in none, and the image directory holds no temp file
+// and lost no set a current image lives in (LoadImages would fail on it).
+func verifyImages(t *testing.T, fs *MemFS, l *Log, rec *Recovered, g Geometry, k int64, imgs *imageLedger) {
+	t.Helper()
+	all := make([]int, g.Buckets)
+	for b := range all {
+		all[b] = b
+	}
+	got, err := l.LoadImages(all)
+	if err != nil {
+		t.Fatalf("k=%d: loading images after reopen: %v", k, err)
+	}
+	flight := make(map[int]*Image)
+	for _, img := range imgs.flight {
+		flight[img.Bucket] = img
+	}
+	landed := 0
+	for b := 0; b < g.Buckets; b++ {
+		have, old, dying := got[b], imgs.done[b], flight[b]
+		var base uint64
+		if br := rec.Buckets[b]; br != nil && br.HasImage {
+			base = br.Base
+		}
+		switch {
+		case have == nil:
+			if old != nil {
+				t.Fatalf("k=%d bucket %d: image of a completed round (lsn %d) is gone", k, b, old.LSN)
+			}
+			if base != 0 {
+				t.Fatalf("k=%d bucket %d: base %d recovered without an image", k, b, base)
+			}
+			continue
+		case dying != nil && reflect.DeepEqual(have, dying):
+			landed++
+		case old != nil && reflect.DeepEqual(have, old):
+		default:
+			t.Fatalf("k=%d bucket %d: recovered image %+v is neither the completed round's %+v nor the dying round's %+v",
+				k, b, have, old, dying)
+		}
+		if base != have.LSN {
+			t.Fatalf("k=%d bucket %d: recovered base %d, image on disk is at lsn %d", k, b, base, have.LSN)
+		}
+	}
+	if landed != 0 && landed != len(flight) {
+		t.Fatalf("k=%d: dying round landed in %d of its %d buckets — a round must be all or nothing", k, landed, len(flight))
+	}
+	for _, dir := range []string{"data", "data/img"} {
+		names, err := fs.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if strings.HasSuffix(n, ".tmp") {
+				t.Fatalf("k=%d: reopen left temp file %s/%s behind", k, dir, n)
+			}
+		}
+	}
+}
+
 func planEqual(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -190,11 +287,15 @@ func TestCrashPointSweep(t *testing.T) {
 	fs.CrashAfterWrites(0)
 	acked := make(map[int][]Record)
 	var plans [][]int32
-	if err := crashScript(t, l, g, rand.New(rand.NewSource(seed)), acked, &plans); err != nil {
+	imgs := &imageLedger{done: make(map[int]*Image)}
+	if err := crashScript(t, l, g, rand.New(rand.NewSource(seed)), acked, &plans, imgs); err != nil {
 		t.Fatalf("crash-free run failed: %v", err)
 	}
 	total := fs.Writes()
 	l.Close()
+	if sets, _ := fs.ReadDir("data/img"); len(sets) < 2 {
+		t.Fatalf("workload left image sets %v; it must end with a partial round on top of a full one", sets)
+	}
 	if total < 100 {
 		t.Fatalf("workload only issued %d writes; harness too weak", total)
 	}
@@ -215,7 +316,8 @@ func TestCrashPointSweep(t *testing.T) {
 			fs.CrashAfterWrites(k)
 			acked := make(map[int][]Record)
 			var plans [][]int32
-			err = crashScript(t, l, g, rand.New(rand.NewSource(seed)), acked, &plans)
+			imgs := &imageLedger{done: make(map[int]*Image)}
+			err = crashScript(t, l, g, rand.New(rand.NewSource(seed)), acked, &plans, imgs)
 			l.Close()
 			if !fs.Crashed() {
 				// Open's fresh-segment creation issues writes too, so some
@@ -226,7 +328,7 @@ func TestCrashPointSweep(t *testing.T) {
 				}
 				return
 			}
-			verifyCrashRecovery(t, fs, g, k, acked, plans)
+			verifyCrashRecovery(t, fs, g, k, acked, plans, imgs)
 		})
 	}
 }
@@ -247,7 +349,8 @@ func TestCrashDuringReopen(t *testing.T) {
 	fs.CrashAfterWrites(100)
 	acked := make(map[int][]Record)
 	var plans [][]int32
-	_ = crashScript(t, l, g, rand.New(rand.NewSource(seed)), acked, &plans)
+	imgs := &imageLedger{done: make(map[int]*Image)}
+	_ = crashScript(t, l, g, rand.New(rand.NewSource(seed)), acked, &plans, imgs)
 	l.Close()
 	if !fs.Crashed() {
 		t.Fatal("setup crash did not fire")
@@ -268,6 +371,6 @@ func TestCrashDuringReopen(t *testing.T) {
 			break // recovery completed before write k; later ks identical
 		}
 		// The double-crashed state must still recover.
-		verifyCrashRecovery(t, fs, g, k, acked, plans)
+		verifyCrashRecovery(t, fs, g, k, acked, plans, imgs)
 	}
 }

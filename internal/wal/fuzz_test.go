@@ -64,6 +64,53 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
+// FuzzImageSetDecode: arbitrary bytes must never panic, and what comes back
+// has valid-prefix semantics — the frames tile the reported prefix exactly,
+// each behind a header that re-validates, and nothing is reported beyond it.
+func FuzzImageSetDecode(f *testing.F) {
+	seed, _ := encodeImage(nil, &Image{Bucket: 3, Rows: 1, LSN: 9, Tables: map[string]map[string]any{"T": {"k": 7}}})
+	seed, _ = encodeImage(seed, &Image{Bucket: 4, LSN: 2})
+	f.Add(seed)
+	f.Add(seed[:len(seed)-3])       // torn last payload
+	f.Add(seed[:imageHeaderSize-1]) // torn first header
+	f.Add([]byte{})
+	flipped := append([]byte{}, seed...)
+	flipped[9] ^= 0x01 // corrupt the first header's lsn
+	f.Add(flipped)
+	huge := append([]byte{}, seed[:imageHeaderSize]...)
+	binary.BigEndian.PutUint32(huge[20:24], 0xffffffff) // absurd payload length, CRC fixed up
+	binary.BigEndian.PutUint32(huge[28:32], crc32.Checksum(huge[0:28], crcTable))
+	f.Add(huge)
+	f.Add(append(append([]byte{}, seed...), 0xde, 0xad, 0xbe)) // garbage tail
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, valid, err := DecodeImageSet(data)
+		if valid < 0 || valid > int64(len(data)) {
+			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
+		}
+		if err == nil && valid != int64(len(data)) {
+			t.Fatalf("nil error but valid %d != len %d", valid, len(data))
+		}
+		off := int64(0)
+		for i, fr := range frames {
+			if fr.Off != off || fr.Size < imageHeaderSize || fr.Off+int64(fr.Size) > valid {
+				t.Fatalf("frame %d at [%d, +%d) does not tile the valid prefix %d from %d", i, fr.Off, fr.Size, valid, off)
+			}
+			bucket, lsn, rows, plen, herr := decodeImageHeader(data[fr.Off:])
+			if herr != nil || bucket != fr.Bucket || lsn != fr.LSN || rows != fr.Rows || imageHeaderSize+plen != fr.Size {
+				t.Fatalf("frame %d %+v does not re-derive from its header (%v)", i, fr, herr)
+			}
+			// A frame the walk reported must be safe to hand to the image
+			// decoder, whatever its payload holds.
+			_, _ = decodeImage(data[fr.Off : fr.Off+int64(fr.Size)])
+			off += int64(fr.Size)
+		}
+		if off != valid {
+			t.Fatalf("frames end at %d, valid prefix is %d", off, valid)
+		}
+	})
+}
+
 // FuzzManifestDecode: arbitrary bytes must never panic, and any manifest
 // that decodes successfully must satisfy every invariant the log relies on.
 func FuzzManifestDecode(f *testing.F) {
@@ -77,7 +124,7 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`{"version":1,"geometry":{"buckets":-1}}`))
+	f.Add([]byte(`{"version":2,"geometry":{"buckets":-1}}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte{})
 	truncated := good[:len(good)/2]

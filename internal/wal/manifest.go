@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"path/filepath"
 )
 
 // manifestName is the store's identity file, following the engram
@@ -16,8 +15,10 @@ import (
 const manifestName = "MANIFEST.json"
 
 // manifestVersion is the on-disk format version; a mismatch refuses to open
-// rather than misread.
-const manifestVersion = 1
+// rather than misread. Version 1 kept one img/bucket-N.img file per bucket;
+// version 2 keeps a checkpoint round's images together in one image set
+// (imageset.go). A version-1 directory is refused, not converted.
+const manifestVersion = 2
 
 // Geometry is the engine shape a log directory was created for. Replay is
 // only meaningful against the same bucket space, so a reopen with different
@@ -55,6 +56,9 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("wal: manifest: %w", err)
 	}
+	if m.Version == 1 {
+		return nil, fmt.Errorf("wal: manifest version 1 is the per-bucket image layout (img/bucket-N.img), which this build neither reads nor converts: it keeps images in sets (version %d); start from a fresh data directory", manifestVersion)
+	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("wal: manifest version %d, want %d", m.Version, manifestVersion)
 	}
@@ -86,9 +90,11 @@ func encodeManifest(m *Manifest) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Checkpoint-image file format: a fixed header followed by one gob payload
-// (the bucket's tables). The header is readable without decoding the
-// payload, so open can learn every bucket's image LSN cheaply.
+// Checkpoint-image frame format: a fixed header followed by one gob payload
+// (the bucket's tables). A frame says how long it is and carries a CRC over
+// its header and one over its payload, so frames can be laid end to end in an
+// image set and walked header by header without decoding a payload — open
+// learns every bucket's image LSN that way.
 //
 //	magic   u32  'PWAL'
 //	bucket  u32
@@ -111,55 +117,50 @@ type Image struct {
 	Tables map[string]map[string]any
 }
 
-// imageName is the image file for a bucket, under the img/ subdirectory.
-func imageName(dir string, bucket int) string {
-	return filepath.Join(dir, "img", fmt.Sprintf("bucket-%06d.img", bucket))
-}
-
-// encodeImage renders an image file.
-func encodeImage(img *Image) ([]byte, error) {
+// encodeImage appends one image frame to dst and returns the extended slice.
+func encodeImage(dst []byte, img *Image) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(img.Tables); err != nil {
-		return nil, fmt.Errorf("wal: encoding image for bucket %d: %w", img.Bucket, err)
+		return dst, fmt.Errorf("wal: encoding image for bucket %d: %w", img.Bucket, err)
 	}
-	data := make([]byte, imageHeaderSize, imageHeaderSize+payload.Len())
-	binary.BigEndian.PutUint32(data[0:4], imageMagic)
-	binary.BigEndian.PutUint32(data[4:8], uint32(img.Bucket))
-	binary.BigEndian.PutUint64(data[8:16], img.LSN)
-	binary.BigEndian.PutUint32(data[16:20], uint32(img.Rows))
-	binary.BigEndian.PutUint32(data[20:24], uint32(payload.Len()))
-	binary.BigEndian.PutUint32(data[24:28], crc32.Checksum(payload.Bytes(), crcTable))
-	binary.BigEndian.PutUint32(data[28:32], crc32.Checksum(data[0:28], crcTable))
-	return append(data, payload.Bytes()...), nil
+	var hdr [imageHeaderSize]byte
+	binary.BigEndian.PutUint32(hdr[0:4], imageMagic)
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(img.Bucket))
+	binary.BigEndian.PutUint64(hdr[8:16], img.LSN)
+	binary.BigEndian.PutUint32(hdr[16:20], uint32(img.Rows))
+	binary.BigEndian.PutUint32(hdr[20:24], uint32(payload.Len()))
+	binary.BigEndian.PutUint32(hdr[24:28], crc32.Checksum(payload.Bytes(), crcTable))
+	binary.BigEndian.PutUint32(hdr[28:32], crc32.Checksum(hdr[0:28], crcTable))
+	return append(append(dst, hdr[:]...), payload.Bytes()...), nil
 }
 
-// decodeImageHeader validates an image file's header and returns its
-// metadata without touching the payload.
-func decodeImageHeader(data []byte) (bucket int, lsn uint64, rows int, err error) {
+// decodeImageHeader validates the frame header at the start of data and
+// returns its metadata and payload length without touching the payload.
+func decodeImageHeader(data []byte) (bucket int, lsn uint64, rows, plen int, err error) {
 	if len(data) < imageHeaderSize {
-		return 0, 0, 0, fmt.Errorf("wal: image file is %d bytes, shorter than its header", len(data))
+		return 0, 0, 0, 0, fmt.Errorf("wal: image frame is %d bytes, shorter than its header", len(data))
 	}
 	if binary.BigEndian.Uint32(data[28:32]) != crc32.Checksum(data[0:28], crcTable) {
-		return 0, 0, 0, fmt.Errorf("wal: image header fails CRC")
+		return 0, 0, 0, 0, fmt.Errorf("wal: image header fails CRC")
 	}
 	if binary.BigEndian.Uint32(data[0:4]) != imageMagic {
-		return 0, 0, 0, fmt.Errorf("wal: image has bad magic %08x", binary.BigEndian.Uint32(data[0:4]))
+		return 0, 0, 0, 0, fmt.Errorf("wal: image has bad magic %08x", binary.BigEndian.Uint32(data[0:4]))
 	}
 	bucket = int(binary.BigEndian.Uint32(data[4:8]))
 	lsn = binary.BigEndian.Uint64(data[8:16])
 	rows = int(binary.BigEndian.Uint32(data[16:20]))
-	plen := int(binary.BigEndian.Uint32(data[20:24]))
-	if len(data) != imageHeaderSize+plen {
-		return 0, 0, 0, fmt.Errorf("wal: image payload is %d bytes, header says %d", len(data)-imageHeaderSize, plen)
-	}
-	return bucket, lsn, rows, nil
+	plen = int(binary.BigEndian.Uint32(data[20:24]))
+	return bucket, lsn, rows, plen, nil
 }
 
-// decodeImage validates and decodes a whole image file.
+// decodeImage validates and decodes one whole image frame.
 func decodeImage(data []byte) (*Image, error) {
-	bucket, lsn, rows, err := decodeImageHeader(data)
+	bucket, lsn, rows, plen, err := decodeImageHeader(data)
 	if err != nil {
 		return nil, err
+	}
+	if len(data) != imageHeaderSize+plen {
+		return nil, fmt.Errorf("wal: image payload is %d bytes, header says %d", len(data)-imageHeaderSize, plen)
 	}
 	payload := data[imageHeaderSize:]
 	if binary.BigEndian.Uint32(data[24:28]) != crc32.Checksum(payload, crcTable) {

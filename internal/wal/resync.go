@@ -145,8 +145,8 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 	if cur.Seg == 0 {
 		// The follower applied nothing: every retained record is suffix. Only
 		// consistent if no image has folded records in.
-		for b, base := range l.bases {
-			if base > 0 {
+		for b, ref := range l.images {
+			if base := ref.frame.LSN; base > 0 {
 				return res, fmt.Errorf("%w: bucket %d image at lsn %d predates the divergence point", ErrNeedResync, b, base)
 			}
 		}
@@ -263,8 +263,8 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 	// An image whose LSN reaches into the discarded suffix has folded records
 	// in that are about to vanish — replay on top of it would be wrong.
 	for b, lsn := range minDiscarded {
-		if l.bases[b] >= lsn {
-			return res, fmt.Errorf("%w: bucket %d image at lsn %d covers discarded records from lsn %d", ErrNeedResync, b, l.bases[b], lsn)
+		if base := l.baseLocked(b); base >= lsn {
+			return res, fmt.Errorf("%w: bucket %d image at lsn %d covers discarded records from lsn %d", ErrNeedResync, b, base, lsn)
 		}
 		res.Heads[b] = lsn - 1
 	}
@@ -322,6 +322,8 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 // intact — the preamble to installing a fresh snapshot resync in place. The
 // caller guarantees no appends are in flight.
 func (l *Log) Reset() error {
+	l.imgMu.Lock()
+	defer l.imgMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -346,7 +348,7 @@ func (l *Log) Reset() error {
 		l.err = fmt.Errorf("wal: discarding %s: %w", l.activeName, err)
 		return l.err
 	}
-	imgDir := filepath.Join(l.dir, "img")
+	imgDir := filepath.Join(l.dir, imgDirName)
 	names, err := l.fs.ReadDir(imgDir)
 	if err != nil {
 		l.err = err
@@ -354,14 +356,15 @@ func (l *Log) Reset() error {
 	}
 	for _, n := range names {
 		if err := l.fs.Remove(filepath.Join(imgDir, n)); err != nil {
-			l.err = fmt.Errorf("wal: discarding image %s: %w", n, err)
+			l.err = fmt.Errorf("wal: discarding image set %s: %w", n, err)
 			return l.err
 		}
 	}
+	l.images = make(map[int]imageRef)
+	l.setLive = make(map[int]int)
 	l.diskBytes.Store(0)
 	l.segs = nil
 	l.dropTailLocked()
-	l.bases = make(map[int]uint64)
 	l.shipPin = 0
 	// Unacked sync-commit waiters lose their records with the stream.
 	l.discardLo, l.discardHi = l.remoteAckSeq, l.appendSeq

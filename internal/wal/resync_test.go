@@ -109,8 +109,8 @@ func TestTruncateToRefusals(t *testing.T) {
 	var lsn uint64
 	appendN(t, l, 2, &lsn, 20)
 	cur := shipTo(t, l, 10)
-	if err := l.WriteImage(&Image{Bucket: 2, LSN: 15}); err != nil {
-		t.Fatalf("WriteImage: %v", err)
+	if err := l.WriteImages([]*Image{{Bucket: 2, LSN: 15}}); err != nil {
+		t.Fatalf("WriteImages: %v", err)
 	}
 	if _, err := l.TruncateTo(cur); !errors.Is(err, ErrNeedResync) {
 		t.Fatalf("image beyond cursor: err %v, want ErrNeedResync", err)
@@ -137,8 +137,8 @@ func TestTruncateToRefusals(t *testing.T) {
 	lsn = 0
 	appendN(t, l3, 4, &lsn, 30)
 	cur = shipTo(t, l3, 5)
-	if err := l3.WriteImage(&Image{Bucket: 4, LSN: 30}); err != nil {
-		t.Fatalf("WriteImage: %v", err)
+	if err := l3.WriteImages([]*Image{{Bucket: 4, LSN: 30}}); err != nil {
+		t.Fatalf("WriteImages: %v", err)
 	}
 	if err := l3.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -231,8 +231,8 @@ func TestReset(t *testing.T) {
 	l, _ := openTest(t, fs, 512)
 	var lsn uint64
 	appendN(t, l, 5, &lsn, 30)
-	if err := l.WriteImage(&Image{Bucket: 5, LSN: 10}); err != nil {
-		t.Fatalf("WriteImage: %v", err)
+	if err := l.WriteImages([]*Image{{Bucket: 5, LSN: 10}}); err != nil {
+		t.Fatalf("WriteImages: %v", err)
 	}
 	if err := l.SetEpoch(7); err != nil {
 		t.Fatalf("SetEpoch: %v", err)
@@ -247,8 +247,11 @@ func TestReset(t *testing.T) {
 	if err != nil || len(tails[5]) != 0 {
 		t.Fatalf("tails after reset: %d records, err %v", len(tails[5]), err)
 	}
-	if _, ok, err := l.LoadImage(5); ok || err != nil {
-		t.Fatalf("image survived reset (ok %v, err %v)", ok, err)
+	if imgs, err := l.LoadImages([]int{5}); len(imgs) != 0 || err != nil {
+		t.Fatalf("image survived reset (%v, err %v)", imgs, err)
+	}
+	if sets, _ := fs.ReadDir("data/img"); len(sets) != 0 {
+		t.Fatalf("image sets %v survived reset", sets)
 	}
 	// Identity survives: the epoch is still fenced after a reopen.
 	lsn = 0
@@ -259,7 +262,7 @@ func TestReset(t *testing.T) {
 	if l2.Epoch() != 7 {
 		t.Fatalf("epoch %d after reset+reopen, want 7", l2.Epoch())
 	}
-	if br := rec.Buckets[5]; br == nil || br.Head != 2 || len(br.Tail) != 2 {
+	if br := rec.Buckets[5]; br == nil || br.HasImage || br.Head != 2 || len(br.Tail) != 2 {
 		t.Fatalf("post-reset appends recovered as %+v", br)
 	}
 }

@@ -144,15 +144,16 @@ func TestShipGoneAfterCompaction(t *testing.T) {
 		if pin {
 			l.PinShip(1)
 		}
+		var round []*Image
 		for b := 0; b < g.Buckets; b++ {
 			if heads[b] == 0 {
 				continue
 			}
-			err := l.WriteImage(&Image{Bucket: b, LSN: heads[b], Rows: 1,
+			round = append(round, &Image{Bucket: b, LSN: heads[b], Rows: 1,
 				Tables: map[string]map[string]any{"T": {"k": b}}})
-			if err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := l.WriteImages(round); err != nil {
+			t.Fatal(err)
 		}
 		if err := l.Checkpoint(); err != nil {
 			t.Fatal(err)

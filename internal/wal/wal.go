@@ -1,5 +1,6 @@
 // Package wal is the engine's durable storage tier: a segmented on-disk
-// write-ahead log of command records plus per-bucket checkpoint images.
+// write-ahead log of command records plus per-bucket checkpoint images,
+// written a checkpoint round at a time.
 //
 // The log is H-Store-style: records are procedure *inputs* (transaction
 // name, key, args), appended before the procedure runs and made durable
@@ -13,7 +14,7 @@
 //	MANIFEST.json        store identity, geometry, last checkpointed plan
 //	seg-00000001.log     CRC-framed record segments, in sequence order
 //	seg-00000002.log
-//	img/bucket-000017.img  one checkpoint image per bucket
+//	img/set-00000003.ckpt  one checkpoint round's bucket images (imageset.go)
 //
 // Open scans every segment, truncates a torn tail (last segment only — a
 // bad frame in any earlier segment is real corruption and refuses to open),
@@ -83,7 +84,7 @@ type Stats struct {
 type BucketRecovery struct {
 	// Base is the LSN covered by the bucket's checkpoint image (0 = none).
 	Base uint64
-	// HasImage reports whether an image file exists for the bucket.
+	// HasImage reports whether an image set holds an image of the bucket.
 	HasImage bool
 	// Head is the largest LSN known for the bucket.
 	Head uint64
@@ -156,8 +157,17 @@ type Log struct {
 	activeMax   map[int]uint64 // active segment's bucket -> max LSN
 	activePlan  uint64         // active segment's max plan seq
 
-	segs  []segment      // sealed segments, oldest first
-	bases map[int]uint64 // bucket -> image LSN
+	segs []segment // sealed segments, oldest first
+
+	// images maps a bucket to its current image — whose LSN is the bucket's
+	// base — and setLive an image set to how many current images it holds
+	// (0 = retired, about to be deleted); both under mu. imgMu orders set writes, which hold it across their one
+	// fsync and take mu only to publish, against each other and against set
+	// reads; setSeq, under it, is the last set sequence used.
+	images  map[int]imageRef
+	setLive map[int]int
+	imgMu   sync.RWMutex
+	setSeq  int
 
 	planSeq         uint64
 	lastPlan        []int32
@@ -216,7 +226,8 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
-	l := &Log{cfg: cfg, fs: cfg.FS, dir: cfg.Dir, bases: make(map[int]uint64), tailCap: shipTailRecords}
+	l := &Log{cfg: cfg, fs: cfg.FS, dir: cfg.Dir, tailCap: shipTailRecords,
+		images: make(map[int]imageRef), setLive: make(map[int]int)}
 	if l.fs == nil {
 		l.fs = OSFS{}
 	}
@@ -224,7 +235,7 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	if err := l.fs.MkdirAll(l.dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating %s: %w", l.dir, err)
 	}
-	if err := l.fs.MkdirAll(filepath.Join(l.dir, "img")); err != nil {
+	if err := l.fs.MkdirAll(filepath.Join(l.dir, imgDirName)); err != nil {
 		return nil, nil, err
 	}
 	rec, err := l.recover()
@@ -237,7 +248,7 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	return l, rec, nil
 }
 
-// recover loads the manifest, image headers, and every segment, rebuilding
+// recover loads the manifest, image-set headers, and every segment, rebuilding
 // the log's in-memory indexes and the caller's Recovered view.
 func (l *Log) recover() (*Recovered, error) {
 	rec := &Recovered{Buckets: make(map[int]*BucketRecovery)}
@@ -267,7 +278,7 @@ func (l *Log) recover() (*Recovered, error) {
 	}
 
 	// Leftover temp files from an interrupted atomic write are garbage.
-	for _, sub := range []string{l.dir, filepath.Join(l.dir, "img")} {
+	for _, sub := range []string{l.dir, filepath.Join(l.dir, imgDirName)} {
 		names, err := l.fs.ReadDir(sub)
 		if err != nil {
 			return nil, err
@@ -282,24 +293,8 @@ func (l *Log) recover() (*Recovered, error) {
 	}
 
 	// Image headers establish each bucket's base LSN.
-	imgNames, err := l.fs.ReadDir(filepath.Join(l.dir, "img"))
-	if err != nil {
+	if err := l.recoverImages(rec); err != nil {
 		return nil, err
-	}
-	for _, n := range imgNames {
-		data, err := readAll(l.fs, filepath.Join(l.dir, "img", n))
-		if err != nil {
-			return nil, err
-		}
-		bucket, lsn, _, err := decodeImageHeader(data)
-		if err != nil {
-			return nil, fmt.Errorf("wal: image %s: %w", n, err)
-		}
-		if bucket < 0 || bucket >= l.cfg.Geometry.Buckets {
-			return nil, fmt.Errorf("wal: image %s names bucket %d out of range", n, bucket)
-		}
-		l.bases[bucket] = lsn
-		rec.Buckets[bucket] = &BucketRecovery{Base: lsn, HasImage: true, Head: lsn}
 	}
 
 	// Segments, in sequence order.
@@ -595,48 +590,6 @@ func (l *Log) rotateLocked() error {
 	return l.openActive()
 }
 
-// WriteImage spills one bucket's checkpoint image to disk atomically and
-// raises the bucket's base LSN, making the records the image covers
-// redundant for compaction.
-func (l *Log) WriteImage(img *Image) error {
-	if img.Bucket < 0 || img.Bucket >= l.cfg.Geometry.Buckets {
-		return fmt.Errorf("wal: image for bucket %d out of range", img.Bucket)
-	}
-	data, err := encodeImage(img)
-	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(l.fs, imageName(l.dir, img.Bucket), data); err != nil {
-		return fmt.Errorf("wal: writing image for bucket %d: %w", img.Bucket, err)
-	}
-	l.mu.Lock()
-	if img.LSN > l.bases[img.Bucket] {
-		l.bases[img.Bucket] = img.LSN
-	}
-	l.mu.Unlock()
-	return nil
-}
-
-// LoadImage reads one bucket's checkpoint image from disk. ok is false when
-// the bucket has none.
-func (l *Log) LoadImage(bucket int) (img *Image, ok bool, err error) {
-	data, err := readAll(l.fs, imageName(l.dir, bucket))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	img, err = decodeImage(data)
-	if err != nil {
-		return nil, false, err
-	}
-	if img.Bucket != bucket {
-		return nil, false, fmt.Errorf("wal: image file for bucket %d names bucket %d", bucket, img.Bucket)
-	}
-	return img, true, nil
-}
-
 // LoadTails re-reads the durable log and returns, for each requested
 // bucket, its records beyond the bucket's base LSN, in order. This is the
 // restore path's authoritative read: it scans the segment files, not any
@@ -665,7 +618,7 @@ func (l *Log) LoadTails(buckets []int) (map[int][]Record, error) {
 	exts = append(exts, ext{l.activeName, l.activeSize})
 	bases := make(map[int]uint64, len(want))
 	for b := range want {
-		bases[b] = l.bases[b]
+		bases[b] = l.baseLocked(b)
 	}
 	l.mu.Unlock()
 
@@ -744,7 +697,7 @@ func (l *Log) segCoveredLocked(s *segment) bool {
 		return false
 	}
 	for b, lsn := range s.maxLSN {
-		if lsn > l.bases[b] {
+		if lsn > l.baseLocked(b) {
 			return false
 		}
 	}

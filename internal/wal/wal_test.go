@@ -219,35 +219,6 @@ func TestGeometryMismatchRefusesOpen(t *testing.T) {
 	}
 }
 
-// TestImageRoundTrip checks checkpoint images survive the disk format.
-func TestImageRoundTrip(t *testing.T) {
-	fs := NewMemFS(1)
-	l, _ := openTest(t, fs, DefaultSegmentBytes)
-	defer l.Close()
-	img := &Image{
-		Bucket: 7, Rows: 2, LSN: 42,
-		Tables: map[string]map[string]any{
-			"T": {"a": 1, "b": "x"},
-		},
-	}
-	if err := l.WriteImage(img); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := l.LoadImage(7)
-	if err != nil || !ok {
-		t.Fatalf("LoadImage: ok=%v err=%v", ok, err)
-	}
-	if got.LSN != 42 || got.Rows != 2 {
-		t.Fatalf("image header: %+v", got)
-	}
-	if v := got.Tables["T"]["a"]; v != 1 {
-		t.Fatalf("Tables[T][a] = %T %v, want int 1", v, v)
-	}
-	if _, ok, err := l.LoadImage(8); err != nil || ok {
-		t.Fatalf("LoadImage(missing): ok=%v err=%v", ok, err)
-	}
-}
-
 // TestCompaction checks that checkpoint images plus a manifest rewrite make
 // sealed segments deletable, and that recovery after compaction still sees
 // a consistent view.
@@ -268,17 +239,18 @@ func TestCompaction(t *testing.T) {
 	}
 	// Checkpoint every bucket at its head: all sealed segments become
 	// redundant.
+	var round []*Image
 	for b := 0; b < g.Buckets; b++ {
 		if heads[b] == 0 {
 			continue
 		}
-		err := l.WriteImage(&Image{
+		round = append(round, &Image{
 			Bucket: b, LSN: heads[b], Rows: 1,
 			Tables: map[string]map[string]any{"T": {"k": b}},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := l.WriteImages(round); err != nil {
+		t.Fatal(err)
 	}
 	before := l.DiskBytes()
 	if err := l.Checkpoint(); err != nil {
@@ -320,7 +292,7 @@ func TestLoadTails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err := l.WriteImage(&Image{Bucket: 5, LSN: 6, Rows: 1, Tables: map[string]map[string]any{"T": {"k": 6}}})
+	err := l.WriteImages([]*Image{{Bucket: 5, LSN: 6, Rows: 1, Tables: map[string]map[string]any{"T": {"k": 6}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

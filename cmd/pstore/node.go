@@ -377,7 +377,8 @@ func runServeNode(cfg serveNodeConfig) error {
 	start := time.Now()
 	// The load (or cold start) ran through the same commit stage as live
 	// traffic, at service time 0 and so with nothing to hide an fsync behind;
-	// the exit summary reports the commit waits of what the listener served.
+	// the exit summary reports the commit waits and holds of what the listener
+	// served.
 	loaded := eng.Counters()
 	started := func(srv *server.Server) {
 		srvMu.Lock()
@@ -418,7 +419,12 @@ func runServeNode(cfg serveNodeConfig) error {
 				as.Batches, float64(as.Records)/float64(as.Fsyncs), as.MaxBacklog)
 		}
 	}
-	fmt.Println()
+	holds := ec.Holds - loaded.Holds
+	var overshoot time.Duration
+	if holds > 0 {
+		overshoot = time.Duration((ec.HoldOverNs - loaded.HoldOverNs) / holds)
+	}
+	fmt.Printf("; %d holds, mean overshoot %v\n", holds, overshoot.Round(time.Microsecond))
 	rs := rm.Stats()
 	if rs.Crashes > 0 || rs.Checkpoints > 1 {
 		fmt.Printf("recovery: %d crashes, %d recoveries, %d commands replayed (max lag %d), downtime %v, %d checkpoints\n",

@@ -245,3 +245,44 @@ func TestLogSizeCounters(t *testing.T) {
 		})
 	}
 }
+
+// TestLogSizeAfterReplicaBaseline: LogSize is what the log holds. A replica's
+// baseline stands for records this log never appended — taking them off a
+// count that never had them left a follower reporting "-2009 records
+// retained" — so a fresh store holds nothing after the install, and then
+// exactly the records it accepts on top.
+func TestLogSizeAfterReplicaBaseline(t *testing.T) {
+	primary, _ := testEngineCfg(t, 2, 2, recovery.Config{})
+	load(t, primary, 150)
+	var snaps []store.BucketSnapshot
+	for part := 0; part < 4; part++ {
+		ps, err := primary.SnapshotPartition(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, ps...)
+	}
+
+	e, m := testEngineCfg(t, 2, 2, recovery.Config{DataDir: t.TempDir()})
+	if err := m.InstallReplicaBaseline(snaps); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.LogSize(); got != 0 {
+		t.Fatalf("LogSize after a replica baseline on a fresh store = %d, want 0", got)
+	}
+	put, _ := e.Handle("put")
+	const accepted = 25
+	var ticket uint64
+	for i := 0; i < accepted; i++ {
+		var err error
+		if ticket, err = m.AppendCommand(snaps[i%len(snaps)].Bucket, put, fmt.Sprintf("k-%d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WaitDurable(ticket); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.LogSize(); got != accepted {
+		t.Fatalf("LogSize after %d accepted records = %d", accepted, got)
+	}
+}

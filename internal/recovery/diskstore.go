@@ -30,8 +30,6 @@ type diskStore struct {
 	heads []atomic.Uint64
 	bases []atomic.Uint64
 
-	records atomic.Int64
-
 	// failErr latches the first fatal log error (write, fsync, encode). The
 	// store is fail-stop from then on: every Append and Wait returns it, so no
 	// submitter is told a write committed, and the operator learns via Err.
@@ -55,7 +53,6 @@ func newDiskStore(eng *store.Engine, log *wal.Log, rec *wal.Recovered) *diskStor
 	for b, br := range rec.Buckets {
 		s.heads[b].Store(br.Head)
 		s.bases[b].Store(br.Base)
-		s.records.Add(int64(len(br.Tail)))
 	}
 	return s
 }
@@ -100,7 +97,6 @@ func (s *diskStore) Append(bucket int, id store.TxnID, key string, args any) (ui
 		s.fail(err)
 		return 0, err
 	}
-	s.records.Add(1)
 	return ticket, nil
 }
 
@@ -129,9 +125,8 @@ func (s *diskStore) Install(snaps []store.BucketSnapshot) error {
 		return err
 	}
 	for _, snap := range snaps {
-		if base := s.bases[snap.Bucket].Load(); snap.LSN > base {
+		if snap.LSN > s.bases[snap.Bucket].Load() {
 			s.bases[snap.Bucket].Store(snap.LSN)
-			s.records.Add(-int64(snap.LSN - base))
 		}
 	}
 	return nil
@@ -192,7 +187,6 @@ func (s *diskStore) truncate(res wal.TruncateResult) {
 			s.heads[b].Store(head)
 		}
 	}
-	s.records.Add(-int64(res.DiscardedRecords))
 }
 
 // reset zeroes every durability counter after a full WAL reset; the next
@@ -202,13 +196,25 @@ func (s *diskStore) reset() {
 		s.heads[b].Store(0)
 		s.bases[b].Store(0)
 	}
-	s.records.Store(0)
 }
 
 func (s *diskStore) Epoch() uint64           { return s.log.Epoch() }
 func (s *diskStore) SetEpoch(e uint64) error { return s.log.SetEpoch(e) }
 
 func (s *diskStore) Checkpoint() error { return s.log.Checkpoint() }
-func (s *diskStore) Records() int64    { return s.records.Load() }
 func (s *diskStore) Bytes() int64      { return s.log.DiskBytes() }
 func (s *diskStore) Close() error      { return s.log.Close() }
+
+// Records is what the log holds: per bucket, the records between its image
+// and its head. A replica's baseline raises a base before the head follows
+// it, and the records below it were never appended here, so a bucket whose
+// head is not past its base holds none.
+func (s *diskStore) Records() int64 {
+	var n int64
+	for b := range s.heads {
+		if head, base := s.heads[b].Load(), s.bases[b].Load(); head > base {
+			n += int64(head - base)
+		}
+	}
+	return n
+}

@@ -104,7 +104,8 @@ func (c *imageSyncs) reset() {
 // TestCheckpointRoundCostsOneImageSync is the counted proof behind image sets:
 // a full round over 640 buckets is one set fsync plus the manifest's, a
 // migrated chunk's re-baseline is one set fsync for exactly the chunk's
-// buckets, and so is a replica's whole baseline install.
+// buckets, and a replica's baseline install is a whole round of its own: one
+// set fsync plus the manifest's.
 func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 	fs := wal.NewMemFS(1)
 	e, m, _ := roundEngine(t, fs, 0)
@@ -153,8 +154,8 @@ func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 	if err := m.InstallReplicaBaseline(snaps); err != nil {
 		t.Fatal(err)
 	}
-	if s := syncs.sets.Load(); s != 1 || len(snaps) != roundBuckets {
-		t.Fatalf("baseline of %d buckets cost %d set fsyncs, want 1", len(snaps), s)
+	if s, mf := syncs.sets.Load(), syncs.manifests.Load(); s != 1 || mf != 1 || len(snaps) != roundBuckets {
+		t.Fatalf("baseline of %d buckets cost %d set, %d manifest fsyncs; want 1, 1", len(snaps), s, mf)
 	}
 	if names, _ := fs.ReadDir("data/img"); len(names) != 1 {
 		t.Fatalf("image sets after a full baseline: %v, want only the newest", names)

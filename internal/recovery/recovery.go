@@ -227,9 +227,9 @@ func (m *Manager) LogPlan(plan []int32, active int) {
 }
 
 // LogSize returns the number of command records currently retained across
-// all buckets — the replay debt a crash right now would incur. It reads an
-// atomic counter; it never walks the log, so summary pollers cannot contend
-// with the AppendCommand hot path.
+// all buckets — the replay debt a crash right now would incur. It reads
+// per-bucket atomic counters; it never walks the log, so summary pollers
+// cannot contend with the AppendCommand hot path.
 func (m *Manager) LogSize() int { return int(m.log.Records()) }
 
 // LogBytes returns the on-disk log volume (0 with the in-memory store),
@@ -275,14 +275,23 @@ func (m *Manager) CheckpointAfter(snapshotted func()) (int, error) {
 	if err := m.log.Install(all); err != nil {
 		return 0, fmt.Errorf("recovery: installing checkpoint images: %w", err)
 	}
+	if err := m.completeCheckpointLocked(); err != nil {
+		return 0, err
+	}
+	return len(all), nil
+}
+
+// completeCheckpointLocked ends a round whose images are installed: the
+// manifest is rewritten, covered segments go, and the round is counted.
+func (m *Manager) completeCheckpointLocked() error {
 	if err := m.log.Checkpoint(); err != nil {
-		return 0, fmt.Errorf("recovery: completing checkpoint: %w", err)
+		return fmt.Errorf("recovery: completing checkpoint: %w", err)
 	}
 	m.checkpoints.Add(1)
 	if r := m.rec.Load(); r != nil {
 		r.CountCheckpoint()
 	}
-	return len(all), nil
+	return nil
 }
 
 // snapshotLiveLocked takes a fuzzy image of each live partition this engine

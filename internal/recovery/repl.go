@@ -148,16 +148,20 @@ func (m *Manager) AbortSync() {
 }
 
 // InstallReplicaBaseline installs a primary's snapshot frames as the local
-// recovery baseline — one round, one image set — and advances each bucket's
-// LSN head to the snapshot LSN, so subsequently applied ship records continue
-// the primary's numbering and the log head doubles as the dedup state for
-// duplicate batches.
+// recovery baseline and advances each bucket's LSN head to the snapshot LSN,
+// so subsequently applied ship records continue the primary's numbering and
+// the log head doubles as the dedup state for duplicate batches. It is a whole
+// checkpoint round whose images came over the wire instead of out of memory:
+// one image set, then the manifest (which is what carries the adopted plan
+// once ResetReplica has dropped the record stream), counted as a checkpoint.
 func (m *Manager) InstallReplicaBaseline(snaps []store.BucketSnapshot) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err := m.log.Install(snaps); err != nil {
 		return fmt.Errorf("recovery: installing replica baseline: %w", err)
 	}
 	for _, s := range snaps {
 		m.log.AdvanceHead(s.Bucket, s.LSN)
 	}
-	return nil
+	return m.completeCheckpointLocked()
 }

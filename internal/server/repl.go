@@ -227,10 +227,10 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 // InstallReplicaState applies a primary's sync stream to this node: discard
 // whatever ship backlog an earlier sync left, fence local execution, adopt the
 // primary's plan, restore every hosted partition from the snapshot frames, and
-// make the snapshot this node's own recovery baseline (images installed,
-// per-bucket LSN heads advanced to the snapshot's — so accepted ship records
-// continue the primary's numbering and the log head doubles as the
-// duplicate-batch filter). The serving process
+// make the snapshot this node's own recovery baseline in one checkpoint round
+// (one image set, then the manifest; per-bucket LSN heads advanced to the
+// snapshot's — so accepted ship records continue the primary's numbering and
+// the log head doubles as the duplicate-batch filter). The serving process
 // calls this after fetching /v1/repl/sync, before the node is ready for
 // ship batches.
 func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.BucketFrame) error {
@@ -309,13 +309,10 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.Bucke
 			return err
 		}
 	}
-	if err := rm.InstallReplicaBaseline(snaps); err != nil {
-		return err
-	}
 	if err := rm.SetEpoch(meta.Epoch); err != nil {
 		return err
 	}
-	if _, err := rm.Checkpoint(); err != nil {
+	if err := rm.InstallReplicaBaseline(snaps); err != nil {
 		return err
 	}
 	s.repl.mu.Lock()

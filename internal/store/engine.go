@@ -60,6 +60,12 @@ type Counters struct {
 	// replies itself.
 	CommitWaits  int64
 	CommitWaitNs int64
+	// Holds counts the times an executor was held busy for an emulated cost
+	// (a procedure's service time, a chunk's send or install cost);
+	// HoldOverNs is how far past their deadlines those holds woke up, in
+	// total — the capacity a machine loses to its own clock.
+	Holds      int64
+	HoldOverNs int64
 }
 
 // MoveOp describes one chunk-level bucket move about to execute, as offered
@@ -129,6 +135,10 @@ type Engine struct {
 	// Written by the partitions' commit stages.
 	commitWaits  atomic.Int64
 	commitWaitNs atomic.Int64
+
+	// Written by the executors, once per hold.
+	holds      atomic.Int64
+	holdOverNs atomic.Int64
 
 	recorder atomic.Pointer[metrics.Recorder]
 	faults   atomic.Pointer[faultHolder]
@@ -658,6 +668,8 @@ func (e *Engine) Counters() Counters {
 		DeadlineExceeded: e.deadlineExceeded.Load(),
 		CommitWaits:      e.commitWaits.Load(),
 		CommitWaitNs:     e.commitWaitNs.Load(),
+		Holds:            e.holds.Load(),
+		HoldOverNs:       e.holdOverNs.Load(),
 	}
 }
 

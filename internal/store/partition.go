@@ -68,6 +68,8 @@ type partition struct {
 	drained   chan struct{}
 	stop      chan struct{}
 	done      chan struct{}
+	// timer is what hold sleeps on; executor-only.
+	timer holdTimer
 }
 
 // pendingCommit is one logged transaction parked in the commit stage: its
@@ -136,6 +138,7 @@ func (p *partition) run() {
 	// and only then marks the partition done.
 	go p.commitLoop()
 	defer close(p.commitCh)
+	defer p.timer.close()
 	for {
 		// Serve pending control work first: migration, checkpoints and
 		// crash fencing must not wait behind a saturated data backlog.
@@ -279,9 +282,7 @@ func (p *partition) execute(r *txnRequest) {
 		}
 	}
 	pr := &p.eng.procs[r.id]
-	if pr.svc > 0 {
-		time.Sleep(pr.svc)
-	}
+	p.hold(pr.svc)
 	p.tx = Tx{p: p, bucket: int(r.bucket), Key: r.key, Args: r.args}
 	v, err := runTxn(pr.fn, &p.tx)
 	p.tx = Tx{} // release references to the request's key/args
@@ -291,6 +292,21 @@ func (p *partition) execute(r *txnRequest) {
 		return
 	}
 	r.reply <- res
+}
+
+// hold keeps the executor busy for d: the emulated cost of running a
+// procedure or of packing, sending or installing a chunk. The partition is
+// occupied until the deadline and no longer, which takes a clock finer than
+// the runtime's own (see holdTimer). A wake-up past the deadline is counted,
+// never credited to the next hold.
+func (p *partition) hold(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	deadline := time.Now().Add(d)
+	p.timer.sleepUntil(deadline)
+	p.eng.holds.Add(1)
+	p.eng.holdOverNs.Add(int64(time.Since(deadline)))
 }
 
 // commitLoop is the partition's commit stage: it takes logged transactions in
@@ -431,9 +447,7 @@ func (p *partition) moveOut(r *ctlRequest) {
 	rows := data.Rows()
 	// The executor is busy packing and sending in proportion to the data
 	// actually extracted.
-	if cost := r.overhead + time.Duration(rows)*r.perRow; cost > 0 {
-		time.Sleep(cost)
-	}
+	p.hold(r.overhead + time.Duration(rows)*r.perRow)
 	atomic.AddInt64(&p.rowsAtomic, -int64(rows))
 	install := &ctlRequest{
 		kind: ctlInstall,
@@ -472,9 +486,7 @@ func (p *partition) extractOut(r *ctlRequest) {
 	}
 	data := p.store.extract(r.buckets)
 	rows := data.Rows()
-	if cost := r.overhead + time.Duration(rows)*r.perRow; cost > 0 {
-		time.Sleep(cost)
-	}
+	p.hold(r.overhead + time.Duration(rows)*r.perRow)
 	atomic.AddInt64(&p.rowsAtomic, -int64(rows))
 	p.eng.setOwner(r.buckets, r.dest.id)
 	r.done <- moveResult{rows: rows, data: data}
@@ -485,9 +497,7 @@ func (p *partition) extractOut(r *ctlRequest) {
 // source, so refusing would lose it — and a later restore wipes and rebuilds
 // the whole store anyway.
 func (p *partition) install(r *ctlRequest) {
-	if r.cost > 0 {
-		time.Sleep(r.cost)
-	}
+	p.hold(r.cost)
 	rows := r.data.Rows()
 	added := p.store.install(r.data)
 	atomic.AddInt64(&p.rowsAtomic, int64(added))

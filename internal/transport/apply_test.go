@@ -672,3 +672,49 @@ func BenchmarkSyncCommitFollower(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "txns/s")
 	b.ReportMetric(float64(b.N)/float64(followerSyncs.Load()), "records/follower-fsync")
 }
+
+// TestReplicaInstallIsOneCheckpointRound: syncing a follower writes the
+// primary's snapshot to its disk once — one image set under one fsync, then
+// the manifest — and not a baseline set followed by a checkpoint's copy of it.
+func TestReplicaInstallIsOneCheckpointRound(t *testing.T) {
+	const keys = 40
+	primary := startReplNode(t, 4, 1, "")
+	for i := 0; i < keys; i++ {
+		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := wal.NewMemFS(1)
+	follower := startReplNodeOn(t, 4, 1, primary.url, decodeKVArgs, decodeKVRow, recovery.Config{DataDir: "data", FS: fs}, registerKV)
+	var sets, manifests atomic.Int64
+	fs.SetSyncHook(func(name string) error {
+		switch {
+		case strings.Contains(name, "set-"):
+			sets.Add(1)
+		case strings.Contains(name, "MANIFEST"):
+			manifests.Add(1)
+		}
+		return nil
+	})
+	meta := syncFollower(t, primary, follower)
+	fs.SetSyncHook(nil)
+
+	if s, mf := sets.Load(), manifests.Load(); s != 1 || mf != 1 {
+		t.Fatalf("replica install cost %d image-set and %d manifest fsyncs, want 1 and 1", s, mf)
+	}
+	if names, _ := fs.ReadDir("data/img"); len(names) != 1 {
+		t.Fatalf("image sets after the install: %v, want one", names)
+	}
+	if st := follower.rm.Stats(); st.Checkpoints != 1 {
+		t.Fatalf("replica install counted %d checkpoints, want 1", st.Checkpoints)
+	}
+	if got := follower.rm.LogSize(); got != 0 {
+		t.Fatalf("follower's log holds %d records after the install, want 0", got)
+	}
+	// The round is complete: the directory cold-starts to the primary's state.
+	want := kvFingerprint(t, primary.eng, keys)
+	eng := crashAndColdStart(t, fs, primary, follower, newTestShipper(t, primary, follower, meta.Cursor, 4, nil))
+	if got := kvFingerprint(t, eng, keys); got != want {
+		t.Fatalf("cold start from the installed baseline diverged from the primary:\n got %s\nwant %s", got, want)
+	}
+}

@@ -404,15 +404,7 @@ func coordStep(topo transport.Topology, ex *squall.Executor, target int, rate fl
 // every machine, loaded with the b2w dataset the nodes load, wrapped with an
 // in-process recovery manager so the crash script works identically.
 func coordLocalTopology(maxM, initial int, seed int64) (*transport.Local, error) {
-	engCfg := store.Config{
-		MaxMachines:          maxM,
-		PartitionsPerMachine: 4,
-		Buckets:              640,
-		ServiceTime:          3 * time.Millisecond,
-		QueueCapacity:        1 << 15,
-		InitialMachines:      initial,
-	}
-	eng, err := store.NewEngine(engCfg)
+	eng, err := store.NewEngine(deployedEngine(maxM, initial))
 	if err != nil {
 		return nil, err
 	}
@@ -421,8 +413,7 @@ func coordLocalTopology(maxM, initial int, seed int64) (*transport.Local, error)
 	}
 	rm := recovery.NewManager(eng)
 	eng.Start()
-	spec := b2w.LoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: seed}
-	if err := b2w.Load(eng, spec); err != nil {
+	if err := b2w.Load(eng, deployedDataset(seed)); err != nil {
 		eng.Stop()
 		return nil, err
 	}

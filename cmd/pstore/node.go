@@ -102,20 +102,12 @@ func runServeNode(cfg serveNodeConfig) error {
 	if cfg.deadline > 0 {
 		olCfg.Deadline = cfg.deadline
 	}
-	engCfg := store.Config{
-		MaxMachines:          cfg.maxM,
-		PartitionsPerMachine: 4,
-		Buckets:              640,
-		ServiceTime:          3 * time.Millisecond,
-		QueueCapacity:        1 << 15,
-		InitialMachines:      cfg.initial,
-		Overload:             olCfg,
-	}
-	if cfg.replicaOf != "" {
+	engCfg := deployedEngine(cfg.maxM, cfg.initial)
+	if cfg.replicaOf == "" {
 		// A replica executes only its primary's shipped records; admission
-		// control or CoDel shedding here would fork the replicated history,
-		// so the overload plane is disarmed regardless of flags.
-		engCfg.Overload = store.OverloadConfig{}
+		// control or CoDel shedding there would fork the replicated history,
+		// so its overload plane stays disarmed regardless of flags.
+		engCfg.Overload = olCfg
 	}
 	for m := 0; m < cfg.maxM; m++ {
 		if m%cfg.nodes == cfg.node {
@@ -144,7 +136,7 @@ func runServeNode(cfg serveNodeConfig) error {
 	eng.Start()
 	defer eng.Stop()
 
-	spec := b2w.LoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: cfg.seed}
+	spec := deployedDataset(cfg.seed)
 	if cfg.replicaOf != "" {
 		if rm.HasColdState() {
 			return fmt.Errorf("replica mode needs a fresh -data-dir; %s already has state (cold-restart it as a primary instead)", cfg.dataDir)
@@ -369,7 +361,6 @@ func runServeNode(cfg serveNodeConfig) error {
 	}
 	scfg := server.Config{
 		Engine:          eng,
-		DecodeArgs:      b2w.DecodeArgs,
 		DefaultDeadline: time.Duration(info.DeadlineMs * float64(time.Millisecond)),
 		Info:            info,
 		Node:            nodeCfg,

@@ -124,15 +124,8 @@ func runServe(args []string) error {
 	if *deadline > 0 {
 		olCfg.Deadline = *deadline
 	}
-	engCfg := store.Config{
-		MaxMachines:          *maxM,
-		PartitionsPerMachine: 4,
-		Buckets:              640,
-		ServiceTime:          3 * time.Millisecond,
-		QueueCapacity:        1 << 15,
-		InitialMachines:      *initial,
-		Overload:             olCfg,
-	}
+	engCfg := deployedEngine(*maxM, *initial)
+	engCfg.Overload = olCfg
 	if olCfg.Enabled() {
 		fmt.Fprintf(os.Stderr, "serve: overload plane armed: %s\n", olCfg)
 	}
@@ -192,7 +185,7 @@ func runServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "serve: crash plane armed: %s\n", cs)
 	}
 
-	spec := b2w.LoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: *seed}
+	spec := deployedDataset(*seed)
 	clusterCfg := cluster.Config{
 		Engine:            engCfg,
 		Squall:            squall.DefaultConfig(),
@@ -270,7 +263,6 @@ func runServe(args []string) error {
 		}
 		scfg := server.Config{
 			Engine:          c.Engine(),
-			DecodeArgs:      b2w.DecodeArgs,
 			Recorder:        c.Recorder(),
 			DefaultDeadline: time.Duration(info.DeadlineMs * float64(time.Millisecond)),
 			Info:            info,
@@ -420,4 +412,25 @@ func serveWireWith(ctx context.Context, scfg server.Config, addr string, serveFo
 		return srv.Counters(), err
 	}
 	return srv.Counters(), nil
+}
+
+// deployedEngine is the engine shape of everything `pstore serve` starts — the
+// single-process cluster, a node, and the coordinator's oracle, whose
+// fingerprint CI compares with a 2-node run's: four partitions a machine, 640
+// buckets, 3 ms of service time. The caller adds what differs (overload
+// plane, hosted machines).
+func deployedEngine(maxMachines, initial int) store.Config {
+	return store.Config{
+		MaxMachines:          maxMachines,
+		PartitionsPerMachine: 4,
+		Buckets:              640,
+		ServiceTime:          3 * time.Millisecond,
+		QueueCapacity:        1 << 15,
+		InitialMachines:      initial,
+	}
+}
+
+// deployedDataset sizes the B2W dataset the same three load.
+func deployedDataset(seed int64) b2w.LoadSpec {
+	return b2w.LoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: seed}
 }

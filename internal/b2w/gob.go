@@ -2,23 +2,12 @@ package b2w
 
 import "encoding/gob"
 
-// The durable command log (internal/wal) gob-encodes transaction arguments
-// and checkpoint-image rows as interface values, which requires every
-// concrete type that can appear there to be registered. gob allows exactly
-// one registered form per base type and the registered form decides the
-// decoded shape, so row types register as pointers (rows live in tables as
-// *Cart etc. and must come back that way) while argument structs register as
-// values (DecodeArgs returns values). The bulk-load procedures accept either
-// shape, since a replayed load command decodes its row argument as a
-// pointer.
+// Checkpoint images (internal/wal) still gob-encode a bucket's rows as
+// interface values, so the four row types are registered — as pointers, the
+// form rows live in tables in and must come back in. Images are the one place
+// gob is left: the command log and the wire carry JSON (wire.go), and giving
+// images the wire's BucketFrame encoding is a change of its own.
 func init() {
-	gob.Register(LineArgs{})
-	gob.Register(QuantityArgs{})
-	gob.Register(StockTxArgs{})
-	gob.Register(StatusArgs{})
-	gob.Register(CheckoutArgs{})
-	gob.Register(Payment{})
-	gob.Register(CartLine{})
 	gob.Register(&Cart{})
 	gob.Register(&Checkout{})
 	gob.Register(&StockItem{})

@@ -79,9 +79,12 @@ type CheckoutArgs struct {
 	Lines  []CartLine
 }
 
-// Register installs all nineteen stored procedures into the engine. Call it
-// before Engine.Start.
+// Register installs all nineteen stored procedures into the engine, and
+// DecodeArgs as the decoder of their arguments. Call it before Engine.Start.
 func Register(eng *store.Engine) error {
+	if err := eng.SetArgsDecoder(DecodeArgs); err != nil {
+		return err
+	}
 	procs := map[string]store.TxnFunc{
 		TxnAddLineToCart:          addLineToCart,
 		TxnDeleteLineFromCart:     deleteLineFromCart,
@@ -123,16 +126,9 @@ func Register(eng *store.Engine) error {
 
 // loadCartRow installs a complete cart during bulk loading.
 func loadCartRow(tx *store.Tx) (any, error) {
-	// Loader jobs pass the row by value; a replayed load command from the
-	// durable log decodes it as a pointer (see gob.go). Either way a private
-	// copy is installed.
-	var c Cart
-	switch v := tx.Args.(type) {
-	case Cart:
-		c = v
-	case *Cart:
-		c = *v
-	default:
+	// The row arrives by value, so what is installed is a private copy.
+	c, ok := tx.Args.(Cart)
+	if !ok {
 		return nil, fmt.Errorf("b2w: loadCart wants Cart, got %T", tx.Args)
 	}
 	c.ID = tx.Key
@@ -141,13 +137,8 @@ func loadCartRow(tx *store.Tx) (any, error) {
 
 // loadCheckoutRow installs a complete checkout during bulk loading.
 func loadCheckoutRow(tx *store.Tx) (any, error) {
-	var c Checkout
-	switch v := tx.Args.(type) {
-	case Checkout:
-		c = v
-	case *Checkout:
-		c = *v
-	default:
+	c, ok := tx.Args.(Checkout)
+	if !ok {
 		return nil, fmt.Errorf("b2w: loadCheckout wants Checkout, got %T", tx.Args)
 	}
 	c.ID = tx.Key
@@ -258,13 +249,8 @@ func reserveCart(tx *store.Tx) (any, error) {
 // loadStockRow is the loader's bootstrap procedure: it installs a complete
 // inventory record for a SKU.
 func loadStockRow(tx *store.Tx) (any, error) {
-	var item StockItem
-	switch v := tx.Args.(type) {
-	case StockItem:
-		item = v
-	case *StockItem:
-		item = *v
-	default:
+	item, ok := tx.Args.(StockItem)
+	if !ok {
 		return nil, fmt.Errorf("b2w: loadStock wants StockItem, got %T", tx.Args)
 	}
 	item.SKU = tx.Key

@@ -6,15 +6,13 @@ import (
 	"fmt"
 )
 
-// DecodeArgs is the wire codec for the benchmark's transactions: it decodes
-// a request's raw JSON arguments into the concrete value each stored
-// procedure type-asserts (the server.ArgsDecoder for a b2w engine). The
-// bulk-loading procedures are covered too, so a remote process could drive
-// loading as well as the trace mix.
+// DecodeArgs is the args decoder Register installs on a b2w engine: it decodes
+// a transaction's JSON arguments — from a client request, a command-log
+// record or a shipped one — into the concrete value its stored procedure
+// type-asserts (absent and null arguments never get here: the engine decodes
+// them to nil itself). The bulk-loading procedures are covered too: a cold
+// start replays the load from the log.
 func DecodeArgs(txn string, raw json.RawMessage) (any, error) {
-	if len(raw) == 0 || string(raw) == "null" {
-		return nil, nil
-	}
 	switch txn {
 	case TxnAddLineToCart, TxnDeleteLineFromCart, TxnAddLineToCheckout, TxnDeleteLineFromCheckout:
 		return decodeInto[LineArgs](raw)

@@ -10,6 +10,7 @@ import (
 
 	"pstore/internal/faults"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 )
 
@@ -23,24 +24,16 @@ func remoteRegister(eng *store.Engine) error {
 	}); err != nil {
 		return err
 	}
-	return eng.Register("get", func(tx *store.Tx) (any, error) {
+	if err := eng.Register("get", func(tx *store.Tx) (any, error) {
 		v, ok, err := tx.Get("T", tx.Key)
 		if err != nil || !ok {
 			return nil, fmt.Errorf("missing %q: %v", tx.Key, err)
 		}
 		return v, nil
-	})
-}
-
-func remoteDecodeArgs(txn string, raw json.RawMessage) (any, error) {
-	if len(raw) == 0 || string(raw) == "null" {
-		return nil, nil
+	}); err != nil {
+		return err
 	}
-	var v int
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return eng.SetArgsDecoder(storetest.Args[int])
 }
 
 func remoteDecodeRow(table string, raw json.RawMessage) (any, error) {
@@ -54,12 +47,11 @@ func remoteDecodeRow(table string, raw json.RawMessage) (any, error) {
 func newRemoteLoopback(t *testing.T, nodes int) *transport.Loopback {
 	t.Helper()
 	lb, err := transport.NewLoopback(transport.LoopbackConfig{
-		Nodes:      nodes,
-		Store:      testEngineConfig(),
-		Register:   remoteRegister,
-		DecodeArgs: remoteDecodeArgs,
-		DecodeRow:  remoteDecodeRow,
-		Recovery:   true,
+		Nodes:     nodes,
+		Store:     testEngineConfig(),
+		Register:  remoteRegister,
+		DecodeRow: remoteDecodeRow,
+		Recovery:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

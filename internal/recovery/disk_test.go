@@ -1,12 +1,17 @@
 package recovery_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
+	"pstore/internal/wal"
 )
 
 // runRestoreScript is a fixed deterministic workload ending in a crash and
@@ -284,5 +289,109 @@ func TestLogSizeAfterReplicaBaseline(t *testing.T) {
 	}
 	if got := m.LogSize(); got != accepted {
 		t.Fatalf("LogSize after %d accepted records = %d", accepted, got)
+	}
+}
+
+// TestDiskReplayWithoutArgsDecoder: the log holds args as JSON, and only the
+// engine's decoder can make them the value a procedure asserts again. An
+// engine that registered none fails the replay of a record that carries args,
+// naming what is missing; it never hands the procedure JSON's generic
+// decoding (a float64, a map) in place of the int it was written for.
+func TestDiskReplayWithoutArgsDecoder(t *testing.T) {
+	e, err := store.NewEngine(store.Config{
+		MaxMachines: 1, InitialMachines: 1, PartitionsPerMachine: 1, Buckets: 8, QueueCapacity: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var handed []string
+	if err := e.Register("put", func(tx *store.Tx) (any, error) {
+		mu.Lock()
+		handed = append(handed, fmt.Sprintf("%T", tx.Args))
+		mu.Unlock()
+		return nil, tx.Put("T", tx.Key, tx.Args)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := recovery.New(e, recovery.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	e.Start()
+	defer e.Stop()
+	if _, err := e.Execute("put", "k", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Restore(0); err == nil || !strings.Contains(err.Error(), "no args decoder") {
+		t.Fatalf("Restore = %v, want a refusal naming the missing args decoder", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(handed) != 1 || handed[0] != "int" {
+		t.Fatalf("put was handed %v, want the one int of its live execution", handed)
+	}
+}
+
+// TestOversizeRecordFailsOnlyItsTransaction: a command too large for any ship
+// batch is refused by the log. Its transaction fails unexecuted; the store is
+// not latched, the bucket's LSNs stay contiguous, and the next transaction on
+// the same key commits and replays.
+func TestOversizeRecordFailsOnlyItsTransaction(t *testing.T) {
+	e, err := store.NewEngine(store.Config{
+		MaxMachines: 1, InitialMachines: 1, PartitionsPerMachine: 1, Buckets: 8, QueueCapacity: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("put", func(tx *store.Tx) (any, error) {
+		return nil, tx.Put("T", tx.Key, tx.Args)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("get", func(tx *store.Tx) (any, error) {
+		v, _, err := tx.Get("T", tx.Key)
+		return v, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetArgsDecoder(storetest.Args[string]); err != nil {
+		t.Fatal(err)
+	}
+	m, err := recovery.New(e, recovery.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	e.Start()
+	defer e.Stop()
+	if _, err := e.Execute("put", "k", "small"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.Execute("put", "k", strings.Repeat("x", wal.MaxRecordBytes))
+	if !errors.Is(err, store.ErrCommitFailed) || !errors.Is(err, wal.ErrRecordRefused) {
+		t.Fatalf("oversize put: %v, want a commit failure naming the refused record", err)
+	}
+	if err := m.Err(); err != nil {
+		t.Fatalf("the refusal latched the store: %v", err)
+	}
+	if v, err := e.Execute("get", "k", nil); err != nil || v != "small" {
+		t.Fatalf("after the refusal k = %v (%v): the oversize put ran", v, err)
+	}
+	if _, err := e.Execute("put", "k", "after"); err != nil {
+		t.Fatalf("put after the refusal: %v", err)
+	}
+	if err := m.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := m.Restore(0); err != nil || st.Replayed != 3 {
+		t.Fatalf("Restore replayed %d records (%v), want the 3 that were logged, LSNs contiguous", st.Replayed, err)
+	}
+	if v, err := e.Execute("get", "k", nil); err != nil || v != "after" {
+		t.Fatalf("after replay k = %v (%v), want the last committed put", v, err)
 	}
 }

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,11 +31,12 @@ type diskStore struct {
 	heads []atomic.Uint64
 	bases []atomic.Uint64
 
-	// failErr latches the first fatal log error (write, fsync, encode). The
-	// store is fail-stop from then on: every Append and Wait returns it, so no
+	// failErr latches the first fatal log error (write, fsync). The store is
+	// fail-stop from then on: every Append and Wait returns it, so no
 	// submitter is told a write committed, and the operator learns via Err.
-	// wal.ErrSyncAborted is never latched — it is the outcome of the records
-	// a dead shipper left unconfirmed, not a fault of the log.
+	// wal.ErrSyncAborted and wal.ErrRecordRefused are never latched — they are
+	// the outcome of the records a dead shipper left unconfirmed, or of one
+	// record the log cannot hold, not a fault of the log.
 	failMu  sync.Mutex
 	failErr error
 
@@ -93,10 +95,31 @@ func (s *diskStore) Append(bucket int, id store.TxnID, key string, args any) (ui
 	ticket, err := s.log.Enqueue(wal.Record{
 		Bucket: bucket, LSN: lsn, Txn: s.resolve(id), Key: key, Args: args,
 	})
+	if errors.Is(err, wal.ErrRecordRefused) {
+		// The record's fault, not the log's: only its transaction fails. The
+		// LSN goes back — this executor is the bucket's sole appender.
+		s.heads[bucket].Add(^uint64(0))
+		return 0, err
+	}
 	if err != nil {
 		s.fail(err)
 		return 0, err
 	}
+	return ticket, nil
+}
+
+// appendFrame logs a command a primary shipped, as the frame it arrived in,
+// and moves the bucket's head to the LSN its primary gave it.
+func (s *diskStore) appendFrame(frame []byte) (uint64, error) {
+	if err := s.Err(); err != nil {
+		return 0, err
+	}
+	r, ticket, err := s.log.EnqueueFrame(frame)
+	if err != nil {
+		s.fail(err)
+		return 0, err
+	}
+	s.heads[r.Bucket].Store(r.LSN)
 	return ticket, nil
 }
 
@@ -154,7 +177,14 @@ func (s *diskStore) Load(buckets []int) ([]store.BucketSnapshot, []store.ReplayC
 			if !okID {
 				return nil, nil, fmt.Errorf("recovery: log names unregistered transaction %q", r.Txn)
 			}
-			cmds = append(cmds, store.ReplayCommand{Bucket: b, ID: id, Key: r.Key, Args: r.Args})
+			// The log holds args as the JSON they were submitted in; the engine's
+			// decoder makes them the value the procedure asserts again.
+			raw, _ := r.Args.(json.RawMessage)
+			args, err := s.eng.DecodeArgs(r.Txn, raw)
+			if err != nil {
+				return nil, nil, fmt.Errorf("recovery: replaying %q at bucket %d lsn %d: %w", r.Txn, b, r.LSN, err)
+			}
+			cmds = append(cmds, store.ReplayCommand{Bucket: b, ID: id, Key: r.Key, Args: args})
 		}
 	}
 	return snaps, cmds, nil

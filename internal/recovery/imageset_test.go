@@ -11,6 +11,7 @@ import (
 	"pstore/internal/hash"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 )
 
@@ -38,6 +39,9 @@ func newRoundEngine(tb testing.TB, fs *wal.MemFS, segBytes int64) (*store.Engine
 		v, _, err := tx.Get("T", tx.Key)
 		return v, err
 	}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.SetArgsDecoder(storetest.Args[int]); err != nil {
 		tb.Fatal(err)
 	}
 	m, err := recovery.New(e, recovery.Config{DataDir: "data", FS: fs, SegmentBytes: segBytes})

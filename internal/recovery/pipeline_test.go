@@ -12,6 +12,7 @@ import (
 
 	"pstore/internal/recovery"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
@@ -103,6 +104,7 @@ func newPipeNode(tb testing.TB, rcfg recovery.Config) *pipeNode {
 		v, _, err := tx.Get("T", tx.Key)
 		return v, err
 	}))
+	must(e.SetArgsDecoder(storetest.Args[int]))
 	n.m, err = recovery.New(e, rcfg)
 	must(err)
 	tb.Cleanup(func() { n.m.Close() })
@@ -156,14 +158,18 @@ func (n *pipeNode) fingerprint(t *testing.T, keys int) string {
 
 // durableCommands decodes the durable log from its start and returns the
 // command records in disk order.
-func (n *pipeNode) durableCommands(t *testing.T) []wal.ShipRecord {
+func (n *pipeNode) durableCommands(t *testing.T) []wal.Record {
 	t.Helper()
-	recs, _, _, err := n.m.ReadShip(wal.ShipCursor{}, 1<<20)
+	frames, _, _, err := n.m.ReadShip(wal.ShipCursor{}, 1<<20)
 	if err != nil {
 		t.Fatalf("reading the durable log: %v", err)
 	}
-	var cmds []wal.ShipRecord
-	for _, r := range recs {
+	var cmds []wal.Record
+	for _, f := range frames {
+		r, _, err := wal.DecodeRecord(f)
+		if err != nil {
+			t.Fatalf("decoding the durable log: %v", err)
+		}
 		if !r.IsPlan() {
 			cmds = append(cmds, r)
 		}
@@ -463,8 +469,11 @@ func TestLogBeforeRun(t *testing.T) {
 		t.Fatal("the record was not made durable while its procedure ran: the ship stream was never woken")
 	}
 	recs, _, _, err = n.m.ReadShip(end, 10)
-	if err != nil || len(recs) != 1 || recs[0].Key != "k-0" || recs[0].LSN != 1 {
-		t.Fatalf("ship read while the procedure runs: %+v, err %v; want its record", recs, err)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("ship read while the procedure runs: %d records, err %v; want its record", len(recs), err)
+	}
+	if r, _, err := wal.DecodeRecord(recs[0]); err != nil || r.Key != "k-0" || r.LSN != 1 {
+		t.Fatalf("ship read while the procedure runs: %+v, err %v; want its record", r, err)
 	}
 	if s := n.m.WALStats(); s.ShipTailReads != 1 || s.ShipFileReads != 0 {
 		t.Fatalf("the record was read from the files (%d tail reads, %d file reads)", s.ShipTailReads, s.ShipFileReads)

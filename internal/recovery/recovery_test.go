@@ -13,6 +13,7 @@ import (
 	"pstore/internal/metrics"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 )
 
 // testEngine builds a started engine with machines active machines (2
@@ -54,6 +55,11 @@ func testEngineCfg(t *testing.T, maxMachines, initial int, rcfg recovery.Config)
 	if err := e.Register("del", func(tx *store.Tx) (any, error) {
 		return nil, tx.Delete("T", tx.Key)
 	}); err != nil {
+		t.Fatal(err)
+	}
+	// The memory store replays the int a put was given; the disk store replays
+	// what this decodes from its log. The oracle comparisons need them equal.
+	if err := e.SetArgsDecoder(storetest.Args[int]); err != nil {
 		t.Fatal(err)
 	}
 	m, err := recovery.New(e, rcfg)

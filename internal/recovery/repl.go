@@ -47,15 +47,27 @@ func (m *Manager) ShipEnd() (wal.ShipCursor, error) {
 	return m.wal.ShipEnd(), nil
 }
 
-// ReadShip returns up to max durable records beyond the cursor and the
-// cursor after them; a caught-up cursor gets no records and a channel that
-// is closed when the log next grows. wal.ErrShipGone means the cursor's
-// records were compacted and the follower must full-resync.
-func (m *Manager) ReadShip(cur wal.ShipCursor, max int) ([]wal.ShipRecord, wal.ShipCursor, <-chan struct{}, error) {
+// ReadShip returns the frames of up to max durable records beyond the cursor
+// (as many as fit one ship batch) and the cursor after them; a caught-up
+// cursor gets none and a channel that is closed when the log next grows.
+// wal.ErrShipGone means the cursor's records were compacted and the follower
+// must full-resync.
+func (m *Manager) ReadShip(cur wal.ShipCursor, max int) ([][]byte, wal.ShipCursor, <-chan struct{}, error) {
 	if m.wal == nil {
 		return nil, cur, nil, ErrNotDurable
 	}
 	return m.wal.ReadShip(cur, max)
+}
+
+// AppendShipped is AppendCommand on a follower: it logs a command record the
+// primary shipped, in the frame it arrived in, under the LSN the primary gave
+// it. The caller has checked that the LSN continues the bucket's log.
+func (m *Manager) AppendShipped(frame []byte) (uint64, error) {
+	ds, ok := m.log.(*diskStore)
+	if !ok {
+		return 0, ErrNotDurable
+	}
+	return ds.appendFrame(frame)
 }
 
 // WALStats returns the durable log's I/O and ship-read counters (zero when

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"pstore/internal/store"
+	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
 
@@ -21,7 +22,7 @@ import (
 // (plus the one being applied). A ship handler that finds the queue full waits
 // for room before it takes its batch, so a follower that cannot keep up stops
 // acknowledging instead of growing: its apply lag and the memory behind it are
-// at most this many batches of wire.MaxShipRecords records.
+// at most this many batches of wal.MaxShipRecords records.
 const ApplyQueueDepth = 8
 
 // shipApply is one accepted batch on its way to memory: its fresh commands in
@@ -38,7 +39,7 @@ type shipApply struct {
 // not keep the request's other records — raw args and all — alive.
 type shippedPlan struct {
 	at  int
-	rec wire.ShipRecord
+	rec wal.Record
 }
 
 // ApplyStats are a follower's cumulative accept/apply counters.

@@ -14,6 +14,7 @@ import (
 
 	"pstore/internal/recovery"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
@@ -46,6 +47,9 @@ func newInstallNode(t *testing.T, id int) *installNode {
 		v, _, err := tx.Get("kv", tx.Key)
 		return v, err
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetArgsDecoder(storetest.Args[int]); err != nil {
 		t.Fatal(err)
 	}
 	fs := wal.NewMemFS(int64(id) + 1)

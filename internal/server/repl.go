@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -84,14 +85,6 @@ func (s *Server) replRole() string {
 	return "primary"
 }
 
-func wireCursor(c wal.ShipCursor) wire.ShipCursor {
-	return wire.ShipCursor{Seg: c.Seg, Rec: c.Rec, Off: c.Off}
-}
-
-func walShipCursor(c wire.ShipCursor) wal.ShipCursor {
-	return wal.ShipCursor{Seg: c.Seg, Rec: c.Rec, Off: c.Off}
-}
-
 // MarkFenced records that this node, still configured as a primary, has seen
 // proof of a higher epoch — its shipper was refused with CodeFenced. A
 // fenced node refuses client transactions (a zombie serving writes is a
@@ -141,7 +134,7 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 		// resume cursor (a truncated zombie, or a follower reconnecting after
 		// our restart). Validate the cursor is still retained, pin it, and
 		// ship from there — no snapshot stream.
-		cur := walShipCursor(*req.Resume)
+		cur := *req.Resume
 		if _, _, _, err := rm.ReadShip(cur, 1); err != nil {
 			writeNodeError(w, err)
 			return
@@ -200,7 +193,7 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	meta := wire.ReplSyncMeta{
 		Epoch:    rm.Epoch(),
 		Baseline: rm.BaselineSeq(),
-		Cursor:   wireCursor(cursor),
+		Cursor:   cursor,
 		PlanSeq:  planSeq,
 		Plan:     plan,
 		Active:   active,
@@ -327,20 +320,20 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.Bucke
 	return nil
 }
 
-// handleReplShip accepts one shipped WAL batch: it appends the batch's fresh
-// commands to this node's own log, acknowledges once they are fsynced, and
-// leaves applying them to the applier. The guards, in order: role (a
-// non-replica fences the sender — the zombie-primary case), epoch (a batch
-// under any other term is fenced), readiness (retryable until the sync
-// snapshot is installed), baseline (the primary installed data outside the
-// WAL since sync, or an apply failed here and memory trails the log for good
-// — a Resync ack: only a fresh sync can continue), and position (a batch not
-// starting at the received cursor gets a Gap ack carrying where to rewind to;
-// duplicates land here too). Then every record is checked before any is
-// appended — per-bucket LSN dedup against the log head (a snapshot's overlap
-// is skipped, a skipped LSN refuses the batch), args decoded — so a batch is
-// accepted whole or not at all, and the ack covers only what one fsync of the
-// follower's log made durable.
+// handleReplShip accepts one shipped WAL batch: it appends the frames of the
+// batch's fresh commands to this node's own log, as they arrived, acknowledges
+// once they are fsynced, and leaves applying them to the applier. The guards,
+// in order: role (a non-replica fences the sender — the zombie-primary case),
+// epoch (a batch under any other term is fenced), readiness (retryable until
+// the sync snapshot is installed), baseline (the primary installed data
+// outside the WAL since sync, or an apply failed here and memory trails the
+// log for good — a Resync ack: only a fresh sync can continue), and position
+// (a batch not starting at the received cursor gets a Gap ack carrying where
+// to rewind to; duplicates land here too). Then every record is checked before
+// any is appended — per-bucket LSN dedup against the log head (a snapshot's
+// overlap is skipped, a skipped LSN refuses the batch), args decoded — so a
+// batch is accepted whole or not at all, and the ack covers only what one
+// fsync of the follower's log made durable.
 func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
@@ -407,16 +400,15 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, ack)
 		return
 	}
-	b, err := s.decodeShipBatch(rm, batch)
+	b, fresh, err := s.decodeShipBatch(rm, batch)
 	if err != nil {
 		writeNodeError(w, err)
 		return
 	}
 	syncs := rm.WALStats().Syncs
 	var ticket uint64
-	for i := range b.cmds {
-		c := &b.cmds[i]
-		if ticket, err = rm.AppendCommand(c.Bucket, c.ID, c.Key, c.Args); err != nil {
+	for _, frame := range fresh {
+		if ticket, err = rm.AppendShipped(frame); err != nil {
 			writeNodeError(w, err)
 			return
 		}
@@ -434,12 +426,14 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeShipBatch turns a batch at the received cursor into what the applier
-// takes, refusing it whole if any record cannot be accepted. Per bucket, a
-// record at or below the log head is a duplicate (the sync snapshot's overlap)
-// and is dropped; the next must be exactly head+1, so appending the survivors
-// in order gives each the LSN its primary gave it. Nothing is appended here.
-func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*shipApply, error) {
+// takes and the frames the log takes, refusing it whole if any record cannot
+// be accepted. Per bucket, a record at or below the log head is a duplicate
+// (the sync snapshot's overlap) and is dropped; the next must be exactly
+// head+1, so the survivors continue the bucket's log under the LSNs their
+// primary gave them. Nothing is appended here.
+func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*shipApply, [][]byte, error) {
 	b := &shipApply{next: batch.Next}
+	var fresh [][]byte
 	buckets := s.cfg.Engine.Config().Buckets
 	heads := make(map[int]uint64)
 	for i := range batch.Records {
@@ -449,7 +443,7 @@ func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*
 			continue
 		}
 		if rec.Bucket >= buckets {
-			return nil, fmt.Errorf("%w: ship record %d names bucket %d of %d", errBadNodeRequest, i, rec.Bucket, buckets)
+			return nil, nil, fmt.Errorf("%w: ship record %d names bucket %d of %d", errBadNodeRequest, i, rec.Bucket, buckets)
 		}
 		head, seen := heads[rec.Bucket]
 		if !seen {
@@ -459,26 +453,22 @@ func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*
 			continue
 		}
 		if rec.LSN > head+1 {
-			return nil, fmt.Errorf("server: ship record %d skips bucket %d from lsn %d to %d", i, rec.Bucket, head, rec.LSN)
+			return nil, nil, fmt.Errorf("server: ship record %d skips bucket %d from lsn %d to %d", i, rec.Bucket, head, rec.LSN)
 		}
-		var args any
-		if len(rec.Args) > 0 && string(rec.Args) != "null" {
-			if s.cfg.DecodeArgs == nil {
-				return nil, fmt.Errorf("server: shipped %q carries args but no codec is configured", rec.Txn)
-			}
-			var err error
-			if args, err = s.cfg.DecodeArgs(rec.Txn, rec.Args); err != nil {
-				return nil, fmt.Errorf("server: decoding shipped %q args: %v", rec.Txn, err)
-			}
+		raw, _ := rec.Args.(json.RawMessage)
+		args, err := s.cfg.Engine.DecodeArgs(rec.Txn, raw)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: decoding shipped %q args: %v", rec.Txn, err)
 		}
 		id, ok := s.handles[rec.Txn]
 		if !ok {
-			return nil, fmt.Errorf("%w: shipped %q", store.ErrUnknownTxn, rec.Txn)
+			return nil, nil, fmt.Errorf("%w: shipped %q", store.ErrUnknownTxn, rec.Txn)
 		}
 		heads[rec.Bucket] = rec.LSN
 		b.cmds = append(b.cmds, store.ReplayCommand{Bucket: rec.Bucket, ID: id, Key: rec.Key, Args: args})
+		fresh = append(fresh, batch.Frames[i])
 	}
-	return b, nil
+	return b, fresh, nil
 }
 
 // maybeFollowerCheckpointLocked kicks off an async checkpoint of the
@@ -536,7 +526,7 @@ func (s *Server) checkpoint(rm *recovery.Manager) (int, error) {
 // ownership when neither side is hosted here. An inbound migration from
 // another node has no row source in the WAL at all — the primary received
 // those rows out-of-band, bumped its baseline, and this replica resyncs.
-func (s *Server) applyShippedPlan(rec *wire.ShipRecord) error {
+func (s *Server) applyShippedPlan(rec *wal.Record) error {
 	eng := s.cfg.Engine
 	cur := eng.Plan()
 	if len(rec.Plan) != len(cur) {
@@ -633,7 +623,7 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 		if end, err := rm.ShipEnd(); err == nil {
 			rm.PinShip(end.Seg)
 			st.rejoin = &wire.ReplRejoin{
-				Cursor:   wireCursor(end),
+				Cursor:   end,
 				PlanSeq:  s.apply.position().planSeq,
 				Baseline: rm.BaselineSeq(),
 			}
@@ -727,7 +717,7 @@ func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
 		pst.Rejoin.PlanSeq == rm.PlanSeq() &&
 		pst.Rejoin.Baseline == rm.BaselineSeq()
 	if warm {
-		if _, err := rm.TruncateShip(walShipCursor(pst.Applied)); err != nil {
+		if _, err := rm.TruncateShip(pst.Applied); err != nil {
 			if !errors.Is(err, wal.ErrNeedResync) {
 				return false, err
 			}
@@ -810,7 +800,7 @@ func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
 	}
 	if rm.Durable() {
 		if end, err := rm.ShipEnd(); err == nil {
-			out.Durable = wireCursor(end)
+			out.Durable = end
 		}
 		ws := rm.WALStats()
 		out.ShipTailReads, out.ShipFileReads = ws.ShipTailReads, ws.ShipFileReads

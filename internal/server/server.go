@@ -33,20 +33,12 @@ import (
 	"pstore/internal/wire"
 )
 
-// ArgsDecoder converts a transaction's raw JSON arguments into the concrete
-// Go value its procedure expects (the b2w workload provides one covering
-// its nineteen transactions). A nil or empty raw message must decode to
-// nil arguments.
-type ArgsDecoder func(txn string, raw json.RawMessage) (any, error)
-
 // Config assembles a Server.
 type Config struct {
-	// Engine is the started storage engine to front. Required.
+	// Engine is the started storage engine to front. Required. Its args
+	// decoder (store.Engine.SetArgsDecoder) decodes request arguments; without
+	// one every argument-bearing request is a bad_request.
 	Engine *store.Engine
-	// DecodeArgs decodes per-transaction arguments. Nil accepts only
-	// requests with absent/null args (every argument-bearing request is a
-	// bad_request).
-	DecodeArgs ArgsDecoder
 	// Recorder, when set, receives wire-level rejection counts
 	// (CountWireRejected per 429 served) so the serve summary's refused-work
 	// line covers the wire.
@@ -262,17 +254,10 @@ func (s *Server) execute(ctx context.Context, req wire.Request, hops int) wire.R
 	if !ok {
 		return s.failure(req, fmt.Errorf("%w: %q", store.ErrUnknownTxn, req.Txn))
 	}
-	var args any
-	if len(req.Args) > 0 && string(req.Args) != "null" {
-		if s.cfg.DecodeArgs == nil {
-			return s.errResponse(wire.CodeBadRequest,
-				fmt.Sprintf("server: transaction %q sent args but no codec is configured", req.Txn), 0)
-		}
-		var err error
-		if args, err = s.cfg.DecodeArgs(req.Txn, req.Args); err != nil {
-			return s.errResponse(wire.CodeBadRequest,
-				fmt.Sprintf("server: decoding %q args: %v", req.Txn, err), 0)
-		}
+	args, err := s.cfg.Engine.DecodeArgs(req.Txn, req.Args)
+	if err != nil {
+		return s.errResponse(wire.CodeBadRequest,
+			fmt.Sprintf("server: decoding %q args: %v", req.Txn, err), 0)
 	}
 	value, err := s.cfg.Engine.ExecuteIDContext(ctx, id, req.Key, args)
 	if err != nil {

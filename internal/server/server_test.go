@@ -270,7 +270,7 @@ func TestLoopbackB2W(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := New(Config{Engine: eng, DecodeArgs: b2w.DecodeArgs})
+	srv, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -103,6 +104,8 @@ type Engine struct {
 	cfg     Config
 	handles map[string]TxnID
 	procs   []proc
+	// decodeArgs is the workload's args decoder, set with its procedures.
+	decodeArgs ArgsDecoder
 	// svcOverride stages SetServiceTime calls until Start bakes them into
 	// the procs slice.
 	svcOverride map[string]time.Duration
@@ -197,6 +200,36 @@ func (e *Engine) Register(name string, fn TxnFunc) error {
 	e.handles[name] = TxnID(len(e.procs))
 	e.procs = append(e.procs, proc{name: name, fn: fn, svc: e.cfg.ServiceTime})
 	return nil
+}
+
+// ArgsDecoder turns a transaction's JSON-encoded arguments — as a client
+// request or a command-log record carries them — into the concrete value its
+// procedure asserts.
+type ArgsDecoder func(txn string, raw json.RawMessage) (any, error)
+
+// SetArgsDecoder installs the decoder for the registered procedures'
+// arguments. Like Register it must be called before Start; an engine without
+// one accepts only transactions that take no arguments, over the wire and in
+// durable replay alike.
+func (e *Engine) SetArgsDecoder(d ArgsDecoder) error {
+	if e.started.Load() {
+		return errors.New("store: SetArgsDecoder after Start")
+	}
+	e.decodeArgs = d
+	return nil
+}
+
+// DecodeArgs decodes one transaction's encoded arguments; absent or null
+// arguments are nil. It fails, rather than hand a procedure some generic
+// decoding it would not recognize, when the engine has no decoder.
+func (e *Engine) DecodeArgs(txn string, raw json.RawMessage) (any, error) {
+	if len(raw) == 0 || string(raw) == "null" {
+		return nil, nil
+	}
+	if e.decodeArgs == nil {
+		return nil, fmt.Errorf("store: transaction %q carries args but the engine has no args decoder", txn)
+	}
+	return e.decodeArgs(txn, raw)
 }
 
 // Handle resolves a registered transaction name to its dense id. Resolve

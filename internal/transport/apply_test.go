@@ -13,6 +13,7 @@ import (
 	"pstore/internal/recovery"
 	"pstore/internal/server"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
@@ -92,7 +93,7 @@ func registerAppendKV(put store.TxnFunc) func(*store.Engine) error {
 func startGatedFollower(t *testing.T, primary *replNode, rcfg recovery.Config) (*replNode, *applyGate, wire.ReplSyncMeta) {
 	t.Helper()
 	gate := newApplyGate()
-	follower := startReplNodeOn(t, 4, 1, primary.url, decodeKVArgs, decodeKVRow, rcfg, gate.register)
+	follower := startReplNodeOn(t, 4, 1, primary.url, storetest.Args[int], decodeKVRow, rcfg, gate.register)
 	// Registered after the node's own cleanups, so it runs before them: a
 	// server shutting down waits for its applier.
 	t.Cleanup(gate.open)
@@ -141,7 +142,7 @@ func crashAndColdStart(t *testing.T, fs *wal.MemFS, primary, follower *replNode,
 	_ = follower.rm.Close()
 	fs.Recover()
 
-	eng, rm := newChaosEngine(t, recovery.Config{DataDir: "data", FS: fs})
+	eng, rm := newChaosEngine(t, recovery.Config{DataDir: "data", FS: fs}, storetest.Args[int])
 	if !rm.HasColdState() {
 		t.Fatal("the follower's directory holds no state to cold-start from")
 	}
@@ -355,8 +356,8 @@ func TestFollowerAckCheckpointStampsApplied(t *testing.T) {
 func TestApplyPlanBarrier(t *testing.T) {
 	const keys = 60
 	register := registerAppendKV(appendPut)
-	primary := startReplNodeOn(t, 4, 2, "", decodeStrArgs, decodeStrRow, recovery.Config{DataDir: t.TempDir()}, register)
-	follower := startReplNodeOn(t, 4, 2, primary.url, decodeStrArgs, decodeStrRow, recovery.Config{DataDir: t.TempDir()}, register)
+	primary := startReplNodeOn(t, 4, 2, "", storetest.Args[string], decodeStrRow, recovery.Config{DataDir: t.TempDir()}, register)
+	follower := startReplNodeOn(t, 4, 2, primary.url, storetest.Args[string], decodeStrRow, recovery.Config{DataDir: t.TempDir()}, register)
 	meta := syncFollower(t, primary, follower)
 
 	round := func(tag string) {
@@ -450,8 +451,8 @@ func TestApplyBackpressure(t *testing.T) {
 func TestFollowerAckRestoreDrainsApply(t *testing.T) {
 	const keys = 8
 	gate := newApplyGate()
-	primary := startReplNodeOn(t, 4, 2, "", decodeStrArgs, decodeStrRow, recovery.Config{DataDir: t.TempDir()}, registerAppendKV(appendPut))
-	follower := startReplNodeOn(t, 4, 2, primary.url, decodeStrArgs, decodeStrRow, recovery.Config{DataDir: t.TempDir()}, registerAppendKV(gate.gated(appendPut)))
+	primary := startReplNodeOn(t, 4, 2, "", storetest.Args[string], decodeStrRow, recovery.Config{DataDir: t.TempDir()}, registerAppendKV(appendPut))
+	follower := startReplNodeOn(t, 4, 2, primary.url, storetest.Args[string], decodeStrRow, recovery.Config{DataDir: t.TempDir()}, registerAppendKV(gate.gated(appendPut)))
 	t.Cleanup(gate.open)
 	meta := syncFollower(t, primary, follower)
 
@@ -636,9 +637,9 @@ func BenchmarkSyncCommitFollower(b *testing.B) {
 		return eng.SetServiceTime("put", 3*time.Millisecond)
 	}
 	var primarySyncs, followerSyncs atomic.Int64
-	primary := startReplNodeOn(b, 4, 4, "", decodeKVArgs, decodeKVRow,
+	primary := startReplNodeOn(b, 4, 4, "", storetest.Args[int], decodeKVRow,
 		recovery.Config{DataDir: "primary", FS: slowDisk(&primarySyncs)}, register)
-	follower := startReplNodeOn(b, 4, 4, primary.url, decodeKVArgs, decodeKVRow,
+	follower := startReplNodeOn(b, 4, 4, primary.url, storetest.Args[int], decodeKVRow,
 		recovery.Config{DataDir: "follower", FS: slowDisk(&followerSyncs)}, register)
 	meta := syncFollower(b, primary, follower)
 	sh, err := transport.NewShipper(transport.ShipperConfig{
@@ -685,7 +686,7 @@ func TestReplicaInstallIsOneCheckpointRound(t *testing.T) {
 		}
 	}
 	fs := wal.NewMemFS(1)
-	follower := startReplNodeOn(t, 4, 1, primary.url, decodeKVArgs, decodeKVRow, recovery.Config{DataDir: "data", FS: fs}, registerKV)
+	follower := startReplNodeOn(t, 4, 1, primary.url, storetest.Args[int], decodeKVRow, recovery.Config{DataDir: "data", FS: fs}, registerKV)
 	var sets, manifests atomic.Int64
 	fs.SetSyncHook(func(name string) error {
 		switch {

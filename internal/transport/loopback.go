@@ -25,12 +25,11 @@ type LoopbackConfig struct {
 	// Store is the shared cluster geometry. HostedMachines is derived per
 	// node and must be empty here.
 	Store store.Config
-	// Register installs the workload's procedures on each node engine before
-	// it starts. Required.
+	// Register installs the workload's procedures, and their args decoder, on
+	// each node engine before it starts. Required.
 	Register func(eng *store.Engine) error
-	// DecodeArgs and DecodeRow are the workload's wire codecs.
-	DecodeArgs server.ArgsDecoder
-	DecodeRow  wire.RowDecoder
+	// DecodeRow is the workload's chunk codec.
+	DecodeRow wire.RowDecoder
 	// Recovery attaches a per-node recovery manager (command log + crash/
 	// restore plane). Without it, Crash/Restore on the topology fail.
 	Recovery bool
@@ -101,8 +100,7 @@ func NewLoopback(cfg LoopbackConfig) (*Loopback, error) {
 		eng.Start()
 
 		srv, err := server.New(server.Config{
-			Engine:     eng,
-			DecodeArgs: cfg.DecodeArgs,
+			Engine: eng,
 			Node: &server.NodeConfig{
 				ID:        i,
 				Nodes:     cfg.Nodes,

@@ -157,7 +157,7 @@ type ShipperConfig struct {
 	FromNode, ToNode int
 	// Faults, when set, injects replication-stream faults.
 	Faults *faults.ShipInjector
-	// BatchRecords caps records per batch (default wire.MaxShipRecords).
+	// BatchRecords caps records per batch (0 = wal.MaxShipRecords).
 	BatchRecords int
 	// Start is the cursor shipping begins from (the sync response's cursor).
 	Start wire.ShipCursor
@@ -198,10 +198,7 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	if !cfg.RM.Durable() {
 		return nil, recovery.ErrNotDurable
 	}
-	if cfg.BatchRecords <= 0 || cfg.BatchRecords > wire.MaxShipRecords {
-		cfg.BatchRecords = wire.MaxShipRecords
-	}
-	start := walCursor(cfg.Start)
+	start := cfg.Start
 	s := &Shipper{cfg: cfg, cur: start, acked: start}
 	s.cfg.RM.PinShip(start.Seg)
 	if cfg.SyncCommit {
@@ -211,14 +208,6 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 		s.cfg.RM.SetSyncCommit(true)
 	}
 	return s, nil
-}
-
-func walCursor(c wire.ShipCursor) wal.ShipCursor {
-	return wal.ShipCursor{Seg: c.Seg, Rec: c.Rec, Off: c.Off}
-}
-
-func wireCursor(c wal.ShipCursor) wire.ShipCursor {
-	return wire.ShipCursor{Seg: c.Seg, Rec: c.Rec, Off: c.Off}
 }
 
 // Err returns the latched terminal error, if any.
@@ -232,7 +221,7 @@ func (s *Shipper) Err() error {
 func (s *Shipper) Acked() wire.ShipCursor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return wireCursor(s.acked)
+	return s.acked
 }
 
 // Shipped returns the count of successfully acknowledged batches.
@@ -248,30 +237,6 @@ func (s *Shipper) Lag() int64 {
 	cur := s.acked
 	s.mu.Unlock()
 	return s.cfg.RM.ShipLag(cur)
-}
-
-// buildBatch frames WAL records as a wire batch. Command args already are
-// JSON — the log encoded them when the record was enqueued, in the same
-// representation a client request used, so the follower's registered codec
-// decodes them identically.
-func buildBatch(recs []wal.ShipRecord, from, next wal.ShipCursor, epoch, baseline, seq uint64) *wire.ShipBatch {
-	b := &wire.ShipBatch{
-		Epoch:    epoch,
-		Baseline: baseline,
-		Seq:      seq,
-		From:     wireCursor(from),
-		Next:     wireCursor(next),
-		Records:  make([]wire.ShipRecord, 0, len(recs)),
-	}
-	for i := range recs {
-		r := &recs[i]
-		if r.IsPlan() {
-			b.Records = append(b.Records, wire.ShipRecord{PlanSeq: r.PlanSeq, Plan: r.Plan, Active: r.Active})
-			continue
-		}
-		b.Records = append(b.Records, wire.ShipRecord{Bucket: r.Bucket, LSN: r.LSN, Txn: r.Txn, Key: r.Key, Args: r.Args})
-	}
-	return b
 }
 
 // fatal latches a terminal error.
@@ -303,17 +268,18 @@ func (s *Shipper) shipOnce(ctx context.Context) (int, <-chan struct{}, error) {
 	}
 	b := s.pending
 	if b == nil {
-		recs, next, wake, err := s.cfg.RM.ReadShip(s.cur, s.cfg.BatchRecords)
+		frames, next, wake, err := s.cfg.RM.ReadShip(s.cur, s.cfg.BatchRecords)
 		if err != nil {
 			if errors.Is(err, wal.ErrShipGone) {
 				return 0, nil, s.fatal(err)
 			}
 			return 0, nil, err
 		}
-		if len(recs) == 0 {
+		if len(frames) == 0 {
 			return 0, wake, nil
 		}
-		b = buildBatch(recs, s.cur, next, s.cfg.RM.Epoch(), s.cfg.RM.BaselineSeq(), s.seq)
+		b = &wire.ShipBatch{Epoch: s.cfg.RM.Epoch(), Baseline: s.cfg.RM.BaselineSeq(), Seq: s.seq,
+			From: s.cur, Next: next, Frames: frames}
 		s.seq++
 		s.pending = b
 	}
@@ -344,12 +310,13 @@ func (s *Shipper) sendLocked(ctx context.Context, b *wire.ShipBatch) (int, error
 	if dec.Reorder {
 		// Pull the stream's next batch forward: the follower refuses it with
 		// a gap ack, then accepts the held batch, then the re-delivery.
-		ahead, next, _, err := s.cfg.RM.ReadShip(walCursor(b.Next), s.cfg.BatchRecords)
+		ahead, next, _, err := s.cfg.RM.ReadShip(b.Next, s.cfg.BatchRecords)
 		if err != nil && !errors.Is(err, wal.ErrShipGone) {
 			return 0, err
 		}
 		if len(ahead) > 0 {
-			c := buildBatch(ahead, walCursor(b.Next), next, b.Epoch, b.Baseline, s.seq)
+			c := &wire.ShipBatch{Epoch: b.Epoch, Baseline: b.Baseline, Seq: s.seq,
+				From: b.Next, Next: next, Frames: ahead}
 			s.seq++
 			for _, out := range []*wire.ShipBatch{c, b, c} {
 				n, err := s.deliverLocked(ctx, out)
@@ -397,16 +364,16 @@ func (s *Shipper) deliverLocked(ctx context.Context, b *wire.ShipBatch) (int, er
 	if ack.Gap {
 		// The follower's cursor is authoritative; rewind (or fast-forward,
 		// for a duplicate delivery) and rebuild from there.
-		s.cur = walCursor(ack.Received)
+		s.cur = ack.Received
 		s.pending = nil
 	} else {
-		applied = len(b.Records)
-		s.cur = walCursor(b.Next)
+		applied = len(b.Frames)
+		s.cur = b.Next
 		s.shipped++
 	}
 	// Received, not Applied: the follower holds everything before it durable,
 	// which is what retention and the sync-commit barrier wait for.
-	s.acked = walCursor(ack.Received)
+	s.acked = ack.Received
 	s.cfg.RM.PinShip(s.acked.Seg)
 	if s.cfg.SyncCommit {
 		s.cfg.RM.SetRemoteAck(s.acked)

@@ -12,6 +12,7 @@ import (
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 )
 
@@ -24,20 +25,7 @@ import (
 // value), and the replicated mode must be byte-identical across repeated
 // runs — determinism all the way through the fault schedule.
 //
-// Values are strings: ship args travel as JSON, and only strings survive the
-// round trip as the identical Go value (ints come back float64), so string
-// payloads make "same value" mean the same bytes in every mode.
-
-func decodeStrArgs(txn string, raw json.RawMessage) (any, error) {
-	if len(raw) == 0 || string(raw) == "null" {
-		return nil, nil
-	}
-	var v string
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
+// Values are strings, decoded from the log and the wire by Args[string].
 
 func decodeStrRow(table string, raw json.RawMessage) (any, error) {
 	if table != "kv" {
@@ -71,7 +59,7 @@ func replChaosScriptOps() []chaosOp {
 	return ops
 }
 
-func newChaosEngine(t *testing.T, rcfg recovery.Config) (*store.Engine, *recovery.Manager) {
+func newChaosEngine(t *testing.T, rcfg recovery.Config, decArgs store.ArgsDecoder) (*store.Engine, *recovery.Manager) {
 	t.Helper()
 	scfg := kvStoreConfig(4, 1)
 	for m := 0; m < 4; m++ {
@@ -82,6 +70,9 @@ func newChaosEngine(t *testing.T, rcfg recovery.Config) (*store.Engine, *recover
 		t.Fatal(err)
 	}
 	if err := registerKV(eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetArgsDecoder(decArgs); err != nil {
 		t.Fatal(err)
 	}
 	rm, err := recovery.New(eng, rcfg)
@@ -134,10 +125,10 @@ func runReplChaosScript(t *testing.T, mode string) string {
 		eng.Start()
 		t.Cleanup(eng.Stop)
 	case "disk":
-		eng, rm = newChaosEngine(t, recovery.Config{DataDir: t.TempDir()})
+		eng, rm = newChaosEngine(t, recovery.Config{DataDir: t.TempDir()}, storetest.Args[string])
 	case "repl":
-		primary = startReplNodeWith(t, 4, 1, "", decodeStrArgs, decodeStrRow)
-		follower = startReplNodeWith(t, 4, 1, primary.url, decodeStrArgs, decodeStrRow)
+		primary = startReplNodeWith(t, 4, 1, "", storetest.Args[string], decodeStrRow)
+		follower = startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string], decodeStrRow)
 		eng, rm = primary.eng, primary.rm
 	default:
 		t.Fatalf("unknown mode %q", mode)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +18,9 @@ import (
 	"pstore/internal/server"
 	"pstore/internal/squall"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
+	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
 
@@ -34,17 +37,17 @@ type replNode struct {
 
 func startReplNode(t *testing.T, machines, initial int, replicaOf string) *replNode {
 	t.Helper()
-	return startReplNodeWith(t, machines, initial, replicaOf, decodeKVArgs, decodeKVRow)
+	return startReplNodeWith(t, machines, initial, replicaOf, storetest.Args[int], decodeKVRow)
 }
 
-func startReplNodeWith(t *testing.T, machines, initial int, replicaOf string, decArgs server.ArgsDecoder, decRow wire.RowDecoder) *replNode {
+func startReplNodeWith(t *testing.T, machines, initial int, replicaOf string, decArgs store.ArgsDecoder, decRow wire.RowDecoder) *replNode {
 	t.Helper()
 	return startReplNodeOn(t, machines, initial, replicaOf, decArgs, decRow, recovery.Config{DataDir: t.TempDir()}, registerKV)
 }
 
 // startReplNodeOn is startReplNodeWith over a chosen log store (a MemFS whose
 // fsyncs the test gates) and procedure set (a put the test holds open).
-func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decArgs server.ArgsDecoder, decRow wire.RowDecoder,
+func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decArgs store.ArgsDecoder, decRow wire.RowDecoder,
 	rcfg recovery.Config, register func(*store.Engine) error) *replNode {
 	t.Helper()
 	scfg := kvStoreConfig(machines, initial)
@@ -56,6 +59,9 @@ func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decA
 		t.Fatal(err)
 	}
 	if err := register(eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetArgsDecoder(decArgs); err != nil {
 		t.Fatal(err)
 	}
 	rm, err := recovery.New(eng, rcfg)
@@ -71,8 +77,7 @@ func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decA
 	}
 	url := "http://" + l.Addr().String()
 	srv, err := server.New(server.Config{
-		Engine:     eng,
-		DecodeArgs: decArgs,
+		Engine: eng,
 		Node: &server.NodeConfig{
 			ID: 0, Nodes: 1,
 			Recovery:  rm,
@@ -486,6 +491,63 @@ func TestCoordFailoverPromote(t *testing.T) {
 		v, err := getVal(t, follower.eng, fmt.Sprintf("k-%d", i))
 		if err != nil || v != i {
 			t.Fatalf("k-%d = %d (%v) after failover, want %d", i, v, err, i)
+		}
+	}
+}
+
+// TestBigRecordsReachFollower: a batch is cut by bytes as well as by count.
+// 600 records of 4 KiB are more than one wire frame holds however they are
+// counted out (512 of them make 2 MiB): the shipper sends them as several
+// batches, every one is delivered, and the follower's log ends up holding the
+// primary's frames, byte for byte.
+func TestBigRecordsReachFollower(t *testing.T) {
+	const keys = 600
+	primary := startReplNodeWith(t, 4, 1, "", storetest.Args[string], decodeStrRow)
+	follower := startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string], decodeStrRow)
+	meta := syncFollower(t, primary, follower)
+	val := func(i int) string { return fmt.Sprintf("%04d", i) + strings.Repeat("x", 4<<10) }
+	for i := 0; i < keys; i++ {
+		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := newTestShipper(t, primary, follower, meta.Cursor, 0, nil)
+	drainShipper(t, sh, follower)
+	if n := sh.Shipped(); n < 3 {
+		t.Fatalf("%d batches carried %d records of 4 KiB; one wire frame holds under 256 of them", n, keys)
+	}
+	// Both logs, read back in batches: the same command frames in the same
+	// order (a follower logs its own record of a plan change).
+	var logs [2][]byte
+	for i, n := range []struct {
+		rm  *recovery.Manager
+		cur wire.ShipCursor
+	}{{primary.rm, meta.Cursor}, {follower.rm, wire.ShipCursor{}}} {
+		for {
+			frames, next, _, err := n.rm.ReadShip(n.cur, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(frames) == 0 {
+				break
+			}
+			for _, f := range frames {
+				if r, _, err := wal.DecodeRecord(f); err != nil {
+					t.Fatal(err)
+				} else if !r.IsPlan() {
+					logs[i] = append(logs[i], f...)
+				}
+			}
+			n.cur = next
+		}
+	}
+	if len(logs[0]) < keys*(4<<10) || !bytes.Equal(logs[0], logs[1]) {
+		t.Fatalf("primary's log is %d bytes, follower's %d, and they differ", len(logs[0]), len(logs[1]))
+	}
+	// Last, because a read is logged too.
+	for i := 0; i < keys; i += 37 {
+		if got := getStr(t, follower.eng, fmt.Sprintf("k-%d", i)); got != val(i) {
+			t.Fatalf("follower k-%d = %.8s… (%d bytes), want %.8s… (%d bytes)", i, got, len(got), val(i), len(val(i)))
 		}
 	}
 }

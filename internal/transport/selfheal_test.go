@@ -14,6 +14,7 @@ import (
 	"pstore/internal/server"
 	"pstore/internal/squall"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
@@ -47,6 +48,9 @@ func startSelfHealNode(t *testing.T, cfg selfHealNodeConfig) *replNode {
 	if err := registerKV(eng); err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.SetArgsDecoder(storetest.Args[string]); err != nil {
+		t.Fatal(err)
+	}
 	rm, err := recovery.New(eng, recovery.Config{DataDir: t.TempDir(), SegmentBytes: cfg.segmentBytes})
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +64,7 @@ func startSelfHealNode(t *testing.T, cfg selfHealNodeConfig) *replNode {
 	}
 	url := "http://" + l.Addr().String()
 	srv, err := server.New(server.Config{
-		Engine:     eng,
-		DecodeArgs: decodeStrArgs,
+		Engine: eng,
 		Node: &server.NodeConfig{
 			ID: 0, Nodes: 1,
 			Recovery:                rm,
@@ -114,8 +117,8 @@ func getStr(t *testing.T, eng *store.Engine, key string) string {
 func TestZombieRejoinChain(t *testing.T) {
 	oracle := runReplChaosScript(t, "mem")
 
-	a := startReplNodeWith(t, 4, 1, "", decodeStrArgs, decodeStrRow)
-	b := startReplNodeWith(t, 4, 1, a.url, decodeStrArgs, decodeStrRow)
+	a := startReplNodeWith(t, 4, 1, "", storetest.Args[string], decodeStrRow)
+	b := startReplNodeWith(t, 4, 1, a.url, storetest.Args[string], decodeStrRow)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -224,8 +227,8 @@ func TestZombieRejoinChain(t *testing.T) {
 // follower — acked-but-lost is the one outcome synchronous commit forbids.
 // (A write the client saw fail may still land; that ambiguity is allowed.)
 func TestSyncCommitRPOZero(t *testing.T) {
-	primary := startReplNodeWith(t, 4, 1, "", decodeStrArgs, decodeStrRow)
-	follower := startReplNodeWith(t, 4, 1, primary.url, decodeStrArgs, decodeStrRow)
+	primary := startReplNodeWith(t, 4, 1, "", storetest.Args[string], decodeStrRow)
+	follower := startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string], decodeStrRow)
 	syncFollower(t, primary, follower)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

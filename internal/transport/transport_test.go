@@ -14,6 +14,7 @@ import (
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wire"
 )
@@ -42,17 +43,6 @@ func registerKVGet(eng *store.Engine) error {
 		}
 		return v, nil
 	})
-}
-
-func decodeKVArgs(txn string, raw json.RawMessage) (any, error) {
-	if len(raw) == 0 || string(raw) == "null" {
-		return nil, nil
-	}
-	var v int
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 func decodeKVRow(table string, raw json.RawMessage) (any, error) {
@@ -97,12 +87,16 @@ func loadAll(t *testing.T, engines []*store.Engine, keys int) {
 func newKVLoopback(t *testing.T, nodes, machines, initial int) *transport.Loopback {
 	t.Helper()
 	lb, err := transport.NewLoopback(transport.LoopbackConfig{
-		Nodes:      nodes,
-		Store:      kvStoreConfig(machines, initial),
-		Register:   registerKV,
-		DecodeArgs: decodeKVArgs,
-		DecodeRow:  decodeKVRow,
-		Recovery:   true,
+		Nodes: nodes,
+		Store: kvStoreConfig(machines, initial),
+		Register: func(eng *store.Engine) error {
+			if err := registerKV(eng); err != nil {
+				return err
+			}
+			return eng.SetArgsDecoder(storetest.Args[int])
+		},
+		DecodeRow: decodeKVRow,
+		Recovery:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -149,7 +149,7 @@ func verifyCrashRecovery(t *testing.T, fs *MemFS, g Geometry, k int64,
 				k, b, len(tail), len(wantTail), base)
 		}
 		for i, w := range wantTail {
-			if tail[i] != w {
+			if !sameRecord(tail[i], w) {
 				t.Fatalf("k=%d bucket %d tail[%d]: got %+v want %+v", k, b, i, tail[i], w)
 			}
 		}

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// fuzzSeedSegment builds a clean two-record segment for seeding mutations.
+// fuzzSeedSegment builds a clean three-record segment for seeding mutations.
 func fuzzSeedSegment() []byte {
-	enc := newSegEncoder()
-	out, _ := enc.encode(nil, &segRecord{Kind: recCommand, Bucket: 3, LSN: 1, Txn: "put", Key: "k", Args: 7})
-	out, _ = enc.encode(out, &segRecord{Kind: recPlan, PlanSeq: 1, Plan: []int32{0, 1}, Active: 1})
+	out, _ := appendRecord(nil, &Record{Bucket: 3, LSN: 1, Txn: "put", Key: "k", Args: 7})
+	out, _ = appendRecord(out, &Record{PlanSeq: 1, Plan: []int32{0, 1}, Active: 1})
+	out, _ = appendRecord(out, &Record{Bucket: 5, LSN: 1, Txn: "get", Key: "k"})
 	return out
 }
 
@@ -29,6 +29,18 @@ func FuzzSegmentDecode(f *testing.F) {
 	flipped[frameHeaderSize+2] ^= 0x40 // corrupt first payload
 	f.Add(flipped)
 	f.Add(append(append([]byte{}, seed...), 0xde, 0xad, 0xbe)) // garbage tail
+	// CRC-valid frames that are not records: an empty payload, an unknown
+	// kind, a plan cut inside an entry, plan sequence 0, a partition past int32,
+	// a command whose strings outrun its payload.
+	plan := func(seq, partHi byte, extra ...byte) []byte {
+		return append([]byte{kindPlan, 0, 0, 0, 0, 0, 0, 0, seq, 0, 0, 0, 1, partHi, 0, 0, 0}, extra...)
+	}
+	cmd := []byte{kindCommand, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 9, 'p', 'u', 'k'}
+	for _, payload := range [][]byte{{}, {9, 1, 2}, plan(1, 0, 7), plan(0, 0), plan(1, 0x80), cmd} {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+		f.Add(append(append([]byte{}, seed...), append(frame, payload...)...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, err := DecodeSegment(data)
@@ -82,6 +94,18 @@ func FuzzImageSetDecode(f *testing.F) {
 	binary.BigEndian.PutUint32(huge[28:32], crc32.Checksum(huge[0:28], crcTable))
 	f.Add(huge)
 	f.Add(append(append([]byte{}, seed...), 0xde, 0xad, 0xbe)) // garbage tail
+	// CRC-valid frames that are not records: an empty payload, an unknown
+	// kind, a plan cut inside an entry, plan sequence 0, a partition past int32,
+	// a command whose strings outrun its payload.
+	plan := func(seq, partHi byte, extra ...byte) []byte {
+		return append([]byte{kindPlan, 0, 0, 0, 0, 0, 0, 0, seq, 0, 0, 0, 1, partHi, 0, 0, 0}, extra...)
+	}
+	cmd := []byte{kindCommand, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 9, 'p', 'u', 'k'}
+	for _, payload := range [][]byte{{}, {9, 1, 2}, plan(1, 0, 7), plan(0, 0), plan(1, 0x80), cmd} {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+		f.Add(append(append([]byte{}, seed...), append(frame, payload...)...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames, valid, err := DecodeImageSet(data)

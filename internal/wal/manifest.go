@@ -17,8 +17,10 @@ const manifestName = "MANIFEST.json"
 // manifestVersion is the on-disk format version; a mismatch refuses to open
 // rather than misread. Version 1 kept one img/bucket-N.img file per bucket;
 // version 2 keeps a checkpoint round's images together in one image set
-// (imageset.go). A version-1 directory is refused, not converted.
-const manifestVersion = 2
+// (imageset.go) and wrote each segment as one gob stream; version 3 writes
+// segments as self-contained record frames (record.go). Older directories are
+// refused, not converted.
+const manifestVersion = 3
 
 // Geometry is the engine shape a log directory was created for. Replay is
 // only meaningful against the same bucket space, so a reopen with different
@@ -58,6 +60,9 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	if m.Version == 1 {
 		return nil, fmt.Errorf("wal: manifest version 1 is the per-bucket image layout (img/bucket-N.img), which this build neither reads nor converts: it keeps images in sets (version %d); start from a fresh data directory", manifestVersion)
+	}
+	if m.Version == 2 {
+		return nil, fmt.Errorf("wal: manifest version 2 is the gob segment layout (each seg-N.log one gob stream), which this build neither reads nor converts: it writes segments as self-contained record frames (version %d); start from a fresh data directory", manifestVersion)
 	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("wal: manifest version %d, want %d", m.Version, manifestVersion)

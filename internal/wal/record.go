@@ -1,119 +1,207 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 )
 
-// On-disk record framing. A segment is a sequence of frames:
+// Record format. A record is one self-contained frame:
 //
-//	[4B big-endian payload length][4B CRC32-C of payload][payload]
+//	[4B payload length][4B CRC32-C of payload][payload]
 //
-// where the payloads of one segment form a single gob stream (one encoder
-// per segment, so type descriptors are transmitted once, not per record).
-// Frames are the torn-tail detection unit: on open, a segment is scanned
-// frame by frame and truncated at the first frame whose length is absurd,
-// whose CRC mismatches, or whose payload the gob stream rejects — everything
-// before that point is a durable prefix, everything after is discarded.
-// Because appends are written in order and fsync preserves ordering, a
-// truncated suffix can only contain records that were never acknowledged.
+//	command payload = kind(1B) bucket(4B) lsn(8B) len(txn)(4B) len(key)(4B) txn key args
+//	plan payload    = kind(1B) planSeq(8B) active(4B) partition(4B) per bucket
+//
+// Integers are big-endian. A command's args are the rest of its payload: the
+// JSON encoding of the value the submitter passed — what a client request
+// carried on the wire — or nothing when the procedure took none.
+//
+// appendRecord is the only encoder and DecodeRecord the only decoder. A frame
+// is encoded once, when its record is enqueued, and those bytes are what the
+// segment stores, the ship tail holds, a ship batch carries and a follower
+// appends to its own segment; nothing downstream re-encodes them. Frames are
+// also the torn-tail detection unit: on open a segment is scanned frame by
+// frame and cut at the first one that is short, fails its CRC or does not
+// decode. Appends are written in order and fsync preserves ordering, so a cut
+// suffix holds only records that were never acknowledged.
 
 const (
 	// frameHeaderSize is the per-record framing overhead.
 	frameHeaderSize = 8
-	// MaxRecordBytes bounds one frame's payload; a length prefix beyond it
-	// marks the frame (and the rest of the segment) as garbage. Records are
-	// procedure inputs — a few hundred bytes — so 16 MiB is generous.
-	MaxRecordBytes = 16 << 20
+	// MaxShipRecords and MaxShipBytes bound the record frames of one ship
+	// batch: by count, and to one wire frame (1 MiB) less room for the batch
+	// header (wire asserts the fit).
+	MaxShipRecords = 512
+	MaxShipBytes   = 1<<20 - 4<<10
+	// MaxRecordBytes bounds one frame's payload, so that any record the log
+	// accepts fits a ship batch; a length prefix beyond it marks the frame
+	// (and the rest of the segment) as garbage.
+	MaxRecordBytes = MaxShipBytes - frameHeaderSize
 )
 
 // crcTable is the Castagnoli polynomial, the same choice as iSCSI/ext4.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// recKind discriminates segment records.
-type recKind uint8
-
 const (
-	// recCommand is one executed procedure's input.
-	recCommand recKind = 1
-	// recPlan is a bucket-plan change (ownership flip or active-machine
+	// kindCommand is one procedure's input.
+	kindCommand = 1
+	// kindPlan is a bucket-plan change (ownership flip or active-machine
 	// resize). PlanSeq totally orders plan records across segments and
 	// manifest rewrites.
-	recPlan recKind = 2
+	kindPlan = 2
+	// The fixed part of either payload.
+	commandHeaderSize = 1 + 4 + 8 + 4 + 4
+	planHeaderSize    = 1 + 8 + 4
 )
 
-// segRecord is the single gob-encoded payload type. Kind selects which
-// fields are meaningful; gob omits zero fields, so the union costs nothing
-// on the wire.
-type segRecord struct {
-	Kind recKind
-
-	// recCommand fields.
-	Bucket int32
-	LSN    uint64
-	Txn    string
-	Key    string
-	Args   any
-
-	// recPlan fields.
-	PlanSeq uint64
-	Plan    []int32
-	Active  int32
-}
-
-// Record is one durable command-log record: the input of one executed
-// procedure. The transaction travels by name, not by dense engine handle —
-// handles are assigned in registration order and need not survive a process
-// restart.
+// Record is one log record: a command — the input of one procedure, the
+// transaction named, not numbered, because dense engine handles need not
+// survive a restart — or, when PlanSeq > 0, a plan change.
 type Record struct {
 	Bucket int
 	LSN    uint64
 	Txn    string
 	Key    string
-	Args   any
+	// Args is the procedure's argument. Enqueue encodes it as JSON; a record
+	// read back carries that encoding as a json.RawMessage aliasing the bytes
+	// it was decoded from, or nil when the procedure took no argument.
+	Args any
+
+	PlanSeq uint64
+	Plan    []int32
+	Active  int
 }
 
-// segEncoder frames records into an in-memory buffer using one gob stream.
-type segEncoder struct {
-	enc    *gob.Encoder
-	stream bytes.Buffer // gob output; frames are cut from it per record
-}
+// IsPlan reports whether the record is a plan change.
+func (r *Record) IsPlan() bool { return r.PlanSeq > 0 }
 
-func newSegEncoder() *segEncoder {
-	e := &segEncoder{}
-	e.enc = gob.NewEncoder(&e.stream)
-	return e
-}
+// ErrRecordRefused is Enqueue's answer for a record the log cannot hold — args
+// that do not encode, or a frame no ship batch could carry. It is the outcome
+// of that record, not of the log: nothing was logged and later appends are
+// unaffected.
+var ErrRecordRefused = errors.New("wal: record refused")
 
-// encode appends one framed record to out and returns the extended slice.
-func (e *segEncoder) encode(out []byte, rec *segRecord) ([]byte, error) {
-	e.stream.Reset()
-	if err := e.enc.Encode(rec); err != nil {
-		return out, fmt.Errorf("wal: encoding record: %w", err)
+// appendRecord appends r's frame to dst and returns the extended slice.
+func appendRecord(dst []byte, r *Record) ([]byte, error) {
+	var args []byte
+	size := planHeaderSize + 4*len(r.Plan)
+	if !r.IsPlan() {
+		if r.Args != nil {
+			var err error
+			if args, err = json.Marshal(r.Args); err != nil {
+				return dst, fmt.Errorf("%w: encoding args of %q: %v", ErrRecordRefused, r.Txn, err)
+			}
+		}
+		size = commandHeaderSize + len(r.Txn) + len(r.Key) + len(args)
 	}
-	payload := e.stream.Bytes()
-	if len(payload) > MaxRecordBytes {
-		return out, fmt.Errorf("wal: record payload %d bytes exceeds max %d", len(payload), MaxRecordBytes)
+	if size > MaxRecordBytes {
+		return dst, fmt.Errorf("%w: payload of %d bytes exceeds max %d", ErrRecordRefused, size, MaxRecordBytes)
 	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	out = append(out, hdr[:]...)
-	return append(out, payload...), nil
+	start, be := len(dst), binary.BigEndian
+	dst = slices.Grow(dst, frameHeaderSize+size)
+	dst = be.AppendUint32(dst, uint32(size))
+	dst = be.AppendUint32(dst, 0) // the CRC, once the payload is in place
+	if r.IsPlan() {
+		dst = append(dst, kindPlan)
+		dst = be.AppendUint64(dst, r.PlanSeq)
+		dst = be.AppendUint32(dst, uint32(r.Active))
+		for _, p := range r.Plan {
+			dst = be.AppendUint32(dst, uint32(p))
+		}
+	} else {
+		dst = append(dst, kindCommand)
+		dst = be.AppendUint32(dst, uint32(r.Bucket))
+		dst = be.AppendUint64(dst, r.LSN)
+		dst = be.AppendUint32(dst, uint32(len(r.Txn)))
+		dst = be.AppendUint32(dst, uint32(len(r.Key)))
+		dst = append(append(append(dst, r.Txn...), r.Key...), args...)
+	}
+	be.PutUint32(dst[start+4:], crc32.Checksum(dst[start+frameHeaderSize:], crcTable))
+	return dst, nil
 }
 
-// frameReader feeds CRC-validated frame payloads to a gob decoder. The gob
-// stream is only ever advanced one whole frame at a time, so a decode error
-// can never consume bytes past the offending frame.
-type frameReader struct {
-	buf bytes.Buffer
+// frameLen returns the length of the frame at the start of data, header
+// included, from its length prefix alone: enough to step over a frame without
+// decoding it.
+func frameLen(data []byte) (int, error) {
+	if len(data) < frameHeaderSize {
+		return 0, fmt.Errorf("frame torn (%d of %d header bytes)", len(data), frameHeaderSize)
+	}
+	length := binary.BigEndian.Uint32(data[0:4])
+	if length > MaxRecordBytes {
+		return 0, fmt.Errorf("frame claims %d bytes", length)
+	}
+	if n := frameHeaderSize + int(length); n <= len(data) {
+		return n, nil
+	}
+	return 0, fmt.Errorf("frame torn (%d of %d payload bytes)", len(data)-frameHeaderSize, length)
 }
 
-func (r *frameReader) Read(p []byte) (int, error) { return r.buf.Read(p) }
+// DecodeRecord decodes the frame at the start of data and returns the record
+// with the frame's length, so data[:n] are the record's bytes and data[n:]
+// the next frame. It never panics, and never returns a record from a frame
+// whose CRC does not validate. The record's Args alias data.
+func DecodeRecord(data []byte) (r Record, n int, err error) {
+	if n, err = frameLen(data); err != nil {
+		return Record{}, 0, err
+	}
+	p, be := data[frameHeaderSize:n], binary.BigEndian
+	if crc32.Checksum(p, crcTable) != be.Uint32(data[4:8]) {
+		return Record{}, 0, errors.New("frame fails CRC")
+	}
+	// A CRC-valid payload can still be no record: every field is bounded
+	// before it is used as a length or narrowed.
+	ok := false
+	switch {
+	case len(p) >= commandHeaderSize && p[0] == kindCommand:
+		bucket := be.Uint32(p[1:])
+		txn, key := uint64(be.Uint32(p[13:])), uint64(be.Uint32(p[17:]))
+		rest := p[commandHeaderSize:]
+		if bucket > math.MaxInt32 || txn+key > uint64(len(rest)) {
+			break
+		}
+		r = Record{Bucket: int(bucket), LSN: be.Uint64(p[5:]), Txn: string(rest[:txn]), Key: string(rest[txn : txn+key])}
+		if args := rest[txn+key:]; len(args) > 0 {
+			r.Args = json.RawMessage(args)
+		}
+		ok = true
+	case len(p) >= planHeaderSize && p[0] == kindPlan && (len(p)-planHeaderSize)%4 == 0:
+		active, plan := be.Uint32(p[9:]), p[planHeaderSize:]
+		r = Record{PlanSeq: be.Uint64(p[1:]), Active: int(active), Plan: make([]int32, len(plan)/4)}
+		ok = r.PlanSeq > 0 && active <= math.MaxInt32
+		for b := range r.Plan {
+			part := be.Uint32(plan[4*b:])
+			ok = ok && part <= math.MaxInt32
+			r.Plan[b] = int32(part)
+		}
+	}
+	if !ok {
+		return Record{}, 0, errors.New("frame's payload is not a record")
+	}
+	return r, n, nil
+}
+
+// scanSegment walks a segment's bytes frame by frame, handing visit each
+// record and the offset after its frame, and stops at the first frame that is
+// torn, corrupt or not a record: valid is the length of the prefix before it,
+// and err, when non-nil, says why the scan stopped short of len(data).
+func scanSegment(data []byte, visit func(r *Record, end int64)) (valid int64, err error) {
+	for off := 0; off < len(data); {
+		r, n, err := DecodeRecord(data[off:])
+		if err != nil {
+			return int64(off), fmt.Errorf("wal: frame at %d: %w", off, err)
+		}
+		off += n
+		visit(&r, int64(off))
+	}
+	return int64(len(data)), nil
+}
 
 // DecodeSegment scans one segment's raw bytes and returns every command
 // record in its valid prefix plus the prefix's length in bytes. It never
@@ -123,59 +211,12 @@ func (r *frameReader) Read(p []byte) (int, error) { return r.buf.Read(p) }
 // valid == len(data) and a nil error. Plan records are internal bookkeeping
 // and are skipped here.
 func DecodeSegment(data []byte) (recs []Record, valid int64, err error) {
-	srs, valid, err := decodeSegRecords(data)
-	for i := range srs {
-		if srs[i].Kind == recCommand {
-			sr := &srs[i]
-			recs = append(recs, Record{Bucket: int(sr.Bucket), LSN: sr.LSN, Txn: sr.Txn, Key: sr.Key, Args: sr.Args})
+	valid, err = scanSegment(data, func(r *Record, _ int64) {
+		if !r.IsPlan() {
+			recs = append(recs, *r)
 		}
-	}
+	})
 	return recs, valid, err
-}
-
-// decodeSegRecords is the core segment scanner: it walks frames, validates
-// length and CRC, feeds payloads one whole frame at a time into the
-// segment's gob stream, and stops at the first sign of a torn or corrupt
-// frame — returning the records of the valid prefix and its byte length.
-func decodeSegRecords(data []byte) (recs []segRecord, valid int64, err error) {
-	fr := &frameReader{}
-	dec := gob.NewDecoder(fr)
-	off := int64(0)
-	for int64(len(data))-off >= frameHeaderSize {
-		length := binary.BigEndian.Uint32(data[off : off+4])
-		sum := binary.BigEndian.Uint32(data[off+4 : off+8])
-		if length > MaxRecordBytes {
-			return recs, off, fmt.Errorf("wal: frame at %d claims %d bytes", off, length)
-		}
-		end := off + frameHeaderSize + int64(length)
-		if end > int64(len(data)) {
-			return recs, off, fmt.Errorf("wal: frame at %d torn (%d of %d payload bytes)",
-				off, int64(len(data))-off-frameHeaderSize, length)
-		}
-		payload := data[off+frameHeaderSize : end]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return recs, off, fmt.Errorf("wal: frame at %d fails CRC", off)
-		}
-		fr.buf.Write(payload)
-		var sr segRecord
-		if derr := dec.Decode(&sr); derr != nil {
-			return recs, off, fmt.Errorf("wal: frame at %d fails gob decode: %w", off, derr)
-		}
-		if fr.buf.Len() != 0 {
-			// A frame must carry exactly one gob value (plus its type
-			// descriptors); leftover bytes mean the stream is out of step.
-			return recs, off, fmt.Errorf("wal: frame at %d left %d undecoded bytes", off, fr.buf.Len())
-		}
-		if sr.Kind != recCommand && sr.Kind != recPlan {
-			return recs, off, fmt.Errorf("wal: frame at %d has unknown kind %d", off, sr.Kind)
-		}
-		recs = append(recs, sr)
-		off = end
-	}
-	if off != int64(len(data)) {
-		return recs, off, fmt.Errorf("wal: %d trailing bytes after last whole frame", int64(len(data))-off)
-	}
-	return recs, off, nil
 }
 
 // readAll reads a whole file through the FS abstraction.

@@ -182,51 +182,46 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 	var cuts []cutFile
 	minDiscarded := make(map[int]uint64) // bucket -> smallest discarded LSN
 	examine := func(name string, seq, fromRec int, size int64, ackBase int64) error {
-		data, err := readAll(l.fs, filepath.Join(l.dir, name))
+		data, err := l.readExtent(name, size)
 		if err != nil {
 			return err
 		}
-		if int64(len(data)) > size {
-			data = data[:size]
-		}
-		srs, _, derr := decodeSegRecords(data)
-		if derr != nil || len(srs) < fromRec {
-			if derr == nil {
-				derr = fmt.Errorf("holds %d records, cursor wants %d", len(srs), fromRec)
+		// The prefix that stays is re-indexed, the suffix that goes is checked;
+		// off ends up as the offset the cut falls on.
+		cut := cutFile{name: name}
+		seal := segment{name: name, seq: seq, maxLSN: make(map[int]uint64), ackBase: ackBase}
+		var planErr error
+		_, derr := scanSegment(data, func(r *Record, end int64) {
+			switch {
+			case seal.recs < fromRec:
+				seal.recs, seal.size = seal.recs+1, end
+				if r.IsPlan() {
+					seal.maxPlanSeq = max(seal.maxPlanSeq, r.PlanSeq)
+				} else {
+					seal.maxLSN[r.Bucket] = max(seal.maxLSN[r.Bucket], r.LSN)
+				}
+			case r.IsPlan():
+				planErr = fmt.Errorf("%w: discarded suffix contains plan record %d", ErrNeedResync, r.PlanSeq)
+			default:
+				if cutLSN, ok := minDiscarded[r.Bucket]; !ok || r.LSN < cutLSN {
+					minDiscarded[r.Bucket] = r.LSN
+				}
+				res.DiscardedRecords++
 			}
+		})
+		if derr == nil && seal.recs < fromRec {
+			derr = fmt.Errorf("holds %d records, cursor wants %d", seal.recs, fromRec)
+		}
+		if derr != nil {
 			return fmt.Errorf("wal: truncating %s: %w", name, derr)
 		}
-		for k := fromRec; k < len(srs); k++ {
-			sr := &srs[k]
-			if sr.Kind == recPlan {
-				return fmt.Errorf("%w: discarded suffix contains plan record %d", ErrNeedResync, sr.PlanSeq)
-			}
-			b := int(sr.Bucket)
-			if cutLSN, ok := minDiscarded[b]; !ok || sr.LSN < cutLSN {
-				minDiscarded[b] = sr.LSN
-			}
-			res.DiscardedRecords++
+		if planErr != nil {
+			return planErr
 		}
-		cut := cutFile{name: name}
 		if fromRec > 0 {
-			off := frameEnd(data, fromRec)
-			cut.keep = data[:off]
-			seal := segment{name: name, seq: seq, size: off, recs: fromRec, maxLSN: make(map[int]uint64), ackBase: ackBase}
-			for k := 0; k < fromRec; k++ {
-				sr := &srs[k]
-				if sr.Kind == recPlan {
-					if sr.PlanSeq > seal.maxPlanSeq {
-						seal.maxPlanSeq = sr.PlanSeq
-					}
-				} else if b := int(sr.Bucket); sr.LSN > seal.maxLSN[b] {
-					seal.maxLSN[b] = sr.LSN
-				}
-			}
-			cut.seal = seal
-			res.DiscardedBytes += size - off
-		} else {
-			res.DiscardedBytes += size
+			cut.keep, cut.seal = data[:seal.size], seal
 		}
+		res.DiscardedBytes += size - seal.size
 		cuts = append(cuts, cut)
 		return nil
 	}

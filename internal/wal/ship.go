@@ -1,22 +1,19 @@
 package wal
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 )
 
 // WAL shipping: a primary streams its durable record stream — commands and
 // plan records alike — to a follower by cursor. A cursor addresses a point
-// in the stream as (segment sequence, records consumed within it). The most
-// recent records are kept in memory in ship form (the tail), and a cursor
-// inside the tail is served from it; segments are single gob streams, so a
-// cursor older than the tail costs a decode of its segment from byte zero
-// with the consumed prefix skipped. The byte offset rides along purely for
-// lag accounting.
+// in the stream as (segment sequence, records consumed within it). What is
+// shipped is the records' frames, byte for byte (see record.go). The most
+// recent frames are kept in memory (the tail), and a cursor inside the tail
+// is served from it; a cursor older than the tail costs a read of its segment
+// file, stepping over the consumed frames by their length prefixes. The byte
+// offset rides along purely for lag accounting.
 //
 // Retention interacts with shipping through PinShip: Checkpoint normally
 // deletes sealed segments once images cover them, which would tear the ship
@@ -30,35 +27,17 @@ import (
 // resync from a fresh snapshot.
 var ErrShipGone = errors.New("wal: shipped records compacted")
 
-// ShipCursor addresses a point in the durable record stream.
+// ShipCursor addresses a point in the durable record stream. It crosses the
+// wire as it is (wire.ShipCursor is this type).
 type ShipCursor struct {
 	// Seg is the segment sequence number (1-based; 0 means "start of log").
-	Seg int
+	Seg int `json:"seg"`
 	// Rec is how many records of the segment are already consumed.
-	Rec int
-	// Off is the byte offset after the consumed records, for lag accounting.
-	Off int64
+	Rec int `json:"rec"`
+	// Off is the byte offset after the consumed records, for lag accounting
+	// only — Seg and Rec are the authoritative position.
+	Off int64 `json:"off"`
 }
-
-// ShipRecord is one shipped record: either a command (Txn != "") or a plan
-// change (PlanSeq > 0) — the same union a segment stores.
-type ShipRecord struct {
-	// Command fields.
-	Bucket int
-	LSN    uint64
-	Txn    string
-	Key    string
-	// Args is the ship encoding of the procedure's args (see shipArgs), nil
-	// when it took none.
-	Args json.RawMessage
-	// Plan fields.
-	PlanSeq uint64
-	Plan    []int32
-	Active  int
-}
-
-// IsPlan reports whether the record is a plan change.
-func (r *ShipRecord) IsPlan() bool { return r.PlanSeq > 0 }
 
 // ShipEnd returns the cursor addressing the durable end of the log: shipping
 // from here yields nothing until new records are appended. Taken before a
@@ -143,55 +122,34 @@ func (l *Log) SetEpoch(e uint64) error {
 	return nil
 }
 
-// shipTailRecords sizes the in-memory ship tail: the most recent records the
-// log keeps in ship form so a follower that is keeping up never makes the
-// primary open a file. Records are procedure inputs (a few hundred bytes), so
-// the tail is a few megabytes at most; it holds between one and two times
-// this many records.
-const shipTailRecords = 4096
+// shipTailBytes sizes the in-memory ship tail: the most recent frames the log
+// keeps so a follower that is keeping up never makes the primary open a file.
+// The tail holds between one and two times this many bytes of them.
+const shipTailBytes = 2 << 20
 
 // tailRec is one record of the ship tail: record idx (0-based) of segment
-// seg, the byte offset after its frame within that segment, and the record
-// in ship form. Nothing in it changes after enqueue — the args were encoded
-// from the submitter's value before the procedure ran — so what a reader
-// gets is what the segment holds whatever the procedure did to its input
-// afterwards.
+// seg, the byte offset after its frame within that segment, and the frame.
+// Nothing in it changes after enqueue — the frame was encoded from the
+// submitter's value before the procedure ran — so what a reader gets is what
+// the segment holds whatever the procedure did to its input afterwards.
 type tailRec struct {
 	seg, idx int
 	end      int64
-	rec      ShipRecord
+	frame    []byte
 }
 
-// shipArgs is the ship encoding of a command's args: JSON, the
-// representation a client request used, so the follower's registered codec
-// decodes them identically. Nil args ship as no args at all.
-func shipArgs(args any) (json.RawMessage, error) {
-	if args == nil {
-		return nil, nil
-	}
-	raw, err := json.Marshal(args)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encoding args for shipping: %w", err)
-	}
-	return raw, nil
-}
-
-// shipRecordOf is a segment record in ship form; args is its args' ship
-// encoding.
-func shipRecordOf(sr *segRecord, args json.RawMessage) ShipRecord {
-	if sr.Kind == recPlan {
-		return ShipRecord{PlanSeq: sr.PlanSeq, Plan: sr.Plan, Active: int(sr.Active)}
-	}
-	return ShipRecord{Bucket: int(sr.Bucket), LSN: sr.LSN, Txn: sr.Txn, Key: sr.Key, Args: args}
-}
-
-// pushTailLocked adds the record just framed into the active segment to the
-// ship tail, dropping the oldest half once the tail holds twice its size.
+// pushTailLocked adds the frame just placed in the active segment to the
+// ship tail, dropping the oldest records once the tail holds twice its size.
 // Caller holds l.mu and has not yet counted the record in activeRecs.
-func (l *Log) pushTailLocked(rec ShipRecord) {
-	l.tail = append(l.tail, tailRec{seg: l.activeSeq, idx: l.activeRecs, end: l.activeEnc, rec: rec})
-	if len(l.tail) >= 2*l.tailCap {
-		n := copy(l.tail, l.tail[len(l.tail)-l.tailCap:])
+func (l *Log) pushTailLocked(frame []byte) {
+	l.tail = append(l.tail, tailRec{seg: l.activeSeq, idx: l.activeRecs, end: l.activeEnc, frame: frame})
+	l.tailBytes += len(frame)
+	if l.tailBytes >= 2*shipTailBytes {
+		drop := 0
+		for ; l.tailBytes > shipTailBytes; drop++ {
+			l.tailBytes -= len(l.tail[drop].frame)
+		}
+		n := copy(l.tail, l.tail[drop:])
 		clear(l.tail[n:])
 		l.tail = l.tail[:n]
 	}
@@ -201,7 +159,7 @@ func (l *Log) pushTailLocked(rec ShipRecord) {
 // deleted, and the stream restarts from the files. Caller holds l.mu.
 func (l *Log) dropTailLocked() {
 	clear(l.tail)
-	l.tail = l.tail[:0]
+	l.tail, l.tailBytes = l.tail[:0], 0
 }
 
 // shipExt is one segment's durable extent as a ship read sees it.
@@ -222,9 +180,10 @@ func (l *Log) shipExtentsLocked() []shipExt {
 	return append(exts, shipExt{l.activeSeq, l.activeName, l.activeSize, l.durableRecs})
 }
 
-// shipFetch appends records [from, to) of one segment to dst in ship form and
-// returns the byte offset after the last of them.
-type shipFetch func(dst []ShipRecord, e shipExt, from, to int) ([]ShipRecord, int64, error)
+// shipFetch appends the frames of records [from, to) of one segment to dst,
+// stopping short of the first that does not fit in room bytes, and returns
+// the byte offset after the last one it took.
+type shipFetch func(dst [][]byte, e shipExt, from, to, room int) ([][]byte, int64, error)
 
 // errTailMiss is tailFetchLocked's answer for records older than the tail.
 var errTailMiss = errors.New("wal: ship cursor is older than the in-memory tail")
@@ -232,55 +191,60 @@ var errTailMiss = errors.New("wal: ship cursor is older than the in-memory tail"
 // tailFetchLocked serves a segment's records from the ship tail. The tail is
 // contiguous up to the last enqueued record, so it holds either all of
 // [from, to) or not its first record. Caller holds l.mu.
-func (l *Log) tailFetchLocked(dst []ShipRecord, e shipExt, from, to int) ([]ShipRecord, int64, error) {
+func (l *Log) tailFetchLocked(dst [][]byte, e shipExt, from, to, room int) ([][]byte, int64, error) {
 	i := sort.Search(len(l.tail), func(k int) bool {
 		t := &l.tail[k]
 		return t.seg > e.seq || (t.seg == e.seq && t.idx >= from)
 	})
-	last := i + (to - from) - 1
-	if last >= len(l.tail) || l.tail[i].seg != e.seq || l.tail[i].idx != from {
+	if i+(to-from) > len(l.tail) || l.tail[i].seg != e.seq || l.tail[i].idx != from {
 		return dst, 0, errTailMiss
 	}
-	for k := i; k <= last; k++ {
-		dst = append(dst, l.tail[k].rec)
+	var end int64
+	for _, t := range l.tail[i : i+(to-from)] {
+		if room -= len(t.frame); room < 0 {
+			break
+		}
+		dst, end = append(dst, t.frame), t.end
 	}
-	return dst, l.tail[last].end, nil
+	return dst, end, nil
 }
 
-// fileFetch serves a segment's records from its file. A segment is one gob
-// stream, so this decodes it from byte zero whatever the range: the cost the
-// tail exists to keep off the steady-state path.
-func (l *Log) fileFetch(dst []ShipRecord, e shipExt, from, to int) ([]ShipRecord, int64, error) {
-	data, err := readAll(l.fs, filepath.Join(l.dir, e.name))
+// fileFetch serves a segment's records from its file: it steps over the first
+// from frames by their length prefixes, decoding none of them, and validates
+// the ones it hands out.
+func (l *Log) fileFetch(dst [][]byte, e shipExt, from, to, room int) ([][]byte, int64, error) {
+	data, err := l.readExtent(e.name, e.size)
 	if err != nil {
 		return dst, 0, err
 	}
-	if int64(len(data)) > e.size {
-		data = data[:e.size] // ignore bytes synced after the snapshot
-	}
-	srs, _, derr := decodeSegRecords(data)
-	if len(srs) < e.recs {
-		// The snapshotted durable extent must decode cleanly.
-		if derr == nil {
-			derr = fmt.Errorf("holds %d records, expected %d", len(srs), e.recs)
+	off := 0
+	for k := 0; k < to; k++ {
+		n, err := frameLen(data[off:])
+		if err == nil && k >= from {
+			_, _, err = DecodeRecord(data[off : off+n])
 		}
-		return dst, 0, fmt.Errorf("wal: ship read of %s: %w", e.name, derr)
-	}
-	for k := from; k < to; k++ {
-		args, err := shipArgs(srs[k].Args)
 		if err != nil {
-			return dst, 0, err
+			// The snapshotted durable extent holds e.recs whole records.
+			return dst, 0, fmt.Errorf("wal: ship read of %s: record %d of %d at %d: %w", e.name, k, e.recs, off, err)
 		}
-		dst = append(dst, shipRecordOf(&srs[k], args))
+		if k >= from {
+			if room -= n; room < 0 {
+				break
+			}
+			dst = append(dst, data[off:off+n])
+		}
+		off += n
 	}
-	return dst, frameEnd(data, to), nil
+	return dst, int64(off), nil
 }
 
 // walkShip is the one cursor walk behind ReadShip: from cur, across segment
-// boundaries, up to maxRecords records or the durable end of exts, taking
-// each segment's records from fetch. Whatever fetch reads from, the batch
-// boundaries and the returned cursor are the same.
-func walkShip(exts []shipExt, cur ShipCursor, maxRecords int, fetch shipFetch) ([]ShipRecord, ShipCursor, error) {
+// boundaries, until the batch holds maxRecords records or MaxShipBytes bytes
+// or reaches the durable end of exts, taking each segment's frames from fetch.
+// Whatever fetch reads from, the batch boundaries and the returned cursor are
+// the same. Every frame fits an empty batch, so a batch short of the durable
+// end is never empty.
+func walkShip(exts []shipExt, cur ShipCursor, maxRecords int, fetch shipFetch) ([][]byte, ShipCursor, error) {
 	if cur.Seg == 0 {
 		cur = ShipCursor{Seg: exts[0].seq}
 	}
@@ -294,20 +258,27 @@ func walkShip(exts []shipExt, cur ShipCursor, maxRecords int, fetch shipFetch) (
 	if i < 0 {
 		return nil, cur, fmt.Errorf("%w: segment %d is not retained", ErrShipGone, cur.Seg)
 	}
-	var out []ShipRecord
+	var out [][]byte
+	room := MaxShipBytes
 	for ; i < len(exts); i++ {
 		e := exts[i]
 		if cur.Rec > e.recs {
 			return nil, cur, fmt.Errorf("wal: ship cursor %d records into segment %d, which holds %d", cur.Rec, e.seq, e.recs)
 		}
 		if cur.Rec < e.recs {
-			end := min(e.recs, cur.Rec+maxRecords-len(out))
-			var err error
-			if out, cur.Off, err = fetch(out, e, cur.Rec, end); err != nil {
+			to := min(e.recs, cur.Rec+maxRecords-len(out))
+			got, off, err := fetch(out, e, cur.Rec, to, room)
+			if err != nil {
 				return nil, cur, err
 			}
-			cur.Rec = end
-			if len(out) >= maxRecords {
+			if n := len(got) - len(out); n > 0 {
+				cur.Rec, cur.Off = cur.Rec+n, off
+			}
+			for _, f := range got[len(out):] {
+				room -= len(f)
+			}
+			out = got
+			if len(out) >= maxRecords || cur.Rec < to {
 				break
 			}
 		}
@@ -323,22 +294,24 @@ func walkShip(exts []shipExt, cur ShipCursor, maxRecords int, fetch shipFetch) (
 	return out, cur, nil
 }
 
-// ReadShip returns up to maxRecords durable records beyond the cursor, in
-// log order, and the cursor addressing the position after them. A cursor
+// ReadShip returns the frames of up to maxRecords durable records beyond the
+// cursor — one ship batch, so never more than MaxShipRecords (which is also
+// what maxRecords <= 0 asks for) or MaxShipBytes — in log order, and the cursor addressing the position after them. A cursor
 // inside the in-memory tail — any follower that is keeping up — is answered
 // from it under the lock, with no file opened and nothing decoded. An older
 // cursor (a restart, a rewind after a gap ack, a follower far behind) falls
 // back to the segment files: like LoadTails it reads them outside the lock,
 // against the durable extent snapshotted under it, so it never blocks the
-// append path for the duration of the I/O.
+// append path for the duration of the I/O. The frames are the log's own
+// bytes: the caller must not change them.
 //
 // An empty result with a nil error means the cursor is caught up, and comes
 // with a channel that is closed once the durable extent has grown. The
 // channel is taken under the same lock as the extent, so a record made
 // durable between the read and the wait is never slept through.
-func (l *Log) ReadShip(cur ShipCursor, maxRecords int) ([]ShipRecord, ShipCursor, <-chan struct{}, error) {
-	if maxRecords <= 0 {
-		maxRecords = 512
+func (l *Log) ReadShip(cur ShipCursor, maxRecords int) ([][]byte, ShipCursor, <-chan struct{}, error) {
+	if maxRecords <= 0 || maxRecords > MaxShipRecords {
+		maxRecords = MaxShipRecords
 	}
 	l.mu.Lock()
 	if l.err != nil {
@@ -382,16 +355,4 @@ func (l *Log) wakeShipLocked() {
 		close(l.wake)
 		l.wake = nil
 	}
-}
-
-// frameEnd returns the byte offset after the first n frames of a segment.
-// The caller has already decoded at least n records, so the headers are
-// known-valid.
-func frameEnd(data []byte, n int) int64 {
-	off := int64(0)
-	for k := 0; k < n; k++ {
-		length := binary.BigEndian.Uint32(data[off : off+4])
-		off += frameHeaderSize + int64(length)
-	}
-	return off
 }

@@ -1,9 +1,24 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
+
+// decodeFrames is what a follower does with the frames ReadShip hands out.
+func decodeFrames(t testing.TB, frames [][]byte) []Record {
+	t.Helper()
+	recs := make([]Record, len(frames))
+	for i, f := range frames {
+		r, n, err := DecodeRecord(f)
+		if err != nil || n != len(f) {
+			t.Fatalf("shipped frame %d: decoded %d of %d bytes, err %v", i, n, len(f), err)
+		}
+		recs[i] = r
+	}
+	return recs
+}
 
 // TestReadShipStreamsWholeLog pins the core shipping contract: reading from
 // the zero cursor in bounded chunks yields every durable record in log
@@ -42,7 +57,7 @@ func TestReadShipStreamsWholeLog(t *testing.T) {
 		t.Fatal("test needs rotations; none happened")
 	}
 
-	var got []ShipRecord
+	var got []Record
 	cur := ShipCursor{}
 	for {
 		recs, next, _, err := l.ReadShip(cur, 37) // odd chunk size: land mid-segment
@@ -52,7 +67,7 @@ func TestReadShipStreamsWholeLog(t *testing.T) {
 		if len(recs) == 0 {
 			break
 		}
-		got = append(got, recs...)
+		got = append(got, decodeFrames(t, recs)...)
 		cur = next
 	}
 	if len(got) != len(wants) {
@@ -108,8 +123,8 @@ func TestReadShipResumesMidSegment(t *testing.T) {
 		t.Fatalf("split read %d+%d records != full %d", len(head), len(tail), len(full))
 	}
 	for i, r := range append(head, tail...) {
-		if r.LSN != full[i].LSN {
-			t.Fatalf("record %d: split LSN %d != full %d", i, r.LSN, full[i].LSN)
+		if !bytes.Equal(r, full[i]) {
+			t.Fatalf("record %d: split read shipped %x, full read %x", i, r, full[i])
 		}
 	}
 }

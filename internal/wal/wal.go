@@ -24,7 +24,6 @@
 package wal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -69,8 +68,8 @@ type Stats struct {
 	// TornBytes is how many bytes the last Open truncated from a torn tail.
 	TornBytes int64
 	// ShipTailReads and ShipFileReads count the ReadShip calls that returned
-	// records, by where the records came from: the in-memory tail, or a
-	// decode of the segment files. A follower that keeps up is served from
+	// records, by where the records came from: the in-memory tail, or the
+	// segment files. A follower that keeps up is served from
 	// the tail; file reads after its first batch mean the tail is too small
 	// for its lag or was dropped by a truncation. ShipEmptyReads counts the
 	// calls that found the cursor caught up — one per wake-up for a shipper
@@ -135,9 +134,7 @@ type Log struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// enc frames records for the active segment (one gob stream per
-	// segment); buf accumulates framed-but-not-yet-durable bytes.
-	enc *segEncoder
+	// buf accumulates framed-but-not-yet-durable bytes.
 	buf []byte
 	// appendSeq numbers encoded records (a record's number is its commit
 	// ticket); syncedSeq is the largest sequence made durable. Wait blocks
@@ -180,13 +177,14 @@ type Log struct {
 	epoch   uint64
 	shipPin int
 
-	// tail is the in-memory ship tail: the last tailCap to 2*tailCap enqueued
-	// records in ship form, contiguous up to the newest, addressed by ship
-	// cursor. wake, when non-nil, is the channel a caught-up ReadShip handed
-	// out; the next group-commit leader closes it.
-	tail    []tailRec
-	tailCap int
-	wake    chan struct{}
+	// tail is the in-memory ship tail: the frames of the last shipTailBytes to
+	// 2*shipTailBytes (tailBytes counts them) enqueued records, contiguous up
+	// to the newest, addressed by ship cursor. wake, when non-nil, is the
+	// channel a caught-up ReadShip handed out; the next group-commit leader
+	// closes it.
+	tail      []tailRec
+	tailBytes int
+	wake      chan struct{}
 
 	// Synchronous commit: when armed, Wait also blocks until the follower's
 	// acknowledged cursor covers the record (remoteAckSeq, in append-sequence
@@ -226,7 +224,7 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
-	l := &Log{cfg: cfg, fs: cfg.FS, dir: cfg.Dir, tailCap: shipTailRecords,
+	l := &Log{cfg: cfg, fs: cfg.FS, dir: cfg.Dir,
 		images: make(map[int]imageRef), setLive: make(map[int]int)}
 	if l.fs == nil {
 		l.fs = OSFS{}
@@ -316,7 +314,44 @@ func (l *Log) recover() (*Recovered, error) {
 		if err != nil {
 			return nil, err
 		}
-		srs, valid, derr := decodeSegRecords(data)
+		seg := segment{name: segName(seq), seq: seq, maxLSN: make(map[int]uint64), ackBase: -1}
+		var rangeErr error
+		valid, derr := scanSegment(data, func(r *Record, _ int64) {
+			seg.recs++
+			if r.IsPlan() {
+				if r.PlanSeq > seg.maxPlanSeq {
+					seg.maxPlanSeq = r.PlanSeq
+				}
+				if r.PlanSeq > l.planSeq {
+					l.planSeq = r.PlanSeq
+					l.lastPlan, l.lastActive = r.Plan, r.Active
+					rec.Plan, rec.Active, rec.PlanSeq = r.Plan, r.Active, r.PlanSeq
+				}
+				return
+			}
+			b := r.Bucket
+			if b >= l.cfg.Geometry.Buckets {
+				rangeErr = fmt.Errorf("wal: segment %s names bucket %d out of range", path, b)
+				return
+			}
+			if r.LSN > seg.maxLSN[b] {
+				seg.maxLSN[b] = r.LSN
+			}
+			br := rec.Buckets[b]
+			if br == nil {
+				br = &BucketRecovery{}
+				rec.Buckets[b] = br
+			}
+			if r.LSN > br.Head {
+				br.Head = r.LSN
+			}
+			if r.LSN > br.Base {
+				br.Tail = append(br.Tail, *r)
+			}
+		})
+		if rangeErr != nil {
+			return nil, rangeErr
+		}
 		if derr != nil {
 			if i != len(seqs)-1 {
 				// Only the final segment may have a torn tail; damage in the
@@ -330,44 +365,8 @@ func (l *Log) recover() (*Recovered, error) {
 			}
 			l.tornBytes = int64(len(data)) - valid
 			rec.TornBytes = l.tornBytes
-			data = data[:valid]
 		}
-		seg := segment{name: segName(seq), seq: seq, size: int64(len(data)), recs: len(srs), maxLSN: make(map[int]uint64), ackBase: -1}
-		for i := range srs {
-			sr := &srs[i]
-			switch sr.Kind {
-			case recPlan:
-				if sr.PlanSeq > seg.maxPlanSeq {
-					seg.maxPlanSeq = sr.PlanSeq
-				}
-				if sr.PlanSeq > l.planSeq {
-					l.planSeq = sr.PlanSeq
-					l.lastPlan, l.lastActive = sr.Plan, int(sr.Active)
-					rec.Plan, rec.Active, rec.PlanSeq = sr.Plan, int(sr.Active), sr.PlanSeq
-				}
-			case recCommand:
-				b := int(sr.Bucket)
-				if b < 0 || b >= l.cfg.Geometry.Buckets {
-					return nil, fmt.Errorf("wal: segment %s names bucket %d out of range", path, b)
-				}
-				if sr.LSN > seg.maxLSN[b] {
-					seg.maxLSN[b] = sr.LSN
-				}
-				br := rec.Buckets[b]
-				if br == nil {
-					br = &BucketRecovery{}
-					rec.Buckets[b] = br
-				}
-				if sr.LSN > br.Head {
-					br.Head = sr.LSN
-				}
-				if sr.LSN > br.Base {
-					br.Tail = append(br.Tail, Record{
-						Bucket: b, LSN: sr.LSN, Txn: sr.Txn, Key: sr.Key, Args: sr.Args,
-					})
-				}
-			}
-		}
+		seg.size = valid
 		l.segs = append(l.segs, seg)
 		rec.SegmentBytes += seg.size
 		l.activeSeq = seq
@@ -376,8 +375,9 @@ func (l *Log) recover() (*Recovered, error) {
 	return rec, nil
 }
 
-// openActive starts a fresh segment for appends. Appends never extend an
-// old segment: its gob stream ended with the process that wrote it.
+// openActive starts a fresh segment for appends. Appends never extend a
+// recovered segment: none of its records were enqueued in this life, which is
+// what its ackBase of -1 says of the whole segment.
 func (l *Log) openActive() error {
 	l.activeSeq++
 	l.activeName = segName(l.activeSeq)
@@ -393,7 +393,6 @@ func (l *Log) openActive() error {
 	l.activeMax = make(map[int]uint64)
 	l.activePlan = 0
 	l.activeAckBase = l.appendSeq
-	l.enc = newSegEncoder()
 	return nil
 }
 
@@ -420,21 +419,39 @@ func (l *Log) Append(r Record) error {
 // waiting to someone else. The record is not durable, and nobody may be told
 // it committed, until Wait on the ticket returns nil.
 //
-// Both encodings of r.Args — gob for the segment, the ship encoding for the
-// in-memory tail — are taken here, so the record is the value the caller
-// passed whatever happens to that value afterwards.
+// The record is encoded here, once and before the lock is taken, so it is the
+// value the caller passed whatever happens to that value afterwards.
 func (l *Log) Enqueue(r Record) (uint64, error) {
 	if r.Bucket < 0 || r.Bucket >= l.cfg.Geometry.Buckets {
 		return 0, fmt.Errorf("wal: append to bucket %d out of range", r.Bucket)
 	}
-	args, err := shipArgs(r.Args)
+	r.PlanSeq = 0 // a command, whatever else the caller filled in
+	frame, err := appendRecord(nil, &r)
 	if err != nil {
 		return 0, err
 	}
-	return l.enqueue(&segRecord{
-		Kind: recCommand, Bucket: int32(r.Bucket), LSN: r.LSN,
-		Txn: r.Txn, Key: r.Key, Args: r.Args,
-	}, args)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.enqueueLocked(frame, &r)
+}
+
+// EnqueueFrame is Enqueue for a command that arrives encoded — a record a
+// primary shipped. The frame is decoded for the log's own bookkeeping (one
+// that is not exactly a command record of this log's bucket space is refused)
+// and those bytes are what the segment gets, so the follower's copy of the
+// record is the primary's. It returns the record the frame carried.
+func (l *Log) EnqueueFrame(frame []byte) (Record, uint64, error) {
+	r, n, err := DecodeRecord(frame)
+	if err == nil && (n != len(frame) || r.IsPlan() || r.Bucket >= l.cfg.Geometry.Buckets) {
+		err = fmt.Errorf("not one command record of %d buckets", l.cfg.Geometry.Buckets)
+	}
+	if err != nil {
+		return r, 0, fmt.Errorf("wal: refusing shipped frame: %w", err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seq, err := l.enqueueLocked(frame, &r)
+	return r, seq, err
 }
 
 // LogPlan makes a bucket-plan change durable: the full plan and active
@@ -443,30 +460,34 @@ func (l *Log) LogPlan(plan []int32, active int) error {
 	if len(plan) != l.cfg.Geometry.Buckets {
 		return fmt.Errorf("wal: plan covers %d buckets, want %d", len(plan), l.cfg.Geometry.Buckets)
 	}
-	p := make([]int32, len(plan))
-	copy(p, plan)
-	seq, err := l.enqueue(&segRecord{Kind: recPlan, Plan: p, Active: int32(active)}, nil)
+	l.mu.Lock()
+	r := Record{PlanSeq: l.planSeq + 1, Plan: append([]int32(nil), plan...), Active: active}
+	frame, err := appendRecord(nil, &r)
+	var seq uint64
+	if err == nil {
+		seq, err = l.enqueueLocked(frame, &r)
+	}
+	l.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	return l.Wait(seq)
 }
 
-// enqueue encodes one record into the group-commit buffer and returns its
-// append sequence — the ticket Wait takes. It never blocks on I/O except to
-// rotate a full segment, which happens only with nothing buffered. args is the
-// ship encoding of a command's args.
-func (l *Log) enqueue(sr *segRecord, args json.RawMessage) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// enqueueLocked places r's frame in the group-commit buffer and on the ship
+// tail and returns its append sequence — the ticket Wait takes. It never
+// blocks on I/O except to rotate a full segment, which happens only with
+// nothing buffered. Caller holds l.mu.
+func (l *Log) enqueueLocked(frame []byte, r *Record) (uint64, error) {
 	if l.err != nil {
 		return 0, l.err
 	}
 	if l.closed {
 		return 0, errClosed
 	}
-	// Rotate between batches: only when nothing is buffered or in flight,
-	// so a segment's gob stream is never split across files.
+	// Rotate between batches: only when nothing is buffered or in flight. What
+	// is buffered was counted into the active segment, and the leader of a sync
+	// in flight is writing to its file.
 	if l.activeSize >= l.cfg.SegmentBytes && len(l.buf) == 0 && !l.syncing {
 		if err := l.rotateLocked(); err != nil {
 			l.err = err
@@ -474,28 +495,16 @@ func (l *Log) enqueue(sr *segRecord, args json.RawMessage) (uint64, error) {
 			return 0, err
 		}
 	}
-	if sr.Kind == recPlan {
-		l.planSeq++
-		sr.PlanSeq = l.planSeq
-		l.lastPlan, l.lastActive = sr.Plan, int(sr.Active)
-		if sr.PlanSeq > l.activePlan {
-			l.activePlan = sr.PlanSeq
-		}
-	} else {
-		if lsn := sr.LSN; lsn > l.activeMax[int(sr.Bucket)] {
-			l.activeMax[int(sr.Bucket)] = lsn
-		}
+	if r.IsPlan() {
+		l.planSeq = r.PlanSeq
+		l.lastPlan, l.lastActive = r.Plan, r.Active
+		l.activePlan = r.PlanSeq
+	} else if r.LSN > l.activeMax[r.Bucket] {
+		l.activeMax[r.Bucket] = r.LSN
 	}
-	buffered := len(l.buf)
-	var err error
-	l.buf, err = l.enc.encode(l.buf, sr)
-	if err != nil {
-		l.err = err
-		l.cond.Broadcast()
-		return 0, err
-	}
-	l.activeEnc += int64(len(l.buf) - buffered)
-	l.pushTailLocked(shipRecordOf(sr, args))
+	l.buf = append(l.buf, frame...)
+	l.activeEnc += int64(len(frame))
+	l.pushTailLocked(frame)
 	l.appendSeq++
 	l.activeRecs++
 	l.appends.Add(1)
@@ -607,15 +616,7 @@ func (l *Log) LoadTails(buckets []int) (map[int][]Record, error) {
 		l.mu.Unlock()
 		return nil, err
 	}
-	type ext struct {
-		name string
-		size int64
-	}
-	exts := make([]ext, 0, len(l.segs)+1)
-	for _, s := range l.segs {
-		exts = append(exts, ext{s.name, s.size})
-	}
-	exts = append(exts, ext{l.activeName, l.activeSize})
+	exts := l.shipExtentsLocked()
 	bases := make(map[int]uint64, len(want))
 	for b := range want {
 		bases[b] = l.baseLocked(b)
@@ -627,32 +628,31 @@ func (l *Log) LoadTails(buckets []int) (map[int][]Record, error) {
 		if e.size == 0 {
 			continue
 		}
-		data, err := readAll(l.fs, filepath.Join(l.dir, e.name))
+		data, err := l.readExtent(e.name, e.size)
 		if err != nil {
 			return nil, err
 		}
-		if int64(len(data)) > e.size {
-			data = data[:e.size] // ignore bytes synced after the snapshot
-		}
-		srs, _, derr := decodeSegRecords(data)
-		if derr != nil && int64(len(data)) == e.size {
+		if _, derr := scanSegment(data, func(r *Record, _ int64) {
+			if b := r.Bucket; !r.IsPlan() && want[b] && r.LSN > bases[b] {
+				out[b] = append(out[b], *r)
+			}
+		}); derr != nil && int64(len(data)) == e.size {
 			// The durable extent must decode cleanly; a scan error inside it
 			// is corruption.
 			return nil, fmt.Errorf("wal: segment %s: %w", e.name, derr)
 		}
-		for i := range srs {
-			sr := &srs[i]
-			if sr.Kind != recCommand || !want[int(sr.Bucket)] {
-				continue
-			}
-			if sr.LSN <= bases[int(sr.Bucket)] {
-				continue
-			}
-			b := int(sr.Bucket)
-			out[b] = append(out[b], Record{Bucket: b, LSN: sr.LSN, Txn: sr.Txn, Key: sr.Key, Args: sr.Args})
-		}
 	}
 	return out, nil
+}
+
+// readExtent reads a segment file up to size, its durable extent as it was
+// snapshotted under the lock: bytes synced since are ignored.
+func (l *Log) readExtent(name string, size int64) ([]byte, error) {
+	data, err := readAll(l.fs, filepath.Join(l.dir, name))
+	if err == nil && int64(len(data)) > size {
+		data = data[:size]
+	}
+	return data, err
 }
 
 // Checkpoint folds the current plan into the manifest and deletes every

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+
+	"pstore/internal/wal"
 )
 
 // This file is the replication vocabulary: the messages a primary node and
@@ -48,49 +51,32 @@ const CodeFenced = "fenced"
 // ErrFenced is the client-side sentinel for CodeFenced.
 var ErrFenced = errors.New("wire: fenced: stale replication epoch")
 
-// MaxShipRecords bounds one ship batch. Records are procedure inputs (a few
-// hundred bytes), so this keeps a batch frame comfortably under MaxFrame.
-const MaxShipRecords = 512
+// maxShipHeader is what a batch frame has left for the header once it holds
+// a batch's worth of record frames.
+const (
+	maxShipHeader = MaxFrame - 4 - wal.MaxShipBytes
+	_             = uint(maxShipHeader - 1<<10) // a header is a few hundred bytes
+)
 
-// ShipCursor addresses a point in the primary's WAL: segment sequence,
-// records consumed within the segment, and the byte offset after them (lag
-// accounting only — Seg/Rec are the authoritative position).
-type ShipCursor struct {
-	Seg int   `json:"seg"`
-	Rec int   `json:"rec"`
-	Off int64 `json:"off"`
-}
-
-// ShipRecord is one replicated WAL record: a command (Txn != "") or a plan
-// change (PlanSeq > 0). Command args travel as raw JSON and are decoded
-// follower-side by the workload's registered args codec, exactly like a
-// client Request.
-type ShipRecord struct {
-	Bucket int             `json:"bucket,omitempty"`
-	LSN    uint64          `json:"lsn,omitempty"`
-	Txn    string          `json:"txn,omitempty"`
-	Key    string          `json:"key,omitempty"`
-	Args   json.RawMessage `json:"args,omitempty"`
-
-	PlanSeq uint64  `json:"plan_seq,omitempty"`
-	Plan    []int32 `json:"plan,omitempty"`
-	Active  int     `json:"active,omitempty"`
-}
-
-// IsPlan reports whether the record is a plan change.
-func (r *ShipRecord) IsPlan() bool { return r.PlanSeq > 0 }
+// ShipCursor addresses a point in the primary's WAL.
+type ShipCursor = wal.ShipCursor
 
 // ShipBatch is one shipped slice of the primary's WAL: the records between
 // the From and Next cursors, stamped with the primary's fencing epoch and
 // baseline. Seq is the batch ordinal since sync — the fault injector's
-// deterministic key.
+// deterministic key. On the wire a batch is one frame holding a 4-byte
+// big-endian header length, the header (these fields, as JSON) and then the
+// record frames end to end, exactly as the primary's segment holds them.
 type ShipBatch struct {
-	Epoch    uint64       `json:"epoch"`
-	Baseline uint64       `json:"baseline"`
-	Seq      uint64       `json:"seq"`
-	From     ShipCursor   `json:"from"`
-	Next     ShipCursor   `json:"next"`
-	Records  []ShipRecord `json:"records,omitempty"`
+	Epoch    uint64     `json:"epoch"`
+	Baseline uint64     `json:"baseline"`
+	Seq      uint64     `json:"seq"`
+	From     ShipCursor `json:"from"`
+	Next     ShipCursor `json:"next"`
+	// Frames are the record frames, one per record. Records, filled in by
+	// DecodeShipBatch, is what wal.DecodeRecord read from each.
+	Frames  [][]byte     `json:"-"`
+	Records []wal.Record `json:"-"`
 }
 
 // ShipAck is the follower's reply to a batch. Received is its authoritative
@@ -198,8 +184,8 @@ type ReplStatus struct {
 	// predecessor: truncate to Rejoin.Cursor and resume shipping from there.
 	Rejoin *ReplRejoin `json:"rejoin,omitempty"`
 	// ShipTailReads and ShipFileReads count the batches this node's WAL
-	// handed its shipper, by source: its in-memory tail, or a decode of the
-	// segment files. File reads that keep growing on a primary whose
+	// handed its shipper, by source: its in-memory tail, or the segment
+	// files. File reads that keep growing on a primary whose
 	// follower is caught up mean the tail is too small or was invalidated.
 	ShipTailReads int64 `json:"ship_tail_reads,omitempty"`
 	ShipFileReads int64 `json:"ship_file_reads,omitempty"`
@@ -213,9 +199,14 @@ type NodePeer struct {
 
 // WriteShipBatch writes a batch as one frame.
 func WriteShipBatch(w io.Writer, b *ShipBatch) error {
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("wire: encoding ship batch: %w", err)
+	hdr, err := json.Marshal(b)
+	if err != nil || len(hdr) > maxShipHeader {
+		return fmt.Errorf("wire: encoding ship batch header (%d bytes): %v", len(hdr), err)
+	}
+	payload := binary.BigEndian.AppendUint32(nil, uint32(len(hdr)))
+	payload = append(payload, hdr...)
+	for _, f := range b.Frames {
+		payload = append(payload, f...)
 	}
 	return WriteFrame(w, payload)
 }
@@ -234,13 +225,20 @@ func ReadShipBatch(r io.Reader) (*ShipBatch, error) {
 // DecodeShipBatch decodes and validates a ship-batch frame's payload — the
 // second half of ReadShipBatch, for a receiver that takes the frame off the
 // connection first and decodes it once it has somewhere to put the records.
+// Every record frame goes through wal.DecodeRecord, so a record the receiver
+// sees passed its CRC; Frames and the records' args alias payload.
 func DecodeShipBatch(payload []byte) (*ShipBatch, error) {
-	var b ShipBatch
-	if err := json.Unmarshal(payload, &b); err != nil {
-		return nil, fmt.Errorf("wire: decoding ship batch: %w", err)
+	if len(payload) < 4 {
+		return nil, errors.New("wire: ship batch is shorter than its header length")
 	}
-	if len(b.Records) > MaxShipRecords {
-		return nil, fmt.Errorf("wire: ship batch carries %d records, max %d", len(b.Records), MaxShipRecords)
+	hlen := uint64(binary.BigEndian.Uint32(payload))
+	if hlen > uint64(min(len(payload)-4, maxShipHeader)) {
+		return nil, fmt.Errorf("wire: ship batch claims a %d-byte header", hlen)
+	}
+	hdr, rest := payload[4:4+hlen], payload[4+hlen:]
+	var b ShipBatch
+	if err := json.Unmarshal(hdr, &b); err != nil {
+		return nil, fmt.Errorf("wire: decoding ship batch: %w", err)
 	}
 	if err := validCursor(b.From); err != nil {
 		return nil, fmt.Errorf("wire: ship batch from-cursor: %w", err)
@@ -248,23 +246,16 @@ func DecodeShipBatch(payload []byte) (*ShipBatch, error) {
 	if err := validCursor(b.Next); err != nil {
 		return nil, fmt.Errorf("wire: ship batch next-cursor: %w", err)
 	}
-	for i := range b.Records {
-		rec := &b.Records[i]
-		switch {
-		case rec.IsPlan():
-			if rec.Txn != "" || rec.LSN != 0 {
-				return nil, fmt.Errorf("wire: ship record %d mixes plan and command fields", i)
-			}
-			if rec.Active < 0 {
-				return nil, fmt.Errorf("wire: ship record %d has negative active count", i)
-			}
-		case rec.Txn != "":
-			if rec.Bucket < 0 || rec.LSN == 0 {
-				return nil, fmt.Errorf("wire: ship record %d has bucket %d lsn %d", i, rec.Bucket, rec.LSN)
-			}
-		default:
-			return nil, fmt.Errorf("wire: ship record %d is neither command nor plan", i)
+	for len(rest) > 0 {
+		if len(b.Records) == wal.MaxShipRecords {
+			return nil, fmt.Errorf("wire: ship batch carries more than %d records", wal.MaxShipRecords)
 		}
+		rec, n, err := wal.DecodeRecord(rest)
+		if err != nil {
+			return nil, fmt.Errorf("wire: ship record %d: %w", len(b.Records), err)
+		}
+		b.Frames, b.Records = append(b.Frames, rest[:n]), append(b.Records, rec)
+		rest = rest[n:]
 	}
 	return &b, nil
 }

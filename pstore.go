@@ -45,7 +45,6 @@ package pstore
 
 import (
 	"context"
-	"encoding/json"
 	"time"
 
 	"pstore/internal/b2w"
@@ -327,7 +326,9 @@ func SyntheticWikipediaGerman(seed int64, days int) (Series, error) {
 	return workload.SyntheticWikipedia(workload.GermanWikipediaConfig(seed, days))
 }
 
-// RegisterB2W installs the benchmark's nineteen stored procedures.
+// RegisterB2W installs the benchmark's nineteen stored procedures and the
+// decoder of their arguments (Engine.SetArgsDecoder), which a Server and a
+// durable store's replay both use.
 func RegisterB2W(eng *Engine) error { return b2w.Register(eng) }
 
 // B2WLoadSpec sizes the benchmark database.
@@ -387,12 +388,6 @@ func NewClient(cfg ClientConfig) (*Client, error) { return client.New(cfg) }
 // ErrClientSaturated is returned when the client's in-flight cap sheds a
 // submission locally; it matches store.ErrOverload under errors.Is.
 var ErrClientSaturated = client.ErrSaturated
-
-// B2WDecodeArgs is the wire codec for the benchmark's transactions — the
-// ServerConfig.DecodeArgs for an engine registered with RegisterB2W.
-func B2WDecodeArgs(txn string, raw json.RawMessage) (any, error) {
-	return b2w.DecodeArgs(txn, raw)
-}
 
 // --- measurement ------------------------------------------------------------
 

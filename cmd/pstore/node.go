@@ -389,8 +389,8 @@ func runServeNode(cfg serveNodeConfig) error {
 		return err
 	}
 
-	fmt.Printf("wire: %d requests in %d frames (%d batches): %d ok, %d txn-errors, %d bad-requests, %d internal, %d forwarded\n",
-		sc.Requests, sc.Frames, sc.Batches, sc.OK, sc.TxnErrors, sc.BadRequests, sc.Internal, sc.Forwarded)
+	fmt.Printf("wire: %d requests in %d frames (%d streams): %d ok, %d txn-errors, %d bad-requests, %d internal, %d forwarded\n",
+		sc.Requests, sc.Frames, sc.Streams, sc.OK, sc.TxnErrors, sc.BadRequests, sc.Internal, sc.Forwarded)
 	ec := eng.Counters()
 	held := ec.CommitWaits - loaded.CommitWaits
 	var commitWait time.Duration
@@ -415,7 +415,13 @@ func runServeNode(cfg serveNodeConfig) error {
 	if holds > 0 {
 		overshoot = time.Duration((ec.HoldOverNs - loaded.HoldOverNs) / holds)
 	}
-	fmt.Printf("; %d holds, mean overshoot %v\n", holds, overshoot.Round(time.Microsecond))
+	fmt.Printf("; %d holds, mean overshoot %v", holds, overshoot.Round(time.Microsecond))
+	if srv != nil {
+		fs := srv.ForwardStreams()
+		fmt.Printf("; forward streams: %d dials, %d redials, %d frames, max %d in flight",
+			fs.Dials, fs.Redials, fs.Frames, fs.MaxInFlight)
+	}
+	fmt.Println()
 	rs := rm.Stats()
 	if rs.Crashes > 0 || rs.Checkpoints > 1 {
 		fmt.Printf("recovery: %d crashes, %d recoveries, %d commands replayed (max lag %d), downtime %v, %d checkpoints\n",

@@ -290,8 +290,8 @@ func runServe(args []string) error {
 	cs := c.Stats()
 	if srvCounters != nil {
 		sc := *srvCounters
-		fmt.Printf("wire: %d requests in %d frames (%d batches): %d ok, %d txn-errors, %d bad-requests, %d internal\n",
-			sc.Requests, sc.Frames, sc.Batches, sc.OK, sc.TxnErrors, sc.BadRequests, sc.Internal)
+		fmt.Printf("wire: %d requests in %d frames (%d streams): %d ok, %d txn-errors, %d bad-requests, %d internal\n",
+			sc.Requests, sc.Frames, sc.Streams, sc.OK, sc.TxnErrors, sc.BadRequests, sc.Internal)
 		ec := c.Engine().Counters()
 		fmt.Printf("served %d transactions (%d failed) in %v\n",
 			ec.Completed, ec.Errored, time.Since(start).Round(time.Millisecond))

@@ -1,23 +1,22 @@
 // Package client is the Go client library for the P-Store network front
-// end (internal/server). It manages a pooled HTTP connection set, caps
-// in-flight requests client-side (arrivals beyond the cap are shed and
-// counted, the same admission role the b2w driver's semaphore plays
-// in-process), propagates per-request deadlines as wire headers, honors the
-// server's machine-readable retry hints on 429/503, and maps wire error
+// end (internal/server). It sends every transaction over one persistent
+// multiplexed stream (wire.Mux), caps in-flight requests client-side
+// (arrivals beyond the cap are shed and counted, the same admission role the
+// b2w driver's semaphore plays in-process), propagates per-request deadlines
+// in the frames, honors the server's machine-readable retry hints on
+// 429/503, and maps wire error
 // codes back onto the engine's typed errors — so errors.Is(err,
 // store.ErrOverload) behaves identically whether the engine is a function
 // call or a socket away.
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -65,9 +64,9 @@ type Config struct {
 	// MaxInFlight caps concurrent requests; submissions beyond it are shed
 	// with ErrSaturated. Zero means 256.
 	MaxInFlight int
-	// Deadline is the per-request deadline, sent to the server as the wire
-	// deadline header and enforced locally via context. Zero sends no
-	// header and imposes no local bound.
+	// Deadline is the per-request deadline, sent to the server in the
+	// request frame and enforced locally via context. Zero sends none and
+	// imposes no local bound.
 	Deadline time.Duration
 	// RetryRefused is how many times a refused request (429, or 503 with a
 	// hint) is retried after honoring the server's retry hint. Zero means
@@ -104,8 +103,11 @@ type Counters struct {
 type Client struct {
 	cfg     Config
 	baseURL string
-	httpc   *http.Client
-	sem     chan struct{}
+	// stream carries the transactions; httpc only the catalog, info, health
+	// and shutdown calls.
+	stream *wire.Mux
+	httpc  *http.Client
+	sem    chan struct{}
 
 	started   atomic.Int64
 	completed atomic.Int64
@@ -115,8 +117,7 @@ type Client struct {
 	transport atomic.Int64
 }
 
-// New builds a client. The connection pool is sized to the in-flight cap so
-// a saturated client reuses warm connections instead of opening new ones.
+// New builds a client. Nothing is dialled until the first call.
 func New(cfg Config) (*Client, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("client: Config.Addr is required")
@@ -132,22 +133,19 @@ func New(cfg Config) (*Client, error) {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
-	transport := &http.Transport{
-		MaxIdleConns:        cfg.MaxInFlight,
-		MaxIdleConnsPerHost: cfg.MaxInFlight,
-		MaxConnsPerHost:     cfg.MaxInFlight,
-		IdleConnTimeout:     90 * time.Second,
-	}
 	return &Client{
 		cfg:     cfg,
 		baseURL: base,
-		httpc:   &http.Client{Transport: transport},
+		stream:  wire.NewMux(func() string { return base }),
+		httpc:   &http.Client{Transport: &http.Transport{}},
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 	}, nil
 }
 
-// Close releases pooled connections.
+// Close closes the stream, failing calls still pending on it, and releases
+// pooled connections.
 func (c *Client) Close() {
+	c.stream.Close()
 	c.httpc.CloseIdleConnections()
 }
 
@@ -256,16 +254,10 @@ func (c *Client) backoff(ctx context.Context, hint time.Duration) error {
 	}
 }
 
-// roundTrip performs one HTTP exchange and decodes the wire response.
-// Failures before a well-formed response are transport errors.
+// roundTrip sends one request frame and decodes the reply. Failures before a
+// well-formed response are transport errors.
 func (c *Client) roundTrip(ctx context.Context, body []byte) (*wire.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+wire.PathTxn, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: building request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.setDeadlineHeader(req)
-	httpResp, err := c.httpc.Do(req)
+	replies, err := c.stream.Do(ctx, []wire.StreamFrame{{Payload: body}})
 	if err != nil {
 		// The wire deadline elapsing locally is a deadline outcome, not a
 		// broken transport.
@@ -276,33 +268,19 @@ func (c *Client) roundTrip(ctx context.Context, body []byte) (*wire.Response, er
 		c.transport.Add(1)
 		return nil, fmt.Errorf("client: transport: %w", err)
 	}
-	defer httpResp.Body.Close()
 	var resp wire.Response
-	if err := json.NewDecoder(io.LimitReader(httpResp.Body, wire.MaxFrame)).Decode(&resp); err != nil {
+	if err := json.Unmarshal(replies[0], &resp); err != nil {
 		c.transport.Add(1)
-		return nil, fmt.Errorf("client: decoding response (HTTP %d): %w", httpResp.StatusCode, err)
-	}
-	if resp.Status == 0 {
-		resp.Status = httpResp.StatusCode
+		return nil, fmt.Errorf("client: decoding response: %w", err)
 	}
 	return &resp, nil
 }
 
-// setDeadlineHeader stamps the outgoing request with the remaining budget.
-func (c *Client) setDeadlineHeader(req *http.Request) {
-	if dl, ok := req.Context().Deadline(); ok {
-		ms := int64(time.Until(dl) / time.Millisecond)
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(wire.HeaderDeadlineMs, strconv.FormatInt(ms, 10))
-	}
-}
-
-// ExecuteBatch sends requests as one length-prefixed binary batch and
-// returns one response per request, in order. The batch passes the
-// in-flight cap as a single unit. Transport failures return an error;
-// per-request failures are reported in each Response.
+// ExecuteBatch sends requests as frames in one write and returns one response
+// per request, in order; the server runs them concurrently and they share
+// ctx's deadline. The batch passes the in-flight cap as a single unit.
+// Transport failures return an error; per-request failures are reported in
+// each Response.
 func (c *Client) ExecuteBatch(ctx context.Context, reqs []wire.Request) ([]wire.Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -319,55 +297,31 @@ func (c *Client) ExecuteBatch(ctx context.Context, reqs []wire.Request) ([]wire.
 	defer func() { <-c.sem }()
 	c.started.Add(int64(len(reqs)))
 
-	var body bytes.Buffer
-	for i := range reqs {
-		if err := wire.EncodeFrame(&body, reqs[i]); err != nil {
-			return nil, fmt.Errorf("client: encoding batch frame %d: %w", i, err)
-		}
-	}
 	if c.cfg.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.Deadline)
 		defer cancel()
 	}
-	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+wire.PathBatch, bytes.NewReader(body.Bytes()))
-	if err != nil {
-		return nil, fmt.Errorf("client: building batch request: %w", err)
+	frames := make([]wire.StreamFrame, len(reqs))
+	for i := range reqs {
+		body, err := json.Marshal(reqs[i])
+		if err != nil {
+			return nil, fmt.Errorf("client: encoding batch frame %d: %w", i, err)
+		}
+		frames[i] = wire.StreamFrame{Payload: body}
 	}
-	req.Header.Set("Content-Type", wire.ContentTypeBatch)
-	c.setDeadlineHeader(req)
-	httpResp, err := c.httpc.Do(req)
+	start := time.Now()
+	replies, err := c.stream.Do(ctx, frames)
 	if err != nil {
 		c.transport.Add(1)
 		return nil, fmt.Errorf("client: batch transport: %w", err)
 	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		var resp wire.Response
-		if jerr := json.NewDecoder(io.LimitReader(httpResp.Body, wire.MaxFrame)).Decode(&resp); jerr == nil && resp.Code != "" {
-			return nil, &RemoteError{Code: resp.Code, Status: httpResp.StatusCode, Message: resp.Error}
-		}
-		c.transport.Add(1)
-		return nil, fmt.Errorf("client: batch rejected with HTTP %d", httpResp.StatusCode)
-	}
-	resps := make([]wire.Response, 0, len(reqs))
-	for {
-		var resp wire.Response
-		if err := wire.DecodeFrame(httpResp.Body, &resp); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
+	resps := make([]wire.Response, len(replies))
+	for i := range replies {
+		if err := json.Unmarshal(replies[i], &resps[i]); err != nil {
 			c.transport.Add(1)
-			return nil, fmt.Errorf("client: decoding batch frame %d: %w", len(resps), err)
+			return nil, fmt.Errorf("client: decoding batch frame %d: %w", i, err)
 		}
-		resps = append(resps, resp)
-	}
-	if len(resps) != len(reqs) {
-		c.transport.Add(1)
-		return nil, fmt.Errorf("client: batch returned %d responses for %d requests", len(resps), len(reqs))
-	}
-	for i := range resps {
 		if resps[i].Status == 200 {
 			c.completed.Add(1)
 		} else if resps[i].Status == 429 || resps[i].Status == 503 || resps[i].Status == 504 {

@@ -16,30 +16,42 @@ import (
 	"pstore/internal/wire"
 )
 
+// streamHandler serves the stream endpoint the way internal/server does,
+// answering every request frame with reply's Response.
+func streamHandler(reply func(context.Context, wire.StreamFrame) wire.Response) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, br, err := wire.AcceptStream(w, r)
+		if err != nil {
+			return
+		}
+		_ = wire.ServeStream(context.Background(), conn, br, func(ctx context.Context, f wire.StreamFrame) []byte {
+			b, _ := json.Marshal(reply(ctx, f))
+			return b
+		})
+	})
+}
+
 // wireHandler scripts a server: it answers each txn request with the next
-// response in the sequence, recording the headers it saw.
+// response in the sequence, recording the deadlines it saw.
 type wireHandler struct {
 	mu        sync.Mutex
 	responses []wire.Response
 	calls     int
-	deadlines []string
+	deadlines []uint32
 }
 
 func (h *wireHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.mu.Lock()
-	resp := wire.Response{Status: 200, Value: []byte(`"ok"`)}
-	if h.calls < len(h.responses) {
-		resp = h.responses[h.calls]
-	}
-	h.calls++
-	h.deadlines = append(h.deadlines, r.Header.Get(wire.HeaderDeadlineMs))
-	h.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if resp.RetryAfterMs > 0 {
-		w.Header().Set(wire.HeaderRetryAfterMs, strconv.FormatInt(resp.RetryAfterMs, 10))
-	}
-	w.WriteHeader(resp.Status)
-	_ = json.NewEncoder(w).Encode(resp)
+	streamHandler(func(_ context.Context, f wire.StreamFrame) wire.Response {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		resp := wire.Response{Status: 200, Value: []byte(`"ok"`)}
+		if h.calls < len(h.responses) {
+			resp = h.responses[h.calls]
+		}
+		h.calls++
+		h.deadlines = append(h.deadlines, f.DeadlineMs)
+		return resp
+	}).ServeHTTP(w, r)
 }
 
 func testClient(t *testing.T, h http.Handler, cfg Config) *Client {
@@ -146,11 +158,10 @@ func TestInFlightCap(t *testing.T) {
 	var entered sync.WaitGroup
 	entered.Add(1)
 	var once sync.Once
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := streamHandler(func(context.Context, wire.StreamFrame) wire.Response {
 		once.Do(entered.Done)
 		<-release
-		w.WriteHeader(200)
-		_ = json.NewEncoder(w).Encode(wire.Response{Status: 200, Value: []byte("null")})
+		return wire.Response{Status: 200, Value: []byte("null")}
 	})
 	c := testClient(t, slow, Config{MaxInFlight: 1})
 
@@ -174,8 +185,8 @@ func TestInFlightCap(t *testing.T) {
 	}
 }
 
-// TestDeadlineHeader checks the configured deadline reaches the server as
-// the wire header.
+// TestDeadlineHeader checks the configured deadline reaches the server in
+// the request frame.
 func TestDeadlineHeader(t *testing.T) {
 	h := &wireHandler{}
 	c := testClient(t, h, Config{Deadline: 250 * time.Millisecond})
@@ -184,27 +195,22 @@ func TestDeadlineHeader(t *testing.T) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.deadlines) != 1 || h.deadlines[0] == "" {
-		t.Fatalf("deadline headers = %v, want one non-empty", h.deadlines)
-	}
-	ms, err := strconv.Atoi(h.deadlines[0])
-	if err != nil || ms < 1 || ms > 250 {
-		t.Fatalf("deadline header = %q, want 1..250 ms", h.deadlines[0])
+	if len(h.deadlines) != 1 || h.deadlines[0] < 1 || h.deadlines[0] > 250 {
+		t.Fatalf("frame deadlines = %v, want one of 1..250 ms", h.deadlines)
 	}
 }
 
 // TestDeadlineExpiry checks a request that outlives its deadline surfaces as
 // a typed deadline error counted as refused, not a transport error.
 func TestDeadlineExpiry(t *testing.T) {
-	stall := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Outlive the client's 30ms budget, but return eventually: an HTTP/1
-		// server does not notice the abandoned connection while the handler
-		// neither reads nor writes, so blocking on r.Context() would wedge
-		// the test server's shutdown.
+	stall := streamHandler(func(ctx context.Context, _ wire.StreamFrame) wire.Response {
+		// Outlive the client's 30ms budget; the stream's context ends when
+		// the client closes it.
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 		case <-time.After(2 * time.Second):
 		}
+		return wire.Response{Status: 200}
 	})
 	c := testClient(t, stall, Config{Deadline: 30 * time.Millisecond})
 	_, err := c.Execute(context.Background(), "t", "k", nil)
@@ -233,20 +239,13 @@ func TestTransportErrorCounted(t *testing.T) {
 
 func TestExecuteBatch(t *testing.T) {
 	var frames atomic.Int64
-	batch := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var resps []wire.Response
-		for {
-			var req wire.Request
-			if err := wire.DecodeFrame(r.Body, &req); err != nil {
-				break
-			}
-			frames.Add(1)
-			resps = append(resps, wire.Response{Status: 200, Value: []byte(strconv.Quote(req.Key))})
+	batch := streamHandler(func(_ context.Context, f wire.StreamFrame) wire.Response {
+		var req wire.Request
+		if err := json.Unmarshal(f.Payload, &req); err != nil {
+			return wire.Response{Status: 400, Code: wire.CodeBadRequest}
 		}
-		w.Header().Set("Content-Type", wire.ContentTypeBatch)
-		for i := range resps {
-			_ = wire.EncodeFrame(w, resps[i])
-		}
+		frames.Add(1)
+		return wire.Response{Status: 200, Value: []byte(strconv.Quote(req.Key))}
 	})
 	c := testClient(t, batch, Config{})
 	reqs := []wire.Request{{Txn: "echo", Key: "a"}, {Txn: "echo", Key: "b"}, {Txn: "echo", Key: "c"}}

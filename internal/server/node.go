@@ -36,8 +36,9 @@ type NodeConfig struct {
 	// transactions against migrated-in buckets.
 	DecodeRow wire.RowDecoder
 	// PeerURL maps a node index to its base URL ("http://host:port") for
-	// transaction forwarding. Nil disables forwarding: not-owned refusals
-	// surface to the client as retryable 503s instead.
+	// transaction forwarding; the answer may change, and the slot's stream
+	// follows it. Nil disables forwarding: not-owned refusals surface to the
+	// client as retryable 503s instead.
 	PeerURL func(node int) string
 	// SetPeerURL repoints one peer slot's base URL — the coordinator's
 	// rewiring step after promoting a follower (served at /v1/node/peer).
@@ -80,7 +81,8 @@ func (nc *NodeConfig) validate() error {
 func (nc *NodeConfig) NodeOf(machine int) int { return machine % nc.Nodes }
 
 // maxForwardHops caps node-to-node transaction forwarding. Plans converge
-// after one flip broadcast, so a request bouncing this many times means
+// after one flip broadcast, and a request caught inside a move waits for it at
+// the move's source (see route), so a request bouncing this many times means
 // routing state is broken, not merely stale.
 const maxForwardHops = 3
 
@@ -419,6 +421,7 @@ func (s *Server) handleNodeStatus(w http.ResponseWriter, r *http.Request) {
 		Counters:             eng.Counters(),
 		MaxSojournNs:         eng.MaxQueueSojourn().Nanoseconds(),
 		Role:                 s.replRole(),
+		ForwardStreams:       s.ForwardStreams(),
 	}
 	if rm := s.cfg.Node.Recovery; rm != nil {
 		st.Epoch = rm.Epoch()
@@ -454,55 +457,72 @@ func (s *Server) handleNodeAccesses(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, wire.NodeAccesses{Accesses: s.cfg.Engine.BucketAccesses(req.Reset)})
 }
 
-// forward relays a transaction refused with ErrNotOwned to the node hosting
-// its destination partition, stamping the hop count so a mid-flip routing
-// disagreement degrades into a bounded bounce instead of a loop. The peer's
-// response passes through verbatim — success, transaction error or refusal
-// alike — so the client sees exactly what the hosting node decided.
-func (s *Server) forward(ctx context.Context, req wire.Request, hops int, refusal error) wire.Response {
-	nc := s.cfg.Node
-	if nc.PeerURL == nil {
-		return s.failure(req, refusal)
-	}
-	if hops >= maxForwardHops {
-		return s.errResponse(wire.CodeInternal,
-			fmt.Sprintf("server: %q still not owned after %d forwards: %v", req.Txn, hops, refusal), 0)
-	}
-	part := s.cfg.Engine.PartitionOfKey(req.Key)
-	node := nc.NodeOf(s.cfg.Engine.MachineOfPartition(part))
-	if node == nc.ID {
-		// Our own plan routes the key here yet the engine refused: the flip
-		// raced the lookup. Surface the transient refusal; the client retries.
-		return s.failure(req, refusal)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return s.errResponse(wire.CodeInternal, fmt.Sprintf("server: encoding forward: %v", err), 0)
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, nc.PeerURL(node)+wire.PathTxn, bytes.NewReader(body))
-	if err != nil {
-		return s.errResponse(wire.CodeInternal, fmt.Sprintf("server: building forward: %v", err), 0)
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	hr.Header.Set(wire.HeaderForwarded, strconv.Itoa(hops+1))
-	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
+// handoffWait bounds how long route holds a request for the coordinator's word
+// that a chunk this node sent has been installed. The word comes with the move;
+// the bound is for one that got lost, after which the request follows the plan
+// as it stands.
+const handoffWait = time.Second
+
+// route returns the node whose engine should run a transaction on key, by this
+// node's plan. The two ends of a cross-node move flip apart: the source when
+// the chunk leaves, the destination when it is installed, and in between each
+// plan names the other node. Relaying a request then would bounce it until its
+// hops ran out, in under a millisecond. Only the source can tell it is inside
+// that window — it extracted the chunk and has not been told it landed — so it
+// is the one that waits, for as long as the request's deadline allows, and
+// relays once the destination is ready to run it.
+func (s *Server) route(ctx context.Context, key string) int {
+	eng := s.cfg.Engine
+	if pending := eng.HandoffPending(key); pending != nil {
+		t := time.NewTimer(handoffWait)
+		defer t.Stop()
+		for pending != nil {
+			select {
+			case <-pending:
+				pending = eng.HandoffPending(key)
+			case <-t.C:
+				pending = nil
+			case <-ctx.Done():
+				pending = nil
+			}
 		}
-		hr.Header.Set(wire.HeaderDeadlineMs, strconv.FormatInt(ms, 10))
 	}
-	resp, err := s.fwd.Do(hr)
+	return s.cfg.Node.NodeOf(eng.MachineOfPartition(eng.PartitionOfKey(key)))
+}
+
+// forward relays a transaction to the node hosting its destination partition
+// over that peer slot's stream, with the hop count raised so that routing
+// state that is broken, not merely stale, degrades into a bounded bounce
+// instead of a loop. body is the request as it arrived; the peer's reply
+// passes through as it arrived too — success, transaction error or refusal
+// alike — so the client sees exactly what the hosting node decided.
+func (s *Server) forward(ctx context.Context, node int, txn string, body []byte, hops int) []byte {
+	if hops >= maxForwardHops {
+		return encodeResponse(s.errResponse(wire.CodeInternal,
+			fmt.Sprintf("server: %q still not owned after %d forwards", txn, hops), 0))
+	}
+	replies, err := s.peers[node].Do(ctx, []wire.StreamFrame{{Hops: uint8(hops + 1), Payload: body}})
 	if err != nil {
-		return s.errResponse(wire.CodeInternal,
-			fmt.Sprintf("server: forwarding %q to node %d: %v", req.Txn, node, err), 0)
-	}
-	defer resp.Body.Close()
-	var out wire.Response
-	if err := json.NewDecoder(io.LimitReader(resp.Body, wire.MaxFrame)).Decode(&out); err != nil {
-		return s.errResponse(wire.CodeInternal,
-			fmt.Sprintf("server: decoding forward reply from node %d: %v", node, err), 0)
+		code := wire.CodeInternal
+		if ctx.Err() != nil {
+			code = wire.CodeDeadline // the request ran out of time, the peer did not fail
+		}
+		return encodeResponse(s.errResponse(code, fmt.Sprintf("server: forwarding %q to node %d: %v", txn, node, err), 0))
 	}
 	s.forwarded.Add(1)
-	return out
+	return replies[0]
+}
+
+// ForwardStreams sums the counters of the streams this node forwards over;
+// MaxInFlight is the largest of theirs.
+func (s *Server) ForwardStreams() wire.MuxStats {
+	var sum wire.MuxStats
+	for _, m := range s.peers {
+		st := m.Stats()
+		sum.Dials += st.Dials
+		sum.Redials += st.Redials
+		sum.Frames += st.Frames
+		sum.MaxInFlight = max(sum.MaxInFlight, st.MaxInFlight)
+	}
+	return sum
 }

@@ -1,8 +1,9 @@
 // Package server is the P-Store network front end: it serves the storage
-// engine over HTTP/1.1, turning the in-process client/engine boundary into
-// a real wire. One endpoint executes a single JSON-encoded transaction per
-// request; a second carries length-prefixed binary batches whose frames are
-// executed concurrently and answered in order (pipelining on the wire).
+// engine over a socket, turning the in-process client/engine boundary into a
+// real wire. Transactions arrive as frames on persistent multiplexed streams
+// (wire.PathStream: executed concurrently, each answered when it finishes);
+// POST /v1/txn runs one JSON-encoded transaction per HTTP request through the
+// same path, for curl.
 //
 // The engine's overload plane becomes real backpressure here: a request
 // refused by admission control or shed by CoDel returns 429, a request that
@@ -10,8 +11,9 @@
 // crashed machine returns 503 — each with a machine-readable retry hint
 // sized from the destination partition's estimated queueing delay, so
 // remote clients can back off exactly as far as the backlog warrants.
-// Per-request deadlines propagate from the X-Pstore-Deadline-Ms header into
-// ExecuteIDContext, bounding the submission wait on saturated queues.
+// Per-request deadlines propagate from the frame (or the X-Pstore-Deadline-Ms
+// header) into ExecuteIDContext, bounding the submission wait on saturated
+// queues.
 package server
 
 import (
@@ -43,11 +45,9 @@ type Config struct {
 	// (CountWireRejected per 429 served) so the serve summary's refused-work
 	// line covers the wire.
 	Recorder *metrics.Recorder
-	// DefaultDeadline applies to requests without a deadline header. Zero
+	// DefaultDeadline applies to requests that carry no deadline. Zero
 	// means no server-imposed deadline.
 	DefaultDeadline time.Duration
-	// MaxBatch caps the frames accepted per batch request. Zero means 1024.
-	MaxBatch int
 	// Info is served as JSON at /v1/info — the place a serving process
 	// publishes its trace parameters so a remote load generator can replay
 	// exactly the workload the server was provisioned for.
@@ -56,7 +56,8 @@ type Config struct {
 	// hygiene against slowloris peers). Zero means 10s.
 	ReadHeaderTimeout time.Duration
 	// IdleTimeout closes keep-alive connections idle this long. Zero
-	// means 2 minutes.
+	// means 2 minutes. Neither timeout applies to a transaction stream once
+	// it is accepted.
 	IdleTimeout time.Duration
 	// Node, when set, turns this server into one node of a multi-process
 	// cluster: the /v1/node/* endpoints are served and transactions for
@@ -71,10 +72,11 @@ type Config struct {
 
 // Counters are the server's cumulative wire-level counts.
 type Counters struct {
-	// Requests counts single-transaction requests; Batches counts batch
-	// requests and Frames the transaction frames they carried.
+	// Requests counts transactions that arrived as /v1/txn requests; Streams
+	// counts transaction streams accepted and Frames the transactions that
+	// arrived on them, forwarded-in ones included.
 	Requests int64
-	Batches  int64
+	Streams  int64
 	Frames   int64
 	// OK counts successful executions; TxnErrors counts procedures that
 	// executed and returned an application error (422).
@@ -109,7 +111,7 @@ type Server struct {
 	shutdownOnce sync.Once
 
 	requests    atomic.Int64
-	batches     atomic.Int64
+	streams     atomic.Int64
 	frames      atomic.Int64
 	ok          atomic.Int64
 	txnErrors   atomic.Int64
@@ -120,8 +122,15 @@ type Server struct {
 	internal    atomic.Int64
 	forwarded   atomic.Int64
 
-	// fwd relays not-owned transactions to hosting peers in node mode.
-	fwd *http.Client
+	// peers relays not-owned transactions to hosting peers in node mode: one
+	// stream per peer slot, dialled by the first forward that needs it.
+	peers []*wire.Mux
+
+	// accepted holds the transaction streams being served. They are hijacked
+	// connections, outside http.Server's bookkeeping, so Shutdown closes them
+	// itself; nil once it has.
+	acceptedMu sync.Mutex
+	accepted   map[net.Conn]struct{}
 
 	// repl is the node's replication role and received-ship position; apply
 	// brings memory up to it.
@@ -136,9 +145,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("server: Config.Engine is required")
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1024
-	}
 	if cfg.ReadHeaderTimeout <= 0 {
 		cfg.ReadHeaderTimeout = 10 * time.Second
 	}
@@ -149,6 +155,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		handles:    make(map[string]store.TxnID),
 		shutdownCh: make(chan struct{}),
+		accepted:   make(map[net.Conn]struct{}),
 	}
 	s.apply = newApplier(s)
 	for id, name := range cfg.Engine.TxnNames() {
@@ -156,7 +163,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(wire.PathTxn, s.handleTxn)
-	mux.HandleFunc(wire.PathBatch, s.handleBatch)
+	mux.HandleFunc(wire.PathStream, s.handleStream)
 	mux.HandleFunc(wire.PathTxns, s.handleTxns)
 	mux.HandleFunc(wire.PathInfo, s.handleInfo)
 	mux.HandleFunc(wire.PathHealth, s.handleHealth)
@@ -165,8 +172,11 @@ func New(cfg Config) (*Server, error) {
 		if err := cfg.Node.validate(); err != nil {
 			return nil, err
 		}
-		s.fwd = &http.Client{
-			Transport: &http.Transport{MaxIdleConnsPerHost: 16, IdleConnTimeout: 30 * time.Second},
+		if peerURL := cfg.Node.PeerURL; peerURL != nil {
+			s.peers = make([]*wire.Mux, cfg.Node.Nodes)
+			for node := range s.peers {
+				s.peers[node] = wire.NewMux(func() string { return peerURL(node) })
+			}
 		}
 		s.registerNodeHandlers(mux)
 		s.repl.replica = cfg.Node.ReplicaOf != ""
@@ -201,13 +211,25 @@ func (s *Server) Addr() net.Addr {
 	return s.addr
 }
 
-// Shutdown gracefully stops the server: no new connections, in-flight
-// requests run to ctx's deadline. A follower's applier stops first, after the
-// batch it is on; what it leaves unapplied is in the log, where a cold start
-// finds it.
+// Shutdown gracefully stops the server: no new connections, in-flight HTTP
+// requests run to ctx's deadline, then the transaction streams — accepted and
+// forwarding — are closed. A follower's applier stops first, after the batch
+// it is on; what it leaves unapplied is in the log, where a cold start finds
+// it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.apply.stop(ctx)
-	return s.httpSrv.Shutdown(ctx)
+	err := s.httpSrv.Shutdown(ctx)
+	s.acceptedMu.Lock()
+	accepted := s.accepted
+	s.accepted = nil
+	s.acceptedMu.Unlock()
+	for conn := range accepted {
+		conn.Close()
+	}
+	for _, m := range s.peers {
+		m.Close()
+	}
+	return err
 }
 
 // ShutdownRequested is closed when a client posts /v1/shutdown — the hook a
@@ -219,7 +241,7 @@ func (s *Server) ShutdownRequested() <-chan struct{} { return s.shutdownCh }
 func (s *Server) Counters() Counters {
 	return Counters{
 		Requests:    s.requests.Load(),
-		Batches:     s.batches.Load(),
+		Streams:     s.streams.Load(),
 		Frames:      s.frames.Load(),
 		OK:          s.ok.Load(),
 		TxnErrors:   s.txnErrors.Load(),
@@ -232,32 +254,43 @@ func (s *Server) Counters() Counters {
 	}
 }
 
-// execute runs one wire request through the engine and shapes the wire
-// response. It never returns transport errors — every outcome, success or
-// failure, is a Response. hops is how many node-to-node forwards the request
-// has already taken (0 for a client-originated request).
-func (s *Server) execute(ctx context.Context, req wire.Request, hops int) wire.Response {
+// execute runs one encoded wire.Request and returns the encoded wire.Response.
+// It never returns transport errors — every outcome, success or failure, is a
+// Response. hops is how many node-to-node forwards the request has already
+// taken (0 for a request from a client). Ownership is settled before anything past the key is looked at: a
+// request for a key hosted elsewhere is relayed as the bytes that arrived, and
+// so is the peer's reply.
+func (s *Server) execute(ctx context.Context, body []byte, hops int) []byte {
 	if s.isReplica() {
 		// A warm replica applies only its primary's shipped WAL; a client
 		// transaction executed here would fork the replicated history.
-		return s.errResponse(wire.CodeNotOwned,
-			"server: node is a warm replica; submit to its primary", downRetryMs)
+		return encodeResponse(s.errResponse(wire.CodeNotOwned,
+			"server: node is a warm replica; submit to its primary", downRetryMs))
 	}
 	if s.isFenced() {
 		// A fenced zombie serving writes would fork the history the promoted
 		// follower now owns; refuse retryably until the demotion completes
 		// and forwarding is rewired.
-		return s.errResponse(wire.CodeNotOwned,
-			"server: node is fenced pending demotion; submit to the new primary", downRetryMs)
+		return encodeResponse(s.errResponse(wire.CodeNotOwned,
+			"server: node is fenced pending demotion; submit to the new primary", downRetryMs))
+	}
+	var req wire.Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		return encodeResponse(s.errResponse(wire.CodeBadRequest, fmt.Sprintf("server: decoding request: %v", err), 0))
 	}
 	id, ok := s.handles[req.Txn]
 	if !ok {
-		return s.failure(req, fmt.Errorf("%w: %q", store.ErrUnknownTxn, req.Txn))
+		return encodeResponse(s.failure(req, fmt.Errorf("%w: %q", store.ErrUnknownTxn, req.Txn)))
+	}
+	if s.peers != nil {
+		if node := s.route(ctx, req.Key); node != s.cfg.Node.ID {
+			return s.forward(ctx, node, req.Txn, body, hops)
+		}
 	}
 	args, err := s.cfg.Engine.DecodeArgs(req.Txn, req.Args)
 	if err != nil {
-		return s.errResponse(wire.CodeBadRequest,
-			fmt.Sprintf("server: decoding %q args: %v", req.Txn, err), 0)
+		return encodeResponse(s.errResponse(wire.CodeBadRequest,
+			fmt.Sprintf("server: decoding %q args: %v", req.Txn, err), 0))
 	}
 	value, err := s.cfg.Engine.ExecuteIDContext(ctx, id, req.Key, args)
 	if err != nil {
@@ -265,20 +298,36 @@ func (s *Server) execute(ctx context.Context, req wire.Request, hops int) wire.R
 		// outcome to the client, even though the engine counts it as
 		// rejected offered load.
 		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			return s.failure(req, fmt.Errorf("%w: %v", store.ErrDeadlineExceeded, err))
+			return encodeResponse(s.failure(req, fmt.Errorf("%w: %v", store.ErrDeadlineExceeded, err)))
 		}
-		if errors.Is(err, store.ErrNotOwned) && s.cfg.Node != nil {
-			return s.forward(ctx, req, hops, err)
+		if errors.Is(err, store.ErrNotOwned) && s.peers != nil {
+			// Ownership left this node between the routing decision and the
+			// engine's. If our own plan still routes the key here, the flip
+			// raced the lookup: surface the transient refusal; the client
+			// retries.
+			if node := s.route(ctx, req.Key); node != s.cfg.Node.ID {
+				return s.forward(ctx, node, req.Txn, body, hops)
+			}
 		}
-		return s.failure(req, err)
+		return encodeResponse(s.failure(req, err))
 	}
 	raw, err := json.Marshal(value)
 	if err != nil {
-		return s.errResponse(wire.CodeInternal,
-			fmt.Sprintf("server: encoding %q result: %v", req.Txn, err), 0)
+		return encodeResponse(s.errResponse(wire.CodeInternal,
+			fmt.Sprintf("server: encoding %q result: %v", req.Txn, err), 0))
 	}
 	s.ok.Add(1)
-	return wire.Response{Status: 200, Value: raw}
+	return encodeResponse(wire.Response{Status: 200, Value: raw})
+}
+
+// encodeResponse marshals a Response this package built: strings, integers
+// and a Value json.Marshal has just produced, which cannot fail to encode.
+func encodeResponse(resp wire.Response) []byte {
+	b, err := json.Marshal(resp)
+	if err != nil {
+		panic(fmt.Sprintf("server: encoding response: %v", err))
+	}
+	return b
 }
 
 // failure maps an engine error onto the wire: stable code, HTTP status,
@@ -336,22 +385,17 @@ func (s *Server) errResponse(code, msg string, retryMs int64) wire.Response {
 	return wire.Response{Status: wire.StatusOf(code), Code: code, Error: msg, RetryAfterMs: retryMs}
 }
 
-// requestContext applies the wire deadline: the header if present, the
+// withDeadline applies the wire deadline: ms when the request carried one, the
 // configured default otherwise. The returned cancel must always be called.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+func (s *Server) withDeadline(ctx context.Context, ms int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
-	if h := r.Header.Get(wire.HeaderDeadlineMs); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("server: bad %s header %q", wire.HeaderDeadlineMs, h)
-		}
+	if ms > 0 {
 		d = time.Duration(ms) * time.Millisecond
 	}
 	if d <= 0 {
-		return r.Context(), func() {}, nil
+		return ctx, func() {}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
+	return context.WithTimeout(ctx, d)
 }
 
 // writeResponse emits one Response as a standalone HTTP reply, carrying the
@@ -368,98 +412,68 @@ func writeResponse(w http.ResponseWriter, resp wire.Response) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// handleTxn executes one transaction per request.
+// handleTxn executes one transaction per request: the curl-able adapter over
+// the path stream frames take.
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
 		return
 	}
 	s.requests.Add(1)
-	var req wire.Request
-	if err := json.NewDecoder(io.LimitReader(r.Body, wire.MaxFrame)).Decode(&req); err != nil {
-		writeResponse(w, s.errResponse(wire.CodeBadRequest, fmt.Sprintf("server: decoding request: %v", err), 0))
-		return
-	}
-	ctx, cancel, err := s.requestContext(r)
+	body, err := io.ReadAll(io.LimitReader(r.Body, wire.MaxFrame))
 	if err != nil {
-		writeResponse(w, s.errResponse(wire.CodeBadRequest, err.Error(), 0))
+		writeResponse(w, s.errResponse(wire.CodeBadRequest, fmt.Sprintf("server: reading request: %v", err), 0))
 		return
 	}
-	defer cancel()
-	writeResponse(w, s.execute(ctx, req, forwardHops(r)))
-}
-
-// forwardHops reads the forwarding hop count a peer node stamped on the
-// request (0 when absent or unparsable — i.e. client-originated).
-func forwardHops(r *http.Request) int {
-	h := r.Header.Get(wire.HeaderForwarded)
-	if h == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(h)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// handleBatch executes a length-prefixed batch: frames are decoded
-// sequentially, executed concurrently, and answered in frame order — the
-// wire-level pipelining that lets one connection keep many partitions busy.
-// Frames share the request's deadline. The response is always HTTP 200;
-// per-frame outcomes travel in each frame's embedded status.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	s.batches.Add(1)
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		writeResponse(w, s.errResponse(wire.CodeBadRequest, err.Error(), 0))
-		return
-	}
-	defer cancel()
-
-	var reqs []wire.Request
-	for {
-		if len(reqs) >= s.cfg.MaxBatch {
+	var ms int64
+	if h := r.Header.Get(wire.HeaderDeadlineMs); h != "" {
+		if ms, err = strconv.ParseInt(h, 10, 64); err != nil || ms <= 0 {
 			writeResponse(w, s.errResponse(wire.CodeBadRequest,
-				fmt.Sprintf("server: batch exceeds %d frames", s.cfg.MaxBatch), 0))
+				fmt.Sprintf("server: bad %s header %q", wire.HeaderDeadlineMs, h), 0))
 			return
 		}
-		var req wire.Request
-		if err := wire.DecodeFrame(r.Body, &req); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			writeResponse(w, s.errResponse(wire.CodeBadRequest,
-				fmt.Sprintf("server: decoding batch frame %d: %v", len(reqs), err), 0))
-			return
-		}
-		reqs = append(reqs, req)
 	}
-	s.frames.Add(int64(len(reqs)))
+	ctx, cancel := s.withDeadline(r.Context(), ms)
+	defer cancel()
+	var resp wire.Response
+	if err := json.Unmarshal(s.execute(ctx, body, 0), &resp); err != nil {
+		resp = s.errResponse(wire.CodeInternal, fmt.Sprintf("server: decoding relayed reply: %v", err), 0)
+	}
+	writeResponse(w, resp)
+}
 
-	hops := forwardHops(r)
-	resps := make([]wire.Response, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i] = s.execute(ctx, reqs[i], hops)
-		}(i)
+// handleStream turns the request into a transaction stream and serves it until
+// the caller closes it or Shutdown does.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	conn, br, err := wire.AcceptStream(w, r)
+	if err != nil {
+		return
 	}
-	wg.Wait()
+	s.acceptedMu.Lock()
+	open := s.accepted != nil
+	if open {
+		s.accepted[conn] = struct{}{}
+	}
+	s.acceptedMu.Unlock()
+	if !open {
+		conn.Close()
+		return
+	}
+	s.streams.Add(1)
+	// A stream that ends on a torn or oversize frame has nobody left to tell.
+	_ = wire.ServeStream(context.Background(), conn, br, s.serveFrame)
+	s.acceptedMu.Lock()
+	delete(s.accepted, conn)
+	s.acceptedMu.Unlock()
+}
 
-	w.Header().Set("Content-Type", wire.ContentTypeBatch)
-	w.WriteHeader(http.StatusOK)
-	for i := range resps {
-		if err := wire.EncodeFrame(w, resps[i]); err != nil {
-			return // connection gone; nothing left to report
-		}
-	}
+// serveFrame executes one request frame under the deadline it carries, or the
+// configured default.
+func (s *Server) serveFrame(ctx context.Context, f wire.StreamFrame) []byte {
+	s.frames.Add(1)
+	ctx, cancel := s.withDeadline(ctx, int64(f.DeadlineMs))
+	defer cancel()
+	return s.execute(ctx, f.Payload, int(f.Hops))
 }
 
 // handleTxns serves the transaction catalog in dense-id order.

@@ -175,37 +175,59 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBatchOrdered sends one pipelined batch and checks frames come back in
-// submission order with per-frame outcomes.
+// serveLoopback runs srv on a loopback listener until the test ends and
+// returns its base URL.
+func serveLoopback(t *testing.T, srv *Server) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l) //nolint:errcheck
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	return "http://" + l.Addr().String()
+}
+
+func loopbackClient(t *testing.T, url string, cfg client.Config) *client.Client {
+	t.Helper()
+	cfg.Addr = url
+	cl, err := client.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl
+}
+
+// TestBatchOrdered sends one batch over the stream and checks the results come
+// back in submission order with per-frame outcomes.
 func TestBatchOrdered(t *testing.T) {
 	eng := testEngine(t)
 	srv, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := loopbackClient(t, serveLoopback(t, srv), client.Config{})
 	const n = 32
-	var body bytes.Buffer
-	for i := 0; i < n; i++ {
-		req := wire.Request{Txn: "echo", Key: fmt.Sprintf("key-%02d", i)}
+	reqs := make([]wire.Request, n)
+	for i := range reqs {
+		reqs[i] = wire.Request{Txn: "echo", Key: fmt.Sprintf("key-%02d", i)}
 		if i%7 == 3 {
-			req.Txn = "err-business"
-		}
-		if err := wire.EncodeFrame(&body, req); err != nil {
-			t.Fatal(err)
+			reqs[i].Txn = "err-business"
 		}
 	}
-	r := httptest.NewRequest(http.MethodPost, wire.PathBatch, &body)
-	r.Header.Set("Content-Type", wire.ContentTypeBatch)
-	w := httptest.NewRecorder()
-	srv.handleBatch(w, r)
-	if w.Code != 200 {
-		t.Fatalf("batch HTTP %d, want 200", w.Code)
+	resps, err := cl.ExecuteBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		var resp wire.Response
-		if err := wire.DecodeFrame(w.Body, &resp); err != nil {
-			t.Fatalf("decoding frame %d: %v", i, err)
-		}
+	if len(resps) != n {
+		t.Fatalf("%d responses for %d requests", len(resps), n)
+	}
+	for i, resp := range resps {
 		if i%7 == 3 {
 			if resp.Status != 422 || resp.Code != wire.CodeTxn {
 				t.Errorf("frame %d: status %d code %q, want 422 txn_error", i, resp.Status, resp.Code)
@@ -218,28 +240,60 @@ func TestBatchOrdered(t *testing.T) {
 		}
 	}
 	c := srv.Counters()
-	if c.Batches != 1 || c.Frames != n {
-		t.Errorf("counters: %d batches %d frames, want 1 and %d", c.Batches, c.Frames, n)
+	if c.Streams != 1 || c.Frames != n || c.Requests != 0 {
+		t.Errorf("counters: %d streams %d frames %d requests, want 1, %d and 0", c.Streams, c.Frames, c.Requests, n)
 	}
 }
 
-func TestBatchTooLarge(t *testing.T) {
-	eng := testEngine(t)
-	srv, err := New(Config{Engine: eng, MaxBatch: 4})
+// TestBatchSharesDeadline sends a batch whose deadline one frame cannot meet:
+// the batch fails as a whole when the deadline passes, not when the slow frame
+// ends, and the stream it was sent on serves the next call.
+func TestBatchSharesDeadline(t *testing.T) {
+	eng, err := store.NewEngine(store.Config{
+		MaxMachines: 1, PartitionsPerMachine: 2, Buckets: 64, QueueCapacity: 1 << 10, InitialMachines: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body bytes.Buffer
-	for i := 0; i < 5; i++ {
-		if err := wire.EncodeFrame(&body, wire.Request{Txn: "echo", Key: "k"}); err != nil {
+	release := make(chan struct{})
+	for name, p := range map[string]store.TxnFunc{
+		"echo": func(tx *store.Tx) (any, error) { return tx.Key, nil },
+		"slow": func(tx *store.Tx) (any, error) { <-release; return tx.Key, nil },
+	} {
+		if err := eng.Register(name, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := httptest.NewRequest(http.MethodPost, wire.PathBatch, &body)
-	w := httptest.NewRecorder()
-	srv.handleBatch(w, r)
-	if w.Code != 400 {
-		t.Fatalf("oversized batch: HTTP %d, want 400", w.Code)
+	eng.Start()
+	t.Cleanup(eng.Stop)
+	defer close(release)
+	srv, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := serveLoopback(t, srv)
+	// Two keys on different partitions, so the fast one is not queued behind
+	// the slow one.
+	slowKey, fastKey := "k0", ""
+	for i := 1; fastKey == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); eng.PartitionOfKey(k) != eng.PartitionOfKey(slowKey) {
+			fastKey = k
+		}
+	}
+	cl := loopbackClient(t, url, client.Config{Deadline: 50 * time.Millisecond})
+	start := time.Now()
+	_, err = cl.ExecuteBatch(context.Background(), []wire.Request{{Txn: "echo", Key: fastKey}, {Txn: "slow", Key: slowKey}})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch with a frame past the deadline: %v, want context.DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("batch failed after %v, deadline was 50ms", waited)
+	}
+	if v, err := cl.Execute(context.Background(), "echo", fastKey, nil); err != nil || string(v) != fmt.Sprintf("%q", fastKey) {
+		t.Fatalf("call after the expired batch: %s, %v", v, err)
+	}
+	if c := srv.Counters(); c.Streams != 1 {
+		t.Fatalf("%d streams, want the expired batch to leave its stream open", c.Streams)
 	}
 }
 
@@ -325,7 +379,7 @@ func TestLoopbackB2W(t *testing.T) {
 		t.Fatalf("%d transport errors over loopback", got)
 	}
 	sc := srv.Counters()
-	if sc.OK == 0 || sc.Requests != sc.OK+sc.TxnErrors {
+	if sc.OK == 0 || sc.Frames != sc.OK+sc.TxnErrors || sc.Streams != 1 {
 		t.Fatalf("server counters inconsistent: %+v", sc)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,6 +115,7 @@ type Engine struct {
 	parts   []*partition
 	plan    atomic.Pointer[[]int32]
 	planMu  sync.Mutex // serializes copy-on-write updates of plan
+	handoff atomic.Pointer[handoff]
 	started atomic.Bool
 	stopped atomic.Bool
 
@@ -184,6 +187,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		plan[b] = int32(b % initial)
 	}
 	e.plan.Store(&plan)
+	e.handoff.Store(&handoff{changed: make(chan struct{})})
 	e.activeMachines.Store(int32(cfg.InitialMachines))
 	return e, nil
 }
@@ -324,8 +328,23 @@ func (e *Engine) ownerOf(bucket int) int {
 	return int((*e.plan.Load())[bucket])
 }
 
-// setOwner atomically reassigns buckets to a new owner partition.
-func (e *Engine) setOwner(buckets []int, dest int) {
+// handoff is what a node front end reads beside the plan to route a request.
+// Every plan update replaces it, after the plan, so a reader that takes the
+// handoff first never pairs it with an older plan.
+type handoff struct {
+	// pending holds the buckets this engine extracted for a partition hosted on
+	// another node (ExtractBuckets) and has not seen confirmed (ApplyOwnership):
+	// the chunk is on its way, and until it is installed the destination's plan
+	// still names this node.
+	pending map[int]struct{}
+	// changed is closed when this handoff is replaced.
+	changed chan struct{}
+}
+
+// setOwner atomically reassigns buckets to a new owner partition. extracted
+// says the buckets' data has just left this engine for dest: when dest is
+// hosted elsewhere they are pending until a later update names them again.
+func (e *Engine) setOwner(buckets []int, dest int, extracted bool) {
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	old := *e.plan.Load()
@@ -335,9 +354,40 @@ func (e *Engine) setOwner(buckets []int, dest int) {
 		next[b] = int32(dest)
 	}
 	e.plan.Store(&next)
-	if h := e.planLog.Load(); h != nil && h.l != nil {
+
+	prev := e.handoff.Load()
+	away := extracted && !e.hostedAll && !e.hosted[dest/e.cfg.PartitionsPerMachine]
+	pending := make(map[int]struct{}, len(prev.pending)+len(buckets))
+	maps.Copy(pending, prev.pending)
+	for _, b := range buckets {
+		if away {
+			pending[b] = struct{}{}
+		} else {
+			delete(pending, b)
+		}
+	}
+	e.handoff.Store(&handoff{pending: pending, changed: make(chan struct{})})
+	close(prev.changed)
+
+	if h := e.planLog.Load(); h != nil && h.l != nil && !slices.Equal(old, next) {
 		h.l.LogPlan(next, int(e.activeMachines.Load()))
 	}
+}
+
+// HandoffPending returns nil unless key's bucket was extracted here for another
+// node and that move is still unconfirmed; then it returns a channel closed by
+// the next plan update, after which the question is worth asking again. A
+// request for such a bucket is better held than routed: the destination's plan
+// sends it straight back until the chunk is installed there.
+func (e *Engine) HandoffPending(key string) <-chan struct{} {
+	h := e.handoff.Load()
+	if len(h.pending) == 0 {
+		return nil
+	}
+	if _, ok := h.pending[e.bucketOf(key)]; !ok {
+		return nil
+	}
+	return h.changed
 }
 
 // maxForwards bounds ownership-chase hops for one request; ownership

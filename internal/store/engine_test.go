@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -467,5 +468,69 @@ func TestEnginePanickingTxnSurvives(t *testing.T) {
 	v, err := e.Execute("get", "k", nil)
 	if err != nil || v != 42 {
 		t.Fatalf("get after panic = %v, %v", v, err)
+	}
+}
+
+// planCounter counts the plan records an engine asks for.
+type planCounter struct{ n int }
+
+func (p *planCounter) LogPlan([]int32, int) { p.n++ }
+
+// TestHandoffPending follows one bucket through a cross-node move as its source
+// sees it: pending from the extract until an ownership update names it again,
+// through unrelated updates in between, with the confirmation — which changes
+// nothing in the plan — waking the waiters and logging no plan record.
+func TestHandoffPending(t *testing.T) {
+	cfg := smallConfig()
+	cfg.InitialMachines, cfg.HostedMachines = 2, []int{0} // partitions 0, 1 here; 2, 3 on another node
+	e := testEngine(t, cfg)
+	registerKV(t, e)
+	var logged planCounter
+	e.SetPlanLog(&logged)
+	e.Start()
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	keys := partitionKeys(e, 0, 8)
+	moving := keys[0]
+	staying := keys[slices.IndexFunc(keys, func(k string) bool { return e.bucketOf(k) != e.bucketOf(moving) })]
+	if e.HandoffPending(moving) != nil {
+		t.Fatal("a bucket is pending before anything moved")
+	}
+	// Handing a bucket to a partition hosted here is an in-process affair.
+	if _, err := e.ExtractBuckets([]int{e.bucketOf(staying)}, 0, 1, 0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if e.HandoffPending(staying) != nil {
+		t.Fatal("a bucket extracted for a hosted partition is pending")
+	}
+	if _, err := e.ExtractBuckets([]int{e.bucketOf(moving)}, 0, 2, 0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	first := e.HandoffPending(moving)
+	if first == nil || closed(first) || e.HandoffPending(staying) != nil {
+		t.Fatalf("after the extract: channel %v, want exactly the extracted bucket pending", first)
+	}
+	if err := e.ApplyOwnership([]int{e.bucketOf(staying)}, 3); err != nil {
+		t.Fatal(err)
+	}
+	second := e.HandoffPending(moving)
+	if !closed(first) || second == nil || closed(second) {
+		t.Fatal("an update of another bucket must wake the waiters and leave the bucket pending")
+	}
+	before := logged.n
+	if err := e.ApplyOwnership([]int{e.bucketOf(moving)}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(second) || e.HandoffPending(moving) != nil {
+		t.Fatal("the confirmation left the bucket pending")
+	}
+	if logged.n != before {
+		t.Fatalf("the confirmation logged %d plan records for a plan it did not change", logged.n-before)
 	}
 }

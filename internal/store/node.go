@@ -12,7 +12,7 @@ import (
 // the migration schedule and every fault decision are identical to
 // single-process mode. Cross-node chunk movement decomposes MoveBuckets into
 // ExtractBuckets at the source node and InstallBuckets at the destination
-// node, with ApplyOwnership broadcasting the flip to bystander nodes.
+// node, with ApplyOwnership broadcasting the flip to the other nodes.
 
 // ErrNotOwned reports that a request targeted a partition whose machine is
 // not hosted on this engine instance. It is transient by nature — ownership
@@ -130,14 +130,17 @@ func (e *Engine) InstallBuckets(buckets []int, data BucketData, to int, perRow, 
 	if res.err != nil {
 		return 0, res.err
 	}
-	e.setOwner(buckets, to)
+	e.setOwner(buckets, to, false)
 	return res.rows, nil
 }
 
 // ApplyOwnership reassigns buckets to a new owning partition in this
 // engine's plan without moving any data — the ownership-flip broadcast a
-// migration coordinator sends to nodes not involved in a chunk transfer, so
-// every node's routing converges on the new placement.
+// migration coordinator sends once a chunk is installed. Bystander nodes learn
+// the new placement from it; the chunk's source node, whose plan named the
+// destination from the moment of the extract, learns that the destination now
+// agrees (HandoffPending), and nothing is logged for a plan that did not
+// change.
 func (e *Engine) ApplyOwnership(buckets []int, owner int) error {
 	if owner < 0 || owner >= len(e.parts) {
 		return fmt.Errorf("store: partition %d out of range", owner)
@@ -147,6 +150,6 @@ func (e *Engine) ApplyOwnership(buckets []int, owner int) error {
 			return fmt.Errorf("store: bucket %d out of range", b)
 		}
 	}
-	e.setOwner(buckets, owner)
+	e.setOwner(buckets, owner, false)
 	return nil
 }

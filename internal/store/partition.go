@@ -467,7 +467,7 @@ func (p *partition) moveOut(r *ctlRequest) {
 		r.done <- moveResult{err: ErrStopped}
 		return
 	}
-	p.eng.setOwner(r.buckets, r.dest.id)
+	p.eng.setOwner(r.buckets, r.dest.id, false)
 	close(r.flipped)
 }
 
@@ -476,9 +476,10 @@ func (p *partition) moveOut(r *ctlRequest) {
 // partition, but returns the data to the caller instead of enqueueing an
 // install — the chunk travels over the wire to another engine instance.
 // Once the flip is visible, transactions routed here fail with ErrNotOwned
-// (the destination machine is not hosted on this engine) and the node's
-// front end re-routes them to the destination's node, where they queue
-// behind the install exactly as forwarded transactions do in-process.
+// (the destination machine is not hosted on this engine) and the buckets are
+// pending (HandoffPending): the node's front end holds their transactions
+// until the install is confirmed and then re-routes them to the
+// destination's node.
 func (p *partition) extractOut(r *ctlRequest) {
 	if p.down.Load() && !r.rollback {
 		r.done <- moveResult{err: partitionDownError(p.id)}
@@ -488,7 +489,7 @@ func (p *partition) extractOut(r *ctlRequest) {
 	rows := data.Rows()
 	p.hold(r.overhead + time.Duration(rows)*r.perRow)
 	atomic.AddInt64(&p.rowsAtomic, -int64(rows))
-	p.eng.setOwner(r.buckets, r.dest.id)
+	p.eng.setOwner(r.buckets, r.dest.id, true)
 	r.done <- moveResult{rows: rows, data: data}
 }
 

@@ -24,13 +24,13 @@ import (
 //	same node:   one move RPC (the node runs the in-process protocol)
 //	cross node:  extract at the source (source flips ownership as the data
 //	             leaves), install at the destination (destination flips
-//	             after the data lands), then a flip broadcast to bystander
-//	             nodes
+//	             after the data lands), then a flip broadcast to the source,
+//	             which it confirms, and to the bystander nodes
 //
 // Between extract and the destination flip, transactions for the moving
-// buckets see transient not-owned refusals and are forwarded by the node
-// front ends — never missing data, the same invariant the in-process
-// install-before-flip ordering provides.
+// buckets are held by the source's front end or forwarded to it by the
+// others; it relays them when the broadcast reaches it — never missing data,
+// the same invariant the in-process install-before-flip ordering provides.
 //
 // Determinism: the chunk-level fault injector is consulted coordinator-side
 // with the same MoveOp, in the same order relative to the ownership and
@@ -354,15 +354,19 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 	}
 
 	// The involved nodes flipped ownership during extract/install (or the
-	// single move RPC); mirror it and broadcast to bystanders.
+	// single move RPC); mirror it and tell the others. The source of a
+	// cross-node move hears first: its plan is already right, but it holds
+	// requests for the buckets until it is told the install has landed.
 	r.applyPlan(buckets, to)
-	for i, p := range r.peers {
-		if i == fromNode || i == toNode {
+	for k := range r.peers {
+		i := (fromNode + k) % len(r.peers)
+		if i == toNode {
 			continue
 		}
-		if err := p.Flip(ctx, buckets, to); err != nil {
+		if err := r.peers[i].Flip(ctx, buckets, to); err != nil {
 			// The move itself committed; a stale bystander plan only causes
-			// transient not-owned forwards and heals on the next flip.
+			// transient not-owned forwards and heals on the next flip, and a
+			// source left waiting relays after server.handoffWait.
 			r.flipErrors.Add(1)
 		}
 	}

@@ -76,3 +76,40 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStreamFrame feeds arbitrary bytes to the stream's frame reader — what a
+// hostile or half-dead peer can put on the socket. Any typed refusal is fine;
+// a panic, an allocation past the cap, or a frame that does not re-encode to
+// the bytes it was read from is not.
+func FuzzStreamFrame(f *testing.F) {
+	seed, _ := AppendStreamFrame(nil, StreamFrame{ID: 1, DeadlineMs: 250, Hops: 1, Payload: []byte(`{"txn":"t","key":"k"}`)})
+	f.Add(seed)
+	f.Add(seed[:len(seed)-3])
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 12})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		r := bytes.NewReader(raw)
+		fr, err := ReadStreamFrame(r)
+		switch {
+		case err == nil:
+			if len(fr.Payload) > MaxFrame {
+				t.Fatalf("ReadStreamFrame returned %d bytes, above the cap", len(fr.Payload))
+			}
+			again, err := AppendStreamFrame(nil, fr)
+			if err != nil {
+				t.Fatalf("re-encoding a frame that was read: %v", err)
+			}
+			if consumed := raw[:len(raw)-r.Len()]; !bytes.Equal(again, consumed) {
+				t.Fatalf("frame re-encodes to %x, was read from %x", again, consumed)
+			}
+		case err == io.EOF:
+			if len(raw) != 0 {
+				t.Fatalf("clean EOF on %d bytes of input", len(raw))
+			}
+		case err == io.ErrUnexpectedEOF, errors.Is(err, ErrFrameTooLarge), errors.Is(err, errShortStreamFrame):
+		default:
+			t.Fatalf("ReadStreamFrame: unexpected error type %v", err)
+		}
+	})
+}

@@ -10,7 +10,7 @@ import (
 
 // This file is the node-to-node vocabulary: the message shapes a migration
 // coordinator exchanges with node processes. Chunk payloads reuse the
-// length-prefixed framing of the batch path — a chunk stream is one ChunkMeta
+// length-prefixed framing of WriteFrame — a chunk stream is one ChunkMeta
 // frame followed by exactly Meta.Buckets BucketFrame frames — so the 1MiB
 // frame cap and the truncation-vs-EOF discipline apply unchanged.
 
@@ -132,6 +132,10 @@ type NodeStatus struct {
 	Epoch    uint64 `json:"epoch,omitempty"`
 	Role     string `json:"role,omitempty"`
 	WALError string `json:"wal_error,omitempty"`
+	// ForwardStreams sums the streams this node forwards transactions over,
+	// one per peer slot: a redial count that grows, or frames without dials,
+	// is how a broken or unused transport shows.
+	ForwardStreams MuxStats `json:"forward_streams"`
 }
 
 // ChunkMeta heads a chunk stream: the total row count and the number of

@@ -13,8 +13,8 @@ import (
 // This file is the replication vocabulary: the messages a primary node and
 // its warm follower exchange to ship the primary's WAL, and the control
 // surface a coordinator uses to promote the follower after a failure. Ship
-// batches travel as one length-prefixed frame (the same framing and 1 MiB
-// cap as the batch path), so the decoder inherits the truncation-vs-EOF
+// batches travel as one length-prefixed frame (WriteFrame's framing and 1 MiB
+// cap), so the decoder inherits the truncation-vs-EOF
 // discipline and is fuzzable in isolation (FuzzShipFrame).
 
 // Replication endpoint paths served by a `pstore serve -node` process.

@@ -1,8 +1,10 @@
 // Package wire defines the protocol spoken between the P-Store network
 // front end (internal/server) and its Go client library (internal/client):
-// the JSON request/response shapes, the length-prefixed binary framing of
-// the batch endpoint, the HTTP headers that carry deadlines and retry
-// hints, and the stable error codes that map the engine's typed errors
+// the JSON request/response shapes, the multiplexed frame stream that carries
+// them between processes (stream.go), the HTTP headers the curl-able /v1/txn
+// adapter uses for deadlines and retry hints, the length-prefixed framing
+// inside node- and repl-plane bodies, and the stable error codes that map the
+// engine's typed errors
 // (store.ErrOverload, store.ErrDeadlineExceeded, store.ErrPartitionDown,
 // ...) onto the wire and back. Both sides import only this package, so the
 // protocol cannot drift between them.
@@ -18,31 +20,25 @@ import (
 	"pstore/internal/store"
 )
 
-// Protocol endpoints. The txn endpoint executes one transaction per HTTP
-// request; the batch endpoint carries many length-prefixed frames per
-// request body and pipelines their execution.
+// Protocol endpoints. Transactions travel over the stream opened at
+// PathStream; the txn endpoint executes one transaction per HTTP request, for
+// curl and for anything that has no stream.
 const (
 	PathTxn      = "/v1/txn"
-	PathBatch    = "/v1/batch"
 	PathTxns     = "/v1/txns"
 	PathInfo     = "/v1/info"
 	PathHealth   = "/v1/healthz"
 	PathShutdown = "/v1/shutdown"
 )
 
-// HTTP headers. Deadlines travel request-to-server as milliseconds; retry
-// hints travel server-to-client the same way (Retry-After only has
-// one-second resolution, far too coarse for millisecond queue estimates).
+// HTTP headers of the txn endpoint. Deadlines travel request-to-server as
+// milliseconds; retry hints travel server-to-client the same way (Retry-After
+// only has one-second resolution, far too coarse for millisecond queue
+// estimates). On a stream both travel in the frame.
 const (
 	HeaderDeadlineMs   = "X-Pstore-Deadline-Ms"
 	HeaderRetryAfterMs = "X-Pstore-Retry-After-Ms"
-	// HeaderForwarded counts node-to-node forwarding hops on a transaction
-	// request, capping forwarding loops while plans are mid-flip.
-	HeaderForwarded = "X-Pstore-Forwarded"
 )
-
-// ContentTypeBatch marks a length-prefixed binary batch body.
-const ContentTypeBatch = "application/x-pstore-batch"
 
 // Request is one transaction submission.
 type Request struct {
@@ -61,8 +57,8 @@ type Request struct {
 // a failure carries a stable Code, a human-readable Error, and, when the
 // failure is retryable backpressure, a RetryAfterMs hint.
 type Response struct {
-	// Status is the HTTP status the response would carry standalone; the
-	// batch endpoint embeds it here since frames share one HTTP status.
+	// Status is the HTTP status the response would carry standalone; a
+	// stream has no other place for it.
 	Status int `json:"status"`
 	// Value is the JSON-encoded procedure result (null for procedures
 	// returning nothing).
@@ -179,7 +175,7 @@ func SentinelOf(code string) error {
 	}
 }
 
-// MaxFrame bounds one batch frame's payload. Generous for any transaction
+// MaxFrame bounds one frame's payload. Generous for any transaction
 // this engine serves, small enough that a corrupt length prefix cannot ask
 // the reader to allocate gigabytes.
 const MaxFrame = 1 << 20

@@ -413,11 +413,7 @@ func coordLocalTopology(maxM, initial int, seed int64) (*transport.Local, error)
 	}
 	rm := recovery.NewManager(eng)
 	eng.Start()
-	if err := b2w.Load(eng, deployedDataset(seed)); err != nil {
-		eng.Stop()
-		return nil, err
-	}
-	if _, err := rm.Checkpoint(); err != nil {
+	if _, err := rm.Bootstrap(func() error { return b2w.Load(eng, deployedDataset(seed)) }); err != nil {
 		eng.Stop()
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -84,14 +85,6 @@ func runServeNode(cfg serveNodeConfig) error {
 		}
 	}
 
-	// The trace contract is computed exactly as in single-process serve, so
-	// a drive process pointed at any node replays the same workload.
-	full, err := workload.SyntheticB2W(workload.DefaultB2WConfig(cfg.seed, 28+cfg.days))
-	if err != nil {
-		return err
-	}
-	replay := full.Slice(28*workload.MinutesPerDay, full.Len())
-
 	olCfg, err := store.ParseOverload(cfg.overloadSpec)
 	if err != nil {
 		return err
@@ -114,9 +107,6 @@ func runServeNode(cfg serveNodeConfig) error {
 			engCfg.HostedMachines = append(engCfg.HostedMachines, m)
 		}
 	}
-	perMachine := 0.8 * float64(engCfg.PartitionsPerMachine) / engCfg.ServiceTime.Seconds()
-	rateScale := 0.75 * float64(cfg.maxM) * perMachine * cfg.minute.Seconds() / replay.Max()
-
 	eng, err := store.NewEngine(engCfg)
 	if err != nil {
 		return err
@@ -124,10 +114,11 @@ func runServeNode(cfg serveNodeConfig) error {
 	if err := b2w.Register(eng); err != nil {
 		return err
 	}
-	// The recovery manager attaches before Start so the bulk load is logged
-	// and the coordinator's crash plane works from the first transaction on.
-	// With -data-dir the log is the on-disk WAL and a restart of this node
-	// cold-starts from the directory instead of reloading the dataset.
+	// The recovery manager attaches before Start so the coordinator's crash
+	// plane works from the first transaction on; the bulk load is not logged
+	// but lands as its first image set. With -data-dir the log is the on-disk
+	// WAL and a restart of this node cold-starts from the directory instead
+	// of reloading the dataset.
 	rm, err := recovery.New(eng, recovery.Config{DataDir: cfg.dataDir})
 	if err != nil {
 		return err
@@ -157,22 +148,12 @@ func runServeNode(cfg serveNodeConfig) error {
 		fmt.Fprintf(os.Stderr, "serve: node %d/%d hosting machines %v, loading dataset\n",
 			cfg.node, cfg.nodes, engCfg.HostedMachines)
 		loadStart := time.Now()
-		if err := b2w.Load(eng, spec); err != nil {
-			return err
-		}
-		loaded := rm.WALStats()
-		// Baseline checkpoint: restores replay only live traffic, not the
-		// load.
-		ckptStart := time.Now()
-		images, err := rm.Checkpoint()
+		images, err := rm.Bootstrap(func() error { return b2w.Load(eng, spec) })
 		if err != nil {
-			return fmt.Errorf("baseline checkpoint: %w", err)
+			return fmt.Errorf("loading dataset: %w", err)
 		}
-		if loaded.Syncs > 0 {
-			fmt.Fprintf(os.Stderr, "serve: dataset loaded in %v (%d records, %.1f per fsync), baseline checkpoint of %d images in %v\n",
-				ckptStart.Sub(loadStart).Round(time.Millisecond), loaded.Appends,
-				float64(loaded.Appends)/float64(loaded.Syncs), images, time.Since(ckptStart).Round(time.Millisecond))
-		}
+		fmt.Fprintf(os.Stderr, "serve: dataset loaded as a baseline image set of %d images in %v, %d WAL records appended\n",
+			images, time.Since(loadStart).Round(time.Millisecond), rm.WALStats().Appends)
 	}
 	if olCfg.Enabled() {
 		fmt.Fprintf(os.Stderr, "serve: overload plane armed: %s\n", olCfg)
@@ -181,7 +162,6 @@ func runServeNode(cfg serveNodeConfig) error {
 	info := serveInfo{
 		Seed: cfg.seed, Days: cfg.days,
 		MinuteMs:     float64(cfg.minute) / float64(time.Millisecond),
-		RateScale:    rateScale,
 		DeadlineMs:   float64(olCfg.Deadline) / float64(time.Millisecond),
 		Carts:        spec.Carts,
 		Checkouts:    spec.Checkouts,
@@ -193,6 +173,18 @@ func runServeNode(cfg serveNodeConfig) error {
 	if olCfg.Enabled() {
 		info.Overload = olCfg.String()
 	}
+	// The trace contract is the one single-process serve publishes, so a drive
+	// process pointed at any node replays the same workload. Only a driver
+	// reads it, so the month of trace behind its rate scale is generated on
+	// the first request, not at every start.
+	traceInfo := infoFunc(sync.OnceValues(func() ([]byte, error) {
+		full, err := workload.SyntheticB2W(workload.DefaultB2WConfig(cfg.seed, 28+cfg.days))
+		if err != nil {
+			return nil, err
+		}
+		_, info.RateScale = capacityScale(engCfg, cfg.maxM, cfg.minute, full.Slice(28*workload.MinutesPerDay, full.Len()).Max())
+		return json.Marshal(info)
+	}))
 	nodeCfg := &server.NodeConfig{
 		ID:                      cfg.node,
 		Nodes:                   cfg.nodes,
@@ -361,16 +353,11 @@ func runServeNode(cfg serveNodeConfig) error {
 	}
 	scfg := server.Config{
 		Engine:          eng,
-		DefaultDeadline: time.Duration(info.DeadlineMs * float64(time.Millisecond)),
-		Info:            info,
+		DefaultDeadline: olCfg.Deadline,
+		Info:            traceInfo,
 		Node:            nodeCfg,
 	}
 	start := time.Now()
-	// The load (or cold start) ran through the same commit stage as live
-	// traffic, at service time 0 and so with nothing to hide an fsync behind;
-	// the exit summary reports the commit waits and holds of what the listener
-	// served.
-	loaded := eng.Counters()
 	started := func(srv *server.Server) {
 		srvMu.Lock()
 		srvPtr = srv
@@ -392,10 +379,10 @@ func runServeNode(cfg serveNodeConfig) error {
 	fmt.Printf("wire: %d requests in %d frames (%d streams): %d ok, %d txn-errors, %d bad-requests, %d internal, %d forwarded\n",
 		sc.Requests, sc.Frames, sc.Streams, sc.OK, sc.TxnErrors, sc.BadRequests, sc.Internal, sc.Forwarded)
 	ec := eng.Counters()
-	held := ec.CommitWaits - loaded.CommitWaits
+	held := ec.CommitWaits
 	var commitWait time.Duration
 	if held > 0 {
-		commitWait = time.Duration((ec.CommitWaitNs - loaded.CommitWaitNs) / held)
+		commitWait = time.Duration(ec.CommitWaitNs / held)
 	}
 	ws := rm.WALStats()
 	fmt.Printf("node %d served %d transactions (%d failed) in %v; %d replies held for durability, mean commit wait %v; WAL shipped by %d tail reads, %d file reads",
@@ -410,12 +397,11 @@ func runServeNode(cfg serveNodeConfig) error {
 				as.Batches, float64(as.Records)/float64(as.Fsyncs), as.MaxBacklog)
 		}
 	}
-	holds := ec.Holds - loaded.Holds
 	var overshoot time.Duration
-	if holds > 0 {
-		overshoot = time.Duration((ec.HoldOverNs - loaded.HoldOverNs) / holds)
+	if ec.Holds > 0 {
+		overshoot = time.Duration(ec.HoldOverNs / ec.Holds)
 	}
-	fmt.Printf("; %d holds, mean overshoot %v", holds, overshoot.Round(time.Microsecond))
+	fmt.Printf("; %d holds, mean overshoot %v", ec.Holds, overshoot.Round(time.Microsecond))
 	if srv != nil {
 		fs := srv.ForwardStreams()
 		fmt.Printf("; forward streams: %d dials, %d redials, %d frames, max %d in flight",

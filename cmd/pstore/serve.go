@@ -51,6 +51,20 @@ type serveInfo struct {
 	Nodes int `json:"nodes,omitempty"`
 }
 
+// infoFunc is a /v1/info payload encoded when a driver asks for it.
+type infoFunc func() ([]byte, error)
+
+func (f infoFunc) MarshalJSON() ([]byte, error) { return f() }
+
+// capacityScale is the one derivation of a machine's capacity both serve modes
+// size their trace by: Q-hat, 80 % of its partitions' raw service rate, and
+// the rate scale that makes the replay's peak minute demand ~3/4 of maxM such
+// machines.
+func capacityScale(cfg store.Config, maxM int, minute time.Duration, peak float64) (perMachine, rateScale float64) {
+	perMachine = 0.8 * float64(cfg.PartitionsPerMachine) / cfg.ServiceTime.Seconds()
+	return perMachine, 0.75 * float64(maxM) * perMachine * minute.Seconds() / peak
+}
+
 func runServe(args []string) error {
 	fs := newFlagSet("serve")
 	days := fs.Int("days", 1, "days to replay after the 28-day training window")
@@ -129,9 +143,7 @@ func runServe(args []string) error {
 	if olCfg.Enabled() {
 		fmt.Fprintf(os.Stderr, "serve: overload plane armed: %s\n", olCfg)
 	}
-	// Size the trace so its peak demands ~3/4 of the cluster at Q-hat.
-	perMachine := 0.8 * float64(engCfg.PartitionsPerMachine) / engCfg.ServiceTime.Seconds()
-	rateScale := 0.75 * float64(*maxM) * perMachine * minute.Seconds() / replay.Max()
+	perMachine, rateScale := capacityScale(engCfg, *maxM, *minute, replay.Max())
 	qMax := perMachine * minute.Seconds() / rateScale
 	model := migration.Model{Q: 0.65 / 0.8 * qMax, QMax: qMax, D: 10, P: engCfg.PartitionsPerMachine}
 

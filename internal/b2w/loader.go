@@ -29,13 +29,14 @@ type LoadSpec struct {
 }
 
 // defaultLoaders is how many loads are in flight when the spec does not say.
-// Each loader waits for its row to commit before sending the next, so under a
-// durable log the loaders in flight are all one group commit can carry: 8 of
-// them meant at most 8 records (4 on a node that owns half the keys) per
-// ~0.4 ms fsync. A bootstrap procedure runs in microseconds, so some tens of
-// them fit inside one fsync; 64 fills it (≈ 29 records per fsync on a 2-node
-// layout), and beyond that the load gets no shorter worth the goroutines.
-const defaultLoaders = 64
+// A node's load is not logged (recovery.Manager.Bootstrap), so a loader waits
+// for an executor's few-µs hand-off, not for an fsync, and needs no group
+// commit to fill: one load in flight per partition of the deployed 16-partition
+// engine keeps every executor busy wherever there is a core for each. On 2
+// cores BenchmarkLoad puts 4 to 64 loaders within noise of each other (≈ 10 ms
+// for 4 200 rows, 1 loader ≈ 13 ms), and timed node starts read 16 at ≈ 25 ms
+// against ≈ 28 ms for 4 and for 64.
+const defaultLoaders = 16
 
 // DefaultLoadSpec returns a small database suitable for scaled experiments.
 func DefaultLoadSpec() LoadSpec {

@@ -65,7 +65,9 @@ type Config struct {
 	// Bootstrap, if set, runs during Start after the engine boots but
 	// before the recorder attaches and the decision loop begins — the place
 	// to load data so bulk loading is neither measured nor mistaken for
-	// offered load.
+	// offered load. With a recovery manager it runs inside
+	// recovery.Manager.Bootstrap: unlogged, made durable by the baseline
+	// checkpoint round that ends it.
 	Bootstrap func(*store.Engine) error
 	// FaultInjector, if set, is attached to the engine's migration path
 	// for chaos runs (see internal/faults). Failed moves roll back and
@@ -202,8 +204,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, eng: eng, subs: map[int]chan Event{}}
 	if cfg.Crash != nil || cfg.CheckpointEvery > 0 || cfg.DataDir != "" {
 		// The manager attaches to the command-log hook now, before Start,
-		// so bootstrap writes are logged and every machine is recoverable
-		// from the first transaction on.
+		// so every machine is recoverable from the first transaction on.
 		c.rm, err = recovery.New(eng, recovery.Config{DataDir: cfg.DataDir})
 		if err != nil {
 			return nil, err
@@ -343,9 +344,19 @@ func (c *Cluster) Start(ctx context.Context) error {
 	if c.stopping {
 		return errors.New("cluster: already stopped")
 	}
+	// A recovery plane needs a baseline checkpoint, so the first crash replays
+	// only the live traffic since Start. A fresh local engine's bootstrap
+	// round is that baseline; a cold start and a coordinator take one below.
+	baseline := c.hasRecovery
 	if c.eng != nil {
 		c.eng.Start()
-		if c.rm != nil && c.rm.HasColdState() {
+		load := func() error { return nil }
+		if c.cfg.Bootstrap != nil {
+			load = func() error { return c.cfg.Bootstrap(c.eng) }
+		}
+		var err error
+		switch {
+		case c.rm != nil && c.rm.HasColdState():
 			// The data directory holds a previous life's state: rebuild the
 			// whole engine from disk instead of bootstrapping fresh data.
 			st, err := c.rm.ColdStart()
@@ -353,10 +364,14 @@ func (c *Cluster) Start(ctx context.Context) error {
 				return fmt.Errorf("cluster: cold start: %w", err)
 			}
 			c.coldStart = &st
-		} else if c.cfg.Bootstrap != nil {
-			if err := c.cfg.Bootstrap(c.eng); err != nil {
-				return fmt.Errorf("cluster: bootstrap: %w", err)
-			}
+		case c.rm != nil:
+			_, err = c.rm.Bootstrap(load)
+			baseline = false
+		default:
+			err = load()
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: bootstrap: %w", err)
 		}
 		if c.cfg.RecorderWindow > 0 {
 			rec, err := metrics.NewRecorder(time.Now(), c.cfg.RecorderWindow)
@@ -372,10 +387,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 			rec.RecordMachines(time.Now(), c.topo.ActiveMachines())
 		}
 	}
-	if c.hasRecovery {
-		// Baseline checkpoint: the bootstrap data set becomes the image and
-		// its command log is truncated, so the first crash replays only the
-		// live traffic since Start.
+	if baseline {
 		if _, err := c.topo.Checkpoint(); err != nil {
 			return fmt.Errorf("cluster: initial checkpoint: %w", err)
 		}

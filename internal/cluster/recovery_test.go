@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"pstore/internal/elastic"
 	"pstore/internal/faults"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 )
 
 // crashProbeController records what the runtime tells a controller about
@@ -275,5 +277,69 @@ func TestClusterCrashConfigValidation(t *testing.T) {
 	}
 	if c.Recovery() == nil {
 		t.Error("CheckpointEvery alone did not build a recovery manager")
+	}
+}
+
+// TestClusterKilledMidLoadReloads: a process that dies part-way through its
+// first load leaves no cold state behind — the load's only durable form is the
+// image set that ends it — so the restart loads the whole dataset again
+// instead of cold-starting the part it had logged.
+func TestClusterKilledMidLoadReloads(t *testing.T) {
+	const keys = 200
+	dir := t.TempDir()
+	errKilled := errors.New("killed mid-load")
+	start := func(loaded int) (*Cluster, error) {
+		t.Helper()
+		c, err := New(Config{
+			Engine:  testEngineConfig(),
+			Squall:  testSquallConfig(),
+			DataDir: dir,
+			Bootstrap: func(e *store.Engine) error {
+				for i := 0; i < loaded; i++ {
+					if _, err := e.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+						return err
+					}
+				}
+				if loaded < keys {
+					return errKilled
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := c.Engine()
+		if err := errors.Join(
+			e.Register("put", func(tx *store.Tx) (any, error) { return nil, tx.Put("T", tx.Key, tx.Args) }),
+			e.Register("get", func(tx *store.Tx) (any, error) { v, _, err := tx.Get("T", tx.Key); return v, err }),
+			e.SetArgsDecoder(storetest.Args[int]),
+		); err != nil {
+			t.Fatal(err)
+		}
+		return c, c.Start(context.Background())
+	}
+
+	c, err := start(keys / 3)
+	if !errors.Is(err, errKilled) {
+		t.Fatalf("first life: Start = %v, want the load's death", err)
+	}
+	c.Stop()
+
+	c, err = start(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if cs := c.ColdStart(); cs != nil {
+		t.Fatalf("restart cold-started %d images + %d commands of a load that never finished", cs.Snapshots, cs.Replayed)
+	}
+	if got := c.Engine().TotalRows(); got != keys {
+		t.Fatalf("restart serves %d rows, want the full %d", got, keys)
+	}
+	for i := 0; i < keys; i++ {
+		if v, err := c.Submit("get", fmt.Sprintf("k-%d", i), nil); err != nil || v != i {
+			t.Fatalf("k-%d = %v (%v), want %d", i, v, err, i)
+		}
 	}
 }

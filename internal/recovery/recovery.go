@@ -128,9 +128,11 @@ type Manager struct {
 
 	// cold is the state a durable store recovered at open, consumed by
 	// ColdStart; planMuted suppresses plan re-logging while ColdStart is
-	// reinstalling the very plan that was just read back from disk.
+	// reinstalling the very plan that was just read back from disk; loading
+	// suppresses command records while Bootstrap's load runs.
 	cold      *wal.Recovered
 	planMuted atomic.Bool
+	loading   atomic.Bool
 
 	// mu serializes the orchestration paths (Crash / Checkpoint / Restore /
 	// ColdStart); the log store alone protects the append hot path.
@@ -149,9 +151,9 @@ type Manager struct {
 
 // NewManager builds an in-memory recovery manager for the engine and
 // attaches it as the engine's command logger. Attach before loading any
-// data: replay rebuilds buckets from their full command history (or their
-// latest checkpoint), so pre-attachment writes would be invisible to
-// recovery.
+// data (through Bootstrap): replay rebuilds buckets from their full command
+// history (or their latest checkpoint), so pre-attachment writes would be
+// invisible to recovery.
 func NewManager(eng *store.Engine) *Manager {
 	m, _ := New(eng, Config{})
 	return m
@@ -203,8 +205,14 @@ func (m *Manager) SetRecorder(r *metrics.Recorder) { m.rec.Store(r) }
 // — args included, so what the procedure then does to them is not logged —
 // into the WAL's group-commit buffer, and the returned ticket is what the
 // partition's commit stage hands to WaitDurable, while the procedure runs,
-// before it acknowledges the transaction.
+// before it acknowledges the transaction. During Bootstrap's load it only
+// takes the LSN: the executor is the bucket's sole appender, and the image
+// set that ends the load is the record.
 func (m *Manager) AppendCommand(bucket int, id store.TxnID, key string, args any) (uint64, error) {
+	if m.loading.Load() {
+		m.log.AdvanceHead(bucket, m.log.Head(bucket)+1)
+		return 0, nil
+	}
 	return m.log.Append(bucket, id, key, args)
 }
 
@@ -246,6 +254,24 @@ func (m *Manager) Err() error { return m.log.Err() }
 // store). Everything acknowledged is already durable; Close flushes
 // nothing.
 func (m *Manager) Close() error { return m.log.Close() }
+
+// Bootstrap loads a fresh engine's dataset and makes it durable as one
+// checkpoint round instead of as a command log: load runs with nothing logged
+// (each command still takes the LSN a logged one would), then the round's
+// image set, stamped with those LSNs, is the load's only durable form. A crash
+// before that set lands leaves no cold state, so the loader runs again; one
+// after leaves the whole dataset. Nothing else may execute during load, and
+// on an error the loaded rows have no durable form. It returns the number of
+// images installed.
+func (m *Manager) Bootstrap(load func() error) (int, error) {
+	m.loading.Store(true)
+	err := load()
+	m.loading.Store(false)
+	if err != nil {
+		return 0, err
+	}
+	return m.Checkpoint()
+}
 
 // Checkpoint snapshots every live partition and installs the images as the
 // buckets' new recovery baseline, truncating each bucket's command log up to

@@ -1,14 +1,18 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"pstore/internal/client"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
@@ -109,5 +113,49 @@ func TestHealthzReportsWALFailure(t *testing.T) {
 	}
 	if st := nodeStatus(); st.WALError == "" {
 		t.Fatal("node status does not surface the latched WAL error")
+	}
+}
+
+// TestRefusedRecordIsBadRequest: a command whose record the WAL refuses (args
+// between wal.MaxRecordBytes and the frame cap) would be refused however often
+// it is sent, so it travels as a 400, not as a 503 the client retries forever:
+// one attempt, one frame, nothing latched.
+func TestRefusedRecordIsBadRequest(t *testing.T) {
+	eng, err := store.NewEngine(store.Config{
+		MaxMachines: 1, PartitionsPerMachine: 2, Buckets: 64, QueueCapacity: 1 << 10, InitialMachines: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Register("put", func(tx *store.Tx) (any, error) {
+		return nil, tx.Put("kv", tx.Key, tx.Args)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetArgsDecoder(storetest.Args[string]); err != nil {
+		t.Fatal(err)
+	}
+	rm, err := recovery.New(eng, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	t.Cleanup(eng.Stop)
+	srv, err := New(Config{Engine: eng, Node: &NodeConfig{ID: 0, Nodes: 1, Recovery: rm}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := loopbackClient(t, serveLoopback(t, srv), client.Config{RetryRefused: 5})
+
+	_, err = cl.Execute(context.Background(), "put", "k", strings.Repeat("x", wal.MaxRecordBytes))
+	var remote *client.RemoteError
+	if !errors.As(err, &remote) || remote.Status != http.StatusBadRequest || remote.Code != wire.CodeBadRequest {
+		t.Fatalf("oversize put: %v, want 400 %s", err, wire.CodeBadRequest)
+	}
+	if cc, sc := cl.Counters(), srv.Counters(); cc.Retried != 0 || sc.Frames != 1 || sc.BadRequests != 1 {
+		t.Fatalf("%d retries, %d frames, %d bad requests; want one attempt answered 400", cc.Retried, sc.Frames, sc.BadRequests)
+	}
+	if err := rm.Err(); err != nil {
+		t.Fatalf("the refusal latched the log: %v", err)
 	}
 }

@@ -177,7 +177,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	total := cfg.MaxMachines * cfg.PartitionsPerMachine
 	e.parts = make([]*partition, total)
 	for i := range e.parts {
-		e.parts[i] = newPartition(i, e, cfg.QueueCapacity)
+		// Every send into a partition checks that its machine is hosted here,
+		// so another node's partitions need no queue buffers.
+		capacity := cfg.QueueCapacity
+		if !e.hosted[i/cfg.PartitionsPerMachine] {
+			capacity = 0
+		}
+		e.parts[i] = newPartition(i, e, capacity)
 	}
 	// Initial plan: buckets spread round-robin over the initial machines'
 	// partitions, so data and load start uniform (Section 4.2).

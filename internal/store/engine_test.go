@@ -534,3 +534,39 @@ func TestHandoffPending(t *testing.T) {
 		t.Fatalf("the confirmation logged %d plan records for a plan it did not change", logged.n-before)
 	}
 }
+
+// TestUnhostedPartitionsHaveNoQueues: another node's partitions get no queue
+// buffers, and every entry point that would send to one refuses with
+// ErrNotOwned instead — none relies on a buffer to return.
+func TestUnhostedPartitionsHaveNoQueues(t *testing.T) {
+	cfg := smallConfig()
+	cfg.InitialMachines, cfg.HostedMachines = 2, []int{0, 2} // partitions 0, 1, 4, 5 here
+	e := testEngine(t, cfg)
+	registerKV(t, e)
+	e.Start()
+	for _, p := range e.parts {
+		want := 0
+		if e.Hosted(e.MachineOfPartition(p.id)) {
+			want = cfg.QueueCapacity
+		}
+		if cap(p.ch) != want || cap(p.ctlCh) != want {
+			t.Fatalf("partition %d: lanes of %d/%d slots, want %d", p.id, cap(p.ch), cap(p.ctlCh), want)
+		}
+	}
+	far := partitionKeys(e, 2, 1)[0]
+	if _, err := e.Execute("put", far, 1); !errors.Is(err, ErrNotOwned) {
+		t.Fatalf("put for partition 2: %v", err)
+	}
+	for name, call := range map[string]func() error{
+		"crash":    func() error { return e.Crash(1) },
+		"snapshot": func() error { _, err := e.SnapshotPartition(2); return err },
+		"restore":  func() error { _, err := e.RestorePartition(3, nil, nil); return err },
+		"extract":  func() error { _, err := e.ExtractBuckets(e.OwnedBuckets(2), 2, 0, 0, 0, false); return err },
+		"install":  func() error { _, err := e.InstallBuckets(nil, BucketData{}, 6, 0, 0); return err },
+		"move":     func() error { _, err := e.MoveBuckets(e.OwnedBuckets(2), 2, 0, 0, 0); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrNotOwned) {
+			t.Errorf("%s on another node's partition: %v, want ErrNotOwned", name, err)
+		}
+	}
+}

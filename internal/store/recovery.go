@@ -124,6 +124,9 @@ func (e *Engine) Crash(machine int) error {
 	if machine < 0 || machine >= e.cfg.MaxMachines {
 		return fmt.Errorf("store: machine %d out of [0, %d)", machine, e.cfg.MaxMachines)
 	}
+	if !e.hosted[machine] {
+		return notOwnedError(machine * e.cfg.PartitionsPerMachine)
+	}
 	for _, part := range e.PartitionsOfMachine(machine) {
 		req := &ctlRequest{kind: ctlCrash, done: make(chan moveResult, 1)}
 		p := e.parts[part]
@@ -203,6 +206,9 @@ func (e *Engine) snapshot(part int, buckets []int) ([]BucketSnapshot, error) {
 	if part < 0 || part >= len(e.parts) {
 		return nil, fmt.Errorf("store: partition %d out of range", part)
 	}
+	if !e.hosted[part/e.cfg.PartitionsPerMachine] {
+		return nil, notOwnedError(part)
+	}
 	req := &ctlRequest{kind: ctlSnapshot, buckets: buckets, done: make(chan moveResult, 1)}
 	p := e.parts[part]
 	select {
@@ -223,6 +229,9 @@ func (e *Engine) snapshot(part int, buckets []int) ([]BucketSnapshot, error) {
 func (e *Engine) RestorePartition(part int, snaps []BucketSnapshot, cmds []ReplayCommand) (int, error) {
 	if part < 0 || part >= len(e.parts) {
 		return 0, fmt.Errorf("store: partition %d out of range", part)
+	}
+	if !e.hosted[part/e.cfg.PartitionsPerMachine] {
+		return 0, notOwnedError(part)
 	}
 	p := e.parts[part]
 	if !p.down.Load() {

@@ -18,6 +18,7 @@ import (
 	"io"
 
 	"pstore/internal/store"
+	"pstore/internal/wal"
 )
 
 // Protocol endpoints. Transactions travel over the stream opened at
@@ -91,7 +92,8 @@ const (
 	CodeUnknownTxn = "unknown_txn"
 	// CodeStopped: the engine is shut down (HTTP 503).
 	CodeStopped = "stopped"
-	// CodeBadRequest: the request body or arguments did not parse (HTTP 400).
+	// CodeBadRequest: the request body or arguments did not parse, or its
+	// command record is too large for the log (HTTP 400).
 	CodeBadRequest = "bad_request"
 	// CodeTxn: the procedure executed and returned an application error —
 	// a business outcome, not a transport failure (HTTP 422).
@@ -113,6 +115,9 @@ func CodeOf(err error) string {
 		return CodeOverload
 	case errors.Is(err, store.ErrDeadlineExceeded):
 		return CodeDeadline
+	case errors.Is(err, wal.ErrRecordRefused):
+		// Too large for the log however often it is sent: the request's fault.
+		return CodeBadRequest
 	case errors.Is(err, store.ErrPartitionDown), errors.Is(err, store.ErrCommitFailed):
 		return CodePartitionDown
 	case errors.Is(err, store.ErrUnknownTxn):

@@ -189,7 +189,6 @@ func runServeNode(cfg serveNodeConfig) error {
 		ID:                      cfg.node,
 		Nodes:                   cfg.nodes,
 		Recovery:                rm,
-		DecodeRow:               b2w.DecodeRow,
 		ReplicaOf:               cfg.replicaOf,
 		FollowerCheckpointEvery: cfg.followerCkptEvery,
 	}
@@ -293,12 +292,12 @@ func runServeNode(cfg serveNodeConfig) error {
 		// Full resync: wipe the local log and rebuild from a fresh snapshot
 		// stream, exactly like a first-boot replica.
 		srv.PrepareFullResync()
-		meta, frames, err := primary.ReplSync(ctx, cfg.advertiseURL())
+		meta, set, err := primary.ReplSync(ctx, cfg.advertiseURL())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: FATAL: rejoin full resync from %s: %v\n", primaryURL, err)
 			os.Exit(1)
 		}
-		if err := srv.InstallReplicaState(meta, frames); err != nil {
+		if err := srv.InstallReplicaState(meta, set); err != nil {
 			fmt.Fprintf(os.Stderr, "serve: FATAL: rejoin install from %s: %v\n", primaryURL, err)
 			os.Exit(1)
 		}
@@ -435,11 +434,11 @@ func bootstrapReplica(srv *server.Server, cfg serveNodeConfig) error {
 	if err := primary.WaitHealthy(ctx, time.Minute); err != nil {
 		return err
 	}
-	meta, frames, err := primary.ReplSync(ctx, cfg.advertiseURL())
+	meta, set, err := primary.ReplSync(ctx, cfg.advertiseURL())
 	if err != nil {
 		return err
 	}
-	if err := srv.InstallReplicaState(meta, frames); err != nil {
+	if err := srv.InstallReplicaState(meta, set); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "serve: replica synced from %s: epoch %d, %d buckets, plan seq %d, cursor segment %d record %d\n",

@@ -2,11 +2,12 @@ package b2w
 
 import "encoding/gob"
 
-// Checkpoint images (internal/wal) still gob-encode a bucket's rows as
-// interface values, so the four row types are registered — as pointers, the
-// form rows live in tables in and must come back in. Images are the one place
-// gob is left: the command log and the wire carry JSON (wire.go), and giving
-// images the wire's BucketFrame encoding is a change of its own.
+// Gob is the bucket-state codec everywhere rows are serialized: checkpoint
+// image sets, a follower's sync body and a migrated chunk are all one image
+// set (internal/wal), whose payloads gob-encode a bucket's rows as interface
+// values. So the four row types are registered — as pointers, the form rows
+// live in tables in and must come back in. Transaction arguments are JSON
+// (wire.go): the command log and the wire carry them as submitted.
 func init() {
 	gob.Register(&Cart{})
 	gob.Register(&Checkout{})

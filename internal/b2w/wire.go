@@ -41,37 +41,6 @@ func DecodeArgs(txn string, raw json.RawMessage) (any, error) {
 	}
 }
 
-// DecodeRow is the chunk codec for the benchmark's stored rows: it rebuilds
-// the concrete pointer type a table stores (the wire.RowDecoder for a b2w
-// node), so rows arriving in a migrated chunk are indistinguishable from
-// rows written locally.
-func DecodeRow(table string, raw json.RawMessage) (any, error) {
-	switch table {
-	case TableCart:
-		return decodeRow[Cart](raw)
-	case TableCheckout:
-		return decodeRow[Checkout](raw)
-	case TableStock:
-		return decodeRow[StockItem](raw)
-	case TableStockTx:
-		return decodeRow[StockTransaction](raw)
-	default:
-		return nil, fmt.Errorf("b2w: no row codec for table %q", table)
-	}
-}
-
-// decodeRow unmarshals raw into *T — the pointer form the stored procedures
-// type-assert — rejecting unknown fields like the argument codec does.
-func decodeRow[T any](raw json.RawMessage) (any, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	v := new(T)
-	if err := dec.Decode(v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // decodeInto unmarshals raw into a value of T, rejecting unknown fields so
 // a client/server schema drift fails loudly instead of zeroing arguments.
 func decodeInto[T any](raw json.RawMessage) (any, error) {

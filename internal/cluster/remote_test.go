@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -36,22 +35,13 @@ func remoteRegister(eng *store.Engine) error {
 	return eng.SetArgsDecoder(storetest.Args[int])
 }
 
-func remoteDecodeRow(table string, raw json.RawMessage) (any, error) {
-	var v int
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 func newRemoteLoopback(t *testing.T, nodes int) *transport.Loopback {
 	t.Helper()
 	lb, err := transport.NewLoopback(transport.LoopbackConfig{
-		Nodes:     nodes,
-		Store:     testEngineConfig(),
-		Register:  remoteRegister,
-		DecodeRow: remoteDecodeRow,
-		Recovery:  true,
+		Nodes:    nodes,
+		Store:    testEngineConfig(),
+		Register: remoteRegister,
+		Recovery: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -389,12 +389,6 @@ func (r *Recorder) SojournPercentile(w int, p float64) float64 {
 	return r.soj.percentile(w, p)
 }
 
-// SojournPercentileSeries returns the p-th percentile queue-sojourn time of
-// every sojourn window.
-func (r *Recorder) SojournPercentileSeries(p float64) []float64 {
-	return r.soj.percentileSeries(p)
-}
-
 func percentileOfSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

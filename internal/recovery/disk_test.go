@@ -269,7 +269,7 @@ func TestLogSizeAfterReplicaBaseline(t *testing.T) {
 	}
 
 	e, m := testEngineCfg(t, 2, 2, recovery.Config{DataDir: t.TempDir()})
-	if err := m.InstallReplicaBaseline(snaps); err != nil {
+	if err := m.InstallReplicaBaseline(snaps, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.LogSize(); got != 0 {

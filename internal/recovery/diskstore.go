@@ -138,12 +138,19 @@ func (s *diskStore) Head(bucket int) uint64 {
 	return s.heads[bucket].Load()
 }
 
-func (s *diskStore) Install(snaps []store.BucketSnapshot) error {
-	imgs := make([]*wal.Image, len(snaps))
-	for i, snap := range snaps {
-		imgs[i] = &wal.Image{Bucket: snap.Bucket, Rows: snap.Rows, LSN: snap.LSN, Tables: snap.Tables}
+func (s *diskStore) Install(snaps []store.BucketSnapshot, set []byte) error {
+	var err error
+	if set != nil {
+		err = s.log.WriteImageSet(set)
+	} else {
+		imgs := make([]*wal.Image, len(snaps))
+		for i := range snaps {
+			img := wal.Image(snaps[i])
+			imgs[i] = &img
+		}
+		err = s.log.WriteImages(imgs)
 	}
-	if err := s.log.WriteImages(imgs); err != nil {
+	if err != nil {
 		s.fail(err)
 		return err
 	}

@@ -155,7 +155,7 @@ func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 		snaps = append(snaps, ps...)
 	}
 	syncs.reset()
-	if err := m.InstallReplicaBaseline(snaps); err != nil {
+	if err := m.InstallReplicaBaseline(snaps, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s, mf := syncs.sets.Load(), syncs.manifests.Load(); s != 1 || mf != 1 || len(snaps) != roundBuckets {
@@ -164,6 +164,52 @@ func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 	if names, _ := fs.ReadDir("data/img"); len(names) != 1 {
 		t.Fatalf("image sets after a full baseline: %v, want only the newest", names)
 	}
+}
+
+// TestColdStartDecodesEachSetOnce: an image set's payloads decode only as one
+// stream, so recovery reads each set once per operation — a cold start of 16
+// partitions over two sets decodes two sets, not one per partition, and a
+// restore of one machine's four partitions decodes each set they draw on
+// once — and rebuilds every value.
+func TestColdStartDecodesEachSetOnce(t *testing.T) {
+	fs := wal.NewMemFS(1)
+	e, m, keys := roundEngine(t, fs, 0)
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A chunk's re-baseline on machine 1 puts a second set on top of the round.
+	if _, err := m.CheckpointPartition(5, e.OwnedBuckets(5)[:7]); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := fs.ReadDir("data/img"); len(names) != 2 {
+		t.Fatalf("image sets %v, want the round's and the chunk's", names)
+	}
+	e.Stop()
+	m.Close()
+
+	e2, m2 := newRoundEngine(t, fs, 0)
+	st, err := m2.ColdStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Partitions != 16 || st.Snapshots != roundBuckets {
+		t.Fatalf("cold start rebuilt %d partitions from %d images, want 16 from %d", st.Partitions, st.Snapshots, roundBuckets)
+	}
+	if got := m2.WALStats().ImageSetDecodes; got != 2 {
+		t.Fatalf("cold start of 16 partitions decoded %d image sets, want each of the 2 once", got)
+	}
+	checkValues(t, e2, keys, func(i int) any { return i })
+
+	if err := m2.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m2.Restore(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.WALStats().ImageSetDecodes - 2; got != 2 {
+		t.Fatalf("restore of machine 1's 4 partitions decoded %d image sets, want each of the 2 once", got)
+	}
+	checkValues(t, e2, keys, func(i int) any { return i })
 }
 
 // TestImageWriteFailureStopsTheRound: a round whose image set cannot be made
@@ -191,7 +237,7 @@ func TestImageWriteFailureStopsTheRound(t *testing.T) {
 	if n, err := m.Checkpoint(); !errors.Is(err, errDiskFull) || n != 0 {
 		t.Fatalf("checkpoint over a failing disk returned (%d, %v)", n, err)
 	}
-	if err := m.InstallReplicaBaseline([]store.BucketSnapshot{{Bucket: 1, LSN: 1}}); !errors.Is(err, errDiskFull) {
+	if err := m.InstallReplicaBaseline([]store.BucketSnapshot{{Bucket: 1, LSN: 1}}, nil); !errors.Is(err, errDiskFull) {
 		t.Fatalf("baseline install over a failing disk returned %v", err)
 	}
 	if !errors.Is(m.Err(), errDiskFull) {
@@ -233,7 +279,7 @@ func TestImageWriteFailureStopsTheRound(t *testing.T) {
 // BenchmarkCheckpointRound times one full checkpoint round of the deployed
 // geometry — 640 buckets — over a disk whose every fsync takes 1 ms. The
 // round's cost is its fsyncs: syncs/round is 2 (one image set, one manifest)
-// where one file per bucket made it 641.
+// where one file per bucket made it 641. bytes/set is the round's image set.
 func BenchmarkCheckpointRound(b *testing.B) {
 	fs := wal.NewMemFS(1)
 	_, m, _ := roundEngine(b, fs, 0)
@@ -248,4 +294,13 @@ func BenchmarkCheckpointRound(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(syncs.sets.Load()+syncs.manifests.Load()+syncs.segments.Load())/float64(b.N), "syncs/round")
+	names, err := fs.ReadDir("data/img")
+	if err != nil || len(names) != 1 {
+		b.Fatalf("image sets after full rounds: %v (%v)", names, err)
+	}
+	size, err := fs.Size("data/img/" + names[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(size), "bytes/set")
 }

@@ -34,8 +34,9 @@ type LogStore interface {
 	// recovery baselines and releases the command records they cover. The
 	// round is installed whole or, on an error, not at all; the disk store
 	// writes it as one image set, so a round costs one fsync however many
-	// buckets it covers.
-	Install(snaps []store.BucketSnapshot) error
+	// buckets it covers. set, when not nil, is snaps already encoded as an
+	// image set (a primary's sync body), which the disk store writes as it is.
+	Install(snaps []store.BucketSnapshot, set []byte) error
 	// Load returns the restore inputs for the given buckets — each bucket's
 	// baseline image (if any) and its command tail beyond the image, per-
 	// bucket in LSN order — reading from the store's authoritative medium
@@ -141,7 +142,7 @@ func (m *memStore) Head(bucket int) uint64 {
 	return l.head
 }
 
-func (m *memStore) Install(snaps []store.BucketSnapshot) error {
+func (m *memStore) Install(snaps []store.BucketSnapshot, _ []byte) error {
 	for _, s := range snaps {
 		l := &m.logs[s.Bucket]
 		l.mu.Lock()

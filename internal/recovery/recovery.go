@@ -298,7 +298,7 @@ func (m *Manager) CheckpointAfter(snapshotted func()) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := m.log.Install(all); err != nil {
+	if err := m.log.Install(all, nil); err != nil {
 		return 0, fmt.Errorf("recovery: installing checkpoint images: %w", err)
 	}
 	if err := m.completeCheckpointLocked(); err != nil {
@@ -358,7 +358,7 @@ func (m *Manager) CheckpointPartition(part int, buckets []int) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("recovery: checkpointing partition %d: %w", part, err)
 	}
-	if err := m.log.Install(snaps); err != nil {
+	if err := m.log.Install(snaps, nil); err != nil {
 		return 0, fmt.Errorf("recovery: installing images of partition %d: %w", part, err)
 	}
 	// The installed data arrived outside the WAL (a migrated-in chunk), so a
@@ -403,15 +403,12 @@ func (m *Manager) Restore(machine int) (RestoreStats, error) {
 		return st, fmt.Errorf("recovery: machine %d is not down", machine)
 	}
 	replayStart := time.Now()
-	for _, part := range m.eng.PartitionsOfMachine(machine) {
-		snaps, replayed, err := m.restorePartitionLocked(part)
-		if err != nil {
-			return st, err
-		}
-		st.Partitions++
-		st.Snapshots += snaps
-		st.Replayed += replayed
+	parts := m.eng.PartitionsOfMachine(machine)
+	snaps, replayed, err := m.restoreLocked(parts)
+	if err != nil {
+		return st, err
 	}
+	st.Partitions, st.Snapshots, st.Replayed = len(parts), snaps, replayed
 	st.ReplayWall = time.Since(replayStart)
 	if since, ok := m.downSince[machine]; ok {
 		st.Downtime = time.Since(since)
@@ -432,17 +429,66 @@ func (m *Manager) Restore(machine int) (RestoreStats, error) {
 	return st, nil
 }
 
-// restorePartitionLocked rebuilds one down partition from the log store.
-func (m *Manager) restorePartitionLocked(part int) (snapshots, replayed int, err error) {
-	snaps, cmds, err := m.log.Load(m.eng.OwnedBuckets(part))
-	if err != nil {
-		return 0, 0, fmt.Errorf("recovery: loading partition %d: %w", part, err)
+// restoreLocked rebuilds down partitions from one read of the log store —
+// every image set and segment it needs is read and decoded once, however many
+// partitions share it — and replays them on a GOMAXPROCS-bounded worker pool:
+// distinct partitions replay through independent executors, so the replay's
+// wall time scales with cores, not partitions. Each partition gets exactly
+// the snapshots and commands a load of its own buckets would have returned.
+func (m *Manager) restoreLocked(parts []int) (snapshots, replayed int, err error) {
+	var buckets []int
+	share := make(map[int]int) // bucket -> index into parts
+	for i, part := range parts {
+		for _, b := range m.eng.OwnedBuckets(part) {
+			buckets = append(buckets, b)
+			share[b] = i
+		}
 	}
-	n, err := m.eng.RestorePartition(part, snaps, cmds)
+	snaps, cmds, err := m.log.Load(buckets)
 	if err != nil {
-		return 0, 0, fmt.Errorf("recovery: restoring partition %d: %w", part, err)
+		return 0, 0, fmt.Errorf("recovery: loading partitions %v: %w", parts, err)
 	}
-	return len(snaps), n, nil
+	type partRestore struct {
+		snaps    []store.BucketSnapshot
+		cmds     []store.ReplayCommand
+		replayed int
+		err      error
+	}
+	work := make([]partRestore, len(parts))
+	for _, s := range snaps {
+		w := &work[share[s.Bucket]]
+		w.snaps = append(w.snaps, s)
+	}
+	for _, c := range cmds {
+		w := &work[share[c.Bucket]]
+		w.cmds = append(w.cmds, c)
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(parts))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(parts) {
+					return
+				}
+				r := &work[i]
+				r.replayed, r.err = m.eng.RestorePartition(parts[i], r.snaps, r.cmds)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, r := range work {
+		if r.err != nil {
+			return 0, 0, fmt.Errorf("recovery: restoring partition %d: %w", parts[i], r.err)
+		}
+		snapshots += len(r.snaps)
+		replayed += r.replayed
+	}
+	return snapshots, replayed, nil
 }
 
 // HasColdState reports whether the manager's data directory held a previous
@@ -493,10 +539,8 @@ func (m *Manager) ColdStart() (ColdStartStats, error) {
 	}
 	m.planMuted.Store(false)
 
-	// Fence every hosted machine first, then restore their partitions with a
-	// GOMAXPROCS-bounded worker pool: distinct partitions replay through
-	// independent executors and the log store's reads are concurrency-safe,
-	// so a cold start's replay wall time scales with cores, not partitions.
+	// Fence every hosted machine first, then restore all their partitions in
+	// one go.
 	var parts []int
 	for _, machine := range m.eng.HostedMachines() {
 		// Fence first: RestorePartition rebuilds only down partitions.
@@ -509,41 +553,12 @@ func (m *Manager) ColdStart() (ColdStartStats, error) {
 		st.Machines++
 	}
 	replayStart := time.Now()
-	type partResult struct {
-		snaps, replayed int
-		err             error
-	}
-	results := make([]partResult, len(parts))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(parts) {
-					return
-				}
-				r := &results[i]
-				r.snaps, r.replayed, r.err = m.restorePartitionLocked(parts[i])
-			}
-		}()
-	}
-	wg.Wait()
+	snaps, replayed, err := m.restoreLocked(parts)
 	st.ReplayWall = time.Since(replayStart)
-	for _, r := range results {
-		if r.err != nil {
-			return st, r.err
-		}
-		st.Partitions++
-		st.Snapshots += r.snaps
-		st.Replayed += r.replayed
+	if err != nil {
+		return st, err
 	}
+	st.Partitions, st.Snapshots, st.Replayed = len(parts), snaps, replayed
 	m.replayed.Add(int64(st.Replayed))
 	st.Duration = time.Since(start)
 	return st, nil

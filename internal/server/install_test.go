@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,10 +61,6 @@ func newInstallNode(t *testing.T, id int) *installNode {
 	t.Cleanup(eng.Stop)
 	srv, err := New(Config{Engine: eng, Node: &NodeConfig{
 		ID: id, Nodes: 2, Recovery: rm,
-		DecodeRow: func(_ string, raw json.RawMessage) (any, error) {
-			var v int
-			return v, json.Unmarshal(raw, &v)
-		},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +76,7 @@ func sendChunk(t *testing.T, src, dst *installNode, buckets []int, from, to int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, frames, err := wire.ChunkFromBucketData(data)
+	chunk, err := wire.EncodeChunk(buckets, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +84,7 @@ func sendChunk(t *testing.T, src, dst *installNode, buckets []int, from, to int)
 	if err := wire.EncodeFrame(&body, wire.NodeMove{Buckets: buckets, From: from, To: to}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteChunkStream(&body, meta, frames); err != nil {
-		t.Fatal(err)
-	}
+	body.Write(chunk)
 	w := httptest.NewRecorder()
 	dst.srv.handleNodeInstall(w, httptest.NewRequest(http.MethodPost, wire.PathNodeInstall, &body))
 	return w

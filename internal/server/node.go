@@ -1,14 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"pstore/internal/recovery"
@@ -31,10 +29,6 @@ type NodeConfig struct {
 	// plane. Command logs live with the data: each node recovers exactly the
 	// machines it hosts.
 	Recovery *recovery.Manager
-	// DecodeRow rebuilds workload rows from incoming chunk frames. Nil keeps
-	// rows as raw JSON — enough for row accounting, not for executing
-	// transactions against migrated-in buckets.
-	DecodeRow wire.RowDecoder
 	// PeerURL maps a node index to its base URL ("http://host:port") for
 	// transaction forwarding; the answer may change, and the slot's stream
 	// follows it. Nil disables forwarding: not-owned refusals surface to the
@@ -94,7 +88,6 @@ func (s *Server) registerNodeHandlers(mux *http.ServeMux) {
 	mux.HandleFunc(wire.PathNodeCrash, s.handleNodeCrash)
 	mux.HandleFunc(wire.PathNodeRestore, s.handleNodeRestore)
 	mux.HandleFunc(wire.PathNodeCheckpoint, s.handleNodeCheckpoint)
-	mux.HandleFunc(wire.PathNodeSnapshot, s.handleNodeSnapshot)
 	mux.HandleFunc(wire.PathNodeStatus, s.handleNodeStatus)
 	mux.HandleFunc(wire.PathNodeMachines, s.handleNodeMachines)
 	mux.HandleFunc(wire.PathNodeAccesses, s.handleNodeAccesses)
@@ -189,7 +182,7 @@ func (s *Server) handleNodeMove(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleNodeExtract pulls a chunk out of a hosted source partition and
-// streams it back; local ownership flips to the destination as part of the
+// sends it back; local ownership flips to the destination as part of the
 // extract, exactly like the in-process protocol's source half.
 func (s *Server) handleNodeExtract(w http.ResponseWriter, r *http.Request) {
 	var req wire.NodeMove
@@ -202,23 +195,18 @@ func (s *Server) handleNodeExtract(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, err)
 		return
 	}
-	meta, frames, err := wire.ChunkFromBucketData(data)
+	chunk, err := wire.EncodeChunk(req.Buckets, data)
 	if err != nil {
 		writeNodeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", wire.ContentTypeChunk)
-	var buf bytes.Buffer
-	if err := wire.WriteChunkStream(&buf, meta, frames); err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(chunk)
 }
 
 // handleNodeInstall merges an incoming chunk into a hosted destination
-// partition (body: one NodeMove frame, then the chunk stream) and flips
-// local ownership after the install lands. The installed buckets — and only
+// partition (body: one NodeMove frame, then the chunk) and flips local
+// ownership after the install lands. The installed buckets — and only
 // they — immediately get a fresh recovery baseline: their command history
 // lives on the node they executed on, so the image itself is the correct
 // recovery point here. An install whose images did not reach disk is refused:
@@ -234,12 +222,12 @@ func (s *Server) handleNodeInstall(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, fmt.Errorf("%w: decoding move frame: %v", errBadNodeRequest, err))
 		return
 	}
-	_, frames, err := wire.ReadChunkStream(r.Body)
+	chunk, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeNodeError(w, fmt.Errorf("%w: %v", errBadNodeRequest, err))
+		writeNodeError(w, fmt.Errorf("%w: reading chunk: %v", errBadNodeRequest, err))
 		return
 	}
-	data, err := wire.BucketDataFromChunk(frames, s.cfg.Node.DecodeRow)
+	data, err := wire.DecodeChunk(req.Buckets, chunk)
 	if err != nil {
 		writeNodeError(w, fmt.Errorf("%w: %v", errBadNodeRequest, err))
 		return
@@ -365,39 +353,6 @@ func (s *Server) handleNodeCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, wire.NodeRows{Rows: n})
-}
-
-// handleNodeSnapshot streams one partition's fuzzy-checkpoint image as a
-// chunk stream whose frames carry per-bucket LSNs.
-func (s *Server) handleNodeSnapshot(w http.ResponseWriter, r *http.Request) {
-	part, err := strconv.Atoi(r.URL.Query().Get("part"))
-	if err != nil {
-		writeNodeError(w, fmt.Errorf("%w: bad part %q", errBadNodeRequest, r.URL.Query().Get("part")))
-		return
-	}
-	snaps, err := s.cfg.Engine.SnapshotPartition(part)
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	meta := wire.ChunkMeta{Buckets: len(snaps)}
-	frames := make([]wire.BucketFrame, 0, len(snaps))
-	for _, sn := range snaps {
-		f, err := wire.FrameFromSnapshot(sn)
-		if err != nil {
-			writeNodeError(w, err)
-			return
-		}
-		meta.Rows += f.Rows
-		frames = append(frames, f)
-	}
-	w.Header().Set("Content-Type", wire.ContentTypeChunk)
-	var buf bytes.Buffer
-	if err := wire.WriteChunkStream(&buf, meta, frames); err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	_, _ = w.Write(buf.Bytes())
 }
 
 // handleNodeStatus serves the node's self-description: identity, geometry,

@@ -103,8 +103,8 @@ func (s *Server) isFenced() bool {
 	return s.repl.fenced
 }
 
-// handleReplSync seeds a follower: one ReplSyncMeta frame, then one
-// BucketFrame per hosted bucket. The ship cursor is taken before the
+// handleReplSync seeds a follower: one ReplSyncMeta frame, then one image set
+// holding every hosted bucket. The ship cursor is taken before the
 // snapshots, so every record a snapshot may already include arrives again
 // with LSN <= the bucket's image LSN and is deduplicated follower-side;
 // PlanSeq is read before the plan for the same reason (a racing plan change
@@ -168,7 +168,7 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rm.PinShip(cursor.Seg)
-	var frames []wire.BucketFrame
+	var imgs []*wal.Image
 	for _, m := range eng.HostedMachines() {
 		if eng.MachineDown(m) {
 			writeNodeError(w, fmt.Errorf("%w: machine %d is down; cannot seed a follower", store.ErrPartitionDown, m))
@@ -180,13 +180,9 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 				writeNodeError(w, err)
 				return
 			}
-			for _, sn := range snaps {
-				f, err := wire.FrameFromSnapshot(sn)
-				if err != nil {
-					writeNodeError(w, err)
-					return
-				}
-				frames = append(frames, f)
+			for i := range snaps {
+				img := wal.Image(snaps[i])
+				imgs = append(imgs, &img)
 			}
 		}
 	}
@@ -197,36 +193,36 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 		PlanSeq:  planSeq,
 		Plan:     plan,
 		Active:   active,
-		Buckets:  len(frames),
+		Buckets:  len(imgs),
 	}
 	var buf bytes.Buffer
 	if err := wire.EncodeFrame(&buf, meta); err != nil {
 		writeNodeError(w, err)
 		return
 	}
-	for i := range frames {
-		if err := wire.EncodeFrame(&buf, frames[i]); err != nil {
-			writeNodeError(w, err)
-			return
-		}
+	body, err := wal.EncodeImageSet(buf.Bytes(), imgs)
+	if err != nil {
+		writeNodeError(w, err)
+		return
 	}
 	w.Header().Set("Content-Type", wire.ContentTypeChunk)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 	if cb := s.cfg.Node.OnReplicaSync; cb != nil && req.FollowerURL != "" {
 		go cb(req.FollowerURL, meta.Cursor)
 	}
 }
 
-// InstallReplicaState applies a primary's sync stream to this node: discard
-// whatever ship backlog an earlier sync left, fence local execution, adopt the
-// primary's plan, restore every hosted partition from the snapshot frames, and
-// make the snapshot this node's own recovery baseline in one checkpoint round
-// (one image set, then the manifest; per-bucket LSN heads advanced to the
-// snapshot's — so accepted ship records continue the primary's numbering and
-// the log head doubles as the duplicate-batch filter). The serving process
-// calls this after fetching /v1/repl/sync, before the node is ready for
-// ship batches.
-func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.BucketFrame) error {
+// InstallReplicaState applies a primary's sync stream — its meta frame and
+// the image set after it — to this node: decode the set (every CRC checked,
+// one pass), discard whatever ship backlog an earlier sync left, fence local
+// execution, adopt the primary's plan, restore every hosted partition from the
+// snapshot, and make the set this node's own recovery baseline in one
+// checkpoint round (the set's bytes as they arrived, then the manifest;
+// per-bucket LSN heads advanced to the snapshot's — so accepted ship records
+// continue the primary's numbering and the log head doubles as the
+// duplicate-batch filter). The serving process calls this after fetching
+// /v1/repl/sync, before the node is ready for ship batches.
+func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 	nc := s.cfg.Node
 	if nc == nil || !s.isReplica() {
 		return errors.New("server: InstallReplicaState on a non-replica node")
@@ -234,6 +230,13 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.Bucke
 	rm := nc.Recovery
 	if rm == nil {
 		return errors.New("server: replica has no recovery manager attached")
+	}
+	imgs, err := wal.DecodeImages(set)
+	if err != nil {
+		return fmt.Errorf("server: sync snapshot: %w", err)
+	}
+	if len(imgs) != meta.Buckets {
+		return fmt.Errorf("server: sync snapshot holds %d buckets, its meta frame declares %d", len(imgs), meta.Buckets)
 	}
 	eng := s.cfg.Engine
 	// Nothing accepted so far is meant for the state about to be installed:
@@ -272,16 +275,12 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.Bucke
 			return err
 		}
 	}
-	snaps := make([]store.BucketSnapshot, 0, len(frames))
+	snaps := make([]store.BucketSnapshot, len(imgs))
 	byPart := make(map[int][]store.BucketSnapshot)
-	for _, f := range frames {
-		sn, err := wire.SnapshotFromFrame(f, nc.DecodeRow)
-		if err != nil {
-			return err
-		}
-		snaps = append(snaps, sn)
-		part := eng.OwnerOf(sn.Bucket)
-		byPart[part] = append(byPart[part], sn)
+	for i, img := range imgs {
+		snaps[i] = store.BucketSnapshot(*img)
+		part := eng.OwnerOf(img.Bucket)
+		byPart[part] = append(byPart[part], snaps[i])
 	}
 	// Every hosted partition restores — including empty ones, which simply
 	// come back up — so the whole node is live and crash-consistent.
@@ -305,7 +304,7 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, frames []wire.Bucke
 	if err := rm.SetEpoch(meta.Epoch); err != nil {
 		return err
 	}
-	if err := rm.InstallReplicaBaseline(snaps); err != nil {
+	if err := rm.InstallReplicaBaseline(snaps, set); err != nil {
 		return err
 	}
 	s.repl.mu.Lock()
@@ -386,7 +385,7 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pos := s.apply.position()
-	ack := wire.ShipAck{Epoch: rm.Epoch(), Applied: pos.applied, Received: st.received}
+	ack := wire.ShipAck{Epoch: rm.Epoch(), Received: st.received}
 	if batch.Baseline != st.baseline || pos.err != nil {
 		// The stream cannot bring this node's memory to the primary's state any
 		// more: the primary took in data outside its log, or an apply failed

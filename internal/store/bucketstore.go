@@ -36,53 +36,26 @@ func (d BucketData) Buckets() []int {
 	return out
 }
 
-// NewBucketData returns an empty bundle ready for AddRow — the decode side
-// of the wire representation of a migrating chunk.
+// Tables returns one bucket's contents — table -> key -> row, nil for a
+// bucket the bundle does not carry — the encode side of a migrating chunk.
+// The maps are the bundle's own.
+func (d BucketData) Tables(bucket int) map[string]map[string]any { return d.data[bucket] }
+
+// NewBucketData returns an empty bundle ready for AddBucket.
 func NewBucketData() BucketData {
 	return BucketData{data: make(map[int]tableMap), rows: make(map[int]int)}
 }
 
-// AddRow adds one row to the bundle under (bucket, table, key). Later adds
-// win on key collision, matching install semantics.
-func (d BucketData) AddRow(bucket int, table, key string, row any) {
-	b := d.data[bucket]
-	if b == nil {
-		b = make(tableMap)
-		d.data[bucket] = b
+// AddBucket puts one bucket's contents into the bundle — the decode side of a
+// migrating chunk — taking ownership of the maps and counting their rows. A
+// bucket with no rows stays absent, as extraction leaves it.
+func (d BucketData) AddBucket(bucket int, tables map[string]map[string]any) {
+	n := 0
+	for _, t := range tables {
+		n += len(t)
 	}
-	t := b[table]
-	if t == nil {
-		t = make(map[string]any)
-		b[table] = t
-	}
-	if _, exists := t[key]; !exists {
-		d.rows[bucket]++
-	}
-	t[key] = row
-}
-
-// ForEachRow visits every row carried by the bundle in deterministic order
-// (bucket, then table name, then key, all ascending) — the encode side of
-// the wire representation, ordered so serialized chunks are byte-stable.
-func (d BucketData) ForEachRow(fn func(bucket int, table, key string, row any)) {
-	for _, b := range d.Buckets() {
-		tables := d.data[b]
-		names := make([]string, 0, len(tables))
-		for tn := range tables {
-			names = append(names, tn)
-		}
-		sort.Strings(names)
-		for _, tn := range names {
-			t := tables[tn]
-			keys := make([]string, 0, len(t))
-			for k := range t {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fn(b, tn, k, t[k])
-			}
-		}
+	if n > 0 {
+		d.data[bucket], d.rows[bucket] = tables, n
 	}
 }
 

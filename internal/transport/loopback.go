@@ -9,7 +9,6 @@ import (
 	"pstore/internal/recovery"
 	"pstore/internal/server"
 	"pstore/internal/store"
-	"pstore/internal/wire"
 )
 
 // LoopbackConfig assembles an in-process multi-node cluster: n node engines,
@@ -28,8 +27,6 @@ type LoopbackConfig struct {
 	// Register installs the workload's procedures, and their args decoder, on
 	// each node engine before it starts. Required.
 	Register func(eng *store.Engine) error
-	// DecodeRow is the workload's chunk codec.
-	DecodeRow wire.RowDecoder
 	// Recovery attaches a per-node recovery manager (command log + crash/
 	// restore plane). Without it, Crash/Restore on the topology fail.
 	Recovery bool
@@ -102,11 +99,10 @@ func NewLoopback(cfg LoopbackConfig) (*Loopback, error) {
 		srv, err := server.New(server.Config{
 			Engine: eng,
 			Node: &server.NodeConfig{
-				ID:        i,
-				Nodes:     cfg.Nodes,
-				Recovery:  rm,
-				DecodeRow: cfg.DecodeRow,
-				PeerURL:   func(node int) string { return addrs[node] },
+				ID:       i,
+				Nodes:    cfg.Nodes,
+				Recovery: rm,
+				PeerURL:  func(node int) string { return addrs[node] },
 			},
 		})
 		if err != nil {

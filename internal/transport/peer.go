@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
+	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
 
@@ -135,26 +135,32 @@ func (p *Peer) Move(ctx context.Context, req wire.NodeMove) (int, error) {
 	return out.Rows, nil
 }
 
-// Extract pulls a chunk out of the peer's source partition; the peer flips
-// its local ownership as part of the extract.
-func (p *Peer) Extract(ctx context.Context, req wire.NodeMove) (wire.ChunkMeta, []wire.BucketFrame, error) {
-	body, err := p.do(ctx, http.MethodPost, wire.PathNodeExtract, req)
+// Extract pulls a chunk out of the peer's source partition and returns it
+// with the row count its frame headers declare; its payloads are relayed, not
+// decoded. The peer flips its local ownership as part of the extract.
+func (p *Peer) Extract(ctx context.Context, req wire.NodeMove) (chunk []byte, rows int, err error) {
+	chunk, err = p.do(ctx, http.MethodPost, wire.PathNodeExtract, req)
 	if err != nil {
-		return wire.ChunkMeta{}, nil, err
+		return nil, 0, err
 	}
-	return wire.ReadChunkStream(bytes.NewReader(body))
+	frames, _, err := wal.DecodeImageSet(chunk)
+	if err != nil {
+		return nil, 0, fmt.Errorf("transport: extracted chunk: %w", err)
+	}
+	for _, f := range frames {
+		rows += f.Rows
+	}
+	return chunk, rows, nil
 }
 
 // Install delivers a chunk into the peer's destination partition; the peer
 // flips its local ownership after the install lands.
-func (p *Peer) Install(ctx context.Context, req wire.NodeMove, meta wire.ChunkMeta, frames []wire.BucketFrame) (int, error) {
+func (p *Peer) Install(ctx context.Context, req wire.NodeMove, chunk []byte) (int, error) {
 	var buf bytes.Buffer
 	if err := wire.EncodeFrame(&buf, req); err != nil {
 		return 0, err
 	}
-	if err := wire.WriteChunkStream(&buf, meta, frames); err != nil {
-		return 0, err
-	}
+	buf.Write(chunk)
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+wire.PathNodeInstall, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return 0, err
@@ -220,15 +226,6 @@ func (p *Peer) Accesses(ctx context.Context, reset bool) ([]int64, error) {
 // SetActive sets the peer's active machine count.
 func (p *Peer) SetActive(ctx context.Context, n int) error {
 	return p.postJSON(ctx, wire.PathNodeMachines, wire.NodeActive{Active: n}, nil)
-}
-
-// Snapshot streams a fuzzy-checkpoint image of one partition.
-func (p *Peer) Snapshot(ctx context.Context, part int) (wire.ChunkMeta, []wire.BucketFrame, error) {
-	body, err := p.do(ctx, http.MethodGet, wire.PathNodeSnapshot+"?part="+strconv.Itoa(part), nil)
-	if err != nil {
-		return wire.ChunkMeta{}, nil, err
-	}
-	return wire.ReadChunkStream(bytes.NewReader(body))
 }
 
 // Shutdown asks the node process to exit via the serve shutdown handshake.

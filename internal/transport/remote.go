@@ -73,8 +73,7 @@ type netHolder struct{ n *faults.NetInjector }
 type heldInstall struct {
 	toNode int
 	req    wire.NodeMove
-	meta   wire.ChunkMeta
-	frames []wire.BucketFrame
+	chunk  []byte
 }
 
 // NewRemote builds a Remote topology over the given node peers. The cluster
@@ -334,23 +333,23 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 		}
 		rows = n
 	} else {
-		meta, frames, err := r.peers[fromNode].Extract(ctx, req)
+		chunk, n, err := r.peers[fromNode].Extract(ctx, req)
 		if err != nil {
 			return 0, err
 		}
-		if _, err := r.peers[toNode].Install(ctx, req, meta, frames); err != nil {
+		if _, err := r.peers[toNode].Install(ctx, req, chunk); err != nil {
 			// The chunk already left the source. Put it back (a rollback-
 			// style install, exempt from injection) so a failed transfer
 			// stays all-or-nothing; if even that fails the rows are lost
 			// and the error says so loudly.
 			undo := wire.NodeMove{Buckets: buckets, From: to, To: from, PerRowNs: req.PerRowNs, OverheadNs: req.OverheadNs, Rollback: true}
-			if _, uerr := r.peers[fromNode].Install(ctx, undo, meta, frames); uerr != nil {
-				return 0, fmt.Errorf("transport: install failed (%v) and undo install lost %d rows: %w", err, meta.Rows, uerr)
+			if _, uerr := r.peers[fromNode].Install(ctx, undo, chunk); uerr != nil {
+				return 0, fmt.Errorf("transport: install failed (%v) and undo install lost %d rows: %w", err, n, uerr)
 			}
 			return 0, err
 		}
-		rows = meta.Rows
-		r.deliverDup(pair, dec, toNode, req, meta, frames)
+		rows = n
+		r.deliverDup(pair, dec, toNode, req, chunk)
 	}
 
 	// The involved nodes flipped ownership during extract/install (or the
@@ -378,7 +377,7 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 // deferred duplicate is held until the pair's next chunk lands. Duplicate
 // installs are idempotent at the store (they add no rows), which is exactly
 // the property the chaos plane exists to exercise.
-func (r *Remote) deliverDup(pair faults.PartitionPair, dec faults.LinkDecision, toNode int, req wire.NodeMove, meta wire.ChunkMeta, frames []wire.BucketFrame) {
+func (r *Remote) deliverDup(pair faults.PartitionPair, dec faults.LinkDecision, toNode int, req wire.NodeMove, chunk []byte) {
 	// First deliver any duplicate held from the pair's previous chunk —
 	// it was "reordered behind" this one.
 	r.heldMu.Lock()
@@ -393,7 +392,7 @@ func (r *Remote) deliverDup(pair faults.PartitionPair, dec faults.LinkDecision, 
 	if !dec.Dup {
 		return
 	}
-	cur := heldInstall{toNode: toNode, req: req, meta: meta, frames: frames}
+	cur := heldInstall{toNode: toNode, req: req, chunk: chunk}
 	if dec.DeferDup {
 		r.heldMu.Lock()
 		r.held[pair] = cur
@@ -408,7 +407,7 @@ func (r *Remote) installDup(h heldInstall) {
 	defer cancel()
 	// Best-effort by design: a failed duplicate delivery is just the
 	// network failing to mis-deliver.
-	_, _ = r.peers[h.toNode].Install(ctx, h.req, h.meta, h.frames)
+	_, _ = r.peers[h.toNode].Install(ctx, h.req, h.chunk)
 }
 
 func (r *Remote) dropHeld(pair faults.PartitionPair) {

@@ -22,8 +22,9 @@ import (
 // Shipper — the loop a primary runs to stream its WAL to a follower.
 
 // ReplSync bootstraps this peer as the follower's source: the peer streams
-// back its sync meta frame and one BucketFrame per hosted bucket.
-func (p *Peer) ReplSync(ctx context.Context, followerURL string) (wire.ReplSyncMeta, []wire.BucketFrame, error) {
+// back its sync meta frame and an image set of every hosted bucket, which is
+// returned as it arrived — server.InstallReplicaState decodes and checks it.
+func (p *Peer) ReplSync(ctx context.Context, followerURL string) (wire.ReplSyncMeta, []byte, error) {
 	return p.replSync(ctx, wire.ReplSync{FollowerURL: followerURL})
 }
 
@@ -32,14 +33,14 @@ func (p *Peer) ReplSync(ctx context.Context, followerURL string) (wire.ReplSyncM
 // if cur is no longer retained in its WAL; the caller falls back to a full
 // ReplSync.
 func (p *Peer) ReplResume(ctx context.Context, followerURL string, cur wire.ShipCursor) (wire.ReplSyncMeta, error) {
-	meta, frames, err := p.replSync(ctx, wire.ReplSync{FollowerURL: followerURL, Resume: &cur})
-	if err == nil && len(frames) > 0 {
-		return meta, fmt.Errorf("transport: resume sync streamed %d unexpected bucket frames", len(frames))
+	meta, set, err := p.replSync(ctx, wire.ReplSync{FollowerURL: followerURL, Resume: &cur})
+	if err == nil && len(set) > 0 {
+		return meta, fmt.Errorf("transport: resume sync streamed %d unexpected snapshot bytes", len(set))
 	}
 	return meta, err
 }
 
-func (p *Peer) replSync(ctx context.Context, req wire.ReplSync) (wire.ReplSyncMeta, []wire.BucketFrame, error) {
+func (p *Peer) replSync(ctx context.Context, req wire.ReplSync) (wire.ReplSyncMeta, []byte, error) {
 	var meta wire.ReplSyncMeta
 	body, err := p.do(ctx, http.MethodPost, wire.PathReplSync, req)
 	if err != nil {
@@ -49,16 +50,7 @@ func (p *Peer) replSync(ctx context.Context, req wire.ReplSync) (wire.ReplSyncMe
 	if err := wire.DecodeFrame(r, &meta); err != nil {
 		return meta, nil, fmt.Errorf("transport: sync meta frame: %w", err)
 	}
-	if meta.Buckets < 0 || meta.Buckets > 1<<20 {
-		return meta, nil, fmt.Errorf("transport: sync meta declares %d buckets", meta.Buckets)
-	}
-	frames := make([]wire.BucketFrame, meta.Buckets)
-	for i := range frames {
-		if err := wire.DecodeFrame(r, &frames[i]); err != nil {
-			return meta, nil, fmt.Errorf("transport: sync bucket frame %d/%d: %w", i, meta.Buckets, err)
-		}
-	}
-	return meta, frames, nil
+	return meta, body[len(body)-r.Len():], nil
 }
 
 // Ship delivers one WAL batch to the peer (a follower) and returns its ack.

@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -26,17 +25,6 @@ import (
 // runs — determinism all the way through the fault schedule.
 //
 // Values are strings, decoded from the log and the wire by Args[string].
-
-func decodeStrRow(table string, raw json.RawMessage) (any, error) {
-	if table != "kv" {
-		return nil, fmt.Errorf("unknown table %q", table)
-	}
-	var v string
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
 
 const (
 	replChaosKeys = 240
@@ -127,8 +115,8 @@ func runReplChaosScript(t *testing.T, mode string) string {
 	case "disk":
 		eng, rm = newChaosEngine(t, recovery.Config{DataDir: t.TempDir()}, storetest.Args[string])
 	case "repl":
-		primary = startReplNodeWith(t, 4, 1, "", storetest.Args[string], decodeStrRow)
-		follower = startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string], decodeStrRow)
+		primary = startReplNodeWith(t, 4, 1, "", storetest.Args[string])
+		follower = startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string])
 		eng, rm = primary.eng, primary.rm
 	default:
 		t.Fatalf("unknown mode %q", mode)

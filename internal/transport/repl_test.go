@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -37,17 +39,17 @@ type replNode struct {
 
 func startReplNode(t *testing.T, machines, initial int, replicaOf string) *replNode {
 	t.Helper()
-	return startReplNodeWith(t, machines, initial, replicaOf, storetest.Args[int], decodeKVRow)
+	return startReplNodeWith(t, machines, initial, replicaOf, storetest.Args[int])
 }
 
-func startReplNodeWith(t *testing.T, machines, initial int, replicaOf string, decArgs store.ArgsDecoder, decRow wire.RowDecoder) *replNode {
+func startReplNodeWith(t *testing.T, machines, initial int, replicaOf string, decArgs store.ArgsDecoder) *replNode {
 	t.Helper()
-	return startReplNodeOn(t, machines, initial, replicaOf, decArgs, decRow, recovery.Config{DataDir: t.TempDir()}, registerKV)
+	return startReplNodeOn(t, machines, initial, replicaOf, decArgs, recovery.Config{DataDir: t.TempDir()}, registerKV)
 }
 
 // startReplNodeOn is startReplNodeWith over a chosen log store (a MemFS whose
 // fsyncs the test gates) and procedure set (a put the test holds open).
-func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decArgs store.ArgsDecoder, decRow wire.RowDecoder,
+func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decArgs store.ArgsDecoder,
 	rcfg recovery.Config, register func(*store.Engine) error) *replNode {
 	t.Helper()
 	scfg := kvStoreConfig(machines, initial)
@@ -81,7 +83,6 @@ func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decA
 		Node: &server.NodeConfig{
 			ID: 0, Nodes: 1,
 			Recovery:  rm,
-			DecodeRow: decRow,
 			PeerURL:   func(int) string { return url },
 			ReplicaOf: replicaOf,
 		},
@@ -110,11 +111,11 @@ func syncFollower(t testing.TB, primary, follower *replNode) wire.ReplSyncMeta {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	meta, frames, err := primary.peer.ReplSync(ctx, "")
+	meta, set, err := primary.peer.ReplSync(ctx, "")
 	if err != nil {
 		t.Fatalf("ReplSync: %v", err)
 	}
-	if err := follower.srv.InstallReplicaState(meta, frames); err != nil {
+	if err := follower.srv.InstallReplicaState(meta, set); err != nil {
 		t.Fatalf("InstallReplicaState: %v", err)
 	}
 	return meta
@@ -280,6 +281,49 @@ func TestReplicationEndToEnd(t *testing.T) {
 	// primary.
 	if v, _ := getVal(t, follower.eng, "k-1"); v == 7777 {
 		t.Fatal("fenced write leaked to the promoted follower")
+	}
+}
+
+// TestFollowerBaselineIsSyncBody: a follower writes the image set its sync
+// body carried as its baseline as it arrived — the one set in its image
+// directory is the primary's bytes, frame headers and so LSNs included — and
+// every bucket's log head on the follower continues from the primary's.
+func TestFollowerBaselineIsSyncBody(t *testing.T) {
+	const keys = 200
+	primary := startReplNode(t, 2, 2, "")
+	loadAll(t, []*store.Engine{primary.eng}, keys)
+	loadAll(t, []*store.Engine{primary.eng}, keys/2) // LSNs run ahead of row counts
+	dir := t.TempDir()
+	follower := startReplNodeOn(t, 2, 2, primary.url, storetest.Args[int], recovery.Config{DataDir: dir}, registerKV)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	meta, set, err := primary.peer.ReplSync(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.srv.InstallReplicaState(meta, set); err != nil {
+		t.Fatal(err)
+	}
+	names, err := os.ReadDir(filepath.Join(dir, "img"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("follower image sets %v (%v), want exactly the baseline", names, err)
+	}
+	baseline, err := os.ReadFile(filepath.Join(dir, "img", names[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(baseline, set) {
+		t.Fatalf("follower baseline set is %d bytes, the sync body's set %d, and they differ", len(baseline), len(set))
+	}
+	frames, _, err := wal.DecodeImageSet(baseline)
+	if err != nil || len(frames) != meta.Buckets || meta.Buckets == 0 {
+		t.Fatalf("baseline holds %d frames (%v), the sync declared %d buckets", len(frames), err, meta.Buckets)
+	}
+	for _, f := range frames {
+		want := primary.rm.LogHead(f.Bucket)
+		if f.LSN != want || follower.rm.LogHead(f.Bucket) != want {
+			t.Fatalf("bucket %d: baseline lsn %d, follower head %d, primary head %d", f.Bucket, f.LSN, follower.rm.LogHead(f.Bucket), want)
+		}
 	}
 }
 
@@ -502,8 +546,8 @@ func TestCoordFailoverPromote(t *testing.T) {
 // primary's frames, byte for byte.
 func TestBigRecordsReachFollower(t *testing.T) {
 	const keys = 600
-	primary := startReplNodeWith(t, 4, 1, "", storetest.Args[string], decodeStrRow)
-	follower := startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string], decodeStrRow)
+	primary := startReplNodeWith(t, 4, 1, "", storetest.Args[string])
+	follower := startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string])
 	meta := syncFollower(t, primary, follower)
 	val := func(i int) string { return fmt.Sprintf("%04d", i) + strings.Repeat("x", 4<<10) }
 	for i := 0; i < keys; i++ {

@@ -68,7 +68,6 @@ func startSelfHealNode(t *testing.T, cfg selfHealNodeConfig) *replNode {
 		Node: &server.NodeConfig{
 			ID: 0, Nodes: 1,
 			Recovery:                rm,
-			DecodeRow:               decodeStrRow,
 			PeerURL:                 func(int) string { return url },
 			ReplicaOf:               cfg.replicaOf,
 			FollowerCheckpointEvery: cfg.followerCkpt,
@@ -117,8 +116,8 @@ func getStr(t *testing.T, eng *store.Engine, key string) string {
 func TestZombieRejoinChain(t *testing.T) {
 	oracle := runReplChaosScript(t, "mem")
 
-	a := startReplNodeWith(t, 4, 1, "", storetest.Args[string], decodeStrRow)
-	b := startReplNodeWith(t, 4, 1, a.url, storetest.Args[string], decodeStrRow)
+	a := startReplNodeWith(t, 4, 1, "", storetest.Args[string])
+	b := startReplNodeWith(t, 4, 1, a.url, storetest.Args[string])
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -227,8 +226,8 @@ func TestZombieRejoinChain(t *testing.T) {
 // follower — acked-but-lost is the one outcome synchronous commit forbids.
 // (A write the client saw fail may still land; that ambiguity is allowed.)
 func TestSyncCommitRPOZero(t *testing.T) {
-	primary := startReplNodeWith(t, 4, 1, "", storetest.Args[string], decodeStrRow)
-	follower := startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string], decodeStrRow)
+	primary := startReplNodeWith(t, 4, 1, "", storetest.Args[string])
+	follower := startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string])
 	syncFollower(t, primary, follower)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

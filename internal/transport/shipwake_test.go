@@ -52,7 +52,7 @@ func shipReads(n *replNode) int64 {
 // follower behind for good.
 func TestShipWakeOnDurable(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	primary := startReplNodeOn(t, 4, 1, "", storetest.Args[int], decodeKVRow, recovery.Config{DataDir: "data", FS: fs}, registerKV)
+	primary := startReplNodeOn(t, 4, 1, "", storetest.Args[int], recovery.Config{DataDir: "data", FS: fs}, registerKV)
 	follower := startReplNode(t, 4, 1, primary.url)
 	meta := syncFollower(t, primary, follower)
 	sh := newTestShipper(t, primary, follower, meta.Cursor, 0, nil)
@@ -130,7 +130,7 @@ func TestLogBeforeRunFollowerFirst(t *testing.T) {
 		}
 		return eng.Register("get", func(tx *store.Tx) (any, error) { return nil, nil })
 	}
-	primary := startReplNodeOn(t, 4, 1, "", storetest.Args[int], decodeKVRow, recovery.Config{DataDir: t.TempDir()}, heldPut)
+	primary := startReplNodeOn(t, 4, 1, "", storetest.Args[int], recovery.Config{DataDir: t.TempDir()}, heldPut)
 	follower := startReplNode(t, 4, 1, primary.url)
 	meta := syncFollower(t, primary, follower)
 	sh, err := transport.NewShipper(transport.ShipperConfig{

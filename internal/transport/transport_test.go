@@ -45,17 +45,6 @@ func registerKVGet(eng *store.Engine) error {
 	})
 }
 
-func decodeKVRow(table string, raw json.RawMessage) (any, error) {
-	if table != "kv" {
-		return nil, fmt.Errorf("unknown table %q", table)
-	}
-	var v int
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 func kvStoreConfig(machines, initial int) store.Config {
 	return store.Config{
 		MaxMachines:          machines,
@@ -95,8 +84,7 @@ func newKVLoopback(t *testing.T, nodes, machines, initial int) *transport.Loopba
 			}
 			return eng.SetArgsDecoder(storetest.Args[int])
 		},
-		DecodeRow: decodeKVRow,
-		Recovery:  true,
+		Recovery: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,20 +389,20 @@ func TestDuplicateInstallIdempotent(t *testing.T) {
 	buckets = buckets[:3]
 
 	req := wire.NodeMove{Buckets: buckets, From: from, To: to}
-	meta, frames, err := lb.Peers()[0].Extract(ctx, req)
+	chunk, rows, err := lb.Peers()[0].Extract(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := lb.Peers()[1].Install(ctx, req, meta, frames)
+	first, err := lb.Peers()[1].Install(ctx, req, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != meta.Rows {
-		t.Fatalf("first install added %d rows, chunk carries %d", first, meta.Rows)
+	if first != rows {
+		t.Fatalf("first install added %d rows, chunk carries %d", first, rows)
 	}
 	// Replay the identical chunk twice more — duplicated delivery.
 	for attempt := 0; attempt < 2; attempt++ {
-		if _, err := lb.Peers()[1].Install(ctx, req, meta, frames); err != nil {
+		if _, err := lb.Peers()[1].Install(ctx, req, chunk); err != nil {
 			t.Fatalf("duplicate install %d: %v", attempt, err)
 		}
 	}

@@ -79,10 +79,27 @@ func FuzzSegmentDecode(f *testing.F) {
 // FuzzImageSetDecode: arbitrary bytes must never panic, and what comes back
 // has valid-prefix semantics — the frames tile the reported prefix exactly,
 // each behind a header that re-validates, and nothing is reported beyond it.
+// The payloads then go through the set's one gob stream: that never panics
+// either, and every image it returns comes from a frame whose payload passed
+// its CRC.
 func FuzzImageSetDecode(f *testing.F) {
-	seed, _ := encodeImage(nil, &Image{Bucket: 3, Rows: 1, LSN: 9, Tables: map[string]map[string]any{"T": {"k": 7}}})
-	seed, _ = encodeImage(seed, &Image{Bucket: 4, LSN: 2})
+	seed, _ := EncodeImageSet(nil, []*Image{
+		{Bucket: 3, Rows: 1, LSN: 9, Tables: map[string]map[string]any{"T": {"k": 7}}},
+		{Bucket: 4, LSN: 2},
+		{Bucket: 5, Rows: 2, LSN: 4, Tables: map[string]map[string]any{"T": {"a": []int{1, 2}}, "U": {"b": "x"}}},
+	})
 	f.Add(seed)
+	// CRC-valid frames whose payloads are not a gob stream: garbage, and the
+	// seed's frames in reverse order, so a value arrives before its type.
+	frames, _, _ := DecodeImageSet(seed)
+	var garbage, reversed []byte
+	garbage = appendTestFrame(garbage, 1, []byte{0x07, 0xff, 0x81, 0x04, 0x01, 0x02, 0x00})
+	for i := len(frames) - 1; i >= 0; i-- {
+		fr := frames[i]
+		reversed = appendTestFrame(reversed, fr.Bucket, seed[fr.Off+imageHeaderSize:fr.Off+int64(fr.Size)])
+	}
+	f.Add(garbage)
+	f.Add(reversed)
 	f.Add(seed[:len(seed)-3])       // torn last payload
 	f.Add(seed[:imageHeaderSize-1]) // torn first header
 	f.Add([]byte{})
@@ -124,15 +141,45 @@ func FuzzImageSetDecode(f *testing.F) {
 			if herr != nil || bucket != fr.Bucket || lsn != fr.LSN || rows != fr.Rows || imageHeaderSize+plen != fr.Size {
 				t.Fatalf("frame %d %+v does not re-derive from its header (%v)", i, fr, herr)
 			}
-			// A frame the walk reported must be safe to hand to the image
-			// decoder, whatever its payload holds.
-			_, _ = decodeImage(data[fr.Off : fr.Off+int64(fr.Size)])
 			off += int64(fr.Size)
 		}
 		if off != valid {
 			t.Fatalf("frames end at %d, valid prefix is %d", off, valid)
 		}
+
+		imgs, derr := DecodeImages(data)
+		if derr != nil {
+			if imgs != nil {
+				t.Fatalf("DecodeImages failed (%v) and still returned %d images", derr, len(imgs))
+			}
+			return
+		}
+		if err != nil || len(imgs) != len(frames) {
+			t.Fatalf("DecodeImages returned %d images from a set whose walk found %d frames (walk error %v)", len(imgs), len(frames), err)
+		}
+		for i, img := range imgs {
+			fr := frames[i]
+			payload := data[fr.Off+imageHeaderSize : fr.Off+int64(fr.Size)]
+			if binary.BigEndian.Uint32(data[fr.Off+24:]) != crc32.Checksum(payload, crcTable) {
+				t.Fatalf("image %d came from a frame whose payload fails its CRC", i)
+			}
+			if img.Bucket != fr.Bucket || img.LSN != fr.LSN || img.Rows != fr.Rows {
+				t.Fatalf("image %d is %+v, its frame %+v", i, img, fr)
+			}
+		}
 	})
+}
+
+// appendTestFrame appends an image frame with a correct header around any
+// payload.
+func appendTestFrame(dst []byte, bucket int, payload []byte) []byte {
+	var hdr [imageHeaderSize]byte
+	binary.BigEndian.PutUint32(hdr[0:4], imageMagic)
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(bucket))
+	binary.BigEndian.PutUint32(hdr[20:24], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[24:28], crc32.Checksum(payload, crcTable))
+	binary.BigEndian.PutUint32(hdr[28:32], crc32.Checksum(hdr[0:28], crcTable))
+	return append(append(dst, hdr[:]...), payload...)
 }
 
 // FuzzManifestDecode: arbitrary bytes must never panic, and any manifest

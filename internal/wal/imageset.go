@@ -48,9 +48,9 @@ type imageRef struct {
 // of its valid prefix plus the prefix's length. It never panics; a non-nil
 // error says why the walk stopped early, and a clean set returns
 // valid == len(data) and a nil error. Payloads are not decoded or checksummed
-// here — LoadImages does that for the frames it reads. A set reaches its final
-// name only after its sync, so a set that does not walk cleanly is damaged,
-// not torn.
+// here — DecodeImages and LoadImages do that. A set reaches its final name
+// only after its sync, so a set that does not walk cleanly is damaged, not
+// torn.
 func DecodeImageSet(data []byte) (frames []ImageFrame, valid int64, err error) {
 	off := int64(0)
 	for off < int64(len(data)) {
@@ -151,21 +151,28 @@ func (l *Log) removeSets(seqs []int) error {
 // records at or below it become redundant for compaction. Either every image of the
 // round is installed or, on an error, none is.
 func (l *Log) WriteImages(imgs []*Image) error {
-	if len(imgs) == 0 {
+	data, err := EncodeImageSet(nil, imgs)
+	if err != nil {
+		return err
+	}
+	return l.WriteImageSet(data)
+}
+
+// WriteImageSet is WriteImages for a round that arrives encoded — a primary's
+// sync body: the bytes are written as they are. Its frames must walk cleanly
+// and name buckets of this log; payloads are checked when they are loaded.
+func (l *Log) WriteImageSet(data []byte) error {
+	if len(data) == 0 {
 		return nil
 	}
-	var data []byte
-	frames := make([]ImageFrame, len(imgs))
-	for i, img := range imgs {
-		if img.Bucket < 0 || img.Bucket >= l.cfg.Geometry.Buckets {
-			return fmt.Errorf("wal: image for bucket %d out of range", img.Bucket)
+	frames, _, err := DecodeImageSet(data)
+	if err != nil {
+		return err
+	}
+	for _, f := range frames {
+		if f.Bucket >= l.cfg.Geometry.Buckets {
+			return fmt.Errorf("wal: image for bucket %d out of range", f.Bucket)
 		}
-		off := len(data)
-		var err error
-		if data, err = encodeImage(data, img); err != nil {
-			return err
-		}
-		frames[i] = ImageFrame{Bucket: img.Bucket, LSN: img.LSN, Rows: img.Rows, Off: int64(off), Size: len(data) - off}
 	}
 	l.imgMu.Lock()
 	defer l.imgMu.Unlock()
@@ -184,38 +191,43 @@ func (l *Log) WriteImages(imgs []*Image) error {
 }
 
 // LoadImages reads the current checkpoint images of the given buckets from
-// disk, reading each set that holds one of them once. Buckets without an
-// image are absent from the result.
+// disk. Each set that holds one of them is read and decoded once, whole:
+// asking for every bucket of a set in one call costs what asking for one
+// does. Buckets without an image are absent from the result.
 func (l *Log) LoadImages(buckets []int) (map[int]*Image, error) {
 	l.imgMu.RLock()
 	defer l.imgMu.RUnlock()
-	bySet := make(map[int][]ImageFrame)
+	bySet := make(map[int]map[int64]int) // set -> offset of a wanted frame -> its bucket
 	l.mu.Lock()
 	for _, b := range buckets {
 		if ref, ok := l.images[b]; ok {
-			bySet[ref.set] = append(bySet[ref.set], ref.frame)
+			if bySet[ref.set] == nil {
+				bySet[ref.set] = make(map[int64]int)
+			}
+			bySet[ref.set][ref.frame.Off] = b
 		}
 	}
 	l.mu.Unlock()
 	out := make(map[int]*Image, len(buckets))
-	for seq, frames := range bySet {
+	for seq, want := range bySet {
 		data, err := readAll(l.fs, l.setPath(seq))
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range frames {
-			if f.Off+int64(f.Size) > int64(len(data)) {
-				return nil, fmt.Errorf("wal: image set %s is %d bytes, bucket %d's image ends at %d", setName(seq), len(data), f.Bucket, f.Off+int64(f.Size))
-			}
-			img, err := decodeImage(data[f.Off : f.Off+int64(f.Size)])
-			if err != nil {
-				return nil, fmt.Errorf("wal: image set %s: %w", setName(seq), err)
-			}
-			if img.Bucket != f.Bucket {
-				return nil, fmt.Errorf("wal: image set %s has bucket %d where bucket %d's image was written", setName(seq), img.Bucket, f.Bucket)
-			}
-			out[f.Bucket] = img
+		imgs, err := decodeImages(data, func(f ImageFrame) bool {
+			b, ok := want[f.Off]
+			return ok && b == f.Bucket
+		})
+		if err != nil {
+			return nil, fmt.Errorf("wal: image set %s: %w", setName(seq), err)
 		}
+		if len(imgs) != len(want) {
+			return nil, fmt.Errorf("wal: image set %s holds %d of the %d images indexed in it", setName(seq), len(imgs), len(want))
+		}
+		for _, img := range imgs {
+			out[img.Bucket] = img
+		}
+		l.setDecodes.Add(1)
 	}
 	return out, nil
 }

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -31,34 +33,57 @@ func countSyncs(fs *MemFS) *syncCounts {
 	return c
 }
 
+// imgRow is a workload row type: a struct stored by pointer, as the B2W rows
+// are.
+type imgRow struct {
+	Name  string
+	Lines []int
+}
+
+func init() { gob.Register(&imgRow{}) }
+
 // TestImageSetRoundTrip checks a round's images survive the disk format, in
-// this life and after a reopen, and that a bucket without an image is simply
-// absent.
+// this life and after a reopen — LSNs, row counts and rows, a struct row
+// coming back as its own pointer type — and that a bucket without an image is
+// simply absent. A row type is described once per set: the second of two
+// images holding the same kind of row is the smaller frame.
 func TestImageSetRoundTrip(t *testing.T) {
 	fs := NewMemFS(1)
 	l, _ := openTest(t, fs, DefaultSegmentBytes)
+	row := func(name string) *imgRow { return &imgRow{Name: name, Lines: []int{1, 2}} }
 	round := []*Image{
-		{Bucket: 7, Rows: 2, LSN: 42, Tables: map[string]map[string]any{"T": {"a": 1, "b": "x"}}},
+		{Bucket: 7, Rows: 2, LSN: 42, Tables: map[string]map[string]any{"T": {"a": 1, "b": "x"}, "R": {"r": row("r7")}}},
 		{Bucket: 9, Rows: 0, LSN: 3, Tables: map[string]map[string]any{}},
+		{Bucket: 11, Rows: 1, LSN: 5, Tables: map[string]map[string]any{"R": {"r": row("r11")}}},
 	}
 	if err := l.WriteImages(round); err != nil {
 		t.Fatal(err)
 	}
 	check := func(l *Log) {
 		t.Helper()
-		got, err := l.LoadImages([]int{7, 8, 9})
+		got, err := l.LoadImages([]int{7, 8, 9, 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 2 || got[8] != nil {
-			t.Fatalf("loaded %v, want buckets 7 and 9 only", got)
+		if len(got) != 3 || got[8] != nil {
+			t.Fatalf("loaded %v, want buckets 7, 9 and 11 only", got)
 		}
-		if img := got[7]; img.LSN != 42 || img.Rows != 2 || img.Tables["T"]["a"] != 1 || img.Tables["T"]["b"] != "x" {
+		if img := got[7]; img.LSN != 42 || img.Rows != 2 || img.Tables["T"]["a"] != 1 || img.Tables["T"]["b"] != "x" || !reflect.DeepEqual(img.Tables["R"]["r"], row("r7")) {
 			t.Fatalf("bucket 7 image: %+v", img)
 		}
 		if img := got[9]; img.LSN != 3 || img.Rows != 0 || len(img.Tables) != 0 {
 			t.Fatalf("bucket 9 image: %+v", img)
 		}
+		if img := got[11]; img.LSN != 5 || !reflect.DeepEqual(img.Tables["R"]["r"], row("r11")) {
+			t.Fatalf("bucket 11 image: %+v", img)
+		}
+	}
+	twice, err := EncodeImageSet(nil, []*Image{round[2], round[2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames, _, err := DecodeImageSet(twice); err != nil || frames[1].Size >= frames[0].Size {
+		t.Fatalf("one image twice in a set: frames %+v (err %v); the second repeats its row type's description", frames, err)
 	}
 	check(l)
 	l.Close()
@@ -204,27 +229,31 @@ func TestImageSetFailedSyncInstallsNothing(t *testing.T) {
 	}
 }
 
-// TestOldImageLayoutRefused: a directory written by the per-bucket-image
-// format is refused with an error that says why, at the manifest and — should
-// the manifest have been replaced — at the image directory.
+// TestOldImageLayoutRefused: a directory written by an older image format —
+// one file per bucket (version 1), or sets whose payloads are one gob stream
+// per image (version 3) — is refused with an error that names the layout, at
+// the manifest and, for per-bucket files should the manifest have been
+// replaced, at the image directory.
 func TestOldImageLayoutRefused(t *testing.T) {
-	fs := NewMemFS(1)
-	if err := fs.MkdirAll("data"); err != nil {
-		t.Fatal(err)
-	}
-	v1 := `{"version":1,"geometry":{"buckets":64,"max_machines":4,"partitions_per_machine":2}}`
-	if err := writeFileAtomic(fs, "data/"+manifestName, []byte(v1)); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := Open(Config{Dir: "data", Geometry: testGeometry(), FS: fs})
-	if err == nil || !strings.Contains(err.Error(), "per-bucket image layout") {
-		t.Fatalf("version-1 manifest: %v, want a refusal naming the old layout", err)
+	for version, layout := range map[int]string{1: "per-bucket image layout", 3: "per-bucket image payload layout"} {
+		fs := NewMemFS(1)
+		if err := fs.MkdirAll("data"); err != nil {
+			t.Fatal(err)
+		}
+		m := fmt.Sprintf(`{"version":%d,"geometry":{"buckets":64,"max_machines":4,"partitions_per_machine":2}}`, version)
+		if err := writeFileAtomic(fs, "data/"+manifestName, []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Open(Config{Dir: "data", Geometry: testGeometry(), FS: fs})
+		if err == nil || !strings.Contains(err.Error(), layout) || !strings.Contains(err.Error(), "fresh data directory") {
+			t.Fatalf("version-%d manifest: %v, want a refusal naming the %s", version, err, layout)
+		}
 	}
 
-	fs = NewMemFS(2)
+	fs := NewMemFS(2)
 	l, _ := openTest(t, fs, DefaultSegmentBytes)
 	l.Close()
-	frame, err := encodeImage(nil, testImage(17, 1, "v1"))
+	frame, err := EncodeImageSet(nil, []*Image{testImage(17, 1, "v1")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 )
 
 // manifestName is the store's identity file, following the engram
@@ -18,9 +19,10 @@ const manifestName = "MANIFEST.json"
 // rather than misread. Version 1 kept one img/bucket-N.img file per bucket;
 // version 2 keeps a checkpoint round's images together in one image set
 // (imageset.go) and wrote each segment as one gob stream; version 3 writes
-// segments as self-contained record frames (record.go). Older directories are
-// refused, not converted.
-const manifestVersion = 3
+// segments as self-contained record frames (record.go); version 4 makes the
+// payloads of an image set one gob stream instead of one per image. Older
+// directories are refused, not converted.
+const manifestVersion = 4
 
 // Geometry is the engine shape a log directory was created for. Replay is
 // only meaningful against the same bucket space, so a reopen with different
@@ -64,6 +66,9 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	if m.Version == 2 {
 		return nil, fmt.Errorf("wal: manifest version 2 is the gob segment layout (each seg-N.log one gob stream), which this build neither reads nor converts: it writes segments as self-contained record frames (version %d); start from a fresh data directory", manifestVersion)
 	}
+	if m.Version == 3 {
+		return nil, fmt.Errorf("wal: manifest version 3 is the per-bucket image payload layout (each image frame its own gob stream), which this build neither reads nor converts: an image set's payloads are one gob stream (version %d); start from a fresh data directory", manifestVersion)
+	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("wal: manifest version %d, want %d", m.Version, manifestVersion)
 	}
@@ -95,11 +100,16 @@ func encodeManifest(m *Manifest) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Checkpoint-image frame format: a fixed header followed by one gob payload
-// (the bucket's tables). A frame says how long it is and carries a CRC over
-// its header and one over its payload, so frames can be laid end to end in an
-// image set and walked header by header without decoding a payload — open
-// learns every bucket's image LSN that way.
+// Bucket state format. An image set is the one serialized form of bucket
+// state: a checkpoint round's set file, a follower's sync body and a
+// migration chunk are the same kind of bytes. A set is a sequence of image
+// frames, each a fixed header followed by a payload, the bucket's tables. A
+// frame says how long it is and carries a CRC over its header and one over its
+// payload, so a set can be walked header by header without decoding a payload
+// — open learns every bucket's image LSN that way. The payloads of one set are
+// successive values of one gob stream: a row type is described once per set,
+// in the first payload holding such a row, so a payload decodes only after
+// every payload before it in its set.
 //
 //	magic   u32  'PWAL'
 //	bucket  u32
@@ -122,21 +132,27 @@ type Image struct {
 	Tables map[string]map[string]any
 }
 
-// encodeImage appends one image frame to dst and returns the extended slice.
-func encodeImage(dst []byte, img *Image) ([]byte, error) {
+// EncodeImageSet appends imgs to dst as one image set, in order, and returns
+// the extended slice.
+func EncodeImageSet(dst []byte, imgs []*Image) ([]byte, error) {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(img.Tables); err != nil {
-		return dst, fmt.Errorf("wal: encoding image for bucket %d: %w", img.Bucket, err)
+	enc := gob.NewEncoder(&payload)
+	for _, img := range imgs {
+		payload.Reset()
+		if err := enc.Encode(img.Tables); err != nil {
+			return dst, fmt.Errorf("wal: encoding image for bucket %d: %w", img.Bucket, err)
+		}
+		var hdr [imageHeaderSize]byte
+		binary.BigEndian.PutUint32(hdr[0:4], imageMagic)
+		binary.BigEndian.PutUint32(hdr[4:8], uint32(img.Bucket))
+		binary.BigEndian.PutUint64(hdr[8:16], img.LSN)
+		binary.BigEndian.PutUint32(hdr[16:20], uint32(img.Rows))
+		binary.BigEndian.PutUint32(hdr[20:24], uint32(payload.Len()))
+		binary.BigEndian.PutUint32(hdr[24:28], crc32.Checksum(payload.Bytes(), crcTable))
+		binary.BigEndian.PutUint32(hdr[28:32], crc32.Checksum(hdr[0:28], crcTable))
+		dst = append(append(dst, hdr[:]...), payload.Bytes()...)
 	}
-	var hdr [imageHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], imageMagic)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(img.Bucket))
-	binary.BigEndian.PutUint64(hdr[8:16], img.LSN)
-	binary.BigEndian.PutUint32(hdr[16:20], uint32(img.Rows))
-	binary.BigEndian.PutUint32(hdr[20:24], uint32(payload.Len()))
-	binary.BigEndian.PutUint32(hdr[24:28], crc32.Checksum(payload.Bytes(), crcTable))
-	binary.BigEndian.PutUint32(hdr[28:32], crc32.Checksum(hdr[0:28], crcTable))
-	return append(append(dst, hdr[:]...), payload.Bytes()...), nil
+	return dst, nil
 }
 
 // decodeImageHeader validates the frame header at the start of data and
@@ -158,22 +174,43 @@ func decodeImageHeader(data []byte) (bucket int, lsn uint64, rows, plen int, err
 	return bucket, lsn, rows, plen, nil
 }
 
-// decodeImage validates and decodes one whole image frame.
-func decodeImage(data []byte) (*Image, error) {
-	bucket, lsn, rows, plen, err := decodeImageHeader(data)
+// DecodeImages decodes a whole image set: every header and payload CRC is
+// checked and every payload decoded, in order, by one gob decoder. It never
+// panics; on an error it returns no images.
+func DecodeImages(data []byte) ([]*Image, error) { return decodeImages(data, nil) }
+
+// decodeImages is DecodeImages returning only the images of the frames keep
+// accepts (every frame, with a nil keep). The other payloads are decoded all
+// the same and dropped: a later one may need a type an earlier one describes.
+func decodeImages(data []byte, keep func(ImageFrame) bool) ([]*Image, error) {
+	frames, _, err := DecodeImageSet(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) != imageHeaderSize+plen {
-		return nil, fmt.Errorf("wal: image payload is %d bytes, header says %d", len(data)-imageHeaderSize, plen)
+	// A bytes.Reader is a ByteReader, so the decoder reads exactly one value's
+	// bytes per Decode and never buffers ahead into the next payload.
+	var payload bytes.Reader
+	dec := gob.NewDecoder(&payload)
+	var out []*Image
+	for _, f := range frames {
+		p := data[f.Off+imageHeaderSize : f.Off+int64(f.Size)]
+		if binary.BigEndian.Uint32(data[f.Off+24:]) != crc32.Checksum(p, crcTable) {
+			return nil, fmt.Errorf("wal: image payload for bucket %d fails CRC", f.Bucket)
+		}
+		payload.Reset(p)
+		if keep == nil || keep(f) {
+			img := &Image{Bucket: f.Bucket, LSN: f.LSN, Rows: f.Rows}
+			err = dec.Decode(&img.Tables)
+			out = append(out, img)
+		} else {
+			err = dec.DecodeValue(reflect.Value{}) // discards the value
+		}
+		if err == nil && payload.Len() > 0 {
+			err = fmt.Errorf("%d bytes follow its value", payload.Len())
+		}
+		if err != nil {
+			return nil, fmt.Errorf("wal: decoding image for bucket %d: %w", f.Bucket, err)
+		}
 	}
-	payload := data[imageHeaderSize:]
-	if binary.BigEndian.Uint32(data[24:28]) != crc32.Checksum(payload, crcTable) {
-		return nil, fmt.Errorf("wal: image payload for bucket %d fails CRC", bucket)
-	}
-	img := &Image{Bucket: bucket, LSN: lsn, Rows: rows}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img.Tables); err != nil {
-		return nil, fmt.Errorf("wal: decoding image for bucket %d: %w", bucket, err)
-	}
-	return img, nil
+	return out, nil
 }

@@ -174,10 +174,15 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 	// Decode every discarded record first — the plan-record and image checks
 	// must pass before any file is touched, so a refused truncation leaves
 	// the log exactly as it was.
+	// The segment the cursor points into is rewritten to its retained prefix
+	// and sealed, even an empty one (a cut on its first record): its number
+	// stays in use, so a cursor at the end of the segment before it still
+	// steps into it instead of reading as compacted. Later files are deleted.
 	type cutFile struct {
-		name string
-		keep []byte // retained prefix to rewrite (nil = delete the file)
-		seal segment
+		name   string
+		sealed bool
+		keep   []byte
+		seal   segment
 	}
 	var cuts []cutFile
 	minDiscarded := make(map[int]uint64) // bucket -> smallest discarded LSN
@@ -218,8 +223,8 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 		if planErr != nil {
 			return planErr
 		}
-		if fromRec > 0 {
-			cut.keep, cut.seal = data[:seal.size], seal
+		if seq == cur.Seg {
+			cut.sealed, cut.keep, cut.seal = true, data[:seal.size], seal
 		}
 		res.DiscardedBytes += size - seal.size
 		cuts = append(cuts, cut)
@@ -271,7 +276,7 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 	}
 	for _, c := range cuts {
 		path := filepath.Join(l.dir, c.name)
-		if c.keep != nil {
+		if c.sealed {
 			if err := writeFileAtomic(l.fs, path, c.keep); err != nil {
 				l.err = fmt.Errorf("wal: truncating %s: %w", c.name, err)
 				return res, l.err

@@ -136,11 +136,6 @@ func TestShipTailMatchesFile(t *testing.T) {
 				case k < 67: // cut the log back to a cursor some read returned
 					sync()
 					cut := cursors[rng.Intn(len(cursors))]
-					if cut.Seg > 0 && cut.Rec == 0 {
-						// Legal, but it ends the run: the cut segment's number stays
-						// unused and every older cursor reads as compacted from then on.
-						continue
-					}
 					// A stale cursor, or a plan record in the suffix, is refused and
 					// leaves the log as it was.
 					if _, err := l.TruncateTo(cut); err == nil {
@@ -422,7 +417,7 @@ func TestOldSegmentLayoutRefused(t *testing.T) {
 	l, _ := openTest(t, fs, DefaultSegmentBytes)
 	l.Close()
 	m := fs.files[filepath.Join("data", manifestName)]
-	m.data = bytes.Replace(m.data, []byte(`"version": 3`), []byte(`"version": 2`), 1)
+	m.data = bytes.Replace(m.data, []byte(fmt.Sprintf(`"version": %d`, manifestVersion)), []byte(`"version": 2`), 1)
 	_, _, err := Open(Config{Dir: "data", Geometry: testGeometry(), FS: fs})
 	if err == nil || !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), "fresh data directory") {
 		t.Fatalf("open of a version-2 directory: %v; want a refusal naming the gob segment layout", err)

@@ -77,6 +77,9 @@ type Stats struct {
 	ShipTailReads  int64
 	ShipFileReads  int64
 	ShipEmptyReads int64
+	// ImageSetDecodes counts image sets LoadImages read and decoded: one per
+	// set per call, however many of its images the call wanted.
+	ImageSetDecodes int64
 }
 
 // BucketRecovery is one bucket's state as recovered by Open.
@@ -207,6 +210,7 @@ type Log struct {
 	tornBytes int64
 
 	shipTailReads, shipFileReads, shipEmptyReads atomic.Int64
+	setDecodes                                   atomic.Int64
 
 	closed bool
 }
@@ -745,6 +749,7 @@ func (l *Log) Stats() Stats {
 		ShipTailReads:     l.shipTailReads.Load(),
 		ShipFileReads:     l.shipFileReads.Load(),
 		ShipEmptyReads:    l.shipEmptyReads.Load(),
+		ImageSetDecodes:   l.setDecodes.Load(),
 	}
 }
 

@@ -1,64 +1,48 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
 
 	"pstore/internal/store"
+	"pstore/internal/wal"
 )
 
 type testRow struct {
-	Name string `json:"name"`
-	N    int    `json:"n"`
+	Name string
+	N    int
 }
 
-func decodeTestRow(table string, raw json.RawMessage) (any, error) {
-	var r testRow
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
+func init() { gob.Register(&testRow{}) }
 
-// TestChunkRoundTrip pushes a BucketData bundle through the full wire path —
-// serialize, frame, unframe, decode — and checks the rebuilt bundle carries
-// the same rows with their concrete types restored.
+// TestChunkRoundTrip pushes an extracted bundle through the chunk codec —
+// encode, decode — and checks the rebuilt bundle carries the same rows with
+// their concrete types restored, a bucket that held nothing staying absent.
 func TestChunkRoundTrip(t *testing.T) {
 	d := store.NewBucketData()
-	for b := 0; b < 3; b++ {
+	buckets := []int{21, 0, 7, 14, 30}
+	for _, b := range buckets[:4] {
+		tables := map[string]map[string]any{"T": {}}
 		for i := 0; i < 4; i++ {
 			key := fmt.Sprintf("k%d-%d", b, i)
-			d.AddRow(b*7, "T", key, &testRow{Name: key, N: i})
+			tables["T"][key] = &testRow{Name: key, N: i}
 		}
+		if b == 21 {
+			tables["U"] = map[string]any{"only": &testRow{Name: "only", N: 99}}
+		}
+		d.AddBucket(b, tables)
 	}
-	d.AddRow(21, "U", "only", &testRow{Name: "only", N: 99})
 
-	meta, frames, err := ChunkFromBucketData(d)
+	chunk, err := EncodeChunk(buckets, d)
 	if err != nil {
-		t.Fatalf("ChunkFromBucketData: %v", err)
+		t.Fatalf("EncodeChunk: %v", err)
 	}
-	if meta.Rows != d.Rows() {
-		t.Fatalf("meta rows %d, want %d", meta.Rows, d.Rows())
-	}
-	var buf bytes.Buffer
-	if err := WriteChunkStream(&buf, meta, frames); err != nil {
-		t.Fatalf("WriteChunkStream: %v", err)
-	}
-	gotMeta, gotFrames, err := ReadChunkStream(&buf)
+	rebuilt, err := DecodeChunk(buckets, chunk)
 	if err != nil {
-		t.Fatalf("ReadChunkStream: %v", err)
-	}
-	if gotMeta != meta {
-		t.Fatalf("meta round trip: got %+v, want %+v", gotMeta, meta)
-	}
-	rebuilt, err := BucketDataFromChunk(gotFrames, decodeTestRow)
-	if err != nil {
-		t.Fatalf("BucketDataFromChunk: %v", err)
+		t.Fatalf("DecodeChunk: %v", err)
 	}
 	if rebuilt.Rows() != d.Rows() {
 		t.Fatalf("rebuilt rows %d, want %d", rebuilt.Rows(), d.Rows())
@@ -66,70 +50,44 @@ func TestChunkRoundTrip(t *testing.T) {
 	if got, want := rebuilt.Buckets(), d.Buckets(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rebuilt buckets %v, want %v", got, want)
 	}
-	rebuilt.ForEachRow(func(bucket int, table, key string, row any) {
-		r, ok := row.(*testRow)
-		if !ok {
-			t.Fatalf("row %s/%s decoded as %T, want *testRow", table, key, row)
-		}
-		if r.Name != key {
-			t.Fatalf("row %s/%s carries name %q", table, key, r.Name)
-		}
-	})
-}
-
-// TestChunkStreamDeterministic asserts the serialized bytes of a chunk are
-// stable across encodings — map iteration order must not leak into the wire.
-func TestChunkStreamDeterministic(t *testing.T) {
-	build := func() []byte {
-		d := store.NewBucketData()
-		for b := 0; b < 5; b++ {
-			for i := 0; i < 10; i++ {
-				d.AddRow(b, "T", fmt.Sprintf("k%d", i), &testRow{Name: "x", N: i})
+	for _, b := range rebuilt.Buckets() {
+		for table, rows := range rebuilt.Tables(b) {
+			for key, row := range rows {
+				r, ok := row.(*testRow)
+				if !ok || r.Name != key || !reflect.DeepEqual(row, d.Tables(b)[table][key]) {
+					t.Fatalf("row %s/%s decoded as %T %v", table, key, row, row)
+				}
 			}
 		}
-		meta, frames, err := ChunkFromBucketData(d)
-		if err != nil {
-			t.Fatalf("ChunkFromBucketData: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := WriteChunkStream(&buf, meta, frames); err != nil {
-			t.Fatalf("WriteChunkStream: %v", err)
-		}
-		return buf.Bytes()
 	}
-	a, b := build(), build()
-	if !bytes.Equal(a, b) {
-		t.Fatal("two encodings of the same chunk differ")
+	if _, err := DecodeChunk([]int{21, 0, 14, 7, 30}, chunk); err == nil {
+		t.Fatal("a chunk was accepted for a move naming its buckets in another order")
 	}
 }
 
-// TestChunkStreamTruncation: a chunk stream cut anywhere must surface as a
-// typed transport error, never as silently partial data.
+// TestChunkStreamTruncation: a chunk cut anywhere — inside a frame or between
+// two — must surface as an error, never as silently partial data.
 func TestChunkStreamTruncation(t *testing.T) {
 	d := store.NewBucketData()
-	d.AddRow(1, "T", "a", &testRow{Name: "a"})
-	d.AddRow(2, "T", "b", &testRow{Name: "b"})
-	meta, frames, err := ChunkFromBucketData(d)
+	d.AddBucket(1, map[string]map[string]any{"T": {"a": &testRow{Name: "a"}}})
+	d.AddBucket(2, map[string]map[string]any{"T": {"b": &testRow{Name: "b"}}})
+	full, err := EncodeChunk([]int{1, 2}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteChunkStream(&buf, meta, frames); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
 	for n := 0; n < len(full); n++ {
-		if _, _, err := ReadChunkStream(bytes.NewReader(full[:n])); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut at %d/%d: got %v, want io.ErrUnexpectedEOF", n, len(full), err)
+		if _, err := DecodeChunk([]int{1, 2}, full[:n]); err == nil {
+			t.Fatalf("cut at %d/%d decoded", n, len(full))
 		}
 	}
-	if _, _, err := ReadChunkStream(bytes.NewReader(full)); err != nil {
-		t.Fatalf("full stream: %v", err)
+	if _, err := DecodeChunk([]int{1, 2}, full); err != nil {
+		t.Fatalf("full chunk: %v", err)
 	}
 }
 
-// TestSnapshotFrameRoundTrip covers the snapshot leg: LSNs and row counts
-// survive, and rows come back typed.
+// TestSnapshotFrameRoundTrip covers the snapshot leg: a bucket snapshot sent
+// as a frame of a sync stream's image set keeps its LSN and row count, and its
+// rows come back typed.
 func TestSnapshotFrameRoundTrip(t *testing.T) {
 	s := store.BucketSnapshot{
 		Bucket: 9,
@@ -139,20 +97,28 @@ func TestSnapshotFrameRoundTrip(t *testing.T) {
 			"T": {"a": &testRow{Name: "a", N: 1}, "b": &testRow{Name: "b", N: 2}},
 		},
 	}
-	f, err := FrameFromSnapshot(s)
+	img := wal.Image(s)
+	set, err := wal.EncodeImageSet(nil, []*wal.Image{&img})
 	if err != nil {
-		t.Fatalf("FrameFromSnapshot: %v", err)
+		t.Fatalf("EncodeImageSet: %v", err)
 	}
-	got, err := SnapshotFromFrame(f, decodeTestRow)
+	imgs, err := wal.DecodeImages(set)
 	if err != nil {
-		t.Fatalf("SnapshotFromFrame: %v", err)
+		t.Fatalf("DecodeImages: %v", err)
 	}
+	if len(imgs) != 1 {
+		t.Fatalf("decoded %d frames, want 1", len(imgs))
+	}
+	got := store.BucketSnapshot(*imgs[0])
 	if got.Bucket != s.Bucket || got.Rows != s.Rows || got.LSN != s.LSN {
 		t.Fatalf("snapshot header round trip: got %+v", got)
 	}
 	r, ok := got.Tables["T"]["a"].(*testRow)
 	if !ok || r.N != 1 {
 		t.Fatalf("snapshot row decoded as %T %v", got.Tables["T"]["a"], got.Tables["T"]["a"])
+	}
+	if !reflect.DeepEqual(got.Tables, s.Tables) {
+		t.Fatalf("snapshot tables round trip: got %v, want %v", got.Tables, s.Tables)
 	}
 }
 

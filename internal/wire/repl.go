@@ -20,9 +20,9 @@ import (
 // Replication endpoint paths served by a `pstore serve -node` process.
 const (
 	// PathReplSync bootstraps a follower: the primary replies with one
-	// ReplSyncMeta frame followed by Meta.Buckets BucketFrame frames — a
-	// fuzzy snapshot of every hosted bucket — and starts shipping from
-	// Meta.Cursor. Body: ReplSync JSON.
+	// ReplSyncMeta frame followed by an image set (internal/wal) of
+	// Meta.Buckets frames — a fuzzy snapshot of every hosted bucket — and
+	// starts shipping from Meta.Cursor. Body: ReplSync JSON.
 	PathReplSync = "/v1/repl/sync"
 	// PathReplShip hands one ship batch to the follower, which appends it to
 	// its own log, acknowledges, and applies it behind the ack. Body: one
@@ -84,14 +84,13 @@ type ShipBatch struct {
 // own log, which is what the ack certifies — procedures are deterministic, so
 // a durable input fixes the outcome, and the follower executes it behind the
 // ack. On success Received equals the batch's Next; on Gap it is where the
-// shipper must rewind to. Applied is how far that execution has got; it never
-// passes Received. Resync means the stream can no longer bring the follower to
-// the primary's state — its baseline no longer matches (the primary installed
-// data outside the WAL), or an apply failed on it and its memory trails its log
-// for good — and shipping cannot continue without a fresh sync.
+// shipper must rewind to. How far execution has got is ReplStatus.Applied.
+// Resync means the stream can no longer bring the follower to the primary's
+// state — its baseline no longer matches (the primary installed data outside
+// the WAL), or an apply failed on it and its memory trails its log for good —
+// and shipping cannot continue without a fresh sync.
 type ShipAck struct {
 	Epoch    uint64     `json:"epoch"`
-	Applied  ShipCursor `json:"applied"`
 	Received ShipCursor `json:"received"`
 	Gap      bool       `json:"gap,omitempty"`
 	Resync   bool       `json:"resync,omitempty"`
@@ -129,8 +128,8 @@ type ReplRejoin struct {
 }
 
 // ReplSyncMeta heads a sync response stream: the primary's epoch, baseline
-// and plan, the cursor shipping starts from, and the number of BucketFrame
-// frames that follow. Snapshot/cursor overlap is resolved by the follower's
+// and plan, the cursor shipping starts from, and the number of frames in the
+// image set that follows. Snapshot/cursor overlap is resolved by the follower's
 // per-bucket LSN dedup: the cursor is taken before the snapshot, so any
 // record the snapshot already covers arrives with LSN <= the bucket's image
 // LSN and is skipped.

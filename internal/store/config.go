@@ -34,7 +34,9 @@ type Config struct {
 	// paper likewise adds a small artificial delay per transaction so a
 	// single server saturates at a realistic rate (Section 7).
 	ServiceTime time.Duration
-	// QueueCapacity is each partition executor's request queue size.
+	// QueueCapacity bounds each lane of a partition's request queue: a put
+	// waits while its lane holds that many. It is a bound, not an allocation;
+	// a lane's buffer grows with its backlog.
 	QueueCapacity int
 	// InitialMachines is the cluster size at startup.
 	InitialMachines int
@@ -43,7 +45,7 @@ type Config struct {
 	// tracking. The zero value disables all of them (see OverloadConfig).
 	Overload OverloadConfig
 	// DisableCtlLane routes control-plane requests (migration, checkpoints,
-	// crash fencing) through the data queue instead of the priority lane.
+	// crash fencing) through the data lane instead of the priority lane.
 	// It exists only as a regression knob: it reproduces the pre-lane
 	// behavior where a saturated data backlog starves the scale-out escape
 	// hatch, so tests can prove the lane is what prevents the starvation.

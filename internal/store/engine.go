@@ -177,13 +177,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	total := cfg.MaxMachines * cfg.PartitionsPerMachine
 	e.parts = make([]*partition, total)
 	for i := range e.parts {
-		// Every send into a partition checks that its machine is hosted here,
-		// so another node's partitions need no queue buffers.
-		capacity := cfg.QueueCapacity
-		if !e.hosted[i/cfg.PartitionsPerMachine] {
-			capacity = 0
-		}
-		e.parts[i] = newPartition(i, e, capacity)
+		e.parts[i] = newPartition(i, e)
 	}
 	// Initial plan: buckets spread round-robin over the initial machines'
 	// partitions, so data and load start uniform (Section 4.2).
@@ -304,8 +298,8 @@ func (e *Engine) Start() {
 	}
 }
 
-// Stop shuts down all executors. Pending transactions receive ErrStopped.
-// Stopping a never-started engine is a no-op beyond marking it stopped.
+// Stop shuts down all executors. Pending and later requests receive
+// ErrStopped, on a never-started engine too.
 func (e *Engine) Stop() {
 	if !e.stopped.CompareAndSwap(false, true) {
 		return
@@ -314,6 +308,10 @@ func (e *Engine) Stop() {
 		close(p.stop)
 	}
 	if !e.started.Load() {
+		// No executor will drain the queues: close them here.
+		for _, p := range e.parts {
+			p.drain()
+		}
 		return
 	}
 	for _, p := range e.parts {
@@ -401,8 +399,8 @@ func (e *Engine) HandoffPending(key string) <-chan struct{} {
 const maxForwards = 64
 
 // forward re-submits a transaction to the current owner of its bucket. It
-// runs on an executor goroutine, so the actual send happens asynchronously
-// to avoid executor-to-executor deadlock on full queues.
+// runs on an executor goroutine, so a put onto a full lane happens
+// asynchronously to avoid executor-to-executor deadlock.
 func (e *Engine) forward(r *txnRequest) {
 	e.forwarded.Add(1)
 	r.forwards++
@@ -417,14 +415,10 @@ func (e *Engine) forward(r *txnRequest) {
 		r.reply <- txnResult{err: notOwnedError(dest.id)}
 		return
 	}
-	select {
-	case dest.ch <- request{txn: r}:
-	default:
+	if !dest.q.offer(request{txn: r}) {
 		go func() {
-			select {
-			case dest.ch <- request{txn: r}:
-			case <-dest.stop:
-				r.reply <- txnResult{err: ErrStopped}
+			if err := dest.q.put(request{txn: r}, false, nil); err != nil {
+				r.reply <- txnResult{err: err}
 			}
 		}()
 	}
@@ -489,10 +483,8 @@ func (e *Engine) executeID(done <-chan struct{}, ctxErr func() error, id TxnID, 
 		}
 	}
 	// A context that is already done must be refused deterministically:
-	// without this check the select below is a coin flip between the queue
-	// send and the done channel whenever the queue has room, and the wire
-	// front end would sometimes enqueue work for a client that already gave
-	// up on it.
+	// the put below enqueues whenever the lane has room, and the wire front
+	// end must not enqueue work for a client that already gave up on it.
 	if done != nil {
 		select {
 		case <-done:
@@ -514,13 +506,11 @@ func (e *Engine) executeID(done <-chan struct{}, ctxErr func() error, id TxnID, 
 	e.submitted.Add(1)
 	// A nil done channel never fires, so the ExecuteID path pays nothing
 	// for the context plumbing.
-	select {
-	case dest.ch <- request{txn: req}:
-	case <-dest.stop:
+	if err := dest.q.put(request{txn: req}, false, done); err != nil {
 		releaseTxnReq(req)
-		return nil, ErrStopped
-	case <-done:
-		releaseTxnReq(req)
+		if errors.Is(err, ErrStopped) {
+			return nil, err
+		}
 		e.rejected.Add(1)
 		if r := e.recorder.Load(); r != nil {
 			r.CountRejected()
@@ -554,7 +544,7 @@ func (e *Engine) admit(dest *partition) error {
 	if d == 0 {
 		return nil
 	}
-	if time.Duration(dest.sojournEWMA.Load()) <= d || len(dest.ch) == 0 {
+	if time.Duration(dest.sojournEWMA.Load()) <= d || dest.q.dataLen() == 0 {
 		return nil
 	}
 	e.rejected.Add(1)
@@ -612,18 +602,11 @@ func (e *Engine) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 		perRow:   perRow,
 		overhead: overhead,
 		rollback: rollback,
-		done:     make(chan moveResult, 1),
 		flipped:  make(chan struct{}),
 	}
-	src := e.parts[from]
 	// Control requests ride the priority lane so a saturated data backlog
 	// cannot starve the migration that would relieve it.
-	select {
-	case src.ctlQueue() <- request{ctl: req}:
-	case <-src.stop:
-		return 0, ErrStopped
-	}
-	res := <-req.done
+	res := e.parts[from].call(req)
 	if res.err == nil {
 		// The destination reports the install, and can do so before the
 		// source has flipped ownership; a caller that plans its next move

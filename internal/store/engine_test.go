@@ -535,9 +535,9 @@ func TestHandoffPending(t *testing.T) {
 	}
 }
 
-// TestUnhostedPartitionsHaveNoQueues: another node's partitions get no queue
-// buffers, and every entry point that would send to one refuses with
-// ErrNotOwned instead — none relies on a buffer to return.
+// TestUnhostedPartitionsHaveNoQueues: no partition, hosted or not, holds a
+// queue buffer before its first request, and every entry point that would
+// send to another node's partition refuses with ErrNotOwned instead.
 func TestUnhostedPartitionsHaveNoQueues(t *testing.T) {
 	cfg := smallConfig()
 	cfg.InitialMachines, cfg.HostedMachines = 2, []int{0, 2} // partitions 0, 1, 4, 5 here
@@ -545,12 +545,8 @@ func TestUnhostedPartitionsHaveNoQueues(t *testing.T) {
 	registerKV(t, e)
 	e.Start()
 	for _, p := range e.parts {
-		want := 0
-		if e.Hosted(e.MachineOfPartition(p.id)) {
-			want = cfg.QueueCapacity
-		}
-		if cap(p.ch) != want || cap(p.ctlCh) != want {
-			t.Fatalf("partition %d: lanes of %d/%d slots, want %d", p.id, cap(p.ch), cap(p.ctlCh), want)
+		if p.q.ctl.buf != nil || p.q.data.buf != nil {
+			t.Fatalf("partition %d: lanes of %d/%d slots before any request, want none", p.id, len(p.q.ctl.buf), len(p.q.data.buf))
 		}
 	}
 	far := partitionKeys(e, 2, 1)[0]

@@ -232,7 +232,7 @@ func TestHoldCapacity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		submit("work")
 	}
-	for len(e.parts[0].ch) < n {
+	for e.parts[0].q.dataLen() < n {
 		runtime.Gosched()
 	}
 	start := time.Now()

@@ -78,15 +78,8 @@ func (e *Engine) ExtractBuckets(buckets []int, from, to int, perRow, overhead ti
 		perRow:   perRow,
 		overhead: overhead,
 		rollback: rollback,
-		done:     make(chan moveResult, 1),
 	}
-	src := e.parts[from]
-	select {
-	case src.ctlQueue() <- request{ctl: req}:
-	case <-src.stop:
-		return BucketData{}, ErrStopped
-	}
-	res := <-req.done
+	res := e.parts[from].call(req)
 	return res.data, res.err
 }
 
@@ -114,19 +107,11 @@ func (e *Engine) InstallBuckets(buckets []int, data BucketData, to int, perRow, 
 		return 0, notOwnedError(to)
 	}
 	rows := data.Rows()
-	req := &ctlRequest{
+	res := e.parts[to].call(&ctlRequest{
 		kind: ctlInstall,
 		data: data,
 		cost: overhead/2 + time.Duration(rows)*perRow/2,
-		done: make(chan moveResult, 1),
-	}
-	dst := e.parts[to]
-	select {
-	case dst.ctlQueue() <- request{ctl: req}:
-	case <-dst.stop:
-		return 0, ErrStopped
-	}
-	res := <-req.done
+	})
 	if res.err != nil {
 		return 0, res.err
 	}

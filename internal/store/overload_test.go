@@ -151,7 +151,7 @@ func TestAdmissionControlRejectsAndRecovers(t *testing.T) {
 		defer wg.Done()
 		e.Execute("noop", "k", nil) // queued behind the gate
 	}()
-	deadlineWait(t, func() bool { return len(e.parts[0].ch) > 0 })
+	deadlineWait(t, func() bool { return e.parts[0].q.dataLen() > 0 })
 	e.parts[0].sojournEWMA.Store(int64(time.Second))
 
 	_, err := e.ExecuteID(mustHandle(t, e, "noop"), "k", nil)
@@ -169,7 +169,7 @@ func TestAdmissionControlRejectsAndRecovers(t *testing.T) {
 	// keep rejecting (the livelock guard), and execution updates the EWMA.
 	close(gate)
 	wg.Wait()
-	deadlineWait(t, func() bool { return len(e.parts[0].ch) == 0 })
+	deadlineWait(t, func() bool { return e.parts[0].q.dataLen() == 0 })
 	e.parts[0].sojournEWMA.Store(int64(time.Second))
 	if _, err := e.Execute("noop", "k", nil); err != nil {
 		t.Fatalf("post-drain submit refused: %v", err)
@@ -233,7 +233,7 @@ func TestExecuteIDContextBoundedWait(t *testing.T) {
 		defer wg.Done()
 		e.ExecuteID(id, "k", nil)
 	}()
-	deadlineWait(t, func() bool { return len(e.parts[0].ch) == 1 })
+	deadlineWait(t, func() bool { return e.parts[0].q.dataLen() == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -281,7 +281,7 @@ func TestCtlLaneBypassesDataBacklog(t *testing.T) {
 				e.ExecuteID(id, fmt.Sprintf("k%d", i), nil)
 			}(i)
 		}
-		deadlineWait(t, func() bool { return len(e.parts[0].ch) >= backlog-5 })
+		deadlineWait(t, func() bool { return e.parts[0].q.dataLen() >= backlog-5 })
 		if _, err := e.SnapshotPartition(0); err != nil {
 			t.Fatal(err)
 		}

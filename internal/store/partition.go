@@ -19,14 +19,12 @@ const accessPad = 8 // int64s (64 bytes) of padding on each side
 type partition struct {
 	id  int
 	eng *Engine
-	// ch is the data queue: transaction submissions and forwards.
-	ch chan request
-	// ctlCh is the priority lane for control-plane requests (migration
-	// move-out/install, crash fencing, checkpoints, restores). The executor
-	// always serves it before the data queue, so under a saturated data
-	// backlog the scale-out escape hatch is never starved by the very
-	// overload it exists to relieve.
-	ctlCh chan request
+	// q holds transaction submissions and forwards on its data lane and
+	// control-plane requests (migration move-out/install, crash fencing,
+	// checkpoints, restores) on its control lane, which the executor always
+	// serves first: under a saturated data backlog the scale-out escape hatch
+	// is never starved by the very overload it exists to relieve.
+	q     queue
 	store *bucketStore
 	// tx is the reusable execution context handed to procedures; the
 	// executor is serial, so one per partition suffices and the hot path
@@ -98,13 +96,12 @@ type commitResult struct {
 // outcome never blocks the executor, however long an fsync is held.
 const commitDepth = 256
 
-func newPartition(id int, eng *Engine, queueCap int) *partition {
+func newPartition(id int, eng *Engine) *partition {
 	block := make([]int64, eng.cfg.Buckets+2*accessPad)
 	return &partition{
 		id:       id,
 		eng:      eng,
-		ch:       make(chan request, queueCap),
-		ctlCh:    make(chan request, queueCap),
+		q:        queue{limit: eng.cfg.QueueCapacity, ctlOff: eng.cfg.DisableCtlLane, wake: make(chan struct{}, 1)},
 		store:    newBucketStore(),
 		accesses: block[accessPad : accessPad+eng.cfg.Buckets],
 		commitCh: make(chan pendingCommit, commitDepth),
@@ -115,23 +112,11 @@ func newPartition(id int, eng *Engine, queueCap int) *partition {
 	}
 }
 
-// ctlQueue returns the queue control-plane requests for p should enter: the
-// priority lane, or the data queue when the lane is disabled (the
-// Config.DisableCtlLane regression knob that reproduces the pre-lane
-// starvation behavior).
-func (p *partition) ctlQueue() chan request {
-	if p.eng.cfg.DisableCtlLane {
-		return p.ch
-	}
-	return p.ctlCh
-}
-
-// run is the executor loop. It drains the queues until the engine stops.
+// run is the executor loop. It serves the queue until the engine stops.
 // Control requests have strict priority over data requests: any control
 // request enqueued before a data request is handled before it. Combined
 // with moveOut's install-before-ownership-flip ordering, this preserves the
-// invariant that a forwarded transaction can never observe missing data —
-// see handleData.
+// invariant that a forwarded transaction can never observe missing data.
 func (p *partition) run() {
 	// The commit stage outlives the executor by exactly its backlog: once no
 	// more transactions can execute, it delivers the replies it still holds
@@ -139,58 +124,37 @@ func (p *partition) run() {
 	go p.commitLoop()
 	defer close(p.commitCh)
 	defer p.timer.close()
-	for {
-		// Serve pending control work first: migration, checkpoints and
-		// crash fencing must not wait behind a saturated data backlog.
-		select {
-		case req := <-p.ctlCh:
-			p.handle(req)
+	for !p.eng.stopped.Load() {
+		req, ok := p.q.take()
+		if !ok {
+			select {
+			case <-p.stop:
+			case <-p.q.wake:
+			}
 			continue
-		default:
 		}
-		select {
-		case <-p.stop:
-			p.drain()
-			return
-		case req := <-p.ctlCh:
-			p.handle(req)
-		case req := <-p.ch:
-			p.handleData(req)
-		}
+		p.handle(req)
 	}
+	p.drain()
 }
 
-// handleData processes one data-queue request, re-checking the priority lane
-// first: the blocking select in run may win a data request while a control
-// request is simultaneously ready, and the migration protocol needs every
-// control request enqueued before a data request to also execute before it
-// (an install must land before the transactions forwarded after its
-// ownership flip).
-func (p *partition) handleData(req request) {
-	for {
-		select {
-		case ctl := <-p.ctlCh:
-			p.handle(ctl)
-			continue
-		default:
-		}
-		break
-	}
-	p.handle(req)
-}
-
-// drain fails any queued requests after shutdown so no submitter hangs.
+// drain closes the queue and fails what it still holds, so no submitter
+// hangs: a put either lands before the close, and is answered here, or fails
+// with ErrStopped.
 func (p *partition) drain() {
-	for {
-		select {
-		case req := <-p.ctlCh:
-			failStopped(req)
-		case req := <-p.ch:
-			failStopped(req)
-		default:
-			return
-		}
+	p.q.close()
+	for req, ok := p.q.take(); ok; req, ok = p.q.take() {
+		failStopped(req)
 	}
+}
+
+// call puts a control request on the control lane and waits for its answer.
+func (p *partition) call(r *ctlRequest) moveResult {
+	r.done = make(chan moveResult, 1)
+	if err := p.q.put(request{ctl: r}, true, nil); err != nil {
+		return moveResult{err: err}
+	}
+	return <-r.done
 }
 
 func failStopped(req request) {
@@ -459,12 +423,10 @@ func (p *partition) moveOut(r *ctlRequest) {
 	// visible, forwarded transactions always queue behind the install. The
 	// install rides the destination's priority lane, so it cannot starve
 	// behind a saturated data backlog — and since forwarded transactions
-	// enter the data queue, which the executor serves only after draining
-	// the lane, they still execute after the install.
-	select {
-	case r.dest.ctlQueue() <- request{ctl: install}:
-	case <-r.dest.stop:
-		r.done <- moveResult{err: ErrStopped}
+	// enter the data lane, which the executor serves only while the control
+	// lane is empty, they still execute after the install.
+	if err := r.dest.q.put(request{ctl: install}, true, nil); err != nil {
+		r.done <- moveResult{err: err}
 		return
 	}
 	p.eng.setOwner(r.buckets, r.dest.id, false)

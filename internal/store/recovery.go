@@ -128,14 +128,7 @@ func (e *Engine) Crash(machine int) error {
 		return notOwnedError(machine * e.cfg.PartitionsPerMachine)
 	}
 	for _, part := range e.PartitionsOfMachine(machine) {
-		req := &ctlRequest{kind: ctlCrash, done: make(chan moveResult, 1)}
-		p := e.parts[part]
-		select {
-		case p.ctlQueue() <- request{ctl: req}:
-		case <-p.stop:
-			return ErrStopped
-		}
-		if res := <-req.done; res.err != nil {
+		if res := e.parts[part].call(&ctlRequest{kind: ctlCrash}); res.err != nil {
 			return res.err
 		}
 	}
@@ -209,14 +202,7 @@ func (e *Engine) snapshot(part int, buckets []int) ([]BucketSnapshot, error) {
 	if !e.hosted[part/e.cfg.PartitionsPerMachine] {
 		return nil, notOwnedError(part)
 	}
-	req := &ctlRequest{kind: ctlSnapshot, buckets: buckets, done: make(chan moveResult, 1)}
-	p := e.parts[part]
-	select {
-	case p.ctlQueue() <- request{ctl: req}:
-	case <-p.stop:
-		return nil, ErrStopped
-	}
-	res := <-req.done
+	res := e.parts[part].call(&ctlRequest{kind: ctlSnapshot, buckets: buckets})
 	return res.snaps, res.err
 }
 
@@ -237,21 +223,15 @@ func (e *Engine) RestorePartition(part int, snaps []BucketSnapshot, cmds []Repla
 	if !p.down.Load() {
 		return 0, fmt.Errorf("store: partition %d is not down", part)
 	}
-	req := &ctlRequest{kind: ctlRestore, snaps: snaps, cmds: cmds, done: make(chan moveResult, 1)}
-	select {
-	case p.ctlQueue() <- request{ctl: req}:
-	case <-p.stop:
-		return 0, ErrStopped
-	}
-	res := <-req.done
+	res := p.call(&ctlRequest{kind: ctlRestore, snaps: snaps, cmds: cmds})
 	return res.rows, res.err
 }
 
 // ReplayCommands applies logged commands to the live partitions that own
 // their buckets — how a warm follower applies a batch of its primary's log.
 // Each owning partition gets its share as one replay request on its data
-// queue, so the partitions replay in parallel and, per bucket, in the order
-// given (the queue is FIFO and a bucket has one owner); the call returns once
+// lane, so the partitions replay in parallel and, per bucket, in the order
+// given (the lane is FIFO and a bucket has one owner); the call returns once
 // all of them have finished. It runs the same replay RestorePartition does:
 // nothing is logged, slept for or counted. A down partition skips its share,
 // which is its restore's to replay: the commands must already be in the log
@@ -278,12 +258,10 @@ func (e *Engine) ReplayCommands(cmds []ReplayCommand) error {
 	sent := 0
 	var err error
 	for part, share := range byPart {
-		p := e.parts[part]
-		select {
-		case p.ch <- request{ctl: &ctlRequest{kind: ctlReplay, cmds: share, done: done}}:
+		if perr := e.parts[part].q.put(request{ctl: &ctlRequest{kind: ctlReplay, cmds: share, done: done}}, false, nil); perr != nil {
+			err = perr
+		} else {
 			sent++
-		case <-p.stop:
-			err = ErrStopped
 		}
 	}
 	for ; sent > 0; sent-- {

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// The partition queues carry a typed request union instead of `chan any`:
-// sending a small struct by value avoids the per-request interface boxing
+// The partition queues carry a typed request union instead of `any`:
+// storing a small struct by value avoids the per-request interface boxing
 // allocation, and the hot transaction path reuses pooled txnRequest objects
 // (including their reply channels) so a steady-state Execute performs no
 // per-call allocation at all.
@@ -74,7 +74,7 @@ const (
 	ctlExtract
 	// ctlReplay replays logged commands onto a live partition: a warm
 	// follower applying its primary's shipped log. Unlike every other control
-	// request it travels on the data queue, whose FIFO order is what keeps a
+	// request it travels on the data lane, whose FIFO order is what keeps a
 	// bucket's commands in log order.
 	ctlReplay
 )

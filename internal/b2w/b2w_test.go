@@ -242,7 +242,7 @@ func TestBadArgsRejected(t *testing.T) {
 
 func TestLoadPopulates(t *testing.T) {
 	e := testEngine(t)
-	spec := LoadSpec{Carts: 50, Checkouts: 20, Stocks: 30, LinesPerCart: 2, Seed: 1, Loaders: 4}
+	spec := LoadSpec{Carts: 50, Checkouts: 20, Stocks: 30, LinesPerCart: 2, Seed: 1}
 	if err := Load(e, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestLoadPopulates(t *testing.T) {
 
 func TestDriverRunsTrace(t *testing.T) {
 	e := testEngine(t)
-	spec := LoadSpec{Carts: 40, Checkouts: 15, Stocks: 25, LinesPerCart: 2, Seed: 2, Loaders: 4}
+	spec := LoadSpec{Carts: 40, Checkouts: 15, Stocks: 25, LinesPerCart: 2, Seed: 2}
 	if err := Load(e, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestDriverShedsUnderOverload(t *testing.T) {
 	}
 	e.Start()
 	t.Cleanup(e.Stop)
-	spec := LoadSpec{Carts: 40, Checkouts: 15, Stocks: 25, LinesPerCart: 2, Seed: 5, Loaders: 4}
+	spec := LoadSpec{Carts: 40, Checkouts: 15, Stocks: 25, LinesPerCart: 2, Seed: 5}
 	if err := Load(e, spec); err != nil {
 		t.Fatal(err)
 	}

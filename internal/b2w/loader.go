@@ -1,10 +1,8 @@
 package b2w
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"pstore/internal/store"
 )
@@ -23,101 +21,57 @@ type LoadSpec struct {
 	LinesPerCart int
 	// Seed makes loading reproducible.
 	Seed int64
-	// Loaders is the number of concurrent loading clients (defaults to
-	// defaultLoaders).
-	Loaders int
 }
-
-// defaultLoaders is how many loads are in flight when the spec does not say.
-// A node's load is not logged (recovery.Manager.Bootstrap), so a loader waits
-// for an executor's few-µs hand-off, not for an fsync, and needs no group
-// commit to fill: one load in flight per partition of the deployed 16-partition
-// engine keeps every executor busy wherever there is a core for each. On 2
-// cores BenchmarkLoad puts 4 to 64 loaders within noise of each other (≈ 10 ms
-// for 4 200 rows, 1 loader ≈ 13 ms), and timed node starts read 16 at ≈ 25 ms
-// against ≈ 28 ms for 4 and for 64.
-const defaultLoaders = 16
 
 // DefaultLoadSpec returns a small database suitable for scaled experiments.
 func DefaultLoadSpec() LoadSpec {
-	return LoadSpec{Carts: 4000, Checkouts: 1000, Stocks: 2000, LinesPerCart: 3, Seed: 1, Loaders: defaultLoaders}
+	return LoadSpec{Carts: 4000, Checkouts: 1000, Stocks: 2000, LinesPerCart: 3, Seed: 1}
 }
 
 // CartKey returns the cart id for index i.
-func CartKey(i int) string { return fmt.Sprintf("cart-%08d", i) }
+func CartKey(i int) string { return paddedKey("cart-", i, 8) }
 
 // CheckoutKey returns the checkout id for index i.
-func CheckoutKey(i int) string { return fmt.Sprintf("checkout-%08d", i) }
+func CheckoutKey(i int) string { return paddedKey("checkout-", i, 8) }
 
 // StockKey returns the SKU for index i.
-func StockKey(i int) string { return fmt.Sprintf("sku-%08d", i) }
+func StockKey(i int) string { return paddedKey("sku-", i, 8) }
 
 // StockTxKey returns the stock-transaction id for index i.
-func StockTxKey(i int) string { return fmt.Sprintf("stocktx-%08d", i) }
+func StockTxKey(i int) string { return paddedKey("stocktx-", i, 8) }
 
-// Load populates the engine with the initial carts, checkouts and stock
-// through the regular transaction API. The engine must be started.
-func Load(eng *store.Engine, spec LoadSpec) error {
-	if spec.Carts < 0 || spec.Checkouts < 0 || spec.Stocks < 0 {
-		return fmt.Errorf("b2w: negative load sizes")
+// paddedKey is prefix+fmt.Sprintf("%0*d", width, i) without fmt, which took
+// about a quarter of BenchmarkLoad: width counts a minus sign, at most 8.
+func paddedKey(prefix string, i, width int) string {
+	var buf [24]byte // 20 digits and a sign
+	d, u := len(buf), uint64(i)
+	if i < 0 {
+		u, width = -u, width-1
 	}
-	loaders := spec.Loaders
-	if loaders < 1 {
-		loaders = defaultLoaders
+	for ; u > 0 || d == len(buf) || len(buf)-d < width; u /= 10 {
+		d--
+		buf[d] = byte('0' + u%10)
 	}
+	if i < 0 {
+		d--
+		buf[d] = '-'
+	}
+	return prefix + string(buf[d:])
+}
+
+// Dataset generates spec's rows in load order — stock, then carts, then
+// checkouts, from one RNG seeded with spec.Seed — and hands each to emit as
+// the bootstrap procedure that installs it, its key and its argument.
+func Dataset(spec LoadSpec, emit func(txn, key string, args any)) {
 	lines := max(spec.LinesPerCart, 1)
-
-	// Resolve the bootstrap procedures' handles once up front.
-	handles := make(map[string]store.TxnID, 3)
-	for _, name := range []string{txnLoadStock, txnLoadCart, txnLoadCheckout} {
-		id, ok := eng.Handle(name)
-		if !ok {
-			return fmt.Errorf("b2w: bootstrap transaction %s not registered", name)
-		}
-		handles[name] = id
-	}
-
-	type job struct {
-		txn  store.TxnID
-		name string
-		key  string
-		args any
-	}
-	jobs := make(chan job, 1024)
-	var wg sync.WaitGroup
-	errCh := make(chan error, loaders)
-	for w := 0; w < loaders; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if _, err := eng.ExecuteID(j.txn, j.key, j.args); err != nil {
-					if errors.Is(err, store.ErrNotOwned) {
-						// Multi-process loading: every node runs the same
-						// deterministic load; a key hosted elsewhere is that
-						// node's to load.
-						continue
-					}
-					select {
-					case errCh <- fmt.Errorf("b2w: loading %s %s: %w", j.name, j.key, err):
-					default:
-					}
-					return
-				}
-			}
-		}()
-	}
-
 	rng := rand.New(rand.NewSource(spec.Seed))
 	for i := 0; i < spec.Stocks; i++ {
-		jobs <- job{txn: handles[txnLoadStock], name: txnLoadStock, key: StockKey(i), args: StockItem{
-			SKU:       StockKey(i),
-			Available: 50 + rng.Intn(200),
-		}}
+		sku := StockKey(i)
+		emit(txnLoadStock, sku, StockItem{SKU: sku, Available: 50 + rng.Intn(200)})
 	}
 	for i := 0; i < spec.Carts; i++ {
 		n := 1 + rng.Intn(2*lines-1)
-		cart := Cart{Customer: fmt.Sprintf("customer-%06d", rng.Intn(1_000_000))}
+		cart := Cart{Customer: paddedKey("customer-", rng.Intn(1_000_000), 6)}
 		for l := 0; l < n; l++ {
 			line := CartLine{
 				SKU:       StockKey(rng.Intn(max(spec.Stocks, 1))),
@@ -127,7 +81,7 @@ func Load(eng *store.Engine, spec LoadSpec) error {
 			cart.Lines = append(cart.Lines, line)
 			cart.Total += int64(line.Quantity) * line.UnitPrice
 		}
-		jobs <- job{txn: handles[txnLoadCart], name: txnLoadCart, key: CartKey(i), args: cart}
+		emit(txnLoadCart, CartKey(i), cart)
 	}
 	for i := 0; i < spec.Checkouts; i++ {
 		line := CartLine{
@@ -135,20 +89,37 @@ func Load(eng *store.Engine, spec LoadSpec) error {
 			Quantity:  1,
 			UnitPrice: int64(500 + rng.Intn(100000)),
 		}
-		jobs <- job{txn: handles[txnLoadCheckout], name: txnLoadCheckout, key: CheckoutKey(i), args: Checkout{
+		emit(txnLoadCheckout, CheckoutKey(i), Checkout{
 			CartID: CartKey(rng.Intn(max(spec.Carts, 1))),
 			Lines:  []CartLine{line},
 			Total:  int64(line.Quantity) * line.UnitPrice,
-		}}
+		})
 	}
-	close(jobs)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
+}
+
+// Load populates the engine with spec's Dataset in one ExecuteBatch: each
+// hosted partition gets its share as one request, and rows another node hosts
+// are left to its own load. The engine must be started.
+func Load(eng *store.Engine, spec LoadSpec) error {
+	if spec.Carts < 0 || spec.Checkouts < 0 || spec.Stocks < 0 {
+		return fmt.Errorf("b2w: negative load sizes")
 	}
+	handles := make(map[string]store.TxnID, 3)
+	for _, name := range []string{txnLoadStock, txnLoadCart, txnLoadCheckout} {
+		id, ok := eng.Handle(name)
+		if !ok {
+			return fmt.Errorf("b2w: bootstrap transaction %s not registered", name)
+		}
+		handles[name] = id
+	}
+	cmds := make([]store.Command, 0, spec.Stocks+spec.Carts+spec.Checkouts)
+	Dataset(spec, func(txn, key string, args any) {
+		cmds = append(cmds, store.Command{ID: handles[txn], Key: key, Args: args})
+	})
+	if err := eng.ExecuteBatch(cmds); err != nil {
+		return fmt.Errorf("b2w: loading: %w", err)
+	}
+	return nil
 }
 
 // Internal bootstrap procedures that install complete rows directly during

@@ -55,7 +55,7 @@ func defaultLiveParams(quick bool) liveParams {
 			Spacing:       4 * time.Millisecond,
 			RateFactor:    1,
 		},
-		loadSpec:           b2w.LoadSpec{Carts: 6000, Checkouts: 1500, Stocks: 3000, LinesPerCart: 3, Seed: 7, Loaders: 16},
+		loadSpec:           b2w.LoadSpec{Carts: 6000, Checkouts: 1500, Stocks: 3000, LinesPerCart: 3, Seed: 7},
 		minutePerSlot:      15 * time.Millisecond,
 		recorderWin:        500 * time.Millisecond,
 		latencySLOms:       40,

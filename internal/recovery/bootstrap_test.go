@@ -1,7 +1,9 @@
 package recovery_test
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pstore/internal/b2w"
@@ -89,6 +91,97 @@ func TestBootstrapMatchesLoggedLoad(t *testing.T) {
 			t.Fatalf("bucket %d recovers as %+v, the logged load's as base %d head %d", b, g, w.Base, w.Head)
 		}
 	}
+}
+
+// TestBootstrapBatchMatchesExecuteID: on a node hosting machines 0 and 2,
+// b2w.Load's batch — one request per hosted partition — and the same dataset
+// run one ExecuteID per row leave equal rows, per-bucket heads, access counts
+// and counters: inside Bootstrap, unlogged, and as a logged load, which also
+// returns only once every one of its records is durable.
+func TestBootstrapBatchMatchesExecuteID(t *testing.T) {
+	hosted := []int{0, 2}
+	for _, logged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("logged=%v", logged), func(t *testing.T) {
+			batch, bm := bootEngine(t, hosted, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
+			single, sm := bootEngine(t, hosted, recovery.Config{DataDir: "data", FS: wal.NewMemFS(2)})
+			batchLoad := func() error { return b2w.Load(batch, bootSpec) }
+			perRow := func() (err error) {
+				b2w.Dataset(bootSpec, func(txn, key string, args any) {
+					if _, e := single.Execute(txn, key, args); e != nil && !errors.Is(e, store.ErrNotOwned) && err == nil {
+						err = e
+					}
+				})
+				return err
+			}
+			if logged {
+				if err := batchLoad(); err != nil {
+					t.Fatal(err)
+				}
+				end, err := bm.ShipEnd()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if appended := bm.WALStats().Appends; appended < int64(batch.TotalRows()) || int64(end.Rec) != appended {
+					t.Fatalf("the logged load returned with %d of its %d records durable", end.Rec, appended)
+				}
+				if err := perRow(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if _, err := bm.Bootstrap(batchLoad); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sm.Bootstrap(perRow); err != nil {
+					t.Fatal(err)
+				}
+				if n := bm.WALStats().Appends; n != 0 {
+					t.Fatalf("the batch inside Bootstrap appended %d records", n)
+				}
+			}
+
+			if batch.TotalRows() == 0 || batch.TotalRows() != single.TotalRows() {
+				t.Fatalf("batch loaded %d rows, one ExecuteID per row %d", batch.TotalRows(), single.TotalRows())
+			}
+			for _, m := range hosted {
+				for _, part := range batch.PartitionsOfMachine(m) {
+					got, want := bucketState(t, batch, part), bucketState(t, single, part)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("partition %d: the batch left %d buckets, one ExecuteID per row %d, and they differ", part, len(got), len(want))
+					}
+				}
+			}
+			for b := 0; b < 640; b++ {
+				if got, want := bm.LogHead(b), sm.LogHead(b); got != want {
+					t.Fatalf("bucket %d: head %d after the batch, %d after one ExecuteID per row", b, got, want)
+				}
+			}
+			if got, want := batch.BucketAccesses(false), single.BucketAccesses(false); !reflect.DeepEqual(got, want) {
+				t.Fatal("per-bucket access counts differ")
+			}
+			counters := func(e *store.Engine) store.Counters {
+				c := e.Counters()
+				c.CommitWaitNs, c.HoldOverNs = 0, 0 // clocks, not counts
+				return c
+			}
+			if got, want := counters(batch), counters(single); got != want || got.Completed != int64(batch.TotalRows()) {
+				t.Fatalf("counters after the batch %+v, after one ExecuteID per row %+v", got, want)
+			}
+		})
+	}
+}
+
+// bucketState snapshots one partition, bucket by bucket.
+func bucketState(t *testing.T, e *store.Engine, part int) map[int]store.BucketSnapshot {
+	t.Helper()
+	snaps, err := e.SnapshotPartition(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[int]store.BucketSnapshot, len(snaps))
+	for _, s := range snaps {
+		out[s.Bucket] = s
+	}
+	return out
 }
 
 // TestBootstrapCrashPointSweep kills the filesystem at every write of a

@@ -166,11 +166,10 @@ func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 	}
 }
 
-// TestColdStartDecodesEachSetOnce: an image set's payloads decode only as one
-// stream, so recovery reads each set once per operation — a cold start of 16
-// partitions over two sets decodes two sets, not one per partition, and a
-// restore of one machine's four partitions decodes each set they draw on
-// once — and rebuilds every value.
+// TestColdStartDecodesEachSetOnce: recovery reads each image set once per
+// operation — a cold start of 16 partitions over two sets reads two sets, not
+// one per partition, and a restore of one machine's four partitions reads
+// each set they draw on once — and rebuilds every value.
 func TestColdStartDecodesEachSetOnce(t *testing.T) {
 	fs := wal.NewMemFS(1)
 	e, m, keys := roundEngine(t, fs, 0)

@@ -319,7 +319,7 @@ func TestLoopbackB2W(t *testing.T) {
 	}
 	eng.Start()
 	t.Cleanup(eng.Stop)
-	spec := b2w.LoadSpec{Carts: 40, Checkouts: 15, Stocks: 25, LinesPerCart: 2, Seed: 2, Loaders: 4}
+	spec := b2w.LoadSpec{Carts: 40, Checkouts: 15, Stocks: 25, LinesPerCart: 2, Seed: 2}
 	if err := b2w.Load(eng, spec); err != nil {
 		t.Fatal(err)
 	}

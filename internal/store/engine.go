@@ -532,6 +532,64 @@ func (e *Engine) executeID(done <-chan struct{}, ctxErr func() error, id TxnID, 
 	return res.value, res.err
 }
 
+// Command is one transaction of a batch: a resolved procedure, its key and
+// its argument.
+type Command struct {
+	ID   TxnID
+	Key  string
+	Args any
+}
+
+// ExecuteBatch runs cmds as a bulk load wants them run: each hosted partition
+// gets its share, in cmds order, as one data-lane request, and its executor
+// takes every command down the path a single submission takes — executed,
+// logged, counted and answered one by one, stamped when reached so its own
+// batch never sheds or expires it (a batch passes no admission control and no
+// recorder). A command of a partition hosted elsewhere is skipped, uncounted.
+// It returns once every command is answered, a logged one once durable, with
+// the first failure in cmds order; one unregistered procedure runs nothing.
+func (e *Engine) ExecuteBatch(cmds []Command) error {
+	if e.stopped.Load() {
+		return ErrStopped
+	}
+	if !e.started.Load() {
+		return errors.New("store: engine not started")
+	}
+	shares := make([][]*txnRequest, len(e.parts))
+	reqs := make([]*txnRequest, 0, len(cmds))
+	for _, c := range cmds {
+		if c.ID < 0 || int(c.ID) >= len(e.procs) {
+			return ErrUnknownTxn
+		}
+		bucket := e.bucketOf(c.Key)
+		if part := e.ownerOf(bucket); e.hostedAll || e.hosted[part/e.cfg.PartitionsPerMachine] {
+			r := acquireTxnReq()
+			r.id, r.key, r.bucket, r.args = c.ID, c.Key, int32(bucket), c.Args
+			shares[part] = append(shares[part], r)
+			reqs = append(reqs, r)
+		}
+	}
+	e.submitted.Add(int64(len(reqs)))
+	for part, share := range shares {
+		if len(share) == 0 {
+			continue
+		}
+		if req := (request{ctl: &ctlRequest{kind: ctlExecute, txns: share}}); e.parts[part].q.put(req, false, nil) != nil {
+			failStopped(req) // a put without done fails only on a stopped engine
+		}
+	}
+	var first error
+	for _, r := range reqs {
+		if res := <-r.reply; res.err == nil {
+			e.completed.Add(1)
+		} else if e.errored.Add(1); first == nil {
+			first = fmt.Errorf("store: %s %s: %w", e.procs[r.id].name, r.key, res.err)
+		}
+		releaseTxnReq(r)
+	}
+	return first
+}
+
 // admit is admission control: a submission whose destination's estimated
 // queueing delay (the executor-maintained sojourn EWMA) already exceeds the
 // deadline is refused immediately instead of joining a queue it cannot clear

@@ -161,6 +161,10 @@ func failStopped(req request) {
 	switch {
 	case req.txn != nil:
 		req.txn.reply <- txnResult{err: ErrStopped}
+	case req.ctl != nil && req.ctl.kind == ctlExecute:
+		for _, r := range req.ctl.txns {
+			r.reply <- txnResult{err: ErrStopped}
+		}
 	case req.ctl != nil:
 		req.ctl.done <- moveResult{err: ErrStopped}
 	}
@@ -170,6 +174,11 @@ func (p *partition) handle(req request) {
 	switch {
 	case req.txn != nil:
 		p.execute(req.txn)
+	case req.ctl != nil && req.ctl.kind == ctlExecute:
+		for _, r := range req.ctl.txns {
+			r.submit = time.Now()
+			p.execute(r)
+		}
 	case req.ctl != nil:
 		// Every control request sees a partition with nothing awaiting
 		// durability or execution: an image is never ahead of its log, a crash

@@ -77,6 +77,10 @@ const (
 	// request it travels on the data lane, whose FIFO order is what keeps a
 	// bucket's commands in log order.
 	ctlReplay
+	// ctlExecute carries a batch of transactions (Engine.ExecuteBatch), each
+	// executed as if it had been submitted alone. Like ctlReplay it travels on
+	// the data lane.
+	ctlExecute
 )
 
 // ctlRequest is a migration step processed by a partition executor. A
@@ -104,9 +108,10 @@ type ctlRequest struct {
 	data BucketData
 	cost time.Duration
 
-	// restore fields; a replay carries cmds alone.
+	// restore fields; a replay carries cmds alone, an execute txns alone.
 	snaps []BucketSnapshot
 	cmds  []ReplayCommand
+	txns  []*txnRequest
 
 	done chan moveResult
 }

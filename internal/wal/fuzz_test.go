@@ -79,26 +79,38 @@ func FuzzSegmentDecode(f *testing.F) {
 // FuzzImageSetDecode: arbitrary bytes must never panic, and what comes back
 // has valid-prefix semantics — the frames tile the reported prefix exactly,
 // each behind a header that re-validates, and nothing is reported beyond it.
-// The payloads then go through the set's one gob stream: that never panics
-// either, and every image it returns comes from a frame whose payload passed
-// its CRC.
+// Each payload then decodes on its own: that never panics either, and every
+// image returned comes from a frame whose payload passed its CRC and whose
+// every byte the tables account for — they re-encode to the payload's length.
 func FuzzImageSetDecode(f *testing.F) {
 	seed, _ := EncodeImageSet(nil, []*Image{
-		{Bucket: 3, Rows: 1, LSN: 9, Tables: map[string]map[string]any{"T": {"k": 7}}},
+		{Bucket: 3, Rows: 2, LSN: 9, Tables: map[string]map[string]any{"T": {"k": 7, "r": &imgRow{Name: "a", Lines: []int{-1}}}}},
 		{Bucket: 4, LSN: 2},
-		{Bucket: 5, Rows: 2, LSN: 4, Tables: map[string]map[string]any{"T": {"a": []int{1, 2}}, "U": {"b": "x"}}},
+		{Bucket: 5, Rows: 3, LSN: 4, Tables: map[string]map[string]any{"T": {"a": uint64(1 << 40)}, "U": {"b": "x", "r": &imgRow{Name: "é"}}}},
 	})
 	f.Add(seed)
-	// CRC-valid frames whose payloads are not a gob stream: garbage, and the
-	// seed's frames in reverse order, so a value arrives before its type.
+	// CRC-valid frames whose payloads are not tables: garbage; a row of a type
+	// no one registered; a row tagged with a type the frame never named; a row
+	// whose own codec leaves a byte over; a table named twice. And the seed's
+	// frames in reverse order, which decode as well as in order.
+	row := func(tag byte, v ...byte) []byte {
+		return append([]byte{1, 1, 'T', 1, 1, 'k', tag}, v...)
+	}
+	for _, payload := range [][]byte{
+		{0x07, 0xff, 0x81, 0x04, 0x01, 0x02, 0x00},
+		row(tagNewRow, 4, 'n', 'o', 'n', 'e', 0),
+		row(tagRow, 0),
+		row(tagNewRow, append(AppendString(nil, "wal.imgRow"), 3, 0, 0, 9)...),
+		{2, 1, 'T', 0, 1, 'T', 0},
+	} {
+		f.Add(appendTestFrame(nil, 1, payload))
+	}
 	frames, _, _ := DecodeImageSet(seed)
-	var garbage, reversed []byte
-	garbage = appendTestFrame(garbage, 1, []byte{0x07, 0xff, 0x81, 0x04, 0x01, 0x02, 0x00})
+	var reversed []byte
 	for i := len(frames) - 1; i >= 0; i-- {
 		fr := frames[i]
 		reversed = appendTestFrame(reversed, fr.Bucket, seed[fr.Off+imageHeaderSize:fr.Off+int64(fr.Size)])
 	}
-	f.Add(garbage)
 	f.Add(reversed)
 	f.Add(seed[:len(seed)-3])       // torn last payload
 	f.Add(seed[:imageHeaderSize-1]) // torn first header
@@ -165,6 +177,10 @@ func FuzzImageSetDecode(f *testing.F) {
 			}
 			if img.Bucket != fr.Bucket || img.LSN != fr.LSN || img.Rows != fr.Rows {
 				t.Fatalf("image %d is %+v, its frame %+v", i, img, fr)
+			}
+			var enc tableEncoder
+			if again, err := enc.appendTables(nil, img.Tables); err != nil || len(again) != len(payload) {
+				t.Fatalf("image %d re-encodes to %d bytes (err %v), its payload is %d", i, len(again), err, len(payload))
 			}
 		}
 	})

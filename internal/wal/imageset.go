@@ -48,9 +48,9 @@ type imageRef struct {
 // of its valid prefix plus the prefix's length. It never panics; a non-nil
 // error says why the walk stopped early, and a clean set returns
 // valid == len(data) and a nil error. Payloads are not decoded or checksummed
-// here — DecodeImages and LoadImages do that. A set reaches its final name
-// only after its sync, so a set that does not walk cleanly is damaged, not
-// torn.
+// here — DecodeImages and LoadImages do that, each payload on its own. A set
+// reaches its final name only after its sync, so a set that does not walk
+// cleanly is damaged, not torn.
 func DecodeImageSet(data []byte) (frames []ImageFrame, valid int64, err error) {
 	off := int64(0)
 	for off < int64(len(data)) {
@@ -191,41 +191,35 @@ func (l *Log) WriteImageSet(data []byte) error {
 }
 
 // LoadImages reads the current checkpoint images of the given buckets from
-// disk. Each set that holds one of them is read and decoded once, whole:
-// asking for every bucket of a set in one call costs what asking for one
-// does. Buckets without an image are absent from the result.
+// disk. Each set that holds one of them is read once per call, and of it only
+// the wanted frames are checked and decoded. Buckets without an image are
+// absent from the result.
 func (l *Log) LoadImages(buckets []int) (map[int]*Image, error) {
 	l.imgMu.RLock()
 	defer l.imgMu.RUnlock()
-	bySet := make(map[int]map[int64]int) // set -> offset of a wanted frame -> its bucket
+	bySet := make(map[int][]ImageFrame) // set -> the wanted frames in it
 	l.mu.Lock()
 	for _, b := range buckets {
 		if ref, ok := l.images[b]; ok {
-			if bySet[ref.set] == nil {
-				bySet[ref.set] = make(map[int64]int)
-			}
-			bySet[ref.set][ref.frame.Off] = b
+			bySet[ref.set] = append(bySet[ref.set], ref.frame)
 		}
 	}
 	l.mu.Unlock()
 	out := make(map[int]*Image, len(buckets))
-	for seq, want := range bySet {
+	for seq, frames := range bySet {
 		data, err := readAll(l.fs, l.setPath(seq))
 		if err != nil {
 			return nil, err
 		}
-		imgs, err := decodeImages(data, func(f ImageFrame) bool {
-			b, ok := want[f.Off]
-			return ok && b == f.Bucket
-		})
-		if err != nil {
-			return nil, fmt.Errorf("wal: image set %s: %w", setName(seq), err)
-		}
-		if len(imgs) != len(want) {
-			return nil, fmt.Errorf("wal: image set %s holds %d of the %d images indexed in it", setName(seq), len(imgs), len(want))
-		}
-		for _, img := range imgs {
-			out[img.Bucket] = img
+		for _, f := range frames {
+			var imgs []*Image
+			if end := f.Off + int64(f.Size); end <= int64(len(data)) {
+				imgs, err = DecodeImages(data[f.Off:end])
+			}
+			if len(imgs) != 1 || imgs[0].Bucket != f.Bucket {
+				return nil, fmt.Errorf("wal: image set %s, bucket %d's frame: %v", setName(seq), f.Bucket, err)
+			}
+			out[f.Bucket] = imgs[0]
 		}
 		l.setDecodes.Add(1)
 	}

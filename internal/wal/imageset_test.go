@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -40,13 +39,32 @@ type imgRow struct {
 	Lines []int
 }
 
-func init() { gob.Register(&imgRow{}) }
+var _ Row = (*imgRow)(nil)
+
+func init() { RegisterRow("wal.imgRow", func() Row { return new(imgRow) }) }
+
+func (r *imgRow) AppendBinary(b []byte) ([]byte, error) {
+	b = AppendUint(AppendString(b, r.Name), uint64(len(r.Lines)))
+	for _, l := range r.Lines {
+		b = AppendInt(b, int64(l))
+	}
+	return b, nil
+}
+
+func (r *imgRow) UnmarshalBinary(data []byte) error {
+	rd := NewRowReader(data)
+	r.Name, r.Lines = rd.Str(), make([]int, rd.Count(1))
+	for i := range r.Lines {
+		r.Lines[i] = int(rd.Int64())
+	}
+	return rd.Close()
+}
 
 // TestImageSetRoundTrip checks a round's images survive the disk format, in
 // this life and after a reopen — LSNs, row counts and rows, a struct row
 // coming back as its own pointer type — and that a bucket without an image is
-// simply absent. A row type is described once per set: the second of two
-// images holding the same kind of row is the smaller frame.
+// simply absent. A frame from the middle of a set decodes alone, though an
+// earlier frame of the set holds a row of the same type.
 func TestImageSetRoundTrip(t *testing.T) {
 	fs := NewMemFS(1)
 	l, _ := openTest(t, fs, DefaultSegmentBytes)
@@ -78,12 +96,17 @@ func TestImageSetRoundTrip(t *testing.T) {
 			t.Fatalf("bucket 11 image: %+v", img)
 		}
 	}
-	twice, err := EncodeImageSet(nil, []*Image{round[2], round[2]})
+	set, err := EncodeImageSet(nil, []*Image{round[0], round[2], round[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frames, _, err := DecodeImageSet(twice); err != nil || frames[1].Size >= frames[0].Size {
-		t.Fatalf("one image twice in a set: frames %+v (err %v); the second repeats its row type's description", frames, err)
+	frames, _, err := DecodeImageSet(set)
+	if err != nil || len(frames) != 3 {
+		t.Fatalf("set of three images walks as %+v (err %v)", frames, err)
+	}
+	mid := frames[1]
+	if imgs, err := DecodeImages(set[mid.Off : mid.Off+int64(mid.Size)]); err != nil || len(imgs) != 1 || !reflect.DeepEqual(imgs[0], round[2]) {
+		t.Fatalf("the middle frame alone decodes as %+v (err %v), want %+v", imgs, err, round[2])
 	}
 	check(l)
 	l.Close()
@@ -230,12 +253,12 @@ func TestImageSetFailedSyncInstallsNothing(t *testing.T) {
 }
 
 // TestOldImageLayoutRefused: a directory written by an older image format —
-// one file per bucket (version 1), or sets whose payloads are one gob stream
-// per image (version 3) — is refused with an error that names the layout, at
-// the manifest and, for per-bucket files should the manifest have been
-// replaced, at the image directory.
+// one file per bucket (version 1), sets whose payloads are one gob stream per
+// image (version 3) or one gob stream per set (version 4) — is refused with an
+// error that names the layout, at the manifest and, for per-bucket files
+// should the manifest have been replaced, at the image directory.
 func TestOldImageLayoutRefused(t *testing.T) {
-	for version, layout := range map[int]string{1: "per-bucket image layout", 3: "per-bucket image payload layout"} {
+	for version, layout := range map[int]string{1: "per-bucket image layout", 3: "per-bucket image payload layout", 4: "gob payload layout"} {
 		fs := NewMemFS(1)
 		if err := fs.MkdirAll("data"); err != nil {
 			t.Fatal(err)
@@ -363,5 +386,58 @@ func TestImageSetConcurrentRounds(t *testing.T) {
 	}
 	if names, _ := fs.ReadDir("data/img"); len(names) > writers {
 		t.Fatalf("%d image sets left for %d disjoint writers: %v", len(names), writers, names)
+	}
+}
+
+// TestImageSetLoadDecodesOnlyWantedFrames: any frame of a set decodes alone,
+// so asking for one bucket of a 640-frame set reads the set once and decodes
+// one payload; the other 639 are not even checksummed — here they are all
+// corrupt, and only asking for one of them fails.
+func TestImageSetLoadDecodesOnlyWantedFrames(t *testing.T) {
+	const buckets, wanted = 640, 321
+	fs := NewMemFS(1)
+	cfg := Config{Dir: "data", Geometry: Geometry{Buckets: buckets, MaxMachines: 4, PartitionsPerMachine: 4}, FS: fs}
+	l, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := make([]*Image, buckets)
+	for b := range round {
+		round[b] = testImage(b, 1, b)
+	}
+	if err := l.WriteImages(round); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	data, err := readAll(fs, "data/img/"+setName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, _, err := DecodeImageSet(data)
+	if err != nil || len(frames) != buckets {
+		t.Fatalf("set walks as %d frames (err %v)", len(frames), err)
+	}
+	for _, f := range frames {
+		if f.Bucket != wanted {
+			data[f.Off+imageHeaderSize] ^= 0xff
+		}
+	}
+	if err := writeFileAtomic(fs, "data/img/"+setName(1), data); err != nil {
+		t.Fatal(err)
+	}
+	l2, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	imgs, err := l2.LoadImages([]int{wanted})
+	if err != nil || len(imgs) != 1 || imgs[wanted].Tables["T"]["k"] != wanted {
+		t.Fatalf("one bucket of the set loads as %+v (err %v)", imgs, err)
+	}
+	if got := l2.Stats().ImageSetDecodes; got != 1 {
+		t.Fatalf("one bucket of a %d-frame set: %d set reads, want 1", buckets, got)
+	}
+	if _, err := l2.LoadImages([]int{wanted - 1}); err == nil {
+		t.Fatal("a bucket whose payload is corrupt loaded")
 	}
 }

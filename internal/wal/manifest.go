@@ -1,13 +1,10 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"reflect"
 )
 
 // manifestName is the store's identity file, following the engram
@@ -19,10 +16,11 @@ const manifestName = "MANIFEST.json"
 // rather than misread. Version 1 kept one img/bucket-N.img file per bucket;
 // version 2 keeps a checkpoint round's images together in one image set
 // (imageset.go) and wrote each segment as one gob stream; version 3 writes
-// segments as self-contained record frames (record.go); version 4 makes the
-// payloads of an image set one gob stream instead of one per image. Older
+// segments as self-contained record frames (record.go); version 4 made the
+// payloads of an image set one gob stream instead of one per image; version 5
+// encodes each payload on its own, with the rows' own codecs (rows.go). Older
 // directories are refused, not converted.
-const manifestVersion = 4
+const manifestVersion = 5
 
 // Geometry is the engine shape a log directory was created for. Replay is
 // only meaningful against the same bucket space, so a reopen with different
@@ -67,7 +65,10 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("wal: manifest version 2 is the gob segment layout (each seg-N.log one gob stream), which this build neither reads nor converts: it writes segments as self-contained record frames (version %d); start from a fresh data directory", manifestVersion)
 	}
 	if m.Version == 3 {
-		return nil, fmt.Errorf("wal: manifest version 3 is the per-bucket image payload layout (each image frame its own gob stream), which this build neither reads nor converts: an image set's payloads are one gob stream (version %d); start from a fresh data directory", manifestVersion)
+		return nil, fmt.Errorf("wal: manifest version 3 is the per-bucket image payload layout (each image frame its own gob stream), which this build neither reads nor converts: an image frame's payload is its rows' own binary encoding (version %d); start from a fresh data directory", manifestVersion)
+	}
+	if m.Version == 4 {
+		return nil, fmt.Errorf("wal: manifest version 4 is the gob payload layout (an image set's payloads one gob stream), which this build neither reads nor converts: an image frame's payload is its rows' own binary encoding (version %d); start from a fresh data directory", manifestVersion)
 	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("wal: manifest version %d, want %d", m.Version, manifestVersion)
@@ -103,13 +104,11 @@ func encodeManifest(m *Manifest) ([]byte, error) {
 // Bucket state format. An image set is the one serialized form of bucket
 // state: a checkpoint round's set file, a follower's sync body and a
 // migration chunk are the same kind of bytes. A set is a sequence of image
-// frames, each a fixed header followed by a payload, the bucket's tables. A
-// frame says how long it is and carries a CRC over its header and one over its
-// payload, so a set can be walked header by header without decoding a payload
-// — open learns every bucket's image LSN that way. The payloads of one set are
-// successive values of one gob stream: a row type is described once per set,
-// in the first payload holding such a row, so a payload decodes only after
-// every payload before it in its set.
+// frames, each a fixed header followed by a payload, the bucket's tables
+// (rows.go). A frame says how long it is and carries a CRC over its header and
+// one over its payload, so a set can be walked header by header without
+// decoding a payload — open learns every bucket's image LSN that way — and
+// any one payload decodes alone.
 //
 //	magic   u32  'PWAL'
 //	bucket  u32
@@ -135,22 +134,23 @@ type Image struct {
 // EncodeImageSet appends imgs to dst as one image set, in order, and returns
 // the extended slice.
 func EncodeImageSet(dst []byte, imgs []*Image) ([]byte, error) {
-	var payload bytes.Buffer
-	enc := gob.NewEncoder(&payload)
+	var enc tableEncoder
+	be := binary.BigEndian
 	for _, img := range imgs {
-		payload.Reset()
-		if err := enc.Encode(img.Tables); err != nil {
-			return dst, fmt.Errorf("wal: encoding image for bucket %d: %w", img.Bucket, err)
+		start := len(dst)
+		dst = append(dst, make([]byte, imageHeaderSize)...) // filled in once the payload is
+		var err error
+		if dst, err = enc.appendTables(dst, img.Tables); err != nil {
+			return dst[:start], fmt.Errorf("wal: encoding image for bucket %d: %w", img.Bucket, err)
 		}
-		var hdr [imageHeaderSize]byte
-		binary.BigEndian.PutUint32(hdr[0:4], imageMagic)
-		binary.BigEndian.PutUint32(hdr[4:8], uint32(img.Bucket))
-		binary.BigEndian.PutUint64(hdr[8:16], img.LSN)
-		binary.BigEndian.PutUint32(hdr[16:20], uint32(img.Rows))
-		binary.BigEndian.PutUint32(hdr[20:24], uint32(payload.Len()))
-		binary.BigEndian.PutUint32(hdr[24:28], crc32.Checksum(payload.Bytes(), crcTable))
-		binary.BigEndian.PutUint32(hdr[28:32], crc32.Checksum(hdr[0:28], crcTable))
-		dst = append(append(dst, hdr[:]...), payload.Bytes()...)
+		hdr, payload := dst[start:start+imageHeaderSize], dst[start+imageHeaderSize:]
+		be.PutUint32(hdr[0:4], imageMagic)
+		be.PutUint32(hdr[4:8], uint32(img.Bucket))
+		be.PutUint64(hdr[8:16], img.LSN)
+		be.PutUint32(hdr[16:20], uint32(img.Rows))
+		be.PutUint32(hdr[20:24], uint32(len(payload)))
+		be.PutUint32(hdr[24:28], crc32.Checksum(payload, crcTable))
+		be.PutUint32(hdr[28:32], crc32.Checksum(hdr[0:28], crcTable))
 	}
 	return dst, nil
 }
@@ -174,43 +174,25 @@ func decodeImageHeader(data []byte) (bucket int, lsn uint64, rows, plen int, err
 	return bucket, lsn, rows, plen, nil
 }
 
-// DecodeImages decodes a whole image set: every header and payload CRC is
-// checked and every payload decoded, in order, by one gob decoder. It never
-// panics; on an error it returns no images.
-func DecodeImages(data []byte) ([]*Image, error) { return decodeImages(data, nil) }
-
-// decodeImages is DecodeImages returning only the images of the frames keep
-// accepts (every frame, with a nil keep). The other payloads are decoded all
-// the same and dropped: a later one may need a type an earlier one describes.
-func decodeImages(data []byte, keep func(ImageFrame) bool) ([]*Image, error) {
+// DecodeImages decodes an image set: every header and payload CRC is checked
+// and every payload decoded. It never panics; on an error it returns no
+// images.
+func DecodeImages(data []byte) ([]*Image, error) {
 	frames, _, err := DecodeImageSet(data)
 	if err != nil {
 		return nil, err
 	}
-	// A bytes.Reader is a ByteReader, so the decoder reads exactly one value's
-	// bytes per Decode and never buffers ahead into the next payload.
-	var payload bytes.Reader
-	dec := gob.NewDecoder(&payload)
 	var out []*Image
 	for _, f := range frames {
 		p := data[f.Off+imageHeaderSize : f.Off+int64(f.Size)]
 		if binary.BigEndian.Uint32(data[f.Off+24:]) != crc32.Checksum(p, crcTable) {
 			return nil, fmt.Errorf("wal: image payload for bucket %d fails CRC", f.Bucket)
 		}
-		payload.Reset(p)
-		if keep == nil || keep(f) {
-			img := &Image{Bucket: f.Bucket, LSN: f.LSN, Rows: f.Rows}
-			err = dec.Decode(&img.Tables)
-			out = append(out, img)
-		} else {
-			err = dec.DecodeValue(reflect.Value{}) // discards the value
-		}
-		if err == nil && payload.Len() > 0 {
-			err = fmt.Errorf("%d bytes follow its value", payload.Len())
-		}
+		tables, err := decodeTables(p)
 		if err != nil {
 			return nil, fmt.Errorf("wal: decoding image for bucket %d: %w", f.Bucket, err)
 		}
+		out = append(out, &Image{Bucket: f.Bucket, LSN: f.LSN, Rows: f.Rows, Tables: tables})
 	}
 	return out, nil
 }

@@ -77,8 +77,8 @@ type Stats struct {
 	ShipTailReads  int64
 	ShipFileReads  int64
 	ShipEmptyReads int64
-	// ImageSetDecodes counts image sets LoadImages read and decoded: one per
-	// set per call, however many of its images the call wanted.
+	// ImageSetDecodes counts image sets LoadImages read: one per set per call,
+	// however many of its images the call wanted.
 	ImageSetDecodes int64
 }
 

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -16,7 +15,19 @@ type testRow struct {
 	N    int
 }
 
-func init() { gob.Register(&testRow{}) }
+var _ wal.Row = (*testRow)(nil)
+
+func init() { wal.RegisterRow("wire.testRow", func() wal.Row { return new(testRow) }) }
+
+func (r *testRow) AppendBinary(b []byte) ([]byte, error) {
+	return wal.AppendInt(wal.AppendString(b, r.Name), int64(r.N)), nil
+}
+
+func (r *testRow) UnmarshalBinary(data []byte) error {
+	rd := wal.NewRowReader(data)
+	r.Name, r.N = rd.Str(), int(rd.Int64())
+	return rd.Close()
+}
 
 // TestChunkRoundTrip pushes an extracted bundle through the chunk codec —
 // encode, decode — and checks the rebuilt bundle carries the same rows with

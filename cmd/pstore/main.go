@@ -78,11 +78,16 @@ func dispatch(args []string, stderr io.Writer) int {
 		return 2
 	}
 	if err := run(args[1:]); err != nil {
-		fmt.Fprintf(stderr, "pstore %s: %v\n", cmd, err)
+		if !errors.Is(err, errReported) {
+			fmt.Fprintf(stderr, "pstore %s: %v\n", cmd, err)
+		}
 		return 1
 	}
 	return 0
 }
+
+// errReported is a failure its subcommand has already reported on stderr.
+var errReported = errors.New("failure already reported")
 
 const usageText = `usage:
   pstore list                     list all experiments

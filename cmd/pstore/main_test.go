@@ -39,6 +39,14 @@ func TestDispatchExitCodes(t *testing.T) {
 		{"removed bench command", []string{"bench", "-duration", "1s"}, 2, true, `pstore: unknown command "bench"`},
 		{"help", []string{"help"}, 0, true, ""},
 		{"subcommand failure", []string{"plan"}, 1, false, "pstore plan: -input is required"},
+		{"replica without node mode", []string{"serve", "-replica-of", "http://127.0.0.1:1"}, 1, false,
+			"pstore serve: -replica-of, -ship-faults, -sync-commit and -follower-checkpoint-every require node mode (-node)"},
+		{"peer count mismatch", []string{"serve", "-node", "0", "-nodes", "2", "-listen", "127.0.0.1:0", "-peers", "http://127.0.0.1:1"}, 1, false,
+			"pstore serve: -peers lists 1 URLs, want 2 (one per node, in node-id order)"},
+		{"node out of range", []string{"serve", "-node", "2", "-nodes", "2", "-listen", "127.0.0.1:0"}, 1, false,
+			"pstore serve: -node 2 out of range for -nodes 2"},
+		{"node without listen", []string{"serve", "-node", "0", "-nodes", "1"}, 1, false,
+			"pstore serve: -node requires -listen"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stderr bytes.Buffer

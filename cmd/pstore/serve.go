@@ -17,7 +17,9 @@ import (
 	"pstore/internal/faults"
 	"pstore/internal/metrics"
 	"pstore/internal/migration"
+	"pstore/internal/node"
 	"pstore/internal/predictor"
+	"pstore/internal/recovery"
 	"pstore/internal/server"
 	"pstore/internal/squall"
 	"pstore/internal/store"
@@ -84,7 +86,7 @@ func runServe(args []string) error {
 	listen := fs.String("listen", "", "serve remote clients on this address (host:port) instead of driving the trace in-process")
 	serveFor := fs.Duration("serve-for", 0, "with -listen: stop after this long (0 = until SIGINT/SIGTERM or POST /v1/shutdown)")
 	quiet := fs.Bool("quiet", false, "suppress the live event log")
-	node := fs.Int("node", -1, "run as node N of a multi-process cluster (requires -nodes and -listen; migration and crashes are driven by pstore coord)")
+	nodeID := fs.Int("node", -1, "run as node N of a multi-process cluster (requires -nodes and -listen; migration and crashes are driven by pstore coord)")
 	nodes := fs.Int("nodes", 0, "total node count in multi-process mode")
 	peerList := fs.String("peers", "", "comma-separated node base URLs in node-id order, for forwarding transactions to the hosting node")
 	replicaOf := fs.String("replica-of", "", "node mode: start as a warm follower of the primary at this base URL — sync a snapshot, apply its shipped WAL, refuse client transactions until promoted via /v1/repl/promote")
@@ -98,18 +100,18 @@ func runServe(args []string) error {
 	if *days < 1 || *initial < 1 || *maxM < *initial || *cycleMin < 1 || *minute <= 0 {
 		return errors.New("invalid sizing flags")
 	}
-	if *node < 0 && (*replicaOf != "" || *shipFaults != "" || *syncCommit || *followerCkpt != 0) {
+	if *nodeID < 0 && (*replicaOf != "" || *shipFaults != "" || *syncCommit || *followerCkpt != 0) {
 		return errors.New("-replica-of, -ship-faults, -sync-commit and -follower-checkpoint-every require node mode (-node)")
 	}
 	if *followerCkpt < 0 {
 		return errors.New("-follower-checkpoint-every must be non-negative")
 	}
-	if *node >= 0 {
+	if *nodeID >= 0 {
 		if *faultSpec != "" || *crashSpec != "" {
 			return errors.New("-faults and -crash are coordinator-side in multi-process mode; pass them to pstore coord")
 		}
 		return runServeNode(serveNodeConfig{
-			node: *node, nodes: *nodes, peers: *peerList,
+			node: *nodeID, nodes: *nodes, peers: *peerList,
 			days: *days, minute: *minute, seed: *seed,
 			initial: *initial, maxM: *maxM,
 			deadline: *deadline, overloadSpec: *overloadSpec,
@@ -251,7 +253,7 @@ func runServe(args []string) error {
 	if cs := c.ColdStart(); cs != nil {
 		fmt.Fprintf(os.Stderr, "serve: cold start from %s: %d machines / %d partitions rebuilt, %d images + %d replayed commands, %s of log scanned in %v\n",
 			*dataDir, cs.Machines, cs.Partitions, cs.Snapshots, cs.Replayed,
-			byteCount(cs.LogBytes), cs.Duration.Round(time.Millisecond))
+			node.ByteCount(cs.LogBytes), cs.Duration.Round(time.Millisecond))
 	}
 	start := time.Now()
 
@@ -321,16 +323,7 @@ func runServe(args []string) error {
 	fmt.Printf("migration: %d chunk retries, %d aborts, %d chunks rolled back\n",
 		mc.Retries, mc.Aborts, mc.RollbackChunks)
 	if rm := c.Recovery(); rm != nil {
-		rs := rm.Stats()
-		fmt.Printf("recovery: %d crashes, %d recoveries, %d commands replayed (max lag %d), downtime %v, %d checkpoints\n",
-			rs.Crashes, rs.Recoveries, rs.ReplayedCommands, rs.MaxReplayLag,
-			rs.Downtime.Round(time.Millisecond), rs.Checkpoints)
-		if *dataDir != "" {
-			fmt.Printf("durable log: %d records retained, %s on disk\n", rm.LogSize(), byteCount(rm.LogBytes()))
-			if err := rm.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "serve: WARNING: durable log failed mid-run: %v\n", err)
-			}
-		}
+		printRecoverySummary(rm)
 	}
 	if inj != nil {
 		ist := inj.Stats()
@@ -340,15 +333,19 @@ func runServe(args []string) error {
 	return nil
 }
 
-// byteCount renders a byte total human-readably for summaries.
-func byteCount(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
+// printRecoverySummary prints a serve summary's recovery line, if there was
+// recovery work, and a durable log's size and any error it latched.
+func printRecoverySummary(rm *recovery.Manager) {
+	if rs := rm.Stats(); rs.Crashes > 0 || rs.Checkpoints > 1 {
+		fmt.Printf("recovery: %d crashes, %d recoveries, %d commands replayed (max lag %d), downtime %v, %d checkpoints\n",
+			rs.Crashes, rs.Recoveries, rs.ReplayedCommands, rs.MaxReplayLag,
+			rs.Downtime.Round(time.Millisecond), rs.Checkpoints)
+	}
+	if rm.Durable() {
+		fmt.Printf("durable log: %d records retained, %s on disk\n", rm.LogSize(), node.ByteCount(rm.LogBytes()))
+		if err := rm.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "serve: WARNING: durable log latched an error: %v\n", err)
+		}
 	}
 }
 
@@ -373,16 +370,8 @@ func printRefusedSummary(rec *metrics.Recorder, eng *store.Engine, sc *server.Co
 }
 
 // serveWire runs the network front end over the given server configuration
-// until a signal, the optional -serve-for timer, or a client's shutdown
-// request.
+// until waitServing returns, then shuts it down.
 func serveWire(ctx context.Context, scfg server.Config, addr string, serveFor time.Duration) (server.Counters, error) {
-	return serveWireWith(ctx, scfg, addr, serveFor, nil)
-}
-
-// serveWireWith is serveWire with a hook invoked once the listener is up,
-// with the running server — the replica bootstrap needs the server handle
-// (to install the sync snapshot) while Serve is already accepting.
-func serveWireWith(ctx context.Context, scfg server.Config, addr string, serveFor time.Duration, started func(*server.Server)) (server.Counters, error) {
 	srv, err := server.New(scfg)
 	if err != nil {
 		return server.Counters{}, err
@@ -391,12 +380,20 @@ func serveWireWith(ctx context.Context, scfg server.Config, addr string, serveFo
 	if err != nil {
 		return server.Counters{}, err
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
-	if started != nil {
-		started(srv)
+	go srv.Serve(l)
+	if err := waitServing(ctx, srv, l.Addr(), serveFor); err != nil {
+		return srv.Counters(), err
 	}
+	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err = srv.Shutdown(shCtx)
+	return srv.Counters(), err
+}
 
+// waitServing blocks while srv serves on addr: until a signal, the optional
+// -serve-for timer or a client's shutdown request, which it reports on stderr,
+// or the failure that ended the server (server.Failed), which it returns.
+func waitServing(ctx context.Context, srv *server.Server, addr net.Addr, serveFor time.Duration) error {
 	sigCtx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var timer <-chan time.Time
@@ -405,11 +402,11 @@ func serveWireWith(ctx context.Context, scfg server.Config, addr string, serveFo
 		defer t.Stop()
 		timer = t.C
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on %s (POST %s to stop)\n", l.Addr(), "/v1/shutdown")
+	fmt.Fprintf(os.Stderr, "serve: listening on %s (POST %s to stop)\n", addr, "/v1/shutdown")
 	var reason string
 	select {
-	case err := <-serveErr:
-		return srv.Counters(), err
+	case err := <-srv.Failed():
+		return err
 	case <-sigCtx.Done():
 		reason = "signal"
 	case <-timer:
@@ -418,12 +415,7 @@ func serveWireWith(ctx context.Context, scfg server.Config, addr string, serveFo
 		reason = "client shutdown request"
 	}
 	fmt.Fprintf(os.Stderr, "serve: shutting down (%s)\n", reason)
-	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		return srv.Counters(), err
-	}
-	return srv.Counters(), nil
+	return nil
 }
 
 // deployedEngine is the engine shape of everything `pstore serve` starts — the

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"pstore/internal/faults"
+	"pstore/internal/node"
+	"pstore/internal/node/nodetest"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
@@ -35,28 +37,18 @@ func remoteRegister(eng *store.Engine) error {
 	return eng.SetArgsDecoder(storetest.Args[int])
 }
 
-func newRemoteLoopback(t *testing.T, nodes int) *transport.Loopback {
+func newRemoteLoopback(t *testing.T, nodes int) ([]*node.Node, *transport.Remote) {
 	t.Helper()
-	lb, err := transport.NewLoopback(transport.LoopbackConfig{
-		Nodes:    nodes,
-		Store:    testEngineConfig(),
-		Register: remoteRegister,
-		Recovery: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = lb.Close() })
-	return lb
+	return nodetest.Start(t, nodes, node.Config{Store: testEngineConfig(), Register: remoteRegister})
 }
 
 // loadRemote runs the same deterministic load on every node engine; each
 // keeps the keys it hosts and refuses the rest.
-func loadRemote(t *testing.T, lb *transport.Loopback, keys int) {
+func loadRemote(t *testing.T, nodes []*node.Node, keys int) {
 	t.Helper()
-	for _, e := range lb.Engines() {
+	for _, n := range nodes {
 		for i := 0; i < keys; i++ {
-			if _, err := e.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+			if _, err := n.Engine.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
 				if errors.Is(err, store.ErrNotOwned) {
 					continue
 				}
@@ -91,8 +83,8 @@ func waitEvent[E Event](t *testing.T, ch <-chan Event, what string) E {
 // tick as single-process mode, and the data set survives it all.
 func TestRemoteCoordinator(t *testing.T) {
 	const keys = 200
-	lb := newRemoteLoopback(t, 2)
-	loadRemote(t, lb, keys)
+	nodes, remote := newRemoteLoopback(t, 2)
+	loadRemote(t, nodes, keys)
 
 	// A long cycle sequences the test: the scale-out below completes well
 	// before the crash at tick 2 fires.
@@ -102,7 +94,7 @@ func TestRemoteCoordinator(t *testing.T) {
 		Crash: &faults.CrashSchedule{
 			Planned: []faults.PlannedCrash{{Machine: 1, Tick: 2, Downtime: 1}},
 		},
-	}, lb.Remote())
+	}, remote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +124,7 @@ func TestRemoteCoordinator(t *testing.T) {
 	if err := c.Reconfigure(3, 0); err != nil {
 		t.Fatalf("scale-out: %v", err)
 	}
-	if got := lb.Remote().ActiveMachines(); got != 3 {
+	if got := remote.ActiveMachines(); got != 3 {
 		t.Fatalf("ActiveMachines = %d after scale-out, want 3", got)
 	}
 
@@ -142,14 +134,14 @@ func TestRemoteCoordinator(t *testing.T) {
 	if failed.Machine != 1 {
 		t.Fatalf("crashed machine = %d, want 1", failed.Machine)
 	}
-	if down := lb.Remote().DownMachines(); len(down) != 1 || down[0] != 1 {
+	if down := remote.DownMachines(); len(down) != 1 || down[0] != 1 {
 		t.Fatalf("DownMachines = %v during outage, want [1]", down)
 	}
 	recovered := waitEvent[MachineRecovered](t, ch, "MachineRecovered")
 	if recovered.Machine != 1 {
 		t.Fatalf("recovered machine = %d, want 1", recovered.Machine)
 	}
-	if down := lb.Remote().DownMachines(); len(down) != 0 {
+	if down := remote.DownMachines(); len(down) != 0 {
 		t.Fatalf("DownMachines = %v after recovery, want []", down)
 	}
 
@@ -157,14 +149,14 @@ func TestRemoteCoordinator(t *testing.T) {
 	if err := c.Reconfigure(1, 0); err != nil {
 		t.Fatalf("scale-in: %v", err)
 	}
-	if got := lb.Remote().TotalRows(); got != keys {
+	if got := remote.TotalRows(); got != keys {
 		t.Fatalf("TotalRows = %d, want %d", got, keys)
 	}
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("k-%d", i)
 		found := false
-		for _, e := range lb.Engines() {
-			v, err := e.Execute("get", key, nil)
+		for _, n := range nodes {
+			v, err := n.Engine.Execute("get", key, nil)
 			if errors.Is(err, store.ErrNotOwned) {
 				continue
 			}

@@ -1,0 +1,212 @@
+// Package node is one P-Store node, assembled — a storage engine hosting the
+// node's share of the cluster's machines, the recovery manager that logs it,
+// the server that fronts it — and brought up by a cold start, a dataset load
+// or a sync from its primary. `pstore serve -node` runs one per process;
+// tests start several in one process the same way.
+package node
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"os"
+	"slices"
+	"sync"
+	"time"
+
+	"pstore/internal/faults"
+	"pstore/internal/recovery"
+	"pstore/internal/server"
+	"pstore/internal/store"
+)
+
+// Config describes one node.
+type Config struct {
+	// ID is this node's index and Nodes the cluster's node count: the node
+	// hosts machine m when m % Nodes == ID.
+	ID, Nodes int
+	// Peers are the nodes' base URLs in node order, for forwarding; nil
+	// disables forwarding. The node keeps its own copy, which /v1/node/peer
+	// rewires after a failover.
+	Peers []string
+	// Store is the cluster's engine shape; HostedMachines is derived. Its
+	// overload deadline is also the server's default request deadline. A
+	// replica's overload plane is always disarmed: it executes only its
+	// primary's records, and shedding one would fork the replicated history.
+	Store store.Config
+	// Register installs the workload's procedures, and their args decoder,
+	// before the engine starts.
+	Register func(*store.Engine) error
+	// Load populates a fresh primary as recovery.Manager.Bootstrap's load, so
+	// the dataset's durable form is its first image set; nil leaves it empty.
+	Load func(*store.Engine) error
+	// Recovery configures the command log: with a DataDir, an on-disk WAL
+	// that a restarted node cold-starts from.
+	Recovery recovery.Config
+	// ReplicaOf, Advertise, ShipFaults, SyncCommit and FollowerCheckpointEvery
+	// are the replication settings of server.NodeConfig. Advertise defaults
+	// to the listener's address.
+	ReplicaOf               string
+	Advertise               string
+	ShipFaults              *faults.ShipInjector
+	SyncCommit              bool
+	FollowerCheckpointEvery int
+	// Info is served at /v1/info (server.Config.Info).
+	Info any
+}
+
+// Node is a running node. Close stops it.
+type Node struct {
+	Engine   *store.Engine
+	Recovery *recovery.Manager
+	Server   *server.Server
+	// URL is the base URL the node's peers and primaries reach it at.
+	URL string
+}
+
+// Start assembles the node, brings it up, and serves it on l, which it owns
+// from then on: a failed start closes it. A replica's sync runs once the
+// node serves, and a failure there — like any later one that ends the node,
+// a rejoin that could not complete — arrives on Server.Failed.
+func Start(cfg Config, l net.Listener) (*Node, error) {
+	n := &Node{URL: cfg.Advertise}
+	if n.URL == "" {
+		n.URL = "http://" + l.Addr().String()
+	}
+	if err := n.assemble(cfg); err != nil {
+		l.Close()
+		n.Close()
+		return nil, err
+	}
+	go n.Server.Serve(l)
+	if cfg.ReplicaOf != "" {
+		n.Server.Follow()
+	}
+	return n, nil
+}
+
+func (n *Node) assemble(cfg Config) error {
+	if cfg.Nodes < 1 || cfg.ID < 0 || cfg.ID >= cfg.Nodes {
+		return fmt.Errorf("node: id %d outside [0, %d)", cfg.ID, cfg.Nodes)
+	}
+	scfg := cfg.Store
+	if cfg.ReplicaOf != "" {
+		scfg.Overload = store.OverloadConfig{}
+	}
+	scfg.HostedMachines = nil
+	for m := cfg.ID; m < scfg.MaxMachines; m += cfg.Nodes {
+		scfg.HostedMachines = append(scfg.HostedMachines, m)
+	}
+	eng, err := store.NewEngine(scfg)
+	if err != nil {
+		return err
+	}
+	n.Engine = eng
+	if err := cfg.Register(eng); err != nil {
+		return err
+	}
+	// The recovery manager attaches before Start so the coordinator's crash
+	// plane works from the first transaction on.
+	if n.Recovery, err = recovery.New(eng, cfg.Recovery); err != nil {
+		return err
+	}
+	eng.Start()
+	if err := n.bringUp(cfg, scfg.HostedMachines); err != nil {
+		return err
+	}
+	nc := &server.NodeConfig{
+		ID:                      cfg.ID,
+		Nodes:                   cfg.Nodes,
+		Recovery:                n.Recovery,
+		ReplicaOf:               cfg.ReplicaOf,
+		Advertise:               n.URL,
+		ShipFaults:              cfg.ShipFaults,
+		SyncCommit:              cfg.SyncCommit,
+		FollowerCheckpointEvery: cfg.FollowerCheckpointEvery,
+	}
+	if cfg.Peers != nil {
+		peers := slices.Clone(cfg.Peers)
+		var mu sync.RWMutex
+		nc.PeerURL = func(node int) string {
+			mu.RLock()
+			defer mu.RUnlock()
+			return peers[node]
+		}
+		nc.SetPeerURL = func(node int, url string) {
+			mu.Lock()
+			peers[node] = url
+			mu.Unlock()
+		}
+	}
+	n.Server, err = server.New(server.Config{Engine: eng, DefaultDeadline: cfg.Store.Overload.Deadline, Info: cfg.Info, Node: nc})
+	return err
+}
+
+// bringUp gives a primary its state: a cold start when its data directory
+// has some, the dataset load otherwise. A replica gets its state from its
+// primary once it serves; here it only needs a directory without any.
+func (n *Node) bringUp(cfg Config, hosted []int) error {
+	rm := n.Recovery
+	switch {
+	case cfg.ReplicaOf != "":
+		if rm.HasColdState() {
+			return fmt.Errorf("replica mode needs a fresh -data-dir; %s already has state (cold-restart it as a primary instead)", cfg.Recovery.DataDir)
+		}
+		logf("node %d/%d hosting machines %v as warm replica of %s", cfg.ID, cfg.Nodes, hosted, cfg.ReplicaOf)
+	case rm.HasColdState():
+		logf("node %d/%d hosting machines %v, cold-starting from %s", cfg.ID, cfg.Nodes, hosted, cfg.Recovery.DataDir)
+		cs, err := rm.ColdStart()
+		if err != nil {
+			return fmt.Errorf("cold start from %s: %w", cfg.Recovery.DataDir, err)
+		}
+		logf("cold start rebuilt %d machines / %d partitions: %d images, %d commands replayed, %s of log, in %v",
+			cs.Machines, cs.Partitions, cs.Snapshots, cs.Replayed, ByteCount(cs.LogBytes),
+			cs.Duration.Round(time.Millisecond))
+	case cfg.Load != nil:
+		logf("node %d/%d hosting machines %v, loading dataset", cfg.ID, cfg.Nodes, hosted)
+		start := time.Now()
+		images, err := rm.Bootstrap(func() error { return cfg.Load(n.Engine) })
+		if err != nil {
+			return fmt.Errorf("loading dataset: %w", err)
+		}
+		logf("dataset loaded as a baseline image set of %d images in %v, %d WAL records appended",
+			images, time.Since(start).Round(time.Millisecond), rm.WALStats().Appends)
+	}
+	return nil
+}
+
+// Close stops the node — its server, with the shipper, sync or rejoin it
+// runs, then its engine, then its log — and returns the log's close error.
+// Closing a closed node does nothing more.
+func (n *Node) Close() error {
+	if n.Server != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = n.Server.Shutdown(ctx) // what did not finish by then is in the log
+	}
+	if n.Engine != nil {
+		n.Engine.Stop()
+	}
+	if n.Recovery != nil {
+		return n.Recovery.Close()
+	}
+	return nil
+}
+
+// ByteCount renders a byte total human-readably for the node's log lines and
+// summaries.
+func ByteCount(n int64) string {
+	switch {
+	case n >= 1<<20:
+		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
+	case n >= 1<<10:
+		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
+	default:
+		return fmt.Sprintf("%d B", n)
+	}
+}
+
+// logf prints one line of the node's operator log on stderr.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "serve: "+format+"\n", args...)
+}

@@ -1,0 +1,345 @@
+package node_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"pstore/internal/cluster"
+	"pstore/internal/faults"
+	"pstore/internal/node"
+	"pstore/internal/recovery"
+	"pstore/internal/store"
+	"pstore/internal/store/storetest"
+	"pstore/internal/transport"
+	"pstore/internal/wal"
+)
+
+// The lifecycle suite runs the replication arc the way `pstore serve -node`
+// runs it — replica sync, shipping, fencing, rejoin, resync — with every node
+// started by node.Start in this process and talking over loopback HTTP.
+
+const keys = 100
+
+func registerKV(eng *store.Engine) error {
+	if err := eng.Register("put", func(tx *store.Tx) (any, error) {
+		return nil, tx.Put("kv", tx.Key, tx.Args)
+	}); err != nil {
+		return err
+	}
+	if err := eng.Register("get", func(tx *store.Tx) (any, error) {
+		v, ok, err := tx.Get("kv", tx.Key)
+		if err != nil || !ok {
+			return nil, fmt.Errorf("missing %q: %v", tx.Key, err)
+		}
+		return v, nil
+	}); err != nil {
+		return err
+	}
+	return eng.SetArgsDecoder(storetest.Args[int])
+}
+
+// kvConfig is a one-node cluster of the kv workload — keys rows on 2 machines,
+// 1 of them active — logging to a fresh data directory.
+func kvConfig(t *testing.T) node.Config {
+	return node.Config{
+		Nodes:    1,
+		Store:    store.Config{MaxMachines: 2, PartitionsPerMachine: 2, Buckets: 64, QueueCapacity: 1024, InitialMachines: 1},
+		Register: registerKV,
+		Load: func(eng *store.Engine) error {
+			for i := 0; i < keys; i++ {
+				if _, err := eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		Recovery: recovery.Config{DataDir: t.TempDir()},
+	}
+}
+
+func replicaOf(t *testing.T, primary *node.Node) node.Config {
+	cfg := kvConfig(t)
+	cfg.ReplicaOf = primary.URL
+	return cfg
+}
+
+// startNode starts a node on a loopback listener; t's cleanup closes it.
+func startNode(t *testing.T, cfg node.Config) *node.Node {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := node.Start(cfg, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+func peer(n *node.Node) *transport.Peer { return transport.NewPeer(n.URL) }
+
+func put(t *testing.T, n *node.Node, key string, v int) {
+	t.Helper()
+	if _, err := n.Engine.Execute("put", key, v); err != nil {
+		t.Fatalf("put %s: %v", key, err)
+	}
+}
+
+func get(t *testing.T, n *node.Node, key string) int {
+	t.Helper()
+	v, err := n.Engine.Execute("get", key, nil)
+	if err != nil {
+		t.Fatalf("get %s: %v", key, err)
+	}
+	return v.(int)
+}
+
+// eventually polls cond, which reads state from outside the node, until it
+// holds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: still not the case after 20s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitCaughtUp waits until follower is a replica of primary's epoch that has
+// applied primary's whole durable log and holds as many rows.
+func waitCaughtUp(t *testing.T, primary, follower *node.Node) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	eventually(t, "follower caught up", func() bool {
+		ps, perr := peer(primary).ReplStatus(ctx)
+		fs, ferr := peer(follower).ReplStatus(ctx)
+		return perr == nil && ferr == nil && fs.Role == "replica" && fs.Epoch == ps.Epoch &&
+			fs.Applied.Seg == ps.Durable.Seg && fs.Applied.Rec == ps.Durable.Rec &&
+			follower.Engine.TotalRows() == primary.Engine.TotalRows()
+	})
+}
+
+func promote(t *testing.T, n *node.Node) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := cluster.Promote(ctx, cluster.PromoteConfig{
+		Replica: peer(n), ReplicaURL: n.URL, Survivors: map[int]*transport.Peer{},
+	}); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+}
+
+// TestLifecycleReplicaSyncsAndShips: a node started with ReplicaOf syncs from
+// its primary, which then ships it every write.
+func TestLifecycleReplicaSyncsAndShips(t *testing.T) {
+	p := startNode(t, kvConfig(t))
+	f := startNode(t, replicaOf(t, p))
+	waitCaughtUp(t, p, f)
+	for i := keys / 2; i < keys+keys/2; i++ {
+		put(t, p, fmt.Sprintf("k-%d", i), i+1000)
+	}
+	waitCaughtUp(t, p, f)
+	if got := f.Engine.TotalRows(); got != keys+keys/2 {
+		t.Fatalf("follower holds %d rows, want %d", got, keys+keys/2)
+	}
+	for i := 0; i < keys+keys/2; i += 7 {
+		if got, want := get(t, f, fmt.Sprintf("k-%d", i)), get(t, p, fmt.Sprintf("k-%d", i)); got != want {
+			t.Fatalf("k-%d = %d on the follower, %d on the primary", i, got, want)
+		}
+	}
+}
+
+// TestLifecycleFencedPrimaryRejoinsWarm: a primary whose follower was promoted
+// goes on taking a write, ships it, is fenced by the promoted node — and then,
+// with nobody ordering it to, rejoins that node as its follower warm: the
+// write is truncated from its log and memory is rebuilt from what is left.
+func TestLifecycleFencedPrimaryRejoinsWarm(t *testing.T) {
+	p := startNode(t, kvConfig(t))
+	f := startNode(t, replicaOf(t, p))
+	waitCaughtUp(t, p, f)
+	promote(t, f)
+
+	put(t, p, "zombie", 1)
+	waitCaughtUp(t, f, p)
+	if p.Recovery.Stats().Recoveries == 0 {
+		t.Fatal("the zombie rejoined by a full resync; its rejoin offer was current, so it should have rejoined warm")
+	}
+	if _, err := p.Engine.Execute("get", "zombie", nil); err == nil {
+		t.Fatal("the write the zombie took after the promotion survived its rejoin")
+	}
+	put(t, f, "k-1", 7)
+	waitCaughtUp(t, f, p)
+	if got := get(t, p, "k-1"); got != 7 {
+		t.Fatalf("k-1 = %d on the rejoined node, want 7", got)
+	}
+}
+
+// TestLifecycleStaleRejoinOfferFullResync: a fenced primary that changed its
+// plan after the promotion cannot truncate back to the promoted node's rejoin
+// offer; it falls back to a full resync and converges on the new primary's
+// state.
+func TestLifecycleStaleRejoinOfferFullResync(t *testing.T) {
+	p := startNode(t, kvConfig(t))
+	f := startNode(t, replicaOf(t, p))
+	waitCaughtUp(t, p, f)
+	promote(t, f)
+
+	if err := p.Engine.SetActiveMachines(2); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, f, p)
+	if p.Recovery.Stats().Recoveries != 0 {
+		t.Fatal("the zombie rejoined warm from a stale rejoin offer")
+	}
+	if got, want := p.Engine.ActiveMachines(), f.Engine.ActiveMachines(); got != want {
+		t.Fatalf("rejoined node has %d active machines, its primary %d", got, want)
+	}
+	if got, want := fmt.Sprint(p.Engine.Plan()), fmt.Sprint(f.Engine.Plan()); got != want {
+		t.Fatalf("rejoined node's plan %s differs from its primary's %s", got, want)
+	}
+}
+
+// TestLifecycleChainedFailover is CI's chained-failover leg in one process:
+// kill the primary, promote its sync-commit follower, restart the dead node
+// from its data directory and rejoin it; then kill the new primary too and
+// promote the rejoined node, which must hold every write the new primary
+// acknowledged.
+func TestLifecycleChainedFailover(t *testing.T) {
+	inj, err := faults.NewShip(faults.ShipConfig{Seed: 42, Drop: 0.05, Dup: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := kvConfig(t)
+	pcfg.ShipFaults = inj
+	p := startNode(t, pcfg)
+	fcfg := replicaOf(t, p)
+	fcfg.SyncCommit = true
+	f := startNode(t, fcfg)
+	waitCaughtUp(t, p, f)
+	for i := 0; i < 20; i++ {
+		put(t, p, fmt.Sprintf("k-%d", i), i+100)
+	}
+	p.Close()
+	promote(t, f)
+
+	p = startNode(t, pcfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := cluster.Rejoin(ctx, cluster.RejoinConfig{Zombie: peer(p), Primary: peer(f), PrimaryURL: f.URL}); err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		put(t, f, fmt.Sprintf("k-%d", i), i+200)
+	}
+	plan, active, rows := fmt.Sprint(f.Engine.Plan()), f.Engine.ActiveMachines(), f.Engine.TotalRows()
+	f.Close()
+	promote(t, p)
+
+	if got := fmt.Sprint(p.Engine.Plan()); got != plan {
+		t.Fatalf("promoted plan %s, the killed primary's %s", got, plan)
+	}
+	if p.Engine.ActiveMachines() != active || p.Engine.TotalRows() != rows {
+		t.Fatalf("promoted node: %d active, %d rows; the killed primary: %d, %d",
+			p.Engine.ActiveMachines(), p.Engine.TotalRows(), active, rows)
+	}
+	for i := 0; i < 20; i++ {
+		if got := get(t, p, fmt.Sprintf("k-%d", i)); got != i+200 {
+			t.Fatalf("k-%d = %d after the second failover, want the acknowledged %d", i, got, i+200)
+		}
+	}
+}
+
+// TestLifecycleReplicaOfMemoryPrimary: a replica whose primary refuses to
+// seed it ends with an error on Failed, for its process to report.
+func TestLifecycleReplicaOfMemoryPrimary(t *testing.T) {
+	pcfg := kvConfig(t)
+	pcfg.Recovery = recovery.Config{}
+	p := startNode(t, pcfg)
+	f := startNode(t, replicaOf(t, p))
+	select {
+	case err := <-f.Server.Failed():
+		if !strings.Contains(err.Error(), "requires a durable store") {
+			t.Fatalf("replica failed with %v, want the primary's durable-store refusal", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a replica of an in-memory primary has not failed after 30s")
+	}
+}
+
+// TestResyncReleasesStuckSyncWrite: with a sync-commit primary's follower dead
+// and a write waiting on its ack, a replacement follower's sync completes, and
+// the waiting write is refused with wal.ErrSyncAborted.
+func TestResyncReleasesStuckSyncWrite(t *testing.T) {
+	pcfg := kvConfig(t)
+	pcfg.SyncCommit = true
+	p := startNode(t, pcfg)
+	f1 := startNode(t, replicaOf(t, p))
+	waitCaughtUp(t, p, f1)
+	f1.Close()
+
+	appends := p.Recovery.WALStats().Appends
+	stuck := make(chan error, 1)
+	go func() {
+		_, err := p.Engine.Execute("put", "stuck", 1)
+		stuck <- err
+	}()
+	// Once its record is in the log, the write waits on the dead follower.
+	eventually(t, "the write is logged", func() bool { return p.Recovery.WALStats().Appends > appends })
+
+	f2 := startNode(t, replicaOf(t, p))
+	waitCaughtUp(t, p, f2)
+	select {
+	case err := <-stuck:
+		if !errors.Is(err, wal.ErrSyncAborted) {
+			t.Fatalf("the write waiting on the dead follower returned %v, want ErrSyncAborted", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the write waiting on the dead follower is still waiting after the resync")
+	}
+}
+
+// TestResyncKeepsSyncCommitArmed: after a sync-commit primary's follower is
+// replaced and the replacement dies too, a write is not acknowledged — the old
+// shipper's exit must not disarm the barrier the new shipper armed. Whether
+// that exit lands after the arm is a race, so the follower is replaced three
+// times, each replacement checked.
+func TestResyncKeepsSyncCommitArmed(t *testing.T) {
+	pcfg := kvConfig(t)
+	pcfg.SyncCommit = true
+	p := startNode(t, pcfg)
+	f := startNode(t, replicaOf(t, p))
+	waitCaughtUp(t, p, f)
+	f.Close()
+	for round := 0; round < 3; round++ {
+		f = startNode(t, replicaOf(t, p))
+		waitCaughtUp(t, p, f)
+		f.Close()
+
+		// A deadline bounds a request's submission, not its commit, so the
+		// test bounds its own wait; the next sync or closing the node fails
+		// the write.
+		done := make(chan error, 1)
+		go func() {
+			_, err := p.Engine.Execute("put", "k-1", round)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("round %d: a write was acknowledged with no follower alive to hold it", round)
+			}
+		case <-time.After(500 * time.Millisecond):
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"pstore/internal/faults"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/wire"
@@ -41,19 +42,15 @@ type NodeConfig struct {
 	// ReplicaOf, when non-empty, starts this node as a warm follower of the
 	// primary at that base URL: client transactions are refused until
 	// promotion, and the /v1/repl/ship endpoint takes in the primary's WAL.
+	// Follow runs its first sync.
 	ReplicaOf string
-	// OnReplicaSync is invoked (on its own goroutine) after this node, as a
-	// primary, streams a sync snapshot to a follower: the serving process
-	// starts a shipper that streams WAL records from cur to followerURL. The
-	// server cannot own the shipper itself — the ship client lives in
-	// internal/transport, which imports this package.
-	OnReplicaSync func(followerURL string, cur wire.ShipCursor)
-	// OnDemote is invoked (on its own goroutine) when /v1/repl/demote orders
-	// this fenced ex-primary to stand down and rejoin the primary at the
-	// given URL as a follower. The rejoin protocol lives with the serving
-	// process for the same reason OnReplicaSync does: it needs the transport
-	// client, which imports this package.
-	OnDemote func(primaryURL string)
+	// Advertise is the base URL this node names when it syncs from a primary,
+	// for the primary to ship to.
+	Advertise string
+	// ShipFaults and SyncCommit configure the shipper this node runs as a
+	// primary (transport.ShipperConfig's Faults and SyncCommit).
+	ShipFaults *faults.ShipInjector
+	SyncCommit bool
 	// FollowerCheckpointEvery, when > 0, has a replica run a checkpoint of
 	// its own WAL every time that many shipped command records have been
 	// accepted — bounding a long-lived follower's own cold start. Compaction

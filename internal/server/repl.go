@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +19,7 @@ import (
 // Replication plane. A node is either a primary (the default) or a warm
 // replica (started with NodeConfig.ReplicaOf). The primary serves
 // /v1/repl/sync — a fuzzy snapshot of everything it hosts plus the WAL
-// cursor shipping starts from — and the serving process ships batches of
+// cursor shipping starts from — and its shipper (follow.go) sends batches of
 // WAL records to the follower's /v1/repl/ship. The follower accepts a batch
 // by appending its commands to its own WAL under the primary's LSNs and
 // acknowledges once they are fsynced; it applies the batch behind the ack
@@ -73,11 +74,6 @@ func (s *Server) isReplica() bool {
 	return s.repl.replica
 }
 
-// IsReplica reports whether the node is currently in replica role, so an
-// embedding process can tell a demote order aimed at a primary from one that
-// already took effect.
-func (s *Server) IsReplica() bool { return s.isReplica() }
-
 func (s *Server) replRole() string {
 	if s.isReplica() {
 		return "replica"
@@ -103,13 +99,8 @@ func (s *Server) isFenced() bool {
 	return s.repl.fenced
 }
 
-// handleReplSync seeds a follower: one ReplSyncMeta frame, then one image set
-// holding every hosted bucket. The ship cursor is taken before the
-// snapshots, so every record a snapshot may already include arrives again
-// with LSN <= the bucket's image LSN and is deduplicated follower-side;
-// PlanSeq is read before the plan for the same reason (a racing plan change
-// is re-shipped rather than lost). The cursor's segment is pinned against
-// compaction before the snapshot starts so shipping can begin from it.
+// handleReplSync seeds a follower (syncBody), and when the follower names its
+// URL, ships to it from the body's cursor (serveSync).
 func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReplSync
 	if !decodeNodeJSON(w, r, &req) {
@@ -128,57 +119,62 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, errors.New("server: replication requires a durable store (-data-dir)"))
 		return
 	}
+	body, err := s.serveSync(rm, req)
+	if err != nil {
+		writeNodeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", wire.ContentTypeChunk)
+	_, _ = w.Write(body)
+}
+
+// syncBody is a follower's sync stream: one ReplSyncMeta frame, then one image
+// set holding every hosted bucket. The ship cursor is taken before the
+// snapshots, so every record a snapshot may already include arrives again
+// with LSN <= the bucket's image LSN and is deduplicated follower-side;
+// PlanSeq is read before the plan for the same reason (a racing plan change
+// is re-shipped rather than lost). The cursor's segment is pinned against
+// compaction before the snapshot starts so shipping can begin from it.
+//
+// With resume set the follower is rejoining warm: its state already matches
+// ours up to that cursor (a truncated zombie, or a follower reconnecting after
+// our restart), so the body is the meta frame alone, once the cursor is known
+// to be still retained.
+func (s *Server) syncBody(rm *recovery.Manager, resume *wire.ShipCursor) (wire.ReplSyncMeta, []byte, error) {
 	eng := s.cfg.Engine
-	if req.Resume != nil {
-		// A warm rejoin: the follower's state already matches ours up to the
-		// resume cursor (a truncated zombie, or a follower reconnecting after
-		// our restart). Validate the cursor is still retained, pin it, and
-		// ship from there — no snapshot stream.
-		cur := *req.Resume
-		if _, _, _, err := rm.ReadShip(cur, 1); err != nil {
-			writeNodeError(w, err)
-			return
+	var buf bytes.Buffer
+	if resume != nil {
+		if _, _, _, err := rm.ReadShip(*resume, 1); err != nil {
+			return wire.ReplSyncMeta{}, nil, err
 		}
-		rm.PinShip(cur.Seg)
+		rm.PinShip(resume.Seg)
 		meta := wire.ReplSyncMeta{
 			Epoch:    rm.Epoch(),
 			Baseline: rm.BaselineSeq(),
-			Cursor:   *req.Resume,
+			Cursor:   *resume,
 			PlanSeq:  rm.PlanSeq(),
 			Active:   eng.ActiveMachines(),
 		}
-		var buf bytes.Buffer
-		if err := wire.EncodeFrame(&buf, meta); err != nil {
-			writeNodeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", wire.ContentTypeChunk)
-		_, _ = w.Write(buf.Bytes())
-		if cb := s.cfg.Node.OnReplicaSync; cb != nil && req.FollowerURL != "" {
-			go cb(req.FollowerURL, meta.Cursor)
-		}
-		return
+		err := wire.EncodeFrame(&buf, meta)
+		return meta, buf.Bytes(), err
 	}
 	planSeq := rm.PlanSeq()
 	plan := eng.Plan()
 	active := eng.ActiveMachines()
 	cursor, err := rm.ShipEnd()
 	if err != nil {
-		writeNodeError(w, err)
-		return
+		return wire.ReplSyncMeta{}, nil, err
 	}
 	rm.PinShip(cursor.Seg)
 	var imgs []*wal.Image
 	for _, m := range eng.HostedMachines() {
 		if eng.MachineDown(m) {
-			writeNodeError(w, fmt.Errorf("%w: machine %d is down; cannot seed a follower", store.ErrPartitionDown, m))
-			return
+			return wire.ReplSyncMeta{}, nil, fmt.Errorf("%w: machine %d is down; cannot seed a follower", store.ErrPartitionDown, m)
 		}
 		for _, part := range eng.PartitionsOfMachine(m) {
 			snaps, err := eng.SnapshotPartition(part)
 			if err != nil {
-				writeNodeError(w, err)
-				return
+				return wire.ReplSyncMeta{}, nil, err
 			}
 			for i := range snaps {
 				img := wal.Image(snaps[i])
@@ -195,21 +191,11 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 		Active:   active,
 		Buckets:  len(imgs),
 	}
-	var buf bytes.Buffer
 	if err := wire.EncodeFrame(&buf, meta); err != nil {
-		writeNodeError(w, err)
-		return
+		return meta, nil, err
 	}
 	body, err := wal.EncodeImageSet(buf.Bytes(), imgs)
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", wire.ContentTypeChunk)
-	_, _ = w.Write(body)
-	if cb := s.cfg.Node.OnReplicaSync; cb != nil && req.FollowerURL != "" {
-		go cb(req.FollowerURL, meta.Cursor)
-	}
+	return meta, body, err
 }
 
 // InstallReplicaState applies a primary's sync stream — its meta frame and
@@ -220,8 +206,8 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 // checkpoint round (the set's bytes as they arrived, then the manifest;
 // per-bucket LSN heads advanced to the snapshot's — so accepted ship records
 // continue the primary's numbering and the log head doubles as the
-// duplicate-batch filter). The serving process calls this after fetching
-// /v1/repl/sync, before the node is ready for ship batches.
+// duplicate-batch filter). A resync calls this after fetching /v1/repl/sync,
+// before the node is ready for ship batches.
 func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 	nc := s.cfg.Node
 	if nc == nil || !s.isReplica() {
@@ -634,9 +620,8 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplDemote orders this fenced ex-primary to stand down and rejoin
-// the given primary as a follower. The demotion itself runs on the serving
-// process (NodeConfig.OnDemote — it needs the transport client); this
-// handler validates and fires it, replying with the current status so the
+// the given primary as a follower. The handler fences the node and starts
+// the rejoin (follow.go), replying with the current status so the
 // coordinator can poll for convergence.
 func (s *Server) handleReplDemote(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReplDemote
@@ -656,12 +641,8 @@ func (s *Server) handleReplDemote(w http.ResponseWriter, r *http.Request) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !st.replica {
-		if s.cfg.Node.OnDemote == nil {
-			writeNodeError(w, errors.New("server: node has no demote hook; restart it as a replica"))
-			return
-		}
 		st.fenced = true // stop serving writes immediately, not when the rejoin lands
-		go s.cfg.Node.OnDemote(req.PrimaryURL)
+		s.goArc(func(ctx context.Context) error { return s.rejoin(ctx, req.PrimaryURL) })
 	}
 	writeJSON(w, s.replStatusLocked(rm))
 }
@@ -678,12 +659,11 @@ func (s *Server) handleReplDemote(w http.ResponseWriter, r *http.Request) {
 // False with a nil error means a warm rejoin is impossible — the rejoin
 // offer is missing or stale, or truncation was refused (wal.ErrNeedResync) —
 // and the node is left a fenced non-replica; the caller must run a full
-// snapshot resync (InstallReplicaState), which wipes and rebuilds the WAL.
+// snapshot resync (resync), which wipes and rebuilds the WAL.
 //
-// The caller must have stopped this node's own shipper and released any
-// sync-commit waiters (recovery.AbortSync) first: fencing the engine blocks
-// on in-flight transactions, and a waiter parked on the barrier would never
-// drain.
+// The caller must have stopped this node's own shipper first, which releases
+// its sync-commit waiters: fencing the engine blocks on in-flight
+// transactions, and a waiter parked on the barrier would never drain.
 func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
 	rm, err := s.nodeRecovery()
 	if err != nil {
@@ -750,19 +730,6 @@ func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
 	s.apply.reset(pst.Rejoin.Cursor, pst.Rejoin.PlanSeq)
 	st.baseline = pst.Rejoin.Baseline
 	return true, nil
-}
-
-// PrepareFullResync flips a node that failed a warm rejoin into replica
-// role so InstallReplicaState (which requires it) can rebuild it from a
-// fresh snapshot stream.
-func (s *Server) PrepareFullResync() {
-	s.repl.mu.Lock()
-	s.repl.replica = true
-	s.repl.ready = false
-	s.repl.drained = 0
-	s.repl.received = wire.ShipCursor{}
-	s.apply.reset(wire.ShipCursor{}, 0)
-	s.repl.mu.Unlock()
 }
 
 // handleReplStatus reports the node's replication self-description.

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"pstore/internal/metrics"
-	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/wire"
 )
@@ -63,11 +62,6 @@ type Config struct {
 	// cluster: the /v1/node/* endpoints are served and transactions for
 	// partitions hosted elsewhere are forwarded to their hosting peer.
 	Node *NodeConfig
-	// Recovery, when set, is surfaced by /v1/healthz: a latched WAL
-	// fail-stop error turns the health probe into a 503, so a node that
-	// silently lost durability reads as dead to its coordinator. Defaults
-	// to Node.Recovery in node mode.
-	Recovery *recovery.Manager
 }
 
 // Counters are the server's cumulative wire-level counts.
@@ -104,9 +98,6 @@ type Server struct {
 	handles map[string]store.TxnID
 	httpSrv *http.Server
 
-	mu   sync.Mutex
-	addr net.Addr
-
 	shutdownCh   chan struct{}
 	shutdownOnce sync.Once
 
@@ -133,9 +124,13 @@ type Server struct {
 	accepted   map[net.Conn]struct{}
 
 	// repl is the node's replication role and received-ship position; apply
-	// brings memory up to it.
+	// brings memory up to it; arcs are the shipper, sync and rejoin the node
+	// runs beside its handlers.
 	repl  replState
 	apply *applier
+	arcs  arcs
+
+	failed chan error
 }
 
 // New builds a server over a started engine. The engine's transaction
@@ -156,7 +151,9 @@ func New(cfg Config) (*Server, error) {
 		handles:    make(map[string]store.TxnID),
 		shutdownCh: make(chan struct{}),
 		accepted:   make(map[net.Conn]struct{}),
+		failed:     make(chan error, 1),
 	}
+	s.arcs.ctx, s.arcs.cancel = context.WithCancel(context.Background())
 	s.apply = newApplier(s)
 	for id, name := range cfg.Engine.TxnNames() {
 		s.handles[name] = store.TxnID(id)
@@ -180,9 +177,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.registerNodeHandlers(mux)
 		s.repl.replica = cfg.Node.ReplicaOf != ""
-		if s.cfg.Recovery == nil {
-			s.cfg.Recovery = cfg.Node.Recovery
-		}
 	}
 	s.httpSrv = &http.Server{
 		Handler:           mux,
@@ -195,28 +189,33 @@ func New(cfg Config) (*Server, error) {
 // Serve accepts connections on l until Shutdown. It blocks; a clean
 // shutdown returns nil.
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	s.addr = l.Addr()
-	s.mu.Unlock()
 	if err := s.httpSrv.Serve(l); !errors.Is(err, http.ErrServerClosed) {
+		s.fail(err)
 		return err
 	}
 	return nil
 }
 
-// Addr returns the listener address once Serve has been called, or nil.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr
+// Failed receives the error that ended this server's service: its listener
+// failed or, in node mode, a replica sync or a rejoin could not complete.
+// Whoever serves the server stops it then.
+func (s *Server) Failed() <-chan error { return s.failed }
+
+func (s *Server) fail(err error) {
+	select {
+	case s.failed <- err:
+	default: // the first failure is the one reported
+	}
 }
 
 // Shutdown gracefully stops the server: no new connections, in-flight HTTP
 // requests run to ctx's deadline, then the transaction streams — accepted and
-// forwarding — are closed. A follower's applier stops first, after the batch
-// it is on; what it leaves unapplied is in the log, where a cold start finds
-// it.
+// forwarding — are closed. A sync or rejoin in flight is cancelled first, and
+// a follower's applier stops after the batch it is on; what it leaves
+// unapplied is in the log, where a cold start finds it. The shipper stops
+// last, so requests waiting on its follower's acks can still complete.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.stopArcs()
 	s.apply.stop(ctx)
 	err := s.httpSrv.Shutdown(ctx)
 	s.acceptedMu.Lock()
@@ -229,6 +228,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, m := range s.peers {
 		m.Close()
 	}
+	s.stopShipper()
 	return err
 }
 
@@ -494,14 +494,14 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(info)
 }
 
-// handleHealth reports liveness. A process whose WAL has latched a
-// fail-stop error still serves from memory, but it can no longer promise
-// durability — it reports unhealthy so probes (and the coordinator's
-// failure detector) treat it as dead.
+// handleHealth reports liveness. A node whose WAL has latched a fail-stop
+// error still serves from memory, but it can no longer promise durability —
+// it reports unhealthy so probes (and the coordinator's failure detector)
+// treat it as dead.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if rm := s.cfg.Recovery; rm != nil {
-		if err := rm.Err(); err != nil {
+	if nc := s.cfg.Node; nc != nil && nc.Recovery != nil {
+		if err := nc.Recovery.Err(); err != nil {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			_ = json.NewEncoder(w).Encode(struct {
 				OK    bool   `json:"ok"`

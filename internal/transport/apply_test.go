@@ -93,7 +93,7 @@ func registerAppendKV(put store.TxnFunc) func(*store.Engine) error {
 func startGatedFollower(t *testing.T, primary *replNode, rcfg recovery.Config) (*replNode, *applyGate, wire.ReplSyncMeta) {
 	t.Helper()
 	gate := newApplyGate()
-	follower := startReplNodeOn(t, 4, 1, primary.url, storetest.Args[int], rcfg, gate.register)
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, recovery: rcfg, register: gate.register})
 	// Registered after the node's own cleanups, so it runs before them: a
 	// server shutting down waits for its applier.
 	t.Cleanup(gate.open)
@@ -159,7 +159,7 @@ func crashAndColdStart(t *testing.T, fs *wal.MemFS, primary, follower *replNode,
 // released, apply converges on the received cursor and on the primary's state.
 func TestFollowerAckBeforeApply(t *testing.T) {
 	const keys = 20
-	primary := startReplNode(t, 4, 1, "")
+	primary := newReplNode(t, replNodeConfig{})
 	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
 	before := replStatus(t, follower)
 	sh, err := transport.NewShipper(transport.ShipperConfig{
@@ -216,7 +216,7 @@ func TestFollowerAckBeforeApply(t *testing.T) {
 // back.
 func TestPromoteDrainsApply(t *testing.T) {
 	const writes = 6
-	primary := startReplNode(t, 4, 1, "")
+	primary := newReplNode(t, replNodeConfig{})
 	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: t.TempDir()})
 	sh, err := transport.NewShipper(transport.ShipperConfig{
 		RM: primary.rm, Follower: follower.peer, FromNode: 0, ToNode: -1,
@@ -281,7 +281,7 @@ func TestPromoteDrainsApply(t *testing.T) {
 func TestFollowerCrashBetweenAcceptAndApply(t *testing.T) {
 	const keys = 6
 	fs := wal.NewMemFS(1)
-	primary := startReplNode(t, 4, 1, "")
+	primary := newReplNode(t, replNodeConfig{})
 	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: "data", FS: fs})
 	for i := 0; i < keys; i++ {
 		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), i+7); err != nil {
@@ -311,7 +311,7 @@ func TestFollowerCrashBetweenAcceptAndApply(t *testing.T) {
 func TestFollowerAckCheckpointStampsApplied(t *testing.T) {
 	const keys = 12
 	fs := wal.NewMemFS(1)
-	primary := startReplNode(t, 4, 1, "")
+	primary := newReplNode(t, replNodeConfig{})
 	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: "data", FS: fs})
 	for i := 0; i < keys; i++ {
 		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), i*3); err != nil {
@@ -356,8 +356,8 @@ func TestFollowerAckCheckpointStampsApplied(t *testing.T) {
 func TestApplyPlanBarrier(t *testing.T) {
 	const keys = 60
 	register := registerAppendKV(appendPut)
-	primary := startReplNodeOn(t, 4, 2, "", storetest.Args[string], recovery.Config{DataDir: t.TempDir()}, register)
-	follower := startReplNodeOn(t, 4, 2, primary.url, storetest.Args[string], recovery.Config{DataDir: t.TempDir()}, register)
+	primary := newReplNode(t, replNodeConfig{machines: 4, initial: 2, args: storetest.Args[string], register: register})
+	follower := newReplNode(t, replNodeConfig{machines: 4, initial: 2, replicaOf: primary.url, args: storetest.Args[string], register: register})
 	meta := syncFollower(t, primary, follower)
 
 	round := func(tag string) {
@@ -406,7 +406,7 @@ func TestApplyPlanBarrier(t *testing.T) {
 func TestApplyBackpressure(t *testing.T) {
 	const writes = 40
 	const bound = server.ApplyQueueDepth + 1
-	primary := startReplNode(t, 4, 1, "")
+	primary := newReplNode(t, replNodeConfig{})
 	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: t.TempDir()})
 	for i := 0; i < writes; i++ {
 		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
@@ -451,8 +451,8 @@ func TestApplyBackpressure(t *testing.T) {
 func TestFollowerAckRestoreDrainsApply(t *testing.T) {
 	const keys = 8
 	gate := newApplyGate()
-	primary := startReplNodeOn(t, 4, 2, "", storetest.Args[string], recovery.Config{DataDir: t.TempDir()}, registerAppendKV(appendPut))
-	follower := startReplNodeOn(t, 4, 2, primary.url, storetest.Args[string], recovery.Config{DataDir: t.TempDir()}, registerAppendKV(gate.gated(appendPut)))
+	primary := newReplNode(t, replNodeConfig{machines: 4, initial: 2, args: storetest.Args[string], register: registerAppendKV(appendPut)})
+	follower := newReplNode(t, replNodeConfig{machines: 4, initial: 2, replicaOf: primary.url, args: storetest.Args[string], register: registerAppendKV(gate.gated(appendPut))})
 	t.Cleanup(gate.open)
 	meta := syncFollower(t, primary, follower)
 
@@ -507,8 +507,8 @@ func TestFollowerAckRestoreDrainsApply(t *testing.T) {
 // restoring the machine brings the follower level with the primary.
 func TestFollowerAckDownMachineHeals(t *testing.T) {
 	const keys = 12
-	primary := startReplNode(t, 4, 1, "")
-	follower := startReplNode(t, 4, 1, primary.url)
+	primary := newReplNode(t, replNodeConfig{})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url})
 	meta := syncFollower(t, primary, follower)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -561,8 +561,8 @@ func TestFollowerAckDownMachineHeals(t *testing.T) {
 // backlog and brings it back.
 func TestFollowerAckApplyFailureLatches(t *testing.T) {
 	const keys = 9
-	primary := startReplNode(t, 4, 1, "")
-	follower := startReplNode(t, 4, 1, primary.url)
+	primary := newReplNode(t, replNodeConfig{})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url})
 	meta := syncFollower(t, primary, follower)
 	if err := follower.rm.Crash(0); err != nil {
 		t.Fatal(err)
@@ -637,10 +637,8 @@ func BenchmarkSyncCommitFollower(b *testing.B) {
 		return eng.SetServiceTime("put", 3*time.Millisecond)
 	}
 	var primarySyncs, followerSyncs atomic.Int64
-	primary := startReplNodeOn(b, 4, 4, "", storetest.Args[int],
-		recovery.Config{DataDir: "primary", FS: slowDisk(&primarySyncs)}, register)
-	follower := startReplNodeOn(b, 4, 4, primary.url, storetest.Args[int],
-		recovery.Config{DataDir: "follower", FS: slowDisk(&followerSyncs)}, register)
+	primary := newReplNode(b, replNodeConfig{machines: 4, initial: 4, recovery: recovery.Config{DataDir: "primary", FS: slowDisk(&primarySyncs)}, register: register})
+	follower := newReplNode(b, replNodeConfig{machines: 4, initial: 4, replicaOf: primary.url, recovery: recovery.Config{DataDir: "follower", FS: slowDisk(&followerSyncs)}, register: register})
 	meta := syncFollower(b, primary, follower)
 	sh, err := transport.NewShipper(transport.ShipperConfig{
 		RM: primary.rm, Follower: follower.peer, FromNode: 0, ToNode: -1,
@@ -679,14 +677,14 @@ func BenchmarkSyncCommitFollower(b *testing.B) {
 // the manifest — and not a baseline set followed by a checkpoint's copy of it.
 func TestReplicaInstallIsOneCheckpointRound(t *testing.T) {
 	const keys = 40
-	primary := startReplNode(t, 4, 1, "")
+	primary := newReplNode(t, replNodeConfig{})
 	for i := 0; i < keys; i++ {
 		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fs := wal.NewMemFS(1)
-	follower := startReplNodeOn(t, 4, 1, primary.url, storetest.Args[int], recovery.Config{DataDir: "data", FS: fs}, registerKV)
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, recovery: recovery.Config{DataDir: "data", FS: fs}})
 	var sets, manifests atomic.Int64
 	fs.SetSyncHook(func(name string) error {
 		switch {

@@ -209,13 +209,6 @@ func (s *Shipper) Err() error {
 	return s.err
 }
 
-// Acked returns the follower's last acknowledged cursor.
-func (s *Shipper) Acked() wire.ShipCursor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked
-}
-
 // Shipped returns the count of successfully acknowledged batches.
 func (s *Shipper) Shipped() int64 {
 	s.mu.Lock()

@@ -115,8 +115,8 @@ func runReplChaosScript(t *testing.T, mode string) string {
 	case "disk":
 		eng, rm = newChaosEngine(t, recovery.Config{DataDir: t.TempDir()}, storetest.Args[string])
 	case "repl":
-		primary = startReplNodeWith(t, 4, 1, "", storetest.Args[string])
-		follower = startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string])
+		primary = newReplNode(t, replNodeConfig{args: storetest.Args[string]})
+		follower = newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string]})
 		eng, rm = primary.eng, primary.rm
 	default:
 		t.Fatalf("unknown mode %q", mode)

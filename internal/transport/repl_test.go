@@ -28,7 +28,9 @@ import (
 
 // replNode is one half of a primary/follower pair: a node-mode server with a
 // durable store, hosting every machine (the follower is a full warm copy of
-// its primary's slot).
+// its primary's slot). The suites step the protocol by hand — syncFollower,
+// then a shipper of their own — so a follower only takes the replica role
+// here; internal/node's tests run the protocol as a node does.
 type replNode struct {
 	eng  *store.Engine
 	rm   *recovery.Manager
@@ -37,36 +39,51 @@ type replNode struct {
 	url  string
 }
 
-func startReplNode(t *testing.T, machines, initial int, replicaOf string) *replNode {
-	t.Helper()
-	return startReplNodeWith(t, machines, initial, replicaOf, storetest.Args[int])
+// replNodeConfig is what a test varies about a replNode. The zero value is a
+// primary of the kv workload with int values on 4 machines, 1 of them active,
+// logging to a fresh data directory.
+type replNodeConfig struct {
+	machines, initial int
+	replicaOf         string
+	args              store.ArgsDecoder
+	// recovery is the log store: a small segment size, or a MemFS whose
+	// fsyncs the test gates; register the procedure set, such as a put the
+	// test holds open.
+	recovery     recovery.Config
+	register     func(*store.Engine) error
+	followerCkpt int
 }
 
-func startReplNodeWith(t *testing.T, machines, initial int, replicaOf string, decArgs store.ArgsDecoder) *replNode {
+// newReplNode starts a replNode; t's cleanup stops it.
+func newReplNode(t testing.TB, cfg replNodeConfig) *replNode {
 	t.Helper()
-	return startReplNodeOn(t, machines, initial, replicaOf, decArgs, recovery.Config{DataDir: t.TempDir()}, registerKV)
-}
-
-// startReplNodeOn is startReplNodeWith over a chosen log store (a MemFS whose
-// fsyncs the test gates) and procedure set (a put the test holds open).
-func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decArgs store.ArgsDecoder,
-	rcfg recovery.Config, register func(*store.Engine) error) *replNode {
-	t.Helper()
-	scfg := kvStoreConfig(machines, initial)
-	for m := 0; m < machines; m++ {
+	if cfg.machines == 0 {
+		cfg.machines, cfg.initial = 4, 1
+	}
+	if cfg.args == nil {
+		cfg.args = storetest.Args[int]
+	}
+	if cfg.register == nil {
+		cfg.register = registerKV
+	}
+	if cfg.recovery.DataDir == "" {
+		cfg.recovery.DataDir = t.TempDir()
+	}
+	scfg := kvStoreConfig(cfg.machines, cfg.initial)
+	for m := 0; m < cfg.machines; m++ {
 		scfg.HostedMachines = append(scfg.HostedMachines, m)
 	}
 	eng, err := store.NewEngine(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := register(eng); err != nil {
+	if err := cfg.register(eng); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetArgsDecoder(decArgs); err != nil {
+	if err := eng.SetArgsDecoder(cfg.args); err != nil {
 		t.Fatal(err)
 	}
-	rm, err := recovery.New(eng, rcfg)
+	rm, err := recovery.New(eng, cfg.recovery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +99,10 @@ func startReplNodeOn(t testing.TB, machines, initial int, replicaOf string, decA
 		Engine: eng,
 		Node: &server.NodeConfig{
 			ID: 0, Nodes: 1,
-			Recovery:  rm,
-			PeerURL:   func(int) string { return url },
-			ReplicaOf: replicaOf,
+			Recovery:                rm,
+			PeerURL:                 func(int) string { return url },
+			ReplicaOf:               cfg.replicaOf,
+			FollowerCheckpointEvery: cfg.followerCkpt,
 		},
 	})
 	if err != nil {
@@ -194,9 +212,9 @@ func getVal(t *testing.T, eng *store.Engine, key string) (int, error) {
 // primary's next ship batch is fenced.
 func TestReplicationEndToEnd(t *testing.T) {
 	const keys = 200
-	primary := startReplNode(t, 2, 2, "")
+	primary := newReplNode(t, replNodeConfig{machines: 2, initial: 2})
 	loadAll(t, []*store.Engine{primary.eng}, keys)
-	follower := startReplNode(t, 2, 2, primary.url)
+	follower := newReplNode(t, replNodeConfig{machines: 2, initial: 2, replicaOf: primary.url})
 
 	// A replica refuses client transactions with a retryable not-owned.
 	req, _ := json.Marshal(wire.Request{Txn: "get", Key: "k-0"})
@@ -290,11 +308,11 @@ func TestReplicationEndToEnd(t *testing.T) {
 // every bucket's log head on the follower continues from the primary's.
 func TestFollowerBaselineIsSyncBody(t *testing.T) {
 	const keys = 200
-	primary := startReplNode(t, 2, 2, "")
+	primary := newReplNode(t, replNodeConfig{machines: 2, initial: 2})
 	loadAll(t, []*store.Engine{primary.eng}, keys)
 	loadAll(t, []*store.Engine{primary.eng}, keys/2) // LSNs run ahead of row counts
 	dir := t.TempDir()
-	follower := startReplNodeOn(t, 2, 2, primary.url, storetest.Args[int], recovery.Config{DataDir: dir}, registerKV)
+	follower := newReplNode(t, replNodeConfig{machines: 2, initial: 2, replicaOf: primary.url, recovery: recovery.Config{DataDir: dir}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	meta, set, err := primary.peer.ReplSync(ctx, "")
@@ -334,9 +352,9 @@ func TestFollowerBaselineIsSyncBody(t *testing.T) {
 // by gap acks and per-bucket LSN dedup: no row duplicated, no value wrong.
 func TestDuplicateShipAfterReconnect(t *testing.T) {
 	const keys = 120
-	primary := startReplNode(t, 2, 2, "")
+	primary := newReplNode(t, replNodeConfig{machines: 2, initial: 2})
 	loadAll(t, []*store.Engine{primary.eng}, keys)
-	follower := startReplNode(t, 2, 2, primary.url)
+	follower := newReplNode(t, replNodeConfig{machines: 2, initial: 2, replicaOf: primary.url})
 	meta := syncFollower(t, primary, follower)
 
 	for i := 0; i < keys; i++ {
@@ -384,9 +402,9 @@ func TestDuplicateShipAfterReconnect(t *testing.T) {
 // view), everything before the tear intact, nothing partially applied.
 func TestPromoteWithTornShippedTail(t *testing.T) {
 	const keys = 120
-	primary := startReplNode(t, 2, 2, "")
+	primary := newReplNode(t, replNodeConfig{machines: 2, initial: 2})
 	loadAll(t, []*store.Engine{primary.eng}, keys)
-	follower := startReplNode(t, 2, 2, primary.url)
+	follower := newReplNode(t, replNodeConfig{machines: 2, initial: 2, replicaOf: primary.url})
 	meta := syncFollower(t, primary, follower)
 
 	// Updates in a known global order: the WAL orders them exactly as
@@ -440,9 +458,9 @@ func TestPromoteWithTornShippedTail(t *testing.T) {
 // surviving half of a crashed pair.
 func TestPromoteWhileMigrationInFlight(t *testing.T) {
 	const keys = 300
-	primary := startReplNode(t, 4, 1, "")
+	primary := newReplNode(t, replNodeConfig{})
 	loadAll(t, []*store.Engine{primary.eng}, keys)
-	follower := startReplNode(t, 4, 1, primary.url)
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url})
 	meta := syncFollower(t, primary, follower)
 	planBefore := fmt.Sprint(primary.eng.Plan())
 
@@ -495,9 +513,9 @@ func TestPromoteWhileMigrationInFlight(t *testing.T) {
 // the deterministic [(FailAfter-1)*Probe, ~FailAfter*Probe+slack] window.
 func TestCoordFailoverPromote(t *testing.T) {
 	const keys = 100
-	primary := startReplNode(t, 2, 2, "")
+	primary := newReplNode(t, replNodeConfig{machines: 2, initial: 2})
 	loadAll(t, []*store.Engine{primary.eng}, keys)
-	follower := startReplNode(t, 2, 2, primary.url)
+	follower := newReplNode(t, replNodeConfig{machines: 2, initial: 2, replicaOf: primary.url})
 	meta := syncFollower(t, primary, follower)
 	sh := newTestShipper(t, primary, follower, meta.Cursor, 0, nil)
 	drainShipper(t, sh, follower)
@@ -546,8 +564,8 @@ func TestCoordFailoverPromote(t *testing.T) {
 // primary's frames, byte for byte.
 func TestBigRecordsReachFollower(t *testing.T) {
 	const keys = 600
-	primary := startReplNodeWith(t, 4, 1, "", storetest.Args[string])
-	follower := startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string])
+	primary := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string]})
 	meta := syncFollower(t, primary, follower)
 	val := func(i int) string { return fmt.Sprintf("%04d", i) + strings.Repeat("x", 4<<10) }
 	for i := 0; i < keys; i++ {

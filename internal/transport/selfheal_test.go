@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pstore/internal/faults"
 	"pstore/internal/recovery"
-	"pstore/internal/server"
 	"pstore/internal/squall"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
@@ -25,71 +23,6 @@ import (
 // divergent suffix and rejoining warm, a follower stalled past WAL retention
 // forced through a full resync, synchronous commit keeping acked work at RPO
 // zero across shipper deaths, and a replica checkpointing its own log.
-
-// selfHealNodeConfig parameterizes the node knobs the suite needs beyond
-// startReplNodeWith: a small WAL segment size (so compaction can outrun a
-// stalled cursor in test-sized workloads) and follower-side checkpoints.
-type selfHealNodeConfig struct {
-	replicaOf    string
-	segmentBytes int64
-	followerCkpt int
-}
-
-func startSelfHealNode(t *testing.T, cfg selfHealNodeConfig) *replNode {
-	t.Helper()
-	scfg := kvStoreConfig(4, 1)
-	for m := 0; m < 4; m++ {
-		scfg.HostedMachines = append(scfg.HostedMachines, m)
-	}
-	eng, err := store.NewEngine(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := registerKV(eng); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetArgsDecoder(storetest.Args[string]); err != nil {
-		t.Fatal(err)
-	}
-	rm, err := recovery.New(eng, recovery.Config{DataDir: t.TempDir(), SegmentBytes: cfg.segmentBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := "http://" + l.Addr().String()
-	srv, err := server.New(server.Config{
-		Engine: eng,
-		Node: &server.NodeConfig{
-			ID: 0, Nodes: 1,
-			Recovery:                rm,
-			PeerURL:                 func(int) string { return url },
-			ReplicaOf:               cfg.replicaOf,
-			FollowerCheckpointEvery: cfg.followerCkpt,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	})
-	peer := transport.NewPeer(url)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := peer.WaitHealthy(ctx, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	return &replNode{eng: eng, rm: rm, srv: srv, peer: peer, url: url}
-}
 
 func getStr(t *testing.T, eng *store.Engine, key string) string {
 	t.Helper()
@@ -116,8 +49,8 @@ func getStr(t *testing.T, eng *store.Engine, key string) string {
 func TestZombieRejoinChain(t *testing.T) {
 	oracle := runReplChaosScript(t, "mem")
 
-	a := startReplNodeWith(t, 4, 1, "", storetest.Args[string])
-	b := startReplNodeWith(t, 4, 1, a.url, storetest.Args[string])
+	a := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
+	b := newReplNode(t, replNodeConfig{replicaOf: a.url, args: storetest.Args[string]})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -226,8 +159,8 @@ func TestZombieRejoinChain(t *testing.T) {
 // follower — acked-but-lost is the one outcome synchronous commit forbids.
 // (A write the client saw fail may still land; that ambiguity is allowed.)
 func TestSyncCommitRPOZero(t *testing.T) {
-	primary := startReplNodeWith(t, 4, 1, "", storetest.Args[string])
-	follower := startReplNodeWith(t, 4, 1, primary.url, storetest.Args[string])
+	primary := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string]})
 	syncFollower(t, primary, follower)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -328,8 +261,8 @@ func TestStalledFollowerFullResync(t *testing.T) {
 	run := func(stall bool) string {
 		t.Helper()
 		// 4 KiB segments so the storm rolls the WAL many times over.
-		primary := startSelfHealNode(t, selfHealNodeConfig{segmentBytes: 4096})
-		follower := startSelfHealNode(t, selfHealNodeConfig{replicaOf: primary.url, segmentBytes: 4096})
+		primary := newReplNode(t, replNodeConfig{args: storetest.Args[string], recovery: recovery.Config{SegmentBytes: 4096}})
+		follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string], recovery: recovery.Config{SegmentBytes: 4096}})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 
@@ -387,8 +320,8 @@ func TestStalledFollowerFullResync(t *testing.T) {
 // checkpoint rounds against its own WAL as shipped records accumulate, and
 // still promotes to the correct state.
 func TestFollowerCheckpoints(t *testing.T) {
-	primary := startSelfHealNode(t, selfHealNodeConfig{})
-	follower := startSelfHealNode(t, selfHealNodeConfig{replicaOf: primary.url, followerCkpt: 40})
+	primary := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string], followerCkpt: 40})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

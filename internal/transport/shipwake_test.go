@@ -10,7 +10,6 @@ import (
 
 	"pstore/internal/recovery"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wal"
 )
@@ -52,8 +51,8 @@ func shipReads(n *replNode) int64 {
 // follower behind for good.
 func TestShipWakeOnDurable(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	primary := startReplNodeOn(t, 4, 1, "", storetest.Args[int], recovery.Config{DataDir: "data", FS: fs}, registerKV)
-	follower := startReplNode(t, 4, 1, primary.url)
+	primary := newReplNode(t, replNodeConfig{recovery: recovery.Config{DataDir: "data", FS: fs}})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url})
 	meta := syncFollower(t, primary, follower)
 	sh := newTestShipper(t, primary, follower, meta.Cursor, 0, nil)
 	runShipper(t, sh)
@@ -130,8 +129,8 @@ func TestLogBeforeRunFollowerFirst(t *testing.T) {
 		}
 		return eng.Register("get", func(tx *store.Tx) (any, error) { return nil, nil })
 	}
-	primary := startReplNodeOn(t, 4, 1, "", storetest.Args[int], recovery.Config{DataDir: t.TempDir()}, heldPut)
-	follower := startReplNode(t, 4, 1, primary.url)
+	primary := newReplNode(t, replNodeConfig{register: heldPut})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url})
 	meta := syncFollower(t, primary, follower)
 	sh, err := transport.NewShipper(transport.ShipperConfig{
 		RM: primary.rm, Follower: follower.peer, FromNode: 0, ToNode: -1,

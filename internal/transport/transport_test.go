@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"pstore/internal/faults"
+	"pstore/internal/node"
+	"pstore/internal/node/nodetest"
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
@@ -73,10 +75,12 @@ func loadAll(t *testing.T, engines []*store.Engine, keys int) {
 	}
 }
 
-func newKVLoopback(t *testing.T, nodes, machines, initial int) *transport.Loopback {
+// newKVLoopback starts the kv workload on in-process nodes behind loopback
+// listeners, with a Remote topology over them: the multi-process side of the
+// parity tests, with only the process boundary simulated.
+func newKVLoopback(t *testing.T, nodes, machines, initial int) ([]*node.Node, *transport.Remote) {
 	t.Helper()
-	lb, err := transport.NewLoopback(transport.LoopbackConfig{
-		Nodes: nodes,
+	return nodetest.Start(t, nodes, node.Config{
 		Store: kvStoreConfig(machines, initial),
 		Register: func(eng *store.Engine) error {
 			if err := registerKV(eng); err != nil {
@@ -84,13 +88,15 @@ func newKVLoopback(t *testing.T, nodes, machines, initial int) *transport.Loopba
 			}
 			return eng.SetArgsDecoder(storetest.Args[int])
 		},
-		Recovery: true,
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+func engines(nodes []*node.Node) []*store.Engine {
+	out := make([]*store.Engine, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.Engine
 	}
-	t.Cleanup(func() { _ = lb.Close() })
-	return lb
+	return out
 }
 
 func newLocal(t *testing.T, machines, initial int) *transport.Local {
@@ -228,17 +234,17 @@ func TestLocalRemoteParity(t *testing.T) {
 			}
 			want := runChaosScript(t, local, seed, in.drop, in.crash, keys)
 
-			lb := newKVLoopback(t, 2, 4, 1)
-			loadAll(t, lb.Engines(), keys)
-			if err := lb.Checkpoint(); err != nil {
+			nodes, remote := newKVLoopback(t, 2, 4, 1)
+			loadAll(t, engines(nodes), keys)
+			if _, err := remote.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			got := runChaosScript(t, lb.Remote(), seed, in.drop, in.crash, keys)
+			got := runChaosScript(t, remote, seed, in.drop, in.crash, keys)
 
 			if got != want {
 				t.Fatalf("multi-process run diverged from single-process oracle:\n--- local ---\n%s--- remote ---\n%s", want, got)
 			}
-			if n := lb.Remote().FlipErrors(); n != 0 {
+			if n := remote.FlipErrors(); n != 0 {
 				t.Fatalf("flip broadcast errors: %d", n)
 			}
 		})
@@ -249,9 +255,8 @@ func TestLocalRemoteParity(t *testing.T) {
 // counts come from the nodes themselves and match the oracle's view.
 func TestRemoteMirrors(t *testing.T) {
 	const keys = 200
-	lb := newKVLoopback(t, 2, 4, 1)
-	loadAll(t, lb.Engines(), keys)
-	r := lb.Remote()
+	nodes, r := newKVLoopback(t, 2, 4, 1)
+	loadAll(t, engines(nodes), keys)
 
 	if cfg := r.Config(); cfg.MaxMachines != 4 || cfg.PartitionsPerMachine != 2 || cfg.Buckets != 240 {
 		t.Fatalf("remote config = %+v", cfg)
@@ -262,11 +267,11 @@ func TestRemoteMirrors(t *testing.T) {
 	if got := r.TotalRows(); got != keys {
 		t.Fatalf("TotalRows = %d, want %d", got, keys)
 	}
-	if got, want := fmt.Sprint(r.Plan()), fmt.Sprint(lb.Engines()[0].Plan()); got != want {
+	if got, want := fmt.Sprint(r.Plan()), fmt.Sprint(nodes[0].Engine.Plan()); got != want {
 		t.Fatalf("plan mirror %s != node plan %s", got, want)
 	}
 	for b := 0; b < 240; b += 17 {
-		if got, want := r.OwnerOf(b), lb.Engines()[0].OwnerOf(b); got != want {
+		if got, want := r.OwnerOf(b), nodes[0].Engine.OwnerOf(b); got != want {
 			t.Fatalf("OwnerOf(%d) = %d, want %d", b, got, want)
 		}
 	}
@@ -277,13 +282,13 @@ func TestRemoteMirrors(t *testing.T) {
 // answered with the right value.
 func TestForwarding(t *testing.T) {
 	const keys = 60
-	lb := newKVLoopback(t, 2, 2, 2)
-	loadAll(t, lb.Engines(), keys)
+	nodes, _ := newKVLoopback(t, 2, 2, 2)
+	loadAll(t, engines(nodes), keys)
 
 	for i := 0; i < keys; i++ {
 		req := wire.Request{Txn: "get", Key: fmt.Sprintf("k-%d", i)}
 		body, _ := json.Marshal(req)
-		resp, err := http.Post(lb.Addrs()[0]+wire.PathTxn, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(nodes[0].URL+wire.PathTxn, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,8 +306,8 @@ func TestForwarding(t *testing.T) {
 		}
 	}
 	fwd := int64(0)
-	for _, s := range lb.Servers() {
-		fwd += s.Counters().Forwarded
+	for _, n := range nodes {
+		fwd += n.Server.Counters().Forwarded
 	}
 	if fwd == 0 {
 		t.Fatal("no requests were forwarded; every key resolved locally")
@@ -315,12 +320,11 @@ func TestForwarding(t *testing.T) {
 // succeeds again.
 func TestRemotePartitionDownOverWire(t *testing.T) {
 	const keys = 60
-	lb := newKVLoopback(t, 2, 2, 2)
-	loadAll(t, lb.Engines(), keys)
-	r := lb.Remote()
+	nodes, r := newKVLoopback(t, 2, 2, 2)
+	loadAll(t, engines(nodes), keys)
 
 	// Find a key hosted by machine 1 (node 1).
-	eng := lb.Engines()[0]
+	eng := nodes[0].Engine
 	key := ""
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("k-%d", i)
@@ -338,7 +342,7 @@ func TestRemotePartitionDownOverWire(t *testing.T) {
 	}
 	req := wire.Request{Txn: "get", Key: key}
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(lb.Addrs()[0]+wire.PathTxn, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(nodes[0].URL+wire.PathTxn, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +358,7 @@ func TestRemotePartitionDownOverWire(t *testing.T) {
 	if _, err := r.Restore(1); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(lb.Addrs()[0]+wire.PathTxn, "application/json", bytes.NewReader(body))
+	resp, err = http.Post(nodes[0].URL+wire.PathTxn, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,27 +377,26 @@ func TestRemotePartitionDownOverWire(t *testing.T) {
 // rows, and TotalRows is conserved through arbitrary replays.
 func TestDuplicateInstallIdempotent(t *testing.T) {
 	const keys = 200
-	lb := newKVLoopback(t, 2, 2, 2)
-	loadAll(t, lb.Engines(), keys)
-	r := lb.Remote()
+	nodes, r := newKVLoopback(t, 2, 2, 2)
+	loadAll(t, engines(nodes), keys)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	// Pick a source partition on node 0 (machine 0) and a destination on
 	// node 1 (machine 1), and move a few of its buckets by hand.
 	const from, to = 0, 2 // partitions: machine 0 part 0, machine 1 part 0
-	buckets := lb.Engines()[0].OwnedBuckets(from)
+	buckets := nodes[0].Engine.OwnedBuckets(from)
 	if len(buckets) < 3 {
 		t.Fatalf("partition %d owns %d buckets", from, len(buckets))
 	}
 	buckets = buckets[:3]
 
 	req := wire.NodeMove{Buckets: buckets, From: from, To: to}
-	chunk, rows, err := lb.Peers()[0].Extract(ctx, req)
+	chunk, rows, err := r.Peers()[0].Extract(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := lb.Peers()[1].Install(ctx, req, chunk)
+	first, err := r.Peers()[1].Install(ctx, req, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,14 +405,14 @@ func TestDuplicateInstallIdempotent(t *testing.T) {
 	}
 	// Replay the identical chunk twice more — duplicated delivery.
 	for attempt := 0; attempt < 2; attempt++ {
-		if _, err := lb.Peers()[1].Install(ctx, req, chunk); err != nil {
+		if _, err := r.Peers()[1].Install(ctx, req, chunk); err != nil {
 			t.Fatalf("duplicate install %d: %v", attempt, err)
 		}
 	}
 	if got := r.TotalRows(); got != keys {
 		t.Fatalf("TotalRows = %d after duplicate installs, want %d", got, keys)
 	}
-	if got := lb.Engines()[1].OwnerOf(buckets[0]); got != to {
+	if got := nodes[1].Engine.OwnerOf(buckets[0]); got != to {
 		t.Fatalf("bucket %d owned by %d on node 1, want %d", buckets[0], got, to)
 	}
 }
@@ -420,9 +423,8 @@ func TestDuplicateInstallIdempotent(t *testing.T) {
 // conservation and full readability afterwards.
 func TestNetFaultsConserveRows(t *testing.T) {
 	const keys = 300
-	lb := newKVLoopback(t, 2, 4, 1)
-	loadAll(t, lb.Engines(), keys)
-	r := lb.Remote()
+	nodes, r := newKVLoopback(t, 2, 4, 1)
+	loadAll(t, engines(nodes), keys)
 
 	net, err := faults.NewNet(faults.NetConfig{
 		Seed:        7,
@@ -457,7 +459,7 @@ func TestNetFaultsConserveRows(t *testing.T) {
 	for i := 0; i < keys; i += 7 {
 		req := wire.Request{Txn: "get", Key: fmt.Sprintf("k-%d", i)}
 		body, _ := json.Marshal(req)
-		resp, err := http.Post(lb.Addrs()[1]+wire.PathTxn, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(nodes[1].URL+wire.PathTxn, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

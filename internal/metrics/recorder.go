@@ -383,12 +383,6 @@ func (r *Recorder) Percentile(w int, p float64) float64 {
 	return r.lat.percentile(w, p)
 }
 
-// SojournPercentile returns the p-th percentile queue-sojourn time (in
-// milliseconds) of window w, or 0 if no sojourns were recorded in it.
-func (r *Recorder) SojournPercentile(w int, p float64) float64 {
-	return r.soj.percentile(w, p)
-}
-
 func percentileOfSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

@@ -262,3 +262,9 @@ func TestSojournStreamAndOverloadCounters(t *testing.T) {
 		t.Errorf("zero counters Refused() = %d", got)
 	}
 }
+
+// SojournPercentile returns the p-th percentile queue-sojourn time (in
+// milliseconds) of window w, or 0 if no sojourns were recorded in it.
+func (r *Recorder) SojournPercentile(w int, p float64) float64 {
+	return r.soj.percentile(w, p)
+}

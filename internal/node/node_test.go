@@ -17,6 +17,7 @@ import (
 	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wal"
+	"pstore/internal/wire"
 )
 
 // The lifecycle suite runs the replication arc the way `pstore serve -node`
@@ -341,5 +342,49 @@ func TestResyncKeepsSyncCommitArmed(t *testing.T) {
 			}
 		case <-time.After(500 * time.Millisecond):
 		}
+	}
+}
+
+// TestFencedPrimaryRefusesSync: a primary that knows it is fenced seeds no
+// follower — the history it would hand out is one it knows is stale, and the
+// shipper it would arm is one its own rejoin would have to stop — so a
+// replica started against it fails its sync.
+func TestFencedPrimaryRefusesSync(t *testing.T) {
+	p := startNode(t, kvConfig(t))
+	p.Server.MarkFenced()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, _, err := peer(p).ReplSync(ctx, ""); !errors.Is(err, wire.ErrFenced) {
+		t.Fatalf("a fenced primary answered a sync with %v, want CodeFenced", err)
+	}
+	f := startNode(t, replicaOf(t, p))
+	select {
+	case err := <-f.Server.Failed():
+		if !errors.Is(err, wire.ErrFenced) {
+			t.Fatalf("the replica of a fenced primary failed with %v, want CodeFenced", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a replica of a fenced primary has not failed after 30s")
+	}
+}
+
+// TestFencedPrimaryRefusesPromotion: promoting a fenced primary is refused
+// and leaves it fenced at its epoch — a coordinator that retries a promotion
+// against the wrong node must not get two unfenced primaries in one epoch —
+// while promoting an unfenced primary stays idempotent success.
+func TestFencedPrimaryRefusesPromotion(t *testing.T) {
+	p := startNode(t, kvConfig(t))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := peer(p).Promote(ctx, 1)
+	if err != nil || st.Role != "primary" || st.Fenced || st.Epoch != 1 {
+		t.Fatalf("promoting a primary: %+v, %v; want an unfenced primary at epoch 1", st, err)
+	}
+	p.Server.MarkFenced()
+	if _, err := peer(p).Promote(ctx, 2); !errors.Is(err, wire.ErrFenced) {
+		t.Fatalf("promoting a fenced primary: %v, want CodeFenced", err)
+	}
+	if st, err := peer(p).ReplStatus(ctx); err != nil || !st.Fenced || st.Epoch != 1 {
+		t.Fatalf("after the refused promotion: %+v, %v; want still fenced at epoch 1", st, err)
 	}
 }

@@ -518,26 +518,12 @@ func (m *Manager) ColdStart() (ColdStartStats, error) {
 	// must see the ownership the process died with. The plan logger is
 	// muted — re-logging the plan we just read back would be noise.
 	m.planMuted.Store(true)
-	if m.cold.Plan != nil {
-		byOwner := make(map[int][]int)
-		for b, p := range m.cold.Plan {
-			byOwner[int(p)] = append(byOwner[int(p)], b)
-		}
-		for owner, buckets := range byOwner {
-			if err := m.eng.ApplyOwnership(buckets, owner); err != nil {
-				m.planMuted.Store(false)
-				return st, fmt.Errorf("recovery: reinstalling plan: %w", err)
-			}
-		}
-		st.PlanRecovered = true
-	}
-	if m.cold.Active > 0 {
-		if err := m.eng.SetActiveMachines(m.cold.Active); err != nil {
-			m.planMuted.Store(false)
-			return st, fmt.Errorf("recovery: reinstalling active machines: %w", err)
-		}
-	}
+	err := m.eng.AdoptPlan(m.cold.Plan, m.cold.Active)
 	m.planMuted.Store(false)
+	if err != nil {
+		return st, fmt.Errorf("recovery: reinstalling plan: %w", err)
+	}
+	st.PlanRecovered = m.cold.Plan != nil
 
 	// Fence every hosted machine first, then restore all their partitions in
 	// one go.

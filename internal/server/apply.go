@@ -285,11 +285,11 @@ func (s *Server) WaitApplied() error {
 // first. On a replica it holds the ship handler off and waits the apply
 // backlog out — memory, plan and log head then agree and stay so until the
 // returned release runs — or fails with the reason the backlog never will
-// drain. On a primary there is no backlog and nothing is held.
+// drain. A primary or fenced node has no backlog and holds nothing.
 func (s *Server) quiesceApply() (release func(), err error) {
 	st := &s.repl
 	st.mu.Lock()
-	if !st.replica {
+	if s.answer(reqQuiesce).do != drain {
 		st.mu.Unlock()
 		return func() {}, nil
 	}

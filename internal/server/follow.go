@@ -70,7 +70,14 @@ func (s *Server) stopArcs() {
 // shipper's exit fails it (wal.ErrSyncAborted: refused, never lost). Waiting
 // for the exit before arming keeps the new barrier armed, since the exit
 // disarms the barrier whichever shipper armed it.
-func (s *Server) serveSync(rm *recovery.Manager, req wire.ReplSync) ([]byte, error) {
+func (s *Server) serveSync(req wire.ReplSync) ([]byte, error) {
+	rm, err := s.nodeRecovery()
+	if err != nil {
+		return nil, err
+	}
+	if !rm.Durable() {
+		return nil, errors.New("server: replication requires a durable store (-data-dir)")
+	}
 	s.arcs.shipMu.Lock()
 	defer s.arcs.shipMu.Unlock()
 	if req.FollowerURL != "" {
@@ -113,8 +120,7 @@ func (s *Server) startShipperLocked(rm *recovery.Manager, url string, cur wire.S
 			// and refused our batch. Fence now — a zombie serving writes is a
 			// split brain — and rejoin as its follower.
 			logf("WAL shipper fenced by %s; rejoining as its follower", url)
-			s.MarkFenced()
-			s.goArc(func(ctx context.Context) error { return s.rejoin(ctx, url) })
+			s.standDown(url)
 		default:
 			logf("WAL shipper to %s stopped: %v", url, err)
 		}
@@ -159,7 +165,7 @@ func (s *Server) Follow() {
 // stream resumed — while the primary's rejoin offer matches this node's log,
 // by a full resync otherwise.
 func (s *Server) rejoin(ctx context.Context, url string) error {
-	if s.isReplica() {
+	if s.answer(reqDemote).do == skip {
 		return nil // an earlier order already took effect
 	}
 	// Stopping the shipper fails any sync-commit waiters parked on the dead
@@ -201,15 +207,11 @@ func (s *Server) rejoin(ctx context.Context, url string) error {
 
 // resync rebuilds this node as a follower of primary from the primary's sync
 // stream, discarding whatever it held: a replica's first sync, and a rejoin's
-// fallback when a warm one is impossible. From its first line on the node is a
-// replica that refuses ship batches retryably until the install completes.
+// fallback when a warm one is impossible. From its first line on the node is
+// syncing: it refuses ship batches retryably until the install completes.
 func (s *Server) resync(ctx context.Context, primary *transport.Peer) (wire.ReplSyncMeta, error) {
 	s.repl.mu.Lock()
-	s.repl.replica = true
-	s.repl.ready = false
-	s.repl.drained = 0
-	s.repl.received = wire.ShipCursor{}
-	s.apply.reset(wire.ShipCursor{}, 0)
+	_ = s.become(roleSyncing) // every role may start a sync
 	s.repl.mu.Unlock()
 	if err := primary.WaitHealthy(ctx, time.Minute); err != nil {
 		return wire.ReplSyncMeta{}, err

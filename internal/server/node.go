@@ -78,43 +78,37 @@ func (nc *NodeConfig) NodeOf(machine int) int { return machine % nc.Nodes }
 const maxForwardHops = 3
 
 func (s *Server) registerNodeHandlers(mux *http.ServeMux) {
-	mux.HandleFunc(wire.PathNodeMove, s.handleNodeMove)
+	mux.HandleFunc(wire.PathNodeMove, nodeJSON(s.handleNodeMove))
 	mux.HandleFunc(wire.PathNodeExtract, s.handleNodeExtract)
 	mux.HandleFunc(wire.PathNodeInstall, s.handleNodeInstall)
-	mux.HandleFunc(wire.PathNodeFlip, s.handleNodeFlip)
-	mux.HandleFunc(wire.PathNodeCrash, s.handleNodeCrash)
-	mux.HandleFunc(wire.PathNodeRestore, s.handleNodeRestore)
+	mux.HandleFunc(wire.PathNodeFlip, nodeJSON(s.handleNodeFlip))
+	mux.HandleFunc(wire.PathNodeCrash, nodeJSON(s.handleNodeCrash))
+	mux.HandleFunc(wire.PathNodeRestore, nodeJSON(s.handleNodeRestore))
 	mux.HandleFunc(wire.PathNodeCheckpoint, s.handleNodeCheckpoint)
 	mux.HandleFunc(wire.PathNodeStatus, s.handleNodeStatus)
-	mux.HandleFunc(wire.PathNodeMachines, s.handleNodeMachines)
-	mux.HandleFunc(wire.PathNodeAccesses, s.handleNodeAccesses)
-	mux.HandleFunc(wire.PathNodePeer, s.handleNodePeer)
+	mux.HandleFunc(wire.PathNodeMachines, nodeJSON(s.handleNodeMachines))
+	mux.HandleFunc(wire.PathNodeAccesses, nodeJSON(s.handleNodeAccesses))
+	mux.HandleFunc(wire.PathNodePeer, nodeJSON(s.handleNodePeer))
 	mux.HandleFunc(wire.PathReplSync, s.handleReplSync)
 	mux.HandleFunc(wire.PathReplShip, s.handleReplShip)
-	mux.HandleFunc(wire.PathReplPromote, s.handleReplPromote)
+	mux.HandleFunc(wire.PathReplPromote, nodeJSON(s.handleReplPromote))
 	mux.HandleFunc(wire.PathReplStatus, s.handleReplStatus)
-	mux.HandleFunc(wire.PathReplDemote, s.handleReplDemote)
+	mux.HandleFunc(wire.PathReplDemote, nodeJSON(s.handleReplDemote))
 }
 
 // handleNodePeer repoints one peer slot's base URL — after a failover the
 // coordinator rewires every survivor so forwarded transactions reach the
 // promoted follower instead of the dead primary.
-func (s *Server) handleNodePeer(w http.ResponseWriter, r *http.Request) {
-	var req wire.NodePeer
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) handleNodePeer(req wire.NodePeer) (any, error) {
 	nc := s.cfg.Node
 	if nc.SetPeerURL == nil {
-		writeNodeError(w, errors.New("server: node has no mutable peer table"))
-		return
+		return nil, errors.New("server: node has no mutable peer table")
 	}
 	if req.Node < 0 || req.Node >= nc.Nodes || req.URL == "" {
-		writeNodeError(w, fmt.Errorf("%w: peer %d -> %q", errBadNodeRequest, req.Node, req.URL))
-		return
+		return nil, fmt.Errorf("%w: peer %d -> %q", errBadNodeRequest, req.Node, req.URL)
 	}
 	nc.SetPeerURL(req.Node, req.URL)
-	writeJSON(w, struct{}{})
+	return struct{}{}, nil
 }
 
 // writeNodeError maps a node-plane error onto the wire with the same stable
@@ -153,29 +147,32 @@ func decodeNodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // errBadNodeRequest maps malformed node-plane bodies to CodeBadRequest.
 var errBadNodeRequest = errors.New("server: bad node request")
 
+// nodeJSON serves a node-plane handler of one JSON request: the handler's
+// value is the reply, its error the refusal.
+func nodeJSON[T any](h func(T) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		if !decodeNodeJSON(w, r, &req) {
+			return
+		}
+		out, err := h(req)
+		if err != nil {
+			writeNodeError(w, err)
+			return
+		}
+		writeJSON(w, out)
+	}
+}
+
 // handleNodeMove executes a same-node MoveBuckets: both partitions are
 // hosted here, so the node runs the full in-process migration protocol.
-func (s *Server) handleNodeMove(w http.ResponseWriter, r *http.Request) {
-	var req wire.NodeMove
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
-	perRow := time.Duration(req.PerRowNs)
-	overhead := time.Duration(req.OverheadNs)
-	var (
-		rows int
-		err  error
-	)
+func (s *Server) handleNodeMove(req wire.NodeMove) (any, error) {
+	move := s.cfg.Engine.MoveBuckets
 	if req.Rollback {
-		rows, err = s.cfg.Engine.MoveBucketsRollback(req.Buckets, req.From, req.To, perRow, overhead)
-	} else {
-		rows, err = s.cfg.Engine.MoveBuckets(req.Buckets, req.From, req.To, perRow, overhead)
+		move = s.cfg.Engine.MoveBucketsRollback
 	}
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	writeJSON(w, wire.NodeRows{Rows: rows})
+	rows, err := move(req.Buckets, req.From, req.To, time.Duration(req.PerRowNs), time.Duration(req.OverheadNs))
+	return wire.NodeRows{Rows: rows}, err
 }
 
 // handleNodeExtract pulls a chunk out of a hosted source partition and
@@ -245,16 +242,8 @@ func (s *Server) handleNodeInstall(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleNodeFlip applies a coordinator's ownership broadcast.
-func (s *Server) handleNodeFlip(w http.ResponseWriter, r *http.Request) {
-	var req wire.NodeFlip
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
-	if err := s.cfg.Engine.ApplyOwnership(req.Buckets, req.Owner); err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
+func (s *Server) handleNodeFlip(req wire.NodeFlip) (any, error) {
+	return struct{}{}, s.cfg.Engine.ApplyOwnership(req.Buckets, req.Owner)
 }
 
 // nodeRecovery returns the node's recovery manager or a typed error.
@@ -266,70 +255,41 @@ func (s *Server) nodeRecovery() (*recovery.Manager, error) {
 }
 
 // handleNodeCrash fences a hosted machine.
-func (s *Server) handleNodeCrash(w http.ResponseWriter, r *http.Request) {
-	var req wire.NodeMachine
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	if !s.cfg.Engine.Hosted(req.Machine) {
-		writeNodeError(w, fmt.Errorf("%w: machine %d", store.ErrNotOwned, req.Machine))
-		return
-	}
-	release, err := s.quiesceApply()
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	defer release()
-	if err := rm.Crash(req.Machine); err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
+func (s *Server) handleNodeCrash(req wire.NodeMachine) (any, error) {
+	return struct{}{}, s.machineOp(req.Machine, func(rm *recovery.Manager) error { return rm.Crash(req.Machine) })
 }
 
 // handleNodeRestore rebuilds a hosted machine from the node-local
 // checkpoint and command log.
-func (s *Server) handleNodeRestore(w http.ResponseWriter, r *http.Request) {
-	var req wire.NodeMachine
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) handleNodeRestore(req wire.NodeMachine) (any, error) {
+	var st recovery.RestoreStats
+	err := s.machineOp(req.Machine, func(rm *recovery.Manager) (err error) {
+		st, err = rm.Restore(req.Machine)
+		return err
+	})
+	return wire.NodeRestoreResult{Machine: st.Machine, Partitions: st.Partitions, Snapshots: st.Snapshots,
+		Replayed: st.Replayed, DowntimeMs: st.Downtime.Milliseconds()}, err
+}
+
+// machineOp runs a crash or a restore of hosted machine m. Both rebuild
+// partitions: a restore reads the log to its head and the machine's buckets
+// off the current plan, and on a replica both run ahead of memory by the apply
+// backlog — whatever the restore replayed the applier would replay again — so
+// op runs with the backlog quiesced.
+func (s *Server) machineOp(m int, op func(*recovery.Manager) error) error {
 	rm, err := s.nodeRecovery()
 	if err != nil {
-		writeNodeError(w, err)
-		return
+		return err
 	}
-	if !s.cfg.Engine.Hosted(req.Machine) {
-		writeNodeError(w, fmt.Errorf("%w: machine %d", store.ErrNotOwned, req.Machine))
-		return
+	if !s.cfg.Engine.Hosted(m) {
+		return fmt.Errorf("%w: machine %d", store.ErrNotOwned, m)
 	}
-	// A restore reads the log to its head and the machine's buckets off the
-	// current plan. On a replica both run ahead of memory by the apply backlog,
-	// and whatever the restore replayed the applier would replay again.
 	release, err := s.quiesceApply()
 	if err != nil {
-		writeNodeError(w, err)
-		return
+		return err
 	}
 	defer release()
-	st, err := rm.Restore(req.Machine)
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	writeJSON(w, wire.NodeRestoreResult{
-		Machine:    st.Machine,
-		Partitions: st.Partitions,
-		Snapshots:  st.Snapshots,
-		Replayed:   st.Replayed,
-		DowntimeMs: st.Downtime.Milliseconds(),
-	})
+	return op(rm)
 }
 
 // handleNodeCheckpoint installs a fresh baseline on every live hosted
@@ -372,7 +332,7 @@ func (s *Server) handleNodeStatus(w http.ResponseWriter, r *http.Request) {
 		TotalRows:            eng.TotalRows(),
 		Counters:             eng.Counters(),
 		MaxSojournNs:         eng.MaxQueueSojourn().Nanoseconds(),
-		Role:                 s.replRole(),
+		Role:                 s.role().wire(),
 		ForwardStreams:       s.ForwardStreams(),
 	}
 	if rm := s.cfg.Node.Recovery; rm != nil {
@@ -387,26 +347,14 @@ func (s *Server) handleNodeStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleNodeMachines sets the active machine count.
-func (s *Server) handleNodeMachines(w http.ResponseWriter, r *http.Request) {
-	var req wire.NodeActive
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
-	if err := s.cfg.Engine.SetActiveMachines(req.Active); err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
+func (s *Server) handleNodeMachines(req wire.NodeActive) (any, error) {
+	return struct{}{}, s.cfg.Engine.SetActiveMachines(req.Active)
 }
 
 // handleNodeAccesses reports (and optionally resets) per-bucket access
 // counts — the skew signal a coordinator-side rebalance pass aggregates.
-func (s *Server) handleNodeAccesses(w http.ResponseWriter, r *http.Request) {
-	var req wire.NodeAccessesReq
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
-	writeJSON(w, wire.NodeAccesses{Accesses: s.cfg.Engine.BucketAccesses(req.Reset)})
+func (s *Server) handleNodeAccesses(req wire.NodeAccessesReq) (any, error) {
+	return wire.NodeAccesses{Accesses: s.cfg.Engine.BucketAccesses(req.Reset)}, nil
 }
 
 // handoffWait bounds how long route holds a request for the coordinator's word

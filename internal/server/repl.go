@@ -2,13 +2,11 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
-	"sync"
 
 	"pstore/internal/recovery"
 	"pstore/internal/store"
@@ -16,8 +14,8 @@ import (
 	"pstore/internal/wire"
 )
 
-// Replication plane. A node is either a primary (the default) or a warm
-// replica (started with NodeConfig.ReplicaOf). The primary serves
+// Replication plane. A node is a primary or a follower of one (its role, in
+// role.go, says which and how far it has got). The primary serves
 // /v1/repl/sync — a fuzzy snapshot of everything it hosts plus the WAL
 // cursor shipping starts from — and its shipper (follow.go) sends batches of
 // WAL records to the follower's /v1/repl/ship. The follower accepts a batch
@@ -34,71 +32,6 @@ import (
 // keeps shipping gets CodeFenced and stands down. The epoch is persisted in
 // the WAL manifest, so fencing survives restarts of either side.
 
-// replState is the server's replication role and, for a replica, its
-// received position in the primary's WAL. The mutex also serializes ship
-// acceptance — batches arrive from one shipper, but retries and a zombie
-// primary can overlap requests — and whoever holds it can wait for the apply
-// backlog to drain knowing nothing new is accepted meanwhile. How far apply
-// has got is the applier's state (s.apply), under its own lock.
-type replState struct {
-	mu      sync.Mutex
-	replica bool
-	// ready flips once the sync snapshot is installed; until then ship
-	// batches are refused retryably.
-	ready bool
-	// received is the cursor after the last accepted batch: the primary's
-	// records before it are durable in this node's log. baseline is the
-	// sync-time skip threshold (see handleReplShip).
-	received wire.ShipCursor
-	baseline uint64
-	// fenced marks a zombie: a node still configured as primary that has
-	// seen proof of a higher epoch. It refuses transactions and waits to be
-	// demoted into the new primary's followership.
-	fenced bool
-	// rejoin, on a promoted primary, is the standing offer to its deposed
-	// predecessor (see wire.ReplRejoin).
-	rejoin *wire.ReplRejoin
-	// drained is the apply backlog the promotion that made this node a primary
-	// had to execute first, in command records.
-	drained int
-	// acceptedRecs counts shipped command records accepted since the last
-	// follower-side checkpoint; checkpointing guards against overlapping
-	// async checkpoints.
-	acceptedRecs  int
-	checkpointing bool
-}
-
-func (s *Server) isReplica() bool {
-	s.repl.mu.Lock()
-	defer s.repl.mu.Unlock()
-	return s.repl.replica
-}
-
-func (s *Server) replRole() string {
-	if s.isReplica() {
-		return "replica"
-	}
-	return "primary"
-}
-
-// MarkFenced records that this node, still configured as a primary, has seen
-// proof of a higher epoch — its shipper was refused with CodeFenced. A
-// fenced node refuses client transactions (a zombie serving writes is a
-// split brain) until it is demoted into the new primary's followership.
-func (s *Server) MarkFenced() {
-	s.repl.mu.Lock()
-	if !s.repl.replica {
-		s.repl.fenced = true
-	}
-	s.repl.mu.Unlock()
-}
-
-func (s *Server) isFenced() bool {
-	s.repl.mu.Lock()
-	defer s.repl.mu.Unlock()
-	return s.repl.fenced
-}
-
 // handleReplSync seeds a follower (syncBody), and when the follower names its
 // URL, ships to it from the body's cursor (serveSync).
 func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
@@ -106,20 +39,11 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	if !decodeNodeJSON(w, r, &req) {
 		return
 	}
-	if s.isReplica() {
-		writeNodeError(w, fmt.Errorf("%w: a replica cannot seed a follower", wire.ErrFenced))
+	if c := s.answer(reqSync); c.do == refuse {
+		writeNodeError(w, c.err)
 		return
 	}
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	if !rm.Durable() {
-		writeNodeError(w, errors.New("server: replication requires a durable store (-data-dir)"))
-		return
-	}
-	body, err := s.serveSync(rm, req)
+	body, err := s.serveSync(req)
 	if err != nil {
 		writeNodeError(w, err)
 		return
@@ -133,8 +57,10 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 // snapshots, so every record a snapshot may already include arrives again
 // with LSN <= the bucket's image LSN and is deduplicated follower-side;
 // PlanSeq is read before the plan for the same reason (a racing plan change
-// is re-shipped rather than lost). The cursor's segment is pinned against
-// compaction before the snapshot starts so shipping can begin from it.
+// is re-shipped rather than lost), and the baseline before the snapshot (a
+// chunk installed meanwhile has the follower resync, not miss it). The
+// cursor's segment is pinned against compaction before the snapshot starts
+// so shipping can begin from it.
 //
 // With resume set the follower is rejoining warm: its state already matches
 // ours up to that cursor (a truncated zombie, or a follower reconnecting after
@@ -142,39 +68,31 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 // to be still retained.
 func (s *Server) syncBody(rm *recovery.Manager, resume *wire.ShipCursor) (wire.ReplSyncMeta, []byte, error) {
 	eng := s.cfg.Engine
-	var buf bytes.Buffer
+	meta := wire.ReplSyncMeta{Epoch: rm.Epoch(), Baseline: rm.BaselineSeq(),
+		PlanSeq: rm.PlanSeq(), Plan: eng.Plan(), Active: eng.ActiveMachines()}
+	var err error
 	if resume != nil {
-		if _, _, _, err := rm.ReadShip(*resume, 1); err != nil {
-			return wire.ReplSyncMeta{}, nil, err
-		}
-		rm.PinShip(resume.Seg)
-		meta := wire.ReplSyncMeta{
-			Epoch:    rm.Epoch(),
-			Baseline: rm.BaselineSeq(),
-			Cursor:   *resume,
-			PlanSeq:  rm.PlanSeq(),
-			Active:   eng.ActiveMachines(),
-		}
-		err := wire.EncodeFrame(&buf, meta)
-		return meta, buf.Bytes(), err
+		meta.Cursor, meta.Plan = *resume, nil
+		_, _, _, err = rm.ReadShip(*resume, 1)
+	} else {
+		meta.Cursor, err = rm.ShipEnd()
 	}
-	planSeq := rm.PlanSeq()
-	plan := eng.Plan()
-	active := eng.ActiveMachines()
-	cursor, err := rm.ShipEnd()
 	if err != nil {
-		return wire.ReplSyncMeta{}, nil, err
+		return meta, nil, err
 	}
-	rm.PinShip(cursor.Seg)
+	rm.PinShip(meta.Cursor.Seg)
 	var imgs []*wal.Image
 	for _, m := range eng.HostedMachines() {
+		if resume != nil {
+			break
+		}
 		if eng.MachineDown(m) {
-			return wire.ReplSyncMeta{}, nil, fmt.Errorf("%w: machine %d is down; cannot seed a follower", store.ErrPartitionDown, m)
+			return meta, nil, fmt.Errorf("%w: machine %d is down; cannot seed a follower", store.ErrPartitionDown, m)
 		}
 		for _, part := range eng.PartitionsOfMachine(m) {
 			snaps, err := eng.SnapshotPartition(part)
 			if err != nil {
-				return wire.ReplSyncMeta{}, nil, err
+				return meta, nil, err
 			}
 			for i := range snaps {
 				img := wal.Image(snaps[i])
@@ -182,15 +100,8 @@ func (s *Server) syncBody(rm *recovery.Manager, resume *wire.ShipCursor) (wire.R
 			}
 		}
 	}
-	meta := wire.ReplSyncMeta{
-		Epoch:    rm.Epoch(),
-		Baseline: rm.BaselineSeq(),
-		Cursor:   cursor,
-		PlanSeq:  planSeq,
-		Plan:     plan,
-		Active:   active,
-		Buckets:  len(imgs),
-	}
+	meta.Buckets = len(imgs)
+	var buf bytes.Buffer
 	if err := wire.EncodeFrame(&buf, meta); err != nil {
 		return meta, nil, err
 	}
@@ -209,11 +120,10 @@ func (s *Server) syncBody(rm *recovery.Manager, resume *wire.ShipCursor) (wire.R
 // duplicate-batch filter). A resync calls this after fetching /v1/repl/sync,
 // before the node is ready for ship batches.
 func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
-	nc := s.cfg.Node
-	if nc == nil || !s.isReplica() {
-		return errors.New("server: InstallReplicaState on a non-replica node")
+	if c := s.answer(reqInstall); c.do == refuse {
+		return c.err
 	}
-	rm := nc.Recovery
+	rm := s.cfg.Node.Recovery
 	if rm == nil {
 		return errors.New("server: replica has no recovery manager attached")
 	}
@@ -225,12 +135,10 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 		return fmt.Errorf("server: sync snapshot holds %d buckets, its meta frame declares %d", len(imgs), meta.Buckets)
 	}
 	eng := s.cfg.Engine
-	// Nothing accepted so far is meant for the state about to be installed:
-	// refuse ship batches until the install completes, and let no apply run
-	// into the wipe.
+	// Ship batches wait until the install completes, and no apply runs into
+	// the wipe.
 	s.repl.mu.Lock()
-	s.repl.ready = false
-	s.apply.reset(wire.ShipCursor{}, 0)
+	_ = s.become(roleSyncing) // every role may start a sync
 	s.repl.mu.Unlock()
 	// Fence: no local transaction may interleave with the install. The
 	// partitions come back up one by one through RestorePartition below.
@@ -241,25 +149,8 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 			}
 		}
 	}
-	cur := eng.Plan()
-	if len(meta.Plan) != len(cur) {
-		return fmt.Errorf("server: sync plan covers %d buckets, engine has %d", len(meta.Plan), len(cur))
-	}
-	byOwner := make(map[int][]int)
-	for b := range cur {
-		if cur[b] != meta.Plan[b] {
-			byOwner[int(meta.Plan[b])] = append(byOwner[int(meta.Plan[b])], b)
-		}
-	}
-	for owner, buckets := range byOwner {
-		if err := eng.ApplyOwnership(buckets, owner); err != nil {
-			return err
-		}
-	}
-	if meta.Active > 0 && meta.Active != eng.ActiveMachines() {
-		if err := eng.SetActiveMachines(meta.Active); err != nil {
-			return err
-		}
+	if err := eng.AdoptPlan(meta.Plan, meta.Active); err != nil {
+		return err
 	}
 	snaps := make([]store.BucketSnapshot, len(imgs))
 	byPart := make(map[int][]store.BucketSnapshot)
@@ -293,28 +184,27 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 	if err := rm.InstallReplicaBaseline(snaps, set); err != nil {
 		return err
 	}
-	s.repl.mu.Lock()
-	s.repl.received = meta.Cursor
+	st := &s.repl
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := s.become(roleReplica); err != nil {
+		return err
+	}
+	st.received, st.baseline = meta.Cursor, meta.Baseline
 	s.apply.reset(meta.Cursor, meta.PlanSeq)
-	s.repl.baseline = meta.Baseline
-	s.repl.ready = true
-	s.repl.fenced = false
-	s.repl.rejoin = nil
-	s.repl.acceptedRecs = 0
-	s.repl.mu.Unlock()
 	return nil
 }
 
 // handleReplShip accepts one shipped WAL batch: it appends the frames of the
 // batch's fresh commands to this node's own log, as they arrived, acknowledges
 // once they are fsynced, and leaves applying them to the applier. The guards,
-// in order: role (a non-replica fences the sender — the zombie-primary case),
-// epoch (a batch under any other term is fenced), readiness (retryable until
-// the sync snapshot is installed), baseline (the primary installed data
-// outside the WAL since sync, or an apply failed here and memory trails the
-// log for good — a Resync ack: only a fresh sync can continue), and position
-// (a batch not starting at the received cursor gets a Gap ack carrying where
-// to rewind to; duplicates land here too). Then every record is checked before
+// in order: role (see guards: a primary fences the sender — the zombie case; a
+// syncing node, whose epoch the install has yet to set, has it retry; a
+// replica whose apply failed answers Resync: memory trails its log for good),
+// epoch (a batch under any other term is fenced), baseline (the primary took
+// in data outside its WAL since the sync — Resync too), and position (a batch
+// not starting at the received cursor gets a Gap ack carrying where to rewind
+// to; duplicates land here too). Then every record is checked before
 // any is appended — per-bucket LSN dedup against the log head (a snapshot's
 // overlap is skipped, a skipped LSN refuses the batch), args decoded — so a
 // batch is accepted whole or not at all, and the ack covers only what one
@@ -358,24 +248,18 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 	st := &s.repl
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.replica {
-		writeNodeError(w, fmt.Errorf("%w: node is not a replica (epoch %d)", wire.ErrFenced, rm.Epoch()))
+	c := s.answer(reqShip)
+	if c.do == refuse {
+		writeNodeError(w, c.err)
 		return
 	}
 	if epoch := rm.Epoch(); batch.Epoch != epoch {
 		writeNodeError(w, fmt.Errorf("%w: batch epoch %d, replica epoch %d", wire.ErrFenced, batch.Epoch, epoch))
 		return
 	}
-	if !st.ready {
-		writeNodeError(w, fmt.Errorf("%w: replica sync incomplete", store.ErrStopped))
-		return
-	}
-	pos := s.apply.position()
 	ack := wire.ShipAck{Epoch: rm.Epoch(), Received: st.received}
-	if batch.Baseline != st.baseline || pos.err != nil {
-		// The stream cannot bring this node's memory to the primary's state any
-		// more: the primary took in data outside its log, or an apply failed
-		// here (logged when it did). The shipper stops on this answer.
+	if c.do == resync || batch.Baseline != st.baseline {
+		// The shipper stops on this answer.
 		ack.Resync = true
 		writeJSON(w, ack)
 		return
@@ -491,17 +375,11 @@ func (s *Server) maybeFollowerCheckpointLocked(rm *recovery.Manager, fresh int) 
 // and the backlog drained, where log head and memory agree; the image writes
 // run after the handler is released.
 func (s *Server) checkpoint(rm *recovery.Manager) (int, error) {
-	st := &s.repl
-	st.mu.Lock()
-	if !st.replica {
-		st.mu.Unlock()
-		return rm.Checkpoint()
-	}
-	if err := s.apply.drain(); err != nil {
-		st.mu.Unlock()
+	release, err := s.quiesceApply()
+	if err != nil {
 		return 0, err
 	}
-	return rm.CheckpointAfter(st.mu.Unlock)
+	return rm.CheckpointAfter(release)
 }
 
 // applyShippedPlan re-runs a primary-side plan change locally: changed
@@ -554,97 +432,75 @@ func (s *Server) applyShippedPlan(rec *wal.Record) error {
 // Everything the replica has acknowledged is applied first: the call returns
 // only once the apply backlog has drained, so a write its old primary told a
 // client was committed is readable on the promoted node from its first
-// transaction on. Promoting a node that is already primary at (or above) the
-// requested epoch is idempotent success — the coordinator may retry.
-func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
-	var req wire.ReplPromote
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
+// transaction on. Promoting a primary at (or above) the requested epoch is
+// idempotent success — the coordinator may retry — but a fenced node is
+// refused: it already knows a higher epoch has a primary, and un-fencing it
+// would make two.
+func (s *Server) handleReplPromote(req wire.ReplPromote) (any, error) {
 	rm, err := s.nodeRecovery()
 	if err != nil {
-		writeNodeError(w, err)
-		return
+		return nil, err
 	}
 	st := &s.repl
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.replica {
-		if !st.ready {
-			writeNodeError(w, fmt.Errorf("%w: replica sync incomplete; cannot promote", store.ErrStopped))
-			return
-		}
+	c := s.answer(reqPromote)
+	if c.do == refuse {
+		return nil, c.err
+	}
+	backlog := 0
+	if c.do == drain {
 		if req.Epoch <= rm.Epoch() {
-			writeNodeError(w, fmt.Errorf("%w: promote epoch %d not above current %d", wire.ErrFenced, req.Epoch, rm.Epoch()))
-			return
+			return nil, fmt.Errorf("%w: promote epoch %d not above current %d", wire.ErrFenced, req.Epoch, rm.Epoch())
 		}
 		// The ship handler is held off by st.mu, so the backlog only shrinks.
 		// A node whose apply failed is not promotable: it would serve state
 		// that is missing acknowledged writes.
-		backlog := s.apply.position().backlog
+		backlog = s.apply.position().backlog
 		if err := s.apply.drain(); err != nil {
-			writeNodeError(w, fmt.Errorf("server: cannot promote: %w", err))
-			return
+			return nil, fmt.Errorf("server: cannot promote: %w", err)
 		}
-		st.drained = backlog
 	}
 	if req.Epoch > rm.Epoch() {
 		if err := rm.SetEpoch(req.Epoch); err != nil {
-			writeNodeError(w, err)
-			return
+			return nil, err
 		}
 	}
-	if st.replica {
+	if c.do == drain {
 		// Capture the standing rejoin offer for the deposed primary: shipping
 		// to it resumes at this node's current durable end — taken after the
 		// drain, which logs the plan records it applies, and with no
 		// transaction able to land between here and the role flip (the
 		// replica refusal is still up). The zombie's truncated-to state must
-		// match the received cursor, which the drain made the applied one
-		// (both left intact below precisely so the zombie can read its
-		// divergence point from our status), and plan/baseline must not have
-		// drifted. Pin the cursor so our own checkpoints keep the rejoin
-		// window shippable.
+		// match the applied cursor, which it reads from our status as its
+		// divergence point, and plan/baseline must not have drifted. Pin the
+		// cursor so our own checkpoints keep the rejoin window shippable.
+		var offer *wire.ReplRejoin
 		if end, err := rm.ShipEnd(); err == nil {
 			rm.PinShip(end.Seg)
-			st.rejoin = &wire.ReplRejoin{
-				Cursor:   end,
-				PlanSeq:  s.apply.position().planSeq,
-				Baseline: rm.BaselineSeq(),
-			}
+			offer = &wire.ReplRejoin{Cursor: end, PlanSeq: s.apply.position().planSeq, Baseline: rm.BaselineSeq()}
 		}
+		_ = s.become(rolePrimary) // a replica may always be promoted
+		st.rejoin, st.drained = offer, backlog
 	}
-	st.replica = false
-	st.fenced = false
-	writeJSON(w, s.replStatusLocked(rm))
+	return s.replStatusLocked(rm), nil
 }
 
 // handleReplDemote orders this fenced ex-primary to stand down and rejoin
-// the given primary as a follower. The handler fences the node and starts
-// the rejoin (follow.go), replying with the current status so the
-// coordinator can poll for convergence.
-func (s *Server) handleReplDemote(w http.ResponseWriter, r *http.Request) {
-	var req wire.ReplDemote
-	if !decodeNodeJSON(w, r, &req) {
-		return
-	}
+// the given primary as a follower (standDown), replying with the current
+// status so the coordinator can poll for convergence.
+func (s *Server) handleReplDemote(req wire.ReplDemote) (any, error) {
 	if req.PrimaryURL == "" {
-		writeNodeError(w, fmt.Errorf("%w: demote needs a primary URL", errBadNodeRequest))
-		return
+		return nil, fmt.Errorf("%w: demote needs a primary URL", errBadNodeRequest)
 	}
 	rm, err := s.nodeRecovery()
 	if err != nil {
-		writeNodeError(w, err)
-		return
+		return nil, err
 	}
-	st := &s.repl
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.replica {
-		st.fenced = true // stop serving writes immediately, not when the rejoin lands
-		s.goArc(func(ctx context.Context) error { return s.rejoin(ctx, req.PrimaryURL) })
-	}
-	writeJSON(w, s.replStatusLocked(rm))
+	s.standDown(req.PrimaryURL)
+	s.repl.mu.Lock()
+	defer s.repl.mu.Unlock()
+	return s.replStatusLocked(rm), nil
 }
 
 // DemoteToFollower turns this (possibly fenced) ex-primary into a warm
@@ -658,8 +514,8 @@ func (s *Server) handleReplDemote(w http.ResponseWriter, r *http.Request) {
 //
 // False with a nil error means a warm rejoin is impossible — the rejoin
 // offer is missing or stale, or truncation was refused (wal.ErrNeedResync) —
-// and the node is left a fenced non-replica; the caller must run a full
-// snapshot resync (resync), which wipes and rebuilds the WAL.
+// and the node is left fenced; the caller must run a full snapshot resync
+// (resync), which wipes and rebuilds the WAL.
 //
 // The caller must have stopped this node's own shipper first, which releases
 // its sync-commit waiters: fencing the engine blocks on in-flight
@@ -676,13 +532,12 @@ func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
 	st := &s.repl
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.replica {
-		return false, errors.New("server: node is already a replica")
-	}
 	if pst.Epoch <= rm.Epoch() {
 		return false, fmt.Errorf("%w: demote toward epoch %d, ours is %d", wire.ErrFenced, pst.Epoch, rm.Epoch())
 	}
-	st.fenced = true
+	if err := s.become(roleFenced); err != nil {
+		return false, err
+	}
 	// Fence: every hosted machine goes down, so nothing interleaves with the
 	// truncation and the rebuild below replays onto empty partitions.
 	for _, m := range eng.HostedMachines() {
@@ -720,15 +575,9 @@ func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
 	if _, err := rm.Checkpoint(); err != nil {
 		return false, err
 	}
-	st.replica = true
-	st.ready = true
-	st.fenced = false
-	st.rejoin = nil
-	st.drained = 0
-	st.acceptedRecs = 0
-	st.received = pst.Rejoin.Cursor
+	_ = s.become(roleReplica) // a fenced node may always rejoin
+	st.received, st.baseline = pst.Rejoin.Cursor, pst.Rejoin.Baseline
 	s.apply.reset(pst.Rejoin.Cursor, pst.Rejoin.PlanSeq)
-	st.baseline = pst.Rejoin.Baseline
 	return true, nil
 }
 
@@ -739,16 +588,17 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, err)
 		return
 	}
-	st := &s.repl
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	s.repl.mu.Lock()
+	defer s.repl.mu.Unlock()
 	writeJSON(w, s.replStatusLocked(rm))
 }
 
 // replStatusLocked builds a ReplStatus; the caller holds s.repl.mu.
 func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
 	pos := s.apply.position()
+	r := s.role()
 	out := wire.ReplStatus{
+		Role:         r.wire(),
 		Epoch:        rm.Epoch(),
 		Baseline:     rm.BaselineSeq(),
 		Applied:      pos.applied,
@@ -756,13 +606,11 @@ func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
 		ApplyBacklog: pos.backlog,
 		Drained:      s.repl.drained,
 		PlanSeq:      pos.planSeq,
-		Fenced:       s.repl.fenced,
+		Fenced:       r == roleFenced,
 		Rejoin:       s.repl.rejoin,
 	}
-	if s.repl.replica {
-		out.Role = "replica"
-	} else {
-		out.Role = "primary"
+	if r != roleReplica {
+		out.Received = pos.applied // all a non-replica ever received, it applied
 	}
 	if rm.Durable() {
 		if end, err := rm.ShipEnd(); err == nil {

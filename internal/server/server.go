@@ -123,9 +123,9 @@ type Server struct {
 	acceptedMu sync.Mutex
 	accepted   map[net.Conn]struct{}
 
-	// repl is the node's replication role and received-ship position; apply
-	// brings memory up to it; arcs are the shipper, sync and rejoin the node
-	// runs beside its handlers.
+	// repl is the node's replication role and what the role owns; apply
+	// brings a follower's memory up to its log; arcs are the shipper, sync
+	// and rejoin the node runs beside its handlers.
 	repl  replState
 	apply *applier
 	arcs  arcs
@@ -176,7 +176,11 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		s.registerNodeHandlers(mux)
-		s.repl.replica = cfg.Node.ReplicaOf != ""
+		if cfg.Node.ReplicaOf != "" {
+			s.repl.mu.Lock()
+			_ = s.become(roleSyncing) // a new node is a primary, which may start a sync
+			s.repl.mu.Unlock()
+		}
 	}
 	s.httpSrv = &http.Server{
 		Handler:           mux,
@@ -261,18 +265,12 @@ func (s *Server) Counters() Counters {
 // request for a key hosted elsewhere is relayed as the bytes that arrived, and
 // so is the peer's reply.
 func (s *Server) execute(ctx context.Context, body []byte, hops int) []byte {
-	if s.isReplica() {
-		// A warm replica applies only its primary's shipped WAL; a client
-		// transaction executed here would fork the replicated history.
-		return encodeResponse(s.errResponse(wire.CodeNotOwned,
-			"server: node is a warm replica; submit to its primary", downRetryMs))
-	}
-	if s.isFenced() {
-		// A fenced zombie serving writes would fork the history the promoted
-		// follower now owns; refuse retryably until the demotion completes
-		// and forwarding is rewired.
-		return encodeResponse(s.errResponse(wire.CodeNotOwned,
-			"server: node is fenced pending demotion; submit to the new primary", downRetryMs))
+	if c := s.answer(reqTxn); c.do == refuse {
+		// A follower executes only its primary's shipped WAL, and a fenced
+		// zombie's history is no longer the cluster's: a client transaction run
+		// on either would fork the replicated history. Refuse retryably — the
+		// client finds the primary once forwarding is rewired.
+		return encodeResponse(s.errResponse(wire.CodeOf(c.err), c.err.Error(), downRetryMs))
 	}
 	var req wire.Request
 	if err := json.Unmarshal(body, &req); err != nil {

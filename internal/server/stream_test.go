@@ -200,7 +200,7 @@ func TestForwardPeerRewiring(t *testing.T) {
 
 	body, _ := json.Marshal(wire.NodePeer{Node: 1, URL: promoted.url})
 	w := httptest.NewRecorder()
-	n0.srv.handleNodePeer(w, httptest.NewRequest(http.MethodPost, wire.PathNodePeer, bytes.NewReader(body)))
+	nodeJSON(n0.srv.handleNodePeer)(w, httptest.NewRequest(http.MethodPost, wire.PathNodePeer, bytes.NewReader(body)))
 	if w.Code != 200 {
 		t.Fatalf("rewiring: HTTP %d %s", w.Code, w.Body)
 	}

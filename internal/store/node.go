@@ -138,3 +138,30 @@ func (e *Engine) ApplyOwnership(buckets []int, owner int) error {
 	e.setOwner(buckets, owner, false)
 	return nil
 }
+
+// AdoptPlan takes on a whole plan and active-machine count — what a cold start
+// reads back from disk, or what a follower's primary sends in its sync —
+// without moving data: each bucket whose owner differs flips to its new owner
+// (ApplyOwnership, once per owner), and active is set when it is given and
+// differs. A nil plan keeps the engine's.
+func (e *Engine) AdoptPlan(plan []int32, active int) error {
+	cur := e.Plan()
+	if plan != nil && len(plan) != len(cur) {
+		return fmt.Errorf("store: plan covers %d buckets, engine has %d", len(plan), len(cur))
+	}
+	byOwner := make(map[int][]int)
+	for b := range plan {
+		if cur[b] != plan[b] {
+			byOwner[int(plan[b])] = append(byOwner[int(plan[b])], b)
+		}
+	}
+	for owner, buckets := range byOwner {
+		if err := e.ApplyOwnership(buckets, owner); err != nil {
+			return err
+		}
+	}
+	if active > 0 && active != e.ActiveMachines() {
+		return e.SetActiveMachines(active)
+	}
+	return nil
+}

@@ -216,14 +216,6 @@ func (s *Shipper) Shipped() int64 {
 	return s.shipped
 }
 
-// Lag returns the primary's durable bytes the follower has not acked.
-func (s *Shipper) Lag() int64 {
-	s.mu.Lock()
-	cur := s.acked
-	s.mu.Unlock()
-	return s.cfg.RM.ShipLag(cur)
-}
-
 // fatal latches a terminal error.
 func (s *Shipper) fatal(err error) error {
 	if s.err == nil {

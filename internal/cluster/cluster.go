@@ -165,37 +165,8 @@ type Cluster struct {
 // New builds the serving stack. The engine is not started; register
 // transactions on Engine() first, then call Start.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.RateScale == 0 {
-		cfg.RateScale = 1
-	}
-	if cfg.RateScale < 0 {
-		return nil, fmt.Errorf("cluster: RateScale %v must be positive", cfg.RateScale)
-	}
-	if cfg.CycleTraceMinutes == 0 {
-		cfg.CycleTraceMinutes = 1
-	}
-	if cfg.CycleTraceMinutes < 0 {
-		return nil, fmt.Errorf("cluster: CycleTraceMinutes %v must be positive", cfg.CycleTraceMinutes)
-	}
-	if cfg.Controller != nil && cfg.Cycle <= 0 {
-		return nil, fmt.Errorf("cluster: Cycle %v must be positive when a controller is set", cfg.Cycle)
-	}
-	if cfg.Crash != nil {
-		if err := cfg.Crash.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Crash.Empty() {
-			cfg.Crash = nil
-		}
-	}
-	if cfg.Crash != nil && cfg.Cycle <= 0 {
-		return nil, fmt.Errorf("cluster: Cycle %v must be positive when a crash schedule is armed", cfg.Cycle)
-	}
-	if cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("cluster: CheckpointEvery %d must be non-negative", cfg.CheckpointEvery)
-	}
-	if cfg.Crash != nil && cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 10
+	if err := cfg.normalize(); err != nil {
+		return nil, err
 	}
 	eng, err := store.NewEngine(cfg.Engine)
 	if err != nil {
@@ -242,37 +213,8 @@ func NewRemote(cfg Config, topo transport.Topology) (*Cluster, error) {
 	// The geometry comes from the topology (which took it from the nodes),
 	// never from flags that could drift.
 	cfg.Engine = topo.Config()
-	if cfg.RateScale == 0 {
-		cfg.RateScale = 1
-	}
-	if cfg.RateScale < 0 {
-		return nil, fmt.Errorf("cluster: RateScale %v must be positive", cfg.RateScale)
-	}
-	if cfg.CycleTraceMinutes == 0 {
-		cfg.CycleTraceMinutes = 1
-	}
-	if cfg.CycleTraceMinutes < 0 {
-		return nil, fmt.Errorf("cluster: CycleTraceMinutes %v must be positive", cfg.CycleTraceMinutes)
-	}
-	if cfg.Controller != nil && cfg.Cycle <= 0 {
-		return nil, fmt.Errorf("cluster: Cycle %v must be positive when a controller is set", cfg.Cycle)
-	}
-	if cfg.Crash != nil {
-		if err := cfg.Crash.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Crash.Empty() {
-			cfg.Crash = nil
-		}
-	}
-	if cfg.Crash != nil && cfg.Cycle <= 0 {
-		return nil, fmt.Errorf("cluster: Cycle %v must be positive when a crash schedule is armed", cfg.Cycle)
-	}
-	if cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("cluster: CheckpointEvery %d must be non-negative", cfg.CheckpointEvery)
-	}
-	if cfg.Crash != nil && cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 10
+	if err := cfg.normalize(); err != nil {
+		return nil, err
 	}
 	c := &Cluster{cfg: cfg, topo: topo, subs: map[int]chan Event{}}
 	if cfg.Crash != nil || cfg.CheckpointEvery > 0 {
@@ -290,6 +232,44 @@ func NewRemote(cfg Config, topo transport.Topology) (*Cluster, error) {
 		topo.SetFaultInjector(cfg.FaultInjector)
 	}
 	return c, nil
+}
+
+// normalize fills in the defaults New and NewRemote share and refuses the
+// settings neither can run with.
+func (cfg *Config) normalize() error {
+	if cfg.RateScale == 0 {
+		cfg.RateScale = 1
+	}
+	if cfg.RateScale < 0 {
+		return fmt.Errorf("cluster: RateScale %v must be positive", cfg.RateScale)
+	}
+	if cfg.CycleTraceMinutes == 0 {
+		cfg.CycleTraceMinutes = 1
+	}
+	if cfg.CycleTraceMinutes < 0 {
+		return fmt.Errorf("cluster: CycleTraceMinutes %v must be positive", cfg.CycleTraceMinutes)
+	}
+	if cfg.Controller != nil && cfg.Cycle <= 0 {
+		return fmt.Errorf("cluster: Cycle %v must be positive when a controller is set", cfg.Cycle)
+	}
+	if cfg.Crash != nil {
+		if err := cfg.Crash.Validate(); err != nil {
+			return err
+		}
+		if cfg.Crash.Empty() {
+			cfg.Crash = nil
+		}
+	}
+	if cfg.Crash != nil && cfg.Cycle <= 0 {
+		return fmt.Errorf("cluster: Cycle %v must be positive when a crash schedule is armed", cfg.Cycle)
+	}
+	if cfg.CheckpointEvery < 0 {
+		return fmt.Errorf("cluster: CheckpointEvery %d must be non-negative", cfg.CheckpointEvery)
+	}
+	if cfg.Crash != nil && cfg.CheckpointEvery == 0 {
+		cfg.CheckpointEvery = 10
+	}
+	return nil
 }
 
 // moveOutcome is one finished move's result, queued for the decision loop.

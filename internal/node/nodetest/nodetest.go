@@ -14,9 +14,10 @@ import (
 
 // Start starts n nodes of one cluster, each with cfg, its own ID and a
 // loopback listener, every node's URL in Peers, and connects a Remote
-// topology over them. Everything crosses the wire as between separate
-// processes; t's cleanup stops it all.
-func Start(t testing.TB, n int, cfg node.Config) ([]*node.Node, *transport.Remote) {
+// topology over them. each, when given, adjusts node i's copy of cfg before
+// it starts — its own data directory, say. Everything crosses the wire as
+// between separate processes; t's cleanup stops it all.
+func Start(t testing.TB, n int, cfg node.Config, each ...func(i int, cfg *node.Config)) ([]*node.Node, *transport.Remote) {
 	t.Helper()
 	ls := make([]net.Listener, n)
 	cfg.Nodes, cfg.Peers = n, make([]string, n)
@@ -30,8 +31,12 @@ func Start(t testing.TB, n int, cfg node.Config) ([]*node.Node, *transport.Remot
 	nodes := make([]*node.Node, n)
 	peers := make([]*transport.Peer, n)
 	for i, l := range ls {
-		cfg.ID = i
-		nd, err := node.Start(cfg, l)
+		ncfg := cfg
+		ncfg.ID = i
+		for _, f := range each {
+			f(i, &ncfg)
+		}
+		nd, err := node.Start(ncfg, l)
 		if err != nil {
 			t.Fatal(err)
 		}

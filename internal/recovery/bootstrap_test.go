@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pstore/internal/b2w"
+	"pstore/internal/hash"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/wal"
@@ -87,7 +88,7 @@ func TestBootstrapMatchesLoggedLoad(t *testing.T) {
 	}
 	for b, w := range want.Buckets {
 		g := got.Buckets[b]
-		if g == nil || !g.HasImage || g.Base != w.Base || g.Head != w.Head || len(g.Tail) != 0 {
+		if g == nil || g.Base != w.Base || g.Head != w.Head || g.Head != g.Base {
 			t.Fatalf("bucket %d recovers as %+v, the logged load's as base %d head %d", b, g, w.Base, w.Head)
 		}
 	}
@@ -249,5 +250,43 @@ func TestBootstrapCrashPointSweep(t *testing.T) {
 	}
 	if outcomes["cold start"] == 0 || outcomes["reload"] == 0 {
 		t.Fatalf("outcomes %v: the sweep should reach both sides of the image set's rename", outcomes)
+	}
+}
+
+// TestBootstrapImagesEmptyBucket: a bucket the load ran commands in and left
+// without rows still gets an image in the load's set — an empty one — so its
+// head, the LSN its next command continues from, survives a cold start.
+func TestBootstrapImagesEmptyBucket(t *testing.T) {
+	fs := wal.NewMemFS(1)
+	e, m := newRoundEngine(t, fs, 0)
+	const empty, full = "never-written", "k-1"
+	if hash.Partition(empty, roundBuckets) == hash.Partition(full, roundBuckets) {
+		t.Fatal("the test needs its two keys in different buckets")
+	}
+	images, err := m.Bootstrap(func() error {
+		for i := 0; i < 3; i++ {
+			if _, err := e.Execute("get", empty, nil); err != nil { // touches the bucket, writes nothing
+				return err
+			}
+		}
+		_, err := e.Execute("put", full, 1)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := hash.Partition(empty, roundBuckets)
+	if images != 2 || m.LogHead(b) != 3 {
+		t.Fatalf("the load made %d images and left bucket %d at head %d; want 2 and 3", images, b, m.LogHead(b))
+	}
+	e.Stop()
+	m.Close()
+
+	_, m2 := newRoundEngine(t, fs, 0)
+	if _, err := m2.ColdStart(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.LogHead(b); got != 3 {
+		t.Fatalf("bucket %d cold-started at head %d, the load left it at 3", b, got)
 	}
 }

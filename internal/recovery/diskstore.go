@@ -108,8 +108,27 @@ func (s *diskStore) Append(bucket int, id store.TxnID, key string, args any) (ui
 	return ticket, nil
 }
 
-// appendFrame logs a command a primary shipped, as the frame it arrived in,
-// and moves the bucket's head to the LSN its primary gave it.
+func (s *diskStore) AppendChunk(part int, set []byte) (uint64, error) {
+	if err := s.Err(); err != nil {
+		return 0, err
+	}
+	ticket, err := s.log.EnqueueChunk(part, set)
+	if errors.Is(err, wal.ErrRecordRefused) {
+		return 0, err // the chunk's fault, not the log's
+	}
+	if err != nil {
+		s.fail(err)
+		return 0, err
+	}
+	frames, _, _ := wal.DecodeImageSet(set)
+	for _, f := range frames {
+		s.heads[f.Bucket].Store(f.LSN)
+	}
+	return ticket, nil
+}
+
+// appendFrame logs a command or chunk a primary shipped, as the frame it
+// arrived in, and moves each bucket's head to the LSN its primary gave it.
 func (s *diskStore) appendFrame(frame []byte) (uint64, error) {
 	if err := s.Err(); err != nil {
 		return 0, err
@@ -119,7 +138,7 @@ func (s *diskStore) appendFrame(frame []byte) (uint64, error) {
 		s.fail(err)
 		return 0, err
 	}
-	s.heads[r.Bucket].Store(r.LSN)
+	r.EachBucket(func(b *wal.Record) { s.heads[b.Bucket].Store(b.LSN) })
 	return ticket, nil
 }
 
@@ -180,6 +199,14 @@ func (s *diskStore) Load(buckets []int) ([]store.BucketSnapshot, []store.ReplayC
 			})
 		}
 		for _, r := range tails[b] {
+			if r.IsChunk() {
+				imgs, err := wal.DecodeImages(r.Images)
+				if err != nil {
+					return nil, nil, fmt.Errorf("recovery: chunk at bucket %d lsn %d: %w", b, r.LSN, err)
+				}
+				cmds = append(cmds, store.ReplayCommand{Bucket: b, Chunk: imgs[0].Tables, Part: r.Part})
+				continue
+			}
 			id, okID := s.eng.Handle(r.Txn)
 			if !okID {
 				return nil, nil, fmt.Errorf("recovery: log names unregistered transaction %q", r.Txn)

@@ -107,9 +107,9 @@ func (c *imageSyncs) reset() {
 
 // TestCheckpointRoundCostsOneImageSync is the counted proof behind image sets:
 // a full round over 640 buckets is one set fsync plus the manifest's, a
-// migrated chunk's re-baseline is one set fsync for exactly the chunk's
-// buckets, and a replica's baseline install is a whole round of its own: one
-// set fsync plus the manifest's.
+// migrated chunk is a log record — one segment fsync, no set — and a replica's
+// baseline install is a whole round of its own: one set fsync plus the
+// manifest's.
 func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 	fs := wal.NewMemFS(1)
 	e, m, _ := roundEngine(t, fs, 0)
@@ -127,23 +127,23 @@ func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 		t.Fatalf("full round over %d buckets: %d set, %d manifest, %d segment fsyncs; want 1, 1, 0", roundBuckets, s, mf, sg)
 	}
 
-	// A chunk's buckets, one of them empty here: each gets an image, nothing
-	// else in the partition does.
-	part := 5
-	chunk := e.OwnedBuckets(part)[:7]
-	syncs.reset()
-	n, err = m.CheckpointPartition(part, chunk)
+	var chunk []*wal.Image
+	for _, b := range e.OwnedBuckets(5)[:7] {
+		chunk = append(chunk, &wal.Image{Bucket: b, Tables: map[string]map[string]any{}})
+	}
+	set, err := wal.EncodeImageSet(nil, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(chunk) {
-		t.Fatalf("chunk of %d buckets installed %d images", len(chunk), n)
+	syncs.reset()
+	if err := m.LogChunk(5, set); err != nil {
+		t.Fatal(err)
 	}
-	if s, mf := syncs.sets.Load(), syncs.manifests.Load(); s != 1 || mf != 0 {
-		t.Fatalf("chunk re-baseline: %d set, %d manifest fsyncs; want 1, 0", s, mf)
+	if s, mf, sg := syncs.sets.Load(), syncs.manifests.Load(), syncs.segments.Load(); s != 0 || mf != 0 || sg != 1 {
+		t.Fatalf("a chunk of %d buckets: %d set, %d manifest, %d segment fsyncs; want 0, 0, 1", len(chunk), s, mf, sg)
 	}
-	if names, _ := fs.ReadDir("data/img"); len(names) != 2 {
-		t.Fatalf("image sets after a partial round: %v, want the full round's and the chunk's", names)
+	if names, _ := fs.ReadDir("data/img"); len(names) != 1 {
+		t.Fatalf("image sets after a chunk: %v, want the full round's alone", names)
 	}
 
 	var snaps []store.BucketSnapshot
@@ -168,20 +168,27 @@ func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 
 // TestColdStartDecodesEachSetOnce: recovery reads each image set once per
 // operation — a cold start of 16 partitions over two sets reads two sets, not
-// one per partition, and a restore of one machine's four partitions reads
-// each set they draw on once — and rebuilds every value.
+// one per partition, and a restore of one machine's four partitions reads the
+// one set they draw on once — and rebuilds every value.
 func TestColdStartDecodesEachSetOnce(t *testing.T) {
 	fs := wal.NewMemFS(1)
 	e, m, keys := roundEngine(t, fs, 0)
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// A chunk's re-baseline on machine 1 puts a second set on top of the round.
-	if _, err := m.CheckpointPartition(5, e.OwnedBuckets(5)[:7]); err != nil {
+	// A second round with machine 1 down re-images the rest: machine 1's
+	// buckets keep their images in the first set.
+	if err := m.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Restore(1); err != nil {
 		t.Fatal(err)
 	}
 	if names, _ := fs.ReadDir("data/img"); len(names) != 2 {
-		t.Fatalf("image sets %v, want the round's and the chunk's", names)
+		t.Fatalf("image sets %v, want both rounds'", names)
 	}
 	e.Stop()
 	m.Close()
@@ -205,8 +212,8 @@ func TestColdStartDecodesEachSetOnce(t *testing.T) {
 	if _, err := m2.Restore(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.WALStats().ImageSetDecodes - 2; got != 2 {
-		t.Fatalf("restore of machine 1's 4 partitions decoded %d image sets, want each of the 2 once", got)
+	if got := m2.WALStats().ImageSetDecodes - 2; got != 1 {
+		t.Fatalf("restore of machine 1's 4 partitions decoded %d image sets, want the first round's once", got)
 	}
 	checkValues(t, e2, keys, func(i int) any { return i })
 }
@@ -227,12 +234,6 @@ func TestImageWriteFailureStopsTheRound(t *testing.T) {
 		t.Fatal("test needs sealed segments; none rotated")
 	}
 
-	if _, err := m.CheckpointPartition(3, e.OwnedBuckets(3)[:4]); !errors.Is(err, errDiskFull) {
-		t.Fatalf("chunk re-baseline over a failing disk returned %v", err)
-	}
-	if got := m.BaselineSeq(); got != 0 {
-		t.Fatalf("a failed install still bumped the baseline to %d", got)
-	}
 	if n, err := m.Checkpoint(); !errors.Is(err, errDiskFull) || n != 0 {
 		t.Fatalf("checkpoint over a failing disk returned (%d, %v)", n, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"pstore/internal/store"
+	"pstore/internal/wal"
 )
 
 // LogStore is the durability substrate behind the Manager: the per-bucket
@@ -24,6 +25,11 @@ type LogStore interface {
 	// it returns nil. An error means the record was not logged, and the
 	// executor does not run the command.
 	Append(bucket int, id store.TxnID, key string, args any) (ticket uint64, err error)
+	// AppendChunk logs a migrated chunk about to be installed into partition
+	// part, as Append logs a command: set is its image set, one frame per
+	// bucket, each stamped with the bucket's next LSN; replaying a frame sets
+	// its bucket to the frame's rows.
+	AppendChunk(part int, set []byte) (ticket uint64, err error)
 	// Wait blocks until the record behind a ticket is durable (on disk, and
 	// on the follower under synchronous commit), or reports why it will not
 	// be. Safe to call from any goroutine.
@@ -75,7 +81,8 @@ type LogStore interface {
 	Close() error
 }
 
-// Command is one command-log record: the input of one executed procedure.
+// Command is one command-log record: the input of one executed procedure,
+// or, when Chunk is not nil, a migrated chunk's rows for the bucket.
 type Command struct {
 	// LSN is the bucket-local sequence number, starting at 1.
 	LSN uint64
@@ -84,6 +91,9 @@ type Command struct {
 	// Key and Args are the procedure's original input.
 	Key  string
 	Args any
+	// Chunk and Part are a chunk's rows and the partition it went to.
+	Chunk map[string]map[string]any
+	Part  int
 }
 
 // ckptImage is one bucket's latest checkpoint: its tables (row values
@@ -127,6 +137,27 @@ func (m *memStore) Append(bucket int, id store.TxnID, key string, args any) (uin
 	l.cmds = append(l.cmds, Command{LSN: l.head, ID: id, Key: key, Args: args})
 	l.mu.Unlock()
 	m.records.Add(1)
+	return 0, nil
+}
+
+func (m *memStore) AppendChunk(part int, set []byte) (uint64, error) {
+	imgs, err := wal.DecodeImages(set)
+	if err != nil {
+		return 0, err
+	}
+	for _, img := range imgs {
+		if img.Bucket < 0 || img.Bucket >= len(m.logs) {
+			return 0, fmt.Errorf("recovery: chunk names bucket %d out of range", img.Bucket)
+		}
+	}
+	for _, img := range imgs {
+		l := &m.logs[img.Bucket]
+		l.mu.Lock()
+		l.head = img.LSN
+		l.cmds = append(l.cmds, Command{LSN: img.LSN, Chunk: img.Tables, Part: part})
+		l.mu.Unlock()
+		m.records.Add(1)
+	}
 	return 0, nil
 }
 
@@ -176,7 +207,12 @@ func (m *memStore) Load(buckets []int) ([]store.BucketSnapshot, []store.ReplayCo
 			})
 		}
 		for _, c := range l.cmds {
-			cmds = append(cmds, store.ReplayCommand{Bucket: b, ID: c.ID, Key: c.Key, Args: c.Args})
+			rc := store.ReplayCommand{Bucket: b, ID: c.ID, Key: c.Key, Args: c.Args}
+			if c.Chunk != nil {
+				// Replay takes the tables over and later commands change them.
+				rc = store.ReplayCommand{Bucket: b, Chunk: cloneTables(c.Chunk), Part: c.Part}
+			}
+			cmds = append(cmds, rc)
 		}
 		l.mu.Unlock()
 	}

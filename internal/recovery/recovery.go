@@ -121,10 +121,6 @@ type Manager struct {
 	// wal is the durable store's underlying log (nil with the in-memory
 	// store); the replication plane ships from it directly.
 	wal *wal.Log
-	// baseline counts out-of-WAL data installs (migrated-in chunks). Ship
-	// batches carry it so a follower synced under an older baseline knows
-	// its copy is incomplete and resyncs.
-	baseline atomic.Uint64
 
 	// cold is the state a durable store recovered at open, consumed by
 	// ColdStart; planMuted suppresses plan re-logging while ColdStart is
@@ -216,6 +212,24 @@ func (m *Manager) AppendCommand(bucket int, id store.TxnID, key string, args any
 	return m.log.Append(bucket, id, key, args)
 }
 
+// LogChunk logs a migrated chunk about to be installed into partition part,
+// set being its image set as it arrived, and returns once the record is
+// durable — fsynced, and acknowledged by the follower under synchronous
+// commit — so the install it precedes can be recovered, and shipped, from the
+// log alone. The caller installs only after a nil return, and keeps every
+// other appender off the chunk's buckets until then.
+func (m *Manager) LogChunk(part int, set []byte) error {
+	stamped, err := wal.StampImageSet(set, func(b int) uint64 { return m.log.Head(b) + 1 })
+	if err != nil {
+		return fmt.Errorf("%w: %v", wal.ErrRecordRefused, err)
+	}
+	ticket, err := m.log.AppendChunk(part, stamped)
+	if err != nil {
+		return err
+	}
+	return m.log.Wait(ticket)
+}
+
 // WaitDurable implements store.CommandLogger: it blocks until the record
 // behind the ticket is fsynced (and follower-acked under synchronous
 // commit), leading the group-commit fsync if none is in flight.
@@ -258,11 +272,12 @@ func (m *Manager) Close() error { return m.log.Close() }
 // Bootstrap loads a fresh engine's dataset and makes it durable as one
 // checkpoint round instead of as a command log: load runs with nothing logged
 // (each command still takes the LSN a logged one would), then the round's
-// image set, stamped with those LSNs, is the load's only durable form. A crash
-// before that set lands leaves no cold state, so the loader runs again; one
-// after leaves the whole dataset. Nothing else may execute during load, and
-// on an error the loaded rows have no durable form. It returns the number of
-// images installed.
+// image set, stamped with those LSNs, is the load's only durable form — so it
+// images every bucket whose head the load moved, a bucket left without rows
+// too. A crash before that set lands leaves no cold state, so the loader runs
+// again; one after leaves the whole dataset. Nothing else may execute during
+// load, and on an error the loaded rows have no durable form. It returns the
+// number of images installed.
 func (m *Manager) Bootstrap(load func() error) (int, error) {
 	m.loading.Store(true)
 	err := load()
@@ -270,7 +285,22 @@ func (m *Manager) Bootstrap(load func() error) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.Checkpoint()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	all, err := m.snapshotLiveLocked()
+	if err != nil {
+		return 0, err
+	}
+	imaged := make(map[int]bool, len(all))
+	for _, s := range all {
+		imaged[s.Bucket] = true
+	}
+	for b := 0; b < m.eng.Config().Buckets; b++ {
+		if head := m.log.Head(b); head > 0 && !imaged[b] {
+			all = append(all, store.BucketSnapshot{Bucket: b, LSN: head, Tables: map[string]map[string]any{}})
+		}
+	}
+	return len(all), m.installRoundLocked(all)
 }
 
 // Checkpoint snapshots every live partition and installs the images as the
@@ -298,13 +328,18 @@ func (m *Manager) CheckpointAfter(snapshotted func()) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := m.log.Install(all, nil); err != nil {
-		return 0, fmt.Errorf("recovery: installing checkpoint images: %w", err)
-	}
-	if err := m.completeCheckpointLocked(); err != nil {
+	if err := m.installRoundLocked(all); err != nil {
 		return 0, err
 	}
 	return len(all), nil
+}
+
+// installRoundLocked writes one round's images and completes the round.
+func (m *Manager) installRoundLocked(all []store.BucketSnapshot) error {
+	if err := m.log.Install(all, nil); err != nil {
+		return fmt.Errorf("recovery: installing checkpoint images: %w", err)
+	}
+	return m.completeCheckpointLocked()
 }
 
 // completeCheckpointLocked ends a round whose images are installed: the
@@ -343,32 +378,6 @@ func (m *Manager) snapshotLiveLocked() ([]store.BucketSnapshot, error) {
 	return all, nil
 }
 
-// CheckpointPartition snapshots the given buckets of one live partition and
-// installs the images as their new recovery baseline. Multi-process nodes call
-// this right after installing a migrated-in chunk, with the chunk's buckets:
-// their command history lives on the node it executed on, so the receiving
-// node's recovery baseline for them is the installed image itself — from that
-// point on, local commands accumulate on top of it and a crash restores
-// exactly. The partition's other buckets have their history in this node's log
-// and need no new image, so the cost follows what moved, not what was here.
-func (m *Manager) CheckpointPartition(part int, buckets []int) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snaps, err := m.eng.SnapshotBuckets(part, buckets)
-	if err != nil {
-		return 0, fmt.Errorf("recovery: checkpointing partition %d: %w", part, err)
-	}
-	if err := m.log.Install(snaps, nil); err != nil {
-		return 0, fmt.Errorf("recovery: installing images of partition %d: %w", part, err)
-	}
-	// The installed data arrived outside the WAL (a migrated-in chunk), so a
-	// follower that synced before this install can no longer reconstruct the
-	// node's state from shipped records alone — bump the baseline to force it
-	// to resync.
-	m.baseline.Add(1)
-	return len(snaps), nil
-}
-
 // Crash takes a machine down. Its partitions stop executing transactions
 // (everything queued or submitted fails with store.ErrPartitionDown) until
 // Restore rebuilds them.
@@ -393,8 +402,9 @@ func (m *Manager) Crash(machine int) error {
 // plus command replay and brings the machine back up. The buckets to rebuild
 // are taken from the *current* plan — a bucket that migrated onto the
 // machine after its last checkpoint is still recovered exactly, because its
-// image and log tail traveled with it. With a durable store, the images and
-// tails are read back from disk, not from process memory.
+// image and log tail traveled with it — from another node, as the chunk record
+// that starts its tail here. With a durable store, the images and tails are
+// read back from disk, not from process memory.
 func (m *Manager) Restore(machine int) (RestoreStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -9,8 +9,8 @@ import (
 )
 
 // Replication surface: the Manager exposes the durable WAL's ship plane
-// (cursor reads, retention pinning, lag) and the epoch/baseline state the
-// ship protocol is fenced with. Shipping requires a durable store — a
+// (cursor reads, retention pinning) and the epoch the ship protocol is fenced
+// with. Shipping requires a durable store — a
 // memory-backed manager has no byte-addressable record stream to ship.
 
 // ErrNotDurable is returned by ship operations on a memory-backed manager.
@@ -25,9 +25,6 @@ func (m *Manager) Epoch() uint64 { return m.log.Epoch() }
 // SetEpoch raises the fencing term (persisted in the WAL manifest for a
 // durable store). Lowering it is an error — that is the zombie case.
 func (m *Manager) SetEpoch(e uint64) error { return m.log.SetEpoch(e) }
-
-// BaselineSeq returns the out-of-WAL install counter ship batches carry.
-func (m *Manager) BaselineSeq() uint64 { return m.baseline.Load() }
 
 // PlanSeq returns the WAL's current plan sequence (0 when not durable) —
 // the skip threshold a freshly synced follower applies to shipped plan
@@ -59,9 +56,10 @@ func (m *Manager) ReadShip(cur wal.ShipCursor, max int) ([][]byte, wal.ShipCurso
 	return m.wal.ReadShip(cur, max)
 }
 
-// AppendShipped is AppendCommand on a follower: it logs a command record the
-// primary shipped, in the frame it arrived in, under the LSN the primary gave
-// it. The caller has checked that the LSN continues the bucket's log.
+// AppendShipped is AppendCommand on a follower: it logs a command or chunk
+// record the primary shipped, in the frame it arrived in, under the LSNs the
+// primary gave it. The caller has checked that they continue the buckets'
+// logs.
 func (m *Manager) AppendShipped(frame []byte) (uint64, error) {
 	ds, ok := m.log.(*diskStore)
 	if !ok {
@@ -77,14 +75,6 @@ func (m *Manager) WALStats() wal.Stats {
 		return wal.Stats{}
 	}
 	return m.wal.Stats()
-}
-
-// ShipLag returns the durable bytes beyond the cursor.
-func (m *Manager) ShipLag(cur wal.ShipCursor) int64 {
-	if m.wal == nil {
-		return 0
-	}
-	return m.wal.ShipLag(cur)
 }
 
 // PinShip protects segments at or beyond seg from compaction while a

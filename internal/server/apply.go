@@ -272,15 +272,6 @@ func (s *Server) applyBatch(b *shipApply, planSeq uint64) (uint64, error) {
 	return planSeq, eng.ReplayCommands(b.cmds[from:])
 }
 
-// WaitApplied returns once every ship batch this node has acknowledged is
-// applied to memory — the barrier between "the follower has it" and "the
-// follower's state shows it" — or with the reason apply stopped for good.
-func (s *Server) WaitApplied() error {
-	s.repl.mu.Lock()
-	defer s.repl.mu.Unlock()
-	return s.apply.drain()
-}
-
 // quiesceApply is what a handler that crashes or rebuilds partitions calls
 // first. On a replica it holds the ship handler off and waits the apply
 // backlog out — memory, plan and log head then agree and stay so until the

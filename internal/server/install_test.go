@@ -30,6 +30,13 @@ type installNode struct {
 
 func newInstallNode(t *testing.T, id int) *installNode {
 	t.Helper()
+	return newInstallNodeOn(t, id, wal.NewMemFS(int64(id)+1))
+}
+
+// newInstallNodeOn is newInstallNode over a data directory on fs, which a
+// node of an earlier life may have left behind.
+func newInstallNodeOn(t *testing.T, id int, fs *wal.MemFS) *installNode {
+	t.Helper()
 	eng, err := store.NewEngine(store.Config{
 		MaxMachines: 2, PartitionsPerMachine: 2, Buckets: 64,
 		QueueCapacity: 1 << 10, InitialMachines: 1, HostedMachines: []int{id},
@@ -48,10 +55,14 @@ func newInstallNode(t *testing.T, id int) *installNode {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.Register("del", func(tx *store.Tx) (any, error) {
+		return nil, tx.Delete("kv", tx.Key)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.SetArgsDecoder(storetest.Args[int]); err != nil {
 		t.Fatal(err)
 	}
-	fs := wal.NewMemFS(int64(id) + 1)
 	rm, err := recovery.New(eng, recovery.Config{DataDir: "data", FS: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +80,9 @@ func newInstallNode(t *testing.T, id int) *installNode {
 }
 
 // sendChunk extracts buckets from src's partition from and posts them to
-// dst's /v1/node/install for partition to, as Remote.moveBuckets would.
-func sendChunk(t *testing.T, src, dst *installNode, buckets []int, from, to int) *httptest.ResponseRecorder {
+// dst's /v1/node/install for partition to, as Remote.moveBuckets would. It
+// returns the answer and the chunk.
+func sendChunk(t *testing.T, src, dst *installNode, buckets []int, from, to int) (*httptest.ResponseRecorder, []byte) {
 	t.Helper()
 	data, err := src.eng.ExtractBuckets(buckets, from, to, 0, 0, false)
 	if err != nil {
@@ -80,8 +92,14 @@ func sendChunk(t *testing.T, src, dst *installNode, buckets []int, from, to int)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postChunk(t, dst, wire.NodeMove{Buckets: buckets, From: from, To: to}, chunk), chunk
+}
+
+// postChunk posts a chunk to dst's /v1/node/install.
+func postChunk(t *testing.T, dst *installNode, req wire.NodeMove, chunk []byte) *httptest.ResponseRecorder {
+	t.Helper()
 	var body bytes.Buffer
-	if err := wire.EncodeFrame(&body, wire.NodeMove{Buckets: buckets, From: from, To: to}); err != nil {
+	if err := wire.EncodeFrame(&body, req); err != nil {
 		t.Fatal(err)
 	}
 	body.Write(chunk)
@@ -125,63 +143,102 @@ func imageSets(t *testing.T, fs *wal.MemFS) (names []string, buckets [][]int) {
 	return names, buckets
 }
 
-// TestInstallImagesOnlyTheChunk: a cross-node install re-baselines exactly the
-// buckets it carried — one image set of len(req.Buckets) frames, whatever the
-// destination partition already held — and a crash of the destination machine
-// right after it restores every row and value, the chunk's and the earlier
-// residents', including writes made on top of the installed image.
-func TestInstallImagesOnlyTheChunk(t *testing.T) {
-	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
-	const keys = 400
-	for i := 0; i < keys; i++ {
-		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owned := a.eng.OwnedBuckets(0)
-	first, second := owned[:9], owned[9:14]
-	for round, chunk := range [][]int{first, second} {
-		w := sendChunk(t, a, b, chunk, 0, 2)
-		if w.Code != http.StatusOK {
-			t.Fatalf("install %d: %d %s", round, w.Code, w.Body.String())
-		}
-		names, buckets := imageSets(t, b.fs)
-		if len(names) != round+1 {
-			t.Fatalf("after install %d the destination holds image sets %v, want one per install", round, names)
-		}
-		want := append([]int(nil), chunk...)
-		sort.Ints(want)
-		if got := buckets[round]; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("install %d of %d buckets imaged %v, want exactly the chunk %v", round, len(chunk), got, want)
-		}
-	}
-
-	// Writes on top of the installed images, then the crash.
-	moved := make(map[int]bool)
-	for _, bk := range append(append([]int(nil), first...), second...) {
-		moved[bk] = true
-	}
-	values := make(map[string]any)
+// values reads every key a node serves.
+func values(t *testing.T, n *installNode, keys int) map[string]any {
+	t.Helper()
+	out := make(map[string]any)
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("k-%d", i)
-		v, err := b.eng.Execute("get", k, nil)
+		v, err := n.eng.Execute("get", k, nil)
 		if errors.Is(err, store.ErrNotOwned) {
 			continue
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i%3 == 0 {
-			v = i * 10
-			if _, err := b.eng.Execute("put", k, v); err != nil {
+		if v != nil {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// coldStart stops n as a kill would and starts a node of the same id from
+// its data directory.
+func coldStart(t *testing.T, n *installNode, id int) *installNode {
+	t.Helper()
+	n.eng.Stop()
+	n.rm.Close()
+	m := newInstallNodeOn(t, id, n.fs)
+	if _, err := m.rm.ColdStart(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// installTwoChunks loads keys rows on a and moves two chunks of partition 0's
+// buckets to b's partition 2, then overwrites every third key b now serves;
+// it returns the moved buckets and the first chunk's move and bytes.
+func installTwoChunks(t *testing.T, a, b *installNode, keys int) ([]int, wire.NodeMove, []byte) {
+	t.Helper()
+	for i := 0; i < keys; i++ {
+		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owned := a.eng.OwnedBuckets(0)
+	var first []byte
+	for round, buckets := range [][]int{owned[:9], owned[9:14]} {
+		w, chunk := sendChunk(t, a, b, buckets, 0, 2)
+		if w.Code != http.StatusOK {
+			t.Fatalf("install %d: %d %s", round, w.Code, w.Body.String())
+		}
+		if round == 0 {
+			first = chunk
+		}
+	}
+	for k, v := range values(t, b, keys) {
+		if i := v.(int); i%3 == 0 {
+			if _, err := b.eng.Execute("put", k, i*10); err != nil {
 				t.Fatal(err)
 			}
 		}
-		values[k] = v
 	}
-	if len(values) == 0 || len(values) != b.eng.TotalRows() {
-		t.Fatalf("destination serves %d of its %d rows", len(values), b.eng.TotalRows())
+	return owned[:14], wire.NodeMove{Buckets: owned[:9], From: 0, To: 2}, first
+}
+
+// TestInstallLogsOnlyTheChunk: a cross-node install writes no image: the
+// chunk reaches the destination's disk as a record of its log, ahead of the
+// flip's plan record, and a duplicate delivery logs nothing and changes
+// nothing. A crash of the destination machine then restores every row and
+// value from the log — the chunks' and the writes made on top of them.
+func TestInstallLogsOnlyTheChunk(t *testing.T) {
+	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
+	const keys = 400
+	moved, req, first := installTwoChunks(t, a, b, keys)
+	if names, _ := imageSets(t, b.fs); len(names) != 0 {
+		t.Fatalf("the installs wrote image sets %v", names)
 	}
+	before := values(t, b, keys) // reads are logged too: count after them
+	appends := b.rm.WALStats().Appends
+	if w := postChunk(t, b, req, first); w.Code != http.StatusOK || b.rm.WALStats().Appends != appends {
+		t.Fatalf("a duplicate of the first chunk answered %d %s and logged %d records", w.Code, w.Body.String(), b.rm.WALStats().Appends-appends)
+	}
+	if got := values(t, b, keys); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("a duplicate of the first chunk undid the writes made on top of it:\n got %v\nwant %v", got, before)
+	}
+	bad, err := wire.EncodeChunk([]int{64}, store.NewBucketData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := postChunk(t, b, wire.NodeMove{Buckets: []int{64}, From: 0, To: 2}, bad); w.Code != http.StatusBadRequest {
+		t.Fatalf("a chunk naming bucket 64 of 64 answered %d %s, want 400", w.Code, w.Body.String())
+	}
+	appends = b.rm.WALStats().Appends
+	if w := postChunk(t, b, wire.NodeMove{Buckets: moved[:9], From: 2, To: -1}, first); w.Code != http.StatusBadRequest || b.rm.WALStats().Appends != appends {
+		t.Fatalf("a chunk for partition -1 answered %d %s", w.Code, w.Body.String())
+	}
+
 	rowsBefore := b.eng.TotalRows()
 	if err := b.rm.Crash(1); err != nil {
 		t.Fatal(err)
@@ -190,24 +247,86 @@ func TestInstallImagesOnlyTheChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Snapshots != len(moved) {
-		t.Fatalf("restore installed %d images, want the %d moved buckets'", st.Snapshots, len(moved))
+	if st.Snapshots != 0 || st.Replayed < len(moved) {
+		t.Fatalf("restore installed %d images and replayed %d records; want none and at least the %d buckets' chunk shares", st.Snapshots, st.Replayed, len(moved))
 	}
 	if got := b.eng.TotalRows(); got != rowsBefore {
 		t.Fatalf("rows after crash + restore: %d, before: %d", got, rowsBefore)
 	}
-	for k, want := range values {
-		if got, err := b.eng.Execute("get", k, nil); err != nil || got != want {
-			t.Fatalf("%s after crash + restore = %v (%v), want %v", k, got, err, want)
+	if got := values(t, b, keys); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("values after crash + restore differ:\n got %v\nwant %v", got, before)
+	}
+}
+
+// TestInstallColdStartsFromTheRecord: a node that received chunks and never
+// checkpointed cold-starts with their rows, and with the writes made on top.
+func TestInstallColdStartsFromTheRecord(t *testing.T) {
+	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
+	const keys = 300
+	installTwoChunks(t, a, b, keys)
+	want, rows := values(t, b, keys), b.eng.TotalRows()
+	if len(want) == 0 || b.rm.Stats().Checkpoints != 0 {
+		t.Fatalf("the destination serves %d keys after %d checkpoints; the test needs some and none", len(want), b.rm.Stats().Checkpoints)
+	}
+	b = coldStart(t, b, 1)
+	if got := values(t, b, keys); b.eng.TotalRows() != rows || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cold start rebuilt %d rows, %v; before the kill %d, %v", b.eng.TotalRows(), got, rows, want)
+	}
+}
+
+// TestInstallBackEmptyColdStartsEmpty: a bucket that leaves a node with rows
+// its image there holds, is emptied elsewhere and moves back empty cold-starts
+// empty on its old node: the chunk record replays over the old image.
+func TestInstallBackEmptyColdStartsEmpty(t *testing.T) {
+	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
+	const keys = 200
+	for i := 0; i < keys; i++ {
+		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.rm.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	chunk := a.eng.OwnedBuckets(0)[:6]
+	if w, _ := sendChunk(t, a, b, chunk, 0, 2); w.Code != http.StatusOK {
+		t.Fatalf("install on b: %d %s", w.Code, w.Body.String())
+	}
+	if err := a.eng.ApplyOwnership(chunk, 2); err != nil { // the coordinator's flip
+		t.Fatal(err)
+	}
+	emptied := values(t, b, keys)
+	for k := range emptied {
+		if _, err := b.eng.Execute("del", k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(emptied) == 0 || b.eng.TotalRows() != 0 {
+		t.Fatalf("b emptied %d keys and holds %d rows; the test needs some and then none", len(emptied), b.eng.TotalRows())
+	}
+	if w, _ := sendChunk(t, b, a, chunk, 2, 0); w.Code != http.StatusOK {
+		t.Fatalf("install back on a: %d %s", w.Code, w.Body.String())
+	}
+	rows := a.eng.TotalRows()
+	if rows != keys-len(emptied) {
+		t.Fatalf("a holds %d rows after the empty chunk came back, want %d", rows, keys-len(emptied))
+	}
+	a = coldStart(t, a, 0)
+	if got := a.eng.TotalRows(); got != rows {
+		t.Fatalf("a cold-started with %d rows, %d before the kill: the emptied buckets came back from the old image", got, rows)
+	}
+	for k := range emptied {
+		if v, err := a.eng.Execute("get", k, nil); err != nil || v != nil {
+			t.Fatalf("emptied %s cold-started as %v (%v)", k, v, err)
 		}
 	}
 }
 
-// TestInstallRefusedWhenImagesFail: an install whose image set cannot be
-// synced is refused — the coordinator must not flip ownership to a node that
-// could not restore the chunk — the node turns unhealthy, and nothing was
-// installed as a baseline.
-func TestInstallRefusedWhenImagesFail(t *testing.T) {
+// TestInstallRefusedWhenLogFails: an install whose record cannot be made
+// durable is refused — the coordinator must not flip ownership to a node that
+// could not recover the chunk — the node turns unhealthy, and nothing was
+// installed or flipped.
+func TestInstallRefusedWhenLogFails(t *testing.T) {
 	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
 	for i := 0; i < 200; i++ {
 		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
@@ -216,27 +335,25 @@ func TestInstallRefusedWhenImagesFail(t *testing.T) {
 	}
 	boom := errors.New("disk full")
 	b.fs.SetSyncHook(func(name string) error {
-		if strings.Contains(name, "set-") {
+		if strings.Contains(name, "seg-") {
 			return boom
 		}
 		return nil
 	})
-	w := sendChunk(t, a, b, a.eng.OwnedBuckets(0)[:6], 0, 2)
+	chunk := a.eng.OwnedBuckets(0)[:6]
+	w, _ := sendChunk(t, a, b, chunk, 0, 2)
 	if w.Code == http.StatusOK || !strings.Contains(w.Body.String(), boom.Error()) {
 		t.Fatalf("install over a failing disk answered %d %s", w.Code, w.Body.String())
 	}
 	h := httptest.NewRecorder()
 	b.srv.handleHealth(h, httptest.NewRequest(http.MethodGet, wire.PathHealth, nil))
 	if h.Code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz after a failed image write: %d %s, want 503", h.Code, h.Body.String())
+		t.Fatalf("healthz after a failed log write: %d %s, want 503", h.Code, h.Body.String())
+	}
+	if rows, owner := b.eng.TotalRows(), b.eng.OwnerOf(chunk[0]); rows != 0 || owner == 2 {
+		t.Fatalf("the refused install left %d rows and bucket %d owned by %d", rows, chunk[0], owner)
 	}
 	if names, _ := imageSets(t, b.fs); len(names) != 0 {
 		t.Fatalf("failed install left image sets %v", names)
-	}
-	if got := b.rm.BaselineSeq(); got != 0 {
-		t.Fatalf("failed install bumped the baseline to %d", got)
-	}
-	if got := b.rm.WALStats().CompactedSegments; got != 0 {
-		t.Fatalf("failed install compacted %d segments", got)
 	}
 }

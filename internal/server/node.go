@@ -198,14 +198,9 @@ func (s *Server) handleNodeExtract(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(chunk)
 }
 
-// handleNodeInstall merges an incoming chunk into a hosted destination
+// handleNodeInstall installs an incoming chunk into a hosted destination
 // partition (body: one NodeMove frame, then the chunk) and flips local
-// ownership after the install lands. The installed buckets — and only
-// they — immediately get a fresh recovery baseline: their command history
-// lives on the node they executed on, so the image itself is the correct
-// recovery point here. An install whose images did not reach disk is refused:
-// the coordinator must not flip ownership to a node that could not restore
-// the chunk.
+// ownership after the install lands.
 func (s *Server) handleNodeInstall(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
@@ -226,19 +221,60 @@ func (s *Server) handleNodeInstall(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, fmt.Errorf("%w: %v", errBadNodeRequest, err))
 		return
 	}
-	rows, err := s.cfg.Engine.InstallBuckets(req.Buckets, data, req.To,
-		time.Duration(req.PerRowNs), time.Duration(req.OverheadNs))
+	rows, err := s.installChunk(req, chunk, data)
 	if err != nil {
 		writeNodeError(w, err)
 		return
 	}
-	if rm := s.cfg.Node.Recovery; rm != nil {
-		if _, err := rm.CheckpointPartition(req.To, req.Buckets); err != nil {
-			writeNodeError(w, err)
-			return
+	writeJSON(w, wire.NodeRows{Rows: rows})
+}
+
+// installChunk logs a chunk as a record of this node's log, waits until the
+// record is durable (on the follower too, under synchronous commit), and only
+// then installs it and flips ownership: an install that could not be logged
+// changes nothing, and the coordinator does not flip ownership to a node that
+// could not recover the chunk. A delivery of a chunk whose buckets the
+// destination already owns — the network's duplicate — logs nothing and
+// changes nothing. Buckets a partition of this node owns otherwise are
+// refused: their log heads belong to that partition's executor.
+func (s *Server) installChunk(req wire.NodeMove, chunk []byte, data store.BucketData) (int, error) {
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	eng := s.cfg.Engine
+	if cfg := eng.Config(); req.To < 0 || req.To >= cfg.MaxMachines*cfg.PartitionsPerMachine {
+		return 0, fmt.Errorf("%w: partition %d out of range", errBadNodeRequest, req.To)
+	}
+	if !eng.Hosted(eng.MachineOfPartition(req.To)) {
+		return 0, fmt.Errorf("%w: partition %d", store.ErrNotOwned, req.To)
+	}
+	held := 0
+	for _, b := range req.Buckets {
+		if b < 0 || b >= eng.Config().Buckets {
+			return 0, fmt.Errorf("%w: bucket %d out of range", errBadNodeRequest, b)
+		}
+		if eng.OwnerOf(b) == req.To {
+			held++
 		}
 	}
-	writeJSON(w, wire.NodeRows{Rows: rows})
+	if held > 0 && held == len(req.Buckets) {
+		return data.Rows(), nil
+	}
+	for _, b := range req.Buckets {
+		if owner := eng.OwnerOf(b); eng.Hosted(eng.MachineOfPartition(owner)) {
+			return 0, fmt.Errorf("%w: bucket %d is partition %d's, not an inbound chunk's", errBadNodeRequest, b, owner)
+		}
+	}
+	rm := s.cfg.Node.Recovery
+	if rm != nil {
+		if err := rm.LogChunk(req.To, chunk); err != nil {
+			return 0, err
+		}
+	}
+	rows, err := eng.InstallBuckets(req.Buckets, data, req.To, time.Duration(req.PerRowNs), time.Duration(req.OverheadNs))
+	if err == nil && rm != nil {
+		err = rm.Err() // the flip's plan record did not become durable
+	}
+	return rows, err
 }
 
 // handleNodeFlip applies a coordinator's ownership broadcast.

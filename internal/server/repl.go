@@ -57,10 +57,10 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 // snapshots, so every record a snapshot may already include arrives again
 // with LSN <= the bucket's image LSN and is deduplicated follower-side;
 // PlanSeq is read before the plan for the same reason (a racing plan change
-// is re-shipped rather than lost), and the baseline before the snapshot (a
-// chunk installed meanwhile has the follower resync, not miss it). The
-// cursor's segment is pinned against compaction before the snapshot starts
-// so shipping can begin from it.
+// is re-shipped rather than lost). A chunk install is all before the cursor
+// or all after the snapshot, never astride them (installMu). The cursor's
+// segment is pinned against compaction before the snapshot starts so
+// shipping can begin from it.
 //
 // With resume set the follower is rejoining warm: its state already matches
 // ours up to that cursor (a truncated zombie, or a follower reconnecting after
@@ -68,8 +68,9 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 // to be still retained.
 func (s *Server) syncBody(rm *recovery.Manager, resume *wire.ShipCursor) (wire.ReplSyncMeta, []byte, error) {
 	eng := s.cfg.Engine
-	meta := wire.ReplSyncMeta{Epoch: rm.Epoch(), Baseline: rm.BaselineSeq(),
-		PlanSeq: rm.PlanSeq(), Plan: eng.Plan(), Active: eng.ActiveMachines()}
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	meta := wire.ReplSyncMeta{Epoch: rm.Epoch(), PlanSeq: rm.PlanSeq(), Plan: eng.Plan(), Active: eng.ActiveMachines()}
 	var err error
 	if resume != nil {
 		meta.Cursor, meta.Plan = *resume, nil
@@ -190,25 +191,24 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 	if err := s.become(roleReplica); err != nil {
 		return err
 	}
-	st.received, st.baseline = meta.Cursor, meta.Baseline
+	st.received = meta.Cursor
 	s.apply.reset(meta.Cursor, meta.PlanSeq)
 	return nil
 }
 
 // handleReplShip accepts one shipped WAL batch: it appends the frames of the
-// batch's fresh commands to this node's own log, as they arrived, acknowledges
-// once they are fsynced, and leaves applying them to the applier. The guards,
-// in order: role (see guards: a primary fences the sender — the zombie case; a
-// syncing node, whose epoch the install has yet to set, has it retry; a
-// replica whose apply failed answers Resync: memory trails its log for good),
-// epoch (a batch under any other term is fenced), baseline (the primary took
-// in data outside its WAL since the sync — Resync too), and position (a batch
-// not starting at the received cursor gets a Gap ack carrying where to rewind
-// to; duplicates land here too). Then every record is checked before
+// batch's fresh commands and chunks to this node's own log, as they arrived,
+// acknowledges once they are fsynced, and leaves applying them to the applier.
+// The guards, in order: role (see guards: a primary fences the sender — the
+// zombie case; a syncing node, whose epoch the install has yet to set, has it
+// retry; a replica whose apply failed answers Resync: memory trails its log
+// for good), epoch (a batch under any other term is fenced), and position (a
+// batch not starting at the received cursor gets a Gap ack carrying where to
+// rewind to; duplicates land here too). Then every record is checked before
 // any is appended — per-bucket LSN dedup against the log head (a snapshot's
-// overlap is skipped, a skipped LSN refuses the batch), args decoded — so a
-// batch is accepted whole or not at all, and the ack covers only what one
-// fsync of the follower's log made durable.
+// overlap is skipped, a skipped LSN refuses the batch), args and rows decoded
+// — so a batch is accepted whole or not at all, and the ack covers only what
+// one fsync of the follower's log made durable.
 func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
@@ -258,7 +258,7 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ack := wire.ShipAck{Epoch: rm.Epoch(), Received: st.received}
-	if c.do == resync || batch.Baseline != st.baseline {
+	if c.do == resync {
 		// The shipper stops on this answer.
 		ack.Resync = true
 		writeJSON(w, ack)
@@ -297,47 +297,88 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 // decodeShipBatch turns a batch at the received cursor into what the applier
 // takes and the frames the log takes, refusing it whole if any record cannot
 // be accepted. Per bucket, a record at or below the log head is a duplicate
-// (the sync snapshot's overlap) and is dropped; the next must be exactly
+// (the sync snapshot's overlap) and is dropped; a command must be exactly
 // head+1, so the survivors continue the bucket's log under the LSNs their
-// primary gave them. Nothing is appended here.
+// primary gave them. A chunk replaces its buckets' rows whatever they held, so
+// its share of a bucket only has to be above the head: a bucket that lived on
+// the primary before this node synced has a history here that stops short.
+// Nothing is appended here.
 func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*shipApply, [][]byte, error) {
 	b := &shipApply{next: batch.Next}
 	var fresh [][]byte
 	buckets := s.cfg.Engine.Config().Buckets
 	heads := make(map[int]uint64)
+	type share struct {
+		cmd store.ReplayCommand
+		lsn uint64
+	}
 	for i := range batch.Records {
 		rec := &batch.Records[i]
 		if rec.IsPlan() {
 			b.plans = append(b.plans, shippedPlan{at: len(b.cmds), rec: *rec})
 			continue
 		}
-		if rec.Bucket >= buckets {
-			return nil, nil, fmt.Errorf("%w: ship record %d names bucket %d of %d", errBadNodeRequest, i, rec.Bucket, buckets)
+		var shares []share
+		total := 0
+		var err error
+		rec.EachBucket(func(r *wal.Record) {
+			total++
+			if err != nil {
+				return
+			}
+			if r.Bucket >= buckets {
+				err = fmt.Errorf("%w: ship record %d names bucket %d of %d", errBadNodeRequest, i, r.Bucket, buckets)
+				return
+			}
+			head, seen := heads[r.Bucket]
+			if !seen {
+				head = rm.LogHead(r.Bucket)
+			}
+			var c store.ReplayCommand
+			switch {
+			case r.LSN <= head:
+				return
+			case r.IsChunk():
+				var imgs []*wal.Image
+				if imgs, err = wal.DecodeImages(r.Images); err == nil {
+					c = store.ReplayCommand{Bucket: r.Bucket, Chunk: imgs[0].Tables, Part: r.Part}
+				}
+			case r.LSN > head+1:
+				err = fmt.Errorf("server: ship record %d skips bucket %d from lsn %d to %d", i, r.Bucket, head, r.LSN)
+			default:
+				c, err = s.shippedCommand(r)
+			}
+			shares = append(shares, share{c, r.LSN})
+		})
+		switch {
+		case err != nil:
+			return nil, nil, err
+		case len(shares) == 0:
+			continue // a duplicate
+		case len(shares) != total:
+			return nil, nil, fmt.Errorf("server: ship record %d is a chunk this node holds part of", i)
 		}
-		head, seen := heads[rec.Bucket]
-		if !seen {
-			head = rm.LogHead(rec.Bucket)
+		for _, sh := range shares {
+			heads[sh.cmd.Bucket] = sh.lsn
+			b.cmds = append(b.cmds, sh.cmd)
 		}
-		if rec.LSN <= head {
-			continue
-		}
-		if rec.LSN > head+1 {
-			return nil, nil, fmt.Errorf("server: ship record %d skips bucket %d from lsn %d to %d", i, rec.Bucket, head, rec.LSN)
-		}
-		raw, _ := rec.Args.(json.RawMessage)
-		args, err := s.cfg.Engine.DecodeArgs(rec.Txn, raw)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: decoding shipped %q args: %v", rec.Txn, err)
-		}
-		id, ok := s.handles[rec.Txn]
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: shipped %q", store.ErrUnknownTxn, rec.Txn)
-		}
-		heads[rec.Bucket] = rec.LSN
-		b.cmds = append(b.cmds, store.ReplayCommand{Bucket: rec.Bucket, ID: id, Key: rec.Key, Args: args})
 		fresh = append(fresh, batch.Frames[i])
 	}
 	return b, fresh, nil
+}
+
+// shippedCommand decodes a shipped command for replay.
+func (s *Server) shippedCommand(r *wal.Record) (store.ReplayCommand, error) {
+	raw, _ := r.Args.(json.RawMessage)
+	args, err := s.cfg.Engine.DecodeArgs(r.Txn, raw)
+	if err != nil {
+		return store.ReplayCommand{}, fmt.Errorf("server: decoding shipped %q args: %v", r.Txn, err)
+	}
+	id, ok := s.handles[r.Txn]
+	if !ok {
+		return store.ReplayCommand{}, fmt.Errorf("%w: shipped %q", store.ErrUnknownTxn, r.Txn)
+	}
+	return store.ReplayCommand{Bucket: r.Bucket, ID: id, Key: r.Key, Args: args}, nil
 }
 
 // maybeFollowerCheckpointLocked kicks off an async checkpoint of the
@@ -386,9 +427,8 @@ func (s *Server) checkpoint(rm *recovery.Manager) (int, error) {
 // buckets move between partitions this node hosts (a real local migration,
 // so rows follow ownership), leave hosted partitions when their new owner
 // lives elsewhere (that node's own WAL covers them now), or merely flip
-// ownership when neither side is hosted here. An inbound migration from
-// another node has no row source in the WAL at all — the primary received
-// those rows out-of-band, bumped its baseline, and this replica resyncs.
+// ownership otherwise — an inbound migration's rows arrived before the flip,
+// as the chunk record the primary logged ahead of it.
 func (s *Server) applyShippedPlan(rec *wal.Record) error {
 	eng := s.cfg.Engine
 	cur := eng.Plan()
@@ -473,12 +513,12 @@ func (s *Server) handleReplPromote(req wire.ReplPromote) (any, error) {
 		// transaction able to land between here and the role flip (the
 		// replica refusal is still up). The zombie's truncated-to state must
 		// match the applied cursor, which it reads from our status as its
-		// divergence point, and plan/baseline must not have drifted. Pin the
+		// divergence point, and its plan must not have drifted. Pin the
 		// cursor so our own checkpoints keep the rejoin window shippable.
 		var offer *wire.ReplRejoin
 		if end, err := rm.ShipEnd(); err == nil {
 			rm.PinShip(end.Seg)
-			offer = &wire.ReplRejoin{Cursor: end, PlanSeq: s.apply.position().planSeq, Baseline: rm.BaselineSeq()}
+			offer = &wire.ReplRejoin{Cursor: end, PlanSeq: s.apply.position().planSeq}
 		}
 		_ = s.become(rolePrimary) // a replica may always be promoted
 		st.rejoin, st.drained = offer, backlog
@@ -547,9 +587,7 @@ func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
 			}
 		}
 	}
-	warm := pst.Rejoin != nil &&
-		pst.Rejoin.PlanSeq == rm.PlanSeq() &&
-		pst.Rejoin.Baseline == rm.BaselineSeq()
+	warm := pst.Rejoin != nil && pst.Rejoin.PlanSeq == rm.PlanSeq()
 	if warm {
 		if _, err := rm.TruncateShip(pst.Applied); err != nil {
 			if !errors.Is(err, wal.ErrNeedResync) {
@@ -576,7 +614,7 @@ func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
 		return false, err
 	}
 	_ = s.become(roleReplica) // a fenced node may always rejoin
-	st.received, st.baseline = pst.Rejoin.Cursor, pst.Rejoin.Baseline
+	st.received = pst.Rejoin.Cursor
 	s.apply.reset(pst.Rejoin.Cursor, pst.Rejoin.PlanSeq)
 	return true, nil
 }
@@ -600,7 +638,6 @@ func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
 	out := wire.ReplStatus{
 		Role:         r.wire(),
 		Epoch:        rm.Epoch(),
-		Baseline:     rm.BaselineSeq(),
 		Applied:      pos.applied,
 		Received:     s.repl.received,
 		ApplyBacklog: pos.backlog,

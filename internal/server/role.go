@@ -58,11 +58,10 @@ type replState struct {
 	mu   sync.Mutex
 	role atomic.Int32
 	// A replica's: received is the cursor after the last accepted batch — the
-	// primary's records before it are durable in this node's log; baseline is
-	// the sync-time skip threshold (see handleReplShip); acceptedRecs counts
-	// shipped command records accepted since the last follower checkpoint.
+	// primary's records before it are durable in this node's log; acceptedRecs
+	// counts shipped command records accepted since the last follower
+	// checkpoint.
 	received     wire.ShipCursor
-	baseline     uint64
 	acceptedRecs int
 	// A promoted primary's: rejoin is the standing offer to its deposed
 	// predecessor (see wire.ReplRejoin), drained the apply backlog its
@@ -88,7 +87,7 @@ func (s *Server) become(to role) error {
 		return fmt.Errorf("server: a %s node cannot become %s", from, to)
 	}
 	if to != roleReplica {
-		st.received, st.baseline, st.acceptedRecs = wire.ShipCursor{}, 0, 0
+		st.received, st.acceptedRecs = wire.ShipCursor{}, 0
 	}
 	if to != rolePrimary {
 		st.rejoin, st.drained = nil, 0

@@ -58,7 +58,7 @@ func serveNode(h http.HandlerFunc, method, path string, body any) (string, []byt
 
 // TestRoleMoves takes a node from every role to every role. A legal move
 // lands on the new role and resets exactly what the new role does not own —
-// a replica owns its received cursor, baseline and accepted-record count, a
+// a replica owns its received cursor and accepted-record count, a
 // primary its rejoin offer and drained count — and entering syncing discards
 // the apply backlog. An illegal move returns an error and changes nothing.
 func TestRoleMoves(t *testing.T) {
@@ -70,26 +70,25 @@ func TestRoleMoves(t *testing.T) {
 	}
 	type owned struct {
 		received     wire.ShipCursor
-		baseline     uint64
 		acceptedRecs int
 		rejoin       *wire.ReplRejoin
 		drained      int
 		applied      wire.ShipCursor
 	}
 	full := owned{
-		received: wire.ShipCursor{Seg: 1, Rec: 2}, baseline: 3, acceptedRecs: 4,
+		received: wire.ShipCursor{Seg: 1, Rec: 2}, acceptedRecs: 4,
 		rejoin: &wire.ReplRejoin{PlanSeq: 5}, drained: 6, applied: wire.ShipCursor{Seg: 7, Rec: 8},
 	}
 	for from := rolePrimary; from < nRoles; from++ {
 		for to := rolePrimary; to < nRoles; to++ {
 			s := roleNode(t, from, false).srv
 			st := &s.repl
-			st.received, st.baseline, st.acceptedRecs, st.rejoin, st.drained = full.received, full.baseline, full.acceptedRecs, full.rejoin, full.drained
+			st.received, st.acceptedRecs, st.rejoin, st.drained = full.received, full.acceptedRecs, full.rejoin, full.drained
 			s.apply.applied = full.applied
 			st.mu.Lock()
 			err := s.become(to)
 			st.mu.Unlock()
-			got := owned{st.received, st.baseline, st.acceptedRecs, st.rejoin, st.drained, s.apply.position().applied}
+			got := owned{st.received, st.acceptedRecs, st.rejoin, st.drained, s.apply.position().applied}
 			want := full
 			if legal[[2]role{from, to}] {
 				if err != nil || s.role() != to {
@@ -97,7 +96,7 @@ func TestRoleMoves(t *testing.T) {
 					continue
 				}
 				if to != roleReplica {
-					want.received, want.baseline, want.acceptedRecs = wire.ShipCursor{}, 0, 0
+					want.received, want.acceptedRecs = wire.ShipCursor{}, 0
 				}
 				if to != rolePrimary {
 					want.rejoin, want.drained = nil, 0

@@ -129,6 +129,10 @@ type Server struct {
 	repl  replState
 	apply *applier
 	arcs  arcs
+	// installMu runs chunk installs one at a time, and none while a sync body
+	// is cut: an install's record, its install and its flip land all before
+	// the body's cursor and snapshot or all after.
+	installMu sync.Mutex
 
 	failed chan error
 }

@@ -1,7 +1,5 @@
 package store
 
-import "sort"
-
 // tableMap is the contents of one bucket: table -> key -> row.
 type tableMap map[string]map[string]any
 
@@ -25,16 +23,6 @@ func (d BucketData) Rows() int {
 
 // BucketRows returns the number of rows carried for one bucket.
 func (d BucketData) BucketRows(bucket int) int { return d.rows[bucket] }
-
-// Buckets lists the bucket ids carried by the bundle, sorted ascending.
-func (d BucketData) Buckets() []int {
-	out := make([]int, 0, len(d.data))
-	for b := range d.data {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // Tables returns one bucket's contents — table -> key -> row, nil for a
 // bucket the bundle does not carry — the encode side of a migrating chunk.
@@ -132,36 +120,20 @@ func (s *bucketStore) extract(buckets []int) BucketData {
 	return out
 }
 
-// install merges a BucketData bundle into the store and returns the number
-// of rows actually added. Buckets already present are merged table by table
-// (a row carried by the bundle wins on key collision); per-bucket row counts
-// are maintained incrementally, never by walking unrelated data.
-func (s *bucketStore) install(d BucketData) int {
-	added := 0
-	for b, tables := range d.data {
-		if s.data[b] == nil {
-			s.data[b] = tables
-			s.rows[b] += d.rows[b]
-			added += d.rows[b]
-			continue
-		}
-		for tn, t := range tables {
-			if s.data[b][tn] == nil {
-				s.data[b][tn] = t
-				s.rows[b] += len(t)
-				added += len(t)
-				continue
-			}
-			for k, v := range t {
-				if _, exists := s.data[b][tn][k]; !exists {
-					s.rows[b]++
-					added++
-				}
-				s.data[b][tn][k] = v
-			}
-		}
+// set makes tables, which it takes ownership of, the bucket's whole contents
+// — none, for nil tables, but the bucket stays materialized — and returns the
+// change in the store's row count.
+func (s *bucketStore) set(bucket int, tables tableMap) int {
+	if tables == nil {
+		tables = make(tableMap)
 	}
-	return added
+	rows := 0
+	for _, t := range tables {
+		rows += len(t)
+	}
+	delta := rows - s.rows[bucket]
+	s.data[bucket], s.rows[bucket] = tables, rows
+	return delta
 }
 
 // totalRows returns the store's row count across all buckets.

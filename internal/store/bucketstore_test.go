@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -97,30 +98,56 @@ func TestBucketStoreExtractInstallRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBucketStoreInstallMerge checks collision accounting: installing a
-// bundle over existing data counts only genuinely new rows.
-func TestBucketStoreInstallMerge(t *testing.T) {
+// Buckets lists the bucket ids carried by the bundle, sorted ascending.
+func (d BucketData) Buckets() []int {
+	out := make([]int, 0, len(d.data))
+	for b := range d.data {
+		out = append(out, b)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// install sets every bucket the bundle carries to its rows, as a partition's
+// install does, and returns the change in row count.
+func (s *bucketStore) install(d BucketData) int {
+	added := 0
+	for b, tables := range d.data {
+		added += s.set(b, tables)
+	}
+	return added
+}
+
+// TestBucketStoreInstallReplaces: installing a bucket makes the bundle's rows
+// its whole contents — a row the store held and the bundle does not carry is
+// gone, one both hold takes the bundle's value — and the row counts follow;
+// installing nothing into a bucket leaves it materialized and empty.
+func TestBucketStoreInstallReplaces(t *testing.T) {
 	a := newBucketStore()
 	a.put(1, "t", "shared", "old")
 	a.put(1, "t", "mine", 1)
+	a.put(3, "t", "gone", 1)
 
 	b := newBucketStore()
 	b.put(1, "t", "shared", "new")
 	b.put(1, "t", "yours", 2)
 	b.put(2, "u", "other", 3)
 
-	added := a.install(b.extract([]int{1, 2}))
-	if added != 2 { // "yours" and "other"; "shared" is an overwrite
-		t.Errorf("install added %d rows, want 2", added)
-	}
-	if a.totalRows() != 4 {
-		t.Errorf("totalRows = %d, want 4", a.totalRows())
+	if added := a.install(b.extract([]int{1, 2})); added != 1 { // "other"; bucket 1 keeps two rows
+		t.Errorf("install added %d rows, want 1", added)
 	}
 	if v, ok := a.get(1, "t", "shared"); !ok || v != "new" {
-		t.Errorf("shared row = %v, %v; want new row to win", v, ok)
+		t.Errorf("shared row = %v, %v; want the bundle's", v, ok)
 	}
-	if a.bucketRows(1) != 3 || a.bucketRows(2) != 1 {
-		t.Errorf("bucketRows = %d/%d, want 3/1", a.bucketRows(1), a.bucketRows(2))
+	if _, ok := a.get(1, "t", "mine"); ok {
+		t.Error("a row the bundle did not carry survived its bucket's install")
+	}
+	if added := a.set(3, nil); added != -1 {
+		t.Errorf("emptying bucket 3 changed the row count by %d, want -1", added)
+	}
+	if _, ok := a.data[3]; !ok || a.totalRows() != 3 || a.bucketRows(1) != 2 || a.bucketRows(2) != 1 || a.bucketRows(3) != 0 {
+		t.Errorf("after the installs: %d rows, buckets %d/%d/%d, bucket 3 materialized %v; want 3, 2/1/0, true",
+			a.totalRows(), a.bucketRows(1), a.bucketRows(2), a.bucketRows(3), ok)
 	}
 }
 

@@ -54,22 +54,15 @@ func (e *Engine) HostedMachines() []int {
 // move does. Rollback extracts bypass the down check, matching
 // MoveBucketsRollback.
 func (e *Engine) ExtractBuckets(buckets []int, from, to int, perRow, overhead time.Duration, rollback bool) (BucketData, error) {
-	if from < 0 || from >= len(e.parts) || to < 0 || to >= len(e.parts) {
-		return BucketData{}, fmt.Errorf("store: partition out of range (%d -> %d)", from, to)
-	}
 	if from == to {
 		return BucketData{}, fmt.Errorf("store: extract from partition %d to itself", from)
 	}
-	if !e.hosted[from/e.cfg.PartitionsPerMachine] {
+	if from >= 0 && from < len(e.parts) && !e.hosted[from/e.cfg.PartitionsPerMachine] {
 		return BucketData{}, notOwnedError(from)
 	}
-	for _, b := range buckets {
-		if own := e.ownerOf(b); own != from {
-			return BucketData{}, fmt.Errorf("store: bucket %d owned by partition %d, not %d", b, own, from)
-		}
-	}
-	if !rollback && e.parts[from].down.Load() {
-		return BucketData{}, partitionDownError(from)
+	// The destination is not hosted here, so it is never down here.
+	if err := ValidateMove(len(e.parts), e.ownerOf, e.PartitionDown, buckets, from, to, rollback); err != nil {
+		return BucketData{}, err
 	}
 	req := &ctlRequest{
 		kind:     ctlExtract,
@@ -84,16 +77,14 @@ func (e *Engine) ExtractBuckets(buckets []int, from, to int, perRow, overhead ti
 }
 
 // InstallBuckets is the destination half of a cross-node MoveBuckets: it
-// merges the carried data into partition to (occupying its executor for the
-// receive cost, half the send cost — the same split as an in-process move)
-// and then flips local ownership to the installed partition. buckets is the
-// full list the move covers — it can be wider than the buckets data carries,
-// because empty buckets travel as ownership only, never as rows. Install
-// before flip preserves the no-missing-data invariant: a transaction
-// forwarded to this node after the flip queues behind the install in
-// executor order. Installs are idempotent — re-delivering the same chunk
-// adds no rows — so duplicated or reordered network delivery conserves
-// TotalRows. Returns the number of rows carried by the chunk.
+// makes each of buckets — the full list the move covers, which can be wider
+// than the buckets data carries rows of — hold exactly the rows data carries
+// for it in partition to (occupying its executor for the receive cost, half
+// the send cost — the same split as an in-process move) and then flips local
+// ownership to the installed partition. Install before flip preserves the
+// no-missing-data invariant: a transaction forwarded to this node after the
+// flip queues behind the install in executor order. Returns the number of
+// rows carried by the chunk.
 func (e *Engine) InstallBuckets(buckets []int, data BucketData, to int, perRow, overhead time.Duration) (int, error) {
 	if to < 0 || to >= len(e.parts) {
 		return 0, fmt.Errorf("store: partition %d out of range", to)
@@ -108,9 +99,10 @@ func (e *Engine) InstallBuckets(buckets []int, data BucketData, to int, perRow, 
 	}
 	rows := data.Rows()
 	res := e.parts[to].call(&ctlRequest{
-		kind: ctlInstall,
-		data: data,
-		cost: overhead/2 + time.Duration(rows)*perRow/2,
+		kind:    ctlInstall,
+		buckets: buckets,
+		data:    data,
+		cost:    overhead/2 + time.Duration(rows)*perRow/2,
 	})
 	if res.err != nil {
 		return 0, res.err

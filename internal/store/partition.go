@@ -186,10 +186,8 @@ func (p *partition) handle(req request) {
 		// chunk never leaves with effects its source has not logged.
 		p.drainCommits()
 		switch req.ctl.kind {
-		case ctlMoveOut:
+		case ctlMoveOut, ctlExtract:
 			p.moveOut(req.ctl)
-		case ctlExtract:
-			p.extractOut(req.ctl)
 		case ctlInstall:
 			p.install(req.ctl)
 		case ctlCrash:
@@ -407,6 +405,12 @@ func runTxn(fn TxnFunc, tx *Tx) (v any, err error) {
 // then flips ownership. Requests already queued behind this one see the new
 // ownership and are forwarded, landing behind the install in the
 // destination's FIFO queue — so no transaction can observe missing data.
+//
+// An extract (ctlExtract) is the cross-node half: the data goes back to the
+// caller instead — the chunk travels over the wire to another engine — and
+// the flip leaves the buckets pending (HandoffPending). Transactions routed
+// here then fail with ErrNotOwned, and the node's front end holds them until
+// the install is confirmed and re-routes them to the destination's node.
 func (p *partition) moveOut(r *ctlRequest) {
 	if p.down.Load() && !r.rollback {
 		// A crashed partition cannot stream its data anywhere — the image
@@ -422,11 +426,17 @@ func (p *partition) moveOut(r *ctlRequest) {
 	// actually extracted.
 	p.hold(r.overhead + time.Duration(rows)*r.perRow)
 	atomic.AddInt64(&p.rowsAtomic, -int64(rows))
+	if r.kind == ctlExtract {
+		p.eng.setOwner(r.buckets, r.dest.id, true)
+		r.done <- moveResult{rows: rows, data: data}
+		return
+	}
 	install := &ctlRequest{
-		kind: ctlInstall,
-		data: data,
-		cost: r.overhead/2 + time.Duration(rows)*r.perRow/2,
-		done: r.done,
+		kind:    ctlInstall,
+		buckets: r.buckets,
+		data:    data,
+		cost:    r.overhead/2 + time.Duration(rows)*r.perRow/2,
+		done:    r.done,
 	}
 	// Enqueue the install before flipping ownership: once the flip is
 	// visible, forwarded transactions always queue behind the install. The
@@ -442,38 +452,24 @@ func (p *partition) moveOut(r *ctlRequest) {
 	close(r.flipped)
 }
 
-// extractOut is the cross-node half of moveOut: it extracts the buckets,
-// pays the full send cost and flips ownership to the (remote) destination
-// partition, but returns the data to the caller instead of enqueueing an
-// install — the chunk travels over the wire to another engine instance.
-// Once the flip is visible, transactions routed here fail with ErrNotOwned
-// (the destination machine is not hosted on this engine) and the buckets are
-// pending (HandoffPending): the node's front end holds their transactions
-// until the install is confirmed and then re-routes them to the
-// destination's node.
-func (p *partition) extractOut(r *ctlRequest) {
-	if p.down.Load() && !r.rollback {
-		r.done <- moveResult{err: partitionDownError(p.id)}
-		return
-	}
-	data := p.store.extract(r.buckets)
-	rows := data.Rows()
-	p.hold(r.overhead + time.Duration(rows)*r.perRow)
-	atomic.AddInt64(&p.rowsAtomic, -int64(rows))
-	p.eng.setOwner(r.buckets, r.dest.id, true)
-	r.done <- moveResult{rows: rows, data: data}
-}
-
-// install merges migrated buckets into this partition's data. It proceeds
-// even while the partition is down: the data was already extracted from its
-// source, so refusing would lose it — and a later restore wipes and rebuilds
-// the whole store anyway.
+// install makes each migrated bucket hold exactly the rows the chunk carried
+// for it — none, for a bucket it carried none of — as replaying the chunk's
+// log record does. It proceeds even while the partition is down: the data was
+// already extracted from its source, so refusing would lose it — and a later
+// restore wipes and rebuilds the whole store anyway.
 func (p *partition) install(r *ctlRequest) {
 	p.hold(r.cost)
-	rows := r.data.Rows()
-	added := p.store.install(r.data)
-	atomic.AddInt64(&p.rowsAtomic, int64(added))
-	r.done <- moveResult{rows: rows}
+	for _, b := range r.buckets {
+		p.setBucket(b, r.data.Tables(b))
+	}
+	r.done <- moveResult{rows: r.data.Rows()}
+}
+
+// setBucket replaces one bucket's contents with a migrated chunk's rows, live
+// or replayed. The bucket stays materialized even when empty, so the next
+// checkpoint images it.
+func (p *partition) setBucket(b int, tables map[string]map[string]any) {
+	atomic.AddInt64(&p.rowsAtomic, int64(p.store.set(b, tables)))
 }
 
 // crash marks the partition down. Requests already queued behind this one
@@ -486,11 +482,10 @@ func (p *partition) crash(r *ctlRequest) {
 }
 
 // snapshot captures a fuzzy-checkpoint image of every bucket materialized in
-// this partition's store, or, when the request lists buckets, of exactly
-// those — an empty image for one with no rows here. It runs on the executor,
-// so each bucket's image and its command-log head are captured atomically with
-// respect to execution. Table maps are copied; row values are aliased (stored
-// rows are immutable by convention).
+// this partition's store. It runs on the executor, so each bucket's image and
+// its command-log head are captured atomically with respect to execution.
+// Table maps are copied; row values are aliased (stored rows are immutable by
+// convention).
 func (p *partition) snapshot(r *ctlRequest) {
 	if p.down.Load() {
 		r.done <- moveResult{err: partitionDownError(p.id)}
@@ -500,16 +495,8 @@ func (p *partition) snapshot(r *ctlRequest) {
 	if h := p.eng.cmdLog.Load(); h != nil {
 		logger = h.l
 	}
-	buckets := r.buckets
-	if buckets == nil {
-		buckets = make([]int, 0, len(p.store.data))
-		for b := range p.store.data {
-			buckets = append(buckets, b)
-		}
-	}
-	snaps := make([]BucketSnapshot, 0, len(buckets))
-	for _, b := range buckets {
-		tables := p.store.data[b]
+	snaps := make([]BucketSnapshot, 0, len(p.store.data))
+	for b, tables := range p.store.data {
 		copied := make(map[string]map[string]any, len(tables))
 		for tn, t := range tables {
 			ct := make(map[string]any, len(t))
@@ -562,10 +549,16 @@ func (p *partition) replayLive(r *ctlRequest) {
 // command tail and a follower's shipped batch both go through it — and it
 // reproduces state, not load: no service-time simulation, no access counting,
 // no command logging (the records already are the log). Procedure errors are
-// ignored; they replay deterministically just as they originally occurred.
+// ignored; they replay deterministically just as they originally occurred. A
+// migrated chunk's share of a bucket sets the bucket to its rows.
 func (p *partition) replay(cmds []ReplayCommand) int {
 	replayed := 0
 	for _, c := range cmds {
+		if c.Chunk != nil {
+			p.setBucket(c.Bucket, c.Chunk)
+			replayed++
+			continue
+		}
 		if c.ID < 0 || int(c.ID) >= len(p.eng.procs) {
 			continue
 		}

@@ -111,6 +111,12 @@ type ReplayCommand struct {
 	// Key and Args are the procedure's original input.
 	Key  string
 	Args any
+	// Chunk, when not nil, makes the record a migrated chunk's share of the
+	// bucket instead: replay sets the bucket to exactly these tables. Part is
+	// the partition the chunk was installed into, where ReplayCommands sends it
+	// — ahead of the plan change that gives the partition the bucket.
+	Chunk map[string]map[string]any
+	Part  int
 }
 
 // Crash marks every partition of a machine as down. Queued transactions and
@@ -172,37 +178,13 @@ func (e *Engine) DownMachines() []int {
 // O(tables+rows) map copying while the executor is busy, the checkpoint
 // interference a real fuzzy checkpointer also pays.
 func (e *Engine) SnapshotPartition(part int) ([]BucketSnapshot, error) {
-	return e.snapshot(part, nil)
-}
-
-// SnapshotBuckets is SnapshotPartition narrowed to the given buckets: exactly
-// one BucketSnapshot per bucket listed, empty for a bucket the partition holds
-// no rows of — an image that says "nothing here as of this LSN" supersedes
-// whatever older image and log the bucket left behind when it last lived here.
-// It is how a node re-baselines a migrated-in chunk without re-imaging the
-// rest of the destination partition.
-func (e *Engine) SnapshotBuckets(part int, buckets []int) ([]BucketSnapshot, error) {
-	for _, b := range buckets {
-		if b < 0 || b >= e.cfg.Buckets {
-			return nil, fmt.Errorf("store: snapshot of bucket %d out of range", b)
-		}
-	}
-	if len(buckets) == 0 {
-		return nil, nil
-	}
-	return e.snapshot(part, buckets)
-}
-
-// snapshot runs one snapshot request on a partition's executor; nil buckets
-// means every bucket materialized there.
-func (e *Engine) snapshot(part int, buckets []int) ([]BucketSnapshot, error) {
 	if part < 0 || part >= len(e.parts) {
 		return nil, fmt.Errorf("store: partition %d out of range", part)
 	}
 	if !e.hosted[part/e.cfg.PartitionsPerMachine] {
 		return nil, notOwnedError(part)
 	}
-	res := e.parts[part].call(&ctlRequest{kind: ctlSnapshot, buckets: buckets})
+	res := e.parts[part].call(&ctlRequest{kind: ctlSnapshot})
 	return res.snaps, res.err
 }
 
@@ -249,7 +231,10 @@ func (e *Engine) ReplayCommands(cmds []ReplayCommand) error {
 			return fmt.Errorf("store: replay command for bucket %d out of range", c.Bucket)
 		}
 		part := e.ownerOf(c.Bucket)
-		if !e.hosted[part/e.cfg.PartitionsPerMachine] {
+		if c.Chunk != nil {
+			part = c.Part
+		}
+		if part < 0 || part >= len(e.parts) || !e.hosted[part/e.cfg.PartitionsPerMachine] {
 			return notOwnedError(part)
 		}
 		byPart[part] = append(byPart[part], c)

@@ -67,10 +67,7 @@ const (
 	ctlSnapshot
 	// ctlRestore rebuilds a down partition from snapshots + command replay.
 	ctlRestore
-	// ctlExtract is the cross-node half of a moveOut: extract the buckets,
-	// pay the full send cost, flip ownership to the (remote) destination
-	// partition and return the data to the caller instead of enqueueing an
-	// install — the data travels over the wire to another engine instance.
+	// ctlExtract is the cross-node half of a moveOut (see there).
 	ctlExtract
 	// ctlReplay replays logged commands onto a live partition: a warm
 	// follower applying its primary's shipped log. Unlike every other control
@@ -94,8 +91,8 @@ type ctlRequest struct {
 
 	// moveOut fields. rollback marks the undo path of an aborted migration,
 	// which down partitions must not refuse (the source still holds the
-	// committed copy, so restoring it is always safe). A snapshot reads
-	// buckets as its filter: nil means every materialized bucket.
+	// committed copy, so restoring it is always safe). An install sets each
+	// of buckets to what data carries for it.
 	buckets  []int
 	dest     *partition
 	perRow   time.Duration

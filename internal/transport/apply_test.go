@@ -431,7 +431,7 @@ func TestApplyBackpressure(t *testing.T) {
 	}
 
 	gate.open()
-	eventually(t, "the rest shipped", func() bool { return sh.Lag() == 0 })
+	eventually(t, "the rest shipped", func() bool { return shipped(t, sh) })
 	waitApplied(t, follower)
 	if rows := follower.eng.TotalRows(); rows != writes {
 		t.Fatalf("follower holds %d rows, want %d", rows, writes)
@@ -545,7 +545,7 @@ func TestFollowerAckDownMachineHeals(t *testing.T) {
 	if _, err := primary.eng.Execute("put", "k-0", 100); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "the last write shipped", func() bool { return sh.Lag() == 0 })
+	eventually(t, "the last write shipped", func() bool { return shipped(t, sh) })
 	waitApplied(t, follower)
 	if got, want := kvFingerprint(t, follower.eng, keys), kvFingerprint(t, primary.eng, keys); got != want {
 		t.Fatalf("follower state after the restore diverged from the primary's:\n got %s\nwant %s", got, want)
@@ -556,9 +556,8 @@ func TestFollowerAckDownMachineHeals(t *testing.T) {
 // the log for good, and the node says so instead of drifting. Here a shipped
 // local move cannot run because the follower's machine is down. The records it
 // acknowledged stay acknowledged — they are durable — but it answers every
-// further batch with Resync, which stops the shipper for good the way a stale
-// baseline does, and it refuses promotion; a full resync discards the dead
-// backlog and brings it back.
+// further batch with Resync, which stops the shipper for good, and it refuses
+// promotion; a full resync discards the dead backlog and brings it back.
 func TestFollowerAckApplyFailureLatches(t *testing.T) {
 	const keys = 9
 	primary := newReplNode(t, replNodeConfig{})
@@ -581,7 +580,8 @@ func TestFollowerAckApplyFailureLatches(t *testing.T) {
 	if n, err := sh.ShipOnce(ctx); err != nil || n != keys+1 {
 		t.Fatalf("batch onto a follower with a down machine: %d acknowledged, %v; the append does not need the machine", n, err)
 	}
-	if err := follower.srv.WaitApplied(); !errors.Is(err, store.ErrPartitionDown) {
+	// Promotion drains the backlog first, so it answers with how apply ended.
+	if _, err := follower.peer.Promote(ctx, primary.rm.Epoch()+1); !errors.Is(err, store.ErrPartitionDown) {
 		t.Fatalf("a shipped move between down partitions: %v, want apply latched as partition down", err)
 	}
 	if st := replStatus(t, follower); st.Applied != meta.Cursor || st.Received == meta.Cursor {

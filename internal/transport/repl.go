@@ -134,9 +134,8 @@ func (p *Peer) Health(ctx context.Context) error {
 }
 
 // ErrShipResync is latched by a Shipper whose follower answered Resync: the
-// primary installed data outside the WAL (an inbound migration) and the
-// stream cannot express it, or the follower failed to apply something it had
-// accepted. Only a fresh sync can continue.
+// follower failed to apply something it had accepted, and its memory trails
+// its log for good. Only a fresh sync can continue.
 var ErrShipResync = errors.New("transport: follower requires resync")
 
 // ShipperConfig assembles a Shipper.
@@ -209,13 +208,6 @@ func (s *Shipper) Err() error {
 	return s.err
 }
 
-// Shipped returns the count of successfully acknowledged batches.
-func (s *Shipper) Shipped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shipped
-}
-
 // fatal latches a terminal error.
 func (s *Shipper) fatal(err error) error {
 	if s.err == nil {
@@ -224,19 +216,12 @@ func (s *Shipper) fatal(err error) error {
 	return s.err
 }
 
-// ShipOnce ships at most one batch (plus the read-ahead batch a reorder
-// fault pulls forward) and returns the records the follower acknowledged —
-// durable in its log, applied behind the ack — during the call. Zero with a
-// nil error means caught up, or the batch was dropped/partitioned by the
-// injector and will be retried. It is the deterministic stepping primitive
-// the chaos suite drives directly.
-func (s *Shipper) ShipOnce(ctx context.Context) (int, error) {
-	n, _, err := s.shipOnce(ctx)
-	return n, err
-}
-
-// shipOnce is ShipOnce plus, when the cursor turned out to be caught up, the
-// log's wake channel: closed once there is something new to ship.
+// shipOnce ships at most one batch (plus the read-ahead batch a reorder fault
+// pulls forward) and returns the records the follower acknowledged — durable
+// in its log, applied behind the ack — during the call; zero with a nil error
+// means caught up, or the batch was dropped or partitioned by the injector
+// and will be retried. A caught-up call also returns the log's wake channel:
+// closed once there is something new to ship.
 func (s *Shipper) shipOnce(ctx context.Context) (int, <-chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -255,8 +240,7 @@ func (s *Shipper) shipOnce(ctx context.Context) (int, <-chan struct{}, error) {
 		if len(frames) == 0 {
 			return 0, wake, nil
 		}
-		b = &wire.ShipBatch{Epoch: s.cfg.RM.Epoch(), Baseline: s.cfg.RM.BaselineSeq(), Seq: s.seq,
-			From: s.cur, Next: next, Frames: frames}
+		b = &wire.ShipBatch{Epoch: s.cfg.RM.Epoch(), Seq: s.seq, From: s.cur, Next: next, Frames: frames}
 		s.seq++
 		s.pending = b
 	}
@@ -292,8 +276,7 @@ func (s *Shipper) sendLocked(ctx context.Context, b *wire.ShipBatch) (int, error
 			return 0, err
 		}
 		if len(ahead) > 0 {
-			c := &wire.ShipBatch{Epoch: b.Epoch, Baseline: b.Baseline, Seq: s.seq,
-				From: b.Next, Next: next, Frames: ahead}
+			c := &wire.ShipBatch{Epoch: b.Epoch, Seq: s.seq, From: b.Next, Next: next, Frames: ahead}
 			s.seq++
 			for _, out := range []*wire.ShipBatch{c, b, c} {
 				n, err := s.deliverLocked(ctx, out)

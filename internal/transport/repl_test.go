@@ -156,9 +156,9 @@ func newTestShipper(t *testing.T, primary, follower *replNode, start wire.ShipCu
 	return sh
 }
 
-// shipAll steps the shipper until the follower has acknowledged every durable
-// byte (dropped/partitioned batches retry on later steps). Acknowledged is
-// durable in the follower's log, not yet in its memory.
+// shipAll steps the shipper until the follower's status shows it holds every
+// durable record of the primary's (dropped/partitioned batches retry on later
+// steps). Held is durable in the follower's log, not yet in its memory.
 func shipAll(t *testing.T, sh *transport.Shipper) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -167,11 +167,24 @@ func shipAll(t *testing.T, sh *transport.Shipper) {
 		if _, err := sh.ShipOnce(ctx); err != nil {
 			t.Fatalf("ShipOnce: %v", err)
 		}
-		if sh.Lag() == 0 {
+		if shipped(t, sh) {
 			return
 		}
 	}
-	t.Fatalf("shipper never drained; lag %d bytes", sh.Lag())
+	t.Fatal("shipper never drained")
+}
+
+// shipped reports whether the shipper's follower holds every durable record
+// of its primary's, by the follower's status.
+func shipped(t *testing.T, sh *transport.Shipper) bool {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ok, err := sh.FollowerHolds(ctx)
+	if err != nil {
+		t.Fatalf("follower status: %v", err)
+	}
+	return ok
 }
 
 // drainShipper is shipAll, then a wait until the follower has applied what it
@@ -183,12 +196,21 @@ func drainShipper(t *testing.T, sh *transport.Shipper, follower *replNode) {
 }
 
 // waitApplied is the barrier between a follower's ack and its state: an ack
-// says the records are durable in the follower's log, this says they are in
-// its memory too.
+// says the records are durable in the follower's log; an applied cursor in
+// its status that has reached its received one says they are in its memory
+// too.
 func waitApplied(t *testing.T, follower *replNode) {
 	t.Helper()
-	if err := follower.srv.WaitApplied(); err != nil {
-		t.Fatalf("follower apply: %v", err)
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		st := replStatus(t, follower)
+		if st.Applied == st.Received && st.ApplyBacklog == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower applied %+v of the %+v it received (backlog %d) after 20s", st.Applied, st.Received, st.ApplyBacklog)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

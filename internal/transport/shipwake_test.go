@@ -85,7 +85,7 @@ func TestShipWakeOnDurable(t *testing.T) {
 	if err := <-put; err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "the fsync's wake-up delivered the record", func() bool { return sh.Shipped() == 1 && sh.Lag() == 0 })
+	eventually(t, "the fsync's wake-up delivered the record", func() bool { return sh.Shipped() == 1 && shipped(t, sh) })
 	if s := primary.rm.WALStats(); s.ShipTailReads != 1 || s.ShipFileReads != 0 {
 		t.Fatalf("one record shipped by %d tail reads and %d file reads, want one read from memory", s.ShipTailReads, s.ShipFileReads)
 	}
@@ -98,7 +98,7 @@ func TestShipWakeOnDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i >= 100 {
-			eventually(t, fmt.Sprintf("write %d reached the follower", i), func() bool { return sh.Lag() == 0 })
+			eventually(t, fmt.Sprintf("write %d reached the follower", i), func() bool { return shipped(t, sh) })
 		}
 	}
 	waitApplied(t, follower)
@@ -144,7 +144,7 @@ func TestLogBeforeRunFollowerFirst(t *testing.T) {
 	put := make(chan error, 1)
 	go func() { _, err := primary.eng.Execute("put", "k-0", 7); put <- err }()
 	<-running
-	eventually(t, "the follower acknowledged the record", func() bool { return sh.Shipped() == 1 && sh.Lag() == 0 })
+	eventually(t, "the follower acknowledged the record", func() bool { return sh.Shipped() == 1 && shipped(t, sh) })
 	waitApplied(t, follower)
 	if rows := follower.eng.TotalRows(); rows != 1 {
 		t.Fatalf("follower holds %d rows after acknowledging the record, want 1", rows)

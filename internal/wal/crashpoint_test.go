@@ -128,13 +128,13 @@ func verifyCrashRecovery(t *testing.T, fs *MemFS, g Geometry, k int64,
 	defer l.Close()
 	verifyImages(t, fs, l, rec, g, k, imgs)
 
+	tails := readTails(t, l)
 	for b, want := range acked {
-		br := rec.Buckets[b]
 		var base uint64
-		var tail []Record
-		if br != nil {
-			base, tail = br.Base, br.Tail
+		if br := rec.Buckets[b]; br != nil {
+			base = br.Base
 		}
+		tail := tails[b]
 		// Reconstruct what recovery should see: acked records past the base.
 		// Everything acked must be covered — by the image (LSN <= base) or by
 		// the tail, exactly, in order. Extra *unacked* tail records are legal
@@ -167,12 +167,12 @@ func verifyCrashRecovery(t *testing.T, fs *MemFS, g Geometry, k int64,
 	}
 	// No bucket outside the workload's ledger may hold records.
 	for b, br := range rec.Buckets {
-		if len(acked[b]) == 0 && len(br.Tail) > 0 {
+		if len(acked[b]) == 0 && len(tails[b]) > 0 {
 			// Only legal if these are unacked survivors of bucket b's very
 			// first appends — but the ledger records every *attempted* bucket
 			// only on ack, so check LSNs start at 1.
-			if br.Tail[0].LSN != br.Base+1 {
-				t.Fatalf("k=%d bucket %d: phantom records %+v", k, b, br.Tail)
+			if tails[b][0].LSN != br.Base+1 {
+				t.Fatalf("k=%d bucket %d: phantom records %+v", k, b, tails[b])
 			}
 		}
 	}
@@ -220,7 +220,7 @@ func verifyImages(t *testing.T, fs *MemFS, l *Log, rec *Recovered, g Geometry, k
 	for b := 0; b < g.Buckets; b++ {
 		have, old, dying := got[b], imgs.done[b], flight[b]
 		var base uint64
-		if br := rec.Buckets[b]; br != nil && br.HasImage {
+		if br := rec.Buckets[b]; br != nil && hasImage(l, b) {
 			base = br.Base
 		}
 		switch {

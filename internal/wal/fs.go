@@ -2,7 +2,6 @@ package wal
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -344,21 +343,6 @@ func (h *memHandle) Close() error {
 	defer h.fs.mu.Unlock()
 	if h.fs.crashed {
 		return ErrCrashed
-	}
-	return nil
-}
-
-// DumpTo copies the MemFS's durable state into a directory on the real
-// filesystem — a debugging aid for inspecting what a crashed run left
-// behind.
-func (m *MemFS) DumpTo(dir string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for name, f := range m.files {
-		dst := filepath.Join(dir, filepath.Base(name))
-		if err := os.WriteFile(dst, f.data, 0o644); err != nil {
-			return fmt.Errorf("wal: dumping %s: %w", name, err)
-		}
 	}
 	return nil
 }

@@ -100,7 +100,7 @@ func (l *Log) recoverImages(rec *Recovered) error {
 				return fmt.Errorf("wal: image set %s names bucket %d out of range", setName(seq), f.Bucket)
 			}
 			l.indexImageLocked(seq, f)
-			rec.Buckets[f.Bucket] = &BucketRecovery{Base: f.LSN, HasImage: true, Head: f.LSN}
+			rec.Buckets[f.Bucket] = &BucketRecovery{Base: f.LSN, Head: f.LSN}
 		}
 		l.setSeq = seq
 	}

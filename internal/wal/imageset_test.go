@@ -113,7 +113,7 @@ func TestImageSetRoundTrip(t *testing.T) {
 	l2, rec := openTest(t, fs, DefaultSegmentBytes)
 	defer l2.Close()
 	check(l2)
-	if br := rec.Buckets[7]; br == nil || !br.HasImage || br.Base != 42 {
+	if br := rec.Buckets[7]; br == nil || !hasImage(l2, 7) || br.Base != 42 {
 		t.Fatalf("bucket 7 recovered as %+v", br)
 	}
 	if err := l2.WriteImages([]*Image{{Bucket: testGeometry().Buckets, LSN: 1}}); err == nil {

@@ -155,6 +155,24 @@ func EncodeImageSet(dst []byte, imgs []*Image) ([]byte, error) {
 	return dst, nil
 }
 
+// StampImageSet returns a copy of an image set with each frame's LSN set to
+// lsn(its bucket) — the header rewritten, the payload copied as it is. It is
+// how a migrated chunk, which arrives without LSNs, takes its place in the
+// receiving node's bucket logs.
+func StampImageSet(set []byte, lsn func(bucket int) uint64) ([]byte, error) {
+	frames, _, err := DecodeImageSet(set)
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(nil), set...)
+	for _, f := range frames {
+		hdr := out[f.Off : f.Off+imageHeaderSize]
+		binary.BigEndian.PutUint64(hdr[8:16], lsn(f.Bucket))
+		binary.BigEndian.PutUint32(hdr[28:32], crc32.Checksum(hdr[0:28], crcTable))
+	}
+	return out, nil
+}
+
 // decodeImageHeader validates the frame header at the start of data and
 // returns its metadata and payload length without touching the payload.
 func decodeImageHeader(data []byte) (bucket int, lsn uint64, rows, plen int, err error) {

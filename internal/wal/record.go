@@ -17,10 +17,13 @@ import (
 //
 //	command payload = kind(1B) bucket(4B) lsn(8B) len(txn)(4B) len(key)(4B) txn key args
 //	plan payload    = kind(1B) planSeq(8B) active(4B) partition(4B) per bucket
+//	chunk payload   = kind(1B) partition(4B) image set
 //
 // Integers are big-endian. A command's args are the rest of its payload: the
 // JSON encoding of the value the submitter passed — what a client request
-// carried on the wire — or nothing when the procedure took none.
+// carried on the wire — or nothing when the procedure took none. A chunk's
+// image set is the rest of its payload: one image frame (manifest.go) per
+// bucket, each stamped with the LSN the chunk takes in that bucket's log.
 //
 // appendRecord is the only encoder and DecodeRecord the only decoder. A frame
 // is encoded once, when its record is enqueued, and those bytes are what the
@@ -55,14 +58,19 @@ const (
 	// resize). PlanSeq totally orders plan records across segments and
 	// manifest rewrites.
 	kindPlan = 2
-	// The fixed part of either payload.
+	// kindChunk is a migrated chunk installed into a partition of this node:
+	// the rows it carried, which replace whatever its buckets held.
+	kindChunk = 3
+	// The fixed part of each payload.
 	commandHeaderSize = 1 + 4 + 8 + 4 + 4
 	planHeaderSize    = 1 + 8 + 4
+	chunkHeaderSize   = 1 + 4
 )
 
 // Record is one log record: a command — the input of one procedure, the
 // transaction named, not numbered, because dense engine handles need not
-// survive a restart — or, when PlanSeq > 0, a plan change.
+// survive a restart — or, when PlanSeq > 0, a plan change, or, when Images is
+// not nil, a migrated chunk.
 type Record struct {
 	Bucket int
 	LSN    uint64
@@ -76,10 +84,35 @@ type Record struct {
 	PlanSeq uint64
 	Plan    []int32
 	Active  int
+
+	// Part is the partition a chunk was installed into and Images its image
+	// set. EachBucket hands a chunk out bucket by bucket, each with its Bucket,
+	// its LSN and its frame alone as Images.
+	Part   int
+	Images []byte
 }
 
 // IsPlan reports whether the record is a plan change.
 func (r *Record) IsPlan() bool { return r.PlanSeq > 0 }
+
+// IsChunk reports whether the record is a migrated chunk.
+func (r *Record) IsChunk() bool { return r.Images != nil }
+
+// EachBucket calls visit with each bucket's share of the record: a command
+// whole; a chunk one frame at a time, as a record of the bucket, its LSN and
+// that frame; a plan change never. A chunk's frames were checked when it was
+// decoded or enqueued.
+func (r *Record) EachBucket(visit func(b *Record)) {
+	switch {
+	case r.IsChunk():
+		frames, _, _ := DecodeImageSet(r.Images)
+		for _, f := range frames {
+			visit(&Record{Bucket: f.Bucket, LSN: f.LSN, Part: r.Part, Images: r.Images[f.Off : f.Off+int64(f.Size)]})
+		}
+	case !r.IsPlan():
+		visit(r)
+	}
+}
 
 // ErrRecordRefused is Enqueue's answer for a record the log cannot hold — args
 // that do not encode, or a frame no ship batch could carry. It is the outcome
@@ -90,8 +123,13 @@ var ErrRecordRefused = errors.New("wal: record refused")
 // appendRecord appends r's frame to dst and returns the extended slice.
 func appendRecord(dst []byte, r *Record) ([]byte, error) {
 	var args []byte
-	size := planHeaderSize + 4*len(r.Plan)
-	if !r.IsPlan() {
+	var size int
+	switch {
+	case r.IsPlan():
+		size = planHeaderSize + 4*len(r.Plan)
+	case r.IsChunk():
+		size = chunkHeaderSize + len(r.Images)
+	default:
 		if r.Args != nil {
 			var err error
 			if args, err = json.Marshal(r.Args); err != nil {
@@ -107,14 +145,19 @@ func appendRecord(dst []byte, r *Record) ([]byte, error) {
 	dst = slices.Grow(dst, frameHeaderSize+size)
 	dst = be.AppendUint32(dst, uint32(size))
 	dst = be.AppendUint32(dst, 0) // the CRC, once the payload is in place
-	if r.IsPlan() {
+	switch {
+	case r.IsPlan():
 		dst = append(dst, kindPlan)
 		dst = be.AppendUint64(dst, r.PlanSeq)
 		dst = be.AppendUint32(dst, uint32(r.Active))
 		for _, p := range r.Plan {
 			dst = be.AppendUint32(dst, uint32(p))
 		}
-	} else {
+	case r.IsChunk():
+		dst = append(dst, kindChunk)
+		dst = be.AppendUint32(dst, uint32(r.Part))
+		dst = append(dst, r.Images...)
+	default:
 		dst = append(dst, kindCommand)
 		dst = be.AppendUint32(dst, uint32(r.Bucket))
 		dst = be.AppendUint64(dst, r.LSN)
@@ -146,7 +189,7 @@ func frameLen(data []byte) (int, error) {
 // DecodeRecord decodes the frame at the start of data and returns the record
 // with the frame's length, so data[:n] are the record's bytes and data[n:]
 // the next frame. It never panics, and never returns a record from a frame
-// whose CRC does not validate. The record's Args alias data.
+// whose CRC does not validate. The record's Args and Images alias data.
 func DecodeRecord(data []byte) (r Record, n int, err error) {
 	if n, err = frameLen(data); err != nil {
 		return Record{}, 0, err
@@ -180,6 +223,11 @@ func DecodeRecord(data []byte) (r Record, n int, err error) {
 			ok = ok && part <= math.MaxInt32
 			r.Plan[b] = int32(part)
 		}
+	case len(p) > chunkHeaderSize && p[0] == kindChunk:
+		part, images := be.Uint32(p[1:]), p[chunkHeaderSize:]
+		frames, _, err := DecodeImageSet(images)
+		r = Record{Part: int(part), Images: images}
+		ok = part <= math.MaxInt32 && err == nil && len(frames) > 0
 	}
 	if !ok {
 		return Record{}, 0, errors.New("frame's payload is not a record")
@@ -201,22 +249,6 @@ func scanSegment(data []byte, visit func(r *Record, end int64)) (valid int64, er
 		visit(&r, int64(off))
 	}
 	return int64(len(data)), nil
-}
-
-// DecodeSegment scans one segment's raw bytes and returns every command
-// record in its valid prefix plus the prefix's length in bytes. It never
-// panics and never returns a record whose frame did not CRC-validate (no
-// phantom records — the fuzz target's contract). A non-nil error describes
-// why scanning stopped early; a fully clean segment returns
-// valid == len(data) and a nil error. Plan records are internal bookkeeping
-// and are skipped here.
-func DecodeSegment(data []byte) (recs []Record, valid int64, err error) {
-	valid, err = scanSegment(data, func(r *Record, _ int64) {
-		if !r.IsPlan() {
-			recs = append(recs, *r)
-		}
-	})
-	return recs, valid, err
 }
 
 // readAll reads a whole file through the FS abstraction.

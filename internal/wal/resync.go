@@ -124,8 +124,8 @@ func (l *Log) ackSeqLocked(cur ShipCursor) uint64 {
 // Truncation is refused with ErrNeedResync when the retained prefix would be
 // inconsistent: the cursor's segment is below retention, a checkpoint image
 // covers a discarded record, or the suffix contains a plan record (the
-// manifest and in-memory plan would disagree with the log). Those cases need
-// a fresh snapshot resync instead.
+// manifest and in-memory plan would disagree with the log) or a migrated
+// chunk. Those cases need a fresh snapshot resync instead.
 func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 	res := TruncateResult{Heads: make(map[int]uint64)}
 	l.mu.Lock()
@@ -202,11 +202,12 @@ func (l *Log) TruncateTo(cur ShipCursor) (TruncateResult, error) {
 				seal.recs, seal.size = seal.recs+1, end
 				if r.IsPlan() {
 					seal.maxPlanSeq = max(seal.maxPlanSeq, r.PlanSeq)
-				} else {
-					seal.maxLSN[r.Bucket] = max(seal.maxLSN[r.Bucket], r.LSN)
 				}
+				r.EachBucket(func(b *Record) { seal.maxLSN[b.Bucket] = max(seal.maxLSN[b.Bucket], b.LSN) })
 			case r.IsPlan():
 				planErr = fmt.Errorf("%w: discarded suffix contains plan record %d", ErrNeedResync, r.PlanSeq)
+			case r.IsChunk():
+				planErr = fmt.Errorf("%w: discarded suffix contains a migrated chunk", ErrNeedResync)
 			default:
 				if cutLSN, ok := minDiscarded[r.Bucket]; !ok || r.LSN < cutLSN {
 					minDiscarded[r.Bucket] = r.LSN

@@ -80,7 +80,7 @@ func TestTruncateToMidSegment(t *testing.T) {
 	l2, rec := openTest(t, fs, 512)
 	defer l2.Close()
 	br := rec.Buckets[3]
-	if br == nil || br.Head != 30 || len(br.Tail) != 30 {
+	if br == nil || br.Head != 30 || len(readTails(t, l2)[3]) != 30 {
 		t.Fatalf("reopen recovered %+v, want head 30 with 30 tail records", br)
 	}
 }
@@ -262,7 +262,7 @@ func TestReset(t *testing.T) {
 	if l2.Epoch() != 7 {
 		t.Fatalf("epoch %d after reset+reopen, want 7", l2.Epoch())
 	}
-	if br := rec.Buckets[5]; br == nil || br.HasImage || br.Head != 2 || len(br.Tail) != 2 {
+	if br := rec.Buckets[5]; br == nil || hasImage(l2, 5) || br.Head != 2 || len(readTails(t, l2)[5]) != 2 {
 		t.Fatalf("post-reset appends recovered as %+v", br)
 	}
 }

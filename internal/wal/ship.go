@@ -12,8 +12,7 @@ import (
 // shipped is the records' frames, byte for byte (see record.go). The most
 // recent frames are kept in memory (the tail), and a cursor inside the tail
 // is served from it; a cursor older than the tail costs a read of its segment
-// file, stepping over the consumed frames by their length prefixes. The byte
-// offset rides along purely for lag accounting.
+// file, stepping over the consumed frames by their length prefixes.
 //
 // Retention interacts with shipping through PinShip: Checkpoint normally
 // deletes sealed segments once images cover them, which would tear the ship
@@ -34,9 +33,6 @@ type ShipCursor struct {
 	Seg int `json:"seg"`
 	// Rec is how many records of the segment are already consumed.
 	Rec int `json:"rec"`
-	// Off is the byte offset after the consumed records, for lag accounting
-	// only — Seg and Rec are the authoritative position.
-	Off int64 `json:"off"`
 }
 
 // ShipEnd returns the cursor addressing the durable end of the log: shipping
@@ -45,7 +41,7 @@ type ShipCursor struct {
 func (l *Log) ShipEnd() ShipCursor {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return ShipCursor{Seg: l.activeSeq, Rec: l.durableRecs, Off: l.activeSize}
+	return ShipCursor{Seg: l.activeSeq, Rec: l.durableRecs}
 }
 
 // PinShip keeps segments with sequence >= seg out of compaction, protecting
@@ -57,30 +53,6 @@ func (l *Log) PinShip(seg int) {
 	}
 	l.shipPin = seg
 	l.mu.Unlock()
-}
-
-// ShipLag returns how many durable log bytes lie beyond the cursor — the
-// follower's replication lag in bytes.
-func (l *Log) ShipLag(cur ShipCursor) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var lag int64
-	for _, s := range l.segs {
-		if s.seq > cur.Seg {
-			lag += s.size
-		} else if s.seq == cur.Seg {
-			lag += s.size - cur.Off
-		}
-	}
-	if l.activeSeq > cur.Seg {
-		lag += l.activeSize
-	} else if l.activeSeq == cur.Seg {
-		lag += l.activeSize - cur.Off
-	}
-	if lag < 0 {
-		lag = 0
-	}
-	return lag
 }
 
 // PlanSeq returns the current plan-change sequence number.
@@ -128,13 +100,12 @@ func (l *Log) SetEpoch(e uint64) error {
 const shipTailBytes = 2 << 20
 
 // tailRec is one record of the ship tail: record idx (0-based) of segment
-// seg, the byte offset after its frame within that segment, and the frame.
+// seg, and its frame.
 // Nothing in it changes after enqueue — the frame was encoded from the
 // submitter's value before the procedure ran — so what a reader gets is what
 // the segment holds whatever the procedure did to its input afterwards.
 type tailRec struct {
 	seg, idx int
-	end      int64
 	frame    []byte
 }
 
@@ -142,7 +113,7 @@ type tailRec struct {
 // ship tail, dropping the oldest records once the tail holds twice its size.
 // Caller holds l.mu and has not yet counted the record in activeRecs.
 func (l *Log) pushTailLocked(frame []byte) {
-	l.tail = append(l.tail, tailRec{seg: l.activeSeq, idx: l.activeRecs, end: l.activeEnc, frame: frame})
+	l.tail = append(l.tail, tailRec{seg: l.activeSeq, idx: l.activeRecs, frame: frame})
 	l.tailBytes += len(frame)
 	if l.tailBytes >= 2*shipTailBytes {
 		drop := 0
@@ -181,9 +152,8 @@ func (l *Log) shipExtentsLocked() []shipExt {
 }
 
 // shipFetch appends the frames of records [from, to) of one segment to dst,
-// stopping short of the first that does not fit in room bytes, and returns
-// the byte offset after the last one it took.
-type shipFetch func(dst [][]byte, e shipExt, from, to, room int) ([][]byte, int64, error)
+// stopping short of the first that does not fit in room bytes.
+type shipFetch func(dst [][]byte, e shipExt, from, to, room int) ([][]byte, error)
 
 // errTailMiss is tailFetchLocked's answer for records older than the tail.
 var errTailMiss = errors.New("wal: ship cursor is older than the in-memory tail")
@@ -191,31 +161,30 @@ var errTailMiss = errors.New("wal: ship cursor is older than the in-memory tail"
 // tailFetchLocked serves a segment's records from the ship tail. The tail is
 // contiguous up to the last enqueued record, so it holds either all of
 // [from, to) or not its first record. Caller holds l.mu.
-func (l *Log) tailFetchLocked(dst [][]byte, e shipExt, from, to, room int) ([][]byte, int64, error) {
+func (l *Log) tailFetchLocked(dst [][]byte, e shipExt, from, to, room int) ([][]byte, error) {
 	i := sort.Search(len(l.tail), func(k int) bool {
 		t := &l.tail[k]
 		return t.seg > e.seq || (t.seg == e.seq && t.idx >= from)
 	})
 	if i+(to-from) > len(l.tail) || l.tail[i].seg != e.seq || l.tail[i].idx != from {
-		return dst, 0, errTailMiss
+		return dst, errTailMiss
 	}
-	var end int64
 	for _, t := range l.tail[i : i+(to-from)] {
 		if room -= len(t.frame); room < 0 {
 			break
 		}
-		dst, end = append(dst, t.frame), t.end
+		dst = append(dst, t.frame)
 	}
-	return dst, end, nil
+	return dst, nil
 }
 
 // fileFetch serves a segment's records from its file: it steps over the first
 // from frames by their length prefixes, decoding none of them, and validates
 // the ones it hands out.
-func (l *Log) fileFetch(dst [][]byte, e shipExt, from, to, room int) ([][]byte, int64, error) {
+func (l *Log) fileFetch(dst [][]byte, e shipExt, from, to, room int) ([][]byte, error) {
 	data, err := l.readExtent(e.name, e.size)
 	if err != nil {
-		return dst, 0, err
+		return dst, err
 	}
 	off := 0
 	for k := 0; k < to; k++ {
@@ -225,7 +194,7 @@ func (l *Log) fileFetch(dst [][]byte, e shipExt, from, to, room int) ([][]byte, 
 		}
 		if err != nil {
 			// The snapshotted durable extent holds e.recs whole records.
-			return dst, 0, fmt.Errorf("wal: ship read of %s: record %d of %d at %d: %w", e.name, k, e.recs, off, err)
+			return dst, fmt.Errorf("wal: ship read of %s: record %d of %d at %d: %w", e.name, k, e.recs, off, err)
 		}
 		if k >= from {
 			if room -= n; room < 0 {
@@ -235,7 +204,7 @@ func (l *Log) fileFetch(dst [][]byte, e shipExt, from, to, room int) ([][]byte, 
 		}
 		off += n
 	}
-	return dst, int64(off), nil
+	return dst, nil
 }
 
 // walkShip is the one cursor walk behind ReadShip: from cur, across segment
@@ -267,15 +236,12 @@ func walkShip(exts []shipExt, cur ShipCursor, maxRecords int, fetch shipFetch) (
 		}
 		if cur.Rec < e.recs {
 			to := min(e.recs, cur.Rec+maxRecords-len(out))
-			got, off, err := fetch(out, e, cur.Rec, to, room)
+			got, err := fetch(out, e, cur.Rec, to, room)
 			if err != nil {
 				return nil, cur, err
 			}
-			if n := len(got) - len(out); n > 0 {
-				cur.Rec, cur.Off = cur.Rec+n, off
-			}
 			for _, f := range got[len(out):] {
-				room -= len(f)
+				cur.Rec, room = cur.Rec+1, room-len(f)
 			}
 			out = got
 			if len(out) >= maxRecords || cur.Rec < to {

@@ -317,7 +317,7 @@ func TestFileFetchSkipsConsumedPrefix(t *testing.T) {
 // shipTailBytes; and a record no batch could carry is refused at Enqueue.
 func TestShipBatchAndTailBoundedByBytes(t *testing.T) {
 	fs := NewMemFS(1)
-	l, _ := openTest(t, fs, DefaultSegmentBytes)
+	l, _ := openTest(t, fs, 16<<20) // one segment holds every record
 	defer l.Close()
 	big := strings.Repeat("x", 4<<10)
 	const n = 2200 // > 2*shipTailBytes of frames

@@ -82,16 +82,13 @@ type Stats struct {
 	ImageSetDecodes int64
 }
 
-// BucketRecovery is one bucket's state as recovered by Open.
+// BucketRecovery is one bucket's state as recovered by Open; LoadTails reads
+// its records back.
 type BucketRecovery struct {
 	// Base is the LSN covered by the bucket's checkpoint image (0 = none).
 	Base uint64
-	// HasImage reports whether an image set holds an image of the bucket.
-	HasImage bool
 	// Head is the largest LSN known for the bucket.
 	Head uint64
-	// Tail holds the bucket's records with LSN > Base, in LSN order.
-	Tail []Record
 }
 
 // Recovered is everything Open learned from the directory.
@@ -333,25 +330,20 @@ func (l *Log) recover() (*Recovered, error) {
 				}
 				return
 			}
-			b := r.Bucket
-			if b >= l.cfg.Geometry.Buckets {
-				rangeErr = fmt.Errorf("wal: segment %s names bucket %d out of range", path, b)
-				return
-			}
-			if r.LSN > seg.maxLSN[b] {
-				seg.maxLSN[b] = r.LSN
-			}
-			br := rec.Buckets[b]
-			if br == nil {
-				br = &BucketRecovery{}
-				rec.Buckets[b] = br
-			}
-			if r.LSN > br.Head {
-				br.Head = r.LSN
-			}
-			if r.LSN > br.Base {
-				br.Tail = append(br.Tail, *r)
-			}
+			r.EachBucket(func(r *Record) {
+				b := r.Bucket
+				if b >= l.cfg.Geometry.Buckets {
+					rangeErr = fmt.Errorf("wal: segment %s names bucket %d out of range", path, b)
+					return
+				}
+				seg.maxLSN[b] = max(seg.maxLSN[b], r.LSN)
+				br := rec.Buckets[b]
+				if br == nil {
+					br = &BucketRecovery{}
+					rec.Buckets[b] = br
+				}
+				br.Head = max(br.Head, r.LSN)
+			})
 		})
 		if rangeErr != nil {
 			return nil, rangeErr
@@ -439,15 +431,17 @@ func (l *Log) Enqueue(r Record) (uint64, error) {
 	return l.enqueueLocked(frame, &r)
 }
 
-// EnqueueFrame is Enqueue for a command that arrives encoded — a record a
-// primary shipped. The frame is decoded for the log's own bookkeeping (one
-// that is not exactly a command record of this log's bucket space is refused)
-// and those bytes are what the segment gets, so the follower's copy of the
-// record is the primary's. It returns the record the frame carried.
+// EnqueueFrame is Enqueue for a command or chunk that arrives encoded — a
+// record a primary shipped. The frame is decoded for the log's own bookkeeping
+// (one that is not exactly one such record of this log's bucket space is
+// refused) and those bytes are what the segment gets, so the follower's copy
+// of the record is the primary's. It returns the record the frame carried.
 func (l *Log) EnqueueFrame(frame []byte) (Record, uint64, error) {
 	r, n, err := DecodeRecord(frame)
-	if err == nil && (n != len(frame) || r.IsPlan() || r.Bucket >= l.cfg.Geometry.Buckets) {
-		err = fmt.Errorf("not one command record of %d buckets", l.cfg.Geometry.Buckets)
+	ok := err == nil && n == len(frame) && !r.IsPlan()
+	r.EachBucket(func(b *Record) { ok = ok && b.Bucket < l.cfg.Geometry.Buckets })
+	if err == nil && !ok {
+		err = fmt.Errorf("not one command or chunk record of %d buckets", l.cfg.Geometry.Buckets)
 	}
 	if err != nil {
 		return r, 0, fmt.Errorf("wal: refusing shipped frame: %w", err)
@@ -458,6 +452,58 @@ func (l *Log) EnqueueFrame(frame []byte) (Record, uint64, error) {
 	return r, seq, err
 }
 
+// EnqueueChunk logs a migrated chunk installed into partition part. set is the
+// chunk's image set, each frame stamped with the LSN the chunk takes in its
+// bucket's log. The frames are cut, in order and at frame boundaries, into as
+// few chunk records as MaxRecordBytes allows, and enqueued back to back; it
+// returns the last one's ticket. A set that does not walk cleanly, a bucket out
+// of range, or a frame no record can hold refuses the whole chunk with
+// ErrRecordRefused, before anything is enqueued.
+func (l *Log) EnqueueChunk(part int, set []byte) (uint64, error) {
+	frames, _, err := DecodeImageSet(set)
+	if err == nil && part < 0 {
+		err = fmt.Errorf("partition %d", part)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrRecordRefused, err)
+	}
+	// A cut appendRecord refuses holds a frame that fits no record.
+	var recs []Record
+	var encoded [][]byte
+	cut := func(from, to int64) error {
+		r := Record{Part: part, Images: set[from:to]}
+		frame, err := appendRecord(nil, &r)
+		recs, encoded = append(recs, r), append(encoded, frame)
+		return err
+	}
+	from := int64(0)
+	for _, f := range frames {
+		if f.Bucket >= l.cfg.Geometry.Buckets {
+			return 0, fmt.Errorf("%w: chunk names bucket %d out of range", ErrRecordRefused, f.Bucket)
+		}
+		if chunkHeaderSize+f.Off+int64(f.Size)-from > MaxRecordBytes && f.Off > from {
+			if err := cut(from, f.Off); err != nil {
+				return 0, err
+			}
+			from = f.Off
+		}
+	}
+	if len(frames) > 0 {
+		if err := cut(from, int64(len(set))); err != nil {
+			return 0, err
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var seq uint64
+	for i := range recs {
+		if seq, err = l.enqueueLocked(encoded[i], &recs[i]); err != nil {
+			return 0, err
+		}
+	}
+	return seq, nil
+}
+
 // LogPlan makes a bucket-plan change durable: the full plan and active
 // machine count, stamped with the next plan sequence number.
 func (l *Log) LogPlan(plan []int32, active int) error {
@@ -465,6 +511,7 @@ func (l *Log) LogPlan(plan []int32, active int) error {
 		return fmt.Errorf("wal: plan covers %d buckets, want %d", len(plan), l.cfg.Geometry.Buckets)
 	}
 	l.mu.Lock()
+	l.rotateIfFullLocked() // first: it may let another plan change in
 	r := Record{PlanSeq: l.planSeq + 1, Plan: append([]int32(nil), plan...), Active: active}
 	frame, err := appendRecord(nil, &r)
 	var seq uint64
@@ -480,31 +527,21 @@ func (l *Log) LogPlan(plan []int32, active int) error {
 
 // enqueueLocked places r's frame in the group-commit buffer and on the ship
 // tail and returns its append sequence — the ticket Wait takes. It never
-// blocks on I/O except to rotate a full segment, which happens only with
-// nothing buffered. Caller holds l.mu.
+// blocks on I/O except to rotate a full segment. Caller holds l.mu.
 func (l *Log) enqueueLocked(frame []byte, r *Record) (uint64, error) {
+	l.rotateIfFullLocked()
 	if l.err != nil {
 		return 0, l.err
 	}
 	if l.closed {
 		return 0, errClosed
 	}
-	// Rotate between batches: only when nothing is buffered or in flight. What
-	// is buffered was counted into the active segment, and the leader of a sync
-	// in flight is writing to its file.
-	if l.activeSize >= l.cfg.SegmentBytes && len(l.buf) == 0 && !l.syncing {
-		if err := l.rotateLocked(); err != nil {
-			l.err = err
-			l.cond.Broadcast()
-			return 0, err
-		}
-	}
 	if r.IsPlan() {
 		l.planSeq = r.PlanSeq
 		l.lastPlan, l.lastActive = r.Plan, r.Active
 		l.activePlan = r.PlanSeq
-	} else if r.LSN > l.activeMax[r.Bucket] {
-		l.activeMax[r.Bucket] = r.LSN
+	} else {
+		r.EachBucket(func(b *Record) { l.activeMax[b.Bucket] = max(l.activeMax[b.Bucket], b.LSN) })
 	}
 	l.buf = append(l.buf, frame...)
 	l.activeEnc += int64(len(frame))
@@ -535,36 +572,7 @@ func (l *Log) Wait(seq uint64) error {
 			l.cond.Wait()
 			continue
 		}
-		// Become the batch leader: write and sync everything buffered.
-		l.syncing = true
-		batch := l.buf
-		l.buf = nil
-		target := l.appendSeq
-		targetRecs := l.activeRecs
-		file := l.active
-		l.mu.Unlock()
-
-		var werr error
-		if _, err := file.Write(batch); err != nil {
-			werr = fmt.Errorf("wal: writing segment %s: %w", l.activeName, err)
-		} else if err := file.Sync(); err != nil {
-			werr = fmt.Errorf("wal: syncing segment %s: %w", l.activeName, err)
-		}
-
-		l.mu.Lock()
-		l.syncing = false
-		if werr != nil {
-			l.err = werr
-		} else {
-			l.syncedSeq = target
-			l.activeSize += int64(len(batch))
-			l.durableRecs = targetRecs
-			l.syncs.Add(1)
-			l.appBytes.Add(int64(len(batch)))
-			l.diskBytes.Add(int64(len(batch)))
-			l.wakeShipLocked()
-		}
-		l.cond.Broadcast()
+		l.syncLocked()
 	}
 	// Synchronous commit: the record is durable here; with the barrier armed,
 	// also wait until the follower's ack covers it. The whole fsync batch
@@ -586,6 +594,63 @@ func (l *Log) Wait(seq uint64) error {
 		l.cond.Wait()
 	}
 	return l.err
+}
+
+// rotateIfFullLocked rotates at the first record boundary past the
+// threshold, so a sealed segment is at most SegmentBytes plus the one record
+// that crossed it. What is buffered belongs to the active segment, and a sync
+// in flight writes to its file: both finish first — the caller leads the sync
+// if nobody else does, since the buffered records' waiters may include itself.
+// The lock is released meanwhile. Caller holds l.mu.
+func (l *Log) rotateIfFullLocked() {
+	for l.err == nil && !l.closed && l.activeEnc >= l.cfg.SegmentBytes {
+		switch {
+		case l.syncing:
+			l.cond.Wait()
+		case len(l.buf) > 0:
+			l.syncLocked()
+		default:
+			if err := l.rotateLocked(); err != nil {
+				l.err = err
+				l.cond.Broadcast()
+			}
+		}
+	}
+}
+
+// syncLocked makes its caller the batch leader: it writes and syncs
+// everything buffered, outside the lock, then wakes every waiter. Caller holds
+// l.mu with no sync in flight.
+func (l *Log) syncLocked() {
+	l.syncing = true
+	batch := l.buf
+	l.buf = nil
+	target := l.appendSeq
+	targetRecs := l.activeRecs
+	file := l.active
+	l.mu.Unlock()
+
+	var werr error
+	if _, err := file.Write(batch); err != nil {
+		werr = fmt.Errorf("wal: writing segment %s: %w", l.activeName, err)
+	} else if err := file.Sync(); err != nil {
+		werr = fmt.Errorf("wal: syncing segment %s: %w", l.activeName, err)
+	}
+
+	l.mu.Lock()
+	l.syncing = false
+	if werr != nil {
+		l.err = werr
+	} else {
+		l.syncedSeq = target
+		l.activeSize += int64(len(batch))
+		l.durableRecs = targetRecs
+		l.syncs.Add(1)
+		l.appBytes.Add(int64(len(batch)))
+		l.diskBytes.Add(int64(len(batch)))
+		l.wakeShipLocked()
+	}
+	l.cond.Broadcast()
 }
 
 // rotateLocked seals the active segment and opens the next one. Caller
@@ -637,9 +702,11 @@ func (l *Log) LoadTails(buckets []int) (map[int][]Record, error) {
 			return nil, err
 		}
 		if _, derr := scanSegment(data, func(r *Record, _ int64) {
-			if b := r.Bucket; !r.IsPlan() && want[b] && r.LSN > bases[b] {
-				out[b] = append(out[b], *r)
-			}
+			r.EachBucket(func(r *Record) {
+				if b := r.Bucket; want[b] && r.LSN > bases[b] {
+					out[b] = append(out[b], *r)
+				}
+			})
 		}); derr != nil && int64(len(data)) == e.size {
 			// The durable extent must decode cleanly; a scan error inside it
 			// is corruption.

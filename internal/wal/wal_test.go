@@ -68,9 +68,10 @@ func TestNilArgsRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	l2, rec := openTest(t, fs, DefaultSegmentBytes)
+	l2, _ := openTest(t, fs, DefaultSegmentBytes)
 	defer l2.Close()
-	got := append(append([]Record{}, rec.Buckets[1].Tail...), rec.Buckets[2].Tail...)
+	tail := readTails(t, l2)
+	got := append(append([]Record{}, tail[1]...), tail[2]...)
 	if len(got) != len(recs) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(recs))
 	}
@@ -158,6 +159,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 			l2, rec := openTest(t, fs, 4<<10)
 			defer l2.Close()
+			tail := readTails(t, l2)
 			for b, want := range appended {
 				br := rec.Buckets[b]
 				if br == nil {
@@ -171,12 +173,12 @@ func TestRoundTripProperty(t *testing.T) {
 						t.Fatalf("bucket %d: test bug, LSNs out of order", b)
 					}
 				}
-				if len(br.Tail) != len(byLSN) {
-					t.Fatalf("bucket %d: recovered %d records, want %d", b, len(br.Tail), len(byLSN))
+				if len(tail[b]) != len(byLSN) {
+					t.Fatalf("bucket %d: recovered %d records, want %d", b, len(tail[b]), len(byLSN))
 				}
 				for i := range byLSN {
-					if !sameRecord(br.Tail[i], byLSN[i]) {
-						t.Fatalf("bucket %d record %d: got %+v want %+v", b, i, br.Tail[i], byLSN[i])
+					if !sameRecord(tail[b][i], byLSN[i]) {
+						t.Fatalf("bucket %d record %d: got %+v want %+v", b, i, tail[b][i], byLSN[i])
 					}
 				}
 			}
@@ -294,11 +296,11 @@ func TestCompaction(t *testing.T) {
 	l2, rec := openTest(t, fs, 2<<10)
 	defer l2.Close()
 	br := rec.Buckets[3]
-	if br == nil || !br.HasImage || br.Base != heads[3]-1 {
+	if br == nil || !hasImage(l2, 3) || br.Base != heads[3]-1 {
 		t.Fatalf("bucket 3 recovery: %+v", br)
 	}
-	if len(br.Tail) != 1 || br.Tail[0].Key != "tail" {
-		t.Fatalf("bucket 3 tail: %+v", br.Tail)
+	if tail := readTails(t, l2)[3]; len(tail) != 1 || tail[0].Key != "tail" {
+		t.Fatalf("bucket 3 tail: %+v", tail)
 	}
 }
 

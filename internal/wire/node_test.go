@@ -58,10 +58,10 @@ func TestChunkRoundTrip(t *testing.T) {
 	if rebuilt.Rows() != d.Rows() {
 		t.Fatalf("rebuilt rows %d, want %d", rebuilt.Rows(), d.Rows())
 	}
-	if got, want := rebuilt.Buckets(), d.Buckets(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rebuilt buckets %v, want %v", got, want)
-	}
-	for _, b := range rebuilt.Buckets() {
+	for _, b := range buckets {
+		if got, want := rebuilt.BucketRows(b), d.BucketRows(b); got != want {
+			t.Fatalf("rebuilt bucket %d holds %d rows, want %d", b, got, want)
+		}
 		for table, rows := range rebuilt.Tables(b) {
 			for key, row := range rows {
 				r, ok := row.(*testRow)

@@ -62,17 +62,16 @@ const (
 type ShipCursor = wal.ShipCursor
 
 // ShipBatch is one shipped slice of the primary's WAL: the records between
-// the From and Next cursors, stamped with the primary's fencing epoch and
-// baseline. Seq is the batch ordinal since sync — the fault injector's
+// the From and Next cursors, stamped with the primary's fencing epoch. Seq is
+// the batch ordinal since sync — the fault injector's
 // deterministic key. On the wire a batch is one frame holding a 4-byte
 // big-endian header length, the header (these fields, as JSON) and then the
 // record frames end to end, exactly as the primary's segment holds them.
 type ShipBatch struct {
-	Epoch    uint64     `json:"epoch"`
-	Baseline uint64     `json:"baseline"`
-	Seq      uint64     `json:"seq"`
-	From     ShipCursor `json:"from"`
-	Next     ShipCursor `json:"next"`
+	Epoch uint64     `json:"epoch"`
+	Seq   uint64     `json:"seq"`
+	From  ShipCursor `json:"from"`
+	Next  ShipCursor `json:"next"`
 	// Frames are the record frames, one per record. Records, filled in by
 	// DecodeShipBatch, is what wal.DecodeRecord read from each.
 	Frames  [][]byte     `json:"-"`
@@ -86,9 +85,8 @@ type ShipBatch struct {
 // ack. On success Received equals the batch's Next; on Gap it is where the
 // shipper must rewind to. How far execution has got is ReplStatus.Applied.
 // Resync means the stream can no longer bring the follower to the primary's
-// state — its baseline no longer matches (the primary installed data outside
-// the WAL), or an apply failed on it and its memory trails its log for good —
-// and shipping cannot continue without a fresh sync.
+// state — an apply failed on it and its memory trails its log for good — and
+// shipping cannot continue without a fresh sync.
 type ShipAck struct {
 	Epoch    uint64     `json:"epoch"`
 	Received ShipCursor `json:"received"`
@@ -118,29 +116,27 @@ type ReplDemote struct {
 // ReplRejoin is the rejoin contract a node captures at the moment it is
 // promoted: Cursor is the durable end of the *new* primary's own WAL at
 // promotion (pinned against compaction) — where shipping to a warm-rejoined
-// predecessor resumes — and PlanSeq/Baseline are the state the predecessor
-// must still match, after truncating to the new primary's Applied cursor,
-// for a warm rejoin to be sound.
+// predecessor resumes — and PlanSeq is the plan the predecessor must still
+// be on, after truncating to the new primary's Applied cursor, for a warm
+// rejoin to be sound.
 type ReplRejoin struct {
-	Cursor   ShipCursor `json:"cursor"`
-	PlanSeq  uint64     `json:"plan_seq"`
-	Baseline uint64     `json:"baseline"`
+	Cursor  ShipCursor `json:"cursor"`
+	PlanSeq uint64     `json:"plan_seq"`
 }
 
-// ReplSyncMeta heads a sync response stream: the primary's epoch, baseline
-// and plan, the cursor shipping starts from, and the number of frames in the
-// image set that follows. Snapshot/cursor overlap is resolved by the follower's
+// ReplSyncMeta heads a sync response stream: the primary's epoch and plan,
+// the cursor shipping starts from, and the number of frames in the image set
+// that follows. Snapshot/cursor overlap is resolved by the follower's
 // per-bucket LSN dedup: the cursor is taken before the snapshot, so any
 // record the snapshot already covers arrives with LSN <= the bucket's image
 // LSN and is skipped.
 type ReplSyncMeta struct {
-	Epoch    uint64     `json:"epoch"`
-	Baseline uint64     `json:"baseline"`
-	Cursor   ShipCursor `json:"cursor"`
-	PlanSeq  uint64     `json:"plan_seq"`
-	Plan     []int32    `json:"plan,omitempty"`
-	Active   int        `json:"active"`
-	Buckets  int        `json:"buckets"`
+	Epoch   uint64     `json:"epoch"`
+	Cursor  ShipCursor `json:"cursor"`
+	PlanSeq uint64     `json:"plan_seq"`
+	Plan    []int32    `json:"plan,omitempty"`
+	Active  int        `json:"active"`
+	Buckets int        `json:"buckets"`
 }
 
 // ReplPromote asks a follower to become primary under the given epoch,
@@ -154,9 +150,6 @@ type ReplStatus struct {
 	// Role is "primary" or "replica".
 	Role  string `json:"role"`
 	Epoch uint64 `json:"epoch"`
-	// Baseline counts out-of-WAL data installs (migrated-in chunks); a
-	// follower synced under an older baseline must resync.
-	Baseline uint64 `json:"baseline"`
 	// Durable is the durable end of the node's own WAL.
 	Durable ShipCursor `json:"durable"`
 	// Applied is a replica's applied-ship cursor: the primary's records
@@ -210,20 +203,11 @@ func WriteShipBatch(w io.Writer, b *ShipBatch) error {
 	return WriteFrame(w, payload)
 }
 
-// ReadShipBatch reads and validates one ship-batch frame. It never panics:
+// DecodeShipBatch decodes and validates a ship-batch frame's payload, for a
+// receiver that takes the frame off the connection first (ReadFrame) and
+// decodes it once it has somewhere to put the records. It never panics:
 // garbage, truncation, or out-of-bounds shapes return an error (the
-// FuzzShipFrame contract). A clean EOF before any byte returns io.EOF.
-func ReadShipBatch(r io.Reader) (*ShipBatch, error) {
-	payload, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeShipBatch(payload)
-}
-
-// DecodeShipBatch decodes and validates a ship-batch frame's payload — the
-// second half of ReadShipBatch, for a receiver that takes the frame off the
-// connection first and decodes it once it has somewhere to put the records.
+// FuzzShipFrame contract).
 // Every record frame goes through wal.DecodeRecord, so a record the receiver
 // sees passed its CRC; Frames and the records' args alias payload.
 func DecodeShipBatch(payload []byte) (*ShipBatch, error) {
@@ -260,7 +244,7 @@ func DecodeShipBatch(payload []byte) (*ShipBatch, error) {
 }
 
 func validCursor(c ShipCursor) error {
-	if c.Seg < 0 || c.Rec < 0 || c.Off < 0 {
+	if c.Seg < 0 || c.Rec < 0 {
 		return fmt.Errorf("negative field in cursor %+v", c)
 	}
 	return nil

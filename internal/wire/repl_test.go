@@ -44,9 +44,9 @@ func shipFrames(t testing.TB, recs ...wal.Record) [][]byte {
 // frames byte for byte, and each frame decoded beside it.
 func TestShipBatchRoundTrip(t *testing.T) {
 	b := &ShipBatch{
-		Epoch: 3, Baseline: 1, Seq: 7,
-		From: ShipCursor{Seg: 2, Rec: 10, Off: 512},
-		Next: ShipCursor{Seg: 3, Rec: 1, Off: 64},
+		Epoch: 3, Seq: 7,
+		From: ShipCursor{Seg: 2, Rec: 10},
+		Next: ShipCursor{Seg: 3, Rec: 1},
 		Frames: shipFrames(t,
 			wal.Record{Bucket: 5, LSN: 12, Txn: "put", Key: "k", Args: "v"},
 			wal.Record{Bucket: 5, LSN: 13, Txn: "del", Key: "k"},
@@ -60,7 +60,7 @@ func TestShipBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 3 || got.Baseline != 1 || got.Seq != 7 || got.From != b.From || got.Next != b.Next {
+	if got.Epoch != 3 || got.Seq != 7 || got.From != b.From || got.Next != b.Next {
 		t.Fatalf("header mismatch: %+v", got)
 	}
 	if !reflect.DeepEqual(got.Frames, b.Frames) {
@@ -135,8 +135,8 @@ func TestReadShipBatchRejects(t *testing.T) {
 // TestFullShipBatchFitsOneFrame: the most the log hands a shipper at once —
 // wal.MaxShipBytes of record frames — goes out as one wire frame.
 func TestFullShipBatchFitsOneFrame(t *testing.T) {
-	b := &ShipBatch{Epoch: 1 << 60, Baseline: 1 << 60, Seq: 1 << 60,
-		From: ShipCursor{Seg: 1 << 30, Rec: 1 << 30, Off: 1 << 60}, Next: ShipCursor{Seg: 1 << 30, Rec: 1 << 30, Off: 1 << 60},
+	b := &ShipBatch{Epoch: 1 << 60, Seq: 1 << 60,
+		From: ShipCursor{Seg: 1 << 30, Rec: 1 << 30}, Next: ShipCursor{Seg: 1 << 30, Rec: 1 << 30},
 		Frames: [][]byte{make([]byte, wal.MaxShipBytes)}}
 	if err := WriteShipBatch(io.Discard, b); err != nil {
 		t.Fatal(err)

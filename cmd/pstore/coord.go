@@ -23,13 +23,14 @@ import (
 )
 
 // runCoord is the migration coordinator: it executes a scripted sequence of
-// Squall reconfigurations — optionally under chunk faults, network faults and
-// a mid-script machine crash — against either a multi-process cluster of
-// pstore serve -node processes (-peers) or a single-process engine loaded
-// with the same dataset (no -peers; the reference oracle). Both modes run
-// the identical decision sequence, so the printed fingerprint over the step
-// outcomes and the final placement must match between them — that is the
-// shared-nothing refactor's parity contract, checked in CI.
+// Squall reconfigurations — optionally under one -faults schedule of chunk
+// faults, network faults and mid-script machine crashes — against either a
+// multi-process cluster of pstore serve -node processes (-peers) or a
+// single-process engine loaded with the same dataset (no -peers; the
+// reference oracle). Both modes run the identical decision sequence, so the
+// printed fingerprint over the step outcomes and the final placement must
+// match between them — that is the shared-nothing refactor's parity
+// contract, checked in CI.
 func runCoord(args []string) error {
 	fs := newFlagSet("coord")
 	peerList := fs.String("peers", "", "comma-separated node base URLs in node-id order (empty = run the single-process oracle)")
@@ -38,10 +39,7 @@ func runCoord(args []string) error {
 	seed := fs.Int64("seed", 1, "b2w dataset seed (single-process mode; must match the nodes' -seed)")
 	migrate := fs.String("migrate", "", "comma-separated machine-count targets executed in order, e.g. 4,1 (required)")
 	rate := fs.Float64("rate", 1, "migration rate factor")
-	faultSpec := fs.String("faults", "", "chunk fault spec, e.g. seed=42,chunk-drop=0.5")
-	netSpec := fs.String("net-faults", "", "network fault spec, e.g. seed=7,link-drop=0.1,link-dup=0.5 (multi-process only)")
-	crashMachine := fs.Int("crash-machine", -1, "machine to crash before -crash-step (restored and the step re-run after the first attempt)")
-	crashStep := fs.Int("crash-step", 0, "1-based index into -migrate before which -crash-machine crashes")
+	faultSpec := fs.String("faults", "", "fault schedule: chunk, crash and (with -peers) link faults, e.g. seed=42,chunk-drop=0.15,link-dup=0.25,crash=1@2; crash=M@S crashes machine M before migrate step S (1-based), restores it after the step and re-runs the step")
 	connectWait := fs.Duration("connect-wait", 30*time.Second, "how long to wait for every node to answer health checks")
 	shutdownNodes := fs.Bool("shutdown-nodes", false, "ask every node to shut down after the script completes")
 	failover := fs.Int("failover", -1, "watch node N for failure and run one recovery action (-promote or -restart-cmd) when it fires; -migrate becomes optional")
@@ -75,11 +73,21 @@ func runCoord(args []string) error {
 		}
 		steps = append(steps, n)
 	}
-	if (*crashMachine >= 0) != (*crashStep >= 1) {
-		return errors.New("-crash-machine and -crash-step must be set together")
+	sched, err := faults.Parse(*faultSpec)
+	if err != nil {
+		return err
 	}
-	if *crashStep > len(steps) {
-		return fmt.Errorf("-crash-step %d exceeds the %d migrate steps", *crashStep, len(steps))
+	planes := []faults.Plane{faults.ChunkPlane, faults.CrashPlane}
+	if *peerList != "" {
+		planes = append(planes, faults.LinkPlane)
+	}
+	if err := sched.Only(planes...); err != nil {
+		return fmt.Errorf("%w: coord injects chunk, crash and, with -peers, link faults; ship faults belong to serve -node", err)
+	}
+	for _, e := range sched.Events {
+		if e.Kind == faults.PinnedCrash && (e.Tick < 1 || e.Tick > len(steps) || e.A >= *maxM) {
+			return fmt.Errorf("-faults %s: want a machine below -max %d and one of the %d migrate steps", e, *maxM, len(steps))
+		}
 	}
 
 	var topo transport.Topology
@@ -127,32 +135,14 @@ func runCoord(args []string) error {
 			len(peers), topo.TotalRows(), topo.ActiveMachines())
 	}
 
-	var inj *faults.Injector
-	if *faultSpec != "" {
-		fcfg, err := faults.Parse(*faultSpec)
-		if err != nil {
-			return err
+	if len(sched.Events) > 0 {
+		if sched.Arms(faults.ChunkPlane) {
+			topo.SetFaultInjector(sched)
 		}
-		if inj, err = faults.New(fcfg); err != nil {
-			return err
+		if sched.Arms(faults.LinkPlane) {
+			remote.SetNetInjector(sched)
 		}
-		topo.SetFaultInjector(inj)
-		fmt.Fprintf(os.Stderr, "coord: fault plane armed: %s\n", fcfg)
-	}
-	var net *faults.NetInjector
-	if *netSpec != "" {
-		if remote == nil {
-			return errors.New("-net-faults needs a multi-process cluster: network faults have no single-process equivalent")
-		}
-		ncfg, err := faults.ParseNet(*netSpec)
-		if err != nil {
-			return err
-		}
-		if net, err = faults.NewNet(ncfg); err != nil {
-			return err
-		}
-		remote.SetNetInjector(net)
-		fmt.Fprintf(os.Stderr, "coord: network fault plane armed: %s\n", ncfg)
+		fmt.Fprintf(os.Stderr, "coord: fault schedule armed: %s\n", sched)
 	}
 
 	sqCfg := squall.DefaultConfig()
@@ -166,11 +156,13 @@ func runCoord(args []string) error {
 	// must print the same value.
 	fp := fnv.New64a()
 	for i, target := range steps {
-		if *crashMachine >= 0 && *crashStep == i+1 {
-			if err := topo.Crash(*crashMachine); err != nil {
-				return fmt.Errorf("step %d: crashing machine %d: %w", i+1, *crashMachine, err)
+		// A crash's tick is the 1-based step it precedes.
+		crashes := sched.CrashesAt(i+1, *maxM)
+		for _, c := range crashes {
+			if err := topo.Crash(c.Machine); err != nil {
+				return fmt.Errorf("step %d: crashing machine %d: %w", i+1, c.Machine, err)
 			}
-			outcome := fmt.Sprintf("crash machine %d", *crashMachine)
+			outcome := fmt.Sprintf("crash machine %d", c.Machine)
 			fmt.Printf("coord: step %d: %s (down: %v)\n", i+1, outcome, topo.DownMachines())
 			fp.Write([]byte(outcome))
 		}
@@ -178,32 +170,36 @@ func runCoord(args []string) error {
 		outcome := coordStep(topo, ex, target, *rate)
 		fmt.Printf("coord: step %d: %d -> %d machines: %s\n", i+1, from, target, outcome)
 		fp.Write([]byte(outcome))
-		if *crashMachine >= 0 && *crashStep == i+1 {
-			st, err := topo.Restore(*crashMachine)
+		if len(crashes) == 0 {
+			continue
+		}
+		for _, c := range crashes {
+			st, err := topo.Restore(c.Machine)
 			if err != nil {
-				return fmt.Errorf("step %d: restoring machine %d: %w", i+1, *crashMachine, err)
+				return fmt.Errorf("step %d: restoring machine %d: %w", i+1, c.Machine, err)
 			}
 			fmt.Printf("coord: step %d: restored machine %d (%d snapshots, %d replayed)\n",
-				i+1, *crashMachine, st.Snapshots, st.Replayed)
-			fp.Write([]byte(fmt.Sprintf("restore machine %d", *crashMachine)))
-			outcome = coordStep(topo, ex, target, *rate)
-			fmt.Printf("coord: step %d (retry): -> %d machines: %s\n", i+1, target, outcome)
-			fp.Write([]byte(outcome))
+				i+1, c.Machine, st.Snapshots, st.Replayed)
+			fp.Write([]byte(fmt.Sprintf("restore machine %d", c.Machine)))
 		}
+		outcome = coordStep(topo, ex, target, *rate)
+		fmt.Printf("coord: step %d (retry): -> %d machines: %s\n", i+1, target, outcome)
+		fp.Write([]byte(outcome))
 	}
 
 	st := ex.Stats()
 	fmt.Printf("coord: migration: %d chunks moved, %d retries, %d aborts, %d chunks rolled back\n",
 		st.ChunksMoved, st.Retries, st.Aborts, st.RollbackChunks)
-	if inj != nil {
-		ist := inj.Stats()
+	fst := sched.Stats()
+	if sched.Arms(faults.ChunkPlane) {
 		fmt.Printf("coord: faults: %d offered, %d dropped, %d crashed, %d slowed, %d stalled\n",
-			ist.Offered, ist.Drops, ist.Crashes, ist.Slows, ist.Stalls)
+			fst.Offered[faults.ChunkPlane], fst.Fired[faults.ChunkDrop], fst.Fired[faults.CrashPair]+fst.Fired[faults.CrashPart],
+			fst.Fired[faults.ChunkSlow], fst.Fired[faults.Stall])
 	}
-	if net != nil {
-		nst := net.Stats()
+	if sched.Arms(faults.LinkPlane) {
 		fmt.Printf("coord: net faults: %d links, %d dropped, %d duplicated, %d reordered, %d slowed\n",
-			nst.Offered, nst.Drops, nst.Dups, nst.Reorders, nst.Slows)
+			fst.Offered[faults.LinkPlane], fst.Fired[faults.LinkDrop], fst.Fired[faults.LinkDup],
+			fst.Fired[faults.LinkReorder], fst.Fired[faults.LinkSlow])
 	}
 	for _, b := range topo.Plan() {
 		var buf [4]byte

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -40,13 +42,31 @@ func TestDispatchExitCodes(t *testing.T) {
 		{"help", []string{"help"}, 0, true, ""},
 		{"subcommand failure", []string{"plan"}, 1, false, "pstore plan: -input is required"},
 		{"replica without node mode", []string{"serve", "-replica-of", "http://127.0.0.1:1"}, 1, false,
-			"pstore serve: -replica-of, -ship-faults, -sync-commit and -follower-checkpoint-every require node mode (-node)"},
+			"pstore serve: -replica-of, -sync-commit and -follower-checkpoint-every require node mode (-node)"},
 		{"peer count mismatch", []string{"serve", "-node", "0", "-nodes", "2", "-listen", "127.0.0.1:0", "-peers", "http://127.0.0.1:1"}, 1, false,
 			"pstore serve: -peers lists 1 URLs, want 2 (one per node, in node-id order)"},
 		{"node out of range", []string{"serve", "-node", "2", "-nodes", "2", "-listen", "127.0.0.1:0"}, 1, false,
 			"pstore serve: -node 2 out of range for -nodes 2"},
 		{"node without listen", []string{"serve", "-node", "0", "-nodes", "1"}, 1, false,
 			"pstore serve: -node requires -listen"},
+		{"malformed faults", []string{"coord", "-migrate", "2", "-faults", "seed=42,chunk-drop=NaN"}, 1, false,
+			"pstore coord: faults: chunk-drop=NaN: probability outside [0, 1]"},
+		{"coord refuses ship faults", []string{"coord", "-migrate", "2", "-faults", "seed=1,ship-drop=0.1"}, 1, false,
+			"pstore coord: faults: ship-drop=0.1 is a ship fault"},
+		{"coord refuses link faults without peers", []string{"coord", "-migrate", "2", "-faults", "seed=1,link-dup=0.25"}, 1, false,
+			"pstore coord: faults: link-dup=0.25 is a link fault"},
+		{"coord crash past the last step", []string{"coord", "-migrate", "4,1", "-faults", "crash=1@3"}, 1, false,
+			"pstore coord: -faults crash=1@3: want a machine below -max 8 and one of the 2 migrate steps"},
+		{"serve refuses link faults", []string{"serve", "-faults", "link-drop=0.1"}, 1, false,
+			"pstore serve: cluster: faults: link-drop=0.1 is a link fault; a cluster injects chunk and crash faults"},
+		{"serve refuses ship faults", []string{"serve", "-faults", "ship-dup=0.1"}, 1, false,
+			"pstore serve: cluster: faults: ship-dup=0.1 is a ship fault"},
+		{"serve -node refuses chunk faults", []string{"serve", "-node", "0", "-nodes", "1", "-listen", "127.0.0.1:0", "-faults", "chunk-drop=0.1"}, 1, false,
+			"pstore serve: faults: chunk-drop=0.1 is a chunk fault: serve -node injects ship faults only"},
+		{"serve -node refuses crash faults", []string{"serve", "-node", "0", "-nodes", "1", "-listen", "127.0.0.1:0", "-faults", "crash=1@2"}, 1, false,
+			"pstore serve: faults: crash=1@2 is a crash fault"},
+		{"serve -node refuses link faults", []string{"serve", "-node", "0", "-nodes", "1", "-listen", "127.0.0.1:0", "-faults", "link-down=0:1"}, 1, false,
+			"pstore serve: faults: link-down=0:1 is a link fault"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stderr bytes.Buffer
@@ -61,4 +81,47 @@ func TestDispatchExitCodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCoordOracleFingerprint pins the parity fingerprint the CI multiproc
+// legs compare a networked run against: the single-process oracle under
+// chunk drops and a crash of machine 1 before step 2 must print this value,
+// with the fault plane offering 57 chunk sends and dropping 9.
+func TestCoordOracleFingerprint(t *testing.T) {
+	out := captureStdout(t, func() {
+		var stderr bytes.Buffer
+		if code := dispatch([]string{"coord", "-max", "4", "-machines", "1", "-migrate", "4,1",
+			"-faults", "seed=42,chunk-drop=0.15,crash=1@2"}, &stderr); code != 0 {
+			t.Errorf("exit code %d; stderr:\n%s", code, &stderr)
+		}
+	})
+	for _, want := range []string{
+		"coord: step 2: crash machine 1 (down: [1])\n",
+		"coord: faults: 57 offered, 9 dropped, 0 crashed, 0 slowed, 0 stalled\n",
+		"coord: fingerprint db0d9f6c200b9b08 rows 4200 machines 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// captureStdout returns what fn writes to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	defer func() { os.Stdout = saved }()
+	fn()
+	w.Close()
+	return <-done
 }

@@ -34,7 +34,7 @@ type serveNodeConfig struct {
 	dataDir       string
 	replicaOf     string
 	advertise     string
-	shipFaults    string
+	faults        *faults.Schedule // ship faults only
 	// syncCommit holds every transaction ack until the follower has durably
 	// appended its WAL record; followerCkptEvery makes a replica checkpoint
 	// its own log every N accepted records.
@@ -89,18 +89,10 @@ func runServeNode(cfg serveNodeConfig) error {
 	if cfg.deadline > 0 {
 		olCfg.Deadline = cfg.deadline
 	}
-	var shipInj *faults.ShipInjector
-	if cfg.shipFaults != "" {
-		sfc, err := faults.ParseShip(cfg.shipFaults)
-		if err != nil {
-			return err
-		}
-		if sfc.Enabled() {
-			if shipInj, err = faults.NewShip(sfc); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "serve: ship-fault plane armed: %s\n", sfc)
-		}
+	var shipFaults *faults.Schedule
+	if cfg.faults.Arms(faults.ShipPlane) {
+		shipFaults = cfg.faults
+		fmt.Fprintf(os.Stderr, "serve: ship-fault schedule armed: %s\n", shipFaults)
 	}
 	engCfg := deployedEngine(cfg.maxM, cfg.initial)
 	engCfg.Overload = olCfg
@@ -139,7 +131,7 @@ func runServeNode(cfg serveNodeConfig) error {
 
 		ReplicaOf:               cfg.replicaOf,
 		Advertise:               cfg.advertiseURL(),
-		ShipFaults:              shipInj,
+		Faults:                  shipFaults,
 		SyncCommit:              cfg.syncCommit,
 		FollowerCheckpointEvery: cfg.followerCkptEvery,
 

@@ -41,11 +41,10 @@ type serveInfo struct {
 	Checkouts    int     `json:"checkouts"`
 	Stocks       int     `json:"stocks"`
 	LinesPerCart int     `json:"lines_per_cart"`
-	// The armed chaos planes, as their canonical spec strings, so a driver
-	// (or an operator with curl) can see exactly what a server is running
-	// without access to its command line.
+	// The armed fault schedule and overload plane, as their canonical spec
+	// strings, so a driver (or an operator with curl) can see exactly what
+	// a server is running without access to its command line.
 	Faults   string `json:"faults,omitempty"`
-	Crash    string `json:"crash,omitempty"`
 	Overload string `json:"overload,omitempty"`
 	// Node identity in multi-process mode; Nodes is 0 on a single-process
 	// server.
@@ -77,9 +76,8 @@ func runServe(args []string) error {
 	cycleMin := fs.Int("cycle", 5, "controller cycle in trace minutes")
 	seed := fs.Int64("seed", 1, "random seed")
 	sloMs := fs.Float64("slo", 40, "latency SLO in ms on this substrate")
-	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. seed=42,chunk-drop=0.05 (keys: seed, chunk-drop, chunk-slow, slow-delay, stall, stall-delay, crash-pair=F:T, crash-part=N)")
-	crashSpec := fs.String("crash", "", "machine-crash schedule, e.g. seed=42,rate=0.02,downtime=4,at=1@10+5 (keys: seed, rate, downtime, at=M@T[+D] in controller cycles)")
-	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint the recovery command log every N controller cycles (0 = 10 when -crash is set)")
+	faultSpec := fs.String("faults", "", "fault schedule, e.g. seed=42,chunk-drop=0.05,crash=1@8+6; single-process: chunk keys (chunk-drop, chunk-slow, slow-delay, stall, stall-delay, crash-pair=F:T, crash-part=N) and crash keys (crash-rate, crash-downtime, crash=M@T[+D] in controller cycles); with -node: ship keys only (ship-drop, ship-dup, ship-reorder, ship-delay, ship-delay-for, ship-partition, heal-after)")
+	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint the recovery command log every N controller cycles (0 = 10 when crash faults are armed)")
 	dataDir := fs.String("data-dir", "", "durable storage directory: command log becomes an on-disk WAL with checkpoint images; an existing directory cold-starts the engine from disk instead of loading fresh data")
 	deadline := fs.Duration("deadline", 0, "per-request deadline arming admission control and queue-deadline enforcement (0 = off)")
 	overloadSpec := fs.String("overload", "", "overload-plane spec, e.g. deadline=50ms,target=5ms,interval=100ms,track=true (shorthand: -deadline)")
@@ -91,7 +89,6 @@ func runServe(args []string) error {
 	peerList := fs.String("peers", "", "comma-separated node base URLs in node-id order, for forwarding transactions to the hosting node")
 	replicaOf := fs.String("replica-of", "", "node mode: start as a warm follower of the primary at this base URL — sync a snapshot, apply its shipped WAL, refuse client transactions until promoted via /v1/repl/promote")
 	advertise := fs.String("advertise", "", "node mode: base URL the primary and peers use to reach this process (default derives from -listen)")
-	shipFaults := fs.String("ship-faults", "", "replication-stream fault spec applied by this node's WAL shipper, e.g. seed=42,ship-drop=0.05,ship-dup=0.1,ship-reorder=0.05,ship-delay=0.1,ship-partition=0.02,heal-after=500ms")
 	syncCommit := fs.Bool("sync-commit", false, "node mode: acknowledge a transaction only after its WAL record is durable on the follower too (RPO zero for acked transactions; adds one ship round trip to commit latency)")
 	followerCkpt := fs.Int("follower-checkpoint-every", 0, "node mode: as a replica, checkpoint the local WAL every N accepted records so a promotion starts from a compact log (0 = off)")
 	if helped, err := parseFlags(fs, args); helped || err != nil {
@@ -100,15 +97,19 @@ func runServe(args []string) error {
 	if *days < 1 || *initial < 1 || *maxM < *initial || *cycleMin < 1 || *minute <= 0 {
 		return errors.New("invalid sizing flags")
 	}
-	if *nodeID < 0 && (*replicaOf != "" || *shipFaults != "" || *syncCommit || *followerCkpt != 0) {
-		return errors.New("-replica-of, -ship-faults, -sync-commit and -follower-checkpoint-every require node mode (-node)")
+	if *nodeID < 0 && (*replicaOf != "" || *syncCommit || *followerCkpt != 0) {
+		return errors.New("-replica-of, -sync-commit and -follower-checkpoint-every require node mode (-node)")
 	}
 	if *followerCkpt < 0 {
 		return errors.New("-follower-checkpoint-every must be non-negative")
 	}
+	sched, err := faults.Parse(*faultSpec)
+	if err != nil {
+		return err
+	}
 	if *nodeID >= 0 {
-		if *faultSpec != "" || *crashSpec != "" {
-			return errors.New("-faults and -crash are coordinator-side in multi-process mode; pass them to pstore coord")
+		if err := sched.Only(faults.ShipPlane); err != nil {
+			return fmt.Errorf("%w: serve -node injects ship faults only; chunk, link and crash faults belong to pstore coord", err)
 		}
 		return runServeNode(serveNodeConfig{
 			node: *nodeID, nodes: *nodes, peers: *peerList,
@@ -117,7 +118,7 @@ func runServe(args []string) error {
 			deadline: *deadline, overloadSpec: *overloadSpec,
 			listen: *listen, serveFor: *serveFor,
 			dataDir:   *dataDir,
-			replicaOf: *replicaOf, advertise: *advertise, shipFaults: *shipFaults,
+			replicaOf: *replicaOf, advertise: *advertise, faults: sched,
 			syncCommit: *syncCommit, followerCkptEvery: *followerCkpt,
 		})
 	}
@@ -175,28 +176,10 @@ func runServe(args []string) error {
 		return fmt.Errorf("unknown controller %q", *policy)
 	}
 
-	var inj *faults.Injector
-	var faultsStr, crashStr string
-	if *faultSpec != "" {
-		fcfg, err := faults.Parse(*faultSpec)
-		if err != nil {
-			return err
-		}
-		if inj, err = faults.New(fcfg); err != nil {
-			return err
-		}
-		faultsStr = fcfg.String()
-		fmt.Fprintf(os.Stderr, "serve: fault plane armed: %s\n", fcfg)
-	}
-	var crash *faults.CrashSchedule
-	if *crashSpec != "" {
-		cs, err := faults.ParseCrash(*crashSpec)
-		if err != nil {
-			return err
-		}
-		crash = &cs
-		crashStr = cs.String()
-		fmt.Fprintf(os.Stderr, "serve: crash plane armed: %s\n", cs)
+	var faultsStr string
+	if len(sched.Events) > 0 {
+		faultsStr = sched.String()
+		fmt.Fprintf(os.Stderr, "serve: fault schedule armed: %s\n", sched)
 	}
 
 	spec := deployedDataset(*seed)
@@ -211,12 +194,9 @@ func runServe(args []string) error {
 		Bootstrap: func(eng *store.Engine) error {
 			return b2w.Load(eng, spec)
 		},
-		Crash:           crash,
+		Faults:          sched,
 		CheckpointEvery: *ckptEvery,
 		DataDir:         *dataDir,
-	}
-	if inj != nil {
-		clusterCfg.FaultInjector = inj
 	}
 	c, err := cluster.New(clusterCfg)
 	if err != nil {
@@ -270,7 +250,6 @@ func runServe(args []string) error {
 			Stocks:       spec.Stocks,
 			LinesPerCart: spec.LinesPerCart,
 			Faults:       faultsStr,
-			Crash:        crashStr,
 		}
 		if olCfg.Enabled() {
 			info.Overload = olCfg.String()
@@ -325,10 +304,11 @@ func runServe(args []string) error {
 	if rm := c.Recovery(); rm != nil {
 		printRecoverySummary(rm)
 	}
-	if inj != nil {
-		ist := inj.Stats()
+	if sched.Arms(faults.ChunkPlane) {
+		fst := sched.Stats()
 		fmt.Printf("faults: %d chunk sends offered, %d dropped, %d crashed, %d slowed, %d stalled\n",
-			ist.Offered, ist.Drops, ist.Crashes, ist.Slows, ist.Stalls)
+			fst.Offered[faults.ChunkPlane], fst.Fired[faults.ChunkDrop], fst.Fired[faults.CrashPair]+fst.Fired[faults.CrashPart],
+			fst.Fired[faults.ChunkSlow], fst.Fired[faults.Stall])
 	}
 	return nil
 }

@@ -69,27 +69,26 @@ type Config struct {
 	// recovery.Manager.Bootstrap: unlogged, made durable by the baseline
 	// checkpoint round that ends it.
 	Bootstrap func(*store.Engine) error
-	// FaultInjector, if set, is attached to the engine's migration path
-	// for chaos runs (see internal/faults). Failed moves roll back and
-	// surface as MoveFailed events; the runtime itself keeps serving.
-	FaultInjector store.FaultInjector
-	// Crash, if set and non-empty, arms the deterministic machine-crash
-	// schedule: the decision loop consults it every monitoring cycle,
-	// crashes fire as MachineFailed events, and crashed machines recover
-	// automatically after their downtime (in cycles) through the recovery
-	// manager. Requires Cycle > 0; a controller is optional.
-	Crash *faults.CrashSchedule
+	// Faults, if set, is the fault schedule of a chaos run (see
+	// internal/faults); a cluster injects its chunk and crash faults and
+	// refuses the rest. Chunk faults hit the migration path: failed moves
+	// roll back and surface as MoveFailed events while the runtime keeps
+	// serving. Crash faults are consulted every monitoring cycle (a tick is
+	// a cycle): crashes fire as MachineFailed events, and crashed machines
+	// recover automatically after their downtime through the recovery
+	// manager, which requires Cycle > 0; a controller is optional.
+	Faults *faults.Schedule
 	// CheckpointEvery checkpoints the recovery manager every N monitoring
-	// cycles. Zero defaults to 10 when a crash schedule is armed; setting
-	// it without a crash schedule still builds the recovery manager (for
-	// manual Crash/Restore via Recovery()).
+	// cycles. Zero defaults to 10 when crash faults are armed; setting it
+	// without them still builds the recovery manager (for manual
+	// Crash/Restore via Recovery()).
 	CheckpointEvery int
 	// DataDir enables the durable storage tier: the recovery manager's
 	// command log becomes a segmented on-disk WAL with per-bucket checkpoint
 	// images under this directory. If the directory already holds a previous
 	// life's state, Start cold-starts the engine from it *instead of*
 	// running Bootstrap — the data outlives the process. Implies a recovery
-	// manager even without a crash schedule.
+	// manager even without crash faults.
 	DataDir string
 }
 
@@ -173,7 +172,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, eng: eng, subs: map[int]chan Event{}}
-	if cfg.Crash != nil || cfg.CheckpointEvery > 0 || cfg.DataDir != "" {
+	if cfg.Faults.Arms(faults.CrashPlane) || cfg.CheckpointEvery > 0 || cfg.DataDir != "" {
 		// The manager attaches to the command-log hook now, before Start,
 		// so every machine is recoverable from the first transaction on.
 		c.rm, err = recovery.New(eng, recovery.Config{DataDir: cfg.DataDir})
@@ -188,8 +187,8 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.FaultInjector != nil {
-		c.topo.SetFaultInjector(cfg.FaultInjector)
+	if cfg.Faults.Arms(faults.ChunkPlane) {
+		c.topo.SetFaultInjector(cfg.Faults)
 	}
 	return c, nil
 }
@@ -217,7 +216,7 @@ func NewRemote(cfg Config, topo transport.Topology) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, topo: topo, subs: map[int]chan Event{}}
-	if cfg.Crash != nil || cfg.CheckpointEvery > 0 {
+	if cfg.Faults.Arms(faults.CrashPlane) || cfg.CheckpointEvery > 0 {
 		// The crash plane is armed exactly as in New; the node processes
 		// must therefore run with recovery managers attached.
 		c.down = map[int]int{}
@@ -228,8 +227,8 @@ func NewRemote(cfg Config, topo transport.Topology) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.FaultInjector != nil {
-		topo.SetFaultInjector(cfg.FaultInjector)
+	if cfg.Faults.Arms(faults.ChunkPlane) {
+		topo.SetFaultInjector(cfg.Faults)
 	}
 	return c, nil
 }
@@ -252,21 +251,22 @@ func (cfg *Config) normalize() error {
 	if cfg.Controller != nil && cfg.Cycle <= 0 {
 		return fmt.Errorf("cluster: Cycle %v must be positive when a controller is set", cfg.Cycle)
 	}
-	if cfg.Crash != nil {
-		if err := cfg.Crash.Validate(); err != nil {
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(); err != nil {
 			return err
 		}
-		if cfg.Crash.Empty() {
-			cfg.Crash = nil
+		if err := cfg.Faults.Only(faults.ChunkPlane, faults.CrashPlane); err != nil {
+			return fmt.Errorf("cluster: %w; a cluster injects chunk and crash faults", err)
 		}
 	}
-	if cfg.Crash != nil && cfg.Cycle <= 0 {
-		return fmt.Errorf("cluster: Cycle %v must be positive when a crash schedule is armed", cfg.Cycle)
+	crashes := cfg.Faults.Arms(faults.CrashPlane)
+	if crashes && cfg.Cycle <= 0 {
+		return fmt.Errorf("cluster: Cycle %v must be positive when crash faults are armed", cfg.Cycle)
 	}
 	if cfg.CheckpointEvery < 0 {
 		return fmt.Errorf("cluster: CheckpointEvery %d must be non-negative", cfg.CheckpointEvery)
 	}
-	if cfg.Crash != nil && cfg.CheckpointEvery == 0 {
+	if crashes && cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 10
 	}
 	return nil
@@ -373,7 +373,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 		}
 	}
 	c.started = true
-	if c.cfg.Controller != nil || c.cfg.Crash != nil {
+	if c.cfg.Controller != nil || c.cfg.Faults.Arms(faults.CrashPlane) {
 		loopCtx, cancel := context.WithCancel(ctx)
 		c.cancel = cancel
 		c.loopDone = make(chan struct{})
@@ -700,8 +700,8 @@ func (c *Cluster) recoveryTick(cycle int) {
 			obs.MachineRecovered(m)
 		}
 	}
-	if c.cfg.Crash != nil {
-		for _, pc := range c.cfg.Crash.CrashesAt(cycle, c.topo.ActiveMachines()) {
+	if c.cfg.Faults.Arms(faults.CrashPlane) {
+		for _, pc := range c.cfg.Faults.CrashesAt(cycle, c.topo.ActiveMachines()) {
 			if _, dead := c.down[pc.Machine]; dead {
 				continue
 			}
@@ -709,7 +709,7 @@ func (c *Cluster) recoveryTick(cycle int) {
 				c.failures.Add(1)
 				continue
 			}
-			recoverAt := cycle + c.cfg.Crash.DowntimeFor(pc)
+			recoverAt := cycle + pc.Down
 			c.down[pc.Machine] = recoverAt
 			c.publish(MachineFailed{Time: time.Now(), Cycle: cycle, Machine: pc.Machine, RecoverAtCycle: recoverAt})
 			if obs != nil {

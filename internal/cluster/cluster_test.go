@@ -355,17 +355,17 @@ func (o *observingController) snapshot() []error {
 // runtime immediately accepts and completes a subsequent move once the
 // fault clears.
 func TestClusterMoveFailureEventAndRecovery(t *testing.T) {
-	inj, err := faults.New(faults.Config{Seed: 1, CrashPairs: []faults.PartitionPair{{From: 0, To: 2}}})
+	inj, err := faults.Parse("seed=1,crash-pair=0:2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl := &observingController{}
 	c, err := New(Config{
-		Engine:        testEngineConfig(),
-		Squall:        testSquallConfig(),
-		Controller:    ctrl,
-		Cycle:         2 * time.Millisecond,
-		FaultInjector: inj,
+		Engine:     testEngineConfig(),
+		Squall:     testSquallConfig(),
+		Controller: ctrl,
+		Cycle:      2 * time.Millisecond,
+		Faults:     inj,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,8 +68,8 @@ func TestClusterCrashRecovery(t *testing.T) {
 		Squall:     testSquallConfig(),
 		Controller: ctrl,
 		Cycle:      3 * time.Millisecond,
-		Crash: &faults.CrashSchedule{
-			Planned: []faults.PlannedCrash{{Machine: 1, Tick: 2, Downtime: 3}},
+		Faults: &faults.Schedule{
+			Events: []faults.Event{{Kind: faults.PinnedCrash, A: 1, Tick: 2, Down: 3}},
 		},
 		RecorderWindow: 20 * time.Millisecond,
 		Bootstrap: func(e *store.Engine) error {
@@ -195,8 +195,8 @@ func TestClusterCrashWithoutController(t *testing.T) {
 		Engine: eng,
 		Squall: testSquallConfig(),
 		Cycle:  2 * time.Millisecond,
-		Crash: &faults.CrashSchedule{
-			Planned: []faults.PlannedCrash{{Machine: 0, Tick: 1, Downtime: 2}},
+		Faults: &faults.Schedule{
+			Events: []faults.Event{{Kind: faults.PinnedCrash, A: 0, Tick: 1, Down: 2}},
 		},
 		CheckpointEvery: 5,
 	})
@@ -243,12 +243,12 @@ func TestClusterCrashConfigValidation(t *testing.T) {
 		return Config{Engine: testEngineConfig(), Squall: testSquallConfig()}
 	}
 	cfg := base()
-	cfg.Crash = &faults.CrashSchedule{Rate: 0.5} // no Cycle
+	cfg.Faults = &faults.Schedule{Events: []faults.Event{{Kind: faults.CrashRate, P: 0.5}}} // no Cycle
 	if _, err := New(cfg); err == nil {
 		t.Error("crash schedule without Cycle accepted")
 	}
 	cfg = base()
-	cfg.Crash = &faults.CrashSchedule{Rate: 2}
+	cfg.Faults = &faults.Schedule{Events: []faults.Event{{Kind: faults.CrashRate, P: 2}}}
 	cfg.Cycle = time.Millisecond
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid crash rate accepted")
@@ -260,7 +260,7 @@ func TestClusterCrashConfigValidation(t *testing.T) {
 	}
 	// An empty schedule is inert: no manager, no loop requirement.
 	cfg = base()
-	cfg.Crash = &faults.CrashSchedule{}
+	cfg.Faults = &faults.Schedule{}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -91,8 +91,8 @@ func TestRemoteCoordinator(t *testing.T) {
 	c, err := NewRemote(Config{
 		Squall: testSquallConfig(),
 		Cycle:  50 * time.Millisecond,
-		Crash: &faults.CrashSchedule{
-			Planned: []faults.PlannedCrash{{Machine: 1, Tick: 2, Downtime: 1}},
+		Faults: &faults.Schedule{
+			Events: []faults.Event{{Kind: faults.PinnedCrash, A: 1, Tick: 2, Down: 1}},
 		},
 	}, remote)
 	if err != nil {

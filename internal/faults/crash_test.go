@@ -7,126 +7,72 @@ import (
 	"time"
 )
 
-// TestConfigStringRoundTrip is a property test over the chunk-fault spec
-// grammar: for any valid Config, Parse(String(c)) must reproduce it (up to
-// String's canonical ordering of crash-pair/crash-part fields).
+// TestConfigStringRoundTrip is a property test over the spec grammar: for
+// random schedules of every kind, Parse(String(s)) must reproduce s.
 func TestConfigStringRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	prob := func() float64 {
-		if rng.Intn(2) == 0 {
-			return 0
-		}
-		return float64(rng.Intn(1000)) / 1000
-	}
 	for i := 0; i < 200; i++ {
-		c := Config{
-			Seed:      rng.Int63n(1 << 32),
-			ChunkDrop: prob(),
-			ChunkSlow: prob(),
-			Stall:     prob(),
-		}
-		if rng.Intn(2) == 0 {
-			c.SlowDelay = time.Duration(rng.Intn(5000)) * time.Microsecond
-		}
-		if rng.Intn(2) == 0 {
-			c.StallDelay = time.Duration(rng.Intn(200)) * time.Millisecond
-		}
-		for n := rng.Intn(3); n > 0; n-- {
-			c.CrashPairs = append(c.CrashPairs, PartitionPair{From: rng.Intn(8), To: rng.Intn(8)})
-		}
-		for n := rng.Intn(3); n > 0; n-- {
-			c.CrashParts = append(c.CrashParts, rng.Intn(8))
-		}
-		// Canonicalize to String's field order before comparing.
-		want, err := Parse(c.String())
-		if err != nil {
-			t.Fatalf("case %d: Parse(%q): %v", i, c.String(), err)
-		}
-		got, err := Parse(want.String())
-		if err != nil {
-			t.Fatalf("case %d: re-Parse(%q): %v", i, want.String(), err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: round trip of %q changed the schedule:\n  %+v\nvs\n  %+v",
-				i, c.String(), got, want)
-		}
-		// And the canonical form itself must preserve every field of c.
-		if got.Seed != c.Seed || got.ChunkDrop != c.ChunkDrop || got.ChunkSlow != c.ChunkSlow ||
-			got.Stall != c.Stall || got.SlowDelay != c.SlowDelay || got.StallDelay != c.StallDelay ||
-			len(got.CrashPairs) != len(c.CrashPairs) || len(got.CrashParts) != len(c.CrashParts) {
-			t.Fatalf("case %d: String dropped fields: %+v -> %q -> %+v", i, c, c.String(), got)
-		}
-	}
-}
-
-// TestCrashScheduleStringRoundTrip is the same property for the machine-crash
-// spec grammar.
-func TestCrashScheduleStringRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		s := CrashSchedule{Seed: rng.Int63n(1 << 32)}
-		if rng.Intn(2) == 0 {
-			s.Rate = float64(rng.Intn(1000)) / 1000
-		}
-		if rng.Intn(2) == 0 {
-			s.Downtime = 1 + rng.Intn(10)
-		}
-		for n := rng.Intn(4); n > 0; n-- {
-			p := PlannedCrash{Machine: rng.Intn(8), Tick: rng.Intn(100)}
+		s := &Schedule{Seed: rng.Int63n(1 << 32)}
+		for k := Kind(0); k < NumKinds; k++ {
 			if rng.Intn(2) == 0 {
-				p.Downtime = 1 + rng.Intn(10)
+				continue
 			}
-			s.Planned = append(s.Planned, p)
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				e := Event{Kind: k}
+				switch k {
+				case CrashPair, LinkDown:
+					e.A, e.B = rng.Intn(8), rng.Intn(8)
+				case CrashPart:
+					e.A = rng.Intn(8)
+				case PinnedCrash:
+					e.A, e.Tick, e.Down = rng.Intn(8), rng.Intn(100), rng.Intn(3)
+				case CrashRate:
+					e.P, e.Down = float64(rng.Intn(1000))/1000, rng.Intn(10)
+				default:
+					e.P = float64(rng.Intn(1000)) / 1000
+					if kinds[k].durKey != "" && rng.Intn(2) == 0 {
+						e.Dur = time.Duration(rng.Intn(5000)) * time.Microsecond
+					}
+				}
+				s.Events = append(s.Events, e)
+				if !k.targeted() {
+					break // a rolled kind has one event
+				}
+			}
 		}
-		want, err := ParseCrash(s.String())
+		got, err := Parse(s.String())
 		if err != nil {
-			t.Fatalf("case %d: ParseCrash(%q): %v", i, s.String(), err)
+			t.Fatalf("case %d: Parse(%q): %v", i, s, err)
 		}
-		got, err := ParseCrash(want.String())
-		if err != nil {
-			t.Fatalf("case %d: re-ParseCrash(%q): %v", i, want.String(), err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: round trip of %q changed the schedule:\n  %+v\nvs\n  %+v",
-				i, s.String(), got, want)
-		}
-		if got.Seed != s.Seed || got.Rate != s.Rate || got.Downtime != s.Downtime ||
-			len(got.Planned) != len(s.Planned) {
-			t.Fatalf("case %d: String dropped fields: %+v -> %q -> %+v", i, s, s.String(), got)
+		if got.Seed != s.Seed || !reflect.DeepEqual(got.Events, s.Events) {
+			t.Fatalf("case %d: round trip of %q changed the schedule:\n  %+v\nvs\n  %+v", i, s, got.Events, s.Events)
 		}
 	}
 }
 
 func TestParseCrashSpec(t *testing.T) {
-	s, err := ParseCrash("seed=42,rate=0.05,downtime=4,at=1@10+5,at=0@3")
-	if err != nil {
-		t.Fatal(err)
+	s := mustParse(t, "seed=42,crash-rate=0.05,crash-downtime=4,crash=1@10+5,crash=0@3")
+	want := []Event{
+		{Kind: CrashRate, P: 0.05, Down: 4},
+		{Kind: PinnedCrash, A: 1, Tick: 10, Down: 5},
+		{Kind: PinnedCrash, A: 0, Tick: 3},
 	}
-	if s.Seed != 42 || s.Rate != 0.05 || s.Downtime != 4 {
-		t.Errorf("parsed %+v", s)
+	if s.Seed != 42 || !reflect.DeepEqual(s.Events, want) {
+		t.Errorf("parsed seed %d, events %+v; want 42, %+v", s.Seed, s.Events, want)
 	}
-	want := []PlannedCrash{{Machine: 1, Tick: 10, Downtime: 5}, {Machine: 0, Tick: 3}}
-	if !reflect.DeepEqual(s.Planned, want) {
-		t.Errorf("Planned = %+v, want %+v", s.Planned, want)
+	if !s.Arms(CrashPlane) {
+		t.Error("a crash schedule does not arm the crash plane")
 	}
-	if empty, err := ParseCrash(""); err != nil || !empty.Empty() {
-		t.Errorf("empty spec: %+v, %v", empty, err)
-	}
-	if s.Empty() {
-		t.Error("non-empty schedule reported Empty")
-	}
-	for _, bad := range []string{"rate", "rate=2", "rate=-0.1", "nope=1", "at=3", "at=x@1", "at=1@x", "at=1@2+x", "downtime=-1", "seed=x"} {
-		if _, err := ParseCrash(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
+	if mustParse(t, "seed=42,crash-rate=0,crash-downtime=4").Arms(CrashPlane) {
+		t.Error("a crash schedule that can never crash arms the crash plane")
 	}
 }
 
 // TestCrashesAtDeterministic: hashed crash decisions are a pure function of
 // (seed, machine, tick) and planned entries override the hash.
 func TestCrashesAtDeterministic(t *testing.T) {
-	s := CrashSchedule{Seed: 42, Rate: 0.1, Downtime: 3}
-	var a, b []PlannedCrash
+	s := mustParse(t, "seed=42,crash-rate=0.1,crash-downtime=3")
+	var a, b []Crash
 	for tick := 0; tick < 200; tick++ {
 		a = append(a, s.CrashesAt(tick, 8)...)
 		b = append(b, s.CrashesAt(tick, 8)...)
@@ -146,8 +92,8 @@ func TestCrashesAtDeterministic(t *testing.T) {
 			t.Fatalf("output not sorted/deduped by machine: %+v then %+v", a[i-1], a[i])
 		}
 	}
-	other := CrashSchedule{Seed: 43, Rate: 0.1, Downtime: 3}
-	var c []PlannedCrash
+	other := mustParse(t, "seed=43,crash-rate=0.1,crash-downtime=3")
+	var c []Crash
 	for tick := 0; tick < 200; tick++ {
 		c = append(c, other.CrashesAt(tick, 8)...)
 	}
@@ -157,27 +103,18 @@ func TestCrashesAtDeterministic(t *testing.T) {
 }
 
 func TestCrashesAtPlanned(t *testing.T) {
-	s := CrashSchedule{Seed: 1, Downtime: 2, Planned: []PlannedCrash{
-		{Machine: 2, Tick: 5, Downtime: 7},
-		{Machine: 2, Tick: 5}, // duplicate machine at same tick: dropped
-		{Machine: 9, Tick: 5}, // beyond machine count: dropped
-		{Machine: 0, Tick: 5},
-	}}
+	// A duplicate machine at the same tick is dropped, and so is a machine
+	// beyond the machine count.
+	s := mustParse(t, "seed=1,crash-downtime=2,crash=2@5+7,crash=2@5,crash=9@5,crash=0@5")
 	got := s.CrashesAt(5, 4)
-	want := []PlannedCrash{{Machine: 0, Tick: 5}, {Machine: 2, Tick: 5, Downtime: 7}}
+	want := []Crash{{Machine: 0, Tick: 5, Down: 2}, {Machine: 2, Tick: 5, Down: 7}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CrashesAt(5, 4) = %+v, want %+v", got, want)
 	}
 	if got := s.CrashesAt(6, 4); len(got) != 0 {
 		t.Fatalf("CrashesAt(6, 4) = %+v, want none", got)
 	}
-	if d := s.DowntimeFor(want[1]); d != 7 {
-		t.Errorf("DowntimeFor(explicit) = %d, want 7", d)
-	}
-	if d := s.DowntimeFor(want[0]); d != 2 {
-		t.Errorf("DowntimeFor(default) = %d, want 2", d)
-	}
-	if d := (CrashSchedule{}).DowntimeFor(PlannedCrash{}); d != 1 {
-		t.Errorf("DowntimeFor floor = %d, want 1", d)
+	if got := mustParse(t, "crash=1@3").CrashesAt(3, 4); len(got) != 1 || got[0].Down != 1 {
+		t.Errorf("downtime floor: %+v, want one crash down 1 cycle", got)
 	}
 }

@@ -21,45 +21,33 @@ type drawPlanes struct {
 }
 
 func newDrawPlanes(t *testing.T, seed int64) drawPlanes {
-	in, err := New(Config{Seed: seed, ChunkDrop: 0.25, ChunkSlow: 0.2, SlowDelay: time.Nanosecond,
-		Stall: 0.1, StallDelay: time.Nanosecond, CrashPairs: []PartitionPair{{From: 2, To: 5}}, CrashParts: []int{7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := NewNet(NetConfig{Seed: seed, LinkDrop: 0.2, LinkDup: 0.3, LinkReorder: 0.15,
-		LinkSlow: 0.25, LinkDelay: 3 * time.Millisecond, DeadLinks: []NodePair{{A: 3, B: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ship, err := NewShip(ShipConfig{Seed: seed, Drop: 0.15, Dup: 0.2, Reorder: 0.1, Delay: 0.2,
-		DelayFor: time.Millisecond, Partition: 0.08, HealAfter: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crash := CrashSchedule{Seed: seed, Rate: 0.05, Downtime: 3, Planned: []PlannedCrash{
-		{Machine: 1, Tick: 10, Downtime: 5}, {Machine: 0, Tick: 20}, {Machine: 3, Tick: 40, Downtime: 2}}}
+	in := mustParse(t, fmt.Sprintf("seed=%d,chunk-drop=0.25,chunk-slow=0.2,slow-delay=1ns,stall=0.1,stall-delay=1ns,crash-pair=2:5,crash-part=7", seed))
+	net := mustParse(t, fmt.Sprintf("seed=%d,link-drop=0.2,link-dup=0.3,link-reorder=0.15,link-slow=0.25,link-delay=3ms,link-down=3:1", seed))
+	ship := mustParse(t, fmt.Sprintf("seed=%d,ship-drop=0.15,ship-dup=0.2,ship-reorder=0.1,ship-delay=0.2,ship-delay-for=1ms,ship-partition=0.08,heal-after=1ns", seed))
+	crash := mustParse(t, fmt.Sprintf("seed=%d,crash-rate=0.05,crash-downtime=3,crash=1@10+5,crash=0@20,crash=3@40+2", seed))
 	return drawPlanes{
 		chunk: func(op store.MoveOp) string {
 			err := in.BeforeMove(op)
 			st := in.Stats()
-			return fmt.Sprint(err != nil, st.Offered, st.Drops, st.Crashes, st.Slows, st.Stalls)
+			return fmt.Sprint(err != nil, st.Offered[ChunkPlane], st.Fired[ChunkDrop], st.Fired[CrashPair]+st.Fired[CrashPart],
+				st.Fired[ChunkSlow], st.Fired[Stall])
 		},
 		link: func(from, to int, op store.MoveOp) string {
 			dec, err := net.OnChunk(from, to, op)
 			st := net.Stats()
 			return fmt.Sprint(err != nil, dec.Delay, dec.Dup, dec.DeferDup,
-				st.Offered, st.Drops, st.DeadLinks, st.Dups, st.Reorders, st.Slows)
+				st.Offered[LinkPlane], st.Fired[LinkDrop], st.Fired[LinkDown], st.Fired[LinkDup], st.Fired[LinkReorder], st.Fired[LinkSlow])
 		},
 		ship: func(from, to int, batch uint64) string {
 			dec := ship.OnBatch(from, to, batch)
 			st := ship.Stats()
 			return fmt.Sprint(dec.Drop, dec.Partitioned, dec.Delay, dec.Dup, dec.Reorder,
-				st.Offered, st.Drops, st.Partitions, st.Dups, st.Reorders, st.Delays)
+				st.Offered[ShipPlane], st.Fired[ShipDrop], st.Fired[ShipPartition], st.Fired[ShipDup], st.Fired[ShipReorder], st.Fired[ShipDelay])
 		},
 		crash: func(tick, machines int) string {
 			var b strings.Builder
 			for _, c := range crash.CrashesAt(tick, machines) {
-				fmt.Fprintf(&b, "%d@%d+%d;", c.Machine, c.Tick, crash.DowntimeFor(c))
+				fmt.Fprintf(&b, "%d@%d+%d;", c.Machine, c.Tick, c.Down)
 			}
 			return b.String()
 		},

@@ -1,348 +1,311 @@
-// Package faults is the injectable fault plane for chaos testing the live
-// migration path. The paper's value proposition is reconfiguration *under
-// load*, which only matters if a reconfiguration that misbehaves — a chunk
-// send failing, an executor stalling, a partition pair going dark — degrades
-// gracefully instead of wedging the cluster. This package produces those
-// misbehaviours on demand, deterministically.
+// Package faults is the fault schedule for chaos testing reconfiguration
+// under load: a seed plus a list of typed events, each striking one plane —
+// a partition's chunk sends (BeforeMove, the store.FaultInjector seam), the
+// link between two nodes during a move (OnChunk), a primary's WAL ship
+// stream (OnBatch) or whole machines (CrashesAt). One grammar (Parse,
+// String, Validate) covers all four planes.
 //
-// Determinism is the load-bearing property: every injection decision is a
-// pure function of (seed, source partition, destination partition, chunk
-// identity, attempt number), computed by hashing rather than by drawing from
-// a shared PRNG stream. Concurrent partition-pair streams therefore see the
-// same fault schedule regardless of goroutine interleaving, which is what
-// lets the chaos suite demand byte-identical final bucket plans across runs
-// at a fixed seed.
-//
-// The injector plugs into the engine through store.FaultInjector and is
-// consulted before each chunk-level move. Rollback operations are exempt by
-// contract (store.MoveOp.Rollback): recovery from an injected fault must
-// never itself be injected with failure, mirroring real Squall, where the
-// source's committed copy survives until the destination acknowledges.
+// Every decision is a pure function of (seed, pair, chunk or batch,
+// attempt, salt), hashed rather than drawn from a shared PRNG stream, so
+// concurrent streams see the same faults however goroutines interleave:
+// that is what lets the chaos suites demand byte-identical outcomes at a
+// fixed seed. Rollbacks (store.MoveOp.Rollback) are exempt by contract:
+// recovery from an injected fault is never itself injected with failure.
 package faults
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pstore/internal/store"
 )
 
 // ErrInjected is the sentinel wrapped by every injected failure, so callers
 // can distinguish chaos from genuine engine errors.
 var ErrInjected = errors.New("faults: injected failure")
 
-// PartitionPair identifies a directed source→destination partition pair.
-type PartitionPair struct {
-	From, To int
-}
+// Plane is the part of the system a fault strikes.
+type Plane uint8
 
-// Config describes a deterministic fault schedule.
-type Config struct {
-	// Seed selects the schedule; the same seed always produces the same
-	// injection decisions for the same sequence of moves.
-	Seed int64
-	// ChunkDrop is the probability in [0, 1] that a chunk send fails.
-	ChunkDrop float64
-	// ChunkSlow is the probability in [0, 1] that a chunk is delayed by
-	// SlowDelay before it executes.
-	ChunkSlow float64
-	// SlowDelay is the delay of a slow chunk (default 2ms).
-	SlowDelay time.Duration
-	// Stall is the probability in [0, 1] that the sending coordinator
-	// stalls for StallDelay before the chunk executes — long enough to
-	// trip a configured per-move timeout.
-	Stall float64
-	// StallDelay is the duration of an injected stall (default 50ms).
-	StallDelay time.Duration
-	// CrashPairs lists partition pairs whose chunk sends always fail — a
-	// crashed network path between two partitions.
-	CrashPairs []PartitionPair
-	// CrashParts lists partitions that fail every move they participate
-	// in, sending or receiving — a crashed partition executor.
-	CrashParts []int
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	for name, p := range map[string]float64{"chunk-drop": c.ChunkDrop, "chunk-slow": c.ChunkSlow, "stall": c.Stall} {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("faults: %s %v outside [0, 1]", name, p)
-		}
-	}
-	if c.SlowDelay < 0 || c.StallDelay < 0 {
-		return fmt.Errorf("faults: delays must be non-negative")
-	}
-	return nil
-}
-
-// Stats counts the injections performed so far.
-type Stats struct {
-	// Drops is the number of chunk sends failed by probability.
-	Drops int64
-	// Crashes is the number of chunk sends failed by a crashed pair or
-	// partition.
-	Crashes int64
-	// Slows and Stalls count injected delays.
-	Slows, Stalls int64
-	// Offered is the total number of forward moves consulted.
-	Offered int64
-}
-
-// chunkKey identifies one logical chunk of one partition-pair stream: the
-// pair plus the chunk's first bucket. Retries of the same chunk share the
-// key and advance its attempt counter, so a retry re-rolls the dice
-// deterministically instead of replaying the identical failure.
-type chunkKey struct {
-	from, to, bucket int
-}
-
-// Injector implements store.FaultInjector with a deterministic schedule.
-type Injector struct {
-	cfg Config
-
-	mu       sync.Mutex
-	attempts map[chunkKey]uint64
-
-	crashPairs map[PartitionPair]struct{}
-	crashParts map[int]struct{}
-
-	drops, crashes, slows, stalls, offered atomic.Int64
-}
-
-// New builds an injector for the given schedule.
-func New(cfg Config) (*Injector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.SlowDelay == 0 {
-		cfg.SlowDelay = 2 * time.Millisecond
-	}
-	if cfg.StallDelay == 0 {
-		cfg.StallDelay = 50 * time.Millisecond
-	}
-	in := &Injector{
-		cfg:        cfg,
-		attempts:   make(map[chunkKey]uint64),
-		crashPairs: make(map[PartitionPair]struct{}, len(cfg.CrashPairs)),
-		crashParts: make(map[int]struct{}, len(cfg.CrashParts)),
-	}
-	for _, p := range cfg.CrashPairs {
-		in.crashPairs[p] = struct{}{}
-	}
-	for _, p := range cfg.CrashParts {
-		in.crashParts[p] = struct{}{}
-	}
-	return in, nil
-}
-
-// Config returns the injector's schedule.
-func (in *Injector) Config() Config { return in.cfg }
-
-// Stats snapshots the injection counters.
-func (in *Injector) Stats() Stats {
-	return Stats{
-		Drops:   in.drops.Load(),
-		Crashes: in.crashes.Load(),
-		Slows:   in.slows.Load(),
-		Stalls:  in.stalls.Load(),
-		Offered: in.offered.Load(),
-	}
-}
-
-// Salts separate the independent decision streams drawn from one hash.
 const (
-	saltDrop uint64 = 0xD609
-	saltSlow uint64 = 0x510C
-	saltStal uint64 = 0x57A1
+	ChunkPlane Plane = iota // a partition's chunk sends (BeforeMove)
+	LinkPlane               // the network between two nodes during a move (OnChunk)
+	ShipPlane               // a primary's WAL ship stream (OnBatch)
+	CrashPlane              // whole machines (CrashesAt)
+	numPlanes
 )
 
-// BeforeMove implements store.FaultInjector.
-func (in *Injector) BeforeMove(op store.MoveOp) error {
-	if op.Rollback {
-		return nil // recovery is exempt by contract
-	}
-	in.offered.Add(1)
-	if _, crashed := in.crashPairs[PartitionPair{From: op.From, To: op.To}]; crashed {
-		in.crashes.Add(1)
-		return fmt.Errorf("faults: partition pair %d -> %d crashed: %w", op.From, op.To, ErrInjected)
-	}
-	if _, dead := in.crashParts[op.From]; dead {
-		in.crashes.Add(1)
-		return fmt.Errorf("faults: partition %d crashed: %w", op.From, ErrInjected)
-	}
-	if _, dead := in.crashParts[op.To]; dead {
-		in.crashes.Add(1)
-		return fmt.Errorf("faults: partition %d crashed: %w", op.To, ErrInjected)
-	}
+func (p Plane) String() string { return [numPlanes]string{"chunk", "link", "ship", "crash"}[p] }
 
-	key := chunkKey{from: op.From, to: op.To, bucket: -1}
-	if len(op.Buckets) > 0 {
-		key.bucket = op.Buckets[0]
-	}
-	in.mu.Lock()
-	attempt := in.attempts[key]
-	in.attempts[key]++
-	in.mu.Unlock()
+// Kind is the fault one event injects.
+type Kind uint8
 
-	if key.roll(in.cfg.Seed, attempt, saltStal) < in.cfg.Stall {
-		in.stalls.Add(1)
-		time.Sleep(in.cfg.StallDelay)
-	} else if key.roll(in.cfg.Seed, attempt, saltSlow) < in.cfg.ChunkSlow {
-		in.slows.Add(1)
-		time.Sleep(in.cfg.SlowDelay)
+const (
+	ChunkDrop     Kind = iota // P: a chunk send fails
+	ChunkSlow                 // P: a chunk waits Dur (default 2ms) first
+	Stall                     // P: the sender stalls Dur (default 50ms) first
+	CrashPair                 // every chunk send from partition A to B fails
+	CrashPart                 // every move in or out of partition A fails
+	LinkDrop                  // P: a chunk is lost in flight
+	LinkDup                   // P: a chunk's install is delivered twice
+	LinkReorder               // P: that duplicate arrives after the pair's next chunk
+	LinkSlow                  // P: a transfer waits Dur (default 2ms) first
+	LinkDown                  // every transfer between nodes A and B fails
+	ShipDrop                  // P: a batch is lost in flight
+	ShipDup                   // P: a batch is delivered twice
+	ShipReorder               // P: the stream's next batch overtakes this one
+	ShipDelay                 // P: a batch waits Dur (default 2ms) first
+	ShipPartition             // P: the link is down for one attempt; Dur > 0 makes it an outage that heals after Dur
+	PinnedCrash               // machine A crashes at Tick, for Down cycles
+	CrashRate                 // P: each machine crashes at each tick; Down is every crash's default downtime
+	NumKinds
+)
+
+// kinds is the grammar and the draws: each kind's plane, the key of its
+// probability or target, the key and default of its duration (Down for the
+// crash kinds) and the salt that keeps its draws apart from every other
+// kind's. Every fixed-seed draw depends on the salts.
+var kinds = [NumKinds]struct {
+	plane       Plane
+	key, durKey string
+	def         time.Duration
+	salt        uint64
+}{
+	ChunkDrop:     {ChunkPlane, "chunk-drop", "", 0, 0xD609},
+	ChunkSlow:     {ChunkPlane, "chunk-slow", "slow-delay", 2 * time.Millisecond, 0x510C},
+	Stall:         {ChunkPlane, "stall", "stall-delay", 50 * time.Millisecond, 0x57A1},
+	CrashPair:     {ChunkPlane, "crash-pair", "", 0, 0},
+	CrashPart:     {ChunkPlane, "crash-part", "", 0, 0},
+	LinkDrop:      {LinkPlane, "link-drop", "", 0, 0x11D0},
+	LinkDup:       {LinkPlane, "link-dup", "", 0, 0xD0B2},
+	LinkReorder:   {LinkPlane, "link-reorder", "", 0, 0x2E0D},
+	LinkSlow:      {LinkPlane, "link-slow", "link-delay", 2 * time.Millisecond, 0x510F},
+	LinkDown:      {LinkPlane, "link-down", "", 0, 0},
+	ShipDrop:      {ShipPlane, "ship-drop", "", 0, 0x54D0},
+	ShipDup:       {ShipPlane, "ship-dup", "", 0, 0x54D1},
+	ShipReorder:   {ShipPlane, "ship-reorder", "", 0, 0x54D2},
+	ShipDelay:     {ShipPlane, "ship-delay", "ship-delay-for", 2 * time.Millisecond, 0x54D3},
+	ShipPartition: {ShipPlane, "ship-partition", "heal-after", 0, 0x54D4},
+	PinnedCrash:   {CrashPlane, "crash", "", 0, 0},
+	CrashRate:     {CrashPlane, "crash-rate", "crash-downtime", 0, 0xC4A5},
+}
+
+// targeted reports whether events of the kind name a target instead of
+// rolling a probability; such a key may repeat.
+func (k Kind) targeted() bool {
+	return k == CrashPair || k == CrashPart || k == LinkDown || k == PinnedCrash
+}
+
+// Event is one fault of a schedule. A rolled kind fires with probability P
+// at any target; a targeted kind always fires at its target.
+type Event struct {
+	Kind Kind
+	A, B int           // target: partition pair A -> B, node pair A <-> B, partition A or machine A
+	Tick int           // the controller tick a pinned crash fires at
+	P    float64       // probability in [0, 1] of a rolled kind
+	Dur  time.Duration // slow, stall, delay or heal-after; 0 means the kind's default
+	Down int           // a crash's downtime in cycles; 0 means crash-downtime's, at least 1
+}
+
+// Schedule is a seeded list of fault events and the state its deciders
+// keep: one attempt table keyed by (plane, chunk or batch), the heal-after
+// outages and the injection counters. A nil *Schedule injects nothing.
+type Schedule struct {
+	Seed   int64 // the same seed makes the same decisions for the same calls
+	Events []Event
+
+	mu       sync.Mutex
+	attempts map[attemptKey]uint64
+	outage   map[chunkKey]time.Time // heal-after outages by pair; zero once healed
+
+	offered [numPlanes]atomic.Int64
+	fired   [NumKinds]atomic.Int64
+}
+
+// Stats counts the decisions a schedule has made so far.
+type Stats struct {
+	Offered [numPlanes]int64 // decisions consulted per plane, rollbacks not included
+	Fired   [NumKinds]int64  // injections per kind; a link reorder is a link dup too
+}
+
+// Stats snapshots the injection counters.
+func (s *Schedule) Stats() Stats {
+	var st Stats
+	for p := range st.Offered {
+		st.Offered[p] = s.offered[p].Load()
 	}
-	if key.roll(in.cfg.Seed, attempt, saltDrop) < in.cfg.ChunkDrop {
-		in.drops.Add(1)
-		return fmt.Errorf("faults: dropped chunk of %d buckets %d -> %d (attempt %d): %w",
-			len(op.Buckets), op.From, op.To, attempt+1, ErrInjected)
+	for k := range st.Fired {
+		st.Fired[k] = s.fired[k].Load()
+	}
+	return st
+}
+
+// Arms reports whether the schedule has an event on the plane that can
+// fire. It is false on a nil schedule.
+func (s *Schedule) Arms(p Plane) bool {
+	return s != nil && slices.ContainsFunc(s.Events, func(e Event) bool {
+		return kinds[e.Kind].plane == p && (e.Kind.targeted() || e.P > 0)
+	})
+}
+
+// Only refuses a schedule with an event outside the given planes, naming
+// the first such event: how a command refuses faults it cannot honour.
+func (s *Schedule) Only(planes ...Plane) error {
+	for _, e := range s.Events {
+		if p := kinds[e.Kind].plane; !slices.Contains(planes, p) {
+			return fmt.Errorf("faults: %s is a %s fault", e, p)
+		}
 	}
 	return nil
 }
 
-// roll maps a seed and the words that identify one decision onto a uniform
-// value in [0, 1) by hashing — no shared PRNG stream, so decisions are
-// interleaving-free. Every fixed-seed schedule depends on the words and
-// their order.
-func roll(seed int64, words ...uint64) float64 {
-	h := uint64(seed)
-	for _, w := range words {
-		h = splitmix64(h ^ w)
-	}
-	return float64(h>>11) / float64(1<<53)
-}
-
-// roll is the salt-indexed roll of one attempt at the chunk: the identity
-// every chunk-, link- and ship-level decision hashes.
-func (k chunkKey) roll(seed int64, attempt, salt uint64) float64 {
-	return roll(seed, uint64(k.from)<<32^uint64(uint32(k.to)), uint64(uint32(k.bucket)), attempt, salt)
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator: a full-avalanche
-// 64-bit mix, perfect for turning structured keys into uniform bits.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// Parse builds a Config from a comma-separated spec string, the format of
-// the pstore `--faults` flag:
-//
-//	seed=42,chunk-drop=0.05,chunk-slow=0.1,slow-delay=2ms,
-//	stall=0.01,stall-delay=50ms,crash-pair=3:7,crash-part=2
-//
-// crash-pair and crash-part may repeat. An empty spec is an empty schedule.
-func Parse(spec string) (Config, error) {
-	var cfg Config
-	err := eachKV(spec, func(k, v string) (err error) {
-		switch k {
-		case "seed":
-			cfg.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "chunk-drop":
-			cfg.ChunkDrop, err = strconv.ParseFloat(v, 64)
-		case "chunk-slow":
-			cfg.ChunkSlow, err = strconv.ParseFloat(v, 64)
-		case "slow-delay":
-			cfg.SlowDelay, err = time.ParseDuration(v)
-		case "stall":
-			cfg.Stall, err = strconv.ParseFloat(v, 64)
-		case "stall-delay":
-			cfg.StallDelay, err = time.ParseDuration(v)
-		case "crash-pair":
-			var pair PartitionPair
-			pair, err = parsePair(v)
-			cfg.CrashPairs = append(cfg.CrashPairs, pair)
-		case "crash-part":
-			var p int
-			p, err = strconv.Atoi(v)
-			cfg.CrashParts = append(cfg.CrashParts, p)
-		default:
-			err = errUnknownKey
+// Validate reports schedule errors: an unknown kind, a probability outside
+// [0, 1] (NaN included), or a negative id, tick or duration.
+func (s *Schedule) Validate() error {
+	for _, e := range s.Events {
+		switch {
+		case e.Kind >= NumKinds:
+			return fmt.Errorf("faults: unknown fault kind %d", e.Kind)
+		case !(e.P >= 0 && e.P <= 1):
+			return fmt.Errorf("faults: %s: probability outside [0, 1]", e)
+		case e.A < 0 || e.B < 0:
+			return fmt.Errorf("faults: %s: negative id", e)
+		case e.Tick < 0 || e.Dur < 0 || e.Down < 0:
+			return fmt.Errorf("faults: %s: negative tick or duration", e)
 		}
-		return err
-	})
-	if err != nil {
-		return cfg, err
 	}
-	return cfg, cfg.Validate()
+	return nil
 }
 
-var errUnknownKey = errors.New("unknown key")
-
-// eachKV calls fn for every key=value field of a comma-separated spec, the
-// shape all four fault flags share; an empty spec has no fields. fn returns
-// errUnknownKey for a key outside its grammar.
-func eachKV(spec string, fn func(k, v string) error) error {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil
+// Parse builds a schedule from a comma-separated spec, the format of the
+// pstore -faults flag: seed=N plus the keys of the kinds table, e.g.
+// "seed=42,chunk-drop=0.05,link-down=0:1,heal-after=500ms,crash=1@10+5".
+// crash-pair=A:B, crash-part=A, link-down=A:B and crash=M@T[+D] may repeat;
+// for any other key the last value wins. An empty spec is an empty schedule.
+func Parse(spec string) (*Schedule, error) {
+	s := &Schedule{}
+	if spec = strings.TrimSpace(spec); spec == "" {
+		return s, nil
 	}
 	for _, field := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
 		if !ok {
-			return fmt.Errorf("faults: field %q is not key=value", field)
+			return nil, fmt.Errorf("faults: field %q is not key=value", field)
 		}
-		if err := fn(k, v); err == errUnknownKey {
-			return fmt.Errorf("faults: unknown key %q", k)
-		} else if err != nil {
-			return fmt.Errorf("faults: parsing %q: %w", field, err)
+		if err := s.set(k, v); err != nil {
+			return nil, fmt.Errorf("faults: parsing %q: %w", field, err)
 		}
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// set applies one key=value field of a spec.
+func (s *Schedule) set(k, v string) (err error) {
+	if k == "seed" {
+		s.Seed, err = strconv.ParseInt(v, 10, 64)
+		return err
+	}
+	for i, g := range kinds {
+		kind := Kind(i)
+		if k == g.key && kind.targeted() {
+			e := Event{Kind: kind}
+			err = e.parseTarget(v)
+			s.Events = append(s.Events, e)
+			return err
+		}
+		if k != g.key && (k != g.durKey || k == "") {
+			continue
+		}
+		// A rolled kind's probability and duration keys set one event.
+		e := s.rolledEvent(kind)
+		switch {
+		case k == g.key:
+			e.P, err = strconv.ParseFloat(v, 64)
+		case kind == CrashRate:
+			e.Down, err = strconv.Atoi(v)
+		default:
+			e.Dur, err = time.ParseDuration(v)
+		}
+		return err
+	}
+	return errors.New("unknown key")
+}
+
+// rolledEvent returns the schedule's event of a rolled kind, adding it on
+// first use.
+func (s *Schedule) rolledEvent(k Kind) *Event {
+	for i := range s.Events {
+		if s.Events[i].Kind == k {
+			return &s.Events[i]
+		}
+	}
+	s.Events = append(s.Events, Event{Kind: k})
+	return &s.Events[len(s.Events)-1]
+}
+
+// parseTarget fills a targeted event from its value: "A" (crash-part),
+// "A:B" (crash-pair, link-down) or "M@T[+D]" (crash).
+func (e *Event) parseTarget(v string) error {
+	fields, seps := []*int{&e.A}, ""
+	switch e.Kind {
+	case CrashPair, LinkDown:
+		fields, seps = []*int{&e.A, &e.B}, ":"
+	case PinnedCrash:
+		if !strings.Contains(v, "+") {
+			v += "+0"
+		}
+		fields, seps = []*int{&e.A, &e.Tick, &e.Down}, "@+"
+	}
+	for i, f := range fields {
+		field := v
+		if i < len(seps) {
+			var ok bool
+			if field, v, ok = strings.Cut(v, seps[i:i+1]); !ok {
+				return fmt.Errorf("%q lacks %q", field, seps[i:i+1])
+			}
+		}
+		n, err := strconv.Atoi(field)
+		if err != nil {
+			return err
+		}
+		*f = n
 	}
 	return nil
 }
 
-func parsePair(v string) (PartitionPair, error) {
-	a, b, ok := strings.Cut(v, ":")
-	if !ok {
-		return PartitionPair{}, fmt.Errorf("pair %q is not from:to", v)
+// String renders the event in Parse's spec format.
+func (e Event) String() string {
+	g := kinds[e.Kind]
+	switch {
+	case e.Kind == CrashPart:
+		return fmt.Sprintf("%s=%d", g.key, e.A)
+	case e.Kind == CrashPair || e.Kind == LinkDown:
+		return fmt.Sprintf("%s=%d:%d", g.key, e.A, e.B)
+	case e.Kind == PinnedCrash && e.Down != 0:
+		return fmt.Sprintf("%s=%d@%d+%d", g.key, e.A, e.Tick, e.Down)
+	case e.Kind == PinnedCrash:
+		return fmt.Sprintf("%s=%d@%d", g.key, e.A, e.Tick)
+	case e.Kind == CrashRate && e.Down != 0:
+		return fmt.Sprintf("%s=%v,%s=%d", g.key, e.P, g.durKey, e.Down)
+	case e.Kind != CrashRate && e.Dur != 0 && g.durKey != "":
+		return fmt.Sprintf("%s=%v,%s=%v", g.key, e.P, g.durKey, e.Dur)
 	}
-	from, err := strconv.Atoi(a)
-	if err != nil {
-		return PartitionPair{}, err
-	}
-	to, err := strconv.Atoi(b)
-	if err != nil {
-		return PartitionPair{}, err
-	}
-	return PartitionPair{From: from, To: to}, nil
+	return fmt.Sprintf("%s=%v", g.key, e.P)
 }
 
-// String renders the schedule back into Parse's spec format.
-func (c Config) String() string {
-	parts := []string{fmt.Sprintf("seed=%d", c.Seed)}
-	if c.ChunkDrop > 0 {
-		parts = append(parts, fmt.Sprintf("chunk-drop=%v", c.ChunkDrop))
-	}
-	if c.ChunkSlow > 0 {
-		parts = append(parts, fmt.Sprintf("chunk-slow=%v", c.ChunkSlow))
-	}
-	if c.SlowDelay > 0 {
-		parts = append(parts, fmt.Sprintf("slow-delay=%v", c.SlowDelay))
-	}
-	if c.Stall > 0 {
-		parts = append(parts, fmt.Sprintf("stall=%v", c.Stall))
-	}
-	if c.StallDelay > 0 {
-		parts = append(parts, fmt.Sprintf("stall-delay=%v", c.StallDelay))
-	}
-	pairs := append([]PartitionPair(nil), c.CrashPairs...)
-	sort.Slice(pairs, func(i, j int) bool {
-		return pairs[i].From < pairs[j].From || (pairs[i].From == pairs[j].From && pairs[i].To < pairs[j].To)
-	})
-	for _, p := range pairs {
-		parts = append(parts, fmt.Sprintf("crash-pair=%d:%d", p.From, p.To))
-	}
-	crash := append([]int(nil), c.CrashParts...)
-	sort.Ints(crash)
-	for _, p := range crash {
-		parts = append(parts, fmt.Sprintf("crash-part=%d", p))
+// String renders the schedule in Parse's spec format; Parse of it yields an
+// equal schedule.
+func (s *Schedule) String() string {
+	parts := []string{fmt.Sprintf("seed=%d", s.Seed)}
+	for _, e := range s.Events {
+		parts = append(parts, e.String())
 	}
 	return strings.Join(parts, ",")
 }

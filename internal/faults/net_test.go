@@ -3,7 +3,6 @@ package faults
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"pstore/internal/store"
 )
@@ -13,16 +12,12 @@ import (
 // other pairs' transfers interleave — the property the multi-process chaos
 // suite leans on.
 func TestNetDeterminism(t *testing.T) {
-	cfg := NetConfig{Seed: 7, LinkDrop: 0.3, LinkDup: 0.3, LinkReorder: 0.2, LinkSlow: 0.2, LinkDelay: time.Nanosecond}
 	type verdict struct {
 		dec LinkDecision
 		err bool
 	}
 	run := func(order []int) []verdict {
-		n, err := NewNet(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := mustParse(t, "seed=7,link-drop=0.3,link-dup=0.3,link-reorder=0.2,link-slow=0.2,link-delay=1ns")
 		out := make([]verdict, 0, 64)
 		for _, pair := range order {
 			for chunk := 0; chunk < 8; chunk++ {
@@ -52,10 +47,7 @@ func TestNetDeterminism(t *testing.T) {
 // TestNetRetryRerolls: a retried transfer advances the chunk's attempt
 // counter, so a dropped chunk is not doomed to drop forever.
 func TestNetRetryRerolls(t *testing.T) {
-	n, err := NewNet(NetConfig{Seed: 3, LinkDrop: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mustParse(t, "seed=3,link-drop=0.5")
 	op := store.MoveOp{From: 1, To: 2, Buckets: []int{5}}
 	sawDrop, sawPass := false, false
 	for i := 0; i < 64 && !(sawDrop && sawPass); i++ {
@@ -75,17 +67,14 @@ func TestNetRetryRerolls(t *testing.T) {
 
 // TestNetRollbackExempt: rollback transfers are never injected.
 func TestNetRollbackExempt(t *testing.T) {
-	n, err := NewNet(NetConfig{Seed: 1, LinkDrop: 1, LinkDup: 1, LinkReorder: 1, LinkSlow: 1, DeadLinks: []NodePair{{A: 0, B: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mustParse(t, "seed=1,link-drop=1,link-dup=1,link-reorder=1,link-slow=1,link-down=0:1")
 	for i := 0; i < 16; i++ {
 		dec, err := n.OnChunk(0, 1, store.MoveOp{From: 1, To: 2, Buckets: []int{i}, Rollback: true})
 		if err != nil || dec != (LinkDecision{}) {
 			t.Fatalf("rollback transfer injected: dec=%+v err=%v", dec, err)
 		}
 	}
-	if s := n.Stats(); s.Offered != 0 {
+	if s := n.Stats(); s.Offered[LinkPlane] != 0 {
 		t.Fatalf("rollback transfers counted as offered: %+v", s)
 	}
 }
@@ -93,10 +82,7 @@ func TestNetRollbackExempt(t *testing.T) {
 // TestNetPartition: a dead link fails every transfer in both directions and
 // leaves same-node transfers alone.
 func TestNetPartition(t *testing.T) {
-	n, err := NewNet(NetConfig{Seed: 1, DeadLinks: []NodePair{{A: 1, B: 0}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mustParse(t, "seed=1,link-down=1:0")
 	op := store.MoveOp{From: 0, To: 1, Buckets: []int{0}}
 	if _, err := n.OnChunk(0, 1, op); !errors.Is(err, ErrInjected) {
 		t.Fatalf("0->1 over dead link: %v", err)
@@ -107,7 +93,7 @@ func TestNetPartition(t *testing.T) {
 	if _, err := n.OnChunk(0, 0, op); err != nil {
 		t.Fatalf("same-node transfer failed: %v", err)
 	}
-	if s := n.Stats(); s.DeadLinks != 2 {
+	if s := n.Stats(); s.Fired[LinkDown] != 2 {
 		t.Fatalf("dead-link hits: %+v", s)
 	}
 }
@@ -115,10 +101,7 @@ func TestNetPartition(t *testing.T) {
 // TestNetReorderImpliesDup: a reorder decision always carries Dup, and the
 // counters attribute it to both streams.
 func TestNetReorderImpliesDup(t *testing.T) {
-	n, err := NewNet(NetConfig{Seed: 1, LinkReorder: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mustParse(t, "seed=1,link-reorder=1")
 	dec, err := n.OnChunk(0, 1, store.MoveOp{From: 1, To: 2, Buckets: []int{0}})
 	if err != nil {
 		t.Fatal(err)
@@ -126,36 +109,8 @@ func TestNetReorderImpliesDup(t *testing.T) {
 	if !dec.Dup || !dec.DeferDup {
 		t.Fatalf("reorder=1 produced %+v", dec)
 	}
-	if s := n.Stats(); s.Dups != 1 || s.Reorders != 1 {
+	if s := n.Stats(); s.Fired[LinkDup] != 1 || s.Fired[LinkReorder] != 1 {
 		t.Fatalf("counters: %+v", s)
-	}
-}
-
-// TestNetSpecRoundTrip: String output must reparse to the same schedule.
-func TestNetSpecRoundTrip(t *testing.T) {
-	specs := []string{
-		"",
-		"seed=42",
-		"seed=42,link-drop=0.05,link-dup=0.1,link-reorder=0.05,link-slow=0.1,link-delay=3ms,partition=0:1,partition=1:2",
-	}
-	for _, spec := range specs {
-		cfg, err := ParseNet(spec)
-		if err != nil {
-			t.Fatalf("ParseNet(%q): %v", spec, err)
-		}
-		again, err := ParseNet(cfg.String())
-		if err != nil {
-			t.Fatalf("reparse of %q -> %q: %v", spec, cfg.String(), err)
-		}
-		if again.String() != cfg.String() {
-			t.Fatalf("round trip: %q -> %q", cfg.String(), again.String())
-		}
-	}
-	if _, err := ParseNet("link-drop=2"); err == nil {
-		t.Fatal("out-of-range probability accepted")
-	}
-	if _, err := ParseNet("bogus=1"); err == nil {
-		t.Fatal("unknown key accepted")
 	}
 }
 
@@ -164,14 +119,8 @@ func TestNetSpecRoundTrip(t *testing.T) {
 // but effective check: at p=0.5 each, agreement across many chunks should
 // not be total.
 func TestNetSaltsIndependent(t *testing.T) {
-	inj, err := New(Config{Seed: 9, ChunkDrop: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNet(NetConfig{Seed: 9, LinkDrop: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := mustParse(t, "seed=9,chunk-drop=0.5")
+	n := mustParse(t, "seed=9,link-drop=0.5")
 	agree, total := 0, 256
 	for i := 0; i < total; i++ {
 		op := store.MoveOp{From: 1, To: 2, Buckets: []int{i}}

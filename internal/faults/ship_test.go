@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -9,14 +10,8 @@ import (
 // seed produce identical decision sequences over the same batch stream,
 // including re-rolled retries, while a different seed diverges somewhere.
 func TestShipDeterminism(t *testing.T) {
-	cfg := ShipConfig{Seed: 42, Drop: 0.2, Dup: 0.2, Reorder: 0.2, Delay: 0.2, Partition: 0.1}
 	run := func(seed int64) []ShipDecision {
-		c := cfg
-		c.Seed = seed
-		inj, err := NewShip(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inj := mustParse(t, fmt.Sprintf("seed=%d,ship-drop=0.2,ship-dup=0.2,ship-reorder=0.2,ship-delay=0.2,ship-partition=0.1", seed))
 		var out []ShipDecision
 		for batch := uint64(0); batch < 200; batch++ {
 			// Two attempts per batch: retried deliveries must re-roll under
@@ -60,9 +55,7 @@ func TestShipDeterminism(t *testing.T) {
 // pair: the same batch ordinal on different links sees an independent
 // schedule, so ship faults stay placement-invariant.
 func TestShipPairIndependence(t *testing.T) {
-	cfg := ShipConfig{Seed: 7, Drop: 0.5}
-	a, _ := NewShip(cfg)
-	b, _ := NewShip(cfg)
+	a, b := mustParse(t, "seed=7,ship-drop=0.5"), mustParse(t, "seed=7,ship-drop=0.5")
 	same := true
 	for batch := uint64(0); batch < 100; batch++ {
 		if a.OnBatch(0, 1, batch) != b.OnBatch(2, 1, batch) {
@@ -78,10 +71,7 @@ func TestShipPairIndependence(t *testing.T) {
 // dropped batch carries no other fault, and a reordered batch is never also
 // a dup.
 func TestShipPrecedence(t *testing.T) {
-	inj, err := NewShip(ShipConfig{Seed: 1, Drop: 0.3, Dup: 0.3, Reorder: 0.3, Delay: 0.3, Partition: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := mustParse(t, "seed=1,ship-drop=0.3,ship-dup=0.3,ship-reorder=0.3,ship-delay=0.3,ship-partition=0.3")
 	for batch := uint64(0); batch < 500; batch++ {
 		d := inj.OnBatch(0, 1, batch)
 		if (d.Partitioned || d.Drop) && (d.Dup || d.Reorder || d.Delay > 0) {
@@ -95,15 +85,12 @@ func TestShipPrecedence(t *testing.T) {
 		}
 	}
 	st := inj.Stats()
-	if st.Offered != 500 {
-		t.Fatalf("Offered = %d", st.Offered)
+	if st.Offered[ShipPlane] != 500 {
+		t.Fatalf("Offered = %d", st.Offered[ShipPlane])
 	}
-	for name, v := range map[string]int64{
-		"drops": st.Drops, "partitions": st.Partitions, "dups": st.Dups,
-		"reorders": st.Reorders, "delays": st.Delays,
-	} {
-		if v == 0 {
-			t.Errorf("no %s in 500 batches at p=0.3", name)
+	for _, k := range []Kind{ShipDrop, ShipPartition, ShipDup, ShipReorder, ShipDelay} {
+		if st.Fired[k] == 0 {
+			t.Errorf("no %s in 500 batches at p=0.3", kinds[k].key)
 		}
 	}
 }
@@ -112,10 +99,7 @@ func TestShipPrecedence(t *testing.T) {
 // partition opens an outage during which every attempt fails, and once the
 // window elapses the pair is healed for good.
 func TestShipHealAfter(t *testing.T) {
-	inj, err := NewShip(ShipConfig{Seed: 9, Partition: 1, HealAfter: 40 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := mustParse(t, "seed=9,ship-partition=1,heal-after=40ms")
 	if !inj.OnBatch(0, 1, 0).Partitioned {
 		t.Fatal("p=1 schedule did not open an outage")
 	}
@@ -136,36 +120,7 @@ func TestShipHealAfter(t *testing.T) {
 			t.Fatalf("batch %d partitioned after the pair healed", i)
 		}
 	}
-	if _, err := NewShip(ShipConfig{Partition: 0.5, HealAfter: -time.Second}); err == nil {
+	if _, err := Parse("ship-partition=0.5,heal-after=-1s"); err == nil {
 		t.Fatal("accepted negative heal-after")
-	}
-}
-
-// TestParseShipRoundTrip checks the flag spec round-trips through String.
-func TestParseShipRoundTrip(t *testing.T) {
-	spec := "seed=42,ship-drop=0.05,ship-dup=0.1,ship-reorder=0.05,ship-delay=0.1,ship-delay-for=5ms,ship-partition=0.02,heal-after=500ms"
-	cfg, err := ParseShip(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Seed != 42 || cfg.Drop != 0.05 || cfg.DelayFor != 5*time.Millisecond || cfg.Partition != 0.02 {
-		t.Fatalf("parsed %+v", cfg)
-	}
-	cfg2, err := ParseShip(cfg.String())
-	if err != nil {
-		t.Fatalf("re-parsing %q: %v", cfg.String(), err)
-	}
-	if cfg2 != cfg {
-		t.Fatalf("round trip drifted: %+v vs %+v", cfg, cfg2)
-	}
-	if _, err := ParseShip("ship-drop=1.5"); err == nil {
-		t.Fatal("accepted probability above 1")
-	}
-	if _, err := ParseShip("bogus=1"); err == nil {
-		t.Fatal("accepted unknown key")
-	}
-	empty, err := ParseShip("  ")
-	if err != nil || empty.Enabled() {
-		t.Fatalf("blank spec: %+v, %v", empty, err)
 	}
 }

@@ -43,12 +43,12 @@ type Config struct {
 	// Recovery configures the command log: with a DataDir, an on-disk WAL
 	// that a restarted node cold-starts from.
 	Recovery recovery.Config
-	// ReplicaOf, Advertise, ShipFaults, SyncCommit and FollowerCheckpointEvery
+	// ReplicaOf, Advertise, Faults, SyncCommit and FollowerCheckpointEvery
 	// are the replication settings of server.NodeConfig. Advertise defaults
 	// to the listener's address.
 	ReplicaOf               string
 	Advertise               string
-	ShipFaults              *faults.ShipInjector
+	Faults                  *faults.Schedule
 	SyncCommit              bool
 	FollowerCheckpointEvery int
 	// Info is served at /v1/info (server.Config.Info).
@@ -120,7 +120,7 @@ func (n *Node) assemble(cfg Config) error {
 		Recovery:                n.Recovery,
 		ReplicaOf:               cfg.ReplicaOf,
 		Advertise:               n.URL,
-		ShipFaults:              cfg.ShipFaults,
+		Faults:                  cfg.Faults,
 		SyncCommit:              cfg.SyncCommit,
 		FollowerCheckpointEvery: cfg.FollowerCheckpointEvery,
 	}

@@ -217,12 +217,12 @@ func TestLifecycleStaleRejoinOfferFullResync(t *testing.T) {
 // promote the rejoined node, which must hold every write the new primary
 // acknowledged.
 func TestLifecycleChainedFailover(t *testing.T) {
-	inj, err := faults.NewShip(faults.ShipConfig{Seed: 42, Drop: 0.05, Dup: 0.1})
+	inj, err := faults.Parse("seed=42,ship-drop=0.05,ship-dup=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pcfg := kvConfig(t)
-	pcfg.ShipFaults = inj
+	pcfg.Faults = inj
 	p := startNode(t, pcfg)
 	fcfg := replicaOf(t, p)
 	fcfg.SyncCommit = true

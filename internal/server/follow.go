@@ -99,7 +99,7 @@ func (s *Server) startShipperLocked(rm *recovery.Manager, url string, cur wire.S
 		Follower:   transport.NewPeer(url),
 		FromNode:   nc.ID,
 		ToNode:     -1,
-		Faults:     nc.ShipFaults,
+		Faults:     nc.Faults,
 		Start:      cur,
 		SyncCommit: nc.SyncCommit,
 	})

@@ -47,9 +47,9 @@ type NodeConfig struct {
 	// Advertise is the base URL this node names when it syncs from a primary,
 	// for the primary to ship to.
 	Advertise string
-	// ShipFaults and SyncCommit configure the shipper this node runs as a
+	// Faults and SyncCommit configure the shipper this node runs as a
 	// primary (transport.ShipperConfig's Faults and SyncCommit).
-	ShipFaults *faults.ShipInjector
+	Faults     *faults.Schedule
 	SyncCommit bool
 	// FollowerCheckpointEvery, when > 0, has a replica run a checkpoint of
 	// its own WAL every time that many shipped command records have been

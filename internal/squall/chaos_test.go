@@ -43,7 +43,7 @@ func runChaosScript(t *testing.T, seed int64) string {
 	e := testEngine(t, 6, 1)
 	const keys = 500
 	load(t, e, keys)
-	inj, err := faults.New(faults.Config{Seed: seed, ChunkDrop: 0.5, ChunkSlow: 0.05, SlowDelay: 100 * time.Microsecond})
+	inj, err := faults.Parse(fmt.Sprintf("seed=%d,chunk-drop=0.5,chunk-slow=0.05,slow-delay=100us", seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestChaosCrashedPairCleanAbort(t *testing.T) {
 	load(t, e, keys)
 	// Scale-out 1 -> 2 with P=2 streams pairs 0->2 and 1->3; pair 0->2 is
 	// dead no matter how often a chunk is retried.
-	inj, err := faults.New(faults.Config{Seed: 1, CrashPairs: []faults.PartitionPair{{From: 0, To: 2}}})
+	inj, err := faults.Parse("seed=1,crash-pair=0:2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestChaosRetryRecovers(t *testing.T) {
 	load(t, e, keys)
 	cfg := chaosConfig()
 	cfg.MaxChunkRetries = 10
-	inj, err := faults.New(faults.Config{Seed: 11, ChunkDrop: 0.4})
+	inj, err := faults.Parse("seed=11,chunk-drop=0.4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestChaosRetryRecovers(t *testing.T) {
 	if st.Aborts != 0 {
 		t.Errorf("aborts = %d, want 0", st.Aborts)
 	}
-	if got := inj.Stats().Drops; got == 0 {
+	if got := inj.Stats().Fired[faults.ChunkDrop]; got == 0 {
 		t.Error("injector reports no drops")
 	}
 	checkBalanced(t, e, 3)
@@ -241,7 +241,7 @@ func TestChaosMoveTimeout(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.ChunkRows = 10 // many chunks, so the timeout hits a chunk boundary
 	cfg.MoveTimeout = 5 * time.Millisecond
-	inj, err := faults.New(faults.Config{Seed: 5, Stall: 1, StallDelay: 4 * time.Millisecond})
+	inj, err := faults.Parse("seed=5,stall=1,stall-delay=4ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestFailedReconfigurationAllowsNext(t *testing.T) {
 	e := testEngine(t, 3, 1)
 	const keys = 300
 	load(t, e, keys)
-	inj, err := faults.New(faults.Config{Seed: 2, ChunkDrop: 1})
+	inj, err := faults.Parse("seed=2,chunk-drop=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestChaosUnderLiveLoad(t *testing.T) {
 	load(t, e, keys)
 	cfg := chaosConfig()
 	cfg.MaxChunkRetries = 2
-	inj, err := faults.New(faults.Config{Seed: 9, ChunkDrop: 0.45, ChunkSlow: 0.1, SlowDelay: 100 * time.Microsecond})
+	inj, err := faults.Parse("seed=9,chunk-drop=0.45,chunk-slow=0.1,slow-delay=100us")
 	if err != nil {
 		t.Fatal(err)
 	}

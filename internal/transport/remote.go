@@ -51,11 +51,11 @@ type Remote struct {
 
 	fi atomic.Pointer[faultHolder]
 
-	// net is the link-level fault plane; heldMu guards the reordered
-	// (late-duplicate) deliveries awaiting the pair's next chunk.
-	net    atomic.Pointer[netHolder]
+	// net is the schedule the link plane draws from; heldMu guards the
+	// reordered (late-duplicate) deliveries awaiting the pair's next chunk.
+	net    atomic.Pointer[faults.Schedule]
 	heldMu sync.Mutex
-	held   map[faults.PartitionPair]heldInstall
+	held   map[partitionPair]heldInstall
 
 	// cachedRows is the last successful TotalRows aggregation, returned on
 	// an RPC failure so chunk sizing degrades instead of dividing by zero.
@@ -66,7 +66,9 @@ type Remote struct {
 }
 
 type faultHolder struct{ fi store.FaultInjector }
-type netHolder struct{ n *faults.NetInjector }
+
+// partitionPair names a directed source -> destination partition pair.
+type partitionPair struct{ from, to int }
 
 // heldInstall is a duplicate chunk delivery held back by a link-reorder
 // decision until the pair's next chunk has landed.
@@ -87,7 +89,7 @@ func NewRemote(ctx context.Context, peers []*Peer) (*Remote, error) {
 	r := &Remote{
 		peers:      peers,
 		down:       make(map[int]bool),
-		held:       make(map[faults.PartitionPair]heldInstall),
+		held:       make(map[partitionPair]heldInstall),
 		rpcTimeout: 30 * time.Second,
 	}
 	var rows int
@@ -131,9 +133,10 @@ func (r *Remote) SetFaultInjector(fi store.FaultInjector) {
 	r.fi.Store(&faultHolder{fi: fi})
 }
 
-// SetNetInjector attaches the link-level chaos plane.
-func (r *Remote) SetNetInjector(n *faults.NetInjector) {
-	r.net.Store(&netHolder{n: n})
+// SetNetInjector attaches the schedule the link-level chaos plane draws
+// from (faults.Schedule.OnChunk); nil detaches it.
+func (r *Remote) SetNetInjector(s *faults.Schedule) {
+	r.net.Store(s)
 }
 
 // FlipErrors counts ownership-flip broadcasts that failed; node plans heal
@@ -294,18 +297,18 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 
 	fromNode := r.NodeOf(from / r.cfg.PartitionsPerMachine)
 	toNode := r.NodeOf(to / r.cfg.PartitionsPerMachine)
-	pair := faults.PartitionPair{From: from, To: to}
+	pair := partitionPair{from: from, to: to}
 	if rollback {
 		// A rollback supersedes any pending late duplicate in either
 		// direction of the pair.
 		r.dropHeld(pair)
-		r.dropHeld(faults.PartitionPair{From: to, To: from})
+		r.dropHeld(partitionPair{from: to, to: from})
 	}
 
 	var dec faults.LinkDecision
-	if h := r.net.Load(); h != nil && h.n != nil {
+	if net := r.net.Load(); net != nil {
 		var err error
-		dec, err = h.n.OnChunk(fromNode, toNode, op)
+		dec, err = net.OnChunk(fromNode, toNode, op)
 		if err != nil {
 			return 0, err
 		}
@@ -377,7 +380,7 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 // deferred duplicate is held until the pair's next chunk lands. Duplicate
 // installs are idempotent at the store (they add no rows), which is exactly
 // the property the chaos plane exists to exercise.
-func (r *Remote) deliverDup(pair faults.PartitionPair, dec faults.LinkDecision, toNode int, req wire.NodeMove, chunk []byte) {
+func (r *Remote) deliverDup(pair partitionPair, dec faults.LinkDecision, toNode int, req wire.NodeMove, chunk []byte) {
 	// First deliver any duplicate held from the pair's previous chunk —
 	// it was "reordered behind" this one.
 	r.heldMu.Lock()
@@ -410,7 +413,7 @@ func (r *Remote) installDup(h heldInstall) {
 	_, _ = r.peers[h.toNode].Install(ctx, h.req, h.chunk)
 }
 
-func (r *Remote) dropHeld(pair faults.PartitionPair) {
+func (r *Remote) dropHeld(pair partitionPair) {
 	r.heldMu.Lock()
 	delete(r.held, pair)
 	r.heldMu.Unlock()
@@ -517,7 +520,7 @@ func (r *Remote) Checkpoint() (int, error) {
 // processes keep serving.
 func (r *Remote) Close() error {
 	r.heldMu.Lock()
-	r.held = make(map[faults.PartitionPair]heldInstall)
+	r.held = make(map[partitionPair]heldInstall)
 	r.heldMu.Unlock()
 	return nil
 }

@@ -146,8 +146,9 @@ type ShipperConfig struct {
 	Follower *Peer
 	// FromNode/ToNode key the fault injector's (pair, batch, attempt) hash.
 	FromNode, ToNode int
-	// Faults, when set, injects replication-stream faults.
-	Faults *faults.ShipInjector
+	// Faults, when set, is the schedule the replication-stream faults are
+	// drawn from (faults.Schedule.OnBatch).
+	Faults *faults.Schedule
 	// BatchRecords caps records per batch (0 = wal.MaxShipRecords).
 	BatchRecords int
 	// Start is the cursor shipping begins from (the sync response's cursor).

@@ -133,9 +133,7 @@ func runReplChaosScript(t *testing.T, mode string) string {
 
 	if mode == "repl" {
 		meta := syncFollower(t, primary, follower)
-		inj, err := faults.NewShip(faults.ShipConfig{
-			Seed: replChaosSeed, Drop: 0.15, Dup: 0.25, Reorder: 0.2, Partition: 0.1,
-		})
+		inj, err := faults.Parse(fmt.Sprintf("seed=%d,ship-drop=0.15,ship-dup=0.25,ship-reorder=0.2,ship-partition=0.1", replChaosSeed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,7 +139,7 @@ func syncFollower(t testing.TB, primary, follower *replNode) wire.ReplSyncMeta {
 	return meta
 }
 
-func newTestShipper(t *testing.T, primary, follower *replNode, start wire.ShipCursor, batchRecords int, inj *faults.ShipInjector) *transport.Shipper {
+func newTestShipper(t *testing.T, primary, follower *replNode, start wire.ShipCursor, batchRecords int, inj *faults.Schedule) *transport.Shipper {
 	t.Helper()
 	sh, err := transport.NewShipper(transport.ShipperConfig{
 		RM:           primary.rm,
@@ -384,13 +384,13 @@ func TestDuplicateShipAfterReconnect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inj, err := faults.NewShip(faults.ShipConfig{Seed: 11, Dup: 1})
+	inj, err := faults.Parse("seed=11,ship-dup=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := newTestShipper(t, primary, follower, meta.Cursor, 16, inj)
 	drainShipper(t, sh, follower)
-	if inj.Stats().Dups == 0 {
+	if inj.Stats().Fired[faults.ShipDup] == 0 {
 		t.Fatal("injector duplicated nothing; test proves nothing")
 	}
 
@@ -488,7 +488,7 @@ func TestPromoteWhileMigrationInFlight(t *testing.T) {
 
 	// Drive a scale-out whose chunks all fail: retries exhaust mid-flight
 	// and the move must abort with rollback — the crashed-pair path.
-	inj, err := faults.New(faults.Config{Seed: 5, ChunkDrop: 1})
+	inj, err := faults.Parse("seed=5,chunk-drop=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,7 @@ func TestZombieRejoinChain(t *testing.T) {
 		put(a.eng, fmt.Sprintf("k-%d", i), fmt.Sprintf("init-%d", i))
 	}
 	meta := syncFollower(t, a, b)
-	inj, err := faults.NewShip(faults.ShipConfig{
-		Seed: replChaosSeed, Drop: 0.15, Dup: 0.25, Reorder: 0.2, Partition: 0.1,
-	})
+	inj, err := faults.Parse(fmt.Sprintf("seed=%d,ship-drop=0.15,ship-dup=0.25,ship-reorder=0.2,ship-partition=0.1", replChaosSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +125,7 @@ func TestZombieRejoinChain(t *testing.T) {
 
 	// Second half of the script runs on the new primary, shipped back to the
 	// rejoined zombie under a fresh fault schedule.
-	inj2, err := faults.NewShip(faults.ShipConfig{
-		Seed: replChaosSeed + 1, Drop: 0.15, Dup: 0.25, Reorder: 0.2, Partition: 0.1,
-	})
+	inj2, err := faults.Parse(fmt.Sprintf("seed=%d,ship-drop=0.15,ship-dup=0.25,ship-reorder=0.2,ship-partition=0.1", replChaosSeed+1))
 	if err != nil {
 		t.Fatal(err)
 	}

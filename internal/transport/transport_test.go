@@ -136,7 +136,7 @@ func chaosExecutorConfig() squall.Config {
 // plan, and row conservation.
 func runChaosScript(t *testing.T, topo transport.Topology, seed int64, drop float64, crash bool, keys int) string {
 	t.Helper()
-	inj, err := faults.New(faults.Config{Seed: seed, ChunkDrop: drop})
+	inj, err := faults.Parse(fmt.Sprintf("seed=%d,chunk-drop=%v", seed, drop))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,13 +426,7 @@ func TestNetFaultsConserveRows(t *testing.T) {
 	nodes, r := newKVLoopback(t, 2, 4, 1)
 	loadAll(t, engines(nodes), keys)
 
-	net, err := faults.NewNet(faults.NetConfig{
-		Seed:        7,
-		LinkDup:     1,
-		LinkReorder: 0.5,
-		LinkSlow:    0.1,
-		LinkDelay:   100 * time.Microsecond,
-	})
+	net, err := faults.Parse("seed=7,link-dup=1,link-reorder=0.5,link-slow=0.1,link-delay=100us")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +445,7 @@ func TestNetFaultsConserveRows(t *testing.T) {
 			t.Fatalf("%d->%d: TotalRows = %d, want %d", from, target, got, keys)
 		}
 	}
-	if st := net.Stats(); st.Dups == 0 {
+	if st := net.Stats(); st.Fired[faults.LinkDup] == 0 {
 		t.Fatalf("net injector saw no duplicates: %+v", st)
 	}
 

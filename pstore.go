@@ -249,16 +249,14 @@ type RecoveryStats = recovery.Stats
 // hook. Call before Engine.Start so every transaction is logged.
 func NewRecoveryManager(eng *Engine) *RecoveryManager { return recovery.NewManager(eng) }
 
-// CrashSchedule is a deterministic machine-failure schedule (planned
-// crashes plus a hashed per-cycle rate) for ClusterConfig.Crash.
-type CrashSchedule = faults.CrashSchedule
+// FaultSchedule is a deterministic fault schedule for ClusterConfig.Faults:
+// chunk faults on the migration path and machine crashes (pinned to a
+// monitoring cycle, or a hashed per-cycle rate).
+type FaultSchedule = faults.Schedule
 
-// PlannedCrash pins one machine failure to one monitoring cycle.
-type PlannedCrash = faults.PlannedCrash
-
-// ParseCrashSchedule parses the pstore --crash spec format, e.g.
-// "seed=42,rate=0.05,downtime=4,at=1@10+5".
-func ParseCrashSchedule(spec string) (CrashSchedule, error) { return faults.ParseCrash(spec) }
+// ParseFaults parses the pstore -faults spec format, e.g.
+// "seed=42,chunk-drop=0.05,crash-rate=0.05,crash-downtime=4,crash=1@10+5".
+func ParseFaults(spec string) (*FaultSchedule, error) { return faults.Parse(spec) }
 
 // ErrPartitionDown is returned for transactions and migrations that touch a
 // crashed machine; it heals when the machine recovers.

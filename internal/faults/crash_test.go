@@ -50,6 +50,33 @@ func TestConfigStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCrashScheduleStringRoundTrip is the same property for the crash keys
+// alone: random crash-rate, crash-downtime and pinned crashes round-trip.
+func TestCrashScheduleStringRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200; i++ {
+		s := &Schedule{Seed: rng.Int63n(1 << 32)}
+		if rng.Intn(2) == 0 {
+			e := Event{Kind: CrashRate, P: float64(rng.Intn(1000)) / 1000}
+			if rng.Intn(2) == 0 {
+				e.Down = 1 + rng.Intn(10)
+			}
+			s.Events = append(s.Events, e)
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			e := Event{Kind: PinnedCrash, A: rng.Intn(8), Tick: rng.Intn(100)}
+			if rng.Intn(2) == 0 {
+				e.Down = 1 + rng.Intn(10)
+			}
+			s.Events = append(s.Events, e)
+		}
+		got := mustRoundTrip(t, s.String())
+		if got.Seed != s.Seed || !reflect.DeepEqual(got.Events, s.Events) {
+			t.Fatalf("case %d: String dropped fields: %+v -> %q -> %+v", i, s.Events, s, got.Events)
+		}
+	}
+}
+
 func TestParseCrashSpec(t *testing.T) {
 	s := mustParse(t, "seed=42,crash-rate=0.05,crash-downtime=4,crash=1@10+5,crash=0@3")
 	want := []Event{

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pstore/internal/store"
 )
@@ -17,6 +18,21 @@ func mustParse(t testing.TB, spec string) *Schedule {
 	s, err := Parse(spec)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", spec, err)
+	}
+	return s
+}
+
+// mustRoundTrip parses spec and checks its String parses back to an equal
+// schedule.
+func mustRoundTrip(t testing.TB, spec string) *Schedule {
+	t.Helper()
+	s := mustParse(t, spec)
+	again, err := Parse(s.String())
+	if err != nil {
+		t.Fatalf("reparse of %q -> %q: %v", spec, s, err)
+	}
+	if again.Seed != s.Seed || !reflect.DeepEqual(again.Events, s.Events) {
+		t.Fatalf("round trip of %q through %q changed the schedule:\n  %+v\nvs\n  %+v", spec, s, s.Events, again.Events)
 	}
 	return s
 }
@@ -108,6 +124,31 @@ func TestInjectorFullDrop(t *testing.T) {
 	}
 }
 
+// TestParseRoundTrip: the chunk plane's keys parse to their events and
+// round-trip through String.
+func TestParseRoundTrip(t *testing.T) {
+	s := mustRoundTrip(t, "seed=42,chunk-drop=0.05,chunk-slow=0.1,slow-delay=3ms,stall=0.01,stall-delay=80ms,crash-pair=3:7,crash-pair=1:2,crash-part=4")
+	want := []Event{
+		{Kind: ChunkDrop, P: 0.05},
+		{Kind: ChunkSlow, P: 0.1, Dur: 3 * time.Millisecond},
+		{Kind: Stall, P: 0.01, Dur: 80 * time.Millisecond},
+		{Kind: CrashPair, A: 3, B: 7},
+		{Kind: CrashPair, A: 1, B: 2},
+		{Kind: CrashPart, A: 4},
+	}
+	if s.Seed != 42 || !reflect.DeepEqual(s.Events, want) {
+		t.Errorf("parsed seed %d, events %+v; want 42, %+v", s.Seed, s.Events, want)
+	}
+	if s := mustRoundTrip(t, ""); len(s.Events) != 0 {
+		t.Errorf("empty spec parsed to %+v", s.Events)
+	}
+	for _, bad := range []string{"chunk-drop", "chunk-drop=2", "nope=1", "crash-pair=3", "seed=x", "stall=-0.1"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("spec %q accepted", bad)
+		}
+	}
+}
+
 // TestParseErrors: every malformed spec is refused, naming the problem.
 func TestParseErrors(t *testing.T) {
 	for _, tc := range []struct{ spec, want string }{
@@ -171,7 +212,7 @@ func FuzzParse(f *testing.F) {
 		"seed=42,ship-drop=0.05,ship-dup=0.1,ship-partition=0.2,heal-after=300ms",
 		"seed=42,crash=1@8+6",
 		"crash=1@10+5,seed=42,crash-rate=0.01,crash-downtime=4",
-		// The cases of the per-grammar round-trip tests this one replaced.
+		// The cases of the per-plane round-trip tests.
 		"",
 		"  ",
 		"seed=42",

@@ -2,7 +2,9 @@ package faults
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+	"time"
 
 	"pstore/internal/store"
 )
@@ -111,6 +113,32 @@ func TestNetReorderImpliesDup(t *testing.T) {
 	}
 	if s := n.Stats(); s.Fired[LinkDup] != 1 || s.Fired[LinkReorder] != 1 {
 		t.Fatalf("counters: %+v", s)
+	}
+}
+
+// TestNetSpecRoundTrip: the link plane's keys parse to their events and
+// round-trip through String.
+func TestNetSpecRoundTrip(t *testing.T) {
+	for _, spec := range []string{"", "seed=42"} {
+		mustRoundTrip(t, spec)
+	}
+	s := mustRoundTrip(t, "seed=42,link-drop=0.05,link-dup=0.1,link-reorder=0.05,link-slow=0.1,link-delay=3ms,link-down=0:1,link-down=1:2")
+	want := []Event{
+		{Kind: LinkDrop, P: 0.05},
+		{Kind: LinkDup, P: 0.1},
+		{Kind: LinkReorder, P: 0.05},
+		{Kind: LinkSlow, P: 0.1, Dur: 3 * time.Millisecond},
+		{Kind: LinkDown, A: 0, B: 1},
+		{Kind: LinkDown, A: 1, B: 2},
+	}
+	if s.Seed != 42 || !reflect.DeepEqual(s.Events, want) {
+		t.Errorf("parsed seed %d, events %+v; want 42, %+v", s.Seed, s.Events, want)
+	}
+	if _, err := Parse("link-drop=2"); err == nil {
+		t.Fatal("out-of-range probability accepted")
+	}
+	if _, err := Parse("bogus=1"); err == nil {
+		t.Fatal("unknown key accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -122,5 +123,30 @@ func TestShipHealAfter(t *testing.T) {
 	}
 	if _, err := Parse("ship-partition=0.5,heal-after=-1s"); err == nil {
 		t.Fatal("accepted negative heal-after")
+	}
+}
+
+// TestParseShipRoundTrip: the ship plane's keys parse to their events and
+// round-trip through String.
+func TestParseShipRoundTrip(t *testing.T) {
+	s := mustRoundTrip(t, "seed=42,ship-drop=0.05,ship-dup=0.1,ship-reorder=0.05,ship-delay=0.1,ship-delay-for=5ms,ship-partition=0.02,heal-after=500ms")
+	want := []Event{
+		{Kind: ShipDrop, P: 0.05},
+		{Kind: ShipDup, P: 0.1},
+		{Kind: ShipReorder, P: 0.05},
+		{Kind: ShipDelay, P: 0.1, Dur: 5 * time.Millisecond},
+		{Kind: ShipPartition, P: 0.02, Dur: 500 * time.Millisecond},
+	}
+	if s.Seed != 42 || !reflect.DeepEqual(s.Events, want) {
+		t.Fatalf("parsed seed %d, events %+v; want 42, %+v", s.Seed, s.Events, want)
+	}
+	if _, err := Parse("ship-drop=1.5"); err == nil {
+		t.Fatal("accepted probability above 1")
+	}
+	if _, err := Parse("bogus=1"); err == nil {
+		t.Fatal("accepted unknown key")
+	}
+	if empty := mustRoundTrip(t, "  "); empty.Arms(ShipPlane) {
+		t.Fatalf("blank spec arms the ship plane: %+v", empty.Events)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"pstore/internal/b2w"
 	"pstore/internal/cluster"
 	"pstore/internal/faults"
-	"pstore/internal/recovery"
+	"pstore/internal/node"
 	"pstore/internal/squall"
 	"pstore/internal/store"
 	"pstore/internal/transport"
@@ -93,12 +93,19 @@ func runCoord(args []string) error {
 	var topo transport.Topology
 	var remote *transport.Remote
 	if *peerList == "" {
-		local, err := coordLocalTopology(*maxM, *initial, *seed)
+		// The oracle is one node hosting every machine, loaded with the
+		// dataset the nodes load; its recovery manager runs the crash script.
+		n, err := node.Open(node.Config{
+			Nodes:    1,
+			Store:    deployedEngine(*maxM, *initial),
+			Register: b2w.Register,
+			Load:     func(eng *store.Engine) error { return b2w.Load(eng, deployedDataset(*seed)) },
+		})
 		if err != nil {
 			return err
 		}
-		topo = local
-		defer local.Engine.Stop()
+		defer n.Close()
+		topo = transport.NewLocal(n.Engine, n.Recovery)
 		fmt.Fprintf(os.Stderr, "coord: single-process oracle, %d rows on %d machines\n",
 			topo.TotalRows(), topo.ActiveMachines())
 	} else {
@@ -394,24 +401,4 @@ func coordStep(topo transport.Topology, ex *squall.Executor, target int, rate fl
 		return fmt.Sprintf("abort (%s)", wire.CodeOf(me.Cause))
 	}
 	return fmt.Sprintf("refused (%s)", wire.CodeOf(err))
-}
-
-// coordLocalTopology builds the single-process oracle: one engine hosting
-// every machine, loaded with the b2w dataset the nodes load, wrapped with an
-// in-process recovery manager so the crash script works identically.
-func coordLocalTopology(maxM, initial int, seed int64) (*transport.Local, error) {
-	eng, err := store.NewEngine(deployedEngine(maxM, initial))
-	if err != nil {
-		return nil, err
-	}
-	if err := b2w.Register(eng); err != nil {
-		return nil, err
-	}
-	rm := recovery.NewManager(eng)
-	eng.Start()
-	if _, err := rm.Bootstrap(func() error { return b2w.Load(eng, deployedDataset(seed)) }); err != nil {
-		eng.Stop()
-		return nil, err
-	}
-	return transport.NewLocal(eng, rm), nil
 }

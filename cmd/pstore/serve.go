@@ -2,11 +2,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -23,6 +25,7 @@ import (
 	"pstore/internal/server"
 	"pstore/internal/squall"
 	"pstore/internal/store"
+	"pstore/internal/transport"
 	"pstore/internal/workload"
 )
 
@@ -97,7 +100,8 @@ func runServe(args []string) error {
 	if *days < 1 || *initial < 1 || *maxM < *initial || *cycleMin < 1 || *minute <= 0 {
 		return errors.New("invalid sizing flags")
 	}
-	if *nodeID < 0 && (*replicaOf != "" || *syncCommit || *followerCkpt != 0) {
+	nodeMode := *nodeID >= 0
+	if !nodeMode && (*replicaOf != "" || *syncCommit || *followerCkpt != 0) {
 		return errors.New("-replica-of, -sync-commit and -follower-checkpoint-every require node mode (-node)")
 	}
 	if *followerCkpt < 0 {
@@ -107,29 +111,26 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *nodeID >= 0 {
+	var peers []string
+	if nodeMode {
 		if err := sched.Only(faults.ShipPlane); err != nil {
 			return fmt.Errorf("%w: serve -node injects ship faults only; chunk, link and crash faults belong to pstore coord", err)
 		}
-		return runServeNode(serveNodeConfig{
-			node: *nodeID, nodes: *nodes, peers: *peerList,
-			days: *days, minute: *minute, seed: *seed,
-			initial: *initial, maxM: *maxM,
-			deadline: *deadline, overloadSpec: *overloadSpec,
-			listen: *listen, serveFor: *serveFor,
-			dataDir:   *dataDir,
-			replicaOf: *replicaOf, advertise: *advertise, faults: sched,
-			syncCommit: *syncCommit, followerCkptEvery: *followerCkpt,
-		})
+		switch {
+		case *nodes < 1:
+			return errors.New("-node requires -nodes >= 1")
+		case *nodeID >= *nodes:
+			return fmt.Errorf("-node %d out of range for -nodes %d", *nodeID, *nodes)
+		case *listen == "":
+			return errors.New("-node requires -listen")
+		}
+		if *peerList != "" {
+			peers = strings.Split(*peerList, ",")
+			if len(peers) != *nodes {
+				return fmt.Errorf("-peers lists %d URLs, want %d (one per node, in node-id order)", len(peers), *nodes)
+			}
+		}
 	}
-
-	// Training month plus the replayed day(s).
-	full, err := workload.SyntheticB2W(workload.DefaultB2WConfig(*seed, 28+*days))
-	if err != nil {
-		return err
-	}
-	train := full.Slice(0, 28*workload.MinutesPerDay)
-	replay := full.Slice(28*workload.MinutesPerDay, full.Len())
 
 	olCfg, err := store.ParseOverload(*overloadSpec)
 	if err != nil {
@@ -143,9 +144,63 @@ func runServe(args []string) error {
 	}
 	engCfg := deployedEngine(*maxM, *initial)
 	engCfg.Overload = olCfg
+	spec := deployedDataset(*seed)
+	info := serveInfo{
+		Seed: *seed, Days: *days,
+		MinuteMs:     float64(*minute) / float64(time.Millisecond),
+		DeadlineMs:   float64(olCfg.Deadline) / float64(time.Millisecond),
+		Carts:        spec.Carts,
+		Checkouts:    spec.Checkouts,
+		Stocks:       spec.Stocks,
+		LinesPerCart: spec.LinesPerCart,
+	}
 	if olCfg.Enabled() {
+		info.Overload = olCfg.String()
 		fmt.Fprintf(os.Stderr, "serve: overload plane armed: %s\n", olCfg)
 	}
+	// Both modes open a node: one of -nodes hosting its share of the machines,
+	// or the only one, hosting all of them.
+	ncfg := node.Config{
+		Nodes:    1,
+		Store:    engCfg,
+		Register: b2w.Register,
+		Load:     func(eng *store.Engine) error { return b2w.Load(eng, spec) },
+		Recovery: recovery.Config{DataDir: *dataDir},
+	}
+	if nodeMode {
+		ncfg.ID, ncfg.Nodes, ncfg.Peers = *nodeID, *nodes, peers
+		ncfg.ReplicaOf, ncfg.Advertise = *replicaOf, advertiseURL(*advertise, *listen)
+		ncfg.SyncCommit, ncfg.FollowerCheckpointEvery = *syncCommit, *followerCkpt
+		if sched.Arms(faults.ShipPlane) {
+			ncfg.Faults = sched
+			fmt.Fprintf(os.Stderr, "serve: ship-fault schedule armed: %s\n", sched)
+		}
+		if *syncCommit {
+			fmt.Fprintf(os.Stderr, "serve: synchronous commit armed: acks wait for follower durability once a follower syncs\n")
+		}
+		info.Node, info.Nodes = *nodeID, *nodes
+		// The trace contract is the one single-process serve publishes, so a
+		// drive process pointed at any node replays the same workload. Only a
+		// driver reads it, so the month of trace behind its rate scale is
+		// generated on the first request, not at every start.
+		ncfg.Info = infoFunc(sync.OnceValues(func() ([]byte, error) {
+			full, err := workload.SyntheticB2W(workload.DefaultB2WConfig(*seed, 28+*days))
+			if err != nil {
+				return nil, err
+			}
+			_, info.RateScale = capacityScale(engCfg, *maxM, *minute, full.Slice(28*workload.MinutesPerDay, full.Len()).Max())
+			return json.Marshal(info)
+		}))
+		return runServeNode(ncfg, *listen, *serveFor)
+	}
+
+	// Training month plus the replayed day(s).
+	full, err := workload.SyntheticB2W(workload.DefaultB2WConfig(*seed, 28+*days))
+	if err != nil {
+		return err
+	}
+	train := full.Slice(0, 28*workload.MinutesPerDay)
+	replay := full.Slice(28*workload.MinutesPerDay, full.Len())
 	perMachine, rateScale := capacityScale(engCfg, *maxM, *minute, replay.Max())
 	qMax := perMachine * minute.Seconds() / rateScale
 	model := migration.Model{Q: 0.65 / 0.8 * qMax, QMax: qMax, D: 10, P: engCfg.PartitionsPerMachine}
@@ -176,33 +231,33 @@ func runServe(args []string) error {
 		return fmt.Errorf("unknown controller %q", *policy)
 	}
 
-	var faultsStr string
 	if len(sched.Events) > 0 {
-		faultsStr = sched.String()
+		info.Faults = sched.String()
 		fmt.Fprintf(os.Stderr, "serve: fault schedule armed: %s\n", sched)
 	}
-
-	spec := deployedDataset(*seed)
-	clusterCfg := cluster.Config{
-		Engine:            engCfg,
+	info.RateScale = rateScale
+	ncfg.Info = info
+	n, err := node.Open(ncfg)
+	if err != nil {
+		return err
+	}
+	defer n.Close()
+	rec, err := metrics.NewRecorder(time.Now(), 300*time.Millisecond)
+	if err != nil {
+		return err
+	}
+	n.SetRecorder(rec)
+	c, err := cluster.NewRemote(cluster.Config{
 		Squall:            squall.DefaultConfig(),
 		Controller:        ctrl,
 		Cycle:             time.Duration(*cycleMin) * *minute,
 		RateScale:         rateScale,
 		CycleTraceMinutes: float64(*cycleMin),
-		RecorderWindow:    300 * time.Millisecond,
-		Bootstrap: func(eng *store.Engine) error {
-			return b2w.Load(eng, spec)
-		},
-		Faults:          sched,
-		CheckpointEvery: *ckptEvery,
-		DataDir:         *dataDir,
-	}
-	c, err := cluster.New(clusterCfg)
+		Recorder:          rec,
+		Faults:            sched,
+		CheckpointEvery:   *ckptEvery,
+	}, transport.NewLocal(n.Engine, n.Recovery))
 	if err != nil {
-		return err
-	}
-	if err := b2w.Register(c.Engine()); err != nil {
 		return err
 	}
 
@@ -230,69 +285,39 @@ func runServe(args []string) error {
 		return err
 	}
 	defer c.Stop()
-	if cs := c.ColdStart(); cs != nil {
-		fmt.Fprintf(os.Stderr, "serve: cold start from %s: %d machines / %d partitions rebuilt, %d images + %d replayed commands, %s of log scanned in %v\n",
-			*dataDir, cs.Machines, cs.Partitions, cs.Snapshots, cs.Replayed,
-			node.ByteCount(cs.LogBytes), cs.Duration.Round(time.Millisecond))
-	}
 	start := time.Now()
 
 	var stats b2w.Stats
-	var srvCounters *server.Counters
 	if *listen != "" {
-		info := serveInfo{
-			Seed: *seed, Days: *days,
-			MinuteMs:     float64(*minute) / float64(time.Millisecond),
-			RateScale:    rateScale,
-			DeadlineMs:   float64(olCfg.Deadline) / float64(time.Millisecond),
-			Carts:        spec.Carts,
-			Checkouts:    spec.Checkouts,
-			Stocks:       spec.Stocks,
-			LinesPerCart: spec.LinesPerCart,
-			Faults:       faultsStr,
-		}
-		if olCfg.Enabled() {
-			info.Overload = olCfg.String()
-		}
-		scfg := server.Config{
-			Engine:          c.Engine(),
-			Recorder:        c.Recorder(),
-			DefaultDeadline: time.Duration(info.DeadlineMs * float64(time.Millisecond)),
-			Info:            info,
-		}
-		sc, err := serveWire(ctx, scfg, *listen, *serveFor)
-		if err != nil {
-			c.Stop()
-			watch.Wait()
-			return err
-		}
-		srvCounters = &sc
+		err = serveListening(ctx, n, *listen, *serveFor)
 	} else {
-		driver := &b2w.Driver{Eng: c.Engine(), Spec: spec, Seed: *seed + 1, Recorder: c.Recorder()}
+		driver := &b2w.Driver{Eng: n.Engine, Spec: spec, Seed: *seed + 1, Recorder: rec}
 		fmt.Fprintf(os.Stderr, "serve: replaying %d day(s) (1 trace minute = %v) under %q on up to %d machines\n",
 			*days, *minute, *policy, *maxM)
 		stats, err = driver.Run(ctx, replay, *minute, rateScale)
 	}
 	c.Stop()
 	watch.Wait()
+	_ = n.Close() // everything acknowledged is already in the log; its latched error is printed below
 	if err != nil && ctx.Err() == nil {
 		return err
 	}
 
-	rec := c.Recorder()
 	cs := c.Stats()
-	if srvCounters != nil {
-		sc := *srvCounters
+	var sc *server.Counters
+	if *listen != "" {
+		counters := n.Server.Counters()
+		sc = &counters
 		fmt.Printf("wire: %d requests in %d frames (%d streams): %d ok, %d txn-errors, %d bad-requests, %d internal\n",
 			sc.Requests, sc.Frames, sc.Streams, sc.OK, sc.TxnErrors, sc.BadRequests, sc.Internal)
-		ec := c.Engine().Counters()
+		ec := n.Engine.Counters()
 		fmt.Printf("served %d transactions (%d failed) in %v\n",
 			ec.Completed, ec.Errored, time.Since(start).Round(time.Millisecond))
 	} else {
 		fmt.Printf("served %d transactions (%d failed) in %v\n",
 			stats.Executed, stats.Failed, time.Since(start).Round(time.Millisecond))
 	}
-	printRefusedSummary(rec, c.Engine(), srvCounters, olCfg.Enabled())
+	printRefusedSummary(rec, n.Engine, sc, olCfg.Enabled())
 	fmt.Printf("SLA violations (>%g ms): p50 %d, p95 %d, p99 %d\n",
 		*sloMs, rec.SLAViolations(50, *sloMs), rec.SLAViolations(95, *sloMs), rec.SLAViolations(99, *sloMs))
 	fmt.Printf("machines: avg %.2f (initial %d, max %d)\n", rec.AverageMachines(), *initial, *maxM)
@@ -301,9 +326,7 @@ func runServe(args []string) error {
 	mc := rec.MigrationCounters()
 	fmt.Printf("migration: %d chunk retries, %d aborts, %d chunks rolled back\n",
 		mc.Retries, mc.Aborts, mc.RollbackChunks)
-	if rm := c.Recovery(); rm != nil {
-		printRecoverySummary(rm)
-	}
+	printRecoverySummary(n.Recovery)
 	if sched.Arms(faults.ChunkPlane) {
 		fst := sched.Stats()
 		fmt.Printf("faults: %d chunk sends offered, %d dropped, %d crashed, %d slowed, %d stalled\n",
@@ -311,6 +334,30 @@ func runServe(args []string) error {
 			fst.Fired[faults.ChunkSlow], fst.Fired[faults.Stall])
 	}
 	return nil
+}
+
+// serveListening serves an opened single-process node on addr to remote
+// clients until waitServing returns.
+func serveListening(ctx context.Context, n *node.Node, addr string, serveFor time.Duration) error {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	n.Serve(l)
+	return waitServing(ctx, n.Server, l.Addr(), serveFor)
+}
+
+// advertiseURL derives the base URL peers use to reach a node: the explicit
+// -advertise flag, or the listen address with a loopback host filled in when
+// it only names a port.
+func advertiseURL(advertise, listen string) string {
+	switch {
+	case advertise != "":
+		return advertise
+	case strings.HasPrefix(listen, ":"):
+		return "http://127.0.0.1" + listen
+	}
+	return "http://" + listen
 }
 
 // printRecoverySummary prints a serve summary's recovery line, if there was
@@ -331,43 +378,19 @@ func printRecoverySummary(rm *recovery.Manager) {
 
 // printRefusedSummary prints one refused-work total across the whole stack:
 // the driver/client in-flight caps and the engine's admission/shed/deadline
-// defenses, with the wire front end's 429 view reported alongside (wire
-// rejections are engine refusals that left as HTTP 429s, so they are a view
-// of the same work, not an addition to it).
+// defenses, with the wire front end's view of the same refusals (429, 504,
+// 503) alongside when a server ran.
 func printRefusedSummary(rec *metrics.Recorder, eng *store.Engine, sc *server.Counters, armed bool) {
 	oc := rec.OverloadCounters()
-	if oc.Refused() == 0 && oc.WireRejected == 0 && !armed {
+	if oc.Refused() == 0 && !armed && (sc == nil || sc.Rejected429 == 0) {
 		return
 	}
 	line := fmt.Sprintf("refused: %d total (%d rejected, %d shed, %d deadline-exceeded, %d client-shed",
 		oc.Refused(), oc.Rejected, oc.Shed, oc.DeadlineExceeded, oc.ClientShed)
 	if sc != nil {
 		line += fmt.Sprintf("; wire: %d as 429, %d as 504, %d as 503", sc.Rejected429, sc.Deadline504, sc.Down503)
-	} else if oc.WireRejected > 0 {
-		line += fmt.Sprintf("; %d as wire 429", oc.WireRejected)
 	}
 	fmt.Printf("%s), worst queue delay %v\n", line, eng.MaxQueueSojourn().Round(time.Millisecond))
-}
-
-// serveWire runs the network front end over the given server configuration
-// until waitServing returns, then shuts it down.
-func serveWire(ctx context.Context, scfg server.Config, addr string, serveFor time.Duration) (server.Counters, error) {
-	srv, err := server.New(scfg)
-	if err != nil {
-		return server.Counters{}, err
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return server.Counters{}, err
-	}
-	go srv.Serve(l)
-	if err := waitServing(ctx, srv, l.Addr(), serveFor); err != nil {
-		return srv.Counters(), err
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err = srv.Shutdown(shCtx)
-	return srv.Counters(), err
 }
 
 // waitServing blocks while srv serves on addr: until a signal, the optional
@@ -398,8 +421,8 @@ func waitServing(ctx context.Context, srv *server.Server, addr net.Addr, serveFo
 	return nil
 }
 
-// deployedEngine is the engine shape of everything `pstore serve` starts — the
-// single-process cluster, a node, and the coordinator's oracle, whose
+// deployedEngine is the engine shape of every node `pstore serve` opens — one
+// of -nodes, or the single-process one — and of the coordinator's oracle, whose
 // fingerprint CI compares with a 2-node run's: four partitions a machine, 640
 // buckets, 3 ms of service time. The caller adds what differs (overload
 // plane, hosted machines).

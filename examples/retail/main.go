@@ -106,22 +106,32 @@ func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMa
 	}
 
 	spec := pstore.B2WLoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: 5}
-	clu, err := pstore.NewCluster(pstore.ClusterConfig{
-		Engine:            engCfg,
-		Squall:            pstore.DefaultSquallConfig(),
-		Controller:        ctrl,
-		Cycle:             cycleMinutes * minutePerSlot,
-		RateScale:         rateScale,
-		CycleTraceMinutes: cycleMinutes,
-		RecorderWindow:    300 * time.Millisecond,
-		Bootstrap: func(eng *pstore.Engine) error {
+	n, err := pstore.OpenNode(pstore.NodeConfig{
+		Nodes:    1,
+		Store:    engCfg,
+		Register: pstore.RegisterB2W,
+		Load: func(eng *pstore.Engine) error {
 			return pstore.LoadB2W(eng, spec)
 		},
 	})
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	if err := pstore.RegisterB2W(clu.Engine()); err != nil {
+	defer n.Close()
+	rec, err := pstore.NewRecorder(time.Now(), 300*time.Millisecond)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	n.SetRecorder(rec)
+	clu, err := pstore.NewCluster(pstore.ClusterConfig{
+		Squall:            pstore.DefaultSquallConfig(),
+		Controller:        ctrl,
+		Cycle:             cycleMinutes * minutePerSlot,
+		RateScale:         rateScale,
+		CycleTraceMinutes: cycleMinutes,
+		Recorder:          rec,
+	}, n)
+	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 
@@ -148,14 +158,13 @@ func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMa
 	}
 	defer clu.Stop()
 
-	driver := &pstore.B2WDriver{Eng: clu.Engine(), Spec: spec, Seed: 6}
+	driver := &pstore.B2WDriver{Eng: n.Engine, Spec: spec, Seed: 6}
 	if _, err := driver.Run(ctx, day, minutePerSlot, rateScale); err != nil && ctx.Err() == nil {
 		return 0, 0, 0, 0, err
 	}
 	clu.Stop() // drains in-flight moves and closes the event stream
 	watch.Wait()
 
-	rec := clu.Recorder()
 	const sloMs = 40
 	return rec.SLAViolations(50, sloMs), rec.SLAViolations(99, sloMs),
 		rec.AverageMachines(), int(clu.Stats().Moves), nil

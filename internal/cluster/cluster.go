@@ -1,20 +1,20 @@
-// Package cluster is the P-Store serving runtime: it assembles the full
-// stack the paper runs as one closed loop (Section 6, Figures 9-11) — the
-// partitioned storage engine, the Squall migration executor, the latency
-// recorder, and a provisioning controller — behind a single lifecycle.
+// Package cluster is P-Store's closed loop (Section 6, Figures 9-11): the
+// monitoring/decision loop, the Squall migration executor it drives, a typed
+// event stream and the crash plane, over a transport.Topology. The topology is
+// a Local one over a node's own engine in a single-process run, or a Remote one
+// over node processes for a coordinator; internal/node assembles the engine
+// either way.
 //
-// A Cluster is the sole owner of move execution: the monitoring/decision
-// loop observes the aggregate load once per cycle, consults the controller,
-// and executes at most one reconfiguration at a time through the executor.
-// Observers subscribe to a typed event stream (MoveStarted, MoveFinished,
+// A Cluster is the sole owner of move execution: the loop observes the
+// aggregate load once per cycle, consults the controller, and executes at
+// most one reconfiguration at a time through the executor. Observers
+// subscribe to a typed event stream (MoveStarted, MoveFinished,
 // DecisionFailed, EmergencyTriggered, per-cycle LoadObserved) instead of
 // reaching into engine counters or executor state.
 //
-// Lifecycle: New(Config) builds the stack; register transactions on
-// Engine() before Start; Start(ctx) boots the engine, runs the optional
-// Bootstrap loader, attaches the recorder and launches the decision loop;
-// Stop() halts the loop, drains any in-flight move, detaches the recorder
-// and shuts the engine down.
+// Lifecycle: NewRemote(Config, Topology) builds the loop; Start(ctx) takes the
+// crash plane's baseline checkpoint and launches the loop; Stop() halts it,
+// drains any in-flight move and closes the topology.
 package cluster
 
 import (
@@ -29,16 +29,12 @@ import (
 	"pstore/internal/elastic"
 	"pstore/internal/faults"
 	"pstore/internal/metrics"
-	"pstore/internal/recovery"
 	"pstore/internal/squall"
-	"pstore/internal/store"
 	"pstore/internal/transport"
 )
 
-// Config assembles a Cluster.
+// Config configures a Cluster.
 type Config struct {
-	// Engine sizes the storage substrate.
-	Engine store.Config
 	// Squall tunes migration chunking and throttling.
 	Squall squall.Config
 	// Controller decides, once per Cycle, whether to reconfigure. Nil runs
@@ -59,37 +55,23 @@ type Config struct {
 	// paper's "rate R x 8" study, Figure 11). Zero keeps each decision's
 	// own rate.
 	SpikeRateFactor float64
-	// RecorderWindow is the latency recorder's aggregation window. Zero
-	// runs without a recorder.
-	RecorderWindow time.Duration
-	// Bootstrap, if set, runs during Start after the engine boots but
-	// before the recorder attaches and the decision loop begins — the place
-	// to load data so bulk loading is neither measured nor mistaken for
-	// offered load. With a recovery manager it runs inside
-	// recovery.Manager.Bootstrap: unlogged, made durable by the baseline
-	// checkpoint round that ends it.
-	Bootstrap func(*store.Engine) error
+	// Recorder, if set, receives the executor's migration windows and the
+	// machine timeline. The caller attaches the same recorder to the engine
+	// it measures (node.Node.SetRecorder); it stays the caller's after Stop.
+	Recorder *metrics.Recorder
 	// Faults, if set, is the fault schedule of a chaos run (see
 	// internal/faults); a cluster injects its chunk and crash faults and
 	// refuses the rest. Chunk faults hit the migration path: failed moves
 	// roll back and surface as MoveFailed events while the runtime keeps
 	// serving. Crash faults are consulted every monitoring cycle (a tick is
 	// a cycle): crashes fire as MachineFailed events, and crashed machines
-	// recover automatically after their downtime through the recovery
-	// manager, which requires Cycle > 0; a controller is optional.
+	// recover automatically after their downtime through the topology's
+	// recovery plane, which requires Cycle > 0; a controller is optional.
 	Faults *faults.Schedule
-	// CheckpointEvery checkpoints the recovery manager every N monitoring
-	// cycles. Zero defaults to 10 when crash faults are armed; setting it
-	// without them still builds the recovery manager (for manual
-	// Crash/Restore via Recovery()).
+	// CheckpointEvery checkpoints the topology every N monitoring cycles.
+	// Zero defaults to 10 when crash faults are armed; setting it without
+	// them still arms the recovery plane.
 	CheckpointEvery int
-	// DataDir enables the durable storage tier: the recovery manager's
-	// command log becomes a segmented on-disk WAL with per-bucket checkpoint
-	// images under this directory. If the directory already holds a previous
-	// life's state, Start cold-starts the engine from it *instead of*
-	// running Bootstrap — the data outlives the process. Implies a recovery
-	// manager even without crash faults.
-	DataDir string
 }
 
 // Stats summarizes the runtime's decision activity.
@@ -107,30 +89,17 @@ type Stats struct {
 // ErrMoveInFlight is returned by Reconfigure while another move is running.
 var ErrMoveInFlight = errors.New("cluster: a reconfiguration is already in flight")
 
-// errCoordinatorSubmit is returned by the Submit family in coordinator mode:
-// a remote-topology cluster plans and migrates, but transactions enter
-// through the node front ends, not through the coordinator.
-var errCoordinatorSubmit = errors.New("cluster: coordinator has no local engine")
-
-// Cluster owns the serving stack and its monitoring/decision loop. The
-// controllers, the event stream and the recovery plane all run against a
-// transport.Topology, so the same runtime drives a single-process engine
-// (New) or a coordinator over multi-process node groups (NewRemote) without
-// knowing where partitions live.
+// Cluster is the monitoring/decision loop over a topology. The controllers,
+// the event stream and the recovery plane all run against the
+// transport.Topology, so the same loop drives one process's engine or a
+// coordinator's node processes without knowing where partitions live.
 type Cluster struct {
 	cfg Config
-	// eng is the local engine, nil in coordinator mode.
-	eng *store.Engine
 	// topo is the placement-oblivious surface every decision reads.
 	topo transport.Topology
-	// hasRecovery reports whether topo serves the crash/restore plane.
+	// hasRecovery reports whether the loop drives the crash/restore plane.
 	hasRecovery bool
 	ex          *squall.Executor
-	rec         *metrics.Recorder
-	rm          *recovery.Manager
-	// coldStart records the rebuild Start performed when the data directory
-	// held a previous life's state; nil after a fresh bootstrap.
-	coldStart *recovery.ColdStartStats
 
 	// down maps a crashed machine to the cycle its recovery begins. It is
 	// owned exclusively by the decision-loop goroutine.
@@ -161,64 +130,19 @@ type Cluster struct {
 	emergencies atomic.Int64
 }
 
-// New builds the serving stack. The engine is not started; register
-// transactions on Engine() first, then call Start.
-func New(cfg Config) (*Cluster, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	eng, err := store.NewEngine(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{cfg: cfg, eng: eng, subs: map[int]chan Event{}}
-	if cfg.Faults.Arms(faults.CrashPlane) || cfg.CheckpointEvery > 0 || cfg.DataDir != "" {
-		// The manager attaches to the command-log hook now, before Start,
-		// so every machine is recoverable from the first transaction on.
-		c.rm, err = recovery.New(eng, recovery.Config{DataDir: cfg.DataDir})
-		if err != nil {
-			return nil, err
-		}
-		c.down = map[int]int{}
-		c.hasRecovery = true
-	}
-	c.topo = transport.NewLocal(eng, c.rm)
-	c.ex, err = squall.NewExecutor(c.topo, cfg.Squall)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Faults.Arms(faults.ChunkPlane) {
-		c.topo.SetFaultInjector(cfg.Faults)
-	}
-	return c, nil
-}
-
-// NewRemote builds the serving runtime in coordinator mode: the same
-// decision loop, event stream and crash plane, but over a multi-process
-// topology instead of a local engine. The coordinator executes migrations
-// and drives crash recovery through node RPCs; transactions are submitted
-// directly to the node front ends, so Submit and friends are unavailable.
-// Bootstrap and RecorderWindow require a local engine and are rejected.
+// NewRemote builds the loop over topo: transport.NewLocal over an opened
+// node's engine in a single-process run, a transport.Remote over node
+// processes for a coordinator. The geometry is topo.Config(). Transactions
+// enter through the engine or the node front ends, never through the loop.
 func NewRemote(cfg Config, topo transport.Topology) (*Cluster, error) {
 	if topo == nil {
 		return nil, errors.New("cluster: NewRemote needs a topology")
 	}
-	if cfg.Bootstrap != nil {
-		return nil, errors.New("cluster: Bootstrap requires a local engine; load through the node front ends")
-	}
-	if cfg.RecorderWindow > 0 {
-		return nil, errors.New("cluster: RecorderWindow requires a local engine")
-	}
-	// The geometry comes from the topology (which took it from the nodes),
-	// never from flags that could drift.
-	cfg.Engine = topo.Config()
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, topo: topo, subs: map[int]chan Event{}}
 	if cfg.Faults.Arms(faults.CrashPlane) || cfg.CheckpointEvery > 0 {
-		// The crash plane is armed exactly as in New; the node processes
-		// must therefore run with recovery managers attached.
 		c.down = map[int]int{}
 		c.hasRecovery = true
 	}
@@ -233,8 +157,8 @@ func NewRemote(cfg Config, topo transport.Topology) (*Cluster, error) {
 	return c, nil
 }
 
-// normalize fills in the defaults New and NewRemote share and refuses the
-// settings neither can run with.
+// normalize fills in the defaults and refuses the settings the loop cannot
+// run with.
 func (cfg *Config) normalize() error {
 	if cfg.RateScale == 0 {
 		cfg.RateScale = 1
@@ -278,30 +202,6 @@ type moveOutcome struct {
 	err    error
 }
 
-// Engine exposes the storage engine for transaction registration and driver
-// attachment. Register transactions before Start. Nil in coordinator mode.
-func (c *Cluster) Engine() *store.Engine { return c.eng }
-
-// Topology exposes the placement surface the runtime operates on: a Local
-// wrapper in single-process mode, the caller's Remote in coordinator mode.
-func (c *Cluster) Topology() transport.Topology { return c.topo }
-
-// Recorder returns the latency recorder, or nil before Start or when no
-// RecorderWindow was configured. It stays readable after Stop.
-func (c *Cluster) Recorder() *metrics.Recorder {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rec
-}
-
-// Recovery returns the crash-recovery manager, or nil when the cluster runs
-// without one (no crash schedule and no checkpoint interval configured).
-func (c *Cluster) Recovery() *recovery.Manager { return c.rm }
-
-// ColdStart returns the stats of the cold start Start performed, or nil if
-// the cluster bootstrapped fresh data.
-func (c *Cluster) ColdStart() *recovery.ColdStartStats { return c.coldStart }
-
 // Stats snapshots the runtime's decision counters.
 func (c *Cluster) Stats() Stats {
 	return Stats{
@@ -312,9 +212,9 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// Start boots the engine, runs Bootstrap, attaches the recorder and starts
-// the monitoring/decision loop. The loop stops when ctx is cancelled or
-// Stop is called.
+// Start attaches the recorder, takes the crash plane's baseline checkpoint
+// and starts the monitoring/decision loop. The loop stops when ctx is
+// cancelled or Stop is called.
 func (c *Cluster) Start(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -324,50 +224,13 @@ func (c *Cluster) Start(ctx context.Context) error {
 	if c.stopping {
 		return errors.New("cluster: already stopped")
 	}
-	// A recovery plane needs a baseline checkpoint, so the first crash replays
-	// only the live traffic since Start. A fresh local engine's bootstrap
-	// round is that baseline; a cold start and a coordinator take one below.
-	baseline := c.hasRecovery
-	if c.eng != nil {
-		c.eng.Start()
-		load := func() error { return nil }
-		if c.cfg.Bootstrap != nil {
-			load = func() error { return c.cfg.Bootstrap(c.eng) }
-		}
-		var err error
-		switch {
-		case c.rm != nil && c.rm.HasColdState():
-			// The data directory holds a previous life's state: rebuild the
-			// whole engine from disk instead of bootstrapping fresh data.
-			st, err := c.rm.ColdStart()
-			if err != nil {
-				return fmt.Errorf("cluster: cold start: %w", err)
-			}
-			c.coldStart = &st
-		case c.rm != nil:
-			_, err = c.rm.Bootstrap(load)
-			baseline = false
-		default:
-			err = load()
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: bootstrap: %w", err)
-		}
-		if c.cfg.RecorderWindow > 0 {
-			rec, err := metrics.NewRecorder(time.Now(), c.cfg.RecorderWindow)
-			if err != nil {
-				return err
-			}
-			c.rec = rec
-			c.eng.SetRecorder(rec)
-			c.ex.SetRecorder(rec)
-			if c.rm != nil {
-				c.rm.SetRecorder(rec)
-			}
-			rec.RecordMachines(time.Now(), c.topo.ActiveMachines())
-		}
+	if rec := c.cfg.Recorder; rec != nil {
+		c.ex.SetRecorder(rec)
+		rec.RecordMachines(time.Now(), c.topo.ActiveMachines())
 	}
-	if baseline {
+	// A recovery plane needs a baseline checkpoint, so the first crash
+	// replays only the live traffic since Start.
+	if c.hasRecovery {
 		if _, err := c.topo.Checkpoint(); err != nil {
 			return fmt.Errorf("cluster: initial checkpoint: %w", err)
 		}
@@ -383,8 +246,8 @@ func (c *Cluster) Start(ctx context.Context) error {
 }
 
 // Stop halts the decision loop, drains any in-flight move, detaches the
-// recorder and shuts the engine down. It is idempotent and safe to call
-// concurrently.
+// recorder from the executor and closes the topology; the engines behind it
+// keep serving. It is idempotent and safe to call concurrently.
 func (c *Cluster) Stop() {
 	c.stopOnce.Do(func() {
 		c.mu.Lock()
@@ -399,19 +262,7 @@ func (c *Cluster) Stop() {
 		}
 		c.moveWG.Wait()
 		c.ex.SetRecorder(nil)
-		if c.eng != nil {
-			c.eng.SetRecorder(nil)
-			c.eng.Stop()
-			if c.rm != nil {
-				// Release the WAL's active segment (everything acknowledged
-				// is already durable; this flushes nothing).
-				_ = c.rm.Close()
-			}
-		} else {
-			// Coordinator mode: release topology resources; the node
-			// processes keep serving.
-			_ = c.topo.Close()
-		}
+		_ = c.topo.Close()
 		c.subMu.Lock()
 		for id, ch := range c.subs {
 			close(ch)
@@ -419,44 +270,6 @@ func (c *Cluster) Stop() {
 		}
 		c.subMu.Unlock()
 	})
-}
-
-// Submit routes one transaction through the engine and blocks until it
-// completes. It is safe for concurrent use. Hot loops should resolve a
-// Handle once and call SubmitID.
-func (c *Cluster) Submit(name, key string, args any) (any, error) {
-	if c.eng == nil {
-		return nil, errCoordinatorSubmit
-	}
-	return c.eng.Execute(name, key, args)
-}
-
-// Handle resolves a registered transaction name to its dense engine id.
-func (c *Cluster) Handle(name string) (store.TxnID, bool) {
-	if c.eng == nil {
-		return 0, false
-	}
-	return c.eng.Handle(name)
-}
-
-// SubmitID routes a pre-resolved transaction through the engine's
-// allocation-free hot path and blocks until it completes.
-func (c *Cluster) SubmitID(id store.TxnID, key string, args any) (any, error) {
-	if c.eng == nil {
-		return nil, errCoordinatorSubmit
-	}
-	return c.eng.ExecuteID(id, key, args)
-}
-
-// SubmitIDContext is SubmitID with a bounded submission wait: if ctx ends
-// before the transaction is accepted into a partition queue, the submission
-// is refused as overload. It is the entry point the network front end uses
-// to propagate per-request wire deadlines into the engine.
-func (c *Cluster) SubmitIDContext(ctx context.Context, id store.TxnID, key string, args any) (any, error) {
-	if c.eng == nil {
-		return nil, errCoordinatorSubmit
-	}
-	return c.eng.ExecuteIDContext(ctx, id, key, args)
 }
 
 // Subscribe registers an event observer. Events are delivered in emission
@@ -647,7 +460,7 @@ func (c *Cluster) loop(ctx context.Context) {
 		// Translate the effective target back to a raw machine count: the
 		// down machines still occupy slots, they just do not serve.
 		target := dec.Target + downCount
-		if max := c.cfg.Engine.MaxMachines; target > max {
+		if max := c.topo.Config().MaxMachines; target > max {
 			target = max
 		}
 		if target == machines {

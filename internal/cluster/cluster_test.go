@@ -10,8 +10,11 @@ import (
 
 	"pstore/internal/elastic"
 	"pstore/internal/faults"
+	"pstore/internal/metrics"
+	"pstore/internal/node"
 	"pstore/internal/squall"
 	"pstore/internal/store"
+	"pstore/internal/transport"
 )
 
 func testEngineConfig() store.Config {
@@ -33,6 +36,40 @@ func testSquallConfig() squall.Config {
 		Spacing:       100 * time.Microsecond,
 		RateFactor:    1,
 	}
+}
+
+func registerNoop(eng *store.Engine) error {
+	return eng.Register("noop", func(tx *store.Tx) (any, error) { return nil, nil })
+}
+
+// openNode opens a one-node node hosting every machine of cfg, with register's
+// procedures (noop when nil) and load's dataset; t's cleanup closes it.
+func openNode(t *testing.T, cfg store.Config, register, load func(*store.Engine) error) *node.Node {
+	t.Helper()
+	if register == nil {
+		register = registerNoop
+	}
+	n, err := node.Open(node.Config{Nodes: 1, Store: cfg, Register: register, Load: load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// local is the loop's topology over a node's own engine.
+func local(n *node.Node) transport.Topology { return transport.NewLocal(n.Engine, n.Recovery) }
+
+// attachRecorder attaches a fresh recorder to n's engine and returns it for
+// the loop's Config.
+func attachRecorder(t *testing.T, n *node.Node) *metrics.Recorder {
+	t.Helper()
+	rec, err := metrics.NewRecorder(time.Now(), 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetRecorder(rec)
+	return rec
 }
 
 // cycleController is a deterministic scripted controller: once it sees load
@@ -64,7 +101,7 @@ func (c *cycleController) Tick(machines int, reconfiguring bool, load float64) (
 }
 
 // driveLoad submits no-op transactions until stop is closed.
-func driveLoad(t *testing.T, c *Cluster, stop <-chan struct{}, wg *sync.WaitGroup) {
+func driveLoad(t *testing.T, eng *store.Engine, stop <-chan struct{}, wg *sync.WaitGroup) {
 	t.Helper()
 	wg.Add(1)
 	go func() {
@@ -75,7 +112,7 @@ func driveLoad(t *testing.T, c *Cluster, stop <-chan struct{}, wg *sync.WaitGrou
 				return
 			default:
 			}
-			if _, err := c.Submit("noop", fmt.Sprintf("key-%d", i), nil); err != nil {
+			if _, err := eng.Execute("noop", fmt.Sprintf("key-%d", i), nil); err != nil {
 				return
 			}
 		}
@@ -86,17 +123,15 @@ func driveLoad(t *testing.T, c *Cluster, stop <-chan struct{}, wg *sync.WaitGrou
 // full scale-out + scale-in cycle, and checks the typed event stream tells
 // the whole story in order.
 func TestClusterScaleOutScaleInEvents(t *testing.T) {
-	c, err := New(Config{
-		Engine:         testEngineConfig(),
-		Squall:         testSquallConfig(),
-		Controller:     &cycleController{out: 3, in: 1},
-		Cycle:          3 * time.Millisecond,
-		RecorderWindow: 20 * time.Millisecond,
-	})
+	n := openNode(t, testEngineConfig(), nil, nil)
+	rec := attachRecorder(t, n)
+	c, err := NewRemote(Config{
+		Squall:     testSquallConfig(),
+		Controller: &cycleController{out: 3, in: 1},
+		Cycle:      3 * time.Millisecond,
+		Recorder:   rec,
+	}, local(n))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Engine().Register("noop", func(tx *store.Tx) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	events, unsub := c.Subscribe(4096)
@@ -107,7 +142,7 @@ func TestClusterScaleOutScaleInEvents(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	driveLoad(t, c, stop, &wg)
+	driveLoad(t, n.Engine, stop, &wg)
 
 	// Collect events until both moves have finished.
 	var got []Event
@@ -168,8 +203,8 @@ func TestClusterScaleOutScaleInEvents(t *testing.T) {
 	// While a move was in flight, every load observation must have said so
 	// consistently with the started/finished bracketing; and no second move
 	// may start before the first finishes (single-owner invariant).
-	if c.Engine().ActiveMachines() != 1 {
-		t.Errorf("final machines %d, want 1", c.Engine().ActiveMachines())
+	if n.Engine.ActiveMachines() != 1 {
+		t.Errorf("final machines %d, want 1", n.Engine.ActiveMachines())
 	}
 	st := c.Stats()
 	if st.Decisions != 2 || st.Moves != 2 {
@@ -178,9 +213,7 @@ func TestClusterScaleOutScaleInEvents(t *testing.T) {
 	if st.Failures != 0 {
 		t.Errorf("stats %+v, want no failures", st)
 	}
-	if rec := c.Recorder(); rec == nil {
-		t.Error("no recorder attached")
-	} else if rec.MachineSeries() == nil {
+	if rec.MachineSeries() == nil {
 		t.Error("recorder has no machine timeline")
 	}
 }
@@ -194,12 +227,11 @@ func (errController) Tick(int, bool, float64) (*elastic.Decision, error) {
 }
 
 func TestClusterDecisionFailedEvents(t *testing.T) {
-	c, err := New(Config{
-		Engine:     testEngineConfig(),
+	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
 		Controller: errController{},
 		Cycle:      2 * time.Millisecond,
-	})
+	}, local(openNode(t, testEngineConfig(), nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +277,12 @@ func (e *emergencyController) Tick(machines int, reconfiguring bool, load float6
 // override reaches the executor (the Figure 11 knob) and that the
 // EmergencyTriggered event reports the controller's original rate.
 func TestClusterSpikeRateOverride(t *testing.T) {
-	c, err := New(Config{
-		Engine:          testEngineConfig(),
+	c, err := NewRemote(Config{
 		Squall:          testSquallConfig(),
 		Controller:      &emergencyController{},
 		Cycle:           2 * time.Millisecond,
 		SpikeRateFactor: 8,
-	})
+	}, local(openNode(t, testEngineConfig(), nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +328,8 @@ func TestClusterSpikeRateOverride(t *testing.T) {
 // TestClusterManualReconfigure exercises the synchronous operator-move path
 // and the single-move-at-a-time invariant.
 func TestClusterManualReconfigure(t *testing.T) {
-	c, err := New(Config{Engine: testEngineConfig(), Squall: testSquallConfig()})
+	n := openNode(t, testEngineConfig(), nil, nil)
+	c, err := NewRemote(Config{Squall: testSquallConfig()}, local(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +340,8 @@ func TestClusterManualReconfigure(t *testing.T) {
 	if err := c.Reconfigure(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Engine().ActiveMachines() != 3 {
-		t.Fatalf("machines %d, want 3", c.Engine().ActiveMachines())
+	if n.Engine.ActiveMachines() != 3 {
+		t.Fatalf("machines %d, want 3", n.Engine.ActiveMachines())
 	}
 	if err := c.Reconfigure(3, 0); err != nil {
 		t.Fatalf("no-op reconfigure: %v", err)
@@ -360,13 +392,13 @@ func TestClusterMoveFailureEventAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := &observingController{}
-	c, err := New(Config{
-		Engine:     testEngineConfig(),
+	n := openNode(t, testEngineConfig(), nil, nil)
+	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
 		Controller: ctrl,
 		Cycle:      2 * time.Millisecond,
 		Faults:     inj,
-	})
+	}, local(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +417,7 @@ func TestClusterMoveFailureEventAndRecovery(t *testing.T) {
 	if !errors.As(moveErr, &me) || !me.RolledBack {
 		t.Fatalf("error %v, want a rolled-back *squall.MoveError", moveErr)
 	}
-	if got := c.Engine().ActiveMachines(); got != 1 {
+	if got := n.Engine.ActiveMachines(); got != 1 {
 		t.Fatalf("machines %d after failed move, want 1", got)
 	}
 	if got := c.Stats().Failures; got != 1 {
@@ -429,11 +461,11 @@ func TestClusterMoveFailureEventAndRecovery(t *testing.T) {
 	}
 
 	// Clear the fault plane: the runtime must accept a fresh move at once.
-	c.Engine().SetFaultInjector(nil)
+	n.Engine.SetFaultInjector(nil)
 	if err := c.Reconfigure(2, 0); err != nil {
 		t.Fatalf("reconfiguration after recovered failure: %v", err)
 	}
-	if got := c.Engine().ActiveMachines(); got != 2 {
+	if got := n.Engine.ActiveMachines(); got != 2 {
 		t.Fatalf("machines %d after recovery, want 2", got)
 	}
 	deadline = time.After(10 * time.Second)

@@ -52,17 +52,14 @@ func TestClusterOverloadSignalDelivery(t *testing.T) {
 		InitialMachines:      1,
 		Overload:             store.OverloadConfig{Deadline: 2 * time.Millisecond, Track: true},
 	}
-	c, err := New(Config{
-		Engine:         engCfg,
-		Squall:         testSquallConfig(),
-		Controller:     ctrl,
-		Cycle:          3 * time.Millisecond,
-		RecorderWindow: 20 * time.Millisecond,
-	})
+	n := openNode(t, engCfg, nil, nil)
+	c, err := NewRemote(Config{
+		Squall:     testSquallConfig(),
+		Controller: ctrl,
+		Cycle:      3 * time.Millisecond,
+		Recorder:   attachRecorder(t, n),
+	}, local(n))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Engine().Register("noop", func(tx *store.Tx) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	events, unsub := c.Subscribe(4096)
@@ -86,7 +83,7 @@ func TestClusterOverloadSignalDelivery(t *testing.T) {
 					return
 				default:
 				}
-				_, err := c.Submit("noop", fmt.Sprintf("key-%d", i), nil)
+				_, err := n.Engine.Execute("noop", fmt.Sprintf("key-%d", i), nil)
 				if err != nil && !errors.Is(err, store.ErrOverload) && !errors.Is(err, store.ErrDeadlineExceeded) {
 					return
 				}
@@ -152,7 +149,7 @@ drain:
 	if overloadEvents == 0 {
 		t.Fatal("no OverloadObserved events published despite refusals")
 	}
-	cnt := c.Engine().Counters()
+	cnt := n.Engine.Counters()
 	engRefused := cnt.Rejected + cnt.Shed + cnt.DeadlineExceeded
 	if engRefused == 0 {
 		t.Fatal("engine counters show no refusals")

@@ -11,7 +11,6 @@ import (
 	"pstore/internal/elastic"
 	"pstore/internal/faults"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 )
 
 // crashProbeController records what the runtime tells a controller about
@@ -63,41 +62,39 @@ func TestClusterCrashRecovery(t *testing.T) {
 	ctrl := &crashProbeController{}
 	eng := testEngineConfig()
 	eng.InitialMachines = 2
-	c, err := New(Config{
-		Engine:     eng,
+	register := func(e *store.Engine) error {
+		return errors.Join(
+			e.Register("put", func(tx *store.Tx) (any, error) { return nil, tx.Put("T", tx.Key, tx.Args) }),
+			e.Register("get", func(tx *store.Tx) (any, error) {
+				v, _, err := tx.Get("T", tx.Key)
+				return v, err
+			}),
+		)
+	}
+	n := openNode(t, eng, register, func(e *store.Engine) error {
+		for i := 0; i < keys; i++ {
+			if _, err := e.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	rec := attachRecorder(t, n)
+	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
 		Controller: ctrl,
 		Cycle:      3 * time.Millisecond,
 		Faults: &faults.Schedule{
 			Events: []faults.Event{{Kind: faults.PinnedCrash, A: 1, Tick: 2, Down: 3}},
 		},
-		RecorderWindow: 20 * time.Millisecond,
-		Bootstrap: func(e *store.Engine) error {
-			for i := 0; i < keys; i++ {
-				if _, err := e.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	})
+		Recorder: rec,
+	}, local(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Recovery() == nil {
-		t.Fatal("crash schedule armed but Recovery() is nil")
+	if !c.hasRecovery {
+		t.Fatal("crash schedule armed but the recovery plane is not")
 	}
-	reg := func(name string, fn func(tx *store.Tx) (any, error)) {
-		t.Helper()
-		if err := c.Engine().Register(name, fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg("put", func(tx *store.Tx) (any, error) { return nil, tx.Put("T", tx.Key, tx.Args) })
-	reg("get", func(tx *store.Tx) (any, error) {
-		v, _, err := tx.Get("T", tx.Key)
-		return v, err
-	})
 	events, unsub := c.Subscribe(4096)
 	defer unsub()
 	if err := c.Start(context.Background()); err != nil {
@@ -158,13 +155,13 @@ func TestClusterCrashRecovery(t *testing.T) {
 		}
 		t.Fatalf("timed out waiting for %s", what)
 	}
-	waitFor(func() bool { return c.Engine().ActiveMachines() == 3 }, "translated scale-out to 3 machines")
-	waitFor(func() bool { return len(c.Engine().DownMachines()) == 0 }, "machine 1 recovery")
+	waitFor(func() bool { return n.Engine.ActiveMachines() == 3 }, "translated scale-out to 3 machines")
+	waitFor(func() bool { return len(n.Engine.DownMachines()) == 0 }, "machine 1 recovery")
 
 	// Data integrity end to end: every bootstrap row is readable with its
 	// original value after crash, recovery and a concurrent scale-out.
 	for i := 0; i < keys; i++ {
-		v, err := c.Submit("get", fmt.Sprintf("k-%d", i), nil)
+		v, err := n.Engine.Execute("get", fmt.Sprintf("k-%d", i), nil)
 		if err != nil {
 			t.Fatalf("get k-%d: %v", i, err)
 		}
@@ -172,14 +169,14 @@ func TestClusterCrashRecovery(t *testing.T) {
 			t.Fatalf("k-%d = %v, want %d", i, v, i)
 		}
 	}
-	st := c.Recovery().Stats()
+	st := n.Recovery.Stats()
 	if st.Crashes != 1 || st.Recoveries != 1 {
 		t.Errorf("recovery stats = %+v, want 1 crash / 1 recovery", st)
 	}
 	if st.Checkpoints < 1 {
 		t.Errorf("Checkpoints = %d, want >= 1 (initial baseline)", st.Checkpoints)
 	}
-	rc := c.Recorder().RecoveryCounters()
+	rc := rec.RecoveryCounters()
 	if rc.Crashes != 1 || rc.Recoveries != 1 {
 		t.Errorf("recorder RecoveryCounters = %+v, want 1 crash / 1 recovery", rc)
 	}
@@ -191,19 +188,16 @@ func TestClusterCrashRecovery(t *testing.T) {
 func TestClusterCrashWithoutController(t *testing.T) {
 	eng := testEngineConfig()
 	eng.InitialMachines = 2
-	c, err := New(Config{
-		Engine: eng,
+	n := openNode(t, eng, nil, nil)
+	c, err := NewRemote(Config{
 		Squall: testSquallConfig(),
 		Cycle:  2 * time.Millisecond,
 		Faults: &faults.Schedule{
 			Events: []faults.Event{{Kind: faults.PinnedCrash, A: 0, Tick: 1, Down: 2}},
 		},
 		CheckpointEvery: 5,
-	})
+	}, local(n))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Engine().Register("noop", func(tx *store.Tx) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	events, unsub := c.Subscribe(256)
@@ -231,7 +225,7 @@ func TestClusterCrashWithoutController(t *testing.T) {
 	if !sawFailed {
 		t.Fatal("recovered without failing first")
 	}
-	st := c.Recovery().Stats()
+	st := n.Recovery.Stats()
 	if st.Crashes != 1 || st.Recoveries != 1 {
 		t.Fatalf("recovery stats = %+v, want 1 crash / 1 recovery", st)
 	}
@@ -239,107 +233,44 @@ func TestClusterCrashWithoutController(t *testing.T) {
 
 // TestClusterCrashConfigValidation pins the construction-time contract.
 func TestClusterCrashConfigValidation(t *testing.T) {
+	topo := local(openNode(t, testEngineConfig(), nil, nil))
 	base := func() Config {
-		return Config{Engine: testEngineConfig(), Squall: testSquallConfig()}
+		return Config{Squall: testSquallConfig()}
 	}
 	cfg := base()
 	cfg.Faults = &faults.Schedule{Events: []faults.Event{{Kind: faults.CrashRate, P: 0.5}}} // no Cycle
-	if _, err := New(cfg); err == nil {
+	if _, err := NewRemote(cfg, topo); err == nil {
 		t.Error("crash schedule without Cycle accepted")
 	}
 	cfg = base()
 	cfg.Faults = &faults.Schedule{Events: []faults.Event{{Kind: faults.CrashRate, P: 2}}}
 	cfg.Cycle = time.Millisecond
-	if _, err := New(cfg); err == nil {
+	if _, err := NewRemote(cfg, topo); err == nil {
 		t.Error("invalid crash rate accepted")
 	}
 	cfg = base()
 	cfg.CheckpointEvery = -1
-	if _, err := New(cfg); err == nil {
+	if _, err := NewRemote(cfg, topo); err == nil {
 		t.Error("negative CheckpointEvery accepted")
 	}
-	// An empty schedule is inert: no manager, no loop requirement.
+	// An empty schedule is inert: no recovery plane, no loop requirement.
 	cfg = base()
 	cfg.Faults = &faults.Schedule{}
-	c, err := New(cfg)
+	c, err := NewRemote(cfg, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Recovery() != nil {
-		t.Error("empty crash schedule built a recovery manager")
+	if c.hasRecovery {
+		t.Error("empty crash schedule armed the recovery plane")
 	}
-	// CheckpointEvery alone builds the manager for manual use.
+	// CheckpointEvery alone arms the recovery plane for manual use.
 	cfg = base()
 	cfg.CheckpointEvery = 7
-	c, err = New(cfg)
+	c, err = NewRemote(cfg, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Recovery() == nil {
-		t.Error("CheckpointEvery alone did not build a recovery manager")
-	}
-}
-
-// TestClusterKilledMidLoadReloads: a process that dies part-way through its
-// first load leaves no cold state behind — the load's only durable form is the
-// image set that ends it — so the restart loads the whole dataset again
-// instead of cold-starting the part it had logged.
-func TestClusterKilledMidLoadReloads(t *testing.T) {
-	const keys = 200
-	dir := t.TempDir()
-	errKilled := errors.New("killed mid-load")
-	start := func(loaded int) (*Cluster, error) {
-		t.Helper()
-		c, err := New(Config{
-			Engine:  testEngineConfig(),
-			Squall:  testSquallConfig(),
-			DataDir: dir,
-			Bootstrap: func(e *store.Engine) error {
-				for i := 0; i < loaded; i++ {
-					if _, err := e.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
-						return err
-					}
-				}
-				if loaded < keys {
-					return errKilled
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := c.Engine()
-		if err := errors.Join(
-			e.Register("put", func(tx *store.Tx) (any, error) { return nil, tx.Put("T", tx.Key, tx.Args) }),
-			e.Register("get", func(tx *store.Tx) (any, error) { v, _, err := tx.Get("T", tx.Key); return v, err }),
-			e.SetArgsDecoder(storetest.Args[int]),
-		); err != nil {
-			t.Fatal(err)
-		}
-		return c, c.Start(context.Background())
-	}
-
-	c, err := start(keys / 3)
-	if !errors.Is(err, errKilled) {
-		t.Fatalf("first life: Start = %v, want the load's death", err)
-	}
-	c.Stop()
-
-	c, err = start(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	if cs := c.ColdStart(); cs != nil {
-		t.Fatalf("restart cold-started %d images + %d commands of a load that never finished", cs.Snapshots, cs.Replayed)
-	}
-	if got := c.Engine().TotalRows(); got != keys {
-		t.Fatalf("restart serves %d rows, want the full %d", got, keys)
-	}
-	for i := 0; i < keys; i++ {
-		if v, err := c.Submit("get", fmt.Sprintf("k-%d", i), nil); err != nil || v != i {
-			t.Fatalf("k-%d = %v (%v), want %d", i, v, err, i)
-		}
+	if !c.hasRecovery {
+		t.Error("CheckpointEvery alone did not arm the recovery plane")
 	}
 }

@@ -98,12 +98,6 @@ func TestRemoteCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Engine() != nil {
-		t.Fatal("coordinator mode should have no local engine")
-	}
-	if c.Recovery() != nil {
-		t.Fatal("coordinator mode should have no local recovery manager")
-	}
 	ch, cancelSub := c.Subscribe(64)
 	defer cancelSub()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,13 +106,6 @@ func TestRemoteCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-
-	if _, err := c.Submit("put", "k-0", 1); err == nil {
-		t.Fatal("Submit should fail in coordinator mode")
-	}
-	if _, ok := c.Handle("put"); ok {
-		t.Fatal("Handle should fail in coordinator mode")
-	}
 
 	// Manual scale-out executes over the wire through the Squall executor.
 	if err := c.Reconfigure(3, 0); err != nil {

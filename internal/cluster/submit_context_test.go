@@ -8,31 +8,30 @@ import (
 	"pstore/internal/store"
 )
 
-// TestSubmitIDContext checks the wire front end's entry point: a live
-// context executes normally, and a context already expired at submission is
-// refused with the typed errors the server maps to 429/504.
+// TestSubmitIDContext checks the wire front end's entry point on an engine
+// under a running loop: a live context executes normally, and a context
+// already expired at submission is refused with the typed errors the server
+// maps to 429/504.
 func TestSubmitIDContext(t *testing.T) {
-	c, err := New(Config{Engine: testEngineConfig(), Squall: testSquallConfig()})
+	n := openNode(t, testEngineConfig(), nil, nil)
+	c, err := NewRemote(Config{Squall: testSquallConfig()}, local(n))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Engine().Register("noop", func(tx *store.Tx) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	id, ok := c.Engine().Handle("noop")
+	id, ok := n.Engine.Handle("noop")
 	if !ok {
 		t.Fatal("noop not registered")
 	}
-	if _, err := c.SubmitIDContext(context.Background(), id, "key-1", nil); err != nil {
+	if _, err := n.Engine.ExecuteIDContext(context.Background(), id, "key-1", nil); err != nil {
 		t.Fatalf("live context: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = c.SubmitIDContext(ctx, id, "key-1", nil)
+	_, err = n.Engine.ExecuteIDContext(ctx, id, "key-1", nil)
 	if err == nil {
 		t.Fatal("expired context: expected an error")
 	}

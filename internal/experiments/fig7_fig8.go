@@ -8,7 +8,6 @@ import (
 	"pstore/internal/b2w"
 	"pstore/internal/metrics"
 	"pstore/internal/squall"
-	"pstore/internal/store"
 	"pstore/internal/workload"
 )
 
@@ -112,18 +111,12 @@ type fig8Outcome struct {
 func fig8Run(p liveParams, opts Options, cal calibration, chunkRows int) (*fig8Outcome, error) {
 	cfg := p.engineCfg
 	cfg.InitialMachines = 1
-	eng, err := store.NewEngine(cfg)
+	nd, err := openNode(cfg, p.loadSpec)
 	if err != nil {
 		return nil, err
 	}
-	if err := b2w.Register(eng); err != nil {
-		return nil, err
-	}
-	eng.Start()
-	defer eng.Stop()
-	if err := b2w.Load(eng, p.loadSpec); err != nil {
-		return nil, err
-	}
+	defer nd.Close()
+	eng := nd.Engine
 
 	rec, err := metrics.NewRecorder(time.Now(), p.recorderWin)
 	if err != nil {

@@ -11,8 +11,10 @@ import (
 	"pstore/internal/cluster"
 	"pstore/internal/elastic"
 	"pstore/internal/metrics"
+	"pstore/internal/node"
 	"pstore/internal/squall"
 	"pstore/internal/store"
+	"pstore/internal/transport"
 	"pstore/internal/workload"
 )
 
@@ -137,18 +139,12 @@ type rampStep struct {
 func rampSingleNode(p liveParams, opts Options, onStep func(rampStep)) (calibration, []rampStep, error) {
 	cfg := p.engineCfg
 	cfg.InitialMachines = 1
-	eng, err := store.NewEngine(cfg)
+	n, err := openNode(cfg, p.loadSpec)
 	if err != nil {
 		return calibration{}, nil, err
 	}
-	if err := b2w.Register(eng); err != nil {
-		return calibration{}, nil, err
-	}
-	eng.Start()
-	defer eng.Stop()
-	if err := b2w.Load(eng, p.loadSpec); err != nil {
-		return calibration{}, nil, err
-	}
+	defer n.Close()
+	eng := n.Engine
 
 	// Theoretical ceiling: P partitions at 1/serviceTime each.
 	ceiling := float64(cfg.PartitionsPerMachine) / cfg.ServiceTime.Seconds()
@@ -208,6 +204,17 @@ func rampSingleNode(p liveParams, opts Options, onStep func(rampStep)) (calibrat
 	return c, steps, nil
 }
 
+// openNode opens a one-node node hosting every machine of cfg, loaded with
+// spec — the substrate every live experiment measures.
+func openNode(cfg store.Config, spec b2w.LoadSpec) (*node.Node, error) {
+	return node.Open(node.Config{
+		Nodes:    1,
+		Store:    cfg,
+		Register: b2w.Register,
+		Load:     func(eng *store.Engine) error { return b2w.Load(eng, spec) },
+	})
+}
+
 // liveRun executes one elasticity experiment: replaying trace (per-minute
 // paper-scale request counts) against the engine under the given
 // controller. The controller may be nil for static allocation.
@@ -230,10 +237,10 @@ type liveOutcome struct {
 	failures int
 }
 
-// run executes the experiment through the cluster runtime and returns the
-// recorder for analysis: the monitoring/decision loop, move execution and
-// measurement all live in internal/cluster; this layer only assembles the
-// configuration, replays the trace and harvests the outcome.
+// run executes the experiment on an opened node under the cluster loop and
+// returns the recorder for analysis: the monitoring/decision loop and move
+// execution live in internal/cluster, the engine in internal/node; this layer
+// only configures them, replays the trace and harvests the outcome.
 func (lr *liveRun) run(opts Options) (*liveOutcome, error) {
 	p := lr.params
 	cfg := p.engineCfg
@@ -243,23 +250,26 @@ func (lr *liveRun) run(opts Options) (*liveOutcome, error) {
 		return nil, err
 	}
 
-	c, err := cluster.New(cluster.Config{
-		Engine:            cfg,
+	n, err := openNode(cfg, p.loadSpec)
+	if err != nil {
+		return nil, err
+	}
+	defer n.Close()
+	rec, err := metrics.NewRecorder(time.Now(), p.recorderWin)
+	if err != nil {
+		return nil, err
+	}
+	n.SetRecorder(rec)
+	c, err := cluster.NewRemote(cluster.Config{
 		Squall:            p.squallCfg,
 		Controller:        lr.controller,
 		Cycle:             time.Duration(p.controllerEveryMin) * p.minutePerSlot,
 		RateScale:         lr.rateScale,
 		CycleTraceMinutes: float64(p.controllerEveryMin),
 		SpikeRateFactor:   lr.spikeRate,
-		RecorderWindow:    p.recorderWin,
-		Bootstrap: func(eng *store.Engine) error {
-			return b2w.Load(eng, p.loadSpec)
-		},
-	})
+		Recorder:          rec,
+	}, transport.NewLocal(n.Engine, n.Recovery))
 	if err != nil {
-		return nil, err
-	}
-	if err := b2w.Register(c.Engine()); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -269,9 +279,9 @@ func (lr *liveRun) run(opts Options) (*liveOutcome, error) {
 	}
 	defer c.Stop()
 
-	out := &liveOutcome{rec: c.Recorder(), cal: cal, dReal: estimateD(c.Engine().TotalRows(), p.squallCfg)}
+	out := &liveOutcome{rec: rec, cal: cal, dReal: estimateD(n.Engine.TotalRows(), p.squallCfg)}
 
-	driver := &b2w.Driver{Eng: c.Engine(), Spec: p.loadSpec, Seed: lr.seed}
+	driver := &b2w.Driver{Eng: n.Engine, Spec: p.loadSpec, Seed: lr.seed}
 	stats, err := driver.Run(ctx, lr.trace, p.minutePerSlot, lr.rateScale)
 	cancel()
 	c.Stop() // halts the decision loop and drains any in-flight move

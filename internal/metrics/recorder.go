@@ -192,13 +192,11 @@ type Recorder struct {
 
 	// Overload-plane counters: work refused server-side (admission-control
 	// rejections, CoDel sheds, queue-deadline expiries) and client-side
-	// (driver in-flight cap), plus the wire-level view: refusals the HTTP
-	// front end turned into 429 responses for remote clients.
-	olRejected     atomic.Int64
-	olShed         atomic.Int64
-	olDeadline     atomic.Int64
-	olClientShed   atomic.Int64
-	olWireRejected atomic.Int64
+	// (driver in-flight cap).
+	olRejected   atomic.Int64
+	olShed       atomic.Int64
+	olDeadline   atomic.Int64
+	olClientShed atomic.Int64
 }
 
 // MigrationCounters are the cumulative migration-path health counters: chunk
@@ -224,20 +222,15 @@ type RecoveryCounters struct {
 // OverloadCounters are the cumulative overload-plane counters: transactions
 // refused by admission control, shed by the CoDel controller, expired in a
 // partition queue, and shed client-side by the driver's in-flight cap.
-// WireRejected counts the refusals the HTTP front end served to remote
-// clients as 429 responses — a wire-level view of refusals already counted
-// in Rejected/Shed, so it is reported alongside the total, not added to it.
 type OverloadCounters struct {
 	Rejected         int64
 	Shed             int64
 	DeadlineExceeded int64
 	ClientShed       int64
-	WireRejected     int64
 }
 
 // Refused is the total work refused anywhere in the stack — the one number
-// the serve summary reports per run. WireRejected is excluded: a 429 is an
-// engine refusal crossing the wire, not an additional refusal.
+// the serve summary reports per run.
 func (c OverloadCounters) Refused() int64 {
 	return c.Rejected + c.Shed + c.DeadlineExceeded + c.ClientShed
 }
@@ -353,10 +346,6 @@ func (r *Recorder) CountDeadlineExceeded() { r.olDeadline.Add(1) }
 // in-flight cap before it reached the engine.
 func (r *Recorder) CountClientShed() { r.olClientShed.Add(1) }
 
-// CountWireRejected files one refusal the HTTP front end served to a remote
-// client as a 429 response.
-func (r *Recorder) CountWireRejected() { r.olWireRejected.Add(1) }
-
 // OverloadCounters snapshots the overload-plane counters.
 func (r *Recorder) OverloadCounters() OverloadCounters {
 	return OverloadCounters{
@@ -364,7 +353,6 @@ func (r *Recorder) OverloadCounters() OverloadCounters {
 		Shed:             r.olShed.Load(),
 		DeadlineExceeded: r.olDeadline.Load(),
 		ClientShed:       r.olClientShed.Load(),
-		WireRejected:     r.olWireRejected.Load(),
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package node is one P-Store node, assembled — a storage engine hosting the
 // node's share of the cluster's machines, the recovery manager that logs it,
 // the server that fronts it — and brought up by a cold start, a dataset load
-// or a sync from its primary. `pstore serve -node` runs one per process;
-// tests start several in one process the same way.
+// or a sync from its primary. It is the one way a P-Store process assembles
+// its engine: `pstore serve -node` runs one node per process, single-process
+// `serve`, coord's oracle and the live experiments open one node hosting
+// every machine, and tests start several in one process the same way.
 package node
 
 import (
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"pstore/internal/faults"
+	"pstore/internal/metrics"
 	"pstore/internal/recovery"
 	"pstore/internal/server"
 	"pstore/internal/store"
@@ -55,34 +58,65 @@ type Config struct {
 	Info any
 }
 
-// Node is a running node. Close stops it.
+// Node is an assembled node. Close stops it.
 type Node struct {
 	Engine   *store.Engine
 	Recovery *recovery.Manager
 	Server   *server.Server
 	// URL is the base URL the node's peers and primaries reach it at.
 	URL string
+	// ColdStart is the rebuild Open ran from a data directory that held a
+	// previous life's state; nil after a dataset load or for a replica.
+	ColdStart *recovery.ColdStartStats
+
+	nc *server.NodeConfig
 }
 
-// Start assembles the node, brings it up, and serves it on l, which it owns
-// from then on: a failed start closes it. A replica's sync runs once the
-// node serves, and a failure there — like any later one that ends the node,
-// a rejoin that could not complete — arrives on Server.Failed.
+// Start opens the node and serves it on l, which it owns from then on: a
+// failed start closes it. A replica's sync runs once the node serves, and a
+// failure there — like any later one that ends the node, a rejoin that could
+// not complete — arrives on Server.Failed.
 func Start(cfg Config, l net.Listener) (*Node, error) {
-	n := &Node{URL: cfg.Advertise}
-	if n.URL == "" {
-		n.URL = "http://" + l.Addr().String()
-	}
-	if err := n.assemble(cfg); err != nil {
+	n, err := Open(cfg)
+	if err != nil {
 		l.Close()
-		n.Close()
 		return nil, err
 	}
-	go n.Server.Serve(l)
+	n.Serve(l)
 	if cfg.ReplicaOf != "" {
 		n.Server.Follow()
 	}
 	return n, nil
+}
+
+// Open assembles the node — engine, recovery manager, server — and gives a
+// primary its state by a cold start or the dataset load, but serves nothing:
+// a single-process run drives the engine in-process and serves it only on
+// request (Serve). A failed open closes what it built.
+func Open(cfg Config) (*Node, error) {
+	n := &Node{URL: cfg.Advertise}
+	if err := n.assemble(cfg); err != nil {
+		n.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// Serve serves the node's server on l, which it owns from then on. A node
+// opened without an Advertise URL is reached at l's address.
+func (n *Node) Serve(l net.Listener) {
+	if n.URL == "" {
+		n.URL = "http://" + l.Addr().String()
+		n.nc.Advertise = n.URL
+	}
+	go n.Server.Serve(l)
+}
+
+// SetRecorder attaches a latency recorder to the node's engine and recovery
+// manager, or detaches it with nil.
+func (n *Node) SetRecorder(rec *metrics.Recorder) {
+	n.Engine.SetRecorder(rec)
+	n.Recovery.SetRecorder(rec)
 }
 
 func (n *Node) assemble(cfg Config) error {
@@ -105,8 +139,8 @@ func (n *Node) assemble(cfg Config) error {
 	if err := cfg.Register(eng); err != nil {
 		return err
 	}
-	// The recovery manager attaches before Start so the coordinator's crash
-	// plane works from the first transaction on.
+	// The recovery manager attaches before Start so the crash plane works
+	// from the first transaction on.
 	if n.Recovery, err = recovery.New(eng, cfg.Recovery); err != nil {
 		return err
 	}
@@ -114,7 +148,7 @@ func (n *Node) assemble(cfg Config) error {
 	if err := n.bringUp(cfg, scfg.HostedMachines); err != nil {
 		return err
 	}
-	nc := &server.NodeConfig{
+	n.nc = &server.NodeConfig{
 		ID:                      cfg.ID,
 		Nodes:                   cfg.Nodes,
 		Recovery:                n.Recovery,
@@ -127,18 +161,18 @@ func (n *Node) assemble(cfg Config) error {
 	if cfg.Peers != nil {
 		peers := slices.Clone(cfg.Peers)
 		var mu sync.RWMutex
-		nc.PeerURL = func(node int) string {
+		n.nc.PeerURL = func(node int) string {
 			mu.RLock()
 			defer mu.RUnlock()
 			return peers[node]
 		}
-		nc.SetPeerURL = func(node int, url string) {
+		n.nc.SetPeerURL = func(node int, url string) {
 			mu.Lock()
 			peers[node] = url
 			mu.Unlock()
 		}
 	}
-	n.Server, err = server.New(server.Config{Engine: eng, DefaultDeadline: cfg.Store.Overload.Deadline, Info: cfg.Info, Node: nc})
+	n.Server, err = server.New(server.Config{Engine: eng, DefaultDeadline: cfg.Store.Overload.Deadline, Info: cfg.Info, Node: n.nc})
 	return err
 }
 
@@ -159,6 +193,7 @@ func (n *Node) bringUp(cfg Config, hosted []int) error {
 		if err != nil {
 			return fmt.Errorf("cold start from %s: %w", cfg.Recovery.DataDir, err)
 		}
+		n.ColdStart = &cs
 		logf("cold start rebuilt %d machines / %d partitions: %d images, %d commands replayed, %s of log, in %v",
 			cs.Machines, cs.Partitions, cs.Snapshots, cs.Replayed, ByteCount(cs.LogBytes),
 			cs.Duration.Round(time.Millisecond))

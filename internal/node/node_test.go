@@ -345,13 +345,24 @@ func TestResyncKeepsSyncCommitArmed(t *testing.T) {
 	}
 }
 
+// fence orders n to stand down toward a primary that never answers: n is
+// fenced, and its rejoin waits for that primary while the test runs.
+func fence(t *testing.T, n *node.Node) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if st, err := peer(n).ReplDemote(ctx, "http://127.0.0.1:1"); err != nil || !st.Fenced {
+		t.Fatalf("demote: %+v, %v; want the node fenced", st, err)
+	}
+}
+
 // TestFencedPrimaryRefusesSync: a primary that knows it is fenced seeds no
 // follower — the history it would hand out is one it knows is stale, and the
 // shipper it would arm is one its own rejoin would have to stop — so a
 // replica started against it fails its sync.
 func TestFencedPrimaryRefusesSync(t *testing.T) {
 	p := startNode(t, kvConfig(t))
-	p.Server.MarkFenced()
+	fence(t, p)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, _, err := peer(p).ReplSync(ctx, ""); !errors.Is(err, wire.ErrFenced) {
@@ -380,11 +391,50 @@ func TestFencedPrimaryRefusesPromotion(t *testing.T) {
 	if err != nil || st.Role != "primary" || st.Fenced || st.Epoch != 1 {
 		t.Fatalf("promoting a primary: %+v, %v; want an unfenced primary at epoch 1", st, err)
 	}
-	p.Server.MarkFenced()
+	fence(t, p)
 	if _, err := peer(p).Promote(ctx, 2); !errors.Is(err, wire.ErrFenced) {
 		t.Fatalf("promoting a fenced primary: %v, want CodeFenced", err)
 	}
 	if st, err := peer(p).ReplStatus(ctx); err != nil || !st.Fenced || st.Epoch != 1 {
 		t.Fatalf("after the refused promotion: %+v, %v; want still fenced at epoch 1", st, err)
+	}
+}
+
+// TestKilledMidLoadReloads: a node that dies part-way through its first load
+// leaves no cold state behind — the load's only durable form is the image set
+// that ends it — so the reopened node loads the whole dataset again instead of
+// cold-starting the part it had logged.
+func TestKilledMidLoadReloads(t *testing.T) {
+	errKilled := errors.New("killed mid-load")
+	cfg := kvConfig(t)
+	load := cfg.Load
+	cfg.Load = func(eng *store.Engine) error {
+		for i := 0; i < keys/3; i++ {
+			if _, err := eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+				return err
+			}
+		}
+		return errKilled
+	}
+	if _, err := node.Open(cfg); !errors.Is(err, errKilled) {
+		t.Fatalf("first life: Open = %v, want the load's death", err)
+	}
+
+	cfg.Load = load
+	n, err := node.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if cs := n.ColdStart; cs != nil {
+		t.Fatalf("reopen cold-started %d images + %d commands of a load that never finished", cs.Snapshots, cs.Replayed)
+	}
+	if got := n.Engine.TotalRows(); got != keys {
+		t.Fatalf("reopened node serves %d rows, want the full %d", got, keys)
+	}
+	for i := 0; i < keys; i++ {
+		if v := get(t, n, fmt.Sprintf("k-%d", i)); v != i {
+			t.Fatalf("k-%d = %d, want %d", i, v, i)
+		}
 	}
 }

@@ -198,30 +198,40 @@ func (s *diskStore) Load(buckets []int) ([]store.BucketSnapshot, []store.ReplayC
 				Bucket: b, Rows: img.Rows, LSN: img.LSN, Tables: img.Tables,
 			})
 		}
-		for _, r := range tails[b] {
-			if r.IsChunk() {
-				imgs, err := wal.DecodeImages(r.Images)
-				if err != nil {
-					return nil, nil, fmt.Errorf("recovery: chunk at bucket %d lsn %d: %w", b, r.LSN, err)
-				}
-				cmds = append(cmds, store.ReplayCommand{Bucket: b, Chunk: imgs[0].Tables, Part: r.Part})
-				continue
-			}
-			id, okID := s.eng.Handle(r.Txn)
-			if !okID {
-				return nil, nil, fmt.Errorf("recovery: log names unregistered transaction %q", r.Txn)
-			}
-			// The log holds args as the JSON they were submitted in; the engine's
-			// decoder makes them the value the procedure asserts again.
-			raw, _ := r.Args.(json.RawMessage)
-			args, err := s.eng.DecodeArgs(r.Txn, raw)
+		for i := range tails[b] {
+			c, err := Replay(s.eng, &tails[b][i])
 			if err != nil {
-				return nil, nil, fmt.Errorf("recovery: replaying %q at bucket %d lsn %d: %w", r.Txn, b, r.LSN, err)
+				return nil, nil, err
 			}
-			cmds = append(cmds, store.ReplayCommand{Bucket: b, ID: id, Key: r.Key, Args: args})
+			cmds = append(cmds, c)
 		}
 	}
 	return snaps, cmds, nil
+}
+
+// Replay turns one bucket's log record — a command, or a chunk's share of the
+// bucket (wal.Record.EachBucket) — into what the engine replays: the chunk's
+// image decoded, or the command's handle resolved and its args, logged as the
+// JSON they were submitted in, decoded into the value the procedure asserts.
+// A cold start, a restore and a follower's apply all replay through it.
+func Replay(eng *store.Engine, r *wal.Record) (store.ReplayCommand, error) {
+	if r.IsChunk() {
+		imgs, err := wal.DecodeImages(r.Images)
+		if err != nil {
+			return store.ReplayCommand{}, fmt.Errorf("recovery: chunk at bucket %d lsn %d: %w", r.Bucket, r.LSN, err)
+		}
+		return store.ReplayCommand{Bucket: r.Bucket, Chunk: imgs[0].Tables, Part: r.Part}, nil
+	}
+	id, ok := eng.Handle(r.Txn)
+	if !ok {
+		return store.ReplayCommand{}, fmt.Errorf("recovery: %w: the log names %q", store.ErrUnknownTxn, r.Txn)
+	}
+	raw, _ := r.Args.(json.RawMessage)
+	args, err := eng.DecodeArgs(r.Txn, raw)
+	if err != nil {
+		return store.ReplayCommand{}, fmt.Errorf("recovery: replaying %q at bucket %d lsn %d: %w", r.Txn, r.Bucket, r.LSN, err)
+	}
+	return store.ReplayCommand{Bucket: r.Bucket, ID: id, Key: r.Key, Args: args}, nil
 }
 
 func (s *diskStore) LogPlan(plan []int32, active int) {

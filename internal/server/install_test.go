@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -355,5 +356,57 @@ func TestInstallRefusedWhenLogFails(t *testing.T) {
 	}
 	if names, _ := imageSets(t, b.fs); len(names) != 0 {
 		t.Fatalf("failed install left image sets %v", names)
+	}
+}
+
+// TestReplicaRefusesInstall: placement is a primary's. A chunk sent to a
+// synced replica of the destination node is refused under the code a
+// replica's sync refusal carries, and the replica's plan and rows stay as its
+// primary's log left them: a chunk logged into the follower's own WAL and
+// installed there would fork the replicated history.
+func TestReplicaRefusesInstall(t *testing.T) {
+	a, b, f := newInstallNode(t, 0), newInstallNode(t, 1), newInstallNode(t, 1)
+	for i := 0; i < 100; i++ {
+		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// f follows b, the chunk's destination node.
+	code, body := serveNode(b.srv.handleReplSync, http.MethodPost, wire.PathReplSync, wire.ReplSync{})
+	if code != "" {
+		t.Fatalf("sync from b: %s", code)
+	}
+	r := bytes.NewReader(body)
+	var meta wire.ReplSyncMeta
+	if err := wire.DecodeFrame(r, &meta); err != nil {
+		t.Fatal(err)
+	}
+	f.srv.repl.mu.Lock()
+	err := f.srv.become(roleSyncing)
+	f.srv.repl.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.srv.InstallReplicaState(meta, body[len(body)-r.Len():]); err != nil {
+		t.Fatal(err)
+	}
+	if f.srv.role() != roleReplica {
+		t.Fatalf("f is %s after its sync, want replica", f.srv.role())
+	}
+
+	plan, rows, appends := fmt.Sprint(f.eng.Plan()), f.eng.TotalRows(), f.rm.WALStats().Appends
+	w, _ := sendChunk(t, a, f, a.eng.OwnedBuckets(0)[:4], 0, 2)
+	var resp wire.Response
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Code != wire.CodeFenced {
+		t.Fatalf("an install on a replica answered %d %s, want %s", w.Code, w.Body.String(), wire.CodeFenced)
+	}
+	if got := fmt.Sprint(f.eng.Plan()); got != plan {
+		t.Fatalf("the refused install changed the replica's plan:\n got %s\nwant %s", got, plan)
+	}
+	if got := f.eng.TotalRows(); got != rows {
+		t.Fatalf("the refused install left the replica %d rows, want %d", got, rows)
+	}
+	if got := f.rm.WALStats().Appends; got != appends {
+		t.Fatalf("the refused install appended %d records to the replica's log", got-appends)
 	}
 }

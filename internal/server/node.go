@@ -167,6 +167,9 @@ func nodeJSON[T any](h func(T) (any, error)) http.HandlerFunc {
 // handleNodeMove executes a same-node MoveBuckets: both partitions are
 // hosted here, so the node runs the full in-process migration protocol.
 func (s *Server) handleNodeMove(req wire.NodeMove) (any, error) {
+	if err := s.placing(); err != nil {
+		return nil, err
+	}
 	move := s.cfg.Engine.MoveBuckets
 	if req.Rollback {
 		move = s.cfg.Engine.MoveBucketsRollback
@@ -181,6 +184,10 @@ func (s *Server) handleNodeMove(req wire.NodeMove) (any, error) {
 func (s *Server) handleNodeExtract(w http.ResponseWriter, r *http.Request) {
 	var req wire.NodeMove
 	if !decodeNodeJSON(w, r, &req) {
+		return
+	}
+	if err := s.placing(); err != nil {
+		writeNodeError(w, err)
 		return
 	}
 	data, err := s.cfg.Engine.ExtractBuckets(req.Buckets, req.From, req.To,
@@ -204,6 +211,10 @@ func (s *Server) handleNodeExtract(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleNodeInstall(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
+		return
+	}
+	if err := s.placing(); err != nil {
+		writeNodeError(w, err)
 		return
 	}
 	var req wire.NodeMove
@@ -279,6 +290,9 @@ func (s *Server) installChunk(req wire.NodeMove, chunk []byte, data store.Bucket
 
 // handleNodeFlip applies a coordinator's ownership broadcast.
 func (s *Server) handleNodeFlip(req wire.NodeFlip) (any, error) {
+	if err := s.placing(); err != nil {
+		return nil, err
+	}
 	return struct{}{}, s.cfg.Engine.ApplyOwnership(req.Buckets, req.Owner)
 }
 
@@ -384,6 +398,9 @@ func (s *Server) handleNodeStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleNodeMachines sets the active machine count.
 func (s *Server) handleNodeMachines(req wire.NodeActive) (any, error) {
+	if err := s.placing(); err != nil {
+		return nil, err
+	}
 	return struct{}{}, s.cfg.Engine.SetActiveMachines(req.Active)
 }
 

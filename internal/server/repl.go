@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -338,15 +337,10 @@ func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*
 			switch {
 			case r.LSN <= head:
 				return
-			case r.IsChunk():
-				var imgs []*wal.Image
-				if imgs, err = wal.DecodeImages(r.Images); err == nil {
-					c = store.ReplayCommand{Bucket: r.Bucket, Chunk: imgs[0].Tables, Part: r.Part}
-				}
-			case r.LSN > head+1:
+			case !r.IsChunk() && r.LSN > head+1:
 				err = fmt.Errorf("server: ship record %d skips bucket %d from lsn %d to %d", i, r.Bucket, head, r.LSN)
 			default:
-				c, err = s.shippedCommand(r)
+				c, err = recovery.Replay(s.cfg.Engine, r)
 			}
 			shares = append(shares, share{c, r.LSN})
 		})
@@ -365,20 +359,6 @@ func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*
 		fresh = append(fresh, batch.Frames[i])
 	}
 	return b, fresh, nil
-}
-
-// shippedCommand decodes a shipped command for replay.
-func (s *Server) shippedCommand(r *wal.Record) (store.ReplayCommand, error) {
-	raw, _ := r.Args.(json.RawMessage)
-	args, err := s.cfg.Engine.DecodeArgs(r.Txn, raw)
-	if err != nil {
-		return store.ReplayCommand{}, fmt.Errorf("server: decoding shipped %q args: %v", r.Txn, err)
-	}
-	id, ok := s.handles[r.Txn]
-	if !ok {
-		return store.ReplayCommand{}, fmt.Errorf("%w: shipped %q", store.ErrUnknownTxn, r.Txn)
-	}
-	return store.ReplayCommand{Bucket: r.Bucket, ID: id, Key: r.Key, Args: args}, nil
 }
 
 // maybeFollowerCheckpointLocked kicks off an async checkpoint of the

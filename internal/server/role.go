@@ -110,6 +110,7 @@ const (
 	reqPromote                // /v1/repl/promote
 	reqDemote                 // stand down toward a new primary (standDown), and the rejoin after it
 	reqQuiesce                // a machine crash or restore, a checkpoint
+	reqPlace                  // a coordinator's placement change: move, extract, install, flip, set-active
 	nRequests
 )
 
@@ -135,16 +136,19 @@ type cell struct {
 const latchedReplica = nRoles
 
 // guards is what each role answers each request; a zero cell serves it.
+// Placement is a primary's: a follower's plan and rows change only by its
+// primary's log, or a chunk logged here would fork the replicated history.
 var guards = [nRoles + 1][nRequests]cell{
 	rolePrimary: {reqInstall: {refuse, errInstallNotReplica}, reqShip: {refuse, errShipNotReplica}, reqPromote: {do: skip}},
 	roleFenced: {reqTxn: {refuse, errTxnFenced}, reqSync: {refuse, errSyncFenced},
-		reqInstall: {refuse, errInstallNotReplica}, reqShip: {refuse, errShipNotReplica}, reqPromote: {refuse, errPromoteFenced}},
+		reqInstall: {refuse, errInstallNotReplica}, reqShip: {refuse, errShipNotReplica}, reqPromote: {refuse, errPromoteFenced},
+		reqPlace: {refuse, errPlaceFenced}},
 	roleSyncing: {reqTxn: {refuse, errTxnReplica}, reqSync: {refuse, errSyncReplica}, reqShip: {refuse, errSyncIncomplete},
-		reqPromote: {refuse, errSyncIncomplete}, reqDemote: {do: skip}, reqQuiesce: {do: drain}},
+		reqPromote: {refuse, errSyncIncomplete}, reqDemote: {do: skip}, reqQuiesce: {do: drain}, reqPlace: {refuse, errPlaceReplica}},
 	roleReplica: {reqTxn: {refuse, errTxnReplica}, reqSync: {refuse, errSyncReplica},
-		reqPromote: {do: drain}, reqDemote: {do: skip}, reqQuiesce: {do: drain}},
+		reqPromote: {do: drain}, reqDemote: {do: skip}, reqQuiesce: {do: drain}, reqPlace: {refuse, errPlaceReplica}},
 	latchedReplica: {reqTxn: {refuse, errTxnReplica}, reqSync: {refuse, errSyncReplica}, reqShip: {do: resync},
-		reqPromote: {do: drain}, reqDemote: {do: skip}, reqQuiesce: {do: drain}},
+		reqPromote: {do: drain}, reqDemote: {do: skip}, reqQuiesce: {do: drain}, reqPlace: {refuse, errPlaceReplica}},
 }
 
 var (
@@ -155,6 +159,8 @@ var (
 	errShipNotReplica    = refusal{wire.ErrFenced, "server: node is not a replica"}
 	errSyncIncomplete    = refusal{store.ErrStopped, "server: replica sync incomplete"}
 	errPromoteFenced     = refusal{wire.ErrFenced, "server: a fenced node cannot be promoted; it rejoins the new primary"}
+	errPlaceReplica      = refusal{wire.ErrFenced, "server: a replica changes placement only by its primary's log"}
+	errPlaceFenced       = refusal{wire.ErrFenced, "server: a fenced node takes no placement changes"}
 	errInstallNotReplica = errors.New("server: InstallReplicaState on a non-replica node")
 )
 
@@ -177,12 +183,12 @@ func (s *Server) answer(q request) cell {
 	return guards[r][q]
 }
 
-// MarkFenced records that this node, still configured as a primary, has seen
-// proof of a higher epoch.
-func (s *Server) MarkFenced() {
-	s.repl.mu.Lock()
-	defer s.repl.mu.Unlock()
-	_ = s.become(roleFenced) // refused only for a follower, which has nothing to fence
+// placing refuses a placement change on any node but a primary.
+func (s *Server) placing() error {
+	if c := s.answer(reqPlace); c.do == refuse {
+		return c.err
+	}
+	return nil
 }
 
 // standDown fences this node and starts its rejoin of the primary at url — the

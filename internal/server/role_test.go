@@ -199,6 +199,23 @@ func TestRoleGuards(t *testing.T) {
 			n.srv.standDown(nowhere)
 			return ""
 		}, [...][2]want{same("", F), same("", F), same("", S), same("", R)}},
+		{"placement", func(n *installNode) string {
+			for _, q := range []struct {
+				h    http.HandlerFunc
+				path string
+				body any
+			}{
+				{nodeJSON(n.srv.handleNodeMachines), wire.PathNodeMachines, wire.NodeActive{Active: 1}},
+				{nodeJSON(n.srv.handleNodeFlip), wire.PathNodeFlip, wire.NodeFlip{Buckets: []int{0}, Owner: 0}},
+				{nodeJSON(n.srv.handleNodeMove), wire.PathNodeMove, wire.NodeMove{Buckets: []int{0}, From: 0, To: 1}},
+				{n.srv.handleNodeExtract, wire.PathNodeExtract, wire.NodeMove{Buckets: []int{2}, From: 0, To: 2}},
+			} {
+				if code, _ := serveNode(q.h, http.MethodPost, q.path, q.body); code != "" {
+					return code
+				}
+			}
+			return ""
+		}, [...][2]want{same("", P), same(fenced, F), same(fenced, S), same(fenced, R)}},
 		{"crash and restore", func(n *installNode) string {
 			m := wire.NodeMachine{Machine: 0}
 			if code, _ := serveNode(nodeJSON(n.srv.handleNodeCrash), http.MethodPost, wire.PathNodeCrash, m); code != "" {

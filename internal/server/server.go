@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pstore/internal/metrics"
 	"pstore/internal/store"
 	"pstore/internal/wire"
 )
@@ -40,10 +39,6 @@ type Config struct {
 	// decoder (store.Engine.SetArgsDecoder) decodes request arguments; without
 	// one every argument-bearing request is a bad_request.
 	Engine *store.Engine
-	// Recorder, when set, receives wire-level rejection counts
-	// (CountWireRejected per 429 served) so the serve summary's refused-work
-	// line covers the wire.
-	Recorder *metrics.Recorder
 	// DefaultDeadline applies to requests that carry no deadline. Zero
 	// means no server-imposed deadline.
 	DefaultDeadline time.Duration
@@ -370,9 +365,6 @@ func (s *Server) errResponse(code, msg string, retryMs int64) wire.Response {
 	switch code {
 	case wire.CodeOverload:
 		s.rejected.Add(1)
-		if s.cfg.Recorder != nil {
-			s.cfg.Recorder.CountWireRejected()
-		}
 	case wire.CodeDeadline:
 		s.deadline504.Add(1)
 	case wire.CodePartitionDown, wire.CodeStopped, wire.CodeNotOwned:

@@ -15,7 +15,6 @@ import (
 
 	"pstore/internal/b2w"
 	"pstore/internal/client"
-	"pstore/internal/metrics"
 	"pstore/internal/store"
 	"pstore/internal/wire"
 	"pstore/internal/workload"
@@ -77,14 +76,10 @@ func postTxn(t *testing.T, s *Server, req wire.Request, header map[string]string
 // TestErrorMappingTable drives one request per typed engine error through
 // the front end and checks the full contract: HTTP status, stable code,
 // retry hint where the code is retryable, the right server counter, and the
-// recorder's wire-rejection count.
+// one count of wire rejections (Rejected429), which only a 429 moves.
 func TestErrorMappingTable(t *testing.T) {
 	eng := testEngine(t)
-	rec, err := metrics.NewRecorder(time.Now(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Engine: eng, Recorder: rec})
+	srv, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +103,7 @@ func TestErrorMappingTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := tc.counter(srv.Counters())
-			wireBefore := rec.OverloadCounters().WireRejected
+			wireBefore := srv.Counters().Rejected429
 			w, resp := postTxn(t, srv, wire.Request{Txn: tc.txn, Key: "k1"}, nil)
 			if w.Code != tc.status {
 				t.Errorf("HTTP status = %d, want %d", w.Code, tc.status)
@@ -139,8 +134,8 @@ func TestErrorMappingTable(t *testing.T) {
 			if tc.status == 429 {
 				wantWire++
 			}
-			if got := rec.OverloadCounters().WireRejected; got != wantWire {
-				t.Errorf("recorder WireRejected = %d, want %d", got, wantWire)
+			if got := srv.Counters().Rejected429; got != wantWire {
+				t.Errorf("Rejected429 = %d, want %d", got, wantWire)
 			}
 		})
 	}

@@ -55,8 +55,9 @@ type Config struct {
 	// partition of a non-hosted machine fail with ErrNotOwned instead of
 	// executing, and their bucket data never lives here. All partitions
 	// still exist (ids are cluster-global) so the plan, migration schedule
-	// and fault decisions stay identical to single-process mode. Nil or
-	// empty hosts every machine — the single-process reference oracle.
+	// and fault decisions stay identical to single-process mode. Nil, empty
+	// or every machine hosts every machine — the single-process reference
+	// oracle.
 	HostedMachines []int
 }
 

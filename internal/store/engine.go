@@ -164,16 +164,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		ol:          newOverloadRuntime(cfg.Overload),
 	}
 	e.hosted = make([]bool, cfg.MaxMachines)
-	if len(cfg.HostedMachines) == 0 {
-		e.hostedAll = true
-		for m := range e.hosted {
-			e.hosted[m] = true
-		}
-	} else {
-		for _, m := range cfg.HostedMachines {
-			e.hosted[m] = true
-		}
+	for m := range e.hosted {
+		e.hosted[m] = len(cfg.HostedMachines) == 0
 	}
+	for _, m := range cfg.HostedMachines {
+		e.hosted[m] = true
+	}
+	// An engine hosting every machine — none named, or all of them — takes
+	// the single-process fast path.
+	e.hostedAll = !slices.Contains(e.hosted, false)
 	total := cfg.MaxMachines * cfg.PartitionsPerMachine
 	e.parts = make([]*partition, total)
 	for i := range e.parts {
@@ -824,15 +823,6 @@ func (e *Engine) MaxQueueSojourn() time.Duration {
 		}
 	}
 	return time.Duration(max)
-}
-
-// PartitionRows returns the current row count of one partition. It is an
-// estimate while transactions are in flight.
-func (e *Engine) PartitionRows(part int) int {
-	if part < 0 || part >= len(e.parts) {
-		return 0
-	}
-	return int(atomic.LoadInt64(&e.parts[part].rowsAtomic))
 }
 
 // TotalRows returns the number of rows across all partitions. It is an

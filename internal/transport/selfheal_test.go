@@ -110,7 +110,6 @@ func TestZombieRejoinChain(t *testing.T) {
 	}
 
 	// Self-heal: fence, demote toward the new primary, truncate the suffix.
-	a.srv.MarkFenced()
 	pst, err := b.peer.ReplStatus(ctx)
 	if err != nil {
 		t.Fatalf("new primary status: %v", err)

@@ -8,7 +8,6 @@
 package transport
 
 import (
-	"fmt"
 	"time"
 
 	"pstore/internal/recovery"
@@ -76,43 +75,27 @@ type Topology interface {
 	Close() error
 }
 
-// Local is the single-process topology: one engine, every machine hosted,
-// recovery driven through an in-process manager. Every Node and engine
-// method delegates directly, so behavior is byte-identical to calling the
-// engine — the property the fixed-seed chaos suites pin.
+// Local is the single-process topology: one node's engine hosting every
+// machine, recovery driven through the node's in-process manager. Every Node
+// and engine method delegates directly, so behavior is byte-identical to
+// calling the engine — the property the fixed-seed chaos suites pin.
 type Local struct {
 	*store.Engine
 	rm *recovery.Manager
 }
 
-// NewLocal wraps an engine (and optionally its recovery manager; nil
-// disables the recovery plane) as a Topology.
+// NewLocal wraps an engine and its recovery manager as a Topology.
 func NewLocal(eng *store.Engine, rm *recovery.Manager) *Local {
 	return &Local{Engine: eng, rm: rm}
 }
 
-// Recovery returns the in-process recovery manager, or nil.
+// Recovery returns the in-process recovery manager.
 func (l *Local) Recovery() *recovery.Manager { return l.rm }
 
-func (l *Local) Crash(machine int) error {
-	if l.rm == nil {
-		return fmt.Errorf("transport: no recovery manager attached")
-	}
-	return l.rm.Crash(machine)
-}
+func (l *Local) Crash(machine int) error { return l.rm.Crash(machine) }
 
-func (l *Local) Restore(machine int) (recovery.RestoreStats, error) {
-	if l.rm == nil {
-		return recovery.RestoreStats{}, fmt.Errorf("transport: no recovery manager attached")
-	}
-	return l.rm.Restore(machine)
-}
+func (l *Local) Restore(machine int) (recovery.RestoreStats, error) { return l.rm.Restore(machine) }
 
-func (l *Local) Checkpoint() (int, error) {
-	if l.rm == nil {
-		return 0, fmt.Errorf("transport: no recovery manager attached")
-	}
-	return l.rm.Checkpoint()
-}
+func (l *Local) Checkpoint() (int, error) { return l.rm.Checkpoint() }
 
 func (l *Local) Close() error { return nil }

@@ -10,18 +10,18 @@
 // reconfigurations as live, throttled data migrations — before load spikes
 // arrive rather than after.
 //
-// The primary entry point is the Cluster runtime (internal/cluster): it
-// owns the whole serving stack — storage engine, Squall migration executor,
-// latency recorder and the provisioning controller's monitoring/decision
-// loop — behind one lifecycle (NewCluster, Start, Stop) and publishes a
-// typed event stream (MoveStarted, MoveFinished, DecisionFailed,
-// EmergencyTriggered, LoadObserved, MachineFailed, MachineRecovered) for
-// observers.
+// The primary entry points are a Node (internal/node), which assembles and
+// loads the storage engine with its recovery manager, and the Cluster
+// (internal/cluster) over it: the provisioning controller's
+// monitoring/decision loop and the Squall migration executor, behind one
+// lifecycle (OpenNode, NewCluster, Start, Stop), publishing a typed event
+// stream (MoveStarted, MoveFinished, DecisionFailed, EmergencyTriggered,
+// LoadObserved, MachineFailed, MachineRecovered) for observers.
 //
 // The package is a facade over the internal subsystems:
 //
-//   - Cluster: the serving runtime combining everything below into the
-//     paper's closed loop (internal/cluster).
+//   - Node and Cluster: one P-Store process and the paper's closed loop
+//     driving it (internal/node, internal/cluster).
 //   - Engine: an H-Store-like storage engine — serial per-partition
 //     executors, hash-bucketed partitioning, single-partition transactions,
 //     and live bucket migration (internal/store).
@@ -55,6 +55,7 @@ import (
 	"pstore/internal/faults"
 	"pstore/internal/metrics"
 	"pstore/internal/migration"
+	"pstore/internal/node"
 	"pstore/internal/planner"
 	"pstore/internal/predictor"
 	"pstore/internal/recovery"
@@ -63,25 +64,40 @@ import (
 	"pstore/internal/squall"
 	"pstore/internal/store"
 	"pstore/internal/timeseries"
+	"pstore/internal/transport"
 	"pstore/internal/workload"
 )
 
 // --- cluster runtime (paper Section 6) --------------------------------------
 
-// Cluster is the serving runtime: engine + Squall executor + recorder + the
-// controller's monitoring/decision loop, under one lifecycle. It is the
-// single owner of move execution and publishes a typed event stream.
+// Cluster is the controller's monitoring/decision loop and the Squall
+// executor over a node's engine, under one lifecycle. It is the single owner
+// of move execution and publishes a typed event stream.
 type Cluster = cluster.Cluster
 
-// ClusterConfig assembles a Cluster.
+// ClusterConfig configures a Cluster.
 type ClusterConfig = cluster.Config
 
 // ClusterStats summarizes a runtime's decision activity.
 type ClusterStats = cluster.Stats
 
-// NewCluster builds the serving stack; register transactions on Engine(),
-// then Start it.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
+// NewCluster builds the decision loop over an opened node's engine; Start it
+// after attaching the recorder named in cfg to the node (Node.SetRecorder).
+func NewCluster(cfg ClusterConfig, n *Node) (*Cluster, error) {
+	return cluster.NewRemote(cfg, transport.NewLocal(n.Engine, n.Recovery))
+}
+
+// Node is one P-Store process assembled: the storage engine, the recovery
+// manager that logs it and the server that can front it (internal/node).
+type Node = node.Node
+
+// NodeConfig describes a node. A single-process node has Nodes 1 and hosts
+// every machine; Register installs the procedures and Load the dataset.
+type NodeConfig = node.Config
+
+// OpenNode assembles a node and loads its dataset (or cold-starts it from
+// its data directory) without serving it; Close stops it.
+func OpenNode(cfg NodeConfig) (*Node, error) { return node.Open(cfg) }
 
 // ClusterEvent is a typed notification from the cluster runtime; subscribe
 // with Cluster.Subscribe.
@@ -237,8 +253,7 @@ func DefaultSquallConfig() SquallConfig { return squall.DefaultConfig() }
 // RecoveryManager gives every bucket a command log and checkpoint images,
 // and rebuilds a crashed machine to its exact pre-crash state by installing
 // the images and replaying the logged command tails (see internal/recovery).
-// Attach it with NewRecoveryManager before Engine.Start; the Cluster runtime
-// builds one automatically when a crash schedule is armed.
+// Attach it with NewRecoveryManager before Engine.Start; every Node has one.
 type RecoveryManager = recovery.Manager
 
 // RecoveryStats counts crashes, recoveries, checkpoints, replayed commands

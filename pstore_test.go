@@ -124,8 +124,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 // bootstrap, manual move, event stream, stats, stop.
 func TestFacadeCluster(t *testing.T) {
 	spec := pstore.B2WLoadSpec{Carts: 300, Checkouts: 80, Stocks: 150, LinesPerCart: 2, Seed: 1}
-	clu, err := pstore.NewCluster(pstore.ClusterConfig{
-		Engine: pstore.EngineConfig{
+	n, err := pstore.OpenNode(pstore.NodeConfig{
+		Nodes: 1,
+		Store: pstore.EngineConfig{
 			MaxMachines:          3,
 			PartitionsPerMachine: 2,
 			Buckets:              120,
@@ -133,16 +134,25 @@ func TestFacadeCluster(t *testing.T) {
 			QueueCapacity:        4096,
 			InitialMachines:      1,
 		},
-		Squall:         pstore.DefaultSquallConfig(),
-		RecorderWindow: 50 * time.Millisecond,
-		Bootstrap: func(eng *pstore.Engine) error {
+		Register: pstore.RegisterB2W,
+		Load: func(eng *pstore.Engine) error {
 			return pstore.LoadB2W(eng, spec)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pstore.RegisterB2W(clu.Engine()); err != nil {
+	defer n.Close()
+	rec, err := pstore.NewRecorder(time.Now(), 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetRecorder(rec)
+	clu, err := pstore.NewCluster(pstore.ClusterConfig{
+		Squall:   pstore.DefaultSquallConfig(),
+		Recorder: rec,
+	}, n)
+	if err != nil {
 		t.Fatal(err)
 	}
 	events, unsubscribe := clu.Subscribe(64)
@@ -152,14 +162,14 @@ func TestFacadeCluster(t *testing.T) {
 	}
 	defer clu.Stop()
 
-	if rows := clu.Engine().TotalRows(); rows != 530 {
+	if rows := n.Engine.TotalRows(); rows != 530 {
 		t.Fatalf("bootstrap loaded %d rows, want 530", rows)
 	}
 	if err := clu.Reconfigure(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if clu.Engine().ActiveMachines() != 3 {
-		t.Fatalf("ActiveMachines = %d, want 3", clu.Engine().ActiveMachines())
+	if n.Engine.ActiveMachines() != 3 {
+		t.Fatalf("ActiveMachines = %d, want 3", n.Engine.ActiveMachines())
 	}
 	if st := clu.Stats(); st.Moves != 1 {
 		t.Fatalf("stats %+v, want 1 move", st)
@@ -172,8 +182,8 @@ func TestFacadeCluster(t *testing.T) {
 	if mv, ok := finish.(pstore.MoveFinished); !ok || mv.Seq != 1 {
 		t.Fatalf("second event %v, want successful MoveFinished", finish)
 	}
-	if rec := clu.Recorder(); rec == nil {
-		t.Fatal("no recorder")
+	if rec.MachineSeries() == nil {
+		t.Fatal("recorder has no machine timeline")
 	}
 	clu.Stop()
 	if _, open := <-events; open {

@@ -313,6 +313,12 @@ func (c *Client) ExecuteBatch(ctx context.Context, reqs []wire.Request) ([]wire.
 	start := time.Now()
 	replies, err := c.stream.Do(ctx, frames)
 	if err != nil {
+		// As in roundTrip: the deadline elapsing locally refuses every request
+		// of the batch; it does not break the transport.
+		if ctx.Err() != nil {
+			c.refused.Add(int64(len(reqs)))
+			return nil, fmt.Errorf("client: batch deadline: %w: %w", store.ErrDeadlineExceeded, ctx.Err())
+		}
 		c.transport.Add(1)
 		return nil, fmt.Errorf("client: batch transport: %w", err)
 	}

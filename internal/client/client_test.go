@@ -221,6 +221,14 @@ func TestDeadlineExpiry(t *testing.T) {
 	if cc.Refused != 1 || cc.TransportErrors != 0 {
 		t.Fatalf("counters = %+v", cc)
 	}
+	// A batch past its deadline is refused request by request, like Execute.
+	reqs := []wire.Request{{Txn: "t", Key: "a"}, {Txn: "t", Key: "b"}}
+	if _, err := c.ExecuteBatch(context.Background(), reqs); !errors.Is(err, store.ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch err = %v, want deadline", err)
+	}
+	if cc := c.Counters(); cc.Refused != 3 || cc.TransportErrors != 0 {
+		t.Fatalf("counters after the batch = %+v", cc)
+	}
 }
 
 func TestTransportErrorCounted(t *testing.T) {

@@ -117,7 +117,8 @@ func Promote(ctx context.Context, cfg PromoteConfig) (wire.ReplStatus, error) {
 }
 
 // RejoinConfig parameterizes folding a fenced ex-primary back into the
-// cluster as a warm follower of the promoted node.
+// cluster as a follower of the promoted node, by a full resync from its
+// snapshot.
 type RejoinConfig struct {
 	// Zombie is the deposed primary (restarted or still live but fenced);
 	// Primary the promoted node it must follow, at PrimaryURL.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,11 +162,12 @@ func TestLifecycleReplicaSyncsAndShips(t *testing.T) {
 	}
 }
 
-// TestLifecycleFencedPrimaryRejoinsWarm: a primary whose follower was promoted
-// goes on taking a write, ships it, is fenced by the promoted node — and then,
-// with nobody ordering it to, rejoins that node as its follower warm: the
-// write is truncated from its log and memory is rebuilt from what is left.
-func TestLifecycleFencedPrimaryRejoinsWarm(t *testing.T) {
+// TestLifecycleFencedPrimaryRejoinsByResync: a primary whose follower was
+// promoted goes on taking a write, ships it, is fenced by the promoted node —
+// and then, with nobody ordering it to, rejoins that node as its follower by a
+// full resync: the write goes with its log, and the promoted node's snapshot
+// and stream replace both.
+func TestLifecycleFencedPrimaryRejoinsByResync(t *testing.T) {
 	p := startNode(t, kvConfig(t))
 	f := startNode(t, replicaOf(t, p))
 	waitCaughtUp(t, p, f)
@@ -173,9 +175,6 @@ func TestLifecycleFencedPrimaryRejoinsWarm(t *testing.T) {
 
 	put(t, p, "zombie", 1)
 	waitCaughtUp(t, f, p)
-	if p.Recovery.Stats().Recoveries == 0 {
-		t.Fatal("the zombie rejoined by a full resync; its rejoin offer was current, so it should have rejoined warm")
-	}
 	if _, err := p.Engine.Execute("get", "zombie", nil); err == nil {
 		t.Fatal("the write the zombie took after the promotion survived its rejoin")
 	}
@@ -186,11 +185,10 @@ func TestLifecycleFencedPrimaryRejoinsWarm(t *testing.T) {
 	}
 }
 
-// TestLifecycleStaleRejoinOfferFullResync: a fenced primary that changed its
-// plan after the promotion cannot truncate back to the promoted node's rejoin
-// offer; it falls back to a full resync and converges on the new primary's
-// state.
-func TestLifecycleStaleRejoinOfferFullResync(t *testing.T) {
+// TestLifecycleFencedPrimaryPlanChangeResyncs: a fenced primary that changed
+// its plan after the promotion converges on the new primary's plan when it
+// rejoins.
+func TestLifecycleFencedPrimaryPlanChangeResyncs(t *testing.T) {
 	p := startNode(t, kvConfig(t))
 	f := startNode(t, replicaOf(t, p))
 	waitCaughtUp(t, p, f)
@@ -200,9 +198,6 @@ func TestLifecycleStaleRejoinOfferFullResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, f, p)
-	if p.Recovery.Stats().Recoveries != 0 {
-		t.Fatal("the zombie rejoined warm from a stale rejoin offer")
-	}
 	if got, want := p.Engine.ActiveMachines(), f.Engine.ActiveMachines(); got != want {
 		t.Fatalf("rejoined node has %d active machines, its primary %d", got, want)
 	}
@@ -258,6 +253,116 @@ func TestLifecycleChainedFailover(t *testing.T) {
 		if got := get(t, p, fmt.Sprintf("k-%d", i)); got != i+200 {
 			t.Fatalf("k-%d = %d after the second failover, want the acknowledged %d", i, got, i+200)
 		}
+	}
+}
+
+// TestPromotedPrimaryCompactsWithoutPredecessor: a promoted node's
+// checkpoints delete the sealed segments they cover while its deposed
+// predecessor stays away. Promotion pins nothing, so the log stays bounded
+// however long the old primary is gone.
+func TestPromotedPrimaryCompactsWithoutPredecessor(t *testing.T) {
+	const segBytes = 1 << 10
+	pcfg := kvConfig(t)
+	pcfg.Recovery.SegmentBytes = segBytes
+	p := startNode(t, pcfg)
+	fcfg := replicaOf(t, p)
+	fcfg.Recovery.SegmentBytes = segBytes
+	f := startNode(t, fcfg)
+	waitCaughtUp(t, p, f)
+	p.Close()
+	promote(t, f)
+
+	before := f.Recovery.WALStats()
+	for i := 0; i < 4*keys; i++ {
+		put(t, f, fmt.Sprintf("k-%d", i%keys), i)
+	}
+	sealed := f.Recovery.WALStats().Rotations - before.Rotations
+	if sealed < 3 {
+		t.Fatalf("%d writes sealed %d segments; the test needs several", 4*keys, sealed)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		if _, err := peer(f).Checkpoint(ctx); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+	}
+	if got := f.Recovery.WALStats().CompactedSegments - before.CompactedSegments; got < sealed {
+		t.Fatalf("two checkpoints compacted %d segments; the %d sealed since the promotion are covered", got, sealed)
+	}
+	if got := f.Recovery.LogBytes(); got > segBytes {
+		t.Fatalf("%d bytes of log retained after two checkpoints; only the active segment (< %d bytes) is needed", got, segBytes)
+	}
+}
+
+// TestSyncCommitWriteDuringRejoinInstall: under sync commit, a write the
+// promoted primary takes while its predecessor installs the rejoin snapshot is
+// acknowledged only once the install is done and the rejoined node has the
+// write in its log. The write is on the rejoined node, and still there once
+// that node is promoted in turn.
+func TestSyncCommitWriteDuringRejoinInstall(t *testing.T) {
+	fs := wal.NewMemFS(1)
+	pcfg := kvConfig(t)
+	pcfg.Recovery = recovery.Config{DataDir: "data", FS: fs}
+	p := startNode(t, pcfg)
+	fcfg := replicaOf(t, p)
+	fcfg.SyncCommit = true
+	f := startNode(t, fcfg)
+	waitCaughtUp(t, p, f)
+	p.Close()
+	promote(t, f)
+	p = startNode(t, pcfg)
+
+	// Hold the restarted node's install at the fsync of the image set it
+	// writes from the snapshot.
+	installing, release := make(chan struct{}), make(chan struct{})
+	var held, released sync.Once
+	open := func() { released.Do(func() { close(release) }) }
+	t.Cleanup(open)
+	fs.SetSyncHook(func(name string) error {
+		if strings.Contains(name, "set-") {
+			held.Do(func() { close(installing) })
+			<-release
+		}
+		return nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	rejoined := make(chan error, 1)
+	go func() {
+		_, err := cluster.Rejoin(ctx, cluster.RejoinConfig{Zombie: peer(p), Primary: peer(f), PrimaryURL: f.URL})
+		rejoined <- err
+	}()
+	select {
+	case <-installing:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the rejoining node never started installing its snapshot")
+	}
+	acked := make(chan error, 1)
+	go func() {
+		_, err := f.Engine.Execute("put", "during", 1)
+		acked <- err
+	}()
+	select {
+	case err := <-acked:
+		t.Fatalf("the write returned (%v) while its follower was still installing", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	open()
+	if err := <-acked; err != nil {
+		t.Fatalf("the write taken during the install: %v", err)
+	}
+	if err := <-rejoined; err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	waitCaughtUp(t, f, p)
+	if got := get(t, p, "during"); got != 1 {
+		t.Fatalf("during = %d on the rejoined node, want 1", got)
+	}
+	f.Close()
+	promote(t, p)
+	if got := get(t, p, "during"); got != 1 {
+		t.Fatalf("during = %d once the rejoined node is promoted, want 1", got)
 	}
 }
 

@@ -252,17 +252,6 @@ func (s *diskStore) AdvanceHead(bucket int, lsn uint64) {
 	}
 }
 
-// truncate lowers the per-bucket LSN counters after the WAL discarded an
-// unshipped suffix. Images are untouched — TruncateTo refuses whenever an
-// image had folded a discarded record in, so bases stay below the new heads.
-func (s *diskStore) truncate(res wal.TruncateResult) {
-	for b, head := range res.Heads {
-		if b >= 0 && b < len(s.heads) {
-			s.heads[b].Store(head)
-		}
-	}
-}
-
 // reset zeroes every durability counter after a full WAL reset; the next
 // baseline install re-seeds heads and bases from the primary's snapshot.
 func (s *diskStore) reset() {

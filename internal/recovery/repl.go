@@ -85,26 +85,6 @@ func (m *Manager) PinShip(seg int) {
 	}
 }
 
-// TruncateShip discards the durable suffix past the divergence cursor — the
-// records a fenced ex-primary acked under its old term that the promoted
-// follower never saw — and lowers the per-bucket LSN counters to match, so
-// shipped records applied afterwards continue the survivor's numbering.
-// wal.ErrNeedResync means surgical truncation would leave an inconsistent
-// prefix and the caller must ResetReplica + full-resync instead.
-func (m *Manager) TruncateShip(cur wal.ShipCursor) (wal.TruncateResult, error) {
-	if m.wal == nil {
-		return wal.TruncateResult{}, ErrNotDurable
-	}
-	res, err := m.wal.TruncateTo(cur)
-	if err != nil {
-		return res, err
-	}
-	if ds, ok := m.log.(*diskStore); ok {
-		ds.truncate(res)
-	}
-	return res, nil
-}
-
 // ResetReplica wipes the durable record stream and every checkpoint image,
 // keeping the log's identity (manifest, epoch). A replica must call this
 // before installing a full snapshot baseline over a non-empty data dir:

@@ -83,7 +83,7 @@ func (s *Server) serveSync(req wire.ReplSync) ([]byte, error) {
 	if req.FollowerURL != "" {
 		s.stopShipperLocked()
 	}
-	meta, body, err := s.syncBody(rm, req.Resume)
+	meta, body, err := s.syncBody(rm)
 	if err != nil || req.FollowerURL == "" {
 		return body, err
 	}
@@ -161,17 +161,20 @@ func (s *Server) Follow() {
 }
 
 // rejoin demotes this fenced ex-primary into the followership of the primary
-// at url: warm — its log truncated at the divergence point, the primary's
-// stream resumed — while the primary's rejoin offer matches this node's log,
-// by a full resync otherwise.
+// at url, by a full resync: whatever this node took after the promotion goes
+// with its log, and the primary's snapshot replaces both.
 func (s *Server) rejoin(ctx context.Context, url string) error {
 	if s.answer(reqDemote).do == skip {
 		return nil // an earlier order already took effect
 	}
 	// Stopping the shipper fails any sync-commit waiters parked on the dead
-	// stream: their records may sit past the divergence point, and nothing
-	// will ever confirm them.
+	// stream: nothing will ever confirm them, and the install fences the
+	// engine, which waits for every transaction in flight.
 	s.stopShipper()
+	rm, err := s.nodeRecovery()
+	if err != nil {
+		return err
+	}
 	primary := transport.NewPeer(url)
 	if err := primary.WaitHealthy(ctx, time.Minute); err != nil {
 		return fmt.Errorf("rejoin: new primary %s unreachable: %w", url, err)
@@ -180,20 +183,8 @@ func (s *Server) rejoin(ctx context.Context, url string) error {
 	if err != nil {
 		return fmt.Errorf("rejoin: new primary %s status: %w", url, err)
 	}
-	warm, err := s.DemoteToFollower(pst)
-	switch {
-	case errors.Is(err, wire.ErrFenced):
-		logf("rejoin refused: %v", err) // the named primary does not outrank us
-		return nil
-	case err != nil:
-		logf("warm rejoin failed (%v); falling back to a full resync", err)
-	case warm:
-		if _, err := primary.ReplResume(ctx, s.cfg.Node.Advertise, pst.Rejoin.Cursor); err != nil {
-			logf("resume stream refused (%v); falling back to a full resync", err)
-			break
-		}
-		logf("rejoined %s as warm follower: epoch %d, resuming at segment %d record %d",
-			url, pst.Epoch, pst.Rejoin.Cursor.Seg, pst.Rejoin.Cursor.Rec)
+	if pst.Epoch <= rm.Epoch() {
+		logf("rejoin refused: %v: %s is at epoch %d, ours is %d", wire.ErrFenced, url, pst.Epoch, rm.Epoch())
 		return nil
 	}
 	meta, err := s.resync(ctx, primary)
@@ -206,9 +197,9 @@ func (s *Server) rejoin(ctx context.Context, url string) error {
 }
 
 // resync rebuilds this node as a follower of primary from the primary's sync
-// stream, discarding whatever it held: a replica's first sync, and a rejoin's
-// fallback when a warm one is impossible. From its first line on the node is
-// syncing: it refuses ship batches retryably until the install completes.
+// stream, discarding whatever it held: a replica's first sync, and every
+// rejoin. From its first line on the node is syncing: it refuses ship batches
+// retryably until the install completes.
 func (s *Server) resync(ctx context.Context, primary *transport.Peer) (wire.ReplSyncMeta, error) {
 	s.repl.mu.Lock()
 	_ = s.become(roleSyncing) // every role may start a sync

@@ -53,8 +53,7 @@ type NodeConfig struct {
 	SyncCommit bool
 	// FollowerCheckpointEvery, when > 0, has a replica run a checkpoint of
 	// its own WAL every time that many shipped command records have been
-	// accepted — bounding a long-lived follower's own cold start. Compaction
-	// is PinShip-aware, so a later promotion's rejoin window is preserved.
+	// accepted — bounding a long-lived follower's own cold start.
 	FollowerCheckpointEvery int
 }
 

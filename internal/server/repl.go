@@ -60,32 +60,18 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 // or all after the snapshot, never astride them (installMu). The cursor's
 // segment is pinned against compaction before the snapshot starts so
 // shipping can begin from it.
-//
-// With resume set the follower is rejoining warm: its state already matches
-// ours up to that cursor (a truncated zombie, or a follower reconnecting after
-// our restart), so the body is the meta frame alone, once the cursor is known
-// to be still retained.
-func (s *Server) syncBody(rm *recovery.Manager, resume *wire.ShipCursor) (wire.ReplSyncMeta, []byte, error) {
+func (s *Server) syncBody(rm *recovery.Manager) (wire.ReplSyncMeta, []byte, error) {
 	eng := s.cfg.Engine
 	s.installMu.Lock()
 	defer s.installMu.Unlock()
 	meta := wire.ReplSyncMeta{Epoch: rm.Epoch(), PlanSeq: rm.PlanSeq(), Plan: eng.Plan(), Active: eng.ActiveMachines()}
 	var err error
-	if resume != nil {
-		meta.Cursor, meta.Plan = *resume, nil
-		_, _, _, err = rm.ReadShip(*resume, 1)
-	} else {
-		meta.Cursor, err = rm.ShipEnd()
-	}
-	if err != nil {
+	if meta.Cursor, err = rm.ShipEnd(); err != nil {
 		return meta, nil, err
 	}
 	rm.PinShip(meta.Cursor.Seg)
 	var imgs []*wal.Image
 	for _, m := range eng.HostedMachines() {
-		if resume != nil {
-			break
-		}
 		if eng.MachineDown(m) {
 			return meta, nil, fmt.Errorf("%w: machine %d is down; cannot seed a follower", store.ErrPartitionDown, m)
 		}
@@ -487,21 +473,8 @@ func (s *Server) handleReplPromote(req wire.ReplPromote) (any, error) {
 		}
 	}
 	if c.do == drain {
-		// Capture the standing rejoin offer for the deposed primary: shipping
-		// to it resumes at this node's current durable end — taken after the
-		// drain, which logs the plan records it applies, and with no
-		// transaction able to land between here and the role flip (the
-		// replica refusal is still up). The zombie's truncated-to state must
-		// match the applied cursor, which it reads from our status as its
-		// divergence point, and its plan must not have drifted. Pin the
-		// cursor so our own checkpoints keep the rejoin window shippable.
-		var offer *wire.ReplRejoin
-		if end, err := rm.ShipEnd(); err == nil {
-			rm.PinShip(end.Seg)
-			offer = &wire.ReplRejoin{Cursor: end, PlanSeq: s.apply.position().planSeq}
-		}
 		_ = s.become(rolePrimary) // a replica may always be promoted
-		st.rejoin, st.drained = offer, backlog
+		st.drained = backlog
 	}
 	return s.replStatusLocked(rm), nil
 }
@@ -521,82 +494,6 @@ func (s *Server) handleReplDemote(req wire.ReplDemote) (any, error) {
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
 	return s.replStatusLocked(rm), nil
-}
-
-// DemoteToFollower turns this (possibly fenced) ex-primary into a warm
-// follower of the node whose ReplStatus is given: fence local execution,
-// shed the WAL suffix past the divergence point (the new primary's Applied
-// cursor — a cursor into *this* node's WAL), adopt the new epoch, and
-// rebuild memory from the truncated log so the node holds exactly the state
-// the new primary acknowledged. On success (true) the node is a ready
-// replica positioned at pst.Rejoin.Cursor: the caller resumes shipping via
-// a Resume sync against the new primary.
-//
-// False with a nil error means a warm rejoin is impossible — the rejoin
-// offer is missing or stale, or truncation was refused (wal.ErrNeedResync) —
-// and the node is left fenced; the caller must run a full snapshot resync
-// (resync), which wipes and rebuilds the WAL.
-//
-// The caller must have stopped this node's own shipper first, which releases
-// its sync-commit waiters: fencing the engine blocks on in-flight
-// transactions, and a waiter parked on the barrier would never drain.
-func (s *Server) DemoteToFollower(pst wire.ReplStatus) (bool, error) {
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		return false, err
-	}
-	if !rm.Durable() {
-		return false, errors.New("server: demotion requires a durable store (-data-dir)")
-	}
-	eng := s.cfg.Engine
-	st := &s.repl
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if pst.Epoch <= rm.Epoch() {
-		return false, fmt.Errorf("%w: demote toward epoch %d, ours is %d", wire.ErrFenced, pst.Epoch, rm.Epoch())
-	}
-	if err := s.become(roleFenced); err != nil {
-		return false, err
-	}
-	// Fence: every hosted machine goes down, so nothing interleaves with the
-	// truncation and the rebuild below replays onto empty partitions.
-	for _, m := range eng.HostedMachines() {
-		if !eng.MachineDown(m) {
-			if err := rm.Crash(m); err != nil {
-				return false, err
-			}
-		}
-	}
-	warm := pst.Rejoin != nil && pst.Rejoin.PlanSeq == rm.PlanSeq()
-	if warm {
-		if _, err := rm.TruncateShip(pst.Applied); err != nil {
-			if !errors.Is(err, wal.ErrNeedResync) {
-				return false, err
-			}
-			warm = false
-		}
-	}
-	if !warm {
-		return false, nil
-	}
-	if err := rm.SetEpoch(pst.Epoch); err != nil {
-		return false, err
-	}
-	// Rebuild memory at the divergence point: the truncated suffix already
-	// executed here, so images + replay of the retained log are the only
-	// correct source of state now.
-	for _, m := range eng.HostedMachines() {
-		if _, err := rm.Restore(m); err != nil {
-			return false, err
-		}
-	}
-	if _, err := rm.Checkpoint(); err != nil {
-		return false, err
-	}
-	_ = s.become(roleReplica) // a fenced node may always rejoin
-	st.received = pst.Rejoin.Cursor
-	s.apply.reset(pst.Rejoin.Cursor, pst.Rejoin.PlanSeq)
-	return true, nil
 }
 
 // handleReplStatus reports the node's replication self-description.
@@ -624,7 +521,6 @@ func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
 		Drained:      s.repl.drained,
 		PlanSeq:      pos.planSeq,
 		Fenced:       r == roleFenced,
-		Rejoin:       s.repl.rejoin,
 	}
 	if r != roleReplica {
 		out.Received = pos.applied // all a non-replica ever received, it applied

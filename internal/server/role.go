@@ -39,12 +39,12 @@ func (r role) wire() string { return [nRoles]string{"primary", "primary", "repli
 
 // moves is the transition table: moves[from][to] says whether become may take
 // a node from one role to the other. A primary is fenced (standDown) or, new
-// and configured as a replica, starts syncing; a fenced node rejoins warm,
-// straight to replica, or by a full resync; a sync starts over or completes; a
-// replica is promoted, or a fresh install starts over its state.
+// and configured as a replica, starts syncing; a fenced node rejoins by a full
+// resync; a sync starts over or completes; a replica is promoted, or a fresh
+// install starts over its state.
 var moves = [nRoles][nRoles]bool{
 	rolePrimary: {roleFenced: true, roleSyncing: true},
-	roleFenced:  {roleFenced: true, roleSyncing: true, roleReplica: true},
+	roleFenced:  {roleFenced: true, roleSyncing: true},
 	roleSyncing: {roleSyncing: true, roleReplica: true},
 	roleReplica: {rolePrimary: true, roleSyncing: true},
 }
@@ -63,10 +63,8 @@ type replState struct {
 	// checkpoint.
 	received     wire.ShipCursor
 	acceptedRecs int
-	// A promoted primary's: rejoin is the standing offer to its deposed
-	// predecessor (see wire.ReplRejoin), drained the apply backlog its
-	// promotion had to execute first, in command records.
-	rejoin  *wire.ReplRejoin
+	// A promoted primary's: drained is the apply backlog its promotion had to
+	// execute first, in command records.
 	drained int
 	// checkpointing guards against overlapping async follower checkpoints.
 	checkpointing bool
@@ -90,7 +88,7 @@ func (s *Server) become(to role) error {
 		st.received, st.acceptedRecs = wire.ShipCursor{}, 0
 	}
 	if to != rolePrimary {
-		st.rejoin, st.drained = nil, 0
+		st.drained = 0
 	}
 	if to == roleSyncing {
 		s.apply.reset(wire.ShipCursor{}, 0)

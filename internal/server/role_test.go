@@ -59,36 +59,35 @@ func serveNode(h http.HandlerFunc, method, path string, body any) (string, []byt
 // TestRoleMoves takes a node from every role to every role. A legal move
 // lands on the new role and resets exactly what the new role does not own —
 // a replica owns its received cursor and accepted-record count, a
-// primary its rejoin offer and drained count — and entering syncing discards
+// primary its drained count — and entering syncing discards
 // the apply backlog. An illegal move returns an error and changes nothing.
 func TestRoleMoves(t *testing.T) {
 	legal := map[[2]role]bool{
 		{rolePrimary, roleFenced}: true, {rolePrimary, roleSyncing}: true,
-		{roleFenced, roleFenced}: true, {roleFenced, roleSyncing}: true, {roleFenced, roleReplica}: true,
+		{roleFenced, roleFenced}: true, {roleFenced, roleSyncing}: true,
 		{roleSyncing, roleSyncing}: true, {roleSyncing, roleReplica}: true,
 		{roleReplica, rolePrimary}: true, {roleReplica, roleSyncing}: true,
 	}
 	type owned struct {
 		received     wire.ShipCursor
 		acceptedRecs int
-		rejoin       *wire.ReplRejoin
 		drained      int
 		applied      wire.ShipCursor
 	}
 	full := owned{
 		received: wire.ShipCursor{Seg: 1, Rec: 2}, acceptedRecs: 4,
-		rejoin: &wire.ReplRejoin{PlanSeq: 5}, drained: 6, applied: wire.ShipCursor{Seg: 7, Rec: 8},
+		drained: 6, applied: wire.ShipCursor{Seg: 7, Rec: 8},
 	}
 	for from := rolePrimary; from < nRoles; from++ {
 		for to := rolePrimary; to < nRoles; to++ {
 			s := roleNode(t, from, false).srv
 			st := &s.repl
-			st.received, st.acceptedRecs, st.rejoin, st.drained = full.received, full.acceptedRecs, full.rejoin, full.drained
+			st.received, st.acceptedRecs, st.drained = full.received, full.acceptedRecs, full.drained
 			s.apply.applied = full.applied
 			st.mu.Lock()
 			err := s.become(to)
 			st.mu.Unlock()
-			got := owned{st.received, st.acceptedRecs, st.rejoin, st.drained, s.apply.position().applied}
+			got := owned{st.received, st.acceptedRecs, st.drained, s.apply.position().applied}
 			want := full
 			if legal[[2]role{from, to}] {
 				if err != nil || s.role() != to {
@@ -99,7 +98,7 @@ func TestRoleMoves(t *testing.T) {
 					want.received, want.acceptedRecs = wire.ShipCursor{}, 0
 				}
 				if to != rolePrimary {
-					want.rejoin, want.drained = nil, 0
+					want.drained = 0
 				}
 				if to == roleSyncing {
 					want.applied = wire.ShipCursor{}

@@ -211,9 +211,8 @@ func TestFollowerAckBeforeApply(t *testing.T) {
 // TestPromoteDrainsApply: a promotion applies everything the replica has
 // acknowledged before the role flips. With a backlog held, the promote call
 // does not return; once released it returns a primary whose applied cursor is
-// its received cursor, whose rejoin offer starts at its own durable end, and
-// on which every write the old primary acknowledged under sync commit reads
-// back.
+// its received cursor, and on which every write the old primary acknowledged
+// under sync commit reads back.
 func TestPromoteDrainsApply(t *testing.T) {
 	const writes = 6
 	primary := newReplNode(t, replNodeConfig{})
@@ -264,9 +263,6 @@ func TestPromoteDrainsApply(t *testing.T) {
 	}
 	if st.Drained != writes {
 		t.Fatalf("promotion reports %d records drained, want %d", st.Drained, writes)
-	}
-	if st.Rejoin == nil || st.Rejoin.Cursor != st.Durable {
-		t.Fatalf("rejoin offer %+v does not start at the promoted node's durable end %+v", st.Rejoin, st.Durable)
 	}
 	for i := 0; i < writes; i++ {
 		if v, err := getVal(t, follower.eng, fmt.Sprintf("k-%d", i)); err != nil || v != i+100 {

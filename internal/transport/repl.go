@@ -25,24 +25,8 @@ import (
 // back its sync meta frame and an image set of every hosted bucket, which is
 // returned as it arrived — server.InstallReplicaState decodes and checks it.
 func (p *Peer) ReplSync(ctx context.Context, followerURL string) (wire.ReplSyncMeta, []byte, error) {
-	return p.replSync(ctx, wire.ReplSync{FollowerURL: followerURL})
-}
-
-// ReplResume asks the peer (the new primary) to resume shipping to this
-// follower from cur — a warm rejoin, no snapshot stream. The peer refuses
-// if cur is no longer retained in its WAL; the caller falls back to a full
-// ReplSync.
-func (p *Peer) ReplResume(ctx context.Context, followerURL string, cur wire.ShipCursor) (wire.ReplSyncMeta, error) {
-	meta, set, err := p.replSync(ctx, wire.ReplSync{FollowerURL: followerURL, Resume: &cur})
-	if err == nil && len(set) > 0 {
-		return meta, fmt.Errorf("transport: resume sync streamed %d unexpected snapshot bytes", len(set))
-	}
-	return meta, err
-}
-
-func (p *Peer) replSync(ctx context.Context, req wire.ReplSync) (wire.ReplSyncMeta, []byte, error) {
 	var meta wire.ReplSyncMeta
-	body, err := p.do(ctx, http.MethodPost, wire.PathReplSync, req)
+	body, err := p.do(ctx, http.MethodPost, wire.PathReplSync, wire.ReplSync{FollowerURL: followerURL})
 	if err != nil {
 		return meta, nil, err
 	}

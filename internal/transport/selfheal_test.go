@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pstore/internal/cluster"
 	"pstore/internal/faults"
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
@@ -19,8 +20,8 @@ import (
 )
 
 // The self-healing suite: the chaos workload extended through the failure
-// chains ISSUE 10 promises to survive — a fenced zombie truncating its
-// divergent suffix and rejoining warm, a follower stalled past WAL retention
+// chains replication must survive — a fenced zombie rejoining by a full resync
+// that discards its divergent suffix, a follower stalled past WAL retention
 // forced through a full resync, synchronous commit keeping acked work at RPO
 // zero across shipper deaths, and a replica checkpointing its own log.
 
@@ -41,8 +42,9 @@ func getStr(t *testing.T, eng *store.Engine, key string) string {
 // chaos workload run through a kill -> promote -> rejoin -> kill-again
 // chain. Node A serves the first half of the script (shipped to B under the
 // chaos fault schedule), writes a divergent suffix B never sees, and is
-// fenced when B is promoted. A then demotes itself warm — truncating exactly
-// that suffix — and rejoins as B's follower for the second half. Killing B
+// fenced when B is promoted. A then rejoins as B's follower by a full resync
+// — its log, suffix included, replaced by B's snapshot — for the second
+// half. Killing B
 // and promoting the rejoined A must yield the byte-identical fingerprint of
 // the single-process mem oracle, proving the zombie's unacked suffix left no
 // trace.
@@ -109,17 +111,11 @@ func TestZombieRejoinChain(t *testing.T) {
 		t.Fatalf("zombie ship error = %v, want ErrFenced", shipErr)
 	}
 
-	// Self-heal: fence, demote toward the new primary, truncate the suffix.
-	pst, err := b.peer.ReplStatus(ctx)
+	// Self-heal: order the zombie to stand down toward the new primary; it
+	// rejoins by a full resync, its suffix gone with the rest of its log.
+	ast, err := cluster.Rejoin(ctx, cluster.RejoinConfig{Zombie: a.peer, Primary: b.peer, PrimaryURL: b.url})
 	if err != nil {
-		t.Fatalf("new primary status: %v", err)
-	}
-	warm, err := a.srv.DemoteToFollower(pst)
-	if err != nil {
-		t.Fatalf("DemoteToFollower: %v", err)
-	}
-	if !warm {
-		t.Fatal("DemoteToFollower fell back to full resync; wanted a warm truncating rejoin")
+		t.Fatalf("rejoin: %v", err)
 	}
 
 	// Second half of the script runs on the new primary, shipped back to the
@@ -128,7 +124,7 @@ func TestZombieRejoinChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh2 := newTestShipper(t, b, a, pst.Rejoin.Cursor, 32, inj2)
+	sh2 := newTestShipper(t, b, a, ast.Received, 32, inj2)
 	for i, op := range ops[replChaosOps/2:] {
 		put(b.eng, op.key, op.val)
 		if i%7 == 0 {

@@ -143,33 +143,6 @@ func TestChunkCutAtRecordLimit(t *testing.T) {
 	}
 }
 
-// TestTruncateRefusesDiscardedChunk: a chunk in the suffix a rejoin would
-// discard cannot be cut away surgically — its rows came from another node's
-// log — so the truncation asks for a full resync and leaves the log alone.
-func TestTruncateRefusesDiscardedChunk(t *testing.T) {
-	fs := NewMemFS(1)
-	l, _ := openTest(t, fs, DefaultSegmentBytes)
-	defer l.Close()
-	if err := l.Append(Record{Bucket: 1, LSN: 1, Txn: "put", Key: "a", Args: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cut := l.ShipEnd()
-	ticket, err := l.EnqueueChunk(0, chunkSet(t, []int{2}, []uint64{1}, 1, func(int) any { return 1 }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Wait(ticket); err != nil {
-		t.Fatal(err)
-	}
-	end := l.ShipEnd()
-	if _, err := l.TruncateTo(cut); !errors.Is(err, ErrNeedResync) {
-		t.Fatalf("truncating a chunk away: %v, want ErrNeedResync", err)
-	}
-	if got := l.ShipEnd(); got != end {
-		t.Fatalf("refused truncation moved the durable end %+v -> %+v", end, got)
-	}
-}
-
 // TestSegmentBoundUnderHeldSyncs: a segment rotates at the first record
 // boundary past SegmentBytes even while appends keep arriving during held
 // fsyncs, so no sealed segment is larger than the threshold plus one record.

@@ -87,7 +87,7 @@ func commandFrames(t *testing.T, data []byte) [][]byte {
 }
 
 // TestShipTailMatchesFile is the tail's contract as a property: over random
-// sequences of enqueue, sync, rotation, truncation, tail drops and reads,
+// sequences of enqueue, sync, rotation, reset, tail drops and reads,
 // whatever cursor ReadShip is asked — inside the tail, older than it, stale,
 // or caught up — its frames, its next cursor (byte offset included) and its
 // error are the ones the segment files give.
@@ -133,16 +133,12 @@ func TestShipTailMatchesFile(t *testing.T) {
 					if err != nil {
 						t.Fatalf("rotate: %v", err)
 					}
-				case k < 67: // cut the log back to a cursor some read returned
+				case k < 65: // a reset: every cursor handed out so far goes stale
 					sync()
-					cut := cursors[rng.Intn(len(cursors))]
-					// A stale cursor, or a plan record in the suffix, is refused and
-					// leaves the log as it was.
-					if _, err := l.TruncateTo(cut); err == nil {
-						lastTicket = 0 // its record may be gone; nothing is buffered
-					} else if l.err != nil {
-						t.Fatalf("TruncateTo(%+v) killed the log: %v", cut, err)
+					if err := l.Reset(); err != nil {
+						t.Fatalf("Reset: %v", err)
 					}
+					lastTicket = 0 // a reset fails waits on the records it dropped
 				default: // read one cursor both ways
 					cur := cursors[rng.Intn(len(cursors))]
 					maxRecords := 1 + rng.Intn(40)

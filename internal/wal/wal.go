@@ -71,7 +71,7 @@ type Stats struct {
 	// records, by where the records came from: the in-memory tail, or the
 	// segment files. A follower that keeps up is served from
 	// the tail; file reads after its first batch mean the tail is too small
-	// for its lag or was dropped by a truncation. ShipEmptyReads counts the
+	// for its lag or was dropped by a Reset. ShipEmptyReads counts the
 	// calls that found the cursor caught up — one per wake-up for a shipper
 	// that waits on the log, a steady stream for one that polls.
 	ShipTailReads  int64
@@ -194,7 +194,7 @@ type Log struct {
 	remoteAckSeq  uint64
 	activeAckBase uint64
 	// (discardLo, discardHi] is the append-sequence window whose un-acked
-	// waiters must fail instead of ack: their records were truncated away or
+	// waiters must fail instead of ack: their records were reset away or
 	// their shipper died before the follower confirmed them.
 	discardLo, discardHi uint64
 

@@ -95,33 +95,15 @@ type ShipAck struct {
 }
 
 // ReplSync is a follower's bootstrap request. FollowerURL is where the
-// primary should ship batches once the snapshot is streamed. A non-nil
-// Resume skips the snapshot entirely: the follower's WAL already agrees
-// with the primary's up to that cursor (a truncated zombie rejoining warm),
-// so the primary just validates the cursor is still retained, pins it, and
-// starts shipping from there — replying with a ReplSyncMeta whose Buckets
-// is 0.
+// primary should ship batches once the snapshot is streamed.
 type ReplSync struct {
-	FollowerURL string      `json:"follower_url"`
-	Resume      *ShipCursor `json:"resume,omitempty"`
+	FollowerURL string `json:"follower_url"`
 }
 
 // ReplDemote orders a fenced ex-primary to demote itself and rejoin
-// PrimaryURL as a follower, shedding whatever WAL suffix the new primary
-// never saw.
+// PrimaryURL as a follower, by a full resync from its snapshot.
 type ReplDemote struct {
 	PrimaryURL string `json:"primary_url"`
-}
-
-// ReplRejoin is the rejoin contract a node captures at the moment it is
-// promoted: Cursor is the durable end of the *new* primary's own WAL at
-// promotion (pinned against compaction) — where shipping to a warm-rejoined
-// predecessor resumes — and PlanSeq is the plan the predecessor must still
-// be on, after truncating to the new primary's Applied cursor, for a warm
-// rejoin to be sound.
-type ReplRejoin struct {
-	Cursor  ShipCursor `json:"cursor"`
-	PlanSeq uint64     `json:"plan_seq"`
 }
 
 // ReplSyncMeta heads a sync response stream: the primary's epoch and plan,
@@ -172,9 +154,6 @@ type ReplStatus struct {
 	// has seen proof of a higher epoch. A fenced node refuses transactions
 	// and is waiting to be demoted into the new primary's followership.
 	Fenced bool `json:"fenced,omitempty"`
-	// Rejoin, on a promoted primary, is the standing offer to its deposed
-	// predecessor: truncate to Rejoin.Cursor and resume shipping from there.
-	Rejoin *ReplRejoin `json:"rejoin,omitempty"`
 	// ShipTailReads and ShipFileReads count the batches this node's WAL
 	// handed its shipper, by source: its in-memory tail, or the segment
 	// files. File reads that keep growing on a primary whose

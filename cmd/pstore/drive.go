@@ -98,7 +98,7 @@ func runDrive(args []string) error {
 	}
 	spec := b2w.LoadSpec{Carts: info.Carts, Checkouts: info.Checkouts,
 		Stocks: info.Stocks, LinesPerCart: info.LinesPerCart, Seed: info.Seed}
-	driver := &b2w.Driver{Exec: exec, Spec: spec, Seed: info.Seed + 1, Recorder: rec}
+	driver := &b2w.Driver{Exec: exec, Spec: spec, Seed: info.Seed + 1}
 
 	fmt.Fprintf(os.Stderr, "drive: replaying %d day(s) against %s (1 trace minute = %v, rate scale %.4g)\n",
 		info.Days, *connect, minute, info.RateScale)

@@ -65,6 +65,8 @@ func TestDispatchExitCodes(t *testing.T) {
 			"pstore serve: faults: chunk-drop=0.1 is a chunk fault: serve -node injects ship faults only"},
 		{"serve -node refuses crash faults", []string{"serve", "-node", "0", "-nodes", "1", "-listen", "127.0.0.1:0", "-faults", "crash=1@2"}, 1, false,
 			"pstore serve: faults: crash=1@2 is a crash fault"},
+		{"serve refuses the removed track key", []string{"serve", "-days", "1", "-minute", "1ms", "-overload", "track=true"}, 1, false,
+			`pstore serve: store: unknown overload key "track"`},
 		{"serve -node refuses link faults", []string{"serve", "-node", "0", "-nodes", "1", "-listen", "127.0.0.1:0", "-faults", "link-down=0:1"}, 1, false,
 			"pstore serve: faults: link-down=0:1 is a link fault"},
 	} {

@@ -83,7 +83,7 @@ func runServe(args []string) error {
 	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint the recovery command log every N controller cycles (0 = 10 when crash faults are armed)")
 	dataDir := fs.String("data-dir", "", "durable storage directory: command log becomes an on-disk WAL with checkpoint images; an existing directory cold-starts the engine from disk instead of loading fresh data")
 	deadline := fs.Duration("deadline", 0, "per-request deadline arming admission control and queue-deadline enforcement (0 = off)")
-	overloadSpec := fs.String("overload", "", "overload-plane spec, e.g. deadline=50ms,target=5ms,interval=100ms,track=true (shorthand: -deadline)")
+	overloadSpec := fs.String("overload", "", "overload-plane spec, e.g. deadline=50ms,target=5ms,interval=100ms (shorthand: -deadline)")
 	listen := fs.String("listen", "", "serve remote clients on this address (host:port) instead of driving the trace in-process")
 	serveFor := fs.Duration("serve-for", 0, "with -listen: stop after this long (0 = until SIGINT/SIGTERM or POST /v1/shutdown)")
 	quiet := fs.Bool("quiet", false, "suppress the live event log")
@@ -246,7 +246,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	n.SetRecorder(rec)
+	n.Engine.SetRecorder(rec)
 	c, err := cluster.NewRemote(cluster.Config{
 		Squall:            squall.DefaultConfig(),
 		Controller:        ctrl,
@@ -291,7 +291,7 @@ func runServe(args []string) error {
 	if *listen != "" {
 		err = serveListening(ctx, n, *listen, *serveFor)
 	} else {
-		driver := &b2w.Driver{Eng: n.Engine, Spec: spec, Seed: *seed + 1, Recorder: rec}
+		driver := &b2w.Driver{Eng: n.Engine, Spec: spec, Seed: *seed + 1}
 		fmt.Fprintf(os.Stderr, "serve: replaying %d day(s) (1 trace minute = %v) under %q on up to %d machines\n",
 			*days, *minute, *policy, *maxM)
 		stats, err = driver.Run(ctx, replay, *minute, rateScale)
@@ -317,15 +317,14 @@ func runServe(args []string) error {
 		fmt.Printf("served %d transactions (%d failed) in %v\n",
 			stats.Executed, stats.Failed, time.Since(start).Round(time.Millisecond))
 	}
-	printRefusedSummary(rec, n.Engine, sc, olCfg.Enabled())
+	printRefusedSummary(n.Engine, stats.Shed, sc, olCfg.Enabled())
 	fmt.Printf("SLA violations (>%g ms): p50 %d, p95 %d, p99 %d\n",
 		*sloMs, rec.SLAViolations(50, *sloMs), rec.SLAViolations(95, *sloMs), rec.SLAViolations(99, *sloMs))
 	fmt.Printf("machines: avg %.2f (initial %d, max %d)\n", rec.AverageMachines(), *initial, *maxM)
 	fmt.Printf("controller: %d decisions, %d moves (%d emergency), %d failures\n",
 		cs.Decisions, cs.Moves, cs.Emergencies, cs.Failures)
-	mc := rec.MigrationCounters()
 	fmt.Printf("migration: %d chunk retries, %d aborts, %d chunks rolled back\n",
-		mc.Retries, mc.Aborts, mc.RollbackChunks)
+		cs.Migration.Retries, cs.Migration.Aborts, cs.Migration.RollbackChunks)
 	printRecoverySummary(n.Recovery)
 	if sched.Arms(faults.ChunkPlane) {
 		fst := sched.Stats()
@@ -377,16 +376,17 @@ func printRecoverySummary(rm *recovery.Manager) {
 }
 
 // printRefusedSummary prints one refused-work total across the whole stack:
-// the driver/client in-flight caps and the engine's admission/shed/deadline
-// defenses, with the wire front end's view of the same refusals (429, 504,
-// 503) alongside when a server ran.
-func printRefusedSummary(rec *metrics.Recorder, eng *store.Engine, sc *server.Counters, armed bool) {
-	oc := rec.OverloadCounters()
-	if oc.Refused() == 0 && !armed && (sc == nil || sc.Rejected429 == 0) {
+// the driver's in-flight cap (clientShed) and the engine's
+// admission/shed/deadline defenses, with the wire front end's view of the
+// same refusals (429, 504, 503) alongside when a server ran.
+func printRefusedSummary(eng *store.Engine, clientShed int64, sc *server.Counters, armed bool) {
+	ec := eng.Counters()
+	refused := ec.Rejected + ec.Shed + ec.DeadlineExceeded + clientShed
+	if refused == 0 && !armed && (sc == nil || sc.Rejected429 == 0) {
 		return
 	}
 	line := fmt.Sprintf("refused: %d total (%d rejected, %d shed, %d deadline-exceeded, %d client-shed",
-		oc.Refused(), oc.Rejected, oc.Shed, oc.DeadlineExceeded, oc.ClientShed)
+		refused, ec.Rejected, ec.Shed, ec.DeadlineExceeded, clientShed)
 	if sc != nil {
 		line += fmt.Sprintf("; wire: %d as 429, %d as 504, %d as 503", sc.Rejected429, sc.Deadline504, sc.Down503)
 	}

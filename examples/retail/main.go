@@ -122,7 +122,7 @@ func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMa
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	n.SetRecorder(rec)
+	n.Engine.SetRecorder(rec)
 	clu, err := pstore.NewCluster(pstore.ClusterConfig{
 		Squall:            pstore.DefaultSquallConfig(),
 		Controller:        ctrl,

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pstore/internal/metrics"
 	"pstore/internal/store"
 	"pstore/internal/workload"
 )
@@ -105,10 +104,6 @@ type Driver struct {
 	// counted. Zero uses the executor's InFlightLimit (for the engine, one
 	// partition queue's capacity).
 	MaxInFlight int
-	// Recorder, when set, receives client-side sheds (CountClientShed), so
-	// the serve summary can report one total of work refused across the
-	// driver's in-flight cap and the engine's server-side defenses.
-	Recorder *metrics.Recorder
 
 	inFlight sync.WaitGroup
 	executed atomic.Int64
@@ -195,9 +190,6 @@ func (d *Driver) Run(ctx context.Context, series workload.Series, slotDur time.D
 		case sem <- struct{}{}:
 		default:
 			d.shed.Add(1)
-			if d.Recorder != nil {
-				d.Recorder.CountClientShed()
-			}
 			continue
 		}
 		d.inFlight.Add(1)

@@ -75,9 +75,8 @@ type Config struct {
 	// MaxRetryWait caps one retry's backoff regardless of the hint. Zero
 	// means time.Second.
 	MaxRetryWait time.Duration
-	// Recorder, when set, receives client-observed latencies (Record per
-	// completed request) and client-side sheds (CountClientShed), feeding
-	// the same metrics plane the in-process driver uses.
+	// Recorder, when set, receives client-observed latencies: one Record
+	// per completed request, batched or not.
 	Recorder *metrics.Recorder
 }
 
@@ -169,9 +168,6 @@ func (c *Client) Execute(ctx context.Context, txn, key string, args any) (json.R
 	case c.sem <- struct{}{}:
 	default:
 		c.shed.Add(1)
-		if c.cfg.Recorder != nil {
-			c.cfg.Recorder.CountClientShed()
-		}
 		return nil, ErrSaturated
 	}
 	defer func() { <-c.sem }()
@@ -289,9 +285,6 @@ func (c *Client) ExecuteBatch(ctx context.Context, reqs []wire.Request) ([]wire.
 	case c.sem <- struct{}{}:
 	default:
 		c.shed.Add(1)
-		if c.cfg.Recorder != nil {
-			c.cfg.Recorder.CountClientShed()
-		}
 		return nil, ErrSaturated
 	}
 	defer func() { <-c.sem }()
@@ -322,6 +315,7 @@ func (c *Client) ExecuteBatch(ctx context.Context, reqs []wire.Request) ([]wire.
 		c.transport.Add(1)
 		return nil, fmt.Errorf("client: batch transport: %w", err)
 	}
+	now := time.Now()
 	resps := make([]wire.Response, len(replies))
 	for i := range replies {
 		if err := json.Unmarshal(replies[i], &resps[i]); err != nil {
@@ -330,12 +324,12 @@ func (c *Client) ExecuteBatch(ctx context.Context, reqs []wire.Request) ([]wire.
 		}
 		if resps[i].Status == 200 {
 			c.completed.Add(1)
+			if c.cfg.Recorder != nil {
+				c.cfg.Recorder.Record(now, now.Sub(start))
+			}
 		} else if resps[i].Status == 429 || resps[i].Status == 503 || resps[i].Status == 504 {
 			c.refused.Add(1)
 		}
-	}
-	if c.cfg.Recorder != nil {
-		c.cfg.Recorder.Record(time.Now(), time.Since(start))
 	}
 	return resps, nil
 }

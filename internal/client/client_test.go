@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pstore/internal/metrics"
 	"pstore/internal/store"
 	"pstore/internal/wire"
 )
@@ -271,5 +272,34 @@ func TestExecuteBatch(t *testing.T) {
 	}
 	if cc := c.Counters(); cc.Completed != 3 {
 		t.Fatalf("counters = %+v", cc)
+	}
+}
+
+// TestExecuteBatchRecordsEachCompletedRequest checks that a batch files one
+// latency sample per request that completed, as Execute does, not one per
+// batch: a refused request files none.
+func TestExecuteBatchRecordsEachCompletedRequest(t *testing.T) {
+	batch := streamHandler(func(_ context.Context, f wire.StreamFrame) wire.Response {
+		var req wire.Request
+		if err := json.Unmarshal(f.Payload, &req); err != nil || req.Key == "b" {
+			return wire.Response{Status: 429, Code: wire.CodeOverload}
+		}
+		return wire.Response{Status: 200, Value: []byte(`"ok"`)}
+	})
+	rec, err := metrics.NewRecorder(time.Now(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testClient(t, batch, Config{Recorder: rec})
+	reqs := []wire.Request{{Txn: "echo", Key: "a"}, {Txn: "echo", Key: "b"}, {Txn: "echo", Key: "c"}}
+	if _, err := c.ExecuteBatch(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	samples := 0.0
+	for _, tps := range rec.ThroughputSeries() {
+		samples += tps // one-second windows: transactions per second is the count
+	}
+	if samples != 2 {
+		t.Fatalf("recorder holds %v samples for a batch of 2 completed and 1 refused request, want 2", samples)
 	}
 }

@@ -57,7 +57,8 @@ type Config struct {
 	SpikeRateFactor float64
 	// Recorder, if set, receives the executor's migration windows and the
 	// machine timeline. The caller attaches the same recorder to the engine
-	// it measures (node.Node.SetRecorder); it stays the caller's after Stop.
+	// it measures (store.Engine.SetRecorder); it stays the caller's after
+	// Stop.
 	Recorder *metrics.Recorder
 	// Faults, if set, is the fault schedule of a chaos run (see
 	// internal/faults); a cluster injects its chunk and crash faults and
@@ -84,6 +85,9 @@ type Stats struct {
 	Failures int64
 	// Emergencies counts decisions flagged as emergency scale-outs.
 	Emergencies int64
+	// Migration is the Squall executor's own counts: chunks moved and
+	// retried, reconfigurations aborted and chunks rolled back.
+	Migration squall.Stats
 }
 
 // ErrMoveInFlight is returned by Reconfigure while another move is running.
@@ -209,6 +213,7 @@ func (c *Cluster) Stats() Stats {
 		Moves:       c.moves.Load(),
 		Failures:    c.failures.Load(),
 		Emergencies: c.emergencies.Load(),
+		Migration:   c.ex.Stats(),
 	}
 }
 

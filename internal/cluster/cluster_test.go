@@ -68,7 +68,7 @@ func attachRecorder(t *testing.T, n *node.Node) *metrics.Recorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetRecorder(rec)
+	n.Engine.SetRecorder(rec)
 	return rec
 }
 
@@ -420,8 +420,9 @@ func TestClusterMoveFailureEventAndRecovery(t *testing.T) {
 	if got := n.Engine.ActiveMachines(); got != 1 {
 		t.Fatalf("machines %d after failed move, want 1", got)
 	}
-	if got := c.Stats().Failures; got != 1 {
-		t.Errorf("Failures = %d, want 1", got)
+	failedStats := c.Stats()
+	if failedStats.Failures != 1 || failedStats.Migration.Aborts != 1 {
+		t.Errorf("Failures = %d, Migration.Aborts = %d, want 1 and 1", failedStats.Failures, failedStats.Migration.Aborts)
 	}
 
 	// The event stream must show started -> failed, with the failure typed.
@@ -467,6 +468,10 @@ func TestClusterMoveFailureEventAndRecovery(t *testing.T) {
 	}
 	if got := n.Engine.ActiveMachines(); got != 2 {
 		t.Fatalf("machines %d after recovery, want 2", got)
+	}
+	if got := c.Stats().Migration.ChunksMoved; got <= failedStats.Migration.ChunksMoved {
+		t.Errorf("Migration.ChunksMoved = %d after a completed move, want above the %d of the failed one",
+			got, failedStats.Migration.ChunksMoved)
 	}
 	deadline = time.After(10 * time.Second)
 	for {

@@ -50,7 +50,7 @@ func TestClusterOverloadSignalDelivery(t *testing.T) {
 		ServiceTime:          time.Millisecond,
 		QueueCapacity:        64,
 		InitialMachines:      1,
-		Overload:             store.OverloadConfig{Deadline: 2 * time.Millisecond, Track: true},
+		Overload:             store.OverloadConfig{Deadline: 2 * time.Millisecond},
 	}
 	n := openNode(t, engCfg, nil, nil)
 	c, err := NewRemote(Config{

@@ -176,10 +176,6 @@ func TestClusterCrashRecovery(t *testing.T) {
 	if st.Checkpoints < 1 {
 		t.Errorf("Checkpoints = %d, want >= 1 (initial baseline)", st.Checkpoints)
 	}
-	rc := rec.RecoveryCounters()
-	if rc.Crashes != 1 || rc.Recoveries != 1 {
-		t.Errorf("recorder RecoveryCounters = %+v, want 1 crash / 1 recovery", rc)
-	}
 }
 
 // TestClusterCrashWithoutController runs the crash plane on a static cluster

@@ -259,7 +259,7 @@ func (lr *liveRun) run(opts Options) (*liveOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.SetRecorder(rec)
+	n.Engine.SetRecorder(rec)
 	c, err := cluster.NewRemote(cluster.Config{
 		Squall:            p.squallCfg,
 		Controller:        lr.controller,

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,8 +32,7 @@ type recordShard struct {
 // stream accumulates values (milliseconds) into fixed-width time windows.
 // The record path appends to one of several sharded buffers chosen by the
 // record timestamp — no shared mutex — and readers merge the shards into the
-// windowed view on demand. The recorder keeps one stream per measured
-// quantity (client latency, queue sojourn).
+// windowed view on demand.
 type stream struct {
 	start  time.Time
 	window time.Duration
@@ -157,82 +155,22 @@ func (s *stream) percentileSeries(p float64) []float64 {
 }
 
 // Recorder accumulates per-transaction latencies into fixed-width time
-// windows (the paper uses one-second windows for SLA accounting), plus a
-// parallel stream of server-side queue-sojourn times and the counter sets of
-// the migration, recovery and overload planes. It is safe for concurrent use
-// by many client goroutines.
+// windows (the paper uses one-second windows for SLA accounting), plus the
+// machine-allocation and reconfiguration timelines. It is safe for concurrent
+// use by many client goroutines. Counters of refused work, migration health
+// and crash recovery live in the layers that count them (store.Counters,
+// squall.Stats, recovery.Stats), not here.
 type Recorder struct {
 	start  time.Time
 	window time.Duration
 
-	// lat is client-observed transaction latency; soj is server-side queue
-	// sojourn time (enqueue to execution start), recorded by partition
-	// executors when the overload plane has sojourn tracking armed.
+	// lat is client-observed transaction latency.
 	lat stream
-	soj stream
 
 	// mu guards the timelines below.
 	mu            sync.Mutex
 	machines      []machineSample
 	reconfiguring []reconfigSpan
-
-	// Migration-path health counters, plain atomics so the retry/abort
-	// paths never contend with the latency record path.
-	migRetries        atomic.Int64
-	migAborts         atomic.Int64
-	migRollbackChunks atomic.Int64
-
-	// Crash-recovery counters, same pattern.
-	recCheckpoints  atomic.Int64
-	recCrashes      atomic.Int64
-	recRecoveries   atomic.Int64
-	recReplayed     atomic.Int64
-	recMaxReplayLag atomic.Int64
-	recDowntimeNs   atomic.Int64
-
-	// Overload-plane counters: work refused server-side (admission-control
-	// rejections, CoDel sheds, queue-deadline expiries) and client-side
-	// (driver in-flight cap).
-	olRejected   atomic.Int64
-	olShed       atomic.Int64
-	olDeadline   atomic.Int64
-	olClientShed atomic.Int64
-}
-
-// MigrationCounters are the cumulative migration-path health counters: chunk
-// retries, aborted reconfigurations, and chunks rolled back during aborts.
-type MigrationCounters struct {
-	Retries        int64
-	Aborts         int64
-	RollbackChunks int64
-}
-
-// RecoveryCounters are the cumulative crash-recovery counters: checkpoint
-// rounds, machine crashes, completed recoveries, commands replayed, the
-// largest single-recovery replay lag, and total machine downtime.
-type RecoveryCounters struct {
-	Checkpoints      int64
-	Crashes          int64
-	Recoveries       int64
-	ReplayedCommands int64
-	MaxReplayLag     int64
-	Downtime         time.Duration
-}
-
-// OverloadCounters are the cumulative overload-plane counters: transactions
-// refused by admission control, shed by the CoDel controller, expired in a
-// partition queue, and shed client-side by the driver's in-flight cap.
-type OverloadCounters struct {
-	Rejected         int64
-	Shed             int64
-	DeadlineExceeded int64
-	ClientShed       int64
-}
-
-// Refused is the total work refused anywhere in the stack — the one number
-// the serve summary reports per run.
-func (c OverloadCounters) Refused() int64 {
-	return c.Rejected + c.Shed + c.DeadlineExceeded + c.ClientShed
 }
 
 type machineSample struct {
@@ -250,22 +188,13 @@ func NewRecorder(start time.Time, window time.Duration) (*Recorder, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("metrics: window %v must be positive", window)
 	}
-	r := &Recorder{start: start, window: window}
-	r.lat = stream{start: start, window: window}
-	r.soj = stream{start: start, window: window}
-	return r, nil
+	return &Recorder{start: start, window: window, lat: stream{start: start, window: window}}, nil
 }
 
 // Record files one completed transaction that finished at `at` with the
 // given latency.
 func (r *Recorder) Record(at time.Time, latency time.Duration) {
 	r.lat.record(at, latency)
-}
-
-// RecordSojourn files one request's queue sojourn time (enqueue to execution
-// start) observed at `at` by a partition executor.
-func (r *Recorder) RecordSojourn(at time.Time, sojourn time.Duration) {
-	r.soj.record(at, sojourn)
 }
 
 // RecordMachines notes that the cluster size changed to n at time `at`.
@@ -281,79 +210,6 @@ func (r *Recorder) RecordReconfiguration(from, to time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.reconfiguring = append(r.reconfiguring, reconfigSpan{from: from, to: to})
-}
-
-// CountMigrationRetry files one retried migration chunk.
-func (r *Recorder) CountMigrationRetry() { r.migRetries.Add(1) }
-
-// CountMigrationAbort files one aborted (rolled back) reconfiguration.
-func (r *Recorder) CountMigrationAbort() { r.migAborts.Add(1) }
-
-// AddMigrationRollbackChunks files n chunks restored during an abort.
-func (r *Recorder) AddMigrationRollbackChunks(n int64) { r.migRollbackChunks.Add(n) }
-
-// MigrationCounters snapshots the migration-path health counters.
-func (r *Recorder) MigrationCounters() MigrationCounters {
-	return MigrationCounters{
-		Retries:        r.migRetries.Load(),
-		Aborts:         r.migAborts.Load(),
-		RollbackChunks: r.migRollbackChunks.Load(),
-	}
-}
-
-// CountCheckpoint files one checkpoint round.
-func (r *Recorder) CountCheckpoint() { r.recCheckpoints.Add(1) }
-
-// CountCrash files one machine crash.
-func (r *Recorder) CountCrash() { r.recCrashes.Add(1) }
-
-// CountRecovery files one completed machine recovery: its downtime and how
-// many commands had to be replayed (the replay lag).
-func (r *Recorder) CountRecovery(downtime time.Duration, replayed int64) {
-	r.recRecoveries.Add(1)
-	r.recReplayed.Add(replayed)
-	r.recDowntimeNs.Add(int64(downtime))
-	for {
-		cur := r.recMaxReplayLag.Load()
-		if replayed <= cur || r.recMaxReplayLag.CompareAndSwap(cur, replayed) {
-			return
-		}
-	}
-}
-
-// RecoveryCounters snapshots the crash-recovery counters.
-func (r *Recorder) RecoveryCounters() RecoveryCounters {
-	return RecoveryCounters{
-		Checkpoints:      r.recCheckpoints.Load(),
-		Crashes:          r.recCrashes.Load(),
-		Recoveries:       r.recRecoveries.Load(),
-		ReplayedCommands: r.recReplayed.Load(),
-		MaxReplayLag:     r.recMaxReplayLag.Load(),
-		Downtime:         time.Duration(r.recDowntimeNs.Load()),
-	}
-}
-
-// CountRejected files one transaction refused by admission control.
-func (r *Recorder) CountRejected() { r.olRejected.Add(1) }
-
-// CountShed files one transaction shed by the CoDel controller.
-func (r *Recorder) CountShed() { r.olShed.Add(1) }
-
-// CountDeadlineExceeded files one transaction that expired in a queue.
-func (r *Recorder) CountDeadlineExceeded() { r.olDeadline.Add(1) }
-
-// CountClientShed files one request shed client-side by the driver's
-// in-flight cap before it reached the engine.
-func (r *Recorder) CountClientShed() { r.olClientShed.Add(1) }
-
-// OverloadCounters snapshots the overload-plane counters.
-func (r *Recorder) OverloadCounters() OverloadCounters {
-	return OverloadCounters{
-		Rejected:         r.olRejected.Load(),
-		Shed:             r.olShed.Load(),
-		DeadlineExceeded: r.olDeadline.Load(),
-		ClientShed:       r.olClientShed.Load(),
-	}
 }
 
 // Windows returns the number of aggregation windows observed so far.

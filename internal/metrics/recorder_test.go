@@ -214,57 +214,3 @@ func TestRecordBeforeStartClamps(t *testing.T) {
 		t.Errorf("early record created %d windows, want 1", r.Windows())
 	}
 }
-
-func TestSojournStreamAndOverloadCounters(t *testing.T) {
-	r, start := newTestRecorder(t)
-	// Sojourns live in their own stream: they must not contaminate the
-	// client-latency percentiles, and vice versa.
-	for i := 1; i <= 100; i++ {
-		r.RecordSojourn(start.Add(500*time.Millisecond), time.Duration(i)*time.Millisecond)
-	}
-	r.Record(start.Add(500*time.Millisecond), 7*time.Millisecond)
-	if got := r.SojournPercentile(0, 50); math.Abs(got-50) > 1 {
-		t.Errorf("sojourn p50 = %v, want ~50", got)
-	}
-	if got := r.SojournPercentile(0, 99); math.Abs(got-99) > 1 {
-		t.Errorf("sojourn p99 = %v, want ~99", got)
-	}
-	if got := r.Percentile(0, 100); got != 7 {
-		t.Errorf("latency p100 = %v, want 7 (sojourns leaked into latency stream)", got)
-	}
-	if got := r.SojournPercentile(5, 50); got != 0 {
-		t.Errorf("empty window sojourn percentile = %v, want 0", got)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.CountRejected()
-				r.CountShed()
-				r.CountDeadlineExceeded()
-				r.CountClientShed()
-			}
-		}()
-	}
-	wg.Wait()
-	oc := r.OverloadCounters()
-	want := OverloadCounters{Rejected: 400, Shed: 400, DeadlineExceeded: 400, ClientShed: 400}
-	if oc != want {
-		t.Errorf("OverloadCounters = %+v, want %+v", oc, want)
-	}
-	if got := oc.Refused(); got != 1600 {
-		t.Errorf("Refused() = %d, want 1600", got)
-	}
-	if got := (OverloadCounters{}).Refused(); got != 0 {
-		t.Errorf("zero counters Refused() = %d", got)
-	}
-}
-
-// SojournPercentile returns the p-th percentile queue-sojourn time (in
-// milliseconds) of window w, or 0 if no sojourns were recorded in it.
-func (r *Recorder) SojournPercentile(w int, p float64) float64 {
-	return r.soj.percentile(w, p)
-}

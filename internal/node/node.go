@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"pstore/internal/faults"
-	"pstore/internal/metrics"
 	"pstore/internal/recovery"
 	"pstore/internal/server"
 	"pstore/internal/store"
@@ -110,13 +109,6 @@ func (n *Node) Serve(l net.Listener) {
 		n.nc.Advertise = n.URL
 	}
 	go n.Server.Serve(l)
-}
-
-// SetRecorder attaches a latency recorder to the node's engine and recovery
-// manager, or detaches it with nil.
-func (n *Node) SetRecorder(rec *metrics.Recorder) {
-	n.Engine.SetRecorder(rec)
-	n.Recovery.SetRecorder(rec)
 }
 
 func (n *Node) assemble(cfg Config) error {

@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pstore/internal/metrics"
 	"pstore/internal/store"
 	"pstore/internal/wal"
 )
@@ -135,8 +134,6 @@ type Manager struct {
 	mu        sync.Mutex
 	downSince map[int]time.Time
 
-	rec atomic.Pointer[metrics.Recorder]
-
 	crashes      atomic.Int64
 	recoveries   atomic.Int64
 	checkpoints  atomic.Int64
@@ -190,10 +187,6 @@ func New(eng *store.Engine, cfg Config) (*Manager, error) {
 	eng.SetPlanLog(m)
 	return m, nil
 }
-
-// SetRecorder attaches a metrics recorder; recovery counters are mirrored
-// into it. Safe to call at any time.
-func (m *Manager) SetRecorder(r *metrics.Recorder) { m.rec.Store(r) }
 
 // AppendCommand implements store.CommandLogger. It runs on partition
 // executor goroutines, right before the procedure does, and never waits for
@@ -349,9 +342,6 @@ func (m *Manager) completeCheckpointLocked() error {
 		return fmt.Errorf("recovery: completing checkpoint: %w", err)
 	}
 	m.checkpoints.Add(1)
-	if r := m.rec.Load(); r != nil {
-		r.CountCheckpoint()
-	}
 	return nil
 }
 
@@ -392,9 +382,6 @@ func (m *Manager) Crash(machine int) error {
 	}
 	m.downSince[machine] = time.Now()
 	m.crashes.Add(1)
-	if r := m.rec.Load(); r != nil {
-		r.CountCrash()
-	}
 	return nil
 }
 
@@ -432,9 +419,6 @@ func (m *Manager) Restore(machine int) (RestoreStats, error) {
 		if int64(st.Replayed) <= cur || m.maxReplayLag.CompareAndSwap(cur, int64(st.Replayed)) {
 			break
 		}
-	}
-	if r := m.rec.Load(); r != nil {
-		r.CountRecovery(st.Downtime, int64(st.Replayed))
 	}
 	return st, nil
 }

@@ -267,10 +267,6 @@ func (ex *Executor) Reconfigure(from, to int, rateFactor float64) error {
 		ex.aborts.Add(1)
 		restored, rbErr := ex.rollback(journal)
 		ex.rollbackChunks.Add(int64(restored))
-		if r := ex.rec.Load(); r != nil {
-			r.CountMigrationAbort()
-			r.AddMigrationRollbackChunks(int64(restored))
-		}
 		if rbErr == nil {
 			rbErr = ex.eng.SetActiveMachines(from)
 		}
@@ -502,9 +498,6 @@ func (ex *Executor) moveChunk(chunk []int, from, to int, abort <-chan struct{}) 
 				len(chunk), from, to, attempt+1, err)
 		}
 		ex.retries.Add(1)
-		if r := ex.rec.Load(); r != nil {
-			r.CountMigrationRetry()
-		}
 		if backoff > 0 {
 			select {
 			case <-abort:

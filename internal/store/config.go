@@ -41,8 +41,8 @@ type Config struct {
 	// InitialMachines is the cluster size at startup.
 	InitialMachines int
 	// Overload arms the engine's server-side overload defenses: per-request
-	// deadlines with admission control, CoDel-style shedding, and sojourn
-	// tracking. The zero value disables all of them (see OverloadConfig).
+	// deadlines with admission control and CoDel-style shedding. The zero
+	// value disables all of them (see OverloadConfig).
 	Overload OverloadConfig
 	// DisableCtlLane routes control-plane requests (migration, checkpoints,
 	// crash fencing) through the data lane instead of the priority lane.

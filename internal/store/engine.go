@@ -270,8 +270,9 @@ func (e *Engine) SetServiceTime(name string, d time.Duration) error {
 	return nil
 }
 
-// SetRecorder attaches a latency recorder; every completed transaction is
-// filed into it. Safe to call at any time.
+// SetRecorder attaches a latency recorder; every completed transaction and
+// every change of the active machine count is filed into it, or into none
+// with nil. Safe to call at any time.
 func (e *Engine) SetRecorder(r *metrics.Recorder) { e.recorder.Store(r) }
 
 // SetFaultInjector attaches (or, with nil, detaches) a migration fault
@@ -489,9 +490,6 @@ func (e *Engine) executeID(done <-chan struct{}, ctxErr func() error, id TxnID, 
 		case <-done:
 			e.submitted.Add(1)
 			e.rejected.Add(1)
-			if r := e.recorder.Load(); r != nil {
-				r.CountRejected()
-			}
 			return nil, fmt.Errorf("store: submission already expired for partition %d: %w: %w", dest.id, ErrOverload, ctxErr())
 		default:
 		}
@@ -511,9 +509,6 @@ func (e *Engine) executeID(done <-chan struct{}, ctxErr func() error, id TxnID, 
 			return nil, err
 		}
 		e.rejected.Add(1)
-		if r := e.recorder.Load(); r != nil {
-			r.CountRejected()
-		}
 		return nil, fmt.Errorf("store: submit canceled on saturated partition %d: %w: %w", dest.id, ErrOverload, ctxErr())
 	}
 	res := <-req.reply
@@ -605,9 +600,6 @@ func (e *Engine) admit(dest *partition) error {
 		return nil
 	}
 	e.rejected.Add(1)
-	if r := e.recorder.Load(); r != nil {
-		r.CountRejected()
-	}
 	return fmt.Errorf("%w: partition %d estimated queueing delay %v exceeds deadline %v",
 		ErrOverload, dest.id, time.Duration(dest.sojournEWMA.Load()), d)
 }

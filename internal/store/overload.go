@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -63,15 +62,11 @@ type OverloadConfig struct {
 	// the first shed, and the base period of the shedding control law.
 	// Zero defaults to 100ms when CoDelTarget is set.
 	CoDelInterval time.Duration
-	// Track enables sojourn tracking (the per-partition EWMA and recorder
-	// percentiles) even when no enforcement is armed — measurement without
-	// policy, for baseline comparisons.
-	Track bool
 }
 
 // Enabled reports whether any part of the overload plane is armed.
 func (c OverloadConfig) Enabled() bool {
-	return c.Deadline > 0 || c.CoDelTarget > 0 || c.Track
+	return c.Deadline > 0 || c.CoDelTarget > 0
 }
 
 // Validate reports configuration errors.
@@ -91,7 +86,7 @@ func (c OverloadConfig) Validate() error {
 // ParseOverload builds an OverloadConfig from a comma-separated spec string,
 // the format of the pstore `--overload` flag:
 //
-//	deadline=50ms,target=5ms,interval=100ms,track=true
+//	deadline=50ms,target=5ms,interval=100ms
 //
 // An empty spec is a disabled (zero) config.
 func ParseOverload(spec string) (OverloadConfig, error) {
@@ -113,8 +108,6 @@ func ParseOverload(spec string) (OverloadConfig, error) {
 			cfg.CoDelTarget, err = time.ParseDuration(v)
 		case "interval":
 			cfg.CoDelInterval, err = time.ParseDuration(v)
-		case "track":
-			cfg.Track, err = strconv.ParseBool(v)
 		default:
 			return cfg, fmt.Errorf("store: unknown overload key %q", k)
 		}
@@ -137,9 +130,6 @@ func (c OverloadConfig) String() string {
 	}
 	if c.CoDelInterval > 0 {
 		parts = append(parts, fmt.Sprintf("interval=%v", c.CoDelInterval))
-	}
-	if c.Track {
-		parts = append(parts, "track=true")
 	}
 	return strings.Join(parts, ",")
 }

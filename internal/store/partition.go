@@ -326,11 +326,10 @@ func commitError(part int, err error) error {
 }
 
 // overloadCheck runs the executor-side overload plane for one dequeued
-// transaction: it files the request's queue sojourn into the EWMA (and the
-// recorder, when attached), fails requests that outlived their deadline in
-// the queue, and sheds per the CoDel control law while sojourn stays above
-// target. A non-nil return means the request must be failed without
-// executing.
+// transaction: it files the request's queue sojourn into the EWMA, fails
+// requests that outlived their deadline in the queue, and sheds per the
+// CoDel control law while sojourn stays above target. A non-nil return means
+// the request must be failed without executing.
 func (p *partition) overloadCheck(r *txnRequest) error {
 	now := time.Now()
 	sojourn := now.Sub(r.submit)
@@ -339,21 +338,12 @@ func (p *partition) overloadCheck(r *txnRequest) error {
 	// requests.
 	old := p.sojournEWMA.Load()
 	p.sojournEWMA.Store(old + (int64(sojourn)-old)/8)
-	if rec := p.eng.recorder.Load(); rec != nil {
-		rec.RecordSojourn(now, sojourn)
-	}
 	if d := p.eng.ol.deadline; d > 0 && sojourn > d {
 		p.eng.deadlineExceeded.Add(1)
-		if rec := p.eng.recorder.Load(); rec != nil {
-			rec.CountDeadlineExceeded()
-		}
 		return fmt.Errorf("%w: queued %v past deadline %v on partition %d", ErrDeadlineExceeded, sojourn, d, p.id)
 	}
 	if p.codelShed(now, sojourn) {
 		p.eng.shed.Add(1)
-		if rec := p.eng.recorder.Load(); rec != nil {
-			rec.CountShed()
-		}
 		return fmt.Errorf("%w: partition %d shedding (sojourn %v above target %v)", ErrOverload, p.id, sojourn, p.eng.ol.target)
 	}
 	return nil

@@ -82,7 +82,8 @@ type ClusterConfig = cluster.Config
 type ClusterStats = cluster.Stats
 
 // NewCluster builds the decision loop over an opened node's engine; Start it
-// after attaching the recorder named in cfg to the node (Node.SetRecorder).
+// after attaching the recorder named in cfg to the node's engine
+// (Engine.SetRecorder).
 func NewCluster(cfg ClusterConfig, n *Node) (*Cluster, error) {
 	return cluster.NewRemote(cfg, transport.NewLocal(n.Engine, n.Recovery))
 }

@@ -147,7 +147,7 @@ func TestFacadeCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetRecorder(rec)
+	n.Engine.SetRecorder(rec)
 	clu, err := pstore.NewCluster(pstore.ClusterConfig{
 		Squall:   pstore.DefaultSquallConfig(),
 		Recorder: rec,

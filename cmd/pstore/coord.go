@@ -96,7 +96,6 @@ func runCoord(args []string) error {
 		// The oracle is one node hosting every machine, loaded with the
 		// dataset the nodes load; its recovery manager runs the crash script.
 		n, err := node.Open(node.Config{
-			Nodes:    1,
 			Store:    deployedEngine(*maxM, *initial),
 			Register: b2w.Register,
 			Load:     func(eng *store.Engine) error { return b2w.Load(eng, deployedDataset(*seed)) },

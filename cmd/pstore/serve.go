@@ -20,7 +20,6 @@ import (
 	"pstore/internal/metrics"
 	"pstore/internal/migration"
 	"pstore/internal/node"
-	"pstore/internal/predictor"
 	"pstore/internal/recovery"
 	"pstore/internal/server"
 	"pstore/internal/squall"
@@ -161,7 +160,6 @@ func runServe(args []string) error {
 	// Both modes open a node: one of -nodes hosting its share of the machines,
 	// or the only one, hosting all of them.
 	ncfg := node.Config{
-		Nodes:    1,
 		Store:    engCfg,
 		Register: b2w.Register,
 		Load:     func(eng *store.Engine) error { return b2w.Load(eng, spec) },
@@ -208,20 +206,8 @@ func runServe(args []string) error {
 	var ctrl elastic.Controller
 	switch *policy {
 	case "pstore":
-		cycleTrain, err := train.Resample(*cycleMin)
-		if err != nil {
+		if ctrl, err = elastic.NewPStore(model, train, *cycleMin, *maxM, elastic.SpikeFastRate); err != nil {
 			return err
-		}
-		period := workload.MinutesPerDay / *cycleMin
-		spar := predictor.NewSPAR(period, 7, 6)
-		online := predictor.NewOnline(spar, 0, 9*period)
-		if err := online.ObserveAll(cycleTrain.Values); err != nil {
-			return err
-		}
-		ctrl = &elastic.Predictive{
-			Model: model, Predictor: online,
-			Horizon: 36, Inflation: 0.15, ScaleInConfirm: 6,
-			MaxMachines: *maxM, OnSpike: elastic.SpikeFastRate,
 		}
 	case "reactive":
 		ctrl = &elastic.Reactive{Model: model, MaxMachines: *maxM}

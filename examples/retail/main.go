@@ -107,7 +107,6 @@ func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMa
 
 	spec := pstore.B2WLoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: 5}
 	n, err := pstore.OpenNode(pstore.NodeConfig{
-		Nodes:    1,
 		Store:    engCfg,
 		Register: pstore.RegisterB2W,
 		Load: func(eng *pstore.Engine) error {

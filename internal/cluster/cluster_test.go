@@ -49,7 +49,7 @@ func openNode(t *testing.T, cfg store.Config, register, load func(*store.Engine)
 	if register == nil {
 		register = registerNoop
 	}
-	n, err := node.Open(node.Config{Nodes: 1, Store: cfg, Register: register, Load: load})
+	n, err := node.Open(node.Config{Store: cfg, Register: register, Load: load})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"pstore/internal/migration"
 	"pstore/internal/planner"
 	"pstore/internal/predictor"
+	"pstore/internal/workload"
 )
 
 // SpikePolicy selects how P-Store reacts when the planner finds no feasible
@@ -68,6 +69,29 @@ type Predictive struct {
 	failedMoves    int
 	fallback       *Reactive
 	overloadStreak int
+}
+
+// NewPStore builds P-Store's controller as the paper runs it over model: SPAR
+// with a one-day period, 7 periodic and 6 recent terms, kept online over the
+// last 9 days and trained on history, a per-minute trace resampled to
+// cycle-minute intervals; a 36-interval horizon on predictions inflated by
+// 15 %, and a scale-in confirmed over 6 cycles. maxMachines and onSpike are
+// the deployment's.
+func NewPStore(model migration.Model, history workload.Series, cycle, maxMachines int, onSpike SpikePolicy) (*Predictive, error) {
+	train, err := history.Resample(cycle)
+	if err != nil {
+		return nil, err
+	}
+	period := workload.MinutesPerDay / cycle
+	online := predictor.NewOnline(predictor.NewSPAR(period, 7, 6), 0, 9*period)
+	if err := online.ObserveAll(train.Values); err != nil {
+		return nil, err
+	}
+	return &Predictive{
+		Model: model, Predictor: online,
+		Horizon: 36, Inflation: 0.15, ScaleInConfirm: 6,
+		MaxMachines: maxMachines, OnSpike: onSpike,
+	}, nil
 }
 
 // Name implements Controller.

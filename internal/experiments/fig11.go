@@ -5,7 +5,6 @@ import (
 
 	"pstore/internal/elastic"
 	"pstore/internal/migration"
-	"pstore/internal/predictor"
 	"pstore/internal/workload"
 )
 
@@ -58,30 +57,14 @@ func fig11(opts Options) (*Result, error) {
 	dIntervals := dReal.Seconds() / (p.minutePerSlot.Seconds() * float64(p.controllerEveryMin))
 	model := migration.Model{Q: q, QMax: qMax, D: dIntervals, P: p.engineCfg.PartitionsPerMachine}
 
-	fiveMin, err := trainMin.Resample(p.controllerEveryMin)
-	if err != nil {
-		return nil, err
-	}
-	period := workload.MinutesPerDay / p.controllerEveryMin
-
 	for _, policy := range []struct {
 		name string
 		mode elastic.SpikePolicy
 	}{{"rate_R", elastic.SpikeRegularRate}, {"rate_Rx8", elastic.SpikeFastRate}} {
 		opts.logf("fig11: running %s ...", policy.name)
-		spar := predictor.NewSPAR(period, 7, 6)
-		online := predictor.NewOnline(spar, 0, 9*period)
-		if err := online.ObserveAll(fiveMin.Values); err != nil {
+		ctrl, err := elastic.NewPStore(model, trainMin, p.controllerEveryMin, p.engineCfg.MaxMachines, policy.mode)
+		if err != nil {
 			return nil, err
-		}
-		ctrl := &elastic.Predictive{
-			Model:          model,
-			Predictor:      online,
-			Horizon:        36,
-			Inflation:      0.15,
-			ScaleInConfirm: 6,
-			MaxMachines:    p.engineCfg.MaxMachines,
-			OnSpike:        policy.mode,
 		}
 		lr := &liveRun{
 			params:     p,

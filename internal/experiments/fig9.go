@@ -6,7 +6,6 @@ import (
 
 	"pstore/internal/elastic"
 	"pstore/internal/migration"
-	"pstore/internal/predictor"
 	"pstore/internal/workload"
 )
 
@@ -80,13 +79,6 @@ func fig9Runs(opts Options) ([]*fig9Outcome, error) {
 	dIntervals := dReal.Seconds() / (p.minutePerSlot.Seconds() * float64(p.controllerEveryMin))
 	model := migration.Model{Q: q, QMax: qMax, D: dIntervals, P: p.engineCfg.PartitionsPerMachine}
 
-	// SPAR trained on the four weeks at controller-cycle granularity.
-	fiveMin, err := trainMin.Resample(p.controllerEveryMin)
-	if err != nil {
-		return nil, err
-	}
-	period := workload.MinutesPerDay / p.controllerEveryMin
-
 	var outs []*fig9Outcome
 	for _, strategy := range fig9Strategies {
 		opts.logf("fig9: running %s ...", strategy)
@@ -100,19 +92,9 @@ func fig9Runs(opts Options) ([]*fig9Outcome, error) {
 		case "reactive":
 			ctrl = &elastic.Reactive{Model: model, MaxMachines: p.engineCfg.MaxMachines}
 		case "pstore":
-			spar := predictor.NewSPAR(period, 7, 6)
-			online := predictor.NewOnline(spar, 0, 9*period)
-			if err := online.ObserveAll(fiveMin.Values); err != nil {
+			// SPAR trained on the four weeks at controller-cycle granularity.
+			if ctrl, err = elastic.NewPStore(model, trainMin, p.controllerEveryMin, p.engineCfg.MaxMachines, elastic.SpikeRegularRate); err != nil {
 				return nil, err
-			}
-			ctrl = &elastic.Predictive{
-				Model:          model,
-				Predictor:      online,
-				Horizon:        36,
-				Inflation:      0.15,
-				ScaleInConfirm: 6,
-				MaxMachines:    p.engineCfg.MaxMachines,
-				OnSpike:        elastic.SpikeRegularRate,
 			}
 		}
 		lr := &liveRun{
@@ -134,7 +116,7 @@ func fig9Runs(opts Options) ([]*fig9Outcome, error) {
 			avgMach:    res.rec.AverageMachines(),
 			throughput: res.rec.ThroughputSeries(),
 			machines:   res.rec.MachineSeries(),
-			reconfig:   boolsFrom(res.rec.ReconfiguringWindows()),
+			reconfig:   res.rec.ReconfiguringWindows(),
 			latency:    res.rec.PercentileSeries(50),
 			p99series:  res.rec.PercentileSeries(99),
 			decided:    res.decided,
@@ -154,8 +136,6 @@ func fig9Runs(opts Options) ([]*fig9Outcome, error) {
 	fig9Mu.Unlock()
 	return outs, nil
 }
-
-func boolsFrom(b []bool) []bool { return b }
 
 func fig9(opts Options) (*Result, error) {
 	r := newResult("fig9", "Comparison of elasticity approaches")

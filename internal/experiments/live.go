@@ -208,7 +208,6 @@ func rampSingleNode(p liveParams, opts Options, onStep func(rampStep)) (calibrat
 // spec — the substrate every live experiment measures.
 func openNode(cfg store.Config, spec b2w.LoadSpec) (*node.Node, error) {
 	return node.Open(node.Config{
-		Nodes:    1,
 		Store:    cfg,
 		Register: b2w.Register,
 		Load:     func(eng *store.Engine) error { return b2w.Load(eng, spec) },

@@ -12,25 +12,19 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"slices"
-	"sync"
 	"time"
 
-	"pstore/internal/faults"
 	"pstore/internal/recovery"
 	"pstore/internal/server"
 	"pstore/internal/store"
 )
 
-// Config describes one node.
+// Config describes one node: its identity and replication settings, which its
+// server runs by — the node hosts machine m when m % Nodes == ID, and a zero
+// Nodes is a single node hosting every machine; Advertise defaults to the
+// listener's address — and what the node assembles.
 type Config struct {
-	// ID is this node's index and Nodes the cluster's node count: the node
-	// hosts machine m when m % Nodes == ID.
-	ID, Nodes int
-	// Peers are the nodes' base URLs in node order, for forwarding; nil
-	// disables forwarding. The node keeps its own copy, which /v1/node/peer
-	// rewires after a failover.
-	Peers []string
+	server.Config
 	// Store is the cluster's engine shape; HostedMachines is derived. Its
 	// overload deadline is also the server's default request deadline. A
 	// replica's overload plane is always disarmed: it executes only its
@@ -45,16 +39,6 @@ type Config struct {
 	// Recovery configures the command log: with a DataDir, an on-disk WAL
 	// that a restarted node cold-starts from.
 	Recovery recovery.Config
-	// ReplicaOf, Advertise, Faults, SyncCommit and FollowerCheckpointEvery
-	// are the replication settings of server.NodeConfig. Advertise defaults
-	// to the listener's address.
-	ReplicaOf               string
-	Advertise               string
-	Faults                  *faults.Schedule
-	SyncCommit              bool
-	FollowerCheckpointEvery int
-	// Info is served at /v1/info (server.Config.Info).
-	Info any
 }
 
 // Node is an assembled node. Close stops it.
@@ -67,8 +51,6 @@ type Node struct {
 	// ColdStart is the rebuild Open ran from a data directory that held a
 	// previous life's state; nil after a dataset load or for a replica.
 	ColdStart *recovery.ColdStartStats
-
-	nc *server.NodeConfig
 }
 
 // Start opens the node and serves it on l, which it owns from then on: a
@@ -106,14 +88,14 @@ func Open(cfg Config) (*Node, error) {
 func (n *Node) Serve(l net.Listener) {
 	if n.URL == "" {
 		n.URL = "http://" + l.Addr().String()
-		n.nc.Advertise = n.URL
+		n.Server.SetAdvertise(n.URL)
 	}
 	go n.Server.Serve(l)
 }
 
 func (n *Node) assemble(cfg Config) error {
-	if cfg.Nodes < 1 || cfg.ID < 0 || cfg.ID >= cfg.Nodes {
-		return fmt.Errorf("node: id %d outside [0, %d)", cfg.ID, cfg.Nodes)
+	if err := cfg.Normalize(); err != nil {
+		return err
 	}
 	scfg := cfg.Store
 	if cfg.ReplicaOf != "" {
@@ -140,31 +122,9 @@ func (n *Node) assemble(cfg Config) error {
 	if err := n.bringUp(cfg, scfg.HostedMachines); err != nil {
 		return err
 	}
-	n.nc = &server.NodeConfig{
-		ID:                      cfg.ID,
-		Nodes:                   cfg.Nodes,
-		Recovery:                n.Recovery,
-		ReplicaOf:               cfg.ReplicaOf,
-		Advertise:               n.URL,
-		Faults:                  cfg.Faults,
-		SyncCommit:              cfg.SyncCommit,
-		FollowerCheckpointEvery: cfg.FollowerCheckpointEvery,
-	}
-	if cfg.Peers != nil {
-		peers := slices.Clone(cfg.Peers)
-		var mu sync.RWMutex
-		n.nc.PeerURL = func(node int) string {
-			mu.RLock()
-			defer mu.RUnlock()
-			return peers[node]
-		}
-		n.nc.SetPeerURL = func(node int, url string) {
-			mu.Lock()
-			peers[node] = url
-			mu.Unlock()
-		}
-	}
-	n.Server, err = server.New(server.Config{Engine: eng, DefaultDeadline: cfg.Store.Overload.Deadline, Info: cfg.Info, Node: n.nc})
+	// The request deadline is the overload plane's as configured: a replica,
+	// whose plane is disarmed, keeps it for when it is promoted.
+	n.Server, err = server.New(eng, n.Recovery, cfg.Store.Overload.Deadline, cfg.Config)
 	return err
 }
 

@@ -2,9 +2,11 @@ package node_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -49,7 +51,6 @@ func registerKV(eng *store.Engine) error {
 // 1 of them active — logging to a fresh data directory.
 func kvConfig(t *testing.T) node.Config {
 	return node.Config{
-		Nodes:    1,
 		Store:    store.Config{MaxMachines: 2, PartitionsPerMachine: 2, Buckets: 64, QueueCapacity: 1024, InitialMachines: 1},
 		Register: registerKV,
 		Load: func(eng *store.Engine) error {
@@ -542,4 +543,92 @@ func TestKilledMidLoadReloads(t *testing.T) {
 			t.Fatalf("k-%d = %d, want %d", i, v, i)
 		}
 	}
+}
+
+// TestOpenRefusesShortPeerTable: a peer list that does not name every node is
+// refused at open. Served, a forward to the slot it lacks, or a rewiring of
+// that slot, would index past the list on a handler goroutine and end the
+// process.
+func TestOpenRefusesShortPeerTable(t *testing.T) {
+	cfg := kvConfig(t)
+	cfg.Nodes, cfg.Peers = 2, []string{"http://127.0.0.1:1"}
+	n, err := node.Open(cfg)
+	if err == nil {
+		n.Close()
+		t.Fatal("a node of 2 opened with 1 peer URL")
+	}
+	if !strings.Contains(err.Error(), "1 peer URLs for 2 nodes") {
+		t.Fatalf("open with a short peer table: %v", err)
+	}
+}
+
+// TestDefaultRequestDeadline: a request that carries no deadline runs under the
+// node's Store.Overload.Deadline — on a primary, and on a replica, whose
+// overload plane is disarmed, once it is promoted. A submission that finds its
+// partition's queue full gives up when that deadline passes, answered 504,
+// instead of waiting for the queue as long as it stays full.
+func TestDefaultRequestDeadline(t *testing.T) {
+	const d = 200 * time.Millisecond
+	// holdConfig is a one-partition node whose "hold" blocks its executor
+	// until expires returns.
+	holdConfig := func(t *testing.T) (node.Config, chan struct{}, chan struct{}) {
+		running, release := make(chan struct{}, 8), make(chan struct{})
+		cfg := kvConfig(t)
+		cfg.Store = store.Config{MaxMachines: 1, PartitionsPerMachine: 1, Buckets: 64, QueueCapacity: 1, InitialMachines: 1,
+			Overload: store.OverloadConfig{Deadline: d}}
+		cfg.Register = func(eng *store.Engine) error {
+			if err := eng.Register("hold", func(*store.Tx) (any, error) {
+				running <- struct{}{}
+				<-release
+				return nil, nil
+			}); err != nil {
+				return err
+			}
+			return registerKV(eng)
+		}
+		return cfg, running, release
+	}
+	// expires saturates n's one partition — one hold runs, one fills the queue,
+	// the rest wait for room — and posts a put that carries no deadline.
+	expires := func(t *testing.T, n *node.Node, running, release chan struct{}) {
+		t.Helper()
+		defer close(release)
+		for i := 0; i < 4; i++ {
+			go n.Engine.Execute("hold", fmt.Sprintf("h-%d", i), nil) //nolint:errcheck
+		}
+		select {
+		case <-running:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no hold started")
+		}
+		time.Sleep(20 * time.Millisecond) // the other holds fill the queue and park behind it
+		hc := &http.Client{Timeout: 10 * d}
+		start := time.Now()
+		resp, err := hc.Post(n.URL+wire.PathTxn, "application/json", strings.NewReader(`{"txn":"put","key":"k-1","args":1}`))
+		if err != nil {
+			t.Fatalf("put with no deadline on a saturated node: %v", err)
+		}
+		defer resp.Body.Close()
+		var out wire.Response
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); resp.StatusCode != http.StatusGatewayTimeout || out.Code != wire.CodeDeadline || took < d {
+			t.Fatalf("put with no deadline on a saturated node: HTTP %d %q after %v, want %s once %v have passed",
+				resp.StatusCode, out.Code, took, wire.CodeDeadline, d)
+		}
+	}
+	t.Run("primary", func(t *testing.T) {
+		cfg, running, release := holdConfig(t)
+		expires(t, startNode(t, cfg), running, release)
+	})
+	t.Run("promoted replica", func(t *testing.T) {
+		cfg, running, release := holdConfig(t)
+		p := startNode(t, cfg)
+		cfg.Recovery, cfg.ReplicaOf = recovery.Config{DataDir: t.TempDir()}, p.URL
+		f := startNode(t, cfg)
+		waitCaughtUp(t, p, f)
+		promote(t, f)
+		expires(t, f, running, release)
+	})
 }

@@ -253,7 +253,7 @@ func (a *applier) stop(ctx context.Context) {
 // the last applied plan record; shipped ones at or below it (the sync
 // snapshot's overlap) are skipped. It returns the new value.
 func (s *Server) applyBatch(b *shipApply, planSeq uint64) (uint64, error) {
-	eng := s.cfg.Engine
+	eng := s.eng
 	from := 0
 	for i := range b.plans {
 		p := &b.plans[i]

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"pstore/internal/recovery"
 	"pstore/internal/transport"
 	"pstore/internal/wire"
 )
@@ -71,11 +70,7 @@ func (s *Server) stopArcs() {
 // for the exit before arming keeps the new barrier armed, since the exit
 // disarms the barrier whichever shipper armed it.
 func (s *Server) serveSync(req wire.ReplSync) ([]byte, error) {
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		return nil, err
-	}
-	if !rm.Durable() {
+	if !s.rm.Durable() {
 		return nil, errors.New("server: replication requires a durable store (-data-dir)")
 	}
 	s.arcs.shipMu.Lock()
@@ -83,25 +78,24 @@ func (s *Server) serveSync(req wire.ReplSync) ([]byte, error) {
 	if req.FollowerURL != "" {
 		s.stopShipperLocked()
 	}
-	meta, body, err := s.syncBody(rm)
+	meta, body, err := s.syncBody()
 	if err != nil || req.FollowerURL == "" {
 		return body, err
 	}
-	return body, s.startShipperLocked(rm, req.FollowerURL, meta.Cursor)
+	return body, s.startShipperLocked(req.FollowerURL, meta.Cursor)
 }
 
 // startShipperLocked arms a shipper streaming this node's WAL from cur to the
 // follower at url. The caller holds s.arcs.shipMu, with no shipper running.
-func (s *Server) startShipperLocked(rm *recovery.Manager, url string, cur wire.ShipCursor) error {
-	nc := s.cfg.Node
+func (s *Server) startShipperLocked(url string, cur wire.ShipCursor) error {
 	sh, err := transport.NewShipper(transport.ShipperConfig{
-		RM:         rm,
+		RM:         s.rm,
 		Follower:   transport.NewPeer(url),
-		FromNode:   nc.ID,
+		FromNode:   s.cfg.ID,
 		ToNode:     -1,
-		Faults:     nc.Faults,
+		Faults:     s.cfg.Faults,
 		Start:      cur,
-		SyncCommit: nc.SyncCommit,
+		SyncCommit: s.cfg.SyncCommit,
 	})
 	if err != nil {
 		return err
@@ -144,11 +138,11 @@ func (s *Server) stopShipper() {
 	s.stopShipperLocked()
 }
 
-// Follow runs this replica's first sync from its primary (NodeConfig.ReplicaOf)
+// Follow runs this replica's first sync from its primary (Config.ReplicaOf)
 // on its own goroutine. The node must be serving: the primary starts shipping
-// to NodeConfig.Advertise as part of the sync.
+// to Config.Advertise as part of the sync.
 func (s *Server) Follow() {
-	url := s.cfg.Node.ReplicaOf
+	url := s.cfg.ReplicaOf
 	s.goArc(func(ctx context.Context) error {
 		meta, err := s.resync(ctx, transport.NewPeer(url))
 		if err != nil {
@@ -171,10 +165,6 @@ func (s *Server) rejoin(ctx context.Context, url string) error {
 	// stream: nothing will ever confirm them, and the install fences the
 	// engine, which waits for every transaction in flight.
 	s.stopShipper()
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		return err
-	}
 	primary := transport.NewPeer(url)
 	if err := primary.WaitHealthy(ctx, time.Minute); err != nil {
 		return fmt.Errorf("rejoin: new primary %s unreachable: %w", url, err)
@@ -183,8 +173,8 @@ func (s *Server) rejoin(ctx context.Context, url string) error {
 	if err != nil {
 		return fmt.Errorf("rejoin: new primary %s status: %w", url, err)
 	}
-	if pst.Epoch <= rm.Epoch() {
-		logf("rejoin refused: %v: %s is at epoch %d, ours is %d", wire.ErrFenced, url, pst.Epoch, rm.Epoch())
+	if pst.Epoch <= s.rm.Epoch() {
+		logf("rejoin refused: %v: %s is at epoch %d, ours is %d", wire.ErrFenced, url, pst.Epoch, s.rm.Epoch())
 		return nil
 	}
 	meta, err := s.resync(ctx, primary)
@@ -207,7 +197,7 @@ func (s *Server) resync(ctx context.Context, primary *transport.Peer) (wire.Repl
 	if err := primary.WaitHealthy(ctx, time.Minute); err != nil {
 		return wire.ReplSyncMeta{}, err
 	}
-	meta, set, err := primary.ReplSync(ctx, s.cfg.Node.Advertise)
+	meta, set, err := primary.ReplSync(ctx, s.cfg.Advertise)
 	if err != nil {
 		return meta, err
 	}

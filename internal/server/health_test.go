@@ -47,10 +47,7 @@ func TestHealthzReportsWALFailure(t *testing.T) {
 	}
 	eng.Start()
 	t.Cleanup(eng.Stop)
-	srv, err := New(Config{
-		Engine: eng,
-		Node:   &NodeConfig{ID: 0, Nodes: 1, Recovery: rm},
-	})
+	srv, err := New(eng, rm, 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,7 @@ func TestRefusedRecordIsBadRequest(t *testing.T) {
 	}
 	eng.Start()
 	t.Cleanup(eng.Stop)
-	srv, err := New(Config{Engine: eng, Node: &NodeConfig{ID: 0, Nodes: 1, Recovery: rm}})
+	srv, err := New(eng, rm, 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

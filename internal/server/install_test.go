@@ -71,9 +71,7 @@ func newInstallNodeOn(t *testing.T, id int, fs *wal.MemFS) *installNode {
 	t.Cleanup(func() { rm.Close() })
 	eng.Start()
 	t.Cleanup(eng.Stop)
-	srv, err := New(Config{Engine: eng, Node: &NodeConfig{
-		ID: id, Nodes: 2, Recovery: rm,
-	}})
+	srv, err := New(eng, rm, 0, Config{ID: id, Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,66 +9,10 @@ import (
 	"net/http"
 	"time"
 
-	"pstore/internal/faults"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/wire"
 )
-
-// NodeConfig turns a Server into one node of a multi-process cluster. The
-// node serves the /v1/node/* coordination vocabulary (chunk extract/install,
-// ownership flips, crash/restore) next to the regular transaction endpoints,
-// and forwards transactions for partitions hosted elsewhere to their hosting
-// peer.
-type NodeConfig struct {
-	// ID is this node's index and Nodes the cluster's node count; machine m
-	// is hosted by node m % Nodes on every node, so routing needs no
-	// membership protocol.
-	ID    int
-	Nodes int
-	// Recovery, when set, serves the node-local crash/restore/checkpoint
-	// plane. Command logs live with the data: each node recovers exactly the
-	// machines it hosts.
-	Recovery *recovery.Manager
-	// PeerURL maps a node index to its base URL ("http://host:port") for
-	// transaction forwarding; the answer may change, and the slot's stream
-	// follows it. Nil disables forwarding: not-owned refusals surface to the
-	// client as retryable 503s instead.
-	PeerURL func(node int) string
-	// SetPeerURL repoints one peer slot's base URL — the coordinator's
-	// rewiring step after promoting a follower (served at /v1/node/peer).
-	// Nil refuses rewiring requests.
-	SetPeerURL func(node int, url string)
-	// ReplicaOf, when non-empty, starts this node as a warm follower of the
-	// primary at that base URL: client transactions are refused until
-	// promotion, and the /v1/repl/ship endpoint takes in the primary's WAL.
-	// Follow runs its first sync.
-	ReplicaOf string
-	// Advertise is the base URL this node names when it syncs from a primary,
-	// for the primary to ship to.
-	Advertise string
-	// Faults and SyncCommit configure the shipper this node runs as a
-	// primary (transport.ShipperConfig's Faults and SyncCommit).
-	Faults     *faults.Schedule
-	SyncCommit bool
-	// FollowerCheckpointEvery, when > 0, has a replica run a checkpoint of
-	// its own WAL every time that many shipped command records have been
-	// accepted — bounding a long-lived follower's own cold start.
-	FollowerCheckpointEvery int
-}
-
-func (nc *NodeConfig) validate() error {
-	if nc.Nodes < 1 {
-		return fmt.Errorf("server: node config: %d nodes", nc.Nodes)
-	}
-	if nc.ID < 0 || nc.ID >= nc.Nodes {
-		return fmt.Errorf("server: node config: id %d outside [0, %d)", nc.ID, nc.Nodes)
-	}
-	return nil
-}
-
-// NodeOf returns the node index hosting a machine.
-func (nc *NodeConfig) NodeOf(machine int) int { return machine % nc.Nodes }
 
 // maxForwardHops caps node-to-node transaction forwarding. Plans converge
 // after one flip broadcast, and a request caught inside a move waits for it at
@@ -97,17 +41,25 @@ func (s *Server) registerNodeHandlers(mux *http.ServeMux) {
 
 // handleNodePeer repoints one peer slot's base URL — after a failover the
 // coordinator rewires every survivor so forwarded transactions reach the
-// promoted follower instead of the dead primary.
+// promoted follower instead of the dead primary. The slot's stream follows it.
 func (s *Server) handleNodePeer(req wire.NodePeer) (any, error) {
-	nc := s.cfg.Node
-	if nc.SetPeerURL == nil {
+	if s.peerURLs == nil {
 		return nil, errors.New("server: node has no mutable peer table")
 	}
-	if req.Node < 0 || req.Node >= nc.Nodes || req.URL == "" {
+	if req.Node < 0 || req.Node >= s.cfg.Nodes || req.URL == "" {
 		return nil, fmt.Errorf("%w: peer %d -> %q", errBadNodeRequest, req.Node, req.URL)
 	}
-	nc.SetPeerURL(req.Node, req.URL)
+	s.peerMu.Lock()
+	s.peerURLs[req.Node] = req.URL
+	s.peerMu.Unlock()
 	return struct{}{}, nil
+}
+
+// peerURL returns the base URL of peer slot node.
+func (s *Server) peerURL(node int) string {
+	s.peerMu.RLock()
+	defer s.peerMu.RUnlock()
+	return s.peerURLs[node]
 }
 
 // writeNodeError maps a node-plane error onto the wire with the same stable
@@ -169,9 +121,9 @@ func (s *Server) handleNodeMove(req wire.NodeMove) (any, error) {
 	if err := s.placing(); err != nil {
 		return nil, err
 	}
-	move := s.cfg.Engine.MoveBuckets
+	move := s.eng.MoveBuckets
 	if req.Rollback {
-		move = s.cfg.Engine.MoveBucketsRollback
+		move = s.eng.MoveBucketsRollback
 	}
 	rows, err := move(req.Buckets, req.From, req.To, time.Duration(req.PerRowNs), time.Duration(req.OverheadNs))
 	return wire.NodeRows{Rows: rows}, err
@@ -189,7 +141,7 @@ func (s *Server) handleNodeExtract(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, err)
 		return
 	}
-	data, err := s.cfg.Engine.ExtractBuckets(req.Buckets, req.From, req.To,
+	data, err := s.eng.ExtractBuckets(req.Buckets, req.From, req.To,
 		time.Duration(req.PerRowNs), time.Duration(req.OverheadNs), req.Rollback)
 	if err != nil {
 		writeNodeError(w, err)
@@ -250,7 +202,7 @@ func (s *Server) handleNodeInstall(w http.ResponseWriter, r *http.Request) {
 func (s *Server) installChunk(req wire.NodeMove, chunk []byte, data store.BucketData) (int, error) {
 	s.installMu.Lock()
 	defer s.installMu.Unlock()
-	eng := s.cfg.Engine
+	eng := s.eng
 	if cfg := eng.Config(); req.To < 0 || req.To >= cfg.MaxMachines*cfg.PartitionsPerMachine {
 		return 0, fmt.Errorf("%w: partition %d out of range", errBadNodeRequest, req.To)
 	}
@@ -274,15 +226,12 @@ func (s *Server) installChunk(req wire.NodeMove, chunk []byte, data store.Bucket
 			return 0, fmt.Errorf("%w: bucket %d is partition %d's, not an inbound chunk's", errBadNodeRequest, b, owner)
 		}
 	}
-	rm := s.cfg.Node.Recovery
-	if rm != nil {
-		if err := rm.LogChunk(req.To, chunk); err != nil {
-			return 0, err
-		}
+	if err := s.rm.LogChunk(req.To, chunk); err != nil {
+		return 0, err
 	}
 	rows, err := eng.InstallBuckets(req.Buckets, data, req.To, time.Duration(req.PerRowNs), time.Duration(req.OverheadNs))
-	if err == nil && rm != nil {
-		err = rm.Err() // the flip's plan record did not become durable
+	if err == nil {
+		err = s.rm.Err() // the flip's plan record did not become durable
 	}
 	return rows, err
 }
@@ -292,28 +241,20 @@ func (s *Server) handleNodeFlip(req wire.NodeFlip) (any, error) {
 	if err := s.placing(); err != nil {
 		return nil, err
 	}
-	return struct{}{}, s.cfg.Engine.ApplyOwnership(req.Buckets, req.Owner)
-}
-
-// nodeRecovery returns the node's recovery manager or a typed error.
-func (s *Server) nodeRecovery() (*recovery.Manager, error) {
-	if rm := s.cfg.Node.Recovery; rm != nil {
-		return rm, nil
-	}
-	return nil, errors.New("server: node has no recovery manager attached")
+	return struct{}{}, s.eng.ApplyOwnership(req.Buckets, req.Owner)
 }
 
 // handleNodeCrash fences a hosted machine.
 func (s *Server) handleNodeCrash(req wire.NodeMachine) (any, error) {
-	return struct{}{}, s.machineOp(req.Machine, func(rm *recovery.Manager) error { return rm.Crash(req.Machine) })
+	return struct{}{}, s.machineOp(req.Machine, func() error { return s.rm.Crash(req.Machine) })
 }
 
 // handleNodeRestore rebuilds a hosted machine from the node-local
 // checkpoint and command log.
 func (s *Server) handleNodeRestore(req wire.NodeMachine) (any, error) {
 	var st recovery.RestoreStats
-	err := s.machineOp(req.Machine, func(rm *recovery.Manager) (err error) {
-		st, err = rm.Restore(req.Machine)
+	err := s.machineOp(req.Machine, func() (err error) {
+		st, err = s.rm.Restore(req.Machine)
 		return err
 	})
 	return wire.NodeRestoreResult{Machine: st.Machine, Partitions: st.Partitions, Snapshots: st.Snapshots,
@@ -325,12 +266,8 @@ func (s *Server) handleNodeRestore(req wire.NodeMachine) (any, error) {
 // off the current plan, and on a replica both run ahead of memory by the apply
 // backlog — whatever the restore replayed the applier would replay again — so
 // op runs with the backlog quiesced.
-func (s *Server) machineOp(m int, op func(*recovery.Manager) error) error {
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		return err
-	}
-	if !s.cfg.Engine.Hosted(m) {
+func (s *Server) machineOp(m int, op func() error) error {
+	if !s.eng.Hosted(m) {
 		return fmt.Errorf("%w: machine %d", store.ErrNotOwned, m)
 	}
 	release, err := s.quiesceApply()
@@ -338,7 +275,7 @@ func (s *Server) machineOp(m int, op func(*recovery.Manager) error) error {
 		return err
 	}
 	defer release()
-	return op(rm)
+	return op()
 }
 
 // handleNodeCheckpoint installs a fresh baseline on every live hosted
@@ -348,12 +285,7 @@ func (s *Server) handleNodeCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server: POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	n, err := s.checkpoint(rm)
+	n, err := s.checkpoint()
 	if err != nil {
 		writeNodeError(w, err)
 		return
@@ -365,11 +297,11 @@ func (s *Server) handleNodeCheckpoint(w http.ResponseWriter, r *http.Request) {
 // hosted machines, plan and load — the coordinator's bootstrap and poll
 // surface.
 func (s *Server) handleNodeStatus(w http.ResponseWriter, r *http.Request) {
-	eng := s.cfg.Engine
+	eng := s.eng
 	cfg := eng.Config()
 	st := wire.NodeStatus{
-		Node:                 s.cfg.Node.ID,
-		Nodes:                s.cfg.Node.Nodes,
+		Node:                 s.cfg.ID,
+		Nodes:                s.cfg.Nodes,
 		MaxMachines:          cfg.MaxMachines,
 		PartitionsPerMachine: cfg.PartitionsPerMachine,
 		Buckets:              cfg.Buckets,
@@ -383,14 +315,12 @@ func (s *Server) handleNodeStatus(w http.ResponseWriter, r *http.Request) {
 		MaxSojournNs:         eng.MaxQueueSojourn().Nanoseconds(),
 		Role:                 s.role().wire(),
 		ForwardStreams:       s.ForwardStreams(),
+		Epoch:                s.rm.Epoch(),
 	}
-	if rm := s.cfg.Node.Recovery; rm != nil {
-		st.Epoch = rm.Epoch()
-		if err := rm.Err(); err != nil {
-			// A latched log failure means durability is gone: the node still
-			// serves from memory, but the coordinator must treat it as failed.
-			st.WALError = err.Error()
-		}
+	if err := s.rm.Err(); err != nil {
+		// A latched log failure means durability is gone: the node still
+		// serves from memory, but the coordinator must treat it as failed.
+		st.WALError = err.Error()
 	}
 	writeJSON(w, st)
 }
@@ -400,13 +330,13 @@ func (s *Server) handleNodeMachines(req wire.NodeActive) (any, error) {
 	if err := s.placing(); err != nil {
 		return nil, err
 	}
-	return struct{}{}, s.cfg.Engine.SetActiveMachines(req.Active)
+	return struct{}{}, s.eng.SetActiveMachines(req.Active)
 }
 
 // handleNodeAccesses reports (and optionally resets) per-bucket access
 // counts — the skew signal a coordinator-side rebalance pass aggregates.
 func (s *Server) handleNodeAccesses(req wire.NodeAccessesReq) (any, error) {
-	return wire.NodeAccesses{Accesses: s.cfg.Engine.BucketAccesses(req.Reset)}, nil
+	return wire.NodeAccesses{Accesses: s.eng.BucketAccesses(req.Reset)}, nil
 }
 
 // handoffWait bounds how long route holds a request for the coordinator's word
@@ -424,7 +354,7 @@ const handoffWait = time.Second
 // is the one that waits, for as long as the request's deadline allows, and
 // relays once the destination is ready to run it.
 func (s *Server) route(ctx context.Context, key string) int {
-	eng := s.cfg.Engine
+	eng := s.eng
 	if pending := eng.HandoffPending(key); pending != nil {
 		t := time.NewTimer(handoffWait)
 		defer t.Stop()
@@ -439,7 +369,7 @@ func (s *Server) route(ctx context.Context, key string) int {
 			}
 		}
 	}
-	return s.cfg.Node.NodeOf(eng.MachineOfPartition(eng.PartitionOfKey(key)))
+	return eng.MachineOfPartition(eng.PartitionOfKey(key)) % s.cfg.Nodes
 }
 
 // forward relays a transaction to the node hosting its destination partition

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -60,16 +59,16 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 // or all after the snapshot, never astride them (installMu). The cursor's
 // segment is pinned against compaction before the snapshot starts so
 // shipping can begin from it.
-func (s *Server) syncBody(rm *recovery.Manager) (wire.ReplSyncMeta, []byte, error) {
-	eng := s.cfg.Engine
+func (s *Server) syncBody() (wire.ReplSyncMeta, []byte, error) {
+	eng := s.eng
 	s.installMu.Lock()
 	defer s.installMu.Unlock()
-	meta := wire.ReplSyncMeta{Epoch: rm.Epoch(), PlanSeq: rm.PlanSeq(), Plan: eng.Plan(), Active: eng.ActiveMachines()}
+	meta := wire.ReplSyncMeta{Epoch: s.rm.Epoch(), PlanSeq: s.rm.PlanSeq(), Plan: eng.Plan(), Active: eng.ActiveMachines()}
 	var err error
-	if meta.Cursor, err = rm.ShipEnd(); err != nil {
+	if meta.Cursor, err = s.rm.ShipEnd(); err != nil {
 		return meta, nil, err
 	}
-	rm.PinShip(meta.Cursor.Seg)
+	s.rm.PinShip(meta.Cursor.Seg)
 	var imgs []*wal.Image
 	for _, m := range eng.HostedMachines() {
 		if eng.MachineDown(m) {
@@ -109,10 +108,6 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 	if c := s.answer(reqInstall); c.do == refuse {
 		return c.err
 	}
-	rm := s.cfg.Node.Recovery
-	if rm == nil {
-		return errors.New("server: replica has no recovery manager attached")
-	}
 	imgs, err := wal.DecodeImages(set)
 	if err != nil {
 		return fmt.Errorf("server: sync snapshot: %w", err)
@@ -120,7 +115,7 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 	if len(imgs) != meta.Buckets {
 		return fmt.Errorf("server: sync snapshot holds %d buckets, its meta frame declares %d", len(imgs), meta.Buckets)
 	}
-	eng := s.cfg.Engine
+	eng := s.eng
 	// Ship batches wait until the install completes, and no apply runs into
 	// the wipe.
 	s.repl.mu.Lock()
@@ -159,15 +154,15 @@ func (s *Server) InstallReplicaState(meta wire.ReplSyncMeta, set []byte) error {
 	// resyncing mid-life) would otherwise keep diverged records above the
 	// incoming images' LSNs that replay on a future cold start, and stale
 	// high LSN heads that break ship dedup.
-	if rm.Durable() {
-		if err := rm.ResetReplica(); err != nil {
+	if s.rm.Durable() {
+		if err := s.rm.ResetReplica(); err != nil {
 			return err
 		}
 	}
-	if err := rm.SetEpoch(meta.Epoch); err != nil {
+	if err := s.rm.SetEpoch(meta.Epoch); err != nil {
 		return err
 	}
-	if err := rm.InstallReplicaBaseline(snaps, set); err != nil {
+	if err := s.rm.InstallReplicaBaseline(snaps, set); err != nil {
 		return err
 	}
 	st := &s.repl
@@ -207,11 +202,6 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, fmt.Errorf("%w: %v", errBadNodeRequest, err))
 		return
 	}
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
 	// A full apply queue holds the batch back here, before anything is decoded,
 	// locked or appended: a follower that cannot keep up stops acknowledging,
 	// and a handler that waits holds one frame, for as long as its sender does.
@@ -238,11 +228,11 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, c.err)
 		return
 	}
-	if epoch := rm.Epoch(); batch.Epoch != epoch {
+	if epoch := s.rm.Epoch(); batch.Epoch != epoch {
 		writeNodeError(w, fmt.Errorf("%w: batch epoch %d, replica epoch %d", wire.ErrFenced, batch.Epoch, epoch))
 		return
 	}
-	ack := wire.ShipAck{Epoch: rm.Epoch(), Received: st.received}
+	ack := wire.ShipAck{Epoch: s.rm.Epoch(), Received: st.received}
 	if c.do == resync {
 		// The shipper stops on this answer.
 		ack.Resync = true
@@ -254,27 +244,27 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, ack)
 		return
 	}
-	b, fresh, err := s.decodeShipBatch(rm, batch)
+	b, fresh, err := s.decodeShipBatch(batch)
 	if err != nil {
 		writeNodeError(w, err)
 		return
 	}
-	syncs := rm.WALStats().Syncs
+	syncs := s.rm.WALStats().Syncs
 	var ticket uint64
 	for _, frame := range fresh {
-		if ticket, err = rm.AppendShipped(frame); err != nil {
+		if ticket, err = s.rm.AppendShipped(frame); err != nil {
 			writeNodeError(w, err)
 			return
 		}
 	}
-	if err := rm.WaitDurable(ticket); err != nil {
+	if err := s.rm.WaitDurable(ticket); err != nil {
 		writeNodeError(w, err)
 		return
 	}
 	st.received = batch.Next
 	accepted = true
-	s.apply.push(b, rm.WALStats().Syncs-syncs)
-	s.maybeFollowerCheckpointLocked(rm, len(b.cmds))
+	s.apply.push(b, s.rm.WALStats().Syncs-syncs)
+	s.maybeFollowerCheckpointLocked(len(b.cmds))
 	ack.Received = st.received
 	writeJSON(w, ack)
 }
@@ -288,10 +278,10 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 // its share of a bucket only has to be above the head: a bucket that lived on
 // the primary before this node synced has a history here that stops short.
 // Nothing is appended here.
-func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*shipApply, [][]byte, error) {
+func (s *Server) decodeShipBatch(batch *wire.ShipBatch) (*shipApply, [][]byte, error) {
 	b := &shipApply{next: batch.Next}
 	var fresh [][]byte
-	buckets := s.cfg.Engine.Config().Buckets
+	buckets := s.eng.Config().Buckets
 	heads := make(map[int]uint64)
 	type share struct {
 		cmd store.ReplayCommand
@@ -317,7 +307,7 @@ func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*
 			}
 			head, seen := heads[r.Bucket]
 			if !seen {
-				head = rm.LogHead(r.Bucket)
+				head = s.rm.LogHead(r.Bucket)
 			}
 			var c store.ReplayCommand
 			switch {
@@ -326,7 +316,7 @@ func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*
 			case !r.IsChunk() && r.LSN > head+1:
 				err = fmt.Errorf("server: ship record %d skips bucket %d from lsn %d to %d", i, r.Bucket, head, r.LSN)
 			default:
-				c, err = recovery.Replay(s.cfg.Engine, r)
+				c, err = recovery.Replay(s.eng, r)
 			}
 			shares = append(shares, share{c, r.LSN})
 		})
@@ -351,8 +341,8 @@ func (s *Server) decodeShipBatch(rm *recovery.Manager, batch *wire.ShipBatch) (*
 // replica's own WAL once FollowerCheckpointEvery freshly accepted command
 // records have accumulated, so a long-lived follower's cold start stays
 // bounded. At most one is in flight. Caller holds s.repl.mu.
-func (s *Server) maybeFollowerCheckpointLocked(rm *recovery.Manager, fresh int) {
-	every := s.cfg.Node.FollowerCheckpointEvery
+func (s *Server) maybeFollowerCheckpointLocked(fresh int) {
+	every := s.cfg.FollowerCheckpointEvery
 	if every <= 0 {
 		return
 	}
@@ -364,7 +354,7 @@ func (s *Server) maybeFollowerCheckpointLocked(rm *recovery.Manager, fresh int) 
 	st.acceptedRecs = 0
 	st.checkpointing = true
 	go func() {
-		_, err := s.checkpoint(rm)
+		_, err := s.checkpoint()
 		st.mu.Lock()
 		st.checkpointing = false
 		st.mu.Unlock()
@@ -381,12 +371,12 @@ func (s *Server) maybeFollowerCheckpointLocked(rm *recovery.Manager, fresh int) 
 // replica the in-memory snapshots are taken with the ship handler held off
 // and the backlog drained, where log head and memory agree; the image writes
 // run after the handler is released.
-func (s *Server) checkpoint(rm *recovery.Manager) (int, error) {
+func (s *Server) checkpoint() (int, error) {
 	release, err := s.quiesceApply()
 	if err != nil {
 		return 0, err
 	}
-	return rm.CheckpointAfter(release)
+	return s.rm.CheckpointAfter(release)
 }
 
 // applyShippedPlan re-runs a primary-side plan change locally: changed
@@ -396,7 +386,7 @@ func (s *Server) checkpoint(rm *recovery.Manager) (int, error) {
 // ownership otherwise — an inbound migration's rows arrived before the flip,
 // as the chunk record the primary logged ahead of it.
 func (s *Server) applyShippedPlan(rec *wal.Record) error {
-	eng := s.cfg.Engine
+	eng := s.eng
 	cur := eng.Plan()
 	if len(rec.Plan) != len(cur) {
 		return fmt.Errorf("server: shipped plan covers %d buckets, engine has %d", len(rec.Plan), len(cur))
@@ -443,10 +433,6 @@ func (s *Server) applyShippedPlan(rec *wal.Record) error {
 // refused: it already knows a higher epoch has a primary, and un-fencing it
 // would make two.
 func (s *Server) handleReplPromote(req wire.ReplPromote) (any, error) {
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		return nil, err
-	}
 	st := &s.repl
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -456,8 +442,8 @@ func (s *Server) handleReplPromote(req wire.ReplPromote) (any, error) {
 	}
 	backlog := 0
 	if c.do == drain {
-		if req.Epoch <= rm.Epoch() {
-			return nil, fmt.Errorf("%w: promote epoch %d not above current %d", wire.ErrFenced, req.Epoch, rm.Epoch())
+		if req.Epoch <= s.rm.Epoch() {
+			return nil, fmt.Errorf("%w: promote epoch %d not above current %d", wire.ErrFenced, req.Epoch, s.rm.Epoch())
 		}
 		// The ship handler is held off by st.mu, so the backlog only shrinks.
 		// A node whose apply failed is not promotable: it would serve state
@@ -467,8 +453,8 @@ func (s *Server) handleReplPromote(req wire.ReplPromote) (any, error) {
 			return nil, fmt.Errorf("server: cannot promote: %w", err)
 		}
 	}
-	if req.Epoch > rm.Epoch() {
-		if err := rm.SetEpoch(req.Epoch); err != nil {
+	if req.Epoch > s.rm.Epoch() {
+		if err := s.rm.SetEpoch(req.Epoch); err != nil {
 			return nil, err
 		}
 	}
@@ -476,7 +462,7 @@ func (s *Server) handleReplPromote(req wire.ReplPromote) (any, error) {
 		_ = s.become(rolePrimary) // a replica may always be promoted
 		st.drained = backlog
 	}
-	return s.replStatusLocked(rm), nil
+	return s.replStatusLocked(), nil
 }
 
 // handleReplDemote orders this fenced ex-primary to stand down and rejoin
@@ -486,35 +472,26 @@ func (s *Server) handleReplDemote(req wire.ReplDemote) (any, error) {
 	if req.PrimaryURL == "" {
 		return nil, fmt.Errorf("%w: demote needs a primary URL", errBadNodeRequest)
 	}
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		return nil, err
-	}
 	s.standDown(req.PrimaryURL)
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
-	return s.replStatusLocked(rm), nil
+	return s.replStatusLocked(), nil
 }
 
 // handleReplStatus reports the node's replication self-description.
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	rm, err := s.nodeRecovery()
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
-	writeJSON(w, s.replStatusLocked(rm))
+	writeJSON(w, s.replStatusLocked())
 }
 
 // replStatusLocked builds a ReplStatus; the caller holds s.repl.mu.
-func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
+func (s *Server) replStatusLocked() wire.ReplStatus {
 	pos := s.apply.position()
 	r := s.role()
 	out := wire.ReplStatus{
 		Role:         r.wire(),
-		Epoch:        rm.Epoch(),
+		Epoch:        s.rm.Epoch(),
 		Applied:      pos.applied,
 		Received:     s.repl.received,
 		ApplyBacklog: pos.backlog,
@@ -525,11 +502,11 @@ func (s *Server) replStatusLocked(rm *recovery.Manager) wire.ReplStatus {
 	if r != roleReplica {
 		out.Received = pos.applied // all a non-replica ever received, it applied
 	}
-	if rm.Durable() {
-		if end, err := rm.ShipEnd(); err == nil {
+	if s.rm.Durable() {
+		if end, err := s.rm.ShipEnd(); err == nil {
 			out.Durable = end
 		}
-		ws := rm.WALStats()
+		ws := s.rm.WALStats()
 		out.ShipTailReads, out.ShipFileReads = ws.ShipTailReads, ws.ShipFileReads
 	}
 	return out

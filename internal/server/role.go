@@ -12,7 +12,7 @@ import (
 )
 
 // role is a node's replication role. A node starts a primary, or syncing when
-// it is configured as a replica (NodeConfig.ReplicaOf); become makes every
+// it is configured as a replica (Config.ReplicaOf); become makes every
 // change after that, along moves.
 type role int32
 

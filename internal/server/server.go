@@ -24,40 +24,78 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pstore/internal/faults"
+	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/wire"
 )
 
-// Config assembles a Server.
+// Config is one node's identity and replication settings. Every server is one
+// node of a cluster: it serves the /v1/node/* coordination vocabulary next to
+// the transaction endpoints, and forwards transactions for partitions hosted
+// elsewhere to their hosting peer.
 type Config struct {
-	// Engine is the started storage engine to front. Required. Its args
-	// decoder (store.Engine.SetArgsDecoder) decodes request arguments; without
-	// one every argument-bearing request is a bad_request.
-	Engine *store.Engine
-	// DefaultDeadline applies to requests that carry no deadline. Zero
-	// means no server-imposed deadline.
-	DefaultDeadline time.Duration
+	// ID is this node's index and Nodes the cluster's node count, one when
+	// zero; machine m is hosted by node m % Nodes on every node, so routing
+	// needs no membership protocol.
+	ID, Nodes int
+	// Peers are the nodes' base URLs ("http://host:port") in node order, for
+	// transaction forwarding. The server keeps its own copy, which
+	// /v1/node/peer rewires after a failover; nil disables forwarding —
+	// not-owned refusals surface to the client as retryable 503s — and
+	// refuses rewiring.
+	Peers []string
+	// ReplicaOf, when non-empty, starts this node as a warm follower of the
+	// primary at that base URL: client transactions are refused until
+	// promotion, and the /v1/repl/ship endpoint takes in the primary's WAL.
+	// Follow runs its first sync.
+	ReplicaOf string
+	// Advertise is the base URL this node names when it syncs from a primary,
+	// for the primary to ship to; SetAdvertise fills it in when empty.
+	Advertise string
+	// Faults and SyncCommit configure the shipper this node runs as a
+	// primary (transport.ShipperConfig's Faults and SyncCommit).
+	Faults     *faults.Schedule
+	SyncCommit bool
+	// FollowerCheckpointEvery, when > 0, has a replica run a checkpoint of
+	// its own WAL every time that many shipped command records have been
+	// accepted — bounding a long-lived follower's own cold start.
+	FollowerCheckpointEvery int
 	// Info is served as JSON at /v1/info — the place a serving process
 	// publishes its trace parameters so a remote load generator can replay
 	// exactly the workload the server was provisioned for.
 	Info any
-	// ReadHeaderTimeout bounds header parsing per connection (connection
-	// hygiene against slowloris peers). Zero means 10s.
-	ReadHeaderTimeout time.Duration
-	// IdleTimeout closes keep-alive connections idle this long. Zero
-	// means 2 minutes. Neither timeout applies to a transaction stream once
-	// it is accepted.
-	IdleTimeout time.Duration
-	// Node, when set, turns this server into one node of a multi-process
-	// cluster: the /v1/node/* endpoints are served and transactions for
-	// partitions hosted elsewhere are forwarded to their hosting peer.
-	Node *NodeConfig
 }
+
+// Normalize makes a zero Nodes one node and refuses an ID outside the cluster
+// or a peer table that does not name every node — a forward to a slot it
+// lacks would index past it.
+func (c *Config) Normalize() error {
+	if c.Nodes == 0 {
+		c.Nodes = 1
+	}
+	if c.Nodes < 1 || c.ID < 0 || c.ID >= c.Nodes {
+		return fmt.Errorf("server: node id %d outside [0, %d)", c.ID, c.Nodes)
+	}
+	if c.Peers != nil && len(c.Peers) != c.Nodes {
+		return fmt.Errorf("server: %d peer URLs for %d nodes", len(c.Peers), c.Nodes)
+	}
+	return nil
+}
+
+// readHeaderTimeout bounds header parsing per connection (connection hygiene
+// against slowloris peers); idleTimeout closes keep-alive connections idle
+// that long. Neither applies to a transaction stream once it is accepted.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Counters are the server's cumulative wire-level counts.
 type Counters struct {
@@ -81,17 +119,20 @@ type Counters struct {
 	Down503     int64
 	BadRequests int64
 	Internal    int64
-	// Forwarded counts transactions relayed to their hosting peer
-	// (multi-process mode only).
+	// Forwarded counts transactions relayed to their hosting peer.
 	Forwarded int64
 }
 
-// Server fronts one engine. Create with New, run with Serve, stop with
-// Shutdown.
+// Server fronts one node: its engine and the recovery manager that logs it.
+// Create with New, run with Serve, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	handles map[string]store.TxnID
-	httpSrv *http.Server
+	eng *store.Engine
+	rm  *recovery.Manager
+	cfg Config
+	// deadline applies to requests that carry none; zero imposes none.
+	deadline time.Duration
+	handles  map[string]store.TxnID
+	httpSrv  *http.Server
 
 	shutdownCh   chan struct{}
 	shutdownOnce sync.Once
@@ -108,9 +149,12 @@ type Server struct {
 	internal    atomic.Int64
 	forwarded   atomic.Int64
 
-	// peers relays not-owned transactions to hosting peers in node mode: one
-	// stream per peer slot, dialled by the first forward that needs it.
-	peers []*wire.Mux
+	// peers relays not-owned transactions to hosting peers: one stream per
+	// peer slot, dialled by the first forward that needs it, to the slot's
+	// URL in peerURLs. Both are nil when Config.Peers is.
+	peers    []*wire.Mux
+	peerMu   sync.RWMutex
+	peerURLs []string
 
 	// accepted holds the transaction streams being served. They are hijacked
 	// connections, outside http.Server's bookkeeping, so Shutdown closes them
@@ -132,21 +176,22 @@ type Server struct {
 	failed chan error
 }
 
-// New builds a server over a started engine. The engine's transaction
-// catalog is snapshotted once — registration is closed after Start, so the
-// hot path resolves names against an immutable map.
-func New(cfg Config) (*Server, error) {
-	if cfg.Engine == nil {
-		return nil, errors.New("server: Config.Engine is required")
-	}
-	if cfg.ReadHeaderTimeout <= 0 {
-		cfg.ReadHeaderTimeout = 10 * time.Second
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 2 * time.Minute
+// New builds the server of a node over its started engine and the recovery
+// manager logging it; deadline bounds requests that carry none. The engine's
+// args decoder (store.Engine.SetArgsDecoder) decodes request arguments —
+// without one every argument-bearing request is a bad_request — and its
+// transaction catalog is snapshotted once: registration is closed after
+// Start, so the hot path resolves names against an immutable map.
+func New(eng *store.Engine, rm *recovery.Manager, deadline time.Duration, cfg Config) (*Server, error) {
+	if err := cfg.Normalize(); err != nil {
+		return nil, err
 	}
 	s := &Server{
+		eng:        eng,
+		rm:         rm,
 		cfg:        cfg,
+		deadline:   deadline,
+		peerURLs:   slices.Clone(cfg.Peers),
 		handles:    make(map[string]store.TxnID),
 		shutdownCh: make(chan struct{}),
 		accepted:   make(map[net.Conn]struct{}),
@@ -154,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.arcs.ctx, s.arcs.cancel = context.WithCancel(context.Background())
 	s.apply = newApplier(s)
-	for id, name := range cfg.Engine.TxnNames() {
+	for id, name := range eng.TxnNames() {
 		s.handles[name] = store.TxnID(id)
 	}
 	mux := http.NewServeMux()
@@ -164,29 +209,32 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc(wire.PathInfo, s.handleInfo)
 	mux.HandleFunc(wire.PathHealth, s.handleHealth)
 	mux.HandleFunc(wire.PathShutdown, s.handleShutdown)
-	if cfg.Node != nil {
-		if err := cfg.Node.validate(); err != nil {
-			return nil, err
+	s.registerNodeHandlers(mux)
+	if s.peerURLs != nil {
+		s.peers = make([]*wire.Mux, cfg.Nodes)
+		for node := range s.peers {
+			s.peers[node] = wire.NewMux(func() string { return s.peerURL(node) })
 		}
-		if peerURL := cfg.Node.PeerURL; peerURL != nil {
-			s.peers = make([]*wire.Mux, cfg.Node.Nodes)
-			for node := range s.peers {
-				s.peers[node] = wire.NewMux(func() string { return peerURL(node) })
-			}
-		}
-		s.registerNodeHandlers(mux)
-		if cfg.Node.ReplicaOf != "" {
-			s.repl.mu.Lock()
-			_ = s.become(roleSyncing) // a new node is a primary, which may start a sync
-			s.repl.mu.Unlock()
-		}
+	}
+	if cfg.ReplicaOf != "" {
+		s.repl.mu.Lock()
+		_ = s.become(roleSyncing) // a new node is a primary, which may start a sync
+		s.repl.mu.Unlock()
 	}
 	s.httpSrv = &http.Server{
 		Handler:           mux,
-		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
-		IdleTimeout:       cfg.IdleTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	return s, nil
+}
+
+// SetAdvertise names url as the base URL this node gives a primary it syncs
+// from, unless Config.Advertise named one. Call it before Serve.
+func (s *Server) SetAdvertise(url string) {
+	if s.cfg.Advertise == "" {
+		s.cfg.Advertise = url
+	}
 }
 
 // Serve accepts connections on l until Shutdown. It blocks; a clean
@@ -200,7 +248,7 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Failed receives the error that ended this server's service: its listener
-// failed or, in node mode, a replica sync or a rejoin could not complete.
+// failed or a replica sync or a rejoin could not complete.
 // Whoever serves the server stops it then.
 func (s *Server) Failed() <-chan error { return s.failed }
 
@@ -280,16 +328,16 @@ func (s *Server) execute(ctx context.Context, body []byte, hops int) []byte {
 		return encodeResponse(s.failure(req, fmt.Errorf("%w: %q", store.ErrUnknownTxn, req.Txn)))
 	}
 	if s.peers != nil {
-		if node := s.route(ctx, req.Key); node != s.cfg.Node.ID {
+		if node := s.route(ctx, req.Key); node != s.cfg.ID {
 			return s.forward(ctx, node, req.Txn, body, hops)
 		}
 	}
-	args, err := s.cfg.Engine.DecodeArgs(req.Txn, req.Args)
+	args, err := s.eng.DecodeArgs(req.Txn, req.Args)
 	if err != nil {
 		return encodeResponse(s.errResponse(wire.CodeBadRequest,
 			fmt.Sprintf("server: decoding %q args: %v", req.Txn, err), 0))
 	}
-	value, err := s.cfg.Engine.ExecuteIDContext(ctx, id, req.Key, args)
+	value, err := s.eng.ExecuteIDContext(ctx, id, req.Key, args)
 	if err != nil {
 		// A submission wait cut short by the wire deadline is a deadline
 		// outcome to the client, even though the engine counts it as
@@ -302,7 +350,7 @@ func (s *Server) execute(ctx context.Context, body []byte, hops int) []byte {
 			// engine's. If our own plan still routes the key here, the flip
 			// raced the lookup: surface the transient refusal; the client
 			// retries.
-			if node := s.route(ctx, req.Key); node != s.cfg.Node.ID {
+			if node := s.route(ctx, req.Key); node != s.cfg.ID {
 				return s.forward(ctx, node, req.Txn, body, hops)
 			}
 		}
@@ -352,7 +400,7 @@ const downRetryMs = 250
 // retrying: the destination partition's sojourn EWMA, floored at 1ms so a
 // hint is always actionable.
 func (s *Server) retryHintMs(key string) int64 {
-	d := s.cfg.Engine.QueueSojourn(s.cfg.Engine.PartitionOfKey(key))
+	d := s.eng.QueueSojourn(s.eng.PartitionOfKey(key))
 	ms := int64(d / time.Millisecond)
 	if ms < 1 {
 		ms = 1
@@ -382,7 +430,7 @@ func (s *Server) errResponse(code, msg string, retryMs int64) wire.Response {
 // withDeadline applies the wire deadline: ms when the request carried one, the
 // configured default otherwise. The returned cancel must always be called.
 func (s *Server) withDeadline(ctx context.Context, ms int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultDeadline
+	d := s.deadline
 	if ms > 0 {
 		d = time.Duration(ms) * time.Millisecond
 	}
@@ -475,7 +523,7 @@ func (s *Server) handleTxns(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(struct {
 		Txns []string `json:"txns"`
-	}{Txns: s.cfg.Engine.TxnNames()})
+	}{Txns: s.eng.TxnNames()})
 }
 
 // handleInfo serves the configured info payload (or an empty object).
@@ -494,15 +542,13 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 // treat it as dead.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if nc := s.cfg.Node; nc != nil && nc.Recovery != nil {
-		if err := nc.Recovery.Err(); err != nil {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_ = json.NewEncoder(w).Encode(struct {
-				OK    bool   `json:"ok"`
-				Error string `json:"error"`
-			}{OK: false, Error: err.Error()})
-			return
-		}
+	if err := s.rm.Err(); err != nil {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_ = json.NewEncoder(w).Encode(struct {
+			OK    bool   `json:"ok"`
+			Error string `json:"error"`
+		}{OK: false, Error: err.Error()})
+		return
 	}
 	fmt.Fprintln(w, `{"ok":true}`)
 }

@@ -15,6 +15,7 @@ import (
 
 	"pstore/internal/b2w"
 	"pstore/internal/client"
+	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/wire"
 	"pstore/internal/workload"
@@ -79,7 +80,7 @@ func postTxn(t *testing.T, s *Server, req wire.Request, header map[string]string
 // one count of wire rejections (Rejected429), which only a 429 moves.
 func TestErrorMappingTable(t *testing.T) {
 	eng := testEngine(t)
-	srv, err := New(Config{Engine: eng})
+	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestErrorMappingTable(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	eng := testEngine(t)
-	srv, err := New(Config{Engine: eng})
+	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +175,22 @@ func TestBadRequests(t *testing.T) {
 // returns its base URL.
 func serveLoopback(t *testing.T, srv *Server) string {
 	t.Helper()
+	return serveOn(t, srv, listenLoopback(t))
+}
+
+// listenLoopback opens a listener on a free loopback port.
+func listenLoopback(t *testing.T) net.Listener {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
+
+// serveOn serves srv on l until the test ends and returns its base URL.
+func serveOn(t *testing.T, srv *Server, l net.Listener) string {
+	t.Helper()
 	go srv.Serve(l) //nolint:errcheck
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -202,7 +215,7 @@ func loopbackClient(t *testing.T, url string, cfg client.Config) *client.Client 
 // back in submission order with per-frame outcomes.
 func TestBatchOrdered(t *testing.T) {
 	eng := testEngine(t)
-	srv, err := New(Config{Engine: eng})
+	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +275,7 @@ func TestBatchSharesDeadline(t *testing.T) {
 	eng.Start()
 	t.Cleanup(eng.Stop)
 	defer close(release)
-	srv, err := New(Config{Engine: eng})
+	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +332,7 @@ func TestLoopbackB2W(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := New(Config{Engine: eng})
+	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +395,7 @@ func TestLoopbackB2W(t *testing.T) {
 // TestShutdownRequested checks the wire shutdown handshake.
 func TestShutdownRequested(t *testing.T) {
 	eng := testEngine(t)
-	srv, err := New(Config{Engine: eng})
+	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,33 +9,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"pstore/internal/client"
+	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
 	"pstore/internal/wire"
 )
-
-// peerTable is the mutable node → URL map a serving process hands its server.
-type peerTable struct {
-	mu   sync.Mutex
-	urls []string
-}
-
-func (p *peerTable) get(node int) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.urls[node]
-}
-
-func (p *peerTable) set(node int, url string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.urls[node] = url
-}
 
 // streamNode is one listening node of a 2-node layout: machine i on node i, one
 // partition each, buckets alternating between them. "whoami" answers with the
@@ -46,7 +28,8 @@ type streamNode struct {
 	url string
 }
 
-func newStreamNode(t *testing.T, id int, label string, peers *peerTable) *streamNode {
+// newStreamNode serves node id on l, forwarding to peers.
+func newStreamNode(t *testing.T, id int, label string, l net.Listener, peers []string) *streamNode {
 	t.Helper()
 	eng, err := store.NewEngine(store.Config{
 		MaxMachines: 2, PartitionsPerMachine: 1, Buckets: 64,
@@ -68,21 +51,21 @@ func newStreamNode(t *testing.T, id int, label string, peers *peerTable) *stream
 	}
 	eng.Start()
 	t.Cleanup(eng.Stop)
-	srv, err := New(Config{Engine: eng, Node: &NodeConfig{ID: id, Nodes: 2, PeerURL: peers.get, SetPeerURL: peers.set}})
+	srv, err := New(eng, recovery.NewManager(eng), 0, Config{ID: id, Nodes: 2, Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &streamNode{eng: eng, srv: srv, url: serveLoopback(t, srv)}
+	return &streamNode{eng: eng, srv: srv, url: serveOn(t, srv, l)}
 }
 
-// newStreamPair starts nodes 0 and 1, each forwarding to the other.
+// newStreamPair starts nodes 0 and 1, each forwarding to the other: their
+// listeners are open before either server is built, so each peer table names
+// both.
 func newStreamPair(t *testing.T) (n0, n1 *streamNode) {
 	t.Helper()
-	peers := &peerTable{urls: make([]string, 2)}
-	n0, n1 = newStreamNode(t, 0, "n0", peers), newStreamNode(t, 1, "n1", peers)
-	peers.set(0, n0.url)
-	peers.set(1, n1.url)
-	return n0, n1
+	l0, l1 := listenLoopback(t), listenLoopback(t)
+	peers := []string{"http://" + l0.Addr().String(), "http://" + l1.Addr().String()}
+	return newStreamNode(t, 0, "n0", l0, peers), newStreamNode(t, 1, "n1", l1, peers)
 }
 
 // keysOn returns n keys whose bucket node's plan places on the given node.
@@ -188,7 +171,7 @@ func TestForwardRelaysBeforeDecoding(t *testing.T) {
 // is closed and the next forward reaches the new one.
 func TestForwardPeerRewiring(t *testing.T) {
 	n0, old := newStreamPair(t)
-	promoted := newStreamNode(t, 1, "promoted", &peerTable{urls: []string{n0.url, ""}})
+	promoted := newStreamNode(t, 1, "promoted", listenLoopback(t), []string{n0.url, ""})
 	key := keysOn(n0.eng, 1, 1)[0]
 	cl := loopbackClient(t, n0.url, client.Config{})
 	if v, err := cl.Execute(context.Background(), "whoami", key, nil); err != nil || string(v) != `"n1"` {
@@ -236,7 +219,9 @@ func TestShutdownClosesStreams(t *testing.T) {
 	eng.Start()
 	t.Cleanup(eng.Stop)
 	defer close(release)
-	srv, err := New(Config{Engine: eng, ReadHeaderTimeout: 20 * time.Millisecond, IdleTimeout: 20 * time.Millisecond})
+	defer func(rh, idle time.Duration) { readHeaderTimeout, idleTimeout = rh, idle }(readHeaderTimeout, idleTimeout)
+	readHeaderTimeout, idleTimeout = 20*time.Millisecond, 20*time.Millisecond
+	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

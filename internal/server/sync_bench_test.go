@@ -39,7 +39,7 @@ func BenchmarkReplSync(b *testing.B) {
 		b.Cleanup(func() { rm.Close() })
 		eng.Start()
 		b.Cleanup(eng.Stop)
-		srv, err := New(Config{Engine: eng, Node: &NodeConfig{ID: 0, Nodes: 2, Recovery: rm, ReplicaOf: replicaOf}})
+		srv, err := New(eng, rm, 0, Config{ID: 0, Nodes: 2, ReplicaOf: replicaOf})
 		if err != nil {
 			b.Fatal(err)
 		}

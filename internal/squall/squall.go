@@ -274,7 +274,7 @@ func (ex *Executor) Reconfigure(from, to int, rateFactor float64) error {
 	}
 
 	for i, round := range sched.Rounds {
-		if err := ex.eng.SetActiveMachines(allocatedDuringRound(sched, i, from, to)); err != nil {
+		if err := ex.eng.SetActiveMachines(sched.MachinesAllocated(i)); err != nil {
 			return fail(err)
 		}
 		var wg sync.WaitGroup
@@ -333,20 +333,6 @@ func (ex *Executor) rollback(journal []movedChunk) (int, error) {
 		restored++
 	}
 	return restored, nil
-}
-
-// allocatedDuringRound returns the machine count to report while round i
-// runs: for scale-out machines appear as the schedule first touches them;
-// for scale-in the drained machines disappear only after their last round,
-// so during round i everything still participating remains allocated.
-func allocatedDuringRound(sched *migration.Schedule, i, from, to int) int {
-	n := sched.MachinesAllocated(i)
-	if from < to {
-		return n
-	}
-	// Scale-in: MachinesAllocated counts machines still busy in round i;
-	// a machine drained in an earlier round is already gone.
-	return n
 }
 
 type pairKey struct{ from, to int }

@@ -95,15 +95,10 @@ func newReplNode(t testing.TB, cfg replNodeConfig) *replNode {
 		t.Fatal(err)
 	}
 	url := "http://" + l.Addr().String()
-	srv, err := server.New(server.Config{
-		Engine: eng,
-		Node: &server.NodeConfig{
-			ID: 0, Nodes: 1,
-			Recovery:                rm,
-			PeerURL:                 func(int) string { return url },
-			ReplicaOf:               cfg.replicaOf,
-			FollowerCheckpointEvery: cfg.followerCkpt,
-		},
+	srv, err := server.New(eng, rm, 0, server.Config{
+		Peers:                   []string{url},
+		ReplicaOf:               cfg.replicaOf,
+		FollowerCheckpointEvery: cfg.followerCkpt,
 	})
 	if err != nil {
 		t.Fatal(err)

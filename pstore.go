@@ -92,8 +92,8 @@ func NewCluster(cfg ClusterConfig, n *Node) (*Cluster, error) {
 // manager that logs it and the server that can front it (internal/node).
 type Node = node.Node
 
-// NodeConfig describes a node. A single-process node has Nodes 1 and hosts
-// every machine; Register installs the procedures and Load the dataset.
+// NodeConfig describes a node. A single-process node leaves Nodes zero and
+// hosts every machine; Register installs the procedures and Load the dataset.
 type NodeConfig = node.Config
 
 // OpenNode assembles a node and loads its dataset (or cold-starts it from
@@ -368,23 +368,19 @@ func NewB2WRemoteExecutor(ctx context.Context, c *Client) (B2WExecutor, error) {
 
 // --- network front end and client (wire protocol) ---------------------------
 
-// Server serves an engine over HTTP/1.1: JSON single-transaction requests,
-// length-prefixed binary batches with pipelined execution, per-request
-// deadlines from wire headers, and the engine's overload plane surfaced as
-// 429/504/503 with machine-readable retry hints.
+// Server is a node's network front end (Node.Server): transactions arrive as
+// frames on persistent multiplexed streams, each executed concurrently and
+// answered when it finishes, or as one JSON request per POST /v1/txn for
+// curl; deadlines travel in the frame, and the engine's overload plane
+// surfaces as 429/504/503 with machine-readable retry hints.
 type Server = server.Server
-
-// ServerConfig assembles a Server.
-type ServerConfig = server.Config
 
 // ServerCounters are a server's cumulative wire-level counts.
 type ServerCounters = server.Counters
 
-// NewServer fronts a started engine; run it with Serve on a listener.
-func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
-
-// Client is the Go client library: pooled connections, an in-flight cap
-// with client-side shedding, deadline propagation, and retry-hint honoring.
+// Client is the Go client library: every transaction a frame on one
+// persistent multiplexed stream, an in-flight cap with client-side shedding,
+// deadline propagation, and retry-hint honoring.
 // Its errors map back onto the engine's typed errors, so errors.Is works
 // identically in-process and over the wire.
 type Client = client.Client

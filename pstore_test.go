@@ -125,7 +125,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestFacadeCluster(t *testing.T) {
 	spec := pstore.B2WLoadSpec{Carts: 300, Checkouts: 80, Stocks: 150, LinesPerCart: 2, Seed: 1}
 	n, err := pstore.OpenNode(pstore.NodeConfig{
-		Nodes: 1,
 		Store: pstore.EngineConfig{
 			MaxMachines:          3,
 			PartitionsPerMachine: 2,

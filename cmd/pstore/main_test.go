@@ -57,6 +57,15 @@ func TestDispatchExitCodes(t *testing.T) {
 			"pstore coord: faults: link-dup=0.25 is a link fault"},
 		{"coord crash past the last step", []string{"coord", "-migrate", "4,1", "-faults", "crash=1@3"}, 1, false,
 			"pstore coord: -faults crash=1@3: want a machine below -max 8 and one of the 2 migrate steps"},
+		{"coord -failover refuses -migrate", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1", "-migrate", "2"}, 1, false,
+			"pstore coord: -failover does not take -migrate"},
+		{"coord -failover refuses script flags", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1",
+			"-faults", "seed=1", "-rate", "8", "-shutdown-nodes"}, 1, false,
+			"pstore coord: -failover does not take -faults, -rate, -shutdown-nodes"},
+		{"coord -failover refuses a zero probe", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1", "-probe", "0"}, 1, false,
+			"pstore coord: -probe 0s: want a positive period"},
+		{"coord -failover refuses a negative fail-after", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1", "-fail-after", "-1"}, 1, false,
+			"pstore coord: -fail-after -1: want at least 1"},
 		{"serve refuses link faults", []string{"serve", "-faults", "link-drop=0.1"}, 1, false,
 			"pstore serve: cluster: faults: link-drop=0.1 is a link fault; a cluster injects chunk and crash faults"},
 		{"serve refuses ship faults", []string{"serve", "-faults", "ship-dup=0.1"}, 1, false,

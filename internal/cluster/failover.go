@@ -125,11 +125,14 @@ type RejoinConfig struct {
 	Zombie     *transport.Peer
 	Primary    *transport.Peer
 	PrimaryURL string
-	// Poll is the convergence-poll period (default 50ms); Timeout bounds the
-	// whole rejoin (default 60s).
-	Poll    time.Duration
-	Timeout time.Duration
 }
+
+const (
+	// rejoinPoll is the period at which Rejoin polls the zombie for
+	// convergence; rejoinTimeout bounds the whole rejoin.
+	rejoinPoll    = 50 * time.Millisecond
+	rejoinTimeout = 60 * time.Second
+)
 
 // Rejoin demotes the zombie into the promoted primary's followership and
 // waits until it has converged: role flipped to replica and its applied
@@ -138,13 +141,7 @@ type RejoinConfig struct {
 // them would make convergence a moving target). Returns the zombie's status
 // at convergence.
 func Rejoin(ctx context.Context, cfg RejoinConfig) (wire.ReplStatus, error) {
-	if cfg.Poll <= 0 {
-		cfg.Poll = 50 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 60 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, rejoinTimeout)
 	defer cancel()
 	target, err := cfg.Primary.ReplStatus(ctx)
 	if err != nil {
@@ -161,7 +158,7 @@ func Rejoin(ctx context.Context, cfg RejoinConfig) (wire.ReplStatus, error) {
 		a, d := s.Applied, target.Durable
 		return a.Seg > d.Seg || (a.Seg == d.Seg && a.Rec >= d.Rec)
 	}
-	t := time.NewTicker(cfg.Poll)
+	t := time.NewTicker(rejoinPoll)
 	defer t.Stop()
 	for !caughtUp(st) {
 		select {

@@ -120,6 +120,30 @@ func TestReactiveScaleInNeedsStreak(t *testing.T) {
 	if d, _ := r2.Tick(4, false, 100); d != nil {
 		t.Fatal("streak should have been reset")
 	}
+	// Scale-in is considered below 0.5·Q per machine: 4 × 142.5 = 570 here.
+	for _, tc := range []struct {
+		load float64
+		want int // target after the streak; 0 = no decision ever
+	}{
+		{574, 0}, // 143.5 per machine: never scales in
+		{566, 3}, // 141.5 per machine: scales in once the streak completes
+	} {
+		r := &Reactive{Model: model(), ScaleInConfirm: 3}
+		var d *Decision
+		for i := 0; i < 10 && d == nil; i++ {
+			d, _ = r.Tick(4, false, tc.load)
+			if d != nil && i < 2 {
+				t.Fatalf("load %v: scaled in after only %d low intervals", tc.load, i+1)
+			}
+		}
+		got := 0
+		if d != nil {
+			got = d.Target
+		}
+		if got != tc.want {
+			t.Errorf("load %v: scale-in target %d after 10 intervals, want %d (0 = none)", tc.load, got, tc.want)
+		}
+	}
 }
 
 func TestReactiveRespectsMaxMachines(t *testing.T) {

@@ -23,6 +23,13 @@ const (
 	SpikeFastRate
 )
 
+// smoothWindow is how many recent load observations are averaged into the
+// planner's current-interval load. On a compressed substrate each monitoring
+// cycle sees few arrivals, so the raw per-cycle measurement is noisy; the
+// paper's five-minute production windows average millions of requests and
+// need no smoothing.
+const smoothWindow = 3
+
 // Predictive is P-Store's Predictive Controller (Section 6): it feeds load
 // measurements to the online predictor, asks the planner for the optimal
 // series of moves over the forecast horizon, executes only the first move
@@ -48,12 +55,6 @@ type Predictive struct {
 	MaxMachines int
 	// OnSpike selects the emergency policy when planning is infeasible.
 	OnSpike SpikePolicy
-	// SmoothWindow is how many recent load observations are averaged into
-	// the planner's current-interval load (default 3). On a compressed
-	// substrate each monitoring cycle sees few arrivals, so the raw
-	// per-cycle measurement is noisy; the paper's five-minute production
-	// windows average millions of requests and need no smoothing.
-	SmoothWindow int
 	// FallbackCycles is how many monitoring cycles the controller hands
 	// decisions to the reactive fallback after one of its moves fails
 	// (default 8). A dead move means the plan the predictor optimized for
@@ -192,12 +193,9 @@ func (p *Predictive) Tick(machines int, reconfiguring bool, load float64) (*Deci
 	if err := p.Predictor.Observe(load); err != nil {
 		return nil, fmt.Errorf("elastic: observing load: %w", err)
 	}
-	if p.SmoothWindow < 1 {
-		p.SmoothWindow = 3
-	}
 	p.recentLoads = append(p.recentLoads, load)
-	if len(p.recentLoads) > p.SmoothWindow {
-		p.recentLoads = p.recentLoads[len(p.recentLoads)-p.SmoothWindow:]
+	if len(p.recentLoads) > smoothWindow {
+		p.recentLoads = p.recentLoads[len(p.recentLoads)-smoothWindow:]
 	}
 	smoothed := 0.0
 	for _, v := range p.recentLoads {

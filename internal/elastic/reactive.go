@@ -6,6 +6,17 @@ import (
 	"pstore/internal/migration"
 )
 
+const (
+	// lowFraction is the fraction of Q per machine below which scale-in is
+	// considered.
+	lowFraction = 0.5
+	// maxStep caps how many machines one scale-out decision may add:
+	// E-Store relocates modest sets of hot tuples per reconfiguration rather
+	// than re-provisioning the whole cluster, so a steep ramp takes several
+	// reactions to catch up with.
+	maxStep = 2
+)
+
 // Reactive is an E-Store-like reactive provisioner (Section 2, Figure 9c):
 // it continuously monitors the per-machine load and reconfigures only after
 // a threshold is breached — which means scale-outs begin exactly when the
@@ -19,8 +30,6 @@ type Reactive struct {
 	// the machine is genuinely overloaded and latency is already past the
 	// SLO).
 	HighFraction float64
-	// LowFraction of Q below which scale-in is considered (default 0.5).
-	LowFraction float64
 	// ScaleOutConfirm is how many consecutive overloaded intervals must
 	// pass before a scale-out starts (default 2): E-Store first detects a
 	// sustained imbalance, then runs detailed monitoring and planning
@@ -34,11 +43,6 @@ type Reactive struct {
 	// (default 1.1: a reactive system sizes for the load it sees, not the
 	// load to come, so it re-triggers repeatedly on a rising ramp).
 	Headroom float64
-	// MaxStep caps how many machines one scale-out decision may add
-	// (default 2): E-Store relocates modest sets of hot tuples per
-	// reconfiguration rather than re-provisioning the whole cluster, so a
-	// steep ramp takes several reactions to catch up with.
-	MaxStep int
 	// MaxMachines caps the cluster size (0 = unlimited).
 	MaxMachines int
 
@@ -69,9 +73,6 @@ func (r *Reactive) defaults() {
 	if r.HighFraction == 0 {
 		r.HighFraction = 1.3
 	}
-	if r.LowFraction == 0 {
-		r.LowFraction = 0.5
-	}
 	if r.ScaleOutConfirm == 0 {
 		r.ScaleOutConfirm = 3
 	}
@@ -80,9 +81,6 @@ func (r *Reactive) defaults() {
 	}
 	if r.Headroom == 0 {
 		r.Headroom = 1.1
-	}
-	if r.MaxStep == 0 {
-		r.MaxStep = 2
 	}
 }
 
@@ -105,10 +103,7 @@ func (r *Reactive) Tick(machines int, reconfiguring bool, load float64) (*Decisi
 		r.overloadPending = false
 		r.lowStreak = 0
 		r.highStreak = 0
-		target := max(r.Model.MachinesFor(load*r.Headroom), machines+1)
-		if target > machines+r.MaxStep {
-			target = machines + r.MaxStep
-		}
+		target := min(max(r.Model.MachinesFor(load*r.Headroom), machines+1), machines+maxStep)
 		if r.MaxMachines > 0 && target > r.MaxMachines {
 			target = r.MaxMachines
 		}
@@ -127,10 +122,7 @@ func (r *Reactive) Tick(machines int, reconfiguring bool, load float64) (*Decisi
 		if r.highStreak < r.ScaleOutConfirm {
 			return nil, nil
 		}
-		target := r.Model.MachinesFor(load * r.Headroom)
-		if target > machines+r.MaxStep {
-			target = machines + r.MaxStep
-		}
+		target := min(r.Model.MachinesFor(load*r.Headroom), machines+maxStep)
 		if r.MaxMachines > 0 && target > r.MaxMachines {
 			target = r.MaxMachines
 		}
@@ -143,7 +135,7 @@ func (r *Reactive) Tick(machines int, reconfiguring bool, load float64) (*Decisi
 	r.highStreak = 0
 
 	// Underload: require a sustained streak before shrinking.
-	if perMachine < r.LowFraction*r.Model.Q && machines > 1 {
+	if perMachine < lowFraction*r.Model.Q && machines > 1 {
 		r.lowStreak++
 		if r.lowStreak >= r.ScaleInConfirm {
 			r.lowStreak = 0

@@ -30,7 +30,6 @@ func (s *Server) registerNodeHandlers(mux *http.ServeMux) {
 	mux.HandleFunc(wire.PathNodeCheckpoint, s.handleNodeCheckpoint)
 	mux.HandleFunc(wire.PathNodeStatus, s.handleNodeStatus)
 	mux.HandleFunc(wire.PathNodeMachines, nodeJSON(s.handleNodeMachines))
-	mux.HandleFunc(wire.PathNodeAccesses, nodeJSON(s.handleNodeAccesses))
 	mux.HandleFunc(wire.PathNodePeer, nodeJSON(s.handleNodePeer))
 	mux.HandleFunc(wire.PathReplSync, s.handleReplSync)
 	mux.HandleFunc(wire.PathReplShip, s.handleReplShip)
@@ -331,12 +330,6 @@ func (s *Server) handleNodeMachines(req wire.NodeActive) (any, error) {
 		return nil, err
 	}
 	return struct{}{}, s.eng.SetActiveMachines(req.Active)
-}
-
-// handleNodeAccesses reports (and optionally resets) per-bucket access
-// counts — the skew signal a coordinator-side rebalance pass aggregates.
-func (s *Server) handleNodeAccesses(req wire.NodeAccessesReq) (any, error) {
-	return wire.NodeAccesses{Accesses: s.eng.BucketAccesses(req.Reset)}, nil
 }
 
 // handoffWait bounds how long route holds a request for the coordinator's word

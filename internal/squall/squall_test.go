@@ -304,113 +304,3 @@ func TestInProgressFlag(t *testing.T) {
 		t.Error("InProgress still true after completion")
 	}
 }
-
-// TestRebalanceEvensSkew drives a heavily skewed workload (most traffic on
-// a few keys), then checks that Rebalance moves hot buckets so the
-// per-partition load spread narrows — the E-Store-style extension the
-// paper's conclusion calls for.
-func TestRebalanceEvensSkew(t *testing.T) {
-	e := testEngine(t, 2, 2)
-	load(t, e, 200)
-	ex, err := NewExecutor(e, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Skewed access: 80% of reads hit keys 0..9.
-	e.BucketAccesses(true) // clear loader traffic
-	for i := 0; i < 4000; i++ {
-		key := fmt.Sprintf("k-%d", i%10)
-		if i%5 == 4 {
-			key = fmt.Sprintf("k-%d", 10+i%190)
-		}
-		if _, err := e.Execute("get", key, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	spreadBefore := partitionLoadSpread(e, e.BucketAccesses(false))
-
-	moved, err := ex.Rebalance(0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("rebalance moved nothing despite heavy skew")
-	}
-
-	// Replay the same access pattern and re-measure the spread.
-	e.BucketAccesses(true)
-	for i := 0; i < 4000; i++ {
-		key := fmt.Sprintf("k-%d", i%10)
-		if i%5 == 4 {
-			key = fmt.Sprintf("k-%d", 10+i%190)
-		}
-		if _, err := e.Execute("get", key, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	spreadAfter := partitionLoadSpread(e, e.BucketAccesses(false))
-	if spreadAfter >= spreadBefore {
-		t.Errorf("rebalance did not narrow the load spread: %.3f -> %.3f", spreadBefore, spreadAfter)
-	}
-	checkAllReadable(t, e, 200)
-}
-
-// partitionLoadSpread returns (max-min)/mean of per-partition access load.
-func partitionLoadSpread(e *store.Engine, accesses []int64) float64 {
-	cfg := e.Config()
-	parts := e.ActiveMachines() * cfg.PartitionsPerMachine
-	loads := make([]int64, parts)
-	for b, n := range accesses {
-		loads[e.OwnerOf(b)] += n
-	}
-	minL, maxL, sum := loads[0], loads[0], int64(0)
-	for _, l := range loads {
-		minL = min(minL, l)
-		maxL = max(maxL, l)
-		sum += l
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(maxL-minL) / (float64(sum) / float64(parts))
-}
-
-func TestRebalanceNoTrafficNoMoves(t *testing.T) {
-	e := testEngine(t, 2, 2)
-	load(t, e, 50)
-	ex, err := NewExecutor(e, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.BucketAccesses(true)
-	moved, err := ex.Rebalance(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 0 {
-		t.Errorf("rebalance moved %d buckets with no traffic", moved)
-	}
-}
-
-func TestRebalanceUniformNoMoves(t *testing.T) {
-	e := testEngine(t, 2, 2)
-	load(t, e, 400)
-	ex, err := NewExecutor(e, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.BucketAccesses(true)
-	for i := 0; i < 2000; i++ {
-		if _, err := e.Execute("get", fmt.Sprintf("k-%d", i%400), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	moved, err := ex.Rebalance(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved > 5 {
-		t.Errorf("rebalance moved %d buckets on a uniform workload", moved)
-	}
-}

@@ -710,9 +710,10 @@ func (e *Engine) Plan() []int32 {
 }
 
 // BucketAccesses aggregates the per-partition access-counter blocks into one
-// per-bucket snapshot of the transactions routed since the last reset; reset
-// clears the counters so the next window starts fresh. It is the monitoring
-// signal for skew-aware rebalancing. Counters are sharded per partition
+// per-bucket snapshot of the transactions executed since the last reset; reset
+// clears the counters so the next window starts fresh. It is the witness the
+// chaos, commit and recovery tests count to check that a transaction executed
+// exactly once, or not at all. Counters are sharded per partition
 // (each executor writes only its own cache-line-padded block), so the hot
 // path never contends on a shared slice; aggregation happens lazily here.
 func (e *Engine) BucketAccesses(reset bool) []int64 {

@@ -31,9 +31,10 @@ type partition struct {
 	// allocates nothing.
 	tx Tx
 	// accesses counts transactions executed per bucket since the last
-	// BucketAccesses reset. Only this partition's executor writes it
-	// (single-writer, cache-line-padded block); the engine aggregates
-	// lazily across partitions.
+	// BucketAccesses reset: the tests' witness of how often a transaction
+	// executed. Only this partition's executor writes it (single-writer,
+	// cache-line-padded block); the engine aggregates lazily across
+	// partitions.
 	accesses []int64
 	// rowsAtomic tracks the partition's row count; it is written by the
 	// executor goroutine and read by Engine.TotalRows.

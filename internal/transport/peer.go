@@ -213,16 +213,6 @@ func (p *Peer) Checkpoint(ctx context.Context) (int, error) {
 	return out.Rows, nil
 }
 
-// Accesses fetches the peer's per-bucket access counts, optionally
-// resetting them as they are read.
-func (p *Peer) Accesses(ctx context.Context, reset bool) ([]int64, error) {
-	var out wire.NodeAccesses
-	if err := p.postJSON(ctx, wire.PathNodeAccesses, wire.NodeAccessesReq{Reset: reset}, &out); err != nil {
-		return nil, err
-	}
-	return out.Accesses, nil
-}
-
 // SetActive sets the peer's active machine count.
 func (p *Peer) SetActive(ctx context.Context, n int) error {
 	return p.postJSON(ctx, wire.PathNodeMachines, wire.NodeActive{Active: n}, nil)

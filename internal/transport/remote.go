@@ -213,28 +213,6 @@ func (r *Remote) OwnerOf(bucket int) int {
 	return int(r.plan[bucket])
 }
 
-// BucketAccesses implements Node by summing per-bucket access counts over
-// the nodes (each bucket is hosted by exactly one node, so the sum is its
-// host's count). A node that fails to answer contributes nothing this round;
-// with reset, its unread counts surface on the next successful read.
-func (r *Remote) BucketAccesses(reset bool) []int64 {
-	ctx, cancel := r.ctx()
-	defer cancel()
-	sum := make([]int64, r.cfg.Buckets)
-	for _, p := range r.peers {
-		acc, err := p.Accesses(ctx, reset)
-		if err != nil {
-			continue
-		}
-		for b, n := range acc {
-			if b < len(sum) {
-				sum[b] += n
-			}
-		}
-	}
-	return sum
-}
-
 func (r *Remote) applyPlan(buckets []int, owner int) {
 	r.planMu.Lock()
 	defer r.planMu.Unlock()

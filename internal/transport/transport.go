@@ -31,9 +31,6 @@ type Node interface {
 	// is the inverse lookup for one bucket.
 	OwnedBuckets(part int) []int
 	OwnerOf(bucket int) int
-	// BucketAccesses returns per-bucket access counts since the last reset
-	// — the skew signal the E-Store-style rebalance pass plans from.
-	BucketAccesses(reset bool) []int64
 	// PartitionDown and MachineDown report crash fencing, so planning can
 	// route around dead capacity.
 	PartitionDown(part int) bool

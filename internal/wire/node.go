@@ -40,10 +40,6 @@ const (
 	PathNodeStatus = "/v1/node/status"
 	// PathNodeMachines sets the active machine count (NodeActive).
 	PathNodeMachines = "/v1/node/machines"
-	// PathNodeAccesses reports the node's per-bucket access counts
-	// (NodeAccessesReq -> NodeAccesses); reset=true also clears them, the
-	// fetch-and-reset a coordinator-side rebalance pass needs.
-	PathNodeAccesses = "/v1/node/accesses"
 )
 
 // ContentTypeChunk marks a binary node-plane body: a chunk, a ship batch or a
@@ -90,18 +86,6 @@ type NodeRestoreResult struct {
 // NodeActive sets the cluster's active machine count on a node.
 type NodeActive struct {
 	Active int `json:"active"`
-}
-
-// NodeAccessesReq asks for per-bucket access counts, optionally resetting
-// them as they are read.
-type NodeAccessesReq struct {
-	Reset bool `json:"reset"`
-}
-
-// NodeAccesses carries one node's per-bucket access counts (length =
-// cluster bucket count; buckets hosted elsewhere read zero).
-type NodeAccesses struct {
-	Accesses []int64 `json:"accesses"`
 }
 
 // NodeStatus is a node's self-description. The configuration fields let a

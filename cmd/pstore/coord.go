@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -43,7 +44,7 @@ func runCoord(args []string) error {
 	faultSpec := fs.String("faults", "", "fault schedule: chunk, crash and (with -peers) link faults, e.g. seed=42,chunk-drop=0.15,link-dup=0.25,crash=1@2; crash=M@S crashes machine M before migrate step S (1-based), restores it after the step and re-runs the step")
 	connectWait := fs.Duration("connect-wait", 30*time.Second, "how long to wait for every node to answer health checks")
 	shutdownNodes := fs.Bool("shutdown-nodes", false, "ask every node to shut down after the script completes")
-	failover := fs.Int("failover", -1, "watch node N for failure and run one recovery action (-promote or -restart-cmd) when it fires; -migrate, -faults, -rate and -shutdown-nodes do not apply")
+	failover := fs.Int("failover", -1, "watch node N for failure and run one recovery action (-promote or -restart-cmd) when it fires; -migrate, -faults, -rate, -shutdown-nodes, -max, -machines and -seed do not apply")
 	probe := fs.Duration("probe", 100*time.Millisecond, "failover health-probe period")
 	failAfter := fs.Int("fail-after", 3, "consecutive failed probes that declare the watched node dead")
 	promoteURL := fs.String("promote", "", "failover action: promote the warm follower at this base URL and rewire the survivors to it (with -restart-cmd: then restart the dead node and rejoin it as the promoted node's follower)")
@@ -52,19 +53,24 @@ func runCoord(args []string) error {
 	if helped, err := parseFlags(fs, args); helped || err != nil {
 		return err
 	}
+	// Each mode refuses the flags only the other one reads, before any node
+	// is contacted.
+	mode, foreign := "-migrate", []string{"failover", "probe", "fail-after", "promote", "restart-cmd", "failover-wait"}
+	if *failover >= 0 {
+		mode, foreign = "-failover", []string{"migrate", "faults", "rate", "shutdown-nodes", "max", "machines", "seed"}
+	}
+	var misplaced []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(foreign, f.Name) {
+			misplaced = append(misplaced, "-"+f.Name)
+		}
+	})
+	if len(misplaced) > 0 {
+		return fmt.Errorf("%s does not take %s", mode, strings.Join(misplaced, ", "))
+	}
 	if *failover >= 0 {
 		if *peerList == "" {
 			return errors.New("-failover needs a multi-process cluster (-peers)")
-		}
-		var misplaced []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "migrate", "faults", "rate", "shutdown-nodes":
-				misplaced = append(misplaced, "-"+f.Name)
-			}
-		})
-		if len(misplaced) > 0 {
-			return fmt.Errorf("-failover does not take %s", strings.Join(misplaced, ", "))
 		}
 		if *probe <= 0 {
 			return fmt.Errorf("-probe %v: want a positive period", *probe)

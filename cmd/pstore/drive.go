@@ -84,7 +84,6 @@ func runDrive(args []string) error {
 		MaxInFlight:  *inflight,
 		Deadline:     *deadline,
 		RetryRefused: *retries,
-		MaxRetryWait: time.Second,
 		Recorder:     rec,
 	})
 	if err != nil {

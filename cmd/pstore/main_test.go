@@ -62,6 +62,12 @@ func TestDispatchExitCodes(t *testing.T) {
 		{"coord -failover refuses script flags", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1",
 			"-faults", "seed=1", "-rate", "8", "-shutdown-nodes"}, 1, false,
 			"pstore coord: -failover does not take -faults, -rate, -shutdown-nodes"},
+		{"coord -failover refuses oracle flags", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1",
+			"-max", "4", "-machines", "2", "-seed", "3"}, 1, false,
+			"pstore coord: -failover does not take -machines, -max, -seed"},
+		{"coord -migrate refuses failover flags", []string{"coord", "-migrate", "2", "-probe", "1s", "-fail-after", "2",
+			"-promote", "http://127.0.0.1:9", "-restart-cmd", "true", "-failover-wait", "1s"}, 1, false,
+			"pstore coord: -migrate does not take -fail-after, -failover-wait, -probe, -promote, -restart-cmd"},
 		{"coord -failover refuses a zero probe", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1", "-probe", "0"}, 1, false,
 			"pstore coord: -probe 0s: want a positive period"},
 		{"coord -failover refuses a negative fail-after", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1", "-fail-after", "-1"}, 1, false,

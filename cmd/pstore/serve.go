@@ -234,14 +234,13 @@ func runServe(args []string) error {
 	}
 	n.Engine.SetRecorder(rec)
 	c, err := cluster.NewRemote(cluster.Config{
-		Squall:            squall.DefaultConfig(),
-		Controller:        ctrl,
-		Cycle:             time.Duration(*cycleMin) * *minute,
-		RateScale:         rateScale,
-		CycleTraceMinutes: float64(*cycleMin),
-		Recorder:          rec,
-		Faults:            sched,
-		CheckpointEvery:   *ckptEvery,
+		Squall:          squall.DefaultConfig(),
+		Controller:      ctrl,
+		Cycle:           time.Duration(*cycleMin) * *minute,
+		RateScale:       rateScale * float64(*cycleMin),
+		Recorder:        rec,
+		Faults:          sched,
+		CheckpointEvery: *ckptEvery,
 	}, transport.NewLocal(n.Engine, n.Recovery))
 	if err != nil {
 		return err

@@ -123,12 +123,11 @@ func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMa
 	}
 	n.Engine.SetRecorder(rec)
 	clu, err := pstore.NewCluster(pstore.ClusterConfig{
-		Squall:            pstore.DefaultSquallConfig(),
-		Controller:        ctrl,
-		Cycle:             cycleMinutes * minutePerSlot,
-		RateScale:         rateScale,
-		CycleTraceMinutes: cycleMinutes,
-		Recorder:          rec,
+		Squall:     pstore.DefaultSquallConfig(),
+		Controller: ctrl,
+		Cycle:      cycleMinutes * minutePerSlot,
+		RateScale:  rateScale * cycleMinutes,
+		Recorder:   rec,
 	}, n)
 	if err != nil {
 		return 0, 0, 0, 0, err

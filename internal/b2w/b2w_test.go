@@ -322,7 +322,7 @@ func TestDriverShedsUnderOverload(t *testing.T) {
 		vals[i] = 100
 	}
 	series := workload.NewSeries(time.Now(), time.Minute, vals)
-	d := &Driver{Eng: e, Spec: spec, Seed: 6, MaxInFlight: 1}
+	d := &Driver{Exec: oneInFlight{EngineExecutor{Eng: e}}, Spec: spec, Seed: 6}
 	stats, err := d.Run(context.Background(), series, 10*time.Millisecond, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -334,6 +334,12 @@ func TestDriverShedsUnderOverload(t *testing.T) {
 		t.Error("driver executed nothing")
 	}
 }
+
+// oneInFlight is an engine executor that lets the driver keep one submission
+// outstanding.
+type oneInFlight struct{ EngineExecutor }
+
+func (oneInFlight) InFlightLimit() int { return 1 }
 
 func TestDriverContextCancel(t *testing.T) {
 	e := testEngine(t)

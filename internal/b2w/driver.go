@@ -57,8 +57,9 @@ type Executor interface {
 	// store.ErrDeadlineExceeded so the driver's refusal accounting works
 	// for every transport.
 	ExecuteID(id store.TxnID, key string, args any) (any, error)
-	// InFlightLimit is the default concurrent-submission cap when the
-	// driver's MaxInFlight is zero.
+	// InFlightLimit caps the driver's concurrent submissions so overload
+	// cannot grow goroutines without bound; arrivals beyond it are shed and
+	// counted.
 	InFlightLimit() int
 }
 
@@ -77,8 +78,7 @@ func (e EngineExecutor) ExecuteID(id store.TxnID, key string, args any) (any, er
 	return e.Eng.ExecuteID(id, key, args)
 }
 
-// InFlightLimit mirrors one partition queue's capacity, the pre-wire
-// driver default.
+// InFlightLimit mirrors one partition queue's capacity.
 func (e EngineExecutor) InFlightLimit() int { return e.Eng.Config().QueueCapacity }
 
 // Driver replays a load trace against an Executor, converting each slot's
@@ -95,15 +95,9 @@ type Driver struct {
 	Exec Executor
 	// Spec sizes the key pools (must match what Load created).
 	Spec LoadSpec
-	// Mix weights the transaction types; nil uses DefaultMix.
-	Mix Mix
-	// Seed makes the replay reproducible.
+	// Seed makes the replay reproducible. Transaction types are drawn from
+	// DefaultMix.
 	Seed int64
-	// MaxInFlight caps concurrent submissions so overload cannot grow
-	// goroutines without bound; arrivals beyond the cap are shed and
-	// counted. Zero uses the executor's InFlightLimit (for the engine, one
-	// partition queue's capacity).
-	MaxInFlight int
 
 	inFlight sync.WaitGroup
 	executed atomic.Int64
@@ -125,9 +119,9 @@ type Stats struct {
 	// turned away (store.ErrOverload / store.ErrDeadlineExceeded): work the
 	// server declined under backpressure, distinct from work that failed.
 	Refused int64
-	// Shed is the number of Poisson arrivals dropped because MaxInFlight
-	// submissions were already outstanding — the driver's client-side
-	// admission control under overload.
+	// Shed is the number of Poisson arrivals dropped because the executor's
+	// InFlightLimit submissions were already outstanding — the driver's
+	// client-side admission control under overload.
 	Shed int64
 }
 
@@ -146,11 +140,7 @@ func (d *Driver) Run(ctx context.Context, series workload.Series, slotDur time.D
 	if err != nil {
 		return Stats{}, err
 	}
-	mix := d.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
-	chooser, err := newChooser(mix)
+	chooser, err := newChooser(DefaultMix())
 	if err != nil {
 		return Stats{}, err
 	}
@@ -166,10 +156,7 @@ func (d *Driver) Run(ctx context.Context, series workload.Series, slotDur time.D
 	}
 	rng := rand.New(rand.NewSource(d.Seed + 1))
 
-	cap := d.MaxInFlight
-	if cap <= 0 {
-		cap = exec.InFlightLimit()
-	}
+	cap := exec.InFlightLimit()
 	if cap <= 0 {
 		cap = 1
 	}

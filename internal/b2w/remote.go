@@ -55,8 +55,8 @@ func (r *RemoteExecutor) ExecuteID(id store.TxnID, key string, args any) (any, e
 	return raw, nil
 }
 
-// InFlightLimit defers to the driver's own cap: the client's in-flight cap
-// already bounds concurrency, and its sheds are counted as refusals, so the
+// InFlightLimit leaves the bound to the client: its in-flight cap already
+// bounds concurrency, and its sheds are counted as refusals, so the
 // driver semaphore just needs to be at least as large. 4096 goroutines of
 // headroom keeps the client cap the binding constraint.
 func (r *RemoteExecutor) InFlightLimit() int { return 4096 }

@@ -69,12 +69,9 @@ type Config struct {
 	// imposes no local bound.
 	Deadline time.Duration
 	// RetryRefused is how many times a refused request (429, or 503 with a
-	// hint) is retried after honoring the server's retry hint. Zero means
-	// refusals surface immediately.
+	// hint) is retried after honoring the server's retry hint, waiting at
+	// most maxRetryWait each time. Zero means refusals surface immediately.
 	RetryRefused int
-	// MaxRetryWait caps one retry's backoff regardless of the hint. Zero
-	// means time.Second.
-	MaxRetryWait time.Duration
 	// Recorder, when set, receives client-observed latencies: one Record
 	// per completed request, batched or not.
 	Recorder *metrics.Recorder
@@ -123,9 +120,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
-	}
-	if cfg.MaxRetryWait <= 0 {
-		cfg.MaxRetryWait = time.Second
 	}
 	base := cfg.Addr
 	if !strings.Contains(base, "://") {
@@ -231,15 +225,16 @@ func (c *Client) retryable(e *RemoteError) bool {
 	return e.Status == 429 || e.Status == 503
 }
 
-// backoff sleeps for the server's hint, capped by MaxRetryWait, honoring
+// maxRetryWait caps one retry's backoff regardless of the server's hint.
+const maxRetryWait = time.Second
+
+// backoff sleeps for the server's hint, capped by maxRetryWait, honoring
 // ctx.
 func (c *Client) backoff(ctx context.Context, hint time.Duration) error {
 	if hint <= 0 {
 		hint = 10 * time.Millisecond
 	}
-	if hint > c.cfg.MaxRetryWait {
-		hint = c.cfg.MaxRetryWait
-	}
+	hint = min(hint, maxRetryWait)
 	t := time.NewTimer(hint)
 	defer t.Stop()
 	select {

@@ -43,18 +43,12 @@ type Config struct {
 	// Cycle is the wall time between controller ticks. Required when a
 	// Controller is set.
 	Cycle time.Duration
-	// RateScale converts paper-unit requests into substrate transactions:
-	// observed transaction counts are divided by it before reaching the
-	// controller. Zero means 1 (controller sees raw transactions).
+	// RateScale converts one cycle's transaction count into the load the
+	// controller sees: the count is divided by it. A trace replay passes
+	// transactions per request times trace minutes per cycle, so the
+	// controller sees requests per trace minute. Zero means 1 (the
+	// controller sees raw transactions per cycle).
 	RateScale float64
-	// CycleTraceMinutes is how many trace minutes one cycle spans; the
-	// observed load is averaged over it so the controller sees requests per
-	// trace minute. Zero means 1.
-	CycleTraceMinutes float64
-	// SpikeRateFactor overrides the migration rate of emergency moves (the
-	// paper's "rate R x 8" study, Figure 11). Zero keeps each decision's
-	// own rate.
-	SpikeRateFactor float64
 	// Recorder, if set, receives the executor's migration windows and the
 	// machine timeline. The caller attaches the same recorder to the engine
 	// it measures (store.Engine.SetRecorder); it stays the caller's after
@@ -169,12 +163,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.RateScale < 0 {
 		return fmt.Errorf("cluster: RateScale %v must be positive", cfg.RateScale)
-	}
-	if cfg.CycleTraceMinutes == 0 {
-		cfg.CycleTraceMinutes = 1
-	}
-	if cfg.CycleTraceMinutes < 0 {
-		return fmt.Errorf("cluster: CycleTraceMinutes %v must be positive", cfg.CycleTraceMinutes)
 	}
 	if cfg.Controller != nil && cfg.Cycle <= 0 {
 		return fmt.Errorf("cluster: Cycle %v must be positive when a controller is set", cfg.Cycle)
@@ -418,7 +406,7 @@ func (c *Cluster) loop(ctx context.Context) {
 			QueueDelay:       c.topo.MaxQueueSojourn(),
 		}
 		last = cnt
-		load := float64(delta) / c.cfg.RateScale / c.cfg.CycleTraceMinutes
+		load := float64(delta) / c.cfg.RateScale
 		c.mu.Lock()
 		busy := c.moving
 		outcomes := c.outcomes
@@ -480,15 +468,11 @@ func (c *Cluster) loop(ctx context.Context) {
 			continue
 		}
 		c.decisions.Add(1)
-		rate := dec.RateFactor
 		if dec.Emergency {
 			c.emergencies.Add(1)
-			c.publish(EmergencyTriggered{Time: time.Now(), Cycle: cycle, Target: target, RateFactor: rate})
-			if c.cfg.SpikeRateFactor > 0 {
-				rate = c.cfg.SpikeRateFactor
-			}
+			c.publish(EmergencyTriggered{Time: time.Now(), Cycle: cycle, Target: target, RateFactor: dec.RateFactor})
 		}
-		if _, err := c.beginMove(target, rate, dec.Emergency); err != nil {
+		if _, err := c.beginMove(target, dec.RateFactor, dec.Emergency); err != nil {
 			// Lost a race with a manual Reconfigure; skip this cycle.
 			c.failures.Add(1)
 		}

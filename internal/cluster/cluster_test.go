@@ -270,18 +270,17 @@ func (e *emergencyController) Tick(machines int, reconfiguring bool, load float6
 		return nil, nil
 	}
 	e.fired = true
-	return &elastic.Decision{Target: 2, RateFactor: 1, Emergency: true}, nil
+	return &elastic.Decision{Target: 2, RateFactor: 8, Emergency: true}, nil
 }
 
-// TestClusterSpikeRateOverride checks the configured emergency rate
-// override reaches the executor (the Figure 11 knob) and that the
-// EmergencyTriggered event reports the controller's original rate.
-func TestClusterSpikeRateOverride(t *testing.T) {
+// TestClusterEmergencyRate checks an emergency decision's own rate (the
+// Figure 11 "rate R x 8" spike) reaches both the EmergencyTriggered event and
+// the move it starts.
+func TestClusterEmergencyRate(t *testing.T) {
 	c, err := NewRemote(Config{
-		Squall:          testSquallConfig(),
-		Controller:      &emergencyController{},
-		Cycle:           2 * time.Millisecond,
-		SpikeRateFactor: 8,
+		Squall:     testSquallConfig(),
+		Controller: &emergencyController{},
+		Cycle:      2 * time.Millisecond,
 	}, local(openNode(t, testEngineConfig(), nil, nil)))
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +300,8 @@ func TestClusterSpikeRateOverride(t *testing.T) {
 			switch ev := e.(type) {
 			case EmergencyTriggered:
 				sawEmergency = true
-				if ev.RateFactor != 1 {
-					t.Errorf("EmergencyTriggered.RateFactor = %v, want the controller's 1", ev.RateFactor)
+				if ev.RateFactor != 8 {
+					t.Errorf("EmergencyTriggered.RateFactor = %v, want the decision's 8", ev.RateFactor)
 				}
 			case MoveStarted:
 				if !sawEmergency {
@@ -312,7 +311,7 @@ func TestClusterSpikeRateOverride(t *testing.T) {
 					t.Errorf("move not flagged emergency: %+v", ev)
 				}
 				if ev.RateFactor != 8 {
-					t.Errorf("MoveStarted.RateFactor = %v, want overridden 8", ev.RateFactor)
+					t.Errorf("MoveStarted.RateFactor = %v, want the decision's 8", ev.RateFactor)
 				}
 				if got := c.Stats().Emergencies; got != 1 {
 					t.Errorf("emergencies %d, want 1", got)
@@ -322,6 +321,73 @@ func TestClusterSpikeRateOverride(t *testing.T) {
 		case <-deadline:
 			t.Fatal("no emergency move observed")
 		}
+	}
+}
+
+// idleController observes and never decides.
+type idleController struct{}
+
+func (idleController) Name() string { return "idle" }
+func (idleController) Tick(int, bool, float64) (*elastic.Decision, error) {
+	return nil, nil
+}
+
+// TestClusterLoadIsTransactionsOverRateScale checks the load the loop
+// observes: each cycle's LoadObserved.Load is its transaction count divided
+// by RateScale, so the cycles' loads add up to the transactions submitted
+// over RateScale.
+func TestClusterLoadIsTransactionsOverRateScale(t *testing.T) {
+	const rateScale, txns = 4, 40
+	n := openNode(t, testEngineConfig(), nil, nil)
+	c, err := NewRemote(Config{
+		Squall:     testSquallConfig(),
+		Controller: idleController{},
+		Cycle:      2 * time.Millisecond,
+		RateScale:  rateScale,
+	}, local(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, unsub := c.Subscribe(4096)
+	defer unsub()
+	if err := c.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	deadline := time.After(10 * time.Second)
+	next := func() LoadObserved {
+		for {
+			select {
+			case e := <-events:
+				if lo, ok := e.(LoadObserved); ok {
+					return lo
+				}
+			case <-deadline:
+				t.Fatal("no LoadObserved event")
+			}
+		}
+	}
+	// The loop counts from its first cycle; submit only once it has begun.
+	next()
+	for i := 0; i < txns; i++ {
+		if _, err := n.Engine.Execute("noop", fmt.Sprintf("key-%d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var seen float64
+	for seen*rateScale < txns {
+		select {
+		case e := <-events:
+			if lo, ok := e.(LoadObserved); ok {
+				seen += lo.Load
+			}
+		case <-deadline:
+			t.Fatalf("cycles observed %v transactions' load in total, want %d/%d", seen, txns, rateScale)
+		}
+	}
+	if seen*rateScale != txns {
+		t.Fatalf("cycles observed %v in total, want %d transactions / RateScale %d = %v", seen, txns, rateScale, float64(txns)/rateScale)
 	}
 }
 

@@ -40,8 +40,7 @@ type MoveStarted struct {
 	Seq int
 	// From and To are the source and target machine counts.
 	From, To int
-	// RateFactor is the migration rate multiplier actually used (after any
-	// configured emergency override).
+	// RateFactor is the migration rate multiplier the decision asked for.
 	RateFactor float64
 	// Emergency marks a move issued because no feasible plan existed.
 	Emergency bool
@@ -89,8 +88,7 @@ type EmergencyTriggered struct {
 	Cycle int
 	// Target is the emergency machine count.
 	Target int
-	// RateFactor is the rate the controller asked for, before any
-	// SpikeRateFactor override.
+	// RateFactor is the rate the controller asked for; the move runs at it.
 	RateFactor float64
 }
 

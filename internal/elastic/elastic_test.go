@@ -1,10 +1,12 @@
 package elastic
 
 import (
+	"slices"
 	"testing"
 
 	"pstore/internal/migration"
 	"pstore/internal/predictor"
+	"pstore/internal/workload"
 )
 
 func model() migration.Model {
@@ -389,5 +391,57 @@ func TestManualLayersOverInner(t *testing.T) {
 	d, err := m.Tick(2, false, 100)
 	if err != nil || d == nil || d.Target != 8 {
 		t.Fatalf("scheduled promotion did not fire: %v, %v", d, err)
+	}
+}
+
+// TestNewPStoreConfirmAndRefit pins the P-Store recipe: a scale-in confirmed
+// over 6 cycles, and SPAR refit weekly — its forecasts match a never-refit
+// twin's until the week's last observation and differ after it.
+func TestNewPStoreConfirmAndRefit(t *testing.T) {
+	const cycle, period = 5, workload.MinutesPerDay / 5
+	full, err := workload.SyntheticB2W(workload.DefaultB2WConfig(1, 35))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPStore(model(), full.Slice(0, 28*workload.MinutesPerDay), cycle, 0, SpikeRegularRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ScaleInConfirm != 6 {
+		t.Errorf("ScaleInConfirm = %d, want 6", p.ScaleInConfirm)
+	}
+	five, err := full.Resample(cycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := predictor.NewOnline(predictor.NewSPAR(period, 7, 6), 0, 9*period)
+	if err := twin.ObserveAll(five.Values[:28*period]); err != nil {
+		t.Fatal(err)
+	}
+	same := func() bool {
+		a, err := p.Predictor.Forecast(p.Horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := twin.Forecast(p.Horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Equal(a, b)
+	}
+	week := 7 * period
+	for i, v := range five.Values[28*period : 28*period+week] {
+		if i == week-1 && !same() {
+			t.Fatalf("forecasts differ after %d observations: refit before the week was out", i)
+		}
+		if err := p.Predictor.Observe(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Observe(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if same() {
+		t.Fatal("forecasts unchanged after a week of observations: no weekly refit")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // TestPredictiveFallbackAfterFailedMove pins the misprediction semantics of
 // a dead move: the controller discards its plan, hands the next
-// FallbackCycles ticks to an eager reactive policy, flags fallback
+// fallbackCycles ticks to an eager reactive policy, flags fallback
 // scale-outs as emergencies at the rate-R x 8 escape hatch, and returns to
 // predictive planning once the window drains.
 func TestPredictiveFallbackAfterFailedMove(t *testing.T) {
@@ -25,7 +25,7 @@ func TestPredictiveFallbackAfterFailedMove(t *testing.T) {
 	}
 	ctrl := &Predictive{
 		Model: m, Predictor: online,
-		Horizon: 12, MaxMachines: 8, FallbackCycles: 2,
+		Horizon: 12, MaxMachines: 8,
 	}
 
 	// Steady state first: the flat forecast needs 2 machines, so nothing to
@@ -66,13 +66,18 @@ func TestPredictiveFallbackAfterFailedMove(t *testing.T) {
 		t.Errorf("fallback scale-out %+v, want Emergency at rate 8", dec)
 	}
 
-	// Fallback tick 2 at calm load: no decision, and the window is now
-	// drained.
-	if dec, err := ctrl.Tick(4, false, 150); err != nil || dec != nil {
-		t.Fatalf("draining fallback tick decided %+v, %v", dec, err)
+	// The rest of the window at a load 4 machines fit: no decision, and the
+	// window is then drained.
+	for i := 1; i < fallbackCycles; i++ {
+		if !ctrl.InFallback() {
+			t.Fatalf("fallback ended after %d ticks, want %d", i, fallbackCycles)
+		}
+		if dec, err := ctrl.Tick(4, false, 350); err != nil || dec != nil {
+			t.Fatalf("draining fallback tick %d decided %+v, %v", i+1, dec, err)
+		}
 	}
 	if ctrl.InFallback() {
-		t.Fatal("still in fallback after FallbackCycles ticks")
+		t.Fatal("still in fallback after fallbackCycles ticks")
 	}
 
 	// Back to predictive planning: the flat 150 forecast on 4 machines plans

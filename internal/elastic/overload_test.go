@@ -81,7 +81,7 @@ func TestPredictiveOverloadedFallback(t *testing.T) {
 	if err := online.ObserveAll(nil); err != nil {
 		t.Fatal(err)
 	}
-	p := &Predictive{Model: m, Predictor: online, Horizon: 12, MaxMachines: 8, FallbackCycles: 4}
+	p := &Predictive{Model: m, Predictor: online, Horizon: 12, MaxMachines: 8}
 
 	if p.InFallback() {
 		t.Fatal("fresh controller in fallback")

@@ -23,6 +23,14 @@ const (
 	SpikeFastRate
 )
 
+// fallbackCycles is how many monitoring cycles the controller hands decisions
+// to the reactive fallback after one of its moves fails. A dead move means the
+// plan the predictor optimized for did not happen — the same epistemic state
+// as a misprediction — so the controller stops trusting the horizon and
+// scales on what it can see, at the paper's rate-R x 8 escape hatch, until
+// the window ends.
+const fallbackCycles = 8
+
 // smoothWindow is how many recent load observations are averaged into the
 // planner's current-interval load. On a compressed substrate each monitoring
 // cycle sees few arrivals, so the raw per-cycle measurement is noisy; the
@@ -55,13 +63,6 @@ type Predictive struct {
 	MaxMachines int
 	// OnSpike selects the emergency policy when planning is infeasible.
 	OnSpike SpikePolicy
-	// FallbackCycles is how many monitoring cycles the controller hands
-	// decisions to the reactive fallback after one of its moves fails
-	// (default 8). A dead move means the plan the predictor optimized for
-	// did not happen — the same epistemic state as a misprediction — so
-	// the controller stops trusting the horizon and scales on what it can
-	// see, at the paper's rate-R x 8 escape hatch, until the window ends.
-	FallbackCycles int
 
 	scaleInStreak  int
 	lastPlan       *planner.Plan
@@ -73,18 +74,19 @@ type Predictive struct {
 }
 
 // NewPStore builds P-Store's controller as the paper runs it over model: SPAR
-// with a one-day period, 7 periodic and 6 recent terms, kept online over the
+// with a one-day period, 7 periodic and 6 recent terms, refit weekly over the
 // last 9 days and trained on history, a per-minute trace resampled to
 // cycle-minute intervals; a 36-interval horizon on predictions inflated by
-// 15 %, and a scale-in confirmed over 6 cycles. maxMachines and onSpike are
-// the deployment's.
+// 15 %, and a scale-in confirmed over 6 cycles, not the paper's 3: at 3,
+// fig11's live spike replay saw more violations at rate R x 8 than at rate R.
+// maxMachines and onSpike are the deployment's.
 func NewPStore(model migration.Model, history workload.Series, cycle, maxMachines int, onSpike SpikePolicy) (*Predictive, error) {
 	train, err := history.Resample(cycle)
 	if err != nil {
 		return nil, err
 	}
 	period := workload.MinutesPerDay / cycle
-	online := predictor.NewOnline(predictor.NewSPAR(period, 7, 6), 0, 9*period)
+	online := predictor.NewOnline(predictor.NewSPAR(period, 7, 6), 7*period, 9*period)
 	if err := online.ObserveAll(train.Values); err != nil {
 		return nil, err
 	}
@@ -109,7 +111,7 @@ func (p *Predictive) FailedMoves() int { return p.failedMoves }
 func (p *Predictive) InFallback() bool { return p.fallbackLeft > 0 }
 
 // MoveResult implements MoveObserver: a failed move is treated as a
-// misprediction. The plan is discarded and the next FallbackCycles ticks
+// misprediction. The plan is discarded and the next fallbackCycles ticks
 // re-plan reactively from observed load, with decisions flagged Emergency at
 // the rate-R x 8 escape hatch so the executing world prioritizes capacity
 // over migration smoothness.
@@ -158,15 +160,12 @@ func (p *Predictive) MachineFailed(int) { p.enterFallback() }
 // next Tick simply plans from a larger cluster.
 func (p *Predictive) MachineRecovered(int) {}
 
-// enterFallback discards the horizon plan and hands the next FallbackCycles
+// enterFallback discards the horizon plan and hands the next fallbackCycles
 // decisions to the reactive fallback at the rate-R x 8 escape hatch.
 func (p *Predictive) enterFallback() {
 	p.lastPlan = nil
 	p.scaleInStreak = 0
-	if p.FallbackCycles < 1 {
-		p.FallbackCycles = 8
-	}
-	p.fallbackLeft = p.FallbackCycles
+	p.fallbackLeft = fallbackCycles
 	if p.fallback == nil {
 		// React on the first confirming tick: the failure already proved
 		// the capacity need, so the usual detection lag would only deepen

@@ -3,6 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"pstore/internal/elastic"
+	"pstore/internal/predictor"
+	"pstore/internal/sim"
 )
 
 // quick returns Options for fast, seeded test runs.
@@ -217,5 +221,46 @@ func TestFig13Shape(t *testing.T) {
 	}
 	if pstore*3 > simple {
 		t.Errorf("P-Store Black Friday shortfall %v not well below Simple's %v", pstore, simple)
+	}
+}
+
+// TestFig12PStoreIsNewPStore: the simulated P-Store of Figs. 12–13 is
+// elastic.NewPStore's — the recipe serve, fig9 and fig11 run — with only the
+// oracle predictor and its 5 % inflation swapped in for pstore-oracle. Over a
+// week past training (one weekly refit), each strategy's simulation makes the
+// same moves at the same cost as NewPStore's controller run directly.
+func TestFig12PStoreIsNewPStore(t *testing.T) {
+	s, err := newSimSetup(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.trace = s.trace[:36*s.slotsPerDay]
+	const qFrac = 0.65 / 0.8
+	model := s.model
+	model.Q = model.QMax * qFrac
+	for _, strategy := range []string{"pstore-spar", "pstore-oracle"} {
+		got, err := s.runStrategy(strategy, qFrac, quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := elastic.NewPStore(model, s.trainMin, 5, 0, elastic.SpikeRegularRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strategy == "pstore-oracle" {
+			oracle := predictor.NewOnline(predictor.NewOracle(s.trace), 0, 0)
+			if err := oracle.ObserveAll(nil); err != nil {
+				t.Fatal(err)
+			}
+			want.Predictor, want.Inflation = oracle, 0.05
+		}
+		res, err := (&sim.Sim{Model: model, MaxMachines: s.maxMachines}).Run(s.trace, want, model.MachinesFor(s.trace[0]*1.2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.result.Moves != res.Moves || got.cost != res.Cost || got.result.Insufficient != res.Insufficient {
+			t.Errorf("%s: fig12 made %d moves at cost %v (%d short), NewPStore %d at %v (%d short)",
+				strategy, got.result.Moves, got.cost, got.result.Insufficient, res.Moves, res.Cost, res.Insufficient)
+		}
 	}
 }

@@ -19,8 +19,9 @@ func init() {
 // simSetup builds the long-horizon 5-minute-interval trace (requests/min)
 // and the capacity model used by the Section 8.3 simulations.
 type simSetup struct {
-	trace       []float64 // 5-minute intervals, requests per minute
-	train       []float64 // first four weeks (same units)
+	trace       []float64       // 5-minute intervals, requests per minute
+	train       []float64       // first four weeks (same units)
+	trainMin    workload.Series // first four weeks per minute, same scale
 	slotsPerDay int
 	model       migration.Model // D in 5-minute intervals, Q per machine (req/min)
 	days        int
@@ -68,6 +69,7 @@ func newSimSetup(opts Options) (*simSetup, error) {
 	return &simSetup{
 		trace:       trace,
 		train:       trace[:28*slotsPerDay],
+		trainMin:    series.Slice(0, 28*workload.MinutesPerDay).Scale(scale),
 		slotsPerDay: slotsPerDay,
 		model:       model,
 		days:        days,
@@ -122,25 +124,12 @@ func (s *simSetup) runStrategy(strategy string, qFrac float64, opts Options) (*s
 
 	var ctrl elastic.Controller
 	switch strategy {
-	case "pstore-oracle":
-		oracle := predictor.NewOnline(predictor.NewOracle(s.trace), 0, 0)
-		if err := oracle.ObserveAll(nil); err != nil {
+	case "pstore-oracle", "pstore-spar":
+		p, err := s.pstore(model, strategy)
+		if err != nil {
 			return nil, err
 		}
-		ctrl = &elastic.Predictive{
-			Model: model, Predictor: oracle,
-			Horizon: 36, Inflation: 0.05, ScaleInConfirm: 3,
-		}
-	case "pstore-spar":
-		spar := predictor.NewSPAR(s.slotsPerDay, 7, 6)
-		online := predictor.NewOnline(spar, 7*s.slotsPerDay, 9*s.slotsPerDay)
-		if err := online.ObserveAll(s.train); err != nil {
-			return nil, err
-		}
-		ctrl = &elastic.Predictive{
-			Model: model, Predictor: online,
-			Horizon: 36, Inflation: 0.15, ScaleInConfirm: 3,
-		}
+		ctrl = p
 	case "reactive":
 		// Lower qFrac = earlier trigger = bigger machine buffer, but a
 		// reactive system can never trigger before the load is near the
@@ -176,6 +165,23 @@ func (s *simSetup) runStrategy(strategy string, qFrac float64, opts Options) (*s
 		shortFrac: shortfallFrac(s.trace, res, model),
 		result:    res,
 	}, nil
+}
+
+// pstore builds the simulated P-Store over model: elastic.NewPStore trained on
+// the first four weeks at the simulation's five-minute cycle, uncapped (the
+// simulator caps the cluster). "pstore-oracle" swaps in the oracle predictor
+// over the whole trace and a 5 % inflation.
+func (s *simSetup) pstore(model migration.Model, strategy string) (*elastic.Predictive, error) {
+	p, err := elastic.NewPStore(model, s.trainMin, 5, 0, elastic.SpikeRegularRate)
+	if err != nil || strategy != "pstore-oracle" {
+		return p, err
+	}
+	oracle := predictor.NewOnline(predictor.NewOracle(s.trace), 0, 0)
+	if err := oracle.ObserveAll(nil); err != nil {
+		return nil, err
+	}
+	p.Predictor, p.Inflation = oracle, 0.05
+	return p, nil
 }
 
 // fig12 reproduces Figure 12: each strategy simulated over the full trace

@@ -224,7 +224,6 @@ type liveRun struct {
 	machines   int     // initial machines
 	rateScale  float64 // paper requests -> substrate transactions
 	seed       int64
-	spikeRate  float64 // emergency rate override for fig11 (0 = per decision)
 }
 
 type liveOutcome struct {
@@ -260,13 +259,11 @@ func (lr *liveRun) run(opts Options) (*liveOutcome, error) {
 	}
 	n.Engine.SetRecorder(rec)
 	c, err := cluster.NewRemote(cluster.Config{
-		Squall:            p.squallCfg,
-		Controller:        lr.controller,
-		Cycle:             time.Duration(p.controllerEveryMin) * p.minutePerSlot,
-		RateScale:         lr.rateScale,
-		CycleTraceMinutes: float64(p.controllerEveryMin),
-		SpikeRateFactor:   lr.spikeRate,
-		Recorder:          rec,
+		Squall:     p.squallCfg,
+		Controller: lr.controller,
+		Cycle:      time.Duration(p.controllerEveryMin) * p.minutePerSlot,
+		RateScale:  lr.rateScale * float64(p.controllerEveryMin),
+		Recorder:   rec,
 	}, transport.NewLocal(n.Engine, n.Recovery))
 	if err != nil {
 		return nil, err

@@ -156,9 +156,6 @@ func TestBootstrapBatchMatchesExecuteID(t *testing.T) {
 					t.Fatalf("bucket %d: head %d after the batch, %d after one ExecuteID per row", b, got, want)
 				}
 			}
-			if got, want := batch.BucketAccesses(false), single.BucketAccesses(false); !reflect.DeepEqual(got, want) {
-				t.Fatal("per-bucket access counts differ")
-			}
 			counters := func(e *store.Engine) store.Counters {
 				c := e.Counters()
 				c.CommitWaitNs, c.HoldOverNs = 0, 0 // clocks, not counts

@@ -42,7 +42,7 @@ func runCrashChaosScriptCfg(t *testing.T, rcfg recovery.Config) string {
 		keys    = 600
 		workers = 8
 	)
-	e, m := testEngineCfg(t, 4, 2, rcfg)
+	e, m, executed := countingEngine(t, 4, 2, rcfg)
 	ex, err := squall.NewExecutor(e, chaosSquallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -98,16 +98,16 @@ func runCrashChaosScriptCfg(t *testing.T, rcfg recovery.Config) string {
 	step("crash-1", m.Crash(1))
 
 	// Zero transactions execute on a down machine: probe a key owned by
-	// machine 1 and check its access counter stays frozen.
+	// machine 1 and check its bucket's log head stays frozen.
 	key, bucket := downKey(t, e, 1, keys)
-	before := e.BucketAccesses(false)[bucket]
+	before := m.LogHead(bucket)
 	for i := 0; i < 3; i++ {
 		if _, err := e.ExecuteID(getID, key, nil); !errors.Is(err, store.ErrPartitionDown) {
 			t.Fatalf("down-machine get: err = %v, want ErrPartitionDown", err)
 		}
 	}
-	if after := e.BucketAccesses(false)[bucket]; after != before {
-		t.Fatalf("down machine executed transactions: bucket %d accesses %d -> %d", bucket, before, after)
+	if after := m.LogHead(bucket); after != before {
+		t.Fatalf("down machine executed transactions: bucket %d log head %d -> %d", bucket, before, after)
 	}
 
 	step("grow-3-4", ex.Reconfigure(3, 4, 0))
@@ -128,16 +128,12 @@ func runCrashChaosScriptCfg(t *testing.T, rcfg recovery.Config) string {
 	}
 
 	// Conservation: every submitted transaction either executed exactly once
-	// (counted in exactly one partition's access block and in Completed) or
-	// failed without executing (Errored, no access). The workers only read
-	// existing keys, so no executed transaction errors.
+	// (one procedure run, counted in Completed) or failed without executing
+	// (Errored, no run). The only other runs are the restore's replays. The
+	// workers only read existing keys, so no executed transaction errors.
 	c := e.Counters()
-	accesses := int64(0)
-	for _, n := range e.BucketAccesses(false) {
-		accesses += n
-	}
-	if accesses != c.Completed {
-		t.Fatalf("access counters (%d) diverge from completed transactions (%d)", accesses, c.Completed)
+	if runs := executed.Load(); runs != c.Completed+int64(st.Replayed) {
+		t.Fatalf("procedures ran %d times, want %d completed transactions + %d replayed", runs, c.Completed, st.Replayed)
 	}
 	if c.Submitted != c.Completed+c.Errored {
 		t.Fatalf("submitted %d != completed %d + errored %d", c.Submitted, c.Completed, c.Errored)

@@ -6,6 +6,7 @@ package recovery_test
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"pstore/internal/hash"
@@ -28,6 +29,15 @@ func testEngine(t *testing.T, maxMachines, initial int) (*store.Engine, *recover
 // disk-backed store.
 func testEngineCfg(t *testing.T, maxMachines, initial int, rcfg recovery.Config) (*store.Engine, *recovery.Manager) {
 	t.Helper()
+	e, m, _ := countingEngine(t, maxMachines, initial, rcfg)
+	return e, m
+}
+
+// countingEngine is testEngineCfg plus the number of times its procedures
+// ran, live or replayed.
+func countingEngine(t *testing.T, maxMachines, initial int, rcfg recovery.Config) (*store.Engine, *recovery.Manager, *atomic.Int64) {
+	t.Helper()
+	executed := new(atomic.Int64)
 	cfg := store.Config{
 		MaxMachines:          maxMachines,
 		InitialMachines:      initial,
@@ -40,17 +50,20 @@ func testEngineCfg(t *testing.T, maxMachines, initial int, rcfg recovery.Config)
 		t.Fatal(err)
 	}
 	if err := e.Register("put", func(tx *store.Tx) (any, error) {
+		executed.Add(1)
 		return nil, tx.Put("T", tx.Key, tx.Args)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Register("get", func(tx *store.Tx) (any, error) {
+		executed.Add(1)
 		v, _, err := tx.Get("T", tx.Key)
 		return v, err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Register("del", func(tx *store.Tx) (any, error) {
+		executed.Add(1)
 		return nil, tx.Delete("T", tx.Key)
 	}); err != nil {
 		t.Fatal(err)
@@ -67,7 +80,7 @@ func testEngineCfg(t *testing.T, maxMachines, initial int, rcfg recovery.Config)
 	t.Cleanup(func() { m.Close() })
 	e.Start()
 	t.Cleanup(e.Stop)
-	return e, m
+	return e, m, executed
 }
 
 func load(t *testing.T, e *store.Engine, keys int) {
@@ -235,7 +248,7 @@ func TestRecoverMigratedBuckets(t *testing.T) {
 }
 
 // TestDownSemantics pins the fencing contract: transactions against a down
-// machine fail with ErrPartitionDown, execute nothing (no access counting),
+// machine fail with ErrPartitionDown, execute nothing (nothing is logged),
 // and double-crash / restore-of-live are refused.
 func TestDownSemantics(t *testing.T) {
 	e, m := testEngine(t, 2, 2)
@@ -245,14 +258,14 @@ func TestDownSemantics(t *testing.T) {
 	if err := m.Crash(1); err != nil {
 		t.Fatal(err)
 	}
-	before := e.BucketAccesses(false)[bucket]
+	before := m.LogHead(bucket)
 	for i := 0; i < 5; i++ {
 		if _, err := e.Execute("get", key, nil); !errors.Is(err, store.ErrPartitionDown) {
 			t.Fatalf("get on down machine: err = %v, want ErrPartitionDown", err)
 		}
 	}
-	if after := e.BucketAccesses(false)[bucket]; after != before {
-		t.Fatalf("down machine executed transactions: accesses %d -> %d", before, after)
+	if after := m.LogHead(bucket); after != before {
+		t.Fatalf("down machine executed transactions: log head %d -> %d", before, after)
 	}
 	if err := m.Crash(1); err == nil {
 		t.Fatal("double crash accepted")

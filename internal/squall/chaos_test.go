@@ -313,10 +313,10 @@ func TestFailedReconfigurationAllowsNext(t *testing.T) {
 // TestChaosUnderLiveLoad runs faulted reconfigurations (retries and at least
 // occasional aborts) under concurrent read traffic and asserts the paper's
 // serving invariants hold throughout: no transaction ever observes missing
-// data, rows are conserved, and the per-bucket access counters account for
-// exactly the transactions executed.
+// data, rows are conserved, and the procedures ran exactly once per
+// transaction executed.
 func TestChaosUnderLiveLoad(t *testing.T) {
-	e := testEngine(t, 4, 1)
+	e, executed := countingEngine(t, 4, 1)
 	const keys = 300
 	load(t, e, keys)
 	cfg := chaosConfig()
@@ -331,7 +331,7 @@ func TestChaosUnderLiveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e.BucketAccesses(true) // clear loader traffic
+	executed.Store(0) // clear loader traffic
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -384,19 +384,14 @@ func TestChaosUnderLiveLoad(t *testing.T) {
 	if got := e.TotalRows(); got != keys {
 		t.Errorf("TotalRows = %d, want %d", got, keys)
 	}
-	// Access-counter conservation: counters were reset before the workers
-	// started, so after they stop (and before the final readability sweep
-	// above added its own traffic) ... include it: the sweep did keys gets.
+	// Execution conservation: the count was reset before the workers
+	// started, and the readability sweep above added keys gets of its own.
 	var want int64 = keys
 	for _, n := range counts {
 		want += n
 	}
-	var got int64
-	for _, n := range e.BucketAccesses(false) {
-		got += n
-	}
-	if got != want {
-		t.Errorf("BucketAccesses sum = %d, want %d executed transactions", got, want)
+	if got := executed.Load(); got != want {
+		t.Errorf("procedures ran %d times, want %d executed transactions", got, want)
 	}
 	t.Logf("chaos under load: %d aborts, stats %+v, injector %+v", aborts, ex.Stats(), inj.Stats())
 }

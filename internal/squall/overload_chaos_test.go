@@ -12,7 +12,7 @@ import (
 // overloadEngine builds a 2-machine, 1-partition-per-machine engine whose
 // every data request costs svc of executor time, so a bounded queue plus a
 // flood of gets produces a standing backlog on partition 0.
-func overloadEngine(t *testing.T, svc time.Duration, disableLane bool) *store.Engine {
+func overloadEngine(t *testing.T, svc time.Duration) *store.Engine {
 	t.Helper()
 	cfg := store.Config{
 		MaxMachines:          2,
@@ -21,7 +21,6 @@ func overloadEngine(t *testing.T, svc time.Duration, disableLane bool) *store.En
 		ServiceTime:          svc,
 		QueueCapacity:        128,
 		InitialMachines:      1,
-		DisableCtlLane:       disableLane,
 	}
 	e, err := store.NewEngine(cfg)
 	if err != nil {
@@ -138,7 +137,7 @@ func floodRetained(t *testing.T, e *store.Engine, keys []string, stop chan struc
 func TestOverloadScaleOutThroughSaturation(t *testing.T) {
 	const svc = time.Millisecond
 	const keys = 192
-	e := overloadEngine(t, svc, false)
+	e := overloadEngine(t, svc)
 	load(t, e, keys)
 	flood := retainedKeys(e, keys, 24)
 	if len(flood) < 8 {
@@ -191,52 +190,4 @@ func TestOverloadScaleOutThroughSaturation(t *testing.T) {
 	if got := e.TotalRows(); got != keys {
 		t.Errorf("TotalRows = %d, want %d", got, keys)
 	}
-}
-
-// TestOverloadScaleOutStarvesWithoutLane is the negative control for the
-// priority lane: with DisableCtlLane every control request waits in FIFO
-// order behind the full data queue, so the same scale-out makes no visible
-// progress while the flood holds — and completes only after load stops.
-func TestOverloadScaleOutStarvesWithoutLane(t *testing.T) {
-	const svc = time.Millisecond
-	const keys = 192
-	e := overloadEngine(t, svc, true)
-	load(t, e, keys)
-	flood := retainedKeys(e, keys, 24)
-	if len(flood) < 8 {
-		t.Fatalf("only %d retained-bucket keys out of %d", len(flood), keys)
-	}
-
-	stop := make(chan struct{})
-	wait := floodRetained(t, e, flood, stop)
-	ex, err := NewExecutor(e, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	moveDone := make(chan error, 1)
-	go func() { moveDone <- ex.Reconfigure(1, 2, 0) }()
-	// Each control hop now pays a full queue drain (~QueueCapacity * svc =
-	// 128ms) plus the blocked flood senders ahead of it; a move needs many
-	// such hops, so 400ms is far inside the starvation window.
-	select {
-	case err := <-moveDone:
-		t.Fatalf("scale-out finished through a saturated FIFO without the ctl lane (err=%v)", err)
-	case <-time.After(400 * time.Millisecond):
-	}
-
-	// Lift the flood: the starved move must then finish and leave the
-	// cluster correct — starvation, not corruption, is the failure mode.
-	close(stop)
-	wait()
-	select {
-	case err := <-moveDone:
-		if err != nil {
-			t.Fatalf("scale-out after flood lifted: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("scale-out still stuck after the flood stopped")
-	}
-	checkBalanced(t, e, 2)
-	checkAllReadable(t, e, keys)
 }

@@ -3,6 +3,7 @@ package squall
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,14 @@ import (
 
 func testEngine(t *testing.T, machines, initial int) *store.Engine {
 	t.Helper()
+	e, _ := countingEngine(t, machines, initial)
+	return e
+}
+
+// countingEngine is testEngine plus the number of times its procedures ran.
+func countingEngine(t *testing.T, machines, initial int) (*store.Engine, *atomic.Int64) {
+	t.Helper()
+	executed := new(atomic.Int64)
 	cfg := store.Config{
 		MaxMachines:          machines,
 		PartitionsPerMachine: 2,
@@ -24,11 +33,13 @@ func testEngine(t *testing.T, machines, initial int) *store.Engine {
 		t.Fatal(err)
 	}
 	if err := e.Register("put", func(tx *store.Tx) (any, error) {
+		executed.Add(1)
 		return nil, tx.Put("kv", tx.Key, tx.Args)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Register("get", func(tx *store.Tx) (any, error) {
+		executed.Add(1)
 		v, ok, err := tx.Get("kv", tx.Key)
 		if err != nil || !ok {
 			return nil, fmt.Errorf("missing %q: %v", tx.Key, err)
@@ -39,7 +50,7 @@ func testEngine(t *testing.T, machines, initial int) *store.Engine {
 	}
 	e.Start()
 	t.Cleanup(e.Stop)
-	return e
+	return e, executed
 }
 
 func load(t *testing.T, e *store.Engine, keys int) {

@@ -44,12 +44,6 @@ type Config struct {
 	// deadlines with admission control and CoDel-style shedding. The zero
 	// value disables all of them (see OverloadConfig).
 	Overload OverloadConfig
-	// DisableCtlLane routes control-plane requests (migration, checkpoints,
-	// crash fencing) through the data lane instead of the priority lane.
-	// It exists only as a regression knob: it reproduces the pre-lane
-	// behavior where a saturated data backlog starves the scale-out escape
-	// hatch, so tests can prove the lane is what prevents the starvation.
-	DisableCtlLane bool
 	// HostedMachines restricts this engine instance to a subset of the
 	// cluster's machines in multi-process mode: transactions routed to a
 	// partition of a non-hosted machine fail with ErrNotOwned instead of

@@ -709,27 +709,6 @@ func (e *Engine) Plan() []int32 {
 	return out
 }
 
-// BucketAccesses aggregates the per-partition access-counter blocks into one
-// per-bucket snapshot of the transactions executed since the last reset; reset
-// clears the counters so the next window starts fresh. It is the witness the
-// chaos, commit and recovery tests count to check that a transaction executed
-// exactly once, or not at all. Counters are sharded per partition
-// (each executor writes only its own cache-line-padded block), so the hot
-// path never contends on a shared slice; aggregation happens lazily here.
-func (e *Engine) BucketAccesses(reset bool) []int64 {
-	out := make([]int64, e.cfg.Buckets)
-	for _, p := range e.parts {
-		for b := range p.accesses {
-			if reset {
-				out[b] += atomic.SwapInt64(&p.accesses[b], 0)
-			} else {
-				out[b] += atomic.LoadInt64(&p.accesses[b])
-			}
-		}
-	}
-	return out
-}
-
 // OwnedBuckets lists the buckets currently owned by a partition.
 func (e *Engine) OwnedBuckets(part int) []int {
 	plan := *e.plan.Load()

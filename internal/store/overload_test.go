@@ -259,41 +259,33 @@ func TestExecuteIDContextBoundedWait(t *testing.T) {
 
 // TestCtlLaneBypassesDataBacklog proves the priority lane: a control request
 // submitted behind a deep data backlog completes while the backlog is still
-// draining — and with the lane disabled, only after the entire backlog.
+// queued.
 func TestCtlLaneBypassesDataBacklog(t *testing.T) {
 	const backlog = 50
-	run := func(t *testing.T, disable bool) (completedAtCtl int64) {
-		cfg := overloadConfig(OverloadConfig{})
-		cfg.ServiceTime = 2 * time.Millisecond
-		cfg.DisableCtlLane = disable
-		e := testEngine(t, cfg)
-		if err := e.Register("noop", func(*Tx) (any, error) { return nil, nil }); err != nil {
-			t.Fatal(err)
-		}
-		e.Start()
-		id := mustHandle(t, e, "noop")
-		var wg sync.WaitGroup
-		for i := 0; i < backlog; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				e.ExecuteID(id, fmt.Sprintf("k%d", i), nil)
-			}(i)
-		}
-		deadlineWait(t, func() bool { return e.parts[0].q.dataLen() >= backlog-5 })
-		if _, err := e.SnapshotPartition(0); err != nil {
-			t.Fatal(err)
-		}
-		completedAtCtl = e.Counters().Completed
-		wg.Wait()
-		return completedAtCtl
+	cfg := overloadConfig(OverloadConfig{})
+	cfg.ServiceTime = 2 * time.Millisecond
+	e := testEngine(t, cfg)
+	if err := e.Register("noop", func(*Tx) (any, error) { return nil, nil }); err != nil {
+		t.Fatal(err)
 	}
-
-	if done := run(t, false); done >= backlog-5 {
-		t.Errorf("with the lane, snapshot returned after %d/%d data requests — lane did not bypass the backlog", done, backlog)
+	e.Start()
+	id := mustHandle(t, e, "noop")
+	var wg sync.WaitGroup
+	for i := 0; i < backlog; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e.ExecuteID(id, fmt.Sprintf("k%d", i), nil)
+		}(i)
 	}
-	if done := run(t, true); done < backlog-5 {
-		t.Errorf("with DisableCtlLane, snapshot returned after only %d/%d data requests — expected FIFO starvation", done, backlog)
+	defer wg.Wait()
+	deadlineWait(t, func() bool { return e.parts[0].q.dataLen() >= backlog-5 })
+	if _, err := e.SnapshotPartition(0); err != nil {
+		t.Fatal(err)
+	}
+	queued, done := e.parts[0].q.dataLen(), e.Counters().Completed
+	if queued == 0 || done >= backlog-5 {
+		t.Errorf("snapshot returned with %d data requests still queued and %d/%d done — the lane did not bypass the backlog", queued, done, backlog)
 	}
 }
 

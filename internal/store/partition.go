@@ -8,12 +8,6 @@ import (
 	"time"
 )
 
-// accessPad keeps one partition's access-counter block from sharing cache
-// lines with neighboring heap objects: the counters are sliced out of the
-// middle of a slightly larger allocation so a full cache line of padding
-// sits on each side of the hot region.
-const accessPad = 8 // int64s (64 bytes) of padding on each side
-
 // partition is one serially executed data partition. Its bucketStore is
 // touched only by its executor goroutine.
 type partition struct {
@@ -30,12 +24,6 @@ type partition struct {
 	// executor is serial, so one per partition suffices and the hot path
 	// allocates nothing.
 	tx Tx
-	// accesses counts transactions executed per bucket since the last
-	// BucketAccesses reset: the tests' witness of how often a transaction
-	// executed. Only this partition's executor writes it (single-writer,
-	// cache-line-padded block); the engine aggregates lazily across
-	// partitions.
-	accesses []int64
 	// rowsAtomic tracks the partition's row count; it is written by the
 	// executor goroutine and read by Engine.TotalRows.
 	rowsAtomic int64
@@ -98,13 +86,11 @@ type commitResult struct {
 const commitDepth = 256
 
 func newPartition(id int, eng *Engine) *partition {
-	block := make([]int64, eng.cfg.Buckets+2*accessPad)
 	return &partition{
 		id:       id,
 		eng:      eng,
-		q:        queue{limit: eng.cfg.QueueCapacity, ctlOff: eng.cfg.DisableCtlLane, wake: make(chan struct{}, 1)},
+		q:        queue{limit: eng.cfg.QueueCapacity, wake: make(chan struct{}, 1)},
 		store:    newBucketStore(),
-		accesses: block[accessPad : accessPad+eng.cfg.Buckets],
 		commitCh: make(chan pendingCommit, commitDepth),
 		resultCh: make(chan commitResult, commitDepth+1),
 		drained:  make(chan struct{}),
@@ -211,8 +197,8 @@ func (p *partition) execute(r *txnRequest) {
 		return
 	}
 	if p.down.Load() {
-		// A crashed machine executes nothing: no access counting, no
-		// service time, no command logging — the request just fails.
+		// A crashed machine executes nothing: no service time, no command
+		// logging — the request just fails.
 		r.reply <- txnResult{err: partitionDownError(p.id)}
 		return
 	}
@@ -222,7 +208,6 @@ func (p *partition) execute(r *txnRequest) {
 			return
 		}
 	}
-	atomic.AddInt64(&p.accesses[r.bucket], 1)
 	// Log the command, then run it. The record is the procedure's input, and
 	// procedures are deterministic, so nothing the log, the disk or a follower
 	// does with it depends on the outcome: fixing its place in the log here
@@ -538,8 +523,7 @@ func (p *partition) replayLive(r *ctlRequest) {
 // replay runs logged commands through the registered procedures in the order
 // given and returns how many ran. It is the one replay path — a restore's
 // command tail and a follower's shipped batch both go through it — and it
-// reproduces state, not load: no service-time simulation, no access counting,
-// no command logging (the records already are the log). Procedure errors are
+// reproduces state, not load: no service-time simulation, no command logging (the records already are the log). Procedure errors are
 // ignored; they replay deterministically just as they originally occurred. A
 // migrated chunk's share of a bucket sets the bucket to its rows.
 func (p *partition) replay(cmds []ReplayCommand) int {

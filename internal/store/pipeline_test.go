@@ -103,32 +103,6 @@ func TestEngineForwardsMidMove(t *testing.T) {
 	}
 }
 
-// TestEngineBucketAccessesSharded checks the lazily aggregated per-partition
-// access counters: totals must match executions and reset must clear them.
-func TestEngineBucketAccessesSharded(t *testing.T) {
-	e := testEngine(t, smallConfig())
-	registerKV(t, e)
-	e.Start()
-	const n = 200
-	for i := 0; i < n; i++ {
-		if _, err := e.Execute("put", fmt.Sprintf("k-%d", i%17), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var total int64
-	for _, c := range e.BucketAccesses(true) {
-		total += c
-	}
-	if total != n {
-		t.Errorf("aggregated accesses = %d, want %d", total, n)
-	}
-	for b, c := range e.BucketAccesses(false) {
-		if c != 0 {
-			t.Errorf("bucket %d access count %d after reset, want 0", b, c)
-		}
-	}
-}
-
 func BenchmarkEngineExecute(b *testing.B) {
 	cfg := Config{
 		MaxMachines:          2,

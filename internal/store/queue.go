@@ -23,8 +23,6 @@ type queue struct {
 	mu        sync.Mutex
 	ctl, data lane
 	limit     int
-	// ctlOff routes control puts onto the data lane (Config.DisableCtlLane).
-	ctlOff bool
 	// closed is set by the executor's final drain; every later put fails with
 	// ErrStopped, so nothing enters a queue nobody will answer.
 	closed bool
@@ -99,7 +97,7 @@ func (q *queue) lane(ctl bool) (*lane, error) {
 	if q.closed {
 		return nil, ErrStopped
 	}
-	if ctl && !q.ctlOff {
+	if ctl {
 		return &q.ctl, nil
 	}
 	return &q.data, nil

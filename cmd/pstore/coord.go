@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -87,6 +88,9 @@ func runCoord(args []string) error {
 	}
 	if *migrate == "" {
 		return errors.New("-migrate is required")
+	}
+	if !(*rate > 0) || math.IsInf(*rate, 1) {
+		return fmt.Errorf("-rate %v: want a finite factor above 0", *rate)
 	}
 	var steps []int
 	for _, s := range strings.Split(*migrate, ",") {

@@ -55,6 +55,10 @@ func TestDispatchExitCodes(t *testing.T) {
 			"pstore coord: faults: ship-drop=0.1 is a ship fault"},
 		{"coord refuses link faults without peers", []string{"coord", "-migrate", "2", "-faults", "seed=1,link-dup=0.25"}, 1, false,
 			"pstore coord: faults: link-dup=0.25 is a link fault"},
+		{"coord refuses a NaN rate", []string{"coord", "-migrate", "2", "-rate", "NaN"}, 1, false,
+			"pstore coord: -rate NaN: want a finite factor above 0"},
+		{"coord refuses a zero rate", []string{"coord", "-migrate", "2", "-rate", "0"}, 1, false,
+			"pstore coord: -rate 0: want a finite factor above 0"},
 		{"coord crash past the last step", []string{"coord", "-migrate", "4,1", "-faults", "crash=1@3"}, 1, false,
 			"pstore coord: -faults crash=1@3: want a machine below -max 8 and one of the 2 migrate steps"},
 		{"coord -failover refuses -migrate", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1", "-migrate", "2"}, 1, false,
@@ -81,7 +85,7 @@ func TestDispatchExitCodes(t *testing.T) {
 		{"serve -node refuses crash faults", []string{"serve", "-node", "0", "-nodes", "1", "-listen", "127.0.0.1:0", "-faults", "crash=1@2"}, 1, false,
 			"pstore serve: faults: crash=1@2 is a crash fault"},
 		{"serve refuses the removed track key", []string{"serve", "-days", "1", "-minute", "1ms", "-overload", "track=true"}, 1, false,
-			`pstore serve: store: unknown overload key "track"`},
+			"pstore serve: flag provided but not defined: -overload"},
 		{"serve -node refuses link faults", []string{"serve", "-node", "0", "-nodes", "1", "-listen", "127.0.0.1:0", "-faults", "link-down=0:1"}, 1, false,
 			"pstore serve: faults: link-down=0:1 is a link fault"},
 	} {

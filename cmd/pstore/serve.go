@@ -43,11 +43,10 @@ type serveInfo struct {
 	Checkouts    int     `json:"checkouts"`
 	Stocks       int     `json:"stocks"`
 	LinesPerCart int     `json:"lines_per_cart"`
-	// The armed fault schedule and overload plane, as their canonical spec
-	// strings, so a driver (or an operator with curl) can see exactly what
-	// a server is running without access to its command line.
-	Faults   string `json:"faults,omitempty"`
-	Overload string `json:"overload,omitempty"`
+	// The armed fault schedule, as its canonical spec string, so a driver
+	// (or an operator with curl) can see exactly what a server is running
+	// without access to its command line.
+	Faults string `json:"faults,omitempty"`
 	// Node identity in multi-process mode; Nodes is 0 on a single-process
 	// server.
 	Node  int `json:"node,omitempty"`
@@ -82,7 +81,6 @@ func runServe(args []string) error {
 	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint the recovery command log every N controller cycles (0 = 10 when crash faults are armed)")
 	dataDir := fs.String("data-dir", "", "durable storage directory: command log becomes an on-disk WAL with checkpoint images; an existing directory cold-starts the engine from disk instead of loading fresh data")
 	deadline := fs.Duration("deadline", 0, "per-request deadline arming admission control and queue-deadline enforcement (0 = off)")
-	overloadSpec := fs.String("overload", "", "overload-plane spec, e.g. deadline=50ms,target=5ms,interval=100ms (shorthand: -deadline)")
 	listen := fs.String("listen", "", "serve remote clients on this address (host:port) instead of driving the trace in-process")
 	serveFor := fs.Duration("serve-for", 0, "with -listen: stop after this long (0 = until SIGINT/SIGTERM or POST /v1/shutdown)")
 	quiet := fs.Bool("quiet", false, "suppress the live event log")
@@ -131,31 +129,23 @@ func runServe(args []string) error {
 		}
 	}
 
-	olCfg, err := store.ParseOverload(*overloadSpec)
-	if err != nil {
-		return err
-	}
 	if *deadline < 0 {
 		return fmt.Errorf("negative -deadline %v", *deadline)
 	}
-	if *deadline > 0 {
-		olCfg.Deadline = *deadline
-	}
 	engCfg := deployedEngine(*maxM, *initial)
-	engCfg.Overload = olCfg
+	engCfg.Deadline = *deadline
 	spec := deployedDataset(*seed)
 	info := serveInfo{
 		Seed: *seed, Days: *days,
 		MinuteMs:     float64(*minute) / float64(time.Millisecond),
-		DeadlineMs:   float64(olCfg.Deadline) / float64(time.Millisecond),
+		DeadlineMs:   float64(*deadline) / float64(time.Millisecond),
 		Carts:        spec.Carts,
 		Checkouts:    spec.Checkouts,
 		Stocks:       spec.Stocks,
 		LinesPerCart: spec.LinesPerCart,
 	}
-	if olCfg.Enabled() {
-		info.Overload = olCfg.String()
-		fmt.Fprintf(os.Stderr, "serve: overload plane armed: %s\n", olCfg)
+	if *deadline > 0 {
+		fmt.Fprintf(os.Stderr, "serve: overload plane armed: deadline %v\n", *deadline)
 	}
 	// Both modes open a node: one of -nodes hosting its share of the machines,
 	// or the only one, hosting all of them.
@@ -302,7 +292,7 @@ func runServe(args []string) error {
 		fmt.Printf("served %d transactions (%d failed) in %v\n",
 			stats.Executed, stats.Failed, time.Since(start).Round(time.Millisecond))
 	}
-	printRefusedSummary(n.Engine, stats.Shed, sc, olCfg.Enabled())
+	printRefusedSummary(n.Engine, stats.Shed, sc, *deadline > 0)
 	fmt.Printf("SLA violations (>%g ms): p50 %d, p95 %d, p99 %d\n",
 		*sloMs, rec.SLAViolations(50, *sloMs), rec.SLAViolations(95, *sloMs), rec.SLAViolations(99, *sloMs))
 	fmt.Printf("machines: avg %.2f (initial %d, max %d)\n", rec.AverageMachines(), *initial, *maxM)
@@ -361,17 +351,17 @@ func printRecoverySummary(rm *recovery.Manager) {
 }
 
 // printRefusedSummary prints one refused-work total across the whole stack:
-// the driver's in-flight cap (clientShed) and the engine's
-// admission/shed/deadline defenses, with the wire front end's view of the
+// the driver's in-flight cap (clientShed) and the engine's admission and
+// deadline defenses, with the wire front end's view of the
 // same refusals (429, 504, 503) alongside when a server ran.
 func printRefusedSummary(eng *store.Engine, clientShed int64, sc *server.Counters, armed bool) {
 	ec := eng.Counters()
-	refused := ec.Rejected + ec.Shed + ec.DeadlineExceeded + clientShed
+	refused := ec.Rejected + ec.DeadlineExceeded + clientShed
 	if refused == 0 && !armed && (sc == nil || sc.Rejected429 == 0) {
 		return
 	}
-	line := fmt.Sprintf("refused: %d total (%d rejected, %d shed, %d deadline-exceeded, %d client-shed",
-		refused, ec.Rejected, ec.Shed, ec.DeadlineExceeded, clientShed)
+	line := fmt.Sprintf("refused: %d total (%d rejected, %d deadline-exceeded, %d client-shed",
+		refused, ec.Rejected, ec.DeadlineExceeded, clientShed)
 	if sc != nil {
 		line += fmt.Sprintf("; wire: %d as 429, %d as 504, %d as 503", sc.Rejected429, sc.Deadline504, sc.Down503)
 	}

@@ -397,11 +397,10 @@ func (c *Cluster) loop(ctx context.Context) {
 		cnt := c.topo.Counters()
 		delta := cnt.Submitted - last.Submitted
 		// Refused work per cycle is the backpressure signal: the engine only
-		// rejects/sheds when past capacity, so any nonzero count is direct
+		// refuses work when past capacity, so any nonzero count is direct
 		// evidence the provisioning plan is behind the actual load.
 		sig := elastic.OverloadSignal{
 			Rejected:         cnt.Rejected - last.Rejected,
-			Shed:             cnt.Shed - last.Shed,
 			DeadlineExceeded: cnt.DeadlineExceeded - last.DeadlineExceeded,
 			QueueDelay:       c.topo.MaxQueueSojourn(),
 		}
@@ -423,7 +422,7 @@ func (c *Cluster) loop(ctx context.Context) {
 		}
 		if sig.Refused() > 0 {
 			c.publish(OverloadObserved{Time: time.Now(), Cycle: cycle, Rejected: sig.Rejected,
-				Shed: sig.Shed, DeadlineExceeded: sig.DeadlineExceeded, QueueDelay: sig.QueueDelay})
+				DeadlineExceeded: sig.DeadlineExceeded, QueueDelay: sig.QueueDelay})
 		}
 		// The overload signal is delivered every cycle — zero included, so
 		// observers can track recovery — on this goroutine, before Tick.

@@ -93,16 +93,14 @@ type EmergencyTriggered struct {
 }
 
 // OverloadObserved is emitted once per monitoring cycle in which the engine
-// refused work: admission-control rejections, CoDel sheds, or queue-deadline
-// expiries. The same signal is delivered to an OverloadObserver controller
+// refused work: admission-control rejections or queue-deadline expiries. The same signal is delivered to an OverloadObserver controller
 // before its Tick.
 type OverloadObserved struct {
 	Time  time.Time
 	Cycle int
-	// Rejected, Shed and DeadlineExceeded are the cycle's refused-work
-	// counts, by mechanism.
+	// Rejected and DeadlineExceeded are the cycle's refused-work counts, by
+	// mechanism.
 	Rejected         int64
-	Shed             int64
 	DeadlineExceeded int64
 	// QueueDelay is the worst partition's estimated queueing delay at the
 	// end of the cycle.
@@ -196,8 +194,8 @@ func (e EmergencyTriggered) String() string {
 }
 
 func (e OverloadObserved) String() string {
-	return fmt.Sprintf("cycle %d: overload: %d rejected, %d shed, %d deadline-exceeded (queue delay %v)",
-		e.Cycle, e.Rejected, e.Shed, e.DeadlineExceeded, e.QueueDelay.Round(time.Millisecond))
+	return fmt.Sprintf("cycle %d: overload: %d rejected, %d deadline-exceeded (queue delay %v)",
+		e.Cycle, e.Rejected, e.DeadlineExceeded, e.QueueDelay.Round(time.Millisecond))
 }
 
 func (e MachineFailed) String() string {

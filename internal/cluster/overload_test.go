@@ -50,7 +50,7 @@ func TestClusterOverloadSignalDelivery(t *testing.T) {
 		ServiceTime:          time.Millisecond,
 		QueueCapacity:        64,
 		InitialMachines:      1,
-		Overload:             store.OverloadConfig{Deadline: 2 * time.Millisecond},
+		Deadline:             2 * time.Millisecond,
 	}
 	n := openNode(t, engCfg, nil, nil)
 	c, err := NewRemote(Config{
@@ -137,10 +137,10 @@ drain:
 			}
 			if o, ok := ev.(OverloadObserved); ok {
 				overloadEvents++
-				if o.Rejected+o.Shed+o.DeadlineExceeded == 0 {
+				if o.Rejected+o.DeadlineExceeded == 0 {
 					t.Errorf("OverloadObserved with zero counts: %+v", o)
 				}
-				evRefused += o.Rejected + o.Shed + o.DeadlineExceeded
+				evRefused += o.Rejected + o.DeadlineExceeded
 			}
 		default:
 			break drain
@@ -150,7 +150,7 @@ drain:
 		t.Fatal("no OverloadObserved events published despite refusals")
 	}
 	cnt := n.Engine.Counters()
-	engRefused := cnt.Rejected + cnt.Shed + cnt.DeadlineExceeded
+	engRefused := cnt.Rejected + cnt.DeadlineExceeded
 	if engRefused == 0 {
 		t.Fatal("engine counters show no refusals")
 	}

@@ -67,14 +67,13 @@ type FailureObserver interface {
 }
 
 // OverloadSignal summarizes one monitoring interval's server-side overload
-// activity: work the engine refused (admission-control rejections, CoDel
-// sheds, queue-deadline expiries) and the worst per-partition estimated
-// queueing delay. A zero signal means the interval saw no overload.
+// activity: work the engine refused (admission-control rejections and
+// queue-deadline expiries) and the worst per-partition estimated queueing
+// delay. An interval that refused nothing saw no overload.
 type OverloadSignal struct {
-	// Rejected, Shed and DeadlineExceeded are the interval's refused-work
-	// counts, by mechanism.
+	// Rejected and DeadlineExceeded are the interval's refused-work counts,
+	// by mechanism.
 	Rejected         int64
-	Shed             int64
 	DeadlineExceeded int64
 	// QueueDelay is the worst partition's estimated queueing delay (the
 	// executor-maintained sojourn EWMA) at the end of the interval.
@@ -83,7 +82,7 @@ type OverloadSignal struct {
 
 // Refused is the total work the engine refused during the interval.
 func (s OverloadSignal) Refused() int64 {
-	return s.Rejected + s.Shed + s.DeadlineExceeded
+	return s.Rejected + s.DeadlineExceeded
 }
 
 // OverloadObserver is optionally implemented by controllers that want the

@@ -9,15 +9,15 @@ import (
 )
 
 func overloadSig() OverloadSignal {
-	return OverloadSignal{Rejected: 40, Shed: 12, DeadlineExceeded: 3, QueueDelay: 80 * time.Millisecond}
+	return OverloadSignal{Rejected: 40, DeadlineExceeded: 3, QueueDelay: 80 * time.Millisecond}
 }
 
 func TestOverloadSignalRefused(t *testing.T) {
 	if got := (OverloadSignal{}).Refused(); got != 0 {
 		t.Errorf("zero signal Refused() = %d", got)
 	}
-	if got := overloadSig().Refused(); got != 55 {
-		t.Errorf("Refused() = %d, want 55", got)
+	if got := overloadSig().Refused(); got != 43 {
+		t.Errorf("Refused() = %d, want 43", got)
 	}
 }
 
@@ -67,7 +67,7 @@ func TestReactiveOverloadedEmergency(t *testing.T) {
 }
 
 // TestPredictiveOverloadedFallback pins the Predictive observer semantics:
-// one overloaded cycle is tolerated (CoDel absorbs transients), two
+// one overloaded cycle is tolerated (the queues absorb transients), two
 // consecutive ones discard the horizon plan and enter the reactive fallback;
 // while in fallback the signal is forwarded so backpressure keeps working
 // even with the load measurement pinned at the throughput ceiling.
@@ -172,7 +172,7 @@ func TestControllerConformanceUnderOverload(t *testing.T) {
 				if obs, ok := ctrl.(OverloadObserver); ok {
 					sig := OverloadSignal{}
 					if overloaded {
-						sig = OverloadSignal{Rejected: int64(capacity), Shed: 20, QueueDelay: 100 * time.Millisecond}
+						sig = OverloadSignal{Rejected: int64(capacity), QueueDelay: 100 * time.Millisecond}
 					}
 					obs.Overloaded(sig)
 				}

@@ -125,9 +125,9 @@ func (p *Predictive) MoveResult(_ int, err error) {
 
 // Overloaded implements OverloadObserver: sustained refused work is a
 // misprediction made manifest — the planner guaranteed predicted load would
-// fit effective capacity (Eq. 7), and the engine shedding load proves it did
-// not. Two consecutive overloaded intervals (one could be a transient the
-// CoDel controller absorbs) discard the horizon plan and enter the reactive
+// fit effective capacity (Eq. 7), and the engine refusing work proves it did
+// not. Two consecutive overloaded intervals (one could be a transient burst
+// the queues absorb) discard the horizon plan and enter the reactive
 // fallback at the rate-R x 8 escape hatch, exactly as for a failed move.
 func (p *Predictive) Overloaded(sig OverloadSignal) {
 	if sig.Refused() == 0 {

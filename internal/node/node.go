@@ -26,9 +26,7 @@ import (
 type Config struct {
 	server.Config
 	// Store is the cluster's engine shape; HostedMachines is derived. Its
-	// overload deadline is also the server's default request deadline. A
-	// replica's overload plane is always disarmed: it executes only its
-	// primary's records, and shedding one would fork the replicated history.
+	// Deadline is also the server's default request deadline.
 	Store store.Config
 	// Register installs the workload's procedures, and their args decoder,
 	// before the engine starts.
@@ -98,9 +96,6 @@ func (n *Node) assemble(cfg Config) error {
 		return err
 	}
 	scfg := cfg.Store
-	if cfg.ReplicaOf != "" {
-		scfg.Overload = store.OverloadConfig{}
-	}
 	scfg.HostedMachines = nil
 	for m := cfg.ID; m < scfg.MaxMachines; m += cfg.Nodes {
 		scfg.HostedMachines = append(scfg.HostedMachines, m)
@@ -122,9 +117,7 @@ func (n *Node) assemble(cfg Config) error {
 	if err := n.bringUp(cfg, scfg.HostedMachines); err != nil {
 		return err
 	}
-	// The request deadline is the overload plane's as configured: a replica,
-	// whose plane is disarmed, keeps it for when it is promoted.
-	n.Server, err = server.New(eng, n.Recovery, cfg.Store.Overload.Deadline, cfg.Config)
+	n.Server, err = server.New(eng, n.Recovery, scfg.Deadline, cfg.Config)
 	return err
 }
 

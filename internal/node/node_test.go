@@ -563,10 +563,11 @@ func TestOpenRefusesShortPeerTable(t *testing.T) {
 }
 
 // TestDefaultRequestDeadline: a request that carries no deadline runs under the
-// node's Store.Overload.Deadline — on a primary, and on a replica, whose
-// overload plane is disarmed, once it is promoted. A submission that finds its
-// partition's queue full gives up when that deadline passes, answered 504,
-// instead of waiting for the queue as long as it stays full.
+// node's Store.Deadline — on a primary, and on a replica once it is promoted. A
+// submission that finds its partition's queue full gives up when that deadline
+// passes, answered 504, instead of waiting for the queue as long as it stays
+// full; and the engine's own plane is armed too, so the holds that waited past
+// the deadline in the queue expire there instead of running.
 func TestDefaultRequestDeadline(t *testing.T) {
 	const d = 200 * time.Millisecond
 	// holdConfig is a one-partition node whose "hold" blocks its executor
@@ -575,7 +576,7 @@ func TestDefaultRequestDeadline(t *testing.T) {
 		running, release := make(chan struct{}, 8), make(chan struct{})
 		cfg := kvConfig(t)
 		cfg.Store = store.Config{MaxMachines: 1, PartitionsPerMachine: 1, Buckets: 64, QueueCapacity: 1, InitialMachines: 1,
-			Overload: store.OverloadConfig{Deadline: d}}
+			Deadline: d}
 		cfg.Register = func(eng *store.Engine) error {
 			if err := eng.Register("hold", func(*store.Tx) (any, error) {
 				running <- struct{}{}
@@ -589,10 +590,19 @@ func TestDefaultRequestDeadline(t *testing.T) {
 		return cfg, running, release
 	}
 	// expires saturates n's one partition — one hold runs, one fills the queue,
-	// the rest wait for room — and posts a put that carries no deadline.
+	// the rest wait for room — and posts a put that carries no deadline. Once
+	// released, the queued holds must expire in the queue.
 	expires := func(t *testing.T, n *node.Node, running, release chan struct{}) {
 		t.Helper()
-		defer close(release)
+		defer func() {
+			close(release)
+			for deadline := time.Now().Add(10 * time.Second); n.Engine.Counters().DeadlineExceeded == 0; {
+				if time.Now().After(deadline) {
+					t.Fatalf("no queued hold expired in the queue: %+v", n.Engine.Counters())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
 		for i := 0; i < 4; i++ {
 			go n.Engine.Execute("hold", fmt.Sprintf("h-%d", i), nil) //nolint:errcheck
 		}

@@ -6,7 +6,7 @@
 // same path, for curl.
 //
 // The engine's overload plane becomes real backpressure here: a request
-// refused by admission control or shed by CoDel returns 429, a request that
+// refused by admission control returns 429, a request that
 // expired in a partition queue returns 504, and a request routed to a
 // crashed machine returns 503 — each with a machine-readable retry hint
 // sized from the destination partition's estimated queueing delay, so

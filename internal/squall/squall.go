@@ -10,6 +10,7 @@ package squall
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,8 +81,8 @@ func (c Config) Validate() error {
 	if c.RowCost < 0 || c.ChunkOverhead < 0 || c.Spacing < 0 {
 		return fmt.Errorf("squall: costs must be non-negative")
 	}
-	if c.RateFactor < 0 {
-		return fmt.Errorf("squall: RateFactor %v must be non-negative", c.RateFactor)
+	if !(c.RateFactor >= 0) || math.IsInf(c.RateFactor, 0) {
+		return fmt.Errorf("squall: RateFactor %v must be finite and non-negative", c.RateFactor)
 	}
 	if c.MaxChunkRetries < 0 {
 		return fmt.Errorf("squall: MaxChunkRetries %d must be non-negative", c.MaxChunkRetries)
@@ -188,8 +189,12 @@ var ErrInProgress = errors.New("squall: reconfiguration already in progress")
 
 // Reconfigure live-migrates the cluster from `from` machines to `to`
 // machines. It blocks until all data has moved and the active machine count
-// has been updated. rateFactor <= 0 uses the configured RateFactor.
+// has been updated. rateFactor <= 0 uses the configured RateFactor; a
+// non-finite one is refused before anything moves.
 func (ex *Executor) Reconfigure(from, to int, rateFactor float64) error {
+	if math.IsNaN(rateFactor) || math.IsInf(rateFactor, 0) {
+		return fmt.Errorf("squall: rate factor %v must be finite", rateFactor)
+	}
 	if from == to {
 		return nil
 	}

@@ -2,6 +2,7 @@ package squall
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,11 +112,32 @@ func TestConfigValidate(t *testing.T) {
 		{ChunkRows: 1, RowCost: -1},
 		{ChunkRows: 1, Spacing: -1},
 		{ChunkRows: 1, RateFactor: -1},
+		{ChunkRows: 1, RateFactor: math.NaN()},
+		{ChunkRows: 1, RateFactor: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestReconfigureRefusesNonFiniteRate: a NaN or infinite rate factor would
+// turn chunk spacing off; Reconfigure refuses it before anything moves.
+func TestReconfigureRefusesNonFiniteRate(t *testing.T) {
+	e := testEngine(t, 3, 1)
+	load(t, e, 100)
+	ex, err := NewExecutor(e, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := ex.Reconfigure(1, 2, rate); err == nil {
+			t.Errorf("Reconfigure at rate %v accepted", rate)
+		}
+	}
+	if got := e.ActiveMachines(); got != 1 {
+		t.Fatalf("ActiveMachines = %d after refused moves, want 1", got)
 	}
 }
 

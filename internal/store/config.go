@@ -40,10 +40,12 @@ type Config struct {
 	QueueCapacity int
 	// InitialMachines is the cluster size at startup.
 	InitialMachines int
-	// Overload arms the engine's server-side overload defenses: per-request
-	// deadlines with admission control and CoDel-style shedding. The zero
-	// value disables all of them (see OverloadConfig).
-	Overload OverloadConfig
+	// Deadline is the per-request deadline, measured from submission: when
+	// positive it arms admission control (reject at enqueue when the
+	// destination's estimated queueing delay exceeds it) and deadline
+	// enforcement (fail requests that expired in the queue). Zero disables
+	// both (see overload.go).
+	Deadline time.Duration
 	// HostedMachines restricts this engine instance to a subset of the
 	// cluster's machines in multi-process mode: transactions routed to a
 	// partition of a non-hosted machine fail with ErrNotOwned instead of
@@ -90,8 +92,8 @@ func (c Config) Validate() error {
 	if c.InitialMachines < 1 || c.InitialMachines > c.MaxMachines {
 		return fmt.Errorf("store: InitialMachines %d must be in [1, %d]", c.InitialMachines, c.MaxMachines)
 	}
-	if err := c.Overload.Validate(); err != nil {
-		return err
+	if c.Deadline < 0 {
+		return fmt.Errorf("store: Deadline %v must be non-negative", c.Deadline)
 	}
 	for _, m := range c.HostedMachines {
 		if m < 0 || m >= c.MaxMachines {

@@ -48,9 +48,6 @@ type Counters struct {
 	// partition queue. Rejected transactions are counted in Submitted but
 	// not in Errored: they represent refused offered load, not failed work.
 	Rejected int64
-	// Shed counts transactions dropped by the CoDel controller at the
-	// executor after queueing (counted in Errored as well).
-	Shed int64
 	// DeadlineExceeded counts transactions that expired in a partition
 	// queue and were failed without executing (counted in Errored as well).
 	DeadlineExceeded int64
@@ -131,11 +128,8 @@ type Engine struct {
 	errored        atomic.Int64
 	forwarded      atomic.Int64
 
-	// ol is the baked overload policy; overload counters sit beside the
-	// transaction counters above.
-	ol               overloadRuntime
+	// Overload counters sit beside the transaction counters above.
 	rejected         atomic.Int64
-	shed             atomic.Int64
 	deadlineExceeded atomic.Int64
 
 	// Written by the partitions' commit stages.
@@ -161,7 +155,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:         cfg,
 		handles:     make(map[string]TxnID),
 		svcOverride: make(map[string]time.Duration),
-		ol:          newOverloadRuntime(cfg.Overload),
 	}
 	e.hosted = make([]bool, cfg.MaxMachines)
 	for m := range e.hosted {
@@ -476,11 +469,9 @@ func (e *Engine) executeID(done <-chan struct{}, ctxErr func() error, id TxnID, 
 		// each transaction exactly once.
 		return nil, notOwnedError(dest.id)
 	}
-	if e.ol.enabled {
-		if err := e.admit(dest); err != nil {
-			e.submitted.Add(1)
-			return nil, err
-		}
+	if err := e.admit(dest); err != nil {
+		e.submitted.Add(1)
+		return nil, err
 	}
 	// A context that is already done must be refused deterministically:
 	// the put below enqueues whenever the lane has room, and the wire front
@@ -538,7 +529,7 @@ type Command struct {
 // gets its share, in cmds order, as one data-lane request, and its executor
 // takes every command down the path a single submission takes — executed,
 // logged, counted and answered one by one, stamped when reached so its own
-// batch never sheds or expires it (a batch passes no admission control and no
+// batch never expires it (a batch passes no admission control and no
 // recorder). A command of a partition hosted elsewhere is skipped, uncounted.
 // It returns once every command is answered, a logged one once durable, with
 // the first failure in cmds order; one unregistered procedure runs nothing.
@@ -592,7 +583,7 @@ func (e *Engine) ExecuteBatch(cmds []Command) error {
 // requests execute — still remembers the congestion, so admission cannot
 // livelock the partition into rejecting forever.
 func (e *Engine) admit(dest *partition) error {
-	d := e.ol.deadline
+	d := e.cfg.Deadline
 	if d == 0 {
 		return nil
 	}
@@ -765,7 +756,6 @@ func (e *Engine) Counters() Counters {
 		Errored:          e.errored.Load(),
 		Forwarded:        e.forwarded.Load(),
 		Rejected:         e.rejected.Load(),
-		Shed:             e.shed.Load(),
 		DeadlineExceeded: e.deadlineExceeded.Load(),
 		CommitWaits:      e.commitWaits.Load(),
 		CommitWaitNs:     e.commitWaitNs.Load(),
@@ -775,8 +765,7 @@ func (e *Engine) Counters() Counters {
 }
 
 // QueueSojourn returns one partition's current estimated queueing delay: the
-// executor-maintained EWMA of request sojourn time. It is zero unless the
-// overload plane is armed (Config.Overload).
+// executor-maintained EWMA of request sojourn time.
 func (e *Engine) QueueSojourn(part int) time.Duration {
 	if part < 0 || part >= len(e.parts) {
 		return 0

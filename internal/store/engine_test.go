@@ -65,6 +65,7 @@ func TestEngineConfigValidation(t *testing.T) {
 		{MaxMachines: 1, PartitionsPerMachine: 1, Buckets: 1, QueueCapacity: 1, InitialMachines: 0},
 		{MaxMachines: 1, PartitionsPerMachine: 1, Buckets: 1, QueueCapacity: 1, InitialMachines: 2},
 		{MaxMachines: 1, PartitionsPerMachine: 1, Buckets: 1, QueueCapacity: 1, InitialMachines: 1, ServiceTime: -1},
+		{MaxMachines: 1, PartitionsPerMachine: 1, Buckets: 1, QueueCapacity: 1, InitialMachines: 1, Deadline: -time.Second},
 	}
 	for i, cfg := range bad {
 		if _, err := NewEngine(cfg); err == nil {

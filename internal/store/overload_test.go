@@ -9,66 +9,9 @@ import (
 	"time"
 )
 
-func TestParseOverloadRoundTrip(t *testing.T) {
-	cases := []string{
-		"",
-		"deadline=50ms",
-		"deadline=50ms,target=5ms,interval=100ms",
-		"target=2ms",
-	}
-	for _, spec := range cases {
-		cfg, err := ParseOverload(spec)
-		if err != nil {
-			t.Fatalf("ParseOverload(%q): %v", spec, err)
-		}
-		again, err := ParseOverload(cfg.String())
-		if err != nil {
-			t.Fatalf("reparse of %q: %v", cfg.String(), err)
-		}
-		if again != cfg {
-			t.Fatalf("round trip of %q: %+v != %+v", spec, again, cfg)
-		}
-	}
-	for _, bad := range []string{"deadline", "deadline=-1s", "nope=1", "deadline=xyz", "track=maybe", "track=true"} {
-		if _, err := ParseOverload(bad); err == nil {
-			t.Errorf("ParseOverload(%q) accepted", bad)
-		}
-	}
-	if (OverloadConfig{}).Enabled() {
-		t.Error("zero config reports enabled")
-	}
-	if s := (OverloadConfig{}).String(); s != "" {
-		t.Errorf("zero config renders %q, want empty", s)
-	}
-}
-
-// FuzzOverloadSpec checks that any spec ParseOverload accepts survives a
-// String/Parse round trip unchanged — the property the pstore `--overload`
-// flag depends on.
-func FuzzOverloadSpec(f *testing.F) {
-	f.Add("deadline=50ms,target=5ms,interval=100ms")
-	f.Add("deadline=1h")
-	f.Add("target=250us,interval=1s")
-	f.Add("interval=250ms")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, spec string) {
-		cfg, err := ParseOverload(spec)
-		if err != nil {
-			t.Skip()
-		}
-		again, err := ParseOverload(cfg.String())
-		if err != nil {
-			t.Fatalf("String %q of accepted spec %q does not reparse: %v", cfg.String(), spec, err)
-		}
-		if again != cfg {
-			t.Fatalf("round trip of %q: %+v != %+v", spec, again, cfg)
-		}
-	})
-}
-
 // overloadConfig is a single-partition engine so every key routes to
 // partition 0 and queue state is fully controlled by the test.
-func overloadConfig(ol OverloadConfig) Config {
+func overloadConfig(deadline time.Duration) Config {
 	return Config{
 		MaxMachines:          1,
 		PartitionsPerMachine: 1,
@@ -76,7 +19,7 @@ func overloadConfig(ol OverloadConfig) Config {
 		ServiceTime:          0,
 		QueueCapacity:        1024,
 		InitialMachines:      1,
-		Overload:             ol,
+		Deadline:             deadline,
 	}
 }
 
@@ -98,7 +41,7 @@ func registerGate(t *testing.T, e *Engine) chan struct{} {
 }
 
 func TestDeadlineExceededInQueue(t *testing.T) {
-	e := testEngine(t, overloadConfig(OverloadConfig{Deadline: 10 * time.Millisecond}))
+	e := testEngine(t, overloadConfig(10*time.Millisecond))
 	gate := registerGate(t, e)
 	e.Start()
 
@@ -132,7 +75,7 @@ func TestDeadlineExceededInQueue(t *testing.T) {
 }
 
 func TestAdmissionControlRejectsAndRecovers(t *testing.T) {
-	e := testEngine(t, overloadConfig(OverloadConfig{Deadline: 5 * time.Millisecond}))
+	e := testEngine(t, overloadConfig(5*time.Millisecond))
 	gate := registerGate(t, e)
 	e.Start()
 
@@ -175,44 +118,41 @@ func TestAdmissionControlRejectsAndRecovers(t *testing.T) {
 	}
 }
 
-func TestCoDelShedsUnderStandingQueue(t *testing.T) {
-	cfg := overloadConfig(OverloadConfig{CoDelTarget: 2 * time.Millisecond, CoDelInterval: 10 * time.Millisecond})
-	cfg.ServiceTime = 3 * time.Millisecond
-	e := testEngine(t, cfg)
-	if err := e.Register("noop", func(*Tx) (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
+// TestSojournTrackedWithoutDeadline: the executors keep the sojourn EWMA
+// whether or not a deadline is set, so an engine with no deadline still
+// reports the queueing delay a backlog built up once it has drained.
+func TestSojournTrackedWithoutDeadline(t *testing.T) {
+	e := testEngine(t, overloadConfig(0))
+	gate := registerGate(t, e)
 	e.Start()
-	id := mustHandle(t, e, "noop")
-
-	// A burst far above capacity builds a standing queue: sojourn stays
-	// above target for the whole run, so the CoDel law must start shedding
-	// after the first interval.
 	var wg sync.WaitGroup
-	var shedSeen int64
-	var mu sync.Mutex
-	for i := 0; i < 60; i++ {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.Execute("gate", "k", nil)
+	}()
+	time.Sleep(5 * time.Millisecond) // executor now inside the gate
+	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := e.ExecuteID(id, fmt.Sprintf("k%d", i), nil); errors.Is(err, ErrOverload) {
-				mu.Lock()
-				shedSeen++
-				mu.Unlock()
-			}
+			e.Execute("noop", fmt.Sprintf("k%d", i), nil)
 		}(i)
 	}
+	deadlineWait(t, func() bool { return e.parts[0].q.dataLen() == 8 })
+	time.Sleep(10 * time.Millisecond) // the backlog ages in the queue
+	close(gate)
 	wg.Wait()
-	if shedSeen == 0 {
-		t.Fatal("no submission observed ErrOverload despite a standing queue")
+	if got := e.MaxQueueSojourn(); got <= 0 {
+		t.Fatalf("MaxQueueSojourn = %v after a backlog drained, want > 0", got)
 	}
-	if got := e.Counters().Shed; got == 0 {
-		t.Fatal("Shed counter not incremented")
+	if c := e.Counters(); c.Rejected+c.DeadlineExceeded != 0 || c.Errored != 0 {
+		t.Errorf("an engine with no deadline refused work: %+v", c)
 	}
 }
 
 func TestExecuteIDContextBoundedWait(t *testing.T) {
-	cfg := overloadConfig(OverloadConfig{})
+	cfg := overloadConfig(0)
 	cfg.QueueCapacity = 1
 	e := testEngine(t, cfg)
 	gate := registerGate(t, e)
@@ -262,7 +202,7 @@ func TestExecuteIDContextBoundedWait(t *testing.T) {
 // queued.
 func TestCtlLaneBypassesDataBacklog(t *testing.T) {
 	const backlog = 50
-	cfg := overloadConfig(OverloadConfig{})
+	cfg := overloadConfig(0)
 	cfg.ServiceTime = 2 * time.Millisecond
 	e := testEngine(t, cfg)
 	if err := e.Register("noop", func(*Tx) (any, error) { return nil, nil }); err != nil {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -38,10 +37,6 @@ type partition struct {
 	// goroutines — it is the estimate of the queueing delay a new request
 	// would face here.
 	sojournEWMA atomic.Int64
-	// CoDel shedder state; executor-only, so no synchronization.
-	codelAbove    time.Time // when sojourn first stayed above target (zero = below)
-	codelDropNext time.Time // next shed per the control law
-	codelDrops    int       // sheds in the current above-target episode
 	// commitCh is the commit stage: logged transactions whose reply is still
 	// owed, in log (= execution) order. The executor hands each one over
 	// before it runs the procedure and sends the outcome after, on resultCh,
@@ -202,11 +197,9 @@ func (p *partition) execute(r *txnRequest) {
 		r.reply <- txnResult{err: partitionDownError(p.id)}
 		return
 	}
-	if p.eng.ol.enabled {
-		if err := p.overloadCheck(r); err != nil {
-			r.reply <- txnResult{err: err}
-			return
-		}
+	if err := p.overloadCheck(r); err != nil {
+		r.reply <- txnResult{err: err}
+		return
 	}
 	// Log the command, then run it. The record is the procedure's input, and
 	// procedures are deterministic, so nothing the log, the disk or a follower
@@ -311,56 +304,22 @@ func commitError(part int, err error) error {
 	return fmt.Errorf("%w: partition %d executed the transaction but its log record is not durable: %w", ErrCommitFailed, part, err)
 }
 
-// overloadCheck runs the executor-side overload plane for one dequeued
-// transaction: it files the request's queue sojourn into the EWMA, fails
-// requests that outlived their deadline in the queue, and sheds per the
-// CoDel control law while sojourn stays above target. A non-nil return means
-// the request must be failed without executing.
+// overloadCheck files a dequeued transaction's queue sojourn into the EWMA
+// and, when the engine has a deadline, fails a request that outlived it in
+// the queue. A non-nil return means the request must be failed without
+// executing.
 func (p *partition) overloadCheck(r *txnRequest) error {
-	now := time.Now()
-	sojourn := now.Sub(r.submit)
+	sojourn := time.Since(r.submit)
 	// Single-writer EWMA with alpha 1/8: smooth enough to ride out one slow
 	// transaction, fresh enough to track a building queue within a few
 	// requests.
 	old := p.sojournEWMA.Load()
 	p.sojournEWMA.Store(old + (int64(sojourn)-old)/8)
-	if d := p.eng.ol.deadline; d > 0 && sojourn > d {
+	if d := p.eng.cfg.Deadline; d > 0 && sojourn > d {
 		p.eng.deadlineExceeded.Add(1)
 		return fmt.Errorf("%w: queued %v past deadline %v on partition %d", ErrDeadlineExceeded, sojourn, d, p.id)
 	}
-	if p.codelShed(now, sojourn) {
-		p.eng.shed.Add(1)
-		return fmt.Errorf("%w: partition %d shedding (sojourn %v above target %v)", ErrOverload, p.id, sojourn, p.eng.ol.target)
-	}
 	return nil
-}
-
-// codelShed implements the CoDel control law over queue sojourn time:
-// shedding begins once sojourn has stayed above the target for a full
-// interval, then quickens with the square root of the shed count — the
-// classic controlled-delay schedule — until sojourn drops below the target,
-// which resets the episode.
-func (p *partition) codelShed(now time.Time, sojourn time.Duration) bool {
-	target := p.eng.ol.target
-	if target <= 0 {
-		return false
-	}
-	if sojourn < target {
-		p.codelAbove = time.Time{}
-		p.codelDrops = 0
-		return false
-	}
-	if p.codelAbove.IsZero() {
-		p.codelAbove = now
-		p.codelDropNext = now.Add(p.eng.ol.interval)
-		return false
-	}
-	if now.Before(p.codelDropNext) {
-		return false
-	}
-	p.codelDrops++
-	p.codelDropNext = now.Add(time.Duration(float64(p.eng.ol.interval) / math.Sqrt(float64(p.codelDrops))))
-	return true
 }
 
 // runTxn executes a stored procedure, converting a panic into an error so a

@@ -111,7 +111,7 @@ func TestLaneFIFO(t *testing.T) {
 // TestLaneCtlRunsFirst: a control request put before a data request is
 // handled before it, every time, whether the executor is idle or busy.
 func TestLaneCtlRunsFirst(t *testing.T) {
-	e := testEngine(t, overloadConfig(OverloadConfig{}))
+	e := testEngine(t, overloadConfig(0))
 	var snapDone atomic.Pointer[chan moveResult]
 	if err := e.Register("probe", func(*Tx) (any, error) {
 		if len(*snapDone.Load()) != 1 {
@@ -141,7 +141,7 @@ func TestLaneCtlRunsFirst(t *testing.T) {
 // submits n noop transactions behind it. register adds procedures first.
 func laneEngine(t *testing.T, capacity int, register func(*Engine)) (e *Engine, id TxnID, gate chan struct{}, fill func(n int), wg *sync.WaitGroup) {
 	t.Helper()
-	cfg := overloadConfig(OverloadConfig{})
+	cfg := overloadConfig(0)
 	cfg.QueueCapacity = capacity
 	e = testEngine(t, cfg)
 	gate = registerGate(t, e)

@@ -414,7 +414,6 @@ func (r *Remote) Counters() store.Counters {
 		sum.Errored += c.Errored
 		sum.Forwarded += c.Forwarded
 		sum.Rejected += c.Rejected
-		sum.Shed += c.Shed
 		sum.DeadlineExceeded += c.DeadlineExceeded
 	}
 	return sum

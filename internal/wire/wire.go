@@ -78,7 +78,7 @@ type Response struct {
 // back to the typed store errors so a remote client's errors.Is checks
 // behave exactly like an in-process caller's.
 const (
-	// CodeOverload: refused by admission control or shed (HTTP 429).
+	// CodeOverload: refused by admission control or a full queue (HTTP 429).
 	CodeOverload = "overload"
 	// CodeDeadline: expired in a partition queue, or the request's wire
 	// deadline elapsed before completion (HTTP 504).

@@ -301,6 +301,10 @@ func runPlan(args []string) error {
 	if *input == "" {
 		return errors.New("-input is required")
 	}
+	model := migration.Model{Q: *q, QMax: *qmax, D: *d, P: *parts}
+	if err := model.Validate(); err != nil {
+		return fmt.Errorf("-q %v, -qmax %v, -d %v, -p %d: %w", *q, *qmax, *d, *parts, err)
+	}
 	f, err := os.Open(*input)
 	if err != nil {
 		return err
@@ -310,7 +314,6 @@ func runPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	model := migration.Model{Q: *q, QMax: *qmax, D: *d, P: *parts}
 	pl := planner.Planner{Model: model}
 	plan, err := pl.BestMoves(series.Values, *n0)
 	if err != nil {

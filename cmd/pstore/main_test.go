@@ -42,7 +42,17 @@ func TestDispatchExitCodes(t *testing.T) {
 		{"help", []string{"help"}, 0, true, ""},
 		{"subcommand failure", []string{"plan"}, 1, false, "pstore plan: -input is required"},
 		{"replica without node mode", []string{"serve", "-replica-of", "http://127.0.0.1:1"}, 1, false,
-			"pstore serve: -replica-of, -sync-commit and -follower-checkpoint-every require node mode (-node)"},
+			"pstore serve: -replica-of and -sync-commit require node mode (-node)"},
+		{"serve refuses the removed checkpoint cadence", []string{"serve", "-checkpoint-every", "5"}, 1, false,
+			"pstore serve: flag provided but not defined: -checkpoint-every"},
+		{"serve refuses the removed follower checkpoint counter", []string{"serve", "-follower-checkpoint-every", "5"}, 1, false,
+			"pstore serve: flag provided but not defined: -follower-checkpoint-every"},
+		{"plan refuses a NaN Q", []string{"plan", "-input", "load.csv", "-q", "NaN"}, 1, false,
+			"pstore plan: -q NaN, -qmax 350, -d 15.4, -p 6: migration: Q NaN must be positive and finite"},
+		{"plan refuses a NaN Q-hat", []string{"plan", "-input", "load.csv", "-qmax", "NaN"}, 1, false,
+			"pstore plan: -q 285, -qmax NaN, -d 15.4, -p 6: migration: QMax NaN must be finite and at least Q 285"},
+		{"plan refuses a NaN D", []string{"plan", "-input", "load.csv", "-d", "NaN"}, 1, false,
+			"pstore plan: -q 285, -qmax 350, -d NaN, -p 6: migration: D NaN must be finite and non-negative"},
 		{"peer count mismatch", []string{"serve", "-node", "0", "-nodes", "2", "-listen", "127.0.0.1:0", "-peers", "http://127.0.0.1:1"}, 1, false,
 			"pstore serve: -peers lists 1 URLs, want 2 (one per node, in node-id order)"},
 		{"node out of range", []string{"serve", "-node", "2", "-nodes", "2", "-listen", "127.0.0.1:0"}, 1, false,

@@ -78,7 +78,6 @@ func runServe(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	sloMs := fs.Float64("slo", 40, "latency SLO in ms on this substrate")
 	faultSpec := fs.String("faults", "", "fault schedule, e.g. seed=42,chunk-drop=0.05,crash=1@8+6; single-process: chunk keys (chunk-drop, chunk-slow, slow-delay, stall, stall-delay, crash-pair=F:T, crash-part=N) and crash keys (crash-rate, crash-downtime, crash=M@T[+D] in controller cycles); with -node: ship keys only (ship-drop, ship-dup, ship-reorder, ship-delay, ship-delay-for, ship-partition, heal-after)")
-	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint the recovery command log every N controller cycles (0 = 10 when crash faults are armed)")
 	dataDir := fs.String("data-dir", "", "durable storage directory: command log becomes an on-disk WAL with checkpoint images; an existing directory cold-starts the engine from disk instead of loading fresh data")
 	deadline := fs.Duration("deadline", 0, "per-request deadline arming admission control and queue-deadline enforcement (0 = off)")
 	listen := fs.String("listen", "", "serve remote clients on this address (host:port) instead of driving the trace in-process")
@@ -90,7 +89,6 @@ func runServe(args []string) error {
 	replicaOf := fs.String("replica-of", "", "node mode: start as a warm follower of the primary at this base URL — sync a snapshot, apply its shipped WAL, refuse client transactions until promoted via /v1/repl/promote")
 	advertise := fs.String("advertise", "", "node mode: base URL the primary and peers use to reach this process (default derives from -listen)")
 	syncCommit := fs.Bool("sync-commit", false, "node mode: acknowledge a transaction only after its WAL record is durable on the follower too (RPO zero for acked transactions; adds one ship round trip to commit latency)")
-	followerCkpt := fs.Int("follower-checkpoint-every", 0, "node mode: as a replica, checkpoint the local WAL every N accepted records so a promotion starts from a compact log (0 = off)")
 	if helped, err := parseFlags(fs, args); helped || err != nil {
 		return err
 	}
@@ -98,11 +96,8 @@ func runServe(args []string) error {
 		return errors.New("invalid sizing flags")
 	}
 	nodeMode := *nodeID >= 0
-	if !nodeMode && (*replicaOf != "" || *syncCommit || *followerCkpt != 0) {
-		return errors.New("-replica-of, -sync-commit and -follower-checkpoint-every require node mode (-node)")
-	}
-	if *followerCkpt < 0 {
-		return errors.New("-follower-checkpoint-every must be non-negative")
+	if !nodeMode && (*replicaOf != "" || *syncCommit) {
+		return errors.New("-replica-of and -sync-commit require node mode (-node)")
 	}
 	sched, err := faults.Parse(*faultSpec)
 	if err != nil {
@@ -158,7 +153,7 @@ func runServe(args []string) error {
 	if nodeMode {
 		ncfg.ID, ncfg.Nodes, ncfg.Peers = *nodeID, *nodes, peers
 		ncfg.ReplicaOf, ncfg.Advertise = *replicaOf, advertiseURL(*advertise, *listen)
-		ncfg.SyncCommit, ncfg.FollowerCheckpointEvery = *syncCommit, *followerCkpt
+		ncfg.SyncCommit = *syncCommit
 		if sched.Arms(faults.ShipPlane) {
 			ncfg.Faults = sched
 			fmt.Fprintf(os.Stderr, "serve: ship-fault schedule armed: %s\n", sched)
@@ -224,13 +219,12 @@ func runServe(args []string) error {
 	}
 	n.Engine.SetRecorder(rec)
 	c, err := cluster.NewRemote(cluster.Config{
-		Squall:          squall.DefaultConfig(),
-		Controller:      ctrl,
-		Cycle:           time.Duration(*cycleMin) * *minute,
-		RateScale:       rateScale * float64(*cycleMin),
-		Recorder:        rec,
-		Faults:          sched,
-		CheckpointEvery: *ckptEvery,
+		Squall:     squall.DefaultConfig(),
+		Controller: ctrl,
+		Cycle:      time.Duration(*cycleMin) * *minute,
+		RateScale:  rateScale * float64(*cycleMin),
+		Recorder:   rec,
+		Faults:     sched,
 	}, transport.NewLocal(n.Engine, n.Recovery))
 	if err != nil {
 		return err

@@ -12,9 +12,8 @@
 // DecisionFailed, EmergencyTriggered, per-cycle LoadObserved) instead of
 // reaching into engine counters or executor state.
 //
-// Lifecycle: NewRemote(Config, Topology) builds the loop; Start(ctx) takes the
-// crash plane's baseline checkpoint and launches the loop; Stop() halts it,
-// drains any in-flight move and closes the topology.
+// Lifecycle: NewRemote(Config, Topology) builds the loop; Start(ctx) launches
+// it; Stop() halts it, drains any in-flight move and closes the topology.
 package cluster
 
 import (
@@ -63,10 +62,6 @@ type Config struct {
 	// recover automatically after their downtime through the topology's
 	// recovery plane, which requires Cycle > 0; a controller is optional.
 	Faults *faults.Schedule
-	// CheckpointEvery checkpoints the topology every N monitoring cycles.
-	// Zero defaults to 10 when crash faults are armed; setting it without
-	// them still arms the recovery plane.
-	CheckpointEvery int
 }
 
 // Stats summarizes the runtime's decision activity.
@@ -95,12 +90,11 @@ type Cluster struct {
 	cfg Config
 	// topo is the placement-oblivious surface every decision reads.
 	topo transport.Topology
-	// hasRecovery reports whether the loop drives the crash/restore plane.
-	hasRecovery bool
-	ex          *squall.Executor
+	ex   *squall.Executor
 
-	// down maps a crashed machine to the cycle its recovery begins. It is
-	// owned exclusively by the decision-loop goroutine.
+	// down maps a crashed machine to the cycle its recovery begins; it is nil
+	// unless the crash plane is armed. It is owned exclusively by the
+	// decision-loop goroutine.
 	down map[int]int
 
 	mu       sync.Mutex
@@ -140,9 +134,8 @@ func NewRemote(cfg Config, topo transport.Topology) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, topo: topo, subs: map[int]chan Event{}}
-	if cfg.Faults.Arms(faults.CrashPlane) || cfg.CheckpointEvery > 0 {
+	if cfg.Faults.Arms(faults.CrashPlane) {
 		c.down = map[int]int{}
-		c.hasRecovery = true
 	}
 	var err error
 	c.ex, err = squall.NewExecutor(topo, cfg.Squall)
@@ -175,15 +168,8 @@ func (cfg *Config) normalize() error {
 			return fmt.Errorf("cluster: %w; a cluster injects chunk and crash faults", err)
 		}
 	}
-	crashes := cfg.Faults.Arms(faults.CrashPlane)
-	if crashes && cfg.Cycle <= 0 {
+	if cfg.Faults.Arms(faults.CrashPlane) && cfg.Cycle <= 0 {
 		return fmt.Errorf("cluster: Cycle %v must be positive when crash faults are armed", cfg.Cycle)
-	}
-	if cfg.CheckpointEvery < 0 {
-		return fmt.Errorf("cluster: CheckpointEvery %d must be non-negative", cfg.CheckpointEvery)
-	}
-	if crashes && cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 10
 	}
 	return nil
 }
@@ -205,9 +191,8 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// Start attaches the recorder, takes the crash plane's baseline checkpoint
-// and starts the monitoring/decision loop. The loop stops when ctx is
-// cancelled or Stop is called.
+// Start attaches the recorder and starts the monitoring/decision loop. The
+// loop stops when ctx is cancelled or Stop is called.
 func (c *Cluster) Start(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -220,13 +205,6 @@ func (c *Cluster) Start(ctx context.Context) error {
 	if rec := c.cfg.Recorder; rec != nil {
 		c.ex.SetRecorder(rec)
 		rec.RecordMachines(time.Now(), c.topo.ActiveMachines())
-	}
-	// A recovery plane needs a baseline checkpoint, so the first crash
-	// replays only the live traffic since Start.
-	if c.hasRecovery {
-		if _, err := c.topo.Checkpoint(); err != nil {
-			return fmt.Errorf("cluster: initial checkpoint: %w", err)
-		}
 	}
 	c.started = true
 	if c.cfg.Controller != nil || c.cfg.Faults.Arms(faults.CrashPlane) {
@@ -373,8 +351,8 @@ func (c *Cluster) beginMove(target int, rateFactor float64, emergency bool) (<-c
 }
 
 // loop is the monitoring/decision cycle (Section 6): every Cycle it drives
-// the crash plane (recoveries due, scheduled crashes, periodic checkpoints),
-// measures the load offered since the previous tick, converts it to paper
+// the crash plane (recoveries due, scheduled crashes), measures the load
+// offered since the previous tick, converts it to paper
 // units, and asks the controller whether to reconfigure. Decisions execute
 // in the background through the Squall executor, one at a time.
 func (c *Cluster) loop(ctx context.Context) {
@@ -479,11 +457,11 @@ func (c *Cluster) loop(ctx context.Context) {
 }
 
 // recoveryTick drives the crash plane for one monitoring cycle: machines
-// whose downtime elapsed are restored, the crash schedule fires, and the
-// periodic checkpoint runs. It runs on the loop goroutine, the sole owner of
-// c.down, so FailureObserver callbacks are never concurrent with Tick.
+// whose downtime elapsed are restored and the crash schedule fires. It runs on
+// the loop goroutine, the sole owner of c.down, so FailureObserver callbacks
+// are never concurrent with Tick; each precedes its event's publication.
 func (c *Cluster) recoveryTick(cycle int) {
-	if !c.hasRecovery {
+	if c.down == nil {
 		return
 	}
 	obs, _ := c.cfg.Controller.(elastic.FailureObserver)
@@ -495,11 +473,11 @@ func (c *Cluster) recoveryTick(cycle int) {
 			continue
 		}
 		delete(c.down, m)
-		c.publish(MachineRecovered{Time: time.Now(), Cycle: cycle, Machine: m,
-			Downtime: st.Downtime, Replayed: st.Replayed})
 		if obs != nil {
 			obs.MachineRecovered(m)
 		}
+		c.publish(MachineRecovered{Time: time.Now(), Cycle: cycle, Machine: m,
+			Downtime: st.Downtime, Replayed: st.Replayed})
 	}
 	if c.cfg.Faults.Arms(faults.CrashPlane) {
 		for _, pc := range c.cfg.Faults.CrashesAt(cycle, c.topo.ActiveMachines()) {
@@ -512,15 +490,10 @@ func (c *Cluster) recoveryTick(cycle int) {
 			}
 			recoverAt := cycle + pc.Down
 			c.down[pc.Machine] = recoverAt
-			c.publish(MachineFailed{Time: time.Now(), Cycle: cycle, Machine: pc.Machine, RecoverAtCycle: recoverAt})
 			if obs != nil {
 				obs.MachineFailed(pc.Machine)
 			}
-		}
-	}
-	if every := c.cfg.CheckpointEvery; every > 0 && cycle > 0 && cycle%every == 0 {
-		if _, err := c.topo.Checkpoint(); err != nil {
-			c.failures.Add(1)
+			c.publish(MachineFailed{Time: time.Now(), Cycle: cycle, Machine: pc.Machine, RecoverAtCycle: recoverAt})
 		}
 	}
 }

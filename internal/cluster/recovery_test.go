@@ -4,14 +4,42 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"pstore/internal/elastic"
 	"pstore/internal/faults"
+	"pstore/internal/node"
+	"pstore/internal/recovery"
 	"pstore/internal/store"
+	"pstore/internal/store/storetest"
 )
+
+// registerKV installs put and get over table T, with int args.
+func registerKV(e *store.Engine) error {
+	return errors.Join(
+		e.Register("put", func(tx *store.Tx) (any, error) { return nil, tx.Put("T", tx.Key, tx.Args) }),
+		e.Register("get", func(tx *store.Tx) (any, error) {
+			v, _, err := tx.Get("T", tx.Key)
+			return v, err
+		}),
+		e.SetArgsDecoder(storetest.Args[int]),
+	)
+}
+
+// loadKV is a dataset of keys rows, k-i = i.
+func loadKV(keys int) func(*store.Engine) error {
+	return func(e *store.Engine) error {
+		for i := 0; i < keys; i++ {
+			if _, err := e.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // crashProbeController records what the runtime tells a controller about
 // machine failures, and asks for one emergency scale-out of the *effective*
@@ -62,23 +90,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 	ctrl := &crashProbeController{}
 	eng := testEngineConfig()
 	eng.InitialMachines = 2
-	register := func(e *store.Engine) error {
-		return errors.Join(
-			e.Register("put", func(tx *store.Tx) (any, error) { return nil, tx.Put("T", tx.Key, tx.Args) }),
-			e.Register("get", func(tx *store.Tx) (any, error) {
-				v, _, err := tx.Get("T", tx.Key)
-				return v, err
-			}),
-		)
-	}
-	n := openNode(t, eng, register, func(e *store.Engine) error {
-		for i := 0; i < keys; i++ {
-			if _, err := e.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	n := openNode(t, eng, registerKV, loadKV(keys))
 	rec := attachRecorder(t, n)
 	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
@@ -92,7 +104,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.hasRecovery {
+	if c.down == nil {
 		t.Fatal("crash schedule armed but the recovery plane is not")
 	}
 	events, unsub := c.Subscribe(4096)
@@ -174,24 +186,115 @@ func TestClusterCrashRecovery(t *testing.T) {
 		t.Errorf("recovery stats = %+v, want 1 crash / 1 recovery", st)
 	}
 	if st.Checkpoints < 1 {
-		t.Errorf("Checkpoints = %d, want >= 1 (initial baseline)", st.Checkpoints)
+		t.Errorf("Checkpoints = %d, want >= 1 (the load's baseline round)", st.Checkpoints)
+	}
+}
+
+// slowObserver is a static controller whose failure callbacks take a few
+// milliseconds to record what they were told.
+type slowObserver struct {
+	mu                sync.Mutex
+	failed, recovered []int
+}
+
+func (o *slowObserver) Name() string { return "slow-observer" }
+
+func (o *slowObserver) Tick(int, bool, float64) (*elastic.Decision, error) { return nil, nil }
+
+func (o *slowObserver) MachineFailed(m int) {
+	time.Sleep(5 * time.Millisecond)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.failed = append(o.failed, m)
+}
+
+func (o *slowObserver) MachineRecovered(m int) {
+	time.Sleep(5 * time.Millisecond)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.recovered = append(o.recovered, m)
+}
+
+func (o *slowObserver) told() (failed, recovered []int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return slices.Clone(o.failed), slices.Clone(o.recovered)
+}
+
+// TestFailureObserverBeforeEvent: a subscriber that sees MachineFailed or
+// MachineRecovered finds the controller already told, however long the
+// controller's callback takes.
+func TestFailureObserverBeforeEvent(t *testing.T) {
+	eng := testEngineConfig()
+	eng.InitialMachines = 2
+	obs := &slowObserver{}
+	c, err := NewRemote(Config{
+		Squall:     testSquallConfig(),
+		Controller: obs,
+		Cycle:      3 * time.Millisecond,
+		Faults: &faults.Schedule{
+			Events: []faults.Event{{Kind: faults.PinnedCrash, A: 1, Tick: 1, Down: 2}},
+		},
+	}, local(openNode(t, eng, nil, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, unsub := c.Subscribe(256)
+	defer unsub()
+	if err := c.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	deadline := time.After(20 * time.Second)
+	for {
+		select {
+		case e := <-events:
+			switch ev := e.(type) {
+			case MachineFailed:
+				if failed, _ := obs.told(); !slices.Contains(failed, ev.Machine) {
+					t.Fatalf("MachineFailed for machine %d published before the controller was told (told %v)", ev.Machine, failed)
+				}
+			case MachineRecovered:
+				if _, recovered := obs.told(); !slices.Contains(recovered, ev.Machine) {
+					t.Fatalf("MachineRecovered for machine %d published before the controller was told (told %v)", ev.Machine, recovered)
+				}
+				return
+			}
+		case <-deadline:
+			t.Fatal("timed out waiting for the recovery")
+		}
 	}
 }
 
 // TestClusterCrashWithoutController runs the crash plane on a static cluster
-// (no controller): the decision loop must still drive crash, checkpoint and
-// recovery.
+// (no controller) over a node logging to 1 KiB segments: the writes before the
+// loop starts take the log past its bound many times, the node's own rounds
+// compact it, and the loop's crash and recovery rebuild the machine from the
+// image sets those rounds wrote plus the tail after them.
 func TestClusterCrashWithoutController(t *testing.T) {
+	const keys, writes = 50, 1000
 	eng := testEngineConfig()
 	eng.InitialMachines = 2
-	n := openNode(t, eng, nil, nil)
+	n, err := node.Open(node.Config{Store: eng, Register: registerKV, Load: loadKV(keys),
+		Recovery: recovery.Config{DataDir: t.TempDir(), SegmentBytes: 1 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	for i := 0; i < writes; i++ {
+		if _, err := n.Engine.Execute("put", fmt.Sprintf("k-%d", i%keys), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ws := n.Recovery.WALStats(); ws.CompactedSegments == 0 {
+		t.Fatalf("%d writes sealed %d segments and compacted none", writes, ws.Rotations)
+	}
 	c, err := NewRemote(Config{
 		Squall: testSquallConfig(),
 		Cycle:  2 * time.Millisecond,
 		Faults: &faults.Schedule{
 			Events: []faults.Event{{Kind: faults.PinnedCrash, A: 0, Tick: 1, Down: 2}},
 		},
-		CheckpointEvery: 5,
 	}, local(n))
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +328,12 @@ func TestClusterCrashWithoutController(t *testing.T) {
 	if st.Crashes != 1 || st.Recoveries != 1 {
 		t.Fatalf("recovery stats = %+v, want 1 crash / 1 recovery", st)
 	}
+	for k := 0; k < keys; k++ {
+		want := writes - keys + k
+		if v, err := n.Engine.Execute("get", fmt.Sprintf("k-%d", k), nil); err != nil || v != want {
+			t.Fatalf("k-%d = %v (%v) after the restore, want %d", k, v, err, want)
+		}
+	}
 }
 
 // TestClusterCrashConfigValidation pins the construction-time contract.
@@ -244,11 +353,6 @@ func TestClusterCrashConfigValidation(t *testing.T) {
 	if _, err := NewRemote(cfg, topo); err == nil {
 		t.Error("invalid crash rate accepted")
 	}
-	cfg = base()
-	cfg.CheckpointEvery = -1
-	if _, err := NewRemote(cfg, topo); err == nil {
-		t.Error("negative CheckpointEvery accepted")
-	}
 	// An empty schedule is inert: no recovery plane, no loop requirement.
 	cfg = base()
 	cfg.Faults = &faults.Schedule{}
@@ -256,17 +360,7 @@ func TestClusterCrashConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.hasRecovery {
+	if c.down != nil {
 		t.Error("empty crash schedule armed the recovery plane")
-	}
-	// CheckpointEvery alone arms the recovery plane for manual use.
-	cfg = base()
-	cfg.CheckpointEvery = 7
-	c, err = NewRemote(cfg, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.hasRecovery {
-		t.Error("CheckpointEvery alone did not arm the recovery plane")
 	}
 }

@@ -31,14 +31,15 @@ type Model struct {
 
 // Validate reports configuration errors.
 func (m Model) Validate() error {
-	if m.Q <= 0 {
-		return fmt.Errorf("migration: Q %v must be positive", m.Q)
+	// Negated, so that NaN fails each check.
+	if !(m.Q > 0 && m.Q < math.Inf(1)) {
+		return fmt.Errorf("migration: Q %v must be positive and finite", m.Q)
 	}
-	if m.QMax < m.Q {
-		return fmt.Errorf("migration: QMax %v must be at least Q %v", m.QMax, m.Q)
+	if !(m.QMax >= m.Q && m.QMax < math.Inf(1)) {
+		return fmt.Errorf("migration: QMax %v must be finite and at least Q %v", m.QMax, m.Q)
 	}
-	if m.D < 0 {
-		return fmt.Errorf("migration: D %v must be non-negative", m.D)
+	if !(m.D >= 0 && m.D < math.Inf(1)) {
+		return fmt.Errorf("migration: D %v must be finite and non-negative", m.D)
 	}
 	if m.P < 1 {
 		return fmt.Errorf("migration: P %d must be at least 1", m.P)

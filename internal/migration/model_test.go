@@ -19,6 +19,13 @@ func TestModelValidate(t *testing.T) {
 		{Q: 2, QMax: 1, D: 1, P: 1},
 		{Q: 1, QMax: 1, D: -1, P: 1},
 		{Q: 1, QMax: 1, D: 1, P: 0},
+		{Q: math.NaN(), QMax: 1, D: 1, P: 1},
+		{Q: 1, QMax: math.NaN(), D: 1, P: 1},
+		{Q: 1, QMax: 1, D: math.NaN(), P: 1},
+		{Q: math.Inf(1), QMax: math.Inf(1), D: 1, P: 1},
+		{Q: 1, QMax: math.Inf(1), D: 1, P: 1},
+		{Q: 1, QMax: 1, D: math.Inf(1), P: 1},
+		{Q: math.Inf(-1), QMax: 1, D: 1, P: 1},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {

@@ -134,6 +134,14 @@ type Manager struct {
 	mu        sync.Mutex
 	downSince map[int]time.Time
 
+	// The log bound (SetRound): the next round is due at AppendedBytes roundAt,
+	// roundBytes (two segments, so each deletes a sealed one) past where the
+	// last left the log; roundMu is held while one runs, and guards round.
+	roundBytes int64
+	roundAt    atomic.Int64
+	roundMu    sync.Mutex
+	round      func()
+
 	crashes      atomic.Int64
 	recoveries   atomic.Int64
 	checkpoints  atomic.Int64
@@ -182,6 +190,8 @@ func New(eng *store.Engine, cfg Config) (*Manager, error) {
 		m.log = newDiskStore(eng, l, rec)
 		m.wal = l
 		m.cold = rec
+		m.roundBytes = 2 * l.SegmentBytes()
+		m.roundAt.Store(m.roundBytes - rec.SegmentBytes) // a previous life's segments count
 	}
 	eng.SetCommandLog(m)
 	eng.SetPlanLog(m)
@@ -220,13 +230,17 @@ func (m *Manager) LogChunk(part int, set []byte) error {
 	if err != nil {
 		return err
 	}
-	return m.log.Wait(ticket)
+	return m.WaitDurable(ticket)
 }
 
 // WaitDurable implements store.CommandLogger: it blocks until the record
 // behind the ticket is fsynced (and follower-acked under synchronous
-// commit), leading the group-commit fsync if none is in flight.
-func (m *Manager) WaitDurable(ticket uint64) error { return m.log.Wait(ticket) }
+// commit), leading the group-commit fsync if none is in flight, and then
+// checks the log bound: every durable append ends here.
+func (m *Manager) WaitDurable(ticket uint64) error {
+	defer m.boundLog()
+	return m.log.Wait(ticket)
+}
 
 // LogHead implements store.CommandLogger: the LSN of the last command
 // appended for the bucket.
@@ -261,6 +275,32 @@ func (m *Manager) Err() error { return m.log.Err() }
 // store). Everything acknowledged is already durable; Close flushes
 // nothing.
 func (m *Manager) Close() error { return m.log.Close() }
+
+// SetRound arms the durable log's bound with the node's checkpoint round (nil
+// disarms it, once a round in flight has finished): the first append made
+// durable two segments past where the last completed round left the log starts
+// round on a goroutine, one at a time; a failed one is due at the next bound.
+func (m *Manager) SetRound(round func()) {
+	m.roundMu.Lock()
+	m.round = round
+	m.roundMu.Unlock()
+}
+
+// boundLog starts a round at the bound: two atomic loads and a compare below it.
+func (m *Manager) boundLog() {
+	if m.wal == nil || m.wal.AppendedBytes() < m.roundAt.Load() || !m.roundMu.TryLock() {
+		return
+	}
+	m.roundAt.Store(m.wal.AppendedBytes() + m.roundBytes) // the next bound, should this round fail
+	if m.round == nil {
+		m.roundMu.Unlock()
+		return
+	}
+	go func(round func()) {
+		defer m.roundMu.Unlock()
+		round()
+	}(m.round)
+}
 
 // Bootstrap loads a fresh engine's dataset and makes it durable as one
 // checkpoint round instead of as a command log: load runs with nothing logged
@@ -336,10 +376,14 @@ func (m *Manager) installRoundLocked(all []store.BucketSnapshot) error {
 }
 
 // completeCheckpointLocked ends a round whose images are installed: the
-// manifest is rewritten, covered segments go, and the round is counted.
+// manifest is rewritten, covered segments go, the round is counted, and the
+// log bound counts again from the active segment, which no round deletes.
 func (m *Manager) completeCheckpointLocked() error {
 	if err := m.log.Checkpoint(); err != nil {
 		return fmt.Errorf("recovery: completing checkpoint: %w", err)
+	}
+	if m.wal != nil {
+		m.roundAt.Store(m.wal.ActiveStart() + m.roundBytes)
 	}
 	m.checkpoints.Add(1)
 	return nil

@@ -94,6 +94,9 @@ func (m *Manager) ResetReplica() error {
 	if m.wal == nil {
 		return ErrNotDurable
 	}
+	// A round whose images are still being written lands before the wipe.
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err := m.wal.Reset(); err != nil {
 		return err
 	}

@@ -280,9 +280,9 @@ func (s *Server) applyBatch(b *shipApply, planSeq uint64) (uint64, error) {
 func (s *Server) quiesceApply() (release func(), err error) {
 	st := &s.repl
 	st.mu.Lock()
-	if s.answer(reqQuiesce).do != drain {
+	if c := s.answer(reqQuiesce); c.do != drain {
 		st.mu.Unlock()
-		return func() {}, nil
+		return func() {}, c.err
 	}
 	if err := s.apply.drain(); err != nil {
 		st.mu.Unlock()

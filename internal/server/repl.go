@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"log"
 	"net/http"
 
 	"pstore/internal/recovery"
@@ -264,7 +263,6 @@ func (s *Server) handleReplShip(w http.ResponseWriter, r *http.Request) {
 	st.received = batch.Next
 	accepted = true
 	s.apply.push(b, s.rm.WALStats().Syncs-syncs)
-	s.maybeFollowerCheckpointLocked(len(b.cmds))
 	ack.Received = st.received
 	writeJSON(w, ack)
 }
@@ -335,33 +333,6 @@ func (s *Server) decodeShipBatch(batch *wire.ShipBatch) (*shipApply, [][]byte, e
 		fresh = append(fresh, batch.Frames[i])
 	}
 	return b, fresh, nil
-}
-
-// maybeFollowerCheckpointLocked kicks off an async checkpoint of the
-// replica's own WAL once FollowerCheckpointEvery freshly accepted command
-// records have accumulated, so a long-lived follower's cold start stays
-// bounded. At most one is in flight. Caller holds s.repl.mu.
-func (s *Server) maybeFollowerCheckpointLocked(fresh int) {
-	every := s.cfg.FollowerCheckpointEvery
-	if every <= 0 {
-		return
-	}
-	st := &s.repl
-	st.acceptedRecs += fresh
-	if st.acceptedRecs < every || st.checkpointing {
-		return
-	}
-	st.acceptedRecs = 0
-	st.checkpointing = true
-	go func() {
-		_, err := s.checkpoint()
-		st.mu.Lock()
-		st.checkpointing = false
-		st.mu.Unlock()
-		if err != nil {
-			log.Printf("server: follower checkpoint failed: %v", err)
-		}
-	}()
 }
 
 // checkpoint runs one checkpoint round of this node's log. A partition stamps

@@ -58,16 +58,11 @@ type replState struct {
 	mu   sync.Mutex
 	role atomic.Int32
 	// A replica's: received is the cursor after the last accepted batch — the
-	// primary's records before it are durable in this node's log; acceptedRecs
-	// counts shipped command records accepted since the last follower
-	// checkpoint.
-	received     wire.ShipCursor
-	acceptedRecs int
+	// primary's records before it are durable in this node's log.
+	received wire.ShipCursor
 	// A promoted primary's: drained is the apply backlog its promotion had to
 	// execute first, in command records.
 	drained int
-	// checkpointing guards against overlapping async follower checkpoints.
-	checkpointing bool
 }
 
 func (s *Server) role() role { return role(s.repl.role.Load()) }
@@ -85,7 +80,7 @@ func (s *Server) become(to role) error {
 		return fmt.Errorf("server: a %s node cannot become %s", from, to)
 	}
 	if to != roleReplica {
-		st.received, st.acceptedRecs = wire.ShipCursor{}, 0
+		st.received = wire.ShipCursor{}
 	}
 	if to != rolePrimary {
 		st.drained = 0
@@ -135,14 +130,15 @@ const latchedReplica = nRoles
 
 // guards is what each role answers each request; a zero cell serves it.
 // Placement is a primary's: a follower's plan and rows change only by its
-// primary's log, or a chunk logged here would fork the replicated history.
+// primary's log, or a chunk logged here would fork the replicated history. A
+// syncing node's partitions and log are its install's: it quiesces for nobody.
 var guards = [nRoles + 1][nRequests]cell{
 	rolePrimary: {reqInstall: {refuse, errInstallNotReplica}, reqShip: {refuse, errShipNotReplica}, reqPromote: {do: skip}},
 	roleFenced: {reqTxn: {refuse, errTxnFenced}, reqSync: {refuse, errSyncFenced},
 		reqInstall: {refuse, errInstallNotReplica}, reqShip: {refuse, errShipNotReplica}, reqPromote: {refuse, errPromoteFenced},
 		reqPlace: {refuse, errPlaceFenced}},
 	roleSyncing: {reqTxn: {refuse, errTxnReplica}, reqSync: {refuse, errSyncReplica}, reqShip: {refuse, errSyncIncomplete},
-		reqPromote: {refuse, errSyncIncomplete}, reqDemote: {do: skip}, reqQuiesce: {do: drain}, reqPlace: {refuse, errPlaceReplica}},
+		reqPromote: {refuse, errSyncIncomplete}, reqDemote: {do: skip}, reqQuiesce: {refuse, errSyncIncomplete}, reqPlace: {refuse, errPlaceReplica}},
 	roleReplica: {reqTxn: {refuse, errTxnReplica}, reqSync: {refuse, errSyncReplica},
 		reqPromote: {do: drain}, reqDemote: {do: skip}, reqQuiesce: {do: drain}, reqPlace: {refuse, errPlaceReplica}},
 	latchedReplica: {reqTxn: {refuse, errTxnReplica}, reqSync: {refuse, errSyncReplica}, reqShip: {do: resync},

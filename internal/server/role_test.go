@@ -58,8 +58,8 @@ func serveNode(h http.HandlerFunc, method, path string, body any) (string, []byt
 
 // TestRoleMoves takes a node from every role to every role. A legal move
 // lands on the new role and resets exactly what the new role does not own —
-// a replica owns its received cursor and accepted-record count, a
-// primary its drained count — and entering syncing discards
+// a replica owns its received cursor, a primary its drained count — and
+// entering syncing discards
 // the apply backlog. An illegal move returns an error and changes nothing.
 func TestRoleMoves(t *testing.T) {
 	legal := map[[2]role]bool{
@@ -69,25 +69,24 @@ func TestRoleMoves(t *testing.T) {
 		{roleReplica, rolePrimary}: true, {roleReplica, roleSyncing}: true,
 	}
 	type owned struct {
-		received     wire.ShipCursor
-		acceptedRecs int
-		drained      int
-		applied      wire.ShipCursor
+		received wire.ShipCursor
+		drained  int
+		applied  wire.ShipCursor
 	}
 	full := owned{
-		received: wire.ShipCursor{Seg: 1, Rec: 2}, acceptedRecs: 4,
-		drained: 6, applied: wire.ShipCursor{Seg: 7, Rec: 8},
+		received: wire.ShipCursor{Seg: 1, Rec: 2},
+		drained:  6, applied: wire.ShipCursor{Seg: 7, Rec: 8},
 	}
 	for from := rolePrimary; from < nRoles; from++ {
 		for to := rolePrimary; to < nRoles; to++ {
 			s := roleNode(t, from, false).srv
 			st := &s.repl
-			st.received, st.acceptedRecs, st.drained = full.received, full.acceptedRecs, full.drained
+			st.received, st.drained = full.received, full.drained
 			s.apply.applied = full.applied
 			st.mu.Lock()
 			err := s.become(to)
 			st.mu.Unlock()
-			got := owned{st.received, st.acceptedRecs, st.drained, s.apply.position().applied}
+			got := owned{st.received, st.drained, s.apply.position().applied}
 			want := full
 			if legal[[2]role{from, to}] {
 				if err != nil || s.role() != to {
@@ -95,7 +94,7 @@ func TestRoleMoves(t *testing.T) {
 					continue
 				}
 				if to != roleReplica {
-					want.received, want.acceptedRecs = wire.ShipCursor{}, 0
+					want.received = wire.ShipCursor{}
 				}
 				if to != rolePrimary {
 					want.drained = 0
@@ -222,11 +221,11 @@ func TestRoleGuards(t *testing.T) {
 			}
 			code, _ := serveNode(nodeJSON(n.srv.handleNodeRestore), http.MethodPost, wire.PathNodeRestore, m)
 			return code
-		}, [...][2]want{same("", P), same("", F), {{"", S}, {latch, S}}, {{"", R}, {latch, R}}}},
+		}, [...][2]want{same("", P), same("", F), same(stopped, S), {{"", R}, {latch, R}}}},
 		{"checkpoint", func(n *installNode) string {
 			code, _ := serveNode(n.srv.handleNodeCheckpoint, http.MethodPost, wire.PathNodeCheckpoint, nil)
 			return code
-		}, [...][2]want{same("", P), same("", F), {{"", S}, {latch, S}}, {{"", R}, {latch, R}}}},
+		}, [...][2]want{same("", P), same("", F), same(stopped, S), {{"", R}, {latch, R}}}},
 		{"status", func(n *installNode) string {
 			_, body := serveNode(n.srv.handleReplStatus, http.MethodGet, wire.PathReplStatus, nil)
 			var st wire.ReplStatus

@@ -63,10 +63,6 @@ type Config struct {
 	// primary (transport.ShipperConfig's Faults and SyncCommit).
 	Faults     *faults.Schedule
 	SyncCommit bool
-	// FollowerCheckpointEvery, when > 0, has a replica run a checkpoint of
-	// its own WAL every time that many shipped command records have been
-	// accepted — bounding a long-lived follower's own cold start.
-	FollowerCheckpointEvery int
 	// Info is served as JSON at /v1/info — the place a serving process
 	// publishes its trace parameters so a remote load generator can replay
 	// exactly the workload the server was provisioned for.
@@ -221,6 +217,11 @@ func New(eng *store.Engine, rm *recovery.Manager, deadline time.Duration, cfg Co
 		_ = s.become(roleSyncing) // a new node is a primary, which may start a sync
 		s.repl.mu.Unlock()
 	}
+	rm.SetRound(func() {
+		if _, err := s.checkpoint(); err != nil {
+			logf("checkpoint round at the log bound failed, due again at the next: %v", err)
+		}
+	})
 	s.httpSrv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: readHeaderTimeout,
@@ -261,11 +262,13 @@ func (s *Server) fail(err error) {
 
 // Shutdown gracefully stops the server: no new connections, in-flight HTTP
 // requests run to ctx's deadline, then the transaction streams — accepted and
-// forwarding — are closed. A sync or rejoin in flight is cancelled first, and
-// a follower's applier stops after the batch it is on; what it leaves
-// unapplied is in the log, where a cold start finds it. The shipper stops
-// last, so requests waiting on its follower's acks can still complete.
+// forwarding — are closed. A checkpoint round finishes and a sync or rejoin is
+// cancelled first, and a follower's applier stops after the batch it is on;
+// what it leaves unapplied is in the log, where a cold start finds it. The
+// shipper stops last, so requests waiting on its follower's acks can still
+// complete.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.rm.SetRound(nil)
 	s.stopArcs()
 	s.apply.stop(ctx)
 	err := s.httpSrv.Shutdown(ctx)

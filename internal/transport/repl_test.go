@@ -49,9 +49,8 @@ type replNodeConfig struct {
 	// recovery is the log store: a small segment size, or a MemFS whose
 	// fsyncs the test gates; register the procedure set, such as a put the
 	// test holds open.
-	recovery     recovery.Config
-	register     func(*store.Engine) error
-	followerCkpt int
+	recovery recovery.Config
+	register func(*store.Engine) error
 }
 
 // newReplNode starts a replNode; t's cleanup stops it.
@@ -96,9 +95,8 @@ func newReplNode(t testing.TB, cfg replNodeConfig) *replNode {
 	}
 	url := "http://" + l.Addr().String()
 	srv, err := server.New(eng, rm, 0, server.Config{
-		Peers:                   []string{url},
-		ReplicaOf:               cfg.replicaOf,
-		FollowerCheckpointEvery: cfg.followerCkpt,
+		Peers:     []string{url},
+		ReplicaOf: cfg.replicaOf,
 	})
 	if err != nil {
 		t.Fatal(err)

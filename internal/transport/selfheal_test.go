@@ -307,12 +307,13 @@ func TestStalledFollowerFullResync(t *testing.T) {
 	}
 }
 
-// TestFollowerCheckpoints: a replica with FollowerCheckpointEvery set runs
-// checkpoint rounds against its own WAL as shipped records accumulate, and
-// still promotes to the correct state.
+// TestFollowerCheckpoints: a replica logging to 1 KiB segments runs
+// checkpoint rounds against its own WAL as shipped records take it past its
+// bound, compacts what they cover, and still promotes to the correct state.
 func TestFollowerCheckpoints(t *testing.T) {
-	primary := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
-	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string], followerCkpt: 40})
+	small := recovery.Config{SegmentBytes: 1 << 10}
+	primary := newReplNode(t, replNodeConfig{args: storetest.Args[string], recovery: small})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string], recovery: small})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -327,11 +328,12 @@ func TestFollowerCheckpoints(t *testing.T) {
 	}
 	drainShipper(t, sh, follower)
 
-	// The checkpoint runs async off the ship path; wait for the counter.
+	// The rounds run off the ship path; wait for one to compact.
 	deadline := time.Now().Add(10 * time.Second)
-	for follower.rm.Stats().Checkpoints <= base {
+	for follower.rm.Stats().Checkpoints <= base || follower.rm.WALStats().CompactedSegments == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower ran no checkpoint after %d shipped records (counter stuck at %d)", writes, base)
+			t.Fatalf("follower compacted nothing after %d shipped records (%d checkpoints, %d segments sealed)",
+				writes, follower.rm.Stats().Checkpoints-base, follower.rm.WALStats().Rotations)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -347,18 +349,5 @@ func TestFollowerCheckpoints(t *testing.T) {
 	}
 	if err := follower.rm.Err(); err != nil {
 		t.Fatalf("follower log latched an error: %v", err)
-	}
-
-	// A batch near the drain's end may have launched one last async
-	// checkpoint (at most one is ever in flight); let it finish writing
-	// images before the test tears the data directory down.
-	stable := follower.rm.Stats().Checkpoints
-	for settled := 0; settled < 10; {
-		time.Sleep(100 * time.Millisecond)
-		if now := follower.rm.Stats().Checkpoints; now == stable {
-			settled++
-		} else {
-			stable, settled = now, 0
-		}
 	}
 }

@@ -801,6 +801,17 @@ func (l *Log) writeManifest() error {
 // with the append path.
 func (l *Log) DiskBytes() int64 { return l.diskBytes.Load() }
 
+// AppendedBytes returns the framed record bytes made durable since Open,
+// ActiveStart what it was when the active segment opened, and SegmentBytes the
+// rotation threshold in force.
+func (l *Log) AppendedBytes() int64 { return l.appBytes.Load() }
+func (l *Log) SegmentBytes() int64  { return l.cfg.SegmentBytes }
+func (l *Log) ActiveStart() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appBytes.Load() - l.activeSize
+}
+
 // Stats snapshots the log's cumulative counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

@@ -12,6 +12,7 @@ import (
 	"pstore/internal/faults"
 	"pstore/internal/metrics"
 	"pstore/internal/node"
+	"pstore/internal/node/nodetest"
 	"pstore/internal/squall"
 	"pstore/internal/store"
 	"pstore/internal/transport"
@@ -42,19 +43,10 @@ func registerNoop(eng *store.Engine) error {
 	return eng.Register("noop", func(tx *store.Tx) (any, error) { return nil, nil })
 }
 
-// openNode opens a one-node node hosting every machine of cfg, with register's
-// procedures (noop when nil) and load's dataset; t's cleanup closes it.
-func openNode(t *testing.T, cfg store.Config, register, load func(*store.Engine) error) *node.Node {
-	t.Helper()
-	if register == nil {
-		register = registerNoop
-	}
-	n, err := node.Open(node.Config{Store: cfg, Register: register, Load: load})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n
+// noopConfig is a one-node node hosting every machine of cfg, with the noop
+// procedure.
+func noopConfig(cfg store.Config) node.Config {
+	return node.Config{Store: cfg, Register: registerNoop}
 }
 
 // local is the loop's topology over a node's own engine.
@@ -123,7 +115,7 @@ func driveLoad(t *testing.T, eng *store.Engine, stop <-chan struct{}, wg *sync.W
 // full scale-out + scale-in cycle, and checks the typed event stream tells
 // the whole story in order.
 func TestClusterScaleOutScaleInEvents(t *testing.T) {
-	n := openNode(t, testEngineConfig(), nil, nil)
+	n := nodetest.Node(t, noopConfig(testEngineConfig()))
 	rec := attachRecorder(t, n)
 	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
@@ -231,7 +223,7 @@ func TestClusterDecisionFailedEvents(t *testing.T) {
 		Squall:     testSquallConfig(),
 		Controller: errController{},
 		Cycle:      2 * time.Millisecond,
-	}, local(openNode(t, testEngineConfig(), nil, nil)))
+	}, local(nodetest.Node(t, noopConfig(testEngineConfig()))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +273,7 @@ func TestClusterEmergencyRate(t *testing.T) {
 		Squall:     testSquallConfig(),
 		Controller: &emergencyController{},
 		Cycle:      2 * time.Millisecond,
-	}, local(openNode(t, testEngineConfig(), nil, nil)))
+	}, local(nodetest.Node(t, noopConfig(testEngineConfig()))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +330,7 @@ func (idleController) Tick(int, bool, float64) (*elastic.Decision, error) {
 // over RateScale.
 func TestClusterLoadIsTransactionsOverRateScale(t *testing.T) {
 	const rateScale, txns = 4, 40
-	n := openNode(t, testEngineConfig(), nil, nil)
+	n := nodetest.Node(t, noopConfig(testEngineConfig()))
 	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
 		Controller: idleController{},
@@ -394,7 +386,7 @@ func TestClusterLoadIsTransactionsOverRateScale(t *testing.T) {
 // TestClusterManualReconfigure exercises the synchronous operator-move path
 // and the single-move-at-a-time invariant.
 func TestClusterManualReconfigure(t *testing.T) {
-	n := openNode(t, testEngineConfig(), nil, nil)
+	n := nodetest.Node(t, noopConfig(testEngineConfig()))
 	c, err := NewRemote(Config{Squall: testSquallConfig()}, local(n))
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +450,7 @@ func TestClusterMoveFailureEventAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := &observingController{}
-	n := openNode(t, testEngineConfig(), nil, nil)
+	n := nodetest.Node(t, noopConfig(testEngineConfig()))
 	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
 		Controller: ctrl,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pstore/internal/elastic"
+	"pstore/internal/node/nodetest"
 	"pstore/internal/store"
 )
 
@@ -52,7 +53,7 @@ func TestClusterOverloadSignalDelivery(t *testing.T) {
 		InitialMachines:      1,
 		Deadline:             2 * time.Millisecond,
 	}
-	n := openNode(t, engCfg, nil, nil)
+	n := nodetest.Node(t, noopConfig(engCfg))
 	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
 		Controller: ctrl,

@@ -12,6 +12,7 @@ import (
 	"pstore/internal/elastic"
 	"pstore/internal/faults"
 	"pstore/internal/node"
+	"pstore/internal/node/nodetest"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
@@ -90,7 +91,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 	ctrl := &crashProbeController{}
 	eng := testEngineConfig()
 	eng.InitialMachines = 2
-	n := openNode(t, eng, registerKV, loadKV(keys))
+	n := nodetest.Node(t, node.Config{Store: eng, Register: registerKV, Load: loadKV(keys)})
 	rec := attachRecorder(t, n)
 	c, err := NewRemote(Config{
 		Squall:     testSquallConfig(),
@@ -235,7 +236,7 @@ func TestFailureObserverBeforeEvent(t *testing.T) {
 		Faults: &faults.Schedule{
 			Events: []faults.Event{{Kind: faults.PinnedCrash, A: 1, Tick: 1, Down: 2}},
 		},
-	}, local(openNode(t, eng, nil, nil)))
+	}, local(nodetest.Node(t, noopConfig(eng))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +276,8 @@ func TestClusterCrashWithoutController(t *testing.T) {
 	const keys, writes = 50, 1000
 	eng := testEngineConfig()
 	eng.InitialMachines = 2
-	n, err := node.Open(node.Config{Store: eng, Register: registerKV, Load: loadKV(keys),
+	n := nodetest.Node(t, node.Config{Store: eng, Register: registerKV, Load: loadKV(keys),
 		Recovery: recovery.Config{DataDir: t.TempDir(), SegmentBytes: 1 << 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
 	for i := 0; i < writes; i++ {
 		if _, err := n.Engine.Execute("put", fmt.Sprintf("k-%d", i%keys), i); err != nil {
 			t.Fatal(err)
@@ -338,7 +335,7 @@ func TestClusterCrashWithoutController(t *testing.T) {
 
 // TestClusterCrashConfigValidation pins the construction-time contract.
 func TestClusterCrashConfigValidation(t *testing.T) {
-	topo := local(openNode(t, testEngineConfig(), nil, nil))
+	topo := local(nodetest.Node(t, noopConfig(testEngineConfig())))
 	base := func() Config {
 		return Config{Squall: testSquallConfig()}
 	}

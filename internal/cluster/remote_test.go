@@ -12,7 +12,6 @@ import (
 	"pstore/internal/node/nodetest"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
-	"pstore/internal/transport"
 )
 
 // The coordinator-mode tests drive the same runtime as the rest of the suite,
@@ -35,11 +34,6 @@ func remoteRegister(eng *store.Engine) error {
 		return err
 	}
 	return eng.SetArgsDecoder(storetest.Args[int])
-}
-
-func newRemoteLoopback(t *testing.T, nodes int) ([]*node.Node, *transport.Remote) {
-	t.Helper()
-	return nodetest.Start(t, nodes, node.Config{Store: testEngineConfig(), Register: remoteRegister})
 }
 
 // loadRemote runs the same deterministic load on every node engine; each
@@ -83,7 +77,8 @@ func waitEvent[E Event](t *testing.T, ch <-chan Event, what string) E {
 // tick as single-process mode, and the data set survives it all.
 func TestRemoteCoordinator(t *testing.T) {
 	const keys = 200
-	nodes, remote := newRemoteLoopback(t, 2)
+	lb := nodetest.Start(t, 2, node.Config{Store: testEngineConfig(), Register: remoteRegister})
+	nodes, remote := lb.Nodes, lb.Remote
 	loadRemote(t, nodes, keys)
 
 	// A long cycle sequences the test: the scale-out below completes well

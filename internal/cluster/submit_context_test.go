@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"pstore/internal/node/nodetest"
 	"pstore/internal/store"
 )
 
@@ -13,7 +14,7 @@ import (
 // already expired at submission is refused with the typed errors the server
 // maps to 429/504.
 func TestSubmitIDContext(t *testing.T) {
-	n := openNode(t, testEngineConfig(), nil, nil)
+	n := nodetest.Node(t, noopConfig(testEngineConfig()))
 	c, err := NewRemote(Config{Squall: testSquallConfig()}, local(n))
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"pstore/internal/node"
-	"pstore/internal/recovery"
+	"pstore/internal/node/nodetest"
 	"pstore/internal/wal"
 )
 
@@ -19,13 +19,6 @@ import (
 // rounds keep deleting them.
 
 const boundSegBytes = 1 << 10
-
-// boundedConfig is kvConfig logging to 1 KiB segments.
-func boundedConfig(t *testing.T) node.Config {
-	cfg := kvConfig(t)
-	cfg.Recovery.SegmentBytes = boundSegBytes
-	return cfg
-}
 
 // logCeiling is what no node's retained log may reach: the rounds fire at two
 // segments past the segment the last round could not delete, and what is
@@ -60,7 +53,7 @@ func compacted(t *testing.T, n *node.Node, before wal.Stats) {
 }
 
 func TestLogBoundPrimary(t *testing.T) {
-	p := startNode(t, boundedConfig(t))
+	p := nodetest.Node(t, kvConfig(t), nodetest.SegmentBytes(boundSegBytes))
 	before := p.Recovery.WALStats()
 	writeBounded(t, p, p)
 	compacted(t, p, before)
@@ -69,10 +62,10 @@ func TestLogBoundPrimary(t *testing.T) {
 // TestLogBoundReplica: the replica's rounds quiesce its applier, and what they
 // leave on disk cold-starts to the primary's rows.
 func TestLogBoundReplica(t *testing.T) {
-	p := startNode(t, boundedConfig(t))
+	p := nodetest.Node(t, kvConfig(t), nodetest.SegmentBytes(boundSegBytes))
 	fcfg := replicaOf(t, p)
 	fcfg.Recovery.SegmentBytes = boundSegBytes
-	f := startNode(t, fcfg)
+	f := nodetest.Node(t, fcfg)
 	waitCaughtUp(t, p, f)
 	before := f.Recovery.WALStats()
 	writeBounded(t, p, f)
@@ -81,11 +74,7 @@ func TestLogBoundReplica(t *testing.T) {
 	f.Close()
 
 	fcfg.ReplicaOf = ""
-	c, err := node.Open(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := nodetest.Node(t, fcfg)
 	if c.ColdStart == nil {
 		t.Fatal("the replica's data directory did not cold-start")
 	}
@@ -101,10 +90,8 @@ func TestLogBoundReplica(t *testing.T) {
 }
 
 func TestLogBoundPromotedReplica(t *testing.T) {
-	p := startNode(t, boundedConfig(t))
-	fcfg := replicaOf(t, p)
-	fcfg.Recovery.SegmentBytes = boundSegBytes
-	f := startNode(t, fcfg)
+	p := nodetest.Node(t, kvConfig(t), nodetest.SegmentBytes(boundSegBytes))
+	f := nodetest.Node(t, replicaOf(t, p), nodetest.SegmentBytes(boundSegBytes))
 	waitCaughtUp(t, p, f)
 	p.Close()
 	promote(t, f)
@@ -118,9 +105,7 @@ func TestLogBoundPromotedReplica(t *testing.T) {
 // completed.
 func TestLogBoundCloseMidRound(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	cfg := boundedConfig(t)
-	cfg.Recovery = recovery.Config{DataDir: "data", FS: fs, SegmentBytes: boundSegBytes}
-	p := startNode(t, cfg)
+	p := nodetest.Node(t, kvConfig(t), nodetest.MemFS(fs), nodetest.SegmentBytes(boundSegBytes))
 	ckpts := p.Recovery.Stats().Checkpoints
 
 	writing, release := make(chan struct{}), make(chan struct{})

@@ -50,28 +50,15 @@ func squallConfig() squall.Config {
 // on after scaling from 1 to 2 machines.
 func referencePlan(t *testing.T, parts int) string {
 	t.Helper()
-	cfg := pairConfig(parts)
-	eng, err := store.NewEngine(cfg.Store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Register(eng); err != nil {
-		t.Fatal(err)
-	}
-	rm := recovery.NewManager(eng)
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	if err := cfg.Load(eng); err != nil {
-		t.Fatal(err)
-	}
-	ex, err := squall.NewExecutor(transport.NewLocal(eng, rm), squallConfig())
+	n := nodetest.Node(t, pairConfig(parts))
+	ex, err := squall.NewExecutor(transport.NewLocal(n.Engine, n.Recovery), squallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ex.Reconfigure(1, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprint(eng.Plan())
+	return fmt.Sprint(n.Engine.Plan())
 }
 
 // owner returns the node of nodes that runs key's transactions.
@@ -160,16 +147,14 @@ func checkFollower(t *testing.T, primary, follower *node.Node) {
 func TestMigrationKeepsFollowers(t *testing.T) {
 	for _, syncCommit := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sync-commit=%v", syncCommit), func(t *testing.T) {
-			nodes, remote := nodetest.Start(t, 2, pairConfig(2), func(i int, cfg *node.Config) {
+			c := nodetest.Start(t, 2, pairConfig(2), nodetest.Each(func(i int, cfg *node.Config) {
 				cfg.Recovery = recovery.Config{DataDir: t.TempDir()}
 				cfg.SyncCommit = syncCommit
-			})
-			followers := make([]*node.Node, len(nodes))
-			for i, p := range nodes {
-				cfg := pairConfig(2)
-				cfg.ID, cfg.Nodes, cfg.ReplicaOf = i, len(nodes), p.URL
+			}), nodetest.Followers(func(i int, cfg *node.Config) {
 				cfg.Recovery = recovery.Config{DataDir: t.TempDir()}
-				followers[i] = startNode(t, cfg)
+			}))
+			nodes, followers, remote := c.Nodes, c.Followers, c.Remote
+			for i, p := range nodes {
 				waitCaughtUp(t, p, followers[i])
 			}
 			ex, err := squall.NewExecutor(remote, squallConfig())
@@ -226,10 +211,10 @@ func TestKillDestinationBeforeFlip(t *testing.T) {
 	want := referencePlan(t, 1)
 	fss := []*wal.MemFS{wal.NewMemFS(1), wal.NewMemFS(2)}
 	cfgs := make([]node.Config, 2)
-	nodes, remote := nodetest.Start(t, 2, pairConfig(1), func(i int, cfg *node.Config) {
-		cfg.Recovery = recovery.Config{DataDir: "data", FS: fss[i]}
+	c := nodetest.Start(t, 2, pairConfig(1), nodetest.MemFS(fss...), nodetest.Each(func(i int, cfg *node.Config) {
 		cfgs[i] = *cfg
-	})
+	}))
+	nodes, remote := c.Nodes, c.Remote
 	crash := &crashOnFlip{fs: fss[1]}
 	remote.SetFaultInjector(crash)
 	ex, err := squall.NewExecutor(remote, squallConfig())
@@ -251,11 +236,7 @@ func TestKillDestinationBeforeFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes[1], err = node.Start(cfgs[1], l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nodes[1].Close() })
+	nodes[1] = nodetest.Node(t, cfgs[1], nodetest.Listener(l))
 	for _, b := range crash.buckets {
 		if nodes[1].Recovery.LogHead(b) == 0 {
 			t.Fatalf("bucket %d's chunk record did not survive the kill", b)
@@ -284,14 +265,15 @@ func TestKillDestinationBeforeFlip(t *testing.T) {
 // its follower — and the follower is promoted. No row is lost or doubled: the
 // moved buckets are the destination's, the rest the promoted follower's.
 func TestKillSourceAfterFlip(t *testing.T) {
-	nodes, remote := nodetest.Start(t, 2, pairConfig(2), func(i int, cfg *node.Config) {
+	c := nodetest.Start(t, 2, pairConfig(2), nodetest.Each(func(i int, cfg *node.Config) {
 		cfg.Recovery = recovery.Config{DataDir: t.TempDir()}
 		cfg.SyncCommit = true
-	})
+	}))
+	nodes, remote := c.Nodes, c.Remote
 	cfg := pairConfig(2)
 	cfg.Nodes, cfg.ReplicaOf = 2, nodes[0].URL
 	cfg.Recovery = recovery.Config{DataDir: t.TempDir()}
-	f0 := startNode(t, cfg)
+	f0 := nodetest.Node(t, cfg)
 	waitCaughtUp(t, nodes[0], f0)
 
 	moved := nodes[0].Engine.OwnedBuckets(0)[:5]

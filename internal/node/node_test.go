@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"pstore/internal/cluster"
 	"pstore/internal/faults"
 	"pstore/internal/node"
+	"pstore/internal/node/nodetest"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
@@ -69,21 +69,6 @@ func replicaOf(t *testing.T, primary *node.Node) node.Config {
 	cfg := kvConfig(t)
 	cfg.ReplicaOf = primary.URL
 	return cfg
-}
-
-// startNode starts a node on a loopback listener; t's cleanup closes it.
-func startNode(t *testing.T, cfg node.Config) *node.Node {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := node.Start(cfg, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n
 }
 
 func peer(n *node.Node) *transport.Peer { return transport.NewPeer(n.URL) }
@@ -146,8 +131,8 @@ func promote(t *testing.T, n *node.Node) {
 // TestLifecycleReplicaSyncsAndShips: a node started with ReplicaOf syncs from
 // its primary, which then ships it every write.
 func TestLifecycleReplicaSyncsAndShips(t *testing.T) {
-	p := startNode(t, kvConfig(t))
-	f := startNode(t, replicaOf(t, p))
+	p := nodetest.Node(t, kvConfig(t))
+	f := nodetest.Node(t, replicaOf(t, p))
 	waitCaughtUp(t, p, f)
 	for i := keys / 2; i < keys+keys/2; i++ {
 		put(t, p, fmt.Sprintf("k-%d", i), i+1000)
@@ -169,8 +154,8 @@ func TestLifecycleReplicaSyncsAndShips(t *testing.T) {
 // full resync: the write goes with its log, and the promoted node's snapshot
 // and stream replace both.
 func TestLifecycleFencedPrimaryRejoinsByResync(t *testing.T) {
-	p := startNode(t, kvConfig(t))
-	f := startNode(t, replicaOf(t, p))
+	p := nodetest.Node(t, kvConfig(t))
+	f := nodetest.Node(t, replicaOf(t, p))
 	waitCaughtUp(t, p, f)
 	promote(t, f)
 
@@ -190,8 +175,8 @@ func TestLifecycleFencedPrimaryRejoinsByResync(t *testing.T) {
 // its plan after the promotion converges on the new primary's plan when it
 // rejoins.
 func TestLifecycleFencedPrimaryPlanChangeResyncs(t *testing.T) {
-	p := startNode(t, kvConfig(t))
-	f := startNode(t, replicaOf(t, p))
+	p := nodetest.Node(t, kvConfig(t))
+	f := nodetest.Node(t, replicaOf(t, p))
 	waitCaughtUp(t, p, f)
 	promote(t, f)
 
@@ -218,11 +203,10 @@ func TestLifecycleChainedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcfg := kvConfig(t)
-	pcfg.Faults = inj
-	p := startNode(t, pcfg)
+	p := nodetest.Node(t, pcfg, nodetest.Faults(inj))
 	fcfg := replicaOf(t, p)
 	fcfg.SyncCommit = true
-	f := startNode(t, fcfg)
+	f := nodetest.Node(t, fcfg)
 	waitCaughtUp(t, p, f)
 	for i := 0; i < 20; i++ {
 		put(t, p, fmt.Sprintf("k-%d", i), i+100)
@@ -230,7 +214,7 @@ func TestLifecycleChainedFailover(t *testing.T) {
 	p.Close()
 	promote(t, f)
 
-	p = startNode(t, pcfg)
+	p = nodetest.Node(t, pcfg, nodetest.Faults(inj))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if _, err := cluster.Rejoin(ctx, cluster.RejoinConfig{Zombie: peer(p), Primary: peer(f), PrimaryURL: f.URL}); err != nil {
@@ -263,12 +247,8 @@ func TestLifecycleChainedFailover(t *testing.T) {
 // however long the old primary is gone.
 func TestPromotedPrimaryCompactsWithoutPredecessor(t *testing.T) {
 	const segBytes = 1 << 10
-	pcfg := kvConfig(t)
-	pcfg.Recovery.SegmentBytes = segBytes
-	p := startNode(t, pcfg)
-	fcfg := replicaOf(t, p)
-	fcfg.Recovery.SegmentBytes = segBytes
-	f := startNode(t, fcfg)
+	p := nodetest.Node(t, kvConfig(t), nodetest.SegmentBytes(segBytes))
+	f := nodetest.Node(t, replicaOf(t, p), nodetest.SegmentBytes(segBytes))
 	waitCaughtUp(t, p, f)
 	p.Close()
 	promote(t, f)
@@ -304,15 +284,14 @@ func TestPromotedPrimaryCompactsWithoutPredecessor(t *testing.T) {
 func TestSyncCommitWriteDuringRejoinInstall(t *testing.T) {
 	fs := wal.NewMemFS(1)
 	pcfg := kvConfig(t)
-	pcfg.Recovery = recovery.Config{DataDir: "data", FS: fs}
-	p := startNode(t, pcfg)
+	p := nodetest.Node(t, pcfg, nodetest.MemFS(fs))
 	fcfg := replicaOf(t, p)
 	fcfg.SyncCommit = true
-	f := startNode(t, fcfg)
+	f := nodetest.Node(t, fcfg)
 	waitCaughtUp(t, p, f)
 	p.Close()
 	promote(t, f)
-	p = startNode(t, pcfg)
+	p = nodetest.Node(t, pcfg, nodetest.MemFS(fs))
 
 	// Hold the restarted node's install at the fsync of the image set it
 	// writes from the snapshot.
@@ -372,8 +351,8 @@ func TestSyncCommitWriteDuringRejoinInstall(t *testing.T) {
 func TestLifecycleReplicaOfMemoryPrimary(t *testing.T) {
 	pcfg := kvConfig(t)
 	pcfg.Recovery = recovery.Config{}
-	p := startNode(t, pcfg)
-	f := startNode(t, replicaOf(t, p))
+	p := nodetest.Node(t, pcfg)
+	f := nodetest.Node(t, replicaOf(t, p))
 	select {
 	case err := <-f.Server.Failed():
 		if !strings.Contains(err.Error(), "requires a durable store") {
@@ -390,8 +369,8 @@ func TestLifecycleReplicaOfMemoryPrimary(t *testing.T) {
 func TestResyncReleasesStuckSyncWrite(t *testing.T) {
 	pcfg := kvConfig(t)
 	pcfg.SyncCommit = true
-	p := startNode(t, pcfg)
-	f1 := startNode(t, replicaOf(t, p))
+	p := nodetest.Node(t, pcfg)
+	f1 := nodetest.Node(t, replicaOf(t, p))
 	waitCaughtUp(t, p, f1)
 	f1.Close()
 
@@ -404,7 +383,7 @@ func TestResyncReleasesStuckSyncWrite(t *testing.T) {
 	// Once its record is in the log, the write waits on the dead follower.
 	eventually(t, "the write is logged", func() bool { return p.Recovery.WALStats().Appends > appends })
 
-	f2 := startNode(t, replicaOf(t, p))
+	f2 := nodetest.Node(t, replicaOf(t, p))
 	waitCaughtUp(t, p, f2)
 	select {
 	case err := <-stuck:
@@ -424,12 +403,12 @@ func TestResyncReleasesStuckSyncWrite(t *testing.T) {
 func TestResyncKeepsSyncCommitArmed(t *testing.T) {
 	pcfg := kvConfig(t)
 	pcfg.SyncCommit = true
-	p := startNode(t, pcfg)
-	f := startNode(t, replicaOf(t, p))
+	p := nodetest.Node(t, pcfg)
+	f := nodetest.Node(t, replicaOf(t, p))
 	waitCaughtUp(t, p, f)
 	f.Close()
 	for round := 0; round < 3; round++ {
-		f = startNode(t, replicaOf(t, p))
+		f = nodetest.Node(t, replicaOf(t, p))
 		waitCaughtUp(t, p, f)
 		f.Close()
 
@@ -467,14 +446,14 @@ func fence(t *testing.T, n *node.Node) {
 // shipper it would arm is one its own rejoin would have to stop — so a
 // replica started against it fails its sync.
 func TestFencedPrimaryRefusesSync(t *testing.T) {
-	p := startNode(t, kvConfig(t))
+	p := nodetest.Node(t, kvConfig(t))
 	fence(t, p)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, _, err := peer(p).ReplSync(ctx, ""); !errors.Is(err, wire.ErrFenced) {
 		t.Fatalf("a fenced primary answered a sync with %v, want CodeFenced", err)
 	}
-	f := startNode(t, replicaOf(t, p))
+	f := nodetest.Node(t, replicaOf(t, p))
 	select {
 	case err := <-f.Server.Failed():
 		if !errors.Is(err, wire.ErrFenced) {
@@ -490,7 +469,7 @@ func TestFencedPrimaryRefusesSync(t *testing.T) {
 // against the wrong node must not get two unfenced primaries in one epoch —
 // while promoting an unfenced primary stays idempotent success.
 func TestFencedPrimaryRefusesPromotion(t *testing.T) {
-	p := startNode(t, kvConfig(t))
+	p := nodetest.Node(t, kvConfig(t))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	st, err := peer(p).Promote(ctx, 1)
@@ -527,11 +506,7 @@ func TestKilledMidLoadReloads(t *testing.T) {
 	}
 
 	cfg.Load = load
-	n, err := node.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	n := nodetest.Node(t, cfg)
 	if cs := n.ColdStart; cs != nil {
 		t.Fatalf("reopen cold-started %d images + %d commands of a load that never finished", cs.Snapshots, cs.Replayed)
 	}
@@ -630,13 +605,13 @@ func TestDefaultRequestDeadline(t *testing.T) {
 	}
 	t.Run("primary", func(t *testing.T) {
 		cfg, running, release := holdConfig(t)
-		expires(t, startNode(t, cfg), running, release)
+		expires(t, nodetest.Node(t, cfg), running, release)
 	})
 	t.Run("promoted replica", func(t *testing.T) {
 		cfg, running, release := holdConfig(t)
-		p := startNode(t, cfg)
+		p := nodetest.Node(t, cfg)
 		cfg.Recovery, cfg.ReplicaOf = recovery.Config{DataDir: t.TempDir()}, p.URL
-		f := startNode(t, cfg)
+		f := nodetest.Node(t, cfg)
 		waitCaughtUp(t, p, f)
 		promote(t, f)
 		expires(t, f, running, release)

@@ -13,29 +13,16 @@ import (
 	"pstore/internal/wal"
 )
 
-// bootEngine builds and starts a B2W engine of a deployed node's shape — 4
-// machines of 4 partitions, 640 buckets — hosting the listed machines (nil =
-// all), with a recovery manager attached.
-func bootEngine(t *testing.T, hosted []int, rcfg recovery.Config) (*store.Engine, *recovery.Manager) {
-	t.Helper()
-	e, err := store.NewEngine(store.Config{
-		MaxMachines: 4, InitialMachines: 2, PartitionsPerMachine: 4,
-		Buckets: 640, QueueCapacity: 1 << 10, HostedMachines: hosted,
-	})
-	if err != nil {
-		t.Fatal(err)
+// bootLayout is a B2W engine of a deployed node's shape — 4 machines of 4
+// partitions, 640 buckets — hosting the listed machines (nil = all).
+func bootLayout(hosted []int) func(*engineConfig) {
+	return func(cfg *engineConfig) {
+		cfg.store = store.Config{
+			MaxMachines: 4, InitialMachines: 2, PartitionsPerMachine: 4,
+			Buckets: 640, QueueCapacity: 1 << 10, HostedMachines: hosted,
+		}
+		cfg.register, cfg.args = b2w.Register, nil
 	}
-	if err := b2w.Register(e); err != nil {
-		t.Fatal(err)
-	}
-	m, err := recovery.New(e, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	e.Start()
-	t.Cleanup(e.Stop)
-	return e, m
 }
 
 var bootSpec = b2w.LoadSpec{Carts: 600, Checkouts: 150, Stocks: 300, LinesPerCart: 3, Seed: 3}
@@ -48,14 +35,14 @@ func TestBootstrapMatchesLoggedLoad(t *testing.T) {
 	hosted := []int{0, 2}
 	loggedDir, bootDir := t.TempDir(), t.TempDir()
 
-	logged, lm := bootEngine(t, hosted, recovery.Config{DataDir: loggedDir})
+	logged, lm := newEngine(t, bootLayout(hosted), logTo(recovery.Config{DataDir: loggedDir}))
 	if err := b2w.Load(logged, bootSpec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lm.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	boot, bm := bootEngine(t, hosted, recovery.Config{DataDir: bootDir})
+	boot, bm := newEngine(t, bootLayout(hosted), logTo(recovery.Config{DataDir: bootDir}))
 	images, err := bm.Bootstrap(func() error { return b2w.Load(boot, bootSpec) })
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +90,8 @@ func TestBootstrapBatchMatchesExecuteID(t *testing.T) {
 	hosted := []int{0, 2}
 	for _, logged := range []bool{false, true} {
 		t.Run(fmt.Sprintf("logged=%v", logged), func(t *testing.T) {
-			batch, bm := bootEngine(t, hosted, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
-			single, sm := bootEngine(t, hosted, recovery.Config{DataDir: "data", FS: wal.NewMemFS(2)})
+			batch, bm := newEngine(t, bootLayout(hosted), logTo(recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)}))
+			single, sm := newEngine(t, bootLayout(hosted), logTo(recovery.Config{DataDir: "data", FS: wal.NewMemFS(2)}))
 			batchLoad := func() error { return b2w.Load(batch, bootSpec) }
 			perRow := func() (err error) {
 				b2w.Dataset(bootSpec, func(txn, key string, args any) {
@@ -202,7 +189,7 @@ func TestBootstrapCrashPointSweep(t *testing.T) {
 	// A clean run counts the kill points: the load writes nothing, the round
 	// one image set and one manifest.
 	fs := wal.NewMemFS(1)
-	e, m := newRoundEngine(t, fs, 0)
+	e, m := newEngine(t, roundLayout(fs, 0))
 	fs.CrashAfterWrites(0)
 	if _, err := m.Bootstrap(load(e)); err != nil {
 		t.Fatal(err)
@@ -215,7 +202,7 @@ func TestBootstrapCrashPointSweep(t *testing.T) {
 	outcomes := map[string]int{}
 	for k := int64(1); k <= writes; k++ {
 		fs := wal.NewMemFS(k)
-		e, m := newRoundEngine(t, fs, 0)
+		e, m := newEngine(t, roundLayout(fs, 0))
 		fs.CrashAfterWrites(k)
 		if _, err := m.Bootstrap(load(e)); err == nil {
 			t.Fatalf("kill at write %d: Bootstrap survived its own crash", k)
@@ -224,7 +211,7 @@ func TestBootstrapCrashPointSweep(t *testing.T) {
 		m.Close()
 		fs.Recover()
 
-		e2, m2 := newRoundEngine(t, fs, 0)
+		e2, m2 := newEngine(t, roundLayout(fs, 0))
 		if m2.HasColdState() {
 			st, err := m2.ColdStart()
 			if err != nil {
@@ -255,7 +242,7 @@ func TestBootstrapCrashPointSweep(t *testing.T) {
 // head, the LSN its next command continues from, survives a cold start.
 func TestBootstrapImagesEmptyBucket(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	e, m := newRoundEngine(t, fs, 0)
+	e, m := newEngine(t, roundLayout(fs, 0))
 	const empty, full = "never-written", "k-1"
 	if hash.Partition(empty, roundBuckets) == hash.Partition(full, roundBuckets) {
 		t.Fatal("the test needs its two keys in different buckets")
@@ -279,7 +266,7 @@ func TestBootstrapImagesEmptyBucket(t *testing.T) {
 	e.Stop()
 	m.Close()
 
-	_, m2 := newRoundEngine(t, fs, 0)
+	_, m2 := newEngine(t, roundLayout(fs, 0))
 	if _, err := m2.ColdStart(); err != nil {
 		t.Fatal(err)
 	}

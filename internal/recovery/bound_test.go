@@ -14,7 +14,7 @@ import (
 // second round until the first has finished.
 func TestLogBoundOneRoundAtATime(t *testing.T) {
 	const segBytes, writers, writes = 1 << 10, 8, 200
-	e, m := newRoundEngine(t, wal.NewMemFS(1), segBytes)
+	e, m := newEngine(t, roundLayout(wal.NewMemFS(1), segBytes))
 	var started, inFlight, most atomic.Int64
 	hold := make(chan struct{})
 	release := sync.OnceFunc(func() { close(hold) })

@@ -42,7 +42,8 @@ func runCrashChaosScriptCfg(t *testing.T, rcfg recovery.Config) string {
 		keys    = 600
 		workers = 8
 	)
-	e, m, executed := countingEngine(t, 4, 2, rcfg)
+	executed := new(atomic.Int64)
+	e, m := newEngine(t, machines(4, 2), logTo(rcfg), counting(executed))
 	ex, err := squall.NewExecutor(e, chaosSquallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestCrashChaosDiskMatchesMemory(t *testing.T) {
 // mid-move, the move aborts and the rollback path (which down partitions
 // must not refuse) restores the exact pre-move plan.
 func TestCrashDuringMoveAborts(t *testing.T) {
-	e, m := testEngine(t, 2, 1)
+	e, m := newEngine(t, machines(2, 1))
 	const keys = 400
 	load(t, e, keys)
 	ex, err := squall.NewExecutor(e, chaosSquallConfig())

@@ -20,7 +20,7 @@ import (
 // the wall-clock field zeroed, so two runs compare byte for byte.
 func runRestoreScript(t *testing.T, rcfg recovery.Config) (recovery.RestoreStats, *store.Engine) {
 	t.Helper()
-	e, m := testEngineCfg(t, 2, 2, rcfg)
+	e, m := newEngine(t, machines(2, 2), logTo(rcfg))
 	const keys = 300
 	load(t, e, keys)
 	if _, err := m.Checkpoint(); err != nil {
@@ -84,7 +84,7 @@ func TestColdStartRebuildsEngine(t *testing.T) {
 
 	// Life 1: load, checkpoint, migrate (plan change hits the log), keep
 	// writing past the checkpoint, then die without any shutdown courtesy.
-	e1, m1 := testEngineCfg(t, 3, 2, recovery.Config{DataDir: dir})
+	e1, m1 := newEngine(t, machines(3, 2), logTo(recovery.Config{DataDir: dir}))
 	load(t, e1, keys)
 	if _, err := m1.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestColdStartRebuildsEngine(t *testing.T) {
 	m1.Close()
 
 	// Life 2: a fresh process over the same directory.
-	e2, m2 := testEngineCfg(t, 3, 2, recovery.Config{DataDir: dir})
+	e2, m2 := newEngine(t, machines(3, 2), logTo(recovery.Config{DataDir: dir}))
 	if !m2.HasColdState() {
 		t.Fatal("HasColdState = false over a populated directory")
 	}
@@ -169,7 +169,7 @@ func TestColdStartSurvivesRestartChain(t *testing.T) {
 	want := make(map[int]int, keys)
 
 	for life := 0; life < 3; life++ {
-		e, m := testEngineCfg(t, 2, 2, recovery.Config{DataDir: dir})
+		e, m := newEngine(t, machines(2, 2), logTo(recovery.Config{DataDir: dir}))
 		if life == 0 {
 			load(t, e, keys)
 			for i := 0; i < keys; i++ {
@@ -205,7 +205,7 @@ func TestColdStartSurvivesRestartChain(t *testing.T) {
 		m.Close()
 	}
 
-	e, m := testEngineCfg(t, 2, 2, recovery.Config{DataDir: dir})
+	e, m := newEngine(t, machines(2, 2), logTo(recovery.Config{DataDir: dir}))
 	if _, err := m.ColdStart(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestLogSizeCounters(t *testing.T) {
 			if tc.name == "disk" {
 				tc.cfg.DataDir = t.TempDir()
 			}
-			e, m := testEngineCfg(t, 2, 2, tc.cfg)
+			e, m := newEngine(t, machines(2, 2), logTo(tc.cfg))
 			load(t, e, 150)
 			if got := m.LogSize(); got != 150 {
 				t.Fatalf("LogSize after load = %d, want 150", got)
@@ -257,7 +257,7 @@ func TestLogSizeCounters(t *testing.T) {
 // retained" — so a fresh store holds nothing after the install, and then
 // exactly the records it accepts on top.
 func TestLogSizeAfterReplicaBaseline(t *testing.T) {
-	primary, _ := testEngineCfg(t, 2, 2, recovery.Config{})
+	primary, _ := newEngine(t, machines(2, 2))
 	load(t, primary, 150)
 	var snaps []store.BucketSnapshot
 	for part := 0; part < 4; part++ {
@@ -268,7 +268,7 @@ func TestLogSizeAfterReplicaBaseline(t *testing.T) {
 		snaps = append(snaps, ps...)
 	}
 
-	e, m := testEngineCfg(t, 2, 2, recovery.Config{DataDir: t.TempDir()})
+	e, m := newEngine(t, machines(2, 2), logTo(recovery.Config{DataDir: t.TempDir()}))
 	if err := m.InstallReplicaBaseline(snaps, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -292,35 +292,30 @@ func TestLogSizeAfterReplicaBaseline(t *testing.T) {
 	}
 }
 
+// onePartition is an engine of one machine of one partition over 8 buckets.
+func onePartition(cfg *engineConfig) {
+	cfg.store = store.Config{MaxMachines: 1, InitialMachines: 1, PartitionsPerMachine: 1, Buckets: 8, QueueCapacity: 16}
+}
+
 // TestDiskReplayWithoutArgsDecoder: the log holds args as JSON, and only the
 // engine's decoder can make them the value a procedure asserts again. An
 // engine that registered none fails the replay of a record that carries args,
 // naming what is missing; it never hands the procedure JSON's generic
 // decoding (a float64, a map) in place of the int it was written for.
 func TestDiskReplayWithoutArgsDecoder(t *testing.T) {
-	e, err := store.NewEngine(store.Config{
-		MaxMachines: 1, InitialMachines: 1, PartitionsPerMachine: 1, Buckets: 8, QueueCapacity: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var handed []string
-	if err := e.Register("put", func(tx *store.Tx) (any, error) {
-		mu.Lock()
-		handed = append(handed, fmt.Sprintf("%T", tx.Args))
-		mu.Unlock()
-		return nil, tx.Put("T", tx.Key, tx.Args)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := recovery.New(e, recovery.Config{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	e.Start()
-	defer e.Stop()
+	e, m := newEngine(t, onePartition, logTo(recovery.Config{DataDir: t.TempDir()}), func(cfg *engineConfig) {
+		cfg.register = func(e *store.Engine) error {
+			return e.Register("put", func(tx *store.Tx) (any, error) {
+				mu.Lock()
+				handed = append(handed, fmt.Sprintf("%T", tx.Args))
+				mu.Unlock()
+				return nil, tx.Put("T", tx.Key, tx.Args)
+			})
+		}
+		cfg.args = nil
+	})
 	if _, err := e.Execute("put", "k", 7); err != nil {
 		t.Fatal(err)
 	}
@@ -342,37 +337,13 @@ func TestDiskReplayWithoutArgsDecoder(t *testing.T) {
 // not latched, the bucket's LSNs stay contiguous, and the next transaction on
 // the same key commits and replays.
 func TestOversizeRecordFailsOnlyItsTransaction(t *testing.T) {
-	e, err := store.NewEngine(store.Config{
-		MaxMachines: 1, InitialMachines: 1, PartitionsPerMachine: 1, Buckets: 8, QueueCapacity: 16,
+	e, m := newEngine(t, onePartition, logTo(recovery.Config{DataDir: t.TempDir()}), func(cfg *engineConfig) {
+		cfg.args = storetest.Args[string]
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Register("put", func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("T", tx.Key, tx.Args)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Register("get", func(tx *store.Tx) (any, error) {
-		v, _, err := tx.Get("T", tx.Key)
-		return v, err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetArgsDecoder(storetest.Args[string]); err != nil {
-		t.Fatal(err)
-	}
-	m, err := recovery.New(e, recovery.Config{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	e.Start()
-	defer e.Stop()
 	if _, err := e.Execute("put", "k", "small"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Execute("put", "k", strings.Repeat("x", wal.MaxRecordBytes))
+	_, err := e.Execute("put", "k", strings.Repeat("x", wal.MaxRecordBytes))
 	if !errors.Is(err, store.ErrCommitFailed) || !errors.Is(err, wal.ErrRecordRefused) {
 		t.Fatalf("oversize put: %v, want a commit failure naming the refused record", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"pstore/internal/hash"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 )
 
@@ -19,46 +18,22 @@ import (
 // checkpoint round the counted tests and the benchmark below are about.
 const roundBuckets = 640
 
-// newRoundEngine builds and starts a 4×4-partition, 640-bucket engine over a
-// MemFS-backed durable store.
-func newRoundEngine(tb testing.TB, fs *wal.MemFS, segBytes int64) (*store.Engine, *recovery.Manager) {
-	tb.Helper()
-	e, err := store.NewEngine(store.Config{
-		MaxMachines: 4, InitialMachines: 4, PartitionsPerMachine: 4,
-		Buckets: roundBuckets, QueueCapacity: 1 << 10,
-	})
-	if err != nil {
-		tb.Fatal(err)
+// roundLayout is a 4×4-partition, 640-bucket engine logging to fs in
+// segBytes segments (0: the default).
+func roundLayout(fs *wal.MemFS, segBytes int64) func(*engineConfig) {
+	return func(cfg *engineConfig) {
+		cfg.store = store.Config{
+			MaxMachines: 4, InitialMachines: 4, PartitionsPerMachine: 4,
+			Buckets: roundBuckets, QueueCapacity: 1 << 10,
+		}
+		cfg.recovery = recovery.Config{DataDir: "data", FS: fs, SegmentBytes: segBytes}
 	}
-	if err := e.Register("put", func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("T", tx.Key, tx.Args)
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	if err := e.Register("get", func(tx *store.Tx) (any, error) {
-		v, _, err := tx.Get("T", tx.Key)
-		return v, err
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	if err := e.SetArgsDecoder(storetest.Args[int]); err != nil {
-		tb.Fatal(err)
-	}
-	m, err := recovery.New(e, recovery.Config{DataDir: "data", FS: fs, SegmentBytes: segBytes})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { m.Close() })
-	e.Start()
-	tb.Cleanup(e.Stop)
-	return e, m
 }
 
-// roundEngine is newRoundEngine loaded until every bucket holds a row; it
-// also returns how many keys that took (k-0 … k-(keys-1), value = index).
-func roundEngine(tb testing.TB, fs *wal.MemFS, segBytes int64) (*store.Engine, *recovery.Manager, int) {
+// fillBuckets loads a roundLayout engine until every bucket holds a row and
+// returns how many keys that took (k-0 … k-(keys-1), value = index).
+func fillBuckets(tb testing.TB, e *store.Engine) int {
 	tb.Helper()
-	e, m := newRoundEngine(tb, fs, segBytes)
 	seen := make(map[int]bool)
 	keys := 0
 	for ; len(seen) < roundBuckets; keys++ {
@@ -68,7 +43,7 @@ func roundEngine(tb testing.TB, fs *wal.MemFS, segBytes int64) (*store.Engine, *
 		}
 		seen[hash.Partition(k, roundBuckets)] = true
 	}
-	return e, m, keys
+	return keys
 }
 
 // imageSyncs counts fsyncs by the kind of file they hit and can fail the image
@@ -112,7 +87,8 @@ func (c *imageSyncs) reset() {
 // manifest's.
 func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	e, m, _ := roundEngine(t, fs, 0)
+	e, m := newEngine(t, roundLayout(fs, 0))
+	fillBuckets(t, e)
 	syncs := &imageSyncs{}
 	fs.SetSyncHook(syncs.hook)
 
@@ -172,7 +148,8 @@ func TestCheckpointRoundCostsOneImageSync(t *testing.T) {
 // one set they draw on once — and rebuilds every value.
 func TestColdStartDecodesEachSetOnce(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	e, m, keys := roundEngine(t, fs, 0)
+	e, m := newEngine(t, roundLayout(fs, 0))
+	keys := fillBuckets(t, e)
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +170,7 @@ func TestColdStartDecodesEachSetOnce(t *testing.T) {
 	e.Stop()
 	m.Close()
 
-	e2, m2 := newRoundEngine(t, fs, 0)
+	e2, m2 := newEngine(t, roundLayout(fs, 0))
 	st, err := m2.ColdStart()
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +202,8 @@ func TestColdStartDecodesEachSetOnce(t *testing.T) {
 // still cold-starts to every acknowledged write.
 func TestImageWriteFailureStopsTheRound(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	e, m, keys := roundEngine(t, fs, 4<<10) // small segments: there is something to compact
+	e, m := newEngine(t, roundLayout(fs, 4<<10)) // small segments: there is something to compact
+	keys := fillBuckets(t, e)
 	syncs := &imageSyncs{}
 	fs.SetSyncHook(syncs.hook)
 	syncs.failSets.Store(true)
@@ -265,7 +243,7 @@ func TestImageWriteFailureStopsTheRound(t *testing.T) {
 	m.Close()
 
 	fs.SetSyncHook(nil)
-	e2, m2 := newRoundEngine(t, fs, 0)
+	e2, m2 := newEngine(t, roundLayout(fs, 0))
 	st, err := m2.ColdStart()
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +260,8 @@ func TestImageWriteFailureStopsTheRound(t *testing.T) {
 // where one file per bucket made it 641. bytes/set is the round's image set.
 func BenchmarkCheckpointRound(b *testing.B) {
 	fs := wal.NewMemFS(1)
-	_, m, _ := roundEngine(b, fs, 0)
+	e, m := newEngine(b, roundLayout(fs, 0))
+	fillBuckets(b, e)
 	syncs := &imageSyncs{delay: time.Millisecond}
 	fs.SetSyncHook(syncs.hook)
 	b.ResetTimer()

@@ -12,7 +12,6 @@ import (
 
 	"pstore/internal/recovery"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
@@ -76,41 +75,36 @@ type pipeNode struct {
 	hold     atomic.Pointer[chan struct{}]
 }
 
-func newPipeNode(tb testing.TB, rcfg recovery.Config) *pipeNode {
-	tb.Helper()
-	e, err := store.NewEngine(store.Config{
+// newPipe is a pipeNode before its engine: newEngine(tb, n.shape, …) gives it
+// one.
+func newPipe() *pipeNode {
+	return &pipeNode{executed: make(chan string, 4096), entered: make(chan string, 16)}
+}
+
+// shape is n's engine for newEngine: two machines of one partition, one of
+// them active, over 16 buckets, its put reporting to n.
+func (n *pipeNode) shape(cfg *engineConfig) {
+	cfg.store = store.Config{
 		MaxMachines: 2, InitialMachines: 1, PartitionsPerMachine: 1,
 		Buckets: 16, QueueCapacity: 256,
-	})
-	if err != nil {
-		tb.Fatal(err)
 	}
-	n := &pipeNode{e: e, executed: make(chan string, 4096), entered: make(chan string, 16)}
-	must := func(err error) {
-		if err != nil {
-			tb.Fatal(err)
+	cfg.register = func(e *store.Engine) error {
+		if err := e.Register("put", func(tx *store.Tx) (any, error) {
+			if hold := n.hold.Load(); hold != nil {
+				n.entered <- tx.Key
+				<-*hold
+			}
+			err := tx.Put("T", tx.Key, tx.Args)
+			n.executed <- tx.Key
+			return nil, err
+		}); err != nil {
+			return err
 		}
+		return e.Register("get", func(tx *store.Tx) (any, error) {
+			v, _, err := tx.Get("T", tx.Key)
+			return v, err
+		})
 	}
-	must(e.Register("put", func(tx *store.Tx) (any, error) {
-		if hold := n.hold.Load(); hold != nil {
-			n.entered <- tx.Key
-			<-*hold
-		}
-		err := tx.Put("T", tx.Key, tx.Args)
-		n.executed <- tx.Key
-		return nil, err
-	}))
-	must(e.Register("get", func(tx *store.Tx) (any, error) {
-		v, _, err := tx.Get("T", tx.Key)
-		return v, err
-	}))
-	must(e.SetArgsDecoder(storetest.Args[int]))
-	n.m, err = recovery.New(e, rcfg)
-	must(err)
-	tb.Cleanup(func() { n.m.Close() })
-	e.Start()
-	tb.Cleanup(e.Stop)
-	return n
 }
 
 type pipeReply struct {
@@ -215,7 +209,8 @@ func burstKeys(n int) []string {
 // one's — is delivered.
 func TestPipelineOverlap(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+	n := newPipe()
+	n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 	gate := gateSegmentSyncs(t, fs)
 
 	keys := burstKeys(6)
@@ -252,7 +247,8 @@ func TestPipelineOverlap(t *testing.T) {
 // held behind it.
 func TestPipelineOrder(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+	n := newPipe()
+	n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 	gate := gateSegmentSyncs(t, fs)
 
 	keys := burstKeys(8)
@@ -293,7 +289,8 @@ func TestPipelineOrder(t *testing.T) {
 
 	t.Run("failed-sync", func(t *testing.T) {
 		fs := wal.NewMemFS(2)
-		n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+		n := newPipe()
+		n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 		gate := gateSegmentSyncs(t, fs)
 		replies := n.burst(t, keys[:1], 7)
 		gate.awaitSync(t)
@@ -367,11 +364,13 @@ func TestPipelineControlDrain(t *testing.T) {
 		return err
 	}
 	t.Run("crash-restore", func(t *testing.T) {
-		oracle := newPipeNode(t, recovery.Config{})
+		oracle := newPipe()
+		oracle.e, oracle.m = newEngine(t, oracle.shape)
 		script(t, oracle, noGate, func(*pipeNode) error { return nil })
 
 		fs := wal.NewMemFS(1)
-		n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+		n := newPipe()
+		n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 		script(t, n, func() *syncGate { return gateSegmentSyncs(t, fs) }, crashRestore)
 		if got, want := n.fingerprint(t, loaded), oracle.fingerprint(t, loaded); got != want {
 			t.Fatalf("restored after a crash into the burst:\n got %s\nwant %s", got, want)
@@ -379,11 +378,13 @@ func TestPipelineControlDrain(t *testing.T) {
 	})
 
 	t.Run("checkpoint", func(t *testing.T) {
-		oracle := newPipeNode(t, recovery.Config{})
+		oracle := newPipe()
+		oracle.e, oracle.m = newEngine(t, oracle.shape)
 		script(t, oracle, noGate, func(*pipeNode) error { return nil })
 
 		fs := wal.NewMemFS(1)
-		n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+		n := newPipe()
+		n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 		script(t, n, func() *syncGate { return gateSegmentSyncs(t, fs) }, func(n *pipeNode) error {
 			_, err := n.m.Checkpoint()
 			return err
@@ -392,7 +393,8 @@ func TestPipelineControlDrain(t *testing.T) {
 		// rebuild the oracle's state from the images and the log alone.
 		n.e.Stop()
 		n.m.Close()
-		n2 := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+		n2 := newPipe()
+		n2.e, n2.m = newEngine(t, n2.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 		if _, err := n2.m.ColdStart(); err != nil {
 			t.Fatalf("cold start: %v", err)
 		}
@@ -403,7 +405,8 @@ func TestPipelineControlDrain(t *testing.T) {
 
 	t.Run("extract", func(t *testing.T) {
 		fs := wal.NewMemFS(1)
-		n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+		n := newPipe()
+		n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 		var data store.BucketData
 		script(t, n, func() *syncGate { return gateSegmentSyncs(t, fs) }, func(n *pipeNode) error {
 			var err error
@@ -435,7 +438,8 @@ func TestPipelineControlDrain(t *testing.T) {
 // procedure returns. (The other order — procedure done, fsync held, no reply —
 // is TestPipelineOverlap.)
 func TestLogBeforeRun(t *testing.T) {
-	n := newPipeNode(t, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
+	n := newPipe()
+	n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)}))
 	end, err := n.m.ShipEnd()
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +499,8 @@ func TestLogBeforeRun(t *testing.T) {
 // behind.
 func TestLogBeforeRunFailedAppend(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+	n := newPipe()
+	n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 	for _, k := range burstKeys(3) {
 		if _, err := n.e.Execute("put", k, 1); err != nil {
 			t.Fatal(err)
@@ -535,7 +540,8 @@ func TestLogBeforeRunFailedAppend(t *testing.T) {
 // commit failure, nothing latches, and the next append is durable and logged.
 func TestCommitSyncAbort(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	n := newPipeNode(t, recovery.Config{DataDir: "data", FS: fs})
+	n := newPipe()
+	n.e, n.m = newEngine(t, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 	end, err := n.m.ShipEnd()
 	if err != nil {
 		t.Fatal(err)
@@ -590,7 +596,8 @@ func BenchmarkPartitionDurable(b *testing.B) {
 		}
 		return nil
 	})
-	n := newPipeNode(b, recovery.Config{DataDir: "data", FS: fs})
+	n := newPipe()
+	n.e, n.m = newEngine(b, n.shape, logTo(recovery.Config{DataDir: "data", FS: fs}))
 	put, _ := n.e.Handle("put")
 	keys := burstKeys(submitters)
 	go func() { // nobody reads execution order here

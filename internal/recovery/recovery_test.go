@@ -15,72 +15,97 @@ import (
 	"pstore/internal/store/storetest"
 )
 
-// testEngine builds a started engine with machines active machines (2
-// partitions each), 240 buckets, "put"/"get" procedures and an attached
-// in-memory recovery manager. The manager attaches before any data loads,
-// as required.
-func testEngine(t *testing.T, maxMachines, initial int) (*store.Engine, *recovery.Manager) {
-	t.Helper()
-	return testEngineCfg(t, maxMachines, initial, recovery.Config{})
+// engineConfig is what a test varies about the engine newEngine starts.
+type engineConfig struct {
+	store    store.Config
+	register func(*store.Engine) error
+	args     store.ArgsDecoder
+	recovery recovery.Config
 }
 
-// testEngineCfg is testEngine with an explicit recovery configuration — the
-// data-dir axis: the same scripts run against the in-memory oracle and the
-// disk-backed store.
-func testEngineCfg(t *testing.T, maxMachines, initial int, rcfg recovery.Config) (*store.Engine, *recovery.Manager) {
-	t.Helper()
-	e, m, _ := countingEngine(t, maxMachines, initial, rcfg)
+// newEngine starts an engine with a recovery manager, attached before any
+// data loads, as required. By default the engine has 2 machines of 2
+// partitions, 1 of them active, over 240 buckets, runs registerKV's
+// procedures on int args and logs in memory; each adjust changes that in
+// turn. tb's cleanup stops both.
+func newEngine(tb testing.TB, adjust ...func(*engineConfig)) (*store.Engine, *recovery.Manager) {
+	tb.Helper()
+	cfg := engineConfig{
+		store:    store.Config{MaxMachines: 2, InitialMachines: 1, PartitionsPerMachine: 2, Buckets: 240, QueueCapacity: 256},
+		register: registerKV(nil),
+		// The memory store replays the int a put was given; the disk store
+		// replays what this decodes from its log. The oracle comparisons need
+		// them equal.
+		args: storetest.Args[int],
+	}
+	for _, f := range adjust {
+		f(&cfg)
+	}
+	e, err := store.NewEngine(cfg.store)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := cfg.register(e); err != nil {
+		tb.Fatal(err)
+	}
+	if cfg.args != nil {
+		if err := e.SetArgsDecoder(cfg.args); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	m, err := recovery.New(e, cfg.recovery)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { m.Close() })
+	e.Start()
+	tb.Cleanup(e.Stop)
 	return e, m
 }
 
-// countingEngine is testEngineCfg plus the number of times its procedures
-// ran, live or replayed.
-func countingEngine(t *testing.T, maxMachines, initial int, rcfg recovery.Config) (*store.Engine, *recovery.Manager, *atomic.Int64) {
-	t.Helper()
-	executed := new(atomic.Int64)
-	cfg := store.Config{
-		MaxMachines:          maxMachines,
-		InitialMachines:      initial,
-		PartitionsPerMachine: 2,
-		Buckets:              240,
-		QueueCapacity:        256,
+// machines sizes the engine at max machines, initial of them active.
+func machines(max, initial int) func(*engineConfig) {
+	return func(cfg *engineConfig) { cfg.store.MaxMachines, cfg.store.InitialMachines = max, initial }
+}
+
+// logTo gives the engine the log rcfg describes — the data-dir axis: the
+// same scripts run against the in-memory oracle and the disk-backed store.
+func logTo(rcfg recovery.Config) func(*engineConfig) {
+	return func(cfg *engineConfig) { cfg.recovery = rcfg }
+}
+
+// counting adds one to executed each time a procedure runs, live or replayed.
+func counting(executed *atomic.Int64) func(*engineConfig) {
+	return func(cfg *engineConfig) { cfg.register = registerKV(executed) }
+}
+
+// registerKV registers put, get and del on table T, each counted on executed
+// when it is not nil.
+func registerKV(executed *atomic.Int64) func(*store.Engine) error {
+	count := func() {
+		if executed != nil {
+			executed.Add(1)
+		}
 	}
-	e, err := store.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	return func(e *store.Engine) error {
+		if err := e.Register("put", func(tx *store.Tx) (any, error) {
+			count()
+			return nil, tx.Put("T", tx.Key, tx.Args)
+		}); err != nil {
+			return err
+		}
+		if err := e.Register("get", func(tx *store.Tx) (any, error) {
+			count()
+			v, _, err := tx.Get("T", tx.Key)
+			return v, err
+		}); err != nil {
+			return err
+		}
+		return e.Register("del", func(tx *store.Tx) (any, error) {
+			count()
+			return nil, tx.Delete("T", tx.Key)
+		})
 	}
-	if err := e.Register("put", func(tx *store.Tx) (any, error) {
-		executed.Add(1)
-		return nil, tx.Put("T", tx.Key, tx.Args)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Register("get", func(tx *store.Tx) (any, error) {
-		executed.Add(1)
-		v, _, err := tx.Get("T", tx.Key)
-		return v, err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Register("del", func(tx *store.Tx) (any, error) {
-		executed.Add(1)
-		return nil, tx.Delete("T", tx.Key)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The memory store replays the int a put was given; the disk store replays
-	// what this decodes from its log. The oracle comparisons need them equal.
-	if err := e.SetArgsDecoder(storetest.Args[int]); err != nil {
-		t.Fatal(err)
-	}
-	m, err := recovery.New(e, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	e.Start()
-	t.Cleanup(e.Stop)
-	return e, m, executed
 }
 
 func load(t *testing.T, e *store.Engine, keys int) {
@@ -128,7 +153,7 @@ func downKey(t *testing.T, e *store.Engine, machine, keys int) (string, int) {
 // keep writing, crash, restore — the machine comes back with the exact
 // pre-crash state (checkpoint image + replayed tail).
 func TestCheckpointReplayExactState(t *testing.T) {
-	e, m := testEngine(t, 2, 2)
+	e, m := newEngine(t, machines(2, 2))
 	const keys = 300
 	load(t, e, keys)
 	if _, err := m.Checkpoint(); err != nil {
@@ -164,7 +189,7 @@ func TestCheckpointReplayExactState(t *testing.T) {
 // TestRestoreWithoutCheckpoint proves a bucket with no checkpoint image is
 // rebuilt from its full command history.
 func TestRestoreWithoutCheckpoint(t *testing.T) {
-	e, m := testEngine(t, 2, 2)
+	e, m := newEngine(t, machines(2, 2))
 	const keys = 200
 	load(t, e, keys)
 	if err := m.Crash(0); err != nil {
@@ -186,7 +211,7 @@ func TestRestoreWithoutCheckpoint(t *testing.T) {
 // TestCheckpointTruncatesLog pins the log-reclamation contract: a checkpoint
 // covers all prior commands, so they are dropped.
 func TestCheckpointTruncatesLog(t *testing.T) {
-	e, m := testEngine(t, 2, 1)
+	e, m := newEngine(t, machines(2, 1))
 	load(t, e, 150)
 	if m.LogSize() != 150 {
 		t.Fatalf("LogSize = %d, want 150", m.LogSize())
@@ -215,7 +240,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 // it: data written while the bucket lived on machine 0, then migrated to
 // machine 1, is rebuilt on machine 1 after its crash.
 func TestRecoverMigratedBuckets(t *testing.T) {
-	e, m := testEngine(t, 2, 1)
+	e, m := newEngine(t, machines(2, 1))
 	const keys = 200
 	load(t, e, keys)
 	if _, err := m.Checkpoint(); err != nil {
@@ -251,7 +276,7 @@ func TestRecoverMigratedBuckets(t *testing.T) {
 // machine fail with ErrPartitionDown, execute nothing (nothing is logged),
 // and double-crash / restore-of-live are refused.
 func TestDownSemantics(t *testing.T) {
-	e, m := testEngine(t, 2, 2)
+	e, m := newEngine(t, machines(2, 2))
 	const keys = 200
 	load(t, e, keys)
 	key, bucket := downKey(t, e, 1, keys)
@@ -291,7 +316,7 @@ func TestDownSemantics(t *testing.T) {
 // TestStatsAndRecorder checks the manager's counters, the one place its
 // checkpoints, crashes and recoveries are counted.
 func TestStatsAndRecorder(t *testing.T) {
-	e, m := testEngine(t, 2, 2)
+	e, m := newEngine(t, machines(2, 2))
 	load(t, e, 100)
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)

@@ -10,12 +10,18 @@ import (
 	"testing"
 
 	"pstore/internal/client"
-	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
+
+// putOnly gives a testNode the one procedure put.
+func putOnly(cfg *testNodeConfig) {
+	cfg.procs = map[string]store.TxnFunc{
+		"put": func(tx *store.Tx) (any, error) { return nil, tx.Put("kv", tx.Key, tx.Args) },
+	}
+}
 
 // TestHealthzReportsWALFailure is the dead-log regression test: a node whose
 // WAL latches a fail-stop error can no longer promise durability — the write
@@ -24,33 +30,9 @@ import (
 // /v1/healthz flips to 503 (so the coordinator's failure detector declares
 // the node dead) and the node status carries the latched error.
 func TestHealthzReportsWALFailure(t *testing.T) {
-	cfg := store.Config{
-		MaxMachines:          1,
-		PartitionsPerMachine: 2,
-		Buckets:              64,
-		QueueCapacity:        1 << 10,
-		InitialMachines:      1,
-	}
-	eng, err := store.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Register("put", func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("kv", tx.Key, tx.Args)
-	}); err != nil {
-		t.Fatal(err)
-	}
 	fs := wal.NewMemFS(1)
-	rm, err := recovery.New(eng, recovery.Config{DataDir: "data", FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	srv, err := New(eng, rm, 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := newTestNode(t, putOnly, func(cfg *testNodeConfig) { cfg.fs = fs })
+	eng, rm, srv := n.eng, n.rm, n.srv
 
 	health := func() (int, string) {
 		w := httptest.NewRecorder()
@@ -118,33 +100,13 @@ func TestHealthzReportsWALFailure(t *testing.T) {
 // it is sent, so it travels as a 400, not as a 503 the client retries forever:
 // one attempt, one frame, nothing latched.
 func TestRefusedRecordIsBadRequest(t *testing.T) {
-	eng, err := store.NewEngine(store.Config{
-		MaxMachines: 1, PartitionsPerMachine: 2, Buckets: 64, QueueCapacity: 1 << 10, InitialMachines: 1,
+	n := newTestNode(t, putOnly, served, func(cfg *testNodeConfig) {
+		cfg.args, cfg.fs = storetest.Args[string], wal.NewMemFS(1)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Register("put", func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("kv", tx.Key, tx.Args)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetArgsDecoder(storetest.Args[string]); err != nil {
-		t.Fatal(err)
-	}
-	rm, err := recovery.New(eng, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	srv, err := New(eng, rm, 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := loopbackClient(t, serveLoopback(t, srv), client.Config{RetryRefused: 5})
+	rm, srv := n.rm, n.srv
+	cl := loopbackClient(t, n.url, client.Config{RetryRefused: 5})
 
-	_, err = cl.Execute(context.Background(), "put", "k", strings.Repeat("x", wal.MaxRecordBytes))
+	_, err := cl.Execute(context.Background(), "put", "k", strings.Repeat("x", wal.MaxRecordBytes))
 	var remote *client.RemoteError
 	if !errors.As(err, &remote) || remote.Status != http.StatusBadRequest || remote.Code != wire.CodeBadRequest {
 		t.Fatalf("oversize put: %v, want 400 %s", err, wire.CodeBadRequest)

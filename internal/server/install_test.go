@@ -12,76 +12,39 @@ import (
 	"strings"
 	"testing"
 
-	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
 
-// installNode is one durable node of a 2-node layout (machine i on node i,
-// two partitions each, every bucket on machine 0 to begin with) over its own
-// MemFS, reachable through its server's handlers.
-type installNode struct {
-	eng *store.Engine
-	rm  *recovery.Manager
-	fs  *wal.MemFS
-	srv *Server
-}
-
-func newInstallNode(t *testing.T, id int) *installNode {
-	t.Helper()
-	return newInstallNodeOn(t, id, wal.NewMemFS(int64(id)+1))
-}
-
-// newInstallNodeOn is newInstallNode over a data directory on fs, which a
-// node of an earlier life may have left behind.
-func newInstallNodeOn(t *testing.T, id int, fs *wal.MemFS) *installNode {
-	t.Helper()
-	eng, err := store.NewEngine(store.Config{
-		MaxMachines: 2, PartitionsPerMachine: 2, Buckets: 64,
-		QueueCapacity: 1 << 10, InitialMachines: 1, HostedMachines: []int{id},
-	})
-	if err != nil {
-		t.Fatal(err)
+// installLayout is node id of a 2-node layout — machine i on node i, two
+// partitions each, every bucket on machine 0 to begin with — logging to its
+// own MemFS and reached through its server's handlers.
+func installLayout(id int) func(*testNodeConfig) {
+	return func(cfg *testNodeConfig) {
+		cfg.store = store.Config{
+			MaxMachines: 2, PartitionsPerMachine: 2, Buckets: 64,
+			QueueCapacity: 1 << 10, InitialMachines: 1, HostedMachines: []int{id},
+		}
+		cfg.procs = map[string]store.TxnFunc{
+			"put": func(tx *store.Tx) (any, error) { return nil, tx.Put("kv", tx.Key, tx.Args) },
+			"get": func(tx *store.Tx) (any, error) {
+				v, _, err := tx.Get("kv", tx.Key)
+				return v, err
+			},
+			"del": func(tx *store.Tx) (any, error) { return nil, tx.Delete("kv", tx.Key) },
+		}
+		cfg.args = storetest.Args[int]
+		cfg.fs = wal.NewMemFS(int64(id) + 1)
+		cfg.server = Config{ID: id, Nodes: 2}
 	}
-	if err := eng.Register("put", func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("kv", tx.Key, tx.Args)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Register("get", func(tx *store.Tx) (any, error) {
-		v, _, err := tx.Get("kv", tx.Key)
-		return v, err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Register("del", func(tx *store.Tx) (any, error) {
-		return nil, tx.Delete("kv", tx.Key)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetArgsDecoder(storetest.Args[int]); err != nil {
-		t.Fatal(err)
-	}
-	rm, err := recovery.New(eng, recovery.Config{DataDir: "data", FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rm.Close() })
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	srv, err := New(eng, rm, 0, Config{ID: id, Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &installNode{eng: eng, rm: rm, fs: fs, srv: srv}
 }
 
 // sendChunk extracts buckets from src's partition from and posts them to
 // dst's /v1/node/install for partition to, as Remote.moveBuckets would. It
 // returns the answer and the chunk.
-func sendChunk(t *testing.T, src, dst *installNode, buckets []int, from, to int) (*httptest.ResponseRecorder, []byte) {
+func sendChunk(t *testing.T, src, dst *testNode, buckets []int, from, to int) (*httptest.ResponseRecorder, []byte) {
 	t.Helper()
 	data, err := src.eng.ExtractBuckets(buckets, from, to, 0, 0, false)
 	if err != nil {
@@ -95,7 +58,7 @@ func sendChunk(t *testing.T, src, dst *installNode, buckets []int, from, to int)
 }
 
 // postChunk posts a chunk to dst's /v1/node/install.
-func postChunk(t *testing.T, dst *installNode, req wire.NodeMove, chunk []byte) *httptest.ResponseRecorder {
+func postChunk(t *testing.T, dst *testNode, req wire.NodeMove, chunk []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	var body bytes.Buffer
 	if err := wire.EncodeFrame(&body, req); err != nil {
@@ -143,7 +106,7 @@ func imageSets(t *testing.T, fs *wal.MemFS) (names []string, buckets [][]int) {
 }
 
 // values reads every key a node serves.
-func values(t *testing.T, n *installNode, keys int) map[string]any {
+func values(t *testing.T, n *testNode, keys int) map[string]any {
 	t.Helper()
 	out := make(map[string]any)
 	for i := 0; i < keys; i++ {
@@ -164,11 +127,11 @@ func values(t *testing.T, n *installNode, keys int) map[string]any {
 
 // coldStart stops n as a kill would and starts a node of the same id from
 // its data directory.
-func coldStart(t *testing.T, n *installNode, id int) *installNode {
+func coldStart(t *testing.T, n *testNode, id int) *testNode {
 	t.Helper()
 	n.eng.Stop()
 	n.rm.Close()
-	m := newInstallNodeOn(t, id, n.fs)
+	m := newTestNode(t, installLayout(id), func(cfg *testNodeConfig) { cfg.fs = n.fs })
 	if _, err := m.rm.ColdStart(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +141,7 @@ func coldStart(t *testing.T, n *installNode, id int) *installNode {
 // installTwoChunks loads keys rows on a and moves two chunks of partition 0's
 // buckets to b's partition 2, then overwrites every third key b now serves;
 // it returns the moved buckets and the first chunk's move and bytes.
-func installTwoChunks(t *testing.T, a, b *installNode, keys int) ([]int, wire.NodeMove, []byte) {
+func installTwoChunks(t *testing.T, a, b *testNode, keys int) ([]int, wire.NodeMove, []byte) {
 	t.Helper()
 	for i := 0; i < keys; i++ {
 		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
@@ -212,7 +175,7 @@ func installTwoChunks(t *testing.T, a, b *installNode, keys int) ([]int, wire.No
 // nothing. A crash of the destination machine then restores every row and
 // value from the log — the chunks' and the writes made on top of them.
 func TestInstallLogsOnlyTheChunk(t *testing.T) {
-	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
+	a, b := newTestNode(t, installLayout(0)), newTestNode(t, installLayout(1))
 	const keys = 400
 	moved, req, first := installTwoChunks(t, a, b, keys)
 	if names, _ := imageSets(t, b.fs); len(names) != 0 {
@@ -260,7 +223,7 @@ func TestInstallLogsOnlyTheChunk(t *testing.T) {
 // TestInstallColdStartsFromTheRecord: a node that received chunks and never
 // checkpointed cold-starts with their rows, and with the writes made on top.
 func TestInstallColdStartsFromTheRecord(t *testing.T) {
-	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
+	a, b := newTestNode(t, installLayout(0)), newTestNode(t, installLayout(1))
 	const keys = 300
 	installTwoChunks(t, a, b, keys)
 	want, rows := values(t, b, keys), b.eng.TotalRows()
@@ -277,7 +240,7 @@ func TestInstallColdStartsFromTheRecord(t *testing.T) {
 // its image there holds, is emptied elsewhere and moves back empty cold-starts
 // empty on its old node: the chunk record replays over the old image.
 func TestInstallBackEmptyColdStartsEmpty(t *testing.T) {
-	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
+	a, b := newTestNode(t, installLayout(0)), newTestNode(t, installLayout(1))
 	const keys = 200
 	for i := 0; i < keys; i++ {
 		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
@@ -326,7 +289,7 @@ func TestInstallBackEmptyColdStartsEmpty(t *testing.T) {
 // could not recover the chunk — the node turns unhealthy, and nothing was
 // installed or flipped.
 func TestInstallRefusedWhenLogFails(t *testing.T) {
-	a, b := newInstallNode(t, 0), newInstallNode(t, 1)
+	a, b := newTestNode(t, installLayout(0)), newTestNode(t, installLayout(1))
 	for i := 0; i < 200; i++ {
 		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
 			t.Fatal(err)
@@ -363,7 +326,7 @@ func TestInstallRefusedWhenLogFails(t *testing.T) {
 // primary's log left them: a chunk logged into the follower's own WAL and
 // installed there would fork the replicated history.
 func TestReplicaRefusesInstall(t *testing.T) {
-	a, b, f := newInstallNode(t, 0), newInstallNode(t, 1), newInstallNode(t, 1)
+	a, b, f := newTestNode(t, installLayout(0)), newTestNode(t, installLayout(1)), newTestNode(t, installLayout(1))
 	for i := 0; i < 100; i++ {
 		if _, err := a.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
 			t.Fatal(err)

@@ -18,12 +18,12 @@ import (
 // errLatched is the failure a latched applier holds in these tests.
 var errLatched = fmt.Errorf("server: applying shipped records: %w", store.ErrPartitionDown)
 
-// roleNode is an installNode put straight into role r, its applier latched on
+// roleNode is an installLayout node put straight into role r, its applier latched on
 // errLatched when latched is set. Its arcs are closed, so standing down fences
 // it without starting a rejoin.
-func roleNode(t *testing.T, r role, latched bool) *installNode {
+func roleNode(t *testing.T, r role, latched bool) *testNode {
 	t.Helper()
-	n := newInstallNode(t, 0)
+	n := newTestNode(t, installLayout(0))
 	n.srv.stopArcs()
 	n.srv.repl.role.Store(int32(r))
 	if latched {
@@ -125,7 +125,7 @@ func TestRoleMoves(t *testing.T) {
 func TestRoleGuards(t *testing.T) {
 	const nowhere = "http://127.0.0.1:1"
 	// A sync body to install, from a primary of the same layout.
-	code, body := serveNode(newInstallNode(t, 0).srv.handleReplSync, http.MethodPost, wire.PathReplSync, wire.ReplSync{})
+	code, body := serveNode(newTestNode(t, installLayout(0)).srv.handleReplSync, http.MethodPost, wire.PathReplSync, wire.ReplSync{})
 	if code != "" {
 		t.Fatalf("seeding the install: %s", code)
 	}
@@ -135,7 +135,7 @@ func TestRoleGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := body[len(body)-r.Len():]
-	ship := func(n *installNode, epochAhead uint64) string {
+	ship := func(n *testNode, epochAhead uint64) string {
 		var b bytes.Buffer
 		if err := wire.WriteShipBatch(&b, &wire.ShipBatch{Epoch: n.rm.Epoch() + epochAhead}); err != nil {
 			t.Fatal(err)
@@ -162,18 +162,18 @@ func TestRoleGuards(t *testing.T) {
 	same := func(code string, r role) [2]want { return [2]want{{code, r}, {code, r}} }
 	requests := []struct {
 		name string
-		do   func(n *installNode) string
+		do   func(n *testNode) string
 		want [nRoles][2]want
 	}{
-		{"txn", func(n *installNode) string {
+		{"txn", func(n *testNode) string {
 			code, _ := serveNode(n.srv.handleTxn, http.MethodPost, wire.PathTxn, wire.Request{Txn: "put", Key: "k-1", Args: json.RawMessage("1")})
 			return code
 		}, [...][2]want{same("", P), same(notOwn, F), same(notOwn, S), same(notOwn, R)}},
-		{"sync", func(n *installNode) string {
+		{"sync", func(n *testNode) string {
 			code, _ := serveNode(n.srv.handleReplSync, http.MethodPost, wire.PathReplSync, wire.ReplSync{})
 			return code
 		}, [...][2]want{same("", P), same(fenced, F), same(fenced, S), same(fenced, R)}},
-		{"install", func(n *installNode) string {
+		{"install", func(n *testNode) string {
 			if err := n.srv.InstallReplicaState(meta, set); errors.Is(err, errInstallNotReplica) {
 				return "non-replica"
 			} else if err != nil {
@@ -181,23 +181,23 @@ func TestRoleGuards(t *testing.T) {
 			}
 			return ""
 		}, [...][2]want{same("non-replica", P), same("non-replica", F), same("", R), same("", R)}},
-		{"ship", func(n *installNode) string { return ship(n, 0) },
+		{"ship", func(n *testNode) string { return ship(n, 0) },
 			[...][2]want{same(fenced, P), same(fenced, F), same(stopped, S), {{"", R}, {"resync", R}}}},
-		{"ship from a later epoch", func(n *installNode) string { return ship(n, 1) },
+		{"ship from a later epoch", func(n *testNode) string { return ship(n, 1) },
 			[...][2]want{same(fenced, P), same(fenced, F), same(stopped, S), same(fenced, R)}},
-		{"promote", func(n *installNode) string {
+		{"promote", func(n *testNode) string {
 			code, _ := serveNode(nodeJSON(n.srv.handleReplPromote), http.MethodPost, wire.PathReplPromote, wire.ReplPromote{Epoch: n.rm.Epoch() + 1})
 			return code
 		}, [...][2]want{same("", P), same(fenced, F), same(stopped, S), {{"", P}, {latch, R}}}},
-		{"demote", func(n *installNode) string {
+		{"demote", func(n *testNode) string {
 			code, _ := serveNode(nodeJSON(n.srv.handleReplDemote), http.MethodPost, wire.PathReplDemote, wire.ReplDemote{PrimaryURL: nowhere})
 			return code
 		}, [...][2]want{same("", F), same("", F), same("", S), same("", R)}},
-		{"shipper fenced", func(n *installNode) string {
+		{"shipper fenced", func(n *testNode) string {
 			n.srv.standDown(nowhere)
 			return ""
 		}, [...][2]want{same("", F), same("", F), same("", S), same("", R)}},
-		{"placement", func(n *installNode) string {
+		{"placement", func(n *testNode) string {
 			for _, q := range []struct {
 				h    http.HandlerFunc
 				path string
@@ -214,7 +214,7 @@ func TestRoleGuards(t *testing.T) {
 			}
 			return ""
 		}, [...][2]want{same("", P), same(fenced, F), same(fenced, S), same(fenced, R)}},
-		{"crash and restore", func(n *installNode) string {
+		{"crash and restore", func(n *testNode) string {
 			m := wire.NodeMachine{Machine: 0}
 			if code, _ := serveNode(nodeJSON(n.srv.handleNodeCrash), http.MethodPost, wire.PathNodeCrash, m); code != "" {
 				return code
@@ -222,11 +222,11 @@ func TestRoleGuards(t *testing.T) {
 			code, _ := serveNode(nodeJSON(n.srv.handleNodeRestore), http.MethodPost, wire.PathNodeRestore, m)
 			return code
 		}, [...][2]want{same("", P), same("", F), same(stopped, S), {{"", R}, {latch, R}}}},
-		{"checkpoint", func(n *installNode) string {
+		{"checkpoint", func(n *testNode) string {
 			code, _ := serveNode(n.srv.handleNodeCheckpoint, http.MethodPost, wire.PathNodeCheckpoint, nil)
 			return code
 		}, [...][2]want{same("", P), same("", F), same(stopped, S), {{"", R}, {latch, R}}}},
-		{"status", func(n *installNode) string {
+		{"status", func(n *testNode) string {
 			_, body := serveNode(n.srv.handleReplStatus, http.MethodGet, wire.PathReplStatus, nil)
 			var st wire.ReplStatus
 			if err := json.Unmarshal(body, &st); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -17,43 +18,112 @@ import (
 	"pstore/internal/client"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
+	"pstore/internal/wal"
 	"pstore/internal/wire"
 	"pstore/internal/workload"
 )
 
-// testEngine builds a started engine whose procedures cover every error the
-// wire must map: each "err-*" transaction returns its namesake typed error.
-func testEngine(t *testing.T) *store.Engine {
+// testNode is one node as the server tests stand it up: an engine, its log
+// and the server in front of it, served at url once it serves.
+type testNode struct {
+	eng *store.Engine
+	rm  *recovery.Manager
+	fs  *wal.MemFS
+	srv *Server
+	url string
+}
+
+// testNodeConfig is what a test varies about a testNode.
+type testNodeConfig struct {
+	store store.Config
+	// procs are registered in name order, then register — a workload's own
+	// procedures — runs, and args becomes the engine's args decoder.
+	procs    map[string]store.TxnFunc
+	register func(*store.Engine) error
+	args     store.ArgsDecoder
+	// fs, when set, holds the node's durable log in a directory named data;
+	// the log is in memory otherwise.
+	fs     *wal.MemFS
+	server Config
+	// serve serves the node on l, or on a fresh loopback listener when l is
+	// nil.
+	serve bool
+	l     net.Listener
+}
+
+// newTestNode starts a node. By default it is one machine of two partitions
+// over 64 buckets, with procedures that cover every error the wire must map —
+// each "err-*" transaction returns its namesake typed error — and an
+// in-memory log, and it does not serve; each adjust changes that in turn.
+// t's cleanup stops it.
+func newTestNode(t testing.TB, adjust ...func(*testNodeConfig)) *testNode {
 	t.Helper()
-	cfg := store.Config{
-		MaxMachines:          1,
-		PartitionsPerMachine: 2,
-		Buckets:              64,
-		ServiceTime:          0,
-		QueueCapacity:        1 << 10,
-		InitialMachines:      1,
+	cfg := testNodeConfig{
+		store: store.Config{MaxMachines: 1, PartitionsPerMachine: 2, Buckets: 64, QueueCapacity: 1 << 10, InitialMachines: 1},
+		procs: map[string]store.TxnFunc{
+			"echo":         func(tx *store.Tx) (any, error) { return tx.Key, nil },
+			"err-overload": func(*store.Tx) (any, error) { return nil, fmt.Errorf("queue full: %w", store.ErrOverload) },
+			"err-deadline": func(*store.Tx) (any, error) { return nil, fmt.Errorf("expired: %w", store.ErrDeadlineExceeded) },
+			"err-down":     func(*store.Tx) (any, error) { return nil, fmt.Errorf("crashed: %w", store.ErrPartitionDown) },
+			"err-stopped":  func(*store.Tx) (any, error) { return nil, store.ErrStopped },
+			"err-business": func(*store.Tx) (any, error) { return nil, errors.New("insufficient stock") },
+		},
 	}
-	eng, err := store.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range adjust {
+		f(&cfg)
 	}
-	procs := map[string]store.TxnFunc{
-		"echo":         func(tx *store.Tx) (any, error) { return tx.Key, nil },
-		"err-overload": func(*store.Tx) (any, error) { return nil, fmt.Errorf("queue full: %w", store.ErrOverload) },
-		"err-deadline": func(*store.Tx) (any, error) { return nil, fmt.Errorf("expired: %w", store.ErrDeadlineExceeded) },
-		"err-down":     func(*store.Tx) (any, error) { return nil, fmt.Errorf("crashed: %w", store.ErrPartitionDown) },
-		"err-stopped":  func(*store.Tx) (any, error) { return nil, store.ErrStopped },
-		"err-business": func(*store.Tx) (any, error) { return nil, errors.New("insufficient stock") },
-	}
-	for name, p := range procs {
-		if err := eng.Register(name, p); err != nil {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	eng, err := store.NewEngine(cfg.store)
+	must(err)
+	names := make([]string, 0, len(cfg.procs))
+	for name := range cfg.procs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		must(eng.Register(name, cfg.procs[name]))
+	}
+	if cfg.register != nil {
+		must(cfg.register(eng))
+	}
+	if cfg.args != nil {
+		must(eng.SetArgsDecoder(cfg.args))
+	}
+	var rcfg recovery.Config
+	if cfg.fs != nil {
+		rcfg = recovery.Config{DataDir: "data", FS: cfg.fs}
+	}
+	rm, err := recovery.New(eng, rcfg)
+	must(err)
+	t.Cleanup(func() { rm.Close() })
 	eng.Start()
 	t.Cleanup(eng.Stop)
-	return eng
+	srv, err := New(eng, rm, 0, cfg.server)
+	must(err)
+	n := &testNode{eng: eng, rm: rm, fs: cfg.fs, srv: srv}
+	if cfg.serve {
+		l := cfg.l
+		if l == nil {
+			l = listenLoopback(t)
+		}
+		go srv.Serve(l) //nolint:errcheck
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(ctx)
+		})
+		n.url = "http://" + l.Addr().String()
+	}
+	return n
 }
+
+// served serves a testNode on a fresh loopback listener.
+func served(cfg *testNodeConfig) { cfg.serve = true }
 
 func postTxn(t *testing.T, s *Server, req wire.Request, header map[string]string) (*httptest.ResponseRecorder, wire.Response) {
 	t.Helper()
@@ -79,11 +149,7 @@ func postTxn(t *testing.T, s *Server, req wire.Request, header map[string]string
 // retry hint where the code is retryable, the right server counter, and the
 // one count of wire rejections (Rejected429), which only a 429 moves.
 func TestErrorMappingTable(t *testing.T) {
-	eng := testEngine(t)
-	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestNode(t).srv
 
 	cases := []struct {
 		name     string
@@ -143,11 +209,7 @@ func TestErrorMappingTable(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	eng := testEngine(t)
-	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestNode(t).srv
 	// Garbage body.
 	r := httptest.NewRequest(http.MethodPost, wire.PathTxn, bytes.NewReader([]byte("{not json")))
 	w := httptest.NewRecorder()
@@ -171,33 +233,14 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// serveLoopback runs srv on a loopback listener until the test ends and
-// returns its base URL.
-func serveLoopback(t *testing.T, srv *Server) string {
-	t.Helper()
-	return serveOn(t, srv, listenLoopback(t))
-}
-
 // listenLoopback opens a listener on a free loopback port.
-func listenLoopback(t *testing.T) net.Listener {
+func listenLoopback(t testing.TB) net.Listener {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l
-}
-
-// serveOn serves srv on l until the test ends and returns its base URL.
-func serveOn(t *testing.T, srv *Server, l net.Listener) string {
-	t.Helper()
-	go srv.Serve(l) //nolint:errcheck
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	})
-	return "http://" + l.Addr().String()
 }
 
 func loopbackClient(t *testing.T, url string, cfg client.Config) *client.Client {
@@ -214,12 +257,9 @@ func loopbackClient(t *testing.T, url string, cfg client.Config) *client.Client 
 // TestBatchOrdered sends one batch over the stream and checks the results come
 // back in submission order with per-frame outcomes.
 func TestBatchOrdered(t *testing.T) {
-	eng := testEngine(t)
-	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := loopbackClient(t, serveLoopback(t, srv), client.Config{})
+	node := newTestNode(t, served)
+	srv := node.srv
+	cl := loopbackClient(t, node.url, client.Config{})
 	const n = 32
 	reqs := make([]wire.Request, n)
 	for i := range reqs {
@@ -257,29 +297,15 @@ func TestBatchOrdered(t *testing.T) {
 // the batch fails as a whole when the deadline passes, not when the slow frame
 // ends, and the stream it was sent on serves the next call.
 func TestBatchSharesDeadline(t *testing.T) {
-	eng, err := store.NewEngine(store.Config{
-		MaxMachines: 1, PartitionsPerMachine: 2, Buckets: 64, QueueCapacity: 1 << 10, InitialMachines: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	release := make(chan struct{})
-	for name, p := range map[string]store.TxnFunc{
-		"echo": func(tx *store.Tx) (any, error) { return tx.Key, nil },
-		"slow": func(tx *store.Tx) (any, error) { <-release; return tx.Key, nil },
-	} {
-		if err := eng.Register(name, p); err != nil {
-			t.Fatal(err)
+	n := newTestNode(t, served, func(cfg *testNodeConfig) {
+		cfg.procs = map[string]store.TxnFunc{
+			"echo": func(tx *store.Tx) (any, error) { return tx.Key, nil },
+			"slow": func(tx *store.Tx) (any, error) { <-release; return tx.Key, nil },
 		}
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
+	})
 	defer close(release)
-	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := serveLoopback(t, srv)
+	eng, srv, url := n.eng, n.srv, n.url
 	// Two keys on different partitions, so the fast one is not queued behind
 	// the slow one.
 	slowKey, fastKey := "k0", ""
@@ -290,7 +316,7 @@ func TestBatchSharesDeadline(t *testing.T) {
 	}
 	cl := loopbackClient(t, url, client.Config{Deadline: 50 * time.Millisecond})
 	start := time.Now()
-	_, err = cl.ExecuteBatch(context.Background(), []wire.Request{{Txn: "echo", Key: fastKey}, {Txn: "slow", Key: slowKey}})
+	_, err := cl.ExecuteBatch(context.Background(), []wire.Request{{Txn: "echo", Key: fastKey}, {Txn: "slow", Key: slowKey}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("batch with a frame past the deadline: %v, want context.DeadlineExceeded", err)
 	}
@@ -310,44 +336,17 @@ func TestBatchSharesDeadline(t *testing.T) {
 // the client library and a RemoteExecutor. The trace must complete with zero
 // transport errors; business errors are expected benchmark behavior.
 func TestLoopbackB2W(t *testing.T) {
-	cfg := store.Config{
-		MaxMachines:          2,
-		PartitionsPerMachine: 2,
-		Buckets:              128,
-		ServiceTime:          0,
-		QueueCapacity:        1 << 12,
-		InitialMachines:      2,
-	}
-	eng, err := store.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b2w.Register(eng); err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
+	n := newTestNode(t, served, func(cfg *testNodeConfig) {
+		cfg.store = store.Config{MaxMachines: 2, PartitionsPerMachine: 2, Buckets: 128, QueueCapacity: 1 << 12, InitialMachines: 2}
+		cfg.procs, cfg.register = nil, b2w.Register
+	})
+	eng, srv := n.eng, n.srv
 	spec := b2w.LoadSpec{Carts: 40, Checkouts: 15, Stocks: 25, LinesPerCart: 2, Seed: 2}
 	if err := b2w.Load(eng, spec); err != nil {
 		t.Fatal(err)
 	}
 
-	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l) //nolint:errcheck
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	})
-
-	cl, err := client.New(client.Config{Addr: l.Addr().String(), MaxInFlight: 64})
+	cl, err := client.New(client.Config{Addr: n.url, MaxInFlight: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,11 +393,7 @@ func TestLoopbackB2W(t *testing.T) {
 
 // TestShutdownRequested checks the wire shutdown handshake.
 func TestShutdownRequested(t *testing.T) {
-	eng := testEngine(t)
-	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestNode(t).srv
 	select {
 	case <-srv.ShutdownRequested():
 		t.Fatal("shutdown channel closed before any request")

@@ -13,59 +13,36 @@ import (
 	"time"
 
 	"pstore/internal/client"
-	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
 	"pstore/internal/wire"
 )
 
-// streamNode is one listening node of a 2-node layout: machine i on node i, one
-// partition each, buckets alternating between them. "whoami" answers with the
-// label of the engine that ran it; "put" takes an int.
-type streamNode struct {
-	eng *store.Engine
-	srv *Server
-	url string
-}
-
-// newStreamNode serves node id on l, forwarding to peers.
-func newStreamNode(t *testing.T, id int, label string, l net.Listener, peers []string) *streamNode {
-	t.Helper()
-	eng, err := store.NewEngine(store.Config{
-		MaxMachines: 2, PartitionsPerMachine: 1, Buckets: 64,
-		QueueCapacity: 1 << 10, InitialMachines: 2, HostedMachines: []int{id},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range map[string]store.TxnFunc{
-		"whoami": func(*store.Tx) (any, error) { return label, nil },
-		"put":    func(tx *store.Tx) (any, error) { return nil, tx.Put("kv", tx.Key, tx.Args) },
-	} {
-		if err := eng.Register(name, p); err != nil {
-			t.Fatal(err)
+// streamLayout is node id of a 2-node layout — machine i on node i, one
+// partition each, buckets alternating between them — serving on l and
+// forwarding to peers. "whoami" answers with label; "put" takes an int.
+func streamLayout(id int, label string, l net.Listener, peers []string) func(*testNodeConfig) {
+	return func(cfg *testNodeConfig) {
+		cfg.store = store.Config{
+			MaxMachines: 2, PartitionsPerMachine: 1, Buckets: 64,
+			QueueCapacity: 1 << 10, InitialMachines: 2, HostedMachines: []int{id},
 		}
+		cfg.procs = map[string]store.TxnFunc{
+			"whoami": func(*store.Tx) (any, error) { return label, nil },
+			"put":    func(tx *store.Tx) (any, error) { return nil, tx.Put("kv", tx.Key, tx.Args) },
+		}
+		cfg.args = storetest.Args[int]
+		cfg.server = Config{ID: id, Nodes: 2, Peers: peers}
+		cfg.serve, cfg.l = true, l
 	}
-	if err := eng.SetArgsDecoder(storetest.Args[int]); err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	srv, err := New(eng, recovery.NewManager(eng), 0, Config{ID: id, Nodes: 2, Peers: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &streamNode{eng: eng, srv: srv, url: serveOn(t, srv, l)}
 }
 
-// newStreamPair starts nodes 0 and 1, each forwarding to the other: their
-// listeners are open before either server is built, so each peer table names
-// both.
-func newStreamPair(t *testing.T) (n0, n1 *streamNode) {
+// listenPair opens the listeners of nodes 0 and 1 before either server is
+// built, so each peer table names both.
+func listenPair(t *testing.T) (l0, l1 net.Listener, peers []string) {
 	t.Helper()
-	l0, l1 := listenLoopback(t), listenLoopback(t)
-	peers := []string{"http://" + l0.Addr().String(), "http://" + l1.Addr().String()}
-	return newStreamNode(t, 0, "n0", l0, peers), newStreamNode(t, 1, "n1", l1, peers)
+	l0, l1 = listenLoopback(t), listenLoopback(t)
+	return l0, l1, []string{"http://" + l0.Addr().String(), "http://" + l1.Addr().String()}
 }
 
 // keysOn returns n keys whose bucket node's plan places on the given node.
@@ -99,7 +76,8 @@ func acceptedStreams(s *Server) int {
 // frame is relayed over the one stream of that peer slot, and every reply
 // comes back.
 func TestForwardBatchOpensOneConnection(t *testing.T) {
-	n0, n1 := newStreamPair(t)
+	l0, l1, peers := listenPair(t)
+	n0, n1 := newTestNode(t, streamLayout(0, "n0", l0, peers)), newTestNode(t, streamLayout(1, "n1", l1, peers))
 	const n = 65
 	reqs := make([]wire.Request, n)
 	for i, k := range keysOn(n0.eng, 1, n) {
@@ -136,7 +114,8 @@ func TestForwardBatchOpensOneConnection(t *testing.T) {
 // decode, for a key node 1 hosts. Node 0 must not look past the key: the owner
 // is the one that answers bad_request.
 func TestForwardRelaysBeforeDecoding(t *testing.T) {
-	n0, n1 := newStreamPair(t)
+	l0, l1, peers := listenPair(t)
+	n0, n1 := newTestNode(t, streamLayout(0, "n0", l0, peers)), newTestNode(t, streamLayout(1, "n1", l1, peers))
 	key := keysOn(n0.eng, 1, 1)[0]
 	cl := loopbackClient(t, n0.url, client.Config{})
 	_, err := cl.Execute(context.Background(), "put", key, "not an int")
@@ -170,8 +149,9 @@ func TestForwardRelaysBeforeDecoding(t *testing.T) {
 // its promoted replacement through /v1/node/peer. The stream to the old process
 // is closed and the next forward reaches the new one.
 func TestForwardPeerRewiring(t *testing.T) {
-	n0, old := newStreamPair(t)
-	promoted := newStreamNode(t, 1, "promoted", listenLoopback(t), []string{n0.url, ""})
+	l0, l1, peers := listenPair(t)
+	n0, old := newTestNode(t, streamLayout(0, "n0", l0, peers)), newTestNode(t, streamLayout(1, "n1", l1, peers))
+	promoted := newTestNode(t, streamLayout(1, "promoted", listenLoopback(t), []string{n0.url, ""}))
 	key := keysOn(n0.eng, 1, 1)[0]
 	cl := loopbackClient(t, n0.url, client.Config{})
 	if v, err := cl.Execute(context.Background(), "whoami", key, nil); err != nil || string(v) != `"n1"` {
@@ -201,30 +181,17 @@ func TestForwardPeerRewiring(t *testing.T) {
 // Shutdown — whose http.Server no longer knows the connection — closes it,
 // failing what is pending instead of leaving it to its deadline.
 func TestShutdownClosesStreams(t *testing.T) {
-	eng, err := store.NewEngine(store.Config{
-		MaxMachines: 1, PartitionsPerMachine: 1, Buckets: 64, QueueCapacity: 1 << 10, InitialMachines: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	release := make(chan struct{})
-	for name, p := range map[string]store.TxnFunc{
-		"echo": func(tx *store.Tx) (any, error) { return tx.Key, nil },
-		"held": func(tx *store.Tx) (any, error) { <-release; return tx.Key, nil },
-	} {
-		if err := eng.Register(name, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	defer close(release)
 	defer func(rh, idle time.Duration) { readHeaderTimeout, idleTimeout = rh, idle }(readHeaderTimeout, idleTimeout)
 	readHeaderTimeout, idleTimeout = 20*time.Millisecond, 20*time.Millisecond
-	srv, err := New(eng, recovery.NewManager(eng), 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestNode(t, func(cfg *testNodeConfig) {
+		cfg.store.PartitionsPerMachine = 1
+		cfg.procs = map[string]store.TxnFunc{
+			"echo": func(tx *store.Tx) (any, error) { return tx.Key, nil },
+			"held": func(tx *store.Tx) (any, error) { <-release; return tx.Key, nil },
+		}
+	}).srv
+	defer close(release)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +242,7 @@ func TestShutdownClosesStreams(t *testing.T) {
 // coordinator does: node 0 extracts the buckets and from then on routes them to
 // node 1, whose plan still names node 0. It returns the buckets, a key among
 // them, and the function that lands the chunk on node 1.
-func extractToNode1(t *testing.T, n0, n1 *streamNode) (moved []int, key string, install func()) {
+func extractToNode1(t *testing.T, n0, n1 *testNode) (moved []int, key string, install func()) {
 	t.Helper()
 	key = keysOn(n0.eng, 0, 1)[0]
 	moved = n0.eng.OwnedBuckets(0)
@@ -297,10 +264,11 @@ func extractToNode1(t *testing.T, n0, n1 *streamNode) (moved []int, key string, 
 // the coordinator's flip tells it the chunk has landed — delivered late here,
 // after the install — and node 1 runs them.
 func TestStaleRouteWaitsAtSource(t *testing.T) {
-	n0, n1 := newStreamPair(t)
+	l0, l1, peers := listenPair(t)
+	n0, n1 := newTestNode(t, streamLayout(0, "n0", l0, peers)), newTestNode(t, streamLayout(1, "n1", l1, peers))
 	moved, key, install := extractToNode1(t, n0, n1)
 	answers := make(chan string, 2)
-	for _, n := range []*streamNode{n0, n1} {
+	for _, n := range []*testNode{n0, n1} {
 		cl := loopbackClient(t, n.url, client.Config{Deadline: 5 * time.Second})
 		go func() {
 			v, err := cl.Execute(context.Background(), "whoami", key, nil)
@@ -332,7 +300,8 @@ func TestStaleRouteWaitsAtSource(t *testing.T) {
 // behind it — nothing was extracted, so nobody waits: the request must end as a
 // 500 as soon as its hops are spent.
 func TestStaleRouteBounceIsBounded(t *testing.T) {
-	n0, n1 := newStreamPair(t)
+	l0, l1, peers := listenPair(t)
+	n0, n1 := newTestNode(t, streamLayout(0, "n0", l0, peers)), newTestNode(t, streamLayout(1, "n1", l1, peers))
 	key := keysOn(n0.eng, 0, 1)[0]
 	if err := n0.eng.ApplyOwnership(n0.eng.OwnedBuckets(0), 1); err != nil {
 		t.Fatal(err)
@@ -356,7 +325,8 @@ func TestStaleRouteBounceIsBounded(t *testing.T) {
 // as a failed peer, and leaves the others alone; one with time left is relayed
 // after handoffWait to node 1, which by then runs it.
 func TestHandoffConfirmationLost(t *testing.T) {
-	n0, n1 := newStreamPair(t)
+	l0, l1, peers := listenPair(t)
+	n0, n1 := newTestNode(t, streamLayout(0, "n0", l0, peers)), newTestNode(t, streamLayout(1, "n1", l1, peers))
 	_, key, install := extractToNode1(t, n0, n1)
 	install()
 	patient := make(chan string, 1)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pstore/internal/b2w"
-	"pstore/internal/recovery"
 	"pstore/internal/store"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
@@ -21,36 +20,24 @@ import (
 // decodes it, restores its partitions and writes its baseline image set.
 // bytes/set is the size of the body's image set.
 func BenchmarkReplSync(b *testing.B) {
-	node := func(replicaOf string) (*store.Engine, *recovery.Manager, *Server) {
-		eng, err := store.NewEngine(store.Config{
-			MaxMachines: 4, InitialMachines: 4, PartitionsPerMachine: 4,
-			Buckets: 640, QueueCapacity: 1 << 10, HostedMachines: []int{0, 2},
+	node := func(replicaOf string) *testNode {
+		return newTestNode(b, func(cfg *testNodeConfig) {
+			cfg.store = store.Config{
+				MaxMachines: 4, InitialMachines: 4, PartitionsPerMachine: 4,
+				Buckets: 640, QueueCapacity: 1 << 10, HostedMachines: []int{0, 2},
+			}
+			cfg.procs, cfg.register, cfg.fs = nil, b2w.Register, wal.NewMemFS(1)
+			cfg.server = Config{ID: 0, Nodes: 2, ReplicaOf: replicaOf}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := b2w.Register(eng); err != nil {
-			b.Fatal(err)
-		}
-		rm, err := recovery.New(eng, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { rm.Close() })
-		eng.Start()
-		b.Cleanup(eng.Stop)
-		srv, err := New(eng, rm, 0, Config{ID: 0, Nodes: 2, ReplicaOf: replicaOf})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return eng, rm, srv
 	}
-	peng, prm, primary := node("")
+	p := node("")
+	peng, primary := p.eng, p.srv
 	spec := b2w.LoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: 1}
-	if _, err := prm.Bootstrap(func() error { return b2w.Load(peng, spec) }); err != nil {
+	if _, err := p.rm.Bootstrap(func() error { return b2w.Load(peng, spec) }); err != nil {
 		b.Fatal(err)
 	}
-	feng, _, follower := node("primary")
+	f := node("primary")
+	feng, follower := f.eng, f.srv
 
 	var set []byte
 	b.ResetTimer()

@@ -248,6 +248,87 @@ func TestHoldCapacity(t *testing.T) {
 	}
 }
 
+// TestHoldChainsQueuedTransactions: a busy partition's holds run back to
+// back. 100 queued transactions whose procedure spends 300 µs of real time
+// outside its 3 ms hold drain in 100 × 3.1 ms, where holds that each start
+// when the previous procedure returned take 100 × 3.3 ms. No reply comes
+// before its arrival plus the service time, the holds take at least (n − 1)
+// service times, and the hold-less gate's wait is not credited to the hold
+// after it.
+func TestHoldChainsQueuedTransactions(t *testing.T) {
+	const (
+		n    = 100
+		svc  = 3 * time.Millisecond
+		work = 300 * time.Microsecond
+	)
+	e := holdEngine(t, svc)
+	entered, gate := make(chan struct{}), make(chan struct{})
+	if err := e.Register("gate", func(*Tx) (any, error) { close(entered); <-gate; return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetServiceTime("gate", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("work", func(*Tx) (any, error) {
+		for start := time.Now(); time.Since(start) < work; {
+		}
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+
+	type span struct{ submit, reply time.Time }
+	spans := make([]span, n)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := e.Execute("gate", "k", nil); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-entered
+	for i := range spans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			submit := time.Now()
+			if _, err := e.Execute("work", "k", nil); err != nil {
+				t.Error(err)
+			}
+			spans[i] = span{submit, time.Now()}
+		}()
+	}
+	for e.parts[0].q.dataLen() < n {
+		runtime.Gosched()
+	}
+	time.Sleep(svc) // the gate outlasts a hold past every arrival
+	release := time.Now()
+	close(gate)
+	wg.Wait()
+	elapsed := time.Since(release)
+	t.Logf("%d transactions of %v + %v drained in %v (%v each)", n, svc, work, elapsed, elapsed/n)
+	if limit := n * 3100 * time.Microsecond; elapsed > limit {
+		t.Errorf("%d transactions of %v + %v took %v, want at most %v", n, svc, work, elapsed, limit)
+	}
+	if floor := (n - 1) * svc; elapsed < floor {
+		t.Errorf("%d holds of %v took %v, want at least %v", n, svc, elapsed, floor)
+	}
+	first := spans[0].reply
+	for i, s := range spans {
+		if got := s.reply.Sub(s.submit); got < svc {
+			t.Errorf("transaction %d replied %v after it was submitted, before its %v hold could end", i, got, svc)
+		}
+		if s.reply.Before(first) {
+			first = s.reply
+		}
+	}
+	if got := first.Sub(release); got < svc {
+		t.Errorf("first reply %v after the gate opened, want at least %v: the gate's wait was credited", got, svc)
+	}
+}
+
 // BenchmarkPartitionHold reports what a 3 ms hold costs beyond its 3 ms.
 func BenchmarkPartitionHold(b *testing.B) {
 	const d = 3 * time.Millisecond

@@ -50,8 +50,11 @@ type partition struct {
 	drained   chan struct{}
 	stop      chan struct{}
 	done      chan struct{}
-	// timer is what hold sleeps on; executor-only.
+	// timer is what hold sleeps on; clock is the deadline the last
+	// transaction's hold was scheduled to end at, or when the executor last
+	// restarted its clock. Both executor-only.
 	timer holdTimer
+	clock time.Time
 }
 
 // pendingCommit is one logged transaction parked in the commit stage: its
@@ -181,6 +184,7 @@ func (p *partition) handle(req request) {
 		case ctlReplay:
 			p.replayLive(req.ctl)
 		}
+		p.clock = time.Now()
 	}
 }
 
@@ -227,15 +231,38 @@ func (p *partition) execute(r *txnRequest) {
 		}
 		if ticket != 0 {
 			p.undrained = true
-			p.commitCh <- pendingCommit{r: r, logger: h.l, ticket: ticket}
+			c := pendingCommit{r: r, logger: h.l, ticket: ticket}
+			select {
+			case p.commitCh <- c:
+			default:
+				p.commitCh <- c // a full stage: the wait is not service time
+				p.clock = time.Now()
+			}
 			staged = true
 		}
 	}
 	pr := &p.eng.procs[r.id]
-	p.hold(pr.svc)
+	if pr.svc > 0 {
+		// A hold is scheduled from the later of the transaction's arrival and
+		// the previous hold's deadline, so the executor's own work between
+		// holds and a late wake-up come out of the next hold instead of
+		// piling up in the queue. A forwarded transaction arrived here now.
+		start := r.submit
+		if r.forwards > 0 {
+			start = time.Now()
+		}
+		if p.clock.After(start) {
+			start = p.clock
+		}
+		p.clock = start.Add(pr.svc)
+		p.holdUntil(p.clock)
+	}
 	p.tx = Tx{p: p, bucket: int(r.bucket), Key: r.key, Args: r.args}
 	v, err := runTxn(pr.fn, &p.tx)
 	p.tx = Tx{} // release references to the request's key/args
+	if pr.svc <= 0 {
+		p.clock = time.Now() // a hold-less transaction's real time is not credited
+	}
 	res := txnResult{value: v, err: err}
 	if staged {
 		p.resultCh <- commitResult{res: res, at: time.Now()}
@@ -244,16 +271,19 @@ func (p *partition) execute(r *txnRequest) {
 	r.reply <- res
 }
 
-// hold keeps the executor busy for d: the emulated cost of running a
-// procedure or of packing, sending or installing a chunk. The partition is
-// occupied until the deadline and no longer, which takes a clock finer than
-// the runtime's own (see holdTimer). A wake-up past the deadline is counted,
-// never credited to the next hold.
+// hold keeps the executor busy for d from now: the emulated cost of packing,
+// sending or installing a chunk.
 func (p *partition) hold(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		p.holdUntil(time.Now().Add(d))
 	}
-	deadline := time.Now().Add(d)
+}
+
+// holdUntil keeps the executor busy until deadline and no longer, which takes
+// a clock finer than the runtime's own (see holdTimer); a deadline already
+// past does not sleep. How late the executor got past the deadline is
+// counted.
+func (p *partition) holdUntil(deadline time.Time) {
 	p.timer.sleepUntil(deadline)
 	p.eng.holds.Add(1)
 	p.eng.holdOverNs.Add(int64(time.Since(deadline)))

@@ -88,18 +88,6 @@ func registerAppendKV(put store.TxnFunc) func(*store.Engine) error {
 	}
 }
 
-// startGatedFollower starts a follower of primary whose applier the returned
-// gate holds, logging to rcfg, and syncs it.
-func startGatedFollower(t *testing.T, primary *replNode, rcfg recovery.Config) (*replNode, *applyGate, wire.ReplSyncMeta) {
-	t.Helper()
-	gate := newApplyGate()
-	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, recovery: rcfg, register: gate.register})
-	// Registered after the node's own cleanups, so it runs before them: a
-	// server shutting down waits for its applier.
-	t.Cleanup(gate.open)
-	return follower, gate, syncFollower(t, primary, follower)
-}
-
 func replStatus(t *testing.T, n *replNode) wire.ReplStatus {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -142,14 +130,14 @@ func crashAndColdStart(t *testing.T, fs *wal.MemFS, primary, follower *replNode,
 	_ = follower.rm.Close()
 	fs.Recover()
 
-	eng, rm := newChaosEngine(t, recovery.Config{DataDir: "data", FS: fs}, storetest.Args[int])
-	if !rm.HasColdState() {
+	n := newReplNode(t, replNodeConfig{recovery: recovery.Config{DataDir: "data", FS: fs}})
+	if !n.rm.HasColdState() {
 		t.Fatal("the follower's directory holds no state to cold-start from")
 	}
-	if _, err := rm.ColdStart(); err != nil {
+	if _, err := n.rm.ColdStart(); err != nil {
 		t.Fatalf("ColdStart: %v", err)
 	}
-	return eng
+	return n.eng
 }
 
 // TestFollowerAckBeforeApply: the ack certifies a durable append, not an
@@ -160,7 +148,9 @@ func crashAndColdStart(t *testing.T, fs *wal.MemFS, primary, follower *replNode,
 func TestFollowerAckBeforeApply(t *testing.T) {
 	const keys = 20
 	primary := newReplNode(t, replNodeConfig{})
-	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)})
+	gate := newApplyGate()
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, recovery: recovery.Config{DataDir: "data", FS: wal.NewMemFS(1)}, gate: gate})
+	meta := syncFollower(t, primary, follower)
 	before := replStatus(t, follower)
 	sh, err := transport.NewShipper(transport.ShipperConfig{
 		RM: primary.rm, Follower: follower.peer, FromNode: 0, ToNode: -1,
@@ -216,7 +206,9 @@ func TestFollowerAckBeforeApply(t *testing.T) {
 func TestPromoteDrainsApply(t *testing.T) {
 	const writes = 6
 	primary := newReplNode(t, replNodeConfig{})
-	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: t.TempDir()})
+	gate := newApplyGate()
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, recovery: recovery.Config{DataDir: t.TempDir()}, gate: gate})
+	meta := syncFollower(t, primary, follower)
 	sh, err := transport.NewShipper(transport.ShipperConfig{
 		RM: primary.rm, Follower: follower.peer, FromNode: 0, ToNode: -1,
 		Start: meta.Cursor, SyncCommit: true,
@@ -278,7 +270,9 @@ func TestFollowerCrashBetweenAcceptAndApply(t *testing.T) {
 	const keys = 6
 	fs := wal.NewMemFS(1)
 	primary := newReplNode(t, replNodeConfig{})
-	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: "data", FS: fs})
+	gate := newApplyGate()
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, recovery: recovery.Config{DataDir: "data", FS: fs}, gate: gate})
+	meta := syncFollower(t, primary, follower)
 	for i := 0; i < keys; i++ {
 		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), i+7); err != nil {
 			t.Fatal(err)
@@ -308,7 +302,9 @@ func TestFollowerAckCheckpointStampsApplied(t *testing.T) {
 	const keys = 12
 	fs := wal.NewMemFS(1)
 	primary := newReplNode(t, replNodeConfig{})
-	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: "data", FS: fs})
+	gate := newApplyGate()
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, recovery: recovery.Config{DataDir: "data", FS: fs}, gate: gate})
+	meta := syncFollower(t, primary, follower)
 	for i := 0; i < keys; i++ {
 		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), i*3); err != nil {
 			t.Fatal(err)
@@ -403,7 +399,9 @@ func TestApplyBackpressure(t *testing.T) {
 	const writes = 40
 	const bound = server.ApplyQueueDepth + 1
 	primary := newReplNode(t, replNodeConfig{})
-	follower, gate, meta := startGatedFollower(t, primary, recovery.Config{DataDir: t.TempDir()})
+	gate := newApplyGate()
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, recovery: recovery.Config{DataDir: t.TempDir()}, gate: gate})
+	meta := syncFollower(t, primary, follower)
 	for i := 0; i < writes; i++ {
 		if _, err := primary.eng.Execute("put", fmt.Sprintf("k-%d", i), i); err != nil {
 			t.Fatal(err)
@@ -448,8 +446,7 @@ func TestFollowerAckRestoreDrainsApply(t *testing.T) {
 	const keys = 8
 	gate := newApplyGate()
 	primary := newReplNode(t, replNodeConfig{machines: 4, initial: 2, args: storetest.Args[string], register: registerAppendKV(appendPut)})
-	follower := newReplNode(t, replNodeConfig{machines: 4, initial: 2, replicaOf: primary.url, args: storetest.Args[string], register: registerAppendKV(gate.gated(appendPut))})
-	t.Cleanup(gate.open)
+	follower := newReplNode(t, replNodeConfig{machines: 4, initial: 2, replicaOf: primary.url, args: storetest.Args[string], register: registerAppendKV(gate.gated(appendPut)), gate: gate})
 	meta := syncFollower(t, primary, follower)
 
 	machineOf := func(i int) int {

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"pstore/internal/faults"
+	"pstore/internal/node"
+	"pstore/internal/node/nodetest"
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
@@ -47,31 +49,6 @@ func replChaosScriptOps() []chaosOp {
 	return ops
 }
 
-func newChaosEngine(t *testing.T, rcfg recovery.Config, decArgs store.ArgsDecoder) (*store.Engine, *recovery.Manager) {
-	t.Helper()
-	scfg := kvStoreConfig(4, 1)
-	for m := 0; m < 4; m++ {
-		scfg.HostedMachines = append(scfg.HostedMachines, m)
-	}
-	eng, err := store.NewEngine(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := registerKV(eng); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetArgsDecoder(decArgs); err != nil {
-		t.Fatal(err)
-	}
-	rm, err := recovery.New(eng, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	return eng, rm
-}
-
 // chaosFingerprint captures everything the modes must agree on: the plan,
 // the active-machine count, row conservation, and every key's value.
 func chaosFingerprint(t *testing.T, eng *store.Engine) string {
@@ -98,22 +75,11 @@ func runReplChaosScript(t *testing.T, mode string) string {
 
 	switch mode {
 	case "mem":
-		scfg := kvStoreConfig(4, 1)
-		for m := 0; m < 4; m++ {
-			scfg.HostedMachines = append(scfg.HostedMachines, m)
-		}
-		e, err := store.NewEngine(scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := registerKV(e); err != nil {
-			t.Fatal(err)
-		}
-		eng, rm = e, recovery.NewManager(e)
-		eng.Start()
-		t.Cleanup(eng.Stop)
+		n := nodetest.Node(t, node.Config{Store: kvStoreConfig(4, 1), Register: registerKV})
+		eng, rm = n.Engine, n.Recovery
 	case "disk":
-		eng, rm = newChaosEngine(t, recovery.Config{DataDir: t.TempDir()}, storetest.Args[string])
+		n := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
+		eng, rm = n.eng, n.rm
 	case "repl":
 		primary = newReplNode(t, replNodeConfig{args: storetest.Args[string]})
 		follower = newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string]})

@@ -51,6 +51,9 @@ type replNodeConfig struct {
 	// test holds open.
 	recovery recovery.Config
 	register func(*store.Engine) error
+	// gate, when set, holds the node's applier: the put is gate.register's
+	// unless register is given, and the gate opens before the node stops.
+	gate *applyGate
 }
 
 // newReplNode starts a replNode; t's cleanup stops it.
@@ -62,7 +65,11 @@ func newReplNode(t testing.TB, cfg replNodeConfig) *replNode {
 	if cfg.args == nil {
 		cfg.args = storetest.Args[int]
 	}
-	if cfg.register == nil {
+	switch {
+	case cfg.register != nil:
+	case cfg.gate != nil:
+		cfg.register = cfg.gate.register
+	default:
 		cfg.register = registerKV
 	}
 	if cfg.recovery.DataDir == "" {
@@ -112,6 +119,11 @@ func newReplNode(t testing.TB, cfg replNodeConfig) *replNode {
 	defer cancel()
 	if err := peer.WaitHealthy(ctx, 5*time.Second); err != nil {
 		t.Fatal(err)
+	}
+	if cfg.gate != nil {
+		// Registered after the node's own cleanups, so it runs before them: a
+		// server shutting down waits for its applier.
+		t.Cleanup(cfg.gate.open)
 	}
 	return &replNode{eng: eng, rm: rm, srv: srv, peer: peer, url: url}
 }

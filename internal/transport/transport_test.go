@@ -13,7 +13,6 @@ import (
 	"pstore/internal/faults"
 	"pstore/internal/node"
 	"pstore/internal/node/nodetest"
-	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
 	"pstore/internal/store/storetest"
@@ -75,12 +74,10 @@ func loadAll(t *testing.T, engines []*store.Engine, keys int) {
 	}
 }
 
-// newKVLoopback starts the kv workload on in-process nodes behind loopback
-// listeners, with a Remote topology over them: the multi-process side of the
-// parity tests, with only the process boundary simulated.
-func newKVLoopback(t *testing.T, nodes, machines, initial int) ([]*node.Node, *transport.Remote) {
-	t.Helper()
-	return nodetest.Start(t, nodes, node.Config{
+// kvNode is the kv workload on a node: machines machines, initial of them
+// active, the whole cluster on one node unless Start spreads it over several.
+func kvNode(machines, initial int) node.Config {
+	return node.Config{
 		Store: kvStoreConfig(machines, initial),
 		Register: func(eng *store.Engine) error {
 			if err := registerKV(eng); err != nil {
@@ -88,7 +85,7 @@ func newKVLoopback(t *testing.T, nodes, machines, initial int) ([]*node.Node, *t
 			}
 			return eng.SetArgsDecoder(storetest.Args[int])
 		},
-	})
+	}
 }
 
 func engines(nodes []*node.Node) []*store.Engine {
@@ -97,21 +94,6 @@ func engines(nodes []*node.Node) []*store.Engine {
 		out[i] = n.Engine
 	}
 	return out
-}
-
-func newLocal(t *testing.T, machines, initial int) *transport.Local {
-	t.Helper()
-	eng, err := store.NewEngine(kvStoreConfig(machines, initial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := registerKV(eng); err != nil {
-		t.Fatal(err)
-	}
-	rm := recovery.NewManager(eng)
-	eng.Start()
-	t.Cleanup(eng.Stop)
-	return transport.NewLocal(eng, rm)
 }
 
 func chaosExecutorConfig() squall.Config {
@@ -227,14 +209,16 @@ func TestLocalRemoteParity(t *testing.T) {
 		{"chunk-drop=0.05 round trip", 0.05, false},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			local := newLocal(t, 4, 1)
+			oracle := nodetest.Node(t, kvNode(4, 1))
+			local := transport.NewLocal(oracle.Engine, oracle.Recovery)
 			loadAll(t, []*store.Engine{local.Engine}, keys)
 			if _, err := local.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			want := runChaosScript(t, local, seed, in.drop, in.crash, keys)
 
-			nodes, remote := newKVLoopback(t, 2, 4, 1)
+			lb := nodetest.Start(t, 2, kvNode(4, 1))
+			nodes, remote := lb.Nodes, lb.Remote
 			loadAll(t, engines(nodes), keys)
 			if _, err := remote.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -255,7 +239,8 @@ func TestLocalRemoteParity(t *testing.T) {
 // counts come from the nodes themselves and match the oracle's view.
 func TestRemoteMirrors(t *testing.T) {
 	const keys = 200
-	nodes, r := newKVLoopback(t, 2, 4, 1)
+	lb := nodetest.Start(t, 2, kvNode(4, 1))
+	nodes, r := lb.Nodes, lb.Remote
 	loadAll(t, engines(nodes), keys)
 
 	if cfg := r.Config(); cfg.MaxMachines != 4 || cfg.PartitionsPerMachine != 2 || cfg.Buckets != 240 {
@@ -282,7 +267,7 @@ func TestRemoteMirrors(t *testing.T) {
 // answered with the right value.
 func TestForwarding(t *testing.T) {
 	const keys = 60
-	nodes, _ := newKVLoopback(t, 2, 2, 2)
+	nodes := nodetest.Start(t, 2, kvNode(2, 2)).Nodes
 	loadAll(t, engines(nodes), keys)
 
 	for i := 0; i < keys; i++ {
@@ -320,7 +305,8 @@ func TestForwarding(t *testing.T) {
 // succeeds again.
 func TestRemotePartitionDownOverWire(t *testing.T) {
 	const keys = 60
-	nodes, r := newKVLoopback(t, 2, 2, 2)
+	lb := nodetest.Start(t, 2, kvNode(2, 2))
+	nodes, r := lb.Nodes, lb.Remote
 	loadAll(t, engines(nodes), keys)
 
 	// Find a key hosted by machine 1 (node 1).
@@ -377,7 +363,8 @@ func TestRemotePartitionDownOverWire(t *testing.T) {
 // rows, and TotalRows is conserved through arbitrary replays.
 func TestDuplicateInstallIdempotent(t *testing.T) {
 	const keys = 200
-	nodes, r := newKVLoopback(t, 2, 2, 2)
+	lb := nodetest.Start(t, 2, kvNode(2, 2))
+	nodes, r := lb.Nodes, lb.Remote
 	loadAll(t, engines(nodes), keys)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -423,7 +410,8 @@ func TestDuplicateInstallIdempotent(t *testing.T) {
 // conservation and full readability afterwards.
 func TestNetFaultsConserveRows(t *testing.T) {
 	const keys = 300
-	nodes, r := newKVLoopback(t, 2, 4, 1)
+	lb := nodetest.Start(t, 2, kvNode(4, 1))
+	nodes, r := lb.Nodes, lb.Remote
 	loadAll(t, engines(nodes), keys)
 
 	net, err := faults.Parse("seed=7,link-dup=1,link-reorder=0.5,link-slow=0.1,link-delay=100us")

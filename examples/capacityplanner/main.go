@@ -10,12 +10,16 @@ import (
 	"fmt"
 	"log"
 
-	"pstore"
+	"pstore/internal/migration"
+	"pstore/internal/planner"
+	"pstore/internal/predictor"
+	"pstore/internal/timeseries"
+	"pstore/internal/workload"
 )
 
 func main() {
 	// Four weeks of history plus the "tomorrow" we pretend not to know.
-	trace, err := pstore.SyntheticB2W(pstore.DefaultB2WConfig(42, 29))
+	trace, err := workload.SyntheticB2W(workload.DefaultB2WConfig(42, 29))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,7 +33,7 @@ func main() {
 
 	// Fit SPAR (n=7 previous days, m=6 recent five-minute offsets) and
 	// forecast the whole next day.
-	spar := pstore.NewSPAR(slotsPerDay, 7, 6)
+	spar := predictor.NewSPAR(slotsPerDay, 7, 6)
 	if err := spar.FitHorizons(history, 1, slotsPerDay/4, slotsPerDay/2); err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +60,7 @@ func main() {
 		}
 	}
 	forecast = smoothed
-	mre, err := pstore.MRE(actualTomorrow, forecast)
+	mre, err := timeseries.MRE(actualTomorrow, forecast)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func main() {
 			peak = v
 		}
 	}
-	model := pstore.MigrationModel{
+	model := migration.Model{
 		Q:    peak / 8.57 / 1.23, // Q = 65% of saturation, Q-hat = 80%
 		QMax: peak / 8.57,
 		D:    77.0 / 5, // the paper's 77-minute D in 5-minute intervals
@@ -79,7 +83,7 @@ func main() {
 
 	// Plan tomorrow's reconfiguration schedule.
 	n0 := model.MachinesFor(forecast[0])
-	pl := pstore.Planner{Model: model}
+	pl := planner.Planner{Model: model}
 	plan, err := pl.BestMoves(forecast, n0)
 	if err != nil {
 		log.Fatal(err)

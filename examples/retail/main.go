@@ -4,10 +4,10 @@
 // engine configuration, the same B2W transaction mix and the same trace;
 // the difference is purely when each controller decides to move data.
 //
-// The serving stack — engine, Squall executor, recorder and the
-// monitoring/decision loop — is owned by the pstore.Cluster runtime; this
-// example only assembles a configuration, replays the trace and watches the
-// runtime's event stream.
+// Each run opens a node (node.Open) and runs the cluster decision loop over
+// it, which owns the Squall executor and the moves; this example only
+// assembles a configuration, replays the trace and watches the loop's event
+// stream.
 package main
 
 import (
@@ -17,7 +17,16 @@ import (
 	"sync"
 	"time"
 
-	"pstore"
+	"pstore/internal/b2w"
+	"pstore/internal/cluster"
+	"pstore/internal/elastic"
+	"pstore/internal/metrics"
+	"pstore/internal/migration"
+	"pstore/internal/node"
+	"pstore/internal/squall"
+	"pstore/internal/store"
+	"pstore/internal/transport"
+	"pstore/internal/workload"
 )
 
 const (
@@ -28,24 +37,16 @@ const (
 func main() {
 	// One training month plus the replayed day, with a 1.8x flash sale at
 	// 19:30 that is absent from the training data.
-	cfg := pstore.DefaultB2WConfig(99, 29)
-	full, err := pstore.SyntheticB2W(cfg)
+	full, err := workload.SyntheticB2W(workload.DefaultB2WConfig(99, 29))
 	if err != nil {
 		log.Fatal(err)
 	}
-	day := full.Slice(28*24*60, full.Len())
-	day, err = applyFlashSale(day)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trainFive, err := full.Slice(0, 28*24*60).Resample(cycleMinutes)
-	if err != nil {
-		log.Fatal(err)
-	}
+	train := full.Slice(0, 28*workload.MinutesPerDay)
+	day := withFlashSale(full.Slice(28*workload.MinutesPerDay, full.Len()))
 
 	fmt.Println("replaying one retail day (flash sale at 19:30) under two provisioning policies")
 	for _, policy := range []string{"P-Store", "Reactive"} {
-		v50, v99, avgMach, moves, err := runPolicy(policy, day, trainFive)
+		v50, v99, avgMach, moves, err := runPolicy(policy, day, train)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +57,9 @@ func main() {
 	fmt.Println("absorbs surprises with emergency scaling, while the reactive system migrates at peak.")
 }
 
-func applyFlashSale(day pstore.Series) (pstore.Series, error) {
+// withFlashSale returns day with a 1.8x sale from 19:30 for two hours, ramped
+// in over its first ten minutes.
+func withFlashSale(day workload.Series) workload.Series {
 	out := day.Clone()
 	start := 19*60 + 30
 	for i := 0; i < 120 && start+i < out.Len(); i++ {
@@ -66,11 +69,11 @@ func applyFlashSale(day pstore.Series) (pstore.Series, error) {
 		}
 		out.Values[start+i] *= boost
 	}
-	return out, nil
+	return out
 }
 
-func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMach float64, moves int, err error) {
-	engCfg := pstore.EngineConfig{
+func runPolicy(policy string, day, train workload.Series) (v50, v99 int, avgMach float64, moves int, err error) {
+	engCfg := store.Config{
 		MaxMachines:          8,
 		PartitionsPerMachine: 4,
 		Buckets:              640,
@@ -83,52 +86,40 @@ func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMa
 	perMachine := 0.8 * float64(engCfg.PartitionsPerMachine) / engCfg.ServiceTime.Seconds()
 	rateScale := 6 * perMachine * minutePerSlot.Seconds() / day.Max()
 	qMax := perMachine * minutePerSlot.Seconds() / rateScale
-	model := pstore.MigrationModel{Q: 0.65 / 0.8 * qMax, QMax: qMax, D: 10, P: engCfg.PartitionsPerMachine}
+	model := migration.Model{Q: 0.65 / 0.8 * qMax, QMax: qMax, D: 10, P: engCfg.PartitionsPerMachine}
 
-	var ctrl pstore.Controller
+	var ctrl elastic.Controller
 	switch policy {
 	case "P-Store":
-		spar := pstore.NewSPAR(trainFive.Len()/28, 7, 6)
-		online := pstore.NewOnlinePredictor(spar, 0, 9*trainFive.Len()/28)
-		// Rescale training history into this run's paper units.
-		hist := make([]float64, trainFive.Len())
-		copy(hist, trainFive.Values)
-		if err := online.ObserveAll(hist); err != nil {
+		if ctrl, err = elastic.NewPStore(model, train, cycleMinutes, engCfg.MaxMachines, elastic.SpikeFastRate); err != nil {
 			return 0, 0, 0, 0, err
 		}
-		ctrl = &pstore.PredictiveController{
-			Model: model, Predictor: online,
-			Horizon: 36, Inflation: 0.15, MaxMachines: engCfg.MaxMachines,
-			OnSpike: pstore.SpikeFastRate,
-		}
 	case "Reactive":
-		ctrl = &pstore.ReactiveController{Model: model, MaxMachines: engCfg.MaxMachines}
+		ctrl = &elastic.Reactive{Model: model, MaxMachines: engCfg.MaxMachines}
 	}
 
-	spec := pstore.B2WLoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: 5}
-	n, err := pstore.OpenNode(pstore.NodeConfig{
+	spec := b2w.LoadSpec{Carts: 2400, Checkouts: 600, Stocks: 1200, LinesPerCart: 3, Seed: 5}
+	n, err := node.Open(node.Config{
 		Store:    engCfg,
-		Register: pstore.RegisterB2W,
-		Load: func(eng *pstore.Engine) error {
-			return pstore.LoadB2W(eng, spec)
-		},
+		Register: b2w.Register,
+		Load:     func(eng *store.Engine) error { return b2w.Load(eng, spec) },
 	})
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	defer n.Close()
-	rec, err := pstore.NewRecorder(time.Now(), 300*time.Millisecond)
+	rec, err := metrics.NewRecorder(time.Now(), 300*time.Millisecond)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	n.Engine.SetRecorder(rec)
-	clu, err := pstore.NewCluster(pstore.ClusterConfig{
-		Squall:     pstore.DefaultSquallConfig(),
+	clu, err := cluster.NewRemote(cluster.Config{
+		Squall:     squall.DefaultConfig(),
 		Controller: ctrl,
 		Cycle:      cycleMinutes * minutePerSlot,
 		RateScale:  rateScale * cycleMinutes,
 		Recorder:   rec,
-	}, n)
+	}, transport.NewLocal(n.Engine, n.Recovery))
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -143,7 +134,7 @@ func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMa
 		defer watch.Done()
 		for e := range events {
 			switch ev := e.(type) {
-			case pstore.MoveStarted, pstore.EmergencyTriggered, pstore.MoveFailed:
+			case cluster.MoveStarted, cluster.EmergencyTriggered, cluster.MoveFailed:
 				log.Printf("%s: %v", policy, ev)
 			}
 		}
@@ -156,7 +147,7 @@ func runPolicy(policy string, day, trainFive pstore.Series) (v50, v99 int, avgMa
 	}
 	defer clu.Stop()
 
-	driver := &pstore.B2WDriver{Eng: n.Engine, Spec: spec, Seed: 6}
+	driver := &b2w.Driver{Eng: n.Engine, Spec: spec, Seed: 6}
 	if _, err := driver.Run(ctx, day, minutePerSlot, rateScale); err != nil && ctx.Err() == nil {
 		return 0, 0, 0, 0, err
 	}

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"pstore"
+	"pstore/internal/predictor"
+	"pstore/internal/timeseries"
+	"pstore/internal/workload"
 )
 
 func main() {
@@ -24,20 +26,20 @@ func main() {
 		fmt.Printf("%s-Wikipedia-like trace (%d days, hourly)\n", lang, trace.Len()/24)
 		fmt.Printf("%8s %10s %10s %10s\n", "tau (h)", "SPAR", "AR", "ARMA")
 		for tau := 1; tau <= 6; tau++ {
-			spar := pstore.NewSPAR(24, 7, 6)
+			spar := predictor.NewSPAR(24, 7, 6)
 			if err := spar.FitHorizons(train, tau); err != nil {
 				log.Fatal(err)
 			}
-			ar := pstore.NewAR(12)
+			ar := predictor.NewAR(12)
 			if err := ar.Fit(train); err != nil {
 				log.Fatal(err)
 			}
-			arma := pstore.NewARMA(12, 6)
+			arma := predictor.NewARMA(12, 6)
 			if err := arma.Fit(train); err != nil {
 				log.Fatal(err)
 			}
 			row := fmt.Sprintf("%8d", tau)
-			for _, p := range []pstore.Predictor{spar, ar, arma} {
+			for _, p := range []predictor.Predictor{spar, ar, arma} {
 				var actual, pred []float64
 				for now := len(train); now+tau < len(test); now++ {
 					v, err := p.Forecast(test[:now+1], tau)
@@ -47,7 +49,7 @@ func main() {
 					pred = append(pred, v)
 					actual = append(actual, test[now+tau])
 				}
-				mre, err := pstore.MRE(actual, pred)
+				mre, err := timeseries.MRE(actual, pred)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -62,10 +64,10 @@ func main() {
 }
 
 // syntheticWiki builds a six-week synthetic hourly trace.
-func syntheticWiki(lang string) (pstore.Series, error) {
+func syntheticWiki(lang string) (workload.Series, error) {
 	const days = 42
 	if lang == "english" {
-		return pstore.SyntheticWikipediaEnglish(3, days)
+		return workload.SyntheticWikipedia(workload.EnglishWikipediaConfig(3, days))
 	}
-	return pstore.SyntheticWikipediaGerman(3, days)
+	return workload.SyntheticWikipedia(workload.GermanWikipediaConfig(3, days))
 }

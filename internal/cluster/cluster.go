@@ -361,7 +361,7 @@ func (c *Cluster) loop(ctx context.Context) {
 	defer ticker.Stop()
 	// Start from the current counters so bootstrap work does not masquerade
 	// as offered load on the first cycle.
-	last := c.topo.Counters()
+	last, _ := c.topo.Sweep()
 	for cycle := 0; ; cycle++ {
 		select {
 		case <-ctx.Done():
@@ -372,7 +372,7 @@ func (c *Cluster) loop(ctx context.Context) {
 		if c.cfg.Controller == nil {
 			continue
 		}
-		cnt := c.topo.Counters()
+		cnt, sojourn := c.topo.Sweep()
 		delta := cnt.Submitted - last.Submitted
 		// Refused work per cycle is the backpressure signal: the engine only
 		// refuses work when past capacity, so any nonzero count is direct
@@ -380,7 +380,7 @@ func (c *Cluster) loop(ctx context.Context) {
 		sig := elastic.OverloadSignal{
 			Rejected:         cnt.Rejected - last.Rejected,
 			DeadlineExceeded: cnt.DeadlineExceeded - last.DeadlineExceeded,
-			QueueDelay:       c.topo.MaxQueueSojourn(),
+			QueueDelay:       sojourn,
 		}
 		last = cnt
 		load := float64(delta) / c.cfg.RateScale

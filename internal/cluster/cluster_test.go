@@ -383,14 +383,16 @@ func TestClusterLoadIsTransactionsOverRateScale(t *testing.T) {
 	}
 }
 
-// TestClusterManualReconfigure exercises the synchronous operator-move path
-// and the single-move-at-a-time invariant.
+// TestClusterManualReconfigure exercises the synchronous operator-move path,
+// its events, and the single-move-at-a-time invariant.
 func TestClusterManualReconfigure(t *testing.T) {
 	n := nodetest.Node(t, noopConfig(testEngineConfig()))
 	c, err := NewRemote(Config{Squall: testSquallConfig()}, local(n))
 	if err != nil {
 		t.Fatal(err)
 	}
+	events, unsub := c.Subscribe(64)
+	defer unsub()
 	if err := c.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -400,6 +402,14 @@ func TestClusterManualReconfigure(t *testing.T) {
 	}
 	if n.Engine.ActiveMachines() != 3 {
 		t.Fatalf("machines %d, want 3", n.Engine.ActiveMachines())
+	}
+	ev := <-events
+	if mv, ok := ev.(MoveStarted); !ok || mv.From != 1 || mv.To != 3 || mv.Seq != 1 {
+		t.Fatalf("first event %v, want MoveStarted 1->3 seq 1", ev)
+	}
+	ev = <-events
+	if mv, ok := ev.(MoveFinished); !ok || mv.Seq != 1 {
+		t.Fatalf("second event %v, want MoveFinished seq 1", ev)
 	}
 	if err := c.Reconfigure(3, 0); err != nil {
 		t.Fatalf("no-op reconfigure: %v", err)
@@ -413,6 +423,11 @@ func TestClusterManualReconfigure(t *testing.T) {
 	c.Stop()
 	if err := c.Reconfigure(1, 0); err == nil {
 		t.Error("Reconfigure after Stop succeeded")
+	}
+	<-events // the 3 -> 2 move's start
+	<-events // and finish
+	if _, open := <-events; open {
+		t.Error("event stream not closed by Stop")
 	}
 }
 

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"pstore/internal/elastic"
@@ -262,5 +264,31 @@ func TestFig12PStoreIsNewPStore(t *testing.T) {
 			t.Errorf("%s: fig12 made %d moves at cost %v (%d short), NewPStore %d at %v (%d short)",
 				strategy, got.result.Moves, got.cost, got.result.Insufficient, res.Moves, res.Cost, res.Insufficient)
 		}
+	}
+}
+
+// BenchmarkExperiments regenerates every table and figure of the paper's
+// evaluation in quick mode, one sub-benchmark per experiment id: it prints
+// the rows and series the paper reports once and reports the headline
+// values as metrics. `go test -run '^$' -bench 'Experiments/table1'
+// -benchtime 1x` prints Table 1. EXPERIMENTS.md records the paper-vs-measured
+// comparison.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range IDs() {
+		var printed sync.Once
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := Run(id, quick())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					printed.Do(func() { fmt.Print(r.Text()) })
+					for k, v := range r.Values {
+						b.ReportMetric(v, k)
+					}
+				}
+			}
+		})
 	}
 }

@@ -242,3 +242,20 @@ func TestMachinesFor(t *testing.T) {
 		t.Errorf("MachinesFor(2850) = %d, want 10", got)
 	}
 }
+
+// BenchmarkAvgMachAlloc measures the Algorithm 4 cost model across the
+// whole (B, A) plane the planner touches.
+func BenchmarkAvgMachAlloc(b *testing.B) {
+	m := Model{Q: 285, QMax: 350, D: 15.4, P: 6}
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		for from := 1; from <= 20; from++ {
+			for to := 1; to <= 20; to++ {
+				sum += m.AvgMachAlloc(from, to)
+			}
+		}
+	}
+	if sum < 0 {
+		b.Fatal(sum)
+	}
+}

@@ -220,3 +220,17 @@ func TestFractionMovedProgression(t *testing.T) {
 		t.Errorf("FractionMoved(end) = %v, want 1", got)
 	}
 }
+
+// BenchmarkBuildSchedule measures three-phase schedule construction for a
+// large scale-out.
+func BenchmarkBuildSchedule(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s, err := BuildSchedule(7, 30, 6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -359,3 +359,23 @@ func TestPlanCostNeverExceedsStaticPeak(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPlannerDP measures one full dynamic-programming planning pass
+// over a 36-interval horizon with a ten-machine ceiling — the work P-Store's
+// controller does every monitoring cycle.
+func BenchmarkPlannerDP(b *testing.B) {
+	model := migration.Model{Q: 285, QMax: 350, D: 15.4, P: 6}
+	rng := rand.New(rand.NewSource(4))
+	load := make([]float64, 36)
+	for i := range load {
+		load[i] = 200 + 2500*rng.Float64()
+	}
+	load[0] = 100
+	pl := Planner{Model: model}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.BestMoves(load, 1); err != nil && !errors.Is(err, ErrInfeasible) {
+			b.Fatal(err)
+		}
+	}
+}

@@ -144,3 +144,40 @@ func TestSPARMinHistory(t *testing.T) {
 		t.Errorf("MinHistory(10) = %d, want 290", got)
 	}
 }
+
+// benchTrace is four weeks of five-minute load for the SPAR benchmarks.
+func benchTrace(seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	trace := make([]float64, 28*288)
+	for i := range trace {
+		trace[i] = 1000 + 100*rng.NormFloat64()
+	}
+	return trace
+}
+
+// BenchmarkSPARFit measures fitting SPAR on four weeks of five-minute data.
+func BenchmarkSPARFit(b *testing.B) {
+	trace := benchTrace(5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSPAR(288, 7, 6)
+		if err := s.Fit(trace); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSPARForecast measures a single 36-interval forecast series.
+func BenchmarkSPARForecast(b *testing.B) {
+	trace := benchTrace(6)
+	s := NewSPAR(288, 7, 6)
+	if err := s.Fit(trace); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ForecastSeries(s, trace, 36); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

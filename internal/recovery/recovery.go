@@ -112,8 +112,7 @@ type ColdStartStats struct {
 
 // Manager owns the command log and drives crash/checkpoint/restore against
 // one engine. It implements store.CommandLogger and store.PlanLogger;
-// New/NewManager attach it, so every transaction executed afterwards is
-// recoverable.
+// New attaches it, so every transaction executed afterwards is recoverable.
 type Manager struct {
 	eng *store.Engine
 	log LogStore
@@ -150,21 +149,12 @@ type Manager struct {
 	downtimeNs   atomic.Int64
 }
 
-// NewManager builds an in-memory recovery manager for the engine and
-// attaches it as the engine's command logger. Attach before loading any
-// data (through Bootstrap): replay rebuilds buckets from their full command
-// history (or their latest checkpoint), so pre-attachment writes would be
-// invisible to recovery.
-func NewManager(eng *store.Engine) *Manager {
-	m, _ := New(eng, Config{})
-	return m
-}
-
-// New builds a recovery manager with an explicit log-store configuration.
-// With Config.DataDir set, the log is a segmented on-disk WAL: the
-// directory is opened (or created), its contents recovered, and — if it
-// holds a previous life's state — HasColdState reports true and ColdStart
-// will rebuild the engine from it.
+// New builds a recovery manager for the engine and attaches it as the
+// engine's command logger, so call it before loading any data (through
+// Bootstrap). Without Config.DataDir the log is in memory. With it, the log
+// is a segmented on-disk WAL: the directory is opened (or created), its
+// contents recovered, and — if it holds a previous life's state —
+// HasColdState reports true and ColdStart will rebuild the engine from it.
 func New(eng *store.Engine, cfg Config) (*Manager, error) {
 	m := &Manager{
 		eng:       eng,

@@ -76,9 +76,6 @@ func runChaosScript(t *testing.T, seed int64) string {
 			}
 			fp += fmt.Sprintf("step %d: %d->%d abort\n", step, from, target)
 		}
-		if ex.InProgress() {
-			t.Fatalf("step %d: InProgress stuck true", step)
-		}
 		// Conservation invariants hold after every step, success or abort.
 		if got := e.TotalRows(); got != keys {
 			t.Fatalf("step %d: TotalRows = %d, want %d", step, got, keys)
@@ -268,16 +265,18 @@ func TestChaosMoveTimeout(t *testing.T) {
 	if got := e.ActiveMachines(); got != 1 {
 		t.Errorf("machines %d after timeout abort, want 1", got)
 	}
-	if ex.InProgress() {
-		t.Error("InProgress stuck true after timeout abort")
-	}
 	checkAllReadable(t, e, keys)
+	// The aborted move released the executor: the next one is not refused
+	// as in progress, whether or not it beats the timeout.
+	e.SetFaultInjector(nil)
+	if err := ex.Reconfigure(1, 2, 0); errors.Is(err, ErrInProgress) {
+		t.Errorf("next move after timeout abort: %v", err)
+	}
 }
 
-// TestFailedReconfigurationAllowsNext is the inProgress regression test: a
-// reconfiguration that fails on every single chunk must leave the executor
-// ready for the next plan — the flag cleared, the machine count restored,
-// and a follow-up move succeeding.
+// TestFailedReconfigurationAllowsNext: a reconfiguration that fails on every
+// single chunk must leave the executor ready for the next plan — the machine
+// count restored and a follow-up move succeeding.
 func TestFailedReconfigurationAllowsNext(t *testing.T) {
 	e := testEngine(t, 3, 1)
 	const keys = 300
@@ -294,9 +293,6 @@ func TestFailedReconfigurationAllowsNext(t *testing.T) {
 	for i := 0; i < 2; i++ { // failing twice in a row must also be fine
 		if err := ex.Reconfigure(1, 3, 0); err == nil {
 			t.Fatalf("attempt %d: move at drop=1 succeeded", i)
-		}
-		if ex.InProgress() {
-			t.Fatalf("attempt %d: InProgress stuck true after failure", i)
 		}
 		if got := e.ActiveMachines(); got != 1 {
 			t.Fatalf("attempt %d: machines %d, want 1", i, got)

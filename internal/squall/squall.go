@@ -102,9 +102,8 @@ type Executor struct {
 	eng transport.Node
 	cfg Config
 
-	mu         sync.Mutex // serializes reconfigurations
-	inProgress atomic.Bool
-	rec        atomic.Pointer[metrics.Recorder]
+	mu  sync.Mutex // serializes reconfigurations
+	rec atomic.Pointer[metrics.Recorder]
 
 	chunksMoved    atomic.Int64
 	retries        atomic.Int64
@@ -180,9 +179,6 @@ func NewExecutor(eng transport.Node, cfg Config) (*Executor, error) {
 // SetRecorder attaches a recorder; reconfiguration spans are filed into it.
 func (ex *Executor) SetRecorder(r *metrics.Recorder) { ex.rec.Store(r) }
 
-// InProgress reports whether a reconfiguration is currently running.
-func (ex *Executor) InProgress() bool { return ex.inProgress.Load() }
-
 // ErrInProgress is returned when a reconfiguration is requested while
 // another is still running.
 var ErrInProgress = errors.New("squall: reconfiguration already in progress")
@@ -210,8 +206,6 @@ func (ex *Executor) Reconfigure(from, to int, rateFactor float64) error {
 		return ErrInProgress
 	}
 	defer ex.mu.Unlock()
-	ex.inProgress.Store(true)
-	defer ex.inProgress.Store(false)
 
 	start := time.Now()
 	defer func() {

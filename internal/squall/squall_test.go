@@ -303,37 +303,3 @@ func TestRateFactorSpeedsUpMigration(t *testing.T) {
 		t.Errorf("rate x8 (%v) not faster than rate x1 (%v)", fast, slow)
 	}
 }
-
-func TestInProgressFlag(t *testing.T) {
-	e := testEngine(t, 3, 1)
-	load(t, e, 500)
-	cfg := fastConfig()
-	cfg.Spacing = 5 * time.Millisecond
-	ex, err := NewExecutor(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- ex.Reconfigure(1, 3, 0) }()
-	// Observe the in-progress flag at some point during the migration.
-	deadline := time.After(5 * time.Second)
-	for !ex.InProgress() {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Skip("reconfiguration finished before the flag was observed")
-		case <-deadline:
-			t.Fatal("InProgress never became true")
-		default:
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if ex.InProgress() {
-		t.Error("InProgress still true after completion")
-	}
-}

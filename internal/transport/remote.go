@@ -397,12 +397,14 @@ func (r *Remote) dropHeld(pair partitionPair) {
 	r.heldMu.Unlock()
 }
 
-// Counters implements Topology by summing the nodes' counters. Nodes that
-// fail to answer contribute nothing this round.
-func (r *Remote) Counters() store.Counters {
+// Sweep implements Topology with one status read per node: the nodes'
+// counters summed and the largest of their queue sojourns. Nodes that fail
+// to answer contribute nothing this round.
+func (r *Remote) Sweep() (store.Counters, time.Duration) {
 	ctx, cancel := r.ctx()
 	defer cancel()
 	var sum store.Counters
+	var sojourn time.Duration
 	for _, p := range r.peers {
 		st, err := p.Status(ctx)
 		if err != nil {
@@ -415,25 +417,9 @@ func (r *Remote) Counters() store.Counters {
 		sum.Forwarded += c.Forwarded
 		sum.Rejected += c.Rejected
 		sum.DeadlineExceeded += c.DeadlineExceeded
+		sojourn = max(sojourn, time.Duration(st.MaxSojournNs))
 	}
-	return sum
-}
-
-// MaxQueueSojourn implements Topology as the max over nodes.
-func (r *Remote) MaxQueueSojourn() time.Duration {
-	ctx, cancel := r.ctx()
-	defer cancel()
-	var max time.Duration
-	for _, p := range r.peers {
-		st, err := p.Status(ctx)
-		if err != nil {
-			continue
-		}
-		if d := time.Duration(st.MaxSojournNs); d > max {
-			max = d
-		}
-	}
-	return max
+	return sum, sojourn
 }
 
 // Crash implements Topology: fence the machine on its hosting node, then

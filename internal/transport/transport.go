@@ -53,9 +53,9 @@ type Topology interface {
 	// Plan snapshots the bucket -> partition plan (the placement
 	// fingerprint the chaos suites compare across modes).
 	Plan() []int32
-	// Counters and MaxQueueSojourn aggregate load over the whole topology.
-	Counters() store.Counters
-	MaxQueueSojourn() time.Duration
+	// Sweep reads the decision loop's load signals in one pass over the
+	// topology: the counters summed over it and its worst queue sojourn.
+	Sweep() (store.Counters, time.Duration)
 	// DownMachines lists crashed machines, sorted ascending.
 	DownMachines() []int
 	// Crash fences a machine; Restore rebuilds it from its node's
@@ -88,6 +88,11 @@ func NewLocal(eng *store.Engine, rm *recovery.Manager) *Local {
 
 // Recovery returns the in-process recovery manager.
 func (l *Local) Recovery() *recovery.Manager { return l.rm }
+
+// Sweep implements Topology from the engine's own counters.
+func (l *Local) Sweep() (store.Counters, time.Duration) {
+	return l.Engine.Counters(), l.Engine.MaxQueueSojourn()
+}
 
 func (l *Local) Crash(machine int) error { return l.rm.Crash(machine) }
 

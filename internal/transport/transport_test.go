@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,6 +260,43 @@ func TestRemoteMirrors(t *testing.T) {
 	for b := 0; b < 240; b += 17 {
 		if got, want := r.OwnerOf(b), nodes[0].Engine.OwnerOf(b); got != want {
 			t.Fatalf("OwnerOf(%d) = %d, want %d", b, got, want)
+		}
+	}
+}
+
+// TestRemoteSweepReadsEachNodeOnce: the decision loop's load signals cost one
+// status read per node per cycle — counters summed, the worst sojourn kept.
+func TestRemoteSweepReadsEachNodeOnce(t *testing.T) {
+	var reads [2]atomic.Int64
+	peers := make([]*transport.Peer, 2)
+	for i := range peers {
+		st := wire.NodeStatus{Node: i, Nodes: 2, MaxMachines: 2, PartitionsPerMachine: 1, Buckets: 8, InitialMachines: 1,
+			Counters:     store.Counters{Submitted: int64(10 * (i + 1)), Rejected: int64(i)},
+			MaxSojournNs: int64((3 - 2*i) * int(time.Millisecond))}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != wire.PathNodeStatus {
+				http.NotFound(w, r)
+				return
+			}
+			reads[i].Add(1)
+			json.NewEncoder(w).Encode(st)
+		}))
+		t.Cleanup(srv.Close)
+		peers[i] = transport.NewPeer(srv.URL)
+	}
+	r, err := transport.NewRemote(context.Background(), peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cnt, sojourn := r.Sweep()
+	if cnt.Submitted != 30 || cnt.Rejected != 1 || sojourn != 3*time.Millisecond {
+		t.Fatalf("Sweep = %+v, %v; want 30 submitted, 1 rejected, 3ms", cnt, sojourn)
+	}
+	for i := range reads {
+		// One read is NewRemote's, one the sweep's.
+		if got := reads[i].Load(); got != 2 {
+			t.Errorf("node %d answered %d status reads, want 2", i, got)
 		}
 	}
 }

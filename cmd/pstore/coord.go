@@ -8,8 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"log"
 	"math"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -93,10 +93,13 @@ func runCoord(args []string) error {
 		return fmt.Errorf("-rate %v: want a finite factor above 0", *rate)
 	}
 	var steps []int
-	for _, s := range strings.Split(*migrate, ",") {
+	for i, s := range strings.Split(*migrate, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
+		if err != nil {
 			return fmt.Errorf("bad -migrate step %q", s)
+		}
+		if n < 1 || n > *maxM {
+			return fmt.Errorf("-migrate step %d: target %d outside [1, -max %d]", i+1, n, *maxM)
 		}
 		steps = append(steps, n)
 	}
@@ -132,7 +135,7 @@ func runCoord(args []string) error {
 		}
 		defer n.Close()
 		topo = transport.NewLocal(n.Engine, n.Recovery)
-		fmt.Fprintf(os.Stderr, "coord: single-process oracle, %d rows on %d machines\n",
+		log.Printf("single-process oracle, %d rows on %d machines",
 			topo.TotalRows(), topo.ActiveMachines())
 	} else {
 		urls := strings.Split(*peerList, ",")
@@ -161,10 +164,9 @@ func runCoord(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer r.Close()
 		remote = r
 		topo = r
-		fmt.Fprintf(os.Stderr, "coord: %d nodes, %d rows on %d machines\n",
+		log.Printf("%d nodes, %d rows on %d machines",
 			len(peers), topo.TotalRows(), topo.ActiveMachines())
 	}
 
@@ -175,14 +177,21 @@ func runCoord(args []string) error {
 		if sched.Arms(faults.LinkPlane) {
 			remote.SetNetInjector(sched)
 		}
-		fmt.Fprintf(os.Stderr, "coord: fault schedule armed: %s\n", sched)
+		log.Printf("fault schedule armed: %s", sched)
 	}
 
-	sqCfg := squall.DefaultConfig()
-	ex, err := squall.NewExecutor(topo, sqCfg)
+	// The cluster executes every step, and its Stop closes the topology. The
+	// chunk and link faults stay armed on the topology above, and coord
+	// sequences the crashes itself: the cluster would refuse link faults and
+	// fire crash=M@S by cycle, not by step.
+	clu, err := cluster.NewRemote(cluster.Config{Squall: squall.DefaultConfig()}, topo)
 	if err != nil {
 		return err
 	}
+	if err := clu.Start(context.Background()); err != nil {
+		return err
+	}
+	defer clu.Stop()
 
 	// The fingerprint folds in every step's outcome class and the final
 	// placement; single-process and multi-process runs of the same script
@@ -200,7 +209,7 @@ func runCoord(args []string) error {
 			fp.Write([]byte(outcome))
 		}
 		from := topo.ActiveMachines()
-		outcome := coordStep(topo, ex, target, *rate)
+		outcome := coordStep(topo, clu, target, *rate)
 		fmt.Printf("coord: step %d: %d -> %d machines: %s\n", i+1, from, target, outcome)
 		fp.Write([]byte(outcome))
 		if len(crashes) == 0 {
@@ -215,12 +224,12 @@ func runCoord(args []string) error {
 				i+1, c.Machine, st.Snapshots, st.Replayed)
 			fp.Write([]byte(fmt.Sprintf("restore machine %d", c.Machine)))
 		}
-		outcome = coordStep(topo, ex, target, *rate)
+		outcome = coordStep(topo, clu, target, *rate)
 		fmt.Printf("coord: step %d (retry): -> %d machines: %s\n", i+1, target, outcome)
 		fp.Write([]byte(outcome))
 	}
 
-	st := ex.Stats()
+	st := clu.Stats().Migration
 	fmt.Printf("coord: migration: %d chunks moved, %d retries, %d aborts, %d chunks rolled back\n",
 		st.ChunksMoved, st.Retries, st.Aborts, st.RollbackChunks)
 	fst := sched.Stats()
@@ -240,7 +249,7 @@ func runCoord(args []string) error {
 		fp.Write(buf[:])
 	}
 	rows := topo.TotalRows()
-	fmt.Fprintf(os.Stderr, "coord: script done: %d machines, %d rows\n", topo.ActiveMachines(), rows)
+	log.Printf("script done: %d machines, %d rows", topo.ActiveMachines(), rows)
 	fmt.Printf("coord: fingerprint %016x rows %d machines %d\n", fp.Sum64(), rows, topo.ActiveMachines())
 	if remote != nil {
 		if n := remote.FlipErrors(); n > 0 {
@@ -255,7 +264,7 @@ func runCoord(args []string) error {
 				return fmt.Errorf("shutting down node %d: %w", i, err)
 			}
 		}
-		fmt.Fprintln(os.Stderr, "coord: node shutdown requested")
+		log.Print("node shutdown requested")
 	}
 	return nil
 }
@@ -316,7 +325,7 @@ func runCoordFailover(cfg coordFailoverConfig) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.wait+cfg.connectWait)
 	defer cancel()
-	fmt.Fprintf(os.Stderr, "coord: watching node %d (%s): probe %v, dead after %d failures\n",
+	log.Printf("watching node %d (%s): probe %v, dead after %d failures",
 		cfg.watch, peers[cfg.watch].Addr(), cfg.probe, cfg.failAfter)
 	det, err := cluster.DetectFailure(ctx, peers[cfg.watch], cluster.DetectorConfig{
 		Probe: cfg.probe, FailAfter: cfg.failAfter,
@@ -410,12 +419,11 @@ func printFailoverOutcome(out coordFailoverOutcome) error {
 // way the parity test suites do: ok, a rolled-back abort, or an upfront
 // refusal — with the wire code, so the class (and the fingerprint) is
 // identical whether the cause crossed a network or not.
-func coordStep(topo transport.Topology, ex *squall.Executor, target int, rate float64) string {
-	from := topo.ActiveMachines()
-	if from == target {
+func coordStep(topo transport.Topology, clu *cluster.Cluster, target int, rate float64) string {
+	if topo.ActiveMachines() == target {
 		return "no-op"
 	}
-	err := ex.Reconfigure(from, target, rate)
+	err := clu.Reconfigure(target, rate)
 	if err == nil {
 		return "ok"
 	}

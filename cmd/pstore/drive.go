@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"log"
 	"time"
 
 	"pstore/internal/b2w"
@@ -99,7 +99,7 @@ func runDrive(args []string) error {
 		Stocks: info.Stocks, LinesPerCart: info.LinesPerCart, Seed: info.Seed}
 	driver := &b2w.Driver{Exec: exec, Spec: spec, Seed: info.Seed + 1}
 
-	fmt.Fprintf(os.Stderr, "drive: replaying %d day(s) against %s (1 trace minute = %v, rate scale %.4g)\n",
+	log.Printf("replaying %d day(s) against %s (1 trace minute = %v, rate scale %.4g)",
 		info.Days, *connect, minute, info.RateScale)
 	start := time.Now()
 	stats, err := driver.Run(ctx, replay, minute, info.RateScale)
@@ -126,7 +126,7 @@ func runDrive(args []string) error {
 		if err := cl.Shutdown(shCtx); err != nil {
 			return fmt.Errorf("asking server to shut down: %w", err)
 		}
-		fmt.Fprintln(os.Stderr, "drive: server shutdown requested")
+		log.Print("server shutdown requested")
 	}
 	if *strict && cc.TransportErrors > 0 {
 		return fmt.Errorf("strict: %d transport-level failures", cc.TransportErrors)

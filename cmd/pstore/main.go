@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"strings"
 	"time"
@@ -77,6 +78,10 @@ func dispatch(args []string, stderr io.Writer) int {
 		fmt.Fprint(stderr, usageText)
 		return 2
 	}
+	// One operator log: every line a command, or the node it opens, writes to
+	// stderr carries the command's name and nothing else.
+	log.SetFlags(0)
+	log.SetPrefix(cmd + ": ")
 	if err := run(args[1:]); err != nil {
 		if !errors.Is(err, errReported) {
 			fmt.Fprintf(stderr, "pstore %s: %v\n", cmd, err)

@@ -69,6 +69,8 @@ func TestDispatchExitCodes(t *testing.T) {
 			"pstore coord: -rate NaN: want a finite factor above 0"},
 		{"coord refuses a zero rate", []string{"coord", "-migrate", "2", "-rate", "0"}, 1, false,
 			"pstore coord: -rate 0: want a finite factor above 0"},
+		{"coord refuses a target above -max", []string{"coord", "-max", "4", "-machines", "1", "-migrate", "9,2"}, 1, false,
+			"pstore coord: -migrate step 1: target 9 outside [1, -max 4]"},
 		{"coord crash past the last step", []string{"coord", "-migrate", "4,1", "-faults", "crash=1@3"}, 1, false,
 			"pstore coord: -faults crash=1@3: want a machine below -max 8 and one of the 2 migrate steps"},
 		{"coord -failover refuses -migrate", []string{"coord", "-peers", "http://127.0.0.1:1", "-failover", "0", "-promote", "http://127.0.0.1:1", "-migrate", "2"}, 1, false,

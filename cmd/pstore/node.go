@@ -3,8 +3,8 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 	"net"
-	"os"
 	"time"
 
 	"pstore/internal/node"
@@ -29,7 +29,7 @@ func runServeNode(cfg node.Config, listen string, serveFor time.Duration) error 
 	failed := waitServing(context.Background(), n.Server, l.Addr(), serveFor)
 	_ = n.Close()
 	if failed != nil {
-		fmt.Fprintf(os.Stderr, "serve: FATAL: %v\n", failed)
+		log.Printf("FATAL: %v", failed)
 		return errReported
 	}
 

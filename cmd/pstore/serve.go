@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"os"
 	"os/signal"
@@ -140,7 +141,7 @@ func runServe(args []string) error {
 		LinesPerCart: spec.LinesPerCart,
 	}
 	if *deadline > 0 {
-		fmt.Fprintf(os.Stderr, "serve: overload plane armed: deadline %v\n", *deadline)
+		log.Printf("overload plane armed: deadline %v", *deadline)
 	}
 	// Both modes open a node: one of -nodes hosting its share of the machines,
 	// or the only one, hosting all of them.
@@ -156,10 +157,10 @@ func runServe(args []string) error {
 		ncfg.SyncCommit = *syncCommit
 		if sched.Arms(faults.ShipPlane) {
 			ncfg.Faults = sched
-			fmt.Fprintf(os.Stderr, "serve: ship-fault schedule armed: %s\n", sched)
+			log.Printf("ship-fault schedule armed: %s", sched)
 		}
 		if *syncCommit {
-			fmt.Fprintf(os.Stderr, "serve: synchronous commit armed: acks wait for follower durability once a follower syncs\n")
+			log.Print("synchronous commit armed: acks wait for follower durability once a follower syncs")
 		}
 		info.Node, info.Nodes = *nodeID, *nodes
 		// The trace contract is the one single-process serve publishes, so a
@@ -204,7 +205,7 @@ func runServe(args []string) error {
 
 	if len(sched.Events) > 0 {
 		info.Faults = sched.String()
-		fmt.Fprintf(os.Stderr, "serve: fault schedule armed: %s\n", sched)
+		log.Printf("fault schedule armed: %s", sched)
 	}
 	info.RateScale = rateScale
 	ncfg.Info = info
@@ -242,7 +243,7 @@ func runServe(args []string) error {
 				// Per-cycle observations are too chatty for the log.
 			default:
 				if !*quiet {
-					fmt.Fprintf(os.Stderr, "serve: %v\n", e)
+					log.Print(e)
 				}
 			}
 		}
@@ -261,7 +262,7 @@ func runServe(args []string) error {
 		err = serveListening(ctx, n, *listen, *serveFor)
 	} else {
 		driver := &b2w.Driver{Eng: n.Engine, Spec: spec, Seed: *seed + 1}
-		fmt.Fprintf(os.Stderr, "serve: replaying %d day(s) (1 trace minute = %v) under %q on up to %d machines\n",
+		log.Printf("replaying %d day(s) (1 trace minute = %v) under %q on up to %d machines",
 			*days, *minute, *policy, *maxM)
 		stats, err = driver.Run(ctx, replay, *minute, rateScale)
 	}
@@ -339,7 +340,7 @@ func printRecoverySummary(rm *recovery.Manager) {
 	if rm.Durable() {
 		fmt.Printf("durable log: %d records retained, %s on disk\n", rm.LogSize(), node.ByteCount(rm.LogBytes()))
 		if err := rm.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: WARNING: durable log latched an error: %v\n", err)
+			log.Printf("WARNING: durable log latched an error: %v", err)
 		}
 	}
 }
@@ -374,7 +375,7 @@ func waitServing(ctx context.Context, srv *server.Server, addr net.Addr, serveFo
 		defer t.Stop()
 		timer = t.C
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on %s (POST %s to stop)\n", addr, "/v1/shutdown")
+	log.Printf("listening on %s (POST %s to stop)", addr, "/v1/shutdown")
 	var reason string
 	select {
 	case err := <-srv.Failed():
@@ -386,7 +387,7 @@ func waitServing(ctx context.Context, srv *server.Server, addr net.Addr, serveFo
 	case <-srv.ShutdownRequested():
 		reason = "client shutdown request"
 	}
-	fmt.Fprintf(os.Stderr, "serve: shutting down (%s)\n", reason)
+	log.Printf("shutting down (%s)", reason)
 	return nil
 }
 

@@ -281,10 +281,12 @@ func (c *Cluster) publish(e Event) {
 	}
 }
 
-// Reconfigure executes a manual move to the target machine count at the
-// given migration rate (<= 0 uses the configured default) and blocks until
-// it completes. It shares the single-move-at-a-time invariant with the
-// decision loop: ErrMoveInFlight is returned if a move is already running.
+// Reconfigure executes a move to the target machine count at the given
+// migration rate (<= 0 uses the configured default) and blocks until it
+// completes; a scripted sequence of moves is a sequence of calls. It shares
+// the single-move-at-a-time invariant with the decision loop: ErrMoveInFlight
+// is returned if a move is already running. A target outside [1, MaxMachines]
+// or a non-finite rate is refused before any event is published or counted.
 func (c *Cluster) Reconfigure(target int, rateFactor float64) error {
 	done, err := c.beginMove(target, rateFactor, false)
 	if err != nil {
@@ -310,9 +312,9 @@ func (c *Cluster) beginMove(target int, rateFactor float64, emergency bool) (<-c
 		return nil, ErrMoveInFlight
 	}
 	from := c.topo.ActiveMachines()
-	if target == from {
+	if err := c.ex.Check(from, target, rateFactor); err != nil || target == from {
 		c.mu.Unlock()
-		return nil, nil
+		return nil, err
 	}
 	c.moving = true
 	c.moveSeq++

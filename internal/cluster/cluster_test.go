@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -428,6 +429,35 @@ func TestClusterManualReconfigure(t *testing.T) {
 	<-events // and finish
 	if _, open := <-events; open {
 		t.Error("event stream not closed by Stop")
+	}
+}
+
+// TestClusterReconfigureRefusesBadInput: a target outside [1, MaxMachines]
+// and a non-finite rate are refused before the move is reported — no
+// MoveStarted, and neither a move nor a failure is counted.
+func TestClusterReconfigureRefusesBadInput(t *testing.T) {
+	c, err := NewRemote(Config{Squall: testSquallConfig()}, local(nodetest.Node(t, noopConfig(testEngineConfig()))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, unsub := c.Subscribe(64)
+	defer unsub()
+	if err := c.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for _, target := range []int{0, 4} { // MaxMachines is 3
+		if err := c.Reconfigure(target, 0); err == nil {
+			t.Errorf("Reconfigure(%d, 0) succeeded", target)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		if err := c.Reconfigure(2, rate); err == nil {
+			t.Errorf("Reconfigure(2, %v) succeeded", rate)
+		}
+	}
+	if st := c.Stats(); len(events) != 0 || st.Moves != 0 || st.Failures != 0 {
+		t.Errorf("refused moves left %d events and stats %+v, want none", len(events), st)
 	}
 }
 

@@ -65,12 +65,6 @@ func conformanceControllers(t *testing.T, m migration.Model, maxMachines, steps 
 				MaxMachines: maxMachines, OnSpike: SpikeRegularRate,
 			}
 		},
-		"manual": func() Controller {
-			return &Manual{
-				Schedule: map[int]int{10: 6, 200: 2, 310: maxMachines},
-				Inner:    &Reactive{Model: m, MaxMachines: maxMachines},
-			}
-		},
 	}
 }
 
@@ -346,7 +340,6 @@ func TestControllerConformanceAlwaysReconfiguring(t *testing.T) {
 		"simple":     &Simple{SlotsPerDay: 24, MorningSlot: 8, NightSlot: 20, DayMachines: 6, NightMachines: 2},
 		"reactive":   &Reactive{Model: m, MaxMachines: 8},
 		"predictive": &Predictive{Model: m, Predictor: online, Horizon: 12, MaxMachines: 8},
-		"manual":     &Manual{Schedule: map[int]int{0: 5}},
 	}
 	for name, ctrl := range controllers {
 		t.Run(name, func(t *testing.T) {

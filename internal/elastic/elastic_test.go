@@ -331,69 +331,6 @@ func TestPredictiveHoldsDuringReconfig(t *testing.T) {
 	}
 }
 
-func TestManualSchedule(t *testing.T) {
-	m := &Manual{Schedule: map[int]int{2: 6, 5: 2}}
-	var got []int
-	for i := 0; i < 8; i++ {
-		cur := 3
-		if len(got) > 0 {
-			cur = got[len(got)-1]
-		}
-		d, err := m.Tick(cur, false, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d != nil {
-			got = append(got, d.Target)
-		}
-	}
-	want := []int{6, 2}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("manual decisions = %v, want %v", got, want)
-	}
-}
-
-func TestManualDelaysWhileReconfiguring(t *testing.T) {
-	m := &Manual{Schedule: map[int]int{0: 5}}
-	if d, err := m.Tick(2, true, 0); err != nil || d != nil {
-		t.Fatalf("fired during reconfiguration: %v, %v", d, err)
-	}
-	d, err := m.Tick(2, false, 0)
-	if err != nil || d == nil || d.Target != 5 {
-		t.Fatalf("delayed move did not fire: %v, %v", d, err)
-	}
-}
-
-func TestManualValidatesSchedule(t *testing.T) {
-	m := &Manual{Schedule: map[int]int{-1: 3}}
-	if _, err := m.Tick(1, false, 0); err == nil {
-		t.Error("negative schedule interval accepted")
-	}
-	m2 := &Manual{Schedule: map[int]int{0: 0}}
-	if _, err := m2.Tick(1, false, 0); err == nil {
-		t.Error("zero machine target accepted")
-	}
-}
-
-func TestManualLayersOverInner(t *testing.T) {
-	// Inner reactive controller handles ordinary ticks; the manual
-	// promotion fires exactly at its scheduled interval.
-	inner := &Reactive{Model: model()}
-	m := &Manual{Schedule: map[int]int{3: 8}, Inner: inner}
-	if m.Name() != "Manual+Reactive" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	for i := 0; i < 3; i++ {
-		if d, err := m.Tick(2, false, 100); err != nil || d != nil {
-			t.Fatalf("tick %d: unexpected decision %v, %v", i, d, err)
-		}
-	}
-	d, err := m.Tick(2, false, 100)
-	if err != nil || d == nil || d.Target != 8 {
-		t.Fatalf("scheduled promotion did not fire: %v, %v", d, err)
-	}
-}
-
 // TestNewPStoreConfirmAndRefit pins the P-Store recipe: a scale-in confirmed
 // over 6 cycles, and SPAR refit weekly — its forecasts match a never-refit
 // twin's until the week's last observation and differ after it.

@@ -6,8 +6,9 @@ import (
 	"time"
 
 	"pstore/internal/b2w"
+	"pstore/internal/cluster"
 	"pstore/internal/metrics"
-	"pstore/internal/squall"
+	"pstore/internal/transport"
 	"pstore/internal/workload"
 )
 
@@ -142,14 +143,17 @@ func fig8Run(p liveParams, opts Options, cal calibration, chunkRows int) (*fig8O
 	if chunkRows > 0 {
 		sq := p.squallCfg
 		sq.ChunkRows = chunkRows
-		ex, err := squall.NewExecutor(eng, sq)
+		c, err := cluster.NewRemote(cluster.Config{Squall: sq, Recorder: rec},
+			transport.NewLocal(eng, nd.Recovery))
 		if err != nil {
 			return nil, err
 		}
-		ex.SetRecorder(rec)
+		if err := c.Start(context.Background()); err != nil {
+			return nil, err
+		}
+		defer c.Stop()
 		go func() {
-			from, to := 1, 2
-			for {
+			for to := 2; ; to = 3 - to {
 				select {
 				case <-stopMoves:
 					done <- nil
@@ -157,13 +161,12 @@ func fig8Run(p liveParams, opts Options, cal calibration, chunkRows int) (*fig8O
 				default:
 				}
 				start := time.Now()
-				if err := ex.Reconfigure(from, to, 1); err != nil {
+				if err := c.Reconfigure(to, 1); err != nil {
 					done <- err
 					return
 				}
 				moveTime += time.Since(start)
 				moves++
-				from, to = to, from
 			}
 		}()
 	} else {

@@ -10,8 +10,8 @@ package node
 import (
 	"context"
 	"fmt"
+	"log"
 	"net"
-	"os"
 	"time"
 
 	"pstore/internal/recovery"
@@ -131,25 +131,25 @@ func (n *Node) bringUp(cfg Config, hosted []int) error {
 		if rm.HasColdState() {
 			return fmt.Errorf("replica mode needs a fresh -data-dir; %s already has state (cold-restart it as a primary instead)", cfg.Recovery.DataDir)
 		}
-		logf("node %d/%d hosting machines %v as warm replica of %s", cfg.ID, cfg.Nodes, hosted, cfg.ReplicaOf)
+		log.Printf("node %d/%d hosting machines %v as warm replica of %s", cfg.ID, cfg.Nodes, hosted, cfg.ReplicaOf)
 	case rm.HasColdState():
-		logf("node %d/%d hosting machines %v, cold-starting from %s", cfg.ID, cfg.Nodes, hosted, cfg.Recovery.DataDir)
+		log.Printf("node %d/%d hosting machines %v, cold-starting from %s", cfg.ID, cfg.Nodes, hosted, cfg.Recovery.DataDir)
 		cs, err := rm.ColdStart()
 		if err != nil {
 			return fmt.Errorf("cold start from %s: %w", cfg.Recovery.DataDir, err)
 		}
 		n.ColdStart = &cs
-		logf("cold start rebuilt %d machines / %d partitions: %d images, %d commands replayed, %s of log, in %v",
+		log.Printf("cold start rebuilt %d machines / %d partitions: %d images, %d commands replayed, %s of log, in %v",
 			cs.Machines, cs.Partitions, cs.Snapshots, cs.Replayed, ByteCount(cs.LogBytes),
 			cs.Duration.Round(time.Millisecond))
 	case cfg.Load != nil:
-		logf("node %d/%d hosting machines %v, loading dataset", cfg.ID, cfg.Nodes, hosted)
+		log.Printf("node %d/%d hosting machines %v, loading dataset", cfg.ID, cfg.Nodes, hosted)
 		start := time.Now()
 		images, err := rm.Bootstrap(func() error { return cfg.Load(n.Engine) })
 		if err != nil {
 			return fmt.Errorf("loading dataset: %w", err)
 		}
-		logf("dataset loaded as a baseline image set of %d images in %v, %d WAL records appended",
+		log.Printf("dataset loaded as a baseline image set of %d images in %v, %d WAL records appended",
 			images, time.Since(start).Round(time.Millisecond), rm.WALStats().Appends)
 	}
 	return nil
@@ -184,9 +184,4 @@ func ByteCount(n int64) string {
 	default:
 		return fmt.Sprintf("%d B", n)
 	}
-}
-
-// logf prints one line of the node's operator log on stderr.
-func logf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "serve: "+format+"\n", args...)
 }

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +149,35 @@ func TestLifecycleReplicaSyncsAndShips(t *testing.T) {
 			t.Fatalf("k-%d = %d on the follower, %d on the primary", i, got, want)
 		}
 	}
+}
+
+// TestOperatorLogIsTheStandardLogger: a node and the server it runs write
+// their operator lines through the standard logger, so the program that
+// opened the node chooses where they go and what prefix they carry.
+func TestOperatorLogIsTheStandardLogger(t *testing.T) {
+	out, err := os.Create(filepath.Join(t.TempDir(), "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags, prefix, w := log.Flags(), log.Prefix(), log.Writer()
+	log.SetFlags(0)
+	log.SetPrefix("test: ")
+	log.SetOutput(out)
+	// Registered before the nodes' cleanups, so it runs once they are closed.
+	t.Cleanup(func() {
+		log.SetOutput(w)
+		log.SetPrefix(prefix)
+		log.SetFlags(flags)
+		out.Close()
+	})
+	p := nodetest.Node(t, kvConfig(t))
+	f := nodetest.Node(t, replicaOf(t, p))
+	eventually(t, "the node's and both servers' lines in the standard logger", func() bool {
+		got, err := os.ReadFile(out.Name())
+		return err == nil && strings.Contains(string(got), "test: node 0/1 hosting machines [0 1], loading dataset\n") &&
+			strings.Contains(string(got), "test: replica synced from "+p.URL) &&
+			strings.Contains(string(got), "test: shipping WAL to follower "+f.URL)
+	})
 }
 
 // TestLifecycleFencedPrimaryRejoinsByResync: a primary whose follower was

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"log"
 	"sync"
 	"time"
 
@@ -103,7 +103,7 @@ func (s *Server) startShipperLocked(url string, cur wire.ShipCursor) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	s.arcs.shipStop, s.arcs.shipDone = cancel, done
-	logf("shipping WAL to follower %s from segment %d record %d", url, cur.Seg, cur.Rec)
+	log.Printf("shipping WAL to follower %s from segment %d record %d", url, cur.Seg, cur.Rec)
 	go func() {
 		defer close(done)
 		err := sh.Run(ctx)
@@ -113,10 +113,10 @@ func (s *Server) startShipperLocked(url string, cur wire.ShipCursor) error {
 			// The follower we were feeding outranks us: it has been promoted
 			// and refused our batch. Fence now — a zombie serving writes is a
 			// split brain — and rejoin as its follower.
-			logf("WAL shipper fenced by %s; rejoining as its follower", url)
+			log.Printf("WAL shipper fenced by %s; rejoining as its follower", url)
 			s.standDown(url)
 		default:
-			logf("WAL shipper to %s stopped: %v", url, err)
+			log.Printf("WAL shipper to %s stopped: %v", url, err)
 		}
 	}()
 	return nil
@@ -148,7 +148,7 @@ func (s *Server) Follow() {
 		if err != nil {
 			return fmt.Errorf("replica sync from %s failed: %w", url, err)
 		}
-		logf("replica synced from %s: epoch %d, %d buckets, plan seq %d, cursor segment %d record %d",
+		log.Printf("replica synced from %s: epoch %d, %d buckets, plan seq %d, cursor segment %d record %d",
 			url, meta.Epoch, meta.Buckets, meta.PlanSeq, meta.Cursor.Seg, meta.Cursor.Rec)
 		return nil
 	})
@@ -174,14 +174,14 @@ func (s *Server) rejoin(ctx context.Context, url string) error {
 		return fmt.Errorf("rejoin: new primary %s status: %w", url, err)
 	}
 	if pst.Epoch <= s.rm.Epoch() {
-		logf("rejoin refused: %v: %s is at epoch %d, ours is %d", wire.ErrFenced, url, pst.Epoch, s.rm.Epoch())
+		log.Printf("rejoin refused: %v: %s is at epoch %d, ours is %d", wire.ErrFenced, url, pst.Epoch, s.rm.Epoch())
 		return nil
 	}
 	meta, err := s.resync(ctx, primary)
 	if err != nil {
 		return fmt.Errorf("rejoin full resync from %s: %w", url, err)
 	}
-	logf("rejoined %s by full resync: epoch %d, %d buckets, cursor segment %d record %d",
+	log.Printf("rejoined %s by full resync: epoch %d, %d buckets, cursor segment %d record %d",
 		url, meta.Epoch, meta.Buckets, meta.Cursor.Seg, meta.Cursor.Rec)
 	return nil
 }
@@ -202,9 +202,4 @@ func (s *Server) resync(ctx context.Context, primary *transport.Peer) (wire.Repl
 		return meta, err
 	}
 	return meta, s.InstallReplicaState(meta, set)
-}
-
-// logf prints one line of the node's operator log on stderr.
-func logf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "serve: "+format+"\n", args...)
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"slices"
@@ -219,7 +220,7 @@ func New(eng *store.Engine, rm *recovery.Manager, deadline time.Duration, cfg Co
 	}
 	rm.SetRound(func() {
 		if _, err := s.checkpoint(); err != nil {
-			logf("checkpoint round at the log bound failed, due again at the next: %v", err)
+			log.Printf("checkpoint round at the log bound failed, due again at the next: %v", err)
 		}
 	})
 	s.httpSrv = &http.Server{

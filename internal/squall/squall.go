@@ -183,21 +183,31 @@ func (ex *Executor) SetRecorder(r *metrics.Recorder) { ex.rec.Store(r) }
 // another is still running.
 var ErrInProgress = errors.New("squall: reconfiguration already in progress")
 
-// Reconfigure live-migrates the cluster from `from` machines to `to`
-// machines. It blocks until all data has moved and the active machine count
-// has been updated. rateFactor <= 0 uses the configured RateFactor; a
-// non-finite one is refused before anything moves.
-func (ex *Executor) Reconfigure(from, to int, rateFactor float64) error {
+// Check refuses the moves Reconfigure refuses on their inputs alone: a
+// non-finite rate factor, or a move with an end outside [1, MaxMachines]. A
+// caller that reports a move before running it checks it first.
+func (ex *Executor) Check(from, to int, rateFactor float64) error {
 	if math.IsNaN(rateFactor) || math.IsInf(rateFactor, 0) {
 		return fmt.Errorf("squall: rate factor %v must be finite", rateFactor)
 	}
 	if from == to {
 		return nil
 	}
-	cfg := ex.eng.Config()
-	if from < 1 || from > cfg.MaxMachines || to < 1 || to > cfg.MaxMachines {
-		return fmt.Errorf("squall: move %d -> %d outside [1, %d]", from, to, cfg.MaxMachines)
+	if max := ex.eng.Config().MaxMachines; from < 1 || from > max || to < 1 || to > max {
+		return fmt.Errorf("squall: move %d -> %d outside [1, %d]", from, to, max)
 	}
+	return nil
+}
+
+// Reconfigure live-migrates the cluster from `from` machines to `to`
+// machines. It blocks until all data has moved and the active machine count
+// has been updated. rateFactor <= 0 uses the configured RateFactor; a
+// non-finite one is refused before anything moves (see Check).
+func (ex *Executor) Reconfigure(from, to int, rateFactor float64) error {
+	if err := ex.Check(from, to, rateFactor); err != nil || from == to {
+		return err
+	}
+	cfg := ex.eng.Config()
 	if ex.eng.ActiveMachines() != from {
 		return fmt.Errorf("squall: engine has %d active machines, move starts from %d",
 			ex.eng.ActiveMachines(), from)

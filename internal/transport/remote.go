@@ -464,21 +464,6 @@ func (r *Remote) Restore(machine int) (recovery.RestoreStats, error) {
 	}, nil
 }
 
-// Checkpoint implements Topology by checkpointing every node.
-func (r *Remote) Checkpoint() (int, error) {
-	ctx, cancel := r.ctx()
-	defer cancel()
-	total := 0
-	for i, p := range r.peers {
-		n, err := p.Checkpoint(ctx)
-		if err != nil {
-			return total, fmt.Errorf("transport: checkpoint on node %d: %w", i, err)
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // Close implements Topology. It releases coordinator state only; node
 // processes keep serving.
 func (r *Remote) Close() error {

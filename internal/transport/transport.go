@@ -47,7 +47,7 @@ var _ Node = (*store.Engine)(nil)
 
 // Topology extends Node with everything the cluster runtime needs placement
 // to be oblivious: the plan fingerprint, load/health introspection for the
-// decision loop, and the crash/checkpoint/restore recovery plane.
+// decision loop, and the crash/restore recovery plane.
 type Topology interface {
 	Node
 	// Plan snapshots the bucket -> partition plan (the placement
@@ -59,11 +59,9 @@ type Topology interface {
 	// DownMachines lists crashed machines, sorted ascending.
 	DownMachines() []int
 	// Crash fences a machine; Restore rebuilds it from its node's
-	// checkpoint + command log; Checkpoint installs a fresh baseline on
-	// every live partition and returns the bucket images installed.
+	// checkpoint + command log.
 	Crash(machine int) error
 	Restore(machine int) (recovery.RestoreStats, error)
-	Checkpoint() (int, error)
 	// SetFaultInjector attaches the chunk-level chaos plane at whatever
 	// point of the topology consults it (engine-side locally, coordinator-
 	// side remotely — same decision sequence either way).
@@ -97,7 +95,5 @@ func (l *Local) Sweep() (store.Counters, time.Duration) {
 func (l *Local) Crash(machine int) error { return l.rm.Crash(machine) }
 
 func (l *Local) Restore(machine int) (recovery.RestoreStats, error) { return l.rm.Restore(machine) }
-
-func (l *Local) Checkpoint() (int, error) { return l.rm.Checkpoint() }
 
 func (l *Local) Close() error { return nil }

@@ -214,7 +214,7 @@ func TestLocalRemoteParity(t *testing.T) {
 			oracle := nodetest.Node(t, kvNode(4, 1))
 			local := transport.NewLocal(oracle.Engine, oracle.Recovery)
 			loadAll(t, []*store.Engine{local.Engine}, keys)
-			if _, err := local.Checkpoint(); err != nil {
+			if _, err := oracle.Recovery.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			want := runChaosScript(t, local, seed, in.drop, in.crash, keys)
@@ -222,8 +222,10 @@ func TestLocalRemoteParity(t *testing.T) {
 			lb := nodetest.Start(t, 2, kvNode(4, 1))
 			nodes, remote := lb.Nodes, lb.Remote
 			loadAll(t, engines(nodes), keys)
-			if _, err := remote.Checkpoint(); err != nil {
-				t.Fatal(err)
+			for _, n := range nodes {
+				if _, err := n.Recovery.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			got := runChaosScript(t, remote, seed, in.drop, in.crash, keys)
 

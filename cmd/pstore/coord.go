@@ -149,16 +149,6 @@ func runCoord(args []string) error {
 			if err := p.WaitHealthy(ctx, *connectWait); err != nil {
 				return fmt.Errorf("node %d: %w", i, err)
 			}
-			st, err := p.Status(ctx)
-			if err != nil {
-				return fmt.Errorf("node %d status: %w", i, err)
-			}
-			if st.WALError != "" {
-				// The node answers but has latched a durable-log failure:
-				// treating it as healthy would migrate data onto a machine
-				// that cannot promise durability.
-				return fmt.Errorf("node %d reports a failed WAL: %s", i, st.WALError)
-			}
 		}
 		r, err := transport.NewRemote(context.Background(), peers)
 		if err != nil {

@@ -79,38 +79,36 @@ type CheckoutArgs struct {
 	Lines  []CartLine
 }
 
-// Register installs all nineteen stored procedures into the engine, and
-// DecodeArgs as the decoder of their arguments. Call it before Engine.Start.
+// Register installs all nineteen stored procedures and the three bulk-loading
+// ones into the engine, each with the type of its arguments. Call it before
+// Engine.Start.
 func Register(eng *store.Engine) error {
-	if err := eng.SetArgsDecoder(DecodeArgs); err != nil {
-		return err
+	procs := map[string]store.Procedure{
+		TxnAddLineToCart:          store.Proc(addLineToCart),
+		TxnDeleteLineFromCart:     store.Proc(deleteLineFromCart),
+		TxnGetCart:                store.Proc(getCart),
+		TxnDeleteCart:             store.Proc(deleteCart),
+		TxnReserveCart:            store.Proc(reserveCart),
+		TxnGetStock:               store.Proc(getStock),
+		TxnGetStockQuantity:       store.Proc(getStockQuantity),
+		TxnReserveStock:           store.Proc(reserveStock),
+		TxnPurchaseStock:          store.Proc(purchaseStock),
+		TxnCancelStockReservation: store.Proc(cancelStockReservation),
+		TxnCreateStockTransaction: store.Proc(createStockTransaction),
+		TxnGetStockTransaction:    store.Proc(getStockTransaction),
+		TxnUpdateStockTransaction: store.Proc(updateStockTransaction),
+		TxnCreateCheckout:         store.Proc(createCheckout),
+		TxnCreateCheckoutPayment:  store.Proc(createCheckoutPayment),
+		TxnAddLineToCheckout:      store.Proc(addLineToCheckout),
+		TxnDeleteLineFromCheckout: store.Proc(deleteLineFromCheckout),
+		TxnGetCheckout:            store.Proc(getCheckout),
+		TxnDeleteCheckout:         store.Proc(deleteCheckout),
+		txnLoadStock:              store.Proc(loadStockRow),
+		txnLoadCart:               store.Proc(loadCartRow),
+		txnLoadCheckout:           store.Proc(loadCheckoutRow),
 	}
-	procs := map[string]store.TxnFunc{
-		TxnAddLineToCart:          addLineToCart,
-		TxnDeleteLineFromCart:     deleteLineFromCart,
-		TxnGetCart:                getCart,
-		TxnDeleteCart:             deleteCart,
-		TxnReserveCart:            reserveCart,
-		TxnGetStock:               getStock,
-		TxnGetStockQuantity:       getStockQuantity,
-		TxnReserveStock:           reserveStock,
-		TxnPurchaseStock:          purchaseStock,
-		TxnCancelStockReservation: cancelStockReservation,
-		TxnCreateStockTransaction: createStockTransaction,
-		TxnGetStockTransaction:    getStockTransaction,
-		TxnUpdateStockTransaction: updateStockTransaction,
-		TxnCreateCheckout:         createCheckout,
-		TxnCreateCheckoutPayment:  createCheckoutPayment,
-		TxnAddLineToCheckout:      addLineToCheckout,
-		TxnDeleteLineFromCheckout: deleteLineFromCheckout,
-		TxnGetCheckout:            getCheckout,
-		TxnDeleteCheckout:         deleteCheckout,
-		txnLoadStock:              loadStockRow,
-		txnLoadCart:               loadCartRow,
-		txnLoadCheckout:           loadCheckoutRow,
-	}
-	for name, fn := range procs {
-		if err := eng.Register(name, fn); err != nil {
+	for name, p := range procs {
+		if err := eng.Register(name, p); err != nil {
 			return fmt.Errorf("b2w: registering %s: %w", name, err)
 		}
 	}
@@ -125,22 +123,14 @@ func Register(eng *store.Engine) error {
 }
 
 // loadCartRow installs a complete cart during bulk loading.
-func loadCartRow(tx *store.Tx) (any, error) {
+func loadCartRow(tx *store.Tx, c Cart) (any, error) {
 	// The row arrives by value, so what is installed is a private copy.
-	c, ok := tx.Args.(Cart)
-	if !ok {
-		return nil, fmt.Errorf("b2w: loadCart wants Cart, got %T", tx.Args)
-	}
 	c.ID = tx.Key
 	return nil, tx.Put(TableCart, tx.Key, &c)
 }
 
 // loadCheckoutRow installs a complete checkout during bulk loading.
-func loadCheckoutRow(tx *store.Tx) (any, error) {
-	c, ok := tx.Args.(Checkout)
-	if !ok {
-		return nil, fmt.Errorf("b2w: loadCheckout wants Checkout, got %T", tx.Args)
-	}
+func loadCheckoutRow(tx *store.Tx, c Checkout) (any, error) {
 	c.ID = tx.Key
 	return nil, tx.Put(TableCheckout, tx.Key, &c)
 }
@@ -162,11 +152,7 @@ func loadCart(tx *store.Tx) (*Cart, error) {
 
 // addLineToCart adds an item to the shopping cart, creating the cart if it
 // does not exist yet.
-func addLineToCart(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(LineArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: AddLineToCart wants LineArgs, got %T", tx.Args)
-	}
+func addLineToCart(tx *store.Tx, args LineArgs) (any, error) {
 	c, err := loadCart(tx)
 	if err != nil {
 		return nil, err
@@ -189,11 +175,7 @@ func addLineToCart(tx *store.Tx) (any, error) {
 }
 
 // deleteLineFromCart removes an item from the cart if present.
-func deleteLineFromCart(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(LineArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: DeleteLineFromCart wants LineArgs, got %T", tx.Args)
-	}
+func deleteLineFromCart(tx *store.Tx, args LineArgs) (any, error) {
 	c, err := loadCart(tx)
 	if err != nil || c == nil {
 		return nil, err
@@ -211,7 +193,7 @@ func deleteLineFromCart(tx *store.Tx) (any, error) {
 
 // getCart retrieves the items currently in the cart. It returns a copy so
 // callers cannot mutate partition state.
-func getCart(tx *store.Tx) (any, error) {
+func getCart(tx *store.Tx, _ store.NoArgs) (any, error) {
 	c, err := loadCart(tx)
 	if err != nil {
 		return nil, err
@@ -225,13 +207,13 @@ func getCart(tx *store.Tx) (any, error) {
 }
 
 // deleteCart removes the shopping cart.
-func deleteCart(tx *store.Tx) (any, error) {
+func deleteCart(tx *store.Tx, _ store.NoArgs) (any, error) {
 	return nil, tx.Delete(TableCart, tx.Key)
 }
 
 // reserveCart marks every line of the cart as reserved (called once the
 // checkout flow has reserved the underlying stock).
-func reserveCart(tx *store.Tx) (any, error) {
+func reserveCart(tx *store.Tx, _ store.NoArgs) (any, error) {
 	c, err := loadCart(tx)
 	if err != nil {
 		return nil, err
@@ -248,11 +230,7 @@ func reserveCart(tx *store.Tx) (any, error) {
 
 // loadStockRow is the loader's bootstrap procedure: it installs a complete
 // inventory record for a SKU.
-func loadStockRow(tx *store.Tx) (any, error) {
-	item, ok := tx.Args.(StockItem)
-	if !ok {
-		return nil, fmt.Errorf("b2w: loadStock wants StockItem, got %T", tx.Args)
-	}
+func loadStockRow(tx *store.Tx, item StockItem) (any, error) {
 	item.SKU = tx.Key
 	return nil, tx.Put(TableStock, tx.Key, &item)
 }
@@ -273,7 +251,7 @@ func loadStock(tx *store.Tx) (*StockItem, error) {
 }
 
 // getStock retrieves the full inventory record for a SKU.
-func getStock(tx *store.Tx) (any, error) {
+func getStock(tx *store.Tx, _ store.NoArgs) (any, error) {
 	s, err := loadStock(tx)
 	if err != nil {
 		return nil, err
@@ -286,7 +264,7 @@ func getStock(tx *store.Tx) (any, error) {
 }
 
 // getStockQuantity determines the availability of an item.
-func getStockQuantity(tx *store.Tx) (any, error) {
+func getStockQuantity(tx *store.Tx, _ store.NoArgs) (any, error) {
 	s, err := loadStock(tx)
 	if err != nil {
 		return nil, err
@@ -299,11 +277,7 @@ func getStockQuantity(tx *store.Tx) (any, error) {
 
 // reserveStock moves quantity from available to reserved, failing if not
 // enough units are available.
-func reserveStock(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(QuantityArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: ReserveStock wants QuantityArgs, got %T", tx.Args)
-	}
+func reserveStock(tx *store.Tx, args QuantityArgs) (any, error) {
 	s, err := loadStock(tx)
 	if err != nil {
 		return nil, err
@@ -321,11 +295,7 @@ func reserveStock(tx *store.Tx) (any, error) {
 }
 
 // purchaseStock converts reserved units into purchased units.
-func purchaseStock(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(QuantityArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: PurchaseStock wants QuantityArgs, got %T", tx.Args)
-	}
+func purchaseStock(tx *store.Tx, args QuantityArgs) (any, error) {
 	s, err := loadStock(tx)
 	if err != nil {
 		return nil, err
@@ -341,11 +311,7 @@ func purchaseStock(tx *store.Tx) (any, error) {
 }
 
 // cancelStockReservation returns reserved units to availability.
-func cancelStockReservation(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(QuantityArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: CancelStockReservation wants QuantityArgs, got %T", tx.Args)
-	}
+func cancelStockReservation(tx *store.Tx, args QuantityArgs) (any, error) {
 	s, err := loadStock(tx)
 	if err != nil {
 		return nil, err
@@ -361,11 +327,7 @@ func cancelStockReservation(tx *store.Tx) (any, error) {
 }
 
 // createStockTransaction records that an item in a cart has been reserved.
-func createStockTransaction(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(StockTxArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: CreateStockTransaction wants StockTxArgs, got %T", tx.Args)
-	}
+func createStockTransaction(tx *store.Tx, args StockTxArgs) (any, error) {
 	st := &StockTransaction{
 		ID:       tx.Key,
 		CartID:   args.CartID,
@@ -377,7 +339,7 @@ func createStockTransaction(tx *store.Tx) (any, error) {
 }
 
 // getStockTransaction retrieves a stock transaction.
-func getStockTransaction(tx *store.Tx) (any, error) {
+func getStockTransaction(tx *store.Tx, _ store.NoArgs) (any, error) {
 	v, ok, err := tx.Get(TableStockTx, tx.Key)
 	if err != nil || !ok {
 		return nil, err
@@ -388,11 +350,7 @@ func getStockTransaction(tx *store.Tx) (any, error) {
 
 // updateStockTransaction changes the status of a stock transaction to mark
 // it purchased or cancelled.
-func updateStockTransaction(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(StatusArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: UpdateStockTransaction wants StatusArgs, got %T", tx.Args)
-	}
+func updateStockTransaction(tx *store.Tx, args StatusArgs) (any, error) {
 	switch args.Status {
 	case StockTxPurchased, StockTxCancelled, StockTxReserved:
 	default:
@@ -426,11 +384,7 @@ func loadCheckout(tx *store.Tx) (*Checkout, error) {
 }
 
 // createCheckout starts the checkout process from a cart snapshot.
-func createCheckout(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(CheckoutArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: CreateCheckout wants CheckoutArgs, got %T", tx.Args)
-	}
+func createCheckout(tx *store.Tx, args CheckoutArgs) (any, error) {
 	var total int64
 	for _, l := range args.Lines {
 		total += int64(l.Quantity) * l.UnitPrice
@@ -445,11 +399,7 @@ func createCheckout(tx *store.Tx) (any, error) {
 }
 
 // createCheckoutPayment adds payment information to the checkout.
-func createCheckoutPayment(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(Payment)
-	if !ok {
-		return nil, fmt.Errorf("b2w: CreateCheckoutPayment wants Payment, got %T", tx.Args)
-	}
+func createCheckoutPayment(tx *store.Tx, args Payment) (any, error) {
 	c, err := loadCheckout(tx)
 	if err != nil {
 		return nil, err
@@ -463,11 +413,7 @@ func createCheckoutPayment(tx *store.Tx) (any, error) {
 }
 
 // addLineToCheckout adds an item to the checkout object.
-func addLineToCheckout(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(LineArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: AddLineToCheckout wants LineArgs, got %T", tx.Args)
-	}
+func addLineToCheckout(tx *store.Tx, args LineArgs) (any, error) {
 	c, err := loadCheckout(tx)
 	if err != nil {
 		return nil, err
@@ -482,11 +428,7 @@ func addLineToCheckout(tx *store.Tx) (any, error) {
 }
 
 // deleteLineFromCheckout removes an item from the checkout object.
-func deleteLineFromCheckout(tx *store.Tx) (any, error) {
-	args, ok := tx.Args.(LineArgs)
-	if !ok {
-		return nil, fmt.Errorf("b2w: DeleteLineFromCheckout wants LineArgs, got %T", tx.Args)
-	}
+func deleteLineFromCheckout(tx *store.Tx, args LineArgs) (any, error) {
 	c, err := loadCheckout(tx)
 	if err != nil || c == nil {
 		return nil, err
@@ -503,7 +445,7 @@ func deleteLineFromCheckout(tx *store.Tx) (any, error) {
 }
 
 // getCheckout retrieves the checkout object.
-func getCheckout(tx *store.Tx) (any, error) {
+func getCheckout(tx *store.Tx, _ store.NoArgs) (any, error) {
 	c, err := loadCheckout(tx)
 	if err != nil {
 		return nil, err
@@ -518,6 +460,6 @@ func getCheckout(tx *store.Tx) (any, error) {
 }
 
 // deleteCheckout removes the checkout object.
-func deleteCheckout(tx *store.Tx) (any, error) {
+func deleteCheckout(tx *store.Tx, _ store.NoArgs) (any, error) {
 	return nil, tx.Delete(TableCheckout, tx.Key)
 }

@@ -41,7 +41,7 @@ func testSquallConfig() squall.Config {
 }
 
 func registerNoop(eng *store.Engine) error {
-	return eng.Register("noop", func(tx *store.Tx) (any, error) { return nil, nil })
+	return eng.Register("noop", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) { return nil, nil }))
 }
 
 // noopConfig is a one-node node hosting every machine of cfg, with the noop

@@ -15,18 +15,16 @@ import (
 	"pstore/internal/node/nodetest"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 )
 
 // registerKV installs put and get over table T, with int args.
 func registerKV(e *store.Engine) error {
 	return errors.Join(
-		e.Register("put", func(tx *store.Tx) (any, error) { return nil, tx.Put("T", tx.Key, tx.Args) }),
-		e.Register("get", func(tx *store.Tx) (any, error) {
+		e.Register("put", store.Proc(func(tx *store.Tx, args int) (any, error) { return nil, tx.Put("T", tx.Key, args) })),
+		e.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 			v, _, err := tx.Get("T", tx.Key)
 			return v, err
-		}),
-		e.SetArgsDecoder(storetest.Args[int]),
+		})),
 	)
 }
 

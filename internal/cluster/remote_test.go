@@ -11,7 +11,6 @@ import (
 	"pstore/internal/node"
 	"pstore/internal/node/nodetest"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 )
 
 // The coordinator-mode tests drive the same runtime as the rest of the suite,
@@ -19,21 +18,18 @@ import (
 // listeners, the cluster holding no engine of its own.
 
 func remoteRegister(eng *store.Engine) error {
-	if err := eng.Register("put", func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("T", tx.Key, tx.Args)
-	}); err != nil {
+	if err := eng.Register("put", store.Proc(func(tx *store.Tx, args int) (any, error) {
+		return nil, tx.Put("T", tx.Key, args)
+	})); err != nil {
 		return err
 	}
-	if err := eng.Register("get", func(tx *store.Tx) (any, error) {
+	return eng.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 		v, ok, err := tx.Get("T", tx.Key)
 		if err != nil || !ok {
 			return nil, fmt.Errorf("missing %q: %v", tx.Key, err)
 		}
 		return v, nil
-	}); err != nil {
-		return err
-	}
-	return eng.SetArgsDecoder(storetest.Args[int])
+	}))
 }
 
 // loadRemote runs the same deterministic load on every node engine; each

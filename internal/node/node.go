@@ -28,8 +28,8 @@ type Config struct {
 	// Store is the cluster's engine shape; HostedMachines is derived. Its
 	// Deadline is also the server's default request deadline.
 	Store store.Config
-	// Register installs the workload's procedures, and their args decoder,
-	// before the engine starts.
+	// Register installs the workload's procedures, each with its argument
+	// type, before the engine starts.
 	Register func(*store.Engine) error
 	// Load populates a fresh primary as recovery.Manager.Bootstrap's load, so
 	// the dataset's durable form is its first image set; nil leaves it empty.

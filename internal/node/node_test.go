@@ -20,7 +20,6 @@ import (
 	"pstore/internal/node/nodetest"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
@@ -33,21 +32,18 @@ import (
 const keys = 100
 
 func registerKV(eng *store.Engine) error {
-	if err := eng.Register("put", func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("kv", tx.Key, tx.Args)
-	}); err != nil {
+	if err := eng.Register("put", store.Proc(func(tx *store.Tx, args int) (any, error) {
+		return nil, tx.Put("kv", tx.Key, args)
+	})); err != nil {
 		return err
 	}
-	if err := eng.Register("get", func(tx *store.Tx) (any, error) {
+	return eng.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 		v, ok, err := tx.Get("kv", tx.Key)
 		if err != nil || !ok {
 			return nil, fmt.Errorf("missing %q: %v", tx.Key, err)
 		}
 		return v, nil
-	}); err != nil {
-		return err
-	}
-	return eng.SetArgsDecoder(storetest.Args[int])
+	}))
 }
 
 // kvConfig is a one-node cluster of the kv workload — keys rows on 2 machines,
@@ -585,11 +581,11 @@ func TestDefaultRequestDeadline(t *testing.T) {
 		cfg.Store = store.Config{MaxMachines: 1, PartitionsPerMachine: 1, Buckets: 64, QueueCapacity: 1, InitialMachines: 1,
 			Deadline: d}
 		cfg.Register = func(eng *store.Engine) error {
-			if err := eng.Register("hold", func(*store.Tx) (any, error) {
+			if err := eng.Register("hold", store.Proc(func(*store.Tx, store.NoArgs) (any, error) {
 				running <- struct{}{}
 				<-release
 				return nil, nil
-			}); err != nil {
+			})); err != nil {
 				return err
 			}
 			return registerKV(eng)

@@ -21,7 +21,7 @@ func bootLayout(hosted []int) func(*engineConfig) {
 			MaxMachines: 4, InitialMachines: 2, PartitionsPerMachine: 4,
 			Buckets: 640, QueueCapacity: 1 << 10, HostedMachines: hosted,
 		}
-		cfg.register, cfg.args = b2w.Register, nil
+		cfg.register = b2w.Register
 	}
 }
 

@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 )
 
@@ -297,38 +295,42 @@ func onePartition(cfg *engineConfig) {
 	cfg.store = store.Config{MaxMachines: 1, InitialMachines: 1, PartitionsPerMachine: 1, Buckets: 8, QueueCapacity: 16}
 }
 
-// TestDiskReplayWithoutArgsDecoder: the log holds args as JSON, and only the
-// engine's decoder can make them the value a procedure asserts again. An
-// engine that registered none fails the replay of a record that carries args,
-// naming what is missing; it never hands the procedure JSON's generic
-// decoding (a float64, a map) in place of the int it was written for.
-func TestDiskReplayWithoutArgsDecoder(t *testing.T) {
-	var mu sync.Mutex
-	var handed []string
-	e, m := newEngine(t, onePartition, logTo(recovery.Config{DataDir: t.TempDir()}), func(cfg *engineConfig) {
-		cfg.register = func(e *store.Engine) error {
-			return e.Register("put", func(tx *store.Tx) (any, error) {
-				mu.Lock()
-				handed = append(handed, fmt.Sprintf("%T", tx.Args))
-				mu.Unlock()
-				return nil, tx.Put("T", tx.Key, tx.Args)
-			})
-		}
-		cfg.args = nil
-	})
+// TestDiskReplayDecodesRegisteredType: the log holds args as JSON, and a
+// replay decodes them into the type their procedure was registered with. A
+// put of 7 replays as the int 7, never JSON's generic float64, and a put of a
+// string is refused before it is logged, so it cannot fail or change the
+// replay. A record whose JSON does not decode into the registered type — here
+// an int logged by a put of ints, replayed by a node whose put takes strings —
+// fails the cold start, naming the transaction.
+func TestDiskReplayDecodesRegisteredType(t *testing.T) {
+	dir := t.TempDir()
+	e, m := newEngine(t, onePartition, logTo(recovery.Config{DataDir: dir}))
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.Execute("put", "k", 7); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := e.Execute("put", "k", "seven"); err == nil {
+		t.Fatal("put of ints ran on a string")
 	}
 	if err := m.Crash(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Restore(0); err == nil || !strings.Contains(err.Error(), "no args decoder") {
-		t.Fatalf("Restore = %v, want a refusal naming the missing args decoder", err)
+	if _, err := m.Restore(0); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(handed) != 1 || handed[0] != "int" {
-		t.Fatalf("put was handed %v, want the one int of its live execution", handed)
+	if v, err := e.Execute("get", "k", nil); err != nil || v != any(7) {
+		t.Fatalf("get after replay = (%T %v, %v), want the int 7", v, v, err)
+	}
+	e.Stop()
+	m.Close()
+
+	_, m = newEngine(t, onePartition, logTo(recovery.Config{DataDir: dir}), func(cfg *engineConfig) {
+		cfg.register = registerKV[string](nil)
+	})
+	if _, err := m.ColdStart(); err == nil || !strings.Contains(err.Error(), `"put"`) {
+		t.Fatalf("ColdStart = %v, want a refusal naming \"put\"", err)
 	}
 }
 
@@ -338,7 +340,7 @@ func TestDiskReplayWithoutArgsDecoder(t *testing.T) {
 // the same key commits and replays.
 func TestOversizeRecordFailsOnlyItsTransaction(t *testing.T) {
 	e, m := newEngine(t, onePartition, logTo(recovery.Config{DataDir: t.TempDir()}), func(cfg *engineConfig) {
-		cfg.args = storetest.Args[string]
+		cfg.register = registerKV[string](nil)
 	})
 	if _, err := e.Execute("put", "k", "small"); err != nil {
 		t.Fatal(err)

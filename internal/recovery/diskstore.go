@@ -212,7 +212,7 @@ func (s *diskStore) Load(buckets []int) ([]store.BucketSnapshot, []store.ReplayC
 // Replay turns one bucket's log record — a command, or a chunk's share of the
 // bucket (wal.Record.EachBucket) — into what the engine replays: the chunk's
 // image decoded, or the command's handle resolved and its args, logged as the
-// JSON they were submitted in, decoded into the value the procedure asserts.
+// JSON they were submitted in, decoded into its procedure's registered type.
 // A cold start, a restore and a follower's apply all replay through it.
 func Replay(eng *store.Engine, r *wal.Record) (store.ReplayCommand, error) {
 	if r.IsChunk() {
@@ -227,7 +227,7 @@ func Replay(eng *store.Engine, r *wal.Record) (store.ReplayCommand, error) {
 		return store.ReplayCommand{}, fmt.Errorf("recovery: %w: the log names %q", store.ErrUnknownTxn, r.Txn)
 	}
 	raw, _ := r.Args.(json.RawMessage)
-	args, err := eng.DecodeArgs(r.Txn, raw)
+	args, err := eng.DecodeArgs(id, raw)
 	if err != nil {
 		return store.ReplayCommand{}, fmt.Errorf("recovery: replaying %q at bucket %d lsn %d: %w", r.Txn, r.Bucket, r.LSN, err)
 	}

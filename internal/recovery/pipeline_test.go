@@ -89,21 +89,21 @@ func (n *pipeNode) shape(cfg *engineConfig) {
 		Buckets: 16, QueueCapacity: 256,
 	}
 	cfg.register = func(e *store.Engine) error {
-		if err := e.Register("put", func(tx *store.Tx) (any, error) {
+		if err := e.Register("put", store.Proc(func(tx *store.Tx, args int) (any, error) {
 			if hold := n.hold.Load(); hold != nil {
 				n.entered <- tx.Key
 				<-*hold
 			}
-			err := tx.Put("T", tx.Key, tx.Args)
+			err := tx.Put("T", tx.Key, args)
 			n.executed <- tx.Key
 			return nil, err
-		}); err != nil {
+		})); err != nil {
 			return err
 		}
-		return e.Register("get", func(tx *store.Tx) (any, error) {
+		return e.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 			v, _, err := tx.Get("T", tx.Key)
 			return v, err
-		})
+		}))
 	}
 }
 

@@ -12,31 +12,25 @@ import (
 	"pstore/internal/hash"
 	"pstore/internal/recovery"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 )
 
 // engineConfig is what a test varies about the engine newEngine starts.
 type engineConfig struct {
 	store    store.Config
 	register func(*store.Engine) error
-	args     store.ArgsDecoder
 	recovery recovery.Config
 }
 
 // newEngine starts an engine with a recovery manager, attached before any
 // data loads, as required. By default the engine has 2 machines of 2
 // partitions, 1 of them active, over 240 buckets, runs registerKV's
-// procedures on int args and logs in memory; each adjust changes that in
+// procedures on int values and logs in memory; each adjust changes that in
 // turn. tb's cleanup stops both.
 func newEngine(tb testing.TB, adjust ...func(*engineConfig)) (*store.Engine, *recovery.Manager) {
 	tb.Helper()
 	cfg := engineConfig{
 		store:    store.Config{MaxMachines: 2, InitialMachines: 1, PartitionsPerMachine: 2, Buckets: 240, QueueCapacity: 256},
-		register: registerKV(nil),
-		// The memory store replays the int a put was given; the disk store
-		// replays what this decodes from its log. The oracle comparisons need
-		// them equal.
-		args: storetest.Args[int],
+		register: registerKV[int](nil),
 	}
 	for _, f := range adjust {
 		f(&cfg)
@@ -47,11 +41,6 @@ func newEngine(tb testing.TB, adjust ...func(*engineConfig)) (*store.Engine, *re
 	}
 	if err := cfg.register(e); err != nil {
 		tb.Fatal(err)
-	}
-	if cfg.args != nil {
-		if err := e.SetArgsDecoder(cfg.args); err != nil {
-			tb.Fatal(err)
-		}
 	}
 	m, err := recovery.New(e, cfg.recovery)
 	if err != nil {
@@ -76,35 +65,37 @@ func logTo(rcfg recovery.Config) func(*engineConfig) {
 
 // counting adds one to executed each time a procedure runs, live or replayed.
 func counting(executed *atomic.Int64) func(*engineConfig) {
-	return func(cfg *engineConfig) { cfg.register = registerKV(executed) }
+	return func(cfg *engineConfig) { cfg.register = registerKV[int](executed) }
 }
 
-// registerKV registers put, get and del on table T, each counted on executed
-// when it is not nil.
-func registerKV(executed *atomic.Int64) func(*store.Engine) error {
+// registerKV registers put of a V, get and del on table T, each counted on
+// executed when it is not nil. The memory store replays the V a put was given;
+// the disk store replays the V it decodes from its log, so the oracle
+// comparisons see the same rows.
+func registerKV[V any](executed *atomic.Int64) func(*store.Engine) error {
 	count := func() {
 		if executed != nil {
 			executed.Add(1)
 		}
 	}
 	return func(e *store.Engine) error {
-		if err := e.Register("put", func(tx *store.Tx) (any, error) {
+		if err := e.Register("put", store.Proc(func(tx *store.Tx, args V) (any, error) {
 			count()
-			return nil, tx.Put("T", tx.Key, tx.Args)
-		}); err != nil {
+			return nil, tx.Put("T", tx.Key, args)
+		})); err != nil {
 			return err
 		}
-		if err := e.Register("get", func(tx *store.Tx) (any, error) {
+		if err := e.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 			count()
 			v, _, err := tx.Get("T", tx.Key)
 			return v, err
-		}); err != nil {
+		})); err != nil {
 			return err
 		}
-		return e.Register("del", func(tx *store.Tx) (any, error) {
+		return e.Register("del", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 			count()
 			return nil, tx.Delete("T", tx.Key)
-		})
+		}))
 	}
 }
 

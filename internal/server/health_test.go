@@ -11,15 +11,14 @@ import (
 
 	"pstore/internal/client"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
 
-// putOnly gives a testNode the one procedure put.
-func putOnly(cfg *testNodeConfig) {
-	cfg.procs = map[string]store.TxnFunc{
-		"put": func(tx *store.Tx) (any, error) { return nil, tx.Put("kv", tx.Key, tx.Args) },
+// putOnly gives a testNode the one procedure put, of a V.
+func putOnly[V any](cfg *testNodeConfig) {
+	cfg.procs = map[string]store.Procedure{
+		"put": store.Proc(func(tx *store.Tx, args V) (any, error) { return nil, tx.Put("kv", tx.Key, args) }),
 	}
 }
 
@@ -31,7 +30,7 @@ func putOnly(cfg *testNodeConfig) {
 // the node dead) and the node status carries the latched error.
 func TestHealthzReportsWALFailure(t *testing.T) {
 	fs := wal.NewMemFS(1)
-	n := newTestNode(t, putOnly, func(cfg *testNodeConfig) { cfg.fs = fs })
+	n := newTestNode(t, putOnly[int], func(cfg *testNodeConfig) { cfg.fs = fs })
 	eng, rm, srv := n.eng, n.rm, n.srv
 
 	health := func() (int, string) {
@@ -100,9 +99,7 @@ func TestHealthzReportsWALFailure(t *testing.T) {
 // it is sent, so it travels as a 400, not as a 503 the client retries forever:
 // one attempt, one frame, nothing latched.
 func TestRefusedRecordIsBadRequest(t *testing.T) {
-	n := newTestNode(t, putOnly, served, func(cfg *testNodeConfig) {
-		cfg.args, cfg.fs = storetest.Args[string], wal.NewMemFS(1)
-	})
+	n := newTestNode(t, putOnly[string], served, func(cfg *testNodeConfig) { cfg.fs = wal.NewMemFS(1) })
 	rm, srv := n.rm, n.srv
 	cl := loopbackClient(t, n.url, client.Config{RetryRefused: 5})
 

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
 )
@@ -27,15 +26,14 @@ func installLayout(id int) func(*testNodeConfig) {
 			MaxMachines: 2, PartitionsPerMachine: 2, Buckets: 64,
 			QueueCapacity: 1 << 10, InitialMachines: 1, HostedMachines: []int{id},
 		}
-		cfg.procs = map[string]store.TxnFunc{
-			"put": func(tx *store.Tx) (any, error) { return nil, tx.Put("kv", tx.Key, tx.Args) },
-			"get": func(tx *store.Tx) (any, error) {
+		cfg.procs = map[string]store.Procedure{
+			"put": store.Proc(func(tx *store.Tx, args int) (any, error) { return nil, tx.Put("kv", tx.Key, args) }),
+			"get": store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 				v, _, err := tx.Get("kv", tx.Key)
 				return v, err
-			},
-			"del": func(tx *store.Tx) (any, error) { return nil, tx.Delete("kv", tx.Key) },
+			}),
+			"del": store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) { return nil, tx.Delete("kv", tx.Key) }),
 		}
-		cfg.args = storetest.Args[int]
 		cfg.fs = wal.NewMemFS(int64(id) + 1)
 		cfg.server = Config{ID: id, Nodes: 2}
 	}

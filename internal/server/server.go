@@ -174,11 +174,11 @@ type Server struct {
 }
 
 // New builds the server of a node over its started engine and the recovery
-// manager logging it; deadline bounds requests that carry none. The engine's
-// args decoder (store.Engine.SetArgsDecoder) decodes request arguments —
-// without one every argument-bearing request is a bad_request — and its
-// transaction catalog is snapshotted once: registration is closed after
-// Start, so the hot path resolves names against an immutable map.
+// manager logging it; deadline bounds requests that carry none. Request
+// arguments decode into the type each procedure was registered with
+// (store.Engine.DecodeArgs), and the engine's transaction catalog is
+// snapshotted once: registration is closed after Start, so the hot path
+// resolves names against an immutable map.
 func New(eng *store.Engine, rm *recovery.Manager, deadline time.Duration, cfg Config) (*Server, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
@@ -336,7 +336,7 @@ func (s *Server) execute(ctx context.Context, body []byte, hops int) []byte {
 			return s.forward(ctx, node, req.Txn, body, hops)
 		}
 	}
-	args, err := s.eng.DecodeArgs(req.Txn, req.Args)
+	args, err := s.eng.DecodeArgs(id, req.Args)
 	if err != nil {
 		return encodeResponse(s.errResponse(wire.CodeBadRequest,
 			fmt.Sprintf("server: decoding %q args: %v", req.Txn, err), 0))

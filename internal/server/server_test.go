@@ -37,10 +37,9 @@ type testNode struct {
 type testNodeConfig struct {
 	store store.Config
 	// procs are registered in name order, then register — a workload's own
-	// procedures — runs, and args becomes the engine's args decoder.
-	procs    map[string]store.TxnFunc
+	// procedures — runs.
+	procs    map[string]store.Procedure
 	register func(*store.Engine) error
-	args     store.ArgsDecoder
 	// fs, when set, holds the node's durable log in a directory named data;
 	// the log is in memory otherwise.
 	fs     *wal.MemFS
@@ -49,6 +48,11 @@ type testNodeConfig struct {
 	// nil.
 	serve bool
 	l     net.Listener
+}
+
+// fails is a procedure without args that returns err.
+func fails(err error) store.Procedure {
+	return store.Proc(func(*store.Tx, store.NoArgs) (any, error) { return nil, err })
 }
 
 // newTestNode starts a node. By default it is one machine of two partitions
@@ -60,13 +64,13 @@ func newTestNode(t testing.TB, adjust ...func(*testNodeConfig)) *testNode {
 	t.Helper()
 	cfg := testNodeConfig{
 		store: store.Config{MaxMachines: 1, PartitionsPerMachine: 2, Buckets: 64, QueueCapacity: 1 << 10, InitialMachines: 1},
-		procs: map[string]store.TxnFunc{
-			"echo":         func(tx *store.Tx) (any, error) { return tx.Key, nil },
-			"err-overload": func(*store.Tx) (any, error) { return nil, fmt.Errorf("queue full: %w", store.ErrOverload) },
-			"err-deadline": func(*store.Tx) (any, error) { return nil, fmt.Errorf("expired: %w", store.ErrDeadlineExceeded) },
-			"err-down":     func(*store.Tx) (any, error) { return nil, fmt.Errorf("crashed: %w", store.ErrPartitionDown) },
-			"err-stopped":  func(*store.Tx) (any, error) { return nil, store.ErrStopped },
-			"err-business": func(*store.Tx) (any, error) { return nil, errors.New("insufficient stock") },
+		procs: map[string]store.Procedure{
+			"echo":         store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) { return tx.Key, nil }),
+			"err-overload": fails(fmt.Errorf("queue full: %w", store.ErrOverload)),
+			"err-deadline": fails(fmt.Errorf("expired: %w", store.ErrDeadlineExceeded)),
+			"err-down":     fails(fmt.Errorf("crashed: %w", store.ErrPartitionDown)),
+			"err-stopped":  fails(store.ErrStopped),
+			"err-business": fails(errors.New("insufficient stock")),
 		},
 	}
 	for _, f := range adjust {
@@ -90,9 +94,6 @@ func newTestNode(t testing.TB, adjust ...func(*testNodeConfig)) *testNode {
 	}
 	if cfg.register != nil {
 		must(cfg.register(eng))
-	}
-	if cfg.args != nil {
-		must(eng.SetArgsDecoder(cfg.args))
 	}
 	var rcfg recovery.Config
 	if cfg.fs != nil {
@@ -223,13 +224,32 @@ func TestBadRequests(t *testing.T) {
 	if w2.Code != 400 || resp.Code != wire.CodeBadRequest {
 		t.Errorf("bad deadline header: HTTP %d code %q, want 400 bad_request", w2.Code, resp.Code)
 	}
-	// Args for a server with no codec configured.
+	// Args for a procedure that takes none.
 	_, resp = postTxn(t, srv, wire.Request{Txn: "echo", Key: "k", Args: []byte(`{"a":1}`)}, nil)
 	if resp.Code != wire.CodeBadRequest {
-		t.Errorf("args without codec: code %q, want bad_request", resp.Code)
+		t.Errorf("args for a procedure without args: code %q, want bad_request", resp.Code)
 	}
 	if got := srv.Counters().BadRequests; got != 3 {
 		t.Errorf("BadRequests = %d, want 3", got)
+	}
+}
+
+// TestArgsFreeTxnRefusesArgs: GetCart is registered with no arguments, so a
+// request whose args carry a field is a bad_request, never run, while absent,
+// null and {} args run it.
+func TestArgsFreeTxnRefusesArgs(t *testing.T) {
+	n := newTestNode(t, func(cfg *testNodeConfig) { cfg.procs, cfg.register = nil, b2w.Register })
+	for _, args := range []json.RawMessage{nil, json.RawMessage("null"), json.RawMessage("{}")} {
+		if _, resp := postTxn(t, n.srv, wire.Request{Txn: b2w.TxnGetCart, Key: b2w.CartKey(0), Args: args}, nil); resp.Code != "" {
+			t.Errorf("GetCart with args %q: %s %s, want success", args, resp.Code, resp.Error)
+		}
+	}
+	_, resp := postTxn(t, n.srv, wire.Request{Txn: b2w.TxnGetCart, Key: b2w.CartKey(0), Args: json.RawMessage(`{"sku":"x"}`)}, nil)
+	if resp.Code != wire.CodeBadRequest {
+		t.Errorf("GetCart with args {\"sku\":\"x\"}: code %q, want bad_request", resp.Code)
+	}
+	if c := n.eng.Counters(); c.Submitted != 3 {
+		t.Errorf("engine took %d transactions, want the 3 with args GetCart accepts", c.Submitted)
 	}
 }
 
@@ -299,9 +319,9 @@ func TestBatchOrdered(t *testing.T) {
 func TestBatchSharesDeadline(t *testing.T) {
 	release := make(chan struct{})
 	n := newTestNode(t, served, func(cfg *testNodeConfig) {
-		cfg.procs = map[string]store.TxnFunc{
-			"echo": func(tx *store.Tx) (any, error) { return tx.Key, nil },
-			"slow": func(tx *store.Tx) (any, error) { <-release; return tx.Key, nil },
+		cfg.procs = map[string]store.Procedure{
+			"echo": store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) { return tx.Key, nil }),
+			"slow": store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) { <-release; return tx.Key, nil }),
 		}
 	})
 	defer close(release)

@@ -14,7 +14,6 @@ import (
 
 	"pstore/internal/client"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/wire"
 )
 
@@ -27,11 +26,10 @@ func streamLayout(id int, label string, l net.Listener, peers []string) func(*te
 			MaxMachines: 2, PartitionsPerMachine: 1, Buckets: 64,
 			QueueCapacity: 1 << 10, InitialMachines: 2, HostedMachines: []int{id},
 		}
-		cfg.procs = map[string]store.TxnFunc{
-			"whoami": func(*store.Tx) (any, error) { return label, nil },
-			"put":    func(tx *store.Tx) (any, error) { return nil, tx.Put("kv", tx.Key, tx.Args) },
+		cfg.procs = map[string]store.Procedure{
+			"whoami": store.Proc(func(*store.Tx, store.NoArgs) (any, error) { return label, nil }),
+			"put":    store.Proc(func(tx *store.Tx, args int) (any, error) { return nil, tx.Put("kv", tx.Key, args) }),
 		}
-		cfg.args = storetest.Args[int]
 		cfg.server = Config{ID: id, Nodes: 2, Peers: peers}
 		cfg.serve, cfg.l = true, l
 	}
@@ -186,9 +184,9 @@ func TestShutdownClosesStreams(t *testing.T) {
 	readHeaderTimeout, idleTimeout = 20*time.Millisecond, 20*time.Millisecond
 	srv := newTestNode(t, func(cfg *testNodeConfig) {
 		cfg.store.PartitionsPerMachine = 1
-		cfg.procs = map[string]store.TxnFunc{
-			"echo": func(tx *store.Tx) (any, error) { return tx.Key, nil },
-			"held": func(tx *store.Tx) (any, error) { <-release; return tx.Key, nil },
+		cfg.procs = map[string]store.Procedure{
+			"echo": store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) { return tx.Key, nil }),
+			"held": store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) { <-release; return tx.Key, nil }),
 		}
 	}).srv
 	defer close(release)

@@ -229,51 +229,6 @@ func TestChaosRetryRecovers(t *testing.T) {
 	checkAllReadable(t, e, keys)
 }
 
-// TestChaosMoveTimeout: a stalled fault plane trips the per-move timeout,
-// and the abort still rolls back to the pre-move plan.
-func TestChaosMoveTimeout(t *testing.T) {
-	e := testEngine(t, 2, 1)
-	const keys = 300
-	load(t, e, keys)
-	cfg := chaosConfig()
-	cfg.ChunkRows = 10 // many chunks, so the timeout hits a chunk boundary
-	cfg.MoveTimeout = 5 * time.Millisecond
-	inj, err := faults.Parse("seed=5,stall=1,stall-delay=4ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetFaultInjector(inj)
-	ex, err := NewExecutor(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := planFingerprint(e)
-	moveErr := ex.Reconfigure(1, 2, 0)
-	if moveErr == nil {
-		t.Fatal("stalled move beat a 5ms timeout")
-	}
-	if !errors.Is(moveErr, ErrMoveTimeout) {
-		t.Fatalf("error %v does not unwrap to ErrMoveTimeout", moveErr)
-	}
-	var me *MoveError
-	if !errors.As(moveErr, &me) || !me.RolledBack {
-		t.Fatalf("timeout abort not rolled back: %v", moveErr)
-	}
-	if got := planFingerprint(e); got != before {
-		t.Fatal("pre-move plan not restored after timeout abort")
-	}
-	if got := e.ActiveMachines(); got != 1 {
-		t.Errorf("machines %d after timeout abort, want 1", got)
-	}
-	checkAllReadable(t, e, keys)
-	// The aborted move released the executor: the next one is not refused
-	// as in progress, whether or not it beats the timeout.
-	e.SetFaultInjector(nil)
-	if err := ex.Reconfigure(1, 2, 0); errors.Is(err, ErrInProgress) {
-		t.Errorf("next move after timeout abort: %v", err)
-	}
-}
-
 // TestFailedReconfigurationAllowsNext: a reconfiguration that fails on every
 // single chunk must leave the executor ready for the next plan — the machine
 // count restored and a follow-up move succeeding.

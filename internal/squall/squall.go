@@ -51,11 +51,6 @@ type Config struct {
 	// MaxRetryBackoff caps the exponential retry backoff. Zero leaves the
 	// backoff uncapped.
 	MaxRetryBackoff time.Duration
-	// MoveTimeout bounds one whole reconfiguration: when exceeded, streams
-	// stop at their next chunk boundary and the move aborts with rollback.
-	// Zero disables the timeout. Note a timeout makes the abort point
-	// timing-dependent; the deterministic chaos suite runs without one.
-	MoveTimeout time.Duration
 }
 
 // DefaultConfig returns a throttled configuration suitable for the scaled
@@ -87,8 +82,8 @@ func (c Config) Validate() error {
 	if c.MaxChunkRetries < 0 {
 		return fmt.Errorf("squall: MaxChunkRetries %d must be non-negative", c.MaxChunkRetries)
 	}
-	if c.RetryBackoff < 0 || c.MaxRetryBackoff < 0 || c.MoveTimeout < 0 {
-		return fmt.Errorf("squall: retry backoffs and MoveTimeout must be non-negative")
+	if c.RetryBackoff < 0 || c.MaxRetryBackoff < 0 {
+		return fmt.Errorf("squall: retry backoffs must be non-negative")
 	}
 	return nil
 }
@@ -132,10 +127,6 @@ func (ex *Executor) Stats() Stats {
 		RollbackChunks: ex.rollbackChunks.Load(),
 	}
 }
-
-// ErrMoveTimeout is the cause of a MoveError when a reconfiguration exceeds
-// the configured MoveTimeout.
-var ErrMoveTimeout = errors.New("squall: move exceeded MoveTimeout")
 
 // MoveError is the typed failure of an aborted reconfiguration. The executor
 // never leaves a half-moved plan behind: by the time a MoveError is
@@ -262,14 +253,6 @@ func (ex *Executor) Reconfigure(from, to int, rateFactor float64) error {
 		journal = append(journal, c)
 		jmu.Unlock()
 	}
-	// abort is closed when MoveTimeout fires; streams notice it at chunk
-	// boundaries and stop early with ErrMoveTimeout.
-	abort := make(chan struct{})
-	if ex.cfg.MoveTimeout > 0 {
-		var once sync.Once
-		timer := time.AfterFunc(ex.cfg.MoveTimeout, func() { once.Do(func() { close(abort) }) })
-		defer timer.Stop()
-	}
 	// fail aborts the reconfiguration: roll the journal back, restore the
 	// machine count, and surface the typed failure.
 	fail := func(cause error) error {
@@ -299,7 +282,7 @@ func (ex *Executor) Reconfigure(from, to int, rateFactor float64) error {
 				wg.Add(1)
 				go func(slot, fromPart, toPart int, buckets []int) {
 					defer wg.Done()
-					if err := ex.stream(fromPart, toPart, buckets, chunkBuckets, rateFactor, abort, record); err != nil {
+					if err := ex.stream(fromPart, toPart, buckets, chunkBuckets, rateFactor, record); err != nil {
 						errs[slot] = err
 					}
 				}(j*cfg.PartitionsPerMachine+k, fromPart, toPart, buckets)
@@ -450,26 +433,17 @@ func targetCount(buckets, nParts, part int) int {
 // stream moves one partition pair's buckets in throttled chunks, retrying
 // each failed chunk with capped exponential backoff. The first chunk to
 // exhaust its retries fails the stream; remaining chunks are skipped.
-func (ex *Executor) stream(from, to int, buckets []int, chunkBuckets int, rateFactor float64, abort <-chan struct{}, record func(movedChunk)) error {
+func (ex *Executor) stream(from, to int, buckets []int, chunkBuckets int, rateFactor float64, record func(movedChunk)) error {
 	spacing := time.Duration(float64(ex.cfg.Spacing) / rateFactor)
 	for lo := 0; lo < len(buckets); lo += chunkBuckets {
-		select {
-		case <-abort:
-			return ErrMoveTimeout
-		default:
-		}
 		hi := min(lo+chunkBuckets, len(buckets))
 		chunk := buckets[lo:hi]
-		if err := ex.moveChunk(chunk, from, to, abort); err != nil {
+		if err := ex.moveChunk(chunk, from, to); err != nil {
 			return err
 		}
 		record(movedChunk{from: from, to: to, buckets: chunk})
 		if spacing > 0 && hi < len(buckets) {
-			select {
-			case <-abort:
-				return ErrMoveTimeout
-			case <-time.After(spacing):
-			}
+			time.Sleep(spacing)
 		}
 	}
 	return nil
@@ -477,7 +451,7 @@ func (ex *Executor) stream(from, to int, buckets []int, chunkBuckets int, rateFa
 
 // moveChunk sends one chunk with up to MaxChunkRetries retries. Backoff
 // doubles per retry and is capped at MaxRetryBackoff.
-func (ex *Executor) moveChunk(chunk []int, from, to int, abort <-chan struct{}) error {
+func (ex *Executor) moveChunk(chunk []int, from, to int) error {
 	backoff := ex.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		_, err := ex.eng.MoveBuckets(chunk, from, to, ex.cfg.RowCost, ex.cfg.ChunkOverhead)
@@ -494,11 +468,7 @@ func (ex *Executor) moveChunk(chunk []int, from, to int, abort <-chan struct{}) 
 		}
 		ex.retries.Add(1)
 		if backoff > 0 {
-			select {
-			case <-abort:
-				return ErrMoveTimeout
-			case <-time.After(backoff):
-			}
+			time.Sleep(backoff)
 			backoff *= 2
 			if ex.cfg.MaxRetryBackoff > 0 && backoff > ex.cfg.MaxRetryBackoff {
 				backoff = ex.cfg.MaxRetryBackoff

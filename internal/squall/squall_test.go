@@ -33,20 +33,20 @@ func countingEngine(t *testing.T, machines, initial int) (*store.Engine, *atomic
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("put", func(tx *store.Tx) (any, error) {
+	if err := e.Register("put", store.Proc(func(tx *store.Tx, args int) (any, error) {
 		executed.Add(1)
-		return nil, tx.Put("kv", tx.Key, tx.Args)
-	}); err != nil {
+		return nil, tx.Put("kv", tx.Key, args)
+	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("get", func(tx *store.Tx) (any, error) {
+	if err := e.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 		executed.Add(1)
 		v, ok, err := tx.Get("kv", tx.Key)
 		if err != nil || !ok {
 			return nil, fmt.Errorf("missing %q: %v", tx.Key, err)
 		}
 		return v, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()

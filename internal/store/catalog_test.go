@@ -22,7 +22,7 @@ func TestTxnNamesDenseOrder(t *testing.T) {
 	}
 	names := []string{"alpha", "beta", "gamma"}
 	for _, n := range names {
-		if err := e.Register(n, func(*Tx) (any, error) { return nil, nil }); err != nil {
+		if err := e.Register(n, Proc(func(*Tx, NoArgs) (any, error) { return nil, nil })); err != nil {
 			t.Fatal(err)
 		}
 	}

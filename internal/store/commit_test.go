@@ -83,14 +83,18 @@ func partitionKeys(e *Engine, part, n int) []string {
 
 // submitHeld executes one transaction per key on its own goroutine, each
 // started only after the previous one's record was appended, so ticket i+1
-// belongs to keys[i]. The returned channels carry the replies.
+// belongs to keys[i]; a put writes i. The returned channels carry the replies.
 func submitHeld(t *testing.T, e *Engine, g *gateLogger, txn string, keys []string) []chan txnResult {
 	t.Helper()
 	replies := make([]chan txnResult, len(keys))
 	for i, k := range keys {
 		replies[i] = make(chan txnResult, 1)
 		go func(i int, k string) {
-			v, err := e.Execute(txn, k, i)
+			var args any
+			if txn == "put" {
+				args = i
+			}
+			v, err := e.Execute(txn, k, args)
 			replies[i] <- txnResult{value: v, err: err}
 		}(i, k)
 		select {
@@ -331,14 +335,14 @@ func TestLogBeforeRun(t *testing.T) {
 	var letThrough sync.Once
 	release := func() { letThrough.Do(func() { close(hold) }) }
 	t.Cleanup(release)
-	if err := e.Register("echo", func(tx *Tx) (any, error) {
+	if err := e.Register("echo", Proc(func(tx *Tx, _ NoArgs) (any, error) {
 		g.mu.Lock()
 		logged := g.next
 		g.mu.Unlock()
 		loggedAtStart <- logged
 		<-hold
 		return tx.Key, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	e.SetCommandLog(g)

@@ -27,8 +27,8 @@ const NoTxn TxnID = -1
 // after Start, so executors index it without synchronization.
 type proc struct {
 	name string
-	fn   TxnFunc
-	svc  time.Duration
+	Procedure
+	svc time.Duration
 }
 
 // Counters are the engine's cumulative transaction counts.
@@ -103,8 +103,6 @@ type Engine struct {
 	cfg     Config
 	handles map[string]TxnID
 	procs   []proc
-	// decodeArgs is the workload's args decoder, set with its procedures.
-	decodeArgs ArgsDecoder
 	// svcOverride stages SetServiceTime calls until Start bakes them into
 	// the procs slice.
 	svcOverride map[string]time.Duration
@@ -184,48 +182,44 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Register adds a named transaction and assigns it the next dense TxnID. It
-// must be called before Start.
-func (e *Engine) Register(name string, fn TxnFunc) error {
+// Register adds a named transaction, built by Proc, and assigns it the next
+// dense TxnID. It must be called before Start.
+func (e *Engine) Register(name string, p Procedure) error {
 	if e.started.Load() {
 		return errors.New("store: Register after Start")
+	}
+	if p.run == nil {
+		return fmt.Errorf("store: transaction %q is not built by Proc", name)
 	}
 	if _, dup := e.handles[name]; dup {
 		return fmt.Errorf("store: transaction %q already registered", name)
 	}
 	e.handles[name] = TxnID(len(e.procs))
-	e.procs = append(e.procs, proc{name: name, fn: fn, svc: e.cfg.ServiceTime})
+	e.procs = append(e.procs, proc{name: name, Procedure: p, svc: e.cfg.ServiceTime})
 	return nil
 }
 
-// ArgsDecoder turns a transaction's JSON-encoded arguments — as a client
-// request or a command-log record carries them — into the concrete value its
-// procedure asserts.
-type ArgsDecoder func(txn string, raw json.RawMessage) (any, error)
-
-// SetArgsDecoder installs the decoder for the registered procedures'
-// arguments. Like Register it must be called before Start; an engine without
-// one accepts only transactions that take no arguments, over the wire and in
-// durable replay alike.
-func (e *Engine) SetArgsDecoder(d ArgsDecoder) error {
-	if e.started.Load() {
-		return errors.New("store: SetArgsDecoder after Start")
+// checkArgs refuses args that procedure id was not registered to take. It
+// runs at submission, before anything is logged: a command the log holds is
+// one its replay hands the same typed input.
+func (e *Engine) checkArgs(id TxnID, args any) error {
+	if err := e.procs[id].check(args); err != nil {
+		return fmt.Errorf("store: %s %w", e.procs[id].name, err)
 	}
-	e.decodeArgs = d
 	return nil
 }
 
-// DecodeArgs decodes one transaction's encoded arguments; absent or null
-// arguments are nil. It fails, rather than hand a procedure some generic
-// decoding it would not recognize, when the engine has no decoder.
-func (e *Engine) DecodeArgs(txn string, raw json.RawMessage) (any, error) {
+// DecodeArgs decodes one transaction's encoded arguments — as a client request,
+// a shipped record or a replayed one carries them — into the type its
+// procedure was registered with; absent or null arguments are nil.
+func (e *Engine) DecodeArgs(id TxnID, raw json.RawMessage) (any, error) {
+	if id < 0 || int(id) >= len(e.procs) {
+		return nil, ErrUnknownTxn
+	}
 	if len(raw) == 0 || string(raw) == "null" {
 		return nil, nil
 	}
-	if e.decodeArgs == nil {
-		return nil, fmt.Errorf("store: transaction %q carries args but the engine has no args decoder", txn)
-	}
-	return e.decodeArgs(txn, raw)
+	return e.procs[id].decode(raw)
 }
 
 // Handle resolves a registered transaction name to its dense id. Resolve
@@ -469,6 +463,11 @@ func (e *Engine) executeID(done <-chan struct{}, ctxErr func() error, id TxnID, 
 		// each transaction exactly once.
 		return nil, notOwnedError(dest.id)
 	}
+	if err := e.checkArgs(id, args); err != nil {
+		e.submitted.Add(1)
+		e.errored.Add(1)
+		return nil, err
+	}
 	if err := e.admit(dest); err != nil {
 		e.submitted.Add(1)
 		return nil, err
@@ -532,7 +531,8 @@ type Command struct {
 // batch never expires it (a batch passes no admission control and no
 // recorder). A command of a partition hosted elsewhere is skipped, uncounted.
 // It returns once every command is answered, a logged one once durable, with
-// the first failure in cmds order; one unregistered procedure runs nothing.
+// the first failure in cmds order; one unregistered procedure, or one command
+// whose args its procedure does not take, runs nothing.
 func (e *Engine) ExecuteBatch(cmds []Command) error {
 	if e.stopped.Load() {
 		return ErrStopped
@@ -545,6 +545,9 @@ func (e *Engine) ExecuteBatch(cmds []Command) error {
 	for _, c := range cmds {
 		if c.ID < 0 || int(c.ID) >= len(e.procs) {
 			return ErrUnknownTxn
+		}
+		if err := e.checkArgs(c.ID, c.Args); err != nil {
+			return err
 		}
 		bucket := e.bucketOf(c.Key)
 		if part := e.ownerOf(bucket); e.hostedAll || e.hosted[part/e.cfg.PartitionsPerMachine] {

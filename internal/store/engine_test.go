@@ -1,9 +1,11 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,10 +40,10 @@ func registerKV(t *testing.T, e *Engine) {
 			t.Fatal(err)
 		}
 	}
-	must(e.Register("put", func(tx *Tx) (any, error) {
-		return nil, tx.Put("kv", tx.Key, tx.Args)
-	}))
-	must(e.Register("get", func(tx *Tx) (any, error) {
+	must(e.Register("put", Proc(func(tx *Tx, args any) (any, error) {
+		return nil, tx.Put("kv", tx.Key, args)
+	})))
+	must(e.Register("get", Proc(func(tx *Tx, _ NoArgs) (any, error) {
 		v, ok, err := tx.Get("kv", tx.Key)
 		if err != nil {
 			return nil, err
@@ -50,10 +52,10 @@ func registerKV(t *testing.T, e *Engine) {
 			return nil, nil
 		}
 		return v, nil
-	}))
-	must(e.Register("del", func(tx *Tx) (any, error) {
+	})))
+	must(e.Register("del", Proc(func(tx *Tx, _ NoArgs) (any, error) {
 		return nil, tx.Delete("kv", tx.Key)
-	}))
+	})))
 }
 
 func TestEngineConfigValidation(t *testing.T) {
@@ -114,18 +116,71 @@ func TestEngineUnknownTxn(t *testing.T) {
 
 func TestEngineRegisterErrors(t *testing.T) {
 	e := testEngine(t, smallConfig())
-	if err := e.Register("a", func(*Tx) (any, error) { return nil, nil }); err != nil {
+	if err := e.Register("a", Proc(func(*Tx, NoArgs) (any, error) { return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("a", func(*Tx) (any, error) { return nil, nil }); err == nil {
+	if err := e.Register("a", Proc(func(*Tx, NoArgs) (any, error) { return nil, nil })); err == nil {
 		t.Error("duplicate registration accepted")
 	}
+	if err := e.Register("z", Procedure{}); err == nil {
+		t.Error("procedure not built by Proc accepted")
+	}
 	e.Start()
-	if err := e.Register("b", func(*Tx) (any, error) { return nil, nil }); err == nil {
+	if err := e.Register("b", Proc(func(*Tx, NoArgs) (any, error) { return nil, nil })); err == nil {
 		t.Error("registration after start accepted")
 	}
 	if err := e.SetServiceTime("a", time.Millisecond); err == nil {
 		t.Error("SetServiceTime after start accepted")
+	}
+}
+
+// lineArgs stands in for a workload's argument struct.
+type lineArgs struct{ SKU string }
+
+// A procedure registered with NoArgs runs on nil args only: a typed value
+// handed to it in process is refused with both types named, and of encoded
+// args it takes absent, null and {} only, each decoded to nil. A typed
+// procedure's args decode into its type and refuse unknown fields.
+func TestProcArgsTypes(t *testing.T) {
+	e := testEngine(t, smallConfig())
+	registerKV(t, e)
+	if err := e.Register("line", Proc(func(_ *Tx, a lineArgs) (any, error) { return a.SKU, nil })); err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	if _, err := e.Execute("get", "k", nil); err != nil {
+		t.Fatalf("get with nil args: %v", err)
+	}
+	_, err := e.Execute("get", "k", lineArgs{SKU: "x"})
+	if err == nil || !strings.Contains(err.Error(), "store.NoArgs") || !strings.Contains(err.Error(), "store.lineArgs") {
+		t.Fatalf("get with a lineArgs: %v, want a refusal naming store.NoArgs and store.lineArgs", err)
+	}
+	if _, err := e.Execute("line", "k", 7); err == nil || !strings.Contains(err.Error(), "store.lineArgs") || !strings.Contains(err.Error(), "int") {
+		t.Fatalf("line with an int: %v, want a refusal naming store.lineArgs and int", err)
+	}
+	if v, err := e.Execute("line", "k", lineArgs{SKU: "x"}); err != nil || v != "x" {
+		t.Fatalf("line = (%v, %v), want (x, nil)", v, err)
+	}
+
+	get, line := mustHandle(t, e, "get"), mustHandle(t, e, "line")
+	for _, raw := range []string{"", "null", "{}", " { } "} {
+		if v, err := e.DecodeArgs(get, json.RawMessage(raw)); v != nil || err != nil {
+			t.Errorf("get args %q decode to (%v, %v), want (nil, nil)", raw, v, err)
+		}
+	}
+	for _, raw := range []string{`{"sku":"x"}`, "7", `"x"`, "[]"} {
+		if v, err := e.DecodeArgs(get, json.RawMessage(raw)); err == nil {
+			t.Errorf("get args %s decode to %v, want an error", raw, v)
+		}
+	}
+	if v, err := e.DecodeArgs(line, json.RawMessage(`{"SKU":"x"}`)); err != nil || v != (lineArgs{SKU: "x"}) {
+		t.Errorf("line args decode to (%#v, %v), want lineArgs{SKU: x}", v, err)
+	}
+	if v, err := e.DecodeArgs(line, json.RawMessage(`{"SKU":"x","Qty":1}`)); err == nil {
+		t.Errorf("line args with an unknown field decode to %#v, want an error", v)
+	}
+	if _, err := e.DecodeArgs(NoTxn, json.RawMessage("{}")); !errors.Is(err, ErrUnknownTxn) {
+		t.Errorf("DecodeArgs(NoTxn) = %v, want ErrUnknownTxn", err)
 	}
 }
 
@@ -150,7 +205,7 @@ func TestEngineExecuteBeforeStartAndAfterStop(t *testing.T) {
 
 func TestEngineCrossPartitionRejected(t *testing.T) {
 	e := testEngine(t, smallConfig())
-	if err := e.Register("bad", func(tx *Tx) (any, error) {
+	if err := e.Register("bad", Proc(func(tx *Tx, _ NoArgs) (any, error) {
 		// Touch a key that almost surely hashes to a different bucket.
 		for i := 0; i < 200; i++ {
 			other := fmt.Sprintf("other-%d", i)
@@ -159,7 +214,7 @@ func TestEngineCrossPartitionRejected(t *testing.T) {
 			}
 		}
 		return nil, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
@@ -171,14 +226,14 @@ func TestEngineCrossPartitionRejected(t *testing.T) {
 func TestEngineConcurrentClients(t *testing.T) {
 	e := testEngine(t, smallConfig())
 	registerKV(t, e)
-	if err := e.Register("incr", func(tx *Tx) (any, error) {
+	if err := e.Register("incr", Proc(func(tx *Tx, _ NoArgs) (any, error) {
 		v, _, err := tx.Get("kv", tx.Key)
 		if err != nil {
 			return nil, err
 		}
 		n, _ := v.(int)
 		return n + 1, tx.Put("kv", tx.Key, n+1)
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
@@ -343,7 +398,7 @@ func TestEngineLiveMigrationUnderLoad(t *testing.T) {
 	cfg := smallConfig()
 	e := testEngine(t, cfg)
 	registerKV(t, e)
-	if err := e.Register("check", func(tx *Tx) (any, error) {
+	if err := e.Register("check", Proc(func(tx *Tx, _ NoArgs) (any, error) {
 		v, ok, err := tx.Get("kv", tx.Key)
 		if err != nil {
 			return nil, err
@@ -352,7 +407,7 @@ func TestEngineLiveMigrationUnderLoad(t *testing.T) {
 			return nil, fmt.Errorf("row %q missing", tx.Key)
 		}
 		return v, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
@@ -453,9 +508,9 @@ func TestEngineInitialPlanBalanced(t *testing.T) {
 func TestEnginePanickingTxnSurvives(t *testing.T) {
 	e := testEngine(t, smallConfig())
 	registerKV(t, e)
-	if err := e.Register("boom", func(*Tx) (any, error) {
+	if err := e.Register("boom", Proc(func(*Tx, NoArgs) (any, error) {
 		panic("kaboom")
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()

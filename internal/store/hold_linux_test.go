@@ -206,13 +206,13 @@ func TestHoldCapacity(t *testing.T) {
 	)
 	e := holdEngine(t, svc)
 	entered, gate := make(chan struct{}), make(chan struct{})
-	if err := e.Register("gate", func(*Tx) (any, error) { close(entered); <-gate; return nil, nil }); err != nil {
+	if err := e.Register("gate", Proc(func(*Tx, NoArgs) (any, error) { close(entered); <-gate; return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SetServiceTime("gate", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("work", func(*Tx) (any, error) { return nil, nil }); err != nil {
+	if err := e.Register("work", Proc(func(*Tx, NoArgs) (any, error) { return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
@@ -263,17 +263,17 @@ func TestHoldChainsQueuedTransactions(t *testing.T) {
 	)
 	e := holdEngine(t, svc)
 	entered, gate := make(chan struct{}), make(chan struct{})
-	if err := e.Register("gate", func(*Tx) (any, error) { close(entered); <-gate; return nil, nil }); err != nil {
+	if err := e.Register("gate", Proc(func(*Tx, NoArgs) (any, error) { close(entered); <-gate; return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SetServiceTime("gate", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("work", func(*Tx) (any, error) {
+	if err := e.Register("work", Proc(func(*Tx, NoArgs) (any, error) {
 		for start := time.Now(); time.Since(start) < work; {
 		}
 		return nil, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()

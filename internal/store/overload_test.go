@@ -28,13 +28,13 @@ func overloadConfig(deadline time.Duration) Config {
 func registerGate(t *testing.T, e *Engine) chan struct{} {
 	t.Helper()
 	gate := make(chan struct{})
-	if err := e.Register("gate", func(*Tx) (any, error) {
+	if err := e.Register("gate", Proc(func(*Tx, NoArgs) (any, error) {
 		<-gate
 		return nil, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("noop", func(*Tx) (any, error) { return nil, nil }); err != nil {
+	if err := e.Register("noop", Proc(func(*Tx, NoArgs) (any, error) { return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	return gate
@@ -205,7 +205,7 @@ func TestCtlLaneBypassesDataBacklog(t *testing.T) {
 	cfg := overloadConfig(0)
 	cfg.ServiceTime = 2 * time.Millisecond
 	e := testEngine(t, cfg)
-	if err := e.Register("noop", func(*Tx) (any, error) { return nil, nil }); err != nil {
+	if err := e.Register("noop", Proc(func(*Tx, NoArgs) (any, error) { return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()

@@ -257,8 +257,8 @@ func (p *partition) execute(r *txnRequest) {
 		p.clock = start.Add(pr.svc)
 		p.holdUntil(p.clock)
 	}
-	p.tx = Tx{p: p, bucket: int(r.bucket), Key: r.key, Args: r.args}
-	v, err := runTxn(pr.fn, &p.tx)
+	p.tx = Tx{p: p, bucket: int(r.bucket), Key: r.key, args: r.args}
+	v, err := runTxn(pr.run, &p.tx)
 	p.tx = Tx{} // release references to the request's key/args
 	if pr.svc <= 0 {
 		p.clock = time.Now() // a hold-less transaction's real time is not credited
@@ -356,7 +356,7 @@ func (p *partition) overloadCheck(r *txnRequest) error {
 // buggy procedure cannot take its partition executor down with it. The
 // goroutine stack at the panic site is preserved in the error, since the
 // executor's own stack says nothing about which procedure misbehaved.
-func runTxn(fn TxnFunc, tx *Tx) (v any, err error) {
+func runTxn(fn func(*Tx) (any, error), tx *Tx) (v any, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			v = nil
@@ -526,8 +526,8 @@ func (p *partition) replay(cmds []ReplayCommand) int {
 		if c.ID < 0 || int(c.ID) >= len(p.eng.procs) {
 			continue
 		}
-		p.tx = Tx{p: p, bucket: c.Bucket, Key: c.Key, Args: c.Args}
-		runTxn(p.eng.procs[c.ID].fn, &p.tx)
+		p.tx = Tx{p: p, bucket: c.Bucket, Key: c.Key, args: c.Args}
+		runTxn(p.eng.procs[c.ID].run, &p.tx)
 		p.tx = Tx{}
 		replayed++
 	}

@@ -10,14 +10,14 @@ import (
 
 // explodingTxn is a named top-level procedure so its symbol must appear in
 // the stack trace attached to the panic error.
-func explodingTxn(*Tx) (any, error) {
+func explodingTxn(*Tx, NoArgs) (any, error) {
 	panic("deliberate test explosion")
 }
 
 func TestEnginePanicReportsStack(t *testing.T) {
 	e := testEngine(t, smallConfig())
 	registerKV(t, e)
-	if err := e.Register("explode", explodingTxn); err != nil {
+	if err := e.Register("explode", Proc(explodingTxn)); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
@@ -116,7 +116,7 @@ func BenchmarkEngineExecute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := e.Register("noop", func(*Tx) (any, error) { return nil, nil }); err != nil {
+	if err := e.Register("noop", Proc(func(*Tx, NoArgs) (any, error) { return nil, nil })); err != nil {
 		b.Fatal(err)
 	}
 	e.Start()

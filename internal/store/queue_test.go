@@ -82,12 +82,12 @@ func TestLaneFIFO(t *testing.T) {
 	var mu sync.Mutex
 	var ran []int
 	e, _, gate, _, wg := laneEngine(t, n, func(e *Engine) {
-		if err := e.Register("note", func(tx *Tx) (any, error) {
+		if err := e.Register("note", Proc(func(tx *Tx, args int) (any, error) {
 			mu.Lock()
-			ran = append(ran, tx.Args.(int))
+			ran = append(ran, args)
 			mu.Unlock()
 			return nil, nil
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -113,12 +113,12 @@ func TestLaneFIFO(t *testing.T) {
 func TestLaneCtlRunsFirst(t *testing.T) {
 	e := testEngine(t, overloadConfig(0))
 	var snapDone atomic.Pointer[chan moveResult]
-	if err := e.Register("probe", func(*Tx) (any, error) {
+	if err := e.Register("probe", Proc(func(*Tx, NoArgs) (any, error) {
 		if len(*snapDone.Load()) != 1 {
 			return nil, errors.New("ran before the control request put ahead of it")
 		}
 		return nil, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
@@ -146,7 +146,7 @@ func laneEngine(t *testing.T, capacity int, register func(*Engine)) (e *Engine, 
 	e = testEngine(t, cfg)
 	gate = registerGate(t, e)
 	entered := make(chan struct{})
-	if err := e.Register("enter", func(*Tx) (any, error) { close(entered); <-gate; return nil, nil }); err != nil {
+	if err := e.Register("enter", Proc(func(*Tx, NoArgs) (any, error) { close(entered); <-gate; return nil, nil })); err != nil {
 		t.Fatal(err)
 	}
 	if register != nil {

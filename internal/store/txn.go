@@ -1,16 +1,72 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 )
 
-// TxnFunc is the body of a stored procedure. It runs on the partition that
-// owns the transaction's routing key and may only touch rows co-located
-// with it — the single-partition transaction model of H-Store that the B2W
-// workload satisfies (every operation accesses one partitioning key).
-type TxnFunc func(tx *Tx) (any, error)
+// Procedure is a stored procedure as Engine.Register takes it: the body the
+// executor runs, the check of an in-process input and the decoder of its JSON
+// input, all built by Proc from one function, so the type of a procedure's
+// input is declared in one place — submission checks it, and the wire, the
+// command log and replay all decode into it.
+type Procedure struct {
+	run    func(tx *Tx) (any, error)
+	check  func(args any) error
+	decode func(raw json.RawMessage) (any, error)
+}
+
+// NoArgs is the input of a procedure that takes none. In process such a
+// procedure runs on nil args (or a NoArgs) and refuses any other value;
+// encoded, it accepts absent, null or {} args and decodes them to nil, so the
+// log records of its nil-args runs carry no args.
+type NoArgs struct{}
+
+// Proc builds the Procedure of fn. fn runs on the partition that owns the
+// transaction's routing key and may only touch rows co-located with it — the
+// single-partition transaction model of H-Store that the B2W workload
+// satisfies (every operation accesses one partitioning key). It is handed the
+// transaction's args as an A: a value passed in-process must be an A (nil for
+// NoArgs), and encoded args are decoded into an A, refusing unknown fields so
+// a client/server schema drift fails loudly instead of zeroing arguments.
+func Proc[A any](fn func(tx *Tx, args A) (any, error)) Procedure {
+	want := reflect.TypeFor[A]()
+	_, none := any(*new(A)).(NoArgs)
+	check := func(args any) error {
+		if _, ok := args.(A); ok || none && args == nil {
+			return nil
+		}
+		return fmt.Errorf("takes %v, got %T", want, args)
+	}
+	return Procedure{
+		run: func(tx *Tx) (any, error) {
+			// Submission refused such args before logging them; a replayed
+			// record from an older log may still carry them.
+			if err := check(tx.args); err != nil {
+				return nil, fmt.Errorf("store: procedure %w", err)
+			}
+			args, _ := tx.args.(A)
+			return fn(tx, args)
+		},
+		check: check,
+		decode: func(raw json.RawMessage) (any, error) {
+			dec := json.NewDecoder(bytes.NewReader(raw))
+			dec.DisallowUnknownFields()
+			var args A
+			if err := dec.Decode(&args); err != nil {
+				return nil, err
+			}
+			if none {
+				return nil, nil
+			}
+			return args, nil
+		},
+	}
+}
 
 // ErrUnknownTxn is returned when executing a transaction name that was
 // never registered.
@@ -25,7 +81,7 @@ var ErrCrossPartition = errors.New("store: key outside transaction's partition")
 // ErrStopped is returned for transactions submitted after engine shutdown.
 var ErrStopped = errors.New("store: engine stopped")
 
-// Tx is the execution context handed to a TxnFunc. All accesses are served
+// Tx is the execution context handed to a procedure. All accesses are served
 // from the owning partition's local data — no locks are needed because each
 // partition executes serially.
 type Tx struct {
@@ -33,8 +89,8 @@ type Tx struct {
 	bucket int
 	// Key is the transaction's routing (partitioning) key.
 	Key string
-	// Args carries the procedure's input parameters.
-	Args any
+	// args is the procedure's input, handed to it typed by Proc's body.
+	args any
 }
 
 // Get returns the row stored under (table, key), which must be co-located

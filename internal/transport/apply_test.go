@@ -13,7 +13,6 @@ import (
 	"pstore/internal/recovery"
 	"pstore/internal/server"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
@@ -40,23 +39,23 @@ func newApplyGate() *applyGate {
 
 func (g *applyGate) open() { g.once.Do(func() { close(g.hold) }) }
 
-// gated puts the gate in front of a procedure.
-func (g *applyGate) gated(fn store.TxnFunc) store.TxnFunc {
-	return func(tx *store.Tx) (any, error) {
+// gated puts g in front of a procedure.
+func gated[A any](g *applyGate, fn func(*store.Tx, A) (any, error)) func(*store.Tx, A) (any, error) {
+	return func(tx *store.Tx, args A) (any, error) {
 		select {
 		case g.entered <- struct{}{}:
 		default:
 		}
 		<-g.hold
-		return fn(tx)
+		return fn(tx, args)
 	}
 }
 
-// register is registerKV with the gate in front of put.
+// register is registerKV[int] with the gate in front of put.
 func (g *applyGate) register(eng *store.Engine) error {
-	if err := eng.Register("put", g.gated(func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("kv", tx.Key, tx.Args)
-	})); err != nil {
+	if err := eng.Register("put", store.Proc(gated(g, func(tx *store.Tx, args int) (any, error) {
+		return nil, tx.Put("kv", tx.Key, args)
+	}))); err != nil {
 		return err
 	}
 	return registerKVGet(eng)
@@ -65,26 +64,26 @@ func (g *applyGate) register(eng *store.Engine) error {
 // appendPut appends its argument to the row instead of replacing it, so a
 // command applied twice, out of order or to the wrong partition shows in the
 // value.
-func appendPut(tx *store.Tx) (any, error) {
+func appendPut(tx *store.Tx, args string) (any, error) {
 	old, _, err := tx.Get("kv", tx.Key)
 	if err != nil {
 		return nil, err
 	}
 	s, _ := old.(string)
-	return nil, tx.Put("kv", tx.Key, s+tx.Args.(string)+";")
+	return nil, tx.Put("kv", tx.Key, s+args+";")
 }
 
 // registerAppendKV registers put (as given: appendPut, or a gate around it) and
 // a get that returns the row as stored.
-func registerAppendKV(put store.TxnFunc) func(*store.Engine) error {
+func registerAppendKV(put func(*store.Tx, string) (any, error)) func(*store.Engine) error {
 	return func(eng *store.Engine) error {
-		if err := eng.Register("put", put); err != nil {
+		if err := eng.Register("put", store.Proc(put)); err != nil {
 			return err
 		}
-		return eng.Register("get", func(tx *store.Tx) (any, error) {
+		return eng.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 			v, _, err := tx.Get("kv", tx.Key)
 			return v, err
-		})
+		}))
 	}
 }
 
@@ -348,8 +347,8 @@ func TestFollowerAckCheckpointStampsApplied(t *testing.T) {
 func TestApplyPlanBarrier(t *testing.T) {
 	const keys = 60
 	register := registerAppendKV(appendPut)
-	primary := newReplNode(t, replNodeConfig{machines: 4, initial: 2, args: storetest.Args[string], register: register})
-	follower := newReplNode(t, replNodeConfig{machines: 4, initial: 2, replicaOf: primary.url, args: storetest.Args[string], register: register})
+	primary := newReplNode(t, replNodeConfig{machines: 4, initial: 2, register: register})
+	follower := newReplNode(t, replNodeConfig{machines: 4, initial: 2, replicaOf: primary.url, register: register})
 	meta := syncFollower(t, primary, follower)
 
 	round := func(tag string) {
@@ -445,8 +444,8 @@ func TestApplyBackpressure(t *testing.T) {
 func TestFollowerAckRestoreDrainsApply(t *testing.T) {
 	const keys = 8
 	gate := newApplyGate()
-	primary := newReplNode(t, replNodeConfig{machines: 4, initial: 2, args: storetest.Args[string], register: registerAppendKV(appendPut)})
-	follower := newReplNode(t, replNodeConfig{machines: 4, initial: 2, replicaOf: primary.url, args: storetest.Args[string], register: registerAppendKV(gate.gated(appendPut)), gate: gate})
+	primary := newReplNode(t, replNodeConfig{machines: 4, initial: 2, register: registerAppendKV(appendPut)})
+	follower := newReplNode(t, replNodeConfig{machines: 4, initial: 2, replicaOf: primary.url, register: registerAppendKV(gated(gate, appendPut)), gate: gate})
 	meta := syncFollower(t, primary, follower)
 
 	machineOf := func(i int) int {
@@ -624,7 +623,7 @@ func BenchmarkSyncCommitFollower(b *testing.B) {
 		return fs
 	}
 	register := func(eng *store.Engine) error {
-		if err := registerKV(eng); err != nil {
+		if err := registerKV[int](eng); err != nil {
 			return err
 		}
 		return eng.SetServiceTime("put", 3*time.Millisecond)

@@ -81,7 +81,9 @@ type heldInstall struct {
 // NewRemote builds a Remote topology over the given node peers. The cluster
 // geometry and the initial plan are taken from the nodes themselves (every
 // node derives the identical initial plan from the shared configuration),
-// so the coordinator needs no geometry flags that could drift.
+// so the coordinator needs no geometry flags that could drift. A node that
+// answers but has latched a durable-log failure is refused: treating it as
+// healthy would migrate data onto a machine that cannot promise durability.
 func NewRemote(ctx context.Context, peers []*Peer) (*Remote, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("transport: no node peers")
@@ -101,6 +103,9 @@ func NewRemote(ctx context.Context, peers []*Peer) (*Remote, error) {
 		if st.Node != i || st.Nodes != len(peers) {
 			return nil, fmt.Errorf("transport: peer %d identifies as node %d of %d (want %d of %d)",
 				i, st.Node, st.Nodes, i, len(peers))
+		}
+		if st.WALError != "" {
+			return nil, fmt.Errorf("transport: node %d reports a failed WAL: %s", i, st.WALError)
 		}
 		if i == 0 {
 			r.cfg = store.Config{

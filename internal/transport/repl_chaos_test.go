@@ -13,7 +13,6 @@ import (
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 )
 
@@ -75,14 +74,14 @@ func runReplChaosScript(t *testing.T, mode string) string {
 
 	switch mode {
 	case "mem":
-		n := nodetest.Node(t, node.Config{Store: kvStoreConfig(4, 1), Register: registerKV})
+		n := nodetest.Node(t, node.Config{Store: kvStoreConfig(4, 1), Register: registerKV[string]})
 		eng, rm = n.Engine, n.Recovery
 	case "disk":
-		n := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
+		n := newReplNode(t, replNodeConfig{register: registerKV[string]})
 		eng, rm = n.eng, n.rm
 	case "repl":
-		primary = newReplNode(t, replNodeConfig{args: storetest.Args[string]})
-		follower = newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string]})
+		primary = newReplNode(t, replNodeConfig{register: registerKV[string]})
+		follower = newReplNode(t, replNodeConfig{replicaOf: primary.url, register: registerKV[string]})
 		eng, rm = primary.eng, primary.rm
 	default:
 		t.Fatalf("unknown mode %q", mode)

@@ -20,7 +20,6 @@ import (
 	"pstore/internal/server"
 	"pstore/internal/squall"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
@@ -45,7 +44,6 @@ type replNode struct {
 type replNodeConfig struct {
 	machines, initial int
 	replicaOf         string
-	args              store.ArgsDecoder
 	// recovery is the log store: a small segment size, or a MemFS whose
 	// fsyncs the test gates; register the procedure set, such as a put the
 	// test holds open.
@@ -62,15 +60,12 @@ func newReplNode(t testing.TB, cfg replNodeConfig) *replNode {
 	if cfg.machines == 0 {
 		cfg.machines, cfg.initial = 4, 1
 	}
-	if cfg.args == nil {
-		cfg.args = storetest.Args[int]
-	}
 	switch {
 	case cfg.register != nil:
 	case cfg.gate != nil:
 		cfg.register = cfg.gate.register
 	default:
-		cfg.register = registerKV
+		cfg.register = registerKV[int]
 	}
 	if cfg.recovery.DataDir == "" {
 		cfg.recovery.DataDir = t.TempDir()
@@ -84,9 +79,6 @@ func newReplNode(t testing.TB, cfg replNodeConfig) *replNode {
 		t.Fatal(err)
 	}
 	if err := cfg.register(eng); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetArgsDecoder(cfg.args); err != nil {
 		t.Fatal(err)
 	}
 	rm, err := recovery.New(eng, cfg.recovery)
@@ -591,8 +583,8 @@ func TestCoordFailoverPromote(t *testing.T) {
 // primary's frames, byte for byte.
 func TestBigRecordsReachFollower(t *testing.T) {
 	const keys = 600
-	primary := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
-	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string]})
+	primary := newReplNode(t, replNodeConfig{register: registerKV[string]})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, register: registerKV[string]})
 	meta := syncFollower(t, primary, follower)
 	val := func(i int) string { return fmt.Sprintf("%04d", i) + strings.Repeat("x", 4<<10) }
 	for i := 0; i < keys; i++ {

@@ -13,7 +13,6 @@ import (
 	"pstore/internal/recovery"
 	"pstore/internal/squall"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wal"
 	"pstore/internal/wire"
@@ -51,8 +50,8 @@ func getStr(t *testing.T, eng *store.Engine, key string) string {
 func TestZombieRejoinChain(t *testing.T) {
 	oracle := runReplChaosScript(t, "mem")
 
-	a := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
-	b := newReplNode(t, replNodeConfig{replicaOf: a.url, args: storetest.Args[string]})
+	a := newReplNode(t, replNodeConfig{register: registerKV[string]})
+	b := newReplNode(t, replNodeConfig{replicaOf: a.url, register: registerKV[string]})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -150,8 +149,8 @@ func TestZombieRejoinChain(t *testing.T) {
 // follower — acked-but-lost is the one outcome synchronous commit forbids.
 // (A write the client saw fail may still land; that ambiguity is allowed.)
 func TestSyncCommitRPOZero(t *testing.T) {
-	primary := newReplNode(t, replNodeConfig{args: storetest.Args[string]})
-	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string]})
+	primary := newReplNode(t, replNodeConfig{register: registerKV[string]})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, register: registerKV[string]})
 	syncFollower(t, primary, follower)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -252,8 +251,8 @@ func TestStalledFollowerFullResync(t *testing.T) {
 	run := func(stall bool) string {
 		t.Helper()
 		// 4 KiB segments so the storm rolls the WAL many times over.
-		primary := newReplNode(t, replNodeConfig{args: storetest.Args[string], recovery: recovery.Config{SegmentBytes: 4096}})
-		follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string], recovery: recovery.Config{SegmentBytes: 4096}})
+		primary := newReplNode(t, replNodeConfig{register: registerKV[string], recovery: recovery.Config{SegmentBytes: 4096}})
+		follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, register: registerKV[string], recovery: recovery.Config{SegmentBytes: 4096}})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 
@@ -312,8 +311,8 @@ func TestStalledFollowerFullResync(t *testing.T) {
 // bound, compacts what they cover, and still promotes to the correct state.
 func TestFollowerCheckpoints(t *testing.T) {
 	small := recovery.Config{SegmentBytes: 1 << 10}
-	primary := newReplNode(t, replNodeConfig{args: storetest.Args[string], recovery: small})
-	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, args: storetest.Args[string], recovery: small})
+	primary := newReplNode(t, replNodeConfig{register: registerKV[string], recovery: small})
+	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url, register: registerKV[string], recovery: small})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

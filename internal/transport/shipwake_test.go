@@ -120,14 +120,14 @@ func TestLogBeforeRunFollowerFirst(t *testing.T) {
 	release := func() { letGo.Do(func() { close(hold) }) }
 	t.Cleanup(release)
 	heldPut := func(eng *store.Engine) error {
-		if err := eng.Register("put", func(tx *store.Tx) (any, error) {
+		if err := eng.Register("put", store.Proc(func(tx *store.Tx, args int) (any, error) {
 			running <- struct{}{}
 			<-hold
-			return nil, tx.Put("kv", tx.Key, tx.Args)
-		}); err != nil {
+			return nil, tx.Put("kv", tx.Key, args)
+		})); err != nil {
 			return err
 		}
-		return eng.Register("get", func(tx *store.Tx) (any, error) { return nil, nil })
+		return eng.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) { return nil, nil }))
 	}
 	primary := newReplNode(t, replNodeConfig{register: heldPut})
 	follower := newReplNode(t, replNodeConfig{replicaOf: primary.url})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +18,6 @@ import (
 	"pstore/internal/node/nodetest"
 	"pstore/internal/squall"
 	"pstore/internal/store"
-	"pstore/internal/store/storetest"
 	"pstore/internal/transport"
 	"pstore/internal/wire"
 )
@@ -27,10 +27,11 @@ import (
 // chunk encode/decode, install, forwarding) is exercised without workload
 // noise.
 
-func registerKV(eng *store.Engine) error {
-	if err := eng.Register("put", func(tx *store.Tx) (any, error) {
-		return nil, tx.Put("kv", tx.Key, tx.Args)
-	}); err != nil {
+// registerKV registers put of a V and get.
+func registerKV[V any](eng *store.Engine) error {
+	if err := eng.Register("put", store.Proc(func(tx *store.Tx, args V) (any, error) {
+		return nil, tx.Put("kv", tx.Key, args)
+	})); err != nil {
 		return err
 	}
 	return registerKVGet(eng)
@@ -39,13 +40,13 @@ func registerKV(eng *store.Engine) error {
 // registerKVGet registers the kv workload's read alone, for tests that bring
 // their own put.
 func registerKVGet(eng *store.Engine) error {
-	return eng.Register("get", func(tx *store.Tx) (any, error) {
+	return eng.Register("get", store.Proc(func(tx *store.Tx, _ store.NoArgs) (any, error) {
 		v, ok, err := tx.Get("kv", tx.Key)
 		if err != nil || !ok {
 			return nil, fmt.Errorf("missing %q: %v", tx.Key, err)
 		}
 		return v, nil
-	})
+	}))
 }
 
 func kvStoreConfig(machines, initial int) store.Config {
@@ -80,13 +81,8 @@ func loadAll(t *testing.T, engines []*store.Engine, keys int) {
 // active, the whole cluster on one node unless Start spreads it over several.
 func kvNode(machines, initial int) node.Config {
 	return node.Config{
-		Store: kvStoreConfig(machines, initial),
-		Register: func(eng *store.Engine) error {
-			if err := registerKV(eng); err != nil {
-				return err
-			}
-			return eng.SetArgsDecoder(storetest.Args[int])
-		},
+		Store:    kvStoreConfig(machines, initial),
+		Register: registerKV[int],
 	}
 }
 
@@ -300,6 +296,32 @@ func TestRemoteSweepReadsEachNodeOnce(t *testing.T) {
 		if got := reads[i].Load(); got != 2 {
 			t.Errorf("node %d answered %d status reads, want 2", i, got)
 		}
+	}
+}
+
+// TestRemoteRefusesFailedWAL: a node that answers its status read but reports
+// a latched WAL failure is not a topology member — NewRemote refuses it,
+// naming the node and the failure, before any move could put data on it.
+func TestRemoteRefusesFailedWAL(t *testing.T) {
+	peers := make([]*transport.Peer, 2)
+	for i := range peers {
+		st := wire.NodeStatus{Node: i, Nodes: 2, MaxMachines: 2, PartitionsPerMachine: 1, Buckets: 8, InitialMachines: 1}
+		if i == 1 {
+			st.WALError = "wal: sync seg-1: input/output error"
+		}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(st)
+		}))
+		t.Cleanup(srv.Close)
+		peers[i] = transport.NewPeer(srv.URL)
+	}
+	r, err := transport.NewRemote(context.Background(), peers)
+	if err == nil {
+		r.Close()
+		t.Fatal("NewRemote accepted a node whose WAL failed")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "node 1") || !strings.Contains(msg, "input/output error") {
+		t.Fatalf("NewRemote = %v, want a refusal naming node 1 and its WAL error", err)
 	}
 }
 

@@ -47,8 +47,8 @@ type Request struct {
 	Txn string `json:"txn"`
 	// Key is the routing (partitioning) key.
 	Key string `json:"key"`
-	// Args carries the procedure's parameters, encoded per-transaction
-	// (the server decodes them through its configured codec). Absent or
+	// Args carries the procedure's parameters as JSON, which the server
+	// decodes into the type the procedure was registered with. Absent or
 	// null means no arguments.
 	Args json.RawMessage `json:"args,omitempty"`
 }
